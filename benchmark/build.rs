@@ -1,0 +1,15 @@
+//! Records the compiler's version so every result file can name it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=FOCUS_BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
