@@ -2,18 +2,16 @@
 //!
 //! Implements the paper's §II-B alignment stage:
 //!
-//! * [`suffix`] — a suffix array over a concatenated read subset
-//!   (prefix-doubling construction in the spirit of Larsson–Sadakane, the
-//!   paper's ref. \[14\]), with pattern-interval lookup,
+//! * [`index`] — the seed index: a bucketed table of packed k-mer positions
+//!   over a read subset (standing in for the paper's suffix array, ref.
+//!   \[14\]; same hits per lookup),
 //! * [`nw`] — banded Needleman–Wunsch global alignment used to verify
 //!   candidate overlaps,
 //! * [`overlap`] — the overlap record vocabulary (suffix–prefix dovetails and
 //!   containments, with alignment length and identity),
 //! * [`pairwise`] — the subset-pair overlapper: k-mer seeding through the
-//!   suffix array, diagonal voting, banded verification, thresholding on
+//!   seed index, diagonal voting, banded verification, thresholding on
 //!   minimum overlap length and identity,
-//! * [`minimizer`] — a minimizer (minimum-hash window) index, the modern
-//!   hash-based alternative to the suffix array, provided for comparison,
 //! * [`kernel`] — the pluggable alignment-kernel layer: the [`AlignKernel`]
 //!   trait plus runtime dispatch ([`KernelKind`]) between the scalar
 //!   reference, the bit-parallel prefilter and the SIMD-batched engine,
@@ -23,17 +21,17 @@
 //!   the bit-parallel kernel.
 
 pub mod error;
+pub mod index;
 pub mod kernel;
-pub mod minimizer;
 pub mod myers;
 pub mod nw;
 pub mod overlap;
 pub mod pairwise;
-pub mod suffix;
 pub mod wide;
 
 pub use error::AlignError;
 pub use fc_exec::Pool;
+pub use index::KmerIndex;
 pub use kernel::{
     AlignKernel, KernelKind, KernelScratch, MyersKernel, ScalarKernel, VerifyParams, VerifyReq,
 };
@@ -42,10 +40,8 @@ pub use myers::{
     prefilter_compatible, MyersScratch,
 };
 pub use wide::WideKernel;
-pub use minimizer::{minimizers, MinimizerIndex};
 pub use nw::{
     band_for_error_rate, banded_global, banded_global_with, AlignmentSummary, NwConfig, NwScratch,
 };
 pub use overlap::{Overlap, OverlapKind};
 pub use pairwise::{AlignScratch, OverlapConfig, Overlapper, PairStats};
-pub use suffix::SuffixArray;

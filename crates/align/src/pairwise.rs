@@ -1,19 +1,19 @@
 //! The subset-pair overlapper (paper §II-B).
 //!
-//! Each reference read subset is indexed by a suffix array; every query read
+//! Each reference read subset is indexed by a [`KmerIndex`]; every query read
 //! is decomposed into k-mers that are looked up in the index. Reference reads
 //! collecting enough k-mer hits on a consistent diagonal become candidates
 //! and are verified with banded Needleman–Wunsch. Overlaps that meet the
 //! minimum length and identity thresholds are recorded.
 
 use crate::error::AlignError;
+use crate::index::{KmerIndex, SeedIndex};
 use crate::kernel::{AlignKernel, KernelKind, KernelScratch, VerifyParams, VerifyReq};
 use crate::nw::{band_for_error_rate, AlignmentSummary, NwConfig};
 use crate::overlap::{Overlap, OverlapKind};
-use crate::suffix::SuffixArray;
 use fc_exec::Pool;
 use fc_obs::Recorder;
-use fc_seq::{ReadId, ReadStore};
+use fc_seq::{DnaString, ReadId, ReadStore};
 use std::collections::HashMap;
 
 /// Identity-percentage histogram bounds: the interesting range is 50–100%,
@@ -108,7 +108,7 @@ impl OverlapConfig {
 pub struct PairStats {
     /// Query k-mer lookups performed.
     pub kmer_lookups: u64,
-    /// Total suffix-array hits returned.
+    /// Total seed-index hits returned.
     pub kmer_hits: u64,
     /// Candidate pairs that reached the aligner.
     pub candidates: u64,
@@ -176,16 +176,15 @@ impl fc_ckpt::Codec for PairStats {
 }
 
 /// Reusable per-worker buffers for the overlapper's hot path: the diagonal
-/// vote map and its flattened/sorted view, the suffix-array hit buffer, the
-/// candidate list, the verification-request batch and its verdicts, the
-/// kernel's own buffers, and the per-length band memo. One value per worker
-/// thread (see [`Overlapper::overlap_all_with`]) eliminates the per-read and
+/// vote map and its flattened/sorted view, the candidate list, the
+/// verification-request batch and its verdicts, the kernel's own buffers,
+/// and the per-length band memo. One value per worker thread (see
+/// [`Overlapper::overlap_all_with`]) eliminates the per-read and
 /// per-verification allocation churn without any cross-thread state.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
     votes: HashMap<(ReadId, i64), u32>,
     flat: Vec<(ReadId, i64, u32)>,
-    hits: Vec<(ReadId, u32)>,
     candidates: Vec<(ReadId, i64)>,
     reqs: Vec<VerifyReq>,
     verdicts: Vec<Option<AlignmentSummary>>,
@@ -228,13 +227,16 @@ impl<'a> Overlapper<'a> {
         &self.config
     }
 
-    /// Builds the suffix-array index for one reference subset.
-    pub fn index_subset(&self, reference: &[ReadId]) -> SuffixArray {
-        let entries: Vec<_> = reference
+    /// Builds the seed index for one reference subset.
+    pub fn index_subset(&self, reference: &[ReadId]) -> KmerIndex {
+        KmerIndex::build(&self.subset_entries(reference), self.config.k)
+    }
+
+    fn subset_entries(&self, reference: &[ReadId]) -> Vec<(ReadId, &'a DnaString)> {
+        reference
             .iter()
             .map(|&id| (id, &self.store.get(id).seq))
-            .collect();
-        SuffixArray::build(&entries)
+            .collect()
     }
 
     /// Finds overlaps between `query` reads and an indexed reference subset.
@@ -245,7 +247,7 @@ impl<'a> Overlapper<'a> {
     pub fn overlap_pair(
         &self,
         query: &[ReadId],
-        index: &SuffixArray,
+        index: &KmerIndex,
         dedup_self: bool,
     ) -> (Vec<Overlap>, PairStats) {
         self.overlap_pair_with(query, index, dedup_self, &mut AlignScratch::default())
@@ -264,7 +266,18 @@ impl<'a> Overlapper<'a> {
     pub fn overlap_pair_with(
         &self,
         query: &[ReadId],
-        index: &SuffixArray,
+        index: &KmerIndex,
+        dedup_self: bool,
+        scratch: &mut AlignScratch,
+    ) -> (Vec<Overlap>, PairStats) {
+        self.overlap_pair_in(query, index, dedup_self, scratch)
+    }
+
+    /// [`Overlapper::overlap_pair_with`] over any [`SeedIndex`].
+    fn overlap_pair_in(
+        &self,
+        query: &[ReadId],
+        index: &impl SeedIndex,
         dedup_self: bool,
         scratch: &mut AlignScratch,
     ) -> (Vec<Overlap>, PairStats) {
@@ -318,7 +331,7 @@ impl<'a> Overlapper<'a> {
     /// subset-pair tasks run concurrently (paper §II-B's parallel
     /// alignment).
     ///
-    /// Each reference subset's suffix array is built exactly once and shared
+    /// Each reference subset's index is built exactly once and shared
     /// read-only across its column of tasks; per-task results are merged in
     /// the serial loop's canonical `(j, i ≤ j)` order, so the output is
     /// bit-identical to [`Overlapper::overlap_all`] at any thread count.
@@ -348,7 +361,7 @@ impl<'a> Overlapper<'a> {
             "align.overlap_all",
             &[("subsets", subsets.len() as i64)],
         );
-        let indexes: Vec<SuffixArray> =
+        let indexes: Vec<KmerIndex> =
             pool.map_obs(subsets.len(), rec, |j| self.index_subset(&subsets[j]));
         let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(subsets.len().pow(2) / 2 + 1);
         for j in 0..subsets.len() {
@@ -482,7 +495,7 @@ impl<'a> Overlapper<'a> {
     fn overlap_one(
         &self,
         q: ReadId,
-        index: &SuffixArray,
+        index: &impl SeedIndex,
         dedup_self: bool,
         stats: &mut PairStats,
         scratch: &mut AlignScratch,
@@ -495,7 +508,6 @@ impl<'a> Overlapper<'a> {
         let AlignScratch {
             votes,
             flat,
-            hits,
             candidates,
             reqs,
             band_memo,
@@ -507,8 +519,7 @@ impl<'a> Overlapper<'a> {
         while pos + k <= query_seq.len() {
             if let Some(kmer) = query_seq.kmer_u64(pos, k) {
                 stats.kmer_lookups += 1;
-                index.find_kmer_into(kmer, k, hits);
-                for &(r, r_off) in hits.iter() {
+                for (r, r_off) in index.hits(kmer) {
                     stats.kmer_hits += 1;
                     if r == q {
                         continue;
@@ -907,6 +918,36 @@ mod tests {
             // No sorting: the merge itself must reproduce the serial order.
             assert_eq!(pooled.0, serial.0, "overlaps differ at {threads} threads");
             assert_eq!(pooled.1, serial.1, "pair stats differ at {threads} threads");
+        }
+    }
+
+    /// The whole overlapper over [`NaiveIndex`] (every lookup scans every
+    /// read) gives the overlaps *and* the per-pair work counters it gives
+    /// over [`KmerIndex`]: the index changes no hit, so nothing downstream
+    /// of seeding can drift.
+    #[test]
+    fn overlap_all_over_the_naive_index_is_identical() {
+        use crate::index::NaiveIndex;
+        let genome = random_genome(900, 17);
+        let store = tiled_store(&genome, 100, 35);
+        let overlapper = Overlapper::new(&store, test_config()).unwrap();
+        for n in [1usize, 4, 5] {
+            let subsets = store.split_subsets(n);
+            let k = overlapper.config.k;
+            let mut results = Vec::new();
+            for (j, reference) in subsets.iter().enumerate() {
+                let naive = NaiveIndex::build(&overlapper.subset_entries(reference), k);
+                for (i, query) in subsets.iter().enumerate().take(j + 1) {
+                    let mut scratch = AlignScratch::default();
+                    let out = overlapper.overlap_pair_in(query, &naive, i == j, &mut scratch);
+                    results.push(((i, j), (out, false)));
+                }
+            }
+            let oracle = overlapper.merge_pair_results(results, &Recorder::disabled());
+            let indexed = overlapper.overlap_all(&subsets);
+            assert!(!indexed.0.is_empty());
+            assert_eq!(indexed.0, oracle.0, "overlaps differ at {n} subsets");
+            assert_eq!(indexed.1, oracle.1, "pair stats differ at {n} subsets");
         }
     }
 

@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks for the alignment substrate: suffix-array
+//! Criterion micro-benchmarks for the alignment substrate: seed-index
 //! construction, k-mer lookup and banded Needleman–Wunsch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fc_align::{banded_global, MinimizerIndex, NwConfig, OverlapConfig, Overlapper, SuffixArray};
+use fc_align::{banded_global, KmerIndex, NwConfig, OverlapConfig, Overlapper};
 use fc_seq::{DnaString, ReadId, ReadStore, TrimConfig};
 use fc_sim::{GenomeConfig, ReadSimConfig};
 use std::hint::black_box;
@@ -41,23 +41,21 @@ fn tiled_store(genome_len: usize, n_reads: usize) -> ReadStore {
     .expect("preprocess succeeds")
 }
 
-fn bench_suffix_array(c: &mut Criterion) {
+fn bench_kmer_index(c: &mut Criterion) {
     let store = tiled_store(20_000, 1000);
     let entries: Vec<(ReadId, &DnaString)> =
         store.ids().map(|id| (id, &store.get(id).seq)).collect();
-    c.bench_function("suffix_array_build_2000_reads", |b| {
-        b.iter(|| SuffixArray::build(black_box(&entries)))
+    c.bench_function("kmer_index_build_2000_reads", |b| {
+        b.iter(|| KmerIndex::build(black_box(&entries), 15))
     });
 
-    let sa = SuffixArray::build(&entries);
+    let index = KmerIndex::build(&entries, 15);
     let query = store.get(ReadId(0)).seq.clone();
-    c.bench_function("suffix_array_kmer_lookup", |b| {
-        let mut buf = Vec::new();
+    c.bench_function("kmer_index_lookup", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for (_, kmer) in query.kmers(15) {
-                sa.find_kmer_into(black_box(kmer), 15, &mut buf);
-                hits += buf.len();
+                hits += index.hits(black_box(kmer)).count();
             }
             hits
         })
@@ -98,23 +96,9 @@ fn bench_overlapper(c: &mut Criterion) {
     });
 }
 
-fn bench_minimizer(c: &mut Criterion) {
-    let store = tiled_store(20_000, 1000);
-    let entries: Vec<(ReadId, &DnaString)> =
-        store.ids().map(|id| (id, &store.get(id).seq)).collect();
-    c.bench_function("minimizer_index_build_2000_reads", |b| {
-        b.iter(|| MinimizerIndex::build(black_box(&entries), 15, 8))
-    });
-    let index = MinimizerIndex::build(&entries, 15, 8);
-    let query = store.get(ReadId(0)).seq.clone();
-    c.bench_function("minimizer_candidates_per_read", |b| {
-        b.iter(|| index.candidates(ReadId(0), black_box(&query), 2))
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_suffix_array, bench_banded_nw, bench_overlapper, bench_minimizer
+    targets = bench_kmer_index, bench_banded_nw, bench_overlapper
 }
 criterion_main!(benches);

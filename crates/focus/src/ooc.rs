@@ -41,7 +41,7 @@ use crate::checkpoint::{
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::FocusAssembler;
 use crate::stats::PipelineProfile;
-use fc_align::{AlignScratch, Overlap, Overlapper, PairStats, Pool, SuffixArray};
+use fc_align::{AlignScratch, KmerIndex, Overlap, Overlapper, PairStats, Pool};
 use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
 use fc_obs::{MemoryBudget, Recorder, Reservation};
 use fc_seq::{fastq, PagedReadStore, PagedStoreWriter, ReadStore, ReadStoreBuilder, SeqError};
@@ -249,7 +249,7 @@ impl FocusAssembler {
     ///    [`CheckpointOptions::resume`], valid staged pages from a killed
     ///    run are adopted instead (digest-verified — stale pages are
     ///    recomputed, never trusted).
-    /// 3. **Spilled alignment** — one suffix-array index column resident
+    /// 3. **Spilled alignment** — one seed-index column resident
     ///    at a time; each subset pair's run spills to
     ///    `<spill_dir>/align` and is merged back in canonical order.
     /// 4. Everything downstream is the shared checkpointed tail — same
@@ -418,7 +418,7 @@ fn open_fastq(path: &Path) -> Result<fastq::Reader<BufReader<File>>, FocusError>
 }
 
 /// External-memory variant of [`Overlapper::overlap_all_obs`]: computes
-/// the subset-pair tasks one reference column at a time (one suffix-array
+/// the subset-pair tasks one reference column at a time (one seed
 /// index resident instead of all of them), spilling each pair's run to
 /// disk as soon as it is computed, then merges every run back in the
 /// canonical `(j, i ≤ j)` order through the shared
@@ -463,12 +463,15 @@ fn overlap_all_spilled(
         }
         // Built through the pool so `exec.tasks` counts one task per
         // index, exactly like the in-core path's index fan-out.
-        let index: SuffixArray = pool
+        let index: KmerIndex = pool
             .map_obs(1, rec, |_| overlapper.index_subset(&subsets[j]))
             .pop()
             .unwrap_or_else(|| overlapper.index_subset(&subsets[j]));
         let index_res = mem
-            .try_reserve("align-index", approx_index_bytes(&subsets[j], store_reads))
+            .try_reserve(
+                "align-index",
+                approx_index_bytes(&subsets[j], store_reads, config.overlap.k),
+            )
             .map_err(FocusError::from)?;
         let results = pool.map_items_obs(
             todo,
@@ -497,7 +500,7 @@ fn overlap_all_spilled(
 
     // Merge in canonical order, reloading spilled runs (or recomputing
     // any run the CRC layer rejects — fault injection, torn files).
-    let mut cached_index: Option<(usize, SuffixArray)> = None;
+    let mut cached_index: Option<(usize, KmerIndex)> = None;
     let mut merged: Vec<((usize, usize), ((Vec<Overlap>, PairStats), bool))> =
         Vec::with_capacity(pairs.len());
     for (t, &(i, j)) in pairs.iter().enumerate() {
@@ -527,13 +530,11 @@ fn overlap_all_spilled(
     Ok(overlapper.merge_pair_results(merged, rec))
 }
 
-/// Estimate of a subset's suffix-array index footprint, from its layout:
-/// concatenated text (1 byte per base plus a separator per read), `u32`
-/// suffix positions over that text, and `u32` read starts + ids.
-fn approx_index_bytes(subset: &[fc_seq::ReadId], store: &ReadStore) -> u64 {
+/// What a subset's seed index will hold; the layout and its arithmetic
+/// live with [`KmerIndex`].
+fn approx_index_bytes(subset: &[fc_seq::ReadId], store: &ReadStore, k: usize) -> u64 {
     let bases: usize = subset.iter().map(|&id| store.get(id).len()).sum();
-    let text = (bases + subset.len()) as u64;
-    text.saturating_mul(5).saturating_add(subset.len() as u64 * 8)
+    KmerIndex::estimated_bytes(bases, subset.len(), k)
 }
 
 /// Generous estimate of one pair run's in-memory footprint.

@@ -163,7 +163,7 @@ mod tests {
         Analysis {
             violations: vec![Diagnostic {
                 rule: Rule::NondetIteration,
-                path: "crates/align/src/minimizer.rs".into(),
+                path: "crates/align/src/pairwise.rs".into(),
                 line: 109,
                 col: 9,
                 message: "iteration over `HashMap` (`votes`) in hash order".into(),

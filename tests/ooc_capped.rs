@@ -78,7 +78,7 @@ fn genome(len: usize, seed: u64) -> DnaString {
 
 fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
     let g = genome(len, seed);
-    // Long reads on purpose: suffix-array indexes scale with bases while
+    // Long reads on purpose: seed indexes scale with bases while
     // the graph scales with overlap count, so the alignment phase — the
     // part spilling shrinks — dominates the in-core peak.
     let (read_len, stride) = (300usize, 150usize);
