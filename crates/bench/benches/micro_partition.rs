@@ -1,5 +1,8 @@
 //! Criterion micro-benchmarks splitting the partitioning cost into its
-//! stages: greedy growing, KL refinement, k-way refinement, full pipeline.
+//! stages: greedy growing, KL refinement, k-way refinement, full pipeline —
+//! each on a connected overlap chain and on a hybrid-like graph (mostly
+//! isolated nodes), the traffic `focus-bench`'s `ksweep` and `incore-*`
+//! workloads serve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fc_graph::{CoarsenConfig, LevelGraph, MultilevelSet};
@@ -25,62 +28,99 @@ fn overlap_like_graph(n: usize, seed: u64) -> LevelGraph {
     g
 }
 
+/// What the pipeline actually partitions: the hybrid graph set is about
+/// 95 % isolated nodes, the rest in chains of 2–6 (same shape as
+/// fc-partition's `HybridLike` test family).
+fn hybrid_like_graph(n: usize, seed: u64) -> LevelGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut g = LevelGraph::with_nodes(n);
+    let mut v = 0;
+    while v < n {
+        if rng.gen_range(0..80) == 0 {
+            let len = rng.gen_range(2..7).min(n - v);
+            for i in 1..len {
+                g.add_edge((v + i - 1) as u32, (v + i) as u32, rng.gen_range(20..100));
+            }
+            v += len;
+        } else {
+            v += 1;
+        }
+    }
+    g
+}
+
+/// Both shapes under the names the records use: the connected chain keeps
+/// the historical bench names, the hybrid-like one is suffixed.
+fn shapes(n: usize) -> [(&'static str, LevelGraph); 2] {
+    [
+        ("", overlap_like_graph(n, 1)),
+        ("_hybrid_like", hybrid_like_graph(n, 1)),
+    ]
+}
+
 fn local_of(g: &LevelGraph) -> LocalGraph {
     let nodes: Vec<u32> = (0..g.node_count() as u32).collect();
     LocalGraph::extract(g, &nodes)
 }
 
 fn bench_grow(c: &mut Criterion) {
-    let local = local_of(&overlap_like_graph(5000, 1));
-    c.bench_function("greedy_grow_5k", |b| {
-        b.iter(|| {
-            let mut work = 0;
-            greedy_grow(black_box(&local), 9, &mut work)
-        })
-    });
+    for (suffix, g) in shapes(5000) {
+        let local = local_of(&g);
+        c.bench_function(&format!("greedy_grow_5k{suffix}"), |b| {
+            b.iter(|| {
+                let mut work = 0;
+                greedy_grow(black_box(&local), 9, &mut work)
+            })
+        });
+    }
 }
 
 fn bench_kl(c: &mut Criterion) {
-    let local = local_of(&overlap_like_graph(5000, 1));
-    let mut work = 0;
-    let side0 = greedy_grow(&local, 9, &mut work);
-    c.bench_function("kl_refine_5k", |b| {
-        b.iter(|| {
-            let mut side = side0.clone();
-            let mut work = 0;
-            kl_refine(
-                black_box(&local),
-                &mut side,
-                &KlConfig::default(),
-                &mut work,
-            )
-        })
-    });
+    for (suffix, g) in shapes(5000) {
+        let local = local_of(&g);
+        let mut work = 0;
+        let side0 = greedy_grow(&local, 9, &mut work);
+        c.bench_function(&format!("kl_refine_5k{suffix}"), |b| {
+            b.iter(|| {
+                let mut side = side0.clone();
+                let mut work = 0;
+                kl_refine(
+                    black_box(&local),
+                    &mut side,
+                    &KlConfig::default(),
+                    &mut work,
+                )
+            })
+        });
+    }
 }
 
 fn bench_kway(c: &mut Criterion) {
-    let g = overlap_like_graph(5000, 1);
-    let parts0: Vec<u32> = (0..5000).map(|i| ((i * 16) / 5000) as u32).collect();
-    c.bench_function("kway_refine_5k_16parts", |b| {
-        b.iter(|| {
-            let mut parts = parts0.clone();
-            let mut work = 0;
-            kway_refine(
-                black_box(&g),
-                &mut parts,
-                16,
-                &KwayConfig::default(),
-                &mut work,
-            )
-        })
-    });
+    for (suffix, g) in shapes(5000) {
+        let parts0: Vec<u32> = (0..5000).map(|i| ((i * 16) / 5000) as u32).collect();
+        c.bench_function(&format!("kway_refine_5k_16parts{suffix}"), |b| {
+            b.iter(|| {
+                let mut parts = parts0.clone();
+                let mut work = 0;
+                kway_refine(
+                    black_box(&g),
+                    &mut parts,
+                    16,
+                    &KwayConfig::default(),
+                    &mut work,
+                )
+            })
+        });
+    }
 }
 
 fn bench_full(c: &mut Criterion) {
-    let set = MultilevelSet::build(overlap_like_graph(10_000, 1), &CoarsenConfig::default()).set;
-    c.bench_function("partition_graph_set_10k_k16", |b| {
-        b.iter(|| partition_graph_set(black_box(&set), &PartitionConfig::new(16, 3)))
-    });
+    for (suffix, g) in shapes(10_000) {
+        let set = MultilevelSet::build(g, &CoarsenConfig::default()).set;
+        c.bench_function(&format!("partition_graph_set_10k_k16{suffix}"), |b| {
+            b.iter(|| partition_graph_set(black_box(&set), &PartitionConfig::new(16, 3)))
+        });
+    }
 }
 
 criterion_group! {

@@ -15,7 +15,7 @@
 //! phases never re-consume fault events.
 
 use crate::cluster::{ClusterState, PhaseTiming};
-use crate::fault::{FaultReport, PhaseId};
+use crate::fault::PhaseId;
 use crate::traverse::AssemblyPath;
 use fc_graph::DiGraph;
 
@@ -122,6 +122,7 @@ impl DistCheckpoint for NoCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultReport;
     use fc_ckpt::{decode_from_slice, encode_to_vec};
 
     #[test]

@@ -7,6 +7,20 @@
 //! side's (the paper's 3 % edge-weight balance bound); the whole process
 //! stops once either side holds half the node weight, and leftovers go to
 //! the lighter side.
+//!
+//! # What is kept across assignments
+//!
+//! Weighted degrees are summed once per call. The set of unassigned nodes
+//! lives in a Fenwick tree, so the reseed an empty horizon asks for — "the
+//! `pick`-th unassigned node in index order" — costs `O(log n)`; the hybrid
+//! graph sets are mostly isolated nodes, where nearly every step reseeds.
+//! The draw, and so the node, are the ones a walk over the assignment array
+//! finds (the `reference` module keeps that walk; `differential` compares).
+//!
+//! # What `work` charges
+//!
+//! One unit per edge relaxed and one per queue pop — the paper's growing
+//! step, counted. Reseeding was never charged and still is not.
 
 use crate::local::LocalGraph;
 use rand::Rng;
@@ -18,6 +32,51 @@ use std::collections::BinaryHeap;
 /// The paper's 3 % balance bound on partition edge weight during growth.
 pub const EDGE_WEIGHT_BALANCE: f64 = 1.03;
 
+/// Which nodes are still unassigned, as a Fenwick tree of 0/1 marks:
+/// assigning a node and finding the `pick`-th unassigned node in index order
+/// are both `O(log n)`.
+struct Unassigned {
+    /// 1-based; `tree[i]` counts the marks in `(i - lowbit(i), i]`.
+    tree: Vec<u32>,
+}
+
+impl Unassigned {
+    /// All of `0..n` unassigned.
+    fn all(n: usize) -> Unassigned {
+        // A node of an all-ones Fenwick tree holds the size of its range.
+        let tree = (0..=n as u32).map(|i| i & i.wrapping_neg()).collect();
+        Unassigned { tree }
+    }
+
+    /// Clears the mark of `v` (which must be set).
+    fn assign(&mut self, v: u32) {
+        let mut i = v as usize + 1;
+        while i < self.tree.len() {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The unassigned node with exactly `pick` unassigned nodes before it.
+    /// `pick` must be below the number of marks left.
+    fn nth(&self, pick: usize) -> u32 {
+        let n = self.tree.len() - 1;
+        let mut pos = 0usize;
+        let mut remaining = pick as u32;
+        let mut step = n.checked_ilog2().map_or(0, |b| 1usize << b);
+        // Descend to the longest prefix holding at most `pick` marks.
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && self.tree[next] <= remaining {
+                pos = next;
+                remaining -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos as u32
+    }
+}
+
 /// Grows an initial bisection of `local`. Returns `side[v]` (false = P1,
 /// true = P2) and adds the work performed (edge relaxations + queue pops) to
 /// `work`.
@@ -27,18 +86,17 @@ pub const EDGE_WEIGHT_BALANCE: f64 = 1.03;
 pub fn greedy_grow(local: &LocalGraph, seed: u64, work: &mut u64) -> Vec<bool> {
     let n = local.len();
     let mut side = vec![false; n];
-    if n == 0 {
-        return side;
-    }
-    if n == 1 {
+    if n < 2 {
         return side;
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let total_nw: u64 = local.total_node_weight();
+    let wdeg: Vec<u64> = (0..n as u32).map(|v| local.weighted_degree(v)).collect();
 
     // Assignment state: 0 = unassigned, 1 = P1, 2 = P2.
     let mut assigned = vec![0u8; n];
     let mut unassigned = n;
+    let mut unassigned_index = Unassigned::all(n);
     // Accumulated edge weight into each side per unassigned node.
     let mut into = vec![[0u64; 2]; n];
     // Lazy max-heaps of (gain, node) per side.
@@ -54,13 +112,14 @@ pub fn greedy_grow(local: &LocalGraph, seed: u64, work: &mut u64) -> Vec<bool> {
             let s = $s;
             assigned[v as usize] = s as u8 + 1;
             unassigned -= 1;
+            unassigned_index.assign(v);
             nw[s] += local.node_w[v as usize];
-            ew[s] += local.weighted_degree(v);
+            ew[s] += wdeg[v as usize];
             for &(u, w) in &local.adj[v as usize] {
                 *work += 1;
                 if assigned[u as usize] == 0 {
                     into[u as usize][s] += w;
-                    let g = gain(into[u as usize][s], local.weighted_degree(u));
+                    let g = gain(into[u as usize][s], wdeg[u as usize]);
                     heaps[s].push((g, Reverse(u)));
                 }
             }
@@ -81,31 +140,16 @@ pub fn greedy_grow(local: &LocalGraph, seed: u64, work: &mut u64) -> Vec<bool> {
             if assigned[v as usize] != 0 {
                 continue; // stale: already assigned
             }
-            let current = gain(into[v as usize][growing], local.weighted_degree(v));
+            let current = gain(into[v as usize][growing], wdeg[v as usize]);
             if g != current {
                 continue; // stale: gain changed since push
             }
             chosen = Some(v);
             break;
         }
-        let v = match chosen {
-            Some(v) => v,
-            None => {
-                // Empty horizon (new side or disconnected piece): random seed.
-                let mut pick = rng.gen_range(0..unassigned);
-                let mut found = 0u32;
-                for (u, &a) in assigned.iter().enumerate() {
-                    if a == 0 {
-                        if pick == 0 {
-                            found = u as u32;
-                            break;
-                        }
-                        pick -= 1;
-                    }
-                }
-                found
-            }
-        };
+        // Empty horizon (new side or disconnected piece): random seed, the
+        // `pick`-th unassigned node in index order.
+        let v = chosen.unwrap_or_else(|| unassigned_index.nth(rng.gen_range(0..unassigned)));
         assign!(v, growing);
     }
 
@@ -233,5 +277,173 @@ mod tests {
         // Total 100; the heavy node forces its side to ~50.
         assert!(w0.abs_diff(w1) <= 51, "degenerate split: {w0} vs {w1}");
         assert_eq!(w0 + w1, 100);
+    }
+}
+
+/// Growing as it was before the Fenwick tree: weighted degrees re-summed on
+/// every use and each reseed found by walking `assigned` from the start.
+/// Kept as the oracle [`differential`] compares `greedy_grow` against.
+#[cfg(test)]
+mod reference {
+    use super::{LocalGraph, EDGE_WEIGHT_BALANCE};
+    use rand::Rng;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Grows an initial bisection of `local`. Returns `side[v]` (false = P1,
+    /// true = P2) and adds the work performed (edge relaxations + queue pops) to
+    /// `work`.
+    ///
+    /// Deterministic in `seed`. Handles disconnected subgraphs by reseeding when
+    /// a horizon empties.
+    pub(super) fn greedy_grow(local: &LocalGraph, seed: u64, work: &mut u64) -> Vec<bool> {
+        let n = local.len();
+        let mut side = vec![false; n];
+        if n == 0 {
+            return side;
+        }
+        if n == 1 {
+            return side;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let total_nw: u64 = local.total_node_weight();
+
+        // Assignment state: 0 = unassigned, 1 = P1, 2 = P2.
+        let mut assigned = vec![0u8; n];
+        let mut unassigned = n;
+        // Accumulated edge weight into each side per unassigned node.
+        let mut into = vec![[0u64; 2]; n];
+        // Lazy max-heaps of (gain, node) per side.
+        let mut heaps: [BinaryHeap<(i64, Reverse<u32>)>; 2] =
+            [BinaryHeap::new(), BinaryHeap::new()];
+        let (mut nw, mut ew) = ([0u64; 2], [0u64; 2]);
+
+        let gain = |into_s: u64, wdeg: u64| -> i64 { 2 * into_s as i64 - wdeg as i64 };
+
+        // Assigns `v` to side `s` (0 or 1) and relaxes its neighbors.
+        macro_rules! assign {
+            ($v:expr, $s:expr) => {{
+                let v = $v;
+                let s = $s;
+                assigned[v as usize] = s as u8 + 1;
+                unassigned -= 1;
+                nw[s] += local.node_w[v as usize];
+                ew[s] += local.weighted_degree(v);
+                for &(u, w) in &local.adj[v as usize] {
+                    *work += 1;
+                    if assigned[u as usize] == 0 {
+                        into[u as usize][s] += w;
+                        let g = gain(into[u as usize][s], local.weighted_degree(u));
+                        heaps[s].push((g, Reverse(u)));
+                    }
+                }
+            }};
+        }
+
+        // Which side is currently growing.
+        let mut growing = 0usize;
+        while unassigned > 0 && nw[0] < total_nw.div_ceil(2) && nw[1] < total_nw.div_ceil(2) {
+            // Respect the edge-weight balance bound by switching sides.
+            if (ew[growing] as f64) > EDGE_WEIGHT_BALANCE * ew[1 - growing] as f64 {
+                growing = 1 - growing;
+            }
+            // Pop the best valid horizon node for the growing side.
+            let mut chosen: Option<u32> = None;
+            while let Some((g, Reverse(v))) = heaps[growing].pop() {
+                *work += 1;
+                if assigned[v as usize] != 0 {
+                    continue; // stale: already assigned
+                }
+                let current = gain(into[v as usize][growing], local.weighted_degree(v));
+                if g != current {
+                    continue; // stale: gain changed since push
+                }
+                chosen = Some(v);
+                break;
+            }
+            let v = match chosen {
+                Some(v) => v,
+                None => {
+                    // Empty horizon (new side or disconnected piece): random seed.
+                    let mut pick = rng.gen_range(0..unassigned);
+                    let mut found = 0u32;
+                    for (u, &a) in assigned.iter().enumerate() {
+                        if a == 0 {
+                            if pick == 0 {
+                                found = u as u32;
+                                break;
+                            }
+                            pick -= 1;
+                        }
+                    }
+                    found
+                }
+            };
+            assign!(v, growing);
+        }
+
+        // Leftovers go to the lighter side.
+        for (v, a) in assigned.iter_mut().enumerate() {
+            if *a == 0 {
+                let s = usize::from(nw[1] < nw[0]);
+                *a = s as u8 + 1;
+                nw[s] += local.node_w[v];
+            }
+        }
+        for (s, &a) in side.iter_mut().zip(&assigned) {
+            *s = a == 2;
+        }
+        side
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::testgen::{self, Lcg};
+
+    /// Same sides and same work as the linear-reseed grower, on every family
+    /// and size, for several seeds each.
+    #[test]
+    fn grow_matches_reference_on_every_family() {
+        for (family, n, case_seed, g) in testgen::cases() {
+            let nodes: Vec<u32> = (0..n as u32).collect();
+            let local = LocalGraph::extract(&g, &nodes);
+            for seed in [0, 9, case_seed ^ 0x9E37_79B9] {
+                let (mut work, mut ref_work) = (0u64, 0u64);
+                let side = greedy_grow(&local, seed, &mut work);
+                let ref_side = reference::greedy_grow(&local, seed, &mut ref_work);
+                let case = format!("{family:?} n={n} case={case_seed} seed={seed}");
+                assert_eq!(side, ref_side, "sides differ: {case}");
+                assert_eq!(work, ref_work, "work differs: {case}");
+            }
+        }
+    }
+
+    /// The tree's `pick`-th unassigned node is the one the linear walk over
+    /// the assignment array finds, for every legal `pick`.
+    #[test]
+    fn reseed_pick_equals_the_linear_walk() {
+        for n in [1usize, 2, 3, 17, 300, 2_000] {
+            let mut rng = Lcg::new(n as u64);
+            let mut index = Unassigned::all(n);
+            let mut assigned = vec![false; n];
+            // Before any assignment the k-th unassigned node is node k.
+            for pick in 0..n {
+                assert_eq!(index.nth(pick), pick as u32);
+            }
+            for (v, mark) in assigned.iter_mut().enumerate() {
+                if rng.below(2) == 0 {
+                    *mark = true;
+                    index.assign(v as u32);
+                }
+            }
+            let walk: Vec<u32> = (0..n as u32).filter(|&v| !assigned[v as usize]).collect();
+            for (pick, &expected) in walk.iter().enumerate() {
+                assert_eq!(index.nth(pick), expected, "n={n} pick={pick}");
+            }
+        }
     }
 }

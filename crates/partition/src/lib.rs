@@ -8,13 +8,30 @@
 //! * [`grow`] — greedy graph growing for the initial bisection (§IV-A):
 //!   gain-priority growth, alternating sides, 3 % edge-weight balance bound,
 //! * [`kl`] — Kernighan–Lin bisection refinement (§IV-B): D values, dual
-//!   sorted queues with diagonal scanning, fifty-swap early stop, undo to
+//!   D-ordered queues with diagonal scanning, fifty-swap early stop, undo to
 //!   the best partial sum,
 //! * [`recursive`] — multilevel recursive bisection with projection and
 //!   per-level refinement (§IV-C), recording the task tree whose natural
 //!   parallelism fc-dist schedules (Fig. 4),
 //! * [`kway`] — global k-way Kernighan–Lin boundary refinement (§IV-D),
 //! * [`metrics`] — edge cut, balance and validity checks (Table II).
+//!
+//! ## Cost of a swap, cost on the clock
+//!
+//! The three inner loops pay for what a swap or move changed: KL keeps its
+//! two D-ordered queues for a whole pass and re-keys only the swapped pair's
+//! neighbors, greedy growing reseeds from a Fenwick tree of unassigned
+//! nodes, k-way refinement scans only unlocked boundary nodes, and each
+//! recursion step buckets the levels by part once for all its tasks.
+//!
+//! [`TaskRecord::work`] is a different thing: the virtual clock of the
+//! *paper's* `O(n² log n)` scheme, which fc-dist schedules to reproduce
+//! Fig. 4/5. It is charged by count — unlocked nodes per swap, pairs the
+//! diagonal scan examines, edges relaxed, the degree sum of all unlocked
+//! nodes per k-way move — regardless of the structure underneath, so work
+//! units, assignments and everything downstream of them do not depend on
+//! how the loops are implemented. Each loop's previous body survives as a
+//! `#[cfg(test)] mod reference` that differential tests compare against.
 
 pub mod error;
 pub mod grow;
@@ -23,6 +40,8 @@ pub mod kway;
 pub mod local;
 pub mod metrics;
 pub mod recursive;
+#[cfg(test)]
+mod testgen;
 
 pub use error::PartitionError;
 pub use grow::greedy_grow;

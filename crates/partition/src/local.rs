@@ -2,7 +2,11 @@
 //!
 //! Recursive bisection repeatedly works on the subgraph induced by one
 //! partition's nodes. Extracting it into dense local ids keeps the greedy
-//! growing and KL inner loops cache-friendly and index-based.
+//! growing and KL inner loops cache-friendly and index-based: their queues,
+//! lock marks, Fenwick tree and weight row are all plain vectors over
+//! `0..len()`. Extraction itself maps global to local ids through a dense
+//! vector over the level's nodes. It is not part of the paper's algorithm
+//! and charges no `work`.
 
 use fc_graph::{LevelGraph, NodeId};
 
@@ -21,16 +25,21 @@ pub struct LocalGraph {
 impl LocalGraph {
     /// Extracts the subgraph of `g` induced by `nodes`.
     pub fn extract(g: &LevelGraph, nodes: &[NodeId]) -> LocalGraph {
-        let mut global_to_local = std::collections::HashMap::with_capacity(nodes.len());
+        // Dense global → local id map; `ABSENT` marks nodes outside the subset.
+        const ABSENT: u32 = u32::MAX;
+        let mut global_to_local = vec![ABSENT; g.node_count()];
         for (li, &v) in nodes.iter().enumerate() {
-            global_to_local.insert(v, li as u32);
+            global_to_local[v as usize] = li as u32;
         }
         let adj = nodes
             .iter()
             .map(|&v| {
                 g.neighbors(v)
                     .iter()
-                    .filter_map(|&(u, w)| global_to_local.get(&u).map(|&lu| (lu, w)))
+                    .filter_map(|&(u, w)| match global_to_local[u as usize] {
+                        ABSENT => None,
+                        lu => Some((lu, w)),
+                    })
                     .collect()
             })
             .collect();

@@ -9,7 +9,9 @@
 //!
 //! The recursion has natural task parallelism: step `i` bisects `2^i`
 //! partitions independently, and the final k-way refinement treats each
-//! level independently. Every task's abstract work is recorded in
+//! level independently. Before a step's tasks start, every level's nodes are
+//! bucketed by part once; a task borrows its buckets instead of filtering
+//! whole levels. Every task's abstract work is recorded in
 //! [`TaskRecord`]s so the simulated cluster (fc-dist) can schedule them onto
 //! `p` processors and reproduce the paper's Fig. 4 speedup curve.
 
@@ -171,11 +173,18 @@ pub fn partition_graph_set_obs(
         // lists after a step barrier is therefore bit-identical to the
         // serial in-place loop — at any thread count.
         let parts_ro: &[Vec<u32>] = &parts;
+        // Every level's nodes bucketed by part, once for the whole step: a
+        // task reads its own bucket instead of filtering the level.
+        let members: Vec<Vec<Vec<NodeId>>> = parts_ro
+            .iter()
+            .map(|assignment| members_by_part(assignment, 1 << step))
+            .collect();
         let outcomes = pool.map_obs(1usize << step, rec, |pi| {
             let p = pi as u32;
             bisect_partition(
                 set,
                 parts_ro,
+                &members,
                 p,
                 p + (1 << step),
                 config,
@@ -284,6 +293,15 @@ pub fn partition_graph_set_obs(
     })
 }
 
+/// The nodes of each part `0..k`, ascending within a part.
+fn members_by_part(assignment: &[u32], k: usize) -> Vec<Vec<NodeId>> {
+    let mut members = vec![Vec::new(); k];
+    for (v, &p) in assignment.iter().enumerate() {
+        members[p as usize].push(v as NodeId);
+    }
+    members
+}
+
 /// Fills empty partition ids (when the graph has enough nodes) by moving a
 /// connected half of the node-richest partition into each empty id.
 fn repair_empty_partitions(g: &fc_graph::LevelGraph, parts: &mut [u32], k: usize) {
@@ -291,14 +309,14 @@ fn repair_empty_partitions(g: &fc_graph::LevelGraph, parts: &mut [u32], k: usize
     if n < k {
         return;
     }
-    loop {
-        let mut counts = vec![0usize; k];
-        for &p in parts.iter() {
-            counts[p as usize] += 1;
-        }
-        let Some(empty) = counts.iter().position(|&c| c == 0) else {
-            break;
-        };
+    let mut counts = vec![0usize; k];
+    for &p in parts.iter() {
+        counts[p as usize] += 1;
+    }
+    // BFS marks; all false between donations.
+    let mut visited = vec![false; n];
+    while let Some(empty) = counts.iter().position(|&c| c == 0) {
+        // The node-richest part donates; among equals, the highest id.
         let Some(donor) = counts
             .iter()
             .enumerate()
@@ -312,33 +330,46 @@ fn repair_empty_partitions(g: &fc_graph::LevelGraph, parts: &mut [u32], k: usize
             .filter(|&v| parts[v as usize] == donor)
             .collect();
         // Gather a connected half via BFS over donor-internal edges.
+        // `parts` is written only after the walk, so it is the membership
+        // test.
         let take = donor_nodes.len() / 2;
         let mut taken = Vec::with_capacity(take);
-        let mut in_donor = std::collections::HashSet::new();
-        in_donor.extend(donor_nodes.iter().copied());
-        let mut visited = std::collections::HashSet::new();
         // BFS queue bounded by the donor part's node count: `visited`
         // admits each node once.
         let mut queue = std::collections::VecDeque::from([donor_nodes[0]]);
-        visited.insert(donor_nodes[0]);
+        visited[donor_nodes[0] as usize] = true;
+        // Donor nodes before this index are all visited.
+        let mut next_unvisited = 0usize;
         while let Some(v) = queue.pop_front() {
             if taken.len() >= take {
                 break;
             }
             taken.push(v);
             for &(u, _) in g.neighbors(v) {
-                if in_donor.contains(&u) && visited.insert(u) {
+                if parts[u as usize] == donor && !visited[u as usize] {
+                    visited[u as usize] = true;
                     queue.push_back(u);
                 }
             }
-            // Disconnected donor: continue from any unvisited donor node.
+            // Disconnected donor: continue from the first unvisited donor
+            // node.
             if queue.is_empty() && taken.len() < take {
-                if let Some(&next) = donor_nodes.iter().find(|&&u| !visited.contains(&u)) {
-                    visited.insert(next);
+                while next_unvisited < donor_nodes.len()
+                    && visited[donor_nodes[next_unvisited] as usize]
+                {
+                    next_unvisited += 1;
+                }
+                if let Some(&next) = donor_nodes.get(next_unvisited) {
+                    visited[next as usize] = true;
                     queue.push_back(next);
                 }
             }
         }
+        for &v in &donor_nodes {
+            visited[v as usize] = false;
+        }
+        counts[donor as usize] -= taken.len();
+        counts[empty] += taken.len();
         for v in taken {
             parts[v as usize] = empty as u32;
         }
@@ -363,6 +394,7 @@ struct BisectOutcome {
 fn bisect_partition(
     set: &GraphSet,
     parts: &[Vec<u32>],
+    members: &[Vec<Vec<NodeId>>],
     p: u32,
     p_new: u32,
     config: &PartitionConfig,
@@ -373,26 +405,20 @@ fn bisect_partition(
     let mut work = 0u64;
     // Find the coarsest level where this partition has at least two nodes.
     let mut top = n_levels - 1;
-    loop {
-        let count = parts[top].iter().filter(|&&q| q == p).count();
-        if count >= 2 || top == 0 {
-            break;
-        }
+    while top > 0 && members[top][p as usize].len() < 2 {
         top -= 1;
     }
 
     // Initial bisection at `top`. `above_nodes` (ascending) and `above_side`
     // carry this task's own view of the level above for the projection loop.
-    let mut above_nodes: Vec<NodeId>;
+    let mut above_nodes: &[NodeId];
     let mut above_side: Vec<bool>;
     {
-        let nodes: Vec<NodeId> = (0..set.levels[top].node_count() as NodeId)
-            .filter(|&v| parts[top][v as usize] == p)
-            .collect();
+        let nodes: &[NodeId] = &members[top][p as usize];
         if nodes.len() < 2 {
             return BisectOutcome { moved, work }; // nothing to split
         }
-        let local = LocalGraph::extract(&set.levels[top], &nodes);
+        let local = LocalGraph::extract(&set.levels[top], nodes);
         let mut side = greedy_grow(&local, seed, &mut work);
         kl_refine(&local, &mut side, &config.kl, &mut work);
         for (li, &v) in nodes.iter().enumerate() {
@@ -408,10 +434,8 @@ fn bisect_partition(
     for level in (0..top).rev() {
         let map = &set.fine_to_coarse[level];
         let graph = &set.levels[level];
-        let nodes: Vec<NodeId> = (0..graph.node_count() as NodeId)
-            .filter(|&v| parts[level][v as usize] == p)
-            .collect();
-        let local = LocalGraph::extract(graph, &nodes);
+        let nodes: &[NodeId] = &members[level][p as usize];
+        let local = LocalGraph::extract(graph, nodes);
         let mut side = vec![false; nodes.len()];
         let mut side_weight = [0u64, 0u64];
         let mut drifters: Vec<usize> = Vec::new();
@@ -729,6 +753,38 @@ mod tests {
             snapshot.counters.get("partition.tasks"),
             Some(&(result.tasks.len() as u64))
         );
+    }
+
+    #[test]
+    fn repair_takes_from_the_last_of_equally_large_donors_in_bfs_order() {
+        // Parts 0 and 1 hold four nodes each, part 2 is empty. Among equal
+        // counts `max_by_key` keeps the last, so part 1 donates; the walk
+        // starts at its first node (4) and follows 4's adjacency order.
+        let mut g = LevelGraph::with_nodes(8);
+        g.add_edge(0, 1, 1);
+        g.add_edge(4, 6, 1);
+        g.add_edge(4, 5, 1);
+        g.add_edge(6, 7, 1);
+        let mut parts = vec![0, 0, 0, 0, 1, 1, 1, 1];
+        repair_empty_partitions(&g, &mut parts, 3);
+        assert_eq!(parts, vec![0, 0, 0, 0, 2, 1, 2, 1]);
+    }
+
+    #[test]
+    fn repair_fills_several_empty_ids_from_a_disconnected_donor() {
+        // Eight isolated nodes in part 0, parts 1..4 empty: every donation
+        // restarts the walk at the donor's next unvisited node, and the
+        // counts carried between donations pick the next donor.
+        let g = LevelGraph::with_nodes(8);
+        let mut parts = vec![0u32; 8];
+        repair_empty_partitions(&g, &mut parts, 4);
+        // 1 takes half of part 0 (0..4); 2 takes half of the last of the
+        // two four-node parts (part 1: nodes 0, 1); 3 takes half of part 0.
+        assert_eq!(parts, vec![2, 2, 1, 1, 3, 3, 0, 0]);
+        // Fewer nodes than parts: left alone.
+        let mut tiny = vec![0u32; 2];
+        repair_empty_partitions(&LevelGraph::with_nodes(2), &mut tiny, 4);
+        assert_eq!(tiny, vec![0, 0]);
     }
 
     #[test]

@@ -1,0 +1,210 @@
+//! Seeded graph families for the differential tests in [`crate::grow`],
+//! [`crate::kl`] and [`crate::kway`].
+//!
+//! The cases come from an in-test LCG, not from `rand`: they are the same
+//! graphs under the published crates and under any offline stand-in, so a
+//! divergence between the product code and its `reference` module shows up
+//! everywhere or nowhere.
+
+use fc_graph::LevelGraph;
+
+/// Knuth's MMIX linear congruential generator; the high bits are the draw.
+pub(crate) struct Lcg(u64);
+
+impl Lcg {
+    pub(crate) fn new(seed: u64) -> Lcg {
+        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.0 >> 33
+    }
+
+    /// Uniform-enough draw from `0..n` (`n > 0`).
+    pub(crate) fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// The shapes the partitioner meets, plus the ones that stress tie-breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Family {
+    Path,
+    TwoCliquesBridge,
+    Star,
+    SparseRandom,
+    DenseRandom,
+    /// Every edge and node weighs 1: gains tie constantly.
+    AllEqual,
+    /// What the hybrid graph set looks like: at least 90 % isolated nodes,
+    /// the rest in chains of 2–6.
+    HybridLike,
+    /// One node carries half the total weight.
+    HeavyNode,
+}
+
+pub(crate) const FAMILIES: [Family; 8] = [
+    Family::Path,
+    Family::TwoCliquesBridge,
+    Family::Star,
+    Family::SparseRandom,
+    Family::DenseRandom,
+    Family::AllEqual,
+    Family::HybridLike,
+    Family::HeavyNode,
+];
+
+pub(crate) const SIZES: [usize; 7] = [0, 1, 2, 3, 17, 300, 2_000];
+
+/// Seeds per `(family, size)`: many small cases, few large ones — the
+/// oracles are quadratic and `cargo test` runs them unoptimized.
+pub(crate) fn seeds_for(n: usize) -> std::ops::Range<u64> {
+    match n {
+        0..=3 => 0..2,
+        4..=17 => 0..6,
+        18..=300 => 0..2,
+        _ => 0..1,
+    }
+}
+
+/// Adds `edges` random edges. Up to 300 nodes both endpoints are uniform;
+/// above, the second lies within eight ids of the first, so that a block
+/// start is a decent partition the way a projected bisection is — from a
+/// start that cuts everything the oracles need minutes unoptimized.
+fn random_edges(g: &mut LevelGraph, rng: &mut Lcg, edges: usize, max_w: usize) {
+    let n = g.node_count();
+    if n < 2 {
+        return;
+    }
+    let span = if n > 300 { 8 } else { n - 1 };
+    for _ in 0..edges {
+        let u = rng.below(n);
+        let v = (u + 1 + rng.below(span)) % n;
+        g.add_edge(u as u32, v as u32, 1 + rng.below(max_w) as u64);
+    }
+}
+
+/// Builds the `n`-node member of `family` for `seed`.
+pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
+    let mut rng = Lcg::new(seed ^ ((family as u64) << 40) ^ ((n as u64) << 20));
+    match family {
+        Family::Path => {
+            let mut g = LevelGraph::with_nodes(n);
+            for i in 1..n {
+                g.add_edge(i as u32 - 1, i as u32, 1 + rng.below(60) as u64);
+            }
+            g
+        }
+        Family::TwoCliquesBridge => {
+            // Cliques are capped so the 2 000-node case stays quadratic in
+            // the cap, not in `n`; the remainder hangs off as two tails.
+            let mut g = LevelGraph::with_nodes(n);
+            let half = n / 2;
+            let clique = half.min(24);
+            for base in [0, half] {
+                for i in 0..clique {
+                    for j in i + 1..clique {
+                        g.add_edge((base + i) as u32, (base + j) as u32, 10);
+                    }
+                }
+                for i in clique.max(1)..half {
+                    g.add_edge((base + i - 1) as u32, (base + i) as u32, 3);
+                }
+            }
+            if half > 0 && half < n {
+                g.add_edge(0, half as u32, 1);
+            }
+            g
+        }
+        Family::Star => {
+            let mut g = LevelGraph::with_nodes(n);
+            for i in 1..n {
+                g.add_edge(0, i as u32, 1 + rng.below(9) as u64);
+            }
+            g
+        }
+        Family::SparseRandom => {
+            let mut g = LevelGraph::with_nodes(n);
+            random_edges(&mut g, &mut rng, n + n / 2, 50);
+            g
+        }
+        Family::DenseRandom => {
+            let mut g = LevelGraph::with_nodes(n);
+            // Average degree up to 16 (complete below 9 nodes); 12 above 300.
+            random_edges(&mut g, &mut rng, n * if n > 300 { 6 } else { n.min(8) }, 30);
+            g
+        }
+        Family::AllEqual => {
+            let mut g = LevelGraph::with_nodes(n);
+            random_edges(&mut g, &mut rng, 3 * n, 1);
+            g
+        }
+        Family::HybridLike => {
+            let mut g = LevelGraph::with_nodes(n);
+            // Chains cover about 5 % of the nodes, scattered over the ids.
+            let mut v = 0usize;
+            while v < n {
+                if rng.below(80) == 0 {
+                    let len = (2 + rng.below(5)).min(n - v);
+                    for i in 1..len {
+                        g.add_edge(
+                            (v + i - 1) as u32,
+                            (v + i) as u32,
+                            20 + rng.below(80) as u64,
+                        );
+                    }
+                    v += len;
+                } else {
+                    v += 1;
+                }
+            }
+            g
+        }
+        Family::HeavyNode => {
+            let mut weights = vec![1u64; n];
+            if n > 0 {
+                weights[rng.below(n)] = n as u64;
+            }
+            let mut g = LevelGraph::with_node_weights(weights);
+            random_edges(&mut g, &mut rng, 2 * n, 20);
+            g
+        }
+    }
+}
+
+/// Every `(family, size, seed)` case with its graph.
+pub(crate) fn cases() -> impl Iterator<Item = (Family, usize, u64, LevelGraph)> {
+    FAMILIES.into_iter().flat_map(|family| {
+        SIZES.into_iter().flat_map(move |n| {
+            seeds_for(n).map(move |seed| (family, n, seed, build(family, n, seed)))
+        })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hybrid_like_is_mostly_isolated_nodes() {
+        for seed in 0..4 {
+            let g = build(Family::HybridLike, 2_000, seed);
+            let isolated = (0..2_000).filter(|&v| g.degree(v) == 0).count();
+            assert!(isolated >= 1_800, "only {isolated} isolated nodes");
+            assert!(isolated < 2_000, "no chains at all");
+            g.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn every_family_builds_every_size() {
+        for (family, n, seed, g) in cases() {
+            assert_eq!(g.node_count(), n, "{family:?} seed {seed}");
+            g.check_invariants().unwrap();
+        }
+    }
+}
