@@ -17,14 +17,15 @@
 //!
 //! Every kernel returns **bit-identical verdicts**: the bit-parallel paths
 //! only skip scalar NW when one of the proven bounds of [`crate::myers`]
-//! shows NW's verdict is already determined (or, for the exact-match
-//! shortcut, when the optimal alignment is unique and known). Anything
+//! shows NW's verdict is already determined (or, for the ungapped-optimum
+//! rule on equal-length ranges, when the optimal alignment is unique and
+//! known from a word-parallel Hamming count). Anything
 //! else re-runs scalar NW — in a band shrunk by the gap bound, which the
 //! band-equivalence argument shows cannot change the summary.
 
 use crate::myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
-    prefilter_compatible, MyersScratch,
+    prefilter_compatible, ungapped_optimum_forced, MyersScratch,
 };
 use crate::nw::{banded_global_with, AlignmentSummary, NwConfig, NwScratch};
 use crate::overlap::OverlapKind;
@@ -190,9 +191,41 @@ pub(crate) enum Classified {
     NeedDistance,
 }
 
+/// Hamming distance of an equal-length request's two ranges, counted 32
+/// bases per word straight from the packed reads.
+fn hamming(store: &ReadStore, req: &VerifyReq) -> usize {
+    debug_assert_eq!(req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
+    store.get(req.a).seq.packed().mismatches(
+        req.a_range.0,
+        &store.get(req.b).seq.packed(),
+        req.b_range.0,
+        req.a_range.1 - req.a_range.0,
+    )
+}
+
+/// The verdict of a request whose all-diagonal alignment is the unique
+/// score optimum ([`ungapped_optimum_forced`]): scalar NW must report
+/// `n` columns with `h` mismatches, whatever its band or tie-break.
+fn ungapped_verdict(
+    params: &VerifyParams,
+    n: usize,
+    h: usize,
+    stats: &mut PairStats,
+) -> Option<AlignmentSummary> {
+    stats.exact_hits += 1;
+    let (matches, mismatches) = ((n - h) as i32, h as i32);
+    let summary = AlignmentSummary {
+        score: params.nw.match_score * matches + params.nw.mismatch_score * mismatches,
+        columns: n as u32,
+        matches: matches as u32,
+    };
+    apply_thresholds(params, summary)
+}
+
 /// Stages of the bit-parallel pipeline that need no edit distance: the
 /// scalar fallback for incompatible scoring, the out-of-band rejection
-/// scalar NW would make, the exact-match shortcut, and the
+/// scalar NW would make, the ungapped-optimum rule for Hamming distances
+/// small enough to need no edit distance, and the
 /// cannot-reach-`min_overlap_len` rejection.
 pub(crate) fn classify(
     store: &ReadStore,
@@ -210,20 +243,11 @@ pub(crate) fn classify(
         // band); mirror it without touching the sequences.
         return Classified::Done(None);
     }
-    let a_view = store.get(req.a).seq.packed();
-    let b_view = store.get(req.b).seq.packed();
-    if n == m && a_view.range_eq(req.a_range.0, &b_view, req.b_range.0, n) {
-        // Equal ranges: with match > 0 >= mismatch and gap < 0, the
-        // all-diagonal alignment is the unique score optimum (anything
-        // else has < n matches, so a strictly lower score), so scalar NW
-        // must report exactly this summary.
-        stats.exact_hits += 1;
-        let summary = AlignmentSummary {
-            score: params.nw.match_score * n as i32,
-            columns: n as u32,
-            matches: n as u32,
-        };
-        return Classified::Done(apply_thresholds(params, summary));
+    if n == m {
+        let h = hamming(store, req);
+        if ungapped_optimum_forced(&params.nw, h, None) {
+            return Classified::Done(ungapped_verdict(params, n, h, stats));
+        }
     }
     if n + m < params.min_overlap_len {
         // Columns never exceed n + m, so the length threshold is
@@ -239,9 +263,11 @@ pub(crate) fn classify(
 }
 
 /// Final stage of the bit-parallel pipeline, given the exact edit distance
-/// `d`: reject via the identity and column bounds, otherwise re-verify
-/// with scalar NW in the gap-bound-shrunk band (provably the same summary
-/// as the configured band — see [`crate::myers`]).
+/// `d`: reject via the identity and column bounds, resolve equal-length
+/// ranges whose Hamming distance equals `d` by the ungapped-optimum rule,
+/// otherwise re-verify with scalar NW in the gap-bound-shrunk band
+/// (provably the same summary as the configured band — see
+/// [`crate::myers`]).
 pub(crate) fn finish_with_distance(
     store: &ReadStore,
     params: &VerifyParams,
@@ -259,6 +285,12 @@ pub(crate) fn finish_with_distance(
     if max_columns_bound(n, m, gmax) < params.min_overlap_len {
         stats.prefilter_rejected += 1;
         return None;
+    }
+    if n == m {
+        let h = hamming(store, req);
+        if ungapped_optimum_forced(&params.nw, h, Some(d)) {
+            return ungapped_verdict(params, n, h, stats);
+        }
     }
     stats.prefilter_verified += 1;
     let shrunk = VerifyReq {
@@ -356,21 +388,36 @@ mod tests {
 
     /// A store of 12 base reads, each followed by a lightly mutated copy
     /// (forward ids `4i` and `4i + 2` after RC augmentation), so requests
-    /// can pair homologous ranges as well as unrelated ones.
+    /// can pair homologous ranges as well as unrelated ones. Every third
+    /// base read is a tandem repeat of period 1..=6; copies take
+    /// substitutions and, half the time, single-base insertions/deletions,
+    /// so equal-length homologous ranges meet `h > D` (a gapped optimum) as
+    /// well as `h == D`.
     fn paired_store(rng: &mut Rng) -> ReadStore {
         let mut reads = Vec::new();
         for i in 0..12 {
             let len = 30 + (rng.next() % 150) as usize;
-            let base: DnaString = (0..len)
+            let period = if i % 3 == 0 { 1 + (rng.next() % 6) as usize } else { len };
+            let unit: Vec<Base> = (0..period)
                 .map(|_| Base::from_code((rng.next() % 4) as u8))
                 .collect();
-            let mut copy = base.clone();
+            let base: DnaString = (0..len).map(|p| unit[p % period]).collect();
+            let mut copy: Vec<Base> = base.iter().collect();
             for _ in 0..rng.next() % 5 {
                 let p = (rng.next() as usize) % copy.len();
-                copy.set(p, Base::from_code((rng.next() % 4) as u8));
+                copy[p] = Base::from_code((rng.next() % 4) as u8);
+            }
+            let indels = if rng.next() % 2 == 0 { 1 + rng.next() % 2 } else { 0 };
+            for _ in 0..indels {
+                let p = (rng.next() as usize) % copy.len();
+                if rng.next() % 2 == 0 {
+                    copy.insert(p, Base::from_code((rng.next() % 4) as u8));
+                } else {
+                    copy.remove(p);
+                }
             }
             reads.push(Read::new(format!("b{i}"), base));
-            reads.push(Read::new(format!("m{i}"), copy));
+            reads.push(Read::new(format!("m{i}"), copy.into_iter().collect()));
         }
         ReadStore::preprocess(
             &reads,
@@ -384,7 +431,8 @@ mod tests {
 
     /// A mixed corpus: unrelated random ranges (mostly rejects), jittered
     /// self-ranges (exact hits and tiny-distance survivors), and homologous
-    /// base-vs-mutated-copy ranges (accepts and near-threshold verdicts),
+    /// base-vs-mutated-copy ranges (accepts, near-threshold verdicts and —
+    /// across the copy's indels or along a tandem repeat — gapped optima),
     /// over bands from 0 through 16 including `dl == band ± 1` edges.
     fn random_reqs(store: &ReadStore, rng: &mut Rng, count: usize) -> Vec<VerifyReq> {
         let mut reqs = Vec::new();
@@ -418,15 +466,16 @@ mod tests {
                     (a, a, (a0, a0 + n), (b0, b1.max(b0)))
                 }
                 _ => {
-                    // Homologous: base read vs its mutated copy.
+                    // Homologous: base read vs its mutated copy (whose
+                    // length differs by the copy's net indel count).
                     let i = rng.next() % 12;
                     let a = ReadId(4 * i as u32);
                     let b = ReadId(4 * i as u32 + 2);
-                    let la = store.get(a).seq.len();
+                    let (la, lb) = (store.get(a).seq.len(), store.get(b).seq.len());
                     let n = (rng.next() as usize) % (la + 1);
                     let a0 = (rng.next() as usize) % (la - n + 1);
                     let jit = (rng.next() % 2) as usize;
-                    (a, b, (a0, a0 + n), (a0, (a0 + n + jit).min(la)))
+                    (a, b, (a0, a0 + n), (a0.min(lb), (a0 + n + jit).min(lb)))
                 }
             };
             reqs.push(VerifyReq {
@@ -472,6 +521,8 @@ mod tests {
             Box::new(WideKernel::detect()),
             Box::new(WideKernel::portable()),
         ];
+        let mut seen = PairStats::default();
+        let mut gapped_accepts = 0;
         for round in 0..6 {
             let store = paired_store(&mut rng);
             let reqs = random_reqs(&store, &mut rng, 300);
@@ -480,6 +531,7 @@ mod tests {
             assert_eq!(ref_stats.exact_hits, 0);
             assert!(reference.iter().any(|v| v.is_some()), "corpus too easy");
             assert!(reference.iter().any(|v| v.is_none()), "corpus too easy");
+            gapped_accepts += gapped_equal_length_accepts(&reqs, &reference);
             for kernel in &kernels {
                 let (got, stats) = run(kernel.as_ref(), &store, &params, &reqs);
                 assert_eq!(got, reference, "{} diverges in round {round}", kernel.name());
@@ -491,6 +543,77 @@ mod tests {
                     "{} stats overcount",
                     kernel.name()
                 );
+                seen.merge(&stats);
+            }
+        }
+        // Every class of the pipeline occurred: bound rejections, rule
+        // resolutions, DP runs, and accepted equal-length requests whose
+        // optimum is gapped (where firing the rule would have been wrong).
+        assert!(seen.prefilter_rejected > 0, "{seen:?}");
+        assert!(seen.exact_hits > 0, "{seen:?}");
+        assert!(seen.prefilter_verified > 0, "{seen:?}");
+        assert!(gapped_accepts > 0, "no equal-length request with a gapped optimum");
+    }
+
+    /// Accepted verdicts on equal-length ranges whose column count exceeds
+    /// the range length: NW chose a gapped alignment.
+    fn gapped_equal_length_accepts(
+        reqs: &[VerifyReq],
+        verdicts: &[Option<AlignmentSummary>],
+    ) -> usize {
+        reqs.iter()
+            .zip(verdicts)
+            .filter(|(req, verdict)| {
+                let (n, m) = (req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
+                n == m && verdict.is_some_and(|s| s.columns as usize != n)
+            })
+            .count()
+    }
+
+    /// Scorings on both sides of `ma - 2·ga > 2·(ma - mi)`: the rule's
+    /// `h > 0` cases apply to the first three and must stay off for the
+    /// last two, and every kernel matches the scalar reference under each.
+    #[test]
+    fn kernels_agree_across_scorings() {
+        let mut rng = Rng(77);
+        let store = paired_store(&mut rng);
+        let reqs = random_reqs(&store, &mut rng, 400);
+        for (scoring, rule_on) in [
+            ((1, -2, -3), true),
+            ((1, -1, -2), true),
+            ((3, -1, -4), true),
+            ((2, -3, -2), false),
+            ((1, -3, -3), false),
+        ] {
+            let (match_score, mismatch_score, gap_score) = scoring;
+            let nw = NwConfig {
+                match_score,
+                mismatch_score,
+                gap_score,
+                ..NwConfig::default()
+            };
+            assert!(prefilter_compatible(&nw));
+            assert_eq!(ungapped_optimum_forced(&nw, 1, None), rule_on, "{scoring:?}");
+            for (min_overlap_len, min_identity) in [(30usize, 0.9f64), (0, 0.0), (60, 0.97)] {
+                let params = VerifyParams {
+                    nw,
+                    min_overlap_len,
+                    min_identity,
+                };
+                let (reference, _) = run(&ScalarKernel, &store, &params, &reqs);
+                for kernel in [
+                    &MyersKernel as &dyn AlignKernel,
+                    &WideKernel::detect(),
+                    &WideKernel::portable(),
+                ] {
+                    let (got, _) = run(kernel, &store, &params, &reqs);
+                    assert_eq!(
+                        got,
+                        reference,
+                        "{} diverges under {scoring:?} at {min_overlap_len}/{min_identity}",
+                        kernel.name()
+                    );
+                }
             }
         }
     }

@@ -37,7 +37,7 @@ pub use kernel::{
 };
 pub use myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
-    prefilter_compatible, MyersScratch,
+    prefilter_compatible, ungapped_optimum_forced, MyersScratch,
 };
 pub use wide::WideKernel;
 pub use nw::{

@@ -77,6 +77,32 @@
 //! parity constraint `g ≡ n + m (mod 2)`) — see [`max_columns_bound`].
 //! If that bound is below `min_overlap_len`, scalar NW would reject the
 //! candidate whatever it computes.
+//!
+//! **Ungapped optimum (equal-length ranges).** Let `n == m` and let `h` be
+//! the Hamming distance of the two ranges. Then `2n = 2·mt + 2·x + g`
+//! makes `g` even, `mt = n - x - g/2`, and every alignment scores
+//! `2·score = 2·ma·n - 2·(ma - mi)·x - (ma - 2·ga)·g`. The all-diagonal
+//! alignment is the only one with `g = 0`; it has `x = h`, lies inside
+//! every band (`band >= 0`), and beats a gapped alignment (`g >= 2`)
+//! *strictly* iff `2·(ma - mi)·h < 2·(ma - mi)·x + (ma - 2·ga)·g`. That
+//! holds for every gapped alignment when
+//!
+//! * `h = 0` — the right side is at least `2·(ma - 2·ga) > 0`;
+//! * `(ma - mi)·h < ma - 2·ga` — the two gaps any gapped path pays cost
+//!   more than all `h` mismatches, whatever `x` is (defaults: `h <= 2`);
+//! * `h = D` and `ma - 2·ga > 2·(ma - mi)` — the path's edit script gives
+//!   `x + g >= D = h`, so for `g <= h` the right side is at least
+//!   `2·(ma - mi)·h + g·((ma - 2·ga) - 2·(ma - mi)) > 2·(ma - mi)·h`, and
+//!   for `g > h` it is at least `(ma - 2·ga)·g > 2·(ma - mi)·h`.
+//!
+//! A strict, unique optimum leaves the DP no tie to break: the value at
+//! the final cell is the diagonal's score and the `(columns, matches)`
+//! carried with it are those of a path achieving that score — the
+//! diagonal. So banded NW reports exactly
+//! `(ma·(n - h) + mi·h, n, n - h)` at any band — see
+//! [`ungapped_optimum_forced`], which applies the last two cases only
+//! under `ma - 2·ga > 2·(ma - mi)` (defaults: 7 > 6); other scorings keep
+//! the `h = 0` case alone.
 
 use crate::nw::NwConfig;
 use fc_seq::PackedView;
@@ -286,6 +312,23 @@ fn distance_blocked(
 /// plain scalar verification for exotic scoring schemes.
 pub fn prefilter_compatible(nw: &NwConfig) -> bool {
     nw.match_score > 0 && nw.mismatch_score <= 0 && nw.gap_score < 0
+}
+
+/// True if banded NW under `nw` must pick the all-diagonal alignment for two
+/// equal-length ranges at Hamming distance `h` — every gapped alignment
+/// scores strictly lower, so the summary is `(ma·(n - h) + mi·h, n, n - h)`
+/// whatever the band or tie-break (see the module docs). `d` is the ranges'
+/// edit distance when it is already known. Requires
+/// [`prefilter_compatible`].
+pub fn ungapped_optimum_forced(nw: &NwConfig, h: usize, d: Option<u32>) -> bool {
+    debug_assert!(prefilter_compatible(nw));
+    if h == 0 {
+        return true;
+    }
+    let per_mismatch = nw.match_score as i128 - nw.mismatch_score as i128;
+    let per_gap_pair = nw.match_score as i128 - 2 * nw.gap_score as i128;
+    per_gap_pair > 2 * per_mismatch
+        && (per_mismatch * (h as i128) < per_gap_pair || d.is_some_and(|d| d as usize == h))
 }
 
 /// Upper bound on the identity any alignment of ranges with lengths `n` and

@@ -344,6 +344,80 @@ mod tests {
         assert_eq!(s.columns, 8);
     }
 
+    /// The ungapped-optimum rule against the unbanded reference, over every
+    /// equal-length pair up to length 7 on a 2-letter alphabet: wherever
+    /// [`ungapped_optimum_forced`](crate::myers::ungapped_optimum_forced)
+    /// fires, full NW — and banded NW at the narrowest and widest bands —
+    /// report exactly the all-diagonal summary; under scorings that fail
+    /// `ma - 2·ga > 2·(ma - mi)` it fires for identical ranges only.
+    #[test]
+    fn ungapped_rule_agrees_with_full_nw_exhaustively() {
+        use crate::myers::{edit_distance_with, ungapped_optimum_forced, MyersScratch};
+        let mut myers = MyersScratch::default();
+        for (scoring, condition) in [
+            ((1, -2, -3), true),
+            ((1, -1, -2), true),
+            ((2, -3, -2), false),
+            ((1, -3, -3), false),
+        ] {
+            let (match_score, mismatch_score, gap_score) = scoring;
+            let config = NwConfig {
+                match_score,
+                mismatch_score,
+                gap_score,
+                band: 0,
+            };
+            assert_eq!(
+                match_score - 2 * gap_score > 2 * (match_score - mismatch_score),
+                condition
+            );
+            // (fired without a distance, fired only through h == D, gapped optimum)
+            let mut seen = (0u32, 0u32, 0u32);
+            for len in 0..=7usize {
+                let seq = |bits: u32| -> DnaString {
+                    (0..len)
+                        .map(|i| fc_seq::Base::from_code((bits >> i & 1) as u8))
+                        .collect()
+                };
+                for (abits, bbits) in (0..1u32 << len).flat_map(|a| (0..1u32 << len).map(move |b| (a, b))) {
+                    let (a, b) = (seq(abits), seq(bbits));
+                    let h = (abits ^ bbits).count_ones() as usize;
+                    assert_eq!(a.hamming_distance(&b), h);
+                    let d = edit_distance_with(a.packed(), (0, len), b.packed(), (0, len), &mut myers);
+                    let full = full_global(&a, &b, &config);
+                    let early = ungapped_optimum_forced(&config, h, None);
+                    let late = ungapped_optimum_forced(&config, h, Some(d));
+                    assert!(late || !early, "knowing D never retracts the rule");
+                    if !condition {
+                        assert_eq!(late, h == 0, "{scoring:?}: {a} vs {b}");
+                    }
+                    if late {
+                        let diagonal = AlignmentSummary {
+                            score: match_score * (len - h) as i32 + mismatch_score * h as i32,
+                            columns: len as u32,
+                            matches: (len - h) as u32,
+                        };
+                        assert_eq!(full, diagonal, "{scoring:?}: {a} vs {b} (h {h}, D {d})");
+                        for band in [0, 1, len] {
+                            let banded = banded_global(&a, (0, len), &b, (0, len), &NwConfig { band, ..config });
+                            assert_eq!(banded, Some(diagonal), "{scoring:?} band {band}: {a} vs {b}");
+                        }
+                        if early {
+                            seen.0 += 1;
+                        } else {
+                            seen.1 += 1;
+                        }
+                    } else if full.columns as usize > len {
+                        seen.2 += 1;
+                    }
+                }
+            }
+            // The corpus exercises each outcome the scoring allows.
+            assert!(seen.0 > 0 && seen.2 > 0, "{scoring:?}: {seen:?}");
+            assert_eq!(seen.1 > 0, condition, "{scoring:?}: {seen:?}");
+        }
+    }
+
     #[test]
     fn band_for_error_rate_has_floor() {
         assert_eq!(band_for_error_rate(10, 0.0), 4);

@@ -15,6 +15,7 @@ use fc_exec::Pool;
 use fc_obs::Recorder;
 use fc_seq::{DnaString, ReadId, ReadStore};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identity-percentage histogram bounds: the interesting range is 50–100%,
 /// the default power-of-two buckets would lump it all together.
@@ -119,10 +120,14 @@ pub struct PairStats {
     /// Candidates rejected by a bit-parallel prefilter bound without
     /// running scalar NW (kernel-dependent; zero for the scalar kernel).
     pub prefilter_rejected: u64,
-    /// Candidates that survived the prefilter and were re-verified by
-    /// band-shrunk scalar NW (kernel-dependent).
+    /// Candidates that reached the DP: not rejected by a bound, not
+    /// resolved by the ungapped-optimum rule, re-verified by band-shrunk
+    /// scalar NW (kernel-dependent).
     pub prefilter_verified: u64,
-    /// Candidates resolved by the exact-match shortcut (kernel-dependent).
+    /// Equal-length candidates whose summary was synthesized from their
+    /// Hamming distance `h` because the all-diagonal alignment is provably
+    /// NW's unique optimum ([`crate::myers::ungapped_optimum_forced`]);
+    /// identical ranges are the `h = 0` case (kernel-dependent).
     pub exact_hits: u64,
     /// Distance computations staged into SIMD batch lanes
     /// (kernel-dependent; the count is CPU-independent — it tallies staged
@@ -175,6 +180,37 @@ impl fc_ckpt::Codec for PairStats {
     }
 }
 
+/// Hasher of the diagonal vote map's `(ReadId, i64)` keys: the two fields
+/// are packed into one word as they are written and `finish` spreads it
+/// with a single folded 64×64→128-bit multiply. The keys are internal ids
+/// bounded by the store size and the read length, not caller-chosen words,
+/// so SipHash's flooding resistance bought nothing at one hash per seed
+/// hit; and the map's iteration order never reaches an output (the votes
+/// are flattened and sorted before use).
+#[derive(Debug, Clone, Copy, Default)]
+struct VoteHasher(u64);
+
+impl Hasher for VoteHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = self.0.rotate_left(32) ^ v;
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = self.0 as u128 * 0x9E37_79B9_7F4A_7C15_u128;
+        wide as u64 ^ (wide >> 64) as u64
+    }
+}
+
 /// Reusable per-worker buffers for the overlapper's hot path: the diagonal
 /// vote map and its flattened/sorted view, the candidate list, the
 /// verification-request batch and its verdicts, the kernel's own buffers,
@@ -183,7 +219,7 @@ impl fc_ckpt::Codec for PairStats {
 /// per-verification allocation churn without any cross-thread state.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
-    votes: HashMap<(ReadId, i64), u32>,
+    votes: HashMap<(ReadId, i64), u32, BuildHasherDefault<VoteHasher>>,
     flat: Vec<(ReadId, i64, u32)>,
     candidates: Vec<(ReadId, i64)>,
     reqs: Vec<VerifyReq>,
@@ -730,26 +766,70 @@ mod tests {
             .collect()
     }
 
-    /// Tiles `genome` with reads of `read_len` every `stride` bases.
-    fn tiled_store(genome: &DnaString, read_len: usize, stride: usize) -> ReadStore {
-        let mut reads = Vec::new();
-        let mut start = 0;
-        while start + read_len <= genome.len() {
-            reads.push(Read::new(
-                format!("r{start}"),
-                genome.slice(start, start + read_len),
-            ));
-            start += stride;
-        }
-        // No trimming needed (FASTA reads), but preprocess adds the RCs.
+    /// Reads of `read_len` every `stride` bases along `genome`.
+    fn tile(genome: &DnaString, read_len: usize, stride: usize, name: &str) -> Vec<Read> {
+        (0..)
+            .step_by(stride)
+            .take_while(|start| start + read_len <= genome.len())
+            .map(|start| Read::new(format!("{name}{start}"), genome.slice(start, start + read_len)))
+            .collect()
+    }
+
+    /// No trimming needed (FASTA reads), but preprocess adds the RCs.
+    fn store_of(reads: &[Read]) -> ReadStore {
         ReadStore::preprocess(
-            &reads,
+            reads,
             &fc_seq::TrimConfig {
                 min_read_len: 1,
                 ..Default::default()
             },
         )
         .unwrap()
+    }
+
+    /// Tiles `genome` with reads of `read_len` every `stride` bases.
+    fn tiled_store(genome: &DnaString, read_len: usize, stride: usize) -> ReadStore {
+        store_of(&tile(genome, read_len, stride, "r"))
+    }
+
+    /// What a real read set adds to an error-free tiling: a second tiling
+    /// whose reads carry substitutions, a third drawn from a copy of the
+    /// genome with a base deleted or inserted every ~80 bases (so
+    /// equal-length overlap ranges across an indel have a gapped optimum),
+    /// and a tandem repeat tiled out of phase with its period.
+    fn noisy_tiled_store(genome: &DnaString, seed: u64) -> ReadStore {
+        let mut rng = SimpleRng::new(seed);
+        let mut reads = tile(genome, 100, 35, "r");
+        for mut read in tile(genome, 100, 45, "s") {
+            for _ in 0..1 + rng.next() % 4 {
+                let p = (rng.next() as usize) % read.seq.len();
+                read.seq.set(p, read.seq.get(p).complement());
+            }
+            reads.push(read);
+        }
+        let mut diverged = DnaString::new();
+        for (i, base) in genome.iter().enumerate() {
+            match (i % 80, i / 80 % 2) {
+                (40, 0) => continue, // deletion
+                (40, _) => diverged.push(base.complement()), // insertion
+                _ => {}
+            }
+            diverged.push(base);
+        }
+        reads.extend(tile(&diverged, 100, 40, "d"));
+        let repeat: DnaString = "ACGGT".repeat(50).parse().unwrap();
+        reads.extend(tile(&repeat, 100, 37, "t"));
+        store_of(&reads)
+    }
+
+    /// Length of the equal-length ranges `classify_candidate` cut for an
+    /// overlap with this geometry.
+    fn range_len(store: &ReadStore, o: &Overlap) -> usize {
+        match o.kind {
+            OverlapKind::SuffixPrefix => store.get(o.a).seq.len() - o.shift as usize,
+            OverlapKind::ContainsB => store.get(o.b).seq.len(),
+            OverlapKind::ContainedInB => store.get(o.a).seq.len(),
+        }
     }
 
     fn test_config() -> OverlapConfig {
@@ -1041,11 +1121,14 @@ mod tests {
     /// (kernel-independent) pair stats, and byte-identical logical metric
     /// snapshots — at every thread count. This is the dispatch-level
     /// counterpart of the per-request differential tests in
-    /// [`crate::kernel`].
+    /// [`crate::kernel`]. The store holds substituted and indel-bearing
+    /// reads and a tandem repeat, so the bit-parallel kernels resolve some
+    /// candidates from the Hamming count, run DP on others, and some
+    /// accepted overlaps are gapped.
     #[test]
     fn all_kernel_kinds_produce_bit_identical_results() {
         let genome = random_genome(900, 23);
-        let store = tiled_store(&genome, 100, 35);
+        let store = noisy_tiled_store(&genome, 5);
         let subsets = store.split_subsets(4);
         let logical = |s: &PairStats| PairStats {
             prefilter_rejected: 0,
@@ -1065,6 +1148,10 @@ mod tests {
             (o, s, rec.snapshot_json())
         };
         assert!(!base_overlaps.is_empty());
+        assert!(
+            base_overlaps.iter().any(|o| o.len as usize != range_len(&store, o)),
+            "no accepted overlap is gapped"
+        );
         for kind in [KernelKind::BitParallel, KernelKind::Auto] {
             let config = OverlapConfig {
                 kernel: kind,
@@ -1096,6 +1183,12 @@ mod tests {
                     "logical metric snapshot differs for {} at {threads} threads",
                     kind.as_str()
                 );
+                let mut total = PairStats::default();
+                for (_, _, s) in &stats {
+                    total.merge(s);
+                }
+                assert!(total.exact_hits > 0, "rule never fired: {total:?}");
+                assert!(total.prefilter_verified > 0, "DP never ran: {total:?}");
             }
         }
     }

@@ -10,7 +10,9 @@
 //! speedup, since that is the exact code `--align-kernel` dispatches) and
 //! the end-to-end overlap pipeline (seed → vote → verify) for context.
 //! Results land in `BENCH_align.json` at the repository root together with
-//! the prefilter counters that explain the speedup.
+//! the prefilter counters that explain the speedup — among them the share
+//! of requests resolved without any DP (ungapped-optimum rule + bound
+//! rejections).
 
 use fc_align::{KernelKind, KernelScratch, OverlapConfig, Overlapper, PairStats, Pool};
 use fc_bench::{bench_scale, prepare_context};
@@ -193,7 +195,10 @@ fn main() {
          isolation (the identical geometry-produced request batch through each \
          kernel, best of {REPS}); pipeline_seconds is the serial end-to-end \
          seed+vote+verify for context. Every kernel's overlaps byte-match the \
-         scalar reference at every swept thread count before timing\","
+         scalar reference at every swept thread count before timing. \
+         resolved_without_dp_share = (exact_hits + prefilter_rejected) / \
+         verify_requests: exact_hits counts the ungapped-optimum rule, \
+         prefilter_verified counts DP runs\","
     );
     json.push_str("  \"kernels\": {\n");
     for (i, r) in records.iter().enumerate() {
@@ -230,6 +235,11 @@ fn main() {
             r.total.prefilter_verified
         );
         let _ = writeln!(json, "      \"exact_hits\": {},", r.total.exact_hits);
+        let _ = writeln!(
+            json,
+            "      \"resolved_without_dp_share\": {:.4},",
+            (r.total.exact_hits + r.total.prefilter_rejected) as f64 / reqs.len().max(1) as f64
+        );
         let _ = writeln!(json, "      \"wide_lanes\": {},", r.total.wide_lanes);
         let _ = writeln!(json, "      \"nw_cells_charged\": {}", r.total.nw_cells);
         let sep = if i + 1 < records.len() { "," } else { "" };

@@ -175,8 +175,7 @@ impl DnaString {
     /// first `min(len, other.len)` bases plus the length difference.
     pub fn hamming_distance(&self, other: &DnaString) -> usize {
         let shared = self.len.min(other.len);
-        let mismatches = (0..shared).filter(|&i| self.get(i) != other.get(i)).count();
-        mismatches + self.len.abs_diff(other.len)
+        self.packed().mismatches(0, &other.packed(), 0, shared) + self.len.abs_diff(other.len)
     }
 }
 

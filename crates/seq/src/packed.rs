@@ -2,8 +2,8 @@
 //!
 //! The alignment kernels (fc-align) consume sequences word-at-a-time: the
 //! Myers bit-parallel kernel builds its `Peq` match tables from 32-base
-//! windows, and the exact-overlap shortcut compares candidate ranges 32
-//! bases per machine word. [`PackedView`] exposes the packed words of a
+//! windows, and the ungapped-optimum shortcut counts the mismatches of a
+//! candidate's two ranges 32 bases per machine word. [`PackedView`] exposes the packed words of a
 //! [`DnaString`](crate::DnaString) read-only, so those kernels run without
 //! per-call decoding into byte buffers and without copying sequence data —
 //! views are freely shared across fc-exec worker threads.
@@ -81,27 +81,52 @@ impl<'a> PackedView<'a> {
         }
     }
 
+    /// `self[start..start + count] ^ other[ostart..ostart + count]`, 32
+    /// bases per word: a base differs iff either bit of its slot is set.
+    /// Slots past `count` in the last word are zero.
+    ///
+    /// # Panics
+    /// Panics in debug builds if either range is out of bounds.
+    fn xor_words<'s>(
+        &'s self,
+        start: usize,
+        other: &'s PackedView<'_>,
+        ostart: usize,
+        count: usize,
+    ) -> impl Iterator<Item = u64> + 's {
+        debug_assert!(start + count <= self.len, "left range out of bounds");
+        debug_assert!(ostart + count <= other.len, "right range out of bounds");
+        (0..count).step_by(BASES_PER_WORD).map(move |off| {
+            let x = self.window(start + off) ^ other.window(ostart + off);
+            match count - off {
+                tail if tail < BASES_PER_WORD => x & ((1u64 << (2 * tail)) - 1),
+                _ => x,
+            }
+        })
+    }
+
     /// True if `self[start..start + count]` equals `other[ostart..ostart +
     /// count]`, compared 32 bases per step through the packed words.
     ///
     /// # Panics
     /// Panics in debug builds if either range is out of bounds.
     pub fn range_eq(&self, start: usize, other: &PackedView<'_>, ostart: usize, count: usize) -> bool {
-        debug_assert!(start + count <= self.len, "left range out of bounds");
-        debug_assert!(ostart + count <= other.len, "right range out of bounds");
-        let mut off = 0;
-        while off + BASES_PER_WORD <= count {
-            if self.window(start + off) != other.window(ostart + off) {
-                return false;
-            }
-            off += BASES_PER_WORD;
-        }
-        let tail = count - off;
-        if tail == 0 {
-            return true;
-        }
-        let mask = (1u64 << (2 * tail)) - 1;
-        (self.window(start + off) ^ other.window(ostart + off)) & mask == 0
+        self.xor_words(start, other, ostart, count).all(|x| x == 0)
+    }
+
+    /// Number of positions `i < count` at which `self[start + i]` differs
+    /// from `other[ostart + i]` (the Hamming distance of the two ranges),
+    /// counted 32 bases per step: `xor` the windows, fold each base's two
+    /// bit planes onto its low bit, `popcount`.
+    ///
+    /// # Panics
+    /// Panics in debug builds if either range is out of bounds.
+    pub fn mismatches(&self, start: usize, other: &PackedView<'_>, ostart: usize, count: usize) -> usize {
+        /// The low bit of every 2-bit base slot.
+        const LOW_PLANE: u64 = 0x5555_5555_5555_5555;
+        self.xor_words(start, other, ostart, count)
+            .map(|x| ((x | (x >> 1)) & LOW_PLANE).count_ones() as usize)
+            .sum()
     }
 
     /// Appends the 2-bit codes of `self[start..end]` to `out` (which is
@@ -211,6 +236,55 @@ mod tests {
         b.set(79, b.get(79).complement());
         assert!(a.packed().range_eq(0, &b.packed(), 0, 79));
         assert!(!a.packed().range_eq(0, &b.packed(), 0, 80));
+    }
+
+    /// Every offset pair across the word boundaries, every tail length:
+    /// the word-parallel count equals the base-by-base one.
+    #[test]
+    fn mismatches_agree_with_base_comparison_at_every_offset() {
+        let a = random_seq(140, 5);
+        // A copy with scattered substitutions, so counts are neither 0 nor
+        // ~3/4 of the range.
+        let mut b = a.clone();
+        let mut rng = Rng(17);
+        for _ in 0..25 {
+            let p = (rng.next() as usize) % b.len();
+            b.set(p, crate::Base::from_code((rng.next() % 4) as u8));
+        }
+        let c = random_seq(140, 6);
+        for other in [&b, &c] {
+            let (va, vo) = (a.packed(), other.packed());
+            for sa in [0usize, 1, 15, 31, 32, 33, 63, 64, 65] {
+                for so in [0usize, 1, 7, 31, 32, 33, 64] {
+                    for count in 0..=a.len() - sa.max(so) {
+                        let naive = (0..count).filter(|&i| a.get(sa + i) != other.get(so + i)).count();
+                        assert_eq!(
+                            va.mismatches(sa, &vo, so, count),
+                            naive,
+                            "a[{sa}..] vs o[{so}..] x{count}"
+                        );
+                        assert_eq!(va.range_eq(sa, &vo, so, count), naive == 0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both bit planes count once: a base differing in its high bit, its
+    /// low bit or both is one mismatch, and bases past `count` are ignored.
+    #[test]
+    fn mismatches_count_each_base_once_and_mask_the_tail() {
+        let a: DnaString = "AAAA".repeat(10).parse().unwrap(); // code 0
+        for (other, per_base) in [("CCCC", 1), ("GGGG", 1), ("TTTT", 1), ("AAAA", 0)] {
+            let b: DnaString = other.repeat(10).parse().unwrap();
+            for count in [0usize, 1, 31, 32, 33, 40] {
+                assert_eq!(a.packed().mismatches(0, &b.packed(), 0, count), per_base * count);
+            }
+        }
+        let mut b = a.clone();
+        b.set(39, crate::Base::from_code(3));
+        assert_eq!(a.packed().mismatches(0, &b.packed(), 0, 39), 0);
+        assert_eq!(a.packed().mismatches(0, &b.packed(), 0, 40), 1);
     }
 
     #[test]
