@@ -14,11 +14,11 @@
 //!   minimum overlap length and identity,
 //! * [`kernel`] — the pluggable alignment-kernel layer: the [`AlignKernel`]
 //!   trait plus runtime dispatch ([`KernelKind`]) between the scalar
-//!   reference, the bit-parallel prefilter and the SIMD-batched engine,
+//!   reference and the bit-parallel prefilter,
 //! * [`myers`] — Myers' (1999) bit-parallel edit-distance kernel with the
-//!   provable prefilter bounds,
-//! * [`wide`] — the SIMD-batched (AVX2/SSE2, portable fallback) variant of
-//!   the bit-parallel kernel.
+//!   provable prefilter bounds.
+
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod index;
@@ -27,7 +27,6 @@ pub mod myers;
 pub mod nw;
 pub mod overlap;
 pub mod pairwise;
-pub mod wide;
 
 pub use error::AlignError;
 pub use fc_exec::Pool;
@@ -39,7 +38,6 @@ pub use myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
     prefilter_compatible, ungapped_optimum_forced, MyersScratch,
 };
-pub use wide::WideKernel;
 pub use nw::{
     band_for_error_rate, banded_global, banded_global_with, AlignmentSummary, NwConfig, NwScratch,
 };

@@ -104,7 +104,7 @@ impl OverlapConfig {
 }
 
 /// Work counters for one subset-pair comparison. These feed the simulated
-/// cluster's cost model (fc-dist) and the micro benchmarks.
+/// cluster's cost model (fc-dist) and `focus-bench`'s exact layer rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairStats {
     /// Query k-mer lookups performed.
@@ -129,10 +129,6 @@ pub struct PairStats {
     /// NW's unique optimum ([`crate::myers::ungapped_optimum_forced`]);
     /// identical ranges are the `h = 0` case (kernel-dependent).
     pub exact_hits: u64,
-    /// Distance computations staged into SIMD batch lanes
-    /// (kernel-dependent; the count is CPU-independent — it tallies staged
-    /// requests, not vector width).
-    pub wide_lanes: u64,
 }
 
 impl PairStats {
@@ -148,7 +144,6 @@ impl PairStats {
         self.prefilter_rejected = self.prefilter_rejected.saturating_add(other.prefilter_rejected);
         self.prefilter_verified = self.prefilter_verified.saturating_add(other.prefilter_verified);
         self.exact_hits = self.exact_hits.saturating_add(other.exact_hits);
-        self.wide_lanes = self.wide_lanes.saturating_add(other.wide_lanes);
     }
 }
 
@@ -162,7 +157,6 @@ impl fc_ckpt::Codec for PairStats {
         w.put_u64(self.prefilter_rejected);
         w.put_u64(self.prefilter_verified);
         w.put_u64(self.exact_hits);
-        w.put_u64(self.wide_lanes);
     }
 
     fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<PairStats, fc_ckpt::CkptError> {
@@ -175,7 +169,6 @@ impl fc_ckpt::Codec for PairStats {
             prefilter_rejected: r.u64()?,
             prefilter_verified: r.u64()?,
             exact_hits: r.u64()?,
-            wide_lanes: r.u64()?,
         })
     }
 }
@@ -252,8 +245,8 @@ impl<'a> Overlapper<'a> {
         })
     }
 
-    /// The active verification kernel's name (`scalar`, `bitparallel`,
-    /// `wide-avx2`, …) for logs and reports.
+    /// The active verification kernel's name (`scalar` or `bitparallel`)
+    /// for logs and reports.
     pub fn kernel_name(&self) -> &'static str {
         self.kernel.name()
     }
@@ -295,10 +288,8 @@ impl<'a> Overlapper<'a> {
     ///
     /// Seeding and geometry run per query read, accumulating one
     /// [`VerifyReq`] batch for the whole subset pair; the configured
-    /// [`AlignKernel`] then verifies the batch in one call (giving the SIMD
-    /// kernel cross-read candidates to fill its lanes with), and overlaps
-    /// are emitted in request order — exactly the order the old inline
-    /// verification produced.
+    /// [`AlignKernel`] then verifies the batch in one call, and overlaps
+    /// are emitted in request order.
     pub fn overlap_pair_with(
         &self,
         query: &[ReadId],
@@ -473,7 +464,6 @@ impl<'a> Overlapper<'a> {
             rec.add("align.prefilter.rejected", total.prefilter_rejected);
             rec.add("align.prefilter.verified", total.prefilter_verified);
             rec.add("align.kernel.exact_hits", total.exact_hits);
-            rec.add("align.kernel.wide_lanes", total.wide_lanes);
             rec.add("sched.align.scratch_reuses", scratch_reuses);
             rec.gauge("align.band", self.config.nw.band as i64);
         }
@@ -506,8 +496,8 @@ impl<'a> Overlapper<'a> {
     /// Verifies a request batch with this overlapper's configured kernel,
     /// writing one verdict per request into `out` (cleared first). This is
     /// the alignment verification phase in isolation — the part
-    /// `--align-kernel` dispatches — exposed so the kernel benchmark can
-    /// time it without seeding noise.
+    /// `--align-kernel` dispatches — exposed so `focus-bench` can time it
+    /// without seeding noise (`align.verify_s`).
     pub fn verify_requests(
         &self,
         reqs: &[VerifyReq],
@@ -1122,8 +1112,8 @@ mod tests {
     /// snapshots — at every thread count. This is the dispatch-level
     /// counterpart of the per-request differential tests in
     /// [`crate::kernel`]. The store holds substituted and indel-bearing
-    /// reads and a tandem repeat, so the bit-parallel kernels resolve some
-    /// candidates from the Hamming count, run DP on others, and some
+    /// reads and a tandem repeat, so the bit-parallel kernel resolves some
+    /// candidates from the Hamming count, runs DP on others, and some
     /// accepted overlaps are gapped.
     #[test]
     fn all_kernel_kinds_produce_bit_identical_results() {
@@ -1134,7 +1124,6 @@ mod tests {
             prefilter_rejected: 0,
             prefilter_verified: 0,
             exact_hits: 0,
-            wide_lanes: 0,
             ..*s
         };
         let (base_overlaps, base_stats, base_snapshot) = {
@@ -1152,48 +1141,46 @@ mod tests {
             base_overlaps.iter().any(|o| o.len as usize != range_len(&store, o)),
             "no accepted overlap is gapped"
         );
-        for kind in [KernelKind::BitParallel, KernelKind::Auto] {
-            let config = OverlapConfig {
-                kernel: kind,
-                ..test_config()
-            };
-            let overlapper = Overlapper::new(&store, config).unwrap();
-            for threads in [1usize, 4] {
-                let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-                let (overlaps, stats) =
-                    overlapper.overlap_all_obs(&subsets, &Pool::new(threads), &rec);
+        let kind = KernelKind::BitParallel;
+        let config = OverlapConfig {
+            kernel: kind,
+            ..test_config()
+        };
+        let overlapper = Overlapper::new(&store, config).unwrap();
+        for threads in [1usize, 2, 4, 8] {
+            let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
+            let (overlaps, stats) = overlapper.overlap_all_obs(&subsets, &Pool::new(threads), &rec);
+            assert_eq!(
+                overlaps,
+                base_overlaps,
+                "overlaps differ for {} at {threads} threads",
+                kind.as_str()
+            );
+            for ((i, j, s), (bi, bj, bs)) in stats.iter().zip(&base_stats) {
+                assert_eq!((i, j), (bi, bj));
                 assert_eq!(
-                    overlaps,
-                    base_overlaps,
-                    "overlaps differ for {} at {threads} threads",
+                    logical(s),
+                    logical(bs),
+                    "logical stats differ for {} pair ({i},{j})",
                     kind.as_str()
                 );
-                for ((i, j, s), (bi, bj, bs)) in stats.iter().zip(&base_stats) {
-                    assert_eq!((i, j), (bi, bj));
-                    assert_eq!(
-                        logical(s),
-                        logical(bs),
-                        "logical stats differ for {} pair ({i},{j})",
-                        kind.as_str()
-                    );
-                }
-                assert_eq!(
-                    rec.snapshot_json(),
-                    base_snapshot,
-                    "logical metric snapshot differs for {} at {threads} threads",
-                    kind.as_str()
-                );
-                let mut total = PairStats::default();
-                for (_, _, s) in &stats {
-                    total.merge(s);
-                }
-                assert!(total.exact_hits > 0, "rule never fired: {total:?}");
-                assert!(total.prefilter_verified > 0, "DP never ran: {total:?}");
             }
+            assert_eq!(
+                rec.snapshot_json(),
+                base_snapshot,
+                "logical metric snapshot differs for {} at {threads} threads",
+                kind.as_str()
+            );
+            let mut total = PairStats::default();
+            for (_, _, s) in &stats {
+                total.merge(s);
+            }
+            assert!(total.exact_hits > 0, "rule never fired: {total:?}");
+            assert!(total.prefilter_verified > 0, "DP never ran: {total:?}");
         }
     }
 
-    /// The bit-parallel kernels actually take their shortcuts on this
+    /// The bit-parallel kernel actually takes its shortcuts on this
     /// workload (the counters are nonzero), while the scalar kernel's
     /// kernel-dependent counters stay zero.
     #[test]
@@ -1218,25 +1205,12 @@ mod tests {
         assert_eq!(scalar.prefilter_rejected, 0);
         assert_eq!(scalar.prefilter_verified, 0);
         assert_eq!(scalar.exact_hits, 0);
-        assert_eq!(scalar.wide_lanes, 0);
         let bitparallel = totals(KernelKind::BitParallel);
         assert!(
             bitparallel.prefilter_rejected + bitparallel.prefilter_verified
                 + bitparallel.exact_hits
                 > 0,
             "prefilter never engaged: {bitparallel:?}"
-        );
-        let auto = totals(KernelKind::Auto);
-        assert_eq!(
-            PairStats {
-                wide_lanes: 0,
-                ..auto
-            },
-            PairStats {
-                wide_lanes: 0,
-                ..bitparallel
-            },
-            "wide and portable bit-parallel pipelines must count identically"
         );
     }
 

@@ -24,9 +24,11 @@ use std::path::Path;
 /// File magic: the first four bytes of every checkpoint.
 pub const MAGIC: [u8; 4] = *b"FCKP";
 
-/// Current format version; bumped on any layout change so older binaries
-/// refuse newer files instead of misreading them.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current format version; bumped on any layout change — of the container
+/// or of a payload `Codec` — so a build refuses files of another layout
+/// instead of misreading them. Version 2: fc-align's `PairStats` records
+/// lost their ninth counter.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A decoded checkpoint container.
 #[derive(Debug, Clone, PartialEq, Eq)]

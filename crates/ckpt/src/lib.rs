@@ -26,6 +26,8 @@
 //! [`CkptError::Corrupt`] — the caller recomputes the phase, never
 //! trusting a damaged file.
 
+#![forbid(unsafe_code)]
+
 pub mod crc;
 pub mod error;
 pub mod fault;

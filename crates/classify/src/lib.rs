@@ -12,6 +12,8 @@
 //! Fig. 7 and the within/cross-phylum co-clustering summary; [`heatmap`]
 //! renders the matrix as text/CSV.
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod classifier;
 pub mod distribution;

@@ -32,6 +32,8 @@
 //! * [`variants`] — distributed variant detection, the extension the
 //!   paper's discussion (§VI-D) proposes as future work.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod cluster;
 pub mod driver;
@@ -43,14 +45,6 @@ pub mod simplify;
 pub mod transitive;
 pub mod traverse;
 pub mod variants;
-
-/// Deprecated alias of [`error_removal`]. The module was renamed: `errors`
-/// collided (up to a plural suffix) with [`error`], the crate's error-type
-/// module, and the two were routinely confused in review.
-#[deprecated(since = "0.2.0", note = "renamed to `error_removal`")]
-pub mod errors {
-    pub use crate::error_removal::*;
-}
 
 pub use checkpoint::{DistCheckpoint, DistPhaseState, NoCheckpoint};
 pub use cluster::{ClusterState, CostModel, PhaseTiming, SimCluster};

@@ -231,7 +231,7 @@ fn identical_schedules_replay_bit_identically() {
 
 #[test]
 fn pooled_worker_schedules_replay_bit_identically_to_serial() {
-    // The initial scan fan-out may run on a work-stealing pool; fault
+    // The initial scan fan-out may run on the fc-exec worker pool; fault
     // charging and recovery stay on the master's serial schedule, so every
     // schedule in the bounded space — crashes, drops, delays, stragglers —
     // must replay bit-identically (results, virtual makespan, and fault

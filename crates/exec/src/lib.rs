@@ -3,9 +3,9 @@
 //! The paper's three hot phases — subset-pair alignment (§II-B), recursive
 //! bisection (§IV-C) and level-wise k-way refinement (§IV-D) — decompose
 //! into independent tasks whose *results* do not depend on execution order.
-//! [`Pool`] exploits that: tasks are distributed over scoped worker threads
-//! through a chunked work-stealing deque (crossbeam's `Injector`/`Stealer`),
-//! each worker tags every result with its task index, and the pool merges
+//! [`Pool`] exploits that: scoped worker threads claim index-tagged chunks
+//! of the task slice from one shared queue until it is empty, each worker
+//! tags every result with its task index, and the pool merges
 //! the per-worker result lists back into **canonical task order** before
 //! returning. Output is therefore bit-identical at any thread count; with
 //! `threads = 1` the pool does not spawn at all and runs the exact serial
@@ -15,16 +15,25 @@
 //! alignment kernel, for instance) created once per worker through the
 //! `scratch` factory of [`Pool::map_with`].
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+#![forbid(unsafe_code)]
+
 use fc_obs::Recorder;
 use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// How many chunks each worker should see on average; smaller chunks steal
-/// better, larger chunks amortise queue traffic. Eight per worker keeps both
-/// effects small for the task counts seen in the pipeline (tens to a few
-/// thousand).
+/// How many chunks each worker should see on average; smaller chunks
+/// balance better, larger chunks amortise queue traffic. Eight per worker
+/// keeps both effects small for the task counts seen in the pipeline (tens
+/// to a few thousand).
 const CHUNKS_PER_WORKER: usize = 8;
+
+/// The machine's available parallelism (at least 1).
+fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+}
 
 /// A deterministic work pool with a fixed thread count.
 ///
@@ -47,9 +56,7 @@ impl Pool {
     /// parallelism (at least 1); any other value is used as given.
     pub fn new(threads: usize) -> Pool {
         let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
+            available_threads()
         } else {
             threads
         };
@@ -71,9 +78,7 @@ impl Pool {
     /// slowdown. `sched.*` is excluded from logical-clock snapshots, so
     /// recording it never breaks byte-determinism.
     pub fn new_obs(threads: usize, rec: &Recorder) -> Pool {
-        let available = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
+        let available = available_threads();
         if threads > available && rec.is_enabled() {
             rec.add("sched.threads.oversubscribed", 1);
             rec.instant(
@@ -108,7 +113,7 @@ impl Pool {
     }
 
     /// [`Pool::map`] with execution metrics recorded into `rec`: task count
-    /// (`exec.tasks`) plus scheduling detail (`sched.exec.steals`,
+    /// (`exec.tasks`) plus scheduling detail (`sched.exec.dispatches`,
     /// `sched.exec.worker_busy_us`, …).
     pub fn map_obs<T, F>(&self, n: usize, rec: &Recorder, f: F) -> Vec<T>
     where
@@ -191,7 +196,7 @@ impl Pool {
     ///
     /// Metric naming: `exec.tasks` counts items and is deterministic at any
     /// thread count; everything the schedule decides (dispatches that hit
-    /// the parallel path, steals, scratch creations, per-worker busy time)
+    /// the parallel path, scratch creations, per-worker busy time)
     /// lives under the reserved `sched.` prefix so logical-clock snapshots
     /// can exclude it.
     fn run<I, T, S, F, C>(&self, items: &mut [I], scratch: &C, f: &F, rec: &Recorder) -> Vec<T>
@@ -220,47 +225,35 @@ impl Pool {
         let workers = self.threads.min(n);
         let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
 
-        let injector: Injector<(usize, &mut [I])> = Injector::new();
-        for (c, block) in items.chunks_mut(chunk).enumerate() {
-            injector.push((c * chunk, block));
-        }
-        let locals: Vec<Worker<(usize, &mut [I])>> =
-            (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<(usize, &mut [I])>> =
-            locals.iter().map(Worker::stealer).collect();
+        // One shared queue of index-tagged chunks, claimed one at a time.
+        // A poisoned lock still guards a valid queue: the only thing ever
+        // done under it is this `next`.
+        let queue = Mutex::new(items.chunks_mut(chunk).enumerate());
+        let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
 
         let mut per_worker: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-        let mut total_steals = 0u64;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            for (w, local) in locals.into_iter().enumerate() {
-                let injector = &injector;
-                let stealers = &stealers;
-                handles.push(scope.spawn(move || {
+            for _ in 0..workers {
+                handles.push(scope.spawn(|| {
                     let started = Instant::now();
-                    let mut steals = 0u64;
                     let mut s = scratch();
                     let mut out: Vec<(usize, T)> = Vec::new();
-                    // Tasks never enqueue new tasks, so the queues only ever
-                    // drain: once local, injector and every peer deque are
-                    // simultaneously empty, all remaining chunks are being
-                    // executed by their claimants and this worker can retire.
-                    while let Some((base, block)) = local
-                        .pop()
-                        .or_else(|| find_task(injector, &local, stealers, w, &mut steals))
-                    {
+                    // Tasks never enqueue new tasks, so the queue only ever
+                    // drains: once it is empty, all remaining chunks are
+                    // being executed by their claimants and this worker can
+                    // retire.
+                    while let Some((c, block)) = claim() {
                         for (off, item) in block.iter_mut().enumerate() {
-                            out.push((base + off, f(item, &mut s)));
+                            out.push((c * chunk + off, f(item, &mut s)));
                         }
                     }
-                    (out, steals, started.elapsed().as_micros() as u64)
+                    (out, started.elapsed().as_micros() as u64)
                 }));
             }
             for handle in handles {
                 match handle.join() {
-                    Ok((out, steals, busy_us)) => {
-                        total_steals += steals;
-                        rec.add("sched.exec.steals", steals);
+                    Ok((out, busy_us)) => {
                         rec.add("sched.exec.scratch_created", 1);
                         rec.observe("sched.exec.worker_busy_us", busy_us);
                         per_worker.push(out);
@@ -270,15 +263,7 @@ impl Pool {
                 }
             }
         });
-
-        // Steal attribution lands inside the batch span, recorded from the
-        // submitting lane after the join (worker lanes stay event-free so
-        // the trace's event order is scheduler-independent).
-        rec.instant(
-            "exec",
-            "sched.exec.steal_report",
-            &[("steals", total_steals as i64), ("workers", workers as i64)],
-        );
+        // The batch span covers execution, not the merge below.
         drop(batch_span);
 
         // Canonical-order merge: every result carries its task index, so the
@@ -289,45 +274,11 @@ impl Pool {
     }
 }
 
-/// One steal attempt cycle: drain the injector first, then steal from peers
-/// starting after our own slot (spreads contention deterministically for
-/// results — victim choice only affects timing, never output). Successful
-/// peer steals (not injector pops) bump `steals`.
-fn find_task<'s, I>(
-    injector: &Injector<(usize, &'s mut [I])>,
-    local: &Worker<(usize, &'s mut [I])>,
-    stealers: &[Stealer<(usize, &'s mut [I])>],
-    me: usize,
-    steals: &mut u64,
-) -> Option<(usize, &'s mut [I])> {
-    loop {
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(task) => return Some(task),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    let k = stealers.len();
-    for off in 1..k {
-        let victim = &stealers[(me + off) % k];
-        loop {
-            match victim.steal() {
-                Steal::Success(task) => {
-                    *steals += 1;
-                    return Some(task);
-                }
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn resolves_thread_counts() {
@@ -342,9 +293,7 @@ mod tests {
     fn new_obs_warns_on_oversubscription_without_clamping() {
         use fc_obs::ObsOptions;
         let rec = Recorder::new(ObsOptions::wall_clock());
-        let available = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+        let available = available_threads();
 
         // Explicit oversubscription: honoured, but recorded.
         let over = available + 7;
@@ -497,6 +446,30 @@ mod tests {
             pool.map_items_obs(items.clone(), &rec, || (), |_, v, ()| v + 1),
             pool.map_items(items, || (), |_, v, ()| v + 1)
         );
+    }
+
+    /// Claiming is dynamic: with task 0 stuck on one worker, the other
+    /// worker runs all fifteen remaining tasks. A static split would leave
+    /// seven of them queued behind task 0 and trip the deadline.
+    #[test]
+    fn idle_worker_keeps_claiming_while_a_peer_is_stuck() {
+        let finished = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let out = Pool::new(2).map(16, |i| {
+            if i == 0 {
+                while finished.load(Ordering::SeqCst) < 15 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "tasks queued behind the stuck worker were never claimed"
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                finished.fetch_add(1, Ordering::SeqCst);
+            }
+            i
+        });
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! ([`Prepared`]) so experiments can sweep partition counts without
 //! recomputing alignment and coarsening.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod eval;

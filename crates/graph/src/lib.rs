@@ -16,6 +16,8 @@
 //!   graph set `G' = {G'0 … G'n}`, the paper's vehicle for injecting
 //!   biological knowledge into partitioning.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod coarsen;
 pub mod digraph;

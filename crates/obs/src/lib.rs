@@ -31,13 +31,15 @@
 //! *results* at any thread count, so every metric derived from algorithm
 //! results (candidates verified, edges cut, nodes coarsened, messages
 //! simulated …) is thread-count-invariant. Metrics that describe the
-//! *schedule* itself (steals, per-worker busy time, scratch creations) are
+//! *schedule* itself (dispatches, per-worker busy time, scratch creations) are
 //! not — they live under the reserved `sched.` name prefix. In
 //! logical-clock mode ([`ObsOptions::logical`]) the snapshot serialisation
 //! ([`Recorder::snapshot_json`]) excludes `sched.*` entries and timestamps
 //! are logical ticks, making the metrics snapshot **byte-identical across
 //! thread counts** — observability doubles as a correctness oracle
 //! (proptest-verified in `tests/observability.rs`).
+
+#![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod event;
@@ -58,7 +60,7 @@ pub use recorder::{Flow, ObsOptions, Recorder, SpanCtx, SpanGuard};
 pub use schema::{check_chrome_trace, check_jsonl_events, check_metrics_snapshot, ObsError};
 pub use sink::{human_report, write_chrome_trace, write_jsonl};
 
-/// Reserved metric-name prefix for scheduling-dependent metrics (steals,
+/// Reserved metric-name prefix for scheduling-dependent metrics (dispatches,
 /// per-worker busy time …). Metrics under this prefix are excluded from
 /// logical-clock snapshots because they legitimately vary with the thread
 /// count and machine load; everything else must be deterministic.
@@ -79,11 +81,11 @@ pub const CKPT_PREFIX: &str = "ckpt.";
 pub const MEM_PREFIX: &str = "mem.";
 
 /// Reserved metric-name prefixes for alignment-kernel-dependent metrics
-/// (prefilter hit rates, exact-path shortcuts, SIMD batch sizes …). They
-/// describe *how* the dispatched alignment kernel arrived at the result,
-/// not the result itself: they legitimately vary with `--align-kernel` and
-/// with CPU feature detection while overlaps, contigs and every other
-/// metric stay bit-identical, so logical-clock snapshots exclude them.
+/// (prefilter hit rates, exact-path shortcuts …). They describe *how* the
+/// dispatched alignment kernel arrived at the result, not the result
+/// itself: they legitimately vary with `--align-kernel` while overlaps,
+/// contigs and every other metric stay bit-identical, so logical-clock
+/// snapshots exclude them.
 pub const KERNEL_PREFIXES: &[&str] = &["align.prefilter.", "align.kernel."];
 
 /// Reserved metric-name prefix for out-of-core spill metrics (runs

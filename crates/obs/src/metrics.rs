@@ -207,7 +207,7 @@ impl MetricsSnapshot {
 
     /// A copy without alignment-kernel-dependent metrics (names under the
     /// reserved [`KERNEL_PREFIXES`]). Those legitimately differ between
-    /// `--align-kernel` settings (and CPU feature levels) while every other
+    /// `--align-kernel` settings while every other
     /// metric stays bit-identical — the kernel-equivalence contract
     /// byte-compares the snapshot *without* them.
     pub fn without_kernel_dependent(&self) -> MetricsSnapshot {
@@ -541,7 +541,7 @@ mod tests {
     fn without_scheduling_drops_sched_prefix_only() {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("exec.tasks", 10);
-        s.counters.insert("sched.exec.steals", 3);
+        s.counters.insert("sched.exec.dispatches", 3);
         s.gauges.insert("sched.exec.workers", 4);
         let mut h = Histogram::new(DEFAULT_BOUNDS);
         h.observe(1);
@@ -575,7 +575,7 @@ mod tests {
         s.counters.insert("align.candidates", 10);
         s.counters.insert("align.prefilter.rejected", 3);
         s.counters.insert("align.kernel.exact_hits", 2);
-        s.gauges.insert("align.kernel.wide_lanes", 4);
+        s.gauges.insert("align.prefilter.verified", 4);
         let mut h = Histogram::new(DEFAULT_BOUNDS);
         h.observe(1);
         s.histograms.insert("align.prefilter.batch", h);

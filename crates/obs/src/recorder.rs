@@ -772,14 +772,14 @@ mod tests {
     fn logical_snapshot_json_excludes_sched_metrics() {
         let rec = Recorder::new(ObsOptions::logical());
         rec.add("exec.tasks", 4);
-        rec.add("sched.exec.steals", 2);
+        rec.add("sched.exec.dispatches", 2);
         let json = rec.snapshot_json();
         assert!(json.contains("exec.tasks"));
-        assert!(!json.contains("sched.exec.steals"));
+        assert!(!json.contains("sched.exec.dispatches"));
 
         let wall = Recorder::new(ObsOptions::wall_clock());
-        wall.add("sched.exec.steals", 2);
-        assert!(wall.snapshot_json().contains("sched.exec.steals"));
+        wall.add("sched.exec.dispatches", 2);
+        assert!(wall.snapshot_json().contains("sched.exec.dispatches"));
     }
 
     #[test]
@@ -837,14 +837,14 @@ mod tests {
         rec.add("align.pairs", 1); // stale partial value, must be replaced
         rec.add("stale.other", 5); // not in the snapshot, must vanish
         rec.add("ckpt.loaded", 1); // this process's bookkeeping, must stay
-        rec.add("sched.exec.steals", 2);
+        rec.add("sched.exec.dispatches", 2);
         rec.gauge("mem.peak_rss_bytes", 777); // this process's memory, must stay
         rec.restore_metrics(&saved);
         let s = rec.snapshot();
         assert_eq!(s.counters.get("align.pairs"), Some(&100));
         assert_eq!(s.counters.get("stale.other"), None);
         assert_eq!(s.counters.get("ckpt.loaded"), Some(&1));
-        assert_eq!(s.counters.get("sched.exec.steals"), Some(&2));
+        assert_eq!(s.counters.get("sched.exec.dispatches"), Some(&2));
         assert_eq!(s.gauges.get("mem.peak_rss_bytes"), Some(&777));
         assert_eq!(s.gauges.get("focus.k"), Some(&4));
         assert_eq!(s.histograms.get("h").map(|h| h.count), Some(1));

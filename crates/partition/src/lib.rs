@@ -33,6 +33,8 @@
 //! how the loops are implemented. Each loop's previous body survives as a
 //! `#[cfg(test)] mod reference` that differential tests compare against.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod grow;
 pub mod kl;

@@ -14,6 +14,8 @@
 //! * read trimming ([`trim`]) — fixed 5'/3' trimming and the paper's
 //!   sliding-window 3' quality trimming.
 
+#![forbid(unsafe_code)]
+
 pub mod alphabet;
 pub mod dna;
 pub mod error;

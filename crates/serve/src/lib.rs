@@ -34,6 +34,8 @@
 //! real pipeline by `focus_core::serve::AssemblyJobRunner` and by mock
 //! runners in tests.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod http;
 pub mod job;

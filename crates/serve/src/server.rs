@@ -392,8 +392,8 @@ fn resolve_job_threads(cfg: &ServeConfig, recorder: &Recorder) -> usize {
         // Auto: divide the machine between concurrent workers.
         (cores / cfg.workers.max(1)).max(1)
     } else if cfg.job_threads > cores {
-        // Oversubscription makes assembly *slower* (BENCH_parallel.json);
-        // clamp and record instead of silently thrashing.
+        // Oversubscription makes assembly *slower* (threads beyond the
+        // cores only time-slice); clamp and record, do not thrash silently.
         recorder.add(metrics::THREADS_CLAMPED, 1);
         recorder.instant(
             "serve",

@@ -18,6 +18,8 @@
 //!   [`dataset::paper_datasets`], the three deterministic analogues of the
 //!   paper's D1–D3.
 
+#![forbid(unsafe_code)]
+
 pub mod community;
 pub mod dataset;
 pub mod error;

@@ -44,9 +44,9 @@ ASSEMBLE OPTIONS:
     --seed <u64>           partitioning seed                     [default: 985093]
     --threads <n>          worker threads; 0 = all cores, 1 = serial;
                            output is identical at any setting    [default: 0]
-    --align-kernel <k>     overlap verification kernel: scalar, bitparallel,
-                           or auto (SIMD when the CPU has it); contigs are
-                           identical at any setting              [default: auto]
+    --align-kernel <k>     overlap verification kernel: scalar or bitparallel
+                           (auto is accepted as bitparallel); contigs are
+                           identical at any setting       [default: bitparallel]
     --keep-both-strands    emit both strands of every contig
 
 MEMORY OPTIONS (assemble, FASTQ input only):

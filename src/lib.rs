@@ -5,6 +5,8 @@
 //! and DESIGN.md for the architecture, and `focus_core::FocusAssembler` for
 //! the end-to-end pipeline entry point.
 
+#![forbid(unsafe_code)]
+
 pub use fc_align as align;
 pub use fc_ckpt as ckpt;
 pub use fc_classify as classify;
