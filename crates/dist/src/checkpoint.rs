@@ -5,7 +5,11 @@
 //! storage-agnostic: the pipeline only decides *what* a durable phase
 //! boundary contains, the caller (the `focus-core` pipeline, backed by a
 //! `fc_ckpt::CheckpointStore`) decides where and how it is written. A
-//! [`NoCheckpoint`] implementation keeps checkpoint-free runs zero-cost.
+//! [`NoCheckpoint`] implementation keeps checkpoint-free runs free of
+//! storage, not of cost: the driver refreshes the snapshot — a clone of the
+//! working graph and an export of the cluster state — at all four phase
+//! boundaries before it asks the hook anything, whatever the hook then does
+//! with it.
 //!
 //! The state snapshot contains everything the driver mutates: the working
 //! graph, the cluster's progress ([`ClusterState`]), per-phase timings and

@@ -21,6 +21,7 @@ use crate::traverse::{self, AssemblyPath};
 use fc_graph::{DiGraph, HybridSet, NodeId};
 use fc_obs::Recorder;
 use fc_seq::{DnaString, ReadStore};
+use std::sync::Arc;
 
 /// Configuration of the distributed stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -75,8 +76,8 @@ pub struct DistributedHybrid {
     pub parts: Vec<u32>,
     /// Number of partitions (= worker ranks).
     pub k: usize,
-    /// Contig sequence per hybrid node.
-    contigs: Vec<DnaString>,
+    /// Contig sequence per hybrid node (shared, never mutated).
+    contigs: Arc<[DnaString]>,
     /// Read support (cluster size) per hybrid node.
     support: Vec<u64>,
 }
@@ -92,7 +93,8 @@ impl DistributedHybrid {
         parts: Vec<u32>,
         k: usize,
     ) -> Result<DistributedHybrid, DistError> {
-        DistributedHybrid::build(hybrid, store, parts, k, false)
+        let contigs = DistributedHybrid::node_contigs(hybrid, store, false);
+        DistributedHybrid::from_contigs(hybrid, contigs, parts, k)
     }
 
     /// Like [`DistributedHybrid::new`] but with error-corrected consensus
@@ -103,19 +105,48 @@ impl DistributedHybrid {
         parts: Vec<u32>,
         k: usize,
     ) -> Result<DistributedHybrid, DistError> {
-        DistributedHybrid::build(hybrid, store, parts, k, true)
+        let contigs = DistributedHybrid::node_contigs(hybrid, store, true);
+        DistributedHybrid::from_contigs(hybrid, contigs, parts, k)
     }
 
-    fn build(
+    /// The contig sequence of every hybrid node, in node-id order: per-column
+    /// majority consensus when `consensus`, first-wins merging otherwise.
+    /// They depend on the hybrid set and the store only — not on `parts` or
+    /// `k` — so a partition-count sweep builds them once and shares them.
+    pub fn node_contigs(
         hybrid: &HybridSet,
         store: &ReadStore,
+        consensus: bool,
+    ) -> Arc<[DnaString]> {
+        (0..hybrid.node_count() as NodeId)
+            .map(|v| {
+                if consensus {
+                    hybrid.contig_consensus(v, store)
+                } else {
+                    hybrid.contig(v, store)
+                }
+            })
+            .collect()
+    }
+
+    /// Prepares the distributed stage from a hybrid set, its nodes' contig
+    /// sequences ([`DistributedHybrid::node_contigs`]) and a `G'0` partition
+    /// assignment over `k` partitions.
+    pub fn from_contigs(
+        hybrid: &HybridSet,
+        contigs: Arc<[DnaString]>,
         parts: Vec<u32>,
         k: usize,
-        consensus: bool,
     ) -> Result<DistributedHybrid, DistError> {
         if parts.len() != hybrid.node_count() {
             return Err(DistError::PartitionLengthMismatch {
                 got: parts.len(),
+                expected: hybrid.node_count(),
+            });
+        }
+        if contigs.len() != hybrid.node_count() {
+            return Err(DistError::ContigCountMismatch {
+                got: contigs.len(),
                 expected: hybrid.node_count(),
             });
         }
@@ -125,15 +156,6 @@ impl DistributedHybrid {
         if let Some(&bad) = parts.iter().find(|&&p| p as usize >= k) {
             return Err(DistError::PartitionIdOutOfRange { id: bad, k });
         }
-        let contigs: Vec<DnaString> = (0..hybrid.node_count() as NodeId)
-            .map(|v| {
-                if consensus {
-                    hybrid.contig_consensus(v, store)
-                } else {
-                    hybrid.contig(v, store)
-                }
-            })
-            .collect();
         let support: Vec<u64> = hybrid.clusters.iter().map(|c| c.len() as u64).collect();
         Ok(DistributedHybrid {
             graph: hybrid.directed.clone(),
@@ -561,6 +583,52 @@ mod tests {
             DistributedHybrid::new(&hs, &store, vec![0; n], 0),
             Err(DistError::NoRanks)
         ));
+        // One contig short: a typed error here, not an index panic in
+        // `simplify::worker_scan`.
+        let short: Arc<[DnaString]> =
+            DistributedHybrid::node_contigs(&hs, &store, true)[1..].into();
+        assert_eq!(
+            DistributedHybrid::from_contigs(&hs, short, vec![0; n], 2).err(),
+            Some(DistError::ContigCountMismatch {
+                got: n - 1,
+                expected: n
+            })
+        );
+    }
+
+    #[test]
+    fn from_contigs_over_node_contigs_is_both_store_constructors() {
+        let (store, hs) = hybrid_case(40);
+        let k = 4;
+        let parts = round_robin_parts(hs.node_count(), k);
+        for consensus in [false, true] {
+            let shared = DistributedHybrid::node_contigs(&hs, &store, consensus);
+            let mut a =
+                DistributedHybrid::from_contigs(&hs, shared.clone(), parts.clone(), k).unwrap();
+            let mut b = if consensus {
+                DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k)
+            } else {
+                DistributedHybrid::new(&hs, &store, parts.clone(), k)
+            }
+            .unwrap();
+            for v in 0..hs.node_count() as NodeId {
+                assert_eq!(a.contig(v), b.contig(v), "node {v}, consensus {consensus}");
+            }
+            // Shared with the caller's list, not copied out of it.
+            assert!(Arc::ptr_eq(&a.contigs, &shared));
+            let ra = a.run(&DistributedConfig::default()).unwrap();
+            let rb = b.run(&DistributedConfig::default()).unwrap();
+            assert_eq!(ra.paths, rb.paths);
+            assert_eq!(
+                (ra.transitive_removed, ra.contained_removed),
+                (rb.transitive_removed, rb.contained_removed)
+            );
+            assert_eq!(
+                (ra.false_edges_removed, ra.error_nodes_removed),
+                (rb.false_edges_removed, rb.error_nodes_removed)
+            );
+            assert_eq!((ra.messages, ra.bytes), (rb.messages, rb.bytes));
+        }
     }
 
     #[test]

@@ -17,6 +17,13 @@ pub enum DistError {
         /// Hybrid node count it must equal.
         expected: usize,
     },
+    /// The contig list does not have one sequence per hybrid node.
+    ContigCountMismatch {
+        /// Supplied contig count.
+        got: usize,
+        /// Hybrid node count it must equal.
+        expected: usize,
+    },
     /// A partition id exceeds the declared partition count.
     PartitionIdOutOfRange {
         /// The offending id.
@@ -58,6 +65,9 @@ impl fmt::Display for DistError {
             DistError::NoRanks => write!(f, "cluster needs at least one rank"),
             DistError::PartitionLengthMismatch { got, expected } => {
                 write!(f, "partition length {got} != hybrid node count {expected}")
+            }
+            DistError::ContigCountMismatch { got, expected } => {
+                write!(f, "{got} node contigs != hybrid node count {expected}")
             }
             DistError::PartitionIdOutOfRange { id, k } => {
                 write!(f, "partition id {id} out of range for k = {k}")

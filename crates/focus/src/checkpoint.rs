@@ -1,11 +1,18 @@
 //! Durable checkpoint/resume for the whole pipeline (§II + §IV + §V).
 //!
-//! [`FocusAssembler::assemble_with_checkpoints`] runs the same nine-phase
-//! pipeline as [`assemble`](FocusAssembler::assemble) but persists a
-//! verified checkpoint after every phase boundary through
-//! [`fc_ckpt::CheckpointStore`]: read preprocessing, alignment, multilevel
-//! coarsening, hybrid-set construction, partitioning, and each of the four
-//! distributed phases. A later run pointed at the same directory with
+//! There is one stage sequence ([`crate::pipeline`]); this module is the
+//! policy it runs under (the crate-private `CkptPolicy`). Every phase
+//! boundary goes through `CkptPolicy::phase` — a verified load, or compute
+//! then save — and a plain [`assemble`](FocusAssembler::assemble) is the
+//! same sequence under the policy with no store.
+//! [`FocusAssembler::assemble_with_checkpoints`] opens a policy from
+//! [`CheckpointOptions`] and so persists a verified checkpoint after each
+//! of the nine boundaries through [`fc_ckpt::CheckpointStore`]: read
+//! preprocessing, alignment, multilevel coarsening, hybrid-set
+//! construction, partitioning, and each of the four distributed phases.
+//! The level-0 overlap graph and the hybrid nodes' contig sequences are
+//! never stored: both are functions of state a resumed run already holds.
+//! A later run pointed at the same directory with
 //! [`CheckpointOptions::resume`] skips every phase whose checkpoint
 //! verifies — per-record and whole-file CRCs, format version, config
 //! fingerprint and input digest all have to match, otherwise the phase is
@@ -31,18 +38,13 @@
 //! writes, and the assembly finishes normally.
 
 use crate::config::{FocusConfig, FocusError};
-use crate::ooc::RunBudget;
-use crate::pipeline::{dedup_reverse_complements, path_contig, AssemblyResult, FocusAssembler};
-use crate::stats::{AssemblyStats, PipelineProfile};
-use fc_align::{Overlap, Overlapper, PairStats, Pool};
+use crate::pipeline::{AssemblyResult, FocusAssembler};
+use fc_align::{Overlap, PairStats};
 use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, Codec, FsFaultPlan, LoadOutcome};
-use fc_dist::{DistCheckpoint, DistPhaseState, DistributedHybrid, FaultPlan, PhaseId};
-use fc_graph::{HybridSet, MultilevelSet, OverlapGraph};
+use fc_dist::{DistCheckpoint, DistPhaseState, PhaseId};
 use fc_obs::{MetricsSnapshot, ObsOptions, Recorder};
-use fc_partition::{partition_graph_set_obs, PartitionConfig, PartitionResult};
-use fc_seq::{Read, ReadStore};
+use fc_seq::Read;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// The nine checkpointed phase boundaries of the pipeline, in execution
 /// order. The discriminant doubles as the on-disk phase id.
@@ -273,122 +275,234 @@ fn restore_metrics_record(rec: &Recorder, bytes: &[u8]) -> bool {
     }
 }
 
-fn reject(rec: &Recorder, phase: CkptPhase) {
-    rec.add("ckpt.rejected", 1);
-    rec.instant("ckpt", "ckpt.rejected", &[("phase", i64::from(phase.id()))]);
+/// The alignment phase's checkpoint payload: every overlap plus the
+/// per-subset-pair stats, both in canonical `(j, i ≤ j)` pair order.
+pub(crate) type AlignmentCkpt = (Vec<Overlap>, Vec<(usize, usize, PairStats)>);
+
+/// Why the stage sequence returned early: `?` carries a failed stage and a
+/// requested stop alike, and only the entry points tell them apart.
+#[derive(Debug)]
+pub(crate) enum Halt {
+    /// A stage failed.
+    Failed(FocusError),
+    /// The run stopped right after this phase, as the policy asked.
+    Stopped(CkptPhase),
 }
 
-/// Payload (record 0) + metrics (record 1) decode of a verified
-/// checkpoint. Any shape or decode failure rejects the whole file.
-fn decode_records<T: Codec>(rec: &Recorder, records: &[Vec<u8>]) -> Option<T> {
-    if records.len() != 2 {
-        return None;
-    }
-    let value = decode_from_slice::<T>(&records[0]).ok()?;
-    restore_metrics_record(rec, &records[1]).then_some(value)
-}
-
-/// Loads one phase's checkpoint: `Some(payload)` only when the file
-/// exists, verifies, and decodes; every other outcome means "recompute".
-fn load_phase<T: Codec>(
-    store: &mut Option<CheckpointStore>,
-    rec: &Recorder,
-    resume: bool,
-    phase: CkptPhase,
-) -> Option<T> {
-    if !resume {
-        return None;
-    }
-    let store = store.as_mut()?;
-    match store.load(phase.id(), phase.name()) {
-        LoadOutcome::Missing => None,
-        LoadOutcome::Rejected(_) => {
-            reject(rec, phase);
-            None
-        }
-        LoadOutcome::Loaded(records) => match decode_records(rec, &records) {
-            Some(value) => {
-                rec.add("ckpt.loaded", 1);
-                rec.instant("ckpt", "ckpt.loaded", &[("phase", i64::from(phase.id()))]);
-                // When the write happened earlier in this same process
-                // (same recorder), close its causal edge here: the trace
-                // then shows the resumed phase following from the
-                // checkpoint-write span. A fresh process has no parked
-                // flow and emits nothing — never a dangling edge.
-                if let Some(flow) = rec.flow_take(u64::from(phase.id())) {
-                    rec.flow_end(flow, &[("phase", i64::from(phase.id()))]);
-                }
-                Some(value)
-            }
-            None => {
-                reject(rec, phase);
-                None
-            }
-        },
+impl<E: Into<FocusError>> From<E> for Halt {
+    fn from(e: E) -> Halt {
+        Halt::Failed(e.into())
     }
 }
 
-/// Saves one phase's checkpoint. A write failure degrades the store (all
-/// later saves become no-ops) and emits exactly one `ckpt.degraded` event;
-/// the assembly itself continues either way.
-fn save_phase<T: Codec>(
-    store: &mut Option<CheckpointStore>,
-    rec: &Recorder,
-    phase: CkptPhase,
-    value: &T,
-) {
-    // Every phase boundary passes through here (store or not): sample the
-    // memory high-water mark so the `mem.peak_rss_bytes` gauge tracks the
-    // run phase by phase.
-    rec.sample_peak_rss();
-    let Some(store) = store.as_mut() else {
-        return;
-    };
-    let records = vec![encode_to_vec(value), metrics_record(rec)];
-    match store.save(phase.id(), phase.name(), records) {
-        Ok(true) => {
-            rec.add("ckpt.saved", 1);
-            // Park a causal edge out of the write: an in-process resume
-            // of this phase will pick it up and close the arrow.
-            let flow = rec.flow_start("ckpt", "ckpt.save", &[("phase", i64::from(phase.id()))]);
-            rec.flow_park(u64::from(phase.id()), flow);
-        }
-        Ok(false) => {}
-        Err(_) => {
-            rec.add("ckpt.degraded", 1);
-            rec.instant("ckpt", "ckpt.degraded", &[("phase", i64::from(phase.id()))]);
+impl Halt {
+    /// The error of a run whose policy cannot stop ([`CkptPolicy::off`]).
+    pub(crate) fn into_error(self) -> FocusError {
+        match self {
+            Halt::Failed(e) => e,
+            Halt::Stopped(phase) => FocusError::Stage {
+                stage: "checkpoint",
+                message: format!("stopped after {} without a stop request", phase.name()),
+            },
         }
     }
 }
 
-/// Adapter wiring the distributed driver's phase boundaries
-/// ([`fc_dist::DistCheckpoint`]) into the run's [`CheckpointStore`].
-struct StoreDistCheckpoint<'a> {
-    store: &'a mut Option<CheckpointStore>,
-    rec: &'a Recorder,
+/// What the stage sequence produced, as the checkpointing entry points
+/// report it: an orderly stop is an outcome, not an error.
+pub(crate) fn outcome(run: Result<AssemblyResult, Halt>) -> Result<AssemblyOutcome, FocusError> {
+    match run {
+        Ok(result) => Ok(AssemblyOutcome::Completed(result)),
+        Err(Halt::Stopped(phase)) => Ok(AssemblyOutcome::Stopped(phase)),
+        Err(Halt::Failed(e)) => Err(e),
+    }
+}
+
+/// The checkpoint policy one run of the stage sequence executes under —
+/// what [`CheckpointOptions`] says, opened: where phase boundaries are
+/// stored (if anywhere), whether stored ones are loaded, and where to stop.
+/// The sequence itself ([`FocusAssembler::prepare_from`] and
+/// [`FocusAssembler::finish`]) is the same under every policy.
+pub(crate) struct CkptPolicy<'a> {
+    store: Option<CheckpointStore>,
     resume: bool,
     stop_after: Option<CkptPhase>,
+    /// The distributed phase whose save answered "stop" — the evidence
+    /// that a distributed stage returning no report was asked to.
     stopped_at: Option<CkptPhase>,
+    rec: &'a Recorder,
 }
 
-impl DistCheckpoint for StoreDistCheckpoint<'_> {
-    fn load(&mut self) -> Option<(PhaseId, DistPhaseState)> {
+impl<'a> CkptPolicy<'a> {
+    /// No store, no resume, no stop: the plain run.
+    pub(crate) fn off(rec: &'a Recorder) -> CkptPolicy<'a> {
+        CkptPolicy {
+            store: None,
+            resume: false,
+            stop_after: None,
+            stopped_at: None,
+            rec,
+        }
+    }
+
+    /// The policy `opts` describes. `fingerprints` yields the config
+    /// fingerprint and the input digest a store stamps its files with; the
+    /// digest is a pass over the whole input, so it is asked for only when
+    /// there is a store.
+    pub(crate) fn open(
+        opts: &CheckpointOptions,
+        rec: &'a Recorder,
+        fingerprints: impl FnOnce() -> (u64, u64),
+    ) -> CkptPolicy<'a> {
+        let store = opts.dir.as_ref().map(|dir| {
+            let (config_fp, input_digest) = fingerprints();
+            CheckpointStore::with_faults(
+                dir.clone(),
+                config_fp,
+                input_digest,
+                opts.fs_faults.clone(),
+            )
+        });
+        CkptPolicy {
+            store,
+            resume: opts.resume,
+            stop_after: opts.stop_after,
+            ..CkptPolicy::off(rec)
+        }
+    }
+
+    /// One phase boundary: the phase's verified checkpoint when the policy
+    /// resumes and one exists, else `compute()` — then saved.
+    pub(crate) fn phase<T: Codec>(
+        &mut self,
+        phase: CkptPhase,
+        compute: impl FnOnce() -> Result<T, FocusError>,
+    ) -> Result<T, FocusError> {
+        if let Some(value) = self.load_phase(phase) {
+            return Ok(value);
+        }
+        let value = compute()?;
+        self.save_phase(phase, &value);
+        Ok(value)
+    }
+
+    /// The orderly stop [`CheckpointOptions::stop_after`] asks for, taken
+    /// once everything `phase`'s boundary owes (its save, its budget
+    /// charge) is done.
+    pub(crate) fn stop_after(&self, phase: CkptPhase) -> Result<(), Halt> {
+        if self.stop_after == Some(phase) {
+            return Err(Halt::Stopped(phase));
+        }
+        Ok(())
+    }
+
+    /// Why the distributed stage returned no report: the stop it was asked
+    /// for, or a typed error when nobody asked.
+    pub(crate) fn dist_halt(&self) -> Halt {
+        match self.stopped_at {
+            Some(phase) => Halt::Stopped(phase),
+            None => Halt::Failed(FocusError::Stage {
+                stage: "distributed",
+                message: "the distributed stage stopped without a crash point".to_string(),
+            }),
+        }
+    }
+
+    fn reject(&self, phase: CkptPhase) {
+        self.rec.add("ckpt.rejected", 1);
+        self.rec
+            .instant("ckpt", "ckpt.rejected", &[("phase", i64::from(phase.id()))]);
+    }
+
+    /// Payload (record 0) + metrics (record 1) decode of a verified
+    /// checkpoint. Any shape or decode failure rejects the whole file.
+    fn decode_records<T: Codec>(&self, records: &[Vec<u8>]) -> Option<T> {
+        if records.len() != 2 {
+            return None;
+        }
+        let value = decode_from_slice::<T>(&records[0]).ok()?;
+        restore_metrics_record(self.rec, &records[1]).then_some(value)
+    }
+
+    /// Loads one phase's checkpoint: `Some(payload)` only when the file
+    /// exists, verifies, and decodes; every other outcome means "recompute".
+    fn load_phase<T: Codec>(&mut self, phase: CkptPhase) -> Option<T> {
         if !self.resume {
             return None;
         }
-        // Latest distributed phase wins; earlier ones are subsumed.
-        for &dist_phase in PhaseId::ALL.iter().rev() {
-            let phase = CkptPhase::from_dist(dist_phase);
-            if let Some(state) = load_phase::<DistPhaseState>(self.store, self.rec, true, phase) {
-                return Some((dist_phase, state));
+        let rec = self.rec;
+        match self.store.as_mut()?.load(phase.id(), phase.name()) {
+            LoadOutcome::Missing => None,
+            LoadOutcome::Rejected(_) => {
+                self.reject(phase);
+                None
+            }
+            LoadOutcome::Loaded(records) => match self.decode_records(&records) {
+                Some(value) => {
+                    rec.add("ckpt.loaded", 1);
+                    rec.instant("ckpt", "ckpt.loaded", &[("phase", i64::from(phase.id()))]);
+                    // When the write happened earlier in this same process
+                    // (same recorder), close its causal edge here: the trace
+                    // then shows the resumed phase following from the
+                    // checkpoint-write span. A fresh process has no parked
+                    // flow and emits nothing — never a dangling edge.
+                    if let Some(flow) = rec.flow_take(u64::from(phase.id())) {
+                        rec.flow_end(flow, &[("phase", i64::from(phase.id()))]);
+                    }
+                    Some(value)
+                }
+                None => {
+                    self.reject(phase);
+                    None
+                }
+            },
+        }
+    }
+
+    /// Saves one phase's checkpoint. A write failure degrades the store (all
+    /// later saves become no-ops) and emits exactly one `ckpt.degraded`
+    /// event; the assembly itself continues either way.
+    fn save_phase<T: Codec>(&mut self, phase: CkptPhase, value: &T) {
+        let rec = self.rec;
+        // Every phase boundary passes through here (store or not): sample the
+        // memory high-water mark so the `mem.peak_rss_bytes` gauge tracks the
+        // run phase by phase.
+        rec.sample_peak_rss();
+        let Some(store) = self.store.as_mut() else {
+            return;
+        };
+        let records = vec![encode_to_vec(value), metrics_record(rec)];
+        match store.save(phase.id(), phase.name(), records) {
+            Ok(true) => {
+                rec.add("ckpt.saved", 1);
+                // Park a causal edge out of the write: an in-process resume
+                // of this phase will pick it up and close the arrow.
+                let flow = rec.flow_start("ckpt", "ckpt.save", &[("phase", i64::from(phase.id()))]);
+                rec.flow_park(u64::from(phase.id()), flow);
+            }
+            Ok(false) => {}
+            Err(_) => {
+                rec.add("ckpt.degraded", 1);
+                rec.instant("ckpt", "ckpt.degraded", &[("phase", i64::from(phase.id()))]);
             }
         }
-        None
+    }
+}
+
+/// The distributed driver's phase boundaries ([`fc_dist::DistCheckpoint`])
+/// are boundaries of the same policy.
+impl DistCheckpoint for CkptPolicy<'_> {
+    fn load(&mut self) -> Option<(PhaseId, DistPhaseState)> {
+        // Latest distributed phase wins; earlier ones are subsumed.
+        PhaseId::ALL.iter().rev().find_map(|&dist_phase| {
+            let state = self.load_phase(CkptPhase::from_dist(dist_phase))?;
+            Some((dist_phase, state))
+        })
     }
 
     fn save(&mut self, dist_phase: PhaseId, state: &DistPhaseState) -> bool {
         let phase = CkptPhase::from_dist(dist_phase);
-        save_phase(self.store, self.rec, phase, state);
+        self.save_phase(phase, state);
         if self.stop_after == Some(phase) {
             self.stopped_at = Some(phase);
             return false;
@@ -397,15 +511,11 @@ impl DistCheckpoint for StoreDistCheckpoint<'_> {
     }
 }
 
-/// The alignment phase's checkpoint payload: every overlap plus the
-/// per-subset-pair stats, both in canonical `(j, i ≤ j)` pair order.
-pub(crate) type AlignmentCkpt = (Vec<Overlap>, Vec<(usize, usize, PairStats)>);
-
 impl FocusAssembler {
     /// The full pipeline with durable checkpoints at every phase boundary.
     ///
     /// Behaves exactly like [`assemble`](FocusAssembler::assemble) — same
-    /// contigs, same report, bit for bit — plus:
+    /// stage sequence, same contigs, same report, bit for bit — plus:
     ///
     /// * with [`CheckpointOptions::dir`] set, a verified checkpoint is
     ///   written atomically after each phase (temp file + `sync` + rename);
@@ -419,227 +529,19 @@ impl FocusAssembler {
         reads: &[Read],
         opts: &CheckpointOptions,
     ) -> Result<AssemblyOutcome, FocusError> {
-        let run_started = Instant::now();
         let rec = self.recorder();
-        let config = *self.config();
         let _span = rec.span_args(
             "pipeline",
             "pipeline.assemble_checkpointed",
             &[("reads", reads.len() as i64)],
         );
-        let mut store = opts.dir.as_ref().map(|dir| {
-            CheckpointStore::with_faults(
-                dir.clone(),
-                config_fingerprint(&config),
-                input_digest(reads),
-                opts.fs_faults.clone(),
-            )
+        let mut policy = CkptPolicy::open(opts, rec, || {
+            (config_fingerprint(self.config()), input_digest(reads))
         });
-        let resume = opts.resume;
-        let profile = PipelineProfile::default();
-        let pool = Pool::new_obs(config.threads, rec);
-        let mut budget = RunBudget::new(&config);
-        budget.charge(
-            rec,
-            "input-reads",
-            reads.iter().map(|r| r.approx_bytes() as u64).sum(),
-        )?;
-
-        let store_reads =
-            match load_phase::<ReadStore>(&mut store, rec, resume, CkptPhase::Preprocess) {
-                Some(s) => s,
-                None => {
-                    let s = ReadStore::preprocess(reads, &config.trim)?;
-                    if s.is_empty() {
-                        return Err(FocusError::EmptyInput);
-                    }
-                    if rec.is_enabled() {
-                        rec.add("pipeline.reads_in", reads.len() as u64);
-                        rec.add("pipeline.reads_kept", s.len() as u64);
-                    }
-                    save_phase(&mut store, rec, CkptPhase::Preprocess, &s);
-                    s
-                }
-            };
-        budget.charge(rec, "read-store", store_reads.approx_bytes() as u64)?;
-        if opts.stop_after == Some(CkptPhase::Preprocess) {
-            return Ok(AssemblyOutcome::Stopped(CkptPhase::Preprocess));
-        }
-
-        self.finish_checkpointed(
-            &store_reads,
-            &mut store,
-            opts,
-            &pool,
-            profile,
-            run_started,
-            &mut budget,
-            &mut |sr, pool, profile| {
-                let overlapper = Overlapper::new(sr, config.overlap)?;
-                let subsets = sr.split_subsets(config.subsets);
-                let started = Instant::now();
-                let out = overlapper.overlap_all_obs(&subsets, pool, rec);
-                let s = subsets.len();
-                profile.record(
-                    "alignment",
-                    started.elapsed(),
-                    s + s * (s + 1) / 2,
-                    pool.threads(),
-                );
-                Ok(out)
-            },
+        outcome(
+            self.prepare_under(reads, &mut policy)
+                .and_then(|prepared| self.finish(&prepared, self.config().partitions, &mut policy)),
         )
-    }
-
-    /// Everything after read preprocessing: alignment through contig
-    /// emission, checkpointing each boundary. Shared by the in-core
-    /// checkpointed path above and the out-of-core path ([`crate::ooc`]) —
-    /// only how the alignment payload is computed differs, so that is the
-    /// `align` callback (called when no valid alignment checkpoint
-    /// exists).
-    #[allow(clippy::too_many_arguments)] // one shared tail beats two drifting copies
-    pub(crate) fn finish_checkpointed(
-        &self,
-        store_reads: &ReadStore,
-        store: &mut Option<CheckpointStore>,
-        opts: &CheckpointOptions,
-        pool: &Pool,
-        mut profile: PipelineProfile,
-        run_started: Instant,
-        budget: &mut RunBudget,
-        align: &mut dyn FnMut(
-            &ReadStore,
-            &Pool,
-            &mut PipelineProfile,
-        ) -> Result<AlignmentCkpt, FocusError>,
-    ) -> Result<AssemblyOutcome, FocusError> {
-        let rec = self.recorder();
-        let config = *self.config();
-        let resume = opts.resume;
-        let (overlaps, _pair_stats) =
-            match load_phase::<AlignmentCkpt>(store, rec, resume, CkptPhase::Alignment) {
-                Some(v) => v,
-                None => {
-                    let out = align(store_reads, pool, &mut profile)?;
-                    save_phase(store, rec, CkptPhase::Alignment, &out);
-                    out
-                }
-            };
-        budget.charge(
-            rec,
-            "overlaps",
-            (overlaps.len() * std::mem::size_of::<Overlap>()) as u64,
-        )?;
-        if opts.stop_after == Some(CkptPhase::Alignment) {
-            return Ok(AssemblyOutcome::Stopped(CkptPhase::Alignment));
-        }
-
-        // The level-0 overlap graph is cheap and fully determined by the
-        // store and the overlaps, so it is always rebuilt, never stored.
-        let graph = OverlapGraph::build(store_reads, &overlaps);
-
-        let multilevel =
-            match load_phase::<MultilevelSet>(store, rec, resume, CkptPhase::Coarsen) {
-                Some(m) => m,
-                None => {
-                    let m =
-                        MultilevelSet::build_obs(graph.undirected.clone(), &config.coarsen, rec);
-                    save_phase(store, rec, CkptPhase::Coarsen, &m);
-                    m
-                }
-            };
-        if opts.stop_after == Some(CkptPhase::Coarsen) {
-            return Ok(AssemblyOutcome::Stopped(CkptPhase::Coarsen));
-        }
-
-        let hybrid = match load_phase::<HybridSet>(store, rec, resume, CkptPhase::Hybrid) {
-            Some(h) => h,
-            None => {
-                let h = HybridSet::build_obs(&multilevel, &graph, store_reads, &config.layout, rec);
-                save_phase(store, rec, CkptPhase::Hybrid, &h);
-                h
-            }
-        };
-        if opts.stop_after == Some(CkptPhase::Hybrid) {
-            return Ok(AssemblyOutcome::Stopped(CkptPhase::Hybrid));
-        }
-
-        let partition =
-            match load_phase::<PartitionResult>(store, rec, resume, CkptPhase::Partition) {
-                Some(p) => p,
-                None => {
-                    let started = Instant::now();
-                    let p = partition_graph_set_obs(
-                        &hybrid.set,
-                        &PartitionConfig::new(config.partitions, config.partition_seed)
-                            .with_threads(config.threads),
-                        rec,
-                    )?;
-                    profile.record(
-                        "partition",
-                        started.elapsed(),
-                        p.tasks.len(),
-                        pool.threads(),
-                    );
-                    save_phase(store, rec, CkptPhase::Partition, &p);
-                    p
-                }
-            };
-        if opts.stop_after == Some(CkptPhase::Partition) {
-            return Ok(AssemblyOutcome::Stopped(CkptPhase::Partition));
-        }
-
-        let k = config.partitions;
-        let parts = partition.finest().to_vec();
-        let mut dh = if config.consensus {
-            DistributedHybrid::with_consensus(&hybrid, store_reads, parts, k)
-        } else {
-            DistributedHybrid::new(&hybrid, store_reads, parts, k)
-        }?;
-        let plan = match &config.fault {
-            Some(inj) => FaultPlan::random(inj.seed, k, &inj.rates),
-            None => FaultPlan::none(),
-        };
-        let mut dist_config = config.dist;
-        dist_config.threads = config.threads;
-        let mut ckpt = StoreDistCheckpoint {
-            store,
-            rec,
-            resume,
-            stop_after: opts.stop_after,
-            stopped_at: None,
-        };
-        let started = Instant::now();
-        let Some(report) = dh.run_with_faults_ckpt_obs(&dist_config, plan, rec, &mut ckpt)? else {
-            let phase = ckpt.stopped_at.ok_or(FocusError::Stage {
-                stage: "distributed",
-                message: "the distributed stage stopped without a crash point".to_string(),
-            })?;
-            return Ok(AssemblyOutcome::Stopped(phase));
-        };
-        profile.record("distributed", started.elapsed(), 4 * k, pool.threads());
-
-        let mut contigs = Vec::with_capacity(report.paths.len());
-        for p in &report.paths {
-            contigs.push(path_contig(&dh, p)?);
-        }
-        if config.dedup_rc {
-            contigs = dedup_reverse_complements(contigs);
-        }
-        let stats = AssemblyStats::from_contigs(&contigs);
-        if rec.is_enabled() {
-            rec.add("pipeline.contigs", contigs.len() as u64);
-            rec.gauge("pipeline.n50", stats.n50 as i64);
-            rec.gauge("pipeline.total_bases", stats.total_bases as i64);
-        }
-        profile.run_wall = run_started.elapsed();
-        Ok(AssemblyOutcome::Completed(AssemblyResult {
-            contigs,
-            stats,
-            partition,
-            report,
-            profile,
-        }))
     }
 }
 
@@ -730,17 +632,40 @@ mod tests {
         assert_eq!(input_digest(&reads), base);
     }
 
+    /// A fresh assembler (own recorder) on the logical clock.
+    fn logical_assembler(k: usize) -> FocusAssembler {
+        let mut config = quick_config(k);
+        config.observability = ObsOptions::logical();
+        FocusAssembler::new(config).unwrap()
+    }
+
+    /// Everything two runs of one input must agree on: contigs, traversal
+    /// paths, the fault report and the logical-clock metrics snapshot.
+    fn assert_same_run(
+        (a, a_result): (&FocusAssembler, &AssemblyResult),
+        (b, b_result): (&FocusAssembler, &AssemblyResult),
+    ) {
+        assert_eq!(a_result.contigs, b_result.contigs);
+        assert_eq!(a_result.report.paths, b_result.report.paths);
+        assert_eq!(a_result.report.fault, b_result.report.fault);
+        assert_eq!(a.recorder().snapshot_json(), b.recorder().snapshot_json());
+    }
+
     #[test]
     fn checkpointed_run_matches_plain_assemble() {
         let g = genome(2500, 23);
         let reads = tiled_reads(&g, 100, 50);
-        let assembler = FocusAssembler::new(quick_config(4)).unwrap();
+        let assembler = logical_assembler(4);
         let plain = assembler.assemble(&reads).unwrap();
         let dir = temp_dir("match-plain");
         let opts = CheckpointOptions::in_dir(&dir);
-        let ckpt = completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
-        assert_eq!(ckpt.contigs, plain.contigs);
-        assert_eq!(ckpt.report.paths, plain.report.paths);
+        let checkpointed = logical_assembler(4);
+        let ckpt = completed(
+            checkpointed
+                .assemble_with_checkpoints(&reads, &opts)
+                .unwrap(),
+        );
+        assert_same_run((&checkpointed, &ckpt), (&assembler, &plain));
         // All nine phases checkpointed + a manifest.
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, CkptPhase::ALL.len() + 1);
@@ -827,11 +752,16 @@ mod tests {
     fn no_dir_means_no_checkpoint_io() {
         let g = genome(2000, 37);
         let reads = tiled_reads(&g, 100, 50);
-        let assembler = FocusAssembler::new(quick_config(2)).unwrap();
+        let assembler = logical_assembler(2);
         let plain = assembler.assemble(&reads).unwrap();
         let opts = CheckpointOptions::default();
-        let result = completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
-        assert_eq!(result.contigs, plain.contigs);
+        let storeless = logical_assembler(2);
+        let result = completed(storeless.assemble_with_checkpoints(&reads, &opts).unwrap());
+        assert_same_run((&storeless, &result), (&assembler, &plain));
+        assert_eq!(
+            storeless.recorder().snapshot().counters.get("ckpt.saved"),
+            None
+        );
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub use fc_obs::{ObsOptions, Recorder};
 pub use eval::{evaluate as evaluate_against_references, ReferenceEvaluation};
 pub use pipeline::{AssemblyResult, FocusAssembler, Prepared};
 pub use serve::AssemblyJobRunner;
-pub use stats::{AssemblyStats, PhaseProfile, PipelineProfile};
+pub use stats::AssemblyStats;

@@ -23,6 +23,10 @@
 //!   [`Overlapper::merge_pair_results`] — the same code the in-core path
 //!   runs, so contigs *and* logical metric snapshots are byte-identical.
 //!
+//! Nothing else differs: the out-of-core run is the in-core stage sequence
+//! ([`crate::pipeline`]) given this module's ingest for stage 1 and its
+//! spilling alignment for stage 2, under the caller's checkpoint policy.
+//!
 //! ## Robustness contract
 //!
 //! Spills inherit checkpoint-grade robustness. Every write failure
@@ -36,11 +40,11 @@
 //! fault handling never breaks byte-determinism.
 
 use crate::checkpoint::{
-    config_fingerprint, AlignmentCkpt, AssemblyOutcome, CheckpointOptions, CkptPhase, InputDigest,
+    config_fingerprint, outcome, AlignmentCkpt, AssemblyOutcome, CheckpointOptions, CkptPolicy,
+    InputDigest,
 };
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::FocusAssembler;
-use crate::stats::PipelineProfile;
 use fc_align::{AlignScratch, KmerIndex, Overlap, Overlapper, PairStats, Pool};
 use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
 use fc_obs::{MemoryBudget, Recorder, Reservation};
@@ -48,7 +52,6 @@ use fc_seq::{fastq, PagedReadStore, PagedStoreWriter, ReadStore, ReadStoreBuilde
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// One run's memory-budget ledger plus the reservations held for the rest
 /// of the run. Phases charge the structures they are about to build;
@@ -252,7 +255,8 @@ impl FocusAssembler {
     /// 3. **Spilled alignment** — one seed-index column resident
     ///    at a time; each subset pair's run spills to
     ///    `<spill_dir>/align` and is merged back in canonical order.
-    /// 4. Everything downstream is the shared checkpointed tail — same
+    /// 4. Everything downstream is the shared stage sequence
+    ///    ([`crate::pipeline`]) under the same checkpoint policy — same
     ///    code, same checkpoints, same contigs as the in-core path.
     ///
     /// Contigs and logical metric snapshots are byte-identical to
@@ -265,14 +269,12 @@ impl FocusAssembler {
         opts: &CheckpointOptions,
         ooc: &OocOptions,
     ) -> Result<AssemblyOutcome, FocusError> {
-        let run_started = Instant::now();
         let rec = self.recorder();
-        let config = *self.config();
+        let config = self.config();
         let _span = rec.span("pipeline", "pipeline.assemble_ooc");
-        let fp = config_fingerprint(&config);
+        let fp = config_fingerprint(config);
         let pool = Pool::new_obs(config.threads, rec);
-        let profile = PipelineProfile::default();
-        let mut budget = RunBudget::new(&config);
+        let mut budget = RunBudget::new(config);
 
         // Pass 1: digest the raw input in O(1) memory.
         let mut digest = InputDigest::new();
@@ -284,9 +286,7 @@ impl FocusAssembler {
 
         let pages_dir = ooc.spill_dir.join("pages");
         let align_dir = ooc.spill_dir.join("align");
-        let mut store = opts.dir.as_ref().map(|dir| {
-            CheckpointStore::with_faults(dir.clone(), fp, input_digest, opts.fs_faults.clone())
-        });
+        let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
 
         // Ingest: adopt digest-verified staged pages from a previous run,
         // else stream-trim the file (pass 2), staging as we go.
@@ -309,10 +309,6 @@ impl FocusAssembler {
         let store_reads = match store_reads {
             Some(s) => {
                 budget.charge(rec, "read-store", s.approx_bytes() as u64)?;
-                if rec.is_enabled() {
-                    rec.add("pipeline.reads_in", reads_in);
-                    rec.add("pipeline.reads_kept", s.len() as u64);
-                }
                 s
             }
             None => {
@@ -369,44 +365,25 @@ impl FocusAssembler {
                 if s.is_empty() {
                     return Err(FocusError::EmptyInput);
                 }
-                if rec.is_enabled() {
-                    rec.add("pipeline.reads_in", reads_in);
-                    rec.add("pipeline.reads_kept", s.len() as u64);
-                }
                 budget.hold(rec, store_res);
                 s
             }
         };
-        if opts.stop_after == Some(CkptPhase::Preprocess) {
-            return Ok(AssemblyOutcome::Stopped(CkptPhase::Preprocess));
+        // The out-of-core run has no preprocess checkpoint to restore these
+        // from, so an adopted store records them as well.
+        if rec.is_enabled() {
+            rec.add("pipeline.reads_in", reads_in);
+            rec.add("pipeline.reads_kept", store_reads.len() as u64);
         }
 
         let mem = budget.budget().clone();
-        let resume = opts.resume;
-        let align_faults = ooc.fs_faults.clone();
-        self.finish_checkpointed(
-            &store_reads,
-            &mut store,
-            opts,
-            &pool,
-            profile,
-            run_started,
-            &mut budget,
-            &mut |sr, pool, profile| {
-                let mut spill =
-                    SpillPairStore::new(&align_dir, fp, input_digest, align_faults.clone(), rec);
-                let started = Instant::now();
-                let out =
-                    overlap_all_spilled(&config, sr, pool, rec, &mut spill, resume, &mem)?;
-                let s = sr.split_subsets(config.subsets).len();
-                profile.record(
-                    "alignment",
-                    started.elapsed(),
-                    s + s * (s + 1) / 2,
-                    pool.threads(),
-                );
-                Ok(out)
-            },
+        let prepared = self.prepare_from(store_reads, &mut policy, &mut budget, |store| {
+            let mut spill =
+                SpillPairStore::new(&align_dir, fp, input_digest, ooc.fs_faults.clone(), rec);
+            overlap_all_spilled(config, store, &pool, rec, &mut spill, opts.resume, &mem)
+        });
+        outcome(
+            prepared.and_then(|prepared| self.finish(&prepared, config.partitions, &mut policy)),
         )
     }
 }

@@ -1,14 +1,27 @@
 //! The six-stage Focus pipeline (paper §II).
+//!
+//! The stage sequence is written once, split where [`Prepared`] — everything
+//! that does not depend on the partition count — is complete: the
+//! crate-private `prepare_from` runs stages 2–5 over a preprocessed store
+//! and `finish` runs stage 6. Every entry point is those two calls under a
+//! checkpoint policy (`checkpoint::CkptPolicy`):
+//! [`prepare`](FocusAssembler::prepare) and
+//! [`assemble_prepared`](FocusAssembler::assemble_prepared) with the policy
+//! off, [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
+//! with the caller's, and the out-of-core run ([`crate::ooc`]) with the
+//! caller's, its own ingest and a spilling `align`.
 
+use crate::checkpoint::{AlignmentCkpt, CkptPhase, CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
 use crate::ooc::RunBudget;
-use crate::stats::{AssemblyStats, PipelineProfile};
+use crate::stats::AssemblyStats;
 use fc_align::{Overlap, Overlapper, PairStats, Pool};
-use fc_dist::{AssemblyPath, DistributedHybrid, DistributedReport, FaultPlan};
+use fc_dist::{AssemblyPath, DistributedConfig, DistributedHybrid, DistributedReport, FaultPlan};
 use fc_graph::{HybridSet, MultilevelSet, NodeId, OverlapGraph};
 use fc_obs::Recorder;
 use fc_partition::{partition_graph_set_obs, PartitionConfig, PartitionResult};
-use fc_seq::{DnaString, Read, ReadStore};
+use fc_seq::{fasta, DnaString, Read, ReadStore, SeqError};
+use std::sync::Arc;
 
 /// The Focus assembler. Construct with a validated [`FocusConfig`], then
 /// either [`assemble`](FocusAssembler::assemble) in one call or
@@ -20,9 +33,9 @@ pub struct FocusAssembler {
     recorder: Recorder,
 }
 
-/// The partition-independent intermediate artifacts (stages 1–5): the
-/// preprocessed store, the verified overlaps, the level-0 overlap graph, the
-/// multilevel graph set, and the hybrid graph set.
+/// The partition-independent product (stages 1–5): the preprocessed store,
+/// the verified overlaps, the level-0 overlap graph, the multilevel graph
+/// set, the hybrid graph set, and the hybrid nodes' contig sequences.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// Preprocessed, strand-augmented reads.
@@ -37,8 +50,12 @@ pub struct Prepared {
     pub multilevel: MultilevelSet,
     /// Hybrid graph set `{G'0 … G'n}`.
     pub hybrid: HybridSet,
-    /// Wall-clock profile of the preparation stages (alignment fan-out).
-    pub profile: PipelineProfile,
+    /// Contig sequence of every hybrid node, in node-id order. A hybrid node
+    /// is the coarsest node whose cluster still assembles into one contig
+    /// (§II-D), so these are fixed before anything is partitioned; every
+    /// [`assemble_prepared`](FocusAssembler::assemble_prepared) call shares
+    /// them.
+    pub contigs: Arc<[DnaString]>,
 }
 
 /// A complete assembly outcome.
@@ -52,9 +69,21 @@ pub struct AssemblyResult {
     pub partition: PartitionResult,
     /// Distributed-stage report (timings, removal counts, paths).
     pub report: DistributedReport,
-    /// Wall-clock profile of all parallel phases (preparation's phases
-    /// first, then partitioning and the distributed stage).
-    pub profile: PipelineProfile,
+}
+
+impl AssemblyResult {
+    /// Writes the contigs as FASTA — `contig_{i} len={bases}` headers, 70
+    /// bases a line. The CLI and the job server both write through here, so
+    /// a served job and a CLI run are byte-comparable.
+    pub fn write_fasta<W: std::io::Write>(&self, out: W) -> Result<(), SeqError> {
+        let records: Vec<Read> = self
+            .contigs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Read::new(format!("contig_{i} len={}", c.len()), c.clone()))
+            .collect();
+        fasta::write(out, &records, 70)
+    }
 }
 
 impl FocusAssembler {
@@ -81,63 +110,14 @@ impl FocusAssembler {
     /// Runs stages 1–5: preprocessing, parallel alignment, overlap graph,
     /// multilevel coarsening, hybrid-set construction.
     pub fn prepare(&self, reads: &[Read]) -> Result<Prepared, FocusError> {
-        let run_started = std::time::Instant::now();
         let rec = &self.recorder;
         let _span = rec.span_args(
             "pipeline",
             "pipeline.prepare",
             &[("reads", reads.len() as i64)],
         );
-        let mut budget = RunBudget::new(&self.config);
-        budget.charge(
-            rec,
-            "input-reads",
-            reads.iter().map(|r| r.approx_bytes() as u64).sum(),
-        )?;
-        let store = ReadStore::preprocess(reads, &self.config.trim)?;
-        if store.is_empty() {
-            return Err(FocusError::EmptyInput);
-        }
-        budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
-        if rec.is_enabled() {
-            rec.add("pipeline.reads_in", reads.len() as u64);
-            rec.add("pipeline.reads_kept", store.len() as u64);
-        }
-        let overlapper = Overlapper::new(&store, self.config.overlap)?;
-        let subsets = store.split_subsets(self.config.subsets);
-        let pool = Pool::new_obs(self.config.threads, rec);
-        let mut profile = PipelineProfile::default();
-        let started = std::time::Instant::now();
-        let (overlaps, pair_stats) = overlapper.overlap_all_obs(&subsets, &pool, rec);
-        budget.charge(
-            rec,
-            "overlaps",
-            (overlaps.len() * std::mem::size_of::<Overlap>()) as u64,
-        )?;
-        let s = subsets.len();
-        profile.record(
-            "alignment",
-            started.elapsed(),
-            s + s * (s + 1) / 2, // index builds + subset pairs
-            pool.threads(),
-        );
-        rec.sample_peak_rss();
-
-        let graph = OverlapGraph::build(&store, &overlaps);
-        let multilevel =
-            MultilevelSet::build_obs(graph.undirected.clone(), &self.config.coarsen, rec);
-        let hybrid = HybridSet::build_obs(&multilevel, &graph, &store, &self.config.layout, rec);
-        rec.sample_peak_rss();
-        profile.run_wall = run_started.elapsed();
-        Ok(Prepared {
-            store,
-            overlaps,
-            pair_stats,
-            graph,
-            multilevel,
-            hybrid,
-            profile,
-        })
+        self.prepare_under(reads, &mut CkptPolicy::off(rec))
+            .map_err(Halt::into_error)
     }
 
     /// Runs stage 6 (partitioning + distributed trimming/traversal + contig
@@ -147,47 +127,157 @@ impl FocusAssembler {
         prepared: &Prepared,
         k: usize,
     ) -> Result<AssemblyResult, FocusError> {
-        let run_started = std::time::Instant::now();
         let rec = &self.recorder;
         let _span = rec.span_args("pipeline", "pipeline.assemble", &[("k", k as i64)]);
-        let pool = Pool::new_obs(self.config.threads, rec);
-        let mut profile = prepared.profile.clone();
-        let started = std::time::Instant::now();
-        let partition = partition_graph_set_obs(
-            &prepared.hybrid.set,
-            &PartitionConfig::new(k, self.config.partition_seed).with_threads(self.config.threads),
-            rec,
-        )?;
-        profile.record(
-            "partition",
-            started.elapsed(),
-            partition.tasks.len(),
-            pool.threads(),
-        );
-        rec.sample_peak_rss();
+        self.finish(prepared, k, &mut CkptPolicy::off(rec))
+            .map_err(Halt::into_error)
+    }
 
-        let parts = partition.finest().to_vec();
-        let mut dh = if self.config.consensus {
-            DistributedHybrid::with_consensus(&prepared.hybrid, &prepared.store, parts, k)
-        } else {
-            DistributedHybrid::new(&prepared.hybrid, &prepared.store, parts, k)
-        }?;
-        let plan = match &self.config.fault {
+    /// The full pipeline with the configured partition count.
+    pub fn assemble(&self, reads: &[Read]) -> Result<AssemblyResult, FocusError> {
+        let prepared = self.prepare(reads)?;
+        self.assemble_prepared(&prepared, self.config.partitions)
+    }
+
+    /// Stages 1–5 over reads held in memory: stage 1, then
+    /// [`prepare_from`](FocusAssembler::prepare_from) aligning in core.
+    pub(crate) fn prepare_under(
+        &self,
+        reads: &[Read],
+        policy: &mut CkptPolicy<'_>,
+    ) -> Result<Prepared, Halt> {
+        let (rec, config) = (&self.recorder, &self.config);
+        let pool = Pool::new_obs(config.threads, rec);
+        let mut budget = RunBudget::new(config);
+        budget.charge(
+            rec,
+            "input-reads",
+            reads.iter().map(|r| r.approx_bytes() as u64).sum(),
+        )?;
+        let store = policy.phase(CkptPhase::Preprocess, || {
+            let store = ReadStore::preprocess(reads, &config.trim)?;
+            if store.is_empty() {
+                return Err(FocusError::EmptyInput);
+            }
+            // Inside the phase: a resumed run restores both counters from
+            // the checkpoint's metrics record instead.
+            if rec.is_enabled() {
+                rec.add("pipeline.reads_in", reads.len() as u64);
+                rec.add("pipeline.reads_kept", store.len() as u64);
+            }
+            Ok(store)
+        })?;
+        budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
+        self.prepare_from(store, policy, &mut budget, |store| {
+            let overlapper = Overlapper::new(store, config.overlap)?;
+            let subsets = store.split_subsets(config.subsets);
+            Ok(overlapper.overlap_all_obs(&subsets, &pool, rec))
+        })
+    }
+
+    /// Stages 2–5 over a preprocessed store whose bytes `budget` already
+    /// holds. `align` computes the alignment payload when no valid
+    /// checkpoint of it exists — the one thing the in-core and the
+    /// out-of-core run do differently.
+    pub(crate) fn prepare_from(
+        &self,
+        store: ReadStore,
+        policy: &mut CkptPolicy<'_>,
+        budget: &mut RunBudget,
+        align: impl FnOnce(&ReadStore) -> Result<AlignmentCkpt, FocusError>,
+    ) -> Result<Prepared, Halt> {
+        let (rec, config) = (&self.recorder, &self.config);
+        // Stage 1's boundary closes here, for every ingest alike: by now its
+        // caller has charged the store, and a blown budget outranks a stop.
+        policy.stop_after(CkptPhase::Preprocess)?;
+
+        let (overlaps, pair_stats) = policy.phase(CkptPhase::Alignment, || align(&store))?;
+        budget.charge(
+            rec,
+            "overlaps",
+            (overlaps.len() * std::mem::size_of::<Overlap>()) as u64,
+        )?;
+        policy.stop_after(CkptPhase::Alignment)?;
+
+        // The level-0 overlap graph is cheap and fully determined by the
+        // store and the overlaps, so it is always rebuilt, never stored.
+        let graph = OverlapGraph::build(&store, &overlaps);
+
+        let multilevel = policy.phase(CkptPhase::Coarsen, || {
+            Ok(MultilevelSet::build_obs(
+                graph.undirected.clone(),
+                &config.coarsen,
+                rec,
+            ))
+        })?;
+        policy.stop_after(CkptPhase::Coarsen)?;
+
+        let hybrid = policy.phase(CkptPhase::Hybrid, || {
+            Ok(HybridSet::build_obs(
+                &multilevel,
+                &graph,
+                &store,
+                &config.layout,
+                rec,
+            ))
+        })?;
+        policy.stop_after(CkptPhase::Hybrid)?;
+
+        // Like G0, the node contigs are a function of what is already held
+        // (hybrid set + store): rebuilt by every run, never stored.
+        let contigs = DistributedHybrid::node_contigs(&hybrid, &store, config.consensus);
+        Ok(Prepared {
+            store,
+            overlaps,
+            pair_stats,
+            graph,
+            multilevel,
+            hybrid,
+            contigs,
+        })
+    }
+
+    /// Stage 6 on `prepared` with `k` partitions: partitioning, the four
+    /// distributed phases, contig emission.
+    pub(crate) fn finish(
+        &self,
+        prepared: &Prepared,
+        k: usize,
+        policy: &mut CkptPolicy<'_>,
+    ) -> Result<AssemblyResult, Halt> {
+        let (rec, config) = (&self.recorder, &self.config);
+        let partition = policy.phase(CkptPhase::Partition, || {
+            Ok(partition_graph_set_obs(
+                &prepared.hybrid.set,
+                &PartitionConfig::new(k, config.partition_seed).with_threads(config.threads),
+                rec,
+            )?)
+        })?;
+        policy.stop_after(CkptPhase::Partition)?;
+
+        let mut dh = DistributedHybrid::from_contigs(
+            &prepared.hybrid,
+            Arc::clone(&prepared.contigs),
+            partition.finest().to_vec(),
+            k,
+        )?;
+        let plan = match &config.fault {
             Some(inj) => FaultPlan::random(inj.seed, k, &inj.rates),
             None => FaultPlan::none(),
         };
-        let mut dist_config = self.config.dist;
-        dist_config.threads = self.config.threads;
-        let started = std::time::Instant::now();
-        let report = dh.run_with_faults_obs(&dist_config, plan, rec)?;
-        profile.record("distributed", started.elapsed(), 4 * k, pool.threads());
-        rec.sample_peak_rss();
+        let dist_config = DistributedConfig {
+            threads: config.threads,
+            ..config.dist
+        };
+        let Some(report) = dh.run_with_faults_ckpt_obs(&dist_config, plan, rec, policy)? else {
+            return Err(policy.dist_halt());
+        };
 
         let mut contigs = Vec::with_capacity(report.paths.len());
         for p in &report.paths {
             contigs.push(path_contig(&dh, p)?);
         }
-        if self.config.dedup_rc {
+        if config.dedup_rc {
             contigs = dedup_reverse_complements(contigs);
         }
         let stats = AssemblyStats::from_contigs(&contigs);
@@ -196,20 +286,12 @@ impl FocusAssembler {
             rec.gauge("pipeline.n50", stats.n50 as i64);
             rec.gauge("pipeline.total_bases", stats.total_bases as i64);
         }
-        profile.run_wall += run_started.elapsed();
         Ok(AssemblyResult {
             contigs,
             stats,
             partition,
             report,
-            profile,
         })
-    }
-
-    /// The full pipeline with the configured partition count.
-    pub fn assemble(&self, reads: &[Read]) -> Result<AssemblyResult, FocusError> {
-        let prepared = self.prepare(reads)?;
-        self.assemble_prepared(&prepared, self.config.partitions)
     }
 }
 
@@ -218,10 +300,7 @@ impl FocusAssembler {
 /// clusters). A path step without a connecting edge means traversal's
 /// post-condition was violated upstream; it surfaces as a typed error
 /// rather than a panic.
-pub(crate) fn path_contig(
-    dh: &DistributedHybrid,
-    path: &AssemblyPath,
-) -> Result<DnaString, FocusError> {
+fn path_contig(dh: &DistributedHybrid, path: &AssemblyPath) -> Result<DnaString, FocusError> {
     let first: NodeId = path.nodes[0];
     let mut seq = dh.contig(first).clone();
     let mut covered_to = seq.len() as i64;
@@ -246,7 +325,7 @@ pub(crate) fn path_contig(
 /// Keeps one representative per exact reverse-complement pair: a contig is
 /// kept when it is lexicographically no greater than its reverse complement
 /// (ties, i.e. palindromes, are kept once).
-pub(crate) fn dedup_reverse_complements(contigs: Vec<DnaString>) -> Vec<DnaString> {
+fn dedup_reverse_complements(contigs: Vec<DnaString>) -> Vec<DnaString> {
     use std::collections::HashSet;
     let mut canonical_seen: HashSet<Vec<u8>> = HashSet::new();
     let mut out = Vec::with_capacity(contigs.len() / 2 + 1);
@@ -356,6 +435,11 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+        // Both calls ran on the one prepared contig list — a reference each
+        // (fc-dist's `from_contigs` test pins shared, not copied), given
+        // back when the call's distributed stage was dropped.
+        assert_eq!(prepared.contigs.len(), prepared.hybrid.node_count());
+        assert_eq!(Arc::strong_count(&prepared.contigs), 1);
     }
 
     #[test]
@@ -427,52 +511,6 @@ mod tests {
                 "{threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn profile_records_the_three_parallel_phases() {
-        let g = genome(2000, 9);
-        let reads = tiled_reads(&g, 100, 50);
-        let mut config = quick_config(4);
-        config.threads = 2;
-        let result = FocusAssembler::new(config)
-            .unwrap()
-            .assemble(&reads)
-            .unwrap();
-        let names: Vec<&str> = result.profile.phases.iter().map(|p| p.name).collect();
-        assert_eq!(names, ["alignment", "partition", "distributed"]);
-        for phase in &result.profile.phases {
-            assert_eq!(phase.threads, 2);
-            assert!(phase.tasks > 0);
-        }
-        assert!(result.profile.total_wall() >= result.profile.phases[0].wall);
-    }
-
-    #[test]
-    fn run_wall_covers_at_least_the_recorded_phases_it_contains() {
-        let g = genome(2000, 13);
-        let reads = tiled_reads(&g, 100, 50);
-        let result = FocusAssembler::new(quick_config(4))
-            .unwrap()
-            .assemble(&reads)
-            .unwrap();
-        // run_wall is measured end-to-end around the whole pipeline, so it
-        // must dominate every individual phase (each phase interval lies
-        // inside the run) — the phase *sum* may legitimately differ.
-        for phase in &result.profile.phases {
-            assert!(
-                result.profile.run_wall >= phase.wall,
-                "run_wall {:?} < phase {} {:?}",
-                result.profile.run_wall,
-                phase.name,
-                phase.wall
-            );
-        }
-        assert!(result.profile.run_wall > std::time::Duration::ZERO);
-        let report = result.profile.human_report();
-        assert!(report.contains("phase-sum"));
-        assert!(report.contains("end-to-end"));
-        assert!(report.contains("alignment"));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::config::{FocusConfig, FocusError};
 use crate::ooc::OocOptions;
 use crate::pipeline::FocusAssembler;
 use fc_obs::ObsOptions;
-use fc_seq::{fasta, fastq, Read};
+use fc_seq::fastq;
 use fc_serve::{JobContext, JobError, JobOutput, JobRunner};
 use std::fs::File;
 use std::io::BufReader;
@@ -147,16 +147,9 @@ impl JobRunner for AssemblyJobRunner {
             }
         };
 
-        // Render contigs exactly like `focus assemble` writes them, so a
-        // served job and a CLI run are byte-comparable.
-        let contig_reads: Vec<Read> = result
-            .contigs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Read::new(format!("contig_{i} len={}", c.len()), c.clone()))
-            .collect();
         let mut contigs_fasta = Vec::new();
-        fasta::write(&mut contigs_fasta, &contig_reads, 70)
+        result
+            .write_fasta(&mut contigs_fasta)
             .map_err(|e| JobError::permanent(format!("render contigs: {e}")))?;
 
         Ok(JobOutput {
@@ -173,7 +166,7 @@ impl JobRunner for AssemblyJobRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_seq::{Base, DnaString};
+    use fc_seq::{Base, DnaString, Read};
     use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;

@@ -1,104 +1,6 @@
-//! Assembly statistics (Table III's columns) and wall-clock profiles of the
-//! pipeline's parallel phases.
+//! Assembly statistics (Table III's columns).
 
 use fc_seq::DnaString;
-use std::time::Duration;
-
-/// Wall-clock measurement of one parallel pipeline phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseProfile {
-    /// Phase name (`"alignment"`, `"partition"`, `"distributed"`).
-    pub name: &'static str,
-    /// Wall-clock time of the phase.
-    pub wall: Duration,
-    /// Number of pool tasks the phase fanned out.
-    pub tasks: usize,
-    /// Worker threads the phase's pool resolved to.
-    pub threads: usize,
-    /// Peak resident-set size (`VmHWM`) sampled at the phase boundary;
-    /// 0 where the platform exposes no cheap peak-RSS probe.
-    pub peak_rss_bytes: u64,
-}
-
-/// Wall-clock profile of a pipeline run, one entry per parallel phase in
-/// execution order. Profiles measure real elapsed time (they vary run to
-/// run); everything else the pipeline produces is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PipelineProfile {
-    /// Recorded phases in execution order.
-    pub phases: Vec<PhaseProfile>,
-    /// End-to-end wall-clock of the run that produced this profile,
-    /// measured once around the whole pipeline rather than summed from
-    /// phases. Unlike [`PipelineProfile::total_wall`] it also covers the
-    /// serial stages between the parallel phases, and it cannot
-    /// double-count overlapping measurements.
-    pub run_wall: Duration,
-}
-
-impl PipelineProfile {
-    /// Records a phase measurement, sampling the process's peak RSS at
-    /// this boundary (memory high-water marks are monotone, so the last
-    /// phase's sample is the run's peak).
-    pub fn record(&mut self, name: &'static str, wall: Duration, tasks: usize, threads: usize) {
-        self.phases.push(PhaseProfile {
-            name,
-            wall,
-            tasks,
-            threads,
-            peak_rss_bytes: fc_obs::peak_rss_bytes().unwrap_or(0),
-        });
-    }
-
-    /// The run's peak RSS: the largest boundary sample (0 when the
-    /// platform exposes none).
-    pub fn peak_rss_bytes(&self) -> u64 {
-        self.phases.iter().map(|p| p.peak_rss_bytes).max().unwrap_or(0)
-    }
-
-    /// Sum of all recorded phase wall-clocks. This is a *sum of intervals*:
-    /// if two recorded phases ever overlapped (or one contained another),
-    /// the shared time is counted twice. Use [`PipelineProfile::run_wall`]
-    /// for the true end-to-end elapsed time; report both to make the
-    /// difference (serial glue + any overlap) visible.
-    pub fn total_wall(&self) -> Duration {
-        self.phases.iter().map(|p| p.wall).sum()
-    }
-
-    /// Human-readable report of the profile: one line per phase plus the
-    /// phase-sum and end-to-end wall-clocks.
-    pub fn human_report(&self) -> String {
-        let mut out = String::from("pipeline profile\n");
-        for p in &self.phases {
-            out.push_str(&format!(
-                "  {:<12} {:>10.3?}  tasks {:<6} threads {}",
-                p.name, p.wall, p.tasks, p.threads
-            ));
-            if p.peak_rss_bytes > 0 {
-                out.push_str(&format!("  rss {:.1} MiB", mib(p.peak_rss_bytes)));
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "  {:<12} {:>10.3?}\n  {:<12} {:>10.3?}\n",
-            "phase-sum",
-            self.total_wall(),
-            "end-to-end",
-            self.run_wall
-        ));
-        if self.peak_rss_bytes() > 0 {
-            out.push_str(&format!(
-                "  {:<12} {:>10.1} MiB\n",
-                "peak-rss",
-                mib(self.peak_rss_bytes())
-            ));
-        }
-        out
-    }
-}
-
-fn mib(bytes: u64) -> f64 {
-    bytes as f64 / (1024.0 * 1024.0)
-}
 
 /// Contig-level summary statistics of one assembly.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,25 +73,6 @@ pub fn n50(lengths: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn recorded_phases_sample_peak_rss_on_linux() {
-        let mut p = PipelineProfile::default();
-        p.record("alignment", Duration::from_millis(1), 4, 2);
-        assert!(p.phases[0].peak_rss_bytes > 0);
-        assert_eq!(p.peak_rss_bytes(), p.phases[0].peak_rss_bytes);
-        let report = p.human_report();
-        assert!(report.contains("rss "));
-        assert!(report.contains("peak-rss"));
-    }
-
-    #[test]
-    fn empty_profile_reports_no_peak_rss() {
-        let p = PipelineProfile::default();
-        assert_eq!(p.peak_rss_bytes(), 0);
-        assert!(!p.human_report().contains("peak-rss"));
-    }
 
     #[test]
     fn n50_textbook_example() {

@@ -8,13 +8,12 @@
 //! Run `focus help` for the full option list.
 
 use focus_assembler::focus::{
-    AssemblyOutcome, AssemblyResult, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig,
-    OocOptions,
+    AssemblyOutcome, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig, OocOptions,
 };
 use focus_assembler::seq::{fasta, fastq, Read};
 use focus_assembler::sim::single_genome_dataset;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -316,7 +315,7 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
     let out_of_core = config.memory_budget.is_some() || opts.get("spill-dir").is_some();
 
     let assembler = FocusAssembler::new(config).map_err(|e| e.to_string())?;
-    let result: AssemblyResult = if out_of_core {
+    let outcome = if out_of_core {
         // Out-of-core route: the input is streamed (never slurped), reads
         // are staged to disk pages, and alignment results spill through
         // CRC-verified files under the budget.
@@ -337,33 +336,20 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
         eprintln!("streaming {input} (spill dir {})", spill_dir.display());
         let ckpt_opts = ckpt.clone().unwrap_or_default();
         let ooc = OocOptions::in_dir(&spill_dir);
-        match assembler
-            .assemble_fastq_ooc(std::path::Path::new(&input), &ckpt_opts, &ooc)
-            .map_err(|e| e.to_string())?
-        {
-            AssemblyOutcome::Completed(result) => result,
-            AssemblyOutcome::Stopped(phase) => {
-                write_obs_sinks(&opts, assembler.recorder())?;
-                return Ok(Some(phase));
-            }
-        }
+        assembler.assemble_fastq_ooc(std::path::Path::new(&input), &ckpt_opts, &ooc)
     } else {
         let reads = read_input(&input)?;
         eprintln!("read {} reads from {input}", reads.len());
         match &ckpt {
-            None => assembler.assemble(&reads).map_err(|e| e.to_string())?,
-            Some(ckpt_opts) => {
-                match assembler
-                    .assemble_with_checkpoints(&reads, ckpt_opts)
-                    .map_err(|e| e.to_string())?
-                {
-                    AssemblyOutcome::Completed(result) => result,
-                    AssemblyOutcome::Stopped(phase) => {
-                        write_obs_sinks(&opts, assembler.recorder())?;
-                        return Ok(Some(phase));
-                    }
-                }
-            }
+            None => assembler.assemble(&reads).map(AssemblyOutcome::Completed),
+            Some(ckpt_opts) => assembler.assemble_with_checkpoints(&reads, ckpt_opts),
+        }
+    };
+    let result = match outcome.map_err(|e| e.to_string())? {
+        AssemblyOutcome::Completed(result) => result,
+        AssemblyOutcome::Stopped(phase) => {
+            write_obs_sinks(&opts, assembler.recorder())?;
+            return Ok(Some(phase));
         }
     };
     eprintln!(
@@ -373,21 +359,12 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
         result.stats.max_contig,
         result.stats.total_bases
     );
-    for phase in &result.profile.phases {
-        eprintln!(
-            "phase {:<12} {:>10.3?} | {} tasks on {} threads",
-            phase.name, phase.wall, phase.tasks, phase.threads
-        );
-    }
 
-    let contig_reads: Vec<Read> = result
-        .contigs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| Read::new(format!("contig_{i} len={}", c.len()), c.clone()))
-        .collect();
     let out = File::create(&output).map_err(|e| format!("cannot create {output}: {e}"))?;
-    fasta::write(BufWriter::new(out), &contig_reads, 70).map_err(|e| e.to_string())?;
+    let mut out = BufWriter::new(out);
+    result.write_fasta(&mut out).map_err(|e| e.to_string())?;
+    out.flush()
+        .map_err(|e| format!("cannot write {output}: {e}"))?;
     eprintln!("wrote {output}");
     write_obs_sinks(&opts, assembler.recorder())?;
     Ok(None)
