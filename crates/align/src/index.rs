@@ -237,24 +237,12 @@ impl SeedIndex for NaiveIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_rng::Rng;
 
-    /// xorshift64*: irregular sequences without a dev-dependency.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-
-        fn seq(&mut self, len: usize, alphabet: u64) -> DnaString {
-            (0..len)
-                .map(|_| fc_seq::Base::from_code((self.next() % alphabet) as u8))
-                .collect()
-        }
+    fn random_seq(rng: &mut Rng, len: usize, alphabet: u8) -> DnaString {
+        (0..len)
+            .map(|_| fc_seq::Base::from_code(rng.range(0..alphabet)))
+            .collect()
     }
 
     fn with_ids(seqs: &[DnaString]) -> Vec<(ReadId, &DnaString)> {
@@ -295,9 +283,9 @@ mod tests {
             assert_same_hits(&index, &naive, kmer, what);
             total += index.hits(kmer).count();
         }
-        let mut rng = Rng(k as u64 + 1);
+        let mut rng = Rng::new(k as u64 + 1);
         for _ in 0..300 {
-            let kmer = rng.next() & index.kmer_mask;
+            let kmer = rng.next_u64() & index.kmer_mask;
             assert_same_hits(&index, &naive, kmer, what);
         }
         total
@@ -305,13 +293,16 @@ mod tests {
 
     #[test]
     fn matches_the_naive_scan_at_every_k() {
-        let mut rng = Rng(41);
+        let mut rng = Rng::new(41);
         // Lengths straddle every k below and the 32-base word; the total is
         // not a multiple of 32 here and is one in the next test.
         let lens = [100, 3, 0, 64, 33, 15, 31, 32, 1, 97, 16, 250, 9, 40];
-        let random: Vec<DnaString> = lens.iter().map(|&n| rng.seq(n, 4)).collect();
+        let random: Vec<DnaString> = lens.iter().map(|&n| random_seq(&mut rng, n, 4)).collect();
         // A two-letter alphabet repeats k-mers, so small k fills buckets.
-        let repetitive: Vec<DnaString> = lens.iter().map(|&n| rng.seq(2 * n, 2)).collect();
+        let repetitive: Vec<DnaString> = lens
+            .iter()
+            .map(|&n| random_seq(&mut rng, 2 * n, 2))
+            .collect();
         for k in [1, 4, 9, 10, 15, 16, 31, 32] {
             assert!(check_against_oracle(&random, k, &format!("random reads, k={k}")) > 0);
             assert!(check_against_oracle(&repetitive, k, &format!("repetitive reads, k={k}")) > 0);
@@ -321,8 +312,8 @@ mod tests {
     #[test]
     fn finds_the_last_kmer_of_the_last_read() {
         // 64 bases: the last k-mers' windows run into the padding word.
-        let mut rng = Rng(5);
-        let seqs = vec![rng.seq(40, 4), rng.seq(24, 4)];
+        let mut rng = Rng::new(5);
+        let seqs = vec![random_seq(&mut rng, 40, 4), random_seq(&mut rng, 24, 4)];
         for k in [1, 15, 24] {
             let reads = with_ids(&seqs);
             let index = KmerIndex::build(&reads, k);
@@ -339,8 +330,8 @@ mod tests {
 
     #[test]
     fn k_32_uses_the_whole_window() {
-        let mut rng = Rng(77);
-        let seq = rng.seq(40, 4);
+        let mut rng = Rng::new(77);
+        let seq = random_seq(&mut rng, 40, 4);
         // Differs from the read's first 32-mer in its last base only.
         let mut near = seq.slice(0, 32);
         near.set(31, near.get(31).complement());
@@ -383,18 +374,18 @@ mod tests {
         // 40 copies of one 20-mer plus noise that shares its first bases:
         // one bucket holds far more than LINEAR_SCAN_MAX positions and
         // several distinct k-mers.
-        let mut rng = Rng(9);
-        let unit = rng.seq(20, 4);
+        let mut rng = Rng::new(9);
+        let unit = random_seq(&mut rng, 20, 4);
         let mut seqs = Vec::new();
         for i in 0..40 {
-            let mut seq = rng.seq(i % 7, 4);
+            let mut seq = random_seq(&mut rng, i % 7, 4);
             seq.extend_from(&unit);
-            seq.extend_from(&rng.seq(5, 4));
+            seq.extend_from(&random_seq(&mut rng, 5, 4));
             seqs.push(seq);
         }
         for tail in 0..30 {
             let mut seq = unit.slice(0, 12);
-            seq.extend_from(&rng.seq(8 + tail % 3, 4));
+            seq.extend_from(&random_seq(&mut rng, 8 + tail % 3, 4));
             seqs.push(seq);
         }
         let reads = with_ids(&seqs);
@@ -408,9 +399,9 @@ mod tests {
 
     #[test]
     fn estimate_covers_the_heap_and_stays_close() {
-        let mut rng = Rng(3);
+        let mut rng = Rng::new(3);
         for (reads, len) in [(0usize, 0usize), (1, 100), (480, 300), (6600, 100)] {
-            let seqs: Vec<DnaString> = (0..reads).map(|_| rng.seq(len, 4)).collect();
+            let seqs: Vec<DnaString> = (0..reads).map(|_| random_seq(&mut rng, len, 4)).collect();
             let index = KmerIndex::build(&with_ids(&seqs), 15);
             let (heap, estimated) = (
                 index.heap_bytes(),

@@ -321,19 +321,8 @@ impl AlignKernel for MyersKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_rng::Rng;
     use fc_seq::{Base, DnaString, Read, TrimConfig};
-
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-    }
 
     /// A store of 12 base reads, each followed by a lightly mutated copy
     /// (forward ids `4i` and `4i + 2` after RC augmentation), so requests
@@ -345,22 +334,22 @@ mod tests {
     fn paired_store(rng: &mut Rng) -> ReadStore {
         let mut reads = Vec::new();
         for i in 0..12 {
-            let len = 30 + (rng.next() % 150) as usize;
-            let period = if i % 3 == 0 { 1 + (rng.next() % 6) as usize } else { len };
+            let len = rng.range(30..180);
+            let period = if i % 3 == 0 { rng.range(1..=6) } else { len };
             let unit: Vec<Base> = (0..period)
-                .map(|_| Base::from_code((rng.next() % 4) as u8))
+                .map(|_| Base::from_code(rng.range(0..4)))
                 .collect();
             let base: DnaString = (0..len).map(|p| unit[p % period]).collect();
             let mut copy: Vec<Base> = base.iter().collect();
-            for _ in 0..rng.next() % 5 {
-                let p = (rng.next() as usize) % copy.len();
-                copy[p] = Base::from_code((rng.next() % 4) as u8);
+            for _ in 0..rng.range(0..5) {
+                let p = rng.range(0..copy.len());
+                copy[p] = Base::from_code(rng.range(0..4));
             }
-            let indels = if rng.next() % 2 == 0 { 1 + rng.next() % 2 } else { 0 };
+            let indels = if rng.bool(0.5) { rng.range(1..=2) } else { 0 };
             for _ in 0..indels {
-                let p = (rng.next() as usize) % copy.len();
-                if rng.next() % 2 == 0 {
-                    copy.insert(p, Base::from_code((rng.next() % 4) as u8));
+                let p = rng.range(0..copy.len());
+                if rng.bool(0.5) {
+                    copy.insert(p, Base::from_code(rng.range(0..4)));
                 } else {
                     copy.remove(p);
                 }
@@ -386,44 +375,44 @@ mod tests {
     fn random_reqs(store: &ReadStore, rng: &mut Rng, count: usize) -> Vec<VerifyReq> {
         let mut reqs = Vec::new();
         for _ in 0..count {
-            let band = [0usize, 1, 4, 8, 16][(rng.next() % 5) as usize];
-            let (a, b, a_range, b_range) = match rng.next() % 4 {
+            let band = [0usize, 1, 4, 8, 16][rng.range(0..5)];
+            let (a, b, a_range, b_range) = match rng.range(0..4) {
                 0 | 1 => {
                     // Unrelated ranges with band-straddling length deltas.
-                    let a = ReadId((rng.next() % store.len() as u64) as u32);
-                    let b = ReadId((rng.next() % store.len() as u64) as u32);
+                    let a = ReadId(rng.range(0..store.len() as u32));
+                    let b = ReadId(rng.range(0..store.len() as u32));
                     let (la, lb) = (store.get(a).seq.len(), store.get(b).seq.len());
-                    let n = (rng.next() as usize) % (la + 1);
-                    let delta = (rng.next() % (band as u64 + 3)) as usize;
-                    let m = if rng.next() % 2 == 0 {
+                    let n = rng.range(0..la + 1);
+                    let delta = rng.range(0..band + 3);
+                    let m = if rng.bool(0.5) {
                         n.saturating_sub(delta).min(lb)
                     } else {
                         (n + delta).min(lb)
                     };
-                    let a0 = (rng.next() as usize) % (la - n + 1);
-                    let b0 = (rng.next() as usize) % (lb - m + 1);
+                    let a0 = rng.range(0..la - n + 1);
+                    let b0 = rng.range(0..lb - m + 1);
                     (a, b, (a0, a0 + n), (b0, b0 + m))
                 }
                 2 => {
                     // Same read, endpoints jittered by up to 2 bases.
-                    let a = ReadId((rng.next() % store.len() as u64) as u32);
+                    let a = ReadId(rng.range(0..store.len() as u32));
                     let la = store.get(a).seq.len();
-                    let n = (rng.next() as usize) % (la + 1);
-                    let a0 = (rng.next() as usize) % (la - n + 1);
-                    let b0 = a0.saturating_sub((rng.next() % 3) as usize);
-                    let b1 = ((a0 + n) + (rng.next() % 3) as usize).min(la);
+                    let n = rng.range(0..la + 1);
+                    let a0 = rng.range(0..la - n + 1);
+                    let b0 = a0.saturating_sub(rng.range(0..3));
+                    let b1 = ((a0 + n) + rng.range(0..3)).min(la);
                     (a, a, (a0, a0 + n), (b0, b1.max(b0)))
                 }
                 _ => {
                     // Homologous: base read vs its mutated copy (whose
                     // length differs by the copy's net indel count).
-                    let i = rng.next() % 12;
-                    let a = ReadId(4 * i as u32);
-                    let b = ReadId(4 * i as u32 + 2);
+                    let i = rng.range(0..12u32);
+                    let a = ReadId(4 * i);
+                    let b = ReadId(4 * i + 2);
                     let (la, lb) = (store.get(a).seq.len(), store.get(b).seq.len());
-                    let n = (rng.next() as usize) % (la + 1);
-                    let a0 = (rng.next() as usize) % (la - n + 1);
-                    let jit = (rng.next() % 2) as usize;
+                    let n = rng.range(0..la + 1);
+                    let a0 = rng.range(0..la - n + 1);
+                    let jit = rng.range(0..2);
                     (a, b, (a0, a0 + n), (a0.min(lb), (a0 + n + jit).min(lb)))
                 }
             };
@@ -459,7 +448,7 @@ mod tests {
     /// multiword and band-edge requests.
     #[test]
     fn kernels_agree_with_scalar_reference() {
-        let mut rng = Rng(42);
+        let mut rng = Rng::new(42);
         let params = VerifyParams {
             nw: NwConfig::default(),
             min_overlap_len: 30,
@@ -517,7 +506,7 @@ mod tests {
     /// under each.
     #[test]
     fn kernels_agree_across_scorings() {
-        let mut rng = Rng(77);
+        let mut rng = Rng::new(77);
         let store = paired_store(&mut rng);
         let reqs = random_reqs(&store, &mut rng, 400);
         for (scoring, rule_on) in [
@@ -556,7 +545,7 @@ mod tests {
     /// empty ranges keep the kernels in lockstep.
     #[test]
     fn kernels_agree_at_threshold_extremes() {
-        let mut rng = Rng(7);
+        let mut rng = Rng::new(7);
         let store = paired_store(&mut rng);
         let reqs = {
             let mut r = random_reqs(&store, &mut rng, 120);
@@ -591,7 +580,7 @@ mod tests {
     /// to plain scalar behaviour rather than apply the bounds.
     #[test]
     fn incompatible_scoring_falls_back_to_scalar() {
-        let mut rng = Rng(19);
+        let mut rng = Rng::new(19);
         let store = paired_store(&mut rng);
         let reqs = random_reqs(&store, &mut rng, 80);
         for nw in [

@@ -366,6 +366,7 @@ pub fn max_columns_bound(n: usize, m: usize, gmax: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_rng::Rng;
     use fc_seq::DnaString;
 
     /// Reference Levenshtein DP.
@@ -400,18 +401,6 @@ mod tests {
         )
     }
 
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-    }
-
     #[test]
     fn empty_ranges() {
         let a: DnaString = "ACGT".parse().unwrap();
@@ -443,19 +432,19 @@ mod tests {
     fn word_boundary_lengths_match_reference() {
         // Pattern lengths straddling the 1-word/2-word and 2-word/3-word
         // boundaries, texts slightly longer.
-        let mut rng = Rng(7);
+        let mut rng = Rng::new(7);
         for &plen in &[1usize, 2, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 150] {
             for _ in 0..20 {
-                let tlen = plen + (rng.next() % 12) as usize;
-                let pc: Vec<u8> = (0..plen).map(|_| (rng.next() % 4) as u8).collect();
-                let mut tc: Vec<u8> = (0..tlen).map(|_| (rng.next() % 4) as u8).collect();
-                if rng.next() % 2 == 0 {
+                let tlen = plen + rng.range(0..12);
+                let pc: Vec<u8> = (0..plen).map(|_| rng.range(0..4)).collect();
+                let mut tc: Vec<u8> = (0..tlen).map(|_| rng.range(0..4)).collect();
+                if rng.bool(0.5) {
                     // Correlated pair: text is a mutated copy of the pattern.
                     tc = pc.clone();
                     tc.resize(tlen, 0);
-                    for _ in 0..rng.next() % 6 {
-                        let p = (rng.next() as usize) % tc.len();
-                        tc[p] = (rng.next() % 4) as u8;
+                    for _ in 0..rng.range(0..6) {
+                        let p = rng.range(0..tc.len());
+                        tc[p] = rng.range(0..4);
                     }
                 }
                 let (a, b) = (from_codes(&pc), from_codes(&tc));
@@ -466,15 +455,15 @@ mod tests {
 
     #[test]
     fn subranges_match_reference() {
-        let mut rng = Rng(13);
-        let codes: Vec<u8> = (0..300).map(|_| (rng.next() % 4) as u8).collect();
+        let mut rng = Rng::new(13);
+        let codes: Vec<u8> = (0..300).map(|_| rng.range(0..4)).collect();
         let s = from_codes(&codes);
         let mut scratch = MyersScratch::default();
         for _ in 0..200 {
-            let a0 = (rng.next() as usize) % 250;
-            let a1 = a0 + (rng.next() as usize) % (300 - a0);
-            let b0 = (rng.next() as usize) % 250;
-            let b1 = b0 + (rng.next() as usize) % (300 - b0);
+            let a0 = rng.range(0..250);
+            let a1 = a0 + rng.range(0..300 - a0);
+            let b0 = rng.range(0..250);
+            let b1 = b0 + rng.range(0..300 - b0);
             let got = edit_distance_with(s.packed(), (a0, a1), s.packed(), (b0, b1), &mut scratch);
             let want = ref_distance(&codes[a0..a1], &codes[b0..b1]);
             assert_eq!(got, want, "[{a0}..{a1}] vs [{b0}..{b1}]");
@@ -541,44 +530,64 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::tests::{from_codes, ref_distance};
     use super::*;
-    use proptest::prelude::*;
+    use fc_rng::{cases, Rng};
 
-    fn codes_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
-        proptest::collection::vec(0u8..4, 0..max_len)
+    fn codes(rng: &mut Rng, max_len: usize) -> Vec<u8> {
+        rng.vec(0..max_len, |r| r.range(0u8..4))
     }
 
-    proptest! {
-        /// Myers (single- and multi-word) equals the reference DP.
-        #[test]
-        fn matches_reference_dp(a in codes_strategy(150), b in codes_strategy(150)) {
+    /// Myers (single- and multi-word) equals the reference DP.
+    #[test]
+    fn matches_reference_dp() {
+        cases(256, |rng| {
+            let (a, b) = (codes(rng, 150), codes(rng, 150));
             let (da, db) = (from_codes(&a), from_codes(&b));
             let got = edit_distance_with(
-                da.packed(), (0, da.len()), db.packed(), (0, db.len()),
+                da.packed(),
+                (0, da.len()),
+                db.packed(),
+                (0, db.len()),
                 &mut MyersScratch::default(),
             );
-            prop_assert_eq!(got, ref_distance(&a, &b));
-        }
+            assert_eq!(got, ref_distance(&a, &b));
+        });
+    }
 
-        /// The identity bound really is an upper bound on full-matrix NW
-        /// identity (the banded verifier can only do worse or equal).
-        #[test]
-        fn identity_bound_is_sound(a in codes_strategy(40), b in codes_strategy(40)) {
-            prop_assume!(!a.is_empty() || !b.is_empty());
+    /// The identity bound really is an upper bound on full-matrix NW
+    /// identity (the banded verifier can only do worse or equal).
+    #[test]
+    fn identity_bound_is_sound() {
+        cases(256, |rng| {
+            let (a, b) = (codes(rng, 40), codes(rng, 40));
+            if a.is_empty() && b.is_empty() {
+                return;
+            }
             let (da, db) = (from_codes(&a), from_codes(&b));
             let d = edit_distance_with(
-                da.packed(), (0, da.len()), db.packed(), (0, db.len()),
+                da.packed(),
+                (0, da.len()),
+                db.packed(),
+                (0, db.len()),
                 &mut MyersScratch::default(),
             );
-            let nw = NwConfig { band: a.len().max(b.len()).max(1), ..NwConfig::default() };
+            let nw = NwConfig {
+                band: a.len().max(b.len()).max(1),
+                ..NwConfig::default()
+            };
             let s = crate::nw::banded_global(&da, (0, da.len()), &db, (0, db.len()), &nw).unwrap();
             let bound = identity_upper_bound(a.len(), b.len(), d);
-            prop_assert!(s.identity() <= bound, "identity {} > bound {}", s.identity(), bound);
+            assert!(
+                s.identity() <= bound,
+                "identity {} > bound {}",
+                s.identity(),
+                bound
+            );
             // Columns bound is sound too.
             let gmax = optimal_gap_bound(&nw, a.len(), b.len(), d);
-            prop_assert!((s.columns as usize) <= max_columns_bound(a.len(), b.len(), gmax));
-        }
+            assert!((s.columns as usize) <= max_columns_bound(a.len(), b.len(), gmax));
+        });
     }
 }

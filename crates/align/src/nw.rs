@@ -426,47 +426,61 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::tests::full_global;
     use super::*;
-    use proptest::prelude::*;
+    use fc_rng::{cases, Rng};
 
-    fn dna_strategy(max_len: usize) -> impl Strategy<Value = DnaString> {
-        proptest::collection::vec(0u8..4, 0..max_len)
-            .prop_map(|codes| codes.into_iter().map(fc_seq::Base::from_code).collect())
+    fn dna(rng: &mut Rng, max_len: usize) -> DnaString {
+        rng.vec(0..max_len, |r| fc_seq::Base::from_code(r.range(0..4)))
+            .into_iter()
+            .collect()
     }
 
-    proptest! {
-        /// With a band at least as wide as both sequences, banded NW must be
-        /// exactly the classic full-matrix NW.
-        #[test]
-        fn banded_equals_full_with_wide_band(a in dna_strategy(24), b in dna_strategy(24)) {
-            let config = NwConfig { band: a.len().max(b.len()).max(1), ..NwConfig::default() };
+    /// With a band at least as wide as both sequences, banded NW must be
+    /// exactly the classic full-matrix NW.
+    #[test]
+    fn banded_equals_full_with_wide_band() {
+        cases(256, |rng| {
+            let (a, b) = (dna(rng, 24), dna(rng, 24));
+            let config = NwConfig {
+                band: a.len().max(b.len()).max(1),
+                ..NwConfig::default()
+            };
             let banded = banded_global(&a, (0, a.len()), &b, (0, b.len()), &config).unwrap();
             let full = full_global(&a, &b, &config);
-            prop_assert_eq!(banded.score, full.score);
-            prop_assert_eq!(banded.columns, full.columns);
-            prop_assert_eq!(banded.matches, full.matches);
-        }
+            assert_eq!(banded.score, full.score);
+            assert_eq!(banded.columns, full.columns);
+            assert_eq!(banded.matches, full.matches);
+        });
+    }
 
-        /// Aligning a sequence against itself scores perfectly.
-        #[test]
-        fn self_alignment_is_perfect(a in dna_strategy(32)) {
+    /// Aligning a sequence against itself scores perfectly.
+    #[test]
+    fn self_alignment_is_perfect() {
+        cases(256, |rng| {
+            let a = dna(rng, 32);
             let config = NwConfig::default();
             let s = banded_global(&a, (0, a.len()), &a, (0, a.len()), &config).unwrap();
-            prop_assert_eq!(s.matches as usize, a.len());
-            prop_assert_eq!(s.columns as usize, a.len());
-        }
+            assert_eq!(s.matches as usize, a.len());
+            assert_eq!(s.columns as usize, a.len());
+        });
+    }
 
-        /// Matches can never exceed columns, and identity is within [0, 1].
-        #[test]
-        fn summary_invariants(a in dna_strategy(20), b in dna_strategy(20)) {
-            let config = NwConfig { band: 20, ..NwConfig::default() };
+    /// Matches can never exceed columns, and identity is within [0, 1].
+    #[test]
+    fn summary_invariants() {
+        cases(256, |rng| {
+            let (a, b) = (dna(rng, 20), dna(rng, 20));
+            let config = NwConfig {
+                band: 20,
+                ..NwConfig::default()
+            };
             if let Some(s) = banded_global(&a, (0, a.len()), &b, (0, b.len()), &config) {
-                prop_assert!(s.matches <= s.columns);
-                prop_assert!(s.columns as usize >= a.len().max(b.len()));
-                prop_assert!((0.0..=1.0).contains(&s.identity()));
+                assert!(s.matches <= s.columns);
+                assert!(s.columns as usize >= a.len().max(b.len()));
+                assert!((0.0..=1.0).contains(&s.identity()));
             }
-        }
+        });
     }
 }

@@ -726,33 +726,13 @@ impl<'a> Overlapper<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_rng::Rng;
     use fc_seq::{DnaString, Read};
-    use rand_like::SimpleRng;
-
-    /// Minimal deterministic RNG for test-genome generation (avoids pulling
-    /// `rand` into this crate just for tests).
-    mod rand_like {
-        pub struct SimpleRng(u64);
-        impl SimpleRng {
-            pub fn new(seed: u64) -> SimpleRng {
-                SimpleRng(seed.max(1))
-            }
-            pub fn next(&mut self) -> u64 {
-                // xorshift64*
-                let mut x = self.0;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.0 = x;
-                x.wrapping_mul(0x2545F4914F6CDD1D)
-            }
-        }
-    }
 
     fn random_genome(len: usize, seed: u64) -> DnaString {
-        let mut rng = SimpleRng::new(seed);
+        let mut rng = Rng::new(seed);
         (0..len)
-            .map(|_| fc_seq::Base::from_code((rng.next() % 4) as u8))
+            .map(|_| fc_seq::Base::from_code(rng.range(0..4)))
             .collect()
     }
 
@@ -788,11 +768,11 @@ mod tests {
     /// equal-length overlap ranges across an indel have a gapped optimum),
     /// and a tandem repeat tiled out of phase with its period.
     fn noisy_tiled_store(genome: &DnaString, seed: u64) -> ReadStore {
-        let mut rng = SimpleRng::new(seed);
+        let mut rng = Rng::new(seed);
         let mut reads = tile(genome, 100, 35, "r");
         for mut read in tile(genome, 100, 45, "s") {
-            for _ in 0..1 + rng.next() % 4 {
-                let p = (rng.next() as usize) % read.seq.len();
+            for _ in 0..rng.range(1..=4) {
+                let p = rng.range(0..read.seq.len());
                 read.seq.set(p, read.seq.get(p).complement());
             }
             reads.push(read);

@@ -4,25 +4,11 @@
 //! `balance ×` the source. Sweeping the bound shows the edge-cut /
 //! balance trade-off around the paper's 1.03 choice.
 
+use fc_bench::harness::overlap_like_graph;
 use fc_bench::print_table_header;
-use fc_graph::{CoarsenConfig, LevelGraph, MultilevelSet};
+use fc_graph::{CoarsenConfig, MultilevelSet};
 use fc_partition::kway::KwayConfig;
 use fc_partition::{edge_cut, partition_balance, partition_graph_set, PartitionConfig};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-fn overlap_like_graph(n: usize, seed: u64) -> LevelGraph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = LevelGraph::with_nodes(n);
-    for i in 0..n - 1 {
-        g.add_edge(i as u32, (i + 1) as u32, rng.gen_range(40..90));
-        if i + 2 < n {
-            g.add_edge(i as u32, (i + 2) as u32, rng.gen_range(5..40));
-        }
-    }
-    g
-}
 
 fn main() {
     let g = overlap_like_graph(8000, 5);

@@ -6,26 +6,11 @@
 //! quality, quantifying what the cutoff trades away (paper's answer:
 //! essentially nothing).
 
+use fc_bench::harness::overlap_like_graph;
 use fc_bench::print_table_header;
-use fc_graph::LevelGraph;
 use fc_partition::kl::KlConfig;
 use fc_partition::{greedy_grow, kl_refine, LocalGraph};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
-
-fn overlap_like_graph(n: usize, seed: u64) -> LevelGraph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = LevelGraph::with_nodes(n);
-    for i in 0..n - 1 {
-        g.add_edge(i as u32, (i + 1) as u32, rng.gen_range(40..90));
-        if i + 2 < n {
-            g.add_edge(i as u32, (i + 2) as u32, rng.gen_range(5..40));
-        }
-    }
-    g
-}
 
 fn main() {
     let g = overlap_like_graph(4000, 11);

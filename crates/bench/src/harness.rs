@@ -1,7 +1,9 @@
 //! Shared experiment setup: data sets, pipeline preparation, schedulers.
 
 use fc_dist::cluster::{schedule_phases, CostModel};
+use fc_graph::LevelGraph;
 use fc_partition::recursive::{TaskKind, TaskRecord};
+use fc_rng::Rng;
 use fc_sim::{paper_datasets, Dataset};
 use focus_core::{FocusAssembler, FocusConfig, Prepared};
 
@@ -162,4 +164,18 @@ mod tests {
             assert!(p.hybrid.node_count() > 0);
         }
     }
+}
+
+/// The ablations' synthetic graph: a chain with strong `i → i + 1` edges
+/// (40–89) and weak `i → i + 2` skip edges (5–39), like a read tiling.
+pub fn overlap_like_graph(n: usize, seed: u64) -> LevelGraph {
+    let mut rng = Rng::new(seed);
+    let mut g = LevelGraph::with_nodes(n);
+    for i in 0..n - 1 {
+        g.add_edge(i as u32, (i + 1) as u32, rng.range(40..90));
+        if i + 2 < n {
+            g.add_edge(i as u32, (i + 2) as u32, rng.range(5..40));
+        }
+    }
+    g
 }

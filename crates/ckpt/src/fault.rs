@@ -15,6 +15,7 @@
 //! * **ENOSPC** — the write fails because the disk filled up;
 //! * **short read** — a read returns fewer bytes than the file holds.
 
+use fc_rng::Rng;
 use std::collections::BTreeMap;
 
 /// A fault applied to one checkpoint *write* operation.
@@ -74,17 +75,6 @@ pub struct FsFaultPlan {
     read_ops: u64,
 }
 
-/// SplitMix64 step, mirroring `fc_dist::fault`'s generator so seeded
-/// plans across the two layers share one PRNG family.
-fn unit(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl FsFaultPlan {
     /// The empty plan: no faults ever fire.
     pub fn none() -> FsFaultPlan {
@@ -109,20 +99,20 @@ impl FsFaultPlan {
     /// one fault per operation; the kinds are tried in a fixed order.
     pub fn random(seed: u64, ops: u64, rates: &FsFaultRates) -> FsFaultPlan {
         let mut plan = FsFaultPlan::none();
-        let mut state = seed ^ 0xC3A5_C85C_97CB_3127;
+        let mut rng = Rng::new(seed ^ 0xC3A5_C85C_97CB_3127);
         for op in 0..ops {
-            if unit(&mut state) < rates.torn_write {
+            if rng.bool(rates.torn_write) {
                 plan.writes.insert(op, WriteFault::Torn);
-            } else if unit(&mut state) < rates.write_bit_flip {
-                let bit = (unit(&mut state) * 1e6) as u64;
+            } else if rng.bool(rates.write_bit_flip) {
+                let bit = (rng.f64() * 1e6) as u64;
                 plan.writes.insert(op, WriteFault::BitFlip { bit });
-            } else if unit(&mut state) < rates.enospc {
+            } else if rng.bool(rates.enospc) {
                 plan.writes.insert(op, WriteFault::Enospc);
             }
-            if unit(&mut state) < rates.short_read {
+            if rng.bool(rates.short_read) {
                 plan.reads.insert(op, ReadFault::Short);
-            } else if unit(&mut state) < rates.read_bit_flip {
-                let bit = (unit(&mut state) * 1e6) as u64;
+            } else if rng.bool(rates.read_bit_flip) {
+                let bit = (rng.f64() * 1e6) as u64;
                 plan.reads.insert(op, ReadFault::BitFlip { bit });
             }
         }

@@ -3,7 +3,7 @@
 //! Every pipeline phase output can be serialised to a versioned,
 //! CRC32-verified checkpoint file and read back on a later run, so a
 //! process killed at any phase boundary resumes instead of restarting
-//! from zero. The crate is deliberately zero-dependency:
+//! from zero. The crate is pure `std` plus the workspace generator (fc-rng):
 //!
 //! * [`wire`] — fixed-width little-endian binary encoding and the
 //!   [`Codec`] trait the phase payload types implement;

@@ -995,22 +995,17 @@ mod tests {
         assert!(faulty.fault.degraded);
     }
 
-    mod proptests {
+    mod props {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
-
-            /// Any simultaneous crash set that leaves at least one survivor
-            /// yields paths identical to the fault-free run; wiping out every
-            /// rank is the typed `AllRanksDead` error. `mask` enumerates
-            /// non-empty subsets of the 4 ranks, bit r = crash rank r.
-            #[test]
-            fn any_crash_set_with_a_survivor_preserves_paths(
-                mask in 1u8..16,
-                phase_idx in 0usize..4,
-            ) {
+        /// Any simultaneous crash set that leaves at least one survivor
+        /// yields paths identical to the fault-free run; wiping out every
+        /// rank is the typed `AllRanksDead` error. `mask` enumerates
+        /// non-empty subsets of the 4 ranks, bit r = crash rank r.
+        #[test]
+        fn any_crash_set_with_a_survivor_preserves_paths() {
+            fc_rng::cases(12, |rng| {
+                let (mask, phase_idx) = (rng.range(1u8..16), rng.range(0usize..4));
                 let (store, hs) = hybrid_case(30);
                 let k = 4;
                 let parts = round_robin_parts(hs.node_count(), k);
@@ -1024,21 +1019,21 @@ mod tests {
                 let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
                 let outcome = dh.run_with_faults(&DistributedConfig::default(), plan);
                 if ranks.len() == k {
-                    prop_assert_eq!(outcome.unwrap_err(), DistError::AllRanksDead { phase });
+                    assert_eq!(outcome.unwrap_err(), DistError::AllRanksDead { phase });
                 } else {
                     let report = outcome.unwrap();
-                    prop_assert_eq!(
+                    assert_eq!(
                         &report.paths,
                         &clean.paths,
                         "crash set {:?} in {} changed the paths",
                         &ranks,
                         phase.name()
                     );
-                    prop_assert_eq!(report.fault.crashes as usize, ranks.len());
-                    prop_assert!(report.fault.degraded);
-                    prop_assert!(report.fault.recovery_time > 0.0);
+                    assert_eq!(report.fault.crashes as usize, ranks.len());
+                    assert!(report.fault.degraded);
+                    assert!(report.fault.recovery_time > 0.0);
                 }
-            }
+            });
         }
     }
 }

@@ -18,6 +18,7 @@
 
 use crate::cluster::CostModel;
 use crate::error::DistError;
+use fc_rng::Rng;
 
 /// The four phases of the distributed pipeline (paper §V), in execution
 /// order. Fault events are keyed by phase so a schedule can target e.g. "the
@@ -163,18 +164,18 @@ impl FaultPlan {
     /// given per-cell probabilities, using a seeded SplitMix64 stream —
     /// the same `(seed, ranks, rates)` always yields the same plan.
     pub fn random(seed: u64, ranks: usize, rates: &FaultRates) -> FaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+        let mut rng = Rng::new(seed ^ 0x9E37_79B9_7F4A_7C15);
         let mut events = Vec::new();
         for phase in PhaseId::ALL {
             for rank in 0..ranks {
-                if unit(&mut state) < rates.crash {
+                if rng.bool(rates.crash) {
                     events.push(FaultEvent {
                         phase,
                         rank,
                         kind: FaultKind::Crash,
                     });
                 }
-                if unit(&mut state) < rates.drop {
+                if rng.bool(rates.drop) {
                     events.push(FaultEvent {
                         phase,
                         rank,
@@ -183,7 +184,7 @@ impl FaultPlan {
                         },
                     });
                 }
-                if unit(&mut state) < rates.delay {
+                if rng.bool(rates.delay) {
                     events.push(FaultEvent {
                         phase,
                         rank,
@@ -192,7 +193,7 @@ impl FaultPlan {
                         },
                     });
                 }
-                if unit(&mut state) < rates.straggle {
+                if rng.bool(rates.straggle) {
                     events.push(FaultEvent {
                         phase,
                         rank,
@@ -450,17 +451,6 @@ impl fc_ckpt::Codec for FaultReport {
             degraded: bool::decode(r)?,
         })
     }
-}
-
-/// SplitMix64 step mapped to `[0, 1)` — the plan generator's only source of
-/// randomness, fully determined by the seed.
-fn unit(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -548,19 +548,8 @@ impl FocusAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_seq::{Base, DnaString};
-
-    fn genome(len: usize, seed: u64) -> DnaString {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                Base::from_code((state >> 5) as u8 & 3)
-            })
-            .collect()
-    }
+    use crate::pipeline::tests::genome;
+    use fc_seq::DnaString;
 
     fn tiled_reads(genome: &DnaString, read_len: usize, stride: usize) -> Vec<Read> {
         let mut reads = Vec::new();

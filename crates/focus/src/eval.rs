@@ -161,19 +161,7 @@ pub fn ng50_against(contigs: &[DnaString], reference_len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_seq::Base;
-
-    fn genome(len: usize, seed: u64) -> DnaString {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                Base::from_code((state >> 5) as u8 & 3)
-            })
-            .collect()
-    }
+    use crate::pipeline::tests::genome;
 
     #[test]
     fn perfect_assembly_scores_perfectly() {

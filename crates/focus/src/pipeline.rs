@@ -341,21 +341,13 @@ fn dedup_reverse_complements(contigs: Vec<DnaString>) -> Vec<DnaString> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fc_seq::Base;
 
-    fn genome(len: usize, seed: u64) -> DnaString {
-        // Small deterministic generator (xorshift) to avoid a rand dep here.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                Base::from_code((state >> 5) as u8 & 3)
-            })
-            .collect()
+    pub(crate) fn genome(len: usize, seed: u64) -> DnaString {
+        let mut rng = fc_rng::Rng::new(seed);
+        (0..len).map(|_| Base::from_code(rng.range(0..4))).collect()
     }
 
     /// Error-free tiling reads over a genome, as FASTA-style reads.

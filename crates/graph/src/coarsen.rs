@@ -3,9 +3,7 @@
 
 use crate::level::{GraphSet, LevelGraph, NodeId};
 use fc_obs::Recorder;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use fc_rng::Rng;
 use std::collections::HashMap;
 
 /// Histogram bounds for ratios expressed in permille (0–1000).
@@ -127,8 +125,7 @@ pub fn heavy_edge_matching(g: &LevelGraph, seed: u64) -> Vec<NodeId> {
     let mut mate: Vec<NodeId> = (0..n as NodeId).collect();
     let mut matched = vec![false; n];
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
+    Rng::new(seed).shuffle(&mut order);
 
     for &v in &order {
         if matched[v as usize] {
@@ -382,49 +379,50 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
-    use proptest::prelude::*;
 
-    fn arb_graph() -> impl Strategy<Value = LevelGraph> {
-        (
-            2usize..40,
-            proptest::collection::vec((0usize..40, 0usize..40, 1u64..100), 0..120),
-        )
-            .prop_map(|(n, raw_edges)| {
-                let mut g = LevelGraph::with_nodes(n);
-                for (u, v, w) in raw_edges {
-                    let (u, v) = (u % n, v % n);
-                    if u != v {
-                        g.add_edge(u as NodeId, v as NodeId, w);
-                    }
-                }
-                g
-            })
+    fn arb_graph(rng: &mut Rng) -> LevelGraph {
+        let n = rng.range(2usize..40);
+        let raw_edges = rng.vec(0..120, |r| {
+            (r.range(0usize..40), r.range(0usize..40), r.range(1u64..100))
+        });
+        let mut g = LevelGraph::with_nodes(n);
+        for (u, v, w) in raw_edges {
+            let (u, v) = (u % n, v % n);
+            if u != v {
+                g.add_edge(u as NodeId, v as NodeId, w);
+            }
+        }
+        g
     }
 
-    proptest! {
-        /// Matching validity: symmetric, partners are adjacent.
-        #[test]
-        fn matching_valid(g in arb_graph(), seed in 0u64..1000) {
+    /// Matching validity: symmetric, partners are adjacent.
+    #[test]
+    fn matching_valid() {
+        fc_rng::cases(256, |rng| {
+            let (g, seed) = (arb_graph(rng), rng.range(0u64..1000));
             let mate = heavy_edge_matching(&g, seed);
             for v in 0..g.node_count() as NodeId {
                 let m = mate[v as usize];
-                prop_assert_eq!(mate[m as usize], v);
+                assert_eq!(mate[m as usize], v);
                 if m != v {
-                    prop_assert!(g.edge_weight(v, m).is_some());
+                    assert!(g.edge_weight(v, m).is_some());
                 }
             }
-        }
+        });
+    }
 
-        /// Contraction conserves node weight and never grows edge weight;
-        /// cut weight + folded weight equals original edge weight.
-        #[test]
-        fn contraction_conserves(g in arb_graph(), seed in 0u64..1000) {
+    /// Contraction conserves node weight and never grows edge weight;
+    /// cut weight + folded weight equals original edge weight.
+    #[test]
+    fn contraction_conserves() {
+        fc_rng::cases(256, |rng| {
+            let (g, seed) = (arb_graph(rng), rng.range(0u64..1000));
             let mate = heavy_edge_matching(&g, seed);
             let (coarse, map) = contract(&g, &mate);
-            prop_assert_eq!(coarse.total_node_weight(), g.total_node_weight());
-            coarse.check_invariants().map_err(|e| TestCaseError::fail(e.to_string()))?;
+            assert_eq!(coarse.total_node_weight(), g.total_node_weight());
+            coarse.check_invariants().unwrap();
             // Edge weight conservation: coarse edges carry exactly the
             // weight of fine edges whose endpoints map apart.
             let crossing: u64 = g
@@ -432,7 +430,7 @@ mod proptests {
                 .filter(|&(u, v, _)| map[u as usize] != map[v as usize])
                 .map(|(_, _, w)| w)
                 .sum();
-            prop_assert_eq!(coarse.total_edge_weight(), crossing);
-        }
+            assert_eq!(coarse.total_edge_weight(), crossing);
+        });
     }
 }

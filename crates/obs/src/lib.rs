@@ -37,7 +37,7 @@
 //! ([`Recorder::snapshot_json`]) excludes `sched.*` entries and timestamps
 //! are logical ticks, making the metrics snapshot **byte-identical across
 //! thread counts** — observability doubles as a correctness oracle
-//! (proptest-verified in `tests/observability.rs`).
+//! (property-tested in `tests/observability.rs`).
 
 #![forbid(unsafe_code)]
 

@@ -23,9 +23,7 @@
 //! step, counted. Reseeding was never charged and still is not.
 
 use crate::local::LocalGraph;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use fc_rng::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -89,7 +87,7 @@ pub fn greedy_grow(local: &LocalGraph, seed: u64, work: &mut u64) -> Vec<bool> {
     if n < 2 {
         return side;
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let total_nw: u64 = local.total_node_weight();
     let wdeg: Vec<u64> = (0..n as u32).map(|v| local.weighted_degree(v)).collect();
 
@@ -149,7 +147,7 @@ pub fn greedy_grow(local: &LocalGraph, seed: u64, work: &mut u64) -> Vec<bool> {
         }
         // Empty horizon (new side or disconnected piece): random seed, the
         // `pick`-th unassigned node in index order.
-        let v = chosen.unwrap_or_else(|| unassigned_index.nth(rng.gen_range(0..unassigned)));
+        let v = chosen.unwrap_or_else(|| unassigned_index.nth(rng.range(0..unassigned)));
         assign!(v, growing);
     }
 
@@ -286,9 +284,7 @@ mod tests {
 #[cfg(test)]
 mod reference {
     use super::{LocalGraph, EDGE_WEIGHT_BALANCE};
-    use rand::Rng;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use fc_rng::Rng;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -307,7 +303,7 @@ mod reference {
         if n == 1 {
             return side;
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let total_nw: u64 = local.total_node_weight();
 
         // Assignment state: 0 = unassigned, 1 = P1, 2 = P2.
@@ -367,7 +363,7 @@ mod reference {
                 Some(v) => v,
                 None => {
                     // Empty horizon (new side or disconnected piece): random seed.
-                    let mut pick = rng.gen_range(0..unassigned);
+                    let mut pick = rng.range(0..unassigned);
                     let mut found = 0u32;
                     for (u, &a) in assigned.iter().enumerate() {
                         if a == 0 {
@@ -402,7 +398,8 @@ mod reference {
 #[cfg(test)]
 mod differential {
     use super::*;
-    use crate::testgen::{self, Lcg};
+    use crate::testgen;
+    use fc_rng::Rng;
 
     /// Same sides and same work as the linear-reseed grower, on every family
     /// and size, for several seeds each.
@@ -427,7 +424,7 @@ mod differential {
     #[test]
     fn reseed_pick_equals_the_linear_walk() {
         for n in [1usize, 2, 3, 17, 300, 2_000] {
-            let mut rng = Lcg::new(n as u64);
+            let mut rng = Rng::new(n as u64);
             let mut index = Unassigned::all(n);
             let mut assigned = vec![false; n];
             // Before any assignment the k-th unassigned node is node k.
@@ -435,7 +432,7 @@ mod differential {
                 assert_eq!(index.nth(pick), pick as u32);
             }
             for (v, mark) in assigned.iter_mut().enumerate() {
-                if rng.below(2) == 0 {
+                if rng.bool(0.5) {
                     *mark = true;
                     index.assign(v as u32);
                 }

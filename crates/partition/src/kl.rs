@@ -446,7 +446,8 @@ mod reference {
 #[cfg(test)]
 mod differential {
     use super::*;
-    use crate::testgen::{self, Lcg};
+    use crate::testgen;
+    use fc_rng::Rng;
 
     fn reference_refine(
         local: &LocalGraph,
@@ -478,13 +479,13 @@ mod differential {
         for (family, n, seed, g) in testgen::cases() {
             let nodes: Vec<u32> = (0..n as u32).collect();
             let local = LocalGraph::extract(&g, &nodes);
-            let mut rng = Lcg::new(seed ^ 0x51DE);
+            let mut rng = Rng::new(seed ^ 0x51DE);
             let large = n > 300;
             let starts: [Vec<bool>; 3] = [
                 (0..n)
                     .map(|v| if large { v >= n / 2 } else { v % 2 == 1 })
                     .collect(),
-                (0..n).map(|_| rng.below(2) == 1).collect(),
+                (0..n).map(|_| rng.bool(0.5)).collect(),
                 (0..n).map(|v| v == 0).collect(),
             ];
             let configs = [KlConfig::default(), tight];
@@ -505,50 +506,52 @@ mod differential {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
     use fc_graph::LevelGraph;
-    use proptest::prelude::*;
+    use fc_rng::{cases, Rng};
 
-    fn arb_case() -> impl Strategy<Value = (LocalGraph, Vec<bool>)> {
-        (
-            4usize..24,
-            proptest::collection::vec((0usize..24, 0usize..24, 1u64..50), 1..80),
-        )
-            .prop_flat_map(|(n, raw)| {
-                let mut g = LevelGraph::with_nodes(n);
-                for (u, v, w) in raw {
-                    let (u, v) = (u % n, v % n);
-                    if u != v {
-                        g.add_edge(u as u32, v as u32, w);
-                    }
-                }
-                let nodes: Vec<u32> = (0..n as u32).collect();
-                let local = LocalGraph::extract(&g, &nodes);
-                (Just(local), proptest::collection::vec(any::<bool>(), n))
-            })
+    fn arb_case(rng: &mut Rng) -> (LocalGraph, Vec<bool>) {
+        let n = rng.range(4usize..24);
+        let raw = rng.vec(1..80, |r| {
+            (r.range(0usize..24), r.range(0usize..24), r.range(1u64..50))
+        });
+        let mut g = LevelGraph::with_nodes(n);
+        for (u, v, w) in raw {
+            let (u, v) = (u % n, v % n);
+            if u != v {
+                g.add_edge(u as u32, v as u32, w);
+            }
+        }
+        let nodes: Vec<u32> = (0..n as u32).collect();
+        let local = LocalGraph::extract(&g, &nodes);
+        (local, (0..n).map(|_| rng.bool(0.5)).collect())
     }
 
-    proptest! {
-        /// KL must never increase the cut, and the reported gain must match
-        /// the observed cut delta exactly.
-        #[test]
-        fn kl_gain_matches_cut_delta((local, mut side) in arb_case()) {
+    /// KL must never increase the cut, and the reported gain must match
+    /// the observed cut delta exactly.
+    #[test]
+    fn kl_gain_matches_cut_delta() {
+        cases(256, |rng| {
+            let (local, mut side) = arb_case(rng);
             let before = local.cut(&side);
             let mut work = 0;
             let gain = kl_refine(&local, &mut side, &KlConfig::default(), &mut work);
             let after = local.cut(&side);
-            prop_assert!(after <= before);
-            prop_assert_eq!(before - after, gain);
-        }
+            assert!(after <= before);
+            assert_eq!(before - after, gain);
+        });
+    }
 
-        /// Side cardinalities are invariant under KL (pairwise swaps only).
-        #[test]
-        fn kl_preserves_cardinality((local, mut side) in arb_case()) {
+    /// Side cardinalities are invariant under KL (pairwise swaps only).
+    #[test]
+    fn kl_preserves_cardinality() {
+        cases(256, |rng| {
+            let (local, mut side) = arb_case(rng);
             let ones = side.iter().filter(|&&s| s).count();
             let mut work = 0;
             kl_refine(&local, &mut side, &KlConfig::default(), &mut work);
-            prop_assert_eq!(side.iter().filter(|&&s| s).count(), ones);
-        }
+            assert_eq!(side.iter().filter(|&&s| s).count(), ones);
+        });
     }
 }

@@ -440,7 +440,8 @@ mod reference {
 #[cfg(test)]
 mod differential {
     use super::*;
-    use crate::testgen::{self, Lcg};
+    use crate::testgen;
+    use fc_rng::Rng;
 
     fn reference_refine(
         g: &LevelGraph,
@@ -476,19 +477,19 @@ mod differential {
         };
         for (family, n, seed, g) in testgen::cases() {
             for k in [2usize, 3, 16, 64] {
-                let mut rng = Lcg::new(seed ^ ((k as u64) << 8));
+                let mut rng = Rng::new(seed ^ ((k as u64) << 8));
                 let block = |v: usize| (v * k / n.max(1)) as u32;
                 let mut starts: Vec<Vec<u32>> = vec![
                     (0..n).map(block).collect(),
                     (0..n)
-                        .map(|v| match rng.below(if n > 300 { 128 } else { 8 }) {
-                            0 => rng.below(k) as u32,
+                        .map(|v| match rng.range(0..if n > 300 { 128 } else { 8 }) {
+                            0 => rng.range(0..k as u32),
                             _ => block(v),
                         })
                         .collect(),
                 ];
                 if n <= 300 {
-                    starts.push((0..n).map(|_| rng.below(k) as u32).collect());
+                    starts.push((0..n).map(|_| rng.range(0..k as u32)).collect());
                 }
                 let configs = [KwayConfig::default(), loose];
                 for (si, start) in starts.iter().enumerate() {
@@ -511,44 +512,38 @@ mod differential {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
-    use proptest::prelude::*;
+    use fc_rng::{cases, Rng};
 
-    fn arb_case() -> impl Strategy<Value = (LevelGraph, Vec<u32>, usize)> {
-        (
-            3usize..20,
-            2usize..5,
-            proptest::collection::vec((0usize..20, 0usize..20, 1u64..30), 1..60),
-        )
-            .prop_flat_map(|(n, k, raw)| {
-                let mut g = LevelGraph::with_nodes(n);
-                for (u, v, w) in raw {
-                    let (u, v) = (u % n, v % n);
-                    if u != v {
-                        g.add_edge(u as u32, v as u32, w);
-                    }
-                }
-                (
-                    Just(g),
-                    proptest::collection::vec(0u32..k as u32, n),
-                    Just(k),
-                )
-            })
+    fn arb_case(rng: &mut Rng) -> (LevelGraph, Vec<u32>, usize) {
+        let (n, k) = (rng.range(3usize..20), rng.range(2usize..5));
+        let raw = rng.vec(1..60, |r| {
+            (r.range(0usize..20), r.range(0usize..20), r.range(1u64..30))
+        });
+        let mut g = LevelGraph::with_nodes(n);
+        for (u, v, w) in raw {
+            let (u, v) = (u % n, v % n);
+            if u != v {
+                g.add_edge(u as u32, v as u32, w);
+            }
+        }
+        (g, (0..n).map(|_| rng.range(0..k as u32)).collect(), k)
     }
 
-    proptest! {
-        /// k-way refinement never worsens the cut, reports the exact delta,
-        /// and keeps assignments in range.
-        #[test]
-        fn kway_never_worsens((g, mut parts, k) in arb_case()) {
+    /// k-way refinement never worsens the cut, reports the exact delta,
+    /// and keeps assignments in range.
+    #[test]
+    fn kway_never_worsens() {
+        cases(256, |rng| {
+            let (g, mut parts, k) = arb_case(rng);
             let before = edge_cut(&g, &parts);
             let mut work = 0;
             let gain = kway_refine(&g, &mut parts, k, &KwayConfig::default(), &mut work);
             let after = edge_cut(&g, &parts);
-            prop_assert!(after <= before);
-            prop_assert_eq!(before - after, gain);
-            prop_assert!(parts.iter().all(|&p| (p as usize) < k));
-        }
+            assert!(after <= before);
+            assert_eq!(before - after, gain);
+            assert!(parts.iter().all(|&p| (p as usize) < k));
+        });
     }
 }

@@ -1,34 +1,8 @@
 //! Seeded graph families for the differential tests in [`crate::grow`],
 //! [`crate::kl`] and [`crate::kway`].
-//!
-//! The cases come from an in-test LCG, not from `rand`: they are the same
-//! graphs under the published crates and under any offline stand-in, so a
-//! divergence between the product code and its `reference` module shows up
-//! everywhere or nowhere.
 
 use fc_graph::LevelGraph;
-
-/// Knuth's MMIX linear congruential generator; the high bits are the draw.
-pub(crate) struct Lcg(u64);
-
-impl Lcg {
-    pub(crate) fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 33
-    }
-
-    /// Uniform-enough draw from `0..n` (`n > 0`).
-    pub(crate) fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
+use fc_rng::Rng;
 
 /// The shapes the partitioner meets, plus the ones that stress tie-breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,27 +49,27 @@ pub(crate) fn seeds_for(n: usize) -> std::ops::Range<u64> {
 /// above, the second lies within eight ids of the first, so that a block
 /// start is a decent partition the way a projected bisection is — from a
 /// start that cuts everything the oracles need minutes unoptimized.
-fn random_edges(g: &mut LevelGraph, rng: &mut Lcg, edges: usize, max_w: usize) {
+fn random_edges(g: &mut LevelGraph, rng: &mut Rng, edges: usize, max_w: u64) {
     let n = g.node_count();
     if n < 2 {
         return;
     }
     let span = if n > 300 { 8 } else { n - 1 };
     for _ in 0..edges {
-        let u = rng.below(n);
-        let v = (u + 1 + rng.below(span)) % n;
-        g.add_edge(u as u32, v as u32, 1 + rng.below(max_w) as u64);
+        let u = rng.range(0..n);
+        let v = (u + 1 + rng.range(0..span)) % n;
+        g.add_edge(u as u32, v as u32, rng.range(1..=max_w));
     }
 }
 
 /// Builds the `n`-node member of `family` for `seed`.
 pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
-    let mut rng = Lcg::new(seed ^ ((family as u64) << 40) ^ ((n as u64) << 20));
+    let mut rng = Rng::new(seed ^ ((family as u64) << 40) ^ ((n as u64) << 20));
     match family {
         Family::Path => {
             let mut g = LevelGraph::with_nodes(n);
             for i in 1..n {
-                g.add_edge(i as u32 - 1, i as u32, 1 + rng.below(60) as u64);
+                g.add_edge(i as u32 - 1, i as u32, rng.range(1..=60));
             }
             g
         }
@@ -123,7 +97,7 @@ pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
         Family::Star => {
             let mut g = LevelGraph::with_nodes(n);
             for i in 1..n {
-                g.add_edge(0, i as u32, 1 + rng.below(9) as u64);
+                g.add_edge(0, i as u32, rng.range(1..=9));
             }
             g
         }
@@ -148,14 +122,10 @@ pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
             // Chains cover about 5 % of the nodes, scattered over the ids.
             let mut v = 0usize;
             while v < n {
-                if rng.below(80) == 0 {
-                    let len = (2 + rng.below(5)).min(n - v);
+                if rng.range(0..80) == 0 {
+                    let len = rng.range(2..7).min(n - v);
                     for i in 1..len {
-                        g.add_edge(
-                            (v + i - 1) as u32,
-                            (v + i) as u32,
-                            20 + rng.below(80) as u64,
-                        );
+                        g.add_edge((v + i - 1) as u32, (v + i) as u32, rng.range(20..100));
                     }
                     v += len;
                 } else {
@@ -167,7 +137,7 @@ pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
         Family::HeavyNode => {
             let mut weights = vec![1u64; n];
             if n > 0 {
-                weights[rng.below(n)] = n as u64;
+                weights[rng.range(0..n)] = n as u64;
             }
             let mut g = LevelGraph::with_node_weights(weights);
             random_edges(&mut g, &mut rng, 2 * n, 20);

@@ -224,10 +224,10 @@ impl<R: BufRead> Iterator for Reader<R> {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
     use crate::alphabet::Base;
-    use proptest::prelude::*;
+    use fc_rng::cases;
     use std::io::Cursor;
 
     /// A syntactically valid FASTA byte stream with line-wrapped sequences.
@@ -245,38 +245,28 @@ mod proptests {
         text
     }
 
-    proptest! {
-        /// Corpus of mutilated FASTA inputs: parsing must never panic, and
-        /// the collecting parser and streaming reader must agree.
-        #[test]
-        fn mutilated_input_never_panics_and_streaming_agrees(
-            records in proptest::collection::vec(
-                proptest::collection::vec(0u8..4, 0..30),
-                0..5,
-            ),
-            ops in proptest::collection::vec(
-                (0u8..5, 0usize..65536, 0u8..255),
-                0..4,
-            ),
-        ) {
+    /// Corpus of mutilated FASTA inputs: parsing must never panic, and
+    /// the collecting parser and streaming reader must agree.
+    #[test]
+    fn mutilated_input_never_panics_and_streaming_agrees() {
+        cases(256, |rng| {
+            let records = rng.vec(0..5, |r| r.vec(0..30, |r| r.range(0u8..4)));
             let mut text = render(&records);
-            for &(op, pos, byte) in &ops {
-                crate::fastq::mutilate(&mut text, op, pos, byte);
+            for _ in 0..rng.range(0..4) {
+                crate::fastq::mutilate(&mut text, rng);
             }
             let parsed = parse(Cursor::new(text.clone()));
-            let streamed: Result<Vec<Read>, SeqError> =
-                Reader::new(Cursor::new(text)).collect();
+            let streamed: Result<Vec<Read>, SeqError> = Reader::new(Cursor::new(text)).collect();
             match (&parsed, &streamed) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Ok(a), Ok(b)) => assert_eq!(a, b),
                 (Err(_), Err(_)) => {}
-                _ => prop_assert!(
-                    false,
+                _ => panic!(
                     "parse/stream disagree: {:?} vs {:?}",
                     parsed.is_ok(),
                     streamed.is_ok()
                 ),
             }
-        }
+        });
     }
 }
 

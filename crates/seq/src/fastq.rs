@@ -343,15 +343,20 @@ impl<R: BufRead> Iterator for Reader<R> {
     }
 }
 
-/// Shared helper for the mutilated-input proptests (FASTA and FASTQ): one
-/// deterministic mutation of a byte buffer, driven by `(op, pos, byte)`.
+/// Shared helper for the mutilated-input properties (FASTA and FASTQ): one
+/// mutation of a byte buffer, drawn from `rng`.
 #[cfg(test)]
-pub(crate) fn mutilate(text: &mut Vec<u8>, op: u8, pos: usize, byte: u8) {
+pub(crate) fn mutilate(text: &mut Vec<u8>, rng: &mut fc_rng::Rng) {
+    let (op, pos, byte) = (
+        rng.range(0u8..5),
+        rng.range(0usize..65536),
+        rng.range(0u8..255),
+    );
     if text.is_empty() {
         return;
     }
     let pos = pos % text.len();
-    match op % 5 {
+    match op {
         0 => text.truncate(pos),
         1 => text[pos] = byte,
         2 => text.insert(pos, byte),
@@ -373,10 +378,10 @@ pub(crate) fn mutilate(text: &mut Vec<u8>, op: u8, pos: usize, byte: u8) {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
     use crate::alphabet::Base;
-    use proptest::prelude::*;
+    use fc_rng::cases;
     use std::io::Cursor;
 
     /// A syntactically valid FASTQ byte stream built from arbitrary records.
@@ -396,40 +401,32 @@ mod proptests {
         text
     }
 
-    proptest! {
-        /// Corpus of mutilated FASTQ inputs (truncations, byte smashes,
-        /// insertions, deletions, CRLF conversion — composed): parsing must
-        /// never panic, and the collecting parser and the streaming reader
-        /// must agree on success and on the parsed reads.
-        #[test]
-        fn mutilated_input_never_panics_and_streaming_agrees(
-            records in proptest::collection::vec(
-                proptest::collection::vec((0u8..4, 0u8..94), 0..20),
-                0..5,
-            ),
-            ops in proptest::collection::vec(
-                (0u8..5, 0usize..65536, 0u8..255),
-                0..4,
-            ),
-        ) {
+    /// Corpus of mutilated FASTQ inputs (truncations, byte smashes,
+    /// insertions, deletions, CRLF conversion — composed): parsing must
+    /// never panic, and the collecting parser and the streaming reader
+    /// must agree on success and on the parsed reads.
+    #[test]
+    fn mutilated_input_never_panics_and_streaming_agrees() {
+        cases(256, |rng| {
+            let records = rng.vec(0..5, |r| {
+                r.vec(0..20, |r| (r.range(0u8..4), r.range(0u8..94)))
+            });
             let mut text = render(&records);
-            for &(op, pos, byte) in &ops {
-                mutilate(&mut text, op, pos, byte);
+            for _ in 0..rng.range(0..4) {
+                mutilate(&mut text, rng);
             }
             let parsed = parse(Cursor::new(text.clone()));
-            let streamed: Result<Vec<Read>, SeqError> =
-                Reader::new(Cursor::new(text)).collect();
+            let streamed: Result<Vec<Read>, SeqError> = Reader::new(Cursor::new(text)).collect();
             match (&parsed, &streamed) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Ok(a), Ok(b)) => assert_eq!(a, b),
                 (Err(_), Err(_)) => {}
-                _ => prop_assert!(
-                    false,
+                _ => panic!(
                     "parse/stream disagree: {:?} vs {:?}",
                     parsed.is_ok(),
                     streamed.is_ok()
                 ),
             }
-        }
+        });
     }
 }
 

@@ -154,28 +154,16 @@ impl<'a> PackedView<'a> {
 #[cfg(test)]
 mod tests {
     use crate::DnaString;
+    use fc_rng::Rng;
 
     fn seq(pattern: &str, repeat: usize) -> DnaString {
         pattern.repeat(repeat).parse().unwrap()
     }
 
-    /// Deterministic xorshift generator for irregular test sequences.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-    }
-
     fn random_seq(len: usize, seed: u64) -> DnaString {
-        let mut rng = Rng(seed.max(1));
+        let mut rng = Rng::new(seed);
         (0..len)
-            .map(|_| crate::Base::from_code((rng.next() % 4) as u8))
+            .map(|_| crate::Base::from_code(rng.range(0..4)))
             .collect()
     }
 
@@ -216,12 +204,12 @@ mod tests {
     fn range_eq_agrees_with_base_comparison() {
         let a = seq("ACGTTGCA", 16); // 128 bases
         let b = random_seq(128, 3);
-        let mut rng = Rng(99);
+        let mut rng = Rng::new(99);
         let (va, vb) = (a.packed(), b.packed());
         for _ in 0..500 {
-            let count = (rng.next() % 90) as usize;
-            let sa = (rng.next() as usize) % (a.len() - count + 1);
-            let sb = (rng.next() as usize) % (b.len() - count + 1);
+            let count = rng.range(0..90);
+            let sa = rng.range(0..=a.len() - count);
+            let sb = rng.range(0..=b.len() - count);
             let naive = (0..count).all(|i| a.get(sa + i) == b.get(sb + i));
             assert_eq!(va.range_eq(sa, &vb, sb, count), naive, "a[{sa}..] vs b[{sb}..] x{count}");
             // A sequence always equals itself on the same range.
@@ -246,10 +234,10 @@ mod tests {
         // A copy with scattered substitutions, so counts are neither 0 nor
         // ~3/4 of the range.
         let mut b = a.clone();
-        let mut rng = Rng(17);
+        let mut rng = Rng::new(17);
         for _ in 0..25 {
-            let p = (rng.next() as usize) % b.len();
-            b.set(p, crate::Base::from_code((rng.next() % 4) as u8));
+            let p = rng.range(0..b.len());
+            b.set(p, crate::Base::from_code(rng.range(0..4)));
         }
         let c = random_seq(140, 6);
         for other in [&b, &c] {

@@ -412,65 +412,71 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
     use crate::quality::QualityScores;
-    use proptest::prelude::*;
+    use fc_rng::{cases, Rng};
 
-    fn arb_reads() -> impl Strategy<Value = Vec<Read>> {
-        proptest::collection::vec(proptest::collection::vec((0u8..4, 10u8..40), 1..80), 0..12)
-            .prop_map(|reads| {
-                reads
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, pairs)| {
-                        let seq: crate::DnaString = pairs
-                            .iter()
-                            .map(|&(b, _)| crate::Base::from_code(b))
-                            .collect();
-                        let quals =
-                            QualityScores::from_phred(pairs.iter().map(|&(_, q)| q).collect());
-                        Read::with_quality(format!("r{i}"), seq, quals)
-                    })
-                    .collect()
+    fn arb_reads(rng: &mut Rng) -> Vec<Read> {
+        let reads = rng.vec(0..12, |r| {
+            r.vec(1..80, |r| (r.range(0u8..4), r.range(10u8..40)))
+        });
+        reads
+            .into_iter()
+            .enumerate()
+            .map(|(i, pairs)| {
+                let seq: crate::DnaString = pairs
+                    .iter()
+                    .map(|&(b, _)| crate::Base::from_code(b))
+                    .collect();
+                let quals = QualityScores::from_phred(pairs.iter().map(|&(_, q)| q).collect());
+                Read::with_quality(format!("r{i}"), seq, quals)
             })
+            .collect()
     }
 
-    proptest! {
-        /// Preprocessing invariants: even/odd strand pairing, RC mates are
-        /// exact reverse complements, sources are monotone.
-        #[test]
-        fn preprocess_invariants(reads in arb_reads()) {
-            let config = TrimConfig { min_read_len: 1, ..TrimConfig::default() };
+    /// Preprocessing invariants: even/odd strand pairing, RC mates are
+    /// exact reverse complements, sources are monotone.
+    #[test]
+    fn preprocess_invariants() {
+        cases(256, |rng| {
+            let reads = arb_reads(rng);
+            let config = TrimConfig {
+                min_read_len: 1,
+                ..TrimConfig::default()
+            };
             let store = ReadStore::preprocess(&reads, &config).unwrap();
-            prop_assert_eq!(store.len() % 2, 0);
+            assert_eq!(store.len() % 2, 0);
             let mut last_source = 0usize;
             for i in (0..store.len()).step_by(2) {
                 let fwd = ReadId(i as u32);
                 let rc = ReadId(i as u32 + 1);
-                prop_assert_eq!(store.mate(fwd), Some(rc));
-                prop_assert_eq!(
+                assert_eq!(store.mate(fwd), Some(rc));
+                assert_eq!(
                     store.get(rc).seq.to_string(),
                     store.get(fwd).seq.reverse_complement().to_string()
                 );
                 let src = store.source_index(fwd);
-                prop_assert_eq!(store.source_index(rc), src);
-                prop_assert!(src >= last_source);
+                assert_eq!(store.source_index(rc), src);
+                assert!(src >= last_source);
                 last_source = src;
             }
-        }
+        });
+    }
 
-        /// Subset splitting is a disjoint near-even cover for any n.
-        #[test]
-        fn subsets_cover(reads in arb_reads(), n in 1usize..9) {
+    /// Subset splitting is a disjoint near-even cover for any n.
+    #[test]
+    fn subsets_cover() {
+        cases(256, |rng| {
+            let (reads, n) = (arb_reads(rng), rng.range(1..9));
             let store = ReadStore::from_reads(reads);
             let subsets = store.split_subsets(n);
             let mut all: Vec<u32> = subsets.iter().flatten().map(|id| id.0).collect();
             all.sort_unstable();
             let expect: Vec<u32> = (0..store.len() as u32).collect();
-            prop_assert_eq!(all, expect);
+            assert_eq!(all, expect);
             let sizes: Vec<usize> = subsets.iter().map(Vec::len).collect();
-            prop_assert!(sizes.iter().max().unwrap_or(&0) - sizes.iter().min().unwrap_or(&0) <= 1);
-        }
+            assert!(sizes.iter().max().unwrap_or(&0) - sizes.iter().min().unwrap_or(&0) <= 1);
+        });
     }
 }

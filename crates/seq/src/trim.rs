@@ -263,63 +263,68 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
     use crate::quality::QualityScores;
-    use proptest::prelude::*;
+    use fc_rng::{cases, Rng};
 
-    fn arb_read() -> impl Strategy<Value = Read> {
-        proptest::collection::vec((0u8..4, 0u8..42), 0..150).prop_map(|pairs| {
-            let seq: crate::DnaString = pairs
-                .iter()
-                .map(|&(b, _)| crate::Base::from_code(b))
-                .collect();
-            let quals = QualityScores::from_phred(pairs.iter().map(|&(_, q)| q).collect());
-            Read::with_quality("p", seq, quals)
-        })
+    fn arb_read(rng: &mut Rng) -> Read {
+        let pairs = rng.vec(0..150, |r| (r.range(0u8..4), r.range(0u8..42)));
+        let seq: crate::DnaString = pairs
+            .iter()
+            .map(|&(b, _)| crate::Base::from_code(b))
+            .collect();
+        let quals = QualityScores::from_phred(pairs.iter().map(|&(_, q)| q).collect());
+        Read::with_quality("p", seq, quals)
     }
 
-    fn arb_config() -> impl Strategy<Value = TrimConfig> {
-        (0usize..20, 0usize..20, 1usize..15, 1usize..6, 0.0f64..40.0).prop_map(
-            |(t5, t3, window_len, step, min_quality)| TrimConfig {
-                trim_5prime: t5,
-                trim_3prime: t3,
-                window_len,
-                step,
-                min_quality,
-                min_read_len: 0,
-            },
-        )
+    fn arb_config(rng: &mut Rng) -> TrimConfig {
+        TrimConfig {
+            trim_5prime: rng.range(0..20),
+            trim_3prime: rng.range(0..20),
+            window_len: rng.range(1..15),
+            step: rng.range(1..6),
+            min_quality: 40.0 * rng.f64(),
+            min_read_len: 0,
+        }
     }
 
-    proptest! {
-        /// Trimming never grows a read and keeps quality aligned with
-        /// sequence.
-        #[test]
-        fn trim_shrinks_and_stays_aligned(read in arb_read(), config in arb_config()) {
+    /// Trimming never grows a read and keeps quality aligned with
+    /// sequence.
+    #[test]
+    fn trim_shrinks_and_stays_aligned() {
+        cases(256, |rng| {
+            let (read, config) = (arb_read(rng), arb_config(rng));
             let out = trim_read(&read, &config);
-            prop_assert!(out.len() <= read.len());
+            assert!(out.len() <= read.len());
             if let Some(q) = &out.qual {
-                prop_assert_eq!(q.len(), out.len());
+                assert_eq!(q.len(), out.len());
             }
             // The surviving sequence is a contiguous slice of the original.
             if !out.is_empty() {
                 let start = config.trim_5prime.min(read.len());
                 for i in 0..out.len() {
-                    prop_assert_eq!(out.seq.get(i), read.seq.get(start + i));
+                    assert_eq!(out.seq.get(i), read.seq.get(start + i));
                 }
             }
-        }
+        });
+    }
 
-        /// Trimming is idempotent for pure quality trimming (no fixed
-        /// trim): re-trimming the output changes nothing, because the
-        /// surviving window already passed the threshold.
-        #[test]
-        fn quality_trim_idempotent(read in arb_read(), config in arb_config()) {
-            let config = TrimConfig { trim_5prime: 0, trim_3prime: 0, ..config };
+    /// Trimming is idempotent for pure quality trimming (no fixed
+    /// trim): re-trimming the output changes nothing, because the
+    /// surviving window already passed the threshold.
+    #[test]
+    fn quality_trim_idempotent() {
+        cases(256, |rng| {
+            let read = arb_read(rng);
+            let config = TrimConfig {
+                trim_5prime: 0,
+                trim_3prime: 0,
+                ..arb_config(rng)
+            };
             let once = trim_read(&read, &config);
             let twice = trim_read(&once, &config);
-            prop_assert_eq!(once, twice);
-        }
+            assert_eq!(once, twice);
+        });
     }
 }

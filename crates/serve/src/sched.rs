@@ -3,7 +3,7 @@
 //! The scheduler is a *pure* data structure: no clocks, no randomness, no
 //! I/O. Given the same sequence of [`Scheduler::admit`] / [`Scheduler::next`]
 //! / [`Scheduler::cancel`] calls it produces the same sequence of outcomes,
-//! which is what makes backpressure testable (`proptests` below replay
+//! which is what makes backpressure testable (`tests/props.rs` replays
 //! seeded arrival schedules) and the server resumable (after a crash the
 //! recovered jobs are re-admitted in job-id order, reproducing the queue).
 //!

@@ -10,8 +10,8 @@
 //!    schedule on a fresh scheduler reproduces the exact same admission
 //!    outcomes and dispatch order, byte for byte.
 
+use fc_rng::{cases, Rng};
 use fc_serve::{AdmitOutcome, JobId, Priority, SchedConfig, Scheduler};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 const TENANTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -29,19 +29,23 @@ fn cfg() -> SchedConfig {
 /// (0–5 admit, 6 dispatch, 7 cancel the oldest queued job).
 type Op = (u8, u8, u8);
 
-fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..4, 0u8..3, 0u8..8), 0..256)
+fn ops(rng: &mut Rng) -> Vec<Op> {
+    rng.vec(0..256, |r| {
+        (r.range(0u8..4), r.range(0u8..3), r.range(0u8..8))
+    })
 }
 
-proptest! {
-    #[test]
-    fn no_admitted_job_is_ever_lost_and_drain_is_fair(ops in ops_strategy()) {
+#[test]
+fn no_admitted_job_is_ever_lost_and_drain_is_fair() {
+    cases(256, |rng| {
+        let ops = ops(rng);
         let mut s = Scheduler::new(cfg());
         let mut next_id = 0u64;
         // Jobs admitted and still queued, by id → tenant. The scheduler's
         // queue must always equal this set.
         let mut queued: BTreeMap<u64, &'static str> = BTreeMap::new();
-        let (mut admitted, mut dispatched, mut shed, mut canceled) = (0usize, 0usize, 0usize, 0usize);
+        let (mut admitted, mut dispatched, mut shed, mut canceled) =
+            (0usize, 0usize, 0usize, 0usize);
 
         for (t, p, op) in ops {
             let tenant = TENANTS[t as usize];
@@ -55,7 +59,7 @@ proptest! {
                             admitted += 1;
                             queued.insert(id.0, tenant);
                             if let Some(v) = victim {
-                                prop_assert!(
+                                assert!(
                                     queued.remove(&v.id.0).is_some(),
                                     "shed a job that was not queued: {v:?}"
                                 );
@@ -67,7 +71,7 @@ proptest! {
                 }
                 6 => {
                     if let Some(id) = s.next() {
-                        prop_assert!(
+                        assert!(
                             queued.remove(&id.0).is_some(),
                             "dispatched unknown job {id}"
                         );
@@ -76,13 +80,13 @@ proptest! {
                 }
                 _ => {
                     if let Some((&id, _)) = queued.iter().next() {
-                        prop_assert!(s.cancel(JobId(id)).is_some());
+                        assert!(s.cancel(JobId(id)).is_some());
                         queued.remove(&id);
                         canceled += 1;
                     }
                 }
             }
-            prop_assert_eq!(s.total_depth(), queued.len());
+            assert_eq!(s.total_depth(), queued.len());
         }
 
         // Drain: every remaining job must dispatch, and while a tenant has
@@ -91,30 +95,32 @@ proptest! {
         let mut waits: BTreeMap<&'static str, usize> = queued.values().map(|&t| (t, 0)).collect();
         while let Some(id) = s.next() {
             let Some(tenant) = queued.remove(&id.0) else {
-                prop_assert!(false, "drain dispatched unknown job {id}");
-                return Ok(());
+                panic!("drain dispatched unknown job {id}");
             };
             dispatched += 1;
             waits.insert(tenant, 0);
             for (&t, wait) in waits.iter_mut() {
                 if t != tenant && queued.values().any(|&q| q == t) {
                     *wait += 1;
-                    prop_assert!(
+                    assert!(
                         *wait <= bound,
                         "tenant {t} starved for {wait} > {bound} dispatches"
                     );
                 }
             }
         }
-        prop_assert!(queued.is_empty(), "jobs lost in the scheduler: {queued:?}");
+        assert!(queued.is_empty(), "jobs lost in the scheduler: {queued:?}");
         // Conservation: every queued admission has exactly one fate.
-        prop_assert_eq!(admitted, dispatched + shed + canceled);
-    }
+        assert_eq!(admitted, dispatched + shed + canceled);
+    });
+}
 
-    #[test]
-    fn backpressure_outcomes_are_deterministic(ops in ops_strategy()) {
-        prop_assert_eq!(trace(&ops), trace(&ops));
-    }
+#[test]
+fn backpressure_outcomes_are_deterministic() {
+    cases(256, |rng| {
+        let ops = ops(rng);
+        assert_eq!(trace(&ops), trace(&ops));
+    });
 }
 
 /// Replays a schedule and records every observable outcome.

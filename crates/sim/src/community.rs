@@ -1,9 +1,7 @@
 //! Community abundance profiles.
 
 use crate::error::SimError;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use fc_rng::Rng;
 
 /// Relative abundances over the genera of a taxonomy.
 ///
@@ -39,11 +37,11 @@ impl CommunityProfile {
     /// order-of-magnitude spreads.
     pub fn log_normal(n: usize, sigma: f64, seed: u64) -> CommunityProfile {
         assert!(n > 0, "community needs at least one genus");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut abundances: Vec<f64> = (0..n)
             .map(|_| {
                 // Approximate a standard normal with the sum of 12 uniforms.
-                let z: f64 = (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0;
+                let z: f64 = (0..12).map(|_| rng.f64()).sum::<f64>() - 6.0;
                 (sigma * z).exp()
             })
             .collect();

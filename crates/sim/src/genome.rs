@@ -1,10 +1,8 @@
 //! Random genomes and mutation models.
 
 use crate::error::SimError;
+use fc_rng::Rng;
 use fc_seq::{Base, DnaString};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Parameters for generating a random genome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,15 +104,15 @@ impl MutationModel {
 /// Generates a uniformly random genome, then inserts dispersed repeat copies
 /// if configured. Deterministic in `seed`.
 pub fn random_genome(config: &GenomeConfig, seed: u64) -> DnaString {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut genome: DnaString = (0..config.length)
-        .map(|_| Base::from_code(rng.gen_range(0..4)))
+        .map(|_| Base::from_code(rng.range(0..4)))
         .collect();
     if config.repeat_copies > 1 && config.repeat_len > 0 && config.repeat_len < config.length {
-        let unit_start = rng.gen_range(0..config.length - config.repeat_len);
+        let unit_start = rng.range(0..config.length - config.repeat_len);
         let unit = genome.slice(unit_start, unit_start + config.repeat_len);
         for _ in 1..config.repeat_copies {
-            let at = rng.gen_range(0..genome.len() - config.repeat_len);
+            let at = rng.range(0..genome.len() - config.repeat_len);
             for (i, b) in unit.iter().enumerate() {
                 genome.set(at + i, b);
             }
@@ -129,12 +127,12 @@ pub fn random_genome(config: &GenomeConfig, seed: u64) -> DnaString {
 /// `model.segment_len`; the conserved share is controlled by
 /// `model.conserved_fraction`.
 pub fn mutate_genome(parent: &DnaString, model: &MutationModel, seed: u64) -> DnaString {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut out = DnaString::with_capacity(parent.len());
     let mut pos = 0usize;
     while pos < parent.len() {
-        let conserved = rng.gen_bool(model.conserved_fraction);
-        let seg_len = (model.segment_len / 2) + rng.gen_range(0..model.segment_len.max(1));
+        let conserved = rng.bool(model.conserved_fraction);
+        let seg_len = (model.segment_len / 2) + rng.range(0..model.segment_len.max(1));
         let end = (pos + seg_len).min(parent.len());
         let sub_rate = if conserved {
             model.conserved_divergence
@@ -144,16 +142,16 @@ pub fn mutate_genome(parent: &DnaString, model: &MutationModel, seed: u64) -> Dn
         for i in pos..end {
             // Indels first: a deletion skips the base, an insertion emits a
             // random base before it.
-            if model.indel_rate > 0.0 && rng.gen_bool(model.indel_rate) {
-                if rng.gen_bool(0.5) {
+            if model.indel_rate > 0.0 && rng.bool(model.indel_rate) {
+                if rng.bool(0.5) {
                     continue; // deletion
                 }
-                out.push(Base::from_code(rng.gen_range(0..4))); // insertion
+                out.push(Base::from_code(rng.range(0..4))); // insertion
             }
             let base = parent.get(i);
-            if sub_rate > 0.0 && rng.gen_bool(sub_rate) {
+            if sub_rate > 0.0 && rng.bool(sub_rate) {
                 let others = base.others();
-                out.push(others[rng.gen_range(0..3)]);
+                out.push(others[rng.range(0..3)]);
             } else {
                 out.push(base);
             }

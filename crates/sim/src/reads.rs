@@ -1,10 +1,8 @@
 //! Shotgun read simulation with an Illumina-like error/quality model.
 
 use crate::error::SimError;
-use fc_seq::{Base, DnaString, QualityScores, Read};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use fc_rng::Rng;
+use fc_seq::{DnaString, QualityScores, Read};
 
 /// Ground truth for one simulated read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,11 +133,11 @@ pub fn simulate_reads_to(
             read_len: config.read_len,
         });
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let max_start = genome.len() - config.read_len;
     for r in 0..count {
-        let position = rng.gen_range(0..=max_start);
-        let reverse = rng.gen_bool(config.reverse_strand_probability);
+        let position = rng.range(0..=max_start);
+        let reverse = rng.bool(config.reverse_strand_probability);
         let template = {
             let fwd = genome.slice(position, position + config.read_len);
             if reverse {
@@ -148,7 +146,7 @@ pub fn simulate_reads_to(
                 fwd
             }
         };
-        let bad_tail = rng.gen_bool(config.bad_tail_probability);
+        let bad_tail = rng.bool(config.bad_tail_probability);
         let mut seq = DnaString::with_capacity(config.read_len);
         let mut quals = Vec::with_capacity(config.read_len);
         for i in 0..config.read_len {
@@ -160,15 +158,15 @@ pub fn simulate_reads_to(
                 config.error_rate_at(i)
             };
             let base = template.get(i);
-            if err > 0.0 && rng.gen_bool(err) {
+            if err > 0.0 && rng.bool(err) {
                 let others = base.others();
-                seq.push(others[rng.gen_range(0..3)]);
+                seq.push(others[rng.range(0..3)]);
             } else {
                 seq.push(base);
             }
             // Phred of the modelled error rate, with +-2 jitter.
             let q = fc_seq::quality::error_probability_to_phred(err.max(1e-4)) as i32
-                + rng.gen_range(-2..=2);
+                + rng.range(-2..=2);
             quals.push(q.clamp(2, 41) as u8);
         }
         sink(
@@ -200,11 +198,6 @@ pub fn mismatches_vs_template(genome: &DnaString, read: &Read, origin: &ReadOrig
     (0..len)
         .filter(|&i| template.get(i) != read.seq.get(i))
         .count()
-}
-
-/// Expands a genome slice choice shared by tests: random base helper.
-pub fn random_base(rng: &mut impl Rng) -> Base {
-    Base::from_code(rng.gen_range(0..4))
 }
 
 #[cfg(test)]

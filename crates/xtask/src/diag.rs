@@ -38,6 +38,9 @@ pub enum Rule {
     /// `fs::read_to_string`, `read_to_end`, `read_to_string`) in non-test
     /// library code; data paths must stream through bounded buffers.
     UnboundedRead,
+    /// FC012 — a dependency entry in the root manifest or a `crates/*`
+    /// manifest that is neither `path = …` nor `workspace = true`.
+    RegistryCrate,
 }
 
 impl Rule {
@@ -55,6 +58,7 @@ impl Rule {
             Rule::LockOrder => "FC009",
             Rule::UnsafeHygiene => "FC010",
             Rule::UnboundedRead => "FC011",
+            Rule::RegistryCrate => "FC012",
         }
     }
 
@@ -72,6 +76,7 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::UnsafeHygiene => "unsafe-hygiene",
             Rule::UnboundedRead => "no-unbounded-read",
+            Rule::RegistryCrate => "no-registry-crate",
         }
     }
 
@@ -89,12 +94,13 @@ impl Rule {
             "lock-order" => Some(Rule::LockOrder),
             "unsafe-hygiene" => Some(Rule::UnsafeHygiene),
             "no-unbounded-read" => Some(Rule::UnboundedRead),
+            "no-registry-crate" => Some(Rule::RegistryCrate),
             _ => None,
         }
     }
 
     /// All rules, for `--list-rules`.
-    pub fn all() -> [Rule; 11] {
+    pub fn all() -> [Rule; 12] {
         [
             Rule::NoPanic,
             Rule::StringError,
@@ -107,6 +113,7 @@ impl Rule {
             Rule::LockOrder,
             Rule::UnsafeHygiene,
             Rule::UnboundedRead,
+            Rule::RegistryCrate,
         ]
     }
 
@@ -166,6 +173,11 @@ impl Rule {
                  input, so one oversized file defeats every memory budget; data \
                  paths must stream through bounded buffers (BufReader, Read::take, \
                  the paged store), with small fixed-size records allowlisted"
+            }
+            Rule::RegistryCrate => {
+                "the workspace must build where it is cloned, with no network and \
+                 an empty registry: every dependency is a path inside the \
+                 repository, named directly or through `[workspace.dependencies]`"
             }
         }
     }

@@ -46,6 +46,12 @@
 //!   budget (DESIGN.md §16). Stream through bounded buffers, cap with
 //!   `Read::take`, or allowlist a provably small input with a reason.
 //!
+//! One rule reads manifests instead of sources:
+//!
+//! * **FC012 `no-registry-crate`** — every dependency entry in the root
+//!   manifest and in each `crates/*/Cargo.toml` is `path = …` or
+//!   `workspace = true`, so the workspace builds offline from a clean clone.
+//!
 //! Justified exceptions live in `xtask/allow.toml`, each with a mandatory
 //! `reason`; entries that no longer match anything are themselves errors,
 //! so suppressions cannot rot. The binary exits nonzero on any unsuppressed
@@ -124,6 +130,10 @@ pub fn analyze_workspace(root: &Path, allow_path: &Path) -> Result<Analysis, Str
         }
     }
     raw.extend(locks.finish());
+    for rel in workspace::manifests(root).map_err(|e| format!("scanning manifests: {e}"))? {
+        let text = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
+        raw.extend(rules::registry_crates(&rel, &text));
+    }
 
     // Byte-stable output: one canonical order regardless of platform or
     // directory-walk order.

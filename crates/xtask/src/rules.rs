@@ -1,7 +1,7 @@
 //! The Focus-specific lint rules, run over one lexed source file (FC001,
 //! FC002, FC004, FC005, FC006, and the path-aware FC007/FC008/FC010/FC011)
-//! or one crate's module list (FC003). FC009, the cross-crate lock-order
-//! audit, lives in [`crate::lockorder`].
+//! or one crate's module list (FC003) or one manifest (FC012). FC009, the
+//! cross-crate lock-order audit, lives in [`crate::lockorder`].
 
 use crate::diag::{Diagnostic, Rule};
 use crate::items::{self, paths, CrateItems, FileItems};
@@ -96,6 +96,55 @@ pub fn module_collisions(crate_rel: &str, stems: &[(String, String)]) -> Vec<Dia
         }
     }
     out
+}
+
+/// Flags every dependency a manifest takes from a registry (FC012): an entry
+/// of a table whose name ends in `dependencies` (`[workspace.dependencies]`,
+/// `[dev-dependencies]`, …) — inline (`name = …`) or as its own
+/// `[dependencies.name]` table — must say `path = …` or `workspace = true`.
+pub fn registry_crates(rel_path: &str, manifest: &str) -> Vec<Diagnostic> {
+    let local = |text: &str| {
+        let text: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+        text.contains("path=") || text.contains("workspace=true")
+    };
+    // (line, text, is it local?) per dependency entry; the lines of a
+    // `[dependencies.name]` table fold into that table's entry.
+    let mut entries: Vec<(usize, &str, bool)> = Vec::new();
+    let (mut in_table, mut in_entry) = (false, false);
+    for (i, raw) in manifest.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']').trim();
+            in_table = header.ends_with("dependencies");
+            in_entry = header
+                .rsplit_once('.')
+                .is_some_and(|(parent, _)| parent.ends_with("dependencies"));
+            if in_entry {
+                entries.push((i + 1, raw, false));
+            }
+        } else if in_entry {
+            if let Some(entry) = entries.last_mut() {
+                entry.2 |= local(line);
+            }
+        } else if in_table && line.contains('=') {
+            entries.push((i + 1, raw, local(line)));
+        }
+    }
+    entries
+        .into_iter()
+        .filter(|&(_, _, is_local)| !is_local)
+        .map(|(line, text, _)| Diagnostic {
+            rule: Rule::RegistryCrate,
+            path: rel_path.to_string(),
+            line,
+            col: 1,
+            message: "dependency is neither `path = …` nor `workspace = true`".to_string(),
+            snippet: Some(text.to_string()),
+            help: "there is no registry where this workspace is built; use an in-tree \
+                   crate (fc-rng for randomness and seeded test cases) or the standard library"
+                .to_string(),
+        })
+        .collect()
 }
 
 /// Marks every token inside `#[cfg(test)]` items, `#[test]` functions, and

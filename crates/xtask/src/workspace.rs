@@ -73,6 +73,20 @@ pub fn lint_crates(root: &Path) -> std::io::Result<Vec<LintCrate>> {
     Ok(out)
 }
 
+/// The manifests the registry-crate rule reads: the root's and every
+/// `crates/*`'s (the bench harness and this tool included),
+/// workspace-relative. Findings are sorted by the caller.
+pub fn manifests(root: &Path) -> std::io::Result<Vec<String>> {
+    let mut out = vec!["Cargo.toml".to_string()];
+    for entry in fs::read_dir(root.join("crates"))? {
+        let rel = format!("crates/{}/Cargo.toml", entry?.file_name().to_string_lossy());
+        if root.join(&rel).is_file() {
+            out.push(rel);
+        }
+    }
+    Ok(out)
+}
+
 /// First `name = "..."` in the `[package]` section.
 fn package_name(manifest: &str) -> Option<String> {
     let mut in_package = false;

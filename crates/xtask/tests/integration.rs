@@ -80,6 +80,32 @@ fn unboundedread_report_matches_golden_file() {
     );
 }
 
+/// FC012 reads manifests: inline entries, `[dependencies.name]` tables and
+/// `[workspace.dependencies]` are all covered; `name.workspace = true`, a
+/// trailing comment and non-dependency tables are not findings.
+#[test]
+fn registrydeps_fixture_is_flagged_and_pathdeps_fixture_is_clean() {
+    let (analysis, _) = run("registrydeps");
+    let found: Vec<(&str, &str, usize)> = analysis
+        .violations
+        .iter()
+        .map(|d| (d.rule.code(), d.path.as_str(), d.line))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            ("FC012", "Cargo.toml", 7),              // serde = "1"
+            ("FC012", "crates/demo/Cargo.toml", 8),  // libc = { version = … }
+            ("FC012", "crates/demo/Cargo.toml", 10), // [dev-dependencies.criterion]
+            ("FC012", "crates/demo/Cargo.toml", 15), // cc = "1"
+        ],
+        "{:#?}",
+        analysis.violations
+    );
+    let (analysis, codes) = run("pathdeps");
+    assert!(codes.is_empty(), "{:#?}", analysis.violations);
+}
+
 #[test]
 fn lockcycle_fixture_reports_the_two_lock_cycle() {
     let (analysis, codes) = run("lockcycle");

@@ -10,6 +10,7 @@
 //! checkpoint directory that fails mid-run (ENOSPC, unwritable) degrades
 //! checkpointing without taking the assembly down.
 
+use fc_rng::cases;
 use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
 use focus_assembler::ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, Codec, LoadOutcome};
 use focus_assembler::dist::DistPhaseState;
@@ -18,20 +19,16 @@ use focus_assembler::focus::{
     CkptPhase, FaultInjection, FocusAssembler, FocusConfig,
 };
 use focus_assembler::obs::ObsOptions;
-use focus_assembler::seq::{Base, DnaString, Read};
-use proptest::prelude::*;
+use focus_assembler::seq::{DnaString, Read};
+use focus_assembler::sim::genome::{random_genome, GenomeConfig};
 use std::path::PathBuf;
 
 fn genome(len: usize, seed: u64) -> DnaString {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            Base::from_code((state >> 5) as u8 & 3)
-        })
-        .collect()
+    let config = GenomeConfig {
+        length: len,
+        ..GenomeConfig::default()
+    };
+    random_genome(&config, seed)
 }
 
 fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
@@ -321,22 +318,23 @@ fn assert_reencodes<T: Codec>(bytes: &[u8], what: &str) {
     assert_eq!(encode_to_vec(&back), bytes, "{what} re-encodes differently");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Satellite: serialize→deserialize round trip for every phase
-    /// payload, over randomly generated pipelines.
-    #[test]
-    fn every_phase_payload_round_trips(seed in 0u64..1_000, len in 1_800usize..2_600) {
+/// Satellite: serialize→deserialize round trip for every phase
+/// payload, over randomly generated pipelines.
+#[test]
+fn every_phase_payload_round_trips() {
+    cases(3, |rng| {
+        let (seed, len) = (rng.range(0u64..1_000), rng.range(1_800usize..2_600));
         let reads = tiled_reads(len, seed);
         let config = chaos_config();
         let assembler = FocusAssembler::new(config).unwrap();
         let Ok(prepared) = assembler.prepare(&reads) else {
             // Some tiny random genomes assemble to nothing; skip those.
-            return Ok(());
+            return;
         };
         assert_reencodes::<focus_assembler::seq::ReadStore>(
-            &encode_to_vec(&prepared.store), "ReadStore");
+            &encode_to_vec(&prepared.store),
+            "ReadStore",
+        );
         type AlignmentCkpt = (
             Vec<focus_assembler::align::Overlap>,
             Vec<(usize, usize, focus_assembler::align::PairStats)>,
@@ -344,12 +342,18 @@ proptest! {
         let alignment: AlignmentCkpt = (prepared.overlaps.clone(), prepared.pair_stats.clone());
         assert_reencodes::<AlignmentCkpt>(&encode_to_vec(&alignment), "alignment payload");
         assert_reencodes::<focus_assembler::graph::MultilevelSet>(
-            &encode_to_vec(&prepared.multilevel), "MultilevelSet");
+            &encode_to_vec(&prepared.multilevel),
+            "MultilevelSet",
+        );
         assert_reencodes::<focus_assembler::graph::HybridSet>(
-            &encode_to_vec(&prepared.hybrid), "HybridSet");
+            &encode_to_vec(&prepared.hybrid),
+            "HybridSet",
+        );
         let partition = assembler.assemble_prepared(&prepared, 4).unwrap().partition;
         assert_reencodes::<focus_assembler::partition::PartitionResult>(
-            &encode_to_vec(&partition), "PartitionResult");
+            &encode_to_vec(&partition),
+            "PartitionResult",
+        );
 
         // Distributed phase states: pull the real ones off a checkpointed
         // run and round-trip each through the wire format.
@@ -364,23 +368,23 @@ proptest! {
         for phase in &CkptPhase::ALL[5..] {
             match store.load(phase.id(), phase.name()) {
                 LoadOutcome::Loaded(records) => {
-                    prop_assert_eq!(records.len(), 2);
+                    assert_eq!(records.len(), 2);
                     assert_reencodes::<DistPhaseState>(&records[0], phase.name());
                 }
                 other => panic!("{}: expected Loaded, got {other:?}", phase.name()),
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Crashing at a random phase with a random single write fault still
-    /// resumes to the clean answer.
-    #[test]
-    fn random_crash_point_with_a_random_write_fault_still_resumes(
-        phase_idx in 0usize..9,
-        fault_op in 0u64..9,
-        flip in 0u64..2,
-    ) {
+/// Crashing at a random phase with a random single write fault still
+/// resumes to the clean answer.
+#[test]
+fn random_crash_point_with_a_random_write_fault_still_resumes() {
+    cases(3, |rng| {
+        let (phase_idx, fault_op, flip) =
+            (rng.range(0usize..9), rng.range(0u64..9), rng.range(0u64..2));
         let reads = tiled_reads(2_200, 19);
         let clean = FocusAssembler::new(chaos_config())
             .unwrap()
@@ -398,14 +402,14 @@ proptest! {
         opts.fs_faults = FsFaultPlan::none().fail_write(fault_op, fault);
         let (outcome, _) = run_ckpt(&reads, &opts);
         match outcome {
-            AssemblyOutcome::Stopped(p) => prop_assert_eq!(p, phase),
-            AssemblyOutcome::Completed(_) => prop_assert!(false, "did not stop"),
+            AssemblyOutcome::Stopped(p) => assert_eq!(p, phase),
+            AssemblyOutcome::Completed(_) => panic!("did not stop"),
         }
         let mut resume = CheckpointOptions::in_dir(&dir);
         resume.resume = true;
         let resumed = completed(run_ckpt(&reads, &resume).0);
-        prop_assert_eq!(&resumed.contigs, &clean.contigs);
-        prop_assert_eq!(&resumed.report.fault, &clean.report.fault);
+        assert_eq!(&resumed.contigs, &clean.contigs);
+        assert_eq!(&resumed.report.fault, &clean.report.fault);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

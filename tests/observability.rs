@@ -2,24 +2,21 @@
 //! thread counts (the fc-obs logical-clock contract), sink validity against
 //! the pure-std schema checkers, and the disabled-recorder null guarantee.
 
+use fc_rng::cases;
 use focus_assembler::focus::{FaultInjection, FocusAssembler, FocusConfig};
 use focus_assembler::obs::{
     check_chrome_trace, check_jsonl_events, check_metrics_snapshot, human_report,
     profile_chrome_trace, write_chrome_trace, write_jsonl, ObsOptions, ProfileReport, SegmentKind,
 };
 use focus_assembler::seq::Read;
-use proptest::prelude::*;
+use focus_assembler::sim::genome::{random_genome, GenomeConfig};
 
 fn genome(len: usize, seed: u64) -> focus_assembler::seq::DnaString {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            focus_assembler::seq::Base::from_code((state >> 5) as u8 & 3)
-        })
-        .collect()
+    let config = GenomeConfig {
+        length: len,
+        ..GenomeConfig::default()
+    };
+    random_genome(&config, seed)
 }
 
 fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
@@ -184,40 +181,38 @@ fn disabled_recorder_produces_empty_everything() {
     assert!(assembler.recorder().snapshot().is_empty());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// The tentpole determinism contract: with logical-clock observability,
-    /// two runs at *any* `--threads` setting produce byte-identical metric
-    /// snapshots. Genome seeds vary per case; every thread count in
-    /// {1, 2, 4, 8} must agree with the serial baseline.
-    #[test]
-    fn metric_snapshots_are_byte_identical_across_thread_counts(seed in 1u64..1000) {
+/// The tentpole determinism contract: with logical-clock observability,
+/// two runs at *any* `--threads` setting produce byte-identical metric
+/// snapshots. Genome seeds vary per case; every thread count in
+/// {1, 2, 4, 8} must agree with the serial baseline.
+#[test]
+fn metric_snapshots_are_byte_identical_across_thread_counts() {
+    cases(3, |rng| {
+        let seed = rng.range(1u64..1000);
         let reads = tiled_reads(1800, seed);
         let baseline = snapshot_at(&reads, 1);
-        prop_assert!(baseline.contains("\"schema\": \"focus-metrics-v1\""));
+        assert!(baseline.contains("\"schema\": \"focus-metrics-v1\""));
         // Scheduling metrics never leak into the deterministic snapshot.
-        prop_assert!(!baseline.contains("sched."));
+        assert!(!baseline.contains("sched."));
         for threads in [2usize, 4, 8] {
             let snapshot = snapshot_at(&reads, threads);
-            prop_assert_eq!(
-                &snapshot,
-                &baseline,
+            assert_eq!(
+                &snapshot, &baseline,
                 "snapshot at {} threads diverged from serial",
                 threads
             );
         }
-    }
+    });
+}
 
-    /// Causality invariants hold for arbitrary fault schedules: the span
-    /// DAG reconstructs acyclically, the critical path stays within the
-    /// run wall and above the longest phase, and the machine report is
-    /// byte-stable — at every thread count.
-    #[test]
-    fn causal_profiles_are_sound_under_arbitrary_fault_seeds(
-        genome_seed in 1u64..1000,
-        fault_seed in any::<u64>(),
-    ) {
+/// Causality invariants hold for arbitrary fault schedules: the span
+/// DAG reconstructs acyclically, the critical path stays within the
+/// run wall and above the longest phase, and the machine report is
+/// byte-stable — at every thread count.
+#[test]
+fn causal_profiles_are_sound_under_arbitrary_fault_seeds() {
+    cases(3, |rng| {
+        let (genome_seed, fault_seed) = (rng.range(1u64..1000), rng.next_u64());
         let reads = tiled_reads(1800, genome_seed);
         for threads in [1usize, 2, 4, 8] {
             let Some(trace) = faulted_trace(&reads, threads, fault_seed) else {
@@ -226,13 +221,13 @@ proptest! {
             };
             let report = match profile_chrome_trace(&trace) {
                 Ok(r) => r,
-                Err(e) => return Err(TestCaseError::fail(format!("{threads} threads: {e}"))),
+                Err(e) => panic!("{threads} threads: {e}"),
             };
             assert_causality_invariants(&report);
-            prop_assert_eq!(
+            assert_eq!(
                 profile_chrome_trace(&trace).unwrap().to_json(),
                 report.to_json()
             );
         }
-    }
+    });
 }

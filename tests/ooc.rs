@@ -11,27 +11,24 @@
 //! the budget gate rejects in-core runs that genuinely do not fit while
 //! the spilled path completes under the same budget.
 
+use fc_rng::cases;
 use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
 use focus_assembler::focus::{
     AssemblyOutcome, AssemblyResult, CheckpointOptions, CkptPhase, FaultInjection, FocusAssembler,
     FocusConfig, FocusError, OocOptions,
 };
 use focus_assembler::obs::ObsOptions;
-use focus_assembler::seq::{fastq, Base, DnaString, Read, ReadStore};
-use proptest::prelude::*;
+use focus_assembler::seq::{fastq, DnaString, Read, ReadStore};
+use focus_assembler::sim::genome::{random_genome, GenomeConfig};
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 fn genome(len: usize, seed: u64) -> DnaString {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            Base::from_code((state >> 5) as u8 & 3)
-        })
-        .collect()
+    let config = GenomeConfig {
+        length: len,
+        ..GenomeConfig::default()
+    };
+    random_genome(&config, seed)
 }
 
 fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
@@ -347,28 +344,29 @@ fn budget_rejects_in_core_but_admits_spilled() {
     let _ = std::fs::remove_dir_all(&spill);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The headline invariant as a property: random genomes, random
-    /// thread counts — spilled output and logical snapshot equal in-core.
-    #[test]
-    fn spilled_identity_holds_for_random_genomes(
-        seed in 1u64..1000,
-        threads_ix in 0usize..4,
-    ) {
+/// The headline invariant as a property: random genomes, random
+/// thread counts — spilled output and logical snapshot equal in-core.
+#[test]
+fn spilled_identity_holds_for_random_genomes() {
+    cases(4, |rng| {
+        let (seed, threads_ix) = (rng.range(1u64..1000), rng.range(0usize..4));
         let threads = [1usize, 2, 4, 8][threads_ix];
-        let (input, parsed) = fastq_fixture(&format!("prop-{seed}-{threads}"), &tiled_reads(2000, seed));
+        let (input, parsed) =
+            fastq_fixture(&format!("prop-{seed}-{threads}"), &tiled_reads(2000, seed));
         let (clean, clean_snapshot) = run_clean(&parsed, threads);
         let spill = temp_dir(&format!("prop-spill-{seed}-{threads}"));
         let mut config = ooc_config(threads);
         config.memory_budget = Some(1 << 30);
-        let (assembler, outcome) =
-            run_ooc(config, &input, &CheckpointOptions::default(), &OocOptions::in_dir(&spill));
+        let (assembler, outcome) = run_ooc(
+            config,
+            &input,
+            &CheckpointOptions::default(),
+            &OocOptions::in_dir(&spill),
+        );
         let result = completed(outcome.unwrap());
-        prop_assert_eq!(&result.contigs, &clean.contigs);
-        prop_assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+        assert_eq!(&result.contigs, &clean.contigs);
+        assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
         let _ = std::fs::remove_dir_all(&spill);
         let _ = std::fs::remove_dir_all(input.parent().unwrap());
-    }
+    });
 }

@@ -12,7 +12,8 @@ use focus_assembler::focus::{
     AssemblyOutcome, CheckpointOptions, FocusAssembler, FocusConfig, OocOptions,
 };
 use focus_assembler::obs::ObsOptions;
-use focus_assembler::seq::{fastq, Base, DnaString, Read};
+use focus_assembler::seq::{fastq, DnaString, Read};
+use focus_assembler::sim::genome::{random_genome, GenomeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -65,15 +66,11 @@ fn peak_over<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 fn genome(len: usize, seed: u64) -> DnaString {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            Base::from_code((state >> 5) as u8 & 3)
-        })
-        .collect()
+    let config = GenomeConfig {
+        length: len,
+        ..GenomeConfig::default()
+    };
+    random_genome(&config, seed)
 }
 
 fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {

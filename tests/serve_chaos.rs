@@ -11,7 +11,8 @@
 //! the actual release artifact (`CARGO_BIN_EXE_focus`), driven over real
 //! sockets with a hand-rolled HTTP/1.1 client.
 
-use focus_assembler::seq::{fastq, Base, DnaString, Read};
+use focus_assembler::seq::{fastq, DnaString, Read};
+use focus_assembler::sim::genome::{random_genome, GenomeConfig};
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -19,15 +20,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn genome(len: usize, seed: u64) -> DnaString {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            Base::from_code((state >> 5) as u8 & 3)
-        })
-        .collect()
+    let config = GenomeConfig {
+        length: len,
+        ..GenomeConfig::default()
+    };
+    random_genome(&config, seed)
 }
 
 /// Overlapping 100 bp reads tiled every 50 bp, serialized as FASTQ bytes —
