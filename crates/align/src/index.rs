@@ -6,18 +6,41 @@
 //! the one configured `k`, and diagonal voting is indifferent to the order
 //! the occurrences come back in, so suffix order buys nothing. [`KmerIndex`]
 //! keeps the subset's reads concatenated at two bits per base and one `u32`
-//! per in-read k-mer start, grouped by a directory over the k-mer's first
-//! `p` bases with each group sorted by `(k-mer, position)`. A lookup is one
-//! directory read plus a short scan comparing 64-bit windows of the packed
-//! text; it returns the same hit multiset the suffix-array interval did
-//! (DESIGN.md §2).
+//! entry per in-read k-mer start, grouped by a directory over the k-mer's
+//! first `p` bases with each group sorted by `(k-mer, entry)`.
+//!
+//! An entry is `read << off_bits | offset`: the read's rank in the subset
+//! above the k-mer's offset within it, `off_bits` wide enough for the
+//! subset's longest read. Ranks follow concatenation order, so entry order
+//! *is* position order, and a hit is decoded with a shift and a mask — no
+//! search over the read boundaries. The price is the capacity rule
+//! `reads << off_bits <= 2^32` (asserted in [`KmerIndex::build`] beside
+//! `bases <= u32::MAX`): 33 million reads of up to 128 bases, or one
+//! million of up to 4 096.
+//!
+//! One bit per entry (`run_start`, plus a sentinel bit past the last entry)
+//! marks where a run of equal k-mers starts. A lookup is one directory read,
+//! then one 64-bit window of the packed text per *distinct* k-mer it passes:
+//! it walks the bucket's run starts (a binary search takes over after
+//! [`RUN_WALK_MAX`] of them), stops at the first k-mer not below the query,
+//! and returns that run whole — its other entries were proven equal when
+//! the bucket was sorted. It returns the same hit multiset the suffix-array
+//! interval did (DESIGN.md §2).
 
 use fc_seq::packed::BASES_PER_WORD;
 use fc_seq::{DnaString, ReadId};
 
-/// Buckets up to this long are scanned outright; longer ones (repeats that
-/// share their first `p` bases) are narrowed by binary search first.
-const LINEAR_SCAN_MAX: usize = 8;
+/// Run starts a lookup walks from the front of its bucket before it
+/// binary-searches what is left, so a lookup derives at most this many
+/// k-mers plus `log2` of the bucket. Measured on `focus-bench`'s `incore-t1`
+/// (8x coverage, both strands; 1 657 810 lookups): a bucket holds 4–8 runs,
+/// the walk derives 3.05 k-mers a lookup and 98.3 % of lookups end within 8,
+/// where searching every bucket longer than 8 entries first — the rule this
+/// replaced — pays `log2(len) + 1 >= 5`: seed + vote 0.21–0.25 s against
+/// 0.16–0.20 s (medians of 25, four alternated runs each). The search is
+/// for the other regime, a bucket of many distinct k-mers (low coverage, a
+/// low-complexity prefix), which the ruler does not have.
+const RUN_WALK_MAX: usize = 8;
 
 /// K-mer positions of one read subset, for one `k`.
 #[derive(Debug, Clone)]
@@ -25,9 +48,13 @@ pub struct KmerIndex {
     /// The reads' bases back to back, 32 per word, then one zero word so a
     /// window starting at the last base needs no bounds case.
     words: Vec<u64>,
-    /// Every in-read k-mer start (a base offset into `words`), grouped by
-    /// bucket, each bucket sorted by `(k-mer, position)`.
+    /// Every in-read k-mer start as `read << off_bits | offset`, grouped by
+    /// bucket, each bucket sorted by `(k-mer, entry)`.
     positions: Vec<u32>,
+    /// Bit `i` is set where `positions[i]` starts a run of equal k-mers (a
+    /// bucket's first entry always does); bit `positions.len()` is a
+    /// sentinel, so the search for the next run start always ends.
+    run_start: Vec<u64>,
     /// Bucket `b` — the k-mers whose first `p` bases pack to `b` — is
     /// `positions[dir[b]..dir[b + 1]]`; `dir.len() == 4^p + 1`.
     dir: Vec<u32>,
@@ -37,6 +64,10 @@ pub struct KmerIndex {
     ids: Vec<ReadId>,
     /// The low `2k` bits.
     kmer_mask: u64,
+    /// Width of an entry's offset field.
+    off_bits: u32,
+    /// The low `off_bits` bits.
+    off_mask: u32,
 }
 
 /// The 32 bases starting at `pos`, first base in the lowest bits.
@@ -56,6 +87,11 @@ fn words_for(bases: usize) -> usize {
     bases.div_ceil(BASES_PER_WORD) + 1
 }
 
+/// Words of run-start bits for `kmers` entries and the sentinel.
+fn run_words_for(kmers: usize) -> usize {
+    kmers / 64 + 1
+}
+
 /// Directory width in bases: the largest `p <= k` with `4^p <= kmers / 2`,
 /// so the directory never outweighs half the positions it points into and
 /// shrinks with the subset.
@@ -67,23 +103,33 @@ fn dir_bases(kmers: usize, k: usize) -> usize {
     p
 }
 
-/// Every position where a k-mer lies inside one read.
-fn kmer_starts(read_starts: &[u32], k: usize) -> impl Iterator<Item = u32> + '_ {
-    read_starts
-        .windows(2)
-        .flat_map(move |w| w[0]..w[1].saturating_sub(k as u32 - 1))
+/// Width of the offset field for a subset of `reads` reads whose longest
+/// has `longest` bases.
+///
+/// # Panics
+/// Panics if `reads << width` exceeds `2^32`: a read's rank above that
+/// field no longer fits a `u32` entry.
+fn offset_bits(reads: usize, longest: usize) -> u32 {
+    let bits = usize::BITS - longest.saturating_sub(1).leading_zeros();
+    assert!(
+        (reads as u128) << bits <= 1 << 32,
+        "{reads} reads of up to {longest} bases do not fit u32 (read, offset) entries"
+    );
+    bits
 }
 
 impl KmerIndex {
     /// Indexes the k-mers of `reads` (id + sequence pairs).
     ///
     /// Two counting passes size the position array and its buckets, a third
-    /// pass scatters, and each bucket is sorted in place: nothing is
-    /// allocated beyond the arrays the index keeps.
+    /// pass scatters, and each bucket is then keyed by k-mer into one reused
+    /// scratch vector (as long as the longest bucket, dropped on return),
+    /// sorted, written back and run-marked.
     ///
     /// # Panics
-    /// Panics if `k` is outside `1..=32` or the subset has `2^32` bases or
-    /// more.
+    /// Panics if `k` is outside `1..=32`, the subset has `2^32` bases or
+    /// more, or `reads << off_bits` exceeds `2^32`, `off_bits` being the bit
+    /// width of the longest read's last offset.
     pub fn build(reads: &[(ReadId, &DnaString)], k: usize) -> KmerIndex {
         assert!((1..=32).contains(&k), "k must be in 1..=32");
         let bases: usize = reads.iter().map(|(_, seq)| seq.len()).sum();
@@ -91,6 +137,8 @@ impl KmerIndex {
             bases <= u32::MAX as usize,
             "a subset's bases must fit u32 positions"
         );
+        let longest = reads.iter().map(|(_, seq)| seq.len()).max().unwrap_or(0);
+        let off_bits = offset_bits(reads.len(), longest);
         let mut words = vec![0u64; words_for(bases)];
         let mut read_starts = Vec::with_capacity(reads.len() + 1);
         let mut ids = Vec::with_capacity(reads.len());
@@ -115,66 +163,144 @@ impl KmerIndex {
         }
         read_starts.push(bases as u32);
 
-        let kmer_mask = u64::MAX >> (64 - 2 * k);
+        let mut index = KmerIndex {
+            words,
+            positions: Vec::new(),
+            run_start: Vec::new(),
+            dir: Vec::new(),
+            read_starts,
+            ids,
+            kmer_mask: u64::MAX >> (64 - 2 * k),
+            off_bits,
+            off_mask: ((1u64 << off_bits) - 1) as u32,
+        };
         let buckets = 1usize << (2 * dir_bases(kmers, k));
-        let bucket = |pos: u32| window(&words, pos as usize) as usize & (buckets - 1);
+        let bucket = |pos: usize| window(&index.words, pos) as usize & (buckets - 1);
         let mut dir = vec![0u32; buckets + 1];
-        for pos in kmer_starts(&read_starts, k) {
-            dir[bucket(pos) + 1] += 1;
-        }
+        index.for_each_kmer_start(k, |_, pos| dir[bucket(pos) + 1] += 1);
         for b in 1..dir.len() {
             dir[b] += dir[b - 1];
         }
         // `dir[b]` is bucket b's start and serves as its write cursor, so
         // after the scatter it is bucket b's end — the next bucket's start.
         let mut positions = vec![0u32; kmers];
-        for pos in kmer_starts(&read_starts, k) {
+        index.for_each_kmer_start(k, |entry, pos| {
             let cursor = &mut dir[bucket(pos)];
-            positions[*cursor as usize] = pos;
+            positions[*cursor as usize] = entry;
             *cursor += 1;
-        }
+        });
         dir.copy_within(..buckets, 1);
         dir[0] = 0;
+        let mut run_start = vec![0u64; run_words_for(kmers)];
+        let mut mark = |i: usize| run_start[i / 64] |= 1 << (i % 64);
+        let mut keyed: Vec<(u64, u32)> = Vec::new();
         for range in dir.windows(2) {
-            positions[range[0] as usize..range[1] as usize]
-                .sort_unstable_by_key(|&pos| (window(&words, pos as usize) & kmer_mask, pos));
+            let (lo, hi) = (range[0] as usize, range[1] as usize);
+            keyed.clear();
+            keyed.extend(
+                positions[lo..hi]
+                    .iter()
+                    .map(|&entry| (index.kmer_at(entry), entry)),
+            );
+            keyed.sort_unstable();
+            for (i, &(kmer, entry)) in keyed.iter().enumerate() {
+                positions[lo + i] = entry;
+                if i == 0 || keyed[i - 1].0 != kmer {
+                    mark(lo + i);
+                }
+            }
         }
-        KmerIndex {
-            words,
-            positions,
-            dir,
-            read_starts,
-            ids,
-            kmer_mask,
+        mark(kmers);
+        index.positions = positions;
+        index.run_start = run_start;
+        index.dir = dir;
+        index
+    }
+
+    /// Calls `visit(entry, position in the concatenation)` for every in-read
+    /// k-mer start, in concatenation order — which is entry order.
+    fn for_each_kmer_start(&self, k: usize, mut visit: impl FnMut(u32, usize)) {
+        for (read, w) in self.read_starts.windows(2).enumerate() {
+            let rank = ((read as u64) << self.off_bits) as u32;
+            for offset in 0..(w[1] - w[0]).saturating_sub(k as u32 - 1) {
+                visit(rank | offset, (w[0] + offset) as usize);
+            }
         }
+    }
+
+    /// An entry's read rank and offset within that read.
+    #[inline]
+    fn split(&self, entry: u32) -> (usize, u32) {
+        // Shifted as u64: a single read past 2^31 bases has `off_bits == 32`.
+        (
+            (entry as u64 >> self.off_bits) as usize,
+            entry & self.off_mask,
+        )
+    }
+
+    /// The k-mer `entry` points at, read from the concatenation.
+    #[inline]
+    fn kmer_at(&self, entry: u32) -> u64 {
+        let (read, offset) = self.split(entry);
+        window(&self.words, (self.read_starts[read] + offset) as usize) & self.kmer_mask
+    }
+
+    /// The first run start after entry `i`; `positions.len()` after the last.
+    #[inline]
+    fn next_run(&self, i: usize) -> usize {
+        let mut w = (i + 1) / 64;
+        let mut bits = self.run_start[w] & u64::MAX << ((i + 1) % 64);
+        while bits == 0 {
+            w += 1;
+            bits = self.run_start[w];
+        }
+        w * 64 + bits.trailing_zeros() as usize
+    }
+
+    /// The entries whose k-mer is `kmer`: one run of its bucket, or nothing.
+    /// Only run starts are compared with the text; a run's other entries
+    /// were equal to its first when the bucket was sorted.
+    #[inline]
+    fn run(&self, kmer: u64) -> &[u32] {
+        // `dir.len() - 2` is `4^p - 1`, the mask of the first p bases.
+        let b = kmer as usize & (self.dir.len() - 2);
+        let (mut i, end) = (self.dir[b] as usize, self.dir[b + 1] as usize);
+        let mut walk = RUN_WALK_MAX;
+        while i < end {
+            let found = self.kmer_at(self.positions[i]);
+            if found >= kmer {
+                if found == kmer {
+                    return &self.positions[i..self.next_run(i)];
+                }
+                break;
+            }
+            walk -= 1;
+            i = if walk > 0 {
+                self.next_run(i)
+            } else {
+                // Lands on the first k-mer not below the query, or on `end`:
+                // either way the loop is over at its next turn.
+                i + self.positions[i..end].partition_point(|&entry| self.kmer_at(entry) < kmer)
+            };
+        }
+        &[]
     }
 
     /// Every occurrence of the packed k-mer `kmer` (as produced by
     /// [`DnaString::kmer_u64`] for the `k` the index was built with) as
     /// `(read id, offset within that read)`. A k-mer spanning two reads is
     /// not an occurrence.
+    #[inline]
     pub fn hits(&self, kmer: u64) -> impl Iterator<Item = (ReadId, u32)> + '_ {
-        let kmer_at = move |pos: u32| window(&self.words, pos as usize) & self.kmer_mask;
-        // `dir.len() - 2` is `4^p - 1`, the mask of the first p bases.
-        let b = kmer as usize & (self.dir.len() - 2);
-        let mut bucket = &self.positions[self.dir[b] as usize..self.dir[b + 1] as usize];
-        if bucket.len() > LINEAR_SCAN_MAX {
-            let lo = bucket.partition_point(|&pos| kmer_at(pos) < kmer);
-            bucket = &bucket[lo..];
-            bucket = &bucket[..bucket.partition_point(|&pos| kmer_at(pos) == kmer)];
-        }
-        bucket
-            .iter()
-            .filter(move |&&pos| kmer_at(pos) == kmer)
-            .map(move |&pos| {
-                let read = self.read_starts.partition_point(|&start| start <= pos) - 1;
-                (self.ids[read], pos - self.read_starts[read])
-            })
+        self.run(kmer).iter().map(move |&entry| {
+            let (read, offset) = self.split(entry);
+            (self.ids[read], offset)
+        })
     }
 
     /// Bytes of heap the index holds.
     pub fn heap_bytes(&self) -> u64 {
-        (self.words.capacity() * 8
+        ((self.words.capacity() + self.run_start.capacity()) * 8
             + (self.positions.capacity() + self.dir.capacity() + self.read_starts.capacity()) * 4
             + self.ids.capacity() * std::mem::size_of::<ReadId>()) as u64
     }
@@ -182,55 +308,13 @@ impl KmerIndex {
     /// What [`KmerIndex::heap_bytes`] will be for a subset of `reads` reads
     /// totalling `bases` bases, from the layout alone — what the memory
     /// ledger charges for it. Exact when every read has at least `k - 1`
-    /// bases; shorter reads make it an underestimate by at most `4 (k - 1)`
+    /// bases; shorter reads make it an underestimate by about `4 (k - 1)`
     /// bytes each.
     pub fn estimated_bytes(bases: usize, reads: usize, k: usize) -> u64 {
         let kmers = bases.saturating_sub(reads.saturating_mul(k.saturating_sub(1)));
         let dir = (1u64 << (2 * dir_bases(kmers, k))) + 1;
-        (words_for(bases) as u64 * 8)
+        ((words_for(bases) + run_words_for(kmers)) as u64 * 8)
             .saturating_add((kmers as u64 + dir + 2 * reads as u64 + 1).saturating_mul(4))
-    }
-}
-
-/// What seeding asks of an index. [`KmerIndex`] is the only implementation
-/// the product builds; the trait is the seam through which the tests run the
-/// whole overlapper over [`NaiveIndex`].
-pub(crate) trait SeedIndex {
-    /// See [`KmerIndex::hits`].
-    fn hits(&self, kmer: u64) -> impl Iterator<Item = (ReadId, u32)> + '_;
-}
-
-impl SeedIndex for KmerIndex {
-    fn hits(&self, kmer: u64) -> impl Iterator<Item = (ReadId, u32)> + '_ {
-        KmerIndex::hits(self, kmer)
-    }
-}
-
-/// The index the tests trust: every lookup scans every read.
-#[cfg(test)]
-pub(crate) struct NaiveIndex {
-    reads: Vec<(ReadId, DnaString)>,
-    k: usize,
-}
-
-#[cfg(test)]
-impl NaiveIndex {
-    pub(crate) fn build(reads: &[(ReadId, &DnaString)], k: usize) -> NaiveIndex {
-        NaiveIndex {
-            reads: reads.iter().map(|&(id, seq)| (id, seq.clone())).collect(),
-            k,
-        }
-    }
-}
-
-#[cfg(test)]
-impl SeedIndex for NaiveIndex {
-    fn hits(&self, kmer: u64) -> impl Iterator<Item = (ReadId, u32)> + '_ {
-        self.reads.iter().flat_map(move |(id, seq)| {
-            seq.kmers(self.k)
-                .filter(move |&(_, found)| found == kmer)
-                .map(move |(pos, _)| (*id, pos as u32))
-        })
     }
 }
 
@@ -255,6 +339,40 @@ mod tests {
 
     fn parse(seqs: &[&str]) -> Vec<DnaString> {
         seqs.iter().map(|s| s.parse().unwrap()).collect()
+    }
+
+    /// The index the tests trust: each read's k-mers, one `get` per base,
+    /// and every lookup scans them all.
+    struct NaiveIndex(Vec<(ReadId, Vec<u64>)>);
+
+    impl NaiveIndex {
+        fn build(reads: &[(ReadId, &DnaString)], k: usize) -> NaiveIndex {
+            let kmer_at = |seq: &DnaString, pos: usize| {
+                (0..k).fold(0, |kmer, i| {
+                    kmer | (seq.get(pos + i).code() as u64) << (2 * i)
+                })
+            };
+            NaiveIndex(
+                reads
+                    .iter()
+                    .map(|&(id, seq)| {
+                        let kmers = (seq.len() + 1).saturating_sub(k);
+                        (id, (0..kmers).map(|pos| kmer_at(seq, pos)).collect())
+                    })
+                    .collect(),
+            )
+        }
+
+        /// See [`KmerIndex::hits`].
+        fn hits(&self, kmer: u64) -> impl Iterator<Item = (ReadId, u32)> + '_ {
+            self.0.iter().flat_map(move |(id, kmers)| {
+                let at = kmers
+                    .iter()
+                    .enumerate()
+                    .filter(move |&(_, &found)| found == kmer);
+                at.map(move |(pos, _)| (*id, pos as u32))
+            })
+        }
     }
 
     /// Both indexes answer `kmer` with the same hits, order aside.
@@ -291,22 +409,130 @@ mod tests {
         total
     }
 
-    #[test]
-    fn matches_the_naive_scan_at_every_k() {
+    /// Random reads, and reads over a two-letter alphabet: those repeat
+    /// k-mers, so small k fills buckets.
+    fn random_and_repetitive_reads() -> [(&'static str, Vec<DnaString>); 2] {
         let mut rng = Rng::new(41);
-        // Lengths straddle every k below and the 32-base word; the total is
-        // not a multiple of 32 here and is one in the next test.
+        // Lengths straddle every k tested and the 32-base word; the total is
+        // not a multiple of 32 here and is one in
+        // `finds_the_last_kmer_of_the_last_read`.
         let lens = [100, 3, 0, 64, 33, 15, 31, 32, 1, 97, 16, 250, 9, 40];
-        let random: Vec<DnaString> = lens.iter().map(|&n| random_seq(&mut rng, n, 4)).collect();
-        // A two-letter alphabet repeats k-mers, so small k fills buckets.
-        let repetitive: Vec<DnaString> = lens
+        let random = lens.iter().map(|&n| random_seq(&mut rng, n, 4)).collect();
+        let repetitive = lens
             .iter()
             .map(|&n| random_seq(&mut rng, 2 * n, 2))
             .collect();
-        for k in [1, 4, 9, 10, 15, 16, 31, 32] {
-            assert!(check_against_oracle(&random, k, &format!("random reads, k={k}")) > 0);
-            assert!(check_against_oracle(&repetitive, k, &format!("repetitive reads, k={k}")) > 0);
+        [("random", random), ("repetitive", repetitive)]
+    }
+
+    #[test]
+    fn matches_the_naive_scan_at_every_k() {
+        for (name, seqs) in random_and_repetitive_reads() {
+            for k in [1, 4, 9, 10, 15, 16, 31, 32] {
+                assert!(check_against_oracle(&seqs, k, &format!("{name} reads, k={k}")) > 0);
+            }
         }
+    }
+
+    fn marked(index: &KmerIndex, i: usize) -> bool {
+        index.run_start[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    #[test]
+    fn run_marks_are_one_per_distinct_kmer_of_a_bucket() {
+        for (name, seqs) in random_and_repetitive_reads() {
+            for k in [1, 4, 9, 15, 16, 31, 32] {
+                let index = KmerIndex::build(&with_ids(&seqs), k);
+                let mut runs = 0;
+                for (b, range) in index.dir.windows(2).enumerate() {
+                    let (lo, hi) = (range[0] as usize, range[1] as usize);
+                    let distinct: std::collections::BTreeSet<u64> = index.positions[lo..hi]
+                        .iter()
+                        .map(|&entry| index.kmer_at(entry))
+                        .collect();
+                    let marks = (lo..hi).filter(|&i| marked(&index, i)).count();
+                    assert_eq!(marks, distinct.len(), "{name}, k={k}, bucket {b}");
+                    assert!(lo == hi || marked(&index, lo), "{name}, k={k}, bucket {b}");
+                    runs += marks;
+                }
+                // The sentinel, and nothing after it.
+                let bits: u32 = index.run_start.iter().map(|w| w.count_ones()).sum();
+                assert!(marked(&index, index.positions.len()), "{name}, k={k}");
+                assert_eq!(bits as usize, runs + 1, "{name}, k={k}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 36 million oracle compares
+    fn one_long_read_among_short_ones_and_a_full_offset_field() {
+        let mut rng = Rng::new(23);
+        // Ranks on both sides of the read that sets `off_bits`.
+        let mut mixed: Vec<DnaString> = (0..10).map(|_| random_seq(&mut rng, 100, 4)).collect();
+        mixed.insert(4, random_seq(&mut rng, 5000, 4));
+        assert_eq!(KmerIndex::build(&with_ids(&mixed), 15).off_bits, 13);
+        assert!(check_against_oracle(&mixed, 15, "5000 among 100s") > 0);
+
+        // Offsets 0..=63 at k = 1: every value of a six-bit field is used.
+        let equal: Vec<DnaString> = (0..20).map(|_| random_seq(&mut rng, 64, 4)).collect();
+        let index = KmerIndex::build(&with_ids(&equal), 1);
+        assert_eq!((index.off_bits, index.off_mask), (6, 63));
+        assert!(index.positions.contains(&(19 << 6 | 63)));
+        for k in [1, 15] {
+            assert!(check_against_oracle(&equal, k, &format!("64-base reads, k={k}")) > 0);
+        }
+    }
+
+    #[test]
+    fn offset_field_is_as_wide_as_the_longest_reads_last_offset() {
+        assert_eq!(offset_bits(0, 0), 0);
+        assert_eq!(offset_bits(5, 1), 0);
+        assert_eq!(offset_bits(1, 64), 6);
+        assert_eq!(offset_bits(1, 65), 7);
+        assert_eq!(offset_bits(1 << 19, 8192), 13); // exactly 2^32
+        assert_eq!(offset_bits(1, u32::MAX as usize), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit u32 (read, offset) entries")]
+    fn too_many_reads_for_their_offset_field_are_refused() {
+        // 2^20 reads x 13 offset bits = 2^33, though 2^20 x 100 bases plus
+        // one 5 000-base read would fit u32 positions.
+        offset_bits(1 << 20, 5000);
+    }
+
+    /// What the overlapper asks and of what: every k-mer seeding samples
+    /// from every read of a store with substituted, indel-bearing and
+    /// tandem-repeat reads, against each subset's index at three subset
+    /// counts. Equal hit multisets here are equal votes, candidates,
+    /// requests and overlaps there: nothing downstream of `hits` looks at
+    /// the index again.
+    #[test]
+    #[cfg_attr(miri, ignore)] // a hundred thousand naive scans
+    fn sampled_query_kmers_of_a_noisy_store_match_the_naive_scan() {
+        use crate::pairwise::tests::{noisy_tiled_store, random_genome};
+        let store = noisy_tiled_store(&random_genome(900, 17), 5);
+        let config = crate::OverlapConfig::default();
+        let mut hits = 0;
+        for n in [1usize, 4, 5] {
+            for (j, reference) in store.split_subsets(n).iter().enumerate() {
+                let reads: Vec<(ReadId, &DnaString)> = reference
+                    .iter()
+                    .map(|&id| (id, &store.get(id).seq))
+                    .collect();
+                let index = KmerIndex::build(&reads, config.k);
+                let naive = NaiveIndex::build(&reads, config.k);
+                for q in store.ids() {
+                    let query = &store.get(q).seq;
+                    for (pos, kmer) in query.kmers(config.k).step_by(config.seed_step) {
+                        let what = format!("{n} subsets, reference {j}, read {} at {pos}", q.0);
+                        assert_same_hits(&index, &naive, kmer, &what);
+                        hits += index.hits(kmer).count();
+                    }
+                }
+            }
+        }
+        assert!(hits > 10_000, "{hits} hits");
     }
 
     #[test]
@@ -370,10 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn a_repeat_longer_than_the_linear_scan_is_searched() {
-        // 40 copies of one 20-mer plus noise that shares its first bases:
-        // one bucket holds far more than LINEAR_SCAN_MAX positions and
-        // several distinct k-mers.
+    fn a_bucket_longer_than_the_run_walk_is_searched() {
+        // 40 copies of one 20-mer plus noise that shares its first 12
+        // bases: one bucket holds more entries than a `run_start` word has
+        // bits, and dozens of distinct k-mers.
         let mut rng = Rng::new(9);
         let unit = random_seq(&mut rng, 20, 4);
         let mut seqs = Vec::new();
@@ -390,14 +616,62 @@ mod tests {
         }
         let reads = with_ids(&seqs);
         let index = KmerIndex::build(&reads, 15);
+        let naive = NaiveIndex::build(&reads, 15);
         let repeat = unit.kmer_u64(0, 15).unwrap();
-        let b = repeat as usize & (index.dir.len() - 2);
-        assert!((index.dir[b + 1] - index.dir[b]) as usize > LINEAR_SCAN_MAX);
+        let dir_mask = index.dir.len() - 2;
+        let b = repeat as usize & dir_mask;
+        let mut distinct: Vec<u64> = index.positions
+            [index.dir[b] as usize..index.dir[b + 1] as usize]
+            .iter()
+            .map(|&entry| index.kmer_at(entry))
+            .collect();
+        assert!(distinct.len() > 64 && distinct.len() > RUN_WALK_MAX);
+        assert!(distinct.is_sorted());
+        distinct.dedup();
+        assert!(distinct.len() >= 24, "{} distinct k-mers", distinct.len());
         assert!(index.hits(repeat).count() >= 40);
+        for kmer in [
+            distinct[0],
+            distinct[distinct.len() / 2],
+            distinct[distinct.len() - 1],
+        ] {
+            assert!(index.hits(kmer).count() > 0);
+            assert_same_hits(&index, &naive, kmer, "present in the long bucket");
+        }
+        // Absent k-mers of the same bucket: below its first, between two
+        // of its runs, above its last.
+        let step = dir_mask as u64 + 1;
+        let absent = [
+            distinct[0] - step,
+            distinct[distinct.len() / 2] + step,
+            distinct[distinct.len() - 1] + step,
+        ];
+        for kmer in absent {
+            assert!(kmer <= index.kmer_mask && kmer as usize & dir_mask == b);
+            assert!(distinct.binary_search(&kmer).is_err());
+            assert_eq!(index.hits(kmer).count(), 0);
+            assert_same_hits(&index, &naive, kmer, "absent from the long bucket");
+        }
         check_against_oracle(&seqs, 15, "repeat");
     }
 
     #[test]
+    fn a_run_spanning_a_whole_bitmap_word_is_hopped() {
+        // 150 reads that are one and the same 15-mer: wherever its run
+        // starts, it covers an all-zero `run_start` word, between other runs.
+        let mut rng = Rng::new(31);
+        let unit = random_seq(&mut rng, 15, 4);
+        let mut seqs: Vec<DnaString> = (0..10).map(|_| random_seq(&mut rng, 40, 4)).collect();
+        seqs.extend(std::iter::repeat_n(unit.clone(), 150));
+        seqs.extend((0..10).map(|_| random_seq(&mut rng, 40, 4)));
+        let index = KmerIndex::build(&with_ids(&seqs), 15);
+        assert!(index.run_start.contains(&0));
+        assert_eq!(index.hits(unit.kmer_u64(0, 15).unwrap()).count(), 150);
+        check_against_oracle(&seqs, 15, "a 150-entry run");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 6 600 reads: minutes under the interpreter
     fn estimate_covers_the_heap_and_stays_close() {
         let mut rng = Rng::new(3);
         for (reads, len) in [(0usize, 0usize), (1, 100), (480, 300), (6600, 100)] {

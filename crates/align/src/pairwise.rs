@@ -7,7 +7,7 @@
 //! minimum length and identity thresholds are recorded.
 
 use crate::error::AlignError;
-use crate::index::{KmerIndex, SeedIndex};
+use crate::index::KmerIndex;
 use crate::kernel::{AlignKernel, KernelKind, KernelScratch, VerifyParams, VerifyReq};
 use crate::nw::{band_for_error_rate, AlignmentSummary, NwConfig};
 use crate::overlap::{Overlap, OverlapKind};
@@ -258,14 +258,11 @@ impl<'a> Overlapper<'a> {
 
     /// Builds the seed index for one reference subset.
     pub fn index_subset(&self, reference: &[ReadId]) -> KmerIndex {
-        KmerIndex::build(&self.subset_entries(reference), self.config.k)
-    }
-
-    fn subset_entries(&self, reference: &[ReadId]) -> Vec<(ReadId, &'a DnaString)> {
-        reference
+        let reads: Vec<(ReadId, &DnaString)> = reference
             .iter()
             .map(|&id| (id, &self.store.get(id).seq))
-            .collect()
+            .collect();
+        KmerIndex::build(&reads, self.config.k)
     }
 
     /// Finds overlaps between `query` reads and an indexed reference subset.
@@ -297,31 +294,10 @@ impl<'a> Overlapper<'a> {
         dedup_self: bool,
         scratch: &mut AlignScratch,
     ) -> (Vec<Overlap>, PairStats) {
-        self.overlap_pair_in(query, index, dedup_self, scratch)
-    }
-
-    /// [`Overlapper::overlap_pair_with`] over any [`SeedIndex`].
-    fn overlap_pair_in(
-        &self,
-        query: &[ReadId],
-        index: &impl SeedIndex,
-        dedup_self: bool,
-        scratch: &mut AlignScratch,
-    ) -> (Vec<Overlap>, PairStats) {
         let mut overlaps = Vec::new();
         let mut stats = PairStats::default();
-        scratch.reqs.clear();
-        for &q in query {
-            self.overlap_one(q, index, dedup_self, &mut stats, scratch);
-        }
-        let params = VerifyParams {
-            nw: self.config.nw,
-            min_overlap_len: self.config.min_overlap_len,
-            min_identity: self.config.min_identity,
-        };
-        self.kernel.verify_batch(
-            self.store,
-            &params,
+        self.seed_pair(query, index, dedup_self, &mut stats, scratch);
+        self.verify_requests(
             &scratch.reqs,
             &mut scratch.kernel,
             &mut stats,
@@ -483,10 +459,7 @@ impl<'a> Overlapper<'a> {
         for j in 0..subsets.len() {
             let index = self.index_subset(&subsets[j]);
             for i in 0..=j {
-                scratch.reqs.clear();
-                for &q in &subsets[i] {
-                    self.overlap_one(q, &index, i == j, &mut stats, &mut scratch);
-                }
+                self.seed_pair(&subsets[i], &index, i == j, &mut stats, &mut scratch);
                 reqs.extend_from_slice(&scratch.reqs);
             }
         }
@@ -514,6 +487,22 @@ impl<'a> Overlapper<'a> {
             .verify_batch(self.store, &params, reqs, scratch, stats, out);
     }
 
+    /// The seeding and geometry stage of one subset pair: leaves the pair's
+    /// [`VerifyReq`] batch, in query order, in `scratch.reqs`.
+    fn seed_pair(
+        &self,
+        query: &[ReadId],
+        index: &KmerIndex,
+        dedup_self: bool,
+        stats: &mut PairStats,
+        scratch: &mut AlignScratch,
+    ) {
+        scratch.reqs.clear();
+        for &q in query {
+            self.overlap_one(q, index, dedup_self, stats, scratch);
+        }
+    }
+
     /// Seeds, votes and classifies the candidates of one query read,
     /// pushing a [`VerifyReq`] per geometry-valid candidate onto
     /// `scratch.reqs` (verification happens later, batched per subset
@@ -521,7 +510,7 @@ impl<'a> Overlapper<'a> {
     fn overlap_one(
         &self,
         q: ReadId,
-        index: &impl SeedIndex,
+        index: &KmerIndex,
         dedup_self: bool,
         stats: &mut PairStats,
         scratch: &mut AlignScratch,
@@ -542,25 +531,23 @@ impl<'a> Overlapper<'a> {
         // Vote per (reference read, diagonal).
         votes.clear();
         let mut pos = 0usize;
-        while pos + k <= query_seq.len() {
-            if let Some(kmer) = query_seq.kmer_u64(pos, k) {
-                stats.kmer_lookups += 1;
-                for (r, r_off) in index.hits(kmer) {
-                    stats.kmer_hits += 1;
-                    if r == q {
-                        continue;
-                    }
-                    if dedup_self && r.0 <= q.0 {
-                        continue;
-                    }
-                    // Never overlap a read with its own reverse complement:
-                    // those pairs are artifacts of the RC augmentation.
-                    if self.store.mate(q) == Some(r) {
-                        continue;
-                    }
-                    let diag = pos as i64 - r_off as i64;
-                    *votes.entry((r, diag)).or_insert(0) += 1;
+        while let Some(kmer) = query_seq.kmer_u64(pos, k) {
+            stats.kmer_lookups += 1;
+            for (r, r_off) in index.hits(kmer) {
+                stats.kmer_hits += 1;
+                if r == q {
+                    continue;
                 }
+                if dedup_self && r.0 <= q.0 {
+                    continue;
+                }
+                // Never overlap a read with its own reverse complement:
+                // those pairs are artifacts of the RC augmentation.
+                if self.store.mate(q) == Some(r) {
+                    continue;
+                }
+                let diag = pos as i64 - r_off as i64;
+                *votes.entry((r, diag)).or_insert(0) += 1;
             }
             pos += self.config.seed_step;
         }
@@ -724,12 +711,12 @@ impl<'a> Overlapper<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fc_rng::Rng;
     use fc_seq::{DnaString, Read};
 
-    fn random_genome(len: usize, seed: u64) -> DnaString {
+    pub(crate) fn random_genome(len: usize, seed: u64) -> DnaString {
         let mut rng = Rng::new(seed);
         (0..len)
             .map(|_| fc_seq::Base::from_code(rng.range(0..4)))
@@ -767,7 +754,7 @@ mod tests {
     /// genome with a base deleted or inserted every ~80 bases (so
     /// equal-length overlap ranges across an indel have a gapped optimum),
     /// and a tandem repeat tiled out of phase with its period.
-    fn noisy_tiled_store(genome: &DnaString, seed: u64) -> ReadStore {
+    pub(crate) fn noisy_tiled_store(genome: &DnaString, seed: u64) -> ReadStore {
         let mut rng = Rng::new(seed);
         let mut reads = tile(genome, 100, 35, "r");
         for mut read in tile(genome, 100, 45, "s") {
@@ -968,36 +955,6 @@ mod tests {
             // No sorting: the merge itself must reproduce the serial order.
             assert_eq!(pooled.0, serial.0, "overlaps differ at {threads} threads");
             assert_eq!(pooled.1, serial.1, "pair stats differ at {threads} threads");
-        }
-    }
-
-    /// The whole overlapper over [`NaiveIndex`] (every lookup scans every
-    /// read) gives the overlaps *and* the per-pair work counters it gives
-    /// over [`KmerIndex`]: the index changes no hit, so nothing downstream
-    /// of seeding can drift.
-    #[test]
-    fn overlap_all_over_the_naive_index_is_identical() {
-        use crate::index::NaiveIndex;
-        let genome = random_genome(900, 17);
-        let store = tiled_store(&genome, 100, 35);
-        let overlapper = Overlapper::new(&store, test_config()).unwrap();
-        for n in [1usize, 4, 5] {
-            let subsets = store.split_subsets(n);
-            let k = overlapper.config.k;
-            let mut results = Vec::new();
-            for (j, reference) in subsets.iter().enumerate() {
-                let naive = NaiveIndex::build(&overlapper.subset_entries(reference), k);
-                for (i, query) in subsets.iter().enumerate().take(j + 1) {
-                    let mut scratch = AlignScratch::default();
-                    let out = overlapper.overlap_pair_in(query, &naive, i == j, &mut scratch);
-                    results.push(((i, j), (out, false)));
-                }
-            }
-            let oracle = overlapper.merge_pair_results(results, &Recorder::disabled());
-            let indexed = overlapper.overlap_all(&subsets);
-            assert!(!indexed.0.is_empty());
-            assert_eq!(indexed.0, oracle.0, "overlaps differ at {n} subsets");
-            assert_eq!(indexed.1, oracle.1, "pair stats differ at {n} subsets");
         }
     }
 

@@ -149,11 +149,7 @@ impl DnaString {
         if k == 0 || k > 32 || pos + k > self.len {
             return None;
         }
-        let mut packed = 0u64;
-        for i in 0..k {
-            packed |= (self.get(pos + i).code() as u64) << (2 * i);
-        }
-        Some(packed)
+        Some(self.packed().window(pos) & u64::MAX >> (64 - 2 * k))
     }
 
     /// Iterates over all `(position, packed k-mer)` pairs of the sequence.
@@ -334,6 +330,28 @@ mod tests {
         assert_eq!(s.kmer_u64(0, 4), Some(0b11_10_01_00));
         assert_eq!(s.kmer_u64(1, 4), None);
         assert_eq!(s.kmer_u64(0, 33), None);
+    }
+
+    /// The packed-window read against the per-base loop it replaced, at
+    /// every position and every k, on lengths around the 32-base word.
+    #[test]
+    fn kmer_packing_matches_the_per_base_loop() {
+        let mut rng = fc_rng::Rng::new(32);
+        for len in [1usize, 31, 32, 33, 63, 64, 65, 100] {
+            let s: DnaString = (0..len).map(|_| Base::from_code(rng.range(0..4))).collect();
+            for k in 1..=32 {
+                for pos in 0..=len {
+                    let per_base = (pos + k <= len).then(|| {
+                        (0..k).fold(0, |kmer, i| {
+                            kmer | (s.get(pos + i).code() as u64) << (2 * i)
+                        })
+                    });
+                    assert_eq!(s.kmer_u64(pos, k), per_base, "len {len}, pos {pos}, k {k}");
+                }
+            }
+            assert_eq!(s.kmer_u64(0, 0), None);
+            assert_eq!(s.kmer_u64(0, 33), None);
+        }
     }
 
     #[test]

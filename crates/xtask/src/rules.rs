@@ -173,12 +173,13 @@ pub(crate) fn test_spans(tokens: &[Token]) -> Vec<bool> {
         // Any other real token between the attribute and its item (doc
         // comments and further attributes are handled above) cancels the
         // pending flag; `pub`/`unsafe`/`async`/`const`/`extern` prefix an
-        // item and keep it.
+        // item and keep it, as do the words of a `pub(crate)`-style
+        // restriction.
         if pending_test
             && t.kind == TokenKind::Ident
             && !matches!(
                 t.text.as_str(),
-                "pub" | "unsafe" | "async" | "const" | "extern"
+                "pub" | "crate" | "super" | "self" | "in" | "unsafe" | "async" | "const" | "extern"
             )
             && t.kind != TokenKind::DocComment
         {
@@ -1303,6 +1304,12 @@ fn top_level_test() { None::<u32>.unwrap(); }
     #[test]
     fn code_after_test_module_is_still_linted() {
         let src = "#[cfg(test)]\nmod tests { fn t() {} }\n\npub fn later() { panic!() }\n";
+        assert_eq!(rules_hit(src), vec![("FC001", 4)]);
+    }
+
+    #[test]
+    fn restricted_visibility_keeps_a_test_item_test_code() {
+        let src = "#[cfg(test)]\npub(crate) mod tests { pub(crate) fn t() { None::<u8>.unwrap(); } }\n\npub fn later() { panic!() }\n";
         assert_eq!(rules_hit(src), vec![("FC001", 4)]);
     }
 
