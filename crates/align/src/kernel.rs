@@ -1,25 +1,17 @@
-//! Pluggable candidate-verification kernels and their runtime dispatch.
+//! Candidate verification: one crate-private function, `verify`, behind
+//! [`crate::Overlapper::verify_requests`].
 //!
 //! The overlapper ([`crate::pairwise`]) separates *what* must be verified
 //! from *how*: the seeding/geometry stage produces a batch of
-//! [`VerifyReq`]s, and an [`AlignKernel`] turns each request into the
-//! verdict scalar banded Needleman–Wunsch would produce. Two kernels are
-//! provided, selected by [`KernelKind`] carried in `OverlapConfig` (so
-//! dispatch flows through `FocusConfig`/`--align-kernel`, never ambient
-//! state):
-//!
-//! * [`ScalarKernel`] — the reference: banded NW per request.
-//! * [`MyersKernel`] — the bit-parallel prefilter pipeline of
-//!   [`crate::myers`] with its word-at-a-time distance engine (the
-//!   default).
-//!
-//! Both kernels return **bit-identical verdicts**: the bit-parallel path
-//! only skips scalar NW when one of the proven bounds of [`crate::myers`]
-//! shows NW's verdict is already determined (or, for the ungapped-optimum
-//! rule on equal-length ranges, when the optimal alignment is unique and
-//! known from a word-parallel Hamming count). Anything
-//! else re-runs scalar NW — in a band shrunk by the gap bound, which the
-//! band-equivalence argument shows cannot change the summary.
+//! [`VerifyReq`]s, and `verify` turns each request into the verdict banded
+//! Needleman–Wunsch produces for it ([`banded_nw_verdict`]) — running that
+//! DP only when none of the proven bounds of [`crate::myers`] already
+//! determines its verdict (or, for the ungapped-optimum rule on
+//! equal-length ranges, when the optimal alignment is unique and known from
+//! a word-parallel Hamming count). Anything else runs NW in a band shrunk
+//! by the gap bound, which the band-equivalence argument shows cannot
+//! change the summary. [`banded_nw_verdict`] is therefore both the DP step
+//! of `verify` and the oracle every differential test compares it with.
 
 use crate::myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
@@ -27,51 +19,8 @@ use crate::myers::{
 };
 use crate::nw::{banded_global_with, AlignmentSummary, NwConfig, NwScratch};
 use crate::overlap::OverlapKind;
-use crate::pairwise::PairStats;
+use crate::pairwise::{OverlapConfig, PairStats};
 use fc_seq::{ReadId, ReadStore};
-
-/// Which alignment kernel verifies candidate overlaps. Carried by
-/// `OverlapConfig` and exposed as `focus assemble --align-kernel`; both
-/// settings produce bit-identical overlaps, contigs and logical metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// Banded Needleman–Wunsch on every candidate (the reference every
-    /// differential test compares against).
-    Scalar,
-    /// Myers bit-parallel prefilter + band-shrunk scalar verification,
-    /// one word-at-a-time distance engine on every CPU (the default).
-    #[default]
-    BitParallel,
-}
-
-impl KernelKind {
-    /// Parses a CLI value (`scalar`, `bitparallel`; `auto`, which once
-    /// selected a SIMD engine, stays accepted as a spelling of
-    /// `bitparallel`).
-    pub fn parse(s: &str) -> Option<KernelKind> {
-        match s {
-            "scalar" => Some(KernelKind::Scalar),
-            "bitparallel" | "bit-parallel" | "auto" => Some(KernelKind::BitParallel),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::BitParallel => "bitparallel",
-        }
-    }
-
-    /// Builds the kernel this kind selects.
-    pub fn build(self) -> Box<dyn AlignKernel> {
-        match self {
-            KernelKind::Scalar => Box::new(ScalarKernel),
-            KernelKind::BitParallel => Box::new(MyersKernel),
-        }
-    }
-}
 
 /// One geometry-classified candidate awaiting verification: align
 /// `a[a_range]` against `b[b_range]` within `band`. The `kind`/`shift`
@@ -96,7 +45,7 @@ pub struct VerifyReq {
     pub band: usize,
 }
 
-/// Verification thresholds and scoring shared by every kernel. `nw.band`
+/// Verification thresholds and scoring. `nw.band`
 /// is a default only — the per-request [`VerifyReq::band`] governs.
 #[derive(Debug, Clone, Copy)]
 pub struct VerifyParams {
@@ -108,35 +57,23 @@ pub struct VerifyParams {
     pub min_identity: f64,
 }
 
-/// Reusable per-worker buffers shared by both kernels: the scalar band
-/// buffers and the Myers `Peq`/delta vectors. One value per worker thread,
+impl From<&OverlapConfig> for VerifyParams {
+    fn from(config: &OverlapConfig) -> VerifyParams {
+        VerifyParams {
+            nw: config.nw,
+            min_overlap_len: config.min_overlap_len,
+            min_identity: config.min_identity,
+        }
+    }
+}
+
+/// Reusable per-worker buffers of verification: the NW band buffers and the
+/// Myers `Peq`/delta vectors. One value per worker thread,
 /// like `AlignScratch`.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
     nw: NwScratch,
     myers: MyersScratch,
-}
-
-/// A candidate-verification engine. Implementations must produce, for
-/// every request, exactly the verdict [`ScalarKernel`] produces: `Some`
-/// with the banded-NW summary iff the alignment meets the thresholds.
-pub trait AlignKernel: std::fmt::Debug + Send + Sync {
-    /// Stable kernel name for logs and metrics.
-    fn name(&self) -> &'static str;
-
-    /// Verifies `reqs`, appending one verdict per request to `out` (which
-    /// is cleared first). Work counters go to `stats`; only the
-    /// kernel-dependent fields (`prefilter_*`, `exact_hits`) may differ
-    /// between kernels.
-    fn verify_batch(
-        &self,
-        store: &ReadStore,
-        params: &VerifyParams,
-        reqs: &[VerifyReq],
-        scratch: &mut KernelScratch,
-        stats: &mut PairStats,
-        out: &mut Vec<Option<AlignmentSummary>>,
-    );
 }
 
 /// Applies the overlap thresholds to a banded-NW summary.
@@ -151,9 +88,10 @@ fn apply_thresholds(params: &VerifyParams, summary: AlignmentSummary) -> Option<
     }
 }
 
-/// The reference verification: banded NW at the request's band, then the
-/// thresholds.
-fn scalar_verify(
+/// The banded-NW verdict: Needleman–Wunsch at the request's band, then the
+/// thresholds. The DP step of [`crate::Overlapper::verify_requests`] and
+/// the reference it must agree with on every request.
+pub fn banded_nw_verdict(
     store: &ReadStore,
     params: &VerifyParams,
     req: &VerifyReq,
@@ -182,7 +120,7 @@ fn hamming(store: &ReadStore, req: &VerifyReq) -> usize {
 }
 
 /// The verdict of a request whose all-diagonal alignment is the unique
-/// score optimum ([`ungapped_optimum_forced`]): scalar NW must report
+/// score optimum ([`ungapped_optimum_forced`]): banded NW must report
 /// `n` columns with `h` mismatches, whatever its band or tie-break.
 fn ungapped_verdict(
     params: &VerifyParams,
@@ -200,122 +138,67 @@ fn ungapped_verdict(
     apply_thresholds(params, summary)
 }
 
-/// The reference kernel: scalar banded NW on every request.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarKernel;
-
-impl AlignKernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        "scalar"
+/// Verifies one request. Before any edit distance: plain banded NW for
+/// scoring the bounds do not cover, the out-of-band rejection NW would
+/// make, the ungapped-optimum rule for Hamming distances small enough to
+/// need no edit distance, and the cannot-reach-`min_overlap_len`
+/// rejection. Then, given the exact edit distance `d`: reject via the
+/// identity and column bounds, resolve equal-length ranges whose Hamming
+/// distance equals `d` by the ungapped-optimum rule, otherwise run NW in
+/// the gap-bound-shrunk band (provably the same summary as the request's
+/// band — see [`crate::myers`]). `stats` counts which of these happened
+/// (`prefilter_*`, `exact_hits`).
+pub(crate) fn verify(
+    store: &ReadStore,
+    params: &VerifyParams,
+    req: &VerifyReq,
+    scratch: &mut KernelScratch,
+    stats: &mut PairStats,
+) -> Option<AlignmentSummary> {
+    if !prefilter_compatible(&params.nw) {
+        return banded_nw_verdict(store, params, req, &mut scratch.nw);
     }
-
-    fn verify_batch(
-        &self,
-        store: &ReadStore,
-        params: &VerifyParams,
-        reqs: &[VerifyReq],
-        scratch: &mut KernelScratch,
-        _stats: &mut PairStats,
-        out: &mut Vec<Option<AlignmentSummary>>,
-    ) {
-        out.clear();
-        out.reserve(reqs.len());
-        for req in reqs {
-            out.push(scalar_verify(store, params, req, &mut scratch.nw));
-        }
+    let (n, m) = (req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
+    if n.abs_diff(m) > req.band {
+        // Banded NW rejects this outright (global path leaves the band);
+        // mirror it without touching the sequences.
+        return None;
     }
-}
-
-/// The bit-parallel kernel: per request, the bound-based prefilter around
-/// one Myers edit distance, then band-shrunk verification.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MyersKernel;
-
-impl MyersKernel {
-    /// The bit-parallel pipeline for one request. Before any edit
-    /// distance: the scalar fallback for incompatible scoring, the
-    /// out-of-band rejection scalar NW would make, the ungapped-optimum
-    /// rule for Hamming distances small enough to need no edit distance,
-    /// and the cannot-reach-`min_overlap_len` rejection. Then, given the
-    /// exact edit distance `d`: reject via the identity and column bounds,
-    /// resolve equal-length ranges whose Hamming distance equals `d` by
-    /// the ungapped-optimum rule, otherwise re-verify with scalar NW in
-    /// the gap-bound-shrunk band (provably the same summary as the
-    /// configured band — see [`crate::myers`]).
-    fn verify(
-        store: &ReadStore,
-        params: &VerifyParams,
-        req: &VerifyReq,
-        scratch: &mut KernelScratch,
-        stats: &mut PairStats,
-    ) -> Option<AlignmentSummary> {
-        if !prefilter_compatible(&params.nw) {
-            return scalar_verify(store, params, req, &mut scratch.nw);
-        }
-        let (n, m) = (req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
-        if n.abs_diff(m) > req.band {
-            // Scalar banded NW rejects this outright (global path leaves the
-            // band); mirror it without touching the sequences.
-            return None;
-        }
-        let h = (n == m).then(|| hamming(store, req));
-        if let Some(h) = h.filter(|&h| ungapped_optimum_forced(&params.nw, h, None)) {
-            return ungapped_verdict(params, n, h, stats);
-        }
-        if n + m < params.min_overlap_len {
-            // Columns never exceed n + m, so the length threshold is
-            // unreachable whatever NW computes.
-            stats.prefilter_rejected += 1;
-            return None;
-        }
-        let d = edit_distance_with(
-            store.get(req.a).seq.packed(),
-            req.a_range,
-            store.get(req.b).seq.packed(),
-            req.b_range,
-            &mut scratch.myers,
-        );
-        if identity_upper_bound(n, m, d) < params.min_identity {
-            stats.prefilter_rejected += 1;
-            return None;
-        }
-        let gmax = optimal_gap_bound(&params.nw, n, m, d);
-        if max_columns_bound(n, m, gmax) < params.min_overlap_len {
-            stats.prefilter_rejected += 1;
-            return None;
-        }
-        if let Some(h) = h.filter(|&h| ungapped_optimum_forced(&params.nw, h, Some(d))) {
-            return ungapped_verdict(params, n, h, stats);
-        }
-        stats.prefilter_verified += 1;
-        let shrunk = VerifyReq {
-            band: req.band.min(gmax),
-            ..*req
-        };
-        scalar_verify(store, params, &shrunk, &mut scratch.nw)
+    let h = (n == m).then(|| hamming(store, req));
+    if let Some(h) = h.filter(|&h| ungapped_optimum_forced(&params.nw, h, None)) {
+        return ungapped_verdict(params, n, h, stats);
     }
-}
-
-impl AlignKernel for MyersKernel {
-    fn name(&self) -> &'static str {
-        "bitparallel"
+    if n + m < params.min_overlap_len {
+        // Columns never exceed n + m, so the length threshold is
+        // unreachable whatever NW computes.
+        stats.prefilter_rejected += 1;
+        return None;
     }
-
-    fn verify_batch(
-        &self,
-        store: &ReadStore,
-        params: &VerifyParams,
-        reqs: &[VerifyReq],
-        scratch: &mut KernelScratch,
-        stats: &mut PairStats,
-        out: &mut Vec<Option<AlignmentSummary>>,
-    ) {
-        out.clear();
-        out.reserve(reqs.len());
-        for req in reqs {
-            out.push(MyersKernel::verify(store, params, req, scratch, stats));
-        }
+    let d = edit_distance_with(
+        store.get(req.a).seq.packed(),
+        req.a_range,
+        store.get(req.b).seq.packed(),
+        req.b_range,
+        &mut scratch.myers,
+    );
+    if identity_upper_bound(n, m, d) < params.min_identity {
+        stats.prefilter_rejected += 1;
+        return None;
     }
+    let gmax = optimal_gap_bound(&params.nw, n, m, d);
+    if max_columns_bound(n, m, gmax) < params.min_overlap_len {
+        stats.prefilter_rejected += 1;
+        return None;
+    }
+    if let Some(h) = h.filter(|&h| ungapped_optimum_forced(&params.nw, h, Some(d))) {
+        return ungapped_verdict(params, n, h, stats);
+    }
+    stats.prefilter_verified += 1;
+    let shrunk = VerifyReq {
+        band: req.band.min(gmax),
+        ..*req
+    };
+    banded_nw_verdict(store, params, &shrunk, &mut scratch.nw)
 }
 
 #[cfg(test)]
@@ -429,25 +312,37 @@ mod tests {
         reqs
     }
 
+    /// [`verify`]'s verdicts and counters over `reqs`.
     fn run(
-        kernel: &dyn AlignKernel,
         store: &ReadStore,
         params: &VerifyParams,
         reqs: &[VerifyReq],
     ) -> (Vec<Option<AlignmentSummary>>, PairStats) {
         let mut scratch = KernelScratch::default();
         let mut stats = PairStats::default();
-        let mut out = Vec::new();
-        kernel.verify_batch(store, params, reqs, &mut scratch, &mut stats, &mut out);
-        assert_eq!(out.len(), reqs.len());
+        let out = reqs
+            .iter()
+            .map(|req| verify(store, params, req, &mut scratch, &mut stats))
+            .collect();
         (out, stats)
     }
 
-    /// The differential corpus: the bit-parallel kernel must agree
-    /// verdict-for-verdict with the scalar reference across empty, short,
-    /// multiword and band-edge requests.
+    /// The banded-NW verdicts [`verify`] must reproduce.
+    fn reference(
+        store: &ReadStore,
+        params: &VerifyParams,
+        reqs: &[VerifyReq],
+    ) -> Vec<Option<AlignmentSummary>> {
+        let mut nw = NwScratch::default();
+        reqs.iter()
+            .map(|req| banded_nw_verdict(store, params, req, &mut nw))
+            .collect()
+    }
+
+    /// The differential corpus: `verify` must agree verdict-for-verdict
+    /// with banded NW across empty, short, multiword and band-edge requests.
     #[test]
-    fn kernels_agree_with_scalar_reference() {
+    fn verify_agrees_with_banded_nw() {
         let mut rng = Rng::new(42);
         let params = VerifyParams {
             nw: NwConfig::default(),
@@ -459,20 +354,23 @@ mod tests {
         for round in 0..6 {
             let store = paired_store(&mut rng);
             let reqs = random_reqs(&store, &mut rng, 300);
-            let (reference, ref_stats) = run(&ScalarKernel, &store, &params, &reqs);
-            assert_eq!(ref_stats.prefilter_rejected, 0);
-            assert_eq!(ref_stats.exact_hits, 0);
-            assert!(reference.iter().any(|v| v.is_some()), "corpus too easy");
-            assert!(reference.iter().any(|v| v.is_none()), "corpus too easy");
-            gapped_accepts += gapped_equal_length_accepts(&reqs, &reference);
-            let (got, stats) = run(&MyersKernel, &store, &params, &reqs);
-            assert_eq!(got, reference, "bitparallel diverges in round {round}");
-            // Every candidate the prefilter let through or resolved
-            // exactly accounts against the request count.
-            assert!(
-                stats.prefilter_rejected + stats.prefilter_verified + stats.exact_hits
-                    <= reqs.len() as u64,
-                "bitparallel stats overcount"
+            let expected = reference(&store, &params, &reqs);
+            assert!(expected.iter().any(|v| v.is_some()), "corpus too easy");
+            assert!(expected.iter().any(|v| v.is_none()), "corpus too easy");
+            gapped_accepts += gapped_equal_length_accepts(&reqs, &expected);
+            let (got, stats) = run(&store, &params, &reqs);
+            assert_eq!(got, expected, "verify diverges in round {round}");
+            // A request inside its band is counted exactly once — bound
+            // rejection, rule resolution or DP run; one outside it is
+            // rejected before anything is counted.
+            let in_band = reqs.iter().filter(|r| {
+                let (n, m) = (r.a_range.1 - r.a_range.0, r.b_range.1 - r.b_range.0);
+                n.abs_diff(m) <= r.band
+            });
+            assert_eq!(
+                stats.prefilter_rejected + stats.prefilter_verified + stats.exact_hits,
+                in_band.count() as u64,
+                "verify miscounts in round {round}"
             );
             seen.merge(&stats);
         }
@@ -500,12 +398,36 @@ mod tests {
             .count()
     }
 
+    /// The DP never runs in a wider band than the request's, and on this
+    /// corpus it runs in a narrower one — the gap bound's — at least once.
+    #[test]
+    fn dp_runs_in_the_gap_bound_shrunk_band() {
+        let mut rng = Rng::new(42);
+        let params = VerifyParams {
+            nw: NwConfig::default(),
+            min_overlap_len: 30,
+            min_identity: 0.9,
+        };
+        let store = paired_store(&mut rng);
+        let mut scratch = KernelScratch::default();
+        let mut stats = PairStats::default();
+        let mut shrunk = 0;
+        for req in random_reqs(&store, &mut rng, 300) {
+            let dp_runs = stats.prefilter_verified;
+            verify(&store, &params, &req, &mut scratch, &mut stats);
+            if stats.prefilter_verified > dp_runs {
+                assert!(scratch.nw.last_band() <= req.band, "{req:?}");
+                shrunk += usize::from(scratch.nw.last_band() < req.band);
+            }
+        }
+        assert!(shrunk > 0, "no DP ran in a shrunk band: {stats:?}");
+    }
+
     /// Scorings on both sides of `ma - 2·ga > 2·(ma - mi)`: the rule's
     /// `h > 0` cases apply to the first three and must stay off for the
-    /// last two, and the bit-parallel kernel matches the scalar reference
-    /// under each.
+    /// last two, and `verify` matches banded NW under each.
     #[test]
-    fn kernels_agree_across_scorings() {
+    fn verify_agrees_across_scorings() {
         let mut rng = Rng::new(77);
         let store = paired_store(&mut rng);
         let reqs = random_reqs(&store, &mut rng, 400);
@@ -531,20 +453,20 @@ mod tests {
                     min_overlap_len,
                     min_identity,
                 };
-                let (reference, _) = run(&ScalarKernel, &store, &params, &reqs);
-                let (got, _) = run(&MyersKernel, &store, &params, &reqs);
+                let (got, _) = run(&store, &params, &reqs);
                 assert_eq!(
-                    got, reference,
-                    "bitparallel diverges under {scoring:?} at {min_overlap_len}/{min_identity}"
+                    got,
+                    reference(&store, &params, &reqs),
+                    "verify diverges under {scoring:?} at {min_overlap_len}/{min_identity}"
                 );
             }
         }
     }
 
     /// Degenerate thresholds (accept everything / reject everything) and
-    /// empty ranges keep the kernels in lockstep.
+    /// empty ranges keep `verify` and banded NW in lockstep.
     #[test]
-    fn kernels_agree_at_threshold_extremes() {
+    fn verify_agrees_at_threshold_extremes() {
         let mut rng = Rng::new(7);
         let store = paired_store(&mut rng);
         let reqs = {
@@ -567,19 +489,19 @@ mod tests {
                 min_overlap_len: min_len,
                 min_identity: min_id,
             };
-            let (reference, _) = run(&ScalarKernel, &store, &params, &reqs);
-            let (got, _) = run(&MyersKernel, &store, &params, &reqs);
+            let (got, _) = run(&store, &params, &reqs);
             assert_eq!(
-                got, reference,
-                "bitparallel diverges at min_len={min_len} min_id={min_id}"
+                got,
+                reference(&store, &params, &reqs),
+                "verify diverges at min_len={min_len} min_id={min_id}"
             );
         }
     }
 
-    /// Exotic scoring configs (positive mismatch, zero gap) must fall back
-    /// to plain scalar behaviour rather than apply the bounds.
+    /// Exotic scoring configs (positive mismatch, zero gap) must get plain
+    /// banded NW rather than the bounds.
     #[test]
-    fn incompatible_scoring_falls_back_to_scalar() {
+    fn incompatible_scoring_applies_no_bound() {
         let mut rng = Rng::new(19);
         let store = paired_store(&mut rng);
         let reqs = random_reqs(&store, &mut rng, 80);
@@ -598,25 +520,9 @@ mod tests {
                 min_overlap_len: 30,
                 min_identity: 0.9,
             };
-            let (reference, _) = run(&ScalarKernel, &store, &params, &reqs);
-            let (got, stats) = run(&MyersKernel, &store, &params, &reqs);
-            assert_eq!(got, reference);
-            assert_eq!(stats.prefilter_rejected, 0, "bounds must not be applied");
-            assert_eq!(stats.exact_hits, 0);
+            let (got, stats) = run(&store, &params, &reqs);
+            assert_eq!(got, reference(&store, &params, &reqs));
+            assert_eq!(stats, PairStats::default(), "bounds must not be applied");
         }
-    }
-
-    #[test]
-    fn kernel_kind_parses_cli_values() {
-        assert_eq!(KernelKind::parse("scalar"), Some(KernelKind::Scalar));
-        assert_eq!(KernelKind::parse("bitparallel"), Some(KernelKind::BitParallel));
-        assert_eq!(KernelKind::parse("bit-parallel"), Some(KernelKind::BitParallel));
-        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::BitParallel));
-        assert_eq!(KernelKind::parse("fast"), None);
-        for kind in [KernelKind::Scalar, KernelKind::BitParallel] {
-            assert_eq!(KernelKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(kind.build().name(), kind.as_str());
-        }
-        assert_eq!(KernelKind::default(), KernelKind::BitParallel);
     }
 }

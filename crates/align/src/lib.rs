@@ -12,9 +12,9 @@
 //! * [`pairwise`] — the subset-pair overlapper: k-mer seeding through the
 //!   seed index, diagonal voting, banded verification, thresholding on
 //!   minimum overlap length and identity,
-//! * [`kernel`] — the pluggable alignment-kernel layer: the [`AlignKernel`]
-//!   trait plus runtime dispatch ([`KernelKind`]) between the scalar
-//!   reference and the bit-parallel prefilter,
+//! * [`kernel`] — candidate verification: the bit-parallel prefilter
+//!   around the banded-NW verdict ([`banded_nw_verdict`], its DP step and
+//!   its oracle),
 //! * [`myers`] — Myers' (1999) bit-parallel edit-distance kernel with the
 //!   provable prefilter bounds.
 
@@ -31,9 +31,7 @@ pub mod pairwise;
 pub use error::AlignError;
 pub use fc_exec::Pool;
 pub use index::KmerIndex;
-pub use kernel::{
-    AlignKernel, KernelKind, KernelScratch, MyersKernel, ScalarKernel, VerifyParams, VerifyReq,
-};
+pub use kernel::{banded_nw_verdict, KernelScratch, VerifyParams, VerifyReq};
 pub use myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
     prefilter_compatible, ungapped_optimum_forced, MyersScratch,

@@ -1,13 +1,13 @@
 //! Myers' bit-parallel global edit distance (Myers 1999, Hyyrö 2003) and the
 //! sound prefilter bounds that connect it to the scalar banded NW verifier.
 //!
-//! # Role in the kernel layer
+//! # Role in verification
 //!
-//! The bit-parallel kernels ([`crate::kernel`]) never *replace* the scalar
-//! banded Needleman–Wunsch verifier — they bound it. For a candidate pair
-//! they compute the exact unit-cost (Levenshtein) edit distance `D` between
+//! Verification ([`crate::kernel`]) never *replaces* the scalar
+//! banded Needleman–Wunsch verifier — it bounds it. For a candidate pair
+//! it computes the exact unit-cost (Levenshtein) edit distance `D` between
 //! the two overlap ranges, 64 pattern rows per machine word, and from `D`
-//! derive *sound* bounds on what [`banded_global_with`](crate::nw) could
+//! derives *sound* bounds on what [`banded_global_with`](crate::nw) could
 //! possibly report:
 //!
 //! * an upper bound on achievable identity → candidates that cannot reach
@@ -19,7 +19,8 @@
 //!   provably equivalent to the configured one.
 //!
 //! Every bound errs on the side of running the scalar verifier, so overlaps
-//! (and therefore contigs) are bit-identical to the pure scalar kernel.
+//! (and therefore contigs) are bit-identical to verifying every candidate
+//! with banded NW alone.
 //!
 //! # Bound derivations
 //!

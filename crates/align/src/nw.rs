@@ -212,6 +212,15 @@ pub fn banded_global_with(
 }
 
 #[cfg(test)]
+impl NwScratch {
+    /// The band of the last DP these buffers ran (they hold `2·band + 3`
+    /// slots), for tests of what band a caller asked for.
+    pub(crate) fn last_band(&self) -> usize {
+        (self.prev.len() - 3) / 2
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

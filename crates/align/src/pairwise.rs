@@ -8,7 +8,7 @@
 
 use crate::error::AlignError;
 use crate::index::KmerIndex;
-use crate::kernel::{AlignKernel, KernelKind, KernelScratch, VerifyParams, VerifyReq};
+use crate::kernel::{verify, KernelScratch, VerifyParams, VerifyReq};
 use crate::nw::{band_for_error_rate, AlignmentSummary, NwConfig};
 use crate::overlap::{Overlap, OverlapKind};
 use fc_exec::Pool;
@@ -39,9 +39,6 @@ pub struct OverlapConfig {
     pub min_identity: f64,
     /// Aligner scoring/banding.
     pub nw: NwConfig,
-    /// Which verification kernel runs the candidates (all kinds produce
-    /// bit-identical overlaps; see [`crate::kernel`]).
-    pub kernel: KernelKind,
     /// When set, each candidate is verified in a band sized for its own
     /// overlap length via [`band_for_error_rate`] (memoised per length)
     /// instead of the fixed `nw.band`. `None` (the default) preserves the
@@ -58,7 +55,6 @@ impl Default for OverlapConfig {
             min_overlap_len: 50,
             min_identity: 0.90,
             nw: NwConfig::default(),
-            kernel: KernelKind::default(),
             band_error_rate: None,
         }
     }
@@ -118,16 +114,15 @@ pub struct PairStats {
     /// Overlaps that passed the thresholds.
     pub overlaps: u64,
     /// Candidates rejected by a bit-parallel prefilter bound without
-    /// running scalar NW (kernel-dependent; zero for the scalar kernel).
+    /// running NW.
     pub prefilter_rejected: u64,
     /// Candidates that reached the DP: not rejected by a bound, not
-    /// resolved by the ungapped-optimum rule, re-verified by band-shrunk
-    /// scalar NW (kernel-dependent).
+    /// resolved by the ungapped-optimum rule, verified by band-shrunk NW.
     pub prefilter_verified: u64,
     /// Equal-length candidates whose summary was synthesized from their
     /// Hamming distance `h` because the all-diagonal alignment is provably
     /// NW's unique optimum ([`crate::myers::ungapped_optimum_forced`]);
-    /// identical ranges are the `h = 0` case (kernel-dependent).
+    /// identical ranges are the `h = 0` case.
     pub exact_hits: u64,
 }
 
@@ -206,9 +201,9 @@ impl Hasher for VoteHasher {
 
 /// Reusable per-worker buffers for the overlapper's hot path: the diagonal
 /// vote map and its flattened/sorted view, the candidate list, the
-/// verification-request batch and its verdicts, the kernel's own buffers,
+/// verification-request batch and its verdicts, the verifier's own buffers,
 /// and the per-length band memo. One value per worker thread (see
-/// [`Overlapper::overlap_all_with`]) eliminates the per-read and
+/// [`Overlapper::overlap_all`]) eliminates the per-read and
 /// per-verification allocation churn without any cross-thread state.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
@@ -228,27 +223,13 @@ pub struct AlignScratch {
 pub struct Overlapper<'a> {
     store: &'a ReadStore,
     config: OverlapConfig,
-    kernel: Box<dyn AlignKernel>,
 }
 
 impl<'a> Overlapper<'a> {
-    /// Creates an overlapper; fails on invalid configuration. The
-    /// verification kernel is built here, once — runtime dispatch flows
-    /// from configuration, never from ambient state in the hot path.
+    /// Creates an overlapper; fails on invalid configuration.
     pub fn new(store: &'a ReadStore, config: OverlapConfig) -> Result<Overlapper<'a>, AlignError> {
         config.validate()?;
-        let kernel = config.kernel.build();
-        Ok(Overlapper {
-            store,
-            config,
-            kernel,
-        })
-    }
-
-    /// The active verification kernel's name (`scalar` or `bitparallel`)
-    /// for logs and reports.
-    pub fn kernel_name(&self) -> &'static str {
-        self.kernel.name()
+        Ok(Overlapper { store, config })
     }
 
     /// The configuration in use.
@@ -265,28 +246,19 @@ impl<'a> Overlapper<'a> {
         KmerIndex::build(&reads, self.config.k)
     }
 
-    /// Finds overlaps between `query` reads and an indexed reference subset.
+    /// Finds overlaps between `query` reads and an indexed reference
+    /// subset, in caller-provided scratch buffers: each worker thread of
+    /// the parallel fan-out owns one [`AlignScratch`] for its whole task
+    /// stream.
     ///
     /// When `dedup_self` is true (self subset pairs), only pairs with
     /// `query id < reference id` are evaluated so each unordered pair is
     /// considered once across the whole run.
-    pub fn overlap_pair(
-        &self,
-        query: &[ReadId],
-        index: &KmerIndex,
-        dedup_self: bool,
-    ) -> (Vec<Overlap>, PairStats) {
-        self.overlap_pair_with(query, index, dedup_self, &mut AlignScratch::default())
-    }
-
-    /// [`Overlapper::overlap_pair`] with caller-provided scratch buffers —
-    /// the zero-allocation path used by the parallel fan-out, where each
-    /// worker thread owns one [`AlignScratch`] for its whole task stream.
     ///
     /// Seeding and geometry run per query read, accumulating one
-    /// [`VerifyReq`] batch for the whole subset pair; the configured
-    /// [`AlignKernel`] then verifies the batch in one call, and overlaps
-    /// are emitted in request order.
+    /// [`VerifyReq`] batch for the whole subset pair;
+    /// [`Overlapper::verify_requests`] then verifies the batch, and
+    /// overlaps are emitted in request order.
     pub fn overlap_pair_with(
         &self,
         query: &[ReadId],
@@ -319,41 +291,24 @@ impl<'a> Overlapper<'a> {
         (overlaps, stats)
     }
 
-    /// Runs the full all-subset-pairs overlap computation, mirroring the
-    /// paper's parallel read alignment: subsets are compared pairwise
-    /// (including each subset against itself) and results concatenated.
-    /// Returns the overlaps plus the per-pair stats in `(i, j, stats)` form.
-    pub fn overlap_all(
-        &self,
-        subsets: &[Vec<ReadId>],
-    ) -> (Vec<Overlap>, Vec<(usize, usize, PairStats)>) {
-        self.overlap_all_with(subsets, &Pool::serial())
-    }
-
-    /// [`Overlapper::overlap_all`] over a work pool: the `s(s+1)/2`
-    /// subset-pair tasks run concurrently (paper §II-B's parallel
-    /// alignment).
+    /// Runs the full all-subset-pairs overlap computation over a work pool,
+    /// mirroring the paper's parallel read alignment (§II-B): subsets are
+    /// compared pairwise (including each subset against itself), the
+    /// `s(s+1)/2` subset-pair tasks run concurrently, and the results are
+    /// concatenated. Returns the overlaps plus the per-pair stats in
+    /// `(i, j, stats)` form.
     ///
     /// Each reference subset's index is built exactly once and shared
     /// read-only across its column of tasks; per-task results are merged in
-    /// the serial loop's canonical `(j, i ≤ j)` order, so the output is
-    /// bit-identical to [`Overlapper::overlap_all`] at any thread count.
-    pub fn overlap_all_with(
-        &self,
-        subsets: &[Vec<ReadId>],
-        pool: &Pool,
-    ) -> (Vec<Overlap>, Vec<(usize, usize, PairStats)>) {
-        self.overlap_all_obs(subsets, pool, &Recorder::disabled())
-    }
-
-    /// [`Overlapper::overlap_all_with`] with alignment metrics recorded
-    /// into `rec`: aggregate k-mer/candidate/verification counters
-    /// (`align.*`), overlap length and identity histograms, and the
-    /// scheduling-dependent scratch-reuse count
-    /// (`sched.align.scratch_reuses`). The overlaps returned are identical
-    /// to the uninstrumented call; metric aggregation happens after the
-    /// canonical merge, outside the hot per-pair tasks.
-    pub fn overlap_all_obs(
+    /// the canonical serial `(j, i ≤ j)` order, so the output is
+    /// bit-identical at any thread count.
+    ///
+    /// Alignment metrics are recorded into `rec`: aggregate
+    /// k-mer/candidate/verification counters (`align.*`), overlap length
+    /// and identity histograms, and the scheduling-dependent scratch-reuse
+    /// count (`sched.align.scratch_reuses`). Metric aggregation happens
+    /// after the canonical merge, outside the hot per-pair tasks.
+    pub fn overlap_all(
         &self,
         subsets: &[Vec<ReadId>],
         pool: &Pool,
@@ -390,7 +345,7 @@ impl<'a> Overlapper<'a> {
     }
 
     /// Canonical-order merge and metric aggregation shared by
-    /// [`Overlapper::overlap_all_obs`] and the out-of-core spilled
+    /// [`Overlapper::overlap_all`] and the out-of-core spilled
     /// alignment: consumes per-pair results **in the serial `(j, i ≤ j)`
     /// pair order** (each with the `reused`-scratch flag) and produces the
     /// flat overlap list, the per-pair stats, and exactly the `align.*`
@@ -434,9 +389,6 @@ impl<'a> Overlapper<'a> {
                 total.candidates.saturating_sub(total.overlaps),
             );
             rec.add("align.nw_cells", total.nw_cells);
-            // Kernel-dependent counters (see `fc_obs::KERNEL_PREFIXES`):
-            // excluded from logical snapshots because they vary with
-            // `--align-kernel` while the overlaps stay bit-identical.
             rec.add("align.prefilter.rejected", total.prefilter_rejected);
             rec.add("align.prefilter.verified", total.prefilter_verified);
             rec.add("align.kernel.exact_hits", total.exact_hits);
@@ -448,10 +400,10 @@ impl<'a> Overlapper<'a> {
 
     /// Runs only the seeding/geometry stage over every subset pair,
     /// returning the full [`VerifyReq`] batch in the canonical serial
-    /// `(j, i ≤ j)` order. The geometry stage is kernel-independent, so
-    /// this is exactly the work list any configured kernel would verify;
-    /// benchmarks use it to time [`Overlapper::verify_requests`] in
-    /// isolation from seeding and voting.
+    /// `(j, i ≤ j)` order — exactly the work list
+    /// [`Overlapper::overlap_all`] verifies; benchmarks use it to time
+    /// [`Overlapper::verify_requests`] in isolation from seeding and
+    /// voting.
     pub fn gather_requests(&self, subsets: &[Vec<ReadId>]) -> Vec<VerifyReq> {
         let mut scratch = AlignScratch::default();
         let mut stats = PairStats::default();
@@ -466,11 +418,10 @@ impl<'a> Overlapper<'a> {
         reqs
     }
 
-    /// Verifies a request batch with this overlapper's configured kernel,
+    /// Verifies a request batch, one `kernel::verify` per request,
     /// writing one verdict per request into `out` (cleared first). This is
-    /// the alignment verification phase in isolation — the part
-    /// `--align-kernel` dispatches — exposed so `focus-bench` can time it
-    /// without seeding noise (`align.verify_s`).
+    /// the alignment verification phase in isolation, exposed so
+    /// `focus-bench` can time it without seeding noise (`align.verify_s`).
     pub fn verify_requests(
         &self,
         reqs: &[VerifyReq],
@@ -478,13 +429,12 @@ impl<'a> Overlapper<'a> {
         stats: &mut PairStats,
         out: &mut Vec<Option<AlignmentSummary>>,
     ) {
-        let params = VerifyParams {
-            nw: self.config.nw,
-            min_overlap_len: self.config.min_overlap_len,
-            min_identity: self.config.min_identity,
-        };
-        self.kernel
-            .verify_batch(self.store, &params, reqs, scratch, stats, out);
+        let params = VerifyParams::from(&self.config);
+        out.clear();
+        out.reserve(reqs.len());
+        for req in reqs {
+            out.push(verify(self.store, &params, req, scratch, stats));
+        }
     }
 
     /// The seeding and geometry stage of one subset pair: leaves the pair's
@@ -600,8 +550,7 @@ impl<'a> Overlapper<'a> {
             stats.candidates += 1;
             if let Some(req) = self.classify_candidate(q, r, diag, band_memo) {
                 // Work accounting happens at the geometry stage with the
-                // request's band, so `nw_cells` is identical whichever
-                // kernel verifies the batch.
+                // request's band, not the band verification shrinks it to.
                 let rows = (req.a_range.1 - req.a_range.0) as u64;
                 stats.nw_cells += rows * (2 * req.band as u64 + 1);
                 reqs.push(req);
@@ -796,13 +745,29 @@ pub(crate) mod tests {
         }
     }
 
+    /// `overlap_all` on one thread with no recorder.
+    fn overlap_serial(
+        overlapper: &Overlapper<'_>,
+        subsets: &[Vec<ReadId>],
+    ) -> (Vec<Overlap>, Vec<(usize, usize, PairStats)>) {
+        overlapper.overlap_all(subsets, &Pool::serial(), &Recorder::disabled())
+    }
+
+    fn total_of(stats: &[(usize, usize, PairStats)]) -> PairStats {
+        let mut total = PairStats::default();
+        for (_, _, s) in stats {
+            total.merge(s);
+        }
+        total
+    }
+
     #[test]
     fn finds_dovetails_along_a_tiling() {
         let genome = random_genome(600, 7);
         let store = tiled_store(&genome, 100, 50);
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
         let subsets = store.split_subsets(1);
-        let (overlaps, _) = overlapper.overlap_all(&subsets);
+        let (overlaps, _) = overlap_serial(&overlapper, &subsets);
         assert!(!overlaps.is_empty());
         // Consecutive forward reads overlap by 50 bp: read i (node 2i) and
         // read i+1 (node 2(i+1)) must produce a SuffixPrefix overlap.
@@ -841,7 +806,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
-        let (overlaps, _) = overlapper.overlap_all(&store.split_subsets(1));
+        let (overlaps, _) = overlap_serial(&overlapper, &store.split_subsets(1));
         let containment = overlaps
             .iter()
             .find(|o| o.contained().is_some())
@@ -867,7 +832,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
-        let (overlaps, _) = overlapper.overlap_all(&store.split_subsets(1));
+        let (overlaps, _) = overlap_serial(&overlapper, &store.split_subsets(1));
         assert!(overlaps.is_empty(), "spurious overlaps: {overlaps:?}");
     }
 
@@ -876,8 +841,8 @@ pub(crate) mod tests {
         let genome = random_genome(800, 5);
         let store = tiled_store(&genome, 100, 40);
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
-        let (mut one, _) = overlapper.overlap_all(&store.split_subsets(1));
-        let (mut four, _) = overlapper.overlap_all(&store.split_subsets(4));
+        let (mut one, _) = overlap_serial(&overlapper, &store.split_subsets(1));
+        let (mut four, _) = overlap_serial(&overlapper, &store.split_subsets(4));
         let key = |o: &Overlap| (o.a.0, o.b.0, o.shift, o.len);
         one.sort_by_key(key);
         four.sort_by_key(key);
@@ -903,7 +868,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
-        let (overlaps, _) = overlapper.overlap_all(&store.split_subsets(1));
+        let (overlaps, _) = overlap_serial(&overlapper, &store.split_subsets(1));
         assert!(
             overlaps
                 .iter()
@@ -949,9 +914,10 @@ pub(crate) mod tests {
         let store = tiled_store(&genome, 100, 35);
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
         let subsets = store.split_subsets(5);
-        let serial = overlapper.overlap_all(&subsets);
+        let serial = overlap_serial(&overlapper, &subsets);
         for threads in [1usize, 2, 4, 8] {
-            let pooled = overlapper.overlap_all_with(&subsets, &Pool::new(threads));
+            let pooled =
+                overlapper.overlap_all(&subsets, &Pool::new(threads), &Recorder::disabled());
             // No sorting: the merge itself must reproduce the serial order.
             assert_eq!(pooled.0, serial.0, "overlaps differ at {threads} threads");
             assert_eq!(pooled.1, serial.1, "pair stats differ at {threads} threads");
@@ -966,15 +932,15 @@ pub(crate) mod tests {
         let subsets = store.split_subsets(5);
         let baseline = {
             let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-            let out = overlapper.overlap_all_obs(&subsets, &Pool::serial(), &rec);
-            assert_eq!(out, overlapper.overlap_all(&subsets));
+            let out = overlapper.overlap_all(&subsets, &Pool::serial(), &rec);
+            assert_eq!(out, overlap_serial(&overlapper, &subsets));
             rec.snapshot_json()
         };
         assert!(baseline.contains("align.candidates"));
         assert!(baseline.contains("align.overlap_len"));
         for threads in [2usize, 4, 8] {
             let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-            overlapper.overlap_all_obs(&subsets, &Pool::new(threads), &rec);
+            overlapper.overlap_all(&subsets, &Pool::new(threads), &rec);
             assert_eq!(
                 rec.snapshot_json(),
                 baseline,
@@ -990,7 +956,7 @@ pub(crate) mod tests {
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
         let subsets = store.split_subsets(3);
         let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-        overlapper.overlap_all_obs(&subsets, &Pool::new(4), &rec);
+        overlapper.overlap_all(&subsets, &Pool::new(4), &rec);
         let snapshot = rec.snapshot();
         let get = |name| snapshot.counters.get(name).copied().unwrap_or(0);
         assert_eq!(
@@ -1009,7 +975,8 @@ pub(crate) mod tests {
         let index = overlapper.index_subset(&subsets[0]);
         let mut reused = AlignScratch::default();
         for subset in &subsets {
-            let fresh = overlapper.overlap_pair(subset, &index, false);
+            let fresh =
+                overlapper.overlap_pair_with(subset, &index, false, &mut AlignScratch::default());
             let with_reuse = overlapper.overlap_pair_with(subset, &index, false, &mut reused);
             assert_eq!(fresh, with_reuse);
         }
@@ -1044,110 +1011,77 @@ pub(crate) mod tests {
         assert!(OverlapConfig::default().validate().is_ok());
     }
 
-    /// Every kernel kind must produce bit-identical overlaps, logical
-    /// (kernel-independent) pair stats, and byte-identical logical metric
-    /// snapshots — at every thread count. This is the dispatch-level
-    /// counterpart of the per-request differential tests in
-    /// [`crate::kernel`]. The store holds substituted and indel-bearing
-    /// reads and a tandem repeat, so the bit-parallel kernel resolves some
-    /// candidates from the Hamming count, runs DP on others, and some
-    /// accepted overlaps are gapped.
+    /// The overlaps `overlap_all` emits are exactly the requests of
+    /// `gather_requests` whose banded-NW verdict is `Some`, in order — at
+    /// every thread count, with equal pair stats and logical snapshots
+    /// across threads. This is the pipeline-level counterpart of the
+    /// per-request differential tests in [`crate::kernel`]. The store holds
+    /// substituted and indel-bearing reads and a tandem repeat, so `verify`
+    /// resolves some candidates from the Hamming count, runs DP on others,
+    /// and some accepted overlaps are gapped.
     #[test]
-    fn all_kernel_kinds_produce_bit_identical_results() {
+    fn overlap_all_emits_exactly_the_banded_nw_accepts() {
         let genome = random_genome(900, 23);
         let store = noisy_tiled_store(&genome, 5);
         let subsets = store.split_subsets(4);
-        let logical = |s: &PairStats| PairStats {
-            prefilter_rejected: 0,
-            prefilter_verified: 0,
-            exact_hits: 0,
-            ..*s
-        };
-        let (base_overlaps, base_stats, base_snapshot) = {
-            let config = OverlapConfig {
-                kernel: KernelKind::Scalar,
-                ..test_config()
-            };
-            let overlapper = Overlapper::new(&store, config).unwrap();
-            let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-            let (o, s) = overlapper.overlap_all_obs(&subsets, &Pool::serial(), &rec);
-            (o, s, rec.snapshot_json())
-        };
-        assert!(!base_overlaps.is_empty());
+        let config = test_config();
+        let overlapper = Overlapper::new(&store, config).unwrap();
+        let params = VerifyParams::from(&config);
+        let mut nw = crate::nw::NwScratch::default();
+        let expected: Vec<Overlap> = overlapper
+            .gather_requests(&subsets)
+            .iter()
+            .filter_map(|req| {
+                let summary = crate::kernel::banded_nw_verdict(&store, &params, req, &mut nw)?;
+                Some(Overlap {
+                    a: req.a,
+                    b: req.b,
+                    kind: req.kind,
+                    shift: req.shift,
+                    len: summary.columns,
+                    identity: summary.identity(),
+                })
+            })
+            .collect();
+        assert!(!expected.is_empty());
         assert!(
-            base_overlaps.iter().any(|o| o.len as usize != range_len(&store, o)),
+            expected
+                .iter()
+                .any(|o| o.len as usize != range_len(&store, o)),
             "no accepted overlap is gapped"
         );
-        let kind = KernelKind::BitParallel;
-        let config = OverlapConfig {
-            kernel: kind,
-            ..test_config()
-        };
-        let overlapper = Overlapper::new(&store, config).unwrap();
-        for threads in [1usize, 2, 4, 8] {
+        let run = |threads: usize| {
             let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-            let (overlaps, stats) = overlapper.overlap_all_obs(&subsets, &Pool::new(threads), &rec);
+            let (overlaps, stats) = overlapper.overlap_all(&subsets, &Pool::new(threads), &rec);
+            assert_eq!(overlaps, expected, "overlaps differ at {threads} threads");
+            (stats, rec.snapshot_json())
+        };
+        let (base_stats, base_snapshot) = run(1);
+        let total = total_of(&base_stats);
+        assert!(total.exact_hits > 0, "rule never fired: {total:?}");
+        assert!(total.prefilter_verified > 0, "DP never ran: {total:?}");
+        for threads in [2usize, 4, 8] {
+            let (stats, snapshot) = run(threads);
+            assert_eq!(stats, base_stats, "pair stats differ at {threads} threads");
             assert_eq!(
-                overlaps,
-                base_overlaps,
-                "overlaps differ for {} at {threads} threads",
-                kind.as_str()
+                snapshot, base_snapshot,
+                "logical snapshot differs at {threads} threads"
             );
-            for ((i, j, s), (bi, bj, bs)) in stats.iter().zip(&base_stats) {
-                assert_eq!((i, j), (bi, bj));
-                assert_eq!(
-                    logical(s),
-                    logical(bs),
-                    "logical stats differ for {} pair ({i},{j})",
-                    kind.as_str()
-                );
-            }
-            assert_eq!(
-                rec.snapshot_json(),
-                base_snapshot,
-                "logical metric snapshot differs for {} at {threads} threads",
-                kind.as_str()
-            );
-            let mut total = PairStats::default();
-            for (_, _, s) in &stats {
-                total.merge(s);
-            }
-            assert!(total.exact_hits > 0, "rule never fired: {total:?}");
-            assert!(total.prefilter_verified > 0, "DP never ran: {total:?}");
         }
     }
 
-    /// The bit-parallel kernel actually takes its shortcuts on this
-    /// workload (the counters are nonzero), while the scalar kernel's
-    /// kernel-dependent counters stay zero.
+    /// `verify` actually takes its shortcuts on this workload: the
+    /// prefilter counters are nonzero.
     #[test]
-    fn prefilter_counters_reflect_kernel_work() {
+    fn prefilter_counters_reflect_verifier_work() {
         let genome = random_genome(900, 23);
         let store = tiled_store(&genome, 100, 35);
-        let subsets = store.split_subsets(2);
-        let totals = |kind: KernelKind| {
-            let config = OverlapConfig {
-                kernel: kind,
-                ..test_config()
-            };
-            let overlapper = Overlapper::new(&store, config).unwrap();
-            let (_, stats) = overlapper.overlap_all(&subsets);
-            let mut total = PairStats::default();
-            for (_, _, s) in &stats {
-                total.merge(s);
-            }
-            total
-        };
-        let scalar = totals(KernelKind::Scalar);
-        assert_eq!(scalar.prefilter_rejected, 0);
-        assert_eq!(scalar.prefilter_verified, 0);
-        assert_eq!(scalar.exact_hits, 0);
-        let bitparallel = totals(KernelKind::BitParallel);
+        let overlapper = Overlapper::new(&store, test_config()).unwrap();
+        let (_, stats) = overlap_serial(&overlapper, &store.split_subsets(2));
+        let total = total_of(&stats);
         assert!(
-            bitparallel.prefilter_rejected + bitparallel.prefilter_verified
-                + bitparallel.exact_hits
-                > 0,
-            "prefilter never engaged: {bitparallel:?}"
+            total.prefilter_rejected + total.prefilter_verified + total.exact_hits > 0,
+            "prefilter never engaged: {total:?}"
         );
     }
 
@@ -1164,7 +1098,7 @@ pub(crate) mod tests {
         };
         let overlapper = Overlapper::new(&store, config).unwrap();
         let subsets = store.split_subsets(1);
-        let (overlaps, _) = overlapper.overlap_all(&subsets);
+        let (overlaps, _) = overlap_serial(&overlapper, &subsets);
         assert!(overlaps
             .iter()
             .any(|o| o.kind == OverlapKind::SuffixPrefix && o.len >= 30));
@@ -1172,7 +1106,12 @@ pub(crate) mod tests {
         let index = overlapper.index_subset(&subsets[0]);
         let mut warm = AlignScratch::default();
         for _ in 0..3 {
-            let fresh = overlapper.overlap_pair(&subsets[0], &index, true);
+            let fresh = overlapper.overlap_pair_with(
+                &subsets[0],
+                &index,
+                true,
+                &mut AlignScratch::default(),
+            );
             let reused = overlapper.overlap_pair_with(&subsets[0], &index, true, &mut warm);
             assert_eq!(fresh, reused);
         }
@@ -1219,7 +1158,7 @@ pub(crate) mod tests {
             },
         )
         .unwrap();
-        let (overlaps, _) = overlapper.overlap_all(&store.split_subsets(1));
+        let (overlaps, _) = overlap_serial(&overlapper, &store.split_subsets(1));
         for o in &overlaps {
             assert_ne!(
                 store.mate(o.a),

@@ -11,6 +11,8 @@
 //! paper-analogue data sets. `FOCUS_BENCH_SCALE=1` reproduces the full
 //! benchmark size documented in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod tables;
 

@@ -14,7 +14,7 @@ use crate::cluster::{CostModel, PhaseTiming, SimCluster};
 use crate::error::DistError;
 use crate::error_removal::{self, ErrorRemovalConfig};
 use crate::fault::{FaultPlan, FaultReport, PhaseId, RetryPolicy};
-use crate::recovery::execute_phase_obs;
+use crate::recovery::execute_phase;
 use crate::simplify;
 use crate::transitive;
 use crate::traverse::{self, AssemblyPath};
@@ -282,7 +282,7 @@ impl DistributedHybrid {
         if done <= PhaseId::TransitiveReduction.index() {
             let lists = self.partition_nodes();
             let phase_span = rec.span("dist", "dist.phase.transitive_reduction");
-            let run = execute_phase_obs(
+            let run = execute_phase(
                 &mut cluster,
                 &pool,
                 PhaseId::TransitiveReduction,
@@ -309,7 +309,7 @@ impl DistributedHybrid {
         if done <= PhaseId::ContainmentRemoval.index() {
             let lists = self.partition_nodes();
             let phase_span = rec.span("dist", "dist.phase.containment_removal");
-            let run = execute_phase_obs(
+            let run = execute_phase(
                 &mut cluster,
                 &pool,
                 PhaseId::ContainmentRemoval,
@@ -340,7 +340,7 @@ impl DistributedHybrid {
         if done <= PhaseId::ErrorRemoval.index() {
             let lists = self.partition_nodes();
             let phase_span = rec.span("dist", "dist.phase.error_removal");
-            let run = execute_phase_obs(
+            let run = execute_phase(
                 &mut cluster,
                 &pool,
                 PhaseId::ErrorRemoval,
@@ -379,7 +379,7 @@ impl DistributedHybrid {
         // --- Phase 4: traversal (§V-D). ---
         if done <= PhaseId::Traversal.index() {
             let phase_span = rec.span("dist", "dist.phase.traversal");
-            let run = execute_phase_obs(
+            let run = execute_phase(
                 &mut cluster,
                 &pool,
                 PhaseId::Traversal,

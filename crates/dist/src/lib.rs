@@ -50,7 +50,7 @@ pub use checkpoint::{DistCheckpoint, DistPhaseState, NoCheckpoint};
 pub use cluster::{ClusterState, CostModel, PhaseTiming, SimCluster};
 pub use driver::{DistributedConfig, DistributedHybrid, DistributedReport};
 pub use error::DistError;
-pub use recovery::{execute_phase, execute_phase_obs, PhaseExecution};
+pub use recovery::{execute_phase, PhaseExecution};
 pub use fault::{FaultKind, FaultPlan, FaultRates, FaultReport, PhaseId, RetryPolicy};
 pub use traverse::AssemblyPath;
 pub use variants::{detect_variants, Variant, VariantConfig};

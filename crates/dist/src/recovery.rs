@@ -56,31 +56,13 @@ pub struct PhaseExecution<T> {
 /// charging and recovery re-invocations stay on the master's serial
 /// schedule, so a [`FaultPlan`](crate::fault::FaultPlan) replays
 /// bit-identically at any thread count.
-pub fn execute_phase<T: Send>(
-    cluster: &mut SimCluster,
-    pool: &Pool,
-    phase: PhaseId,
-    partitions: usize,
-    scan: impl Fn(usize, &mut u64) -> T + Sync,
-    payload_of: impl Fn(&T) -> u64,
-) -> Result<PhaseExecution<T>, DistError> {
-    execute_phase_obs(
-        cluster,
-        pool,
-        phase,
-        partitions,
-        scan,
-        payload_of,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`execute_phase`] with recovery metrics recorded into `rec`: one
-/// `dist.recovery_rescans` increment per re-executed scan, the adopted
-/// partition count (`dist.adopted_partitions`), and the pool's execution
-/// metrics for the initial fan-out. The phase itself is identical.
+///
+/// Recovery metrics are recorded into `rec`: one `dist.recovery_rescans`
+/// increment per re-executed scan, the adopted partition count
+/// (`dist.adopted_partitions`), and the pool's execution metrics for the
+/// initial fan-out.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_phase_obs<T: Send>(
+pub fn execute_phase<T: Send>(
     cluster: &mut SimCluster,
     pool: &Pool,
     phase: PhaseId,
@@ -303,18 +285,28 @@ mod tests {
         p
     }
 
+    /// One phase of [`id_scan`]s on a serial pool, 8-byte results, no
+    /// recorder.
+    fn run_ids(
+        c: &mut SimCluster,
+        phase: PhaseId,
+        partitions: usize,
+    ) -> Result<PhaseExecution<usize>, DistError> {
+        execute_phase(
+            c,
+            &Pool::serial(),
+            phase,
+            partitions,
+            id_scan,
+            |_| 8,
+            &Recorder::disabled(),
+        )
+    }
+
     #[test]
     fn fault_free_phase_returns_all_results_in_order() {
         let mut c = SimCluster::new(4, flat_cost()).unwrap();
-        let run = execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::TransitiveReduction,
-            4,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap();
+        let run = run_ids(&mut c, PhaseId::TransitiveReduction, 4).unwrap();
         assert_eq!(run.results, vec![0, 1, 2, 3]);
         assert_eq!(run.timing.tasks, 4);
         assert_eq!(*c.fault_report(), Default::default());
@@ -324,15 +316,7 @@ mod tests {
     fn crashed_partition_is_recovered_on_a_survivor() {
         let plan = FaultPlan::single_crash(PhaseId::TransitiveReduction, 2);
         let mut c = SimCluster::with_faults(4, flat_cost(), plan, RetryPolicy::default()).unwrap();
-        let run = execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::TransitiveReduction,
-            4,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap();
+        let run = run_ids(&mut c, PhaseId::TransitiveReduction, 4).unwrap();
         // The result set is complete and order-identical despite the crash.
         assert_eq!(run.results, vec![0, 1, 2, 3]);
         assert!(!c.is_alive(2));
@@ -344,27 +328,11 @@ mod tests {
     fn dead_rank_partitions_are_adopted_in_later_phases() {
         let plan = FaultPlan::single_crash(PhaseId::TransitiveReduction, 1);
         let mut c = SimCluster::with_faults(2, flat_cost(), plan, RetryPolicy::default()).unwrap();
-        execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::TransitiveReduction,
-            2,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap();
+        run_ids(&mut c, PhaseId::TransitiveReduction, 2).unwrap();
         // Next phase: partition 1 has no owner, rank 0 adopts it up front —
         // no timeout, no crash recorded, still every result delivered.
         let crashes_before = c.fault_report().crashes;
-        let run = execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::ContainmentRemoval,
-            2,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap();
+        let run = run_ids(&mut c, PhaseId::ContainmentRemoval, 2).unwrap();
         assert_eq!(run.results, vec![0, 1]);
         assert_eq!(c.fault_report().crashes, crashes_before);
     }
@@ -377,15 +345,7 @@ mod tests {
             ..Default::default()
         };
         let mut c = SimCluster::with_faults(3, CostModel::default(), plan, retry).unwrap();
-        let run = execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::ErrorRemoval,
-            3,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap();
+        let run = run_ids(&mut c, PhaseId::ErrorRemoval, 3).unwrap();
         assert_eq!(run.results, vec![0, 1, 2]);
         assert!(
             !c.is_alive(1),
@@ -399,15 +359,7 @@ mod tests {
     fn simultaneous_multi_rank_crashes_recover_on_the_survivors() {
         let plan = FaultPlan::crashes(PhaseId::TransitiveReduction, &[1, 2, 3]);
         let mut c = SimCluster::with_faults(4, flat_cost(), plan, RetryPolicy::default()).unwrap();
-        let run = execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::TransitiveReduction,
-            4,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap();
+        let run = run_ids(&mut c, PhaseId::TransitiveReduction, 4).unwrap();
         // All three dead ranks' partitions are re-scanned on the lone
         // survivor; results stay complete and in partition order.
         assert_eq!(run.results, vec![0, 1, 2, 3]);
@@ -420,15 +372,7 @@ mod tests {
     fn every_rank_crashing_simultaneously_is_all_ranks_dead() {
         let plan = FaultPlan::crashes(PhaseId::ErrorRemoval, &[0, 1, 2, 3]);
         let mut c = SimCluster::with_faults(4, flat_cost(), plan, RetryPolicy::default()).unwrap();
-        let err = execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::ErrorRemoval,
-            4,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap_err();
+        let err = run_ids(&mut c, PhaseId::ErrorRemoval, 4).unwrap_err();
         assert_eq!(
             err,
             DistError::AllRanksDead {
@@ -441,15 +385,7 @@ mod tests {
     fn losing_every_rank_is_a_typed_error() {
         let plan = FaultPlan::single_crash(PhaseId::Traversal, 0);
         let mut c = SimCluster::with_faults(1, flat_cost(), plan, RetryPolicy::default()).unwrap();
-        let err = execute_phase(
-            &mut c,
-            &Pool::serial(),
-            PhaseId::Traversal,
-            1,
-            id_scan,
-            |_| 8,
-        )
-        .unwrap_err();
+        let err = run_ids(&mut c, PhaseId::Traversal, 1).unwrap_err();
         assert_eq!(
             err,
             DistError::AllRanksDead {

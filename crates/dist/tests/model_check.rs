@@ -28,6 +28,7 @@ use fc_dist::fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, PhaseId, Ret
 use fc_dist::recovery::execute_phase;
 use fc_dist::DistError;
 use fc_exec::Pool;
+use fc_obs::Recorder;
 
 #[cfg(not(loom))]
 const RANKS: usize = 3;
@@ -92,6 +93,7 @@ fn run_schedule_pooled(phase: PhaseId, plan: &FaultPlan, pool: &Pool) -> RunOutc
             expected(p)
         },
         |r| 8 * r.len() as u64,
+        &Recorder::disabled(),
     );
     let after = cluster.now();
     assert!(

@@ -150,19 +150,9 @@ impl Pool {
     }
 
     /// Consumes `items`, runs `f(index, item, scratch)` over each, and
-    /// returns the results in the items' original order.
-    pub fn map_items<I, T, S, F, C>(&self, items: Vec<I>, scratch: C, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I, &mut S) -> T + Sync,
-        C: Fn() -> S + Sync,
-    {
-        self.map_items_obs(items, &Recorder::disabled(), scratch, f)
-    }
-
-    /// [`Pool::map_items`] with execution metrics recorded into `rec`.
-    pub fn map_items_obs<I, T, S, F, C>(
+    /// returns the results in the items' original order; execution metrics
+    /// are recorded into `rec`.
+    pub fn map_items<I, T, S, F, C>(
         &self,
         items: Vec<I>,
         rec: &Recorder,
@@ -369,7 +359,12 @@ mod tests {
         for threads in [1, 3, 8] {
             let pool = Pool::new(threads);
             let items: Vec<String> = (0..100).map(|i| format!("v{i}")).collect();
-            let out = pool.map_items(items, || (), |_, item, ()| item + "!");
+            let out = pool.map_items(
+                items,
+                &Recorder::disabled(),
+                || (),
+                |_, item, ()| item + "!",
+            );
             let expected: Vec<String> = (0..100).map(|i| format!("v{i}!")).collect();
             assert_eq!(out, expected, "threads = {threads}");
         }
@@ -443,8 +438,8 @@ mod tests {
         assert_eq!(pool.map_obs(100, &rec, |i| i * 3), pool.map(100, |i| i * 3));
         let items: Vec<usize> = (0..64).collect();
         assert_eq!(
-            pool.map_items_obs(items.clone(), &rec, || (), |_, v, ()| v + 1),
-            pool.map_items(items, || (), |_, v, ()| v + 1)
+            pool.map_items(items.clone(), &rec, || (), |_, v, ()| v + 1),
+            pool.map_items(items, &Recorder::disabled(), || (), |_, v, ()| v + 1)
         );
     }
 

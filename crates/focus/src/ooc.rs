@@ -262,7 +262,7 @@ impl FocusAssembler {
     /// Contigs and logical metric snapshots are byte-identical to
     /// [`assemble`](FocusAssembler::assemble) /
     /// [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
-    /// on the same input at any thread count, budget or kernel.
+    /// on the same input at any thread count or budget.
     pub fn assemble_fastq_ooc(
         &self,
         input: &Path,
@@ -394,7 +394,7 @@ fn open_fastq(path: &Path) -> Result<fastq::Reader<BufReader<File>>, FocusError>
     Ok(fastq::Reader::new(BufReader::new(file)))
 }
 
-/// External-memory variant of [`Overlapper::overlap_all_obs`]: computes
+/// External-memory variant of [`Overlapper::overlap_all`]: computes
 /// the subset-pair tasks one reference column at a time (one seed
 /// index resident instead of all of them), spilling each pair's run to
 /// disk as soon as it is computed, then merges every run back in the
@@ -450,7 +450,7 @@ fn overlap_all_spilled(
                 approx_index_bytes(&subsets[j], store_reads, config.overlap.k),
             )
             .map_err(FocusError::from)?;
-        let results = pool.map_items_obs(
+        let results = pool.map_items(
             todo,
             rec,
             || (AlignScratch::default(), false),

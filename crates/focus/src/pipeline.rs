@@ -171,7 +171,7 @@ impl FocusAssembler {
         self.prepare_from(store, policy, &mut budget, |store| {
             let overlapper = Overlapper::new(store, config.overlap)?;
             let subsets = store.split_subsets(config.subsets);
-            Ok(overlapper.overlap_all_obs(&subsets, &pool, rec))
+            Ok(overlapper.overlap_all(&subsets, &pool, rec))
         })
     }
 

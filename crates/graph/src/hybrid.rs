@@ -16,7 +16,7 @@
 use crate::build::OverlapGraph;
 use crate::coarsen::MultilevelSet;
 use crate::digraph::{DiEdge, DiGraph};
-use crate::layout::{layout_cluster_obs, ClusterLayout, LayoutConfig};
+use crate::layout::{layout_cluster, ClusterLayout, LayoutConfig};
 use crate::level::{GraphSet, LevelGraph, NodeId};
 use fc_obs::Recorder;
 use fc_seq::ReadStore;
@@ -96,7 +96,7 @@ impl HybridSet {
             .collect();
         while let Some((level, node)) = stack.pop() {
             let cluster = expand_to_level0(&children, level, node);
-            match layout_cluster_obs(&cluster, &g0.directed, &containments, store, config, rec) {
+            match layout_cluster(&cluster, &g0.directed, &containments, store, config, rec) {
                 Some(layout) => {
                     reps.push(Representative { level, node });
                     clusters.push(cluster);

@@ -139,21 +139,10 @@ impl ClusterLayout {
 /// `None` otherwise. `read_len` lookups come from `store`. `containments`
 /// holds `(outer, inner)` read pairs whose overlap was verified as a
 /// containment (such pairs are linked even without a dovetail edge).
-pub fn layout_cluster(
-    nodes: &[NodeId],
-    g: &DiGraph,
-    containments: &HashMap<(NodeId, NodeId), ()>,
-    store: &ReadStore,
-    config: &LayoutConfig,
-) -> Option<ClusterLayout> {
-    layout_cluster_obs(nodes, g, containments, store, config, &Recorder::disabled())
-}
-
-/// [`layout_cluster`] with contiguity-test metrics recorded into `rec`:
+/// Contiguity-test metrics are recorded into `rec`:
 /// `layout.clusters_tested`, `layout.contiguous` / `layout.non_contiguous`,
-/// and a cluster-size histogram. The result is identical to the
-/// uninstrumented call.
-pub fn layout_cluster_obs(
+/// and a cluster-size histogram.
+pub fn layout_cluster(
     nodes: &[NodeId],
     g: &DiGraph,
     containments: &HashMap<(NodeId, NodeId), ()>,
@@ -346,6 +335,18 @@ mod tests {
         (store, g)
     }
 
+    /// `layout_cluster` with no containments, default config, no recorder.
+    fn layout_of(nodes: &[NodeId], di: &DiGraph, store: &ReadStore) -> Option<ClusterLayout> {
+        layout_cluster(
+            nodes,
+            di,
+            &HashMap::new(),
+            store,
+            &LayoutConfig::default(),
+            &Recorder::disabled(),
+        )
+    }
+
     fn genome(len: usize) -> DnaString {
         // Deterministic pseudo-random content.
         (0..len)
@@ -358,14 +359,7 @@ mod tests {
         let g = genome(300);
         let (store, di) = tiling(&g, 100, 50);
         let nodes: Vec<NodeId> = (0..store.len() as NodeId).collect();
-        let layout = layout_cluster(
-            &nodes,
-            &di,
-            &HashMap::new(),
-            &store,
-            &LayoutConfig::default(),
-        )
-        .expect("tiling must be contiguous");
+        let layout = layout_of(&nodes, &di, &store).expect("tiling must be contiguous");
         assert_eq!(layout.len(), store.len());
         let contig = layout.contig_sequence(&store);
         // Tiles cover positions 0..(last_start + 100).
@@ -377,8 +371,7 @@ mod tests {
     fn single_node_cluster_is_trivially_contiguous() {
         let g = genome(120);
         let (store, di) = tiling(&g, 100, 10);
-        let layout =
-            layout_cluster(&[1], &di, &HashMap::new(), &store, &LayoutConfig::default()).unwrap();
+        let layout = layout_of(&[1], &di, &store).unwrap();
         assert_eq!(layout.order, vec![(1, 0)]);
         assert_eq!(layout.contig_sequence(&store), store.get(ReadId(1)).seq);
     }
@@ -388,14 +381,7 @@ mod tests {
         let g = genome(500);
         let (store, di) = tiling(&g, 100, 50);
         // Nodes 0 and 4 are not connected within the cluster {0, 4}.
-        assert!(layout_cluster(
-            &[0, 4],
-            &di,
-            &HashMap::new(),
-            &store,
-            &LayoutConfig::default()
-        )
-        .is_none());
+        assert!(layout_of(&[0, 4], &di, &store).is_none());
     }
 
     #[test]
@@ -414,14 +400,7 @@ mod tests {
                 shift: 300,
             },
         );
-        assert!(layout_cluster(
-            &[0, 4],
-            &di,
-            &HashMap::new(),
-            &store,
-            &LayoutConfig::default()
-        )
-        .is_none());
+        assert!(layout_of(&[0, 4], &di, &store).is_none());
     }
 
     #[test]
@@ -439,14 +418,7 @@ mod tests {
                 shift: 10,
             },
         );
-        assert!(layout_cluster(
-            &[0, 1, 2],
-            &di,
-            &HashMap::new(),
-            &store,
-            &LayoutConfig::default()
-        )
-        .is_none());
+        assert!(layout_of(&[0, 1, 2], &di, &store).is_none());
     }
 
     #[test]
@@ -463,13 +435,7 @@ mod tests {
                 shift: 102,
             },
         );
-        let layout = layout_cluster(
-            &[0, 1, 2],
-            &di,
-            &HashMap::new(),
-            &store,
-            &LayoutConfig::default(),
-        );
+        let layout = layout_of(&[0, 1, 2], &di, &store);
         assert!(layout.is_some());
     }
 
@@ -501,14 +467,7 @@ mod tests {
         let g = genome(300);
         let (store, di) = tiling(&g, 100, 40);
         let nodes: Vec<NodeId> = (0..store.len() as NodeId).collect();
-        let layout = layout_cluster(
-            &nodes,
-            &di,
-            &HashMap::new(),
-            &store,
-            &LayoutConfig::default(),
-        )
-        .expect("tiling is contiguous");
+        let layout = layout_of(&nodes, &di, &store).expect("tiling is contiguous");
         assert_eq!(
             layout.consensus_sequence(&store).len(),
             layout.contig_sequence(&store).len()
@@ -536,14 +495,7 @@ mod tests {
                 shift: 20,
             },
         );
-        let layout = layout_cluster(
-            &[0, 1],
-            &di,
-            &HashMap::new(),
-            &store,
-            &LayoutConfig::default(),
-        )
-        .unwrap();
+        let layout = layout_of(&[0, 1], &di, &store).unwrap();
         assert_eq!(layout.contig_sequence(&store), g.slice(0, 150));
     }
 }

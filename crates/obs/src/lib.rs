@@ -80,14 +80,6 @@ pub const CKPT_PREFIX: &str = "ckpt.";
 /// stay bit-identical, so logical-clock snapshots exclude them.
 pub const MEM_PREFIX: &str = "mem.";
 
-/// Reserved metric-name prefixes for alignment-kernel-dependent metrics
-/// (prefilter hit rates, exact-path shortcuts …). They describe *how* the
-/// dispatched alignment kernel arrived at the result, not the result
-/// itself: they legitimately vary with `--align-kernel` while overlaps,
-/// contigs and every other metric stay bit-identical, so logical-clock
-/// snapshots exclude them.
-pub const KERNEL_PREFIXES: &[&str] = &["align.prefilter.", "align.kernel."];
-
 /// Reserved metric-name prefix for out-of-core spill metrics (runs
 /// spilled, bytes written, corrupt runs recomputed, in-core fallbacks …).
 /// Metrics under this prefix are excluded from logical-clock snapshots

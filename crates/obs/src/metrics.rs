@@ -3,7 +3,7 @@
 
 use crate::json::{push_json_key, push_json_str};
 use crate::schema::{self, ObsError, Value};
-use crate::{CKPT_PREFIX, KERNEL_PREFIXES, MEM_PREFIX, OOC_PREFIX, SCHED_PREFIX};
+use crate::{CKPT_PREFIX, MEM_PREFIX, OOC_PREFIX, SCHED_PREFIX};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -203,15 +203,6 @@ impl MetricsSnapshot {
     /// *without* them.
     pub fn without_memory(&self) -> MetricsSnapshot {
         self.filtered(|k| !k.starts_with(MEM_PREFIX))
-    }
-
-    /// A copy without alignment-kernel-dependent metrics (names under the
-    /// reserved [`KERNEL_PREFIXES`]). Those legitimately differ between
-    /// `--align-kernel` settings while every other
-    /// metric stays bit-identical — the kernel-equivalence contract
-    /// byte-compares the snapshot *without* them.
-    pub fn without_kernel_dependent(&self) -> MetricsSnapshot {
-        self.filtered(|k| !KERNEL_PREFIXES.iter().any(|p| k.starts_with(p)))
     }
 
     /// A copy without out-of-core spill metrics (names under the reserved
@@ -565,23 +556,6 @@ mod tests {
         let d = s.without_checkpointing();
         assert_eq!(d.counters.len(), 1);
         assert!(d.counters.contains_key("seq.reads"));
-        assert!(d.gauges.is_empty());
-        assert!(d.histograms.is_empty());
-    }
-
-    #[test]
-    fn without_kernel_dependent_drops_kernel_prefixes_only() {
-        let mut s = MetricsSnapshot::default();
-        s.counters.insert("align.candidates", 10);
-        s.counters.insert("align.prefilter.rejected", 3);
-        s.counters.insert("align.kernel.exact_hits", 2);
-        s.gauges.insert("align.prefilter.verified", 4);
-        let mut h = Histogram::new(DEFAULT_BOUNDS);
-        h.observe(1);
-        s.histograms.insert("align.prefilter.batch", h);
-        let d = s.without_kernel_dependent();
-        assert_eq!(d.counters.len(), 1);
-        assert!(d.counters.contains_key("align.candidates"));
         assert!(d.gauges.is_empty());
         assert!(d.histograms.is_empty());
     }

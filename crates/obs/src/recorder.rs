@@ -473,19 +473,16 @@ impl Recorder {
 
     /// The canonical snapshot serialisation. In logical-clock mode the
     /// scheduling-dependent `sched.*`, checkpoint-lifecycle `ckpt.*`,
-    /// memory `mem.*`, out-of-core `ooc.*` and alignment-kernel-dependent
-    /// (`align.prefilter.*`/`align.kernel.*`) metrics are excluded, which
+    /// memory `mem.*` and out-of-core `ooc.*` metrics are excluded, which
     /// makes the output **byte-identical across thread counts, across
-    /// crash/resume, across memory budgets and across `--align-kernel`
-    /// settings** (the determinism contracts); in wall-clock mode
-    /// everything is included.
+    /// crash/resume and across memory budgets** (the determinism
+    /// contracts); in wall-clock mode everything is included.
     pub fn snapshot_json(&self) -> String {
         let snapshot = self.snapshot();
         if self.is_logical() {
             snapshot
                 .without_scheduling()
                 .without_checkpointing()
-                .without_kernel_dependent()
                 .without_memory()
                 .without_ooc()
                 .to_json()
@@ -498,13 +495,11 @@ impl Recorder {
     /// `snapshot` — the resume path: a checkpoint embeds the cumulative
     /// metrics of the run that wrote it, and loading it must leave the
     /// recorder exactly as if those phases had just executed. The
-    /// recorder's own `ckpt.*`, `sched.*`, `mem.*`, `ooc.*` and
-    /// kernel-dependent (`align.prefilter.*`/`align.kernel.*`) entries are
+    /// recorder's own `ckpt.*`, `sched.*`, `mem.*` and `ooc.*` entries are
     /// kept (they describe *this* process's checkpoint traffic,
-    /// scheduling, memory, spill traffic and dispatched alignment kernel,
-    /// which a restore must not falsify),
-    /// and any such entries inside `snapshot` are ignored for the same
-    /// reason. No-op when disabled.
+    /// scheduling, memory and spill traffic, which a restore must not
+    /// falsify), and any such entries inside `snapshot` are ignored for
+    /// the same reason. No-op when disabled.
     pub fn restore_metrics(&self, snapshot: &MetricsSnapshot) {
         let Some(inner) = &self.inner else {
             return;
@@ -514,7 +509,6 @@ impl Recorder {
                 || k.starts_with(crate::SCHED_PREFIX)
                 || k.starts_with(crate::MEM_PREFIX)
                 || k.starts_with(crate::OOC_PREFIX)
-                || crate::KERNEL_PREFIXES.iter().any(|p| k.starts_with(p))
         };
         let mut counters = lock(&inner.counters);
         counters.retain(|k, _| keep(k));
@@ -810,6 +804,24 @@ mod tests {
         assert!(wall.snapshot_json().contains("mem.peak_rss_bytes"));
     }
 
+    /// The verifier's counters are functions of the input like any other
+    /// `align.*` counter, so the logical snapshot carries them.
+    #[test]
+    fn logical_snapshot_json_includes_prefilter_metrics() {
+        let rec = Recorder::new(ObsOptions::logical());
+        rec.add("align.prefilter.rejected", 3);
+        rec.add("align.prefilter.verified", 2);
+        rec.add("align.kernel.exact_hits", 1);
+        let json = rec.snapshot_json();
+        for name in [
+            "align.prefilter.rejected",
+            "align.prefilter.verified",
+            "align.kernel.exact_hits",
+        ] {
+            assert!(json.contains(name), "{name} missing from {json}");
+        }
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
     fn sample_peak_rss_records_a_positive_gauge_on_linux() {
@@ -854,6 +866,7 @@ mod tests {
     fn restore_then_snapshot_json_matches_the_source_recorder() {
         let src = Recorder::new(ObsOptions::logical());
         src.add("a.one", 1);
+        src.add("align.prefilter.rejected", 5);
         src.gauge("b.two", -2);
         src.observe("c.three", 9);
         let parsed =

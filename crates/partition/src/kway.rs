@@ -54,6 +54,9 @@ impl Default for KwayConfig {
 }
 
 /// Refines a k-partition in place; returns the total cut improvement.
+/// Refinement metrics are recorded into `rec`: the pass count
+/// (`partition.kway_passes`) and the per-pass applied gain
+/// (`partition.kway_pass_gain`).
 ///
 /// # Invariants
 /// `parts` stays a valid `k`-partition throughout: its length is unchanged,
@@ -61,25 +64,6 @@ impl Default for KwayConfig {
 /// pass suffix restores the pre-move assignment exactly). The returned
 /// improvement equals `edge_cut` before the call minus `edge_cut` after.
 pub fn kway_refine(
-    g: &LevelGraph,
-    parts: &mut [u32],
-    k: usize,
-    config: &KwayConfig,
-    work: &mut u64,
-) -> u64 {
-    kway_refine_obs(g, parts, k, config, work, &Recorder::disabled())
-}
-
-/// [`kway_refine`] with refinement metrics recorded into `rec`: the pass
-/// count (`partition.kway_passes`) and the per-pass applied gain
-/// (`partition.kway_pass_gain`). The refinement itself is identical.
-///
-/// # Invariants
-/// `parts` stays a valid `k`-partition throughout: its length is unchanged,
-/// every id remains in `0..k`, and only whole moves are applied (an undone
-/// pass suffix restores the pre-move assignment exactly). The returned
-/// improvement equals `edge_cut` before the call minus `edge_cut` after.
-pub fn kway_refine_obs(
     g: &LevelGraph,
     parts: &mut [u32],
     k: usize,
@@ -239,6 +223,18 @@ mod tests {
     use super::*;
     use crate::metrics::{partition_balance, validate_partition};
 
+    /// `kway_refine` at the default config, work and metrics discarded.
+    fn refine(g: &LevelGraph, parts: &mut [u32], k: usize) -> u64 {
+        kway_refine(
+            g,
+            parts,
+            k,
+            &KwayConfig::default(),
+            &mut 0,
+            &Recorder::disabled(),
+        )
+    }
+
     /// Three 4-cliques chained by single light edges.
     fn three_cliques() -> LevelGraph {
         let mut g = LevelGraph::with_nodes(12);
@@ -262,8 +258,7 @@ mod tests {
         parts[0] = 1;
         parts[4] = 0;
         let before = edge_cut(&g, &parts);
-        let mut work = 0;
-        let gain = kway_refine(&g, &mut parts, 3, &KwayConfig::default(), &mut work);
+        let gain = refine(&g, &mut parts, 3);
         let after = edge_cut(&g, &parts);
         assert_eq!(before - after, gain);
         assert_eq!(after, 2, "expected the two bridge edges only, got {after}");
@@ -275,8 +270,7 @@ mod tests {
         let g = three_cliques();
         let mut parts: Vec<u32> = (0..12).map(|v| (v / 4) as u32).collect();
         let snapshot = parts.clone();
-        let mut work = 0;
-        let gain = kway_refine(&g, &mut parts, 3, &KwayConfig::default(), &mut work);
+        let gain = refine(&g, &mut parts, 3);
         assert_eq!(gain, 0);
         assert_eq!(parts, snapshot);
     }
@@ -288,8 +282,7 @@ mod tests {
         let mut g = LevelGraph::with_nodes(2);
         g.add_edge(0, 1, 10);
         let mut parts = vec![0u32, 1];
-        let mut work = 0;
-        let gain = kway_refine(&g, &mut parts, 2, &KwayConfig::default(), &mut work);
+        let gain = refine(&g, &mut parts, 2);
         assert_eq!(gain, 0);
         assert_eq!(parts, vec![0, 1]);
 
@@ -307,8 +300,7 @@ mod tests {
             g2.add_edge(u, v, w);
         }
         let mut parts = vec![0u32, 1, 1, 1, 0];
-        let mut work = 0;
-        kway_refine(&g2, &mut parts, 2, &KwayConfig::default(), &mut work);
+        refine(&g2, &mut parts, 2);
         // weight(P1)=12 ≥ 1.03·weight(P0)=2.06: node 0 must stay in P0.
         assert_eq!(parts[0], 0);
     }
@@ -317,19 +309,14 @@ mod tests {
     fn k_one_is_a_noop() {
         let g = three_cliques();
         let mut parts = vec![0u32; 12];
-        let mut work = 0;
-        assert_eq!(
-            kway_refine(&g, &mut parts, 1, &KwayConfig::default(), &mut work),
-            0
-        );
+        assert_eq!(refine(&g, &mut parts, 1), 0);
     }
 
     #[test]
     fn balance_never_explodes() {
         let g = three_cliques();
         let mut parts: Vec<u32> = (0..12).map(|v| (v % 3) as u32).collect(); // scrambled
-        let mut work = 0;
-        kway_refine(&g, &mut parts, 3, &KwayConfig::default(), &mut work);
+        refine(&g, &mut parts, 3);
         let balance = partition_balance(&g, &parts, 3);
         assert!(balance <= 2.0, "balance exploded: {balance}");
     }
@@ -496,7 +483,14 @@ mod differential {
                     for config in &configs[..if si == 1 { 2 } else { 1 }] {
                         let (mut parts, mut ref_parts) = (start.clone(), start.clone());
                         let (mut work, mut ref_work) = (0u64, 0u64);
-                        let gain = kway_refine(&g, &mut parts, k, config, &mut work);
+                        let gain = kway_refine(
+                            &g,
+                            &mut parts,
+                            k,
+                            config,
+                            &mut work,
+                            &Recorder::disabled(),
+                        );
                         let ref_gain =
                             reference_refine(&g, &mut ref_parts, k, config, &mut ref_work);
                         let case =
@@ -538,8 +532,14 @@ mod props {
         cases(256, |rng| {
             let (g, mut parts, k) = arb_case(rng);
             let before = edge_cut(&g, &parts);
-            let mut work = 0;
-            let gain = kway_refine(&g, &mut parts, k, &KwayConfig::default(), &mut work);
+            let gain = kway_refine(
+                &g,
+                &mut parts,
+                k,
+                &KwayConfig::default(),
+                &mut 0,
+                &Recorder::disabled(),
+            );
             let after = edge_cut(&g, &parts);
             assert!(after <= before);
             assert_eq!(before - after, gain);

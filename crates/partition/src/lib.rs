@@ -48,7 +48,7 @@ mod testgen;
 pub use error::PartitionError;
 pub use grow::greedy_grow;
 pub use kl::kl_refine;
-pub use kway::{kway_refine, kway_refine_obs};
+pub use kway::kway_refine;
 pub use local::LocalGraph;
 pub use metrics::{edge_cut, partition_balance, validate_partition};
 pub use recursive::{

@@ -18,7 +18,7 @@
 use crate::error::PartitionError;
 use crate::grow::greedy_grow;
 use crate::kl::{kl_refine, KlConfig};
-use crate::kway::{kway_refine_obs, KwayConfig};
+use crate::kway::{kway_refine, KwayConfig};
 use crate::local::LocalGraph;
 use crate::metrics::validate_partition;
 use fc_exec::Pool;
@@ -136,7 +136,7 @@ pub fn partition_graph_set(
 /// the finest-level edge-cut trajectory after every bisection step (counter
 /// samples plus `partition.edge_cut_final`), balance in permille, per-task
 /// bisection work, and the k-way pass gains (via
-/// [`crate::kway::kway_refine_obs`]). The assignments and task log are
+/// [`crate::kway::kway_refine`]). The assignments and task log are
 /// identical to the uninstrumented call; every metric derives from
 /// seed-deterministic results, so all are thread-count-invariant.
 pub fn partition_graph_set_obs(
@@ -237,13 +237,13 @@ pub fn partition_graph_set_obs(
         // reads and writes only that level's assignment, so the levels run
         // concurrently and are reassembled in level order.
         let level_parts = std::mem::take(&mut parts);
-        let refined = pool.map_items_obs(
+        let refined = pool.map_items(
             level_parts,
             rec,
             || (),
             |level, mut assignment, ()| {
                 let mut work = 0u64;
-                kway_refine_obs(
+                kway_refine(
                     &set.levels[level],
                     &mut assignment,
                     config.k,

@@ -31,9 +31,8 @@ pub enum Rule {
     /// FC009 — a cycle in the workspace lock-order graph: two lock sites
     /// that acquire the same Mutex/RwLock pair in opposite orders.
     LockOrder,
-    /// FC010 — an `unsafe` block/fn/impl without an adjacent `// SAFETY:`
-    /// comment.
-    UnsafeHygiene,
+    /// FC010 — a crate root without `#![forbid(unsafe_code)]`.
+    ForbidUnsafe,
     /// FC011 — an unbounded whole-input read (`fs::read`,
     /// `fs::read_to_string`, `read_to_end`, `read_to_string`) in non-test
     /// library code; data paths must stream through bounded buffers.
@@ -56,7 +55,7 @@ impl Rule {
             Rule::NondetIteration => "FC007",
             Rule::AmbientNondet => "FC008",
             Rule::LockOrder => "FC009",
-            Rule::UnsafeHygiene => "FC010",
+            Rule::ForbidUnsafe => "FC010",
             Rule::UnboundedRead => "FC011",
             Rule::RegistryCrate => "FC012",
         }
@@ -74,7 +73,7 @@ impl Rule {
             Rule::NondetIteration => "nondet-iteration",
             Rule::AmbientNondet => "ambient-nondet",
             Rule::LockOrder => "lock-order",
-            Rule::UnsafeHygiene => "unsafe-hygiene",
+            Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::UnboundedRead => "no-unbounded-read",
             Rule::RegistryCrate => "no-registry-crate",
         }
@@ -92,7 +91,7 @@ impl Rule {
             "nondet-iteration" => Some(Rule::NondetIteration),
             "ambient-nondet" => Some(Rule::AmbientNondet),
             "lock-order" => Some(Rule::LockOrder),
-            "unsafe-hygiene" => Some(Rule::UnsafeHygiene),
+            "forbid-unsafe" => Some(Rule::ForbidUnsafe),
             "no-unbounded-read" => Some(Rule::UnboundedRead),
             "no-registry-crate" => Some(Rule::RegistryCrate),
             _ => None,
@@ -111,7 +110,7 @@ impl Rule {
             Rule::NondetIteration,
             Rule::AmbientNondet,
             Rule::LockOrder,
-            Rule::UnsafeHygiene,
+            Rule::ForbidUnsafe,
             Rule::UnboundedRead,
             Rule::RegistryCrate,
         ]
@@ -163,10 +162,10 @@ impl Rule {
                  orders can deadlock under concurrency the tests never schedule; \
                  the workspace lock-order graph must stay acyclic"
             }
-            Rule::UnsafeHygiene => {
-                "every unsafe block or fn must carry an adjacent `// SAFETY:` \
-                 comment stating the invariant that makes it sound — the guard \
-                 rail the SIMD kernels depend on"
+            Rule::ForbidUnsafe => {
+                "the workspace has no `unsafe`; `#![forbid(unsafe_code)]` at every \
+                 crate root (libraries, binaries, the bench harness, this tool) \
+                 makes the compiler keep it so"
             }
             Rule::UnboundedRead => {
                 "`fs::read`/`read_to_end`-style slurps size the allocation by the \

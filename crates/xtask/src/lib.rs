@@ -19,7 +19,7 @@
 //! * **FC005 `no-print`** — no raw `println!`-family output in library
 //!   code; diagnostics go through fc-obs.
 //! * **FC006 `no-unbounded-queue`** — no unbounded channels or queues
-//!   (`unbounded()`, `mpsc::channel`, `Injector::new`); `VecDeque` queues
+//!   (`mpsc::channel`); `VecDeque` queues
 //!   must document their capacity bound on or just above the construction
 //!   site. Admission control is explicit or it does not exist.
 //!
@@ -38,16 +38,18 @@
 //! * **FC009 `lock-order`** — every function's Mutex/RwLock acquisition
 //!   sequence (guard-liveness aware, helper-propagating) merges into one
 //!   workspace lock-order graph that must stay acyclic ([`lockorder`]).
-//! * **FC010 `unsafe-hygiene`** — every `unsafe` needs an adjacent
-//!   `// SAFETY:` comment.
 //! * **FC011 `no-unbounded-read`** — no unbounded whole-input reads
 //!   (`fs::read`, `fs::read_to_string`, `.read_to_end`, `.read_to_string`)
 //!   in library code: a slurp sized by the input defeats every memory
 //!   budget (DESIGN.md §16). Stream through bounded buffers, cap with
 //!   `Read::take`, or allowlist a provably small input with a reason.
 //!
-//! One rule reads manifests instead of sources:
+//! Two rules cover every crate of the workspace — the root package, the
+//! bench harness and this tool included — not only the linted libraries:
 //!
+//! * **FC010 `forbid-unsafe`** — every crate root (`src/lib.rs`,
+//!   `src/main.rs`, `src/bin/*.rs`) carries `#![forbid(unsafe_code)]`, so
+//!   the compiler refuses any `unsafe`.
 //! * **FC012 `no-registry-crate`** — every dependency entry in the root
 //!   manifest and in each `crates/*/Cargo.toml` is `path = …` or
 //!   `workspace = true`, so the workspace builds offline from a clean clone.
@@ -61,6 +63,8 @@
 //! Everything is built on a small hand-rolled lexer ([`lexer`]) because this
 //! build environment cannot fetch `syn`; the lexer understands exactly as
 //! much Rust as the rules need (comments, strings, lifetimes, doc comments).
+
+#![forbid(unsafe_code)]
 
 pub mod allow;
 pub mod diag;
@@ -134,6 +138,10 @@ pub fn analyze_workspace(root: &Path, allow_path: &Path) -> Result<Analysis, Str
         let text = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
         raw.extend(rules::registry_crates(&rel, &text));
     }
+    for rel in workspace::crate_roots(root).map_err(|e| format!("scanning crate roots: {e}"))? {
+        let text = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
+        raw.extend(rules::forbids_unsafe(&rel, &text));
+    }
 
     // Byte-stable output: one canonical order regardless of platform or
     // directory-walk order.
@@ -196,7 +204,11 @@ mod tests {
             "crates/demo/Cargo.toml",
             "[package]\nname = \"fc-demo\"\nversion = \"0.0.0\"\n",
         );
-        write(&root, "crates/demo/src/lib.rs", lib_rs);
+        write(
+            &root,
+            "crates/demo/src/lib.rs",
+            &format!("#![forbid(unsafe_code)]\n{lib_rs}"),
+        );
         root
     }
 
@@ -212,7 +224,7 @@ mod tests {
         let analysis = analyze_workspace(&dirty, &dirty.join("xtask/allow.toml")).unwrap();
         assert_eq!(analysis.violations.len(), 1, "{:?}", analysis.violations);
         assert_eq!(analysis.violations[0].rule.code(), "FC001");
-        assert_eq!(analysis.violations[0].line, 2);
+        assert_eq!(analysis.violations[0].line, 3);
 
         let clean = fixture_workspace(
             "clean",

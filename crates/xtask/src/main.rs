@@ -1,6 +1,8 @@
 //! `cargo xtask` — workspace automation. See the library docs for the rule
 //! set; this binary is argument parsing and exit codes only.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

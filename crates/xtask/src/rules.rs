@@ -1,6 +1,7 @@
 //! The Focus-specific lint rules, run over one lexed source file (FC001,
-//! FC002, FC004, FC005, FC006, and the path-aware FC007/FC008/FC010/FC011)
-//! or one crate's module list (FC003) or one manifest (FC012). FC009, the
+//! FC002, FC004, FC005, FC006, and the path-aware FC007/FC008/FC011) or
+//! one crate's module list (FC003), one crate root (FC010) or one manifest
+//! (FC012). FC009, the
 //! cross-crate lock-order audit, lives in [`crate::lockorder`].
 
 use crate::diag::{Diagnostic, Rule};
@@ -59,7 +60,6 @@ pub fn analyze_tokens(
     ambient_nondet(
         crate_name, rel_path, tokens, &excluded, file_items, &snippet, &mut out,
     );
-    unsafe_hygiene(rel_path, tokens, &excluded, &lines, &snippet, &mut out);
     unbounded_read(rel_path, tokens, &excluded, file_items, &snippet, &mut out);
     out
 }
@@ -341,10 +341,9 @@ fn no_print(
 
 /// FC006 — unbounded channel/queue constructors in non-test library code.
 ///
-/// Flags `unbounded(...)`/`unbounded_channel(...)`, `mpsc::channel(...)`
-/// (std's unbounded flavour; `sync_channel` is fine) and
-/// `Injector::new(...)` outright — a producer that outruns its consumer
-/// grows these without limit, so admission control has to live somewhere
+/// Flags `mpsc::channel(...)` (std's unbounded flavour; `sync_channel` is
+/// fine) outright — a producer that outruns its consumer grows it without
+/// limit, so admission control has to live somewhere
 /// and the allowlist entry is where its reason is recorded. `VecDeque`
 /// constructors are flagged too, unless the word "bound" (as in "bounded
 /// by", "capacity bound") appears on the same or one of the four
@@ -383,11 +382,6 @@ fn no_unbounded_queue(
                 .flatten()
         };
         let found = match t.text.as_str() {
-            "unbounded" | "unbounded_channel" if punct_at(1, '(') => Some((
-                format!("`{}(..)` creates an unbounded channel", t.text),
-                "use a bounded channel sized from a config capacity, or allowlist \
-                 in xtask/allow.toml stating what bounds the producer",
-            )),
             "channel"
                 if punct_at(1, '(')
                     && i >= 3
@@ -401,11 +395,6 @@ fn no_unbounded_queue(
                      allowlist in xtask/allow.toml stating what bounds the producer",
                 ))
             }
-            "Injector" if path_ctor() == Some("new") => Some((
-                "`Injector::new()` is an unbounded work queue".to_string(),
-                "bound what gets pushed (chunk the input) and allowlist in \
-                 xtask/allow.toml stating that bound",
-            )),
             "VecDeque"
                 if matches!(path_ctor(), Some("new" | "with_capacity" | "from"))
                     && !documented_bound(t.line) =>
@@ -807,41 +796,22 @@ fn path_before(tokens: &[Token], i: usize) -> Option<Vec<String>> {
     Some(segs)
 }
 
-/// FC010 — `unsafe` without an adjacent `// SAFETY:` comment.
-///
-/// The comment must appear on the `unsafe` token's line or one of the three
-/// lines above it (raw source lines, because plain comments do not survive
-/// the lexer). The workspace has no `unsafe` today; this is the guard rail
-/// the upcoming SIMD alignment kernel lands behind.
-fn unsafe_hygiene(
-    rel_path: &str,
-    tokens: &[Token],
-    excluded: &[bool],
-    lines: &[&str],
-    snippet: &dyn Fn(usize) -> Option<String>,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if excluded[i] || !t.is_ident("unsafe") {
-            continue;
-        }
-        let documented = (t.line.saturating_sub(4)..t.line)
-            .filter_map(|idx| lines.get(idx))
-            .any(|l| l.contains("SAFETY:"));
-        if !documented {
-            out.push(Diagnostic {
-                rule: Rule::UnsafeHygiene,
-                path: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                message: "`unsafe` without an adjacent `// SAFETY:` comment".to_string(),
-                snippet: snippet(t.line),
-                help: "state the invariant that makes this sound in a `// SAFETY:` \
-                       comment on the line above (what is guaranteed, and by whom)"
-                    .to_string(),
-            });
-        }
-    }
+/// FC010 — a crate root without `#![forbid(unsafe_code)]` on a line of its
+/// own. With the attribute in place the compiler refuses every `unsafe` in
+/// the crate, so the analyzer only checks that it is there.
+pub fn forbids_unsafe(rel_path: &str, src: &str) -> Option<Diagnostic> {
+    let present = src.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]");
+    (!present).then(|| Diagnostic {
+        rule: Rule::ForbidUnsafe,
+        path: rel_path.to_string(),
+        line: 0,
+        col: 0,
+        message: "crate root without `#![forbid(unsafe_code)]`".to_string(),
+        snippet: None,
+        help: "add `#![forbid(unsafe_code)]` below the crate's doc comment; a crate \
+               that needs `unsafe` says so in xtask/allow.toml with a reason"
+            .to_string(),
+    })
 }
 
 /// FC011 — unbounded whole-input reads in non-test library code.
@@ -1410,24 +1380,16 @@ mod tests {
     }
 
     #[test]
-    fn flags_unbounded_channels_and_injector() {
+    fn flags_mpsc_channel_but_not_sync_channel() {
         let src = "\
-fn a() { let (tx, rx) = crossbeam::channel::unbounded(); }
+fn a() { let (tx, rx) = std::sync::mpsc::channel(); }
 fn b() { let (tx, rx) = std::sync::mpsc::channel::<u32>(); }
-fn c() { let inj: Injector<u32> = Injector::new(); }
-fn d() { let (tx, rx) = std::sync::mpsc::sync_channel(16); }
+fn c() { let (tx, rx) = std::sync::mpsc::sync_channel(16); }
 ";
-        let hits = rules_hit(src);
-        assert_eq!(
-            hits.iter().filter(|(c, _)| *c == "FC006").count(),
-            2,
-            "{hits:?}"
-        );
         // Turbofish on `channel::<u32>` hides the call parens from the
-        // simple pattern; the plain form and `unbounded` are caught, and
-        // `sync_channel` is never flagged.
-        assert!(hits.contains(&("FC006", 1)), "{hits:?}");
-        assert!(hits.contains(&("FC006", 3)), "{hits:?}");
+        // simple pattern; the plain form is caught, and `sync_channel` is
+        // never flagged.
+        assert_eq!(rules_hit(src), vec![("FC006", 1)]);
     }
 
     #[test]
@@ -1673,24 +1635,15 @@ mod tests {
     }
 
     #[test]
-    fn fc010_unsafe_requires_safety_comment() {
-        let bare = "\
-pub fn read_wide(p: *const u8) -> u8 {
-    unsafe { *p }
-}
-";
-        assert_eq!(rules_hit(bare), vec![("FC010", 2)]);
-        let documented = "\
-pub fn read_wide(p: *const u8) -> u8 {
-    // SAFETY: caller guarantees `p` points into a live, aligned buffer.
-    unsafe { *p }
-}
-";
-        assert!(rules_hit(documented).is_empty());
-        let unsafe_fn = "\
-// SAFETY: contract documented on the trait.
-pub unsafe fn raw_len(p: *const u8) -> usize { 0 }
-";
-        assert!(rules_hit(unsafe_fn).is_empty());
+    fn fc010_crate_root_must_forbid_unsafe() {
+        let bare = "//! A crate.\npub fn f() {}\n";
+        assert_eq!(
+            forbids_unsafe("src/lib.rs", bare).map(|d| d.rule.code()),
+            Some("FC010")
+        );
+        let commented = "//! A crate.\n// #![forbid(unsafe_code)]\npub fn f() {}\n";
+        assert!(forbids_unsafe("src/lib.rs", commented).is_some());
+        let forbidding = "//! A crate.\n\n#![forbid(unsafe_code)]\n\npub fn f() {}\n";
+        assert!(forbids_unsafe("src/lib.rs", forbidding).is_none());
     }
 }

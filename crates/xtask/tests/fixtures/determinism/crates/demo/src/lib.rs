@@ -1,6 +1,6 @@
-//! Seeded determinism violations for the analyzer's integration tests.
-//! Each `FC00x:` marker below must be flagged; each `NOT flagged` case
-//! must stay clean, or the integration test fails.
+//! Seeded determinism violations for the analyzer's integration tests: each
+//! `FC00x:` marker below must be flagged, each `NOT flagged` case stay clean.
+//! FC010: this crate root does not forbid `unsafe`; every other fixture's does.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -28,15 +28,4 @@ pub fn btree_iteration(depths: &BTreeMap<String, u32>) -> u32 {
 /// FC008: wall clock on a data path.
 pub fn stamp() -> std::time::SystemTime {
     std::time::SystemTime::now()
-}
-
-/// FC010: unsafe without a SAFETY comment.
-pub fn undocumented(p: *const u8) -> u8 {
-    unsafe { *p }
-}
-
-/// Documented unsafe: NOT flagged.
-pub fn documented(p: *const u8) -> u8 {
-    // SAFETY: fixture only; the caller passes a valid, aligned pointer.
-    unsafe { *p }
 }

@@ -1,6 +1,8 @@
 //! Seeded two-lock ordering cycle: `ab` takes `a` then `b`, `ba` takes
 //! `b` then `a`. FC009 must report exactly one cycle naming both locks.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Mutex, PoisonError};
 
 pub struct Pair {

@@ -1,1 +1,3 @@
+#![forbid(unsafe_code)]
+
 pub fn ok() {}

@@ -1,6 +1,6 @@
 //! FC011 fixture: seeded unbounded whole-input reads next to their
 //! bounded, stream-shaped counterparts.
-
+#![forbid(unsafe_code)]
 use std::fs;
 use std::io::{BufRead, BufReader, Read};
 

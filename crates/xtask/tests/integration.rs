@@ -31,15 +31,16 @@ fn determinism_fixture_flags_exactly_the_seeded_sites() {
     assert_eq!(
         codes,
         vec![
+            ("FC010".to_string(), 0),  // crate root without forbid(unsafe_code)
             ("FC007".to_string(), 10), // for v in m.values()
             ("FC008".to_string(), 30), // SystemTime::now()
-            ("FC010".to_string(), 35), // unsafe without SAFETY
         ],
         "{:#?}",
         analysis.violations
     );
-    // The negative cases — adjacent sort, BTreeMap, documented unsafe —
-    // must not appear at all (they would add lines 18, 25, and 41).
+    // The negative cases — adjacent sort, BTreeMap — must not appear at
+    // all (they would add lines 18 and 25). Every other fixture's crate
+    // roots carry the attribute, and none reports FC010.
 }
 
 #[test]

@@ -7,6 +7,8 @@
 //!
 //! Run `focus help` for the full option list.
 
+#![forbid(unsafe_code)]
+
 use focus_assembler::focus::{
     AssemblyOutcome, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig, OocOptions,
 };
@@ -34,6 +36,8 @@ USAGE:
 ASSEMBLE OPTIONS:
     --input <path>         input reads (format by extension: .fasta/.fa/.fastq/.fq)
     --output <path>        output contig FASTA
+
+PIPELINE OPTIONS (assemble, graph, variants, serve):
     --partitions <k>       graph partitions, power of two        [default: 16]
     --min-overlap <bp>     minimum overlap length                [default: 50]
     --min-identity <f>     minimum overlap identity in [0,1]     [default: 0.90]
@@ -43,12 +47,9 @@ ASSEMBLE OPTIONS:
     --seed <u64>           partitioning seed                     [default: 985093]
     --threads <n>          worker threads; 0 = all cores, 1 = serial;
                            output is identical at any setting    [default: 0]
-    --align-kernel <k>     overlap verification kernel: scalar or bitparallel
-                           (auto is accepted as bitparallel); contigs are
-                           identical at any setting       [default: bitparallel]
     --keep-both-strands    emit both strands of every contig
 
-MEMORY OPTIONS (assemble, FASTQ input only):
+MEMORY OPTIONS (assemble, FASTQ input only; serve takes --memory-budget):
     --memory-budget <b>    cap the accounted heap; plain bytes or a k/M/G
                            suffix (e.g. 512M). Routes the run through the
                            out-of-core pipeline: input is streamed, reads
@@ -91,6 +92,7 @@ PROFILE OPTIONS:
                            served at GET /jobs/{id}/trace); reconstructs the
                            span DAG and extracts the critical path with
                            compute/wait/retry attribution
+    --input <trace.json>   the same path as an option
     --json                 emit the stable machine-readable report instead
                            of the human table (byte-stable for CI diffing)
 
@@ -100,18 +102,21 @@ SIMULATE OPTIONS:
     --coverage <x>         read coverage                         [default: 10]
     --seed <u64>           simulation seed                       [default: 42]
 
-GRAPH OPTIONS (assemble options also apply):
+GRAPH OPTIONS (pipeline options also apply):
+    --input <path>         input reads, as for assemble
     --output <path>        .gfa emits GFA v1, .dot emits Graphviz
     --with-sequences       include contig sequences in GFA segments
 
-VARIANTS OPTIONS (assemble options also apply):
+VARIANTS OPTIONS (pipeline options also apply):
+    --input <path>         input reads, as for assemble
     --min-support <n>      minimum read support per branch       [default: 2]
 
 CLASSIFY OPTIONS:
+    --input <path>         reads to classify
     --references <path>    reference FASTA, one record per taxon
     --kmer <k>             classification k-mer length           [default: 21]
 
-SERVE OPTIONS (assemble options set the base pipeline config):
+SERVE OPTIONS (pipeline options set the base config of every job):
     --state-dir <dir>      durable job state; restart on the same dir
                            resumes every unfinished job
     --addr <host:port>     bind address (port 0 picks a free port)
@@ -136,6 +141,62 @@ SERVE OPTIONS (assemble options set the base pipeline config):
     with POST /admin/shutdown?mode=drain|fast (fast leaves queued jobs on
     disk; the next start on the same --state-dir re-admits them).
 ";
+
+// The options each subcommand accepts, as groups of keys; anything else is
+// refused by `Options::parse`. Each list must agree with HELP's sections
+// for its subcommand (the tests below compare them).
+
+/// What `build_config` reads for every subcommand that runs the pipeline.
+const PIPELINE_KEYS: &[&str] = &[
+    "partitions",
+    "min-overlap",
+    "min-identity",
+    "min-read-len",
+    "min-quality",
+    "subsets",
+    "seed",
+    "threads",
+    "keep-both-strands",
+];
+/// The options that take no value.
+const FLAG_KEYS: &[&str] = &[
+    "keep-both-strands",
+    "with-sequences",
+    "logical-clock",
+    "resume",
+    "json",
+];
+const OBS_KEYS: &[&str] = &["trace", "metrics", "events"];
+const ASSEMBLE_KEYS: &[&[&str]] = &[
+    &["input", "output", "memory-budget", "spill-dir"],
+    &["checkpoint-dir", "resume", "crash-after", "logical-clock"],
+    PIPELINE_KEYS,
+    OBS_KEYS,
+];
+const SIMULATE_KEYS: &[&[&str]] = &[&["output", "genome-len", "coverage", "seed"]];
+const STATS_KEYS: &[&[&str]] = &[&["input"]];
+const GRAPH_KEYS: &[&[&str]] = &[&["input", "output", "with-sequences"], PIPELINE_KEYS];
+const VARIANTS_KEYS: &[&[&str]] = &[&["input", "min-support"], PIPELINE_KEYS];
+const CLASSIFY_KEYS: &[&[&str]] = &[&["input", "references", "kmer"]];
+const OBS_CHECK_KEYS: &[&[&str]] = &[OBS_KEYS];
+const PROFILE_KEYS: &[&[&str]] = &[&["input", "json"]];
+const SERVE_KEYS: &[&[&str]] = &[
+    &[
+        "state-dir",
+        "addr",
+        "workers",
+        "http-threads",
+        "job-threads",
+    ],
+    &[
+        "tenant-capacity",
+        "queue-capacity",
+        "max-tenants",
+        "quantum",
+    ],
+    &["max-attempts", "serve-memory-budget", "memory-budget"],
+    PIPELINE_KEYS,
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -170,7 +231,9 @@ struct Options {
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, String> {
+    /// Parses the arguments of `focus <cmd>`, refusing any key outside
+    /// `accepted` before the subcommand does any work.
+    fn parse(cmd: &str, accepted: &[&[&str]], args: &[String]) -> Result<Options, String> {
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
@@ -178,11 +241,10 @@ impl Options {
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --option, got {:?}", args[i]))?
                 .to_string();
-            let takes_value = !matches!(
-                key.as_str(),
-                "keep-both-strands" | "with-sequences" | "logical-clock" | "resume" | "json"
-            );
-            if takes_value {
+            if !accepted.iter().any(|group| group.contains(&key.as_str())) {
+                return Err(format!("unknown option --{key} for `focus {cmd}`"));
+            }
+            if !FLAG_KEYS.contains(&key.as_str()) {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--{key} needs a value"))?
@@ -306,7 +368,7 @@ fn build_checkpoint_options(opts: &Options) -> Result<Option<CheckpointOptions>,
 }
 
 fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("assemble", ASSEMBLE_KEYS, args)?;
     let input = opts.require("input")?.to_string();
     let output = opts.require("output")?.to_string();
 
@@ -371,7 +433,7 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
 }
 
 fn simulate(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("simulate", SIMULATE_KEYS, args)?;
     let output = opts.require("output")?.to_string();
     let genome_len = opts.get_parsed("genome-len", 20_000usize)?;
     let coverage = opts.get_parsed("coverage", 10.0f64)?;
@@ -400,12 +462,6 @@ fn build_config(opts: &Options) -> Result<FocusConfig, String> {
     };
     config.overlap.min_overlap_len = opts.get_parsed("min-overlap", 50usize)?;
     config.overlap.min_identity = opts.get_parsed("min-identity", 0.90f64)?;
-    if let Some(value) = opts.get("align-kernel") {
-        config.overlap.kernel =
-            focus_assembler::align::KernelKind::parse(value).ok_or_else(|| {
-                format!("invalid --align-kernel {value:?}; expected scalar, bitparallel or auto")
-            })?;
-    }
     config.trim.min_read_len = opts.get_parsed("min-read-len", 40usize)?;
     config.trim.min_quality = opts.get_parsed("min-quality", 20.0f64)?;
     if let Some(text) = opts.get("memory-budget") {
@@ -464,7 +520,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     use std::io::Write as _;
     use std::sync::Arc;
 
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("serve", SERVE_KEYS, args)?;
     let state_dir = opts.require("state-dir")?.to_string();
     let runner = AssemblyJobRunner::new(build_config(&opts)?).map_err(|e| e.to_string())?;
 
@@ -504,7 +560,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 
 fn obs_check(args: &[String]) -> Result<(), String> {
     use focus_assembler::obs::{check_chrome_trace, check_jsonl_events, check_metrics_snapshot};
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("obs-check", OBS_CHECK_KEYS, args)?;
     let mut checked = 0usize;
     if let Some(path) = opts.get("trace") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -539,7 +595,7 @@ fn profile(args: &[String]) -> Result<(), String> {
         Some(first) if !first.starts_with("--") => (Some(first.clone()), &args[1..]),
         _ => (None, args),
     };
-    let opts = Options::parse(rest)?;
+    let opts = Options::parse("profile", PROFILE_KEYS, rest)?;
     let path = match positional {
         Some(p) => p,
         None => opts.require("input")?.to_string(),
@@ -555,7 +611,7 @@ fn profile(args: &[String]) -> Result<(), String> {
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("stats", STATS_KEYS, args)?;
     let input = opts.require("input")?.to_string();
     let reads = read_input(&input)?;
     let lengths: Vec<usize> = reads.iter().map(Read::len).collect();
@@ -570,7 +626,7 @@ fn stats(args: &[String]) -> Result<(), String> {
 
 fn graph(args: &[String]) -> Result<(), String> {
     use focus_assembler::graph::{digraph_to_dot, digraph_to_gfa};
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("graph", GRAPH_KEYS, args)?;
     let input = opts.require("input")?.to_string();
     let output = opts.require("output")?.to_string();
     let config = build_config(&opts)?;
@@ -601,7 +657,7 @@ fn variants(args: &[String]) -> Result<(), String> {
     use focus_assembler::dist::cluster::{CostModel, SimCluster};
     use focus_assembler::dist::variants::{detect_variants, VariantConfig};
     use focus_assembler::partition::{partition_graph_set, PartitionConfig};
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("variants", VARIANTS_KEYS, args)?;
     let input = opts.require("input")?.to_string();
     let config = build_config(&opts)?;
     let k = config.partitions;
@@ -646,7 +702,7 @@ fn variants(args: &[String]) -> Result<(), String> {
 
 fn classify(args: &[String]) -> Result<(), String> {
     use focus_assembler::classify::KmerClassifier;
-    let opts = Options::parse(args)?;
+    let opts = Options::parse("classify", CLASSIFY_KEYS, args)?;
     let input = opts.require("input")?.to_string();
     let refs_path = opts.require("references")?.to_string();
     let k = opts.get_parsed("kmer", 21usize)?;
@@ -678,4 +734,129 @@ fn classify(args: &[String]) -> Result<(), String> {
         unclassified as f64 / total
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The `--key`s HELP lists under the section whose header starts with
+    /// `title`: the option lines (indented, starting with `--`) up to the
+    /// next header.
+    fn help_keys(title: &str) -> Vec<&'static str> {
+        let section = HELP
+            .lines()
+            .skip_while(|line| !line.starts_with(title))
+            .skip(1)
+            .take_while(|line| line.is_empty() || line.starts_with(' '));
+        let keys: Vec<&str> = section
+            .filter_map(|line| line.trim_start().strip_prefix("--"))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        assert!(!keys.is_empty(), "HELP has no section {title:?}");
+        keys
+    }
+
+    /// `accepted` is exactly what HELP's `sections` (plus `extra`, keys
+    /// HELP documents under another subcommand's section) list; every
+    /// listed key parses, and an unlisted one is refused by name.
+    fn check(cmd: &str, accepted: &[&[&str]], sections: &[&str], extra: &[&'static str]) {
+        let listed: BTreeSet<&str> = sections
+            .iter()
+            .flat_map(|title| help_keys(title))
+            .chain(extra.iter().copied())
+            .collect();
+        let accepted_set: BTreeSet<&str> =
+            accepted.iter().flat_map(|g| g.iter().copied()).collect();
+        assert_eq!(
+            accepted_set, listed,
+            "`focus {cmd}`: key list and HELP disagree"
+        );
+        let mut args = Vec::new();
+        for key in &listed {
+            args.push(format!("--{key}"));
+            if !FLAG_KEYS.contains(key) {
+                args.push("1".to_string());
+            }
+        }
+        let opts = Options::parse(cmd, accepted, &args).expect("every listed key is accepted");
+        for key in &listed {
+            assert!(opts.flag(key), "--{key} was dropped");
+        }
+        for unknown in ["no-such-option", "thredas"] {
+            let mut args = args.clone();
+            args.extend([format!("--{unknown}"), "5".to_string()]);
+            assert_eq!(
+                Options::parse(cmd, accepted, &args).err(),
+                Some(format!("unknown option --{unknown} for `focus {cmd}`"))
+            );
+        }
+    }
+
+    const PIPELINE: &str = "PIPELINE OPTIONS";
+
+    #[test]
+    fn assemble_options_match_help() {
+        let sections = [
+            "ASSEMBLE OPTIONS",
+            PIPELINE,
+            "MEMORY OPTIONS",
+            "CHECKPOINT OPTIONS",
+            "OBSERVABILITY OPTIONS",
+        ];
+        check("assemble", ASSEMBLE_KEYS, &sections, &[]);
+    }
+
+    #[test]
+    fn simulate_options_match_help() {
+        check("simulate", SIMULATE_KEYS, &["SIMULATE OPTIONS"], &[]);
+    }
+
+    #[test]
+    fn stats_options_match_help() {
+        // `focus stats --input <contigs.fasta>` is documented in USAGE only.
+        check("stats", STATS_KEYS, &[], &["input"]);
+    }
+
+    #[test]
+    fn graph_options_match_help() {
+        check("graph", GRAPH_KEYS, &["GRAPH OPTIONS", PIPELINE], &[]);
+    }
+
+    #[test]
+    fn variants_options_match_help() {
+        check(
+            "variants",
+            VARIANTS_KEYS,
+            &["VARIANTS OPTIONS", PIPELINE],
+            &[],
+        );
+    }
+
+    #[test]
+    fn classify_options_match_help() {
+        check("classify", CLASSIFY_KEYS, &["CLASSIFY OPTIONS"], &[]);
+    }
+
+    #[test]
+    fn obs_check_options_match_help() {
+        check("obs-check", OBS_CHECK_KEYS, &["OBS-CHECK OPTIONS"], &[]);
+    }
+
+    #[test]
+    fn profile_options_match_help() {
+        check("profile", PROFILE_KEYS, &["PROFILE OPTIONS"], &[]);
+    }
+
+    #[test]
+    fn serve_options_match_help() {
+        // `--memory-budget` is described under MEMORY OPTIONS.
+        check(
+            "serve",
+            SERVE_KEYS,
+            &["SERVE OPTIONS", PIPELINE],
+            &["memory-budget"],
+        );
+    }
 }

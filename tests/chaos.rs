@@ -18,7 +18,7 @@ use focus_assembler::focus::{
     config_fingerprint, input_digest, AssemblyOutcome, AssemblyResult, CheckpointOptions,
     CkptPhase, FaultInjection, FocusAssembler, FocusConfig,
 };
-use focus_assembler::obs::ObsOptions;
+use focus_assembler::obs::{MetricsSnapshot, ObsOptions};
 use focus_assembler::seq::{DnaString, Read};
 use focus_assembler::sim::genome::{random_genome, GenomeConfig};
 use std::path::PathBuf;
@@ -100,6 +100,13 @@ fn run_ckpt(reads: &[Read], opts: &CheckpointOptions) -> (AssemblyOutcome, Strin
 fn kill_after_every_phase_then_resume_reproduces_the_clean_run() {
     let reads = tiled_reads(2500, 11);
     let (clean, clean_snapshot) = run_clean(&reads);
+    // A counter only the alignment phase writes: a run resumed past it has
+    // the value from the checkpoint's metrics record or not at all.
+    let exact_hits = |snapshot: &str| {
+        let parsed = MetricsSnapshot::from_json(snapshot).expect("snapshot parses");
+        parsed.counters.get("align.kernel.exact_hits").copied()
+    };
+    assert!(exact_hits(&clean_snapshot) > Some(0), "{clean_snapshot}");
     for &phase in &CkptPhase::ALL {
         let dir = temp_dir(&format!("kill-{}", phase.name()));
         let mut opts = CheckpointOptions::in_dir(&dir);
@@ -116,6 +123,12 @@ fn kill_after_every_phase_then_resume_reproduces_the_clean_run() {
         assert_eq!(resumed.contigs, clean.contigs, "contigs after {}", phase.name());
         assert_eq!(resumed.report.paths, clean.report.paths, "{}", phase.name());
         assert_eq!(resumed.report.fault, clean.report.fault, "{}", phase.name());
+        assert_eq!(
+            exact_hits(&snapshot),
+            exact_hits(&clean_snapshot),
+            "verifier counters after {}",
+            phase.name()
+        );
         assert_eq!(snapshot, clean_snapshot, "metrics after {}", phase.name());
         let _ = std::fs::remove_dir_all(&dir);
     }
