@@ -170,12 +170,12 @@ mod tests {
 /// (40–89) and weak `i → i + 2` skip edges (5–39), like a read tiling.
 pub fn overlap_like_graph(n: usize, seed: u64) -> LevelGraph {
     let mut rng = Rng::new(seed);
-    let mut g = LevelGraph::with_nodes(n);
+    let mut edges = Vec::new();
     for i in 0..n - 1 {
-        g.add_edge(i as u32, (i + 1) as u32, rng.range(40..90));
+        edges.push((i as u32, (i + 1) as u32, rng.range(40..90)));
         if i + 2 < n {
-            g.add_edge(i as u32, (i + 2) as u32, rng.range(5..40));
+            edges.push((i as u32, (i + 2) as u32, rng.range(5..40)));
         }
     }
-    g
+    LevelGraph::from_edges(vec![1; n], &edges)
 }

@@ -27,8 +27,9 @@ pub const MAGIC: [u8; 4] = *b"FCKP";
 /// Current format version; bumped on any layout change — of the container
 /// or of a payload `Codec` — so a build refuses files of another layout
 /// instead of misreading them. Version 2: fc-align's `PairStats` records
-/// lost their ninth counter.
-pub const FORMAT_VERSION: u32 = 2;
+/// lost their ninth counter. Version 3: fc-graph's `DiEdge` records lost
+/// their `identity` field.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A decoded checkpoint container.
 #[derive(Debug, Clone, PartialEq, Eq)]

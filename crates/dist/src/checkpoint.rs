@@ -131,16 +131,12 @@ mod tests {
 
     #[test]
     fn phase_state_round_trips() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(
-            0,
-            fc_graph::DiEdge {
-                to: 1,
-                len: 40,
-                identity: 0.98,
-                shift: 12,
-            },
-        );
+        let edge = fc_graph::DiEdge {
+            to: 1,
+            len: 40,
+            shift: 12,
+        };
+        let g = DiGraph::from_edges(3, &[(0, edge)]);
         let state = DistPhaseState {
             graph: g,
             cluster: ClusterState {
@@ -175,6 +171,81 @@ mod tests {
         assert_eq!(back.paths, state.paths);
         assert_eq!(back.graph.node_count(), 3);
         assert_eq!(back.graph.out_degree(0), 1);
+    }
+
+    /// Hostile bytes end in a typed error: whatever is done to an encoded
+    /// graph set or phase state — truncation, flipped, inserted and dropped
+    /// bytes, a length field overwritten with a huge count — decoding
+    /// returns `Ok` or `CkptError::Decode`, and a graph it does return can be
+    /// walked and pruned without an out-of-range index.
+    #[test]
+    fn mutated_graph_records_never_panic() {
+        use fc_graph::{CoarsenConfig, DiEdge, GraphSet, LevelGraph, MultilevelSet, NodeId};
+        let ring: Vec<_> = (0..40u32)
+            .map(|i| (i, (i + 1) % 40, 1 + u64::from(i % 7)))
+            .collect();
+        let coarsen = CoarsenConfig {
+            min_nodes: 4,
+            ..Default::default()
+        };
+        let set = MultilevelSet::build(LevelGraph::from_edges(vec![1; 40], &ring), &coarsen).set;
+        assert!(set.level_count() > 2);
+        let chain = (0..11u32).flat_map(|i| {
+            let edge = |to| DiEdge {
+                to,
+                len: 50 + i,
+                shift: 40,
+            };
+            [(i, edge(i + 1)), (i, edge((i + 5) % 12))]
+        });
+        let mut graph = DiGraph::from_edges(12, &chain.collect::<Vec<_>>());
+        graph.remove_node(7);
+        graph.remove_edge(0, 1);
+        let state = DistPhaseState {
+            graph,
+            paths: Some(vec![AssemblyPath { nodes: vec![0, 5] }]),
+            ..Default::default()
+        };
+        let (set_bytes, state_bytes) = (encode_to_vec(&set), encode_to_vec(&state));
+        decode_from_slice::<GraphSet>(&set_bytes).unwrap();
+        decode_from_slice::<DistPhaseState>(&state_bytes).unwrap();
+
+        fc_rng::cases(512, |rng| {
+            let mutate = |bytes: &[u8], rng: &mut fc_rng::Rng| {
+                let mut bytes = bytes.to_vec();
+                for _ in 0..rng.range(1..4) {
+                    let pos = rng.range(0..bytes.len());
+                    match rng.range(0u8..5) {
+                        0 => bytes.truncate(pos),
+                        1 => bytes[pos] ^= 1 << rng.range(0u8..8),
+                        2 => bytes.insert(pos, rng.range(0u8..=255)),
+                        3 => drop(bytes.remove(pos)),
+                        _ => {
+                            // A count no payload this size can hold.
+                            let huge = rng.next_u64() | 1 << rng.range(24u32..64);
+                            let end = (pos + 8).min(bytes.len());
+                            bytes[pos..end].copy_from_slice(&huge.to_le_bytes()[..end - pos]);
+                        }
+                    }
+                    if bytes.is_empty() {
+                        break;
+                    }
+                }
+                bytes
+            };
+            if let Ok(set) = decode_from_slice::<GraphSet>(&mutate(&set_bytes, rng)) {
+                set.check_invariants().unwrap();
+            }
+            if let Ok(mut state) = decode_from_slice::<DistPhaseState>(&mutate(&state_bytes, rng)) {
+                let g = &mut state.graph;
+                let _ = g.check_invariants();
+                for v in 0..g.node_count() as NodeId {
+                    let _ = (g.out_edges(v).len(), g.in_neighbors(v).len());
+                    g.remove_node(v);
+                }
+                assert_eq!(g.edge_count(), 0);
+            }
+        });
     }
 
     #[test]

@@ -259,19 +259,18 @@ mod tests {
         DiEdge {
             to,
             len: 50,
-            identity: 1.0,
             shift: 50,
         }
     }
 
     /// Backbone 0→1→2→3→4 with a one-node spur 5→2.
     fn spur_graph() -> DiGraph {
-        let mut g = DiGraph::with_nodes(6);
+        let mut edges = Vec::new();
         for i in 0..4u32 {
-            g.add_edge(i, edge(i + 1));
+            edges.push((i, edge(i + 1)));
         }
-        g.add_edge(5, edge(2));
-        g
+        edges.push((5, edge(2)));
+        DiGraph::from_edges(6, &edges)
     }
 
     #[test]
@@ -293,10 +292,7 @@ mod tests {
     fn equal_depth_tips_are_both_kept() {
         // Two one-node branches into the same junction: a tie. Clipping
         // either would be a coin flip on the true sequence, so both stay.
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(0, edge(2));
-        g.add_edge(1, edge(2));
-        g.add_edge(2, edge(3));
+        let g = DiGraph::from_edges(4, &[(0, edge(2)), (1, edge(2)), (2, edge(3))]);
         let mut work = 0;
         let recorded =
             worker_dead_ends(&g, &[0, 1, 2, 3], &ErrorRemovalConfig::default(), &mut work);
@@ -307,15 +303,16 @@ mod tests {
     fn long_dead_end_kept() {
         // A spur of 5 nodes exceeds max_tip_len = 3 and survives; the
         // 2-node branch it out-competes at the junction is clipped instead.
-        let mut g = DiGraph::with_nodes(10);
+        let mut edges = Vec::new();
         for i in 0..4u32 {
-            g.add_edge(i, edge(i + 1));
+            edges.push((i, edge(i + 1)));
         }
         // Spur: 5→6→7→8→9→2.
         for i in 5..9u32 {
-            g.add_edge(i, edge(i + 1));
+            edges.push((i, edge(i + 1)));
         }
-        g.add_edge(9, edge(2));
+        edges.push((9, edge(2)));
+        let g = DiGraph::from_edges(10, &edges);
         let all: Vec<NodeId> = (0..10).collect();
         let mut work = 0;
         let recorded = worker_dead_ends(&g, &all, &ErrorRemovalConfig::default(), &mut work);
@@ -328,12 +325,16 @@ mod tests {
 
     /// Diamond bubble: 0→{1,2}, 1→3, 2→3, 3→4; support favors branch 1.
     fn bubble_graph() -> (DiGraph, Vec<u64>) {
-        let mut g = DiGraph::with_nodes(5);
-        g.add_edge(0, edge(1));
-        g.add_edge(0, edge(2));
-        g.add_edge(1, edge(3));
-        g.add_edge(2, edge(3));
-        g.add_edge(3, edge(4));
+        let g = DiGraph::from_edges(
+            5,
+            &[
+                (0, edge(1)),
+                (0, edge(2)),
+                (1, edge(3)),
+                (2, edge(3)),
+                (3, edge(4)),
+            ],
+        );
         (g, vec![10, 8, 2, 10, 10])
     }
 
@@ -357,11 +358,15 @@ mod tests {
 
     #[test]
     fn non_reconverging_branches_kept() {
-        let mut g = DiGraph::with_nodes(5);
-        g.add_edge(0, edge(1));
-        g.add_edge(0, edge(2));
-        g.add_edge(1, edge(3));
-        g.add_edge(2, edge(4)); // different endpoints: a real fork
+        let g = DiGraph::from_edges(
+            5,
+            &[
+                (0, edge(1)),
+                (0, edge(2)),
+                (1, edge(3)),
+                (2, edge(4)), // different endpoints: a real fork
+            ],
+        );
         let support = vec![1u64; 5];
         let mut work = 0;
         let recorded = worker_bubbles(
@@ -377,21 +382,22 @@ mod tests {
     #[test]
     fn oversized_bubble_kept() {
         // Branch interiors of 7 nodes exceed max_bubble_len = 6.
-        let mut g = DiGraph::with_nodes(20);
-        g.add_edge(0, edge(1));
-        g.add_edge(0, edge(9));
+        let mut edges = Vec::new();
+        edges.push((0, edge(1)));
+        edges.push((0, edge(9)));
         let mut prev = 1u32;
         for i in 2..9u32 {
-            g.add_edge(prev, edge(i));
+            edges.push((prev, edge(i)));
             prev = i;
         }
-        g.add_edge(prev, edge(17));
+        edges.push((prev, edge(17)));
         let mut prev = 9u32;
         for i in 10..17u32 {
-            g.add_edge(prev, edge(i));
+            edges.push((prev, edge(i)));
             prev = i;
         }
-        g.add_edge(prev, edge(17));
+        edges.push((prev, edge(17)));
+        let g = DiGraph::from_edges(20, &edges);
         let support = vec![1u64; 20];
         let mut work = 0;
         let recorded = worker_bubbles(

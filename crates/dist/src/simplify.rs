@@ -172,15 +172,16 @@ mod tests {
         let outer = long_seq();
         let inner = outer.slice(40, 160);
         let contigs = vec![outer, inner];
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 120,
-                identity: 1.0,
-                shift: 40,
-            },
+        let mut g = DiGraph::from_edges(
+            2,
+            &[(
+                0,
+                DiEdge {
+                    to: 1,
+                    len: 120,
+                    shift: 40,
+                },
+            )],
         );
         let mut work = 0;
         let (nodes, edges) = worker_scan(&g, &[0, 1], &contigs, &mut work);
@@ -196,16 +197,19 @@ mod tests {
         let a = long_seq();
         let b = long_seq();
         let contigs = vec![a, b];
-        let mut g = DiGraph::with_nodes(2);
-        // Claims only 30 bases of overlap (< 50): false positive.
-        g.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 30,
-                identity: 1.0,
-                shift: 170,
-            },
+        let mut g = DiGraph::from_edges(
+            2,
+            &[
+                // Claims only 30 bases of overlap (< 50): false positive.
+                (
+                    0,
+                    DiEdge {
+                        to: 1,
+                        len: 30,
+                        shift: 170,
+                    },
+                ),
+            ],
         );
         let mut work = 0;
         let (nodes, edges) = worker_scan(&g, &[0, 1], &contigs, &mut work);
@@ -222,15 +226,16 @@ mod tests {
         let a = genome.slice(0, 140);
         let b = genome.slice(80, 200);
         let contigs = vec![a, b];
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 60,
-                identity: 1.0,
-                shift: 80,
-            },
+        let g = DiGraph::from_edges(
+            2,
+            &[(
+                0,
+                DiEdge {
+                    to: 1,
+                    len: 60,
+                    shift: 80,
+                },
+            )],
         );
         let mut work = 0;
         let (nodes, edges) = worker_scan(&g, &[0, 1], &contigs, &mut work);
@@ -244,15 +249,16 @@ mod tests {
         let a = long_seq();
         let b = a.reverse_complement(); // very different content
         let contigs = vec![a, b];
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 100,
-                identity: 1.0,
-                shift: 100,
-            },
+        let g = DiGraph::from_edges(
+            2,
+            &[(
+                0,
+                DiEdge {
+                    to: 1,
+                    len: 100,
+                    shift: 100,
+                },
+            )],
         );
         let mut work = 0;
         let (_, edges) = worker_scan(&g, &[0, 1], &contigs, &mut work);

@@ -81,21 +81,19 @@ mod tests {
     use fc_graph::DiEdge;
 
     fn edge(to: NodeId, shift: u32, len: u32) -> DiEdge {
-        DiEdge {
-            to,
-            len,
-            identity: 1.0,
-            shift,
-        }
+        DiEdge { to, len, shift }
     }
 
     /// 0 → 1 → 2 with the transitive shortcut 0 → 2.
     fn triangle() -> DiGraph {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(0, edge(1, 50, 50));
-        g.add_edge(1, edge(2, 50, 50));
-        g.add_edge(0, edge(2, 100, 10));
-        g
+        DiGraph::from_edges(
+            3,
+            &[
+                (0, edge(1, 50, 50)),
+                (1, edge(2, 50, 50)),
+                (0, edge(2, 100, 10)),
+            ],
+        )
     }
 
     #[test]
@@ -122,11 +120,15 @@ mod tests {
 
     #[test]
     fn non_composing_shifts_are_kept() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(0, edge(1, 50, 50));
-        g.add_edge(1, edge(2, 50, 50));
-        // Shift 60 ≠ 100: a genuinely different placement (repeat), kept.
-        g.add_edge(0, edge(2, 60, 40));
+        let g = DiGraph::from_edges(
+            3,
+            &[
+                (0, edge(1, 50, 50)),
+                (1, edge(2, 50, 50)),
+                // Shift 60 ≠ 100: a genuinely different placement (repeat), kept.
+                (0, edge(2, 60, 40)),
+            ],
+        );
         let mut work = 0;
         let recorded = worker_scan(&g, &[0, 1, 2], &mut work);
         assert!(recorded.is_empty());
@@ -149,10 +151,14 @@ mod tests {
 
     #[test]
     fn tolerates_small_indel_drift() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(0, edge(1, 50, 50));
-        g.add_edge(1, edge(2, 50, 50));
-        g.add_edge(0, edge(2, 98, 10)); // 2 off from 100: within tolerance
+        let g = DiGraph::from_edges(
+            3,
+            &[
+                (0, edge(1, 50, 50)),
+                (1, edge(2, 50, 50)),
+                (0, edge(2, 98, 10)), // 2 off from 100: within tolerance
+            ],
+        );
         let mut work = 0;
         let recorded = worker_scan(&g, &[0, 1, 2], &mut work);
         assert_eq!(recorded, vec![(0, 2)]);
@@ -160,13 +166,14 @@ mod tests {
 
     #[test]
     fn chain_of_length_three_reduces_all_shortcuts() {
-        let mut g = DiGraph::with_nodes(4);
+        let mut edges = Vec::new();
         for i in 0..3u32 {
-            g.add_edge(i, edge(i + 1, 40, 60));
+            edges.push((i, edge(i + 1, 40, 60)));
         }
-        g.add_edge(0, edge(2, 80, 20));
-        g.add_edge(1, edge(3, 80, 20));
-        g.add_edge(0, edge(3, 120, 5));
+        edges.push((0, edge(2, 80, 20)));
+        edges.push((1, edge(3, 80, 20)));
+        edges.push((0, edge(3, 120, 5)));
+        let g = DiGraph::from_edges(4, &edges);
         let mut work = 0;
         let recorded = worker_scan(&g, &[0, 1, 2, 3], &mut work);
         let mut g2 = g.clone();

@@ -229,17 +229,16 @@ mod tests {
         DiEdge {
             to,
             len: 50,
-            identity: 1.0,
             shift: 50,
         }
     }
 
     fn chain(n: usize) -> DiGraph {
-        let mut g = DiGraph::with_nodes(n);
+        let mut edges = Vec::new();
         for i in 0..n - 1 {
-            g.add_edge(i as NodeId, edge((i + 1) as NodeId));
+            edges.push((i as NodeId, edge((i + 1) as NodeId)));
         }
-        g
+        DiGraph::from_edges(n, &edges)
     }
 
     #[test]
@@ -270,10 +269,11 @@ mod tests {
     #[test]
     fn branch_points_split_paths() {
         // 0→1→2, plus 5→2 (2 has in-degree 2), 2→3→4.
-        let mut g = DiGraph::with_nodes(6);
+        let mut edges = Vec::new();
         for (u, v) in [(0u32, 1u32), (1, 2), (2, 3), (3, 4), (5, 2)] {
-            g.add_edge(u, edge(v));
+            edges.push((u, edge(v)));
         }
+        let g = DiGraph::from_edges(6, &edges);
         let parts = vec![0u32; 6];
         let mut work = 0;
         let sub = worker_paths(&g, &parts, 0, &mut work);
@@ -293,11 +293,7 @@ mod tests {
     #[test]
     fn master_does_not_join_ambiguous_boundaries() {
         // Two sub-paths both feeding node 3: 0→1, 2, and 1→3, 2→3.
-        let mut g = DiGraph::with_nodes(5);
-        g.add_edge(0, edge(1));
-        g.add_edge(1, edge(3));
-        g.add_edge(2, edge(3));
-        g.add_edge(3, edge(4));
+        let g = DiGraph::from_edges(5, &[(0, edge(1)), (1, edge(3)), (2, edge(3)), (3, edge(4))]);
         let parts = vec![0, 0, 1, 2, 2];
         let mut work = 0;
         let mut sub = worker_paths(&g, &parts, 0, &mut work);
@@ -316,10 +312,7 @@ mod tests {
 
     #[test]
     fn cycles_are_preserved() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(0, edge(1));
-        g.add_edge(1, edge(2));
-        g.add_edge(2, edge(0));
+        let g = DiGraph::from_edges(3, &[(0, edge(1)), (1, edge(2)), (2, edge(0))]);
         let parts = vec![0u32; 3];
         let mut work = 0;
         let sub = worker_paths(&g, &parts, 0, &mut work);

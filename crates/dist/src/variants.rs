@@ -258,19 +258,22 @@ mod tests {
         DiEdge {
             to,
             len: 50,
-            identity: 1.0,
             shift: 50,
         }
     }
 
     /// Balanced diamond: 0→{1,2}→3→4; both branches well supported.
     fn balanced_bubble() -> (DiGraph, Vec<u64>) {
-        let mut g = DiGraph::with_nodes(5);
-        g.add_edge(0, edge(1));
-        g.add_edge(0, edge(2));
-        g.add_edge(1, edge(3));
-        g.add_edge(2, edge(3));
-        g.add_edge(3, edge(4));
+        let g = DiGraph::from_edges(
+            5,
+            &[
+                (0, edge(1)),
+                (0, edge(2)),
+                (1, edge(3)),
+                (2, edge(3)),
+                (3, edge(4)),
+            ],
+        );
         (g, vec![20, 9, 7, 20, 20])
     }
 

@@ -223,6 +223,17 @@ impl FocusAssembler {
         })?;
         policy.stop_after(CkptPhase::Hybrid)?;
 
+        // The graphs, visible but not charged: `mem.*` stays out of logical
+        // snapshots, and whether they enter the `MemoryBudget` is ROADMAP
+        // item 8's decision. Level 0 of the multilevel set is G0's undirected
+        // view (shared, not copied), so it is counted there.
+        let g0_bytes = graph.undirected.heap_bytes() + graph.directed.heap_bytes();
+        let multilevel_bytes = multilevel.set.heap_bytes() - multilevel.set.finest().heap_bytes();
+        let hybrid_bytes = hybrid.set.heap_bytes() + hybrid.directed.heap_bytes();
+        rec.gauge("mem.graph.g0_bytes", g0_bytes as i64);
+        rec.gauge("mem.graph.multilevel_bytes", multilevel_bytes as i64);
+        rec.gauge("mem.graph.hybrid_bytes", hybrid_bytes as i64);
+
         // Like G0, the node contigs are a function of what is already held
         // (hybrid set + store): rebuilt by every run, never stored.
         let contigs = DistributedHybrid::node_contigs(&hybrid, &store, config.consensus);
@@ -519,6 +530,16 @@ pub(crate) mod tests {
         assert!(baseline.contains("coarsen.levels"));
         assert!(baseline.contains("partition.edge_cut_final"));
         assert!(baseline.contains("dist.messages"));
+        // The graphs' heap is published, outside the logical snapshot.
+        let gauges = assembler.recorder().snapshot().gauges;
+        for key in [
+            "mem.graph.g0_bytes",
+            "mem.graph.multilevel_bytes",
+            "mem.graph.hybrid_bytes",
+        ] {
+            assert!(gauges.get(key).is_some_and(|&bytes| bytes > 0), "{key}");
+            assert!(!baseline.contains(key), "{key}");
+        }
         for threads in [2usize, 4] {
             config.threads = threads;
             let assembler = FocusAssembler::new(config).unwrap();

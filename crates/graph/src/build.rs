@@ -1,5 +1,6 @@
 //! Building the level-0 overlap graph `G0` from verified overlaps.
 
+use crate::csr::distinct;
 use crate::digraph::{DiEdge, DiGraph};
 use crate::level::{LevelGraph, NodeId};
 use fc_align::{Overlap, OverlapKind};
@@ -23,41 +24,43 @@ pub struct OverlapGraph {
 }
 
 impl OverlapGraph {
-    /// Builds `G0` over all reads of `store` from `overlaps`.
+    /// Builds `G0` over all reads of `store` from `overlaps`: both views come
+    /// straight from the overlap list by counting and scatter, with no
+    /// per-node allocation and no edge list in between.
     pub fn build(store: &ReadStore, overlaps: &[Overlap]) -> OverlapGraph {
         let n = store.len();
-        let mut undirected = LevelGraph::with_nodes(n);
-        let mut directed = DiGraph::with_nodes(n);
-        let mut containments = Vec::new();
-
-        for o in overlaps {
-            match o.kind {
-                OverlapKind::SuffixPrefix => {
-                    let (from, to) = (o.a.0, o.b.0);
-                    directed.add_edge(
-                        from,
-                        DiEdge {
-                            to,
-                            len: o.len,
-                            identity: o.identity,
-                            shift: o.shift,
-                        },
-                    );
-                }
-                OverlapKind::ContainsB => containments.push((o.a.0, o.b.0)),
-                OverlapKind::ContainedInB => containments.push((o.b.0, o.a.0)),
-            }
-        }
+        let dovetails = overlaps
+            .iter()
+            .filter(|o| o.kind == OverlapKind::SuffixPrefix)
+            .map(|o| {
+                let edge = DiEdge {
+                    to: o.b.0,
+                    len: o.len,
+                    shift: o.shift,
+                };
+                (o.a.0, edge)
+            });
+        let directed = DiGraph::scatter(n, dovetails);
+        let containments = overlaps
+            .iter()
+            .filter_map(|o| match o.kind {
+                OverlapKind::SuffixPrefix => None,
+                OverlapKind::ContainsB => Some((o.a.0, o.b.0)),
+                OverlapKind::ContainedInB => Some((o.b.0, o.a.0)),
+            })
+            .collect();
         // Undirected weights come from the deduplicated directed edges so a
         // dovetail discovered twice (once per strand pairing) is not double
-        // counted.
-        for v in 0..n as NodeId {
-            for e in directed.out_edges(v) {
-                if v < e.to || directed.edge(e.to, v).is_none() {
-                    undirected.add_edge(v, e.to, e.len as u64);
-                }
-            }
-        }
+        // counted; an antiparallel pair is listed from its lower end only,
+        // so no edge repeats.
+        let di = &directed;
+        let links = (0..n as NodeId).flat_map(|v| {
+            di.out_edges(v)
+                .iter()
+                .filter(move |e| v < e.to || di.edge(e.to, v).is_none())
+                .map(move |e| (v, e.to, e.len as u64))
+        });
+        let undirected = LevelGraph::scatter(vec![1; n], links, distinct);
         OverlapGraph {
             undirected,
             directed,

@@ -1,45 +1,70 @@
 //! Directed overlap graphs for assembly traversal.
 
+use crate::csr::{encode_rows, Csr, LiveCsr};
 use crate::error::GraphError;
 use crate::level::NodeId;
 
 /// A directed overlap edge: the suffix of the source aligns to the prefix of
 /// the target.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiEdge {
     /// Target node.
     pub to: NodeId,
     /// Alignment length in columns (edge weight, paper §II-C).
     pub len: u32,
-    /// Alignment identity in `[0, 1]`.
-    pub identity: f64,
     /// Offset of the target's first base relative to the source's first base
     /// on the common layout.
     pub shift: u32,
 }
 
 /// A directed graph with both out- and in-adjacency, supporting the removals
-/// the distributed simplification stage performs (§V).
+/// the distributed simplification stage performs (§V). Built once from an
+/// edge list; after that rows only shrink, inside the fixed extents of
+/// the `csr` module, so a clone is seven `memcpy`s.
 #[derive(Debug, Clone, Default)]
 pub struct DiGraph {
-    out: Vec<Vec<DiEdge>>,
-    inc: Vec<Vec<NodeId>>,
+    out: LiveCsr<DiEdge>,
+    inc: LiveCsr<NodeId>,
     removed_nodes: Vec<bool>,
 }
 
 impl DiGraph {
-    /// Creates a graph with `n` nodes and no edges.
-    pub fn with_nodes(n: usize) -> DiGraph {
+    /// Builds a graph over `n` nodes from `(source, edge)` pairs. Of edges
+    /// with the same endpoints the one with the greater alignment length is
+    /// kept (the first of equals), in the position of the first; self-edges
+    /// are ignored. Out- and in-rows are in first-insertion order.
+    pub fn from_edges(n: usize, edges: &[(NodeId, DiEdge)]) -> DiGraph {
+        DiGraph::scatter(n, edges.iter().copied())
+    }
+
+    /// The builder under [`DiGraph::from_edges`], for edge lists this crate
+    /// derives and need not store: `edges` is walked four times, to count
+    /// and to place each view.
+    pub(crate) fn scatter(
+        n: usize,
+        edges: impl Iterator<Item = (NodeId, DiEdge)> + Clone,
+    ) -> DiGraph {
+        let edges = edges.filter(|&(from, e)| from != e.to);
+        let out = Csr::build(n, edges.clone(), |held, new| {
+            let same = held.to == new.to;
+            if same && new.len > held.len {
+                *held = *new;
+            }
+            same
+        });
+        let inc = Csr::build(n, edges.map(|(from, e)| (e.to, from)), |held, new| {
+            held == new
+        });
         DiGraph {
-            out: vec![Vec::new(); n],
-            inc: vec![Vec::new(); n],
+            out: LiveCsr::new(out),
+            inc: LiveCsr::new(inc),
             removed_nodes: vec![false; n],
         }
     }
 
     /// Number of nodes ever created (including removed ones).
     pub fn node_count(&self) -> usize {
-        self.out.len()
+        self.removed_nodes.len()
     }
 
     /// Number of live (not removed) nodes.
@@ -49,45 +74,29 @@ impl DiGraph {
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.out.iter().map(Vec::len).sum()
-    }
-
-    /// Adds a directed edge. Duplicate edges (same endpoints) keep the one
-    /// with the greater alignment length.
-    pub fn add_edge(&mut self, from: NodeId, edge: DiEdge) {
-        if from == edge.to {
-            return;
-        }
-        if let Some(existing) = self.out[from as usize].iter_mut().find(|e| e.to == edge.to) {
-            if edge.len > existing.len {
-                *existing = edge;
-            }
-            return;
-        }
-        self.out[from as usize].push(edge);
-        self.inc[edge.to as usize].push(from);
+        self.out.live()
     }
 
     /// Out-edges of `v`.
     #[inline]
     pub fn out_edges(&self, v: NodeId) -> &[DiEdge] {
-        &self.out[v as usize]
+        self.out.row(v)
     }
 
     /// Sources of in-edges of `v`.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.inc[v as usize]
+        self.inc.row(v)
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out[v as usize].len()
+        self.out_edges(v).len()
     }
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inc[v as usize].len()
+        self.in_neighbors(v).len()
     }
 
     /// True if `v` has been removed.
@@ -97,18 +106,15 @@ impl DiGraph {
 
     /// Live node ids.
     pub fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.out.len() as NodeId).filter(move |&v| !self.removed_nodes[v as usize])
+        (0..self.node_count() as NodeId).filter(move |&v| !self.removed_nodes[v as usize])
     }
 
     /// Removes the directed edge `from -> to`; returns whether it existed.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        let out = &mut self.out[from as usize];
-        let before = out.len();
-        out.retain(|e| e.to != to);
-        if out.len() == before {
+        if !self.out.retain(from, |e| e.to != to) {
             return false;
         }
-        self.inc[to as usize].retain(|&s| s != from);
+        self.inc.retain(to, |&s| s != from);
         true
     }
 
@@ -117,49 +123,43 @@ impl DiGraph {
         if self.removed_nodes[v as usize] {
             return;
         }
-        let outs: Vec<NodeId> = self.out[v as usize].iter().map(|e| e.to).collect();
-        for t in outs {
-            self.inc[t as usize].retain(|&s| s != v);
+        for e in self.out.row(v) {
+            self.inc.retain(e.to, |&s| s != v);
         }
-        let ins: Vec<NodeId> = self.inc[v as usize].clone();
-        for s in ins {
-            self.out[s as usize].retain(|e| e.to != v);
+        for &s in self.inc.row(v) {
+            self.out.retain(s, |e| e.to != v);
         }
-        self.out[v as usize].clear();
-        self.inc[v as usize].clear();
+        self.out.retain(v, |_| false);
+        self.inc.retain(v, |_| false);
         self.removed_nodes[v as usize] = true;
     }
 
     /// The edge `from -> to`, if present.
     pub fn edge(&self, from: NodeId, to: NodeId) -> Option<&DiEdge> {
-        self.out[from as usize].iter().find(|e| e.to == to)
+        self.out_edges(from).iter().find(|e| e.to == to)
+    }
+
+    /// Bytes this graph holds on the heap: 12 per out-edge and 4 per in-edge
+    /// of the graph as built, 17 per node, 8 for the closing offsets.
+    pub fn heap_bytes(&self) -> usize {
+        self.out.heap_bytes() + self.inc.heap_bytes() + self.removed_nodes.capacity()
     }
 
     /// Checks out/in adjacency consistency.
     pub fn check_invariants(&self) -> Result<(), GraphError> {
-        for (v, edges) in self.out.iter().enumerate() {
-            for e in edges {
-                if !self.inc[e.to as usize].contains(&(v as NodeId)) {
-                    return Err(GraphError::invariant(
-                        "DiGraph",
-                        format!("missing in-edge record {v}->{}", e.to),
-                    ));
+        let fail = |message: String| Err(GraphError::invariant("DiGraph", message));
+        for v in 0..self.node_count() as NodeId {
+            for e in self.out_edges(v) {
+                if !self.in_neighbors(e.to).contains(&v) {
+                    return fail(format!("missing in-edge record {v}->{}", e.to));
                 }
-                if self.removed_nodes[v] || self.removed_nodes[e.to as usize] {
-                    return Err(GraphError::invariant(
-                        "DiGraph",
-                        format!("edge touches removed node: {v}->{}", e.to),
-                    ));
+                if self.is_removed(v) || self.is_removed(e.to) {
+                    return fail(format!("edge touches removed node: {v}->{}", e.to));
                 }
             }
-        }
-        for (v, sources) in self.inc.iter().enumerate() {
-            for &s in sources {
-                if !self.out[s as usize].iter().any(|e| e.to as usize == v) {
-                    return Err(GraphError::invariant(
-                        "DiGraph",
-                        format!("missing out-edge record {s}->{v}"),
-                    ));
+            for &s in self.in_neighbors(v) {
+                if self.edge(s, v).is_none() {
+                    return fail(format!("missing out-edge record {s}->{v}"));
                 }
             }
         }
@@ -169,7 +169,7 @@ impl DiGraph {
     /// True if the graph (restricted to live nodes) is reachable from `from`
     /// to `to` along directed edges. Used by transitive-reduction tests.
     pub fn is_reachable(&self, from: NodeId, to: NodeId) -> bool {
-        let mut seen = vec![false; self.out.len()];
+        let mut seen = vec![false; self.node_count()];
         let mut stack = vec![from];
         seen[from as usize] = true;
         while let Some(v) = stack.pop() {
@@ -191,7 +191,6 @@ impl fc_ckpt::Codec for DiEdge {
     fn encode(&self, w: &mut fc_ckpt::Writer) {
         w.put_u32(self.to);
         w.put_u32(self.len);
-        w.put_f64(self.identity);
         w.put_u32(self.shift);
     }
 
@@ -199,47 +198,38 @@ impl fc_ckpt::Codec for DiEdge {
         Ok(DiEdge {
             to: r.u32()?,
             len: r.u32()?,
-            identity: r.f64()?,
             shift: r.u32()?,
         })
     }
 }
 
 impl fc_ckpt::Codec for DiGraph {
+    /// Writes the live rows; the decoded graph's extents are what was live.
     fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.out.encode(w);
-        self.inc.encode(w);
+        let nodes = 0..self.node_count() as NodeId;
+        encode_rows(w, nodes.clone().map(|v| self.out_edges(v)));
+        encode_rows(w, nodes.map(|v| self.in_neighbors(v)));
         self.removed_nodes.encode(w);
     }
 
     fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<DiGraph, fc_ckpt::CkptError> {
-        let decode_err = |detail: String| fc_ckpt::CkptError::Decode { detail };
-        let out = Vec::<Vec<DiEdge>>::decode(r)?;
-        let inc = Vec::<Vec<NodeId>>::decode(r)?;
+        let out = Csr::<DiEdge>::decode(r, 12)?;
+        let inc = Csr::<NodeId>::decode(r, 4)?;
         let removed_nodes = Vec::<bool>::decode(r)?;
-        let n = out.len();
-        if inc.len() != n || removed_nodes.len() != n {
-            return Err(decode_err(format!(
-                "DiGraph adjacency sizes disagree: {n} out, {} inc, {} removed flags",
-                inc.len(),
-                removed_nodes.len()
-            )));
-        }
-        if out.iter().flatten().any(|e| e.to as usize >= n)
-            || inc.iter().flatten().any(|&v| v as usize >= n)
-        {
-            return Err(decode_err(format!(
-                "DiGraph edge endpoint out of bounds for {n} nodes"
-            )));
-        }
-        if out.iter().map(Vec::len).sum::<usize>() != inc.iter().map(Vec::len).sum::<usize>() {
-            return Err(decode_err(
-                "DiGraph out/in edge counts disagree".to_string(),
-            ));
+        let n = out.rows();
+        let sane = inc.rows() == n
+            && removed_nodes.len() == n
+            && out.entries().len() == inc.entries().len()
+            && out.entries().iter().all(|e| (e.to as usize) < n)
+            && inc.entries().iter().all(|&s| (s as usize) < n);
+        if !sane {
+            return Err(fc_ckpt::CkptError::Decode {
+                detail: format!("DiGraph rows disagree in size or point past {n} nodes"),
+            });
         }
         Ok(DiGraph {
-            out,
-            inc,
+            out: LiveCsr::new(out),
+            inc: LiveCsr::new(inc),
             removed_nodes,
         })
     }
@@ -250,20 +240,11 @@ mod tests {
     use super::*;
 
     fn edge(to: NodeId, len: u32) -> DiEdge {
-        DiEdge {
-            to,
-            len,
-            identity: 1.0,
-            shift: 10,
-        }
+        DiEdge { to, len, shift: 10 }
     }
 
     fn path_graph() -> DiGraph {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(0, edge(1, 50));
-        g.add_edge(1, edge(2, 60));
-        g.add_edge(2, edge(3, 70));
-        g
+        DiGraph::from_edges(4, &[(0, edge(1, 50)), (1, edge(2, 60)), (2, edge(3, 70))])
     }
 
     #[test]
@@ -278,10 +259,7 @@ mod tests {
 
     #[test]
     fn duplicate_edge_keeps_longer() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(0, edge(1, 50));
-        g.add_edge(0, edge(1, 80));
-        g.add_edge(0, edge(1, 60));
+        let g = DiGraph::from_edges(2, &[(0, edge(1, 50)), (0, edge(1, 80)), (0, edge(1, 60))]);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.edge(0, 1).unwrap().len, 80);
         assert_eq!(g.in_degree(1), 1);
@@ -289,8 +267,7 @@ mod tests {
 
     #[test]
     fn self_edges_ignored() {
-        let mut g = DiGraph::with_nodes(1);
-        g.add_edge(0, edge(0, 50));
+        let g = DiGraph::from_edges(1, &[(0, edge(0, 50))]);
         assert_eq!(g.edge_count(), 0);
     }
 

@@ -71,9 +71,7 @@ mod tests {
 
     #[test]
     fn level_graph_dot_contains_nodes_edges_and_colors() {
-        let mut g = LevelGraph::with_nodes(3);
-        g.add_edge(0, 1, 5);
-        g.add_edge(1, 2, 10);
+        let g = LevelGraph::from_edges(vec![1; 3], &[(0, 1, 5), (1, 2, 10)]);
         let dot = level_graph_to_dot(&g, Some(&[0, 1, 0]));
         assert!(dot.starts_with("graph level {"));
         assert!(dot.contains("n0 -- n1 [label=\"5\""));
@@ -85,24 +83,26 @@ mod tests {
 
     #[test]
     fn digraph_dot_omits_removed_nodes() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 50,
-                identity: 1.0,
-                shift: 40,
-            },
-        );
-        g.add_edge(
-            1,
-            DiEdge {
-                to: 2,
-                len: 60,
-                identity: 1.0,
-                shift: 30,
-            },
+        let mut g = DiGraph::from_edges(
+            3,
+            &[
+                (
+                    0,
+                    DiEdge {
+                        to: 1,
+                        len: 50,
+                        shift: 40,
+                    },
+                ),
+                (
+                    1,
+                    DiEdge {
+                        to: 2,
+                        len: 60,
+                        shift: 30,
+                    },
+                ),
+            ],
         );
         g.remove_node(2);
         let dot = digraph_to_dot(&g, None);
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn uncolored_nodes_are_white() {
-        let g = LevelGraph::with_nodes(1);
+        let g = LevelGraph::from_edges(vec![1], &[]);
         let dot = level_graph_to_dot(&g, None);
         assert!(dot.contains("#ffffff"));
     }
@@ -155,24 +155,26 @@ mod gfa_tests {
 
     #[test]
     fn gfa_has_header_segments_and_links() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 55,
-                identity: 1.0,
-                shift: 45,
-            },
-        );
-        g.add_edge(
-            1,
-            DiEdge {
-                to: 2,
-                len: 60,
-                identity: 1.0,
-                shift: 40,
-            },
+        let g = DiGraph::from_edges(
+            3,
+            &[
+                (
+                    0,
+                    DiEdge {
+                        to: 1,
+                        len: 55,
+                        shift: 45,
+                    },
+                ),
+                (
+                    1,
+                    DiEdge {
+                        to: 2,
+                        len: 60,
+                        shift: 40,
+                    },
+                ),
+            ],
         );
         let gfa = digraph_to_gfa(&g, |v| {
             if v == 0 {
@@ -191,15 +193,16 @@ mod gfa_tests {
 
     #[test]
     fn gfa_omits_removed_nodes() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 50,
-                identity: 1.0,
-                shift: 50,
-            },
+        let mut g = DiGraph::from_edges(
+            2,
+            &[(
+                0,
+                DiEdge {
+                    to: 1,
+                    len: 50,
+                    shift: 50,
+                },
+            )],
         );
         g.remove_node(1);
         let gfa = digraph_to_gfa(&g, |_| None);

@@ -15,9 +15,10 @@
 
 use crate::build::OverlapGraph;
 use crate::coarsen::MultilevelSet;
+use crate::csr::{distinct, Csr};
 use crate::digraph::{DiEdge, DiGraph};
 use crate::layout::{layout_cluster, ClusterLayout, LayoutConfig};
-use crate::level::{GraphSet, LevelGraph, NodeId};
+use crate::level::{GraphSet, NodeId};
 use fc_obs::Recorder;
 use fc_seq::ReadStore;
 use std::collections::HashMap;
@@ -104,7 +105,7 @@ impl HybridSet {
                 }
                 None => {
                     debug_assert!(level > 0, "level-0 nodes are always contiguous");
-                    for &child in children[level][node as usize].iter().rev() {
+                    for &child in children[level].row(node).iter().rev() {
                         stack.push((level - 1, child));
                     }
                 }
@@ -130,20 +131,10 @@ impl HybridSet {
         );
 
         // --- Hybrid G'0: contract the undirected G0. ---
-        let mut g0h =
-            LevelGraph::with_node_weights(clusters.iter().map(|c| c.len() as u64).collect());
-        let mut acc: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-        for (u, v, w) in g0.undirected.edges() {
-            let (ru, rv) = (rep_of_node[u as usize], rep_of_node[v as usize]);
-            if ru != rv {
-                *acc.entry((ru.min(rv), ru.max(rv))).or_insert(0) += w;
-            }
-        }
-        let mut sorted: Vec<_> = acc.into_iter().collect();
-        sorted.sort_unstable_by_key(|&(k, _)| k);
-        for ((u, v), w) in sorted {
-            g0h.add_edge(u, v, w);
-        }
+        let g0h = g0.undirected.contracted(
+            &rep_of_node,
+            clusters.iter().map(|c| c.len() as u64).collect(),
+        );
 
         // --- Contig lengths and the directed hybrid graph. ---
         let contig_lens: Vec<u32> = layouts
@@ -165,7 +156,7 @@ impl HybridSet {
                 read_offset[v as usize] = o - base;
             }
         }
-        let mut directed = DiGraph::with_nodes(reps.len());
+        let mut contig_edges: Vec<(NodeId, DiEdge)> = Vec::new();
         for u in g0.directed.live_nodes() {
             for e in g0.directed.out_edges(u) {
                 let (ru, rv) = (rep_of_node[u as usize], rep_of_node[e.to as usize]);
@@ -180,17 +171,15 @@ impl HybridSet {
                     continue; // not a proper contig dovetail
                 }
                 let overlap = (a_len - shift).min(contig_lens[rv as usize] as i64) as u32;
-                directed.add_edge(
-                    ru,
-                    DiEdge {
-                        to: rv,
-                        len: overlap,
-                        identity: e.identity,
-                        shift: shift as u32,
-                    },
-                );
+                let edge = DiEdge {
+                    to: rv,
+                    len: overlap,
+                    shift: shift as u32,
+                };
+                contig_edges.push((ru, edge));
             }
         }
+        let directed = DiGraph::from_edges(reps.len(), &contig_edges);
 
         // --- Hybrid levels G'1 … G'n via multilevel ancestry. ---
         let mut levels = vec![g0h];
@@ -226,19 +215,7 @@ impl HybridSet {
             }
             debug_assert!(map.iter().all(|&m| m != NodeId::MAX));
             // Contract G'0 edges through `assign`.
-            let mut acc: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-            for (u, v, w) in levels[0].edges() {
-                let (cu, cv) = (assign[u as usize], assign[v as usize]);
-                if cu != cv {
-                    *acc.entry((cu.min(cv), cu.max(cv))).or_insert(0) += w;
-                }
-            }
-            let mut coarse = LevelGraph::with_node_weights(weights);
-            let mut sorted: Vec<_> = acc.into_iter().collect();
-            sorted.sort_unstable_by_key(|&(k, _)| k);
-            for ((u, v), w) in sorted {
-                coarse.add_edge(u, v, w);
-            }
+            let coarse = levels[0].contracted(&assign, weights);
             levels.push(coarse);
             maps.push(map);
             prev_assign = assign;
@@ -293,24 +270,20 @@ impl HybridSet {
     }
 }
 
-/// `children[level][node]` = nodes of `level - 1` merging into `node`.
-/// `children[0]` is empty.
-fn children_lists(set: &GraphSet) -> Vec<Vec<Vec<NodeId>>> {
-    let mut out: Vec<Vec<Vec<NodeId>>> = Vec::with_capacity(set.level_count());
-    out.push(Vec::new());
+/// `children[level].row(node)` = nodes of `level - 1` merging into `node`,
+/// ascending. `children[0]` is empty.
+fn children_lists(set: &GraphSet) -> Vec<Csr<NodeId>> {
+    let mut out = vec![Csr::default()];
     for (i, map) in set.fine_to_coarse.iter().enumerate() {
         let coarse_n = set.levels[i + 1].node_count();
-        let mut lists = vec![Vec::new(); coarse_n];
-        for (fine, &coarse) in map.iter().enumerate() {
-            lists[coarse as usize].push(fine as NodeId);
-        }
-        out.push(lists);
+        let members = map.iter().enumerate().map(|(fine, &c)| (c, fine as NodeId));
+        out.push(Csr::build(coarse_n, members, distinct));
     }
     out
 }
 
 /// All level-0 descendants of `node` at `level`.
-fn expand_to_level0(children: &[Vec<Vec<NodeId>>], level: usize, node: NodeId) -> Vec<NodeId> {
+fn expand_to_level0(children: &[Csr<NodeId>], level: usize, node: NodeId) -> Vec<NodeId> {
     if level == 0 {
         return vec![node];
     }
@@ -320,7 +293,7 @@ fn expand_to_level0(children: &[Vec<Vec<NodeId>>], level: usize, node: NodeId) -
         if l == 0 {
             out.push(v);
         } else {
-            for &c in &children[l][v as usize] {
+            for &c in children[l].row(v) {
                 stack.push((l - 1, c));
             }
         }
@@ -399,6 +372,11 @@ mod tests {
     /// A linear genome tiling: reads every `stride` bases, overlaps between
     /// consecutive reads. Returns (store, overlap graph).
     fn linear_case(n_reads: usize) -> (ReadStore, OverlapGraph) {
+        linear_case_with(n_reads, &[])
+    }
+
+    /// [`linear_case`] with `extra` overlaps appended to the tiling's.
+    fn linear_case_with(n_reads: usize, extra: &[Overlap]) -> (ReadStore, OverlapGraph) {
         let read_len = 100usize;
         let stride = 50usize;
         let genome: DnaString = (0..(n_reads * stride + read_len))
@@ -422,6 +400,7 @@ mod tests {
                 len: (read_len - stride) as u32,
                 identity: 1.0,
             })
+            .chain(extra.iter().copied())
             .collect();
         let g = OverlapGraph::build(&store, &overlaps);
         (store, g)
@@ -555,18 +534,16 @@ mod tests {
         // Build a graph where two distant regions get cross-linked by a
         // bogus edge, making coarse clusters non-contiguous: selection must
         // fall back to finer levels and still cover everything.
-        let (store, mut g) = linear_case(30);
-        // Inconsistent extra edge: claims read 0 overlaps read 20.
-        g.directed.add_edge(
-            0,
-            crate::digraph::DiEdge {
-                to: 20,
-                len: 50,
-                identity: 0.95,
-                shift: 50,
-            },
-        );
-        g.undirected.add_edge(0, 20, 50);
+        // Inconsistent extra overlap: claims read 0 overlaps read 20.
+        let bogus = Overlap {
+            a: ReadId(0),
+            b: ReadId(20),
+            kind: OverlapKind::SuffixPrefix,
+            shift: 50,
+            len: 50,
+            identity: 0.95,
+        };
+        let (store, g) = linear_case_with(30, &[bogus]);
         // Coarsen all the way down to one node so the conflated pair is
         // guaranteed to share a coarse cluster.
         let ml = MultilevelSet::build(

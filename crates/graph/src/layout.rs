@@ -309,6 +309,16 @@ mod tests {
     /// Store of `n` reads tiling `genome` every `stride` bases (no RCs, so
     /// node ids equal tile indices).
     fn tiling(genome: &DnaString, read_len: usize, stride: usize) -> (ReadStore, DiGraph) {
+        tiling_with(genome, read_len, stride, None)
+    }
+
+    /// [`tiling`] plus one `extra` edge out of node 0, added last.
+    fn tiling_with(
+        genome: &DnaString,
+        read_len: usize,
+        stride: usize,
+        extra: Option<DiEdge>,
+    ) -> (ReadStore, DiGraph) {
         let mut reads = Vec::new();
         let mut start = 0;
         while start + read_len <= genome.len() {
@@ -320,18 +330,16 @@ mod tests {
         }
         let n = reads.len();
         let store = ReadStore::from_reads(reads);
-        let mut g = DiGraph::with_nodes(n);
-        for i in 0..n - 1 {
-            g.add_edge(
-                i as NodeId,
-                DiEdge {
-                    to: (i + 1) as NodeId,
-                    len: (read_len - stride) as u32,
-                    identity: 1.0,
-                    shift: stride as u32,
-                },
-            );
-        }
+        let chain = (0..n - 1).map(|i| {
+            let edge = DiEdge {
+                to: (i + 1) as NodeId,
+                len: (read_len - stride) as u32,
+                shift: stride as u32,
+            };
+            (i as NodeId, edge)
+        });
+        let edges: Vec<_> = chain.chain(extra.map(|e| (0, e))).collect();
+        let g = DiGraph::from_edges(n, &edges);
         (store, g)
     }
 
@@ -387,54 +395,42 @@ mod tests {
     #[test]
     fn gap_in_tiling_rejected() {
         let g = genome(500);
-        let (store, mut di) = tiling(&g, 100, 50);
         // Connect 0 -> 4 with a bogus long-range edge (shift 300 creates a
         // consistent offset but a coverage gap between read 0 end (100) and
         // read 4 start (300)).
-        di.add_edge(
-            0,
-            DiEdge {
-                to: 4,
-                len: 10,
-                identity: 1.0,
-                shift: 300,
-            },
-        );
+        let extra = DiEdge {
+            to: 4,
+            len: 10,
+            shift: 300,
+        };
+        let (store, di) = tiling_with(&g, 100, 50, Some(extra));
         assert!(layout_of(&[0, 4], &di, &store).is_none());
     }
 
     #[test]
     fn inconsistent_offsets_rejected() {
         let g = genome(300);
-        let (store, mut di) = tiling(&g, 100, 50);
         // A conflicting edge claims node 2 is only 10 bases right of node 0,
         // but via node 1 it is 100 bases right.
-        di.add_edge(
-            0,
-            DiEdge {
-                to: 2,
-                len: 90,
-                identity: 1.0,
-                shift: 10,
-            },
-        );
+        let extra = DiEdge {
+            to: 2,
+            len: 90,
+            shift: 10,
+        };
+        let (store, di) = tiling_with(&g, 100, 50, Some(extra));
         assert!(layout_of(&[0, 1, 2], &di, &store).is_none());
     }
 
     #[test]
     fn small_offset_disagreement_tolerated() {
         let g = genome(300);
-        let (store, mut di) = tiling(&g, 100, 50);
         // Claims shift 102 where the layout says 100 — within tolerance 4.
-        di.add_edge(
-            0,
-            DiEdge {
-                to: 2,
-                len: 90,
-                identity: 1.0,
-                shift: 102,
-            },
-        );
+        let extra = DiEdge {
+            to: 2,
+            len: 90,
+            shift: 102,
+        };
+        let (store, di) = tiling_with(&g, 100, 50, Some(extra));
         let layout = layout_of(&[0, 1, 2], &di, &store);
         assert!(layout.is_some());
     }
@@ -485,16 +481,12 @@ mod tests {
         let long = Read::new("long", g.slice(0, 150));
         let inner = Read::new("inner", g.slice(20, 120));
         let store = ReadStore::from_reads(vec![long, inner]);
-        let mut di = DiGraph::with_nodes(2);
-        di.add_edge(
-            0,
-            DiEdge {
-                to: 1,
-                len: 100,
-                identity: 1.0,
-                shift: 20,
-            },
-        );
+        let edge = DiEdge {
+            to: 1,
+            len: 100,
+            shift: 20,
+        };
+        let di = DiGraph::from_edges(2, &[(0, edge)]);
         let layout = layout_of(&[0, 1], &di, &store).unwrap();
         assert_eq!(layout.contig_sequence(&store), g.slice(0, 150));
     }

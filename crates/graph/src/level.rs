@@ -6,95 +6,102 @@
 //! lengths (paper §II-C). A [`GraphSet`] bundles the levels with the
 //! fine→coarse node maps used by partition projection (§IV-C).
 
+use crate::csr::{distinct, encode_rows, Csr};
 use crate::error::GraphError;
+use std::sync::Arc;
 
 /// Index of a node within one level graph.
 pub type NodeId = u32;
 
-/// An undirected weighted graph stored as symmetric adjacency lists.
+/// An undirected weighted graph stored as symmetric adjacency rows in one
+/// flat array (the `csr` module). Immutable once built, and a clone shares the
+/// arrays: the multilevel set's level 0 *is* `OverlapGraph::undirected`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LevelGraph {
-    /// `adj[v]` holds `(neighbor, edge weight)` pairs; every edge appears in
-    /// both endpoint lists with the same weight.
-    adj: Vec<Vec<(NodeId, u64)>>,
+pub struct LevelGraph(Arc<Level>);
+
+#[derive(Debug, Default, PartialEq)]
+struct Level {
+    /// Row `v` holds `(neighbor, edge weight)` pairs; every edge appears in
+    /// both endpoint rows with the same weight.
+    adj: Csr<(NodeId, u64)>,
     /// Node weights (number of reads represented).
     node_weight: Vec<u64>,
 }
 
 impl LevelGraph {
-    /// Creates a graph with `n` nodes of weight 1 and no edges.
-    pub fn with_nodes(n: usize) -> LevelGraph {
-        LevelGraph {
-            adj: vec![Vec::new(); n],
-            node_weight: vec![1; n],
-        }
+    /// Builds a graph over `node_weight.len()` nodes from undirected
+    /// `(u, v, weight)` edges. A repeated edge accumulates weight into the
+    /// entry its first occurrence made, so every row is in first-insertion
+    /// order. Self-loops are ignored (coarsening folds them into node
+    /// weight).
+    pub fn from_edges(node_weight: Vec<u64>, edges: &[(NodeId, NodeId, u64)]) -> LevelGraph {
+        LevelGraph::scatter(node_weight, edges.iter().copied(), |held, new| {
+            let same = held.0 == new.0;
+            if same {
+                held.1 += new.1;
+            }
+            same
+        })
     }
 
-    /// Creates a graph with explicit node weights and no edges.
-    pub fn with_node_weights(weights: Vec<u64>) -> LevelGraph {
-        LevelGraph {
-            adj: vec![Vec::new(); weights.len()],
-            node_weight: weights,
-        }
+    /// The builder under [`LevelGraph::from_edges`], for edge lists this
+    /// crate derives and need not store: `edges` is walked twice, to count
+    /// and to place. Where a list cannot repeat an edge, `merge` is
+    /// [`distinct`].
+    pub(crate) fn scatter(
+        node_weight: Vec<u64>,
+        edges: impl Iterator<Item = (NodeId, NodeId, u64)> + Clone,
+        merge: impl FnMut(&mut (NodeId, u64), &(NodeId, u64)) -> bool,
+    ) -> LevelGraph {
+        // Each endpoint's row is filled independently: the rows stay
+        // symmetric by construction.
+        let items = edges
+            .filter(|&(u, v, _)| u != v)
+            .flat_map(|(u, v, w)| [(u, (v, w)), (v, (u, w))]);
+        let adj = Csr::build(node_weight.len(), items, merge);
+        LevelGraph(Arc::new(Level { adj, node_weight }))
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.0.node_weight.len()
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.0.adj.entries().len() / 2
     }
 
     /// Weight of node `v`.
     #[inline]
     pub fn node_weight(&self, v: NodeId) -> u64 {
-        self.node_weight[v as usize]
+        self.0.node_weight[v as usize]
     }
 
     /// Sum of all node weights.
     pub fn total_node_weight(&self) -> u64 {
-        self.node_weight.iter().sum()
+        self.0.node_weight.iter().sum()
     }
 
     /// Sum of all edge weights (each undirected edge counted once).
     pub fn total_edge_weight(&self) -> u64 {
-        self.adj.iter().flatten().map(|&(_, w)| w).sum::<u64>() / 2
+        self.0.adj.entries().iter().map(|&(_, w)| w).sum::<u64>() / 2
     }
 
-    /// Neighbors of `v` with edge weights.
+    /// Neighbors of `v` with edge weights, in first-insertion order.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[(NodeId, u64)] {
-        &self.adj[v as usize]
+        self.0.adj.row(v)
     }
 
     /// Degree of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adj[v as usize].len()
-    }
-
-    /// Adds an undirected edge, accumulating weight if it already exists.
-    /// Self-loops are ignored (coarsening folds them into node weight).
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: u64) {
-        if u == v {
-            return;
-        }
-        debug_assert!((u as usize) < self.adj.len() && (v as usize) < self.adj.len());
-        // Update each endpoint independently: the lists stay symmetric by
-        // construction without relying on the back edge being present.
-        for (a, b) in [(u, v), (v, u)] {
-            match self.adj[a as usize].iter_mut().find(|(n, _)| *n == b) {
-                Some(slot) => slot.1 += w,
-                None => self.adj[a as usize].push((b, w)),
-            }
-        }
+        self.neighbors(v).len()
     }
 
     /// Weight of the edge `(u, v)`, or `None` if absent.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<u64> {
-        self.adj[u as usize]
+        self.neighbors(u)
             .iter()
             .find(|(n, _)| *n == v)
             .map(|&(_, w)| w)
@@ -102,38 +109,12 @@ impl LevelGraph {
 
     /// Iterates every undirected edge once as `(u, v, w)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
-            nbrs.iter()
-                .filter(move |&&(v, _)| (u as NodeId) < v)
-                .map(move |&(v, w)| (u as NodeId, v, w))
+        (0..self.node_count() as NodeId).flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
+                .filter(move |&&(v, _)| u < v)
+                .map(move |&(v, w)| (u, v, w))
         })
-    }
-
-    /// Checks structural invariants (symmetry, no self-loops, weights > 0);
-    /// used by tests and debug assertions.
-    pub fn check_invariants(&self) -> Result<(), GraphError> {
-        let fail = |message: String| Err(GraphError::invariant("LevelGraph", message));
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            let mut seen = std::collections::HashSet::new();
-            for &(v, w) in nbrs {
-                if v as usize == u {
-                    return fail(format!("self-loop at {u}"));
-                }
-                if !seen.insert(v) {
-                    return fail(format!("duplicate edge {u}-{v}"));
-                }
-                if w == 0 {
-                    return fail(format!("zero-weight edge {u}-{v}"));
-                }
-                let back = self.adj[v as usize].iter().find(|(n, _)| *n as usize == u);
-                match back {
-                    Some(&(_, bw)) if bw == w => {}
-                    Some(_) => return fail(format!("asymmetric weight on {u}-{v}")),
-                    None => return fail(format!("missing back edge {v}-{u}")),
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Connected components as a label per node (labels are 0-based and
@@ -160,6 +141,63 @@ impl LevelGraph {
             next += 1;
         }
         label
+    }
+
+    /// Contracts the graph through `map` (node → coarse node) onto coarse
+    /// nodes of the given weights: parallel coarse edges accumulate weight,
+    /// edges inside a coarse node fold away. Edges are merged in `(min, max)`
+    /// endpoint order, so every coarse row lists its neighbours ascending.
+    pub(crate) fn contracted(&self, map: &[NodeId], node_weight: Vec<u64>) -> LevelGraph {
+        let mut edges = Vec::with_capacity(self.edge_count());
+        edges.extend(
+            self.edges()
+                .map(|(u, v, w)| (map[u as usize], map[v as usize], w))
+                .filter(|&(cu, cv, _)| cu != cv)
+                .map(|(cu, cv, w)| (cu.min(cv), cu.max(cv), w)),
+        );
+        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        // Merged here, not row by row: a coarse level has a fraction of its
+        // parent's edges, and its rows are allocated at their final size.
+        edges.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
+        LevelGraph::scatter(node_weight, edges.iter().copied(), distinct)
+    }
+
+    /// Bytes this graph holds on the heap — 16 per adjacency entry, 12 per
+    /// node, 4 for the closing offset — however many clones share them.
+    pub fn heap_bytes(&self) -> usize {
+        self.0.adj.heap_bytes() + self.0.node_weight.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Checks structural invariants (symmetry, no self-loops, weights > 0);
+    /// used by tests and debug assertions.
+    pub fn check_invariants(&self) -> Result<(), GraphError> {
+        let fail = |message: String| Err(GraphError::invariant("LevelGraph", message));
+        for u in 0..self.node_count() as NodeId {
+            let mut seen = std::collections::HashSet::new();
+            for &(v, w) in self.neighbors(u) {
+                if v == u {
+                    return fail(format!("self-loop at {u}"));
+                }
+                if !seen.insert(v) {
+                    return fail(format!("duplicate edge {u}-{v}"));
+                }
+                if w == 0 {
+                    return fail(format!("zero-weight edge {u}-{v}"));
+                }
+                match self.edge_weight(v, u) {
+                    Some(bw) if bw == w => {}
+                    Some(_) => return fail(format!("asymmetric weight on {u}-{v}")),
+                    None => return fail(format!("missing back edge {v}-{u}")),
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -211,6 +249,14 @@ impl GraphSet {
         v
     }
 
+    /// Bytes the levels and maps hold on the heap. Levels sharing their
+    /// arrays with a graph held elsewhere are counted here all the same.
+    pub fn heap_bytes(&self) -> usize {
+        let levels: usize = self.levels.iter().map(LevelGraph::heap_bytes).sum();
+        let maps: usize = self.fine_to_coarse.iter().map(Vec::capacity).sum();
+        levels + maps * std::mem::size_of::<NodeId>()
+    }
+
     /// Checks cross-level invariants: map lengths, weight conservation, and
     /// that edge weight + folded self-loop weight is conserved level to
     /// level (merging can only fold weight inwards, never lose it to
@@ -255,42 +301,23 @@ impl GraphSet {
 
 impl fc_ckpt::Codec for LevelGraph {
     fn encode(&self, w: &mut fc_ckpt::Writer) {
-        w.put_u64(self.adj.len() as u64);
-        for nbrs in &self.adj {
-            w.put_u64(nbrs.len() as u64);
-            for &(v, wt) in nbrs {
-                w.put_u32(v);
-                w.put_u64(wt);
-            }
-        }
-        self.node_weight.encode(w);
+        encode_rows(
+            w,
+            (0..self.node_count() as NodeId).map(|v| self.neighbors(v)),
+        );
+        self.0.node_weight.encode(w);
     }
 
     fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<LevelGraph, fc_ckpt::CkptError> {
-        let decode_err = |detail: String| fc_ckpt::CkptError::Decode { detail };
-        let n = r.seq_len(8)?;
-        let mut adj = Vec::with_capacity(n);
-        for _ in 0..n {
-            let deg = r.seq_len(12)?;
-            let mut nbrs = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                nbrs.push((r.u32()?, r.u64()?));
-            }
-            adj.push(nbrs);
-        }
+        let adj = Csr::<(NodeId, u64)>::decode(r, 12)?;
+        let n = adj.rows();
         let node_weight = Vec::<u64>::decode(r)?;
-        if node_weight.len() != n {
-            return Err(decode_err(format!(
-                "LevelGraph has {} node weights for {n} nodes",
-                node_weight.len()
-            )));
+        if node_weight.len() != n || adj.entries().iter().any(|&(v, _)| v as usize >= n) {
+            return Err(fc_ckpt::CkptError::Decode {
+                detail: format!("LevelGraph weights or neighbors disagree with its {n} nodes"),
+            });
         }
-        if adj.iter().flatten().any(|&(v, _)| v as usize >= n) {
-            return Err(decode_err(format!(
-                "LevelGraph neighbor out of bounds for {n} nodes"
-            )));
-        }
-        Ok(LevelGraph { adj, node_weight })
+        Ok(LevelGraph(Arc::new(Level { adj, node_weight })))
     }
 }
 
@@ -320,11 +347,7 @@ mod tests {
     use super::*;
 
     fn triangle() -> LevelGraph {
-        let mut g = LevelGraph::with_nodes(3);
-        g.add_edge(0, 1, 5);
-        g.add_edge(1, 2, 7);
-        g.add_edge(2, 0, 11);
-        g
+        LevelGraph::from_edges(vec![1; 3], &[(0, 1, 5), (1, 2, 7), (2, 0, 11)])
     }
 
     #[test]
@@ -341,9 +364,7 @@ mod tests {
 
     #[test]
     fn parallel_edges_accumulate() {
-        let mut g = LevelGraph::with_nodes(2);
-        g.add_edge(0, 1, 3);
-        g.add_edge(1, 0, 4);
+        let g = LevelGraph::from_edges(vec![1; 2], &[(0, 1, 3), (1, 0, 4)]);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.edge_weight(0, 1), Some(7));
         g.check_invariants().unwrap();
@@ -351,8 +372,7 @@ mod tests {
 
     #[test]
     fn self_loops_ignored() {
-        let mut g = LevelGraph::with_nodes(2);
-        g.add_edge(0, 0, 9);
+        let g = LevelGraph::from_edges(vec![1; 2], &[(0, 0, 9)]);
         assert_eq!(g.edge_count(), 0);
     }
 
@@ -366,9 +386,7 @@ mod tests {
 
     #[test]
     fn components_labelling() {
-        let mut g = LevelGraph::with_nodes(5);
-        g.add_edge(0, 1, 1);
-        g.add_edge(3, 4, 1);
+        let g = LevelGraph::from_edges(vec![1; 5], &[(0, 1, 1), (3, 4, 1)]);
         let labels = g.components();
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[3], labels[4]);
@@ -379,9 +397,9 @@ mod tests {
 
     #[test]
     fn graph_set_ancestor_walks_maps() {
-        let g0 = LevelGraph::with_nodes(4);
-        let g1 = LevelGraph::with_node_weights(vec![2, 2]);
-        let g2 = LevelGraph::with_node_weights(vec![4]);
+        let g0 = LevelGraph::from_edges(vec![1; 4], &[]);
+        let g1 = LevelGraph::from_edges(vec![2, 2], &[]);
+        let g2 = LevelGraph::from_edges(vec![4], &[]);
         let set = GraphSet {
             levels: vec![g0, g1, g2],
             fine_to_coarse: vec![vec![0, 0, 1, 1], vec![0, 0]],
@@ -394,8 +412,8 @@ mod tests {
 
     #[test]
     fn graph_set_invariants_catch_weight_mismatch() {
-        let g0 = LevelGraph::with_nodes(2);
-        let g1 = LevelGraph::with_node_weights(vec![3]); // should be 2
+        let g0 = LevelGraph::from_edges(vec![1; 2], &[]);
+        let g1 = LevelGraph::from_edges(vec![3], &[]); // should be 2
         let set = GraphSet {
             levels: vec![g0, g1],
             fine_to_coarse: vec![vec![0, 0]],

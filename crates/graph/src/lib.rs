@@ -2,6 +2,8 @@
 //!
 //! The paper's graph-theoretic core (§II-C/D, §III):
 //!
+//! * `csr` — the one adjacency layout under both graph types: every row in
+//!   one array, in first-insertion order,
 //! * [`level`] — the undirected weighted graph type used at every level of
 //!   the multilevel and hybrid graph sets (node weight = reads represented,
 //!   edge weight = alignment length),
@@ -20,12 +22,15 @@
 
 pub mod build;
 pub mod coarsen;
+mod csr;
 pub mod digraph;
 pub mod error;
 pub mod export;
 pub mod hybrid;
 pub mod layout;
 pub mod level;
+#[cfg(test)]
+mod reference;
 
 pub use build::OverlapGraph;
 pub use coarsen::{CoarsenConfig, MultilevelSet};

@@ -171,10 +171,8 @@ mod tests {
     use fc_graph::LevelGraph;
 
     fn local_path(n: usize) -> LocalGraph {
-        let mut g = LevelGraph::with_nodes(n);
-        for i in 0..n - 1 {
-            g.add_edge(i as u32, (i + 1) as u32, 10);
-        }
+        let path: Vec<_> = (0..n - 1).map(|i| (i as u32, (i + 1) as u32, 10)).collect();
+        let g = LevelGraph::from_edges(vec![1; n], &path);
         let nodes: Vec<u32> = (0..n as u32).collect();
         LocalGraph::extract(&g, &nodes)
     }
@@ -215,12 +213,10 @@ mod tests {
 
     #[test]
     fn handles_disconnected_graphs() {
-        let mut g = LevelGraph::with_nodes(40);
-        for c in 0..4 {
-            for i in 0..9 {
-                g.add_edge((c * 10 + i) as u32, (c * 10 + i + 1) as u32, 5);
-            }
-        }
+        let chains: Vec<_> = (0..4)
+            .flat_map(|c| (0..9).map(move |i| (c * 10 + i, c * 10 + i + 1, 5)))
+            .collect();
+        let g = LevelGraph::from_edges(vec![1; 40], &chains);
         let nodes: Vec<u32> = (0..40).collect();
         let local = LocalGraph::extract(&g, &nodes);
         let mut work = 0;
@@ -259,14 +255,12 @@ mod tests {
     #[test]
     fn respects_node_weights() {
         // One heavy node (weight 50) + 50 light nodes in a path.
-        let mut g = LevelGraph::with_node_weights(
+        let g = LevelGraph::from_edges(
             std::iter::once(50u64)
                 .chain(std::iter::repeat_n(1, 50))
                 .collect(),
+            &(0..50).map(|i| (i, i + 1, 3)).collect::<Vec<_>>(),
         );
-        for i in 0..50 {
-            g.add_edge(i as u32, (i + 1) as u32, 3);
-        }
         let nodes: Vec<u32> = (0..51).collect();
         let local = LocalGraph::extract(&g, &nodes);
         let mut work = 0;

@@ -204,16 +204,16 @@ mod tests {
     /// Two 5-cliques joined by a single light edge: the optimal bisection
     /// separates the cliques.
     fn two_cliques() -> LocalGraph {
-        let mut g = LevelGraph::with_nodes(10);
+        let mut edges = Vec::new();
         for base in [0u32, 5] {
             for i in 0..5 {
                 for j in i + 1..5 {
-                    g.add_edge(base + i, base + j, 10);
+                    edges.push((base + i, base + j, 10));
                 }
             }
         }
-        g.add_edge(0, 5, 1);
-        extract_all(&g)
+        edges.push((0, 5, 1));
+        extract_all(&LevelGraph::from_edges(vec![1; 10], &edges))
     }
 
     #[test]
@@ -268,8 +268,7 @@ mod tests {
             0
         );
 
-        let mut g = LevelGraph::with_nodes(1);
-        g.add_edge(0, 0, 5); // ignored self-loop
+        let g = LevelGraph::from_edges(vec![1], &[(0, 0, 5)]); // ignored self-loop
         let local = extract_all(&g);
         let mut side = vec![false];
         assert_eq!(
@@ -283,10 +282,9 @@ mod tests {
         // A cross-matching start is heavily improvable (pairing both
         // endpoints of two cut edges removes both); a tiny bad-move budget
         // must still terminate with gain == cut delta.
-        let mut g = LevelGraph::with_nodes(40);
-        for i in 0..20u32 {
-            g.add_edge(i, i + 20, 1); // perfect matching across sides
-        }
+        // A perfect matching across sides.
+        let matching: Vec<_> = (0..20u32).map(|i| (i, i + 20, 1)).collect();
+        let g = LevelGraph::from_edges(vec![1; 40], &matching);
         let local = extract_all(&g);
         let mut side: Vec<bool> = (0..40).map(|v| v >= 20).collect();
         let before = local.cut(&side);
@@ -516,13 +514,11 @@ mod props {
         let raw = rng.vec(1..80, |r| {
             (r.range(0usize..24), r.range(0usize..24), r.range(1u64..50))
         });
-        let mut g = LevelGraph::with_nodes(n);
-        for (u, v, w) in raw {
-            let (u, v) = (u % n, v % n);
-            if u != v {
-                g.add_edge(u as u32, v as u32, w);
-            }
-        }
+        let edges: Vec<_> = raw
+            .into_iter()
+            .map(|(u, v, w)| ((u % n) as u32, (v % n) as u32, w))
+            .collect();
+        let g = LevelGraph::from_edges(vec![1; n], &edges);
         let nodes: Vec<u32> = (0..n as u32).collect();
         let local = LocalGraph::extract(&g, &nodes);
         (local, (0..n).map(|_| rng.bool(0.5)).collect())

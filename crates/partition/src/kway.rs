@@ -237,17 +237,16 @@ mod tests {
 
     /// Three 4-cliques chained by single light edges.
     fn three_cliques() -> LevelGraph {
-        let mut g = LevelGraph::with_nodes(12);
+        let mut edges = Vec::new();
         for base in [0u32, 4, 8] {
             for i in 0..4 {
                 for j in i + 1..4 {
-                    g.add_edge(base + i, base + j, 10);
+                    edges.push((base + i, base + j, 10));
                 }
             }
         }
-        g.add_edge(3, 4, 1);
-        g.add_edge(7, 8, 1);
-        g
+        edges.extend([(3, 4, 1), (7, 8, 1)]);
+        LevelGraph::from_edges(vec![1; 12], &edges)
     }
 
     #[test]
@@ -279,8 +278,7 @@ mod tests {
     fn respects_balance_bound_and_never_empties() {
         // Two nodes, one edge: any move would merge the partitions (gain 10)
         // but would empty one of them — both moves must be blocked.
-        let mut g = LevelGraph::with_nodes(2);
-        g.add_edge(0, 1, 10);
+        let g = LevelGraph::from_edges(vec![1; 2], &[(0, 1, 10)]);
         let mut parts = vec![0u32, 1];
         let gain = refine(&g, &mut parts, 2);
         assert_eq!(gain, 0);
@@ -289,16 +287,10 @@ mod tests {
         // Heavy target: node 0 (w=1) next to a clique of weight 12 in P1;
         // the 1.03 bound must block 0's move into P1. P0 has a second node
         // so the no-emptying rule is not what blocks.
-        let mut g2 = LevelGraph::with_node_weights(vec![1, 4, 4, 4, 1]);
-        for (u, v, w) in [
-            (0u32, 1u32, 2u64),
-            (1, 2, 9),
-            (2, 3, 9),
-            (1, 3, 9),
-            (0, 4, 1),
-        ] {
-            g2.add_edge(u, v, w);
-        }
+        let g2 = LevelGraph::from_edges(
+            vec![1, 4, 4, 4, 1],
+            &[(0, 1, 2), (1, 2, 9), (2, 3, 9), (1, 3, 9), (0, 4, 1)],
+        );
         let mut parts = vec![0u32, 1, 1, 1, 0];
         refine(&g2, &mut parts, 2);
         // weight(P1)=12 ≥ 1.03·weight(P0)=2.06: node 0 must stay in P0.
@@ -515,13 +507,11 @@ mod props {
         let raw = rng.vec(1..60, |r| {
             (r.range(0usize..20), r.range(0usize..20), r.range(1u64..30))
         });
-        let mut g = LevelGraph::with_nodes(n);
-        for (u, v, w) in raw {
-            let (u, v) = (u % n, v % n);
-            if u != v {
-                g.add_edge(u as u32, v as u32, w);
-            }
-        }
+        let edges: Vec<_> = raw
+            .into_iter()
+            .map(|(u, v, w)| ((u % n) as u32, (v % n) as u32, w))
+            .collect();
+        let g = LevelGraph::from_edges(vec![1; n], &edges);
         (g, (0..n).map(|_| rng.range(0..k as u32)).collect(), k)
     }
 

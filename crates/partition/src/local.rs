@@ -93,18 +93,17 @@ mod tests {
         // 0-1-2
         // |   |
         // 3-4-5
-        let mut g = LevelGraph::with_nodes(6);
-        for (u, v, w) in [
-            (0, 1, 2),
-            (1, 2, 3),
-            (0, 3, 4),
-            (2, 5, 5),
-            (3, 4, 6),
-            (4, 5, 7),
-        ] {
-            g.add_edge(u, v, w);
-        }
-        g
+        LevelGraph::from_edges(
+            vec![1; 6],
+            &[
+                (0, 1, 2),
+                (1, 2, 3),
+                (0, 3, 4),
+                (2, 5, 5),
+                (3, 4, 6),
+                (4, 5, 7),
+            ],
+        )
     }
 
     #[test]

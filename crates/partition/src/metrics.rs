@@ -73,12 +73,7 @@ mod tests {
     use super::*;
 
     fn square() -> LevelGraph {
-        let mut g = LevelGraph::with_nodes(4);
-        g.add_edge(0, 1, 1);
-        g.add_edge(1, 2, 2);
-        g.add_edge(2, 3, 3);
-        g.add_edge(3, 0, 4);
-        g
+        LevelGraph::from_edges(vec![1; 4], &[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)])
     }
 
     #[test]

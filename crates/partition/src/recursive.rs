@@ -569,12 +569,9 @@ mod tests {
 
     /// A long weighted path — the archetype of a "linear DNA" overlap graph.
     fn path_set(n: usize) -> GraphSet {
-        let mut g = LevelGraph::with_nodes(n);
-        for i in 0..n - 1 {
-            g.add_edge(i as u32, (i + 1) as u32, 50);
-        }
+        let path: Vec<_> = (0..n - 1).map(|i| (i as u32, (i + 1) as u32, 50)).collect();
         MultilevelSet::build(
-            g,
+            LevelGraph::from_edges(vec![1; n], &path),
             &CoarsenConfig {
                 min_nodes: 16,
                 ..Default::default()
@@ -679,10 +676,8 @@ mod tests {
     #[test]
     fn single_level_set_is_supported() {
         // A graph too small/irregular to coarsen still partitions.
-        let mut g = LevelGraph::with_nodes(32);
-        for i in 0..31 {
-            g.add_edge(i as u32, (i + 1) as u32, 5);
-        }
+        let path: Vec<_> = (0..31).map(|i| (i, i + 1, 5)).collect();
+        let g = LevelGraph::from_edges(vec![1; 32], &path);
         let set = GraphSet {
             levels: vec![g],
             fine_to_coarse: vec![],
@@ -763,11 +758,7 @@ mod tests {
         // Parts 0 and 1 hold four nodes each, part 2 is empty. Among equal
         // counts `max_by_key` keeps the last, so part 1 donates; the walk
         // starts at its first node (4) and follows 4's adjacency order.
-        let mut g = LevelGraph::with_nodes(8);
-        g.add_edge(0, 1, 1);
-        g.add_edge(4, 6, 1);
-        g.add_edge(4, 5, 1);
-        g.add_edge(6, 7, 1);
+        let g = LevelGraph::from_edges(vec![1; 8], &[(0, 1, 1), (4, 6, 1), (4, 5, 1), (6, 7, 1)]);
         let mut parts = vec![0, 0, 0, 0, 1, 1, 1, 1];
         repair_empty_partitions(&g, &mut parts, 3);
         assert_eq!(parts, vec![0, 0, 0, 0, 2, 1, 2, 1]);
@@ -778,7 +769,7 @@ mod tests {
         // Eight isolated nodes in part 0, parts 1..4 empty: every donation
         // restarts the walk at the donor's next unvisited node, and the
         // counts carried between donations pick the next donor.
-        let g = LevelGraph::with_nodes(8);
+        let g = LevelGraph::from_edges(vec![1; 8], &[]);
         let mut parts = vec![0u32; 8];
         repair_empty_partitions(&g, &mut parts, 4);
         // 1 takes half of part 0 (0..4); 2 takes half of the last of the
@@ -786,7 +777,7 @@ mod tests {
         assert_eq!(parts, vec![2, 2, 1, 1, 3, 3, 0, 0]);
         // Fewer nodes than parts: left alone.
         let mut tiny = vec![0u32; 2];
-        repair_empty_partitions(&LevelGraph::with_nodes(2), &mut tiny, 4);
+        repair_empty_partitions(&LevelGraph::from_edges(vec![1; 2], &[]), &mut tiny, 4);
         assert_eq!(tiny, vec![0, 0]);
     }
 

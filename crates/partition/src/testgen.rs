@@ -49,8 +49,7 @@ pub(crate) fn seeds_for(n: usize) -> std::ops::Range<u64> {
 /// above, the second lies within eight ids of the first, so that a block
 /// start is a decent partition the way a projected bisection is — from a
 /// start that cuts everything the oracles need minutes unoptimized.
-fn random_edges(g: &mut LevelGraph, rng: &mut Rng, edges: usize, max_w: u64) {
-    let n = g.node_count();
+fn random_edges(g: &mut Vec<(u32, u32, u64)>, n: usize, rng: &mut Rng, edges: usize, max_w: u64) {
     if n < 2 {
         return;
     }
@@ -58,92 +57,84 @@ fn random_edges(g: &mut LevelGraph, rng: &mut Rng, edges: usize, max_w: u64) {
     for _ in 0..edges {
         let u = rng.range(0..n);
         let v = (u + 1 + rng.range(0..span)) % n;
-        g.add_edge(u as u32, v as u32, rng.range(1..=max_w));
+        g.push((u as u32, v as u32, rng.range(1..=max_w)));
     }
 }
 
 /// Builds the `n`-node member of `family` for `seed`.
 pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
     let mut rng = Rng::new(seed ^ ((family as u64) << 40) ^ ((n as u64) << 20));
+    let mut weights = vec![1u64; n];
+    let mut g = Vec::new();
     match family {
         Family::Path => {
-            let mut g = LevelGraph::with_nodes(n);
             for i in 1..n {
-                g.add_edge(i as u32 - 1, i as u32, rng.range(1..=60));
+                g.push((i as u32 - 1, i as u32, rng.range(1..=60)));
             }
-            g
         }
         Family::TwoCliquesBridge => {
             // Cliques are capped so the 2 000-node case stays quadratic in
             // the cap, not in `n`; the remainder hangs off as two tails.
-            let mut g = LevelGraph::with_nodes(n);
             let half = n / 2;
             let clique = half.min(24);
             for base in [0, half] {
                 for i in 0..clique {
                     for j in i + 1..clique {
-                        g.add_edge((base + i) as u32, (base + j) as u32, 10);
+                        g.push(((base + i) as u32, (base + j) as u32, 10));
                     }
                 }
                 for i in clique.max(1)..half {
-                    g.add_edge((base + i - 1) as u32, (base + i) as u32, 3);
+                    g.push(((base + i - 1) as u32, (base + i) as u32, 3));
                 }
             }
             if half > 0 && half < n {
-                g.add_edge(0, half as u32, 1);
+                g.push((0, half as u32, 1));
             }
-            g
         }
         Family::Star => {
-            let mut g = LevelGraph::with_nodes(n);
             for i in 1..n {
-                g.add_edge(0, i as u32, rng.range(1..=9));
+                g.push((0, i as u32, rng.range(1..=9)));
             }
-            g
         }
         Family::SparseRandom => {
-            let mut g = LevelGraph::with_nodes(n);
-            random_edges(&mut g, &mut rng, n + n / 2, 50);
-            g
+            random_edges(&mut g, n, &mut rng, n + n / 2, 50);
         }
         Family::DenseRandom => {
-            let mut g = LevelGraph::with_nodes(n);
             // Average degree up to 16 (complete below 9 nodes); 12 above 300.
-            random_edges(&mut g, &mut rng, n * if n > 300 { 6 } else { n.min(8) }, 30);
-            g
+            random_edges(
+                &mut g,
+                n,
+                &mut rng,
+                n * if n > 300 { 6 } else { n.min(8) },
+                30,
+            );
         }
         Family::AllEqual => {
-            let mut g = LevelGraph::with_nodes(n);
-            random_edges(&mut g, &mut rng, 3 * n, 1);
-            g
+            random_edges(&mut g, n, &mut rng, 3 * n, 1);
         }
         Family::HybridLike => {
-            let mut g = LevelGraph::with_nodes(n);
             // Chains cover about 5 % of the nodes, scattered over the ids.
             let mut v = 0usize;
             while v < n {
                 if rng.range(0..80) == 0 {
                     let len = rng.range(2..7).min(n - v);
                     for i in 1..len {
-                        g.add_edge((v + i - 1) as u32, (v + i) as u32, rng.range(20..100));
+                        g.push(((v + i - 1) as u32, (v + i) as u32, rng.range(20..100)));
                     }
                     v += len;
                 } else {
                     v += 1;
                 }
             }
-            g
         }
         Family::HeavyNode => {
-            let mut weights = vec![1u64; n];
             if n > 0 {
                 weights[rng.range(0..n)] = n as u64;
             }
-            let mut g = LevelGraph::with_node_weights(weights);
-            random_edges(&mut g, &mut rng, 2 * n, 20);
-            g
+            random_edges(&mut g, n, &mut rng, 2 * n, 20);
         }
     }
+    LevelGraph::from_edges(weights, &g)
 }
 
 /// Every `(family, size, seed)` case with its graph.
