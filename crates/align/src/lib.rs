@@ -36,8 +36,6 @@ pub use myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
     prefilter_compatible, ungapped_optimum_forced, MyersScratch,
 };
-pub use nw::{
-    band_for_error_rate, banded_global, banded_global_with, AlignmentSummary, NwConfig, NwScratch,
-};
+pub use nw::{banded_global, banded_global_with, AlignmentSummary, NwConfig, NwScratch};
 pub use overlap::{Overlap, OverlapKind};
-pub use pairwise::{AlignScratch, OverlapConfig, Overlapper, PairStats};
+pub use pairwise::{AlignScratch, OverlapConfig, Overlapper, PairStats, PairTally};

@@ -53,13 +53,6 @@ impl AlignmentSummary {
     }
 }
 
-/// Suggests a band half-width for aligning `len` bases at indel rate
-/// `error_rate`, with a floor of 4 cells and 4-sigma style headroom.
-pub fn band_for_error_rate(len: usize, error_rate: f64) -> usize {
-    let expected = len as f64 * error_rate;
-    (4.0 * expected.sqrt()).ceil().max(4.0) as usize
-}
-
 /// Reusable band buffers for [`banded_global_with`].
 ///
 /// The four per-call `Vec`s of the banded DP were the aligner's dominant
@@ -425,12 +418,6 @@ mod tests {
             assert!(seen.0 > 0 && seen.2 > 0, "{scoring:?}: {seen:?}");
             assert_eq!(seen.1 > 0, condition, "{scoring:?}: {seen:?}");
         }
-    }
-
-    #[test]
-    fn band_for_error_rate_has_floor() {
-        assert_eq!(band_for_error_rate(10, 0.0), 4);
-        assert!(band_for_error_rate(10_000, 0.02) > 4);
     }
 }
 

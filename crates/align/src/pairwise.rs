@@ -9,7 +9,7 @@
 use crate::error::AlignError;
 use crate::index::KmerIndex;
 use crate::kernel::{verify, KernelScratch, VerifyParams, VerifyReq};
-use crate::nw::{band_for_error_rate, AlignmentSummary, NwConfig};
+use crate::nw::{AlignmentSummary, NwConfig};
 use crate::overlap::{Overlap, OverlapKind};
 use fc_exec::Pool;
 use fc_obs::Recorder;
@@ -39,11 +39,6 @@ pub struct OverlapConfig {
     pub min_identity: f64,
     /// Aligner scoring/banding.
     pub nw: NwConfig,
-    /// When set, each candidate is verified in a band sized for its own
-    /// overlap length via [`band_for_error_rate`] (memoised per length)
-    /// instead of the fixed `nw.band`. `None` (the default) preserves the
-    /// fixed-band outputs exactly.
-    pub band_error_rate: Option<f64>,
 }
 
 impl Default for OverlapConfig {
@@ -55,7 +50,6 @@ impl Default for OverlapConfig {
             min_overlap_len: 50,
             min_identity: 0.90,
             nw: NwConfig::default(),
-            band_error_rate: None,
         }
     }
 }
@@ -86,14 +80,6 @@ impl OverlapConfig {
                 parameter: "min_identity",
                 message: format!("must be in [0,1], got {}", self.min_identity),
             });
-        }
-        if let Some(rate) = self.band_error_rate {
-            if !rate.is_finite() || !(rate > 0.0 && rate < 1.0) {
-                return Err(AlignError::Config {
-                    parameter: "band_error_rate",
-                    message: format!("must be in (0,1), got {rate}"),
-                });
-            }
         }
         Ok(())
     }
@@ -201,9 +187,9 @@ impl Hasher for VoteHasher {
 
 /// Reusable per-worker buffers for the overlapper's hot path: the diagonal
 /// vote map and its flattened/sorted view, the candidate list, the
-/// verification-request batch and its verdicts, the verifier's own buffers,
-/// and the per-length band memo. One value per worker thread (see
-/// [`Overlapper::overlap_all`]) eliminates the per-read and
+/// verification-request batch and its verdicts, and the verifier's own
+/// buffers. One value per worker thread (see
+/// [`Overlapper::overlap_column`]) eliminates the per-read and
 /// per-verification allocation churn without any cross-thread state.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
@@ -213,10 +199,69 @@ pub struct AlignScratch {
     reqs: Vec<VerifyReq>,
     verdicts: Vec<Option<AlignmentSummary>>,
     kernel: KernelScratch,
-    /// `band_memo[len]` caches `band_for_error_rate(len, rate)` (0 =
-    /// uncomputed; real bands are >= 4) so the sqrt/ceil runs once per
-    /// distinct overlap length instead of once per candidate.
-    band_memo: Vec<u32>,
+}
+
+/// Query reads per alignment task. A constant, not a knob: the task list —
+/// and so `exec.tasks` — is the same at every thread count and on both
+/// alignment paths, and a task's request batch stays a few hundred
+/// kilobytes however large a subset grows.
+const QUERY_CHUNK: usize = 512;
+
+/// The per-pair stats and `align.*` metrics of one alignment run, fed pair
+/// by pair in canonical `(j, i ≤ j)` order. The one implementation behind
+/// [`Overlapper::overlap_all`], [`Overlapper::merge_pair_results`] and the
+/// out-of-core merge, so the paths cannot drift apart.
+#[derive(Debug, Default)]
+pub struct PairTally {
+    total: PairStats,
+    pairs: Vec<(usize, usize, PairStats)>,
+}
+
+impl PairTally {
+    /// Records pair `(i, j)`: its stats, and its overlaps `run` in the
+    /// length and identity histograms.
+    pub fn push(
+        &mut self,
+        rec: &Recorder,
+        (i, j): (usize, usize),
+        run: &[Overlap],
+        stats: PairStats,
+    ) {
+        if rec.is_enabled() {
+            self.total.merge(&stats);
+            rec.observe("align.pair_overlaps", stats.overlaps);
+            for overlap in run {
+                rec.observe("align.overlap_len", overlap.len as u64);
+                rec.observe_with(
+                    "align.identity_pct",
+                    (overlap.identity * 100.0) as u64,
+                    IDENTITY_PCT_BOUNDS,
+                );
+            }
+        }
+        self.pairs.push((i, j, stats));
+    }
+
+    /// Adds the run's totals to `rec` and returns the per-pair stats.
+    pub fn finish(self, rec: &Recorder, config: &OverlapConfig) -> Vec<(usize, usize, PairStats)> {
+        let total = self.total;
+        if rec.is_enabled() {
+            rec.add("align.kmer_lookups", total.kmer_lookups);
+            rec.add("align.kmer_hits", total.kmer_hits);
+            rec.add("align.candidates", total.candidates);
+            rec.add("align.candidates_verified", total.overlaps);
+            rec.add(
+                "align.candidates_rejected",
+                total.candidates.saturating_sub(total.overlaps),
+            );
+            rec.add("align.nw_cells", total.nw_cells);
+            rec.add("align.prefilter.rejected", total.prefilter_rejected);
+            rec.add("align.prefilter.verified", total.prefilter_verified);
+            rec.add("align.kernel.exact_hits", total.exact_hits);
+            rec.gauge("align.band", config.nw.band as i64);
+        }
+        self.pairs
+    }
 }
 
 /// Pairwise read overlapper over a preprocessed [`ReadStore`].
@@ -256,7 +301,7 @@ impl<'a> Overlapper<'a> {
     /// considered once across the whole run.
     ///
     /// Seeding and geometry run per query read, accumulating one
-    /// [`VerifyReq`] batch for the whole subset pair;
+    /// [`VerifyReq`] batch for the whole `query` slice;
     /// [`Overlapper::verify_requests`] then verifies the batch, and
     /// overlaps are emitted in request order.
     pub fn overlap_pair_with(
@@ -293,21 +338,21 @@ impl<'a> Overlapper<'a> {
 
     /// Runs the full all-subset-pairs overlap computation over a work pool,
     /// mirroring the paper's parallel read alignment (§II-B): subsets are
-    /// compared pairwise (including each subset against itself), the
-    /// `s(s+1)/2` subset-pair tasks run concurrently, and the results are
-    /// concatenated. Returns the overlaps plus the per-pair stats in
-    /// `(i, j, stats)` form.
+    /// compared pairwise (including each subset against itself) and the
+    /// `s(s+1)/2` subset pairs run column by column through
+    /// [`Overlapper::overlap_column`]. Returns the overlaps plus the
+    /// per-pair stats in `(i, j, stats)` form, both in the canonical serial
+    /// `(j, i ≤ j)` order, so the output is bit-identical at any thread
+    /// count.
     ///
-    /// Each reference subset's index is built exactly once and shared
-    /// read-only across its column of tasks; per-task results are merged in
-    /// the canonical serial `(j, i ≤ j)` order, so the output is
-    /// bit-identical at any thread count.
+    /// Every reference subset's index is built once, up front, on the pool
+    /// and dropped as soon as its column is done.
     ///
     /// Alignment metrics are recorded into `rec`: aggregate
     /// k-mer/candidate/verification counters (`align.*`), overlap length
     /// and identity histograms, and the scheduling-dependent scratch-reuse
     /// count (`sched.align.scratch_reuses`). Metric aggregation happens
-    /// after the canonical merge, outside the hot per-pair tasks.
+    /// per column, outside the hot tasks.
     pub fn overlap_all(
         &self,
         subsets: &[Vec<ReadId>],
@@ -319,83 +364,90 @@ impl<'a> Overlapper<'a> {
             "align.overlap_all",
             &[("subsets", subsets.len() as i64)],
         );
-        let indexes: Vec<KmerIndex> =
-            pool.map_obs(subsets.len(), rec, |j| self.index_subset(&subsets[j]));
-        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(subsets.len().pow(2) / 2 + 1);
-        for j in 0..subsets.len() {
-            for i in 0..=j {
-                pairs.push((i, j));
+        let indexes = pool.map_obs(subsets.len(), rec, |j| self.index_subset(&subsets[j]));
+        let mut all = Vec::new();
+        let mut tally = PairTally::default();
+        for (j, index) in indexes.into_iter().enumerate() {
+            let pairs: Vec<(usize, usize)> = (0..=j).map(|i| (i, j)).collect();
+            let mut at = all.len();
+            let stats = self.overlap_column(subsets, &pairs, &index, pool, rec, &mut all);
+            drop(index);
+            for (&pair, stats) in pairs.iter().zip(stats) {
+                let end = at + stats.overlaps as usize;
+                tally.push(rec, pair, &all[at..end], stats);
+                at = end;
             }
         }
+        (all, tally.finish(rec, &self.config))
+    }
+
+    /// The one column loop both alignment paths share: aligns every pair
+    /// `(i, j)` of `pairs` — one column, so `index` is reference subset
+    /// `j`'s — in one pool dispatch over tasks of at most [`QUERY_CHUNK`]
+    /// query reads of subset `i`. Overlaps are appended to `out` in the
+    /// canonical `(i, chunk)` order, so each pair's run is contiguous; the
+    /// returned stats are per pair, in `pairs` order, each the merge of its
+    /// chunks'. A query read's seeding and verification depend on that read
+    /// alone, so a pair's run is exactly what
+    /// [`Overlapper::overlap_pair_with`] returns for the whole subset.
+    pub fn overlap_column(
+        &self,
+        subsets: &[Vec<ReadId>],
+        pairs: &[(usize, usize)],
+        index: &KmerIndex,
+        pool: &Pool,
+        rec: &Recorder,
+        out: &mut Vec<Overlap>,
+    ) -> Vec<PairStats> {
+        let tasks: Vec<(usize, &[ReadId])> = pairs
+            .iter()
+            .enumerate()
+            .flat_map(|(p, &(i, _))| subsets[i].chunks(QUERY_CHUNK).map(move |c| (p, c)))
+            .collect();
+        let mut stats = vec![PairStats::default(); pairs.len()];
+        let mut reuses = 0u64;
         // The bool rides along with the scratch to count how often a task
         // found warm buffers: false exactly once per created scratch.
-        let results = pool.map_with_obs(
-            pairs.len(),
+        pool.for_each_ordered(
+            tasks.len(),
             rec,
             || (AlignScratch::default(), false),
             |t, scratch| {
-                let (i, j) = pairs[t];
-                let reused = scratch.1;
-                scratch.1 = true;
-                let out = self.overlap_pair_with(&subsets[i], &indexes[j], i == j, &mut scratch.0);
-                (out, reused)
+                let (p, query) = tasks[t];
+                let (i, j) = pairs[p];
+                let reused = std::mem::replace(&mut scratch.1, true);
+                let (found, chunk) = self.overlap_pair_with(query, index, i == j, &mut scratch.0);
+                (p, found, chunk, reused)
+            },
+            |(p, mut found, chunk, reused)| {
+                stats[p].merge(&chunk);
+                out.append(&mut found);
+                reuses += u64::from(reused);
             },
         );
-        self.merge_pair_results(pairs.into_iter().zip(results), rec)
+        rec.add("sched.align.scratch_reuses", reuses);
+        stats
     }
 
-    /// Canonical-order merge and metric aggregation shared by
-    /// [`Overlapper::overlap_all`] and the out-of-core spilled
-    /// alignment: consumes per-pair results **in the serial `(j, i ≤ j)`
-    /// pair order** (each with the `reused`-scratch flag) and produces the
-    /// flat overlap list, the per-pair stats, and exactly the `align.*`
-    /// aggregate metrics the in-core path records — one implementation, so
-    /// the two paths cannot drift apart.
+    /// Concatenates per-pair results given **in the serial `(j, i ≤ j)`
+    /// pair order** (each with its `reused`-scratch flag) into the flat
+    /// overlap list and the per-pair stats, recording exactly the metrics
+    /// [`Overlapper::overlap_all`] records (through [`PairTally`]).
     pub fn merge_pair_results(
         &self,
         results: impl IntoIterator<Item = ((usize, usize), ((Vec<Overlap>, PairStats), bool))>,
         rec: &Recorder,
     ) -> (Vec<Overlap>, Vec<(usize, usize, PairStats)>) {
         let mut all = Vec::new();
-        let mut pair_stats = Vec::new();
-        let mut total = PairStats::default();
+        let mut tally = PairTally::default();
         let mut scratch_reuses = 0u64;
-        for ((i, j), ((mut found, stats), reused)) in results {
-            if rec.is_enabled() {
-                total.merge(&stats);
-                if reused {
-                    scratch_reuses += 1;
-                }
-                rec.observe("align.pair_overlaps", stats.overlaps);
-                for overlap in &found {
-                    rec.observe("align.overlap_len", overlap.len as u64);
-                    rec.observe_with(
-                        "align.identity_pct",
-                        (overlap.identity * 100.0) as u64,
-                        IDENTITY_PCT_BOUNDS,
-                    );
-                }
-            }
-            all.append(&mut found);
-            pair_stats.push((i, j, stats));
+        for (pair, ((mut run, stats), reused)) in results {
+            scratch_reuses += u64::from(reused);
+            tally.push(rec, pair, &run, stats);
+            all.append(&mut run);
         }
-        if rec.is_enabled() {
-            rec.add("align.kmer_lookups", total.kmer_lookups);
-            rec.add("align.kmer_hits", total.kmer_hits);
-            rec.add("align.candidates", total.candidates);
-            rec.add("align.candidates_verified", total.overlaps);
-            rec.add(
-                "align.candidates_rejected",
-                total.candidates.saturating_sub(total.overlaps),
-            );
-            rec.add("align.nw_cells", total.nw_cells);
-            rec.add("align.prefilter.rejected", total.prefilter_rejected);
-            rec.add("align.prefilter.verified", total.prefilter_verified);
-            rec.add("align.kernel.exact_hits", total.exact_hits);
-            rec.add("sched.align.scratch_reuses", scratch_reuses);
-            rec.gauge("align.band", self.config.nw.band as i64);
-        }
-        (all, pair_stats)
+        rec.add("sched.align.scratch_reuses", scratch_reuses);
+        (all, tally.finish(rec, &self.config))
     }
 
     /// Runs only the seeding/geometry stage over every subset pair,
@@ -475,7 +527,6 @@ impl<'a> Overlapper<'a> {
             flat,
             candidates,
             reqs,
-            band_memo,
             ..
         } = scratch;
         // Vote per (reference read, diagonal).
@@ -548,7 +599,7 @@ impl<'a> Overlapper<'a> {
         for ci in 0..candidates.len() {
             let (r, diag) = candidates[ci];
             stats.candidates += 1;
-            if let Some(req) = self.classify_candidate(q, r, diag, band_memo) {
+            if let Some(req) = self.classify_candidate(q, r, diag) {
                 // Work accounting happens at the geometry stage with the
                 // request's band, not the band verification shrinks it to.
                 let rows = (req.a_range.1 - req.a_range.0) as u64;
@@ -558,33 +609,10 @@ impl<'a> Overlapper<'a> {
         }
     }
 
-    /// The band half-width for a candidate whose outer-read overlap spans
-    /// `rows` bases: the configured fixed band, or (under
-    /// `band_error_rate`) the per-length adaptive band, memoised in
-    /// `band_memo`.
-    fn band_for(&self, rows: usize, band_memo: &mut Vec<u32>) -> usize {
-        let Some(rate) = self.config.band_error_rate else {
-            return self.config.nw.band;
-        };
-        if rows >= band_memo.len() {
-            band_memo.resize(rows + 1, 0);
-        }
-        if band_memo[rows] == 0 {
-            band_memo[rows] = band_for_error_rate(rows, rate) as u32;
-        }
-        band_memo[rows] as usize
-    }
-
     /// Classifies a candidate's overlap geometry from its seed diagonal,
     /// returning the verification request (or `None` when the diagonal
     /// implies no overlap).
-    fn classify_candidate(
-        &self,
-        q: ReadId,
-        r: ReadId,
-        diag: i64,
-        band_memo: &mut Vec<u32>,
-    ) -> Option<VerifyReq> {
+    fn classify_candidate(&self, q: ReadId, r: ReadId, diag: i64) -> Option<VerifyReq> {
         let qs = &self.store.get(q).seq;
         let rs = &self.store.get(r).seq;
         let (len_q, len_r) = (qs.len() as i64, rs.len() as i64);
@@ -646,7 +674,6 @@ impl<'a> Overlapper<'a> {
             }
         };
 
-        let band = self.band_for(a_range.1 - a_range.0, band_memo);
         Some(VerifyReq {
             a,
             b,
@@ -654,7 +681,7 @@ impl<'a> Overlapper<'a> {
             shift,
             a_range,
             b_range,
-            band,
+            band: self.config.nw.band,
         })
     }
 }
@@ -924,6 +951,84 @@ pub(crate) mod tests {
         }
     }
 
+    /// `overlap_column` against the pair-at-a-time reference —
+    /// `overlap_pair_with` on each whole pair, concatenated by
+    /// `merge_pair_results` — on subsets that put chunk edges everywhere:
+    /// one larger than [`QUERY_CHUNK`] and not a multiple of it, one
+    /// smaller, one empty, and a self pair with overlaps across its chunk
+    /// boundary. Overlaps, pair stats and the logical snapshot are equal at
+    /// every thread count; only `exec.tasks` differs, and it counts the
+    /// index builds plus one task per chunk.
+    #[test]
+    fn overlap_column_matches_the_pair_at_a_time_reference() {
+        let genome = random_genome(24_000, 29);
+        let store = tiled_store(&genome, 100, 30);
+        let ids: Vec<ReadId> = store.ids().collect();
+        let (big, small) = (QUERY_CHUNK + QUERY_CHUNK / 3, QUERY_CHUNK / 4);
+        let subsets = vec![
+            ids[..big].to_vec(),
+            ids[big..big + small].to_vec(),
+            Vec::new(),
+            ids[big + small..].to_vec(),
+        ];
+        assert!(subsets[3].len() > QUERY_CHUNK && subsets[3].len() % QUERY_CHUNK != 0);
+        let overlapper = Overlapper::new(&store, test_config()).unwrap();
+        let logical = || Recorder::new(fc_obs::ObsOptions::logical());
+        // A snapshot's deterministic part, less the one counter the two
+        // schedules are allowed to disagree on.
+        let without_tasks = |rec: &Recorder| {
+            let mut snapshot = rec.snapshot().without_scheduling();
+            let tasks = snapshot.counters.remove("exec.tasks");
+            (snapshot.to_json(), tasks)
+        };
+
+        let rec = logical();
+        let indexes = Pool::serial().map_obs(subsets.len(), &rec, |j| {
+            overlapper.index_subset(&subsets[j])
+        });
+        let mut runs = Vec::new();
+        for (j, index) in indexes.iter().enumerate() {
+            for (i, query) in subsets.iter().enumerate().take(j + 1) {
+                let mut scratch = AlignScratch::default();
+                let run = overlapper.overlap_pair_with(query, index, i == j, &mut scratch);
+                runs.push(((i, j), (run, false)));
+            }
+        }
+        let (expected, expected_stats) = overlapper.merge_pair_results(runs, &rec);
+        let (expected_snapshot, _) = without_tasks(&rec);
+        let self_pair = &expected[..expected_stats[0].2.overlaps as usize];
+        let edge = ids[QUERY_CHUNK].0;
+        assert!(
+            self_pair
+                .iter()
+                .any(|o| o.a.0.min(o.b.0) < edge && o.a.0.max(o.b.0) >= edge),
+            "no self-pair overlap straddles the chunk boundary"
+        );
+        let chunks: usize = (0..subsets.len())
+            .flat_map(|j| (0..=j).map(|i| subsets[i].len().div_ceil(QUERY_CHUNK)))
+            .sum();
+
+        for threads in [1usize, 2, 4, 8] {
+            let rec = logical();
+            let (overlaps, stats) = overlapper.overlap_all(&subsets, &Pool::new(threads), &rec);
+            assert_eq!(overlaps, expected, "overlaps differ at {threads} threads");
+            assert_eq!(
+                stats, expected_stats,
+                "pair stats differ at {threads} threads"
+            );
+            let (snapshot, tasks) = without_tasks(&rec);
+            assert_eq!(
+                snapshot, expected_snapshot,
+                "snapshot differs at {threads} threads"
+            );
+            assert_eq!(
+                tasks,
+                Some((subsets.len() + chunks) as u64),
+                "{threads} threads"
+            );
+        }
+    }
+
     #[test]
     fn obs_alignment_metrics_are_thread_invariant() {
         let genome = random_genome(900, 17);
@@ -1083,59 +1188,6 @@ pub(crate) mod tests {
             total.prefilter_rejected + total.prefilter_verified + total.exact_hits > 0,
             "prefilter never engaged: {total:?}"
         );
-    }
-
-    /// Adaptive banding (`band_error_rate`) still finds the tiling's
-    /// dovetails, and its per-length memo produces the same overlaps as a
-    /// cold scratch every time.
-    #[test]
-    fn adaptive_banding_finds_dovetails_and_memoises() {
-        let genome = random_genome(600, 7);
-        let store = tiled_store(&genome, 100, 50);
-        let config = OverlapConfig {
-            band_error_rate: Some(0.05),
-            ..test_config()
-        };
-        let overlapper = Overlapper::new(&store, config).unwrap();
-        let subsets = store.split_subsets(1);
-        let (overlaps, _) = overlap_serial(&overlapper, &subsets);
-        assert!(overlaps
-            .iter()
-            .any(|o| o.kind == OverlapKind::SuffixPrefix && o.len >= 30));
-        // Warm memo (same scratch across repeated pairs) changes nothing.
-        let index = overlapper.index_subset(&subsets[0]);
-        let mut warm = AlignScratch::default();
-        for _ in 0..3 {
-            let fresh = overlapper.overlap_pair_with(
-                &subsets[0],
-                &index,
-                true,
-                &mut AlignScratch::default(),
-            );
-            let reused = overlapper.overlap_pair_with(&subsets[0], &index, true, &mut warm);
-            assert_eq!(fresh, reused);
-        }
-    }
-
-    #[test]
-    fn band_error_rate_validation() {
-        for bad in [0.0f64, 1.0, -0.1, f64::NAN, f64::INFINITY] {
-            assert!(
-                OverlapConfig {
-                    band_error_rate: Some(bad),
-                    ..Default::default()
-                }
-                .validate()
-                .is_err(),
-                "rate {bad} should be rejected"
-            );
-        }
-        assert!(OverlapConfig {
-            band_error_rate: Some(0.05),
-            ..Default::default()
-        }
-        .validate()
-        .is_ok());
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! bisection (§IV-C) and level-wise k-way refinement (§IV-D) — decompose
 //! into independent tasks whose *results* do not depend on execution order.
 //! [`Pool`] exploits that: scoped worker threads claim index-tagged chunks
-//! of the task slice from one shared queue until it is empty, each worker
-//! tags every result with its task index, and the pool merges
-//! the per-worker result lists back into **canonical task order** before
-//! returning. Output is therefore bit-identical at any thread count; with
-//! `threads = 1` the pool does not spawn at all and runs the exact serial
-//! loop in the caller's thread.
+//! of the task slice from one shared queue until it is empty, and every
+//! result is delivered in **canonical task order** — a result that
+//! finishes early waits only for its unfinished predecessors, not for the
+//! whole batch ([`Pool::for_each_ordered`]). Output is therefore
+//! bit-identical at any thread count; with `threads = 1` the pool does not
+//! spawn at all and runs the exact serial loop in the caller's thread.
 //!
 //! Workers own reusable per-thread scratch state (allocation buffers for the
 //! alignment kernel, for instance) created once per worker through the
@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 use fc_obs::Recorder;
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -145,8 +146,31 @@ impl Pool {
         F: Fn(usize, &mut S) -> T + Sync,
         C: Fn() -> S + Sync,
     {
+        let mut out = Vec::with_capacity(n);
+        self.for_each_ordered(n, rec, scratch, f, |t| out.push(t));
+        out
+    }
+
+    /// [`Pool::map_with_obs`] without the collecting: each result is handed
+    /// to `sink` in index order as soon as every earlier one has been, so a
+    /// result waits for its predecessors, not for the whole batch. `sink`
+    /// runs on whichever thread completes the in-order prefix, one call at
+    /// a time.
+    pub fn for_each_ordered<T, S, F, C, K>(
+        &self,
+        n: usize,
+        rec: &Recorder,
+        scratch: C,
+        f: F,
+        mut sink: K,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut S) -> T + Sync,
+        C: Fn() -> S + Sync,
+        K: FnMut(T) + Send,
+    {
         let mut items: Vec<usize> = (0..n).collect();
-        self.run(&mut items, &scratch, &|&mut i, s| f(i, s), rec)
+        self.run(&mut items, &scratch, &|&mut i, s| f(i, s), rec, &mut sink);
     }
 
     /// Consumes `items`, runs `f(index, item, scratch)` over each, and
@@ -170,27 +194,35 @@ impl Pool {
             .enumerate()
             .map(|(i, v)| (i, Some(v)))
             .collect();
-        let out = self.run(
+        // Every slot is visited exactly once, so every result is `Some`;
+        // `extend` only strips the wrapper and preserves order.
+        let mut out = Vec::with_capacity(slots.len());
+        self.run(
             &mut slots,
             &scratch,
             &|slot, s| slot.1.take().map(|item| f(slot.0, item, s)),
             rec,
+            &mut |t| out.extend(t),
         );
-        // Every slot is visited exactly once, so every result is `Some`;
-        // `flatten` only strips the wrapper and preserves order.
-        out.into_iter().flatten().collect()
+        out
     }
 
     /// Core driver: executes `f` over `&mut items[i]` for every `i`,
-    /// returning results in index order.
+    /// handing the results to `sink` in index order.
     ///
     /// Metric naming: `exec.tasks` counts items and is deterministic at any
     /// thread count; everything the schedule decides (dispatches that hit
     /// the parallel path, scratch creations, per-worker busy time)
     /// lives under the reserved `sched.` prefix so logical-clock snapshots
     /// can exclude it.
-    fn run<I, T, S, F, C>(&self, items: &mut [I], scratch: &C, f: &F, rec: &Recorder) -> Vec<T>
-    where
+    fn run<I, T, S, F, C>(
+        &self,
+        items: &mut [I],
+        scratch: &C,
+        f: &F,
+        rec: &Recorder,
+        sink: &mut (dyn FnMut(T) + Send),
+    ) where
         I: Send,
         T: Send,
         F: Fn(&mut I, &mut S) -> T + Sync,
@@ -198,7 +230,7 @@ impl Pool {
     {
         let n = items.len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         rec.add("exec.tasks", n as u64);
         // One span per batch, opened on the submitting lane so it nests
@@ -208,7 +240,10 @@ impl Pool {
         if self.threads == 1 || n == 1 {
             rec.add("sched.exec.scratch_created", 1);
             let mut s = scratch();
-            return items.iter_mut().map(|item| f(item, &mut s)).collect();
+            for item in items.iter_mut() {
+                sink(f(item, &mut s));
+            }
+            return;
         }
         rec.add("sched.exec.dispatches", 1);
 
@@ -220,47 +255,51 @@ impl Pool {
         // done under it is this `next`.
         let queue = Mutex::new(items.chunks_mut(chunk).enumerate());
         let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        // In-order delivery: a result that finishes ahead of a predecessor
+        // waits in `early`; whoever completes the next index drains the
+        // ready prefix into the sink. Output order is therefore independent
+        // of which worker ran what when.
+        let delivery = Mutex::new((0usize, BTreeMap::new(), sink));
+        let deliver = |i: usize, t: T| {
+            let mut guard = delivery.lock().unwrap_or_else(PoisonError::into_inner);
+            let (next, early, sink) = &mut *guard;
+            early.insert(i, t);
+            while let Some(t) = early.remove(&*next) {
+                sink(t);
+                *next += 1;
+            }
+        };
 
-        let mut per_worker: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 handles.push(scope.spawn(|| {
                     let started = Instant::now();
                     let mut s = scratch();
-                    let mut out: Vec<(usize, T)> = Vec::new();
                     // Tasks never enqueue new tasks, so the queue only ever
                     // drains: once it is empty, all remaining chunks are
                     // being executed by their claimants and this worker can
                     // retire.
                     while let Some((c, block)) = claim() {
                         for (off, item) in block.iter_mut().enumerate() {
-                            out.push((c * chunk + off, f(item, &mut s)));
+                            deliver(c * chunk + off, f(item, &mut s));
                         }
                     }
-                    (out, started.elapsed().as_micros() as u64)
+                    started.elapsed().as_micros() as u64
                 }));
             }
             for handle in handles {
                 match handle.join() {
-                    Ok((out, busy_us)) => {
+                    Ok(busy_us) => {
                         rec.add("sched.exec.scratch_created", 1);
                         rec.observe("sched.exec.worker_busy_us", busy_us);
-                        per_worker.push(out);
                     }
                     // A worker died: the task paniced; propagate it.
                     Err(cause) => std::panic::resume_unwind(cause),
                 }
             }
         });
-        // The batch span covers execution, not the merge below.
         drop(batch_span);
-
-        // Canonical-order merge: every result carries its task index, so the
-        // output is independent of which worker ran what when.
-        let mut indexed: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, t)| t).collect()
     }
 }
 
@@ -465,6 +504,35 @@ mod tests {
             i
         });
         assert_eq!(out, (0..16).collect::<Vec<_>>());
+    }
+
+    /// Delivery streams: the last task waits until the sink has seen the
+    /// first result, which only a sink fed while the batch runs satisfies;
+    /// and the sink still sees every result, in index order.
+    #[test]
+    fn for_each_ordered_streams_results_in_index_order() {
+        for threads in [1, 2, 4] {
+            let seen = AtomicUsize::new(0);
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let mut got = Vec::new();
+            Pool::new(threads).for_each_ordered(
+                64,
+                &Recorder::disabled(),
+                || (),
+                |i, ()| {
+                    while i == 63 && seen.load(Ordering::SeqCst) == 0 {
+                        assert!(Instant::now() < deadline, "the sink saw nothing mid-batch");
+                        std::thread::yield_now();
+                    }
+                    i
+                },
+                |i| {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    got.push(i);
+                },
+            );
+            assert_eq!(got, (0..64).collect::<Vec<_>>(), "threads = {threads}");
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! alignment (ISSUE 10's tentpole).
 //!
 //! The in-core pipeline holds three big structures at once: the raw input
-//! reads, the preprocessed RC-paired store, and every subset-pair
-//! alignment result until the canonical merge. This module removes the
-//! first and third from the resident set so inputs bigger than the
+//! reads, the preprocessed RC-paired store, and every subset's seed index
+//! while the overlap list grows. This module removes the first from the
+//! resident set and keeps one index at a time, so inputs bigger than the
 //! configured [`FocusConfig::memory_budget`] still assemble:
 //!
 //! * **Streaming ingest** — [`FocusAssembler::assemble_fastq_ooc`] parses
@@ -16,12 +16,14 @@
 //!   ([`fc_seq::PagedStoreWriter`]) so a killed run resumes ingest from
 //!   pages instead of re-trimming.
 //! * **Spilled alignment** — subset-pair results are computed one index
-//!   column at a time and each pair's `(Vec<Overlap>, PairStats)` run is
-//!   spilled through [`fc_ckpt::CheckpointStore`] (CRC-framed records,
-//!   atomic temp-file + rename), then k-way merged back **in the exact
-//!   canonical `(j, i ≤ j)` order** via
-//!   [`Overlapper::merge_pair_results`] — the same code the in-core path
-//!   runs, so contigs *and* logical metric snapshots are byte-identical.
+//!   column at a time by the in-core path's column loop
+//!   ([`Overlapper::overlap_column`]) and each pair's
+//!   `(Vec<Overlap>, PairStats)` run is spilled through
+//!   [`fc_ckpt::CheckpointStore`] (CRC-framed records, atomic temp-file +
+//!   rename), then read back **in the exact canonical `(j, i ≤ j)` order**
+//!   into one list, its metrics recorded by the same [`PairTally`] the
+//!   in-core path uses, so contigs *and* logical metric snapshots are
+//!   byte-identical.
 //!
 //! Nothing else differs: the out-of-core run is the in-core stage sequence
 //! ([`crate::pipeline`]) given this module's ingest for stage 1 and its
@@ -45,7 +47,7 @@ use crate::checkpoint::{
 };
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::FocusAssembler;
-use fc_align::{AlignScratch, KmerIndex, Overlap, Overlapper, PairStats, Pool};
+use fc_align::{KmerIndex, Overlap, Overlapper, PairStats, PairTally, Pool};
 use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
 use fc_obs::{MemoryBudget, Recorder, Reservation};
 use fc_seq::{fastq, PagedReadStore, PagedStoreWriter, ReadStore, ReadStoreBuilder, SeqError};
@@ -231,12 +233,6 @@ impl<'a> SpillPairStore<'a> {
             }
         }
     }
-
-    /// True when a verified spilled run for pair `t` exists on disk — the
-    /// resume path's "skip recompute" probe.
-    fn verified(&mut self, t: usize) -> bool {
-        self.load(t).is_some()
-    }
 }
 
 impl FocusAssembler {
@@ -394,12 +390,10 @@ fn open_fastq(path: &Path) -> Result<fastq::Reader<BufReader<File>>, FocusError>
     Ok(fastq::Reader::new(BufReader::new(file)))
 }
 
-/// External-memory variant of [`Overlapper::overlap_all`]: computes
-/// the subset-pair tasks one reference column at a time (one seed
-/// index resident instead of all of them), spilling each pair's run to
-/// disk as soon as it is computed, then merges every run back in the
-/// canonical `(j, i ≤ j)` order through the shared
-/// [`Overlapper::merge_pair_results`] — bit-identical output.
+/// External-memory variant of [`Overlapper::overlap_all`]: the same column
+/// loop, one seed index resident at a time, each pair's run spilled once
+/// its column is done, then every run reloaded in canonical `(j, i ≤ j)`
+/// order into one list tallied by the same [`PairTally`] — bit-identical.
 fn overlap_all_spilled(
     config: &FocusConfig,
     store_reads: &ReadStore,
@@ -413,28 +407,26 @@ fn overlap_all_spilled(
     let subsets = store_reads.split_subsets(config.subsets);
     let n = subsets.len();
     let _span = rec.span_args("align", "align.overlap_all_spilled", &[("subsets", n as i64)]);
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(n * (n + 1) / 2);
-    for j in 0..n {
-        for i in 0..=j {
-            pairs.push((i, j));
-        }
-    }
+    let pairs: Vec<(usize, usize)> = (0..n).flat_map(|j| (0..=j).map(move |i| (i, j))).collect();
+    let index_bytes = |j: usize| approx_index_bytes(&subsets[j], store_reads, config.overlap.k);
 
     // Compute columns; spill each pair's run, keeping only what cannot be
-    // spilled (degraded store) in memory. `kept_res` charges the kept
-    // runs for as long as they are resident (through the merge below);
-    // each column's index is a scoped charge released when the column is
-    // done.
-    let mut kept: Vec<Option<((Vec<Overlap>, PairStats), bool)>> = Vec::new();
-    kept.resize_with(pairs.len(), || None);
-    let mut kept_res = mem
-        .try_reserve("align-unspilled", 0)
-        .map_err(FocusError::from)?;
+    // spilled (degraded store) in memory. `kept_res` charges the kept runs
+    // for as long as they are resident (through the merge below); each
+    // column's index is a scoped charge released when the column is done.
+    // `listed` counts every pair's overlaps, verified on disk or computed.
+    let mut kept: Vec<Option<(Vec<Overlap>, PairStats)>> = vec![None; pairs.len()];
+    let mut kept_res = mem.try_reserve("align-unspilled", 0)?;
+    let mut listed = 0u64;
     for j in 0..n {
         let column_start = j * (j + 1) / 2;
-        let todo: Vec<usize> = (column_start..column_start + j + 1)
-            .filter(|&t| !(resume && spill.verified(t)))
-            .collect();
+        let mut todo = Vec::new();
+        for t in column_start..=column_start + j {
+            match resume.then(|| spill.load(t)).flatten() {
+                Some((_, stats)) => listed += stats.overlaps,
+                None => todo.push(t),
+            }
+        }
         if todo.is_empty() {
             continue;
         }
@@ -444,67 +436,53 @@ fn overlap_all_spilled(
             .map_obs(1, rec, |_| overlapper.index_subset(&subsets[j]))
             .pop()
             .unwrap_or_else(|| overlapper.index_subset(&subsets[j]));
-        let index_res = mem
-            .try_reserve(
-                "align-index",
-                approx_index_bytes(&subsets[j], store_reads, config.overlap.k),
-            )
-            .map_err(FocusError::from)?;
-        let results = pool.map_items(
-            todo,
-            rec,
-            || (AlignScratch::default(), false),
-            |_, t, scratch| {
-                let (i, _) = pairs[t];
-                let reused = scratch.1;
-                scratch.1 = true;
-                let out = overlapper.overlap_pair_with(&subsets[i], &index, i == j, &mut scratch.0);
-                (t, out, reused)
-            },
-        );
-        for (t, payload, reused) in results {
+        let index_res = mem.try_reserve("align-index", index_bytes(j))?;
+        let column_pairs: Vec<(usize, usize)> = todo.iter().map(|&t| pairs[t]).collect();
+        let mut column = Vec::new();
+        let stats =
+            overlapper.overlap_column(&subsets, &column_pairs, &index, pool, rec, &mut column);
+        drop((index, index_res));
+        let mut at = 0;
+        for (t, stats) in todo.into_iter().zip(stats) {
+            let end = at + stats.overlaps as usize;
+            let payload = (column[at..end].to_vec(), stats);
+            at = end;
+            listed += stats.overlaps;
             if spill.save(t, &payload) {
                 rec.add("ooc.spill.pairs", 1);
             } else {
-                kept_res
-                    .grow(approx_payload_bytes(&payload))
-                    .map_err(FocusError::from)?;
-                kept[t] = Some((payload, reused));
+                kept_res.grow(approx_payload_bytes(&payload))?;
+                kept[t] = Some(payload);
             }
         }
-        drop(index_res);
     }
 
-    // Merge in canonical order, reloading spilled runs (or recomputing
-    // any run the CRC layer rejects — fault injection, torn files).
-    let mut cached_index: Option<(usize, KmerIndex)> = None;
-    let mut merged: Vec<((usize, usize), ((Vec<Overlap>, PairStats), bool))> =
-        Vec::with_capacity(pairs.len());
+    // Reload in canonical order, recomputing any run the CRC layer rejects
+    // (fault injection, torn files) from a cached column index that holds
+    // an `align-index` charge for as long as it is cached.
+    let mut cached: Option<(usize, KmerIndex, Reservation)> = None;
+    let mut all = Vec::with_capacity(listed as usize);
+    let mut tally = PairTally::default();
     for (t, &(i, j)) in pairs.iter().enumerate() {
-        let (payload, reused) = match kept[t].take() {
-            Some(entry) => entry,
-            None => match spill.load(t) {
-                Some(payload) => (payload, false),
-                None => {
-                    rec.add("ooc.spill.recomputed", 1);
-                    let entry = cached_index
-                        .get_or_insert_with(|| (j, overlapper.index_subset(&subsets[j])));
-                    if entry.0 != j {
-                        *entry = (j, overlapper.index_subset(&subsets[j]));
+        let (mut run, stats) = match kept[t].take().or_else(|| spill.load(t)) {
+            Some(payload) => payload,
+            None => {
+                rec.add("ooc.spill.recomputed", 1);
+                let (_, index, _) = match cached.take() {
+                    Some(entry) if entry.0 == j => cached.insert(entry),
+                    stale => {
+                        drop(stale);
+                        let res = mem.try_reserve("align-index", index_bytes(j))?;
+                        cached.insert((j, overlapper.index_subset(&subsets[j]), res))
                     }
-                    let payload = overlapper.overlap_pair_with(
-                        &subsets[i],
-                        &entry.1,
-                        i == j,
-                        &mut AlignScratch::default(),
-                    );
-                    (payload, false)
-                }
-            },
+                };
+                overlapper.overlap_pair_with(&subsets[i], index, i == j, &mut Default::default())
+            }
         };
-        merged.push(((i, j), (payload, reused)));
+        tally.push(rec, (i, j), &run, stats);
+        all.append(&mut run);
     }
-    Ok(overlapper.merge_pair_results(merged, rec))
+    Ok((all, tally.finish(rec, &config.overlap)))
 }
 
 /// What a subset's seed index will hold; the layout and its arithmetic
@@ -517,4 +495,58 @@ fn approx_index_bytes(subset: &[fc_seq::ReadId], store: &ReadStore, k: usize) ->
 /// Generous estimate of one pair run's in-memory footprint.
 fn approx_payload_bytes(payload: &(Vec<Overlap>, PairStats)) -> u64 {
     (payload.0.len() * std::mem::size_of::<Overlap>() + std::mem::size_of::<PairStats>()) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::tests::genome;
+    use fc_ckpt::ReadFault;
+    use fc_seq::Read;
+
+    /// A merge that must recompute a rejected run charges the column index
+    /// it builds for as long as it keeps it: on a resumed run, where every
+    /// pair verifies on disk and no column builds an index, one rejected
+    /// merge read raises the ledger's peak by exactly that index's estimate.
+    #[test]
+    fn a_merge_recompute_charges_its_column_index() {
+        let g = genome(3000, 3);
+        let reads: Vec<Read> = (0..g.len() - 100)
+            .step_by(50)
+            .map(|s| Read::new(format!("r{s}"), g.slice(s, s + 100)))
+            .collect();
+        let config = FocusConfig::default();
+        let store = ReadStore::preprocess(&reads, &config.trim).unwrap();
+        let dir = std::env::temp_dir().join(format!("fc-ooc-index-charge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rec = Recorder::disabled();
+        let run = |resume: bool, faults: FsFaultPlan| {
+            let mem = MemoryBudget::unlimited();
+            let mut spill = SpillPairStore::new(&dir, 1, 2, faults, &rec);
+            let out = overlap_all_spilled(
+                &config,
+                &store,
+                &Pool::serial(),
+                &rec,
+                &mut spill,
+                resume,
+                &mem,
+            );
+            (out.unwrap(), mem.peak())
+        };
+        let (clean, _) = run(false, FsFaultPlan::none());
+        let (resumed, resumed_peak) = run(true, FsFaultPlan::none());
+        // One verifying read per pair comes first, so read `pairs` is the
+        // merge's first: pair (0, 0), recomputed from subset 0's index.
+        let pairs = (config.subsets * (config.subsets + 1) / 2) as u64;
+        let (faulted, faulted_peak) =
+            run(true, FsFaultPlan::none().fail_read(pairs, ReadFault::Short));
+        assert!(!clean.0.is_empty());
+        assert_eq!(resumed, clean);
+        assert_eq!(faulted, clean);
+        let subset = &store.split_subsets(config.subsets)[0];
+        let index = approx_index_bytes(subset, &store, config.overlap.k);
+        assert_eq!(faulted_peak, resumed_peak + index);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -34,14 +34,14 @@ pub struct FocusAssembler {
 }
 
 /// The partition-independent product (stages 1–5): the preprocessed store,
-/// the verified overlaps, the level-0 overlap graph, the multilevel graph
-/// set, the hybrid graph set, and the hybrid nodes' contig sequences.
+/// the per-pair alignment stats, the level-0 overlap graph, the multilevel
+/// graph set, the hybrid graph set, and the hybrid nodes' contig sequences.
+/// The verified overlaps themselves are gone once G0 is built from them;
+/// [`Overlapper::overlap_all`] recomputes them for anyone who needs them.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// Preprocessed, strand-augmented reads.
     pub store: ReadStore,
-    /// Verified overlap records.
-    pub overlaps: Vec<Overlap>,
     /// Per-subset-pair alignment work statistics.
     pub pair_stats: Vec<(usize, usize, PairStats)>,
     /// Level-0 overlap graph.
@@ -192,16 +192,17 @@ impl FocusAssembler {
         policy.stop_after(CkptPhase::Preprocess)?;
 
         let (overlaps, pair_stats) = policy.phase(CkptPhase::Alignment, || align(&store))?;
-        budget.charge(
-            rec,
-            "overlaps",
-            (overlaps.len() * std::mem::size_of::<Overlap>()) as u64,
-        )?;
+        let bytes = (overlaps.len() * std::mem::size_of::<Overlap>()) as u64;
+        let overlaps_charge = budget.budget().try_reserve("overlaps", bytes)?;
+        budget.gauge(rec);
         policy.stop_after(CkptPhase::Alignment)?;
 
         // The level-0 overlap graph is cheap and fully determined by the
-        // store and the overlaps, so it is always rebuilt, never stored.
+        // store and the overlaps, so it is always rebuilt, never stored. It
+        // is the overlaps' last reader: they and their charge go here.
         let graph = OverlapGraph::build(&store, &overlaps);
+        drop((overlaps, overlaps_charge));
+        budget.gauge(rec);
 
         let multilevel = policy.phase(CkptPhase::Coarsen, || {
             Ok(MultilevelSet::build_obs(
@@ -239,7 +240,6 @@ impl FocusAssembler {
         let contigs = DistributedHybrid::node_contigs(&hybrid, &store, config.consensus);
         Ok(Prepared {
             store,
-            overlaps,
             pair_stats,
             graph,
             multilevel,

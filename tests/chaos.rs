@@ -11,6 +11,7 @@
 //! checkpointing without taking the assembly down.
 
 use fc_rng::cases;
+use focus_assembler::align::{Overlapper, Pool};
 use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
 use focus_assembler::ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, Codec, LoadOutcome};
 use focus_assembler::dist::DistPhaseState;
@@ -18,7 +19,7 @@ use focus_assembler::focus::{
     config_fingerprint, input_digest, AssemblyOutcome, AssemblyResult, CheckpointOptions,
     CkptPhase, FaultInjection, FocusAssembler, FocusConfig,
 };
-use focus_assembler::obs::{MetricsSnapshot, ObsOptions};
+use focus_assembler::obs::{MetricsSnapshot, ObsOptions, Recorder};
 use focus_assembler::seq::{DnaString, Read};
 use focus_assembler::sim::genome::{random_genome, GenomeConfig};
 use std::path::PathBuf;
@@ -352,7 +353,13 @@ fn every_phase_payload_round_trips() {
             Vec<focus_assembler::align::Overlap>,
             Vec<(usize, usize, focus_assembler::align::PairStats)>,
         );
-        let alignment: AlignmentCkpt = (prepared.overlaps.clone(), prepared.pair_stats.clone());
+        let alignment: AlignmentCkpt = Overlapper::new(&prepared.store, config.overlap)
+            .unwrap()
+            .overlap_all(
+                &prepared.store.split_subsets(config.subsets),
+                &Pool::new(config.threads),
+                &Recorder::disabled(),
+            );
         assert_reencodes::<AlignmentCkpt>(&encode_to_vec(&alignment), "alignment payload");
         assert_reencodes::<focus_assembler::graph::MultilevelSet>(
             &encode_to_vec(&prepared.multilevel),

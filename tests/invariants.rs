@@ -1,17 +1,26 @@
 //! Cross-crate invariant tests on realistic pipeline artifacts.
 
+use focus_assembler::align::{Overlap, Overlapper, Pool};
 use focus_assembler::dist::traverse::check_path_cover;
 use focus_assembler::dist::{DistributedConfig, DistributedHybrid, FaultPlan, FaultRates, PhaseId};
-use focus_assembler::focus::{FocusAssembler, FocusConfig};
+use focus_assembler::focus::{FocusAssembler, FocusConfig, Prepared, Recorder};
 use focus_assembler::partition::{
     edge_cut, partition_balance, partition_graph_set, validate_partition, PartitionConfig,
 };
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
 
-fn prepared() -> (
-    focus_assembler::sim::Dataset,
-    focus_assembler::focus::Prepared,
-) {
+/// The verified overlaps G0 was built from, as `overlap_all` computes them
+/// for `config`'s store split and thread count.
+fn overlaps_of(p: &Prepared, config: &FocusConfig) -> Vec<Overlap> {
+    let overlapper = Overlapper::new(&p.store, config.overlap).unwrap();
+    let subsets = p.store.split_subsets(config.subsets);
+    let pool = Pool::new(config.threads);
+    overlapper
+        .overlap_all(&subsets, &pool, &Recorder::disabled())
+        .0
+}
+
+fn prepared() -> (focus_assembler::sim::Dataset, Prepared) {
     // Denser than `test_scale`: ~15x coverage keeps the overlap graph
     // connected, which is what balance/cut invariants assume.
     let mut config = DatasetConfig::test_scale();
@@ -125,7 +134,7 @@ fn overlap_edge_weights_match_alignment_lengths() {
     }
     // Identity is a property of the overlap record, not of the edge built
     // from it: the configured bound holds where the value lives.
-    for o in &p.overlaps {
+    for o in &overlaps_of(&p, &FocusConfig::default()) {
         assert!(
             o.identity >= 0.90 - 1e-9,
             "overlap identity {} too low",
@@ -287,12 +296,14 @@ mod parallel_determinism {
             let serial_asm = FocusAssembler::new(config).unwrap();
             let serial_prep = serial_asm.prepare(&dataset.reads).unwrap();
             let serial = serial_asm.assemble_prepared(&serial_prep, 4);
+            let serial_overlaps = overlaps_of(&serial_prep, &config);
             for threads in [2usize, 4, 8] {
                 config.threads = threads;
                 let asm = FocusAssembler::new(config).unwrap();
                 let prep = asm.prepare(&dataset.reads).unwrap();
                 assert_eq!(
-                    &prep.overlaps, &serial_prep.overlaps,
+                    &overlaps_of(&prep, &config),
+                    &serial_overlaps,
                     "overlaps @ {} threads",
                     threads
                 );

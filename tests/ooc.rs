@@ -12,10 +12,11 @@
 //! the spilled path completes under the same budget.
 
 use fc_rng::cases;
+use focus_assembler::align::{Overlap, Overlapper, Pool};
 use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
 use focus_assembler::focus::{
     AssemblyOutcome, AssemblyResult, CheckpointOptions, CkptPhase, FaultInjection, FocusAssembler,
-    FocusConfig, FocusError, OocOptions,
+    FocusConfig, FocusError, OocOptions, Recorder,
 };
 use focus_assembler::obs::ObsOptions;
 use focus_assembler::seq::{fastq, DnaString, Read, ReadStore};
@@ -302,8 +303,14 @@ fn budget_rejects_in_core_but_admits_spilled() {
     let clean = assembler.assemble_prepared(&prep, config.partitions).unwrap();
     let input_bytes: usize = parsed.iter().map(Read::approx_bytes).sum();
     let store_bytes = ReadStore::preprocess(&parsed, &config.trim).unwrap().approx_bytes();
-    let overlap_bytes =
-        prep.overlaps.len() * std::mem::size_of::<focus_assembler::align::Overlap>();
+    let overlaps = Overlapper::new(&prep.store, config.overlap)
+        .unwrap()
+        .overlap_all(
+            &prep.store.split_subsets(config.subsets),
+            &Pool::new(config.threads),
+            &Recorder::disabled(),
+        );
+    let overlap_bytes = overlaps.0.len() * std::mem::size_of::<Overlap>();
     let in_core_needs = (input_bytes + store_bytes + overlap_bytes) as u64;
 
     // Just below the in-core requirement: in-core is rejected, typed.

@@ -74,11 +74,14 @@ fn genome(len: usize, seed: u64) -> DnaString {
 }
 
 fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
-    let g = genome(len, seed);
     // Long reads on purpose: seed indexes scale with bases while
     // the graph scales with overlap count, so the alignment phase — the
     // part spilling shrinks — dominates the in-core peak.
-    let (read_len, stride) = (300usize, 150usize);
+    tiling(len, seed, 300, 150)
+}
+
+fn tiling(len: usize, seed: u64, read_len: usize, stride: usize) -> Vec<Read> {
+    let g = genome(len, seed);
     let mut reads = Vec::new();
     let mut start = 0;
     while start + read_len <= g.len() {
@@ -186,4 +189,32 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
     );
     let _ = std::fs::remove_dir_all(&spill);
     let _ = std::fs::remove_dir_all(&input_dir);
+
+    // The in-core footprint, as live heap rather than RSS: `prepare` on a
+    // tiling shaped like the ruler's (100 bp reads, four subsets, deep
+    // enough that the overlap list outweighs the seed indexes) at one
+    // thread. A return to holding every pair result at once, a second
+    // copy of the list, or the list kept past G0 fails here on any host.
+    let reads = tiling(30_000, 5, 100, 4);
+    let ruler_shaped = FocusConfig {
+        subsets: 4,
+        ..config()
+    };
+    let (prepared, prepare_peak) = peak_over(|| {
+        FocusAssembler::new(ruler_shaped)
+            .unwrap()
+            .prepare(&reads)
+            .unwrap()
+    });
+    drop(prepared);
+    assert!(
+        prepare_peak <= PREPARE_PEAK_BOUND,
+        "prepare's peak heap {prepare_peak} B exceeds {PREPARE_PEAK_BOUND} B"
+    );
 }
+
+/// `prepare`'s measured peak heap on the ruler-shaped tiling above,
+/// 21 174 426 B at one thread in any build profile, plus 5 %. The peak is
+/// deterministic at one thread, so the margin absorbs only allocator-size
+/// changes elsewhere, not noise.
+const PREPARE_PEAK_BOUND: usize = 21_174_426 + 21_174_426 / 20;

@@ -11,10 +11,10 @@
 //! byte-identical at 1 and 4 threads.
 
 use focus_assembler::align::{
-    banded_nw_verdict, KernelScratch, NwScratch, Overlap, OverlapKind, Overlapper, PairStats,
+    banded_nw_verdict, KernelScratch, NwScratch, Overlap, OverlapKind, Overlapper, PairStats, Pool,
     VerifyParams,
 };
-use focus_assembler::focus::{FocusAssembler, FocusConfig, ObsOptions, Prepared};
+use focus_assembler::focus::{FocusAssembler, FocusConfig, ObsOptions, Prepared, Recorder};
 use focus_assembler::seq::{DnaString, Read};
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
 
@@ -49,6 +49,8 @@ fn config(threads: usize) -> FocusConfig {
 
 struct Run {
     prepared: Prepared,
+    /// `overlap_all`'s output on the prepared store: G0's overlaps.
+    overlaps: Vec<Overlap>,
     contigs: Vec<DnaString>,
     snapshot: String,
 }
@@ -60,8 +62,18 @@ fn assemble(reads: &[Read], threads: usize) -> Run {
         .assemble_prepared(&prepared, PARTITIONS)
         .unwrap()
         .contigs;
+    let config = config(threads);
+    let overlaps = Overlapper::new(&prepared.store, config.overlap)
+        .unwrap()
+        .overlap_all(
+            &prepared.store.split_subsets(config.subsets),
+            &Pool::new(threads),
+            &Recorder::disabled(),
+        )
+        .0;
     Run {
         prepared,
+        overlaps,
         contigs,
         snapshot: assembler.recorder().snapshot_json(),
     }
@@ -83,7 +95,6 @@ fn verification_matches_banded_nw_on_an_indel_bearing_community() {
     let serial = assemble(&reads, 1);
     assert!(!serial.contigs.is_empty());
     let gapped = serial
-        .prepared
         .overlaps
         .iter()
         .filter(|o| o.len as usize != range_len(&serial.prepared, o))
@@ -114,7 +125,6 @@ fn verification_matches_banded_nw_on_an_indel_bearing_community() {
         accepted.extend(expected.map(|s| (req.a, req.b, req.kind, req.shift, s.columns)));
     }
     let used: Vec<_> = serial
-        .prepared
         .overlaps
         .iter()
         .map(|o| (o.a, o.b, o.kind, o.shift, o.len))
@@ -127,10 +137,7 @@ fn verification_matches_banded_nw_on_an_indel_bearing_community() {
     assert!(total.prefilter_verified > 0, "DP never ran: {total:?}");
 
     let pooled = assemble(&reads, 4);
-    assert_eq!(
-        pooled.prepared.overlaps, serial.prepared.overlaps,
-        "overlaps at 4 threads"
-    );
+    assert_eq!(pooled.overlaps, serial.overlaps, "overlaps at 4 threads");
     assert_eq!(
         pooled.prepared.pair_stats, serial.prepared.pair_stats,
         "pair stats at 4 threads"
