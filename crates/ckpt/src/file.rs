@@ -28,8 +28,9 @@ pub const MAGIC: [u8; 4] = *b"FCKP";
 /// or of a payload `Codec` — so a build refuses files of another layout
 /// instead of misreading them. Version 2: fc-align's `PairStats` records
 /// lost their ninth counter. Version 3: fc-graph's `DiEdge` records lost
-/// their `identity` field.
-pub const FORMAT_VERSION: u32 = 3;
+/// their `identity` field. Version 4: fc-graph's `LevelGraph` adjacency
+/// entries went from 12 to 8 bytes and its node weights from 8 to 4.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A decoded checkpoint container.
 #[derive(Debug, Clone, PartialEq, Eq)]

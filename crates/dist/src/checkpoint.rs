@@ -181,9 +181,7 @@ mod tests {
     #[test]
     fn mutated_graph_records_never_panic() {
         use fc_graph::{CoarsenConfig, DiEdge, GraphSet, LevelGraph, MultilevelSet, NodeId};
-        let ring: Vec<_> = (0..40u32)
-            .map(|i| (i, (i + 1) % 40, 1 + u64::from(i % 7)))
-            .collect();
+        let ring: Vec<_> = (0..40u32).map(|i| (i, (i + 1) % 40, 1 + i % 7)).collect();
         let coarsen = CoarsenConfig {
             min_nodes: 4,
             ..Default::default()
@@ -207,7 +205,9 @@ mod tests {
             ..Default::default()
         };
         let (set_bytes, state_bytes) = (encode_to_vec(&set), encode_to_vec(&state));
-        decode_from_slice::<GraphSet>(&set_bytes).unwrap();
+        let back = decode_from_slice::<GraphSet>(&set_bytes).unwrap();
+        assert_eq!(back.levels, set.levels);
+        assert_eq!(back.fine_to_coarse, set.fine_to_coarse);
         decode_from_slice::<DistPhaseState>(&state_bytes).unwrap();
 
         fc_rng::cases(512, |rng| {

@@ -198,11 +198,13 @@ impl FocusAssembler {
         policy.stop_after(CkptPhase::Alignment)?;
 
         // The level-0 overlap graph is cheap and fully determined by the
-        // store and the overlaps, so it is always rebuilt, never stored. It
-        // is the overlaps' last reader: they and their charge go here.
-        let graph = OverlapGraph::build(&store, &overlaps);
+        // store and the overlaps, so it is always rebuilt, never stored. Its
+        // directed half is the overlaps' last reader: they and their charge
+        // go before the undirected half is derived from it.
+        let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps);
         drop((overlaps, overlaps_charge));
         budget.gauge(rec);
+        let graph = OverlapGraph::from_directed(directed, containments);
 
         let multilevel = policy.phase(CkptPhase::Coarsen, || {
             Ok(MultilevelSet::build_obs(
@@ -228,12 +230,10 @@ impl FocusAssembler {
         // snapshots, and whether they enter the `MemoryBudget` is ROADMAP
         // item 8's decision. Level 0 of the multilevel set is G0's undirected
         // view (shared, not copied), so it is counted there.
-        let g0_bytes = graph.undirected.heap_bytes() + graph.directed.heap_bytes();
         let multilevel_bytes = multilevel.set.heap_bytes() - multilevel.set.finest().heap_bytes();
-        let hybrid_bytes = hybrid.set.heap_bytes() + hybrid.directed.heap_bytes();
-        rec.gauge("mem.graph.g0_bytes", g0_bytes as i64);
+        rec.gauge("mem.graph.g0_bytes", graph.heap_bytes() as i64);
         rec.gauge("mem.graph.multilevel_bytes", multilevel_bytes as i64);
-        rec.gauge("mem.graph.hybrid_bytes", hybrid_bytes as i64);
+        rec.gauge("mem.graph.hybrid_bytes", hybrid.heap_bytes() as i64);
 
         // Like G0, the node contigs are a function of what is already held
         // (hybrid set + store): rebuilt by every run, never stored.

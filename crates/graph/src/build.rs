@@ -1,6 +1,6 @@
 //! Building the level-0 overlap graph `G0` from verified overlaps.
 
-use crate::csr::distinct;
+use crate::csr::{distinct, vec_bytes};
 use crate::digraph::{DiEdge, DiGraph};
 use crate::level::{LevelGraph, NodeId};
 use fc_align::{Overlap, OverlapKind};
@@ -24,11 +24,19 @@ pub struct OverlapGraph {
 }
 
 impl OverlapGraph {
-    /// Builds `G0` over all reads of `store` from `overlaps`: both views come
-    /// straight from the overlap list by counting and scatter, with no
-    /// per-node allocation and no edge list in between.
+    /// Builds `G0` over all reads of `store` from `overlaps`: the two halves
+    /// below back to back. A caller owning the list frees it in between.
     pub fn build(store: &ReadStore, overlaps: &[Overlap]) -> OverlapGraph {
-        let n = store.len();
+        let (directed, containments) = OverlapGraph::directed_view(store, overlaps);
+        OverlapGraph::from_directed(directed, containments)
+    }
+
+    /// What `G0` reads from the overlap list: the directed view, by counting
+    /// and scatter with no edge list in between, and the containments.
+    pub fn directed_view(
+        store: &ReadStore,
+        overlaps: &[Overlap],
+    ) -> (DiGraph, Vec<(NodeId, NodeId)>) {
         let dovetails = overlaps
             .iter()
             .filter(|o| o.kind == OverlapKind::SuffixPrefix)
@@ -40,7 +48,7 @@ impl OverlapGraph {
                 };
                 (o.a.0, edge)
             });
-        let directed = DiGraph::scatter(n, dovetails);
+        let directed = DiGraph::scatter(store.len(), dovetails);
         let containments = overlaps
             .iter()
             .filter_map(|o| match o.kind {
@@ -49,16 +57,22 @@ impl OverlapGraph {
                 OverlapKind::ContainedInB => Some((o.b.0, o.a.0)),
             })
             .collect();
+        (directed, containments)
+    }
+
+    /// `G0` completed by its undirected view, derived from the directed one.
+    pub fn from_directed(directed: DiGraph, containments: Vec<(NodeId, NodeId)>) -> OverlapGraph {
         // Undirected weights come from the deduplicated directed edges so a
         // dovetail discovered twice (once per strand pairing) is not double
         // counted; an antiparallel pair is listed from its lower end only,
         // so no edge repeats.
         let di = &directed;
+        let n = di.node_count();
         let links = (0..n as NodeId).flat_map(|v| {
             di.out_edges(v)
                 .iter()
                 .filter(move |e| v < e.to || di.edge(e.to, v).is_none())
-                .map(move |e| (v, e.to, e.len as u64))
+                .map(move |e| (v, e.to, e.len))
         });
         let undirected = LevelGraph::scatter(vec![1; n], links, distinct);
         OverlapGraph {
@@ -66,6 +80,11 @@ impl OverlapGraph {
             directed,
             containments,
         }
+    }
+
+    /// Bytes every field holds on the heap: both views and the containments.
+    pub fn heap_bytes(&self) -> usize {
+        self.undirected.heap_bytes() + self.directed.heap_bytes() + vec_bytes(&self.containments)
     }
 
     /// Node count (= store read count).
@@ -134,6 +153,33 @@ mod tests {
         assert_eq!(g.contained_nodes(), vec![3]);
         g.undirected.check_invariants().unwrap();
         g.directed.check_invariants().unwrap();
+    }
+
+    /// The halves compose to `build`, and `heap_bytes` counts every field:
+    /// both views and 8 B a containment.
+    #[test]
+    fn halves_compose_and_heap_bytes_counts_every_field() {
+        let store = store(5);
+        let contained = |a: u32, b: u32| Overlap {
+            kind: OverlapKind::ContainsB,
+            ..dovetail(a, b, 30)
+        };
+        let overlaps = vec![
+            dovetail(0, 1, 50),
+            dovetail(1, 0, 50),
+            dovetail(1, 2, 60),
+            contained(2, 3),
+            contained(2, 4),
+        ];
+        let g = OverlapGraph::build(&store, &overlaps);
+        let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps);
+        let halves = OverlapGraph::from_directed(directed, containments);
+        assert_eq!(halves.undirected, g.undirected);
+        assert_eq!(halves.containments, g.containments);
+        let expected =
+            g.undirected.heap_bytes() + g.directed.heap_bytes() + 8 * g.containments.capacity();
+        assert!(g.containments.capacity() >= 2);
+        assert_eq!(g.heap_bytes(), expected);
     }
 
     #[test]

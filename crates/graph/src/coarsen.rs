@@ -8,6 +8,9 @@ use fc_rng::Rng;
 /// Histogram bounds for ratios expressed in permille (0–1000).
 const PERMILLE_BOUNDS: &[u64] = &[100, 200, 300, 400, 500, 600, 700, 800, 900, 950, 1000];
 
+/// Coarsening stops once a round keeps more than this share of the nodes.
+const STAGNATION_RATIO: f64 = 0.95;
+
 /// Parameters controlling how far the multilevel set is coarsened.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoarsenConfig {
@@ -16,9 +19,6 @@ pub struct CoarsenConfig {
     /// Hard cap on produced levels (the paper's data sets coarsened to ten
     /// levels).
     pub max_levels: usize,
-    /// Stop when a round shrinks the node count by less than this factor
-    /// (e.g. 0.95 = must lose at least 5 % of nodes to continue).
-    pub stagnation_ratio: f64,
     /// Seed for the random node visit order of the matching.
     pub seed: u64,
 }
@@ -28,7 +28,6 @@ impl Default for CoarsenConfig {
         CoarsenConfig {
             min_nodes: 64,
             max_levels: 10,
-            stagnation_ratio: 0.95,
             seed: 0xF0C5,
         }
     }
@@ -81,8 +80,7 @@ impl MultilevelSet {
                 );
             }
             let (coarse, map) = contract(current, &matching);
-            if (coarse.node_count() as f64) > config.stagnation_ratio * current.node_count() as f64
-            {
+            if (coarse.node_count() as f64) > STAGNATION_RATIO * current.node_count() as f64 {
                 break;
             }
             rec.instant(
@@ -130,7 +128,7 @@ pub fn heavy_edge_matching(g: &LevelGraph, seed: u64) -> Vec<NodeId> {
         if matched[v as usize] {
             continue;
         }
-        let mut best: Option<(u64, NodeId)> = None;
+        let mut best: Option<(u32, NodeId)> = None;
         for &(u, w) in g.neighbors(v) {
             if matched[u as usize] {
                 continue;
@@ -200,7 +198,7 @@ mod tests {
     /// A path graph with increasing edge weights.
     fn path(n: usize) -> LevelGraph {
         let edges: Vec<_> = (0..n - 1)
-            .map(|i| (i as NodeId, (i + 1) as NodeId, (i + 1) as u64))
+            .map(|i| (i as NodeId, (i + 1) as NodeId, (i + 1) as u32))
             .collect();
         LevelGraph::from_edges(vec![1; n], &edges)
     }
@@ -261,6 +259,20 @@ mod tests {
         assert_eq!(map, vec![0, 0, 1, 1]);
         assert_eq!(coarse.edge_weight(0, 1), Some(6));
         assert_eq!(coarse.node_weight(0), 2);
+    }
+
+    #[test]
+    fn contract_saturates_parallel_edges() {
+        // Matching (0,1) and (2,3) folds the cross edges 1-2 and 3-0 into one
+        // coarse edge: 2 × 3·10⁹ saturates at u32::MAX instead of wrapping.
+        let heavy = 3_000_000_000;
+        let g = LevelGraph::from_edges(
+            vec![1; 4],
+            &[(0, 1, 1), (1, 2, heavy), (2, 3, 1), (3, 0, heavy)],
+        );
+        let (coarse, _) = contract(&g, &[1, 0, 3, 2]);
+        assert_eq!(coarse.edge_weight(0, 1), Some(u32::MAX));
+        coarse.check_invariants().unwrap();
     }
 
     #[test]
@@ -360,7 +372,7 @@ mod props {
     fn arb_graph(rng: &mut Rng) -> LevelGraph {
         let n = rng.range(2usize..40);
         let raw_edges = rng.vec(0..120, |r| {
-            (r.range(0usize..40), r.range(0usize..40), r.range(1u64..100))
+            (r.range(0usize..40), r.range(0usize..40), r.range(1u32..100))
         });
         let edges: Vec<_> = raw_edges
             .into_iter()
@@ -400,7 +412,7 @@ mod props {
             let crossing: u64 = g
                 .edges()
                 .filter(|&(u, v, _)| map[u as usize] != map[v as usize])
-                .map(|(_, _, w)| w)
+                .map(|(_, _, w)| u64::from(w))
                 .sum();
             assert_eq!(coarse.total_edge_weight(), crossing);
         });

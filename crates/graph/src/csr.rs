@@ -48,8 +48,13 @@ impl<T> Csr<T> {
 
     /// Bytes held on the heap: exact, the two arrays carry no slack.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * size_of::<u32>() + self.entries.capacity() * size_of::<T>()
+        vec_bytes(&self.offsets) + vec_bytes(&self.entries)
     }
+}
+
+/// Bytes a `Vec`'s buffer holds on the heap (its capacity, not its length).
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
 }
 
 impl<T: Copy + Default> Csr<T> {
@@ -200,6 +205,6 @@ impl<T: Copy> LiveCsr<T> {
 
     /// Bytes held on the heap.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.extents.heap_bytes() + self.len.capacity() * size_of::<u32>()
+        self.extents.heap_bytes() + vec_bytes(&self.len)
     }
 }

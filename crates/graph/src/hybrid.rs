@@ -15,7 +15,7 @@
 
 use crate::build::OverlapGraph;
 use crate::coarsen::MultilevelSet;
-use crate::csr::{distinct, Csr};
+use crate::csr::{distinct, vec_bytes, Csr};
 use crate::digraph::{DiEdge, DiGraph};
 use crate::layout::{layout_cluster, ClusterLayout, LayoutConfig};
 use crate::level::{GraphSet, NodeId};
@@ -133,7 +133,7 @@ impl HybridSet {
         // --- Hybrid G'0: contract the undirected G0. ---
         let g0h = g0.undirected.contracted(
             &rep_of_node,
-            clusters.iter().map(|c| c.len() as u64).collect(),
+            clusters.iter().map(|c| c.len() as u32).collect(),
         );
 
         // --- Contig lengths and the directed hybrid graph. ---
@@ -196,7 +196,7 @@ impl HybridSet {
         for i in 1..n_levels {
             let mut group_ids: HashMap<(usize, NodeId), NodeId> = HashMap::new();
             let mut assign = vec![0 as NodeId; reps.len()];
-            let mut weights: Vec<u64> = Vec::new();
+            let mut weights: Vec<u32> = Vec::new();
             for (ri, r) in reps.iter().enumerate() {
                 let key = key_at(r, i);
                 let next_id = group_ids.len() as NodeId;
@@ -204,7 +204,7 @@ impl HybridSet {
                 if id as usize == weights.len() {
                     weights.push(0);
                 }
-                weights[id as usize] += clusters[ri].len() as u64;
+                weights[id as usize] += clusters[ri].len() as u32;
                 assign[ri] = id;
             }
             // fine→coarse between hybrid level i-1 and i.
@@ -247,6 +247,16 @@ impl HybridSet {
     /// Number of hybrid nodes (representatives).
     pub fn node_count(&self) -> usize {
         self.reps.len()
+    }
+
+    /// Bytes every field holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        let members: usize = self.clusters.iter().map(vec_bytes).sum();
+        let layouts: usize = self.layouts.iter().map(|l| vec_bytes(&l.order)).sum();
+        let per_rep = vec_bytes(&self.reps) + vec_bytes(&self.clusters) + vec_bytes(&self.layouts);
+        let per_read = members + layouts + vec_bytes(&self.rep_of_node);
+        let graphs = self.set.heap_bytes() + self.directed.heap_bytes();
+        graphs + per_rep + per_read + vec_bytes(&self.contig_lens)
     }
 
     /// The contig sequence of a hybrid node (first-wins merging).
@@ -486,6 +496,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every field's capacity, at its element size: 16 a representative
+    /// (`usize` + `u32`, padded), 24 a `Vec` header, 4 a cluster member,
+    /// 16 a layout entry (`u32` + `i64`, padded), 4 a `rep_of_node` entry and
+    /// 4 a contig length.
+    #[test]
+    fn heap_bytes_counts_every_field() {
+        let (_, _, _, hs) = build_hybrid(48);
+        let members: usize = hs.clusters.iter().map(|c| 4 * c.capacity()).sum();
+        let entries: usize = hs.layouts.iter().map(|l| 16 * l.order.capacity()).sum();
+        let expected = hs.set.heap_bytes()
+            + hs.directed.heap_bytes()
+            + 16 * hs.reps.capacity()
+            + 24 * hs.clusters.capacity()
+            + members
+            + 24 * hs.layouts.capacity()
+            + entries
+            + 4 * hs.rep_of_node.capacity()
+            + 4 * hs.contig_lens.capacity();
+        assert!(members > 0 && entries > 0);
+        assert_eq!(hs.heap_bytes(), expected);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! lengths (paper §II-C). A [`GraphSet`] bundles the levels with the
 //! fine→coarse node maps used by partition projection (§IV-C).
 
-use crate::csr::{distinct, encode_rows, Csr};
+use crate::csr::{distinct, encode_rows, vec_bytes, Csr};
 use crate::error::GraphError;
 use std::sync::Arc;
 
@@ -16,6 +16,11 @@ pub type NodeId = u32;
 /// An undirected weighted graph stored as symmetric adjacency rows in one
 /// flat array (the `csr` module). Immutable once built, and a clone shares the
 /// arrays: the multilevel set's level 0 *is* `OverlapGraph::undirected`.
+///
+/// Weights are `u32` (alignment lengths, read counts), as METIS fixes a 32-bit
+/// `idx_t` for this scheme: 8 bytes an adjacency entry, 8 a node. Folding
+/// parallel edges saturates at `u32::MAX` (G0 on `meta-clean` carries 11.6 M
+/// bp, 370× under it); every sum over a graph is taken in `u64`/`i64`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelGraph(Arc<Level>);
 
@@ -23,22 +28,22 @@ pub struct LevelGraph(Arc<Level>);
 struct Level {
     /// Row `v` holds `(neighbor, edge weight)` pairs; every edge appears in
     /// both endpoint rows with the same weight.
-    adj: Csr<(NodeId, u64)>,
+    adj: Csr<(NodeId, u32)>,
     /// Node weights (number of reads represented).
-    node_weight: Vec<u64>,
+    node_weight: Vec<u32>,
 }
 
 impl LevelGraph {
     /// Builds a graph over `node_weight.len()` nodes from undirected
     /// `(u, v, weight)` edges. A repeated edge accumulates weight into the
     /// entry its first occurrence made, so every row is in first-insertion
-    /// order. Self-loops are ignored (coarsening folds them into node
-    /// weight).
-    pub fn from_edges(node_weight: Vec<u64>, edges: &[(NodeId, NodeId, u64)]) -> LevelGraph {
+    /// order, its weight saturating at `u32::MAX`. Self-loops are ignored
+    /// (coarsening folds them into node weight).
+    pub fn from_edges(node_weight: Vec<u32>, edges: &[(NodeId, NodeId, u32)]) -> LevelGraph {
         LevelGraph::scatter(node_weight, edges.iter().copied(), |held, new| {
             let same = held.0 == new.0;
             if same {
-                held.1 += new.1;
+                held.1 = held.1.saturating_add(new.1);
             }
             same
         })
@@ -49,9 +54,9 @@ impl LevelGraph {
     /// and to place. Where a list cannot repeat an edge, `merge` is
     /// [`distinct`].
     pub(crate) fn scatter(
-        node_weight: Vec<u64>,
-        edges: impl Iterator<Item = (NodeId, NodeId, u64)> + Clone,
-        merge: impl FnMut(&mut (NodeId, u64), &(NodeId, u64)) -> bool,
+        node_weight: Vec<u32>,
+        edges: impl Iterator<Item = (NodeId, NodeId, u32)> + Clone,
+        merge: impl FnMut(&mut (NodeId, u32), &(NodeId, u32)) -> bool,
     ) -> LevelGraph {
         // Each endpoint's row is filled independently: the rows stay
         // symmetric by construction.
@@ -74,23 +79,24 @@ impl LevelGraph {
 
     /// Weight of node `v`.
     #[inline]
-    pub fn node_weight(&self, v: NodeId) -> u64 {
+    pub fn node_weight(&self, v: NodeId) -> u32 {
         self.0.node_weight[v as usize]
     }
 
     /// Sum of all node weights.
     pub fn total_node_weight(&self) -> u64 {
-        self.0.node_weight.iter().sum()
+        self.0.node_weight.iter().map(|&w| u64::from(w)).sum()
     }
 
     /// Sum of all edge weights (each undirected edge counted once).
     pub fn total_edge_weight(&self) -> u64 {
-        self.0.adj.entries().iter().map(|&(_, w)| w).sum::<u64>() / 2
+        let weights = self.0.adj.entries().iter().map(|&(_, w)| u64::from(w));
+        weights.sum::<u64>() / 2
     }
 
     /// Neighbors of `v` with edge weights, in first-insertion order.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, u64)] {
+    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, u32)] {
         self.0.adj.row(v)
     }
 
@@ -100,7 +106,7 @@ impl LevelGraph {
     }
 
     /// Weight of the edge `(u, v)`, or `None` if absent.
-    pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<u64> {
+    pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<u32> {
         self.neighbors(u)
             .iter()
             .find(|(n, _)| *n == v)
@@ -108,7 +114,7 @@ impl LevelGraph {
     }
 
     /// Iterates every undirected edge once as `(u, v, w)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u32)> + '_ {
         (0..self.node_count() as NodeId).flat_map(move |u| {
             self.neighbors(u)
                 .iter()
@@ -144,10 +150,10 @@ impl LevelGraph {
     }
 
     /// Contracts the graph through `map` (node → coarse node) onto coarse
-    /// nodes of the given weights: parallel coarse edges accumulate weight,
-    /// edges inside a coarse node fold away. Edges are merged in `(min, max)`
-    /// endpoint order, so every coarse row lists its neighbours ascending.
-    pub(crate) fn contracted(&self, map: &[NodeId], node_weight: Vec<u64>) -> LevelGraph {
+    /// nodes of the given weights: parallel coarse edges accumulate weight
+    /// (saturating), edges inside a coarse node fold away. Edges are merged
+    /// in `(min, max)` order, so every coarse row lists its neighbours ascending.
+    pub(crate) fn contracted(&self, map: &[NodeId], node_weight: Vec<u32>) -> LevelGraph {
         let mut edges = Vec::with_capacity(self.edge_count());
         edges.extend(
             self.edges()
@@ -161,17 +167,17 @@ impl LevelGraph {
         edges.dedup_by(|next, kept| {
             let same = (next.0, next.1) == (kept.0, kept.1);
             if same {
-                kept.2 += next.2;
+                kept.2 = kept.2.saturating_add(next.2);
             }
             same
         });
         LevelGraph::scatter(node_weight, edges.iter().copied(), distinct)
     }
 
-    /// Bytes this graph holds on the heap — 16 per adjacency entry, 12 per
+    /// Bytes this graph holds on the heap — 8 per adjacency entry, 8 per
     /// node, 4 for the closing offset — however many clones share them.
     pub fn heap_bytes(&self) -> usize {
-        self.0.adj.heap_bytes() + self.0.node_weight.capacity() * std::mem::size_of::<u64>()
+        self.0.adj.heap_bytes() + vec_bytes(&self.0.node_weight)
     }
 
     /// Checks structural invariants (symmetry, no self-loops, weights > 0);
@@ -253,8 +259,8 @@ impl GraphSet {
     /// arrays with a graph held elsewhere are counted here all the same.
     pub fn heap_bytes(&self) -> usize {
         let levels: usize = self.levels.iter().map(LevelGraph::heap_bytes).sum();
-        let maps: usize = self.fine_to_coarse.iter().map(Vec::capacity).sum();
-        levels + maps * std::mem::size_of::<NodeId>()
+        let maps: usize = self.fine_to_coarse.iter().map(vec_bytes).sum();
+        levels + maps
     }
 
     /// Checks cross-level invariants: map lengths, weight conservation, and
@@ -278,10 +284,10 @@ impl GraphSet {
             // Node weight conservation per coarse node.
             let mut acc = vec![0u64; coarse.node_count()];
             for (v, &c) in map.iter().enumerate() {
-                acc[c as usize] += fine.node_weight(v as NodeId);
+                acc[c as usize] += u64::from(fine.node_weight(v as NodeId));
             }
             for (c, &w) in acc.iter().enumerate() {
-                if w != coarse.node_weight(c as NodeId) {
+                if w != u64::from(coarse.node_weight(c as NodeId)) {
                     return fail(format!(
                         "level {}: node {c} weight {} != accumulated {w}",
                         i + 1,
@@ -309,9 +315,9 @@ impl fc_ckpt::Codec for LevelGraph {
     }
 
     fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<LevelGraph, fc_ckpt::CkptError> {
-        let adj = Csr::<(NodeId, u64)>::decode(r, 12)?;
+        let adj = Csr::<(NodeId, u32)>::decode(r, 8)?;
         let n = adj.rows();
-        let node_weight = Vec::<u64>::decode(r)?;
+        let node_weight = Vec::<u32>::decode(r)?;
         if node_weight.len() != n || adj.entries().iter().any(|&(v, _)| v as usize >= n) {
             return Err(fc_ckpt::CkptError::Decode {
                 detail: format!("LevelGraph weights or neighbors disagree with its {n} nodes"),
@@ -368,6 +374,40 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.edge_weight(0, 1), Some(7));
         g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn parallel_edges_saturate_instead_of_wrapping() {
+        let heavy = 3_000_000_000;
+        let g = LevelGraph::from_edges(vec![1; 2], &[(0, 1, heavy), (1, 0, heavy)]);
+        assert_eq!(g.edge_weight(0, 1), Some(u32::MAX));
+        assert_eq!(g.edge_weight(1, 0), Some(u32::MAX));
+        assert_eq!(g.total_edge_weight(), u64::from(u32::MAX));
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn totals_are_summed_wide() {
+        let w = u32::MAX;
+        let g = LevelGraph::from_edges(vec![w; 3], &[(0, 1, w), (1, 2, w)]);
+        assert_eq!(g.total_node_weight(), 3 * u64::from(w));
+        assert_eq!(g.total_edge_weight(), 2 * u64::from(w));
+    }
+
+    /// 8 bytes an adjacency entry (4 + 4, no padding), 8 a node (offset +
+    /// weight), 4 for the closing offset; on the wire 8 an entry and 4 a
+    /// weight.
+    #[test]
+    fn entry_and_node_sizes() {
+        assert_eq!(std::mem::size_of::<(NodeId, u32)>(), 8);
+        let g = triangle();
+        let (n, entries) = (g.node_count(), 2 * g.edge_count());
+        assert_eq!(g.heap_bytes(), 8 * entries + 8 * n + 4);
+        let bytes = fc_ckpt::encode_to_vec(&g);
+        // Row count, then per row a length; weight count, then weights.
+        assert_eq!(bytes.len(), 8 + n * 8 + 8 * entries + 8 + 4 * n);
+        let back: LevelGraph = fc_ckpt::decode_from_slice(&bytes).unwrap();
+        assert_eq!(back, g);
     }
 
     #[test]

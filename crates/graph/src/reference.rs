@@ -9,7 +9,7 @@ use crate::level::NodeId;
 
 /// The undirected graph as symmetric adjacency lists.
 pub(crate) struct LevelGraph {
-    adj: Vec<Vec<(NodeId, u64)>>,
+    adj: Vec<Vec<(NodeId, u32)>>,
 }
 
 impl LevelGraph {
@@ -23,25 +23,25 @@ impl LevelGraph {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
-    pub(crate) fn neighbors(&self, v: NodeId) -> &[(NodeId, u64)] {
+    pub(crate) fn neighbors(&self, v: NodeId) -> &[(NodeId, u32)] {
         &self.adj[v as usize]
     }
 
-    /// Adds an undirected edge, accumulating weight if it already exists.
-    /// Self-loops are ignored.
-    pub(crate) fn add_edge(&mut self, u: NodeId, v: NodeId, w: u64) {
+    /// Adds an undirected edge, accumulating weight (saturating) if it
+    /// already exists. Self-loops are ignored.
+    pub(crate) fn add_edge(&mut self, u: NodeId, v: NodeId, w: u32) {
         if u == v {
             return;
         }
         for (a, b) in [(u, v), (v, u)] {
             match self.adj[a as usize].iter_mut().find(|(n, _)| *n == b) {
-                Some(slot) => slot.1 += w,
+                Some(slot) => slot.1 = slot.1.saturating_add(w),
                 None => self.adj[a as usize].push((b, w)),
             }
         }
     }
 
-    pub(crate) fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u32)> + '_ {
         self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
             nbrs.iter()
                 .filter(move |&&(v, _)| (u as NodeId) < v)
@@ -136,15 +136,22 @@ mod differential {
     use fc_rng::{cases, Rng};
 
     /// `add_edge` with repeats and self-loops, then every observable of the
-    /// flat graph against the list graph's.
+    /// flat graph against the list graph's. One weight in eight is within
+    /// a few units of `u32::MAX`, so repeats saturate as well as add.
     #[test]
     fn level_graph_matches_reference() {
         cases(256, |rng| {
             let n = rng.range(0usize..24);
-            let weights: Vec<u64> = (0..n).map(|_| rng.range(1u64..9)).collect();
+            let weights: Vec<u32> = (0..n).map(|_| rng.range(1u32..9)).collect();
             // Few distinct endpoints, so repeats and self-loops are common.
             let edges: Vec<_> = (0..count(rng, n, 80))
-                .map(|_| (node(rng, n), node(rng, n), rng.range(1u64..50)))
+                .map(|_| {
+                    let w = match rng.range(0u8..8) {
+                        0 => u32::MAX - rng.range(0u32..4),
+                        _ => rng.range(1u32..50),
+                    };
+                    (node(rng, n), node(rng, n), w)
+                })
                 .collect();
             let mut reference = super::LevelGraph::with_nodes(n);
             for &(u, v, w) in &edges {

@@ -256,7 +256,7 @@ mod tests {
     fn respects_node_weights() {
         // One heavy node (weight 50) + 50 light nodes in a path.
         let g = LevelGraph::from_edges(
-            std::iter::once(50u64)
+            std::iter::once(50u32)
                 .chain(std::iter::repeat_n(1, 50))
                 .collect(),
             &(0..50).map(|i| (i, i + 1, 3)).collect::<Vec<_>>(),

@@ -512,7 +512,7 @@ mod props {
     fn arb_case(rng: &mut Rng) -> (LocalGraph, Vec<bool>) {
         let n = rng.range(4usize..24);
         let raw = rng.vec(1..80, |r| {
-            (r.range(0usize..24), r.range(0usize..24), r.range(1u64..50))
+            (r.range(0usize..24), r.range(0usize..24), r.range(1u32..50))
         });
         let edges: Vec<_> = raw
             .into_iter()

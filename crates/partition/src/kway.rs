@@ -105,7 +105,7 @@ fn kway_pass(
     let mut unlocked_degree = 0u64;
     for v in 0..n as u32 {
         let pv = parts[v as usize];
-        part_weight[pv as usize] += g.node_weight(v);
+        part_weight[pv as usize] += u64::from(g.node_weight(v));
         unlocked_degree += g.degree(v) as u64;
         let count = g
             .neighbors(v)
@@ -150,7 +150,7 @@ fn kway_pass(
             }
             // A node never leaves a partition it is the last member of —
             // emptying a partition is never what refinement means.
-            let would_empty = part_weight[pi as usize] == g.node_weight(v);
+            let would_empty = part_weight[pi as usize] == u64::from(g.node_weight(v));
             for &pj in &touched {
                 let admissible = !would_empty
                     && (part_weight[pj as usize] as f64)
@@ -172,7 +172,7 @@ fn kway_pass(
         locked[v as usize] = true;
         boundary.remove(&v);
         unlocked_degree -= g.degree(v) as u64;
-        let w_v = g.node_weight(v);
+        let w_v = u64::from(g.node_weight(v));
         part_weight[pi as usize] -= w_v;
         part_weight[pj as usize] += w_v;
         // Boundary status changes only around the moved node: unlocked
@@ -332,7 +332,7 @@ mod reference {
         let n = g.node_count();
         let mut part_weight = vec![0u64; k];
         for v in 0..n {
-            part_weight[parts[v] as usize] += g.node_weight(v as u32);
+            part_weight[parts[v] as usize] += u64::from(g.node_weight(v as u32));
         }
         let mut locked = vec![false; n];
         let mut moves: Vec<(u32, u32, u32, i64)> = Vec::new(); // (node, from, to, gain)
@@ -367,7 +367,7 @@ mod reference {
                 // Only boundary nodes (E_v > 0) are candidates. A node never
                 // leaves a partition it is the last member of — emptying a
                 // partition is never what refinement means.
-                let would_empty = part_weight[pi as usize] == g.node_weight(v);
+                let would_empty = part_weight[pi as usize] == u64::from(g.node_weight(v));
                 for &pj in &touched {
                     let admissible = !would_empty
                         && (part_weight[pj as usize] as f64)
@@ -391,7 +391,7 @@ mod reference {
             let pi = parts[v as usize];
             parts[v as usize] = pj;
             locked[v as usize] = true;
-            let w_v = g.node_weight(v);
+            let w_v = u64::from(g.node_weight(v));
             part_weight[pi as usize] -= w_v;
             part_weight[pj as usize] += w_v;
             cum += gain;
@@ -505,7 +505,7 @@ mod props {
     fn arb_case(rng: &mut Rng) -> (LevelGraph, Vec<u32>, usize) {
         let (n, k) = (rng.range(3usize..20), rng.range(2usize..5));
         let raw = rng.vec(1..60, |r| {
-            (r.range(0usize..20), r.range(0usize..20), r.range(1u64..30))
+            (r.range(0usize..20), r.range(0usize..20), r.range(1u32..30))
         });
         let edges: Vec<_> = raw
             .into_iter()

@@ -38,12 +38,12 @@ impl LocalGraph {
                     .iter()
                     .filter_map(|&(u, w)| match global_to_local[u as usize] {
                         ABSENT => None,
-                        lu => Some((lu, w)),
+                        lu => Some((lu, u64::from(w))),
                     })
                     .collect()
             })
             .collect();
-        let node_w = nodes.iter().map(|&v| g.node_weight(v)).collect();
+        let node_w = nodes.iter().map(|&v| u64::from(g.node_weight(v))).collect();
         LocalGraph {
             nodes: nodes.to_vec(),
             adj,

@@ -9,7 +9,7 @@ pub fn edge_cut(g: &LevelGraph, parts: &[u32]) -> u64 {
     assert_eq!(parts.len(), g.node_count(), "partition length mismatch");
     g.edges()
         .filter(|&(u, v, _)| parts[u as usize] != parts[v as usize])
-        .map(|(_, _, w)| w)
+        .map(|(_, _, w)| u64::from(w))
         .sum()
 }
 
@@ -17,7 +17,7 @@ pub fn edge_cut(g: &LevelGraph, parts: &[u32]) -> u64 {
 pub fn partition_weights(g: &LevelGraph, parts: &[u32], k: usize) -> Vec<u64> {
     let mut weights = vec![0u64; k];
     for v in 0..g.node_count() {
-        weights[parts[v] as usize] += g.node_weight(v as u32);
+        weights[parts[v] as usize] += u64::from(g.node_weight(v as u32));
     }
     weights
 }

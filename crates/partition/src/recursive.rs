@@ -457,7 +457,7 @@ fn bisect_partition(
             };
             if a == p || a == p_new {
                 side[li] = a == p_new;
-                side_weight[usize::from(a == p_new)] += graph.node_weight(v);
+                side_weight[usize::from(a == p_new)] += u64::from(graph.node_weight(v));
             } else {
                 // The ancestor drifted to another partition during an
                 // earlier refinement; balance these rather than piling them
@@ -468,7 +468,7 @@ fn bisect_partition(
         for li in drifters {
             let s = usize::from(side_weight[1] < side_weight[0]);
             side[li] = s == 1;
-            side_weight[s] += graph.node_weight(nodes[li]);
+            side_weight[s] += u64::from(graph.node_weight(nodes[li]));
         }
         // Guard against a degenerate or badly lopsided projection.
         let total = side_weight[0] + side_weight[1];

@@ -49,7 +49,7 @@ pub(crate) fn seeds_for(n: usize) -> std::ops::Range<u64> {
 /// above, the second lies within eight ids of the first, so that a block
 /// start is a decent partition the way a projected bisection is — from a
 /// start that cuts everything the oracles need minutes unoptimized.
-fn random_edges(g: &mut Vec<(u32, u32, u64)>, n: usize, rng: &mut Rng, edges: usize, max_w: u64) {
+fn random_edges(g: &mut Vec<(u32, u32, u32)>, n: usize, rng: &mut Rng, edges: usize, max_w: u32) {
     if n < 2 {
         return;
     }
@@ -64,7 +64,7 @@ fn random_edges(g: &mut Vec<(u32, u32, u64)>, n: usize, rng: &mut Rng, edges: us
 /// Builds the `n`-node member of `family` for `seed`.
 pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
     let mut rng = Rng::new(seed ^ ((family as u64) << 40) ^ ((n as u64) << 20));
-    let mut weights = vec![1u64; n];
+    let mut weights = vec![1u32; n];
     let mut g = Vec::new();
     match family {
         Family::Path => {
@@ -129,7 +129,7 @@ pub(crate) fn build(family: Family, n: usize, seed: u64) -> LevelGraph {
         }
         Family::HeavyNode => {
             if n > 0 {
-                weights[rng.range(0..n)] = n as u64;
+                weights[rng.range(0..n)] = n as u32;
             }
             random_edges(&mut g, n, &mut rng, 2 * n, 20);
         }
