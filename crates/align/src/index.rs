@@ -518,12 +518,12 @@ mod tests {
             for (j, reference) in store.split_subsets(n).iter().enumerate() {
                 let reads: Vec<(ReadId, &DnaString)> = reference
                     .iter()
-                    .map(|&id| (id, &store.get(id).seq))
+                    .map(|&id| (id, store.get(id)))
                     .collect();
                 let index = KmerIndex::build(&reads, config.k);
                 let naive = NaiveIndex::build(&reads, config.k);
                 for q in store.ids() {
-                    let query = &store.get(q).seq;
+                    let query = store.get(q);
                     for (pos, kmer) in query.kmers(config.k).step_by(config.seed_step) {
                         let what = format!("{n} subsets, reference {j}, read {} at {pos}", q.0);
                         assert_same_hits(&index, &naive, kmer, &what);

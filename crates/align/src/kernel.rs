@@ -97,8 +97,8 @@ pub fn banded_nw_verdict(
     req: &VerifyReq,
     nw: &mut NwScratch,
 ) -> Option<AlignmentSummary> {
-    let a_seq = &store.get(req.a).seq;
-    let b_seq = &store.get(req.b).seq;
+    let a_seq = store.get(req.a);
+    let b_seq = store.get(req.b);
     let config = NwConfig {
         band: req.band,
         ..params.nw
@@ -111,9 +111,9 @@ pub fn banded_nw_verdict(
 /// bases per word straight from the packed reads.
 fn hamming(store: &ReadStore, req: &VerifyReq) -> usize {
     debug_assert_eq!(req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
-    store.get(req.a).seq.packed().mismatches(
+    store.get(req.a).packed().mismatches(
         req.a_range.0,
-        &store.get(req.b).seq.packed(),
+        &store.get(req.b).packed(),
         req.b_range.0,
         req.a_range.1 - req.a_range.0,
     )
@@ -175,9 +175,9 @@ pub(crate) fn verify(
         return None;
     }
     let d = edit_distance_with(
-        store.get(req.a).seq.packed(),
+        store.get(req.a).packed(),
         req.a_range,
-        store.get(req.b).seq.packed(),
+        store.get(req.b).packed(),
         req.b_range,
         &mut scratch.myers,
     );
@@ -264,7 +264,7 @@ mod tests {
                     // Unrelated ranges with band-straddling length deltas.
                     let a = ReadId(rng.range(0..store.len() as u32));
                     let b = ReadId(rng.range(0..store.len() as u32));
-                    let (la, lb) = (store.get(a).seq.len(), store.get(b).seq.len());
+                    let (la, lb) = (store.get(a).len(), store.get(b).len());
                     let n = rng.range(0..la + 1);
                     let delta = rng.range(0..band + 3);
                     let m = if rng.bool(0.5) {
@@ -279,7 +279,7 @@ mod tests {
                 2 => {
                     // Same read, endpoints jittered by up to 2 bases.
                     let a = ReadId(rng.range(0..store.len() as u32));
-                    let la = store.get(a).seq.len();
+                    let la = store.get(a).len();
                     let n = rng.range(0..la + 1);
                     let a0 = rng.range(0..la - n + 1);
                     let b0 = a0.saturating_sub(rng.range(0..3));
@@ -292,7 +292,7 @@ mod tests {
                     let i = rng.range(0..12u32);
                     let a = ReadId(4 * i);
                     let b = ReadId(4 * i + 2);
-                    let (la, lb) = (store.get(a).seq.len(), store.get(b).seq.len());
+                    let (la, lb) = (store.get(a).len(), store.get(b).len());
                     let n = rng.range(0..la + 1);
                     let a0 = rng.range(0..la - n + 1);
                     let jit = rng.range(0..2);

@@ -286,7 +286,7 @@ impl<'a> Overlapper<'a> {
     pub fn index_subset(&self, reference: &[ReadId]) -> KmerIndex {
         let reads: Vec<(ReadId, &DnaString)> = reference
             .iter()
-            .map(|&id| (id, &self.store.get(id).seq))
+            .map(|&id| (id, self.store.get(id)))
             .collect();
         KmerIndex::build(&reads, self.config.k)
     }
@@ -518,7 +518,7 @@ impl<'a> Overlapper<'a> {
         scratch: &mut AlignScratch,
     ) {
         let k = self.config.k;
-        let query_seq = &self.store.get(q).seq;
+        let query_seq = self.store.get(q);
         if query_seq.len() < k {
             return;
         }
@@ -613,8 +613,8 @@ impl<'a> Overlapper<'a> {
     /// returning the verification request (or `None` when the diagonal
     /// implies no overlap).
     fn classify_candidate(&self, q: ReadId, r: ReadId, diag: i64) -> Option<VerifyReq> {
-        let qs = &self.store.get(q).seq;
-        let rs = &self.store.get(r).seq;
+        let qs = self.store.get(q);
+        let rs = self.store.get(r);
         let (len_q, len_r) = (qs.len() as i64, rs.len() as i64);
 
         // Geometry from the diagonal: r's origin sits `diag` bases right of
@@ -759,9 +759,9 @@ pub(crate) mod tests {
     /// overlap with this geometry.
     fn range_len(store: &ReadStore, o: &Overlap) -> usize {
         match o.kind {
-            OverlapKind::SuffixPrefix => store.get(o.a).seq.len() - o.shift as usize,
-            OverlapKind::ContainsB => store.get(o.b).seq.len(),
-            OverlapKind::ContainedInB => store.get(o.a).seq.len(),
+            OverlapKind::SuffixPrefix => store.get(o.a).len() - o.shift as usize,
+            OverlapKind::ContainsB => store.get(o.b).len(),
+            OverlapKind::ContainedInB => store.get(o.a).len(),
         }
     }
 

@@ -30,7 +30,8 @@ pub const MAGIC: [u8; 4] = *b"FCKP";
 /// lost their ninth counter. Version 3: fc-graph's `DiEdge` records lost
 /// their `identity` field. Version 4: fc-graph's `LevelGraph` adjacency
 /// entries went from 12 to 8 bytes and its node weights from 8 to 4.
-pub const FORMAT_VERSION: u32 = 4;
+/// Version 5: fc-seq's `ReadStore` holds bases only, no names or qualities.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A decoded checkpoint container.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -485,9 +485,10 @@ fn overlap_all_spilled(
     Ok((all, tally.finish(rec, &config.overlap)))
 }
 
-/// What a subset's seed index will hold; the layout and its arithmetic
-/// live with [`KmerIndex`].
-fn approx_index_bytes(subset: &[fc_seq::ReadId], store: &ReadStore, k: usize) -> u64 {
+/// What a subset's seed index will hold — the ledger's charge for it on
+/// both alignment paths; the layout and its arithmetic live with
+/// [`KmerIndex`].
+pub(crate) fn approx_index_bytes(subset: &[fc_seq::ReadId], store: &ReadStore, k: usize) -> u64 {
     let bases: usize = subset.iter().map(|&id| store.get(id).len()).sum();
     KmerIndex::estimated_bytes(bases, subset.len(), k)
 }

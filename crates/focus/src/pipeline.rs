@@ -13,7 +13,7 @@
 
 use crate::checkpoint::{AlignmentCkpt, CkptPhase, CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
-use crate::ooc::RunBudget;
+use crate::ooc::{approx_index_bytes, RunBudget};
 use crate::stats::AssemblyStats;
 use fc_align::{Overlap, Overlapper, PairStats, Pool};
 use fc_dist::{AssemblyPath, DistributedConfig, DistributedHybrid, DistributedReport, FaultPlan};
@@ -168,9 +168,17 @@ impl FocusAssembler {
             Ok(store)
         })?;
         budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
+        let mem = budget.budget().clone();
         self.prepare_from(store, policy, &mut budget, |store| {
             let overlapper = Overlapper::new(store, config.overlap)?;
             let subsets = store.split_subsets(config.subsets);
+            // `overlap_all` builds every subset's index up front, so all of
+            // them are charged before it starts and until it returns.
+            let indexes = subsets
+                .iter()
+                .map(|s| approx_index_bytes(s, store, config.overlap.k))
+                .sum();
+            let _indexes = mem.try_reserve("align-index", indexes)?;
             Ok(overlapper.overlap_all(&subsets, &pool, rec))
         })
     }

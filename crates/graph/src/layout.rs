@@ -91,7 +91,7 @@ impl ClusterLayout {
         let mut counts = vec![[0u32; 4]; span];
         for &(v, o) in &self.order {
             let rel = (o - base_off) as usize;
-            let seq = &store.get(ReadId(v)).seq;
+            let seq = store.get(ReadId(v));
             for (i, b) in seq.iter().enumerate() {
                 counts[rel + i][b.code() as usize] += 1;
             }
@@ -119,7 +119,7 @@ impl ClusterLayout {
         let base = self.order.first().map_or(0, |&(_, o)| o);
         let mut covered_to: i64 = 0; // exclusive end, relative to base
         for &(node, offset) in &self.order {
-            let read = &store.get(ReadId(node)).seq;
+            let read = store.get(ReadId(node));
             let rel = offset - base;
             let read_end = rel + read.len() as i64;
             if read_end <= covered_to {
@@ -381,7 +381,7 @@ mod tests {
         let (store, di) = tiling(&g, 100, 10);
         let layout = layout_of(&[1], &di, &store).unwrap();
         assert_eq!(layout.order, vec![(1, 0)]);
-        assert_eq!(layout.contig_sequence(&store), store.get(ReadId(1)).seq);
+        assert_eq!(&layout.contig_sequence(&store), store.get(ReadId(1)));
     }
 
     #[test]

@@ -167,6 +167,12 @@ impl DnaString {
         self.iter().map(Base::to_ascii).collect()
     }
 
+    /// Bytes of heap the packed words hold.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.capacity() * 8
+    }
+
     /// Number of positions at which `self` and `other` differ, comparing the
     /// first `min(len, other.len)` bases plus the length difference.
     pub fn hamming_distance(&self, other: &DnaString) -> usize {

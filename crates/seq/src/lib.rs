@@ -7,9 +7,9 @@
 //!   reverse-complement, slicing and k-mer iteration, plus the zero-copy
 //!   word-level [`packed::PackedView`] consumed by bit-parallel aligners,
 //! * [`QualityScores`] — Phred quality values with FASTQ encoding,
-//! * [`Read`] and [`ReadStore`] — sequencing reads and the container the
-//!   assembler operates on, including reverse-complement augmentation and
-//!   subset splitting (paper §II-A),
+//! * [`Read`] and [`ReadStore`] — sequencing reads as parsed, and the
+//!   trimmed bases the assembler operates on, including reverse-complement
+//!   augmentation and subset splitting (paper §II-A),
 //! * FASTA/FASTQ parsing and writing ([`fasta`], [`fastq`]),
 //! * read trimming ([`trim`]) — fixed 5'/3' trimming and the paper's
 //!   sliding-window 3' quality trimming.

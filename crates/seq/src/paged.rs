@@ -20,8 +20,8 @@
 //! Only forward strands are stored; reverse complements are deterministic
 //! and regenerated on materialization, halving spill I/O.
 
+use crate::dna::DnaString;
 use crate::error::SeqError;
-use crate::read::Read;
 use crate::store::ReadStore;
 use fc_ckpt::{CheckpointStore, CkptError, Codec, FsFaultPlan, LoadOutcome};
 use std::path::{Path, PathBuf};
@@ -34,8 +34,10 @@ const META_NAME: &str = "pages_meta";
 const FIRST_PAGE_ID: u32 = 1;
 /// Phase name used for page files.
 const PAGE_NAME: &str = "page";
-/// Format version of the meta record; bumped on layout changes.
-const META_VERSION: u32 = 1;
+/// Format version of the meta record; bumped on layout changes. Version 2:
+/// a page entry holds the trimmed bases and the source index, no name or
+/// qualities.
+const META_VERSION: u32 = 2;
 
 /// Errors from the paged store. Every on-disk defect is detected (via the
 /// checkpoint CRC/manifest machinery) and reported typed; callers decide
@@ -92,22 +94,23 @@ impl From<PagedError> for SeqError {
     }
 }
 
-/// One staged read: the trimmed forward strand plus its source index.
+/// One staged read: the trimmed forward strand's bases plus its source
+/// index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PageEntry {
-    read: Read,
+    bases: DnaString,
     source: u32,
 }
 
 impl Codec for PageEntry {
     fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.read.encode(w);
+        self.bases.encode(w);
         self.source.encode(w);
     }
 
     fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<PageEntry, CkptError> {
         Ok(PageEntry {
-            read: Read::decode(r)?,
+            bases: DnaString::decode(r)?,
             source: u32::decode(r)?,
         })
     }
@@ -180,12 +183,12 @@ impl PagedStoreWriter {
         }
     }
 
-    /// Appends one trimmed forward read. Flushes a page to disk whenever
+    /// Appends one trimmed forward strand. Flushes a page to disk whenever
     /// the buffer fills; the first write failure is returned typed (pages
     /// already flushed stay valid, so the caller can fall back in-core
     /// without losing anything it has not still got in memory).
-    pub fn push(&mut self, read: Read, source: u32) -> Result<(), PagedError> {
-        self.buffer.push(PageEntry { read, source });
+    pub fn push(&mut self, bases: DnaString, source: u32) -> Result<(), PagedError> {
+        self.buffer.push(PageEntry { bases, source });
         if self.buffer.len() >= self.page_len {
             self.flush_page()?;
         }
@@ -205,11 +208,6 @@ impl PagedStoreWriter {
     /// Encoded bytes written to disk so far.
     pub fn bytes_spilled(&self) -> u64 {
         self.bytes_spilled
-    }
-
-    /// Approximate resident bytes of the unflushed page buffer.
-    pub fn buffered_bytes(&self) -> usize {
-        self.buffer.iter().map(|e| e.read.approx_bytes() + 4).sum()
     }
 
     fn flush_page(&mut self) -> Result<(), PagedError> {
@@ -360,10 +358,10 @@ impl PagedReadStore {
         (self.hits, self.misses)
     }
 
-    /// The staged read at `index` (forward strand) and its source index.
+    /// The staged bases at `index` (forward strand) and their source index.
     /// Faults the owning page into the LRU cache on miss; the returned
     /// reference is pinned until the next `get`/`materialize` call.
-    pub fn get(&mut self, index: usize) -> Result<(&Read, u32), PagedError> {
+    pub fn get(&mut self, index: usize) -> Result<(&DnaString, u32), PagedError> {
         if index >= self.meta.entries as usize {
             return Err(PagedError::Stale(format!(
                 "read index {index} out of bounds for {} staged reads",
@@ -374,7 +372,7 @@ impl PagedReadStore {
         let offset = index % self.meta.page_len as usize;
         let slot = self.pin_page(page)?;
         let entry = &self.cache[slot].1[offset];
-        Ok((&entry.read, entry.source))
+        Ok((&entry.bases, entry.source))
     }
 
     /// Moves `page` to the cache front, loading (and evicting) as needed;
@@ -412,10 +410,10 @@ impl PagedReadStore {
     /// pages sequentially without going through the LRU, so peak extra
     /// memory is one page.
     pub fn materialize(&mut self) -> Result<ReadStore, PagedError> {
-        let mut pairs: Vec<(Read, u32)> = Vec::with_capacity(self.meta.entries as usize);
+        let mut pairs = Vec::with_capacity(self.meta.entries as usize);
         for page in 0..self.meta.pages {
             for entry in self.load_page(page)? {
-                pairs.push((entry.read, entry.source));
+                pairs.push((entry.bases, entry.source));
             }
         }
         if pairs.len() as u64 != self.meta.entries {
@@ -433,6 +431,7 @@ impl PagedReadStore {
 mod tests {
     use super::*;
     use crate::quality::QualityScores;
+    use crate::read::Read;
     use crate::store::ReadStoreBuilder;
     use crate::trim::TrimConfig;
     use fc_ckpt::{ReadFault, WriteFault};
@@ -447,18 +446,17 @@ mod tests {
         dir
     }
 
-    fn sample_reads(n: usize) -> Vec<Read> {
+    fn sample_reads(n: usize) -> Vec<DnaString> {
         (0..n)
             .map(|i| {
-                let bases = ["ACGTACGTAC", "TTGGCCAATT", "GATTACAGAT"][i % 3];
-                let seq: crate::DnaString = bases.parse().unwrap();
-                let qual = QualityScores::from_phred(vec![35; seq.len()]);
-                Read::with_quality(format!("r{i}"), seq, qual)
+                ["ACGTACGTAC", "TTGGCCAATT", "GATTACAGAT"][i % 3]
+                    .parse()
+                    .unwrap()
             })
             .collect()
     }
 
-    fn stage(dir: &Path, reads: &[Read], page_len: usize) -> PagedReadStore {
+    fn stage(dir: &Path, reads: &[DnaString], page_len: usize) -> PagedReadStore {
         let mut w = PagedStoreWriter::create(dir, 0xFC, page_len, FsFaultPlan::none());
         for (i, read) in reads.iter().enumerate() {
             w.push(read.clone(), i as u32).unwrap();
@@ -484,15 +482,15 @@ mod tests {
     #[test]
     fn materialize_matches_builder_output() {
         let dir = temp_dir("materialize");
-        let reads = sample_reads(5);
         let config = TrimConfig {
             min_read_len: 1,
             ..TrimConfig::default()
         };
         // Reference: the normal streaming builder.
         let mut builder = ReadStoreBuilder::new(&config).unwrap();
-        for read in &reads {
-            builder.push(read);
+        for (i, seq) in sample_reads(5).into_iter().enumerate() {
+            let qual = QualityScores::from_phred(vec![35; seq.len()]);
+            builder.push(&Read::with_quality(format!("r{i}"), seq, qual));
         }
         let expect = builder.finish();
         // Staged: spill the forward strands, then materialize (which
@@ -549,6 +547,25 @@ mod tests {
         // Missing directory: stale (nothing staged), not a crash.
         let err = PagedReadStore::open(dir.join("nope"), 0xFC, 0xD1, FsFaultPlan::none())
             .unwrap_err();
+        assert!(matches!(err, PagedError::Stale(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Pages staged under another meta version are refused as stale —
+    /// their entries are never decoded as this version's layout.
+    #[test]
+    fn pages_of_an_older_meta_version_are_stale() {
+        let dir = temp_dir("old_version");
+        let mut paged = stage(&dir, &sample_reads(4), 2);
+        let old = Meta {
+            version: META_VERSION - 1,
+            ..paged.meta
+        };
+        assert!(paged
+            .store
+            .save(META_ID, META_NAME, vec![fc_ckpt::encode_to_vec(&old)])
+            .unwrap());
+        let err = PagedReadStore::open(&dir, 0xFC, 0xD1, FsFaultPlan::none()).unwrap_err();
         assert!(matches!(err, PagedError::Stale(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -77,39 +77,6 @@ impl QualityScores {
         let sum: u32 = self.scores[start..end].iter().map(|&q| q as u32).sum();
         Some(sum as f64 / (end - start) as f64)
     }
-
-    /// Keeps only the scores in `0..new_len` (used when the read is trimmed).
-    pub fn truncate(&mut self, new_len: usize) {
-        self.scores.truncate(new_len);
-    }
-
-    /// Keeps only the scores in `start..`, dropping the prefix.
-    pub fn drop_prefix(&mut self, start: usize) {
-        self.scores.drain(..start.min(self.scores.len()));
-    }
-
-    /// Scores in reverse order (quality of a reverse-complemented read).
-    pub fn reversed(&self) -> QualityScores {
-        QualityScores {
-            scores: self.scores.iter().rev().copied().collect(),
-        }
-    }
-}
-
-impl fc_ckpt::Codec for QualityScores {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        w.put_bytes(&self.scores);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<QualityScores, fc_ckpt::CkptError> {
-        let scores = r.bytes()?.to_vec();
-        if let Some(&bad) = scores.iter().find(|&&q| q > MAX_PHRED) {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: format!("Phred score {bad} exceeds the maximum {MAX_PHRED}"),
-            });
-        }
-        Ok(QualityScores { scores })
-    }
 }
 
 /// Converts a Phred score to its error probability `10^(-q/10)`.
@@ -165,11 +132,5 @@ mod tests {
     fn from_phred_clamps() {
         let q = QualityScores::from_phred(vec![200]);
         assert_eq!(q.get(0), MAX_PHRED);
-    }
-
-    #[test]
-    fn reversed_reverses() {
-        let q = QualityScores::from_phred(vec![1, 2, 3]);
-        assert_eq!(q.reversed().as_slice(), &[3, 2, 1]);
     }
 }

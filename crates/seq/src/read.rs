@@ -60,7 +60,7 @@ impl Read {
         self.seq.len()
     }
 
-    /// True if the read has no bases left (e.g. trimmed away entirely).
+    /// True if the read has no bases.
     pub fn is_empty(&self) -> bool {
         self.seq.is_empty()
     }
@@ -78,71 +78,11 @@ impl Read {
             + (packed_words + VEC_HEADER)
             + self.qual.as_ref().map_or(0, |q| q.len() + VEC_HEADER)
     }
-
-    /// The reverse complement of this read. Quality scores are reversed, and
-    /// the name gets a `/rc` suffix so provenance stays visible in output.
-    pub fn reverse_complement(&self) -> Read {
-        Read {
-            name: format!("{}/rc", self.name),
-            seq: self.seq.reverse_complement(),
-            qual: self.qual.as_ref().map(QualityScores::reversed),
-        }
-    }
-}
-
-impl fc_ckpt::Codec for Read {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.name.encode(w);
-        self.seq.encode(w);
-        self.qual.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<Read, fc_ckpt::CkptError> {
-        let name = String::decode(r)?;
-        let seq = DnaString::decode(r)?;
-        let qual = Option::<QualityScores>::decode(r)?;
-        if let Some(q) = &qual {
-            if q.len() != seq.len() {
-                return Err(fc_ckpt::CkptError::Decode {
-                    detail: format!(
-                        "read {name:?}: {} quality scores for {} bases",
-                        q.len(),
-                        seq.len()
-                    ),
-                });
-            }
-        }
-        Ok(Read { name, seq, qual })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checkpoint_codec_round_trips_reads() {
-        let seq: DnaString = "AACG".parse().unwrap();
-        let qual = QualityScores::from_phred(vec![10, 20, 30, 40]);
-        let read = Read::with_quality("r1", seq.clone(), qual);
-        let plain = Read::new("r2", seq);
-        for r in [&read, &plain] {
-            let bytes = fc_ckpt::encode_to_vec(r);
-            let back: Read = fc_ckpt::decode_from_slice(&bytes).unwrap();
-            assert_eq!(&back, r);
-        }
-    }
-
-    #[test]
-    fn reverse_complement_flips_sequence_and_quality() {
-        let seq: DnaString = "AACG".parse().unwrap();
-        let qual = QualityScores::from_phred(vec![10, 20, 30, 40]);
-        let read = Read::with_quality("r1", seq, qual);
-        let rc = read.reverse_complement();
-        assert_eq!(rc.name, "r1/rc");
-        assert_eq!(rc.seq.to_string(), "CGTT");
-        assert_eq!(rc.qual.unwrap().as_slice(), &[40, 30, 20, 10]);
-    }
 
     #[test]
     #[should_panic(expected = "length mismatch")]

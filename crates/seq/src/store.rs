@@ -1,6 +1,7 @@
 //! The read store: preprocessing output and the substrate the overlap graph
 //! is built over (paper §II-A).
 
+use crate::dna::DnaString;
 use crate::error::SeqError;
 use crate::read::{Read, ReadId};
 use crate::trim::{trim_read, TrimConfig};
@@ -14,7 +15,9 @@ pub enum Orientation {
     ReverseComplement,
 }
 
-/// A container of preprocessed reads.
+/// A container of preprocessed reads: their bases and the source read each
+/// came from. Names and qualities end at trimming — no later stage reads
+/// them — so a stored read is its packed bases alone.
 ///
 /// After [`ReadStore::preprocess`], the store holds each surviving input read
 /// immediately followed by its reverse complement, so forward reads occupy
@@ -22,20 +25,28 @@ pub enum Orientation {
 /// ids are dense and become overlap-graph node ids downstream.
 #[derive(Debug, Clone, Default)]
 pub struct ReadStore {
-    reads: Vec<Read>,
+    reads: Vec<DnaString>,
     /// `true` when the store is forward/RC interleaved (built by `preprocess`
-    /// or `from_reads_with_rc`).
+    /// or `from_trimmed`).
     rc_paired: bool,
     /// Index of the source read (pre-trimming) each stored read came from.
     source: Vec<u32>,
 }
 
+/// What the ledger charges for one stored sequence of `len` bases: the
+/// `DnaString` header, its packed words and its source index. It is the
+/// store's heap exactly when the vectors are tight, which
+/// [`ReadStoreBuilder::finish`] makes them.
+fn stored_bytes(len: usize) -> usize {
+    std::mem::size_of::<DnaString>() + len.div_ceil(32) * 8 + std::mem::size_of::<u32>()
+}
+
 impl ReadStore {
-    /// Wraps reads as-is, without reverse complements.
+    /// Wraps the reads' bases as-is, without reverse complements.
     pub fn from_reads(reads: Vec<Read>) -> ReadStore {
         let source = (0..reads.len() as u32).collect();
         ReadStore {
-            reads,
+            reads: reads.into_iter().map(|r| r.seq).collect(),
             rc_paired: false,
             source,
         }
@@ -52,18 +63,16 @@ impl ReadStore {
         Ok(builder.finish())
     }
 
-    /// Rebuilds an RC-paired store from already-trimmed forward reads and
+    /// Rebuilds an RC-paired store from already-trimmed forward strands and
     /// their source indices (e.g. staged pages); the reverse complements are
     /// regenerated, which is what `preprocess` would have produced.
-    pub(crate) fn from_trimmed(pairs: impl IntoIterator<Item = (Read, u32)>) -> ReadStore {
-        let mut reads = Vec::new();
-        let mut source = Vec::new();
+    pub(crate) fn from_trimmed(pairs: Vec<(DnaString, u32)>) -> ReadStore {
+        let mut reads = Vec::with_capacity(2 * pairs.len());
+        let mut source = Vec::with_capacity(2 * pairs.len());
         for (fwd, src) in pairs {
             let rc = fwd.reverse_complement();
-            reads.push(fwd);
-            source.push(src);
-            reads.push(rc);
-            source.push(src);
+            reads.extend([fwd, rc]);
+            source.extend([src, src]);
         }
         ReadStore {
             reads,
@@ -92,16 +101,16 @@ impl ReadStore {
         }
     }
 
-    /// The read with id `id`.
+    /// The bases of the read with id `id`.
     ///
     /// # Panics
     /// Panics if `id` is out of bounds.
-    pub fn get(&self, id: ReadId) -> &Read {
+    pub fn get(&self, id: ReadId) -> &DnaString {
         &self.reads[id.index()]
     }
 
     /// All stored reads in id order.
-    pub fn reads(&self) -> &[Read] {
+    pub fn reads(&self) -> &[DnaString] {
         &self.reads
     }
 
@@ -137,16 +146,16 @@ impl ReadStore {
 
     /// Total number of stored bases.
     pub fn total_bases(&self) -> usize {
-        self.reads.iter().map(Read::len).sum()
+        self.reads.iter().map(DnaString::len).sum()
     }
 
-    /// Approximate heap footprint of the store in bytes (reads plus the
-    /// source-index column), for memory-budget accounting. Deliberately
-    /// an overestimate, never an underestimate — see
-    /// [`Read::approx_bytes`].
+    /// Heap footprint of the store in bytes (sequences plus the
+    /// source-index column), for memory-budget accounting: each stored
+    /// sequence is charged its header, its packed words and its source
+    /// index, which covers the heap of a store built by
+    /// [`ReadStore::preprocess`].
     pub fn approx_bytes(&self) -> usize {
-        self.reads.iter().map(Read::approx_bytes).sum::<usize>()
-            + self.source.len() * std::mem::size_of::<u32>()
+        self.reads.iter().map(|s| stored_bytes(s.len())).sum()
     }
 
     /// Splits the id space into `n` contiguous subsets of near-equal size for
@@ -183,8 +192,7 @@ impl ReadStore {
 #[derive(Debug)]
 pub struct ReadStoreBuilder {
     config: TrimConfig,
-    reads: Vec<Read>,
-    source: Vec<u32>,
+    store: ReadStore,
     next_source: u32,
 }
 
@@ -194,18 +202,22 @@ impl ReadStoreBuilder {
         config.validate()?;
         Ok(ReadStoreBuilder {
             config: *config,
-            reads: Vec::new(),
-            source: Vec::new(),
+            store: ReadStore {
+                rc_paired: true,
+                ..ReadStore::default()
+            },
             next_source: 0,
         })
     }
 
     /// Trims one input read and, if it survives the length filter, appends
-    /// it and its reverse complement to the store under construction.
+    /// its bases and their reverse complement to the store under
+    /// construction.
     ///
-    /// Returns the approximate bytes the store grew by ([`Read::approx_bytes`]
-    /// of both strands; 0 when the read was dropped) so a memory-budget
-    /// ledger can be charged incrementally during streaming ingest.
+    /// Returns the bytes the store grew by (what
+    /// [`ReadStore::approx_bytes`] charges for both strands; 0 when the read
+    /// was dropped) so a memory-budget ledger can be charged incrementally
+    /// during streaming ingest.
     pub fn push(&mut self, read: &Read) -> usize {
         let i = self.next_source;
         self.next_source += 1;
@@ -213,12 +225,10 @@ impl ReadStoreBuilder {
         if trimmed.len() < self.config.min_read_len.max(1) {
             return 0;
         }
+        let grown = 2 * stored_bytes(trimmed.len());
         let rc = trimmed.reverse_complement();
-        let grown = trimmed.approx_bytes() + rc.approx_bytes();
-        self.reads.push(trimmed);
-        self.source.push(i);
-        self.reads.push(rc);
-        self.source.push(i);
+        self.store.reads.extend([trimmed, rc]);
+        self.store.source.extend([i, i]);
         grown
     }
 
@@ -232,29 +242,27 @@ impl ReadStoreBuilder {
     /// that returned non-zero.
     ///
     /// [`push`]: ReadStoreBuilder::push
-    pub fn last_kept(&self) -> Option<(&Read, u32)> {
-        let n = self.reads.len();
-        (n >= 2).then(|| (&self.reads[n - 2], self.source[n - 2]))
+    pub fn last_kept(&self) -> Option<(&DnaString, u32)> {
+        let n = self.store.len();
+        (n >= 2).then(|| (&self.store.reads[n - 2], self.store.source[n - 2]))
     }
 
     /// Source reads that survived trimming so far.
     pub fn reads_kept(&self) -> usize {
-        self.reads.len() / 2
+        self.store.source_read_count()
     }
 
     /// Approximate resident bytes of the store built so far.
     pub fn approx_bytes(&self) -> usize {
-        self.reads.iter().map(Read::approx_bytes).sum::<usize>()
-            + self.source.len() * std::mem::size_of::<u32>()
+        self.store.approx_bytes()
     }
 
-    /// Finishes the RC-paired store.
-    pub fn finish(self) -> ReadStore {
-        ReadStore {
-            reads: self.reads,
-            rc_paired: true,
-            source: self.source,
-        }
+    /// Finishes the RC-paired store, its vectors trimmed to their length so
+    /// the heap is what [`ReadStore::approx_bytes`] charges.
+    pub fn finish(mut self) -> ReadStore {
+        self.store.reads.shrink_to_fit();
+        self.store.source.shrink_to_fit();
+        self.store
     }
 }
 
@@ -266,7 +274,7 @@ impl fc_ckpt::Codec for ReadStore {
     }
 
     fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<ReadStore, fc_ckpt::CkptError> {
-        let reads = Vec::<Read>::decode(r)?;
+        let reads = Vec::<DnaString>::decode(r)?;
         let rc_paired = bool::decode(r)?;
         let source = Vec::<u32>::decode(r)?;
         if source.len() != reads.len() {
@@ -329,11 +337,28 @@ mod tests {
         assert_eq!(store.mate(ReadId(0)), Some(ReadId(1)));
         assert_eq!(store.mate(ReadId(3)), Some(ReadId(2)));
         assert_eq!(
-            store.get(ReadId(1)).seq.to_string(),
-            store.get(ReadId(0)).seq.reverse_complement().to_string()
+            store.get(ReadId(1)),
+            &store.get(ReadId(0)).reverse_complement()
         );
         // Source tracking skips the dropped read.
         assert_eq!(store.source_index(ReadId(2)), 2);
+    }
+
+    #[test]
+    fn the_mate_is_the_reverse_complement_of_the_trimmed_bases() {
+        let read = Read::with_quality(
+            "r1",
+            "AACGA".parse().unwrap(),
+            QualityScores::from_phred(vec![40, 40, 40, 40, 2]),
+        );
+        let config = TrimConfig {
+            window_len: 1,
+            min_read_len: 1,
+            ..TrimConfig::default()
+        };
+        let store = ReadStore::preprocess(&[read], &config).unwrap();
+        assert_eq!(store.get(ReadId(0)).to_string(), "AACG");
+        assert_eq!(store.get(ReadId(1)).to_string(), "CGTT");
     }
 
     #[test]
@@ -347,7 +372,7 @@ mod tests {
         }
         assert_eq!(builder.reads_in(), input.len());
         assert_eq!(builder.reads_kept(), batch.source_read_count());
-        assert!(grown <= builder.approx_bytes());
+        assert_eq!(grown, builder.approx_bytes());
         let streamed = builder.finish();
         assert_eq!(streamed.reads(), batch.reads());
         for id in batch.ids() {
@@ -358,7 +383,7 @@ mod tests {
     #[test]
     fn from_trimmed_regenerates_reverse_complements() {
         let batch = ReadStore::preprocess(&input_reads(), &config()).unwrap();
-        let pairs: Vec<(Read, u32)> = (0..batch.len())
+        let pairs: Vec<(DnaString, u32)> = (0..batch.len())
             .step_by(2)
             .map(|i| {
                 let id = ReadId(i as u32);
@@ -409,6 +434,32 @@ mod tests {
             assert_eq!(back.source_read_count(), store.source_read_count());
         }
     }
+
+    /// Decode refuses a source column of the wrong length, an odd RC-paired
+    /// count and a sequence with dirty padding bits.
+    #[test]
+    fn checkpoint_decode_refuses_inconsistent_stores() {
+        use fc_ckpt::Codec;
+        let seq: DnaString = "ACG".parse().unwrap();
+        let encode = |reads: &[DnaString], rc_paired: bool, source: &[u32]| {
+            let mut w = fc_ckpt::Writer::new();
+            reads.to_vec().encode(&mut w);
+            rc_paired.encode(&mut w);
+            source.to_vec().encode(&mut w);
+            w.into_bytes()
+        };
+        let decode = |bytes: Vec<u8>| fc_ckpt::decode_from_slice::<ReadStore>(&bytes);
+        let pair = [seq.clone(), seq.reverse_complement()];
+        assert!(decode(encode(&pair, true, &[0, 0])).is_ok());
+        assert!(decode(encode(&pair, true, &[0])).is_err());
+        assert!(decode(encode(&pair[..1], true, &[0])).is_err());
+        assert!(decode(encode(&pair[..1], false, &[0])).is_ok());
+        let mut dirty = encode(&pair[..1], false, &[0]);
+        // Words start after the vector length, the base count and the
+        // word count; set a bit past the third base.
+        dirty[3 * 8] |= 1 << 6;
+        assert!(decode(dirty).is_err());
+    }
 }
 
 #[cfg(test)]
@@ -452,14 +503,48 @@ mod props {
                 let fwd = ReadId(i as u32);
                 let rc = ReadId(i as u32 + 1);
                 assert_eq!(store.mate(fwd), Some(rc));
-                assert_eq!(
-                    store.get(rc).seq.to_string(),
-                    store.get(fwd).seq.reverse_complement().to_string()
-                );
+                assert_eq!(store.get(rc), &store.get(fwd).reverse_complement());
                 let src = store.source_index(fwd);
                 assert_eq!(store.source_index(rc), src);
                 assert!(src >= last_source);
                 last_source = src;
+            }
+        });
+    }
+
+    /// What the ledger charges covers the store's heap — the vectors'
+    /// capacity and every sequence's words — and stays within 1.25× of it,
+    /// for a store preprocessed, rebuilt from staged strands, or decoded.
+    #[test]
+    fn approx_bytes_covers_the_heap_and_stays_close() {
+        let heap = |s: &ReadStore| {
+            s.reads.capacity() * std::mem::size_of::<DnaString>()
+                + s.reads.iter().map(DnaString::heap_bytes).sum::<usize>()
+                + s.source.capacity() * std::mem::size_of::<u32>()
+        };
+        let config = TrimConfig {
+            min_read_len: 1,
+            ..TrimConfig::default()
+        };
+        cases(32, |rng| {
+            let input: Vec<Read> = (0..rng.range(0..3000))
+                .map(|_| {
+                    let len = rng.range(1..160);
+                    let seq = (0..len).map(|_| crate::Base::from_code(rng.range(0u8..4)));
+                    let seq = seq.collect();
+                    let quals = (0..len).map(|_| rng.range(2u8..41)).collect();
+                    Read::with_quality("r", seq, QualityScores::from_phred(quals))
+                })
+                .collect();
+            let store = ReadStore::preprocess(&input, &config).unwrap();
+            let forward = store.ids().step_by(2);
+            let staged = forward.map(|id| (store.get(id).clone(), id.0)).collect();
+            let decoded = fc_ckpt::encode_to_vec(&store);
+            let decoded: ReadStore = fc_ckpt::decode_from_slice(&decoded).unwrap();
+            for s in [&store, &ReadStore::from_trimmed(staged), &decoded] {
+                let (heap, charged) = (heap(s), s.approx_bytes());
+                assert!(charged >= heap, "{charged} < {heap}");
+                assert!(charged * 4 <= heap * 5, "{charged} > 1.25 x {heap}");
             }
         });
     }

@@ -11,6 +11,7 @@
 //!    end of the read is cut off. If no window qualifies, the whole read is
 //!    discarded (trimmed to zero length).
 
+use crate::dna::DnaString;
 use crate::error::SeqError;
 use crate::read::Read;
 
@@ -63,36 +64,21 @@ impl TrimConfig {
     }
 }
 
-/// Applies fixed 5'/3' trimming followed by sliding-window quality trimming.
+/// Applies fixed 5'/3' trimming followed by sliding-window quality trimming
+/// and returns the surviving bases — the qualities are consumed here, and
+/// nothing downstream reads a name.
 ///
 /// Reads without quality scores (FASTA input) only receive the fixed
-/// trimming. Returns the trimmed read; the caller decides whether the result
-/// is long enough to keep (see [`TrimConfig::min_read_len`]).
-pub fn trim_read(read: &Read, config: &TrimConfig) -> Read {
+/// trimming. The caller decides whether the result is long enough to keep
+/// (see [`TrimConfig::min_read_len`]).
+pub fn trim_read(read: &Read, config: &TrimConfig) -> DnaString {
     let len = read.len();
     let start = config.trim_5prime.min(len);
-    let end = len.saturating_sub(config.trim_3prime).max(start);
-
-    let mut seq = read.seq.slice(start, end);
-    let mut qual = read.qual.clone().map(|mut q| {
-        q.truncate(end);
-        q.drop_prefix(start);
-        q
-    });
-
-    if let Some(q) = &qual {
-        let keep = quality_keep_len(q.as_slice(), config);
-        seq = seq.slice(0, keep);
-        if let Some(q) = &mut qual {
-            q.truncate(keep);
-        }
+    let mut end = len.saturating_sub(config.trim_3prime).max(start);
+    if let Some(q) = &read.qual {
+        end = start + quality_keep_len(&q.as_slice()[start..end], config);
     }
-
-    Read {
-        name: read.name.clone(),
-        seq,
-        qual,
-    }
+    read.seq.slice(start, end)
 }
 
 /// Returns how many 5'-side bases survive the sliding-window scan.
@@ -147,7 +133,7 @@ mod tests {
             ..TrimConfig::default()
         };
         let out = trim_read(&read, &config);
-        assert_eq!(out.seq.to_string(), "CCG");
+        assert_eq!(out.to_string(), "CCG");
     }
 
     #[test]
@@ -174,8 +160,23 @@ mod tests {
         let out = trim_read(&read, &config);
         // The first (rightmost) window whose mean exceeds 20 is scores[3..7]
         // = (30+30+30+2)/4 = 23 -> keep 0..7.
-        assert_eq!(out.len(), 7);
-        assert_eq!(out.qual.unwrap().len(), 7);
+        assert_eq!(out.to_string(), "ACGTACG");
+    }
+
+    #[test]
+    fn quality_trim_scans_only_what_the_fixed_trim_kept() {
+        // The fixed trim drops one base at each end; the bad 3' base of the
+        // remainder is then quality-trimmed, the good trimmed-off ones not.
+        let read = read_with_quals("GACGTAC", vec![2, 30, 30, 30, 30, 2, 40]);
+        let config = TrimConfig {
+            trim_5prime: 1,
+            trim_3prime: 1,
+            window_len: 1,
+            step: 1,
+            min_quality: 20.0,
+            ..TrimConfig::default()
+        };
+        assert_eq!(trim_read(&read, &config).to_string(), "ACGT");
     }
 
     #[test]
@@ -223,7 +224,7 @@ mod tests {
             trim_5prime: 1,
             ..TrimConfig::default()
         };
-        assert_eq!(trim_read(&read, &config).seq.to_string(), "ACCGGTT");
+        assert_eq!(trim_read(&read, &config).to_string(), "ACCGGTT");
     }
 
     #[test]
@@ -289,30 +290,24 @@ mod props {
         }
     }
 
-    /// Trimming never grows a read and keeps quality aligned with
-    /// sequence.
+    /// Trimming never grows a read, and what survives is the contiguous
+    /// slice starting where the fixed 5' trim ends.
     #[test]
-    fn trim_shrinks_and_stays_aligned() {
+    fn trim_shrinks_to_a_contiguous_slice() {
         cases(256, |rng| {
             let (read, config) = (arb_read(rng), arb_config(rng));
             let out = trim_read(&read, &config);
             assert!(out.len() <= read.len());
-            if let Some(q) = &out.qual {
-                assert_eq!(q.len(), out.len());
-            }
-            // The surviving sequence is a contiguous slice of the original.
-            if !out.is_empty() {
-                let start = config.trim_5prime.min(read.len());
-                for i in 0..out.len() {
-                    assert_eq!(out.seq.get(i), read.seq.get(start + i));
-                }
+            let start = config.trim_5prime.min(read.len());
+            for i in 0..out.len() {
+                assert_eq!(out.get(i), read.seq.get(start + i));
             }
         });
     }
 
     /// Trimming is idempotent for pure quality trimming (no fixed
-    /// trim): re-trimming the output changes nothing, because the
-    /// surviving window already passed the threshold.
+    /// trim): re-trimming the output, with its scores, changes nothing,
+    /// because the surviving window already passed the threshold.
     #[test]
     fn quality_trim_idempotent() {
         cases(256, |rng| {
@@ -323,8 +318,9 @@ mod props {
                 ..arb_config(rng)
             };
             let once = trim_read(&read, &config);
-            let twice = trim_read(&once, &config);
-            assert_eq!(once, twice);
+            let scores = read.qual.as_ref().unwrap().as_slice()[..once.len()].to_vec();
+            let again = Read::with_quality("p", once.clone(), QualityScores::from_phred(scores));
+            assert_eq!(trim_read(&again, &config), once);
         });
     }
 }

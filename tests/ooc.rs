@@ -12,7 +12,8 @@
 //! the spilled path completes under the same budget.
 
 use fc_rng::cases;
-use focus_assembler::align::{Overlap, Overlapper, Pool};
+use focus_assembler::align::{KmerIndex, Overlap, Overlapper, Pool};
+use focus_assembler::ckpt::{crc32, CheckpointFile, Codec, Writer};
 use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
 use focus_assembler::focus::{
     AssemblyOutcome, AssemblyResult, CheckpointOptions, CkptPhase, FaultInjection, FocusAssembler,
@@ -286,7 +287,8 @@ fn spill_only_resume_skips_recompute_and_reproduces_contigs() {
 }
 
 /// The budget gate: a budget the in-core pipeline cannot satisfy (it must
-/// hold raw input + store + overlaps) still admits the spilled pipeline,
+/// hold raw input + store + overlaps, and more while its seed indexes are
+/// alive) still admits the spilled pipeline,
 /// which streams the input and pages the alignment — and the output under
 /// pressure is byte-identical. A budget nothing fits under fails both
 /// ways, typed.
@@ -296,8 +298,8 @@ fn budget_rejects_in_core_but_admits_spilled() {
     let mut config = ooc_config(2);
     config.subsets = 8;
 
-    // The in-core ledger requirement, reconstructed from its three
-    // charges: raw input reads + preprocessed store + verified overlaps.
+    // A lower bound on the in-core ledger requirement: raw input reads +
+    // preprocessed store + verified overlaps.
     let assembler = FocusAssembler::new(config).unwrap();
     let prep = assembler.prepare(&parsed).unwrap();
     let clean = assembler.assemble_prepared(&prep, config.partitions).unwrap();
@@ -349,6 +351,156 @@ fn budget_rejects_in_core_but_admits_spilled() {
     );
     assert!(matches!(outcome, Err(FocusError::BudgetExceeded(_))));
     let _ = std::fs::remove_dir_all(&spill);
+}
+
+/// In-core alignment builds every subset's seed index before it verifies
+/// anything, and the ledger charges them as `align-index` before the
+/// first is built. A budget that holds the input, the store and the
+/// overlaps but not the input, the store and the indexes refuses the
+/// in-core run there; the spilled run, one index at a time and no raw
+/// input, completes under it with the unbudgeted contigs.
+#[test]
+fn in_core_alignment_charges_its_seed_indexes() {
+    let (input, parsed) = fastq_fixture("index-charge", &tiled_reads(2500, 11));
+    let mut config = ooc_config(2);
+    let prep = FocusAssembler::new(config)
+        .unwrap()
+        .prepare(&parsed)
+        .unwrap();
+    let store = &prep.store;
+    let held = parsed.iter().map(Read::approx_bytes).sum::<usize>() + store.approx_bytes();
+    let subsets = store.split_subsets(config.subsets);
+    let indexes: u64 = subsets
+        .iter()
+        .map(|s| {
+            let bases = s.iter().map(|&id| store.get(id).len()).sum();
+            KmerIndex::estimated_bytes(bases, s.len(), config.overlap.k)
+        })
+        .sum();
+    let overlaps = Overlapper::new(store, config.overlap)
+        .unwrap()
+        .overlap_all(&subsets, &Pool::serial(), &Recorder::disabled())
+        .0
+        .len();
+    let overlap_bytes = (overlaps * std::mem::size_of::<Overlap>()) as u64;
+    assert!(indexes > overlap_bytes, "{indexes} <= {overlap_bytes}");
+    let budget = held as u64 + (overlap_bytes + indexes) / 2;
+    config.memory_budget = Some(budget);
+
+    match FocusAssembler::new(config).unwrap().prepare(&parsed) {
+        Err(FocusError::BudgetExceeded(e)) => {
+            assert_eq!(e.label, "align-index");
+            assert_eq!((e.requested, e.used), (indexes, held as u64));
+        }
+        other => panic!("in-core under {budget} B: {other:?}"),
+    }
+    let unbudgeted = run_clean(&parsed, 2).0;
+    let spill = temp_dir("index-charge-spill");
+    let (_, outcome) = run_ooc(
+        config,
+        &input,
+        &CheckpointOptions::default(),
+        &OocOptions::in_dir(&spill),
+    );
+    assert_eq!(completed(outcome.unwrap()).contigs, unbudgeted.contigs);
+    let _ = std::fs::remove_dir_all(&spill);
+    let _ = std::fs::remove_dir_all(input.parent().unwrap());
+}
+
+/// Rewrites every checkpoint container under `dir` as format version 4,
+/// resealed so that only the version check can refuse it; `payload`
+/// replaces record 0 when given.
+fn rewrite_as_version_4(dir: &Path, payload: Option<&[u8]>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let Ok(mut file) = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path) else {
+            continue; // the manifest
+        };
+        if let Some(payload) = payload {
+            file.records[0] = payload.to_vec();
+        }
+        let mut bytes = file.encode();
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&crc);
+        let refused = CheckpointFile::decode(&bytes, &path).unwrap_err();
+        assert!(refused.to_string().contains("version 4"), "{refused}");
+        std::fs::write(&path, bytes).unwrap();
+    }
+}
+
+/// Files of the previous format — a version-4 preprocess checkpoint
+/// holding the old store layout (names, bases, qualities) and version-4
+/// staged pages — are refused on resume and recomputed, never decoded as
+/// this version's layout: contigs and the logical snapshot equal a clean
+/// run's.
+#[test]
+fn version_4_preprocess_checkpoint_and_pages_are_refused_and_recomputed() {
+    let (input, parsed) = fastq_fixture("v4", &tiled_reads(2500, 11));
+    let (clean, clean_snapshot) = run_clean(&parsed, 2);
+    let config = ooc_config(2);
+
+    // A checkpointed in-core run stopped after preprocessing, its store
+    // then replaced by the version-4 layout of the same reads.
+    let ckpt = temp_dir("v4-ckpt");
+    let mut opts = CheckpointOptions::in_dir(&ckpt);
+    opts.stop_after = Some(CkptPhase::Preprocess);
+    let stopped = FocusAssembler::new(config)
+        .unwrap()
+        .assemble_with_checkpoints(&parsed, &opts);
+    assert!(matches!(
+        stopped,
+        Ok(AssemblyOutcome::Stopped(CkptPhase::Preprocess))
+    ));
+    let store = ReadStore::preprocess(&parsed, &config.trim).unwrap();
+    let mut old = Writer::new();
+    old.put_u64(store.len() as u64);
+    for id in store.ids() {
+        format!("r{}", id.0).encode(&mut old);
+        store.get(id).encode(&mut old);
+        Some(vec![30u8; store.get(id).len()]).encode(&mut old);
+    }
+    true.encode(&mut old);
+    let source: Vec<u32> = store
+        .ids()
+        .map(|id| store.source_index(id) as u32)
+        .collect();
+    source.encode(&mut old);
+    rewrite_as_version_4(&ckpt, Some(&old.into_bytes()));
+    opts.stop_after = None;
+    opts.resume = true;
+    let assembler = FocusAssembler::new(config).unwrap();
+    let resumed = completed(assembler.assemble_with_checkpoints(&parsed, &opts).unwrap());
+    assert_eq!(resumed.contigs, clean.contigs);
+    assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+    let counters = assembler.recorder().snapshot().counters;
+    assert_eq!(counters.get("ckpt.rejected"), Some(&1));
+    assert_eq!(counters.get("ckpt.loaded"), None);
+
+    // Staged pages rewritten as version 4: the resumed ingest re-trims the
+    // input and stages afresh, and the next resume adopts the new pages.
+    let spill = temp_dir("v4-spill");
+    let ooc = OocOptions::in_dir(&spill);
+    let (_, first) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
+    completed(first.unwrap());
+    rewrite_as_version_4(&spill.join("pages"), None);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..CheckpointOptions::default()
+    };
+    for adopted in [None, Some(&1)] {
+        // Only the pages are under test: alignment recomputes every time.
+        let _ = std::fs::remove_dir_all(spill.join("align"));
+        let (assembler, outcome) = run_ooc(config, &input, &resume, &ooc);
+        assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
+        assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+        let counters = assembler.recorder().snapshot().counters;
+        assert_eq!(counters.get("ooc.ingest.resumed"), adopted);
+    }
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&spill);
+    let _ = std::fs::remove_dir_all(input.parent().unwrap());
 }
 
 /// The headline invariant as a property: random genomes, random

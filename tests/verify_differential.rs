@@ -81,7 +81,7 @@ fn assemble(reads: &[Read], threads: usize) -> Run {
 
 /// Length of the equal-length ranges the overlapper verified for `o`.
 fn range_len(prepared: &Prepared, o: &Overlap) -> usize {
-    let len = |id| prepared.store.get(id).seq.len();
+    let len = |id| prepared.store.get(id).len();
     match o.kind {
         OverlapKind::SuffixPrefix => len(o.a) - o.shift as usize,
         OverlapKind::ContainsB => len(o.b),
