@@ -25,7 +25,8 @@
 //! [`RUN_WALK_MAX`] of them), stops at the first k-mer not below the query,
 //! and returns that run whole — its other entries were proven equal when
 //! the bucket was sorted. It returns the same hit multiset the suffix-array
-//! interval did (DESIGN.md §2).
+//! interval did (DESIGN.md §2). [`KmerIndex::runs`] looks up one query
+//! read's k-mers together, all directory reads first, then all walks.
 
 use fc_seq::packed::BASES_PER_WORD;
 use fc_seq::{DnaString, ReadId};
@@ -33,13 +34,16 @@ use fc_seq::{DnaString, ReadId};
 /// Run starts a lookup walks from the front of its bucket before it
 /// binary-searches what is left, so a lookup derives at most this many
 /// k-mers plus `log2` of the bucket. Measured on `focus-bench`'s `incore-t1`
-/// (8x coverage, both strands; 1 657 810 lookups): a bucket holds 4–8 runs,
-/// the walk derives 3.05 k-mers a lookup and 98.3 % of lookups end within 8,
-/// where searching every bucket longer than 8 entries first — the rule this
-/// replaced — pays `log2(len) + 1 >= 5`: seed + vote 0.21–0.25 s against
-/// 0.16–0.20 s (medians of 25, four alternated runs each). The search is
-/// for the other regime, a bucket of many distinct k-mers (low coverage, a
-/// low-complexity prefix), which the ruler does not have.
+/// seed 1 (8x coverage, both strands; 1 657 810 lookups): a looked-up
+/// bucket holds 5.0 runs (11 entries) on average, the walk derives 3.11
+/// k-mers a lookup and 98.2 % of lookups end within 8, where searching
+/// every bucket longer than 8 entries first — the rule this replaced —
+/// pays `log2(len) + 1 >= 5` (seed + vote 0.21–0.25 s against 0.16–0.20 s
+/// when the walk came in, medians of 25, four alternated runs each;
+/// 0.12–0.15 s on a 2-core x86-64 host now that lookups are staged per
+/// read). The search is for the other regime, a bucket of many distinct
+/// k-mers (low coverage, a low-complexity prefix), which the ruler does not
+/// have.
 const RUN_WALK_MAX: usize = 8;
 
 /// K-mer positions of one read subset, for one `k`.
@@ -257,20 +261,26 @@ impl KmerIndex {
         w * 64 + bits.trailing_zeros() as usize
     }
 
-    /// The entries whose k-mer is `kmer`: one run of its bucket, or nothing.
-    /// Only run starts are compared with the text; a run's other entries
-    /// were equal to its first when the bucket was sorted.
+    /// The entry range of `kmer`'s bucket: the lookup's directory read.
     #[inline]
-    fn run(&self, kmer: u64) -> &[u32] {
+    fn bucket(&self, kmer: u64) -> (u32, u32) {
         // `dir.len() - 2` is `4^p - 1`, the mask of the first p bases.
         let b = kmer as usize & (self.dir.len() - 2);
-        let (mut i, end) = (self.dir[b] as usize, self.dir[b + 1] as usize);
+        (self.dir[b], self.dir[b + 1])
+    }
+
+    /// The entries of `bucket` whose k-mer is `kmer`: one run, or an empty
+    /// range. Only run starts are compared with the text; a run's other
+    /// entries were equal to its first when the bucket was sorted.
+    #[inline]
+    fn run_in(&self, kmer: u64, bucket: (u32, u32)) -> (u32, u32) {
+        let (mut i, end) = (bucket.0 as usize, bucket.1 as usize);
         let mut walk = RUN_WALK_MAX;
         while i < end {
             let found = self.kmer_at(self.positions[i]);
             if found >= kmer {
                 if found == kmer {
-                    return &self.positions[i..self.next_run(i)];
+                    return (i as u32, self.next_run(i) as u32);
                 }
                 break;
             }
@@ -283,19 +293,40 @@ impl KmerIndex {
                 i + self.positions[i..end].partition_point(|&entry| self.kmer_at(entry) < kmer)
             };
         }
-        &[]
+        (0, 0)
     }
 
-    /// Every occurrence of the packed k-mer `kmer` (as produced by
-    /// [`DnaString::kmer_u64`] for the `k` the index was built with) as
-    /// `(read id, offset within that read)`. A k-mer spanning two reads is
-    /// not an occurrence.
+    /// Looks up every k-mer of `kmers` (packed as by
+    /// [`DnaString::kmer_u64`] for the `k` the index was built with):
+    /// `out[i]`, cleared first, is the entry range of `kmers[i]`'s run, for
+    /// [`KmerIndex::hits_of`]. A first pass reads every k-mer's directory
+    /// bounds, a second walks each bucket to its run, so one read's
+    /// directory loads are in flight together instead of each waiting
+    /// behind the previous k-mer's walk.
+    pub fn runs(&self, kmers: &[u64], out: &mut Vec<(u32, u32)>) {
+        out.clear();
+        out.extend(kmers.iter().map(|&kmer| self.bucket(kmer)));
+        for (range, &kmer) in out.iter_mut().zip(kmers) {
+            *range = self.run_in(kmer, *range);
+        }
+    }
+
+    /// The occurrences in an entry range from [`KmerIndex::runs`], as
+    /// `(read id, offset within that read)`.
     #[inline]
+    pub fn hits_of(&self, range: (u32, u32)) -> impl Iterator<Item = (ReadId, u32)> + '_ {
+        self.positions[range.0 as usize..range.1 as usize]
+            .iter()
+            .map(move |&entry| {
+                let (read, offset) = self.split(entry);
+                (self.ids[read], offset)
+            })
+    }
+
+    /// Every occurrence of the packed k-mer `kmer`: [`KmerIndex::runs`] for
+    /// one k-mer. A k-mer spanning two reads is not an occurrence.
     pub fn hits(&self, kmer: u64) -> impl Iterator<Item = (ReadId, u32)> + '_ {
-        self.run(kmer).iter().map(move |&entry| {
-            let (read, offset) = self.split(entry);
-            (self.ids[read], offset)
-        })
+        self.hits_of(self.run_in(kmer, self.bucket(kmer)))
     }
 
     /// Bytes of heap the index holds.
@@ -375,13 +406,20 @@ mod tests {
         }
     }
 
-    /// Both indexes answer `kmer` with the same hits, order aside.
-    fn assert_same_hits(index: &KmerIndex, naive: &NaiveIndex, kmer: u64, what: &str) {
-        let mut got: Vec<_> = index.hits(kmer).collect();
+    /// `got` holds the naive index's hits of `kmer`, order aside; returns
+    /// how many there are.
+    fn assert_same_hits(
+        got: impl Iterator<Item = (ReadId, u32)>,
+        naive: &NaiveIndex,
+        kmer: u64,
+        what: &str,
+    ) -> usize {
+        let mut got: Vec<_> = got.collect();
         let mut want: Vec<_> = naive.hits(kmer).collect();
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want, "{what}, k-mer {kmer:#x}");
+        got.len()
     }
 
     /// Every k-mer the reads contain, every k-mer spanning a read boundary,
@@ -398,13 +436,12 @@ mod tests {
         }
         let mut total = 0;
         for (_, kmer) in joined.kmers(k) {
-            assert_same_hits(&index, &naive, kmer, what);
-            total += index.hits(kmer).count();
+            total += assert_same_hits(index.hits(kmer), &naive, kmer, what);
         }
         let mut rng = Rng::new(k as u64 + 1);
         for _ in 0..300 {
             let kmer = rng.next_u64() & index.kmer_mask;
-            assert_same_hits(&index, &naive, kmer, what);
+            assert_same_hits(index.hits(kmer), &naive, kmer, what);
         }
         total
     }
@@ -501,18 +538,19 @@ mod tests {
         offset_bits(1 << 20, 5000);
     }
 
-    /// What the overlapper asks and of what: every k-mer seeding samples
-    /// from every read of a store with substituted, indel-bearing and
-    /// tandem-repeat reads, against each subset's index at three subset
-    /// counts. Equal hit multisets here are equal votes, candidates,
-    /// requests and overlaps there: nothing downstream of `hits` looks at
-    /// the index again.
+    /// What the overlapper asks and of what: every read's sampled k-mers,
+    /// one `runs` batch per read, from a store with substituted,
+    /// indel-bearing and tandem-repeat reads, against each subset's index
+    /// at three subset counts. Equal hit multisets here are equal votes,
+    /// candidates, requests and overlaps there: nothing downstream of
+    /// `hits_of` looks at the index again.
     #[test]
     #[cfg_attr(miri, ignore)] // a hundred thousand naive scans
     fn sampled_query_kmers_of_a_noisy_store_match_the_naive_scan() {
         use crate::pairwise::tests::{noisy_tiled_store, random_genome};
         let store = noisy_tiled_store(&random_genome(900, 17), 5);
         let config = crate::OverlapConfig::default();
+        let (mut kmers, mut runs) = (Vec::new(), Vec::new());
         let mut hits = 0;
         for n in [1usize, 4, 5] {
             for (j, reference) in store.split_subsets(n).iter().enumerate() {
@@ -523,11 +561,19 @@ mod tests {
                 let index = KmerIndex::build(&reads, config.k);
                 let naive = NaiveIndex::build(&reads, config.k);
                 for q in store.ids() {
-                    let query = store.get(q);
-                    for (pos, kmer) in query.kmers(config.k).step_by(config.seed_step) {
+                    kmers.clear();
+                    kmers.extend(
+                        store
+                            .get(q)
+                            .kmers(config.k)
+                            .step_by(config.seed_step)
+                            .map(|(_, kmer)| kmer),
+                    );
+                    index.runs(&kmers, &mut runs);
+                    for (s, (&kmer, &range)) in kmers.iter().zip(&runs).enumerate() {
+                        let pos = s * config.seed_step;
                         let what = format!("{n} subsets, reference {j}, read {} at {pos}", q.0);
-                        assert_same_hits(&index, &naive, kmer, &what);
-                        hits += index.hits(kmer).count();
+                        hits += assert_same_hits(index.hits_of(range), &naive, kmer, &what);
                     }
                 }
             }
@@ -595,11 +641,10 @@ mod tests {
         check_against_oracle(&seqs, 4, "boundary");
     }
 
-    #[test]
-    fn a_bucket_longer_than_the_run_walk_is_searched() {
-        // 40 copies of one 20-mer plus noise that shares its first 12
-        // bases: one bucket holds more entries than a `run_start` word has
-        // bits, and dozens of distinct k-mers.
+    /// 40 copies of one 20-mer plus noise that shares its first 12 bases,
+    /// and the 20-mer: at k = 15 one bucket holds more entries than a
+    /// `run_start` word has bits, and dozens of distinct k-mers.
+    fn long_bucket_reads() -> (Vec<DnaString>, DnaString) {
         let mut rng = Rng::new(9);
         let unit = random_seq(&mut rng, 20, 4);
         let mut seqs = Vec::new();
@@ -614,12 +659,15 @@ mod tests {
             seq.extend_from(&random_seq(&mut rng, 8 + tail % 3, 4));
             seqs.push(seq);
         }
-        let reads = with_ids(&seqs);
-        let index = KmerIndex::build(&reads, 15);
-        let naive = NaiveIndex::build(&reads, 15);
-        let repeat = unit.kmer_u64(0, 15).unwrap();
+        (seqs, unit)
+    }
+
+    /// The long bucket's distinct k-mers, sorted, and absent k-mers of the
+    /// same bucket: below its first, between two of its runs, above its
+    /// last.
+    fn long_bucket_kmers(index: &KmerIndex, unit: &DnaString) -> (Vec<u64>, [u64; 3]) {
         let dir_mask = index.dir.len() - 2;
-        let b = repeat as usize & dir_mask;
+        let b = unit.kmer_u64(0, 15).unwrap() as usize & dir_mask;
         let mut distinct: Vec<u64> = index.positions
             [index.dir[b] as usize..index.dir[b + 1] as usize]
             .iter()
@@ -629,17 +677,6 @@ mod tests {
         assert!(distinct.is_sorted());
         distinct.dedup();
         assert!(distinct.len() >= 24, "{} distinct k-mers", distinct.len());
-        assert!(index.hits(repeat).count() >= 40);
-        for kmer in [
-            distinct[0],
-            distinct[distinct.len() / 2],
-            distinct[distinct.len() - 1],
-        ] {
-            assert!(index.hits(kmer).count() > 0);
-            assert_same_hits(&index, &naive, kmer, "present in the long bucket");
-        }
-        // Absent k-mers of the same bucket: below its first, between two
-        // of its runs, above its last.
         let step = dir_mask as u64 + 1;
         let absent = [
             distinct[0] - step,
@@ -649,10 +686,78 @@ mod tests {
         for kmer in absent {
             assert!(kmer <= index.kmer_mask && kmer as usize & dir_mask == b);
             assert!(distinct.binary_search(&kmer).is_err());
-            assert_eq!(index.hits(kmer).count(), 0);
-            assert_same_hits(&index, &naive, kmer, "absent from the long bucket");
+        }
+        (distinct, absent)
+    }
+
+    #[test]
+    fn a_bucket_longer_than_the_run_walk_is_searched() {
+        let (seqs, unit) = long_bucket_reads();
+        let reads = with_ids(&seqs);
+        let index = KmerIndex::build(&reads, 15);
+        let naive = NaiveIndex::build(&reads, 15);
+        let (distinct, absent) = long_bucket_kmers(&index, &unit);
+        assert!(index.hits(unit.kmer_u64(0, 15).unwrap()).count() >= 40);
+        for kmer in [
+            distinct[0],
+            distinct[distinct.len() / 2],
+            distinct[distinct.len() - 1],
+        ] {
+            let hits = assert_same_hits(index.hits(kmer), &naive, kmer, "present");
+            assert!(hits > 0, "{kmer:#x}");
+        }
+        for kmer in absent {
+            let hits = assert_same_hits(index.hits(kmer), &naive, kmer, "absent");
+            assert_eq!(hits, 0, "{kmer:#x}");
         }
         check_against_oracle(&seqs, 15, "repeat");
+    }
+
+    /// One `runs` batch per subset — every k-mer of the concatenated reads
+    /// (inside a read or spanning a boundary) twice over, random k-mers,
+    /// and for the long bucket all its distinct and absent k-mers — and
+    /// an empty subset: each k-mer's range holds the naive scan's hits.
+    #[test]
+    fn runs_match_the_naive_scan() {
+        let (long, unit) = long_bucket_reads();
+        let mut rng = Rng::new(12);
+        let short: Vec<DnaString> = (0..8)
+            .map(|i| random_seq(&mut rng, 10 + 7 * i, 4))
+            .collect();
+        let mut out = vec![(7, 9)]; // stale contents must be cleared
+        for (name, seqs) in [
+            ("long bucket", long),
+            ("short reads", short),
+            ("empty", Vec::new()),
+        ] {
+            let reads = with_ids(&seqs);
+            let index = KmerIndex::build(&reads, 15);
+            let naive = NaiveIndex::build(&reads, 15);
+            let mut joined = DnaString::new();
+            for seq in &seqs {
+                joined.extend_from(seq);
+            }
+            let mut batch: Vec<u64> = joined.kmers(15).map(|(_, kmer)| kmer).collect();
+            batch.extend(batch.clone().iter().rev());
+            batch.extend((0..50).map(|_| rng.next_u64() & index.kmer_mask));
+            if name == "long bucket" {
+                let (distinct, absent) = long_bucket_kmers(&index, &unit);
+                batch.extend(distinct.iter().chain(&absent));
+            }
+            index.runs(&batch, &mut out);
+            assert_eq!(out.len(), batch.len(), "{name}");
+            let (mut found, mut missing) = (0, 0);
+            for (&kmer, &range) in batch.iter().zip(&out) {
+                match assert_same_hits(index.hits_of(range), &naive, kmer, name) {
+                    0 => missing += 1,
+                    _ => found += 1,
+                }
+            }
+            assert!(missing > 0 && (found > 0 || seqs.is_empty()), "{name}");
+        }
+        // An empty batch leaves nothing behind.
+        KmerIndex::build(&[], 15).runs(&[], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -40,8 +40,9 @@ pub struct VerifyReq {
     pub a_range: (usize, usize),
     /// Range of `b` inside the overlap.
     pub b_range: (usize, usize),
-    /// Band half-width for this request (per-length adaptive banding may
-    /// make it differ from the configured `NwConfig::band`).
+    /// Band half-width for this request: the configured `NwConfig::band`
+    /// as the geometry stage emits it; `verify` narrows it to the gap bound
+    /// before the DP it runs.
     pub band: usize,
 }
 
@@ -427,6 +428,7 @@ mod tests {
     /// `h > 0` cases apply to the first three and must stay off for the
     /// last two, and `verify` matches banded NW under each.
     #[test]
+    #[cfg_attr(miri, ignore)] // 6 000 requests through verify and banded NW
     fn verify_agrees_across_scorings() {
         let mut rng = Rng::new(77);
         let store = paired_store(&mut rng);

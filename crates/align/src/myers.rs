@@ -230,8 +230,12 @@ fn distance_1word(
 }
 
 /// Blocked multi-word Myers for patterns longer than 64 rows: words are
-/// chained per column through `hin`/`hout` carries in `{-1, 0, +1}`, with
-/// the top row's constant `+1` entering word 0.
+/// chained per column through a horizontal delta in `{-1, 0, +1}` carried
+/// as two bits — the word's top bits of `ph` (`+1`) and `mh` (`-1`), never
+/// both set — shifted into the next word, with the top row's constant `+1`
+/// entering word 0. Bit `r` of every vector depends on bits `<= r` only
+/// (shifts and carries run upward), so the last word's rows past the
+/// pattern never reach its score bit and are not masked.
 fn distance_blocked(
     pat: PackedView<'_>,
     pat_range: (usize, usize),
@@ -243,17 +247,10 @@ fn distance_blocked(
     let words = plen.div_ceil(64);
     build_peq(pat, pat_range, &mut scratch.peq);
     let peq = &scratch.peq[..words];
-    let last = words - 1;
-    let last_bits = plen - 64 * last; // 1..=64
-    let last_mask = if last_bits == 64 {
-        !0u64
-    } else {
-        (1u64 << last_bits) - 1
-    };
-    let score_bit = 1u64 << (last_bits - 1);
+    // The pattern's last row within the last word.
+    let score_bit = (plen - 1) % 64;
     scratch.pv.clear();
     scratch.pv.resize(words, !0u64);
-    scratch.pv[last] = last_mask;
     scratch.mv.clear();
     scratch.mv.resize(words, 0u64);
     let (pv, mv) = (&mut scratch.pv[..words], &mut scratch.mv[..words]);
@@ -266,42 +263,22 @@ fn distance_blocked(
         for _ in 0..chunk {
             let code = (tw & 0b11) as usize;
             tw >>= 2;
-            let mut hin: i64 = 1; // top-row boundary delta is always +1
-            for k in 0..words {
-                let mut eq = peq[k][code];
-                let pvk = pv[k];
-                let mvk = mv[k];
-                let xv = eq | mvk;
-                if hin < 0 {
-                    eq |= 1;
-                }
+            // The top-row boundary delta is always +1.
+            let (mut carry_p, mut carry_m) = (1u64, 0u64);
+            let (mut ph, mut mh) = (0u64, 0u64);
+            for ((pv, mv), peq) in pv.iter_mut().zip(mv.iter_mut()).zip(peq) {
+                let (pvk, mvk) = (*pv, *mv);
+                let xv = peq[code] | mvk;
+                let eq = peq[code] | carry_m;
                 let xh = (((eq & pvk).wrapping_add(pvk)) ^ pvk) | eq;
-                let ph = mvk | !(xh | pvk);
-                let mh = pvk & xh;
-                let test = if k == last { score_bit } else { 1u64 << 63 };
-                let hout: i64 = if ph & test != 0 {
-                    1
-                } else if mh & test != 0 {
-                    -1
-                } else {
-                    0
-                };
-                let mut ph = ph << 1;
-                let mut mh = mh << 1;
-                if hin > 0 {
-                    ph |= 1;
-                } else if hin < 0 {
-                    mh |= 1;
-                }
-                pv[k] = mh | !(xv | ph);
-                mv[k] = ph & xv;
-                if k == last {
-                    pv[k] &= last_mask;
-                    mv[k] &= last_mask;
-                }
-                hin = hout;
+                ph = mvk | !(xh | pvk);
+                mh = pvk & xh;
+                let (php, mhp) = (ph << 1 | carry_p, mh << 1 | carry_m);
+                (carry_p, carry_m) = (ph >> 63, mh >> 63);
+                *pv = mhp | !(xv | php);
+                *mv = php & xv;
             }
-            score += hin;
+            score += (ph >> score_bit & 1) as i64 - (mh >> score_bit & 1) as i64;
         }
         pos += chunk;
     }
@@ -431,10 +408,12 @@ mod tests {
 
     #[test]
     fn word_boundary_lengths_match_reference() {
-        // Pattern lengths straddling the 1-word/2-word and 2-word/3-word
-        // boundaries, texts slightly longer.
+        // Pattern lengths straddling the 1-word/2-word, 2-word/3-word and
+        // 3-word/4-word boundaries, texts slightly longer.
         let mut rng = Rng::new(7);
-        for &plen in &[1usize, 2, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 150] {
+        for &plen in &[
+            1usize, 2, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 150, 191, 192, 193,
+        ] {
             for _ in 0..20 {
                 let tlen = plen + rng.range(0..12);
                 let pc: Vec<u8> = (0..plen).map(|_| rng.range(0..4)).collect();

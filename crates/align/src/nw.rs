@@ -53,20 +53,25 @@ impl AlignmentSummary {
     }
 }
 
-/// Reusable band buffers for [`banded_global_with`].
+/// Reusable buffers for [`banded_global_with`]: the two ranges' bases, one
+/// 2-bit code per byte, and two band rows of scores and of
+/// `(columns, matches)` packed as `columns << 32 | matches`.
 ///
-/// The four per-call `Vec`s of the banded DP were the aligner's dominant
-/// allocation churn (one verify call per candidate pair). A scratch value —
-/// owned per worker thread in the parallel overlapper — lets every call
-/// recycle them; each call fully reinitialises the buffers, so results are
-/// identical to the allocate-per-call path.
+/// A scratch value — owned per worker thread in the parallel overlapper —
+/// lets every call recycle them; each call reinitialises what it reads, so
+/// results are identical to the allocate-per-call path.
 #[derive(Debug, Clone, Default)]
 pub struct NwScratch {
+    a: Vec<u8>,
+    b: Vec<u8>,
     prev: Vec<i32>,
     cur: Vec<i32>,
-    prev_cm: Vec<(u32, u32)>,
-    cur_cm: Vec<(u32, u32)>,
+    prev_cm: Vec<u64>,
+    cur_cm: Vec<u64>,
 }
+
+/// One alignment column added to a packed `(columns, matches)`.
+const COLUMN: u64 = 1 << 32;
 
 /// Globally aligns `a[a_start..a_end]` against `b[b_start..b_end]` within a
 /// band, returning the score/column/match summary, or `None` when the length
@@ -81,8 +86,20 @@ pub fn banded_global(
     banded_global_with(a, a_range, b, b_range, config, &mut NwScratch::default())
 }
 
-/// [`banded_global`] with caller-provided band buffers (the zero-allocation
-/// hot path; see [`NwScratch`]).
+/// [`banded_global`] with caller-provided buffers (the zero-allocation hot
+/// path; see [`NwScratch`]).
+///
+/// Row `i` covers columns `j` in `[i - band, i + band] ∩ [0, m]`, column `j`
+/// at slot `j + band - i + 1` of a row of `2·band + 3` slots. Cell `(i, j)`
+/// takes the best of diagonal `(i-1, j-1)` (the same slot of the previous
+/// row), up `(i-1, j)` (the next slot) and left `(i, j-1)` (the cell just
+/// computed, carried in registers), and on ties prefers diagonal, then up,
+/// then left: the order the verifier's bounds and every digest rely on.
+/// Every cell inside the band is reachable, so a predecessor is invalid
+/// only where it leaves the band, and no cell tests for it: up at
+/// `j = i + band` reads the last slot, which no row writes and which stays
+/// `NEG`; left at a row's first cell starts from `NEG`; column 0, which has
+/// no diagonal, is a step of its own.
 pub fn banded_global_with(
     a: &DnaString,
     a_range: (usize, usize),
@@ -109,99 +126,204 @@ pub fn banded_global_with(
     }
 
     const NEG: i32 = i32::MIN / 4;
-    // Row-banded DP: row i covers columns j in [i-band, i+band] ∩ [0, m].
-    let width = 2 * band + 1;
-    // `clear` + `resize` refills every slot with the initial value, exactly
-    // as the former `vec![...]` allocations did.
-    let mut prev = &mut scratch.prev;
-    let mut cur = &mut scratch.cur;
-    let mut prev_cm = &mut scratch.prev_cm;
-    let mut cur_cm = &mut scratch.cur_cm;
-    prev.clear();
-    prev.resize(width + 2, NEG);
-    cur.clear();
-    cur.resize(width + 2, NEG);
-    prev_cm.clear();
-    prev_cm.resize(width + 2, (0u32, 0u32));
-    cur_cm.clear();
-    cur_cm.resize(width + 2, (0u32, 0u32));
-
-    // Maps column j of row i to a slot in the band buffer.
-    let slot = |i: usize, j: usize| -> usize { j + band - i };
+    let NwConfig {
+        match_score,
+        mismatch_score,
+        gap_score,
+        ..
+    } = *config;
+    let NwScratch {
+        a: a_codes,
+        b: b_codes,
+        prev,
+        cur,
+        prev_cm,
+        cur_cm,
+    } = scratch;
+    a.packed().fill_codes(a_start, a_end, a_codes);
+    b.packed().fill_codes(b_start, b_end, b_codes);
+    let slots = 2 * band + 3;
+    for row in [&mut *prev, &mut *cur] {
+        row.clear();
+        row.resize(slots, NEG);
+    }
+    for row in [&mut *prev_cm, &mut *cur_cm] {
+        row.clear();
+        row.resize(slots, 0);
+    }
 
     // Row 0: leading gaps in `a`.
     for j in 0..=m.min(band) {
-        prev[slot(0, j)] = config.gap_score * j as i32;
-        prev_cm[slot(0, j)] = (j as u32, 0);
+        prev[j + band + 1] = gap_score * j as i32;
+        prev_cm[j + band + 1] = j as u64 * COLUMN;
     }
-
-    for i in 1..=n {
-        cur.fill(NEG);
-        let j_lo = i.saturating_sub(band);
-        let j_hi = (i + band).min(m);
-        for j in j_lo..=j_hi {
-            let s = slot(i, j);
-            let mut best = NEG;
-            let mut best_cm = (0u32, 0u32);
-            // Diagonal (match/mismatch) — prev row, same slot offset shifts by 0.
-            if j >= 1 && j - 1 + band >= i - 1 && j - 1 <= i - 1 + band {
-                let ps = slot(i - 1, j - 1);
-                if prev[ps] > NEG {
-                    let is_match = a.get(a_start + i - 1) == b.get(b_start + j - 1);
-                    let sc = prev[ps]
-                        + if is_match {
-                            config.match_score
-                        } else {
-                            config.mismatch_score
-                        };
-                    if sc > best {
-                        best = sc;
-                        let (c, mt) = prev_cm[ps];
-                        best_cm = (c + 1, mt + u32::from(is_match));
-                    }
-                }
-            }
-            // Up (gap in b): cell (i-1, j).
-            if j + band >= i - 1 && j <= i - 1 + band {
-                let ps = slot(i - 1, j);
-                if prev[ps] > NEG {
-                    let sc = prev[ps] + config.gap_score;
-                    if sc > best {
-                        best = sc;
-                        let (c, mt) = prev_cm[ps];
-                        best_cm = (c + 1, mt);
-                    }
-                }
-            }
-            // Left (gap in a): cell (i, j-1).
-            if j >= 1 && j > j_lo {
-                let ps = slot(i, j - 1);
-                if cur[ps] > NEG {
-                    let sc = cur[ps] + config.gap_score;
-                    if sc > best {
-                        best = sc;
-                        let (c, mt) = cur_cm[ps];
-                        best_cm = (c + 1, mt);
-                    }
-                }
-            }
-            cur[s] = best;
-            cur_cm[s] = best_cm;
+    for (i, &ai) in (1..=n).zip(a_codes.iter()) {
+        let (mut j, j_hi) = (i.saturating_sub(band), (i + band).min(m));
+        let mut s = j + band + 1 - i;
+        let (mut left, mut left_cm) = (NEG, 0u64);
+        if j == 0 {
+            // Column 0: leading gaps in `b`.
+            (left, left_cm) = (gap_score * i as i32, i as u64 * COLUMN);
+            cur[s] = left;
+            cur_cm[s] = left_cm;
+            (j, s) = (1, s + 1);
         }
-        std::mem::swap(&mut prev, &mut cur);
-        std::mem::swap(&mut prev_cm, &mut cur_cm);
+        // `|n - m| <= band` keeps `j <= j_hi + 1`: `cells` is never negative.
+        let cells = j_hi + 1 - j;
+        let out = cur[s..s + cells].iter_mut().zip(&mut cur_cm[s..s + cells]);
+        let above = prev[s..=s + cells]
+            .windows(2)
+            .zip(prev_cm[s..=s + cells].windows(2));
+        for (((score, cm), (p, pc)), &bj) in out.zip(above).zip(&b_codes[j - 1..j_hi]) {
+            let hit = ai == bj;
+            let diag = p[0] + if hit { match_score } else { mismatch_score };
+            let diag_cm = pc[0] + COLUMN + u64::from(hit);
+            let (up, up_cm) = (p[1] + gap_score, pc[1] + COLUMN);
+            let (side, side_cm) = (left + gap_score, left_cm + COLUMN);
+            let (side, side_cm) = if up >= side {
+                (up, up_cm)
+            } else {
+                (side, side_cm)
+            };
+            (left, left_cm) = if diag >= side {
+                (diag, diag_cm)
+            } else {
+                (side, side_cm)
+            };
+            *score = left;
+            *cm = left_cm;
+        }
+        std::mem::swap(prev, cur);
+        std::mem::swap(prev_cm, cur_cm);
     }
 
-    let s = slot(n, m);
-    if m + band < n || m > n + band || prev[s] <= NEG {
-        return None;
-    }
-    let (columns, matches) = prev_cm[s];
+    let s = m + band + 1 - n;
     Some(AlignmentSummary {
         score: prev[s],
-        columns,
-        matches,
+        columns: (prev_cm[s] >> 32) as u32,
+        matches: prev_cm[s] as u32,
     })
+}
+
+/// The banded DP as it was before [`banded_global_with`] unpacked its
+/// ranges and dropped its per-cell validity tests: the oracle its
+/// differential tests compare it with.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{AlignmentSummary, NwConfig};
+    use fc_seq::DnaString;
+
+    /// [`super::banded_global`], one `DnaString::get` per base compared and
+    /// a validity test per predecessor.
+    pub(crate) fn banded_global(
+        a: &DnaString,
+        a_range: (usize, usize),
+        b: &DnaString,
+        b_range: (usize, usize),
+        config: &NwConfig,
+    ) -> Option<AlignmentSummary> {
+        let (a_start, a_end) = a_range;
+        let (b_start, b_end) = b_range;
+        assert!(
+            a_start <= a_end && a_end <= a.len(),
+            "a range out of bounds"
+        );
+        assert!(
+            b_start <= b_end && b_end <= b.len(),
+            "b range out of bounds"
+        );
+        let n = a_end - a_start; // rows
+        let m = b_end - b_start; // columns
+        let band = config.band;
+        if n.abs_diff(m) > band {
+            return None;
+        }
+
+        const NEG: i32 = i32::MIN / 4;
+        // Row-banded DP: row i covers columns j in [i-band, i+band] ∩ [0, m].
+        let width = 2 * band + 1;
+        let mut prev = vec![NEG; width + 2];
+        let mut cur = vec![NEG; width + 2];
+        let mut prev_cm = vec![(0u32, 0u32); width + 2];
+        let mut cur_cm = vec![(0u32, 0u32); width + 2];
+
+        // Maps column j of row i to a slot in the band buffer.
+        let slot = |i: usize, j: usize| -> usize { j + band - i };
+
+        // Row 0: leading gaps in `a`.
+        for j in 0..=m.min(band) {
+            prev[slot(0, j)] = config.gap_score * j as i32;
+            prev_cm[slot(0, j)] = (j as u32, 0);
+        }
+
+        for i in 1..=n {
+            cur.fill(NEG);
+            let j_lo = i.saturating_sub(band);
+            let j_hi = (i + band).min(m);
+            for j in j_lo..=j_hi {
+                let s = slot(i, j);
+                let mut best = NEG;
+                let mut best_cm = (0u32, 0u32);
+                // Diagonal (match/mismatch) — prev row, same slot offset shifts by 0.
+                if j >= 1 && j - 1 + band >= i - 1 && j - 1 <= i - 1 + band {
+                    let ps = slot(i - 1, j - 1);
+                    if prev[ps] > NEG {
+                        let is_match = a.get(a_start + i - 1) == b.get(b_start + j - 1);
+                        let sc = prev[ps]
+                            + if is_match {
+                                config.match_score
+                            } else {
+                                config.mismatch_score
+                            };
+                        if sc > best {
+                            best = sc;
+                            let (c, mt) = prev_cm[ps];
+                            best_cm = (c + 1, mt + u32::from(is_match));
+                        }
+                    }
+                }
+                // Up (gap in b): cell (i-1, j).
+                if j + band >= i - 1 && j <= i - 1 + band {
+                    let ps = slot(i - 1, j);
+                    if prev[ps] > NEG {
+                        let sc = prev[ps] + config.gap_score;
+                        if sc > best {
+                            best = sc;
+                            let (c, mt) = prev_cm[ps];
+                            best_cm = (c + 1, mt);
+                        }
+                    }
+                }
+                // Left (gap in a): cell (i, j-1).
+                if j >= 1 && j > j_lo {
+                    let ps = slot(i, j - 1);
+                    if cur[ps] > NEG {
+                        let sc = cur[ps] + config.gap_score;
+                        if sc > best {
+                            best = sc;
+                            let (c, mt) = cur_cm[ps];
+                            best_cm = (c + 1, mt);
+                        }
+                    }
+                }
+                cur[s] = best;
+                cur_cm[s] = best_cm;
+            }
+            std::mem::swap(&mut prev, &mut cur);
+            std::mem::swap(&mut prev_cm, &mut cur_cm);
+        }
+
+        let s = slot(n, m);
+        if m + band < n || m > n + band || prev[s] <= NEG {
+            return None;
+        }
+        let (columns, matches) = prev_cm[s];
+        Some(AlignmentSummary {
+            score: prev[s],
+            columns,
+            matches,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -337,6 +459,42 @@ mod tests {
         assert_eq!(s.identity(), 0.0);
     }
 
+    /// Predecessors of equal score with different `(columns, matches)`:
+    /// the summary follows the diagonal over up and up over left. Each pair
+    /// came from a search of short random pairs against the swapped order.
+    #[test]
+    fn ties_prefer_diagonal_then_up_then_left() {
+        let config = NwConfig {
+            match_score: 1,
+            mismatch_score: -1,
+            gap_score: -2,
+            band: 7,
+        };
+        for (a, b, (score, columns, matches)) in [
+            // Up first would report 9 columns and 4 matches.
+            ("GAACTA", "ACTGAGA", (-6, 7, 1)),
+            // Left first would report 11 columns and 4 matches.
+            ("GTCTGATTGA", "AGGTCTCGAG", (-5, 13, 7)),
+        ] {
+            let (a, b): (DnaString, DnaString) = (a.parse().unwrap(), b.parse().unwrap());
+            let (a_range, b_range) = ((0, a.len()), (0, b.len()));
+            let want = Some(AlignmentSummary {
+                score,
+                columns,
+                matches,
+            });
+            assert_eq!(
+                banded_global(&a, a_range, &b, b_range, &config),
+                want,
+                "{a} vs {b}"
+            );
+            assert_eq!(
+                reference::banded_global(&a, a_range, &b, b_range, &config),
+                want
+            );
+        }
+    }
+
     #[test]
     fn subrange_alignment() {
         let a: DnaString = "TTTTACGTACGT".parse().unwrap();
@@ -353,6 +511,7 @@ mod tests {
     /// report exactly the all-diagonal summary; under scorings that fail
     /// `ma - 2·ga > 2·(ma - mi)` it fires for identical ranges only.
     #[test]
+    #[cfg_attr(miri, ignore)] // 4 x 22 000 pairs through full NW
     fn ungapped_rule_agrees_with_full_nw_exhaustively() {
         use crate::myers::{edit_distance_with, ungapped_optimum_forced, MyersScratch};
         let mut myers = MyersScratch::default();
@@ -426,6 +585,7 @@ mod props {
     use super::tests::full_global;
     use super::*;
     use fc_rng::{cases, Rng};
+    use fc_seq::Base;
 
     fn dna(rng: &mut Rng, max_len: usize) -> DnaString {
         rng.vec(0..max_len, |r| fc_seq::Base::from_code(r.range(0..4)))
@@ -478,5 +638,88 @@ mod props {
                 assert!((0.0..=1.0).contains(&s.identity()));
             }
         });
+    }
+
+    fn bases(rng: &mut Rng, len: usize) -> Vec<Base> {
+        rng.vec(len..=len, |r| Base::from_code(r.range(0..4)))
+    }
+
+    /// `a` with each base substituted, dropped or followed by an inserted
+    /// base at rate `rate`.
+    fn mutated(rng: &mut Rng, a: &[Base], rate: f64) -> Vec<Base> {
+        let mut out = Vec::with_capacity(a.len() + 8);
+        for &base in a {
+            if !rng.bool(rate) {
+                out.push(base);
+                continue;
+            }
+            match rng.range(0..3) {
+                0 => out.extend(bases(rng, 1)),
+                1 => {}
+                _ => out.extend([base].into_iter().chain(bases(rng, 1))),
+            }
+        }
+        out
+    }
+
+    /// The DP against [`super::reference`], the body it replaced, one
+    /// scratch reused throughout: equal `Option<AlignmentSummary>` for
+    /// lengths 0–140 (across the 32/64/128-base words `fill_codes` unpacks
+    /// at), length differences 0 to `band + 1`, bands {0, 1, 2, 7, 8, 16},
+    /// odd range offsets, related and unrelated ranges, and the five
+    /// scorings of `kernel`'s `verify_agrees_across_scorings`.
+    #[test]
+    fn matches_the_reference_dp() {
+        use super::reference;
+        const SCORINGS: [(i32, i32, i32); 5] = [
+            (1, -2, -3),
+            (1, -1, -2),
+            (3, -1, -4),
+            (2, -3, -2),
+            (1, -3, -3),
+        ];
+        let mut scratch = NwScratch::default();
+        // (in-band requests, verdicts whose optimum has a gap)
+        let mut seen = (0, 0);
+        cases(512, |rng| {
+            let band = [0usize, 1, 2, 7, 8, 16][rng.range(0..6)];
+            let n = rng.range(0..=140usize);
+            let delta = rng.range(0..=band + 1);
+            let m = if rng.bool(0.5) {
+                n + delta
+            } else {
+                n.saturating_sub(delta)
+            }
+            .min(140);
+            let offset = |rng: &mut Rng| rng.range(0..20usize) * 2 + usize::from(rng.bool(0.7));
+            let (a_off, b_off) = (offset(rng), offset(rng));
+            let a = [bases(rng, a_off), bases(rng, n), bases(rng, 3)].concat();
+            let mut middle = if rng.bool(0.7) {
+                mutated(rng, &a[a_off..a_off + n], 0.04)
+            } else {
+                bases(rng, m)
+            };
+            middle.truncate(m);
+            middle.extend(bases(rng, m - middle.len()));
+            let b = [bases(rng, b_off), middle].concat();
+            let (a, b): (DnaString, DnaString) = (a.into_iter().collect(), b.into_iter().collect());
+            let (a_range, b_range) = ((a_off, a_off + n), (b_off, b_off + m));
+            for (match_score, mismatch_score, gap_score) in SCORINGS {
+                let config = NwConfig {
+                    match_score,
+                    mismatch_score,
+                    gap_score,
+                    band,
+                };
+                let got = banded_global_with(&a, a_range, &b, b_range, &config, &mut scratch);
+                let want = reference::banded_global(&a, a_range, &b, b_range, &config);
+                assert_eq!(got, want, "{config:?}: a[{a_range:?}] vs b[{b_range:?}]");
+                if let Some(s) = got {
+                    seen.0 += 1;
+                    seen.1 += usize::from(s.columns as usize > n.max(m));
+                }
+            }
+        });
+        assert!(seen.1 > 0 && seen.1 < seen.0, "{seen:?}");
     }
 }

@@ -95,7 +95,10 @@ pub struct PairStats {
     pub kmer_hits: u64,
     /// Candidate pairs that reached the aligner.
     pub candidates: u64,
-    /// Approximate DP cells computed by the aligner.
+    /// DP cells the geometry stage charges: each request's rows times
+    /// `2·band + 1` at the request's band. A cost-model input, not a count
+    /// of cells computed — most requests never reach the DP, and those
+    /// that do run in a band shrunk to their gap bound.
     pub nw_cells: u64,
     /// Overlaps that passed the thresholds.
     pub overlaps: u64,
@@ -185,14 +188,17 @@ impl Hasher for VoteHasher {
     }
 }
 
-/// Reusable per-worker buffers for the overlapper's hot path: the diagonal
-/// vote map and its flattened/sorted view, the candidate list, the
-/// verification-request batch and its verdicts, and the verifier's own
-/// buffers. One value per worker thread (see
-/// [`Overlapper::overlap_column`]) eliminates the per-read and
-/// per-verification allocation churn without any cross-thread state.
+/// Reusable per-worker buffers for the overlapper's hot path: a query
+/// read's sampled k-mers and their index runs, the diagonal vote map and
+/// its flattened/sorted view, the candidate list, the verification-request
+/// batch and its verdicts, and the verifier's own buffers. One value per
+/// worker thread (see [`Overlapper::overlap_column`]) eliminates the
+/// per-read and per-verification allocation churn without any cross-thread
+/// state.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
+    kmers: Vec<u64>,
+    runs: Vec<(u32, u32)>,
     votes: HashMap<(ReadId, i64), u32, BuildHasherDefault<VoteHasher>>,
     flat: Vec<(ReadId, i64, u32)>,
     candidates: Vec<(ReadId, i64)>,
@@ -523,18 +529,29 @@ impl<'a> Overlapper<'a> {
             return;
         }
         let AlignScratch {
+            kmers,
+            runs,
             votes,
             flat,
             candidates,
             reqs,
             ..
         } = scratch;
+        // The read's sampled k-mers, looked up together.
+        kmers.clear();
+        kmers.extend(
+            query_seq
+                .kmers(k)
+                .step_by(self.config.seed_step)
+                .map(|(_, kmer)| kmer),
+        );
+        index.runs(kmers, runs);
+        stats.kmer_lookups += runs.len() as u64;
         // Vote per (reference read, diagonal).
         votes.clear();
-        let mut pos = 0usize;
-        while let Some(kmer) = query_seq.kmer_u64(pos, k) {
-            stats.kmer_lookups += 1;
-            for (r, r_off) in index.hits(kmer) {
+        for (s, &range) in runs.iter().enumerate() {
+            let pos = s * self.config.seed_step;
+            for (r, r_off) in index.hits_of(range) {
                 stats.kmer_hits += 1;
                 if r == q {
                     continue;
@@ -550,7 +567,6 @@ impl<'a> Overlapper<'a> {
                 let diag = pos as i64 - r_off as i64;
                 *votes.entry((r, diag)).or_insert(0) += 1;
             }
-            pos += self.config.seed_step;
         }
 
         // Cluster diagonals per reference read within the NW band. The vote

@@ -2,11 +2,12 @@
 //!
 //! The alignment kernels (fc-align) consume sequences word-at-a-time: the
 //! Myers bit-parallel kernel builds its `Peq` match tables from 32-base
-//! windows, and the ungapped-optimum shortcut counts the mismatches of a
-//! candidate's two ranges 32 bases per machine word. [`PackedView`] exposes the packed words of a
-//! [`DnaString`](crate::DnaString) read-only, so those kernels run without
-//! per-call decoding into byte buffers and without copying sequence data —
-//! views are freely shared across fc-exec worker threads.
+//! windows, the ungapped-optimum shortcut counts the mismatches of a
+//! candidate's two ranges 32 bases per machine word, and banded NW unpacks
+//! its two ranges into byte codes 32 bases per word read
+//! ([`PackedView::fill_codes`]). [`PackedView`] exposes the packed words of
+//! a [`DnaString`](crate::DnaString) read-only, without copying sequence
+//! data — views are freely shared across fc-exec worker threads.
 //!
 //! Layout contract (shared with [`crate::dna`]): two bits per base, code
 //! `base.code()`, 32 bases per `u64`, the first base in the lowest bits,
@@ -105,15 +106,6 @@ impl<'a> PackedView<'a> {
         })
     }
 
-    /// True if `self[start..start + count]` equals `other[ostart..ostart +
-    /// count]`, compared 32 bases per step through the packed words.
-    ///
-    /// # Panics
-    /// Panics in debug builds if either range is out of bounds.
-    pub fn range_eq(&self, start: usize, other: &PackedView<'_>, ostart: usize, count: usize) -> bool {
-        self.xor_words(start, other, ostart, count).all(|x| x == 0)
-    }
-
     /// Number of positions `i < count` at which `self[start + i]` differs
     /// from `other[ostart + i]` (the Hamming distance of the two ranges),
     /// counted 32 bases per step: `xor` the windows, fold each base's two
@@ -200,8 +192,10 @@ mod tests {
         }
     }
 
+    /// Random ranges of a periodic sequence against a random one, and each
+    /// range against itself: no mismatch exactly when every base agrees.
     #[test]
-    fn range_eq_agrees_with_base_comparison() {
+    fn no_mismatches_exactly_when_ranges_are_equal() {
         let a = seq("ACGTTGCA", 16); // 128 bases
         let b = random_seq(128, 3);
         let mut rng = Rng::new(99);
@@ -211,19 +205,19 @@ mod tests {
             let sa = rng.range(0..=a.len() - count);
             let sb = rng.range(0..=b.len() - count);
             let naive = (0..count).all(|i| a.get(sa + i) == b.get(sb + i));
-            assert_eq!(va.range_eq(sa, &vb, sb, count), naive, "a[{sa}..] vs b[{sb}..] x{count}");
-            // A sequence always equals itself on the same range.
-            assert!(va.range_eq(sa, &va, sa, count));
+            assert_eq!(
+                va.mismatches(sa, &vb, sb, count) == 0,
+                naive,
+                "a[{sa}..] vs b[{sb}..] x{count}"
+            );
+            assert_eq!(va.mismatches(sa, &va, sa, count), 0);
         }
-    }
-
-    #[test]
-    fn range_eq_detects_single_base_difference_in_tail() {
+        // One differing base at the end of a word-and-a-half tail.
         let a = seq("ACGT", 20); // 80 bases
         let mut b = a.clone();
         b.set(79, b.get(79).complement());
-        assert!(a.packed().range_eq(0, &b.packed(), 0, 79));
-        assert!(!a.packed().range_eq(0, &b.packed(), 0, 80));
+        assert_eq!(a.packed().mismatches(0, &b.packed(), 0, 79), 0);
+        assert_ne!(a.packed().mismatches(0, &b.packed(), 0, 80), 0);
     }
 
     /// Every offset pair across the word boundaries, every tail length:
@@ -251,7 +245,6 @@ mod tests {
                             naive,
                             "a[{sa}..] vs o[{so}..] x{count}"
                         );
-                        assert_eq!(va.range_eq(sa, &vo, so, count), naive == 0);
                     }
                 }
             }
@@ -290,10 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_ranges_compare_equal() {
+    fn empty_ranges_have_no_mismatches() {
         let a = random_seq(10, 1);
         let b = random_seq(10, 2);
-        assert!(a.packed().range_eq(3, &b.packed(), 7, 0));
-        assert!(a.packed().range_eq(10, &b.packed(), 10, 0));
+        assert_eq!(a.packed().mismatches(3, &b.packed(), 7, 0), 0);
+        assert_eq!(a.packed().mismatches(10, &b.packed(), 10, 0), 0);
     }
 }
