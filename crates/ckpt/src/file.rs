@@ -47,10 +47,24 @@ pub struct CheckpointFile {
     pub records: Vec<Vec<u8>>,
 }
 
+/// Header bytes before the first record.
+const HEADER_LEN: usize = 4 + 4 + 4 + 8 + 8 + 8;
+
+/// The trailing whole-file CRC of an encoded container at least 4 bytes
+/// long: what [`CheckpointFile::encode`] sealed it with, or what a damaged
+/// file claims.
+pub(crate) fn sealed_crc(bytes: &[u8]) -> u32 {
+    let n = bytes.len();
+    u32::from_le_bytes([bytes[n - 4], bytes[n - 3], bytes[n - 2], bytes[n - 1]])
+}
+
 impl CheckpointFile {
-    /// Serialises the container, computing all checksums.
+    /// Serialises the container, computing all checksums, into one buffer
+    /// sized up front: one pass over each record for its CRC, one over the
+    /// whole file for the trailer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let framed: usize = self.records.iter().map(|r| 8 + r.len() + 4).sum();
+        let mut out = Vec::with_capacity(HEADER_LEN + framed + 4);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.phase_id.to_le_bytes());
@@ -74,19 +88,13 @@ impl CheckpointFile {
             path: path.to_path_buf(),
             detail,
         };
-        let header_len = 4 + 4 + 4 + 8 + 8 + 8;
-        if bytes.len() < header_len + 4 {
+        if bytes.len() < HEADER_LEN + 4 {
             return Err(corrupt(format!("file too short ({} bytes)", bytes.len())));
         }
         // Whole-file CRC first: it covers everything, including the header
         // fields we are about to interpret.
         let body_len = bytes.len() - 4;
-        let stored_crc = u32::from_le_bytes([
-            bytes[body_len],
-            bytes[body_len + 1],
-            bytes[body_len + 2],
-            bytes[body_len + 3],
-        ]);
+        let stored_crc = sealed_crc(bytes);
         let actual_crc = crc32(&bytes[..body_len]);
         if stored_crc != actual_crc {
             return Err(corrupt(format!(
@@ -118,7 +126,7 @@ impl CheckpointFile {
             .ok_or_else(|| corrupt(format!("implausible record count {record_count}")))?;
 
         let mut records = Vec::with_capacity(record_count);
-        let mut pos = header_len;
+        let mut pos = HEADER_LEN;
         for i in 0..record_count {
             if body_len - pos < 8 {
                 return Err(corrupt(format!("record {i}: truncated length field")));
@@ -222,6 +230,35 @@ mod tests {
         bytes[body..].copy_from_slice(&crc);
         let err = CheckpointFile::decode(&bytes, &p()).expect_err("version skew rejected");
         assert!(err.to_string().contains("version"));
+    }
+
+    /// A version-5 container encoded by the bytewise-CRC build: the sliced
+    /// CRC must verify it and seal a re-encode with the same trailer.
+    const GOLDEN_HEX: &str = concat!(
+        "46434b500500000007000000efcdab89674523011032547698badcfe03000000",
+        "000000000d00000000000000676f6c64656e207265636f7264c4b82e92000000",
+        "0000000000000000002800000000000000000102030405060708090a0b0c0d0e",
+        "0f101112131415161718191a1b1c1d1e1f20212223242526273c2ea60d773d46",
+        "14",
+    );
+
+    #[test]
+    fn golden_container_decodes_and_re_encodes_byte_for_byte() {
+        let golden: Vec<u8> = (0..GOLDEN_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        let file = CheckpointFile::decode(&golden, &p()).expect("golden container verifies");
+        assert_eq!(
+            file,
+            CheckpointFile {
+                phase_id: 7,
+                config_fingerprint: 0x0123_4567_89AB_CDEF,
+                input_digest: 0xFEDC_BA98_7654_3210,
+                records: vec![b"golden record".to_vec(), Vec::new(), (0u8..40).collect()],
+            }
+        );
+        assert_eq!(file.encode(), golden);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::error::CkptError;
 use crate::fault::{flip_bit, FsFaultPlan, ReadFault, WriteFault};
-use crate::file::CheckpointFile;
+use crate::file::{sealed_crc, CheckpointFile};
 use crate::manifest::{manifest_path, render_manifest, ManifestEntry};
 use std::fs;
 use std::io::{self, Write};
@@ -147,6 +147,9 @@ impl CheckpointStore {
             records,
         };
         let mut encoded = file.encode();
+        // The manifest names the CRC `encode` sealed the file with; taken
+        // before any injected damage, so it is what the file should hold.
+        let file_crc = sealed_crc(&encoded);
         let name = CheckpointStore::file_name(phase_id, phase_name);
         let final_path = self.dir.join(&name);
 
@@ -181,7 +184,6 @@ impl CheckpointStore {
             None => {}
         }
 
-        let file_crc = crate::crc::crc32(&encoded[..encoded.len() - 4]);
         if let Err(e) = self.write_atomic(&final_path, &encoded) {
             self.degraded = true;
             return Err(e);
@@ -374,6 +376,18 @@ mod tests {
         assert!(fs::read_to_string(manifest_path(&dir))
             .expect("manifest written")
             .contains("phase 02 coarsen"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_names_the_crc_of_the_written_file() {
+        let dir = temp_dir("manifest-crc");
+        let mut store = CheckpointStore::new(&dir, 0xAA, 0xBB);
+        store.save(1, "alignment", records()).expect("save works");
+        let bytes = fs::read(dir.join(CheckpointStore::file_name(1, "alignment"))).expect("file");
+        let crc = crate::crc::crc32(&bytes[..bytes.len() - 4]);
+        let manifest = fs::read_to_string(manifest_path(&dir)).expect("manifest written");
+        assert!(manifest.contains(&format!("crc={crc:#010x}")), "{manifest}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -65,6 +65,15 @@ impl Writer {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
+
+    /// Appends a `u64` length, then each element: the encoding of a
+    /// `Vec<T>` holding `items`, written without one.
+    pub fn put_seq<T: Codec>(&mut self, items: &[T]) {
+        self.put_u64(items.len() as u64);
+        for item in items {
+            item.encode(self);
+        }
+    }
 }
 
 /// A bounds-checked decode cursor over an encoded byte slice.
@@ -279,10 +288,7 @@ impl Codec for String {
 
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        w.put_seq(self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         let len = r.seq_len(1)?;

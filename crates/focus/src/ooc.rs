@@ -10,11 +10,12 @@
 //! * **Streaming ingest** — [`FocusAssembler::assemble_fastq_ooc`] parses
 //!   the FASTQ file one read at a time through [`fc_seq::fastq::Reader`],
 //!   feeding a [`ReadStoreBuilder`]; the raw input is never resident. The
-//!   input digest is computed in a first O(1)-memory pass
+//!   same single pass folds every read into the input digest
 //!   ([`InputDigest`]), so checkpoint compatibility with the in-core path
 //!   is exact. Kept reads are optionally staged to disk page by page
 //!   ([`fc_seq::PagedStoreWriter`]) so a killed run resumes ingest from
-//!   pages instead of re-trimming.
+//!   pages instead of re-trimming; only a resumed run, which must know the
+//!   digest before it may adopt pages, reads the file once more, first.
 //! * **Spilled alignment** — subset-pair results are computed one index
 //!   column at a time by the in-core path's column loop
 //!   ([`Overlapper::overlap_column`]) and each pair's
@@ -48,7 +49,7 @@ use crate::checkpoint::{
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::FocusAssembler;
 use fc_align::{KmerIndex, Overlap, Overlapper, PairStats, PairTally, Pool};
-use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
+use fc_ckpt::{decode_from_slice, CheckpointStore, Codec, FsFaultPlan, LoadOutcome, Writer};
 use fc_obs::{MemoryBudget, Recorder, Reservation};
 use fc_seq::{fastq, PagedReadStore, PagedStoreWriter, ReadStore, ReadStoreBuilder, SeqError};
 use std::fs::File;
@@ -187,13 +188,18 @@ impl<'a> SpillPairStore<'a> {
         }
     }
 
-    /// Spills pair `t`'s run; `false` means "keep it in memory" (already
-    /// degraded, or this write just failed and degraded the store).
-    fn save(&mut self, t: usize, payload: &(Vec<Overlap>, PairStats)) -> bool {
+    /// Spills pair `t`'s run, encoded straight from the column's slice as
+    /// the `(Vec<Overlap>, PairStats)` that [`SpillPairStore::load`]
+    /// decodes; `false` means "keep it in memory" (already degraded, or
+    /// this write just failed and degraded the store).
+    fn save(&mut self, t: usize, run: &[Overlap], stats: &PairStats) -> bool {
         if self.degraded {
             return false;
         }
-        let record = encode_to_vec(payload);
+        let mut w = Writer::new();
+        w.put_seq(run);
+        stats.encode(&mut w);
+        let record = w.into_bytes();
         let bytes = record.len() as u64;
         match self.store.save(t as u32, SPILL_PAIR_NAME, vec![record]) {
             Ok(true) => {
@@ -239,15 +245,16 @@ impl FocusAssembler {
     /// Assembles a FASTQ file out-of-core, bounded by
     /// [`FocusConfig::memory_budget`]:
     ///
-    /// 1. **Digest pass** — streams the file once computing the input
-    ///    digest in O(1) memory.
-    /// 2. **Ingest** — streams the file again through the trim pipeline
-    ///    into the RC-paired store, never holding the raw input; kept
-    ///    reads are staged to `<spill_dir>/pages` when
-    ///    [`OocOptions::stage_reads`] is set. With
-    ///    [`CheckpointOptions::resume`], valid staged pages from a killed
-    ///    run are adopted instead (digest-verified — stale pages are
-    ///    recomputed, never trusted).
+    /// 1. **Digest pass, resume only** — with [`CheckpointOptions::resume`]
+    ///    and [`OocOptions::stage_reads`], streams the file once computing
+    ///    the input digest in O(1) memory, and adopts the valid staged
+    ///    pages of a killed run with that digest instead of step 2 (stale
+    ///    pages are recomputed, never trusted).
+    /// 2. **Ingest** — streams the file once through the trim pipeline
+    ///    into the RC-paired store, never holding the raw input, digesting
+    ///    every read on the way; kept reads are staged to
+    ///    `<spill_dir>/pages` when [`OocOptions::stage_reads`] is set. After
+    ///    a digest pass, the two passes must agree on count and digest.
     /// 3. **Spilled alignment** — one seed-index column resident
     ///    at a time; each subset pair's run spills to
     ///    `<spill_dir>/align` and is merged back in canonical order.
@@ -271,98 +278,42 @@ impl FocusAssembler {
         let fp = config_fingerprint(config);
         let pool = Pool::new_obs(config.threads, rec);
         let mut budget = RunBudget::new(config);
-
-        // Pass 1: digest the raw input in O(1) memory.
-        let mut digest = InputDigest::new();
-        for read in open_fastq(input)? {
-            digest.observe(&read?);
-        }
-        let reads_in = digest.count();
-        let input_digest = digest.finish();
-
         let pages_dir = ooc.spill_dir.join("pages");
         let align_dir = ooc.spill_dir.join("align");
-        let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
 
-        // Ingest: adopt digest-verified staged pages from a previous run,
-        // else stream-trim the file (pass 2), staging as we go.
-        let mut store_reads: Option<ReadStore> = None;
-        if opts.resume && ooc.stage_reads {
-            match PagedReadStore::open(&pages_dir, fp, input_digest, ooc.fs_faults.clone()) {
-                Ok(mut paged) => match paged.materialize() {
-                    Ok(s) => {
-                        rec.add("ooc.ingest.resumed", 1);
-                        store_reads = Some(s);
-                    }
-                    Err(_) => rec.add("ooc.spill.recomputed", 1),
-                },
-                // Nothing usable staged (fresh dir, different input):
-                // quiet recompute. Corruption is counted.
-                Err(fc_seq::PagedError::Stale(_)) => {}
-                Err(_) => rec.add("ooc.spill.recomputed", 1),
+        // Staged pages are adopted only under the digest of the input they
+        // were staged from, so a run that may adopt them digests the input
+        // first, in O(1) memory. Every other run digests during ingest.
+        let digested = if opts.resume && ooc.stage_reads {
+            let mut digest = InputDigest::new();
+            for read in open_fastq(input)? {
+                digest.observe(&read?);
             }
-        }
-        let store_reads = match store_reads {
-            Some(s) => {
+            Some((digest.count(), digest.finish()))
+        } else {
+            None
+        };
+        let adopted = digested
+            .and_then(|seen| Some((adopt_staged_pages(&pages_dir, fp, seen.1, ooc, rec)?, seen)));
+        let (store_reads, (reads_in, input_digest)) = match adopted {
+            Some((s, seen)) => {
                 budget.charge(rec, "read-store", s.approx_bytes() as u64)?;
-                s
+                (s, seen)
             }
             None => {
-                let mut builder = ReadStoreBuilder::new(&config.trim)?;
-                let mut staging = ooc.stage_reads.then(|| {
-                    PagedStoreWriter::create(&pages_dir, fp, ooc.page_len, ooc.fs_faults.clone())
-                });
-                let mut staging_degraded = false;
-                let mut store_res = budget.budget().try_reserve("read-store", 0)?;
-                for read in open_fastq(input)? {
-                    let read = read?;
-                    let grown = builder.push(&read);
-                    if grown == 0 {
-                        continue;
-                    }
-                    store_res.grow(grown as u64)?;
-                    if let Some(w) = staging.as_mut() {
-                        // `push` returned non-zero, so a kept read exists;
-                        // if it somehow does not, staging degrades rather
-                        // than aborting the run.
-                        let Some((kept, source)) = builder.last_kept() else {
-                            staging_degraded = true;
-                            staging = None;
-                            continue;
-                        };
-                        if w.push(kept.clone(), source).is_err() {
-                            staging_degraded = true;
-                            staging = None;
-                        }
-                    }
-                }
-                if builder.reads_in() as u64 != reads_in {
+                let (s, ingested) =
+                    ingest_fastq(input, config, fp, &pages_dir, ooc, rec, &mut budget)?;
+                if let Some(first) = digested.filter(|&first| first != ingested) {
                     return Err(FocusError::Stage {
                         stage: "ooc-ingest",
                         message: format!(
-                            "input changed between digest ({reads_in} reads) and ingest ({}) passes",
-                            builder.reads_in()
+                            "input changed between the digest pass ({} reads, digest {:#018x}) \
+                             and the ingest pass ({} reads, digest {:#018x})",
+                            first.0, first.1, ingested.0, ingested.1
                         ),
                     });
                 }
-                if let Some(w) = staging {
-                    match w.finish(input_digest) {
-                        Ok(paged) => {
-                            rec.add("ooc.ingest.staged_pages", u64::from(paged.pages()));
-                        }
-                        Err(_) => staging_degraded = true,
-                    }
-                }
-                if staging_degraded {
-                    rec.add("ooc.spill.degraded", 1);
-                    rec.instant("ooc", "ooc.spill.degraded", &[]);
-                }
-                let s = builder.finish();
-                if s.is_empty() {
-                    return Err(FocusError::EmptyInput);
-                }
-                budget.hold(rec, store_res);
-                s
+                (s, ingested)
             }
         };
         // The out-of-core run has no preprocess checkpoint to restore these
@@ -372,6 +323,7 @@ impl FocusAssembler {
             rec.add("pipeline.reads_kept", store_reads.len() as u64);
         }
 
+        let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
         let mem = budget.budget().clone();
         let prepared = self.prepare_from(store_reads, &mut policy, &mut budget, |store| {
             let mut spill =
@@ -388,6 +340,96 @@ impl FocusAssembler {
 fn open_fastq(path: &Path) -> Result<fastq::Reader<BufReader<File>>, FocusError> {
     let file = File::open(path).map_err(|e| FocusError::Seq(SeqError::from(e)))?;
     Ok(fastq::Reader::new(BufReader::new(file)))
+}
+
+/// The store a killed run staged under `pages_dir` from the input digested
+/// as `input_digest`, if one is there whole. Nothing usable staged (fresh
+/// directory, different input) is a quiet `None`; corruption is counted.
+fn adopt_staged_pages(
+    pages_dir: &Path,
+    fp: u64,
+    input_digest: u64,
+    ooc: &OocOptions,
+    rec: &Recorder,
+) -> Option<ReadStore> {
+    match PagedReadStore::open(pages_dir, fp, input_digest, ooc.fs_faults.clone()) {
+        Ok(mut paged) => match paged.materialize() {
+            Ok(s) => {
+                rec.add("ooc.ingest.resumed", 1);
+                Some(s)
+            }
+            Err(_) => {
+                rec.add("ooc.spill.recomputed", 1);
+                None
+            }
+        },
+        Err(fc_seq::PagedError::Stale(_)) => None,
+        Err(_) => {
+            rec.add("ooc.spill.recomputed", 1);
+            None
+        }
+    }
+}
+
+/// The one streaming pass over the FASTQ: each read is folded into the
+/// input digest and trimmed into the store, whose growth is charged as it
+/// happens, and kept reads are staged to `pages_dir` when
+/// [`OocOptions::stage_reads`] is set. Returns the store and the input's
+/// `(read count, digest)`.
+fn ingest_fastq(
+    input: &Path,
+    config: &FocusConfig,
+    fp: u64,
+    pages_dir: &Path,
+    ooc: &OocOptions,
+    rec: &Recorder,
+    budget: &mut RunBudget,
+) -> Result<(ReadStore, (u64, u64)), FocusError> {
+    let mut digest = InputDigest::new();
+    let mut builder = ReadStoreBuilder::new(&config.trim)?;
+    let mut staging = ooc
+        .stage_reads
+        .then(|| PagedStoreWriter::create(pages_dir, fp, ooc.page_len, ooc.fs_faults.clone()));
+    let mut staging_degraded = false;
+    let mut store_res = budget.budget().try_reserve("read-store", 0)?;
+    for read in open_fastq(input)? {
+        let read = read?;
+        digest.observe(&read);
+        let grown = builder.push(&read);
+        if grown == 0 {
+            continue;
+        }
+        store_res.grow(grown as u64)?;
+        if let Some(w) = staging.as_mut() {
+            // `push` returned non-zero, so a kept read exists; if it somehow
+            // does not, staging degrades rather than aborting the run.
+            let Some((kept, source)) = builder.last_kept() else {
+                staging_degraded = true;
+                staging = None;
+                continue;
+            };
+            if w.push(kept.clone(), source).is_err() {
+                staging_degraded = true;
+                staging = None;
+            }
+        }
+    }
+    if let Some(w) = staging {
+        match w.finish(digest.finish()) {
+            Ok(paged) => rec.add("ooc.ingest.staged_pages", u64::from(paged.pages())),
+            Err(_) => staging_degraded = true,
+        }
+    }
+    if staging_degraded {
+        rec.add("ooc.spill.degraded", 1);
+        rec.instant("ooc", "ooc.spill.degraded", &[]);
+    }
+    let s = builder.finish();
+    if s.is_empty() {
+        return Err(FocusError::EmptyInput);
+    }
+    budget.hold(rec, store_res);
+    Ok((s, (digest.count(), digest.finish())))
 }
 
 /// External-memory variant of [`Overlapper::overlap_all`]: the same column
@@ -444,13 +486,13 @@ fn overlap_all_spilled(
         drop((index, index_res));
         let mut at = 0;
         for (t, stats) in todo.into_iter().zip(stats) {
-            let end = at + stats.overlaps as usize;
-            let payload = (column[at..end].to_vec(), stats);
-            at = end;
+            let run = &column[at..at + stats.overlaps as usize];
+            at += run.len();
             listed += stats.overlaps;
-            if spill.save(t, &payload) {
+            if spill.save(t, run, &stats) {
                 rec.add("ooc.spill.pairs", 1);
             } else {
+                let payload = (run.to_vec(), stats);
                 kept_res.grow(approx_payload_bytes(&payload))?;
                 kept[t] = Some(payload);
             }

@@ -286,6 +286,82 @@ fn spill_only_resume_skips_recompute_and_reproduces_contigs() {
     let _ = std::fs::remove_dir_all(&spill);
 }
 
+/// A fresh out-of-core run digests its input inside its one ingest pass.
+/// The phase checkpoints it writes are stamped with that digest, and an
+/// in-core run on the parsed reads, whose digest is `input_digest` over
+/// them, resumes from them: the two digests are equal.
+#[test]
+fn fresh_ooc_checkpoints_resume_an_in_core_run() {
+    let (input, parsed) = fastq_fixture("fused", &tiled_reads(2500, 11));
+    let (clean, clean_snapshot) = run_clean(&parsed, 2);
+    let spill = temp_dir("fused-spill");
+    let ckpt = temp_dir("fused-ckpt");
+    let opts = CheckpointOptions::in_dir(&ckpt);
+    let (_, outcome) = run_ooc(ooc_config(2), &input, &opts, &OocOptions::in_dir(&spill));
+    assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
+
+    let resume = CheckpointOptions {
+        resume: true,
+        ..opts
+    };
+    let assembler = FocusAssembler::new(ooc_config(2)).unwrap();
+    let resumed = completed(
+        assembler
+            .assemble_with_checkpoints(&parsed, &resume)
+            .unwrap(),
+    );
+    assert_eq!(resumed.contigs, clean.contigs);
+    assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+    let counters = assembler.recorder().snapshot().counters;
+    assert!(
+        counters.get("ckpt.loaded").copied().unwrap_or(0) >= 1,
+        "nothing resumed"
+    );
+    assert_eq!(counters.get("ckpt.rejected"), None);
+    let _ = std::fs::remove_dir_all(&spill);
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(input.parent().unwrap());
+}
+
+/// A resumed run digests the input before it may adopt staged pages. When
+/// one read changed since they were staged, nothing of the old run is
+/// adopted: the pages are stale, every spilled pair run is refused and
+/// recomputed, and the output is a clean run's on the new input.
+#[test]
+fn resume_after_the_input_changed_adopts_nothing() {
+    let reads = tiled_reads(2500, 11);
+    let (input, _) = fastq_fixture("changed", &reads);
+    let spill = temp_dir("changed-spill");
+    let ooc = OocOptions::in_dir(&spill);
+    let (first, outcome) = run_ooc(ooc_config(2), &input, &CheckpointOptions::default(), &ooc);
+    completed(outcome.unwrap());
+    let counters = first.recorder().snapshot().counters;
+    assert!(counters["ooc.ingest.staged_pages"] >= 1);
+
+    let mut changed = reads;
+    let base = changed[7].seq.get(50);
+    changed[7].seq.set(50, base.complement());
+    let (rewritten, parsed) = fastq_fixture("changed", &changed);
+    assert_eq!(rewritten, input);
+    let (clean, clean_snapshot) = run_clean(&parsed, 2);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..CheckpointOptions::default()
+    };
+    let (assembler, outcome) = run_ooc(ooc_config(2), &input, &resume, &ooc);
+    let result = completed(outcome.unwrap());
+    assert_eq!(result.contigs, clean.contigs);
+    assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+    let counters = assembler.recorder().snapshot().counters;
+    let subsets = ooc_config(2).subsets as u64;
+    let pairs = subsets * (subsets + 1) / 2;
+    assert_eq!(counters.get("ooc.ingest.resumed"), None);
+    assert_eq!(counters.get("ooc.spill.rejected"), Some(&pairs));
+    assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
+    let _ = std::fs::remove_dir_all(&spill);
+    let _ = std::fs::remove_dir_all(input.parent().unwrap());
+}
+
 /// The budget gate: a budget the in-core pipeline cannot satisfy (it must
 /// hold raw input + store + overlaps, and more while its seed indexes are
 /// alive) still admits the spilled pipeline,
