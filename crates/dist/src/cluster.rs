@@ -59,74 +59,6 @@ impl PhaseTiming {
     }
 }
 
-impl fc_ckpt::Codec for PhaseTiming {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        w.put_f64(self.makespan);
-        w.put_f64(self.total_work_time);
-        self.tasks.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<PhaseTiming, fc_ckpt::CkptError> {
-        Ok(PhaseTiming {
-            makespan: r.f64()?,
-            total_work_time: r.f64()?,
-            tasks: usize::decode(r)?,
-        })
-    }
-}
-
-/// Snapshot of a [`SimCluster`]'s mutable progress: virtual clocks,
-/// liveness, message counters and the fault report.
-///
-/// The cost model, fault plan and retry policy are deliberately *not* part
-/// of the snapshot — they are pure functions of the run configuration and
-/// are rebuilt from it on resume, which also guarantees that phases skipped
-/// on resume never re-consume their fault events.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ClusterState {
-    /// Virtual clock of every rank.
-    pub clocks: Vec<f64>,
-    /// Liveness of every rank.
-    pub alive: Vec<bool>,
-    /// Total messages sent so far.
-    pub messages: u64,
-    /// Total bytes sent so far.
-    pub bytes: u64,
-    /// Fault counters accumulated so far.
-    pub fault: FaultReport,
-}
-
-impl fc_ckpt::Codec for ClusterState {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.clocks.encode(w);
-        self.alive.encode(w);
-        w.put_u64(self.messages);
-        w.put_u64(self.bytes);
-        self.fault.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<ClusterState, fc_ckpt::CkptError> {
-        let clocks = Vec::<f64>::decode(r)?;
-        let alive = Vec::<bool>::decode(r)?;
-        if alive.len() != clocks.len() {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: format!(
-                    "cluster state has {} clocks but {} liveness flags",
-                    clocks.len(),
-                    alive.len()
-                ),
-            });
-        }
-        Ok(ClusterState {
-            clocks,
-            alive,
-            messages: r.u64()?,
-            bytes: r.u64()?,
-            fault: FaultReport::decode(r)?,
-        })
-    }
-}
-
 /// Typed outcome of one fault-aware parallel phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseOutcome {
@@ -521,37 +453,6 @@ impl SimCluster {
         let master_cost =
             depth * self.cost.msg_latency + total_bytes as f64 * self.cost.msg_per_byte;
         self.clocks[0] = f64::max(self.clocks[0] + master_cost, slowest_sender);
-    }
-
-    /// Snapshots the cluster's mutable progress for a checkpoint. See
-    /// [`ClusterState`] for what is (and is not) captured.
-    pub fn export_state(&self) -> ClusterState {
-        ClusterState {
-            clocks: self.clocks.clone(),
-            alive: self.alive.clone(),
-            messages: self.messages,
-            bytes: self.bytes,
-            fault: self.fault.clone(),
-        }
-    }
-
-    /// Restores progress captured by [`SimCluster::export_state`] into a
-    /// freshly constructed cluster (same rank count). Returns an error when
-    /// the snapshot's rank count disagrees with this cluster's.
-    pub fn restore_state(&mut self, state: &ClusterState) -> Result<(), DistError> {
-        if state.clocks.len() != self.ranks() {
-            return Err(DistError::InvalidCheckpoint(format!(
-                "snapshot has {} ranks, cluster has {}",
-                state.clocks.len(),
-                self.ranks()
-            )));
-        }
-        self.clocks = state.clocks.clone();
-        self.alive = state.alive.clone();
-        self.messages = state.messages;
-        self.bytes = state.bytes;
-        self.fault = state.fault.clone();
-        Ok(())
     }
 
     /// Least-loaded live rank, optionally excluding one; ties break toward

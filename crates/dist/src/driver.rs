@@ -9,7 +9,6 @@
 //! with retry/backoff, lost scans are re-executed on survivors, and the
 //! master applies the recorded mutations.
 
-use crate::checkpoint::{DistCheckpoint, DistPhaseState, NoCheckpoint};
 use crate::cluster::{CostModel, PhaseTiming, SimCluster};
 use crate::error::DistError;
 use crate::error_removal::{self, ErrorRemovalConfig};
@@ -215,38 +214,6 @@ impl DistributedHybrid {
         plan: FaultPlan,
         rec: &Recorder,
     ) -> Result<DistributedReport, DistError> {
-        match self.run_with_faults_ckpt_obs(config, plan, rec, &mut NoCheckpoint)? {
-            Some(report) => Ok(report),
-            // NoCheckpoint::save always returns true, so a stop request can
-            // only reach this point through a bug in the driver itself.
-            None => Err(DistError::InvalidCheckpoint(
-                "checkpoint-free run reported an orderly stop".to_owned(),
-            )),
-        }
-    }
-
-    /// [`DistributedHybrid::run_with_faults_obs`] with durable phase-level
-    /// checkpoints.
-    ///
-    /// `ckpt` is consulted once up front: if it yields a saved
-    /// [`DistPhaseState`], every phase up to and including the saved one is
-    /// **skipped** — the graph, cluster progress and counters are restored
-    /// wholesale, and the run continues from the next phase with results
-    /// bit-identical to an uninterrupted run. After every completed phase
-    /// the new state is offered to [`DistCheckpoint::save`]; a `false`
-    /// return requests an orderly stop at that exact boundary (the chaos
-    /// harness's crash point), reported as `Ok(None)`.
-    ///
-    /// The [`FaultPlan`], [`CostModel`] and [`RetryPolicy`] are rebuilt from
-    /// the arguments on every call — they are pure lookups, so skipped
-    /// phases never re-consume their fault events.
-    pub fn run_with_faults_ckpt_obs(
-        &mut self,
-        config: &DistributedConfig,
-        plan: FaultPlan,
-        rec: &Recorder,
-        ckpt: &mut dyn DistCheckpoint,
-    ) -> Result<Option<DistributedReport>, DistError> {
         let planned_faults = plan.events().len() as u64;
         let mut cluster = SimCluster::with_faults(self.k, config.cost, plan, config.retry)?;
         let pool = fc_exec::Pool::new(config.threads);
@@ -259,173 +226,121 @@ impl DistributedHybrid {
                 ("planned_faults", planned_faults as i64),
             ],
         );
-
-        // Resume: adopt the newest durable phase boundary, if any.
-        let (done, mut st) = match ckpt.load() {
-            Some((phase, s)) => {
-                if s.timings.len() != phase.index() + 1 {
-                    return Err(DistError::InvalidCheckpoint(format!(
-                        "state saved after {} carries {} phase timings",
-                        phase.name(),
-                        s.timings.len()
-                    )));
-                }
-                cluster.restore_state(&s.cluster)?;
-                self.graph = s.graph.clone();
-                rec.add("ckpt.dist_phases_skipped", s.timings.len() as u64);
-                (phase.index() + 1, s)
-            }
-            None => (0, DistPhaseState::default()),
-        };
+        let mut timings = Vec::with_capacity(PhaseId::ALL.len());
 
         // --- Phase 1: transitive reduction (§V-A). ---
-        if done <= PhaseId::TransitiveReduction.index() {
-            let lists = self.partition_nodes();
-            let phase_span = rec.span("dist", "dist.phase.transitive_reduction");
-            let run = execute_phase(
-                &mut cluster,
-                &pool,
-                PhaseId::TransitiveReduction,
-                self.k,
-                |p, w| transitive::worker_scan(&self.graph, &lists[p], w),
-                |r| 8 * r.len() as u64,
-                rec,
-            )?;
-            drop(phase_span);
-            let mut master_w = 0;
-            st.transitive_removed = transitive::master_remove(
-                &mut self.graph,
-                run.results.into_iter().flatten(),
-                &mut master_w,
-            );
-            cluster.master_work(master_w);
-            st.timings.push(run.timing);
-            if !save_boundary(ckpt, PhaseId::TransitiveReduction, &mut st, &self.graph, &cluster) {
-                return Ok(None);
-            }
-        }
+        let lists = self.partition_nodes();
+        let phase_span = rec.span("dist", "dist.phase.transitive_reduction");
+        let run = execute_phase(
+            &mut cluster,
+            &pool,
+            PhaseId::TransitiveReduction,
+            self.k,
+            |p, w| transitive::worker_scan(&self.graph, &lists[p], w),
+            |r| 8 * r.len() as u64,
+            rec,
+        )?;
+        drop(phase_span);
+        let mut master_w = 0;
+        let transitive_removed = transitive::master_remove(
+            &mut self.graph,
+            run.results.into_iter().flatten(),
+            &mut master_w,
+        );
+        cluster.master_work(master_w);
+        timings.push(run.timing);
 
         // --- Phase 2: containment + false-positive edges (§V-B). ---
-        if done <= PhaseId::ContainmentRemoval.index() {
-            let lists = self.partition_nodes();
-            let phase_span = rec.span("dist", "dist.phase.containment_removal");
-            let run = execute_phase(
-                &mut cluster,
-                &pool,
-                PhaseId::ContainmentRemoval,
-                self.k,
-                |p, w| simplify::worker_scan(&self.graph, &lists[p], &self.contigs, w),
-                |(dn, de)| 8 * (dn.len() + 2 * de.len()) as u64,
-                rec,
-            )?;
-            drop(phase_span);
-            let (node_recs, edge_recs): (Vec<_>, Vec<_>) = run.results.into_iter().unzip();
-            let mut master_w = 0;
-            let (contained, false_edges) = simplify::master_apply(
-                &mut self.graph,
-                node_recs.into_iter().flatten(),
-                edge_recs.into_iter().flatten(),
-                &mut master_w,
-            );
-            st.contained_removed = contained;
-            st.false_edges_removed = false_edges;
-            cluster.master_work(master_w);
-            st.timings.push(run.timing);
-            if !save_boundary(ckpt, PhaseId::ContainmentRemoval, &mut st, &self.graph, &cluster) {
-                return Ok(None);
-            }
-        }
+        let lists = self.partition_nodes();
+        let phase_span = rec.span("dist", "dist.phase.containment_removal");
+        let run = execute_phase(
+            &mut cluster,
+            &pool,
+            PhaseId::ContainmentRemoval,
+            self.k,
+            |p, w| simplify::worker_scan(&self.graph, &lists[p], &self.contigs, w),
+            |(dn, de)| 8 * (dn.len() + 2 * de.len()) as u64,
+            rec,
+        )?;
+        drop(phase_span);
+        let (node_recs, edge_recs): (Vec<_>, Vec<_>) = run.results.into_iter().unzip();
+        let mut master_w = 0;
+        let (contained_removed, false_edges_removed) = simplify::master_apply(
+            &mut self.graph,
+            node_recs.into_iter().flatten(),
+            edge_recs.into_iter().flatten(),
+            &mut master_w,
+        );
+        cluster.master_work(master_w);
+        timings.push(run.timing);
 
         // --- Phase 3: dead ends + bubbles (§V-C). ---
-        if done <= PhaseId::ErrorRemoval.index() {
-            let lists = self.partition_nodes();
-            let phase_span = rec.span("dist", "dist.phase.error_removal");
-            let run = execute_phase(
-                &mut cluster,
-                &pool,
-                PhaseId::ErrorRemoval,
-                self.k,
-                |p, w| {
-                    let mut rec =
-                        error_removal::worker_dead_ends(&self.graph, &lists[p], &config.errors, w);
-                    rec.extend(error_removal::worker_bubbles(
-                        &self.graph,
-                        &lists[p],
-                        &self.support,
-                        &config.errors,
-                        w,
-                    ));
-                    rec
-                },
-                |r| 4 * r.len() as u64,
-                rec,
-            )?;
-            drop(phase_span);
-            let mut master_w = 0;
-            st.error_nodes_removed = error_removal::master_remove(
-                &mut self.graph,
-                run.results.into_iter().flatten(),
-                &mut master_w,
-            );
-            cluster.master_work(master_w);
-            st.timings.push(run.timing);
-            cluster.barrier();
-            st.trimming_time = cluster.now();
-            if !save_boundary(ckpt, PhaseId::ErrorRemoval, &mut st, &self.graph, &cluster) {
-                return Ok(None);
-            }
-        }
+        let lists = self.partition_nodes();
+        let phase_span = rec.span("dist", "dist.phase.error_removal");
+        let run = execute_phase(
+            &mut cluster,
+            &pool,
+            PhaseId::ErrorRemoval,
+            self.k,
+            |p, w| {
+                let mut rec =
+                    error_removal::worker_dead_ends(&self.graph, &lists[p], &config.errors, w);
+                rec.extend(error_removal::worker_bubbles(
+                    &self.graph,
+                    &lists[p],
+                    &self.support,
+                    &config.errors,
+                    w,
+                ));
+                rec
+            },
+            |r| 4 * r.len() as u64,
+            rec,
+        )?;
+        drop(phase_span);
+        let mut master_w = 0;
+        let error_nodes_removed = error_removal::master_remove(
+            &mut self.graph,
+            run.results.into_iter().flatten(),
+            &mut master_w,
+        );
+        cluster.master_work(master_w);
+        timings.push(run.timing);
+        cluster.barrier();
+        let trimming_time = cluster.now();
 
         // --- Phase 4: traversal (§V-D). ---
-        if done <= PhaseId::Traversal.index() {
-            let phase_span = rec.span("dist", "dist.phase.traversal");
-            let run = execute_phase(
-                &mut cluster,
-                &pool,
-                PhaseId::Traversal,
-                self.k,
-                |p, w| traverse::worker_paths(&self.graph, &self.parts, p as u32, w),
-                |paths| paths.iter().map(|q| 4 * q.len() as u64 + 8).sum(),
-                rec,
-            )?;
-            drop(phase_span);
-            let mut master_w = 0;
-            let paths = traverse::master_join(
-                &self.graph,
-                run.results.into_iter().flatten().collect(),
-                &mut master_w,
-            );
-            cluster.master_work(master_w);
-            st.timings.push(run.timing);
-            cluster.barrier();
-            st.traversal_time = cluster.now() - st.trimming_time;
-            st.paths = Some(paths);
-            if !save_boundary(ckpt, PhaseId::Traversal, &mut st, &self.graph, &cluster) {
-                return Ok(None);
-            }
-        }
+        let phase_span = rec.span("dist", "dist.phase.traversal");
+        let run = execute_phase(
+            &mut cluster,
+            &pool,
+            PhaseId::Traversal,
+            self.k,
+            |p, w| traverse::worker_paths(&self.graph, &self.parts, p as u32, w),
+            |paths| paths.iter().map(|q| 4 * q.len() as u64 + 8).sum(),
+            rec,
+        )?;
+        drop(phase_span);
+        let mut master_w = 0;
+        let paths = traverse::master_join(
+            &self.graph,
+            run.results.into_iter().flatten().collect(),
+            &mut master_w,
+        );
+        cluster.master_work(master_w);
+        timings.push(run.timing);
+        cluster.barrier();
+        let traversal_time = cluster.now() - trimming_time;
 
-        let phases: Vec<(&'static str, PhaseTiming)> = st
-            .timings
-            .iter()
+        let phases: Vec<(&'static str, PhaseTiming)> = timings
+            .into_iter()
             .zip(PhaseId::ALL)
-            .map(|(&t, phase)| (phase.name(), t))
+            .map(|(t, phase)| (phase.name(), t))
             .collect();
-        let Some(paths) = st.paths else {
-            return Err(DistError::InvalidCheckpoint(
-                "state saved after traversal has no paths".to_owned(),
-            ));
-        };
-        let trimming_time = st.trimming_time;
-        let traversal_time = st.traversal_time;
-        let transitive_removed = st.transitive_removed;
-        let contained_removed = st.contained_removed;
-        let false_edges_removed = st.false_edges_removed;
-        let error_nodes_removed = st.error_nodes_removed;
 
         // Structural post-condition (previously a debug assertion that
         // vanished in release builds): the paths must cover every live node
-        // exactly once — fault, resume or neither.
+        // exactly once, fault or no fault.
         traverse::check_path_cover(&self.graph, &paths)?;
 
         let fault = cluster.fault_report().clone();
@@ -454,7 +369,7 @@ impl DistributedHybrid {
             rec.add("dist.error_nodes_removed", error_nodes_removed as u64);
         }
 
-        Ok(Some(DistributedReport {
+        Ok(DistributedReport {
             phases,
             trimming_time,
             traversal_time,
@@ -466,22 +381,8 @@ impl DistributedHybrid {
             messages: cluster.messages(),
             bytes: cluster.bytes(),
             fault,
-        }))
+        })
     }
-}
-
-/// Refreshes the snapshot's graph + cluster fields and offers it to the
-/// checkpoint hook. Returns the hook's verdict (`false` = orderly stop).
-fn save_boundary(
-    ckpt: &mut dyn DistCheckpoint,
-    phase: PhaseId,
-    st: &mut DistPhaseState,
-    graph: &DiGraph,
-    cluster: &SimCluster,
-) -> bool {
-    st.graph = graph.clone();
-    st.cluster = cluster.export_state();
-    ckpt.save(phase, st)
 }
 
 #[cfg(test)]
@@ -812,159 +713,6 @@ mod tests {
                 phase: PhaseId::ContainmentRemoval
             }
         );
-    }
-
-    /// In-memory [`DistCheckpoint`] that round-trips every save through the
-    /// binary codec, and optionally requests a stop after one phase — the
-    /// unit-level analogue of the chaos harness's crash points.
-    struct MemCkpt {
-        saved: Option<(PhaseId, DistPhaseState)>,
-        stop_after: Option<PhaseId>,
-        saves: usize,
-    }
-
-    impl MemCkpt {
-        fn new(stop_after: Option<PhaseId>) -> MemCkpt {
-            MemCkpt {
-                saved: None,
-                stop_after,
-                saves: 0,
-            }
-        }
-    }
-
-    impl DistCheckpoint for MemCkpt {
-        fn load(&mut self) -> Option<(PhaseId, DistPhaseState)> {
-            self.saved.clone()
-        }
-
-        fn save(&mut self, phase: PhaseId, state: &DistPhaseState) -> bool {
-            self.saves += 1;
-            let bytes = fc_ckpt::encode_to_vec(state);
-            let back: DistPhaseState = fc_ckpt::decode_from_slice(&bytes).unwrap();
-            self.saved = Some((phase, back));
-            self.stop_after != Some(phase)
-        }
-    }
-
-    #[test]
-    fn stop_and_resume_at_every_phase_boundary_is_bit_identical() {
-        let (store, hs) = hybrid_case(40);
-        let k = 4;
-        let parts = round_robin_parts(hs.node_count(), k);
-        let clean = DistributedHybrid::new(&hs, &store, parts.clone(), k)
-            .unwrap()
-            .run(&DistributedConfig::default())
-            .unwrap();
-        for stop in PhaseId::ALL {
-            let mut ckpt = MemCkpt::new(Some(stop));
-            let mut dh = DistributedHybrid::new(&hs, &store, parts.clone(), k).unwrap();
-            let first = dh
-                .run_with_faults_ckpt_obs(
-                    &DistributedConfig::default(),
-                    FaultPlan::none(),
-                    &Recorder::disabled(),
-                    &mut ckpt,
-                )
-                .unwrap();
-            assert!(
-                first.is_none(),
-                "a stop after {} must be an orderly Ok(None)",
-                stop.name()
-            );
-            assert_eq!(ckpt.saves, stop.index() + 1);
-            ckpt.stop_after = None;
-            let mut dh = DistributedHybrid::new(&hs, &store, parts.clone(), k).unwrap();
-            let resumed = dh
-                .run_with_faults_ckpt_obs(
-                    &DistributedConfig::default(),
-                    FaultPlan::none(),
-                    &Recorder::disabled(),
-                    &mut ckpt,
-                )
-                .unwrap()
-                .unwrap();
-            assert_eq!(resumed.paths, clean.paths);
-            assert_eq!(resumed.messages, clean.messages);
-            assert_eq!(resumed.bytes, clean.bytes);
-            assert_eq!(resumed.fault, clean.fault);
-            assert_eq!(resumed.trimming_time, clean.trimming_time);
-            assert_eq!(resumed.traversal_time, clean.traversal_time);
-            for ((n1, t1), (n2, t2)) in resumed.phases.iter().zip(clean.phases.iter()) {
-                assert_eq!(n1, n2);
-                assert_eq!(t1, t2, "timing of {n1} changed across the resume");
-            }
-        }
-    }
-
-    #[test]
-    fn faults_after_the_resume_point_fire_exactly_once() {
-        let (store, hs) = hybrid_case(40);
-        let k = 4;
-        let parts = round_robin_parts(hs.node_count(), k);
-        let clean = DistributedHybrid::new(&hs, &store, parts.clone(), k)
-            .unwrap()
-            .run(&DistributedConfig::default())
-            .unwrap();
-        // A crash scheduled for traversal, with the run interrupted two
-        // phases earlier: the resumed run must consume the crash exactly
-        // once (skipped phases never replay fault events).
-        let plan = FaultPlan::single_crash(PhaseId::Traversal, 2);
-        let mut ckpt = MemCkpt::new(Some(PhaseId::ContainmentRemoval));
-        let mut dh = DistributedHybrid::new(&hs, &store, parts.clone(), k).unwrap();
-        let first = dh
-            .run_with_faults_ckpt_obs(
-                &DistributedConfig::default(),
-                plan.clone(),
-                &Recorder::disabled(),
-                &mut ckpt,
-            )
-            .unwrap();
-        assert!(first.is_none());
-        assert_eq!(ckpt.saved.as_ref().unwrap().1.cluster.fault.crashes, 0);
-        ckpt.stop_after = None;
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
-        let resumed = dh
-            .run_with_faults_ckpt_obs(
-                &DistributedConfig::default(),
-                plan,
-                &Recorder::disabled(),
-                &mut ckpt,
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(resumed.fault.crashes, 1);
-        assert!(resumed.fault.degraded);
-        assert_eq!(resumed.paths, clean.paths);
-    }
-
-    #[test]
-    fn resume_with_wrong_rank_count_is_a_typed_error() {
-        let (store, hs) = hybrid_case(30);
-        let k = 4;
-        let parts = round_robin_parts(hs.node_count(), k);
-        let mut ckpt = MemCkpt::new(Some(PhaseId::TransitiveReduction));
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
-        dh.run_with_faults_ckpt_obs(
-            &DistributedConfig::default(),
-            FaultPlan::none(),
-            &Recorder::disabled(),
-            &mut ckpt,
-        )
-        .unwrap();
-        // Resume against a 2-rank run: the snapshot's 4 clocks don't fit.
-        let parts2 = round_robin_parts(hs.node_count(), 2);
-        ckpt.stop_after = None;
-        let mut dh = DistributedHybrid::new(&hs, &store, parts2, 2).unwrap();
-        let err = dh
-            .run_with_faults_ckpt_obs(
-                &DistributedConfig::default(),
-                FaultPlan::none(),
-                &Recorder::disabled(),
-                &mut ckpt,
-            )
-            .unwrap_err();
-        assert!(matches!(err, DistError::InvalidCheckpoint(_)));
     }
 
     #[test]

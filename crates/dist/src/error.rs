@@ -53,10 +53,6 @@ pub enum DistError {
     /// Traversal produced paths that do not cover the live graph exactly
     /// once — the pipeline's structural post-condition was violated.
     PathCoverViolation(String),
-    /// A loaded checkpoint passed its integrity checks but is inconsistent
-    /// with the run being resumed (wrong rank count, missing traversal
-    /// paths, ...). The caller should discard it and recompute.
-    InvalidCheckpoint(String),
 }
 
 impl fmt::Display for DistError {
@@ -90,9 +86,6 @@ impl fmt::Display for DistError {
             }
             DistError::PathCoverViolation(m) => {
                 write!(f, "traversal post-condition violated: {m}")
-            }
-            DistError::InvalidCheckpoint(m) => {
-                write!(f, "checkpoint inconsistent with this run: {m}")
             }
         }
     }

@@ -53,16 +53,6 @@ impl PhaseId {
             PhaseId::Traversal => "traversal",
         }
     }
-
-    /// Position in [`PhaseId::ALL`].
-    pub fn index(self) -> usize {
-        match self {
-            PhaseId::TransitiveReduction => 0,
-            PhaseId::ContainmentRemoval => 1,
-            PhaseId::ErrorRemoval => 2,
-            PhaseId::Traversal => 3,
-        }
-    }
 }
 
 /// What goes wrong at a `(phase, rank)` cell of the schedule.
@@ -415,44 +405,6 @@ pub struct FaultReport {
     pub degraded: bool,
 }
 
-impl fc_ckpt::Codec for PhaseId {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        w.put_u32(self.index() as u32);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<PhaseId, fc_ckpt::CkptError> {
-        let idx = r.u32()? as usize;
-        PhaseId::ALL
-            .get(idx)
-            .copied()
-            .ok_or_else(|| fc_ckpt::CkptError::Decode {
-                detail: format!("invalid PhaseId index {idx}"),
-            })
-    }
-}
-
-impl fc_ckpt::Codec for FaultReport {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        w.put_u32(self.crashes);
-        w.put_u32(self.retries);
-        w.put_u64(self.retransmitted_bytes);
-        w.put_u32(self.speculative_reexecutions);
-        w.put_f64(self.recovery_time);
-        self.degraded.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<FaultReport, fc_ckpt::CkptError> {
-        Ok(FaultReport {
-            crashes: r.u32()?,
-            retries: r.u32()?,
-            retransmitted_bytes: r.u64()?,
-            speculative_reexecutions: r.u32()?,
-            recovery_time: r.f64()?,
-            degraded: bool::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,8 +524,5 @@ mod tests {
                 "traversal",
             ]
         );
-        for (i, p) in PhaseId::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
-        }
     }
 }

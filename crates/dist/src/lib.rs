@@ -16,8 +16,6 @@
 //! * [`fault`] — deterministic fault-injection plans and the retry/backoff
 //!   policy (seeded, reproducible),
 //! * [`error`] — typed errors of the distributed stage,
-//! * [`checkpoint`] — phase-boundary checkpoint hooks ([`DistPhaseState`],
-//!   the [`DistCheckpoint`] trait) for durable crash/resume,
 //! * [`recovery`] — phase-level recovery: reassign dead ranks' partitions
 //!   and re-invoke the pure worker scans on survivors,
 //! * [`transitive`] — distributed transitive edge reduction (§V-A, Myers),
@@ -28,13 +26,15 @@
 //! * [`traverse`] — per-partition maximal-path extraction and master-side
 //!   sub-path joining (§V-D),
 //! * [`driver`] — the full distributed pipeline over a partitioned hybrid
-//!   graph, with per-phase virtual timings and a fault report,
+//!   graph, with per-phase virtual timings and a fault report. A run holds
+//!   no durable state: it is a pure function of the graph, the partition
+//!   and the [`FaultPlan`], so a resumed assembly reruns it from the start
+//!   and replays the same faults,
 //! * [`variants`] — distributed variant detection, the extension the
 //!   paper's discussion (§VI-D) proposes as future work.
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod cluster;
 pub mod driver;
 pub mod error;
@@ -46,8 +46,7 @@ pub mod transitive;
 pub mod traverse;
 pub mod variants;
 
-pub use checkpoint::{DistCheckpoint, DistPhaseState, NoCheckpoint};
-pub use cluster::{ClusterState, CostModel, PhaseTiming, SimCluster};
+pub use cluster::{CostModel, PhaseTiming, SimCluster};
 pub use driver::{DistributedConfig, DistributedHybrid, DistributedReport};
 pub use error::DistError;
 pub use recovery::{execute_phase, PhaseExecution};

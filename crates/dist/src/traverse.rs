@@ -54,22 +54,6 @@ impl AssemblyPath {
     }
 }
 
-impl fc_ckpt::Codec for AssemblyPath {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.nodes.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<AssemblyPath, fc_ckpt::CkptError> {
-        let nodes = Vec::<NodeId>::decode(r)?;
-        if nodes.is_empty() {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: "assembly path has no nodes".to_owned(),
-            });
-        }
-        Ok(AssemblyPath { nodes })
-    }
-}
-
 /// One worker's traversal of its partition. `parts[v]` gives every node's
 /// partition; `own` is this worker's partition id. Returns the sub-paths;
 /// every live node of the partition appears in exactly one.

@@ -1,90 +1,65 @@
-//! Durable checkpoint/resume for the whole pipeline (§II + §IV + §V).
+//! Durable checkpoint/resume for the pipeline: one boundary, alignment.
 //!
 //! There is one stage sequence ([`crate::pipeline`]); this module is the
-//! policy it runs under (the crate-private `CkptPolicy`). Every phase
-//! boundary goes through `CkptPolicy::phase` — a verified load, or compute
-//! then save — and a plain [`assemble`](FocusAssembler::assemble) is the
-//! same sequence under the policy with no store.
+//! policy it runs under (the crate-private `CkptPolicy`). The policy has
+//! one durable boundary, after §II-B's overlap detection — a verified load,
+//! or compute then save — and a plain [`assemble`](FocusAssembler::assemble)
+//! is the same sequence under the policy with no store. Alignment is most
+//! of what a run computes; every other stage is cheap to redo from the
+//! overlaps, so a resumed run recomputes preprocessing (from the input it
+//! must read anyway) and everything after alignment.
 //! [`FocusAssembler::assemble_with_checkpoints`] opens a policy from
-//! [`CheckpointOptions`] and so persists a verified checkpoint after each
-//! of the nine boundaries through [`fc_ckpt::CheckpointStore`]: read
-//! preprocessing, alignment, multilevel coarsening, hybrid-set
-//! construction, partitioning, and each of the four distributed phases.
-//! The level-0 overlap graph and the hybrid nodes' contig sequences are
-//! never stored: both are functions of state a resumed run already holds.
-//! A later run pointed at the same directory with
-//! [`CheckpointOptions::resume`] skips every phase whose checkpoint
-//! verifies — per-record and whole-file CRCs, format version, config
-//! fingerprint and input digest all have to match, otherwise the phase is
-//! recomputed and the rejection counted under `ckpt.rejected`. Loaded
-//! state is *never* trusted silently.
+//! [`CheckpointOptions`] and persists that boundary through
+//! [`fc_ckpt::CheckpointStore`] as `phase_01_alignment.ckpt`. A later run
+//! pointed at the same directory with [`CheckpointOptions::resume`] skips
+//! alignment when its checkpoint verifies — per-record and whole-file CRCs,
+//! format version, config fingerprint and input digest all have to match,
+//! otherwise alignment is recomputed and the rejection counted under
+//! `ckpt.rejected`. Loaded state is *never* trusted silently. Files a
+//! directory may still hold from builds that checkpointed other phases
+//! (ids 0 and 2–8) are never opened.
 //!
 //! ## Determinism contract
 //!
-//! Every phase of the pipeline is deterministic given its inputs, so a run
-//! resumed from any phase boundary produces bit-identical contigs, paths
-//! and fault reports to an uninterrupted run — the chaos harness
-//! (`tests/chaos.rs`) kills and resumes at every boundary and byte-compares
-//! the outputs. Metrics travel with the state: each checkpoint embeds the
-//! cumulative metrics snapshot (minus `sched.*`/`ckpt.*`) at its phase
-//! boundary, and loading a checkpoint restores it, so logical-clock
-//! snapshots are byte-identical too.
+//! Every stage of the pipeline is deterministic given its inputs, so a run
+//! resumed from the alignment checkpoint produces bit-identical contigs,
+//! paths and fault reports to an uninterrupted run: §V replays its
+//! `FaultPlan` from the start. The chaos harness (`tests/chaos.rs`) kills
+//! and resumes at the boundary and byte-compares the outputs. Metrics
+//! travel with the state: the checkpoint embeds the cumulative metrics
+//! snapshot (minus `sched.*`/`ckpt.*`/`mem.*`/`ooc.*`) at the boundary, and
+//! loading it restores them, so logical-clock snapshots are byte-identical
+//! too.
 //!
 //! ## Degradation contract
 //!
-//! Checkpointing must never take an assembly down with it. The first write
-//! failure (unwritable directory, disk full — injected or real) emits one
-//! `ckpt.degraded` observability event, disables all further checkpoint
-//! writes, and the assembly finishes normally.
+//! Checkpointing must never take an assembly down with it. A write failure
+//! (unwritable directory, disk full — injected or real) emits one
+//! `ckpt.degraded` observability event, and the assembly finishes
+//! normally.
 
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::{AssemblyResult, FocusAssembler};
 use fc_align::{Overlap, PairStats};
-use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, Codec, FsFaultPlan, LoadOutcome};
-use fc_dist::{DistCheckpoint, DistPhaseState, PhaseId};
+use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
 use fc_obs::{MetricsSnapshot, ObsOptions, Recorder};
 use fc_seq::Read;
 use std::path::PathBuf;
 
-/// The nine checkpointed phase boundaries of the pipeline, in execution
-/// order. The discriminant doubles as the on-disk phase id.
+/// The checkpointed phase boundaries of the pipeline. The discriminant is
+/// the on-disk phase id; ids 0 and 2–8 named boundaries of earlier builds
+/// and stay unused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptPhase {
-    /// §II-A read trimming and strand augmentation.
-    Preprocess,
     /// §II-B parallel overlap detection and verification.
-    Alignment,
-    /// §II-C multilevel coarsening.
-    Coarsen,
-    /// §II-D hybrid graph-set construction.
-    Hybrid,
-    /// §IV multi-constraint partitioning.
-    Partition,
-    /// §V distributed transitive reduction.
-    DistTransitiveReduction,
-    /// §V distributed containment removal.
-    DistContainmentRemoval,
-    /// §V distributed error-node removal.
-    DistErrorRemoval,
-    /// §V distributed maximal-path traversal.
-    DistTraversal,
+    Alignment = 1,
 }
 
 impl CkptPhase {
-    /// Every phase, in pipeline order.
-    pub const ALL: [CkptPhase; 9] = [
-        CkptPhase::Preprocess,
-        CkptPhase::Alignment,
-        CkptPhase::Coarsen,
-        CkptPhase::Hybrid,
-        CkptPhase::Partition,
-        CkptPhase::DistTransitiveReduction,
-        CkptPhase::DistContainmentRemoval,
-        CkptPhase::DistErrorRemoval,
-        CkptPhase::DistTraversal,
-    ];
+    /// Every checkpointed phase, in pipeline order.
+    pub const ALL: [CkptPhase; 1] = [CkptPhase::Alignment];
 
-    /// Stable on-disk phase id (position in [`CkptPhase::ALL`]).
+    /// Stable on-disk phase id.
     pub fn id(self) -> u32 {
         self as u32
     }
@@ -93,31 +68,13 @@ impl CkptPhase {
     /// and the CLI's `--crash-after` option.
     pub fn name(self) -> &'static str {
         match self {
-            CkptPhase::Preprocess => "preprocess",
             CkptPhase::Alignment => "alignment",
-            CkptPhase::Coarsen => "coarsen",
-            CkptPhase::Hybrid => "hybrid",
-            CkptPhase::Partition => "partition",
-            CkptPhase::DistTransitiveReduction => "dist_transitive_reduction",
-            CkptPhase::DistContainmentRemoval => "dist_containment_removal",
-            CkptPhase::DistErrorRemoval => "dist_error_removal",
-            CkptPhase::DistTraversal => "dist_traversal",
         }
     }
 
     /// Parses a [`CkptPhase::name`] back into the phase.
     pub fn parse(text: &str) -> Option<CkptPhase> {
         CkptPhase::ALL.iter().copied().find(|p| p.name() == text)
-    }
-
-    /// The checkpoint phase of a distributed-stage phase.
-    pub fn from_dist(phase: PhaseId) -> CkptPhase {
-        match phase {
-            PhaseId::TransitiveReduction => CkptPhase::DistTransitiveReduction,
-            PhaseId::ContainmentRemoval => CkptPhase::DistContainmentRemoval,
-            PhaseId::ErrorRemoval => CkptPhase::DistErrorRemoval,
-            PhaseId::Traversal => CkptPhase::DistTraversal,
-        }
     }
 }
 
@@ -128,7 +85,7 @@ impl CkptPhase {
 pub struct CheckpointOptions {
     /// Checkpoint directory; `None` disables checkpointing entirely.
     pub dir: Option<PathBuf>,
-    /// Try to load existing checkpoints before computing each phase.
+    /// Try to load an existing alignment checkpoint before aligning.
     pub resume: bool,
     /// Deterministic filesystem fault injection for the chaos harness.
     pub fs_faults: FsFaultPlan,
@@ -243,9 +200,9 @@ pub fn input_digest(reads: &[Read]) -> u64 {
     digest.finish()
 }
 
-/// Record 1 of every checkpoint: the cumulative deterministic metrics at
-/// this phase boundary (scheduling- and checkpoint-lifecycle metrics
-/// excluded, exactly like a logical snapshot).
+/// Record 1 of the checkpoint: the cumulative deterministic metrics at the
+/// boundary (scheduling, checkpoint, memory and spill metrics excluded,
+/// exactly like a logical snapshot).
 fn metrics_record(rec: &Recorder) -> Vec<u8> {
     rec.snapshot()
         .without_scheduling()
@@ -319,17 +276,14 @@ pub(crate) fn outcome(run: Result<AssemblyResult, Halt>) -> Result<AssemblyOutco
 }
 
 /// The checkpoint policy one run of the stage sequence executes under —
-/// what [`CheckpointOptions`] says, opened: where phase boundaries are
-/// stored (if anywhere), whether stored ones are loaded, and where to stop.
-/// The sequence itself ([`FocusAssembler::prepare_from`] and
+/// what [`CheckpointOptions`] says, opened: where the alignment boundary is
+/// stored (if anywhere), whether a stored one is loaded, and whether to
+/// stop there. The sequence itself ([`FocusAssembler::prepare_from`] and
 /// [`FocusAssembler::finish`]) is the same under every policy.
 pub(crate) struct CkptPolicy<'a> {
     store: Option<CheckpointStore>,
     resume: bool,
     stop_after: Option<CkptPhase>,
-    /// The distributed phase whose save answered "stop" — the evidence
-    /// that a distributed stage returning no report was asked to.
-    stopped_at: Option<CkptPhase>,
     rec: &'a Recorder,
 }
 
@@ -340,7 +294,6 @@ impl<'a> CkptPolicy<'a> {
             store: None,
             resume: false,
             stop_after: None,
-            stopped_at: None,
             rec,
         }
     }
@@ -367,74 +320,61 @@ impl<'a> CkptPolicy<'a> {
             store,
             resume: opts.resume,
             stop_after: opts.stop_after,
-            ..CkptPolicy::off(rec)
+            rec,
         }
     }
 
-    /// One phase boundary: the phase's verified checkpoint when the policy
+    /// The alignment boundary: its verified checkpoint when the policy
     /// resumes and one exists, else `compute()` — then saved.
-    pub(crate) fn phase<T: Codec>(
+    pub(crate) fn alignment(
         &mut self,
-        phase: CkptPhase,
-        compute: impl FnOnce() -> Result<T, FocusError>,
-    ) -> Result<T, FocusError> {
-        if let Some(value) = self.load_phase(phase) {
+        compute: impl FnOnce() -> Result<AlignmentCkpt, FocusError>,
+    ) -> Result<AlignmentCkpt, FocusError> {
+        if let Some(value) = self.load() {
             return Ok(value);
         }
         let value = compute()?;
-        self.save_phase(phase, &value);
+        self.save(&value);
         Ok(value)
     }
 
     /// The orderly stop [`CheckpointOptions::stop_after`] asks for, taken
-    /// once everything `phase`'s boundary owes (its save, its budget
+    /// once everything the alignment boundary owes (its save, its budget
     /// charge) is done.
-    pub(crate) fn stop_after(&self, phase: CkptPhase) -> Result<(), Halt> {
-        if self.stop_after == Some(phase) {
-            return Err(Halt::Stopped(phase));
-        }
-        Ok(())
-    }
-
-    /// Why the distributed stage returned no report: the stop it was asked
-    /// for, or a typed error when nobody asked.
-    pub(crate) fn dist_halt(&self) -> Halt {
-        match self.stopped_at {
-            Some(phase) => Halt::Stopped(phase),
-            None => Halt::Failed(FocusError::Stage {
-                stage: "distributed",
-                message: "the distributed stage stopped without a crash point".to_string(),
-            }),
+    pub(crate) fn stop_after_alignment(&self) -> Result<(), Halt> {
+        match self.stop_after {
+            Some(phase) => Err(Halt::Stopped(phase)),
+            None => Ok(()),
         }
     }
 
-    fn reject(&self, phase: CkptPhase) {
+    fn reject(&self) {
         self.rec.add("ckpt.rejected", 1);
-        self.rec
-            .instant("ckpt", "ckpt.rejected", &[("phase", i64::from(phase.id()))]);
+        let id = i64::from(CkptPhase::Alignment.id());
+        self.rec.instant("ckpt", "ckpt.rejected", &[("phase", id)]);
     }
 
     /// Payload (record 0) + metrics (record 1) decode of a verified
     /// checkpoint. Any shape or decode failure rejects the whole file.
-    fn decode_records<T: Codec>(&self, records: &[Vec<u8>]) -> Option<T> {
+    fn decode_records(&self, records: &[Vec<u8>]) -> Option<AlignmentCkpt> {
         if records.len() != 2 {
             return None;
         }
-        let value = decode_from_slice::<T>(&records[0]).ok()?;
+        let value = decode_from_slice(&records[0]).ok()?;
         restore_metrics_record(self.rec, &records[1]).then_some(value)
     }
 
-    /// Loads one phase's checkpoint: `Some(payload)` only when the file
+    /// Loads the alignment checkpoint: `Some(payload)` only when the file
     /// exists, verifies, and decodes; every other outcome means "recompute".
-    fn load_phase<T: Codec>(&mut self, phase: CkptPhase) -> Option<T> {
+    fn load(&mut self) -> Option<AlignmentCkpt> {
         if !self.resume {
             return None;
         }
-        let rec = self.rec;
+        let (rec, phase) = (self.rec, CkptPhase::Alignment);
         match self.store.as_mut()?.load(phase.id(), phase.name()) {
             LoadOutcome::Missing => None,
             LoadOutcome::Rejected(_) => {
-                self.reject(phase);
+                self.reject();
                 None
             }
             LoadOutcome::Loaded(records) => match self.decode_records(&records) {
@@ -452,22 +392,17 @@ impl<'a> CkptPolicy<'a> {
                     Some(value)
                 }
                 None => {
-                    self.reject(phase);
+                    self.reject();
                     None
                 }
             },
         }
     }
 
-    /// Saves one phase's checkpoint. A write failure degrades the store (all
-    /// later saves become no-ops) and emits exactly one `ckpt.degraded`
-    /// event; the assembly itself continues either way.
-    fn save_phase<T: Codec>(&mut self, phase: CkptPhase, value: &T) {
-        let rec = self.rec;
-        // Every phase boundary passes through here (store or not): sample the
-        // memory high-water mark so the `mem.peak_rss_bytes` gauge tracks the
-        // run phase by phase.
-        rec.sample_peak_rss();
+    /// Saves the alignment checkpoint. A write failure emits one
+    /// `ckpt.degraded` event; the assembly itself continues either way.
+    fn save(&mut self, value: &AlignmentCkpt) {
+        let (rec, phase) = (self.rec, CkptPhase::Alignment);
         let Some(store) = self.store.as_mut() else {
             return;
         };
@@ -489,41 +424,21 @@ impl<'a> CkptPolicy<'a> {
     }
 }
 
-/// The distributed driver's phase boundaries ([`fc_dist::DistCheckpoint`])
-/// are boundaries of the same policy.
-impl DistCheckpoint for CkptPolicy<'_> {
-    fn load(&mut self) -> Option<(PhaseId, DistPhaseState)> {
-        // Latest distributed phase wins; earlier ones are subsumed.
-        PhaseId::ALL.iter().rev().find_map(|&dist_phase| {
-            let state = self.load_phase(CkptPhase::from_dist(dist_phase))?;
-            Some((dist_phase, state))
-        })
-    }
-
-    fn save(&mut self, dist_phase: PhaseId, state: &DistPhaseState) -> bool {
-        let phase = CkptPhase::from_dist(dist_phase);
-        self.save_phase(phase, state);
-        if self.stop_after == Some(phase) {
-            self.stopped_at = Some(phase);
-            return false;
-        }
-        true
-    }
-}
-
 impl FocusAssembler {
-    /// The full pipeline with durable checkpoints at every phase boundary.
+    /// The full pipeline with a durable checkpoint at the alignment
+    /// boundary.
     ///
     /// Behaves exactly like [`assemble`](FocusAssembler::assemble) — same
     /// stage sequence, same contigs, same report, bit for bit — plus:
     ///
-    /// * with [`CheckpointOptions::dir`] set, a verified checkpoint is
-    ///   written atomically after each phase (temp file + `sync` + rename);
-    /// * with [`CheckpointOptions::resume`], phases whose checkpoints
-    ///   verify are skipped and their embedded metrics restored; anything
-    ///   corrupt, mismatched or missing is recomputed;
+    /// * with [`CheckpointOptions::dir`] set, a verified checkpoint of the
+    ///   overlaps is written atomically once alignment is done (temp file +
+    ///   `sync` + rename);
+    /// * with [`CheckpointOptions::resume`], alignment is skipped when its
+    ///   checkpoint verifies and its embedded metrics are restored; a
+    ///   corrupt, mismatched or missing file means alignment is recomputed;
     /// * with [`CheckpointOptions::stop_after`], the run stops right after
-    ///   that phase's checkpoint — the chaos harness's crash point.
+    ///   that checkpoint — the chaos harness's crash point.
     pub fn assemble_with_checkpoints(
         &self,
         reads: &[Read],
@@ -538,10 +453,10 @@ impl FocusAssembler {
         let mut policy = CkptPolicy::open(opts, rec, || {
             (config_fingerprint(self.config()), input_digest(reads))
         });
-        outcome(
-            self.prepare_under(reads, &mut policy)
-                .and_then(|prepared| self.finish(&prepared, self.config().partitions, &mut policy)),
-        )
+        outcome(self.prepare_under(reads, &mut policy).and_then(|prepared| {
+            self.finish(&prepared, self.config().partitions)
+                .map_err(Halt::Failed)
+        }))
     }
 }
 
@@ -587,13 +502,20 @@ mod tests {
         }
     }
 
+    /// Alignment keeps the id and name its file has always had, and the
+    /// retired boundaries no longer parse.
     #[test]
-    fn phase_ids_are_their_position_in_all() {
-        for (i, phase) in CkptPhase::ALL.iter().enumerate() {
-            assert_eq!(phase.id() as usize, i);
-            assert_eq!(CkptPhase::parse(phase.name()), Some(*phase));
+    fn alignment_keeps_its_file_id_and_name() {
+        assert_eq!(CkptPhase::ALL, [CkptPhase::Alignment]);
+        assert_eq!(CkptPhase::Alignment.id(), 1);
+        assert_eq!(CkptPhase::parse("alignment"), Some(CkptPhase::Alignment));
+        assert_eq!(
+            CheckpointStore::file_name(1, CkptPhase::Alignment.name()),
+            "phase_01_alignment.ckpt"
+        );
+        for retired in ["preprocess", "coarsen", "dist_traversal", "nonsense"] {
+            assert_eq!(CkptPhase::parse(retired), None);
         }
-        assert_eq!(CkptPhase::parse("nonsense"), None);
     }
 
     #[test]
@@ -655,7 +577,7 @@ mod tests {
                 .unwrap(),
         );
         assert_same_run((&checkpointed, &ckpt), (&assembler, &plain));
-        // All nine phases checkpointed + a manifest.
+        // The alignment checkpoint + a manifest.
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, CkptPhase::ALL.len() + 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -766,7 +688,7 @@ mod tests {
         let snapshot = assembler.recorder().snapshot();
         assert_eq!(snapshot.counters.get("ckpt.degraded"), Some(&1));
         assert_eq!(snapshot.counters.get("ckpt.saved"), None);
-        // Exactly one warning event despite nine phase boundaries.
+        // Exactly one warning event.
         let warnings = assembler
             .recorder()
             .events()

@@ -12,7 +12,7 @@
 //!   feeding a [`ReadStoreBuilder`]; the raw input is never resident. The
 //!   same single pass folds every read into the input digest
 //!   ([`InputDigest`]), so checkpoint compatibility with the in-core path
-//!   is exact. Kept reads are optionally staged to disk page by page
+//!   is exact. Kept reads are staged to disk page by page
 //!   ([`fc_seq::PagedStoreWriter`]) so a killed run resumes ingest from
 //!   pages instead of re-trimming; only a resumed run, which must know the
 //!   digest before it may adopt pages, reads the file once more, first.
@@ -28,7 +28,9 @@
 //!
 //! Nothing else differs: the out-of-core run is the in-core stage sequence
 //! ([`crate::pipeline`]) given this module's ingest for stage 1 and its
-//! spilling alignment for stage 2, under the caller's checkpoint policy.
+//! spilling alignment for stage 2, its alignment boundary under the
+//! caller's checkpoint policy. Staged pages and spilled pair runs are this
+//! path's own resume state, apart from that checkpoint.
 //!
 //! ## Robustness contract
 //!
@@ -44,7 +46,7 @@
 
 use crate::checkpoint::{
     config_fingerprint, outcome, AlignmentCkpt, AssemblyOutcome, CheckpointOptions, CkptPolicy,
-    InputDigest,
+    Halt, InputDigest,
 };
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::FocusAssembler;
@@ -122,31 +124,26 @@ fn saturate(v: u64) -> i64 {
     v.min(i64::MAX as u64) as i64
 }
 
-/// Where and how the out-of-core path spills.
+/// Reads per staged page: bounds ingest buffering.
+const PAGE_LEN: usize = 4096;
+
+/// Where the out-of-core path spills.
 #[derive(Debug, Clone)]
 pub struct OocOptions {
     /// Root directory for spilled state: staged read pages land in
     /// `<spill_dir>/pages`, alignment runs in `<spill_dir>/align`.
     pub spill_dir: PathBuf,
-    /// Reads per staged page (bounds ingest buffering; clamped to ≥ 1).
-    pub page_len: usize,
-    /// Stage trimmed reads to disk during ingest so a killed run resumes
-    /// from pages instead of re-trimming. Costs one extra write per page.
-    pub stage_reads: bool,
     /// Deterministic filesystem fault injection for the spill layer only
-    /// (the phase-checkpoint store keeps its own plan in
+    /// (the checkpoint store keeps its own plan in
     /// [`CheckpointOptions::fs_faults`]).
     pub fs_faults: FsFaultPlan,
 }
 
 impl OocOptions {
-    /// Spills under `dir` with read staging on, 4096-read pages, no
-    /// faults.
+    /// Spills under `dir`, no faults.
     pub fn in_dir(dir: impl Into<PathBuf>) -> OocOptions {
         OocOptions {
             spill_dir: dir.into(),
-            page_len: 4096,
-            stage_reads: true,
             fs_faults: FsFaultPlan::none(),
         }
     }
@@ -245,22 +242,21 @@ impl FocusAssembler {
     /// Assembles a FASTQ file out-of-core, bounded by
     /// [`FocusConfig::memory_budget`]:
     ///
-    /// 1. **Digest pass, resume only** — with [`CheckpointOptions::resume`]
-    ///    and [`OocOptions::stage_reads`], streams the file once computing
-    ///    the input digest in O(1) memory, and adopts the valid staged
-    ///    pages of a killed run with that digest instead of step 2 (stale
-    ///    pages are recomputed, never trusted).
+    /// 1. **Digest pass, resume only** — with [`CheckpointOptions::resume`],
+    ///    streams the file once computing the input digest in O(1) memory,
+    ///    and adopts the valid staged pages of a killed run with that digest
+    ///    instead of step 2 (stale pages are recomputed, never trusted).
     /// 2. **Ingest** — streams the file once through the trim pipeline
     ///    into the RC-paired store, never holding the raw input, digesting
     ///    every read on the way; kept reads are staged to
-    ///    `<spill_dir>/pages` when [`OocOptions::stage_reads`] is set. After
-    ///    a digest pass, the two passes must agree on count and digest.
+    ///    `<spill_dir>/pages`. After a digest pass, the two passes must
+    ///    agree on count and digest.
     /// 3. **Spilled alignment** — one seed-index column resident
     ///    at a time; each subset pair's run spills to
     ///    `<spill_dir>/align` and is merged back in canonical order.
     /// 4. Everything downstream is the shared stage sequence
-    ///    ([`crate::pipeline`]) under the same checkpoint policy — same
-    ///    code, same checkpoints, same contigs as the in-core path.
+    ///    ([`crate::pipeline`]) — same code, same alignment checkpoint,
+    ///    same contigs as the in-core path.
     ///
     /// Contigs and logical metric snapshots are byte-identical to
     /// [`assemble`](FocusAssembler::assemble) /
@@ -284,7 +280,7 @@ impl FocusAssembler {
         // Staged pages are adopted only under the digest of the input they
         // were staged from, so a run that may adopt them digests the input
         // first, in O(1) memory. Every other run digests during ingest.
-        let digested = if opts.resume && ooc.stage_reads {
+        let digested = if opts.resume {
             let mut digest = InputDigest::new();
             for read in open_fastq(input)? {
                 digest.observe(&read?);
@@ -316,8 +312,6 @@ impl FocusAssembler {
                 (s, ingested)
             }
         };
-        // The out-of-core run has no preprocess checkpoint to restore these
-        // from, so an adopted store records them as well.
         if rec.is_enabled() {
             rec.add("pipeline.reads_in", reads_in);
             rec.add("pipeline.reads_kept", store_reads.len() as u64);
@@ -330,9 +324,10 @@ impl FocusAssembler {
                 SpillPairStore::new(&align_dir, fp, input_digest, ooc.fs_faults.clone(), rec);
             overlap_all_spilled(config, store, &pool, rec, &mut spill, opts.resume, &mem)
         });
-        outcome(
-            prepared.and_then(|prepared| self.finish(&prepared, config.partitions, &mut policy)),
-        )
+        outcome(prepared.and_then(|prepared| {
+            self.finish(&prepared, config.partitions)
+                .map_err(Halt::Failed)
+        }))
     }
 }
 
@@ -373,9 +368,8 @@ fn adopt_staged_pages(
 
 /// The one streaming pass over the FASTQ: each read is folded into the
 /// input digest and trimmed into the store, whose growth is charged as it
-/// happens, and kept reads are staged to `pages_dir` when
-/// [`OocOptions::stage_reads`] is set. Returns the store and the input's
-/// `(read count, digest)`.
+/// happens, and kept reads are staged to `pages_dir`. Returns the store and
+/// the input's `(read count, digest)`.
 fn ingest_fastq(
     input: &Path,
     config: &FocusConfig,
@@ -387,9 +381,12 @@ fn ingest_fastq(
 ) -> Result<(ReadStore, (u64, u64)), FocusError> {
     let mut digest = InputDigest::new();
     let mut builder = ReadStoreBuilder::new(&config.trim)?;
-    let mut staging = ooc
-        .stage_reads
-        .then(|| PagedStoreWriter::create(pages_dir, fp, ooc.page_len, ooc.fs_faults.clone()));
+    let mut staging = Some(PagedStoreWriter::create(
+        pages_dir,
+        fp,
+        PAGE_LEN,
+        ooc.fs_faults.clone(),
+    ));
     let mut staging_degraded = false;
     let mut store_res = budget.budget().try_reserve("read-store", 0)?;
     for read in open_fastq(input)? {

@@ -3,15 +3,15 @@
 //! The stage sequence is written once, split where [`Prepared`] — everything
 //! that does not depend on the partition count — is complete: the
 //! crate-private `prepare_from` runs stages 2–5 over a preprocessed store
-//! and `finish` runs stage 6. Every entry point is those two calls under a
-//! checkpoint policy (`checkpoint::CkptPolicy`):
-//! [`prepare`](FocusAssembler::prepare) and
-//! [`assemble_prepared`](FocusAssembler::assemble_prepared) with the policy
-//! off, [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
-//! with the caller's, and the out-of-core run ([`crate::ooc`]) with the
-//! caller's, its own ingest and a spilling `align`.
+//! and `finish` runs stage 6. Every entry point is those two calls; the
+//! alignment boundary inside `prepare_from` runs under a checkpoint policy
+//! (`checkpoint::CkptPolicy`): off for [`prepare`](FocusAssembler::prepare),
+//! the caller's for
+//! [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
+//! and for the out-of-core run ([`crate::ooc`]), which brings its own
+//! ingest and a spilling `align`.
 
-use crate::checkpoint::{AlignmentCkpt, CkptPhase, CkptPolicy, Halt};
+use crate::checkpoint::{AlignmentCkpt, CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
 use crate::ooc::{approx_index_bytes, RunBudget};
 use crate::stats::AssemblyStats;
@@ -129,8 +129,7 @@ impl FocusAssembler {
     ) -> Result<AssemblyResult, FocusError> {
         let rec = &self.recorder;
         let _span = rec.span_args("pipeline", "pipeline.assemble", &[("k", k as i64)]);
-        self.finish(prepared, k, &mut CkptPolicy::off(rec))
-            .map_err(Halt::into_error)
+        self.finish(prepared, k)
     }
 
     /// The full pipeline with the configured partition count.
@@ -154,19 +153,14 @@ impl FocusAssembler {
             "input-reads",
             reads.iter().map(|r| r.approx_bytes() as u64).sum(),
         )?;
-        let store = policy.phase(CkptPhase::Preprocess, || {
-            let store = ReadStore::preprocess(reads, &config.trim)?;
-            if store.is_empty() {
-                return Err(FocusError::EmptyInput);
-            }
-            // Inside the phase: a resumed run restores both counters from
-            // the checkpoint's metrics record instead.
-            if rec.is_enabled() {
-                rec.add("pipeline.reads_in", reads.len() as u64);
-                rec.add("pipeline.reads_kept", store.len() as u64);
-            }
-            Ok(store)
-        })?;
+        let store = ReadStore::preprocess(reads, &config.trim)?;
+        if store.is_empty() {
+            return Err(FocusError::EmptyInput.into());
+        }
+        if rec.is_enabled() {
+            rec.add("pipeline.reads_in", reads.len() as u64);
+            rec.add("pipeline.reads_kept", store.len() as u64);
+        }
         budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
         let mem = budget.budget().clone();
         self.prepare_from(store, policy, &mut budget, |store| {
@@ -195,44 +189,22 @@ impl FocusAssembler {
         align: impl FnOnce(&ReadStore) -> Result<AlignmentCkpt, FocusError>,
     ) -> Result<Prepared, Halt> {
         let (rec, config) = (&self.recorder, &self.config);
-        // Stage 1's boundary closes here, for every ingest alike: by now its
-        // caller has charged the store, and a blown budget outranks a stop.
-        policy.stop_after(CkptPhase::Preprocess)?;
-
-        let (overlaps, pair_stats) = policy.phase(CkptPhase::Alignment, || align(&store))?;
+        let (overlaps, pair_stats) = policy.alignment(|| align(&store))?;
         let bytes = (overlaps.len() * std::mem::size_of::<Overlap>()) as u64;
         let overlaps_charge = budget.budget().try_reserve("overlaps", bytes)?;
         budget.gauge(rec);
-        policy.stop_after(CkptPhase::Alignment)?;
+        policy.stop_after_alignment()?;
 
-        // The level-0 overlap graph is cheap and fully determined by the
-        // store and the overlaps, so it is always rebuilt, never stored. Its
-        // directed half is the overlaps' last reader: they and their charge
-        // go before the undirected half is derived from it.
+        // The level-0 overlap graph's directed half is the overlaps' last
+        // reader: they and their charge go before the undirected half is
+        // derived from it.
         let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps);
         drop((overlaps, overlaps_charge));
         budget.gauge(rec);
         let graph = OverlapGraph::from_directed(directed, containments);
 
-        let multilevel = policy.phase(CkptPhase::Coarsen, || {
-            Ok(MultilevelSet::build_obs(
-                graph.undirected.clone(),
-                &config.coarsen,
-                rec,
-            ))
-        })?;
-        policy.stop_after(CkptPhase::Coarsen)?;
-
-        let hybrid = policy.phase(CkptPhase::Hybrid, || {
-            Ok(HybridSet::build_obs(
-                &multilevel,
-                &graph,
-                &store,
-                &config.layout,
-                rec,
-            ))
-        })?;
-        policy.stop_after(CkptPhase::Hybrid)?;
+        let multilevel = MultilevelSet::build_obs(graph.undirected.clone(), &config.coarsen, rec);
+        let hybrid = HybridSet::build_obs(&multilevel, &graph, &store, &config.layout, rec);
 
         // The graphs, visible but not charged: `mem.*` stays out of logical
         // snapshots, and whether they enter the `MemoryBudget` is ROADMAP
@@ -243,9 +215,8 @@ impl FocusAssembler {
         rec.gauge("mem.graph.multilevel_bytes", multilevel_bytes as i64);
         rec.gauge("mem.graph.hybrid_bytes", hybrid.heap_bytes() as i64);
 
-        // Like G0, the node contigs are a function of what is already held
-        // (hybrid set + store): rebuilt by every run, never stored.
         let contigs = DistributedHybrid::node_contigs(&hybrid, &store, config.consensus);
+        rec.sample_peak_rss();
         Ok(Prepared {
             store,
             pair_stats,
@@ -262,17 +233,13 @@ impl FocusAssembler {
         &self,
         prepared: &Prepared,
         k: usize,
-        policy: &mut CkptPolicy<'_>,
-    ) -> Result<AssemblyResult, Halt> {
+    ) -> Result<AssemblyResult, FocusError> {
         let (rec, config) = (&self.recorder, &self.config);
-        let partition = policy.phase(CkptPhase::Partition, || {
-            Ok(partition_graph_set_obs(
-                &prepared.hybrid.set,
-                &PartitionConfig::new(k, config.partition_seed).with_threads(config.threads),
-                rec,
-            )?)
-        })?;
-        policy.stop_after(CkptPhase::Partition)?;
+        let partition = partition_graph_set_obs(
+            &prepared.hybrid.set,
+            &PartitionConfig::new(k, config.partition_seed).with_threads(config.threads),
+            rec,
+        )?;
 
         let mut dh = DistributedHybrid::from_contigs(
             &prepared.hybrid,
@@ -288,9 +255,7 @@ impl FocusAssembler {
             threads: config.threads,
             ..config.dist
         };
-        let Some(report) = dh.run_with_faults_ckpt_obs(&dist_config, plan, rec, policy)? else {
-            return Err(policy.dist_halt());
-        };
+        let report = dh.run_with_faults_obs(&dist_config, plan, rec)?;
 
         let mut contigs = Vec::with_capacity(report.paths.len());
         for p in &report.paths {
@@ -305,6 +270,7 @@ impl FocusAssembler {
             rec.gauge("pipeline.n50", stats.n50 as i64);
             rec.gauge("pipeline.total_bases", stats.total_bases as i64);
         }
+        rec.sample_peak_rss();
         Ok(AssemblyResult {
             contigs,
             stats,

@@ -7,10 +7,12 @@
 //! byte-identical regardless of thread count or how many times the run
 //! crashed and resumed — the oracle the serve chaos harness byte-compares.
 //!
-//! Resume is always on: the runner checkpoints every phase boundary under
+//! Resume is always on: the runner checkpoints the alignment boundary under
 //! the job's `ckpt/` directory (keyed by the existing config/input
-//! fingerprints), so re-running after a `kill -9` continues from the last
-//! durable phase instead of starting over.
+//! fingerprints), so re-running after a `kill -9` reloads the overlaps
+//! instead of aligning again and recomputes the cheap stages after them.
+//! A budgeted job also re-adopts its staged pages and spilled pair runs
+//! from `ckpt/ooc`.
 //!
 //! Failure classification mirrors the retry contract of
 //! [`fc_serve::runner`]: rank-loss failures from the simulated cluster's

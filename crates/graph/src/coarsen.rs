@@ -179,18 +179,6 @@ pub fn contract(g: &LevelGraph, mate: &[NodeId]) -> (LevelGraph, Vec<NodeId>) {
     (g.contracted(&map, weights), map)
 }
 
-impl fc_ckpt::Codec for MultilevelSet {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.set.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<MultilevelSet, fc_ckpt::CkptError> {
-        Ok(MultilevelSet {
-            set: GraphSet::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

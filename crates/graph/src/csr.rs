@@ -8,7 +8,6 @@
 //! because consumers break ties by position in a row (DESIGN.md §5).
 
 use crate::level::NodeId;
-use fc_ckpt::{CkptError, Codec, Reader, Writer};
 use std::mem::size_of;
 
 /// Rows of `T` in one array. `offsets` holds `n + 1` non-decreasing extent
@@ -30,11 +29,6 @@ impl<T> Default for Csr<T> {
 }
 
 impl<T> Csr<T> {
-    /// Number of rows.
-    pub(crate) fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Every entry of every row, in row order.
     pub(crate) fn entries(&self) -> &[T] {
         &self.entries
@@ -118,43 +112,6 @@ impl<T: Copy + Default> Csr<T> {
 /// The `merge` of a [`Csr::build`] whose items cannot repeat: folds nothing.
 pub(crate) fn distinct<T>(_held: &mut T, _new: &T) -> bool {
     false
-}
-
-impl<T: Codec> Csr<T> {
-    /// Decodes what [`encode_rows`] wrote. `entry_bytes` is one entry's wire
-    /// size: every length is checked against the bytes that remain before
-    /// anything is allocated for it, and extents are monotone by
-    /// construction.
-    pub(crate) fn decode(r: &mut Reader<'_>, entry_bytes: usize) -> Result<Csr<T>, CkptError> {
-        let n = r.seq_len(8)?;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut entries = Vec::new();
-        for _ in 0..n {
-            let len = r.seq_len(entry_bytes)?;
-            entries.reserve(len);
-            for _ in 0..len {
-                entries.push(T::decode(r)?);
-            }
-            offsets.push(u32::try_from(entries.len()).map_err(|_| CkptError::Decode {
-                detail: "adjacency exceeds u32 extents".to_string(),
-            })?);
-        }
-        entries.shrink_to_fit();
-        Ok(Csr { offsets, entries })
-    }
-}
-
-/// Writes rows as a sequence of sequences (the `Vec<Vec<T>>` wire format).
-pub(crate) fn encode_rows<'a, T: Codec + 'a>(
-    w: &mut Writer,
-    rows: impl ExactSizeIterator<Item = &'a [T]>,
-) {
-    w.put_u64(rows.len() as u64);
-    for row in rows {
-        w.put_u64(row.len() as u64);
-        row.iter().for_each(|entry| entry.encode(w));
-    }
 }
 
 /// A [`Csr`] whose rows shrink: row `v` is the first `len[v]` entries of its

@@ -1,6 +1,6 @@
 //! Directed overlap graphs for assembly traversal.
 
-use crate::csr::{encode_rows, Csr, LiveCsr};
+use crate::csr::{Csr, LiveCsr};
 use crate::error::GraphError;
 use crate::level::NodeId;
 
@@ -184,54 +184,6 @@ impl DiGraph {
             }
         }
         false
-    }
-}
-
-impl fc_ckpt::Codec for DiEdge {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        w.put_u32(self.to);
-        w.put_u32(self.len);
-        w.put_u32(self.shift);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<DiEdge, fc_ckpt::CkptError> {
-        Ok(DiEdge {
-            to: r.u32()?,
-            len: r.u32()?,
-            shift: r.u32()?,
-        })
-    }
-}
-
-impl fc_ckpt::Codec for DiGraph {
-    /// Writes the live rows; the decoded graph's extents are what was live.
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        let nodes = 0..self.node_count() as NodeId;
-        encode_rows(w, nodes.clone().map(|v| self.out_edges(v)));
-        encode_rows(w, nodes.map(|v| self.in_neighbors(v)));
-        self.removed_nodes.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<DiGraph, fc_ckpt::CkptError> {
-        let out = Csr::<DiEdge>::decode(r, 12)?;
-        let inc = Csr::<NodeId>::decode(r, 4)?;
-        let removed_nodes = Vec::<bool>::decode(r)?;
-        let n = out.rows();
-        let sane = inc.rows() == n
-            && removed_nodes.len() == n
-            && out.entries().len() == inc.entries().len()
-            && out.entries().iter().all(|e| (e.to as usize) < n)
-            && inc.entries().iter().all(|&s| (s as usize) < n);
-        if !sane {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: format!("DiGraph rows disagree in size or point past {n} nodes"),
-            });
-        }
-        Ok(DiGraph {
-            out: LiveCsr::new(out),
-            inc: LiveCsr::new(inc),
-            removed_nodes,
-        })
     }
 }
 

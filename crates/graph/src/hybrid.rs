@@ -312,66 +312,6 @@ fn expand_to_level0(children: &[Csr<NodeId>], level: usize, node: NodeId) -> Vec
     out
 }
 
-impl fc_ckpt::Codec for Representative {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.level.encode(w);
-        w.put_u32(self.node);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<Representative, fc_ckpt::CkptError> {
-        Ok(Representative {
-            level: usize::decode(r)?,
-            node: r.u32()?,
-        })
-    }
-}
-
-impl fc_ckpt::Codec for HybridSet {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.reps.encode(w);
-        self.clusters.encode(w);
-        self.layouts.encode(w);
-        self.rep_of_node.encode(w);
-        self.set.encode(w);
-        self.directed.encode(w);
-        self.contig_lens.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<HybridSet, fc_ckpt::CkptError> {
-        let decode_err = |detail: String| fc_ckpt::CkptError::Decode { detail };
-        let reps = Vec::<Representative>::decode(r)?;
-        let clusters = Vec::<Vec<NodeId>>::decode(r)?;
-        let layouts = Vec::<ClusterLayout>::decode(r)?;
-        let rep_of_node = Vec::<u32>::decode(r)?;
-        let set = GraphSet::decode(r)?;
-        let directed = DiGraph::decode(r)?;
-        let contig_lens = Vec::<u32>::decode(r)?;
-        let h = reps.len();
-        if clusters.len() != h || layouts.len() != h || contig_lens.len() != h {
-            return Err(decode_err(format!(
-                "HybridSet per-representative arrays disagree: {h} reps, {} clusters, {} layouts, {} contig lengths",
-                clusters.len(),
-                layouts.len(),
-                contig_lens.len()
-            )));
-        }
-        if rep_of_node.iter().any(|&rep| rep as usize >= h) {
-            return Err(decode_err(format!(
-                "HybridSet rep_of_node entry out of bounds for {h} representatives"
-            )));
-        }
-        Ok(HybridSet {
-            reps,
-            clusters,
-            layouts,
-            rep_of_node,
-            set,
-            directed,
-            contig_lens,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -281,25 +281,6 @@ fn layout_cluster_inner(
     Some(ClusterLayout { order })
 }
 
-impl fc_ckpt::Codec for ClusterLayout {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        w.put_u64(self.order.len() as u64);
-        for &(v, off) in &self.order {
-            w.put_u32(v);
-            w.put_i64(off);
-        }
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<ClusterLayout, fc_ckpt::CkptError> {
-        let n = r.seq_len(12)?;
-        let mut order = Vec::with_capacity(n);
-        for _ in 0..n {
-            order.push((r.u32()?, r.i64()?));
-        }
-        Ok(ClusterLayout { order })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! lengths (paper §II-C). A [`GraphSet`] bundles the levels with the
 //! fine→coarse node maps used by partition projection (§IV-C).
 
-use crate::csr::{distinct, encode_rows, vec_bytes, Csr};
+use crate::csr::{distinct, vec_bytes, Csr};
 use crate::error::GraphError;
 use std::sync::Arc;
 
@@ -305,49 +305,6 @@ impl GraphSet {
     }
 }
 
-impl fc_ckpt::Codec for LevelGraph {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        encode_rows(
-            w,
-            (0..self.node_count() as NodeId).map(|v| self.neighbors(v)),
-        );
-        self.0.node_weight.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<LevelGraph, fc_ckpt::CkptError> {
-        let adj = Csr::<(NodeId, u32)>::decode(r, 8)?;
-        let n = adj.rows();
-        let node_weight = Vec::<u32>::decode(r)?;
-        if node_weight.len() != n || adj.entries().iter().any(|&(v, _)| v as usize >= n) {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: format!("LevelGraph weights or neighbors disagree with its {n} nodes"),
-            });
-        }
-        Ok(LevelGraph(Arc::new(Level { adj, node_weight })))
-    }
-}
-
-impl fc_ckpt::Codec for GraphSet {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.levels.encode(w);
-        self.fine_to_coarse.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<GraphSet, fc_ckpt::CkptError> {
-        let levels = Vec::<LevelGraph>::decode(r)?;
-        let fine_to_coarse = Vec::<Vec<NodeId>>::decode(r)?;
-        let set = GraphSet {
-            levels,
-            fine_to_coarse,
-        };
-        set.check_invariants()
-            .map_err(|e| fc_ckpt::CkptError::Decode {
-                detail: format!("GraphSet invariants violated: {e}"),
-            })?;
-        Ok(set)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,19 +352,13 @@ mod tests {
     }
 
     /// 8 bytes an adjacency entry (4 + 4, no padding), 8 a node (offset +
-    /// weight), 4 for the closing offset; on the wire 8 an entry and 4 a
-    /// weight.
+    /// weight), 4 for the closing offset.
     #[test]
     fn entry_and_node_sizes() {
         assert_eq!(std::mem::size_of::<(NodeId, u32)>(), 8);
         let g = triangle();
         let (n, entries) = (g.node_count(), 2 * g.edge_count());
         assert_eq!(g.heap_bytes(), 8 * entries + 8 * n + 4);
-        let bytes = fc_ckpt::encode_to_vec(&g);
-        // Row count, then per row a length; weight count, then weights.
-        assert_eq!(bytes.len(), 8 + n * 8 + 8 * entries + 8 + 4 * n);
-        let back: LevelGraph = fc_ckpt::decode_from_slice(&bytes).unwrap();
-        assert_eq!(back, g);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Linux keeps the high-water mark of a process's resident set in
 //! `/proc/self/status` as `VmHWM` (kilobytes). Reading it costs one small
-//! pseudo-file read — cheap enough to sample at every phase boundary —
+//! pseudo-file read — cheap enough to sample at stage boundaries —
 //! and needs no dependency. On every other platform the sampler reports
 //! `None` and the `mem.peak_rss_bytes` gauge is simply never set.
 

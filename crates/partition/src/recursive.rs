@@ -487,80 +487,6 @@ fn bisect_partition(
     BisectOutcome { moved, work }
 }
 
-impl fc_ckpt::Codec for TaskKind {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        match self {
-            TaskKind::Bisect { step, part } => {
-                w.put_u8(0);
-                step.encode(w);
-                w.put_u32(*part);
-            }
-            TaskKind::KwayLevel { level } => {
-                w.put_u8(1);
-                level.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<TaskKind, fc_ckpt::CkptError> {
-        match r.u8()? {
-            0 => Ok(TaskKind::Bisect {
-                step: usize::decode(r)?,
-                part: r.u32()?,
-            }),
-            1 => Ok(TaskKind::KwayLevel {
-                level: usize::decode(r)?,
-            }),
-            tag => Err(fc_ckpt::CkptError::Decode {
-                detail: format!("invalid TaskKind tag {tag}"),
-            }),
-        }
-    }
-}
-
-impl fc_ckpt::Codec for TaskRecord {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.kind.encode(w);
-        w.put_u64(self.work);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<TaskRecord, fc_ckpt::CkptError> {
-        Ok(TaskRecord {
-            kind: TaskKind::decode(r)?,
-            work: r.u64()?,
-        })
-    }
-}
-
-impl fc_ckpt::Codec for PartitionResult {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.k.encode(w);
-        self.parts_per_level.encode(w);
-        self.tasks.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<PartitionResult, fc_ckpt::CkptError> {
-        let k = usize::decode(r)?;
-        let parts_per_level = Vec::<Vec<u32>>::decode(r)?;
-        let tasks = Vec::<TaskRecord>::decode(r)?;
-        if parts_per_level.is_empty() {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: "PartitionResult has no levels".to_string(),
-            });
-        }
-        if let Some(&bad) = parts_per_level.iter().flatten().find(|&&p| p as usize >= k) {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: format!("PartitionResult assigns part {bad} with k = {k}"),
-            });
-        }
-        Ok(PartitionResult {
-            k,
-            parts_per_level,
-            tasks,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -266,39 +266,6 @@ impl ReadStoreBuilder {
     }
 }
 
-impl fc_ckpt::Codec for ReadStore {
-    fn encode(&self, w: &mut fc_ckpt::Writer) {
-        self.reads.encode(w);
-        self.rc_paired.encode(w);
-        self.source.encode(w);
-    }
-
-    fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<ReadStore, fc_ckpt::CkptError> {
-        let reads = Vec::<DnaString>::decode(r)?;
-        let rc_paired = bool::decode(r)?;
-        let source = Vec::<u32>::decode(r)?;
-        if source.len() != reads.len() {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: format!(
-                    "ReadStore has {} source indices for {} reads",
-                    source.len(),
-                    reads.len()
-                ),
-            });
-        }
-        if rc_paired && reads.len() % 2 != 0 {
-            return Err(fc_ckpt::CkptError::Decode {
-                detail: format!("RC-paired ReadStore has odd read count {}", reads.len()),
-            });
-        }
-        Ok(ReadStore {
-            reads,
-            rc_paired,
-            source,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,44 +389,6 @@ mod tests {
         let store = ReadStore::from_reads(input_reads());
         assert_eq!(store.total_bases(), 30);
     }
-
-    #[test]
-    fn checkpoint_codec_round_trips_both_store_kinds() {
-        let paired = ReadStore::preprocess(&input_reads(), &config()).unwrap();
-        let plain = ReadStore::from_reads(input_reads());
-        for store in [&paired, &plain] {
-            let bytes = fc_ckpt::encode_to_vec(store);
-            let back: ReadStore = fc_ckpt::decode_from_slice(&bytes).unwrap();
-            assert_eq!(back.reads(), store.reads());
-            assert_eq!(back.source_read_count(), store.source_read_count());
-        }
-    }
-
-    /// Decode refuses a source column of the wrong length, an odd RC-paired
-    /// count and a sequence with dirty padding bits.
-    #[test]
-    fn checkpoint_decode_refuses_inconsistent_stores() {
-        use fc_ckpt::Codec;
-        let seq: DnaString = "ACG".parse().unwrap();
-        let encode = |reads: &[DnaString], rc_paired: bool, source: &[u32]| {
-            let mut w = fc_ckpt::Writer::new();
-            reads.to_vec().encode(&mut w);
-            rc_paired.encode(&mut w);
-            source.to_vec().encode(&mut w);
-            w.into_bytes()
-        };
-        let decode = |bytes: Vec<u8>| fc_ckpt::decode_from_slice::<ReadStore>(&bytes);
-        let pair = [seq.clone(), seq.reverse_complement()];
-        assert!(decode(encode(&pair, true, &[0, 0])).is_ok());
-        assert!(decode(encode(&pair, true, &[0])).is_err());
-        assert!(decode(encode(&pair[..1], true, &[0])).is_err());
-        assert!(decode(encode(&pair[..1], false, &[0])).is_ok());
-        let mut dirty = encode(&pair[..1], false, &[0]);
-        // Words start after the vector length, the base count and the
-        // word count; set a bit past the third base.
-        dirty[3 * 8] |= 1 << 6;
-        assert!(decode(dirty).is_err());
-    }
 }
 
 #[cfg(test)]
@@ -514,7 +443,7 @@ mod props {
 
     /// What the ledger charges covers the store's heap — the vectors'
     /// capacity and every sequence's words — and stays within 1.25× of it,
-    /// for a store preprocessed, rebuilt from staged strands, or decoded.
+    /// for a store preprocessed or rebuilt from staged strands.
     #[test]
     fn approx_bytes_covers_the_heap_and_stays_close() {
         let heap = |s: &ReadStore| {
@@ -539,9 +468,7 @@ mod props {
             let store = ReadStore::preprocess(&input, &config).unwrap();
             let forward = store.ids().step_by(2);
             let staged = forward.map(|id| (store.get(id).clone(), id.0)).collect();
-            let decoded = fc_ckpt::encode_to_vec(&store);
-            let decoded: ReadStore = fc_ckpt::decode_from_slice(&decoded).unwrap();
-            for s in [&store, &ReadStore::from_trimmed(staged), &decoded] {
+            for s in [&store, &ReadStore::from_trimmed(staged)] {
                 let (heap, charged) = (heap(s), s.approx_bytes());
                 assert!(charged >= heap, "{charged} < {heap}");
                 assert!(charged * 4 <= heap * 5, "{charged} > 1.25 x {heap}");

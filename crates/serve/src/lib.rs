@@ -15,7 +15,7 @@
 //!   with an explicit `shed` status instead of silently vanishing.
 //! * **Durability** — a job is acknowledged only after its input bytes
 //!   and metadata are fsync'd ([`state::StateDir`]); every run checkpoints
-//!   phase boundaries through fc-ckpt under a per-job directory. A
+//!   through fc-ckpt under a per-job directory. A
 //!   `kill -9`'d server restarted on the same state directory re-admits
 //!   every unfinished job and resumes it from its last checkpoint,
 //!   producing byte-identical contigs and logical-clock metrics

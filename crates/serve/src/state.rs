@@ -8,7 +8,7 @@
 //!     └── job-000001/
 //!         ├── input.fastq    # raw submitted bytes, written first
 //!         ├── job.meta       # admission record, written atomically LAST
-//!         ├── ckpt/          # fc-ckpt phase checkpoints for the run
+//!         ├── ckpt/          # fc-ckpt checkpoints for the run
 //!         ├── contigs.fasta  # output (atomic, present when done)
 //!         ├── metrics.json   # logical-clock metrics snapshot (atomic)
 //!         └── status.txt     # terminal state, written once at the end

@@ -63,16 +63,16 @@ MEMORY OPTIONS (assemble, FASTQ input only; serve takes --memory-budget):
                            temp dir, when only --memory-budget is given.
 
 CHECKPOINT OPTIONS (assemble):
-    --checkpoint-dir <dir> write a verified checkpoint after every pipeline
-                           phase (atomic temp-file + rename, CRC-protected)
-    --resume               skip phases whose checkpoints in --checkpoint-dir
-                           verify (checksums + config/input fingerprints);
-                           anything corrupt or mismatched is recomputed
+    --checkpoint-dir <dir> write a verified checkpoint of the overlaps once
+                           alignment is done (atomic temp-file + rename,
+                           CRC-protected); every later stage is recomputed
+    --resume               skip alignment when its checkpoint in
+                           --checkpoint-dir verifies (checksums +
+                           config/input fingerprints); a corrupt or
+                           mismatched checkpoint is recomputed
     --crash-after <phase>  stop right after checkpointing <phase> and exit
-                           with code 3 (chaos-harness crash point); one of:
-                           preprocess alignment coarsen hybrid partition
-                           dist_transitive_reduction dist_containment_removal
-                           dist_error_removal dist_traversal
+                           with code 3 (chaos-harness crash point); the one
+                           checkpointed phase is: alignment
 
 OBSERVABILITY OPTIONS (assemble):
     --trace <path>         write a Chrome trace_event JSON (open in Perfetto)
@@ -350,8 +350,8 @@ fn build_checkpoint_options(opts: &Options) -> Result<Option<CheckpointOptions>,
         Some(text) => Some(CkptPhase::parse(text).ok_or_else(|| {
             let names: Vec<&str> = CkptPhase::ALL.iter().map(|p| p.name()).collect();
             format!(
-                "--crash-after: unknown phase {text:?}; expected one of {}",
-                names.join(", ")
+                "--crash-after: unknown phase {text:?}; expected {}",
+                names.join(" or ")
             )
         })?),
     };

@@ -66,3 +66,36 @@ fn a_misspelt_or_retired_option_stops_assemble_before_any_work() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `--crash-after` names a checkpointed phase, and alignment is the only
+/// one: a retired phase stops `assemble` before the input is opened, and
+/// the message names the accepted value.
+#[test]
+fn a_retired_crash_point_stops_assemble_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-crash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The input does not exist: opening it would be a different error.
+    let (input, output, ckpt) = (
+        dir.join("absent.fastq"),
+        dir.join("c.fasta"),
+        dir.join("ckpt"),
+    );
+    let (code, stderr) = focus(&[
+        "assemble",
+        "--input",
+        input.to_str().unwrap(),
+        "--output",
+        output.to_str().unwrap(),
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        "--crash-after",
+        "coarsen",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: --crash-after: unknown phase \"coarsen\"; expected alignment"
+    );
+    assert!(!output.exists() && !ckpt.exists(), "the run started");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -170,6 +170,38 @@ fn all_three_sinks_validate_against_the_schema_checkers() {
     assert!(report.contains("align.candidates"));
 }
 
+/// The pipeline samples the process's peak resident set (`VmHWM`) as it
+/// runs: a wall-clock run publishes `mem.peak_rss_bytes`, and the logical
+/// snapshot, which must not depend on the allocator, leaves it out.
+#[cfg(target_os = "linux")]
+#[test]
+fn wall_clock_assemble_samples_peak_rss_outside_the_logical_snapshot() {
+    let reads = tiled_reads(1800, 7);
+    let mut config = obs_config(2);
+    config.observability = ObsOptions::wall_clock();
+    let assembler = FocusAssembler::new(config).unwrap();
+    assembler.assemble(&reads).unwrap();
+    let peak = assembler
+        .recorder()
+        .snapshot()
+        .gauges
+        .get("mem.peak_rss_bytes")
+        .copied();
+    assert!(peak.is_some_and(|bytes| bytes > 0), "{peak:?}");
+
+    let logical = FocusAssembler::new(obs_config(2)).unwrap();
+    logical.assemble(&reads).unwrap();
+    assert!(logical
+        .recorder()
+        .snapshot()
+        .gauges
+        .contains_key("mem.peak_rss_bytes"));
+    assert!(!logical
+        .recorder()
+        .snapshot_json()
+        .contains("mem.peak_rss_bytes"));
+}
+
 #[test]
 fn disabled_recorder_produces_empty_everything() {
     let reads = tiled_reads(1500, 5);

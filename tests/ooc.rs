@@ -1,19 +1,19 @@
 //! Out-of-core assembly invariants: the spilled pipeline is the in-core
 //! pipeline, bit for bit.
 //!
-//! Contract under test (ISSUE 10): contigs, traversal paths, fault
-//! reports and logical-clock metric snapshots are byte-identical across
-//! {in-core, spilled} × any memory budget × any thread count, with or
-//! without read staging; every injected filesystem fault mid-spill or
-//! mid-merge is *detected* (CRC) and answered by recomputation or a
-//! one-warning graceful in-core fallback — never a panic, never a wrong
-//! contig; a killed run resumes staged pages and phase checkpoints; and
-//! the budget gate rejects in-core runs that genuinely do not fit while
-//! the spilled path completes under the same budget.
+//! Contract under test: contigs, traversal paths, fault reports and
+//! logical-clock metric snapshots are byte-identical across {in-core,
+//! spilled} × any memory budget × any thread count; every injected
+//! filesystem fault mid-spill or mid-merge is *detected* (CRC) and answered
+//! by recomputation or a one-warning graceful in-core fallback — never a
+//! panic, never a wrong contig; a killed run resumes staged pages and the
+//! alignment checkpoint; and the budget gate rejects in-core runs that
+//! genuinely do not fit while the spilled path completes under the same
+//! budget.
 
 use fc_rng::cases;
 use focus_assembler::align::{KmerIndex, Overlap, Overlapper, Pool};
-use focus_assembler::ckpt::{crc32, CheckpointFile, Codec, Writer};
+use focus_assembler::ckpt::{crc32, CheckpointFile};
 use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
 use focus_assembler::focus::{
     AssemblyOutcome, AssemblyResult, CheckpointOptions, CkptPhase, FaultInjection, FocusAssembler,
@@ -51,14 +51,7 @@ fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
 /// Logical-clock observability + deterministic dist-stage fault injection,
 /// matching the chaos harness so snapshots are rich.
 fn ooc_config(threads: usize) -> FocusConfig {
-    let mut c = FocusConfig {
-        partitions: 4,
-        threads,
-        observability: ObsOptions::logical(),
-        ..Default::default()
-    };
-    c.trim.min_read_len = 30;
-    c.overlap.min_overlap_len = 40;
+    let mut c = ooc_config_unfaulted(threads);
     c.fault = Some(FaultInjection {
         seed: 42,
         rates: focus_assembler::dist::FaultRates {
@@ -67,6 +60,19 @@ fn ooc_config(threads: usize) -> FocusConfig {
             ..Default::default()
         },
     });
+    c
+}
+
+/// [`ooc_config`] without fault injection.
+fn ooc_config_unfaulted(threads: usize) -> FocusConfig {
+    let mut c = FocusConfig {
+        partitions: 4,
+        threads,
+        observability: ObsOptions::logical(),
+        ..Default::default()
+    };
+    c.trim.min_read_len = 30;
+    c.overlap.min_overlap_len = 40;
     c
 }
 
@@ -102,7 +108,11 @@ fn completed(outcome: AssemblyOutcome) -> AssemblyResult {
 }
 
 fn run_clean(reads: &[Read], threads: usize) -> (AssemblyResult, String) {
-    let assembler = FocusAssembler::new(ooc_config(threads)).unwrap();
+    run_clean_with(reads, ooc_config(threads))
+}
+
+fn run_clean_with(reads: &[Read], config: FocusConfig) -> (AssemblyResult, String) {
+    let assembler = FocusAssembler::new(config).unwrap();
     let result = assembler.assemble(reads).unwrap();
     let snapshot = assembler.recorder().snapshot_json();
     (result, snapshot)
@@ -119,39 +129,40 @@ fn run_ooc(
     (assembler, outcome)
 }
 
-/// The headline invariant: {in-core, spilled} × budget × threads ×
-/// staging all produce byte-identical contigs, paths, fault reports and
-/// logical metric snapshots.
+/// The headline invariant: {in-core, spilled} × budget × threads all
+/// produce byte-identical contigs, paths, fault reports and logical metric
+/// snapshots.
 #[test]
 fn spilled_assembly_is_bit_identical_to_in_core() {
     let (input, parsed) = fastq_fixture("ident", &tiled_reads(2500, 11));
     let (clean, clean_snapshot) = run_clean(&parsed, 1);
     for threads in [1usize, 2, 4, 8] {
-        for stage_reads in [true, false] {
-            for budget in [None, Some(1u64 << 30)] {
-                let tag = format!("ident-{threads}-{stage_reads}-{}", budget.is_some());
-                let spill = temp_dir(&tag);
-                let mut config = ooc_config(threads);
-                config.memory_budget = budget;
-                let mut ooc = OocOptions::in_dir(&spill);
-                ooc.stage_reads = stage_reads;
-                let (assembler, outcome) =
-                    run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
-                let result = completed(outcome.unwrap());
-                assert_eq!(result.contigs, clean.contigs, "{tag}");
-                assert_eq!(result.report.paths, clean.report.paths, "{tag}");
-                assert_eq!(result.report.fault, clean.report.fault, "{tag}");
-                assert_eq!(
-                    assembler.recorder().snapshot_json(),
-                    clean_snapshot,
-                    "snapshot diverged: {tag}"
-                );
-                // The spill layer actually ran: every subset pair spilled.
-                let counters = assembler.recorder().snapshot().counters;
-                assert!(counters["ooc.spill.runs"] >= 1, "{tag}: nothing spilled");
-                assert_eq!(counters.get("ooc.spill.degraded"), None, "{tag}");
-                let _ = std::fs::remove_dir_all(&spill);
-            }
+        for budget in [None, Some(1u64 << 30)] {
+            let tag = format!("ident-{threads}-{}", budget.is_some());
+            let spill = temp_dir(&tag);
+            let mut config = ooc_config(threads);
+            config.memory_budget = budget;
+            let ooc = OocOptions::in_dir(&spill);
+            let (assembler, outcome) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
+            let result = completed(outcome.unwrap());
+            assert_eq!(result.contigs, clean.contigs, "{tag}");
+            assert_eq!(result.report.paths, clean.report.paths, "{tag}");
+            assert_eq!(result.report.fault, clean.report.fault, "{tag}");
+            assert_eq!(
+                assembler.recorder().snapshot_json(),
+                clean_snapshot,
+                "snapshot diverged: {tag}"
+            );
+            // The spill layer actually ran: every subset pair spilled, and
+            // the trimmed reads were staged.
+            let counters = assembler.recorder().snapshot().counters;
+            assert!(counters["ooc.spill.runs"] >= 1, "{tag}: nothing spilled");
+            assert!(
+                counters["ooc.ingest.staged_pages"] >= 1,
+                "{tag}: nothing staged"
+            );
+            assert_eq!(counters.get("ooc.spill.degraded"), None, "{tag}");
+            let _ = std::fs::remove_dir_all(&spill);
         }
     }
 }
@@ -219,46 +230,57 @@ fn every_spill_fault_is_detected_and_answered() {
     }
 }
 
-/// Killing an out-of-core run after any phase boundary and resuming
-/// reproduces the clean run bit for bit: staged read pages replace the
-/// Preprocess checkpoint, later phases resume through the existing
-/// manifest.
+/// Killing an out-of-core run after every checkpointed boundary and
+/// resuming reproduces the clean run bit for bit, at one and four threads,
+/// with and without injected faults: staged read pages replace ingest, and
+/// the alignment checkpoint replaces the spilled pairs' merge.
 #[test]
 fn killed_ooc_run_resumes_pages_and_checkpoints() {
     let (input, parsed) = fastq_fixture("kill", &tiled_reads(2500, 11));
-    let (clean, clean_snapshot) = run_clean(&parsed, 2);
-    for &phase in &CkptPhase::ALL {
-        let tag = format!("kill-{}", phase.name());
-        let spill = temp_dir(&format!("{tag}-spill"));
-        let ckpt = temp_dir(&format!("{tag}-ckpt"));
-        let mut opts = CheckpointOptions::in_dir(&ckpt);
-        opts.stop_after = Some(phase);
-        let ooc = OocOptions::in_dir(&spill);
-        let (_, stopped) = run_ooc(ooc_config(2), &input, &opts, &ooc);
-        match stopped.unwrap() {
-            AssemblyOutcome::Stopped(p) => assert_eq!(p, phase),
-            AssemblyOutcome::Completed(_) => panic!("{tag}: did not stop"),
+    for threads in [1usize, 4] {
+        for config in [ooc_config_unfaulted(threads), ooc_config(threads)] {
+            let (clean, clean_snapshot) = run_clean_with(&parsed, config);
+            for &phase in &CkptPhase::ALL {
+                let tag = format!(
+                    "kill-{}-t{threads}-f{}",
+                    phase.name(),
+                    config.fault.is_some()
+                );
+                let spill = temp_dir(&format!("{tag}-spill"));
+                let ckpt = temp_dir(&format!("{tag}-ckpt"));
+                let mut opts = CheckpointOptions::in_dir(&ckpt);
+                opts.stop_after = Some(phase);
+                let ooc = OocOptions::in_dir(&spill);
+                let (_, stopped) = run_ooc(config, &input, &opts, &ooc);
+                match stopped.unwrap() {
+                    AssemblyOutcome::Stopped(p) => assert_eq!(p, phase),
+                    AssemblyOutcome::Completed(_) => panic!("{tag}: did not stop"),
+                }
+                opts.stop_after = None;
+                opts.resume = true;
+                let (assembler, outcome) = run_ooc(config, &input, &opts, &ooc);
+                let resumed = completed(outcome.unwrap());
+                assert_eq!(resumed.contigs, clean.contigs, "{tag}");
+                assert_eq!(resumed.report.paths, clean.report.paths, "{tag}");
+                assert_eq!(resumed.report.fault, clean.report.fault, "{tag}");
+                assert_eq!(
+                    assembler.recorder().snapshot_json(),
+                    clean_snapshot,
+                    "{tag}"
+                );
+                // The resumed ingest adopted the staged pages instead of
+                // re-trimming the input, and alignment came from its
+                // checkpoint.
+                let counters = assembler.recorder().snapshot().counters;
+                assert!(
+                    counters.get("ooc.ingest.resumed").copied().unwrap_or(0) >= 1,
+                    "{tag}: staged pages were not adopted"
+                );
+                assert_eq!(counters.get("ckpt.loaded"), Some(&1), "{tag}");
+                let _ = std::fs::remove_dir_all(&spill);
+                let _ = std::fs::remove_dir_all(&ckpt);
+            }
         }
-        opts.stop_after = None;
-        opts.resume = true;
-        let (assembler, outcome) = run_ooc(ooc_config(2), &input, &opts, &ooc);
-        let resumed = completed(outcome.unwrap());
-        assert_eq!(resumed.contigs, clean.contigs, "{tag}");
-        assert_eq!(resumed.report.paths, clean.report.paths, "{tag}");
-        assert_eq!(
-            assembler.recorder().snapshot_json(),
-            clean_snapshot,
-            "{tag}"
-        );
-        // The resumed ingest adopted the staged pages instead of
-        // re-trimming the input.
-        let counters = assembler.recorder().snapshot().counters;
-        assert!(
-            counters.get("ooc.ingest.resumed").copied().unwrap_or(0) >= 1,
-            "{tag}: staged pages were not adopted"
-        );
-        let _ = std::fs::remove_dir_all(&spill);
-        let _ = std::fs::remove_dir_all(&ckpt);
     }
 }
 
@@ -484,17 +506,13 @@ fn in_core_alignment_charges_its_seed_indexes() {
 }
 
 /// Rewrites every checkpoint container under `dir` as format version 4,
-/// resealed so that only the version check can refuse it; `payload`
-/// replaces record 0 when given.
-fn rewrite_as_version_4(dir: &Path, payload: Option<&[u8]>) {
+/// resealed so that only the version check can refuse it.
+fn rewrite_as_version_4(dir: &Path) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
-        let Ok(mut file) = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path) else {
+        let Ok(file) = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path) else {
             continue; // the manifest
         };
-        if let Some(payload) = payload {
-            file.records[0] = payload.to_vec();
-        }
         let mut bytes = file.encode();
         bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
         let body = bytes.len() - 4;
@@ -506,44 +524,29 @@ fn rewrite_as_version_4(dir: &Path, payload: Option<&[u8]>) {
     }
 }
 
-/// Files of the previous format — a version-4 preprocess checkpoint
-/// holding the old store layout (names, bases, qualities) and version-4
-/// staged pages — are refused on resume and recomputed, never decoded as
-/// this version's layout: contigs and the logical snapshot equal a clean
-/// run's.
+/// Files of the previous format — a version-4 alignment checkpoint and
+/// version-4 staged pages — are refused on resume and recomputed, never
+/// decoded as this version's layout: contigs and the logical snapshot
+/// equal a clean run's.
 #[test]
-fn version_4_preprocess_checkpoint_and_pages_are_refused_and_recomputed() {
+fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     let (input, parsed) = fastq_fixture("v4", &tiled_reads(2500, 11));
     let (clean, clean_snapshot) = run_clean(&parsed, 2);
     let config = ooc_config(2);
 
-    // A checkpointed in-core run stopped after preprocessing, its store
-    // then replaced by the version-4 layout of the same reads.
+    // A checkpointed in-core run stopped after alignment, its checkpoint
+    // then restamped as version 4.
     let ckpt = temp_dir("v4-ckpt");
     let mut opts = CheckpointOptions::in_dir(&ckpt);
-    opts.stop_after = Some(CkptPhase::Preprocess);
+    opts.stop_after = Some(CkptPhase::Alignment);
     let stopped = FocusAssembler::new(config)
         .unwrap()
         .assemble_with_checkpoints(&parsed, &opts);
     assert!(matches!(
         stopped,
-        Ok(AssemblyOutcome::Stopped(CkptPhase::Preprocess))
+        Ok(AssemblyOutcome::Stopped(CkptPhase::Alignment))
     ));
-    let store = ReadStore::preprocess(&parsed, &config.trim).unwrap();
-    let mut old = Writer::new();
-    old.put_u64(store.len() as u64);
-    for id in store.ids() {
-        format!("r{}", id.0).encode(&mut old);
-        store.get(id).encode(&mut old);
-        Some(vec![30u8; store.get(id).len()]).encode(&mut old);
-    }
-    true.encode(&mut old);
-    let source: Vec<u32> = store
-        .ids()
-        .map(|id| store.source_index(id) as u32)
-        .collect();
-    source.encode(&mut old);
-    rewrite_as_version_4(&ckpt, Some(&old.into_bytes()));
+    rewrite_as_version_4(&ckpt);
     opts.stop_after = None;
     opts.resume = true;
     let assembler = FocusAssembler::new(config).unwrap();
@@ -560,7 +563,7 @@ fn version_4_preprocess_checkpoint_and_pages_are_refused_and_recomputed() {
     let ooc = OocOptions::in_dir(&spill);
     let (_, first) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
     completed(first.unwrap());
-    rewrite_as_version_4(&spill.join("pages"), None);
+    rewrite_as_version_4(&spill.join("pages"));
     let resume = CheckpointOptions {
         resume: true,
         ..CheckpointOptions::default()
