@@ -43,7 +43,7 @@ use crate::pipeline::{AssemblyResult, FocusAssembler};
 use fc_align::{Overlap, PairStats};
 use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
 use fc_obs::{MetricsSnapshot, ObsOptions, Recorder};
-use fc_seq::Read;
+use fc_seq::{QualityScores, Read, Record};
 use std::path::PathBuf;
 
 /// The checkpointed phase boundaries of the pipeline. The discriminant is
@@ -117,8 +117,8 @@ pub enum AssemblyOutcome {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv64(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
+fn fnv64(hash: &mut u64, bytes: impl IntoIterator<Item = u8>) {
+    for b in bytes {
         *hash ^= u64::from(b);
         *hash = hash.wrapping_mul(FNV_PRIME);
     }
@@ -135,14 +135,14 @@ pub fn config_fingerprint(config: &FocusConfig) -> u64 {
     canonical.memory_budget = None;
     canonical.observability = ObsOptions::default();
     let mut h = FNV_OFFSET;
-    fnv64(&mut h, format!("{canonical:?}").as_bytes());
+    fnv64(&mut h, format!("{canonical:?}").bytes());
     h
 }
 
-/// Incremental form of [`input_digest`]: feed reads one at a time (the
-/// streaming ingest path holds one read in memory) and [`finish`] at the
-/// end. The read count folds in last, so a stream of unknown length
-/// digests in a single pass.
+/// Incremental form of [`input_digest`]: feed records one at a time as a
+/// reader yields them (the streaming ingest holds one in memory) and
+/// [`finish`] at the end. The read count folds in last, so a stream of
+/// unknown length digests in a single pass.
 ///
 /// [`finish`]: InputDigest::finish
 #[derive(Debug, Clone, Default)]
@@ -160,19 +160,20 @@ impl InputDigest {
         }
     }
 
-    /// Folds one read into the digest.
-    pub fn observe(&mut self, read: &Read) {
+    /// Folds one record into the digest: its name, its bases in upper
+    /// case (what a packed read decodes to) and its Phred scores.
+    pub fn observe(&mut self, record: &Record<'_>) {
         let h = self.hash.get_or_insert(FNV_OFFSET);
         self.count += 1;
-        fnv64(h, read.name.as_bytes());
-        fnv64(h, &[0xFF]);
-        fnv64(h, &read.seq.to_ascii());
-        match &read.qual {
+        fnv64(h, record.name.bytes());
+        fnv64(h, [0xFF]);
+        fnv64(h, record.bases.iter().map(u8::to_ascii_uppercase));
+        match record.qual {
             Some(q) => {
-                fnv64(h, &[0xFE]);
-                fnv64(h, q.as_slice());
+                fnv64(h, [0xFE]);
+                fnv64(h, q.iter().copied());
             }
-            None => fnv64(h, &[0xFD]),
+            None => fnv64(h, [0xFD]),
         }
     }
 
@@ -184,7 +185,7 @@ impl InputDigest {
     /// The final digest over everything observed.
     pub fn finish(&self) -> u64 {
         let mut h = self.hash.unwrap_or(FNV_OFFSET);
-        fnv64(&mut h, &self.count.to_le_bytes());
+        fnv64(&mut h, self.count.to_le_bytes());
         h
     }
 }
@@ -195,7 +196,12 @@ impl InputDigest {
 pub fn input_digest(reads: &[Read]) -> u64 {
     let mut digest = InputDigest::new();
     for read in reads {
-        digest.observe(read);
+        let bases = read.seq.to_ascii();
+        digest.observe(&Record {
+            name: &read.name,
+            bases: &bases,
+            qual: read.qual.as_ref().map(QualityScores::as_slice),
+        });
     }
     digest.finish()
 }

@@ -1,21 +1,20 @@
-//! Out-of-core assembly: memory budgets, streaming ingest and spilled
-//! alignment (ISSUE 10's tentpole).
+//! FASTQ assembly without the raw input: streaming ingest, memory budgets
+//! and spilled alignment.
 //!
-//! The in-core pipeline holds three big structures at once: the raw input
-//! reads, the preprocessed RC-paired store, and every subset's seed index
-//! while the overlap list grows. This module removes the first from the
-//! resident set and keeps one index at a time, so inputs bigger than the
-//! configured [`FocusConfig::memory_budget`] still assemble:
+//! The parsed-reads entry points hold the raw input reads, the RC-paired
+//! store, and every subset's seed index while the overlap list grows.
+//! [`FocusAssembler::assemble_fastq`] never holds the first; out of core it
+//! also keeps one index at a time, so inputs bigger than
+//! [`FocusConfig::memory_budget`] still assemble:
 //!
-//! * **Streaming ingest** — [`FocusAssembler::assemble_fastq_ooc`] parses
-//!   the FASTQ file one read at a time through [`fc_seq::fastq::Reader`],
-//!   feeding a [`ReadStoreBuilder`]; the raw input is never resident. The
-//!   same single pass folds every read into the input digest
-//!   ([`InputDigest`]), so checkpoint compatibility with the in-core path
-//!   is exact. Kept reads are staged to disk page by page
-//!   ([`fc_seq::PagedStoreWriter`]) so a killed run resumes ingest from
-//!   pages instead of re-trimming; only a resumed run, which must know the
-//!   digest before it may adopt pages, reads the file once more, first.
+//! * **Streaming ingest** — borrowed records from
+//!   [`fastq::Reader::next_record`] are trimmed straight into a
+//!   [`ReadStoreBuilder`] and folded into the input digest
+//!   ([`InputDigest`]) in the same pass, so checkpoints match the
+//!   parsed-reads path exactly. Out of core, kept reads are staged page by
+//!   page ([`fc_seq::PagedStoreWriter`]) so a killed run resumes ingest
+//!   from pages; only a resumed run, which must know the digest before it
+//!   may adopt pages, reads the file once more, first.
 //! * **Spilled alignment** — subset-pair results are computed one index
 //!   column at a time by the in-core path's column loop
 //!   ([`Overlapper::overlap_column`]) and each pair's
@@ -26,11 +25,10 @@
 //!   in-core path uses, so contigs *and* logical metric snapshots are
 //!   byte-identical.
 //!
-//! Nothing else differs: the out-of-core run is the in-core stage sequence
-//! ([`crate::pipeline`]) given this module's ingest for stage 1 and its
-//! spilling alignment for stage 2, its alignment boundary under the
-//! caller's checkpoint policy. Staged pages and spilled pair runs are this
-//! path's own resume state, apart from that checkpoint.
+//! Nothing else differs: both modes are the stage sequence
+//! ([`crate::pipeline`]) with this module's ingest (and, out of core, its
+//! spilling alignment) under the caller's checkpoint policy. Staged pages
+//! and spilled pair runs are the out-of-core run's own resume state.
 //!
 //! ## Robustness contract
 //!
@@ -49,7 +47,7 @@ use crate::checkpoint::{
     Halt, InputDigest,
 };
 use crate::config::{FocusConfig, FocusError};
-use crate::pipeline::FocusAssembler;
+use crate::pipeline::{align_in_core, FocusAssembler};
 use fc_align::{KmerIndex, Overlap, Overlapper, PairStats, PairTally, Pool};
 use fc_ckpt::{decode_from_slice, CheckpointStore, Codec, FsFaultPlan, LoadOutcome, Writer};
 use fc_obs::{MemoryBudget, Recorder, Reservation};
@@ -239,66 +237,60 @@ impl<'a> SpillPairStore<'a> {
 }
 
 impl FocusAssembler {
-    /// Assembles a FASTQ file out-of-core, bounded by
-    /// [`FocusConfig::memory_budget`]:
-    ///
-    /// 1. **Digest pass, resume only** — with [`CheckpointOptions::resume`],
-    ///    streams the file once computing the input digest in O(1) memory,
-    ///    and adopts the valid staged pages of a killed run with that digest
-    ///    instead of step 2 (stale pages are recomputed, never trusted).
-    /// 2. **Ingest** — streams the file once through the trim pipeline
-    ///    into the RC-paired store, never holding the raw input, digesting
-    ///    every read on the way; kept reads are staged to
-    ///    `<spill_dir>/pages`. After a digest pass, the two passes must
-    ///    agree on count and digest.
-    /// 3. **Spilled alignment** — one seed-index column resident
-    ///    at a time; each subset pair's run spills to
-    ///    `<spill_dir>/align` and is merged back in canonical order.
-    /// 4. Everything downstream is the shared stage sequence
-    ///    ([`crate::pipeline`]) — same code, same alignment checkpoint,
-    ///    same contigs as the in-core path.
+    /// Assembles a FASTQ file without ever holding the raw input: one pass
+    /// streams its records into the input digest and the store (see the
+    /// module docs), and the checkpoint policy opens once the digest
+    /// exists. With `ooc: None` it aligns in core, its ledger that of
+    /// [`assemble`](FocusAssembler::assemble) minus `input-reads`. With
+    /// `Some`, the run is out of core, bounded by
+    /// [`FocusConfig::memory_budget`]: kept reads are staged to
+    /// `<spill_dir>/pages`, and each subset pair's alignment spills to
+    /// `<spill_dir>/align`, one seed-index column resident at a time. A
+    /// resumed out-of-core run first digests the file, adopts the pages a
+    /// killed run staged from it instead of ingesting, and otherwise
+    /// requires the ingest to see the same input.
     ///
     /// Contigs and logical metric snapshots are byte-identical to
-    /// [`assemble`](FocusAssembler::assemble) /
     /// [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
-    /// on the same input at any thread count or budget.
-    pub fn assemble_fastq_ooc(
+    /// on the parsed input, at any thread count or budget.
+    pub fn assemble_fastq(
         &self,
         input: &Path,
         opts: &CheckpointOptions,
-        ooc: &OocOptions,
+        ooc: Option<&OocOptions>,
     ) -> Result<AssemblyOutcome, FocusError> {
         let rec = self.recorder();
         let config = self.config();
-        let _span = rec.span("pipeline", "pipeline.assemble_ooc");
+        let spilled = ("spilled", i64::from(ooc.is_some()));
+        let _span = rec.span_args("pipeline", "pipeline.assemble_fastq", &[spilled]);
         let fp = config_fingerprint(config);
         let pool = Pool::new_obs(config.threads, rec);
         let mut budget = RunBudget::new(config);
-        let pages_dir = ooc.spill_dir.join("pages");
-        let align_dir = ooc.spill_dir.join("align");
 
         // Staged pages are adopted only under the digest of the input they
         // were staged from, so a run that may adopt them digests the input
         // first, in O(1) memory. Every other run digests during ingest.
-        let digested = if opts.resume {
-            let mut digest = InputDigest::new();
-            for read in open_fastq(input)? {
-                digest.observe(&read?);
+        let digested = match ooc {
+            Some(_) if opts.resume => {
+                let (mut digest, mut reader) = (InputDigest::new(), open_fastq(input)?);
+                while let Some(record) = reader.next_record()? {
+                    digest.observe(&record);
+                }
+                Some((digest.count(), digest.finish()))
             }
-            Some((digest.count(), digest.finish()))
-        } else {
-            None
+            _ => None,
         };
-        let adopted = digested
-            .and_then(|seen| Some((adopt_staged_pages(&pages_dir, fp, seen.1, ooc, rec)?, seen)));
+        let adopted = ooc.zip(digested).and_then(|(ooc, seen)| {
+            let pages_dir = ooc.spill_dir.join("pages");
+            Some((adopt_staged_pages(&pages_dir, fp, seen.1, ooc, rec)?, seen))
+        });
         let (store_reads, (reads_in, input_digest)) = match adopted {
             Some((s, seen)) => {
                 budget.charge(rec, "read-store", s.approx_bytes() as u64)?;
                 (s, seen)
             }
             None => {
-                let (s, ingested) =
-                    ingest_fastq(input, config, fp, &pages_dir, ooc, rec, &mut budget)?;
+                let (s, ingested) = ingest_fastq(input, config, fp, ooc, rec, &mut budget)?;
                 if let Some(first) = digested.filter(|&first| first != ingested) {
                     return Err(FocusError::Stage {
                         stage: "ooc-ingest",
@@ -319,15 +311,31 @@ impl FocusAssembler {
 
         let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
         let mem = budget.budget().clone();
-        let prepared = self.prepare_from(store_reads, &mut policy, &mut budget, |store| {
-            let mut spill =
-                SpillPairStore::new(&align_dir, fp, input_digest, ooc.fs_faults.clone(), rec);
-            overlap_all_spilled(config, store, &pool, rec, &mut spill, opts.resume, &mem)
-        });
+        let prepared =
+            self.prepare_from(store_reads, &mut policy, &mut budget, |store| match ooc {
+                Some(ooc) => {
+                    let dir = ooc.spill_dir.join("align");
+                    let faults = ooc.fs_faults.clone();
+                    let mut spill = SpillPairStore::new(&dir, fp, input_digest, faults, rec);
+                    overlap_all_spilled(config, store, &pool, rec, &mut spill, opts.resume, &mem)
+                }
+                None => align_in_core(config, store, &pool, rec, &mem),
+            });
         outcome(prepared.and_then(|prepared| {
             self.finish(&prepared, config.partitions)
                 .map_err(Halt::Failed)
         }))
+    }
+
+    /// [`assemble_fastq`](FocusAssembler::assemble_fastq) out of core, kept
+    /// under this name only because the benchmark calls it.
+    pub fn assemble_fastq_ooc(
+        &self,
+        input: &Path,
+        opts: &CheckpointOptions,
+        ooc: &OocOptions,
+    ) -> Result<AssemblyOutcome, FocusError> {
+        self.assemble_fastq(input, opts, Some(ooc))
     }
 }
 
@@ -366,40 +374,38 @@ fn adopt_staged_pages(
     }
 }
 
-/// The one streaming pass over the FASTQ: each read is folded into the
-/// input digest and trimmed into the store, whose growth is charged as it
-/// happens, and kept reads are staged to `pages_dir`. Returns the store and
-/// the input's `(read count, digest)`.
+/// The one streaming pass over the FASTQ: each borrowed record is folded
+/// into the input digest and trimmed into the store, whose growth is
+/// charged as it happens; out of core, kept reads are also staged to
+/// `<spill_dir>/pages`. Returns the store and the input's `(read count,
+/// digest)`.
 fn ingest_fastq(
     input: &Path,
     config: &FocusConfig,
     fp: u64,
-    pages_dir: &Path,
-    ooc: &OocOptions,
+    ooc: Option<&OocOptions>,
     rec: &Recorder,
     budget: &mut RunBudget,
 ) -> Result<(ReadStore, (u64, u64)), FocusError> {
     let mut digest = InputDigest::new();
     let mut builder = ReadStoreBuilder::new(&config.trim)?;
-    let mut staging = Some(PagedStoreWriter::create(
-        pages_dir,
-        fp,
-        PAGE_LEN,
-        ooc.fs_faults.clone(),
-    ));
+    let mut staging = ooc.map(|ooc| {
+        let pages_dir = ooc.spill_dir.join("pages");
+        PagedStoreWriter::create(pages_dir, fp, PAGE_LEN, ooc.fs_faults.clone())
+    });
     let mut staging_degraded = false;
     let mut store_res = budget.budget().try_reserve("read-store", 0)?;
-    for read in open_fastq(input)? {
-        let read = read?;
-        digest.observe(&read);
-        let grown = builder.push(&read);
+    let mut reader = open_fastq(input)?;
+    while let Some(record) = reader.next_record()? {
+        digest.observe(&record);
+        let grown = builder.push_record(&record)?;
         if grown == 0 {
             continue;
         }
         store_res.grow(grown as u64)?;
         if let Some(w) = staging.as_mut() {
-            // `push` returned non-zero, so a kept read exists; if it somehow
-            // does not, staging degrades rather than aborting the run.
+            // `push_record` returned non-zero, so a kept read exists; if it
+            // somehow does not, staging degrades rather than aborting the run.
             let Some((kept, source)) = builder.last_kept() else {
                 staging_degraded = true;
                 staging = None;
@@ -542,7 +548,48 @@ mod tests {
     use super::*;
     use crate::pipeline::tests::genome;
     use fc_ckpt::ReadFault;
-    use fc_seq::Read;
+    use fc_obs::ObsOptions;
+    use fc_seq::{QualityScores, Read};
+
+    /// Streaming a FASTQ in core is `assemble` on the parsed reads minus
+    /// the parsed reads themselves: the same contigs and logical snapshot,
+    /// and a ledger peak lower by exactly the `input-reads` charge.
+    #[test]
+    fn streamed_in_core_ledger_drops_exactly_the_raw_input() {
+        let g = genome(3000, 13);
+        let reads: Vec<Read> = (0..g.len() - 100)
+            .step_by(40)
+            .map(|s| {
+                let qual = QualityScores::from_phred(vec![30; 100]);
+                Read::with_quality(format!("r{s}"), g.slice(s, s + 100), qual)
+            })
+            .collect();
+        let path = std::env::temp_dir().join(format!("fc-ooc-ledger-{}.fastq", std::process::id()));
+        let mut text = Vec::new();
+        fastq::write(&mut text, &reads, 30).unwrap();
+        std::fs::write(&path, text).unwrap();
+        let parsed = fastq::parse(BufReader::new(File::open(&path).unwrap())).unwrap();
+
+        let config = FocusConfig {
+            observability: ObsOptions::logical(),
+            ..FocusConfig::default()
+        };
+        let collected = FocusAssembler::new(config).unwrap();
+        let whole = collected.assemble(&parsed).unwrap();
+        let streamed = FocusAssembler::new(config).unwrap();
+        let outcome = streamed.assemble_fastq(&path, &CheckpointOptions::default(), None);
+        let Ok(AssemblyOutcome::Completed(streamed_result)) = outcome else {
+            panic!("{outcome:?}");
+        };
+        assert!(!whole.contigs.is_empty());
+        assert_eq!(streamed_result.contigs, whole.contigs);
+        let (a, b) = (streamed.recorder(), collected.recorder());
+        assert_eq!(a.snapshot_json(), b.snapshot_json());
+        let peak = |rec: &Recorder| rec.snapshot().gauges.get("mem.budget.peak").copied();
+        let raw: usize = parsed.iter().map(Read::approx_bytes).sum();
+        assert_eq!(peak(a), peak(b).map(|p| p - raw as i64));
+        let _ = std::fs::remove_file(&path);
+    }
 
     /// A merge that must recompute a rejected run charges the column index
     /// it builds for as long as it keeps it: on a resumed run, where every

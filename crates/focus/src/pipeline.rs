@@ -8,8 +8,8 @@
 //! (`checkpoint::CkptPolicy`): off for [`prepare`](FocusAssembler::prepare),
 //! the caller's for
 //! [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
-//! and for the out-of-core run ([`crate::ooc`]), which brings its own
-//! ingest and a spilling `align`.
+//! and for [`assemble_fastq`](FocusAssembler::assemble_fastq), which
+//! brings its own ingest and, out of core, a spilling `align`.
 
 use crate::checkpoint::{AlignmentCkpt, CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
@@ -18,7 +18,7 @@ use crate::stats::AssemblyStats;
 use fc_align::{Overlap, Overlapper, PairStats, Pool};
 use fc_dist::{AssemblyPath, DistributedConfig, DistributedHybrid, DistributedReport, FaultPlan};
 use fc_graph::{HybridSet, MultilevelSet, NodeId, OverlapGraph};
-use fc_obs::Recorder;
+use fc_obs::{MemoryBudget, Recorder};
 use fc_partition::{partition_graph_set_obs, PartitionConfig, PartitionResult};
 use fc_seq::{fasta, DnaString, Read, ReadStore, SeqError};
 use std::sync::Arc;
@@ -164,16 +164,7 @@ impl FocusAssembler {
         budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
         let mem = budget.budget().clone();
         self.prepare_from(store, policy, &mut budget, |store| {
-            let overlapper = Overlapper::new(store, config.overlap)?;
-            let subsets = store.split_subsets(config.subsets);
-            // `overlap_all` builds every subset's index up front, so all of
-            // them are charged before it starts and until it returns.
-            let indexes = subsets
-                .iter()
-                .map(|s| approx_index_bytes(s, store, config.overlap.k))
-                .sum();
-            let _indexes = mem.try_reserve("align-index", indexes)?;
-            Ok(overlapper.overlap_all(&subsets, &pool, rec))
+            align_in_core(config, store, &pool, rec, &mem)
         })
     }
 
@@ -278,6 +269,25 @@ impl FocusAssembler {
             report,
         })
     }
+}
+
+/// Stage 2 in core. `overlap_all` builds every subset's index up front, so
+/// all of them are charged before it starts and until it returns.
+pub(crate) fn align_in_core(
+    config: &FocusConfig,
+    store: &ReadStore,
+    pool: &Pool,
+    rec: &Recorder,
+    mem: &MemoryBudget,
+) -> Result<AlignmentCkpt, FocusError> {
+    let overlapper = Overlapper::new(store, config.overlap)?;
+    let subsets = store.split_subsets(config.subsets);
+    let indexes = subsets
+        .iter()
+        .map(|s| approx_index_bytes(s, store, config.overlap.k))
+        .sum();
+    let _indexes = mem.try_reserve("align-index", indexes)?;
+    Ok(overlapper.overlap_all(&subsets, pool, rec))
 }
 
 /// Merges the contigs along a maximal path into one sequence using the

@@ -7,11 +7,13 @@
 //! byte-identical regardless of thread count or how many times the run
 //! crashed and resumed — the oracle the serve chaos harness byte-compares.
 //!
-//! Resume is always on: the runner checkpoints the alignment boundary under
-//! the job's `ckpt/` directory (keyed by the existing config/input
-//! fingerprints), so re-running after a `kill -9` reloads the overlaps
-//! instead of aligning again and recomputes the cheap stages after them.
-//! A budgeted job also re-adopts its staged pages and spilled pair runs
+//! The job's FASTQ is streamed through
+//! [`FocusAssembler::assemble_fastq`], never held whole. Resume is always
+//! on: the runner checkpoints the alignment boundary under the job's
+//! `ckpt/` directory (keyed by the existing config/input fingerprints), so
+//! re-running after a `kill -9` reloads the overlaps instead of aligning
+//! again and recomputes the cheap stages after them. A budgeted job runs
+//! out of core and also re-adopts its staged pages and spilled pair runs
 //! from `ckpt/ooc`.
 //!
 //! Failure classification mirrors the retry contract of
@@ -26,10 +28,7 @@ use crate::config::{FocusConfig, FocusError};
 use crate::ooc::OocOptions;
 use crate::pipeline::FocusAssembler;
 use fc_obs::ObsOptions;
-use fc_seq::fastq;
 use fc_serve::{JobContext, JobError, JobOutput, JobRunner};
-use std::fs::File;
-use std::io::BufReader;
 
 /// Runs submitted FASTQ jobs through the full Focus pipeline with
 /// checkpoint/resume. See the module docs for the determinism contract.
@@ -74,9 +73,9 @@ fn classify(e: FocusError) -> JobError {
             fc_dist::DistError::AllRanksDead { .. } | fc_dist::DistError::LostPartition { .. }
         ),
         FocusError::Stage { .. } => true,
-        // The streaming (out-of-core) path surfaces input I/O as a seq
-        // error; like the in-core open failure it is retryable. Malformed
-        // FASTQ is a parse variant and stays permanent.
+        // Reading the input (opening it included) surfaces I/O as a seq
+        // error, which is retryable. Malformed FASTQ — an over-long line
+        // too — is a parse variant and stays permanent.
         FocusError::Seq(fc_seq::SeqError::Io(_)) => true,
         // A blown memory budget is deterministic for a given input and
         // config: retrying the same job burns the backoff budget for
@@ -114,27 +113,15 @@ impl JobRunner for AssemblyJobRunner {
                 ("tenant_fnv", tenant_fnv(&ctx.tenant)),
             ],
         );
-        let outcome = if config.memory_budget.is_some() {
-            // Budgeted jobs run out-of-core: the input streams instead of
-            // being slurped, and alignment spills under the job's
-            // checkpoint directory so a resumed job re-adopts it.
-            let ooc = OocOptions::in_dir(ctx.ckpt_dir.join("ooc"));
-            assembler
-                .assemble_fastq_ooc(&ctx.input_path, &opts, &ooc)
-                .map_err(classify)?
-        } else {
-            let file = File::open(&ctx.input_path).map_err(|e| {
-                JobError::transient(format!("open {}: {e}", ctx.input_path.display()))
-            })?;
-            let reads = fastq::parse(BufReader::new(file))
-                .map_err(|e| JobError::permanent(format!("parse FASTQ: {e}")))?;
-            if ctx.canceled() {
-                return Err(JobError::permanent("canceled before assembly started"));
-            }
-            assembler
-                .assemble_with_checkpoints(&reads, &opts)
-                .map_err(classify)?
-        };
+        // Every job streams its input; budgeted jobs also run out of core,
+        // spilling under the job's checkpoint directory so a resumed job
+        // re-adopts what it spilled.
+        let ooc = config
+            .memory_budget
+            .map(|_| OocOptions::in_dir(ctx.ckpt_dir.join("ooc")));
+        let outcome = assembler
+            .assemble_fastq(&ctx.input_path, &opts, ooc.as_ref())
+            .map_err(classify)?;
         drop(job_span);
         let trace_json = fc_obs::write_chrome_trace(&assembler.recorder().events());
         let result = match outcome {
@@ -169,7 +156,7 @@ impl JobRunner for AssemblyJobRunner {
 mod tests {
     use super::*;
     use crate::pipeline::tests::genome;
-    use fc_seq::{DnaString, Read};
+    use fc_seq::{fastq, DnaString, Read};
     use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;

@@ -2,6 +2,22 @@
 
 use std::fmt;
 
+/// What [`ASCII_CODES`] holds for a byte that is not a base.
+pub(crate) const NOT_A_BASE: u8 = 4;
+
+/// The 2-bit code of each byte of `ACGTacgt`, [`NOT_A_BASE`] for the rest:
+/// packing looks bases up here, because a branch per base mispredicts on
+/// random sequence.
+pub(crate) const ASCII_CODES: [u8; 256] = {
+    let mut codes = [NOT_A_BASE; 256];
+    let mut i = 0;
+    while i < 8 {
+        codes[b"ACGTacgt"[i] as usize] = (i % 4) as u8;
+        i += 1;
+    }
+    codes
+};
+
 /// A single DNA nucleotide.
 ///
 /// Bases are represented by their 2-bit code (`A=0, C=1, G=2, T=3`), which is
@@ -47,13 +63,8 @@ impl Base {
     /// the assembler does not model.
     #[inline]
     pub fn from_ascii(c: u8) -> Option<Base> {
-        match c {
-            b'A' | b'a' => Some(Base::A),
-            b'C' | b'c' => Some(Base::C),
-            b'G' | b'g' => Some(Base::G),
-            b'T' | b't' => Some(Base::T),
-            _ => None,
-        }
+        let code = ASCII_CODES[usize::from(c)];
+        (code != NOT_A_BASE).then(|| Base::from_code(code))
     }
 
     /// Uppercase ASCII letter for this base.

@@ -1,6 +1,6 @@
 //! 2-bit packed DNA sequences.
 
-use crate::alphabet::Base;
+use crate::alphabet::{Base, ASCII_CODES, NOT_A_BASE};
 use crate::error::SeqError;
 use std::fmt;
 use std::str::FromStr;
@@ -134,6 +134,48 @@ impl DnaString {
         out
     }
 
+    /// Appends ASCII bases (`ACGTacgt`), a packed word per 32 of them —
+    /// the one ASCII-to-base loop, under `FromStr` and both readers. The
+    /// first other byte is an [`SeqError::InvalidBase`] at its offset in
+    /// `ascii`, and `self` is then to be discarded.
+    pub fn extend_from_ascii(&mut self, ascii: &[u8]) -> Result<(), SeqError> {
+        let words = (self.len + ascii.len()).div_ceil(BASES_PER_WORD);
+        self.words.reserve(words.saturating_sub(self.words.len()));
+        for (c, chunk) in ascii.chunks(BASES_PER_WORD).enumerate() {
+            let (mut word, mut seen) = (0u64, 0u8);
+            for (j, &byte) in chunk.iter().enumerate() {
+                let code = ASCII_CODES[usize::from(byte)];
+                seen |= code;
+                word |= u64::from(code & 0b11) << (2 * j);
+            }
+            if seen & NOT_A_BASE != 0 {
+                let j = chunk.iter().position(|&b| Base::from_ascii(b).is_none());
+                let (position, byte) = j.map_or((0, 0), |j| (c * BASES_PER_WORD + j, chunk[j]));
+                return Err(SeqError::InvalidBase { position, byte });
+            }
+            // Bits past `len` are zero, so the word ORs into the partly
+            // filled last one and its overflow starts the next.
+            let shift = (self.len % BASES_PER_WORD) * 2;
+            match self.words.last_mut() {
+                Some(last) if shift != 0 => {
+                    *last |= word << shift;
+                    if shift + 2 * chunk.len() > 64 {
+                        self.words.push(word >> (64 - shift));
+                    }
+                }
+                _ => self.words.push(word),
+            }
+            self.len += chunk.len();
+        }
+        Ok(())
+    }
+
+    /// Empties the sequence, keeping its words' allocation.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
+    }
+
     /// Appends all bases of `other`.
     pub fn extend_from(&mut self, other: &DnaString) {
         for b in other.iter() {
@@ -186,17 +228,7 @@ impl FromStr for DnaString {
 
     fn from_str(s: &str) -> Result<DnaString, SeqError> {
         let mut out = DnaString::with_capacity(s.len());
-        for (i, c) in s.bytes().enumerate() {
-            match Base::from_ascii(c) {
-                Some(b) => out.push(b),
-                None => {
-                    return Err(SeqError::InvalidBase {
-                        position: i,
-                        byte: c,
-                    })
-                }
-            }
-        }
+        out.extend_from_ascii(s.as_bytes())?;
         Ok(out)
     }
 }
@@ -301,6 +333,36 @@ mod tests {
                 assert_eq!(byte, b'N');
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    /// The word-at-a-time packer against `push`, appended at every offset
+    /// within a word, and its error offset against the first bad byte.
+    #[test]
+    fn extend_from_ascii_matches_push_at_every_alignment() {
+        let mut rng = fc_rng::Rng::new(7);
+        for head in 0..40 {
+            for len in [0usize, 1, 31, 32, 33, 64, 70] {
+                let ascii: Vec<u8> = (0..len).map(|_| b"ACGTacgt"[rng.range(0..8)]).collect();
+                let start: DnaString = (0..head).map(|i| Base::from_code(i as u8)).collect();
+                let mut packed = start.clone();
+                packed.extend_from_ascii(&ascii).unwrap();
+                let mut pushed = start.clone();
+                for &c in &ascii {
+                    pushed.push(Base::from_ascii(c).unwrap());
+                }
+                assert_eq!(packed, pushed, "head {head}, len {len}");
+                if len > 0 {
+                    let bad = rng.range(0..len);
+                    let mut broken = ascii.clone();
+                    broken[bad] = b'N';
+                    let err = start.clone().extend_from_ascii(&broken).unwrap_err();
+                    assert!(matches!(
+                        err,
+                        SeqError::InvalidBase { position, byte: b'N' } if position == bad
+                    ));
+                }
+            }
         }
     }
 

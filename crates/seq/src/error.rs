@@ -29,6 +29,13 @@ pub enum SeqError {
         /// `quality`).
         missing: &'static str,
     },
+    /// A line longer than the readers accept ([`crate::MAX_LINE_BYTES`]).
+    LineTooLong {
+        /// 1-based number of the over-long line.
+        line: usize,
+        /// The bound, in bytes, terminator included.
+        limit: usize,
+    },
     /// Quality string length does not match sequence length.
     QualityLengthMismatch {
         /// Record name.
@@ -60,6 +67,9 @@ impl fmt::Display for SeqError {
                 f,
                 "truncated record after line {line}: missing {missing} line"
             ),
+            SeqError::LineTooLong { line, limit } => {
+                write!(f, "line {line} is longer than the {limit}-byte line limit")
+            }
             SeqError::QualityLengthMismatch { record, seq_len, qual_len } => write!(
                 f,
                 "record {record}: quality length {qual_len} does not match sequence length {seq_len}"

@@ -1,63 +1,109 @@
-//! FASTA parsing and writing.
+//! FASTA reading and writing.
 
 use crate::dna::DnaString;
 use crate::error::SeqError;
-use crate::read::Read;
+use crate::line::{invalid_base, LineReader};
+use crate::read::{Read, Record};
 use std::io::{BufRead, Write};
 
-/// Parses a FASTA stream into reads.
-///
-/// Multi-line sequences are supported; blank lines between records are
-/// ignored. Sequence characters outside `ACGTacgt` are an error — the
-/// assembler's 2-bit alphabet has no ambiguity codes, and the simulator never
-/// produces them (see DESIGN.md).
+/// Parses a FASTA stream into owned reads: [`Reader`] collected.
 pub fn parse<R: BufRead>(input: R) -> Result<Vec<Read>, SeqError> {
-    let mut reads = Vec::new();
-    let mut name: Option<String> = None;
-    let mut seq = DnaString::new();
-    let mut line_no = 0usize;
-
-    for line in input.lines() {
-        line_no += 1;
-        let line = line?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('>') {
-            if let Some(prev) = name.take() {
-                reads.push(Read::new(prev, std::mem::take(&mut seq)));
-            }
-            name = Some(header.trim().to_string());
-        } else {
-            if name.is_none() {
-                return Err(SeqError::Format {
-                    line: line_no,
-                    message: "sequence data before first '>' header".to_string(),
-                });
-            }
-            append_bases(&mut seq, line.as_bytes(), line_no)?;
-        }
-    }
-    if let Some(prev) = name {
-        reads.push(Read::new(prev, seq));
-    }
-    Ok(reads)
+    Reader::new(input).collect()
 }
 
-fn append_bases(seq: &mut DnaString, bytes: &[u8], line_no: usize) -> Result<(), SeqError> {
-    for (i, &c) in bytes.iter().enumerate() {
-        match crate::alphabet::Base::from_ascii(c) {
-            Some(b) => seq.push(b),
-            None => {
-                return Err(SeqError::Format {
-                    line: line_no,
-                    message: format!("invalid base {:?} at column {}", c as char, i + 1),
-                })
+/// The FASTA reader: [`next_record`](Reader::next_record) borrows each
+/// record, its lines joined, from buffers it reuses, no line longer than
+/// [`crate::MAX_LINE_BYTES`]; as an [`Iterator`] it yields owned [`Read`]s.
+/// Nothing follows the first error. Blank lines are ignored. Bases outside
+/// `ACGTacgt` are an error: the 2-bit alphabet has no ambiguity codes, and
+/// the simulator never produces them (see DESIGN.md).
+pub struct Reader<R: BufRead> {
+    lines: LineReader<R>,
+    name: String,
+    /// The header that ended the last record, when one did: the next
+    /// record's name.
+    next_name: Option<String>,
+    bases: Vec<u8>,
+    /// Where the sequence lines are packed to check their bases.
+    checked: DnaString,
+}
+
+impl<R: BufRead> Reader<R> {
+    /// Wraps a buffered source.
+    pub fn new(input: R) -> Reader<R> {
+        Reader {
+            lines: LineReader::new(input),
+            name: String::new(),
+            next_name: None,
+            bases: Vec::new(),
+            checked: DnaString::new(),
+        }
+    }
+
+    /// The next record, `None` at the end of the stream.
+    pub fn next_record(&mut self) -> Result<Option<Record<'_>>, SeqError> {
+        let found = self.read_record();
+        Ok(self.lines.fuse(found)?.then_some(Record {
+            name: &self.name,
+            bases: &self.bases,
+            qual: None,
+        }))
+    }
+
+    /// Reads one record into the buffers; `false` at the end of the stream.
+    fn read_record(&mut self) -> Result<bool, SeqError> {
+        match self.next_name.take() {
+            Some(name) => self.name = name,
+            None => loop {
+                match self.lines.next_line()? {
+                    None => return Ok(false),
+                    Some("") => continue,
+                    Some(line) => match line.strip_prefix('>') {
+                        Some(header) => {
+                            self.name.clear();
+                            self.name.push_str(header.trim());
+                            break;
+                        }
+                        None => {
+                            return Err(SeqError::Format {
+                                line: self.lines.line,
+                                message: "sequence data before first '>' header".to_string(),
+                            })
+                        }
+                    },
+                }
+            },
+        }
+        self.bases.clear();
+        self.checked.clear();
+        loop {
+            match self.lines.next_line()? {
+                None => return Ok(true),
+                Some("") => continue,
+                Some(line) => {
+                    if let Some(header) = line.strip_prefix('>') {
+                        self.next_name = Some(header.trim().to_string());
+                        return Ok(true);
+                    }
+                    if let Err(SeqError::InvalidBase { position, byte }) =
+                        self.checked.extend_from_ascii(line.as_bytes())
+                    {
+                        return Err(invalid_base(self.lines.line, position + 1, byte));
+                    }
+                    self.bases.extend_from_slice(line.as_bytes());
+                }
             }
         }
     }
-    Ok(())
+}
+
+impl<R: BufRead> Iterator for Reader<R> {
+    type Item = Result<Read, SeqError>;
+
+    fn next(&mut self) -> Option<Result<Read, SeqError>> {
+        let record = self.next_record().transpose()?;
+        Some(record.and_then(|record| record.to_read()))
+    }
 }
 
 /// Writes reads as FASTA with lines wrapped at `width` bases (0 = no wrap).
@@ -78,31 +124,167 @@ pub fn write<W: Write>(mut out: W, reads: &[Read], width: usize) -> Result<(), S
     Ok(())
 }
 
+/// The line-based parser the reader replaced, kept verbatim as the
+/// differential oracle: the reader must agree with it on every input, but
+/// for a `LineTooLong` past the bound.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::dna::DnaString;
+    use crate::error::SeqError;
+    use crate::read::Read;
+    use std::io::BufRead;
+
+    /// Parses a FASTA stream into reads.
+    ///
+    /// Multi-line sequences are supported; blank lines between records are
+    /// ignored. Sequence characters outside `ACGTacgt` are an error — the
+    /// assembler's 2-bit alphabet has no ambiguity codes, and the simulator never
+    /// produces them (see DESIGN.md).
+    pub(crate) fn parse<R: BufRead>(input: R) -> Result<Vec<Read>, SeqError> {
+        let mut reads = Vec::new();
+        let mut name: Option<String> = None;
+        let mut seq = DnaString::new();
+        let mut line_no = 0usize;
+
+        for line in input.lines() {
+            line_no += 1;
+            let line = line?;
+            let line = line.trim_end();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(header) = line.strip_prefix('>') {
+                if let Some(prev) = name.take() {
+                    reads.push(Read::new(prev, std::mem::take(&mut seq)));
+                }
+                name = Some(header.trim().to_string());
+            } else {
+                if name.is_none() {
+                    return Err(SeqError::Format {
+                        line: line_no,
+                        message: "sequence data before first '>' header".to_string(),
+                    });
+                }
+                append_bases(&mut seq, line.as_bytes(), line_no)?;
+            }
+        }
+        if let Some(prev) = name {
+            reads.push(Read::new(prev, seq));
+        }
+        Ok(reads)
+    }
+
+    fn append_bases(seq: &mut DnaString, bytes: &[u8], line_no: usize) -> Result<(), SeqError> {
+        for (i, &c) in bytes.iter().enumerate() {
+            match crate::alphabet::Base::from_ascii(c) {
+                Some(b) => seq.push(b),
+                None => {
+                    return Err(SeqError::Format {
+                        line: line_no,
+                        message: format!("invalid base {:?} at column {}", c as char, i + 1),
+                    })
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use crate::line::oracle::{assert_agrees, mutilate};
+    use crate::MAX_LINE_BYTES;
+    use std::io::{Cursor, Read as _};
+
+    const SAMPLE: &str = ">r1 first\nACGT\nACGT\n\n>r2\nTTTT\n>r3\nGG\n";
+
+    fn read_all(text: &[u8]) -> Result<Vec<Read>, SeqError> {
+        Reader::new(text).collect()
+    }
 
     #[test]
     fn parses_multi_record_multi_line() {
-        let text = ">r1 first\nACGT\nACGT\n\n>r2\nTTTT\n";
-        let reads = parse(Cursor::new(text)).unwrap();
-        assert_eq!(reads.len(), 2);
+        let reads = parse(Cursor::new(SAMPLE)).unwrap();
+        assert_eq!(reads.len(), 3);
         assert_eq!(reads[0].name, "r1 first");
         assert_eq!(reads[0].seq.to_string(), "ACGTACGT");
         assert_eq!(reads[1].seq.to_string(), "TTTT");
+        assert_eq!(reads[2].seq.to_string(), "GG");
+    }
+
+    /// A record's lines join into one borrowed run of ASCII bases.
+    #[test]
+    fn next_record_joins_lines_and_has_no_qualities() {
+        let mut reader = Reader::new(">a\nACGTACGTACGTACGTACGTACGTACGTACG\nt\n>b\n".as_bytes());
+        let record = reader.next_record().unwrap().unwrap();
+        assert_eq!(record.name, "a");
+        assert_eq!(record.bases, b"ACGTACGTACGTACGTACGTACGTACGTACGt");
+        assert_eq!(record.qual, None);
+        let record = reader.next_record().unwrap().unwrap();
+        assert_eq!((record.name, record.bases), ("b", &b""[..]));
+        assert!(reader.next_record().unwrap().is_none());
     }
 
     #[test]
     fn rejects_leading_sequence() {
-        let err = parse(Cursor::new("ACGT\n>r1\nACGT\n")).unwrap_err();
+        let err = read_all(b"ACGT\n>r1\nACGT\n").unwrap_err();
         assert!(matches!(err, SeqError::Format { line: 1, .. }));
     }
 
     #[test]
     fn rejects_invalid_base_with_line_number() {
-        let err = parse(Cursor::new(">r1\nACGT\nACNT\n")).unwrap_err();
-        assert!(matches!(err, SeqError::Format { line: 3, .. }));
+        let err = read_all(b">r1\nACGT\nACNT\n").unwrap_err();
+        match err {
+            SeqError::Format { line, message } => {
+                assert_eq!(
+                    (line, message.as_str()),
+                    (3, "invalid base 'N' at column 3")
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn reading_surfaces_mid_stream_errors_then_stops() {
+        let mut reader = Reader::new(">r1\nACGT\n>r2\nACXT\n".as_bytes());
+        assert!(reader.next().unwrap().is_ok());
+        assert!(reader.next().unwrap().is_err());
+        assert!(
+            reader.next().is_none(),
+            "iteration must stop after an error"
+        );
+    }
+
+    #[test]
+    fn empty_input_yields_no_reads() {
+        assert!(parse(Cursor::new("")).unwrap().is_empty());
+    }
+
+    #[test]
+    fn every_truncation_point_agrees_with_the_reference() {
+        for cut in 0..=SAMPLE.len() {
+            let prefix = &SAMPLE.as_bytes()[..cut];
+            assert_agrees(prefix, read_all(prefix), reference::parse(prefix));
+        }
+    }
+
+    /// A newline-free sequence line ends in `LineTooLong` once the line
+    /// buffer is at the bound, and the buffer never grows past it.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn an_endless_line_is_refused_at_the_bound() {
+        let endless = std::io::repeat(b'A').take(MAX_LINE_BYTES as u64 + 1);
+        let mut reader = Reader::new(std::io::BufReader::new(b">r\n".chain(endless)));
+        match reader.next_record() {
+            Err(SeqError::LineTooLong { line, limit }) => {
+                assert_eq!((line, limit), (2, MAX_LINE_BYTES))
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(reader.lines.capacity() <= MAX_LINE_BYTES);
+        assert!(reader.next_record().unwrap().is_none());
     }
 
     #[test]
@@ -125,111 +307,6 @@ mod tests {
         assert_eq!(String::from_utf8(buf).unwrap(), ">a\nACGT\n");
     }
 
-    #[test]
-    fn empty_input_yields_no_reads() {
-        assert!(parse(Cursor::new("")).unwrap().is_empty());
-    }
-}
-
-/// A streaming FASTA reader yielding one [`Read`] at a time — constant
-/// memory regardless of file size, for production-sized inputs where
-/// [`parse`] (which collects) is inappropriate.
-pub struct Reader<R: BufRead> {
-    lines: std::iter::Enumerate<std::io::Lines<R>>,
-    pending_header: Option<(usize, String)>,
-    done: bool,
-}
-
-impl<R: BufRead> Reader<R> {
-    /// Wraps a buffered source.
-    pub fn new(input: R) -> Reader<R> {
-        Reader {
-            lines: input.lines().enumerate(),
-            pending_header: None,
-            done: false,
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for Reader<R> {
-    type Item = Result<Read, SeqError>;
-
-    fn next(&mut self) -> Option<Result<Read, SeqError>> {
-        if self.done {
-            return None;
-        }
-        // Find this record's header (either pending from the previous
-        // record or the next '>' line).
-        let header = match self.pending_header.take() {
-            Some(h) => h,
-            None => loop {
-                match self.lines.next() {
-                    None => {
-                        self.done = true;
-                        return None;
-                    }
-                    Some((i, Err(e))) => {
-                        let _ = i;
-                        self.done = true;
-                        return Some(Err(e.into()));
-                    }
-                    Some((i, Ok(line))) => {
-                        let line = line.trim_end().to_string();
-                        if line.is_empty() {
-                            continue;
-                        }
-                        match line.strip_prefix('>') {
-                            Some(h) => break (i + 1, h.trim().to_string()),
-                            None => {
-                                self.done = true;
-                                return Some(Err(SeqError::Format {
-                                    line: i + 1,
-                                    message: "sequence data before first '>' header".to_string(),
-                                }));
-                            }
-                        }
-                    }
-                }
-            },
-        };
-        // Accumulate sequence lines until the next header or EOF.
-        let mut seq = DnaString::new();
-        loop {
-            match self.lines.next() {
-                None => {
-                    self.done = true;
-                    return Some(Ok(Read::new(header.1, seq)));
-                }
-                Some((_, Err(e))) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-                Some((i, Ok(line))) => {
-                    let line = line.trim_end();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    if let Some(next_header) = line.strip_prefix('>') {
-                        self.pending_header = Some((i + 1, next_header.trim().to_string()));
-                        return Some(Ok(Read::new(header.1, seq)));
-                    }
-                    if let Err(e) = append_bases(&mut seq, line.as_bytes(), i + 1) {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod props {
-    use super::*;
-    use crate::alphabet::Base;
-    use fc_rng::cases;
-    use std::io::Cursor;
-
     /// A syntactically valid FASTA byte stream with line-wrapped sequences.
     fn render(records: &[Vec<u8>]) -> Vec<u8> {
         let mut text = Vec::new();
@@ -237,7 +314,7 @@ mod props {
             text.extend_from_slice(format!(">r{i}\n").as_bytes());
             for chunk in bases.chunks(7) {
                 for &b in chunk {
-                    text.push(Base::from_code(b % 4).to_ascii());
+                    text.push(crate::Base::from_code(b % 4).to_ascii());
                 }
                 text.push(b'\n');
             }
@@ -245,57 +322,18 @@ mod props {
         text
     }
 
-    /// Corpus of mutilated FASTA inputs: parsing must never panic, and
-    /// the collecting parser and streaming reader must agree.
+    /// Corpus of mutilated FASTA inputs: the reader never panics and
+    /// agrees with the reference on acceptance, on the reads, and on the
+    /// error variant and its line.
     #[test]
-    fn mutilated_input_never_panics_and_streaming_agrees() {
-        cases(256, |rng| {
+    fn mutilated_input_agrees_with_the_reference() {
+        fc_rng::cases(256, |rng| {
             let records = rng.vec(0..5, |r| r.vec(0..30, |r| r.range(0u8..4)));
             let mut text = render(&records);
             for _ in 0..rng.range(0..4) {
-                crate::fastq::mutilate(&mut text, rng);
+                mutilate(&mut text, rng);
             }
-            let parsed = parse(Cursor::new(text.clone()));
-            let streamed: Result<Vec<Read>, SeqError> = Reader::new(Cursor::new(text)).collect();
-            match (&parsed, &streamed) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b),
-                (Err(_), Err(_)) => {}
-                _ => panic!(
-                    "parse/stream disagree: {:?} vs {:?}",
-                    parsed.is_ok(),
-                    streamed.is_ok()
-                ),
-            }
+            assert_agrees(&text, read_all(&text), reference::parse(&text[..]));
         });
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
-    use std::io::Cursor;
-
-    #[test]
-    fn streams_records_lazily_and_matches_parse() {
-        let text = ">r1\nACGT\nACGT\n>r2\nTTTT\n>r3\nGG\n";
-        let collected: Result<Vec<Read>, SeqError> = Reader::new(Cursor::new(text)).collect();
-        assert_eq!(collected.unwrap(), parse(Cursor::new(text)).unwrap());
-    }
-
-    #[test]
-    fn streaming_surfaces_mid_stream_errors() {
-        let text = ">r1\nACGT\n>r2\nACXT\n";
-        let mut reader = Reader::new(Cursor::new(text));
-        assert!(reader.next().unwrap().is_ok());
-        assert!(reader.next().unwrap().is_err());
-        assert!(
-            reader.next().is_none(),
-            "iteration must stop after an error"
-        );
-    }
-
-    #[test]
-    fn empty_stream_yields_nothing() {
-        assert!(Reader::new(Cursor::new("")).next().is_none());
     }
 }

@@ -10,7 +10,7 @@
 //! * [`Read`] and [`ReadStore`] — sequencing reads as parsed, and the
 //!   trimmed bases the assembler operates on, including reverse-complement
 //!   augmentation and subset splitting (paper §II-A),
-//! * FASTA/FASTQ parsing and writing ([`fasta`], [`fastq`]),
+//! * FASTA/FASTQ reading and writing ([`fasta`], [`fastq`]),
 //! * read trimming ([`trim`]) — fixed 5'/3' trimming and the paper's
 //!   sliding-window 3' quality trimming.
 
@@ -21,6 +21,7 @@ pub mod dna;
 pub mod error;
 pub mod fasta;
 pub mod fastq;
+mod line;
 pub mod packed;
 pub mod paged;
 pub mod quality;
@@ -31,9 +32,10 @@ pub mod trim;
 pub use alphabet::Base;
 pub use dna::DnaString;
 pub use error::SeqError;
+pub use line::MAX_LINE_BYTES;
 pub use packed::PackedView;
 pub use paged::{PagedError, PagedReadStore, PagedStoreWriter};
 pub use quality::QualityScores;
-pub use read::{Read, ReadId};
+pub use read::{Read, ReadId, Record};
 pub use store::{Orientation, ReadStore, ReadStoreBuilder};
 pub use trim::TrimConfig;

@@ -158,7 +158,6 @@ pub struct PagedStoreWriter {
     buffer: Vec<PageEntry>,
     pages: u32,
     entries: u64,
-    bytes_spilled: u64,
 }
 
 impl PagedStoreWriter {
@@ -179,7 +178,6 @@ impl PagedStoreWriter {
             buffer: Vec::new(),
             pages: 0,
             entries: 0,
-            bytes_spilled: 0,
         }
     }
 
@@ -195,36 +193,30 @@ impl PagedStoreWriter {
         Ok(())
     }
 
-    /// Reads staged so far (including the unflushed tail).
-    pub fn entries(&self) -> u64 {
-        self.entries + self.buffer.len() as u64
-    }
-
-    /// Pages written to disk so far.
-    pub fn pages_written(&self) -> u32 {
-        self.pages
-    }
-
-    /// Encoded bytes written to disk so far.
-    pub fn bytes_spilled(&self) -> u64 {
-        self.bytes_spilled
-    }
-
     fn flush_page(&mut self) -> Result<(), PagedError> {
         if self.buffer.is_empty() {
             return Ok(());
         }
         let records: Vec<Vec<u8>> = self.buffer.iter().map(fc_ckpt::encode_to_vec).collect();
         self.entries += self.buffer.len() as u64;
-        self.bytes_spilled += records.iter().map(|r| r.len() as u64).sum::<u64>();
         self.buffer.clear();
-        match self.store.save(FIRST_PAGE_ID + self.pages, PAGE_NAME, records) {
-            Ok(true) => {
-                self.pages += 1;
-                Ok(())
-            }
+        self.save(FIRST_PAGE_ID + self.pages, PAGE_NAME, records, "save page")?;
+        self.pages += 1;
+        Ok(())
+    }
+
+    /// One store save; a degraded store is a write error too.
+    fn save(
+        &mut self,
+        id: u32,
+        name: &str,
+        records: Vec<Vec<u8>>,
+        op: &'static str,
+    ) -> Result<(), PagedError> {
+        match self.store.save(id, name, records) {
+            Ok(true) => Ok(()),
             Ok(false) => Err(PagedError::Write(CkptError::Io {
-                op: "save page",
+                op,
                 path: self.store.dir().to_path_buf(),
                 source: std::io::Error::other("checkpoint store is degraded"),
             })),
@@ -243,17 +235,8 @@ impl PagedStoreWriter {
             entries: self.entries,
             input_digest,
         };
-        match self.store.save(META_ID, META_NAME, vec![fc_ckpt::encode_to_vec(&meta)]) {
-            Ok(true) => {}
-            Ok(false) => {
-                return Err(PagedError::Write(CkptError::Io {
-                    op: "save meta",
-                    path: self.store.dir().to_path_buf(),
-                    source: std::io::Error::other("checkpoint store is degraded"),
-                }))
-            }
-            Err(e) => return Err(PagedError::Write(e)),
-        }
+        let record = vec![fc_ckpt::encode_to_vec(&meta)];
+        self.save(META_ID, META_NAME, record, "save meta")?;
         Ok(PagedReadStore::from_parts(self.store, meta))
     }
 }
@@ -613,7 +596,7 @@ mod tests {
                         Ok(store) => {
                             // The fault missed every read this run made;
                             // data must still be intact.
-                            assert_eq!(store.source_read_count(), 4);
+                            assert_eq!(store.len(), 8);
                         }
                     },
                 }

@@ -1,7 +1,5 @@
 //! Phred quality scores.
 
-use crate::error::SeqError;
-
 /// FASTQ Phred+33 encoding offset (Sanger / Illumina 1.8+).
 pub const PHRED_OFFSET: u8 = 33;
 
@@ -26,21 +24,6 @@ impl QualityScores {
         }
     }
 
-    /// Decodes a FASTQ quality line (Phred+33 ASCII).
-    pub fn from_fastq_line(line: &[u8]) -> Result<QualityScores, SeqError> {
-        let mut scores = Vec::with_capacity(line.len());
-        for (i, &c) in line.iter().enumerate() {
-            if !(PHRED_OFFSET..=PHRED_OFFSET + MAX_PHRED).contains(&c) {
-                return Err(SeqError::InvalidBase {
-                    position: i,
-                    byte: c,
-                });
-            }
-            scores.push(c - PHRED_OFFSET);
-        }
-        Ok(QualityScores { scores })
-    }
-
     /// Encodes as a FASTQ quality line (Phred+33 ASCII).
     pub fn to_fastq_line(&self) -> Vec<u8> {
         self.scores.iter().map(|&q| q + PHRED_OFFSET).collect()
@@ -60,28 +43,6 @@ impl QualityScores {
     pub fn as_slice(&self) -> &[u8] {
         &self.scores
     }
-
-    /// Score at position `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn get(&self, i: usize) -> u8 {
-        self.scores[i]
-    }
-
-    /// Mean score over `range`, or `None` for an empty range.
-    pub fn window_mean(&self, start: usize, end: usize) -> Option<f64> {
-        if start >= end || end > self.scores.len() {
-            return None;
-        }
-        let sum: u32 = self.scores[start..end].iter().map(|&q| q as u32).sum();
-        Some(sum as f64 / (end - start) as f64)
-    }
-}
-
-/// Converts a Phred score to its error probability `10^(-q/10)`.
-pub fn phred_to_error_probability(q: u8) -> f64 {
-    10f64.powf(-(q as f64) / 10.0)
 }
 
 /// Converts an error probability to the nearest Phred score, clamped to 0–93.
@@ -98,31 +59,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fastq_line_round_trip() {
-        let line = b"IIIIHHH###";
-        let q = QualityScores::from_fastq_line(line).unwrap();
-        assert_eq!(q.to_fastq_line(), line.to_vec());
-        assert_eq!(q.get(0), b'I' - 33);
-    }
-
-    #[test]
-    fn rejects_out_of_range_ascii() {
-        assert!(QualityScores::from_fastq_line(b"II\x1fII").is_err());
-    }
-
-    #[test]
-    fn window_mean_basic_and_empty() {
-        let q = QualityScores::from_phred(vec![10, 20, 30, 40]);
-        assert_eq!(q.window_mean(0, 4), Some(25.0));
-        assert_eq!(q.window_mean(1, 3), Some(25.0));
-        assert_eq!(q.window_mean(2, 2), None);
-        assert_eq!(q.window_mean(0, 5), None);
+    fn fastq_line_is_phred_plus_33() {
+        let q = QualityScores::from_phred(vec![40, 40, 39, 2]);
+        assert_eq!(q.to_fastq_line(), b"IIH#".to_vec());
     }
 
     #[test]
     fn phred_probability_round_trip() {
         for q in [0u8, 10, 20, 30, 40] {
-            let p = phred_to_error_probability(q);
+            let p = 10f64.powf(-f64::from(q) / 10.0);
             assert_eq!(error_probability_to_phred(p), q);
         }
         assert_eq!(error_probability_to_phred(0.0), MAX_PHRED);
@@ -131,6 +76,6 @@ mod tests {
     #[test]
     fn from_phred_clamps() {
         let q = QualityScores::from_phred(vec![200]);
-        assert_eq!(q.get(0), MAX_PHRED);
+        assert_eq!(q.as_slice(), &[MAX_PHRED]);
     }
 }

@@ -1,6 +1,7 @@
 //! Sequencing reads.
 
 use crate::dna::DnaString;
+use crate::error::SeqError;
 use crate::quality::QualityScores;
 
 /// Identifier of a read within a [`crate::ReadStore`].
@@ -77,6 +78,31 @@ impl Read {
             + (self.name.len() + VEC_HEADER)
             + (packed_words + VEC_HEADER)
             + self.qual.as_ref().map_or(0, |q| q.len() + VEC_HEADER)
+    }
+}
+
+/// One FASTA/FASTQ record, borrowed from its reader's buffers until the
+/// next: name, checked ASCII bases and, for FASTQ, Phred scores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
+    /// Header without its marker, trimmed.
+    pub name: &'a str,
+    /// One ASCII byte (`ACGTacgt`) a base.
+    pub bases: &'a [u8],
+    /// Per-base Phred scores (no `+33`); `None` for FASTA.
+    pub qual: Option<&'a [u8]>,
+}
+
+impl Record<'_> {
+    /// An owned [`Read`] of the record.
+    pub fn to_read(&self) -> Result<Read, SeqError> {
+        let mut seq = DnaString::with_capacity(self.bases.len());
+        seq.extend_from_ascii(self.bases)?;
+        Ok(Read {
+            name: self.name.to_string(),
+            seq,
+            qual: self.qual.map(|q| QualityScores::from_phred(q.to_vec())),
+        })
     }
 }
 

@@ -3,8 +3,9 @@
 
 use crate::dna::DnaString;
 use crate::error::SeqError;
-use crate::read::{Read, ReadId};
-use crate::trim::{trim_read, TrimConfig};
+use crate::quality::QualityScores;
+use crate::read::{Read, ReadId, Record};
+use crate::trim::{keep_range, TrimConfig};
 
 /// Strand of a stored read relative to its source read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,16 +92,6 @@ impl ReadStore {
         self.reads.is_empty()
     }
 
-    /// Number of *source* reads that survived preprocessing (half of
-    /// [`len`](ReadStore::len) for an RC-paired store).
-    pub fn source_read_count(&self) -> usize {
-        if self.rc_paired {
-            self.reads.len() / 2
-        } else {
-            self.reads.len()
-        }
-    }
-
     /// The bases of the read with id `id`.
     ///
     /// # Panics
@@ -181,14 +172,14 @@ impl ReadStore {
 /// at a time.
 ///
 /// [`ReadStore::preprocess`] is this builder driven over a slice. The
-/// builder exists so a streaming ingest (FASTQ reader → store) can apply
-/// the exact trim/filter/reverse-complement pipeline without ever holding
-/// the raw input in memory: feed each parsed read to [`push`] and drop it.
-/// The resulting store is byte-identical to preprocessing the collected
-/// input — source indices count every pushed read, kept or not, exactly
-/// like `preprocess`'s enumeration does.
+/// builder exists so a streaming ingest (reader → store) can apply the
+/// exact trim/filter/reverse-complement pipeline without ever holding the
+/// raw input in memory: feed each borrowed record to [`push_record`]. The
+/// resulting store is byte-identical to preprocessing the collected input
+/// — source indices count every pushed read, kept or not, exactly like
+/// `preprocess`'s enumeration does.
 ///
-/// [`push`]: ReadStoreBuilder::push
+/// [`push_record`]: ReadStoreBuilder::push_record
 #[derive(Debug)]
 pub struct ReadStoreBuilder {
     config: TrimConfig,
@@ -210,18 +201,32 @@ impl ReadStoreBuilder {
         })
     }
 
-    /// Trims one input read and, if it survives the length filter, appends
-    /// its bases and their reverse complement to the store under
-    /// construction.
+    /// Trims one borrowed record, packing only the bases it keeps, and, if
+    /// they survive the length filter, appends them and their reverse
+    /// complement to the store under construction.
     ///
     /// Returns the bytes the store grew by (what
-    /// [`ReadStore::approx_bytes`] charges for both strands; 0 when the read
-    /// was dropped) so a memory-budget ledger can be charged incrementally
-    /// during streaming ingest.
+    /// [`ReadStore::approx_bytes`] charges for both strands; 0 when the
+    /// record was dropped) so a memory-budget ledger can be charged
+    /// incrementally during streaming ingest.
+    pub fn push_record(&mut self, record: &Record<'_>) -> Result<usize, SeqError> {
+        let kept = keep_range(record.bases.len(), record.qual, &self.config);
+        let mut trimmed = DnaString::with_capacity(kept.len());
+        trimmed.extend_from_ascii(&record.bases[kept])?;
+        Ok(self.keep(trimmed))
+    }
+
+    /// [`push_record`](ReadStoreBuilder::push_record) for a read already
+    /// held in memory.
     pub fn push(&mut self, read: &Read) -> usize {
+        let qual = read.qual.as_ref().map(QualityScores::as_slice);
+        let kept = keep_range(read.len(), qual, &self.config);
+        self.keep(read.seq.slice(kept.start, kept.end))
+    }
+
+    fn keep(&mut self, trimmed: DnaString) -> usize {
         let i = self.next_source;
         self.next_source += 1;
-        let trimmed = trim_read(read, &self.config);
         if trimmed.len() < self.config.min_read_len.max(1) {
             return 0;
         }
@@ -232,29 +237,13 @@ impl ReadStoreBuilder {
         grown
     }
 
-    /// Input reads seen so far (kept or dropped).
-    pub fn reads_in(&self) -> usize {
-        self.next_source as usize
-    }
-
     /// The forward strand and source index of the most recently kept read
-    /// — what a streaming ingest stages to disk right after a [`push`]
-    /// that returned non-zero.
-    ///
-    /// [`push`]: ReadStoreBuilder::push
+    /// — what a streaming ingest stages to disk right after a
+    /// [`push_record`](ReadStoreBuilder::push_record) that returned
+    /// non-zero.
     pub fn last_kept(&self) -> Option<(&DnaString, u32)> {
         let n = self.store.len();
         (n >= 2).then(|| (&self.store.reads[n - 2], self.store.source[n - 2]))
-    }
-
-    /// Source reads that survived trimming so far.
-    pub fn reads_kept(&self) -> usize {
-        self.store.source_read_count()
-    }
-
-    /// Approximate resident bytes of the store built so far.
-    pub fn approx_bytes(&self) -> usize {
-        self.store.approx_bytes()
     }
 
     /// Finishes the RC-paired store, its vectors trimmed to their length so
@@ -269,7 +258,6 @@ impl ReadStoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::QualityScores;
 
     fn input_reads() -> Vec<Read> {
         let mk = |name: &str, seq: &str, q: u8| {
@@ -297,8 +285,8 @@ mod tests {
     #[test]
     fn preprocess_drops_bad_and_pairs_rc() {
         let store = ReadStore::preprocess(&input_reads(), &config()).unwrap();
-        assert_eq!(store.source_read_count(), 2);
         assert_eq!(store.len(), 4);
+        assert_eq!(store.source_index(ReadId(3)), 2);
         assert_eq!(store.orientation(ReadId(0)), Orientation::Forward);
         assert_eq!(store.orientation(ReadId(1)), Orientation::ReverseComplement);
         assert_eq!(store.mate(ReadId(0)), Some(ReadId(1)));
@@ -337,14 +325,32 @@ mod tests {
         for read in &input {
             grown += builder.push(read);
         }
-        assert_eq!(builder.reads_in(), input.len());
-        assert_eq!(builder.reads_kept(), batch.source_read_count());
-        assert_eq!(grown, builder.approx_bytes());
         let streamed = builder.finish();
+        assert_eq!(grown, streamed.approx_bytes());
         assert_eq!(streamed.reads(), batch.reads());
         for id in batch.ids() {
             assert_eq!(streamed.source_index(id), batch.source_index(id));
         }
+    }
+
+    /// Borrowed records build the store that their owned reads do.
+    #[test]
+    fn records_build_the_store_reads_do() {
+        let input = input_reads();
+        let mut builder = ReadStoreBuilder::new(&config()).unwrap();
+        for read in &input {
+            let ascii = read.seq.to_ascii();
+            let record = Record {
+                name: &read.name,
+                bases: &ascii,
+                qual: read.qual.as_ref().map(QualityScores::as_slice),
+            };
+            builder.push_record(&record).unwrap();
+        }
+        let streamed = builder.finish();
+        let batch = ReadStore::preprocess(&input, &config()).unwrap();
+        assert_eq!(streamed.reads(), batch.reads());
+        assert_eq!(streamed.source, batch.source);
     }
 
     #[test]
@@ -366,7 +372,7 @@ mod tests {
         let store = ReadStore::from_reads(input_reads());
         assert_eq!(store.mate(ReadId(0)), None);
         assert_eq!(store.orientation(ReadId(1)), Orientation::Forward);
-        assert_eq!(store.source_read_count(), 3);
+        assert_eq!(store.len(), 3);
     }
 
     #[test]
@@ -394,7 +400,6 @@ mod tests {
 #[cfg(test)]
 mod props {
     use super::*;
-    use crate::quality::QualityScores;
     use fc_rng::{cases, Rng};
 
     fn arb_reads(rng: &mut Rng) -> Vec<Read> {

@@ -11,9 +11,8 @@
 //!    end of the read is cut off. If no window qualifies, the whole read is
 //!    discarded (trimmed to zero length).
 
-use crate::dna::DnaString;
 use crate::error::SeqError;
-use crate::read::Read;
+use std::ops::Range;
 
 /// Parameters for the two-stage trimming of §II-A.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,21 +63,21 @@ impl TrimConfig {
     }
 }
 
-/// Applies fixed 5'/3' trimming followed by sliding-window quality trimming
-/// and returns the surviving bases — the qualities are consumed here, and
-/// nothing downstream reads a name.
+/// The range of a read's `len` bases that survives fixed 5'/3' trimming
+/// followed by sliding-window quality trimming over `qual`, its Phred
+/// scores (one per base) — the qualities are consumed here, and nothing
+/// downstream reads a name.
 ///
 /// Reads without quality scores (FASTA input) only receive the fixed
-/// trimming. The caller decides whether the result is long enough to keep
+/// trimming. The caller decides whether the range is long enough to keep
 /// (see [`TrimConfig::min_read_len`]).
-pub fn trim_read(read: &Read, config: &TrimConfig) -> DnaString {
-    let len = read.len();
+pub fn keep_range(len: usize, qual: Option<&[u8]>, config: &TrimConfig) -> Range<usize> {
     let start = config.trim_5prime.min(len);
     let mut end = len.saturating_sub(config.trim_3prime).max(start);
-    if let Some(q) = &read.qual {
-        end = start + quality_keep_len(&q.as_slice()[start..end], config);
+    if let Some(q) = qual {
+        end = start + quality_keep_len(&q[start..end], config);
     }
-    read.seq.slice(start, end)
+    start..end
 }
 
 /// Returns how many 5'-side bases survive the sliding-window scan.
@@ -118,7 +117,16 @@ fn quality_keep_len(scores: &[u8], config: &TrimConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dna::DnaString;
     use crate::quality::QualityScores;
+    use crate::read::Read;
+
+    /// The bases of `read` that [`keep_range`] keeps.
+    pub(super) fn trim_read(read: &Read, config: &TrimConfig) -> DnaString {
+        let qual = read.qual.as_ref().map(QualityScores::as_slice);
+        let kept = keep_range(read.len(), qual, config);
+        read.seq.slice(kept.start, kept.end)
+    }
 
     fn read_with_quals(seq: &str, quals: Vec<u8>) -> Read {
         Read::with_quality("r", seq.parse().unwrap(), QualityScores::from_phred(quals))
@@ -265,8 +273,10 @@ mod tests {
 
 #[cfg(test)]
 mod props {
+    use super::tests::trim_read;
     use super::*;
     use crate::quality::QualityScores;
+    use crate::read::Read;
     use fc_rng::{cases, Rng};
 
     fn arb_read(rng: &mut Rng) -> Read {

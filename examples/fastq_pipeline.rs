@@ -1,15 +1,15 @@
-//! File-based pipeline: write simulated reads to FASTQ, read them back,
-//! assemble, and write the contigs as FASTA — the shape of a real workflow.
+//! File-based pipeline: write simulated reads to FASTQ, assemble the file,
+//! and write the contigs as FASTA — the shape of a real workflow.
 //!
 //! ```text
 //! cargo run --release --example fastq_pipeline [-- /tmp/workdir]
 //! ```
 
-use focus_assembler::focus::{FocusAssembler, FocusConfig};
-use focus_assembler::seq::{fasta, fastq, Read};
+use focus_assembler::focus::{AssemblyOutcome, CheckpointOptions, FocusAssembler, FocusConfig};
+use focus_assembler::seq::fastq;
 use focus_assembler::sim::single_genome_dataset;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,36 +34,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reads_path.display()
     );
 
-    // 2. Read the FASTQ back — the assembler consumes plain `Read`s, so any
-    //    FASTQ source works the same way.
-    let reads: Vec<Read> = fastq::parse(BufReader::new(File::open(&reads_path)?))?;
-    assert_eq!(reads.len(), dataset.reads.len());
-
-    // 3. Assemble with quality trimming enabled (the simulated reads carry
-    //    degraded 3' tails for the trimmer to remove).
+    // 2. Assemble the file with quality trimming enabled (the simulated
+    //    reads carry degraded 3' tails for the trimmer to remove). The
+    //    FASTQ streams into the read store; it is never held whole.
     let mut config = FocusConfig::default();
     config.trim.window_len = 10;
     config.trim.min_quality = 15.0;
     config.dedup_rc = true;
     let assembler = FocusAssembler::new(config)?;
-    let result = assembler.assemble(&reads)?;
+    let outcome = assembler.assemble_fastq(&reads_path, &CheckpointOptions::default(), None)?;
+    let AssemblyOutcome::Completed(result) = outcome else {
+        return Err("the run stopped without a stop request".into());
+    };
     println!(
         "assembled {} contigs (N50 {} bp, max {} bp)",
         result.stats.num_contigs, result.stats.n50, result.stats.max_contig
     );
 
-    // 4. Write contigs as FASTA.
-    let contig_reads: Vec<Read> = result
-        .contigs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| Read::new(format!("contig_{i} len={}", c.len()), c.clone()))
-        .collect();
-    fasta::write(
-        BufWriter::new(File::create(&contigs_path)?),
-        &contig_reads,
-        70,
-    )?;
+    // 3. Write contigs as FASTA, the way `focus assemble` does.
+    let mut out = BufWriter::new(File::create(&contigs_path)?);
+    result.write_fasta(&mut out)?;
+    out.flush()?;
     println!("wrote contigs to {}", contigs_path.display());
     Ok(())
 }

@@ -52,11 +52,11 @@ PIPELINE OPTIONS (assemble, graph, variants, serve):
 MEMORY OPTIONS (assemble, FASTQ input only; serve takes --memory-budget):
     --memory-budget <b>    cap the accounted heap; plain bytes or a k/M/G
                            suffix (e.g. 512M). Routes the run through the
-                           out-of-core pipeline: input is streamed, reads
-                           are staged to disk pages, and alignment results
-                           spill through CRC-verified files. Contigs and
-                           logical metric snapshots are byte-identical to
-                           an in-core run of the same config.
+                           out-of-core pipeline: reads are staged to disk
+                           pages, and alignment results spill through
+                           CRC-verified files. Contigs and logical metric
+                           snapshots are byte-identical to an in-core run
+                           of the same config.
     --spill-dir <dir>      directory for staged pages and spill runs;
                            implies the out-of-core pipeline even with no
                            budget. Defaults to <checkpoint-dir>/ooc, or a
@@ -377,28 +377,31 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
     let out_of_core = config.memory_budget.is_some() || opts.get("spill-dir").is_some();
 
     let assembler = FocusAssembler::new(config).map_err(|e| e.to_string())?;
-    let outcome = if out_of_core {
-        // Out-of-core route: the input is streamed (never slurped), reads
-        // are staged to disk pages, and alignment results spill through
-        // CRC-verified files under the budget.
-        let lower = input.to_ascii_lowercase();
-        if !lower.ends_with(".fastq") && !lower.ends_with(".fq") {
-            return Err(format!(
-                "{input}: --memory-budget/--spill-dir stream FASTQ input only \
-                 (expected .fastq/.fq)"
-            ));
+    let lower = input.to_ascii_lowercase();
+    let outcome = if lower.ends_with(".fastq") || lower.ends_with(".fq") {
+        // FASTQ streams into the read store, never held whole. Out of core,
+        // reads are also staged to disk pages and alignment results spill
+        // through CRC-verified files under the budget.
+        let ooc = out_of_core.then(|| {
+            OocOptions::in_dir(match opts.get("spill-dir") {
+                Some(dir) => std::path::PathBuf::from(dir),
+                None => match opts.get("checkpoint-dir") {
+                    Some(dir) => std::path::Path::new(dir).join("ooc"),
+                    None => std::env::temp_dir().join(format!("focus-ooc-{}", std::process::id())),
+                },
+            })
+        });
+        match &ooc {
+            Some(ooc) => eprintln!("streaming {input} (spill dir {})", ooc.spill_dir.display()),
+            None => eprintln!("streaming {input}"),
         }
-        let spill_dir = match opts.get("spill-dir") {
-            Some(dir) => std::path::PathBuf::from(dir),
-            None => match opts.get("checkpoint-dir") {
-                Some(dir) => std::path::Path::new(dir).join("ooc"),
-                None => std::env::temp_dir().join(format!("focus-ooc-{}", std::process::id())),
-            },
-        };
-        eprintln!("streaming {input} (spill dir {})", spill_dir.display());
-        let ckpt_opts = ckpt.clone().unwrap_or_default();
-        let ooc = OocOptions::in_dir(&spill_dir);
-        assembler.assemble_fastq_ooc(std::path::Path::new(&input), &ckpt_opts, &ooc)
+        let ckpt_opts = ckpt.unwrap_or_default();
+        assembler.assemble_fastq(std::path::Path::new(&input), &ckpt_opts, ooc.as_ref())
+    } else if out_of_core {
+        return Err(format!(
+            "{input}: --memory-budget/--spill-dir stream FASTQ input only \
+             (expected .fastq/.fq)"
+        ));
     } else {
         let reads = read_input(&input)?;
         eprintln!("read {} reads from {input}", reads.len());

@@ -125,7 +125,7 @@ fn run_ooc(
     ooc: &OocOptions,
 ) -> (FocusAssembler, Result<AssemblyOutcome, FocusError>) {
     let assembler = FocusAssembler::new(config).unwrap();
-    let outcome = assembler.assemble_fastq_ooc(input, opts, ooc);
+    let outcome = assembler.assemble_fastq(input, opts, Some(ooc));
     (assembler, outcome)
 }
 

@@ -146,7 +146,11 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
     let (first, ooc_peak) = peak_over(|| {
         let assembler = FocusAssembler::new(config()).unwrap();
         match assembler
-            .assemble_fastq_ooc(&input, &CheckpointOptions::default(), &OocOptions::in_dir(&spill))
+            .assemble_fastq(
+                &input,
+                &CheckpointOptions::default(),
+                Some(&OocOptions::in_dir(&spill)),
+            )
             .unwrap()
         {
             AssemblyOutcome::Completed(r) => r,
@@ -175,7 +179,11 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
     let (capped, capped_peak) = peak_over(|| {
         let assembler = FocusAssembler::new(capped_config).unwrap();
         match assembler
-            .assemble_fastq_ooc(&input, &CheckpointOptions::default(), &OocOptions::in_dir(&spill))
+            .assemble_fastq(
+                &input,
+                &CheckpointOptions::default(),
+                Some(&OocOptions::in_dir(&spill)),
+            )
             .unwrap()
         {
             AssemblyOutcome::Completed(r) => r,
