@@ -14,7 +14,9 @@
 //! scan on a surviving rank reproduces the lost records exactly. The
 //! structural guarantee (asserted by `tests/invariants.rs`) is that any
 //! single-rank crash, in any phase, still yields the exact same final path
-//! cover as the fault-free run.
+//! cover as the fault-free run; the contract matrix (`tests/common/matrix.rs`)
+//! holds a seeded plan of crashes and drops to the fault-free run's
+//! contigs, and to one fault report at every thread count.
 
 use crate::cluster::CostModel;
 use crate::error::DistError;

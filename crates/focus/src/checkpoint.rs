@@ -24,8 +24,9 @@
 //! Every stage of the pipeline is deterministic given its inputs, so a run
 //! resumed from the alignment checkpoint produces bit-identical contigs,
 //! paths and fault reports to an uninterrupted run: §V replays its
-//! `FaultPlan` from the start. The chaos harness (`tests/chaos.rs`) kills
-//! and resumes at the boundary and byte-compares the outputs. Metrics
+//! `FaultPlan` from the start. The contract matrix (`tests/common/matrix.rs`)
+//! stops runs at the boundary, in core and out of core, resumes them and
+//! byte-compares the outputs. Metrics
 //! travel with the state: the checkpoint embeds the cumulative metrics
 //! snapshot (minus `sched.*`/`ckpt.*`/`mem.*`/`ooc.*`) at the boundary, and
 //! loading it restores them, so logical-clock snapshots are byte-identical
@@ -469,31 +470,7 @@ impl FocusAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::genome;
-    use fc_seq::DnaString;
-
-    fn tiled_reads(genome: &DnaString, read_len: usize, stride: usize) -> Vec<Read> {
-        let mut reads = Vec::new();
-        let mut start = 0;
-        while start + read_len <= genome.len() {
-            reads.push(Read::new(
-                format!("r{start}"),
-                genome.slice(start, start + read_len),
-            ));
-            start += stride;
-        }
-        reads
-    }
-
-    fn quick_config(k: usize) -> FocusConfig {
-        let mut c = FocusConfig {
-            partitions: k,
-            ..Default::default()
-        };
-        c.trim.min_read_len = 30;
-        c.overlap.min_overlap_len = 40;
-        c
-    }
+    use crate::pipeline::tests::{genome, quick_config, tiled_reads};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fc-focus-ckpt-{tag}-{}", std::process::id()));
@@ -549,46 +526,6 @@ mod tests {
         assert_eq!(input_digest(&reads), base);
     }
 
-    /// A fresh assembler (own recorder) on the logical clock.
-    fn logical_assembler(k: usize) -> FocusAssembler {
-        let mut config = quick_config(k);
-        config.observability = ObsOptions::logical();
-        FocusAssembler::new(config).unwrap()
-    }
-
-    /// Everything two runs of one input must agree on: contigs, traversal
-    /// paths, the fault report and the logical-clock metrics snapshot.
-    fn assert_same_run(
-        (a, a_result): (&FocusAssembler, &AssemblyResult),
-        (b, b_result): (&FocusAssembler, &AssemblyResult),
-    ) {
-        assert_eq!(a_result.contigs, b_result.contigs);
-        assert_eq!(a_result.report.paths, b_result.report.paths);
-        assert_eq!(a_result.report.fault, b_result.report.fault);
-        assert_eq!(a.recorder().snapshot_json(), b.recorder().snapshot_json());
-    }
-
-    #[test]
-    fn checkpointed_run_matches_plain_assemble() {
-        let g = genome(2500, 23);
-        let reads = tiled_reads(&g, 100, 50);
-        let assembler = logical_assembler(4);
-        let plain = assembler.assemble(&reads).unwrap();
-        let dir = temp_dir("match-plain");
-        let opts = CheckpointOptions::in_dir(&dir);
-        let checkpointed = logical_assembler(4);
-        let ckpt = completed(
-            checkpointed
-                .assemble_with_checkpoints(&reads, &opts)
-                .unwrap(),
-        );
-        assert_same_run((&checkpointed, &ckpt), (&assembler, &plain));
-        // The alignment checkpoint + a manifest.
-        let files = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(files, CkptPhase::ALL.len() + 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn concurrent_checkpointed_runs_sharing_a_dir_agree_with_plain_assemble() {
         // Two assemblies checkpointing into the same directory at once —
@@ -629,30 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_and_resume_at_every_phase_is_bit_identical() {
-        let g = genome(2500, 29);
-        let reads = tiled_reads(&g, 100, 50);
-        let assembler = FocusAssembler::new(quick_config(4)).unwrap();
-        let clean = assembler.assemble(&reads).unwrap();
-        for &phase in &CkptPhase::ALL {
-            let dir = temp_dir(phase.name());
-            let mut opts = CheckpointOptions::in_dir(&dir);
-            opts.stop_after = Some(phase);
-            match assembler.assemble_with_checkpoints(&reads, &opts).unwrap() {
-                AssemblyOutcome::Stopped(p) => assert_eq!(p, phase),
-                AssemblyOutcome::Completed(_) => panic!("{} did not stop", phase.name()),
-            }
-            opts.stop_after = None;
-            opts.resume = true;
-            let resumed = completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
-            assert_eq!(resumed.contigs, clean.contigs, "after {}", phase.name());
-            assert_eq!(resumed.report.paths, clean.report.paths);
-            assert_eq!(resumed.report.fault, clean.report.fault);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
     fn resume_without_checkpoints_just_runs() {
         let g = genome(2000, 31);
         let reads = tiled_reads(&g, 100, 50);
@@ -663,22 +576,6 @@ mod tests {
         let result = completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
         assert!(!result.contigs.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn no_dir_means_no_checkpoint_io() {
-        let g = genome(2000, 37);
-        let reads = tiled_reads(&g, 100, 50);
-        let assembler = logical_assembler(2);
-        let plain = assembler.assemble(&reads).unwrap();
-        let opts = CheckpointOptions::default();
-        let storeless = logical_assembler(2);
-        let result = completed(storeless.assemble_with_checkpoints(&reads, &opts).unwrap());
-        assert_same_run((&storeless, &result), (&assembler, &plain));
-        assert_eq!(
-            storeless.recorder().snapshot().counters.get("ckpt.saved"),
-            None
-        );
     }
 
     #[test]

@@ -346,7 +346,7 @@ pub(crate) mod tests {
     }
 
     /// Error-free tiling reads over a genome, as FASTA-style reads.
-    fn tiled_reads(genome: &DnaString, read_len: usize, stride: usize) -> Vec<Read> {
+    pub(crate) fn tiled_reads(genome: &DnaString, read_len: usize, stride: usize) -> Vec<Read> {
         let mut reads = Vec::new();
         let mut start = 0;
         while start + read_len <= genome.len() {
@@ -359,7 +359,7 @@ pub(crate) mod tests {
         reads
     }
 
-    fn quick_config(k: usize) -> FocusConfig {
+    pub(crate) fn quick_config(k: usize) -> FocusConfig {
         let mut c = FocusConfig {
             partitions: k,
             ..Default::default()
@@ -427,113 +427,6 @@ pub(crate) mod tests {
         // back when the call's distributed stage was dropped.
         assert_eq!(prepared.contigs.len(), prepared.hybrid.node_count());
         assert_eq!(Arc::strong_count(&prepared.contigs), 1);
-    }
-
-    #[test]
-    fn fault_injected_assembly_reproduces_clean_contigs() {
-        use crate::config::FaultInjection;
-        use fc_dist::FaultRates;
-        let g = genome(2500, 11);
-        let reads = tiled_reads(&g, 100, 50);
-        let clean = FocusAssembler::new(quick_config(4))
-            .unwrap()
-            .assemble(&reads)
-            .unwrap();
-        let mut config = quick_config(4);
-        config.fault = Some(FaultInjection {
-            seed: 42,
-            rates: FaultRates {
-                crash: 0.2,
-                drop: 0.3,
-                ..Default::default()
-            },
-        });
-        let faulty = FocusAssembler::new(config)
-            .unwrap()
-            .assemble(&reads)
-            .unwrap();
-        let norm = |r: &AssemblyResult| {
-            let mut v: Vec<String> = r.contigs.iter().map(|c| c.to_string()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(
-            norm(&clean),
-            norm(&faulty),
-            "faults must not change the assembly"
-        );
-        // Same seed ⇒ bit-identical fault report.
-        let again = FocusAssembler::new(config)
-            .unwrap()
-            .assemble(&reads)
-            .unwrap();
-        assert_eq!(faulty.report.fault, again.report.fault);
-    }
-
-    #[test]
-    fn threaded_assembly_is_bit_identical_to_serial() {
-        let g = genome(2500, 5);
-        let reads = tiled_reads(&g, 100, 50);
-        let mut config = quick_config(4);
-        config.threads = 1;
-        let serial = FocusAssembler::new(config)
-            .unwrap()
-            .assemble(&reads)
-            .unwrap();
-        for threads in [2usize, 4, 8] {
-            config.threads = threads;
-            let pooled = FocusAssembler::new(config)
-                .unwrap()
-                .assemble(&reads)
-                .unwrap();
-            // Contigs in order (no sorting), partition assignment, and the
-            // traversal paths must all match the serial run exactly.
-            assert_eq!(pooled.contigs, serial.contigs, "{threads} threads");
-            assert_eq!(
-                pooled.partition.parts_per_level, serial.partition.parts_per_level,
-                "{threads} threads"
-            );
-            assert_eq!(
-                pooled.report.paths, serial.report.paths,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn observability_snapshot_is_thread_invariant_end_to_end() {
-        let g = genome(2000, 17);
-        let reads = tiled_reads(&g, 100, 50);
-        let mut config = quick_config(4);
-        config.observability = fc_obs::ObsOptions::logical();
-        config.threads = 1;
-        let assembler = FocusAssembler::new(config).unwrap();
-        assembler.assemble(&reads).unwrap();
-        let baseline = assembler.recorder().snapshot_json();
-        assert!(baseline.contains("align.candidates"));
-        assert!(baseline.contains("coarsen.levels"));
-        assert!(baseline.contains("partition.edge_cut_final"));
-        assert!(baseline.contains("dist.messages"));
-        // The graphs' heap is published, outside the logical snapshot.
-        let gauges = assembler.recorder().snapshot().gauges;
-        for key in [
-            "mem.graph.g0_bytes",
-            "mem.graph.multilevel_bytes",
-            "mem.graph.hybrid_bytes",
-        ] {
-            assert!(gauges.get(key).is_some_and(|&bytes| bytes > 0), "{key}");
-            assert!(!baseline.contains(key), "{key}");
-        }
-        for threads in [2usize, 4] {
-            config.threads = threads;
-            let assembler = FocusAssembler::new(config).unwrap();
-            assembler.assemble(&reads).unwrap();
-            assert_eq!(
-                assembler.recorder().snapshot_json(),
-                baseline,
-                "metric snapshot differs at {threads} threads"
-            );
-        }
     }
 
     #[test]

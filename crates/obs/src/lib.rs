@@ -37,7 +37,7 @@
 //! ([`Recorder::snapshot_json`]) excludes `sched.*` entries and timestamps
 //! are logical ticks, making the metrics snapshot **byte-identical across
 //! thread counts** — observability doubles as a correctness oracle
-//! (property-tested in `tests/observability.rs`).
+//! (asserted at every point of the contract matrix, `tests/common/matrix.rs`).
 
 #![forbid(unsafe_code)]
 

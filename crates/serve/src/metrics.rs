@@ -27,6 +27,8 @@ pub const JOBS_RESUMED: &str = "serve.jobs.resumed";
 pub const JOBS_DEADLINE: &str = "serve.jobs.deadline_exceeded";
 /// Counter: torn (unacknowledged) job dirs removed at startup.
 pub const STATE_TORN: &str = "serve.state.torn_removed";
+/// Counter: ended jobs whose status record could not be read at startup.
+pub const STATE_UNREADABLE: &str = "serve.state.unreadable_status";
 /// Counter: HTTP requests handled.
 pub const HTTP_REQUESTS: &str = "serve.http.requests";
 /// Counter: HTTP protocol errors answered with 4xx.

@@ -219,6 +219,7 @@ impl Serve {
         };
         let scan = state.scan()?;
         recorder.add(metrics::STATE_TORN, scan.torn as u64);
+        recorder.add(metrics::STATE_UNREADABLE, scan.unreadable as u64);
         let mut core = Core {
             sched: Scheduler::new(cfg.sched),
             active: HashMap::new(),

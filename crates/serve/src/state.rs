@@ -32,7 +32,7 @@
 use crate::error::ServeError;
 use crate::job::{JobId, Priority};
 use std::fs::{self, File};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,6 +40,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const META_HEADER: &str = "# focus serve job v1";
 /// Header line of `status.txt`.
 const STATUS_HEADER: &str = "# focus serve status v1";
+/// The most bytes restart reads of a `job.meta` or `status.txt`. A meta
+/// record is its header and six bounded fields — the tenant at most 64
+/// bytes, each number at most 20 digits — under 256 bytes; a status record
+/// is its header, a state, three numbers and a message `render_status`
+/// cuts to [`STATUS_MESSAGE_LIMIT`]. A longer file is not one this server
+/// wrote, and is refused as corrupt without being read past the limit.
+const RECORD_LIMIT: u64 = 4096;
+/// The longest status message `status.txt` keeps (failure messages quote
+/// errors of any length); the rest is cut at a character boundary.
+const STATUS_MESSAGE_LIMIT: usize = 2048;
 
 /// FNV-1a over the raw input bytes; identifies a submission independently
 /// of the server-assigned [`JobId`], so chaos tests can match jobs between
@@ -152,6 +162,10 @@ pub struct Scan {
     pub pending: Vec<JobRecord>,
     /// Torn directories (no `job.meta`) that were removed.
     pub torn: usize,
+    /// Ended jobs whose `status.txt` cannot be read (over [`RECORD_LIMIT`],
+    /// say, from a build that did not cut messages). The file's existence
+    /// says the job ended, so it is not re-admitted.
+    pub unreadable: usize,
     /// Highest job id seen anywhere, so new ids continue the sequence.
     pub max_id: u64,
 }
@@ -286,28 +300,12 @@ impl StateDir {
 
     /// Reads a job's terminal status, or `None` while it is in flight.
     pub fn read_status(&self, id: JobId) -> Result<Option<TerminalStatus>, ServeError> {
-        let path = self.status_path(id);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(ServeError::io(format!("read {}", path.display()), e)),
-        };
-        parse_status(&text)
-            .map(Some)
-            .map_err(|m| ServeError::corrupt(path.display().to_string(), m))
+        read_record(&self.status_path(id), parse_status)
     }
 
     /// Reads a job's admission record, or `None` for unknown/torn jobs.
     pub fn read_meta(&self, id: JobId) -> Result<Option<JobRecord>, ServeError> {
-        let path = self.job_dir(id).join("job.meta");
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(ServeError::io(format!("read {}", path.display()), e)),
-        };
-        parse_meta(&text)
-            .map(Some)
-            .map_err(|m| ServeError::corrupt(path.display().to_string(), m))
+        read_record(&self.job_dir(id).join("job.meta"), parse_meta)
     }
 
     /// Scans the directory at startup: collects in-flight jobs for
@@ -332,16 +330,41 @@ impl StateDir {
                         .map_err(|e| ServeError::io(format!("remove torn {id}"), e))?;
                     out.torn += 1;
                 }
-                Some(record) => {
-                    if self.read_status(id)?.is_none() {
-                        out.pending.push(record);
-                    }
-                }
+                Some(record) => match self.read_status(id) {
+                    Ok(None) => out.pending.push(record),
+                    Ok(Some(_)) => {}
+                    Err(ServeError::Corrupt { .. }) => out.unreadable += 1,
+                    Err(e) => return Err(e),
+                },
             }
         }
         out.pending.sort_by_key(|r| r.id);
         Ok(out)
     }
+}
+
+/// Reads the state record at `path` through `parse`, `None` when there is
+/// none. At most [`RECORD_LIMIT`] + 1 bytes are read: a longer file, or one
+/// that is not UTF-8 or does not parse, is [`ServeError::Corrupt`].
+fn read_record<T>(
+    path: &Path,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, ServeError> {
+    let corrupt = |m: String| ServeError::corrupt(path.display().to_string(), m);
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(ServeError::io(format!("open {}", path.display()), e)),
+    };
+    let mut bytes = Vec::new();
+    file.take(RECORD_LIMIT + 1)
+        .read_to_end(&mut bytes)
+        .map_err(|e| ServeError::io(format!("read {}", path.display()), e))?;
+    if bytes.len() as u64 > RECORD_LIMIT {
+        return Err(corrupt(format!("longer than {RECORD_LIMIT} bytes")));
+    }
+    let text = String::from_utf8(bytes).map_err(|_| corrupt("not UTF-8".to_string()))?;
+    parse(&text).map(Some).map_err(corrupt)
 }
 
 fn render_meta(r: &JobRecord) -> String {
@@ -392,7 +415,11 @@ fn parse_meta(text: &str) -> Result<JobRecord, String> {
 
 fn render_status(s: &TerminalStatus) -> String {
     // Keep the kv format line-oriented: fold any newlines in the message.
-    let message = s.message.replace(['\n', '\r'], " ");
+    let cut = (0..=STATUS_MESSAGE_LIMIT.min(s.message.len()))
+        .rev()
+        .find(|&i| s.message.is_char_boundary(i))
+        .unwrap_or(0);
+    let message = s.message[..cut].replace(['\n', '\r'], " ");
     format!(
         "{STATUS_HEADER}\nstate {}\nmessage {message}\nnum_contigs {}\nn50 {}\ntotal_bases {}\n",
         s.state.as_str(),
@@ -514,6 +541,62 @@ mod tests {
         fs::write(state.status_path(JobId(1)), b"garbage\n").expect("write");
         let err = state.read_status(JobId(1)).expect_err("corrupt");
         assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+    }
+
+    /// A status file that would parse, padded one byte past the limit, and
+    /// a `job.meta` that never ends: both are refused as corrupt, which
+    /// the second can only be if the read stops at the limit.
+    #[cfg(unix)]
+    #[test]
+    fn oversized_records_are_corrupt_and_read_no_further_than_the_limit() {
+        let state = temp_state("oversized");
+        state.persist_job(&record(1), b"ACGT").expect("persist");
+        let mut status = render_status(&TerminalStatus::plain(TerminalState::Done, "ok"));
+        status.push_str("pad ");
+        while status.len() as u64 <= RECORD_LIMIT {
+            status.push('x');
+        }
+        fs::write(state.status_path(JobId(1)), status).expect("write");
+        let err = state.read_status(JobId(1)).expect_err("oversized status");
+        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+
+        let meta = state.job_dir(JobId(1)).join("job.meta");
+        fs::remove_file(&meta).expect("remove meta");
+        std::os::unix::fs::symlink("/dev/zero", &meta).expect("symlink");
+        let err = state.read_meta(JobId(1)).expect_err("endless meta");
+        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+    }
+
+    /// A failed job's status written by a build that did not cut messages
+    /// can exceed the limit. Restart still scans the directory: that job
+    /// counts as ended and unreadable, and the rest are unaffected.
+    #[test]
+    fn scan_survives_an_uncut_status_from_an_older_build() {
+        let state = temp_state("uncut");
+        state.persist_job(&record(1), b"ACGT").expect("persist");
+        state.persist_job(&record(2), b"ACGT").expect("persist");
+        let message = "e".repeat(2 * RECORD_LIMIT as usize);
+        let uncut = format!(
+            "{STATUS_HEADER}\nstate failed\nmessage {message}\nnum_contigs 0\nn50 0\ntotal_bases 0\n"
+        );
+        fs::write(state.status_path(JobId(1)), uncut).expect("write");
+        let scan = state.scan().expect("scan");
+        assert_eq!(scan.unreadable, 1);
+        let ids: Vec<u64> = scan.pending.iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, vec![2], "the ended job is not re-admitted");
+    }
+
+    #[test]
+    fn long_status_messages_are_cut_to_fit_the_record_limit() {
+        let state = temp_state("long-message");
+        state.persist_job(&record(1), b"ACGT").expect("persist");
+        // Two-byte characters after one ASCII byte: the limit splits one.
+        let message = format!("x{}", "é".repeat(STATUS_MESSAGE_LIMIT));
+        let status = TerminalStatus::plain(TerminalState::Failed, message);
+        state.write_status(JobId(1), &status).expect("write");
+        let back = state.read_status(JobId(1)).expect("read").expect("some");
+        let kept = (STATUS_MESSAGE_LIMIT - 1) / 2;
+        assert_eq!(back.message, format!("x{}", "é".repeat(kept)));
     }
 
     #[test]

@@ -44,7 +44,7 @@ PIPELINE OPTIONS (assemble, graph, variants, serve):
     --min-read-len <bp>    drop reads shorter than this          [default: 40]
     --min-quality <q>      sliding-window quality threshold      [default: 20]
     --subsets <n>          read subsets for pairwise alignment   [default: 4]
-    --seed <u64>           partitioning seed                     [default: 985093]
+    --seed <u64>           partitioning seed                     [default: 986117]
     --threads <n>          worker threads; 0 = all cores, 1 = serial;
                            output is identical at any setting    [default: 0]
     --keep-both-strands    emit both strands of every contig
@@ -454,19 +454,23 @@ fn simulate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The pipeline config the flags describe: [`FocusConfig::default`] with
+/// each given flag applied, except that the CLI emits one strand of each
+/// contig unless `--keep-both-strands` is given.
 fn build_config(opts: &Options) -> Result<FocusConfig, String> {
+    let d = FocusConfig::default();
     let mut config = FocusConfig {
-        partitions: opts.get_parsed("partitions", 16usize)?,
-        subsets: opts.get_parsed("subsets", 4usize)?,
-        partition_seed: opts.get_parsed("seed", 985_093u64)?,
-        threads: opts.get_parsed("threads", 0usize)?,
+        partitions: opts.get_parsed("partitions", d.partitions)?,
+        subsets: opts.get_parsed("subsets", d.subsets)?,
+        partition_seed: opts.get_parsed("seed", d.partition_seed)?,
+        threads: opts.get_parsed("threads", d.threads)?,
         dedup_rc: !opts.flag("keep-both-strands"),
-        ..Default::default()
+        ..d
     };
-    config.overlap.min_overlap_len = opts.get_parsed("min-overlap", 50usize)?;
-    config.overlap.min_identity = opts.get_parsed("min-identity", 0.90f64)?;
-    config.trim.min_read_len = opts.get_parsed("min-read-len", 40usize)?;
-    config.trim.min_quality = opts.get_parsed("min-quality", 20.0f64)?;
+    config.overlap.min_overlap_len = opts.get_parsed("min-overlap", d.overlap.min_overlap_len)?;
+    config.overlap.min_identity = opts.get_parsed("min-identity", d.overlap.min_identity)?;
+    config.trim.min_read_len = opts.get_parsed("min-read-len", d.trim.min_read_len)?;
+    config.trim.min_quality = opts.get_parsed("min-quality", d.trim.min_quality)?;
     if let Some(text) = opts.get("memory-budget") {
         match parse_bytes("memory-budget", text)? {
             0 => config.memory_budget = None,
@@ -798,6 +802,56 @@ mod tests {
     }
 
     const PIPELINE: &str = "PIPELINE OPTIONS";
+
+    /// The `[default: …]` HELP gives `--key`: on its own line or on one of
+    /// the continuation lines before the next option.
+    fn help_default(key: &str) -> &'static str {
+        let option = format!("--{key} ");
+        let mut block = HELP
+            .lines()
+            .skip_while(|line| !line.trim_start().starts_with(&option));
+        let first = block
+            .next()
+            .unwrap_or_else(|| panic!("HELP has no --{key}"));
+        let rest = block.take_while(|line| !line.trim_start().starts_with("--"));
+        std::iter::once(first)
+            .chain(rest)
+            .find_map(|line| line.split_once("[default: "))
+            .and_then(|(_, tail)| tail.split_once(']'))
+            .map(|(value, _)| value)
+            .unwrap_or_else(|| panic!("--{key} has no default in HELP"))
+    }
+
+    #[test]
+    fn build_config_without_flags_is_the_library_default() {
+        let opts = Options::parse("assemble", ASSEMBLE_KEYS, &[]).unwrap();
+        let expected = FocusConfig {
+            dedup_rc: true,
+            ..FocusConfig::default()
+        };
+        assert_eq!(build_config(&opts).unwrap(), expected);
+    }
+
+    #[test]
+    fn help_prints_the_library_defaults() {
+        let d = FocusConfig::default();
+        let defaults = [
+            ("partitions", d.partitions as f64),
+            ("min-overlap", d.overlap.min_overlap_len as f64),
+            ("min-identity", d.overlap.min_identity),
+            ("min-read-len", d.trim.min_read_len as f64),
+            ("min-quality", d.trim.min_quality),
+            ("subsets", d.subsets as f64),
+            ("seed", d.partition_seed as f64),
+            ("threads", d.threads as f64),
+        ];
+        // Every pipeline key but the `--keep-both-strands` flag.
+        assert_eq!(defaults.len(), PIPELINE_KEYS.len() - 1);
+        for (key, value) in defaults {
+            let help: f64 = help_default(key).parse().unwrap();
+            assert_eq!(help, value, "--{key}");
+        }
+    }
 
     #[test]
     fn assemble_options_match_help() {

@@ -1,5 +1,7 @@
 //! Cross-crate invariant tests on realistic pipeline artifacts.
 
+mod common;
+
 use focus_assembler::align::{Overlap, Overlapper, Pool};
 use focus_assembler::dist::traverse::check_path_cover;
 use focus_assembler::dist::{DistributedConfig, DistributedHybrid, FaultPlan, FaultRates, PhaseId};
@@ -8,6 +10,7 @@ use focus_assembler::partition::{
     edge_cut, partition_balance, partition_graph_set, validate_partition, PartitionConfig,
 };
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
+use std::sync::OnceLock;
 
 /// The verified overlaps G0 was built from, as `overlap_all` computes them
 /// for `config`'s store split and thread count.
@@ -20,20 +23,23 @@ fn overlaps_of(p: &Prepared, config: &FocusConfig) -> Vec<Overlap> {
         .0
 }
 
-fn prepared() -> (focus_assembler::sim::Dataset, Prepared) {
-    // Denser than `test_scale`: ~15x coverage keeps the overlap graph
-    // connected, which is what balance/cut invariants assume.
-    let mut config = DatasetConfig::test_scale();
-    config.total_reads = 1800;
-    let dataset = generate_dataset("inv", &config, 13).unwrap();
-    let assembler = FocusAssembler::new(FocusConfig::default()).unwrap();
-    let prepared = assembler.prepare(&dataset.reads).unwrap();
-    (dataset, prepared)
+/// The one prepared metagenome every test here reads, built once.
+fn prepared() -> &'static Prepared {
+    static PREPARED: OnceLock<Prepared> = OnceLock::new();
+    PREPARED.get_or_init(|| {
+        // Denser than `test_scale`: ~15x coverage keeps the overlap graph
+        // connected, which is what balance/cut invariants assume.
+        let mut config = DatasetConfig::test_scale();
+        config.total_reads = 1800;
+        let dataset = generate_dataset("inv", &config, 13).unwrap();
+        let assembler = FocusAssembler::new(FocusConfig::default()).unwrap();
+        assembler.prepare(&dataset.reads).unwrap()
+    })
 }
 
 #[test]
 fn graph_sets_satisfy_structural_invariants() {
-    let (_, p) = prepared();
+    let p = prepared();
     p.graph.undirected.check_invariants().unwrap();
     p.graph.directed.check_invariants().unwrap();
     p.multilevel.set.check_invariants().unwrap();
@@ -49,7 +55,7 @@ fn graph_sets_satisfy_structural_invariants() {
 
 #[test]
 fn hybrid_partition_projection_is_consistent() {
-    let (_, p) = prepared();
+    let p = prepared();
     for k in [2usize, 4, 8] {
         let result = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, 3)).unwrap();
         validate_partition(p.hybrid.set.finest(), result.finest(), k).unwrap();
@@ -66,7 +72,7 @@ fn hybrid_partition_projection_is_consistent() {
 
 #[test]
 fn partition_balance_and_cut_are_sane_across_k() {
-    let (_, p) = prepared();
+    let p = prepared();
     let total_weight = p.graph.undirected.total_edge_weight();
     // Balance bounds are the smallest round values HEAD passes, not targets.
     // Measured on this fixture (136 hybrid nodes, 3 600 reads, heaviest node
@@ -91,7 +97,7 @@ fn partition_balance_and_cut_are_sane_across_k() {
 
 #[test]
 fn distributed_stage_preserves_node_cover_for_every_k() {
-    let (_, p) = prepared();
+    let p = prepared();
     for k in [1usize, 2, 8] {
         let partition = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, 5)).unwrap();
         let mut dh =
@@ -106,11 +112,11 @@ fn distributed_stage_preserves_node_cover_for_every_k() {
 #[test]
 fn assembly_stats_are_partition_invariant_on_metagenome() {
     // The Table III property on a noisy metagenome, as an invariant.
-    let (_, p) = prepared();
+    let p = prepared();
     let assembler = FocusAssembler::new(FocusConfig::default()).unwrap();
-    let baseline = assembler.assemble_prepared(&p, 2).unwrap();
+    let baseline = assembler.assemble_prepared(p, 2).unwrap();
     for k in [4usize, 16] {
-        let result = assembler.assemble_prepared(&p, k).unwrap();
+        let result = assembler.assemble_prepared(p, k).unwrap();
         assert_eq!(
             result.stats.num_contigs, baseline.stats.num_contigs,
             "k={k}"
@@ -122,7 +128,7 @@ fn assembly_stats_are_partition_invariant_on_metagenome() {
 
 #[test]
 fn overlap_edge_weights_match_alignment_lengths() {
-    let (_, p) = prepared();
+    let p = prepared();
     // Every undirected G0 edge weight must trace back to at least one
     // recorded overlap of that length or a sum of parallel ones.
     let min_len = 50u32;
@@ -134,7 +140,7 @@ fn overlap_edge_weights_match_alignment_lengths() {
     }
     // Identity is a property of the overlap record, not of the edge built
     // from it: the configured bound holds where the value lives.
-    for o in &overlaps_of(&p, &FocusConfig::default()) {
+    for o in &overlaps_of(p, &FocusConfig::default()) {
         assert!(
             o.identity >= 0.90 - 1e-9,
             "overlap identity {} too low",
@@ -154,7 +160,7 @@ fn overlap_edge_weights_match_alignment_lengths() {
 #[test]
 fn graph_footprint_is_flat_and_g0_is_held_once() {
     use focus_assembler::graph::{DiEdge, LevelGraph};
-    let (_, p) = prepared();
+    let p = prepared();
     let g0 = &p.graph.undirected;
     assert!(g0.edge_count() > 0);
     assert_eq!(
@@ -187,14 +193,12 @@ fn graph_footprint_is_flat_and_g0_is_held_once() {
 
 // ---- Fault-tolerance invariants (seeded cases) ----------------------------
 //
-// The shared fixture is expensive (a full prepare over 1800 reads), so it is
-// built once and each case clones the ready-to-run
-// `DistributedHybrid`.
+// Each case clones one ready-to-run `DistributedHybrid` over the prepared
+// fixture, built once.
 
 mod fault_invariants {
     use super::*;
     use fc_rng::cases;
-    use std::sync::OnceLock;
 
     const K: usize = 4;
 
@@ -206,7 +210,7 @@ mod fault_invariants {
     fn fixture() -> &'static Fixture {
         static FIXTURE: OnceLock<Fixture> = OnceLock::new();
         FIXTURE.get_or_init(|| {
-            let (_, p) = prepared();
+            let p = prepared();
             let partition =
                 partition_graph_set(&p.hybrid.set, &PartitionConfig::new(K, 5)).unwrap();
             let dh = DistributedHybrid::new(&p.hybrid, &p.store, partition.finest().to_vec(), K)
@@ -274,67 +278,22 @@ mod fault_invariants {
     }
 }
 
-// ---- Shared-memory parallelism invariants (seeded cases) -----------------
+// ---- Shared-memory parallelism invariants --------------------------------
 
 mod parallel_determinism {
-    use super::*;
-    use fc_rng::cases;
+    use super::common::matrix::{owner, run_random, run_slice, Slice};
 
-    /// The parallel engine's core guarantee, end to end: one pipeline,
-    /// any thread count, bit-identical output — verified overlaps in
-    /// order, partition assignment on every level, traversal paths,
-    /// and final contigs.
+    /// The parallel engine's core guarantee, end to end: `assemble` at 1, 2,
+    /// 4 and 8 threads gives the serial run's partition on every level,
+    /// traversal paths and contigs — the contract matrix's clean `assemble`
+    /// points, on the tiled fixture, the simulated community (errors,
+    /// trimmed tails, both strands, default thresholds) and three random
+    /// inputs. Overlap order and pair stats are fc-align's
+    /// `pooled_overlap_all_is_bit_identical_to_serial`.
     #[test]
     fn pipeline_output_is_thread_count_invariant() {
-        cases(3, |rng| {
-            let seed = rng.range(0u64..(1u64 << 48));
-            let mut dconfig = DatasetConfig::test_scale();
-            dconfig.total_reads = 600;
-            let dataset = generate_dataset("par", &dconfig, seed).unwrap();
-            let mut config = FocusConfig {
-                partitions: 4,
-                threads: 1,
-                ..FocusConfig::default()
-            };
-            let serial_asm = FocusAssembler::new(config).unwrap();
-            let serial_prep = serial_asm.prepare(&dataset.reads).unwrap();
-            let serial = serial_asm.assemble_prepared(&serial_prep, 4);
-            let serial_overlaps = overlaps_of(&serial_prep, &config);
-            for threads in [2usize, 4, 8] {
-                config.threads = threads;
-                let asm = FocusAssembler::new(config).unwrap();
-                let prep = asm.prepare(&dataset.reads).unwrap();
-                assert_eq!(
-                    &overlaps_of(&prep, &config),
-                    &serial_overlaps,
-                    "overlaps @ {} threads",
-                    threads
-                );
-                assert_eq!(
-                    &prep.pair_stats, &serial_prep.pair_stats,
-                    "pair stats @ {} threads",
-                    threads
-                );
-                let pooled = asm.assemble_prepared(&prep, 4);
-                match (&serial, &pooled) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            &a.partition.parts_per_level, &b.partition.parts_per_level,
-                            "partition @ {} threads",
-                            threads
-                        );
-                        assert_eq!(
-                            &a.report.paths, &b.report.paths,
-                            "paths @ {} threads",
-                            threads
-                        );
-                        assert_eq!(&a.contigs, &b.contigs, "contigs @ {} threads", threads);
-                    }
-                    (Err(_), Err(_)) => {}
-                    _ => panic!("outcome kind diverged at {threads} threads"),
-                }
-            }
-        });
+        run_slice(Slice::ThreadCount);
+        run_random(3, |p| owner(p) == Slice::ThreadCount);
     }
 }
 

@@ -1,7 +1,13 @@
-//! End-to-end observability tests: metric-snapshot determinism across
-//! thread counts (the fc-obs logical-clock contract), sink validity against
-//! the pure-std schema checkers, and the disabled-recorder null guarantee.
+//! End-to-end observability tests: causal profiles of faulted and
+//! wall-clock runs, sink validity against the pure-std schema checkers,
+//! and the disabled-recorder null guarantee; and the contract matrix's
+//! `assemble` points under the `FaultPlan` (`tests/common/matrix.rs`),
+//! whose logical snapshots are byte-identical at any thread count.
 
+mod common;
+
+use common::matrix::{fixture, run_slice, Slice};
+use common::{contract_config, tiled_reads};
 use fc_rng::cases;
 use focus_assembler::focus::{FaultInjection, FocusAssembler, FocusConfig};
 use focus_assembler::obs::{
@@ -9,62 +15,17 @@ use focus_assembler::obs::{
     profile_chrome_trace, write_chrome_trace, write_jsonl, ObsOptions, ProfileReport, SegmentKind,
 };
 use focus_assembler::seq::Read;
-use focus_assembler::sim::genome::{random_genome, GenomeConfig};
-
-fn genome(len: usize, seed: u64) -> focus_assembler::seq::DnaString {
-    let config = GenomeConfig {
-        length: len,
-        ..GenomeConfig::default()
-    };
-    random_genome(&config, seed)
-}
-
-fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
-    let g = genome(len, seed);
-    let (read_len, stride) = (100usize, 50usize);
-    let mut reads = Vec::new();
-    let mut start = 0;
-    while start + read_len <= g.len() {
-        reads.push(Read::new(
-            format!("r{start}"),
-            g.slice(start, start + read_len),
-        ));
-        start += stride;
-    }
-    reads
-}
 
 fn obs_config(threads: usize) -> FocusConfig {
-    let mut config = FocusConfig {
-        partitions: 4,
-        threads,
-        observability: ObsOptions::logical(),
-        ..Default::default()
-    };
-    config.trim.min_read_len = 30;
-    config.overlap.min_overlap_len = 40;
-    config
+    contract_config(threads, false)
 }
 
-/// Assembles and returns the logical-clock metric snapshot JSON.
-fn snapshot_at(reads: &[Read], threads: usize) -> String {
-    let assembler = FocusAssembler::new(obs_config(threads)).unwrap();
-    assembler.assemble(reads).unwrap();
-    assembler.recorder().snapshot_json()
-}
-
-/// `obs_config` plus deterministic rank crashes and message drops, so the
-/// trace contains retransmissions, speculative backups and recovery flows.
+/// The contract's rank crashes and message drops under fault seed `seed`,
+/// so the trace contains retransmissions, speculative backups and recovery
+/// flows.
 fn faulted_config(threads: usize, seed: u64) -> FocusConfig {
-    let mut c = obs_config(threads);
-    c.fault = Some(FaultInjection {
-        seed,
-        rates: focus_assembler::dist::FaultRates {
-            crash: 0.2,
-            drop: 0.3,
-            ..Default::default()
-        },
-    });
+    let mut c = contract_config(threads, true);
+    c.fault = c.fault.map(|f| FaultInjection { seed, ..f });
     c
 }
 
@@ -202,6 +163,18 @@ fn wall_clock_assemble_samples_peak_rss_outside_the_logical_snapshot() {
         .contains("mem.peak_rss_bytes"));
 }
 
+/// With logical-clock observability, `assemble` at 1, 2, 4 and 8 threads
+/// under the `FaultPlan` — retransmissions, backups and recovery included —
+/// produces the serial run's metrics snapshot byte for byte; scheduling
+/// metrics never leak into it.
+#[test]
+fn metric_snapshots_are_byte_identical_across_thread_counts() {
+    let baseline = &fixture().faulted.snapshot;
+    assert!(baseline.contains("\"schema\": \"focus-metrics-v1\""));
+    assert!(!baseline.contains("sched."));
+    run_slice(Slice::Metrics);
+}
+
 #[test]
 fn disabled_recorder_produces_empty_everything() {
     let reads = tiled_reads(1500, 5);
@@ -211,30 +184,6 @@ fn disabled_recorder_produces_empty_everything() {
     assembler.assemble(&reads).unwrap();
     assert!(assembler.recorder().events().is_empty());
     assert!(assembler.recorder().snapshot().is_empty());
-}
-
-/// The tentpole determinism contract: with logical-clock observability,
-/// two runs at *any* `--threads` setting produce byte-identical metric
-/// snapshots. Genome seeds vary per case; every thread count in
-/// {1, 2, 4, 8} must agree with the serial baseline.
-#[test]
-fn metric_snapshots_are_byte_identical_across_thread_counts() {
-    cases(3, |rng| {
-        let seed = rng.range(1u64..1000);
-        let reads = tiled_reads(1800, seed);
-        let baseline = snapshot_at(&reads, 1);
-        assert!(baseline.contains("\"schema\": \"focus-metrics-v1\""));
-        // Scheduling metrics never leak into the deterministic snapshot.
-        assert!(!baseline.contains("sched."));
-        for threads in [2usize, 4, 8] {
-            let snapshot = snapshot_at(&reads, threads);
-            assert_eq!(
-                &snapshot, &baseline,
-                "snapshot at {} threads diverged from serial",
-                threads
-            );
-        }
-    });
 }
 
 /// Causality invariants hold for arbitrary fault schedules: the span

@@ -8,15 +8,13 @@
 //! `#[global_allocator]` is process-wide, and the single `#[test]` here
 //! keeps peak attribution honest.
 
-use focus_assembler::focus::{
-    AssemblyOutcome, CheckpointOptions, FocusAssembler, FocusConfig, OocOptions,
-};
-use focus_assembler::obs::ObsOptions;
-use focus_assembler::seq::{fastq, DnaString, Read};
-use focus_assembler::sim::genome::{random_genome, GenomeConfig};
+mod common;
+
+use common::{completed, contract_config, genome, tiling, TempDir};
+use focus_assembler::focus::{CheckpointOptions, FocusAssembler, FocusConfig, OocOptions};
+use focus_assembler::seq::{fastq, Read};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `System`, plus live-byte and peak-byte counters.
@@ -65,66 +63,28 @@ fn peak_over<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
 }
 
-fn genome(len: usize, seed: u64) -> DnaString {
-    let config = GenomeConfig {
-        length: len,
-        ..GenomeConfig::default()
-    };
-    random_genome(&config, seed)
-}
-
-fn tiled_reads(len: usize, seed: u64) -> Vec<Read> {
-    // Long reads on purpose: seed indexes scale with bases while
-    // the graph scales with overlap count, so the alignment phase — the
-    // part spilling shrinks — dominates the in-core peak.
-    tiling(len, seed, 300, 150)
-}
-
-fn tiling(len: usize, seed: u64, read_len: usize, stride: usize) -> Vec<Read> {
-    let g = genome(len, seed);
-    let mut reads = Vec::new();
-    let mut start = 0;
-    while start + read_len <= g.len() {
-        reads.push(Read::new(
-            format!("r{start}"),
-            g.slice(start, start + read_len),
-        ));
-        start += stride;
-    }
-    reads
-}
-
-fn config() -> FocusConfig {
-    let mut c = FocusConfig {
-        partitions: 4,
+/// The contract's configuration, serial and without faults, over eight
+/// subsets.
+fn capped_config() -> FocusConfig {
+    FocusConfig {
         subsets: 8,
-        threads: 1,
-        observability: ObsOptions::logical(),
-        ..Default::default()
-    };
-    c.trim.min_read_len = 30;
-    c.overlap.min_overlap_len = 40;
-    c
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fc-ooc-cap-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+        ..contract_config(1, false)
+    }
 }
 
 #[test]
 fn spilled_peak_heap_is_below_in_core_and_within_budget() {
     // Big enough that the pipeline's data structures dominate constant
-    // overheads in the peak measurement.
-    let reads = tiled_reads(36_000, 11);
-    let input_dir = temp_dir("input");
-    std::fs::create_dir_all(&input_dir).unwrap();
-    let input = input_dir.join("reads.fastq");
+    // overheads in the peak measurement. Long reads on purpose: seed
+    // indexes scale with bases while the graph scales with overlap count,
+    // so the alignment phase — the part spilling shrinks — dominates the
+    // in-core peak.
+    let reads = tiling(&genome(36_000, 11), 300, 150);
+    let tmp = TempDir::new("ooc-capped");
+    std::fs::create_dir_all(&*tmp).unwrap();
+    let input = tmp.join("reads.fastq");
     let mut buf = Vec::new();
-    for read in &reads {
-        fastq::write_read(&mut buf, read, 30).unwrap();
-    }
+    fastq::write(&mut buf, &reads, 30).unwrap();
     std::fs::write(&input, &buf).unwrap();
     drop(buf);
     drop(reads);
@@ -137,29 +97,22 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
             fastq::Reader::new(BufReader::new(std::fs::File::open(&input).unwrap()))
                 .collect::<Result<_, _>>()
                 .unwrap();
-        let assembler = FocusAssembler::new(config()).unwrap();
+        let assembler = FocusAssembler::new(capped_config()).unwrap();
         assembler.assemble(&parsed).unwrap()
     });
 
+    // A spilled run under `config`, each in a spill directory of its own.
+    let spilled = |config, spill: &str| {
+        let assembler = FocusAssembler::new(config).unwrap();
+        let ooc = OocOptions::in_dir(tmp.join(spill));
+        let outcome = assembler.assemble_fastq(&input, &CheckpointOptions::default(), Some(&ooc));
+        completed(outcome.unwrap())
+    };
+
     // Uncapped spilled run: measure its real peak.
-    let spill = temp_dir("measure");
-    let (first, ooc_peak) = peak_over(|| {
-        let assembler = FocusAssembler::new(config()).unwrap();
-        match assembler
-            .assemble_fastq(
-                &input,
-                &CheckpointOptions::default(),
-                Some(&OocOptions::in_dir(&spill)),
-            )
-            .unwrap()
-        {
-            AssemblyOutcome::Completed(r) => r,
-            AssemblyOutcome::Stopped(p) => panic!("stopped at {p:?}"),
-        }
-    });
+    let (first, ooc_peak) = peak_over(|| spilled(capped_config(), "measure"));
     assert_eq!(first.contigs, clean.contigs);
     drop(first);
-    let _ = std::fs::remove_dir_all(&spill);
     assert!(
         ooc_peak < in_core_peak,
         "spilling did not reduce the real peak: ooc {ooc_peak} vs in-core {in_core_peak}"
@@ -173,30 +126,16 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
         (budget as usize) < in_core_peak,
         "budget {budget} does not separate the two paths (in-core peak {in_core_peak})"
     );
-    let spill = temp_dir("capped");
-    let mut capped_config = config();
-    capped_config.memory_budget = Some(budget as u64);
-    let (capped, capped_peak) = peak_over(|| {
-        let assembler = FocusAssembler::new(capped_config).unwrap();
-        match assembler
-            .assemble_fastq(
-                &input,
-                &CheckpointOptions::default(),
-                Some(&OocOptions::in_dir(&spill)),
-            )
-            .unwrap()
-        {
-            AssemblyOutcome::Completed(r) => r,
-            AssemblyOutcome::Stopped(p) => panic!("stopped at {p:?}"),
-        }
-    });
+    let budgeted = FocusConfig {
+        memory_budget: Some(budget as u64),
+        ..capped_config()
+    };
+    let (capped, capped_peak) = peak_over(|| spilled(budgeted, "capped"));
     assert_eq!(capped.contigs, clean.contigs);
     assert!(
         capped_peak <= budget,
         "real peak {capped_peak} exceeded the {budget}-byte cap"
     );
-    let _ = std::fs::remove_dir_all(&spill);
-    let _ = std::fs::remove_dir_all(&input_dir);
 
     // The in-core footprint, as live heap rather than RSS: `prepare` on a
     // tiling shaped like the ruler's (100 bp reads, four subsets, deep
@@ -207,10 +146,10 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
     // (21 174 426 B), or a store that keeps each read's name and qualities
     // (14 575 566 B; 14 695 854 B before the store held bases only) fails
     // here on any host.
-    let reads = tiling(30_000, 5, 100, 4);
+    let reads = tiling(&genome(30_000, 5), 100, 4);
     let ruler_shaped = FocusConfig {
         subsets: 4,
-        ..config()
+        ..capped_config()
     };
     let (prepared, prepare_peak) = peak_over(|| {
         FocusAssembler::new(ruler_shaped)

@@ -3,53 +3,30 @@
 //! every in-flight job still finishes with contigs and metrics **byte
 //! identical** to an uninterrupted reference run.
 //!
-//! This is the serving-layer counterpart of `tests/chaos.rs`: that harness
-//! crashes the in-process pipeline at phase boundaries; this one kills the
+//! This is the serving-layer counterpart of the contract matrix's resumed
+//! points (`tests/common/matrix.rs`): those stop the in-process pipeline after
+//! alignment, its one durable boundary; this one kills the
 //! whole daemon at arbitrary points — mid-HTTP-write, mid-checkpoint,
 //! mid-manifest-rewrite — via `kill -9`, which is exactly what the durable
 //! job state (DESIGN.md §12) is built to survive. The server under test is
 //! the actual release artifact (`CARGO_BIN_EXE_focus`), driven over real
 //! sockets with a hand-rolled HTTP/1.1 client.
 
-use focus_assembler::seq::{fastq, DnaString, Read};
-use focus_assembler::sim::genome::{random_genome, GenomeConfig};
+mod common;
+
+use common::{tiled_reads, TempDir};
+use focus_assembler::seq::fastq;
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-fn genome(len: usize, seed: u64) -> DnaString {
-    let config = GenomeConfig {
-        length: len,
-        ..GenomeConfig::default()
-    };
-    random_genome(&config, seed)
-}
-
-/// Overlapping 100 bp reads tiled every 50 bp, serialized as FASTQ bytes —
-/// one job's POST body.
+/// [`tiled_reads`] serialized as FASTQ bytes — one job's POST body.
 fn fastq_job(len: usize, seed: u64) -> Vec<u8> {
-    let g = genome(len, seed);
-    let (read_len, stride) = (100usize, 50usize);
-    let mut reads = Vec::new();
-    let mut start = 0;
-    while start + read_len <= g.len() {
-        reads.push(Read::new(
-            format!("r{start}"),
-            g.slice(start, start + read_len),
-        ));
-        start += stride;
-    }
     let mut body = Vec::new();
-    fastq::write(&mut body, &reads, 30).expect("serialize fastq");
+    fastq::write(&mut body, &tiled_reads(len, seed), 30).expect("serialize fastq");
     body
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fc-serve-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// The real `focus serve` process plus the ephemeral port it bound.
@@ -188,7 +165,7 @@ fn artifacts(addr: SocketAddr, id: &str) -> (String, String) {
 /// Runs `jobs` on a fresh server to completion without interference and
 /// returns each job's (contigs, metrics) — the byte-exact reference.
 fn reference_run(jobs: &[Vec<u8>]) -> Vec<(String, String)> {
-    let dir = temp_dir("ref");
+    let dir = TempDir::new("serve-ref");
     let server = Server::start(&dir);
     let ids: Vec<String> = jobs.iter().map(|j| submit(server.addr, j)).collect();
     let deadline = Instant::now() + Duration::from_secs(120);
@@ -216,7 +193,7 @@ fn kill9_loop_resumes_every_job_byte_identically() {
     // sleeps stagger the kill points across the job lifecycle (queued,
     // mid-phase, mid-checkpoint); exact timing is irrelevant to the
     // contract, which must hold wherever the kill lands.
-    let dir = temp_dir("kill9");
+    let dir = TempDir::new("serve-kill9");
     let mut server = Server::start(&dir);
     let ids: Vec<String> = jobs.iter().map(|j| submit(server.addr, j)).collect();
 
