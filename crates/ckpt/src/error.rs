@@ -71,17 +71,6 @@ impl std::error::Error for CkptError {
     }
 }
 
-impl CkptError {
-    /// True for errors that mean "do not trust this file, recompute"
-    /// (as opposed to I/O errors that mean "stop checkpointing").
-    pub fn is_untrusted_file(&self) -> bool {
-        matches!(
-            self,
-            CkptError::Corrupt { .. } | CkptError::Mismatch { .. } | CkptError::Decode { .. }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +84,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("phase_00.ckpt"));
         assert!(s.contains("file CRC mismatch"));
-        assert!(e.is_untrusted_file());
     }
 
     #[test]
@@ -106,6 +94,5 @@ mod tests {
             source: io::Error::new(io::ErrorKind::StorageFull, "disk full"),
         };
         assert!(std::error::Error::source(&e).is_some());
-        assert!(!e.is_untrusted_file());
     }
 }

@@ -50,14 +50,6 @@ pub struct CheckpointFile {
 /// Header bytes before the first record.
 const HEADER_LEN: usize = 4 + 4 + 4 + 8 + 8 + 8;
 
-/// The trailing whole-file CRC of an encoded container at least 4 bytes
-/// long: what [`CheckpointFile::encode`] sealed it with, or what a damaged
-/// file claims.
-pub(crate) fn sealed_crc(bytes: &[u8]) -> u32 {
-    let n = bytes.len();
-    u32::from_le_bytes([bytes[n - 4], bytes[n - 3], bytes[n - 2], bytes[n - 1]])
-}
-
 impl CheckpointFile {
     /// Serialises the container, computing all checksums, into one buffer
     /// sized up front: one pass over each record for its CRC, one over the
@@ -94,7 +86,9 @@ impl CheckpointFile {
         // Whole-file CRC first: it covers everything, including the header
         // fields we are about to interpret.
         let body_len = bytes.len() - 4;
-        let stored_crc = sealed_crc(bytes);
+        let mut trailer = [0u8; 4];
+        trailer.copy_from_slice(&bytes[body_len..]);
+        let stored_crc = u32::from_le_bytes(trailer);
         let actual_crc = crc32(&bytes[..body_len]);
         if stored_crc != actual_crc {
             return Err(corrupt(format!(

@@ -10,8 +10,6 @@
 //! * [`crc`] — the CRC32 (IEEE) checksum guarding every record and file;
 //! * [`file`] — the `FCKP` container format (magic, version, phase id,
 //!   config/input fingerprints, checksummed records);
-//! * [`manifest`] — the human-readable per-directory manifest, rewritten
-//!   atomically after every checkpoint;
 //! * [`fault`] — [`FsFaultPlan`], deterministic injection of torn writes,
 //!   short reads, bit-flips and ENOSPC into the checkpoint I/O;
 //! * [`store`] — [`CheckpointStore`], the save/load front door with
@@ -32,7 +30,6 @@ pub mod crc;
 pub mod error;
 pub mod fault;
 pub mod file;
-pub mod manifest;
 pub mod store;
 pub mod wire;
 
@@ -40,6 +37,5 @@ pub use crc::crc32;
 pub use error::CkptError;
 pub use fault::{FsFaultPlan, FsFaultRates, ReadFault, WriteFault};
 pub use file::{CheckpointFile, FORMAT_VERSION, MAGIC};
-pub use manifest::{manifest_path, render_manifest, ManifestEntry};
 pub use store::{CheckpointStore, LoadOutcome};
 pub use wire::{decode_from_slice, encode_to_vec, Codec, Reader, Writer};

@@ -14,31 +14,21 @@
 //!
 //! Several stores may share one directory (the serve layer runs concurrent
 //! jobs, and two resuming runs can legitimately overlap). Temp names are
-//! therefore unique per process *and* per write, so concurrent writers can
-//! never tear each other's rename source out from under them; the shared
-//! MANIFEST.txt is serialised through a best-effort advisory lock file and
-//! simply skipped under contention — it is a human-readable summary, never
-//! parsed by the load path, so a stale manifest is cosmetic while a torn
-//! one would be confusing.
+//! unique per process *and* per write, and that alone makes a shared
+//! directory safe: no file is written by two writers, so none can tear
+//! another's rename source out from under it, and the last rename of a
+//! final name wins with a whole file.
 
 use crate::error::CkptError;
 use crate::fault::{flip_bit, FsFaultPlan, ReadFault, WriteFault};
-use crate::file::{sealed_crc, CheckpointFile};
-use crate::manifest::{manifest_path, render_manifest, ManifestEntry};
+use crate::file::CheckpointFile;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Distinguishes temp files of concurrent writers inside one process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// How often the manifest lock is retried before the rewrite is skipped.
-const MANIFEST_LOCK_RETRIES: u32 = 10;
-
-/// A lock file older than this belongs to a dead writer and is broken.
-const MANIFEST_LOCK_STALE: Duration = Duration::from_secs(5);
 
 /// What a [`CheckpointStore::load`] found.
 #[derive(Debug)]
@@ -63,7 +53,6 @@ pub struct CheckpointStore {
     faults: FsFaultPlan,
     degraded: bool,
     dir_ready: bool,
-    entries: Vec<ManifestEntry>,
 }
 
 impl CheckpointStore {
@@ -91,7 +80,6 @@ impl CheckpointStore {
             faults,
             degraded: false,
             dir_ready: false,
-            entries: Vec::new(),
         }
     }
 
@@ -108,12 +96,6 @@ impl CheckpointStore {
     /// The input digest every file is stamped with.
     pub fn input_digest(&self) -> u64 {
         self.input_digest
-    }
-
-    /// True once a write failure has disabled checkpointing for the rest
-    /// of the run.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Canonical file name of a phase's checkpoint.
@@ -147,11 +129,9 @@ impl CheckpointStore {
             records,
         };
         let mut encoded = file.encode();
-        // The manifest names the CRC `encode` sealed the file with; taken
-        // before any injected damage, so it is what the file should hold.
-        let file_crc = sealed_crc(&encoded);
-        let name = CheckpointStore::file_name(phase_id, phase_name);
-        let final_path = self.dir.join(&name);
+        let final_path = self
+            .dir
+            .join(CheckpointStore::file_name(phase_id, phase_name));
 
         match self.faults.next_write() {
             Some(WriteFault::Enospc) => {
@@ -185,20 +165,6 @@ impl CheckpointStore {
         }
 
         if let Err(e) = self.write_atomic(&final_path, &encoded) {
-            self.degraded = true;
-            return Err(e);
-        }
-        self.entries.retain(|e| e.phase_id != phase_id);
-        self.entries.push(ManifestEntry {
-            phase_id,
-            phase_name: phase_name.to_string(),
-            file_name: name,
-            bytes: encoded.len() as u64,
-            file_crc,
-        });
-        self.entries.sort_by_key(|e| e.phase_id);
-        let manifest = render_manifest(self.config_fingerprint, self.input_digest, &self.entries);
-        if let Err(e) = self.write_manifest_locked(&manifest) {
             self.degraded = true;
             return Err(e);
         }
@@ -302,52 +268,6 @@ impl CheckpointStore {
         cleanup(fs::rename(&tmp_path, final_path).map_err(io_err("rename", final_path)))?;
         Ok(())
     }
-
-    /// Rewrites MANIFEST.txt under a best-effort advisory lock file.
-    ///
-    /// `create_new` is the atomic acquire; contention backs off briefly and
-    /// retries, locks older than [`MANIFEST_LOCK_STALE`] are assumed
-    /// orphaned by a crashed writer and broken. If the lock stays
-    /// contended through every retry the rewrite is **skipped**: the
-    /// manifest is an advisory summary (the load path verifies checkpoint
-    /// files directly), and another live writer is about to rewrite it
-    /// anyway.
-    fn write_manifest_locked(&self, manifest: &str) -> Result<(), CkptError> {
-        let lock_path = self.dir.join(".MANIFEST.lock");
-        for attempt in 0..MANIFEST_LOCK_RETRIES {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&lock_path)
-            {
-                Ok(_) => {
-                    let result = self.write_atomic(&manifest_path(&self.dir), manifest.as_bytes());
-                    let _ = fs::remove_file(&lock_path);
-                    return result;
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&lock_path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| t.elapsed().ok())
-                        .is_some_and(|age| age > MANIFEST_LOCK_STALE);
-                    if stale {
-                        let _ = fs::remove_file(&lock_path);
-                        continue;
-                    }
-                    std::thread::sleep(Duration::from_millis(1 << attempt.min(5)));
-                }
-                Err(source) => {
-                    return Err(CkptError::Io {
-                        op: "lock manifest",
-                        path: lock_path,
-                        source,
-                    })
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -373,21 +293,6 @@ mod tests {
             LoadOutcome::Loaded(recs) => assert_eq!(recs, records()),
             other => panic!("expected Loaded, got {other:?}"),
         }
-        assert!(fs::read_to_string(manifest_path(&dir))
-            .expect("manifest written")
-            .contains("phase 02 coarsen"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_names_the_crc_of_the_written_file() {
-        let dir = temp_dir("manifest-crc");
-        let mut store = CheckpointStore::new(&dir, 0xAA, 0xBB);
-        store.save(1, "alignment", records()).expect("save works");
-        let bytes = fs::read(dir.join(CheckpointStore::file_name(1, "alignment"))).expect("file");
-        let crc = crate::crc::crc32(&bytes[..bytes.len() - 4]);
-        let manifest = fs::read_to_string(manifest_path(&dir)).expect("manifest written");
-        assert!(manifest.contains(&format!("crc={crc:#010x}")), "{manifest}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -472,7 +377,6 @@ mod tests {
             .save(0, "preprocess", records())
             .expect_err("ENOSPC surfaces");
         assert!(err.to_string().contains("space"));
-        assert!(store.is_degraded());
         // Degraded: silently skipped, no second error.
         assert!(!store
             .save(1, "alignment", records())
@@ -486,7 +390,6 @@ mod tests {
         let dir = PathBuf::from("/proc/fc-ckpt-cannot-exist/x");
         let mut store = CheckpointStore::new(&dir, 1, 2);
         assert!(store.save(0, "preprocess", records()).is_err());
-        assert!(store.is_degraded());
         assert!(!store
             .save(1, "alignment", records())
             .expect("degraded skip"));
@@ -508,7 +411,7 @@ mod tests {
                     for round in 0..rounds {
                         let payload = vec![format!("w{w} r{round}").into_bytes()];
                         // Same phase ids from every writer: maximal rename
-                        // contention on the final names and the manifest.
+                        // contention on the final names.
                         store
                             .save(w as u32 % 2, "preprocess", payload)
                             .expect("concurrent save");
@@ -516,8 +419,8 @@ mod tests {
                 });
             }
         });
-        // Every surviving file verifies (no torn writes), the manifest is
-        // whole, and no temp litter remains.
+        // Every surviving file verifies (no torn writes), and the race
+        // leaves nothing but the two checkpoints: no temp or lock file.
         let mut reader = CheckpointStore::new(&dir, 0xC0, 0xD0);
         for phase in 0..2 {
             assert!(
@@ -525,53 +428,19 @@ mod tests {
                 "phase {phase} failed to verify after concurrent writes"
             );
         }
-        assert!(fs::read_to_string(manifest_path(&dir))
-            .expect("manifest written")
-            .contains("focus checkpoint manifest"));
-        for entry in fs::read_dir(&dir).expect("readdir") {
-            let name = entry.expect("entry").file_name();
-            let name = name.to_string_lossy();
-            assert!(
-                !name.contains(".tmp."),
-                "leftover temp file {name} after clean shutdown"
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_manifest_lock_is_broken_not_waited_on() {
-        let dir = temp_dir("stalelock");
-        fs::create_dir_all(&dir).expect("mkdir");
-        let lock = dir.join(".MANIFEST.lock");
-        fs::write(&lock, b"").expect("plant lock");
-        // Backdate the lock beyond the stale threshold so the writer
-        // breaks it instead of skipping the manifest rewrite.
-        let old = std::time::SystemTime::now() - (MANIFEST_LOCK_STALE + Duration::from_secs(60));
-        fs::File::options()
-            .write(true)
-            .open(&lock)
-            .and_then(|f| f.set_modified(old))
-            .expect("backdate lock");
-        let mut store = CheckpointStore::new(&dir, 1, 2);
-        assert!(store.save(0, "preprocess", records()).expect("save"));
-        assert!(
-            fs::read_to_string(manifest_path(&dir)).is_ok(),
-            "manifest must be rewritten after breaking the stale lock"
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .expect("readdir")
+            .map(|entry| entry.expect("entry").file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                CheckpointStore::file_name(0, "preprocess"),
+                CheckpointStore::file_name(1, "preprocess"),
+            ],
+            "temp or lock files left behind after clean shutdown"
         );
-        assert!(!lock.exists(), "broken lock must not linger");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resave_replaces_the_manifest_entry() {
-        let dir = temp_dir("resave");
-        let mut store = CheckpointStore::new(&dir, 1, 2);
-        store.save(0, "preprocess", records()).expect("save");
-        store.save(0, "preprocess", records()).expect("resave");
-        let manifest = fs::read_to_string(manifest_path(&dir)).expect("manifest");
-        assert_eq!(manifest.matches("phase 00").count(), 1);
-        assert!(manifest.contains("checkpoints = 1"));
         let _ = fs::remove_dir_all(&dir);
     }
 }

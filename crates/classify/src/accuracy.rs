@@ -97,17 +97,6 @@ impl ClassifierAccuracy {
             self.confusion[genus][genus] as f64 / row_total as f64
         }
     }
-
-    /// The most common wrong label for a genus, if any misclassification
-    /// occurred.
-    pub fn dominant_confusion(&self, genus: usize) -> Option<usize> {
-        self.confusion[genus]
-            .iter()
-            .enumerate()
-            .filter(|&(p, &c)| p != genus && c > 0)
-            .max_by_key(|&(_, &c)| c)
-            .map(|(p, _)| p)
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +120,6 @@ mod tests {
         assert_eq!(acc.unclassified_rate, 0.0);
         assert_eq!(acc.recall(0), 1.0);
         assert_eq!(acc.recall(1), 1.0);
-        assert_eq!(acc.dominant_confusion(0), None);
     }
 
     #[test]
@@ -146,7 +134,6 @@ mod tests {
         assert!((acc.unclassified_rate - 0.25).abs() < 1e-12);
         assert_eq!(acc.confusion[0][1], 1);
         assert_eq!(acc.unclassified[1], 1);
-        assert_eq!(acc.dominant_confusion(0), Some(1));
         assert_eq!(acc.recall(1), 0.0);
     }
 

@@ -50,11 +50,6 @@ impl KmerClassifier {
         })
     }
 
-    /// Number of references.
-    pub fn reference_count(&self) -> usize {
-        self.references
-    }
-
     /// The k-mer length in use.
     pub fn k(&self) -> usize {
         self.k

@@ -2,7 +2,7 @@
 //! co-clustering summary.
 
 use crate::error::ClassifyError;
-use fc_seq::{ReadId, ReadStore};
+use fc_seq::ReadStore;
 
 /// Per-genus distribution of classified reads over graph partitions.
 ///
@@ -108,18 +108,6 @@ impl GenusDistribution {
         self.fractions.first().map_or(0, Vec::len)
     }
 
-    /// The partition holding the largest fraction of a genus's reads.
-    pub fn dominant_partition(&self, genus: usize) -> usize {
-        let row = &self.fractions[genus];
-        let mut best = 0usize;
-        for (p, &f) in row.iter().enumerate().skip(1) {
-            if f > row[best] {
-                best = p;
-            }
-        }
-        best
-    }
-
     /// Concentration of a genus: the maximum fraction any single partition
     /// holds. Under a uniform spread this would be `1 / k`; Fig. 7's claim
     /// is that real genera concentrate well above that.
@@ -194,20 +182,6 @@ fn cosine(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Convenience: project a hybrid-graph partition onto store nodes. Thin
-/// wrapper around [`fc_graph::HybridSet::project_partition_to_reads`] so
-/// classification code does not need fc-graph directly.
-pub fn node_partitions(hybrid: &fc_graph::HybridSet, hybrid_parts: &[u32]) -> Vec<u32> {
-    hybrid.project_partition_to_reads(hybrid_parts)
-}
-
-/// Test/bench helper: store node id for the forward strand of input read
-/// `i` in an RC-paired store.
-pub fn forward_node_of(store: &ReadStore, kept_index: usize) -> ReadId {
-    debug_assert!(kept_index * 2 < store.len());
-    ReadId((kept_index * 2) as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,8 +213,6 @@ mod tests {
         assert_eq!(dist.fractions[1], vec![0.0, 1.0]);
         assert_eq!(dist.genus_counts, vec![4, 2]);
         assert_eq!(dist.unclassified, 2);
-        assert_eq!(dist.dominant_partition(0), 0);
-        assert_eq!(dist.dominant_partition(1), 1);
         assert_eq!(dist.concentration(0), 1.0);
     }
 

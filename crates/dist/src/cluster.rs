@@ -47,18 +47,6 @@ pub struct PhaseTiming {
     pub tasks: usize,
 }
 
-impl PhaseTiming {
-    /// Parallel efficiency: serial time / (ranks × makespan) is not derivable
-    /// without rank count, so this exposes the speedup vs. serial execution.
-    pub fn speedup_vs_serial(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            1.0
-        } else {
-            self.total_work_time / self.makespan
-        }
-    }
-}
-
 /// Typed outcome of one fault-aware parallel phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseOutcome {
@@ -414,45 +402,9 @@ impl SimCluster {
         }
     }
 
-    /// Charges a message of `bytes` payload from `from`; the receiving side
-    /// is the master (rank 0 convention), whose clock also advances.
-    pub fn send_to_master(&mut self, from: usize, bytes: u64) {
-        assert!(from < self.clocks.len());
-        let cost = self.cost.msg_latency + bytes as f64 * self.cost.msg_per_byte;
-        self.clocks[from] += cost;
-        // The master cannot finish receiving before the sender finished
-        // sending.
-        self.clocks[0] = f64::max(self.clocks[0] + cost, self.clocks[from]);
-        self.messages += 1;
-        self.bytes += bytes;
-    }
-
     /// Charges serial master-side work (e.g. applying recorded removals).
     pub fn master_work(&mut self, work: u64) {
         self.clocks[0] += work as f64 * self.cost.per_work_unit;
-    }
-
-    /// Charges a tree-structured gather of one payload per rank to the
-    /// master (how MPI implements `MPI_Gatherv`): every rank pays one
-    /// message latency plus its payload; the master pays `⌈log2(ranks)⌉`
-    /// latencies plus the total payload, and cannot finish before the
-    /// slowest sender.
-    pub fn gather_to_master(&mut self, payloads: &[u64]) {
-        assert_eq!(payloads.len(), self.clocks.len(), "one payload per rank");
-        let mut slowest_sender: f64 = 0.0;
-        let mut total_bytes = 0u64;
-        for (rank, &bytes) in payloads.iter().enumerate() {
-            let cost = self.cost.msg_latency + bytes as f64 * self.cost.msg_per_byte;
-            self.clocks[rank] += cost;
-            slowest_sender = slowest_sender.max(self.clocks[rank]);
-            total_bytes += bytes;
-            self.messages += 1;
-            self.bytes += bytes;
-        }
-        let depth = (self.clocks.len().max(2) as f64).log2().ceil();
-        let master_cost =
-            depth * self.cost.msg_latency + total_bytes as f64 * self.cost.msg_per_byte;
-        self.clocks[0] = f64::max(self.clocks[0] + master_cost, slowest_sender);
     }
 
     /// Least-loaded live rank, optionally excluding one; ties break toward
@@ -513,7 +465,7 @@ mod tests {
         let mut c = SimCluster::new(4, flat_cost()).unwrap();
         let t = c.run_phase(&[10; 8]);
         assert_eq!(t.makespan, 20.0);
-        assert!((t.speedup_vs_serial() - 4.0).abs() < 1e-12);
+        assert_eq!(t.total_work_time, 80.0);
     }
 
     #[test]
@@ -541,7 +493,8 @@ mod tests {
             msg_per_byte: 0.5,
         };
         let mut c = SimCluster::new(2, cost).unwrap();
-        c.send_to_master(1, 200);
+        let out = c.transmit_to_master(PhaseId::Traversal, 1, 200);
+        assert_eq!(out, SendOutcome::Delivered { attempts: 1 });
         assert_eq!(c.messages(), 1);
         assert_eq!(c.bytes(), 200);
         assert_eq!(c.now(), 200.0); // 100 + 200*0.5

@@ -29,9 +29,7 @@
 //!   graph, with per-phase virtual timings and a fault report. A run holds
 //!   no durable state: it is a pure function of the graph, the partition
 //!   and the [`FaultPlan`], so a resumed assembly reruns it from the start
-//!   and replays the same faults,
-//! * [`variants`] — distributed variant detection, the extension the
-//!   paper's discussion (§VI-D) proposes as future work.
+//!   and replays the same faults.
 
 #![forbid(unsafe_code)]
 
@@ -44,7 +42,6 @@ pub mod recovery;
 pub mod simplify;
 pub mod transitive;
 pub mod traverse;
-pub mod variants;
 
 pub use cluster::{CostModel, PhaseTiming, SimCluster};
 pub use driver::{DistributedConfig, DistributedHybrid, DistributedReport};
@@ -52,4 +49,3 @@ pub use error::DistError;
 pub use recovery::{execute_phase, PhaseExecution};
 pub use fault::{FaultKind, FaultPlan, FaultRates, FaultReport, PhaseId, RetryPolicy};
 pub use traverse::AssemblyPath;
-pub use variants::{detect_variants, Variant, VariantConfig};

@@ -99,11 +99,6 @@ impl Pool {
         self.threads
     }
 
-    /// Whether this pool runs tasks inline in the caller's thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Runs `f(0..n)` and returns the results in index order.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
@@ -313,8 +308,7 @@ mod tests {
     fn resolves_thread_counts() {
         assert!(Pool::new(0).threads() >= 1);
         assert_eq!(Pool::new(3).threads(), 3);
-        assert!(Pool::serial().is_serial());
-        assert!(!Pool::new(4).is_serial());
+        assert_eq!(Pool::serial().threads(), 1);
         assert_eq!(Pool::default().threads(), Pool::new(0).threads());
     }
 

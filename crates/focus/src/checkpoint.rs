@@ -65,8 +65,8 @@ impl CkptPhase {
         self as u32
     }
 
-    /// Stable snake_case name, used in checkpoint file names, the manifest
-    /// and the CLI's `--crash-after` option.
+    /// Stable snake_case name, used in checkpoint file names and the CLI's
+    /// `--crash-after` option.
     pub fn name(self) -> &'static str {
         match self {
             CkptPhase::Alignment => "alignment",

@@ -43,12 +43,6 @@ impl AssemblyJobRunner {
         base.validate()?;
         Ok(AssemblyJobRunner { base })
     }
-
-    /// The base configuration jobs run under (threads/observability are
-    /// overridden per job).
-    pub fn base_config(&self) -> &FocusConfig {
-        &self.base
-    }
 }
 
 /// Stable 64-bit FNV-1a fingerprint of a tenant name, squeezed into the

@@ -4,7 +4,7 @@ use crate::csr::{distinct, vec_bytes};
 use crate::digraph::{DiEdge, DiGraph};
 use crate::level::{LevelGraph, NodeId};
 use fc_align::{Overlap, OverlapKind};
-use fc_seq::{ReadId, ReadStore};
+use fc_seq::ReadStore;
 
 /// The level-0 overlap graph in both views the assembler needs.
 ///
@@ -91,25 +91,12 @@ impl OverlapGraph {
     pub fn node_count(&self) -> usize {
         self.undirected.node_count()
     }
-
-    /// Ids of nodes contained in another read (deduplicated).
-    pub fn contained_nodes(&self) -> Vec<NodeId> {
-        let mut inner: Vec<NodeId> = self.containments.iter().map(|&(_, i)| i).collect();
-        inner.sort_unstable();
-        inner.dedup();
-        inner
-    }
-
-    /// The read id a node represents (identity mapping at level 0).
-    pub fn read_of(&self, v: NodeId) -> ReadId {
-        ReadId(v)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_seq::Read;
+    use fc_seq::{Read, ReadId};
 
     fn store(n: usize) -> ReadStore {
         let reads: Vec<Read> = (0..n)
@@ -150,7 +137,6 @@ mod tests {
         assert_eq!(g.undirected.edge_count(), 2);
         assert_eq!(g.undirected.edge_weight(0, 1), Some(50));
         assert_eq!(g.containments, vec![(2, 3)]);
-        assert_eq!(g.contained_nodes(), vec![3]);
         g.undirected.check_invariants().unwrap();
         g.directed.check_invariants().unwrap();
     }
@@ -200,6 +186,6 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.undirected.edge_count(), 0);
         assert_eq!(g.directed.edge_count(), 0);
-        assert!(g.contained_nodes().is_empty());
+        assert!(g.containments.is_empty());
     }
 }

@@ -123,32 +123,6 @@ impl LevelGraph {
         })
     }
 
-    /// Connected components as a label per node (labels are 0-based and
-    /// dense).
-    pub fn components(&self) -> Vec<u32> {
-        let n = self.node_count();
-        let mut label = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut stack = Vec::new();
-        for start in 0..n {
-            if label[start] != u32::MAX {
-                continue;
-            }
-            stack.push(start as NodeId);
-            label[start] = next;
-            while let Some(v) = stack.pop() {
-                for &(u, _) in self.neighbors(v) {
-                    if label[u as usize] == u32::MAX {
-                        label[u as usize] = next;
-                        stack.push(u);
-                    }
-                }
-            }
-            next += 1;
-        }
-        label
-    }
-
     /// Contracts the graph through `map` (node → coarse node) onto coarse
     /// nodes of the given weights: parallel coarse edges accumulate weight
     /// (saturating), edges inside a coarse node fold away. Edges are merged
@@ -373,17 +347,6 @@ mod tests {
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges.len(), 3);
         assert!(edges.iter().all(|&(u, v, _)| u < v));
-    }
-
-    #[test]
-    fn components_labelling() {
-        let g = LevelGraph::from_edges(vec![1; 5], &[(0, 1, 1), (3, 4, 1)]);
-        let labels = g.components();
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[3], labels[4]);
-        assert_ne!(labels[0], labels[2]);
-        assert_ne!(labels[0], labels[3]);
-        assert_ne!(labels[2], labels[3]);
     }
 
     #[test]

@@ -44,14 +44,6 @@ impl EventKind {
             EventKind::FlowEnd => "f",
         }
     }
-
-    /// True for the flow phases (`s`/`t`/`f`) that carry causal edges.
-    pub fn is_flow(self) -> bool {
-        matches!(
-            self,
-            EventKind::FlowStart | EventKind::FlowStep | EventKind::FlowEnd
-        )
-    }
 }
 
 /// One recorded event. Timestamps are microseconds since the recorder was
@@ -96,14 +88,5 @@ mod tests {
         assert_eq!(EventKind::FlowStart.phase(), "s");
         assert_eq!(EventKind::FlowStep.phase(), "t");
         assert_eq!(EventKind::FlowEnd.phase(), "f");
-    }
-
-    #[test]
-    fn only_flow_phases_report_as_flows() {
-        assert!(EventKind::FlowStart.is_flow());
-        assert!(EventKind::FlowStep.is_flow());
-        assert!(EventKind::FlowEnd.is_flow());
-        assert!(!EventKind::Begin.is_flow());
-        assert!(!EventKind::Counter.is_flow());
     }
 }

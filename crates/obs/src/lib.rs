@@ -56,7 +56,7 @@ pub use event::{Event, EventKind};
 pub use mem::peak_rss_bytes;
 pub use metrics::{Histogram, MetricsSnapshot, DEFAULT_BOUNDS};
 pub use profile::{profile_chrome_trace, ProfileReport, SegmentKind};
-pub use recorder::{Flow, ObsOptions, Recorder, SpanCtx, SpanGuard};
+pub use recorder::{Flow, ObsOptions, Recorder, SpanGuard};
 pub use schema::{check_chrome_trace, check_jsonl_events, check_metrics_snapshot, ObsError};
 pub use sink::{human_report, write_chrome_trace, write_jsonl};
 

@@ -104,28 +104,6 @@ impl Default for Flow {
     }
 }
 
-/// Compact causal context carried inside messages between simulated ranks
-/// (and across any other hand-off): the span that originated the work plus
-/// the flow edge that tracks it. The receiving side emits
-/// [`Recorder::flow_step`]/[`Recorder::flow_end`] on `flow` — Perfetto
-/// then draws the arrow, and `focus profile` follows it when extracting
-/// the critical path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanCtx {
-    /// The span open where the work originated (0 = none).
-    pub span: u64,
-    /// The causal edge tracking the hand-off.
-    pub flow: Flow,
-}
-
-impl SpanCtx {
-    /// The inert context (no span, no edge).
-    pub const NONE: SpanCtx = SpanCtx {
-        span: 0,
-        flow: Flow::NONE,
-    };
-}
-
 #[derive(Debug)]
 struct Inner {
     start: Instant,
@@ -328,27 +306,9 @@ impl Recorder {
         }
     }
 
-    /// The id of the span currently open on this thread's lane (0 when
-    /// none or disabled) — what a hand-off stamps into its [`SpanCtx`].
-    pub fn current_span(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => inner.current_span_of(lane()),
-        }
-    }
-
-    /// Captures the current causal context: the span open on this lane
-    /// plus `flow` as the tracking edge.
-    pub fn span_ctx(&self, flow: Flow) -> SpanCtx {
-        SpanCtx {
-            span: self.current_span(),
-            flow,
-        }
-    }
-
     /// Starts a causal edge (`ph: "s"`) out of the current span and
-    /// returns its handle. Pass the handle (inside a [`SpanCtx`], a
-    /// message, a task) to wherever the work continues; the consumer calls
+    /// returns its handle. Pass the handle (inside a message or a task) to
+    /// wherever the work continues; the consumer calls
     /// [`Recorder::flow_step`]/[`Recorder::flow_end`] to complete the
     /// arrow.
     pub fn flow_start(
@@ -597,7 +557,6 @@ mod tests {
         {
             let _s = rec.span("t", "s");
         }
-        assert_eq!(rec.current_span(), 0);
         assert!(rec.snapshot().is_empty());
         assert!(rec.events().is_empty());
     }
@@ -659,15 +618,14 @@ mod tests {
         let rec = Recorder::new(ObsOptions::logical());
         let (outer_id, inner_id) = {
             let outer = rec.span("cat", "outer");
-            assert_eq!(rec.current_span(), outer.id());
             let inner = rec.span("cat", "inner");
-            assert_eq!(rec.current_span(), inner.id());
             (outer.id(), inner.id())
         };
         assert_ne!(outer_id, 0);
         assert_ne!(inner_id, 0);
         assert_ne!(outer_id, inner_id);
-        assert_eq!(rec.current_span(), 0);
+        // Both closed: the next span is a root again.
+        drop(rec.span("cat", "after"));
         let events = rec.events();
         // Begin outer: root (parent 0); begin inner: parent = outer.
         assert_eq!(events[0].id, outer_id);
@@ -677,6 +635,7 @@ mod tests {
         // Ends reference the same ids.
         assert_eq!(events[2].id, inner_id);
         assert_eq!(events[3].id, outer_id);
+        assert_eq!(events[4].parent, 0);
     }
 
     #[test]
@@ -724,19 +683,6 @@ mod tests {
         let events = rec.events();
         let marker = events.iter().find(|e| e.kind == EventKind::Instant).unwrap();
         assert_eq!(marker.parent, id);
-    }
-
-    #[test]
-    fn span_ctx_captures_current_span_and_flow() {
-        let rec = Recorder::new(ObsOptions::logical());
-        let span = rec.span("dist", "phase");
-        let flow = rec.flow_start("dist", "msg", &[]);
-        let ctx = rec.span_ctx(flow);
-        assert_eq!(ctx.span, span.id());
-        assert_eq!(ctx.flow, flow);
-        drop(span);
-        assert_eq!(SpanCtx::NONE.span, 0);
-        assert!(SpanCtx::NONE.flow.is_none());
     }
 
     #[test]

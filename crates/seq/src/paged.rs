@@ -1,18 +1,16 @@
-//! File-backed paged read storage: a pure-std pager with a pinned-page LRU
-//! cache, used by out-of-core ingest to stage trimmed reads on disk.
+//! File-backed paged read staging: out-of-core ingest writes trimmed reads
+//! to disk pages and materializes them back once ingest is done.
 //!
 //! [`PagedStoreWriter`] appends trimmed forward reads (with their source
 //! indices) to fixed-size pages; each full page is written through
 //! [`fc_ckpt::CheckpointStore`], which gives spilled pages checkpoint-grade
-//! robustness for free: CRC framing, temp-file + fsync + atomic rename, and
-//! a manifest entry. A torn, truncated or bit-flipped page is therefore
-//! *detected* at read time and surfaces as a typed [`PagedError`] — never as
-//! silently corrupt reads.
+//! robustness for free: CRC framing and temp-file + fsync + atomic rename.
+//! A torn, truncated or bit-flipped page is therefore *detected* at read
+//! time and surfaces as a typed [`PagedError`] — never as silently corrupt
+//! reads.
 //!
-//! [`PagedReadStore`] is the read side: random access through a bounded,
-//! deterministic LRU of pinned pages ([`PagedReadStore::get`]), sequential
-//! re-materialization into an in-memory [`ReadStore`]
-//! ([`PagedReadStore::materialize`]), and resume
+//! [`PagedReadStore`] is the read side: sequential re-materialization into
+//! an in-memory [`ReadStore`] ([`PagedReadStore::materialize`]), and resume
 //! ([`PagedReadStore::open`]) keyed on the raw-input digest recorded in the
 //! meta page, so stale pages from a different input are rejected rather
 //! than reused.
@@ -40,7 +38,7 @@ const PAGE_NAME: &str = "page";
 const META_VERSION: u32 = 2;
 
 /// Errors from the paged store. Every on-disk defect is detected (via the
-/// checkpoint CRC/manifest machinery) and reported typed; callers decide
+/// checkpoint container's CRCs) and reported typed; callers decide
 /// whether to recompute, fall back in-core, or abort.
 #[derive(Debug)]
 pub enum PagedError {
@@ -237,35 +235,21 @@ impl PagedStoreWriter {
         };
         let record = vec![fc_ckpt::encode_to_vec(&meta)];
         self.save(META_ID, META_NAME, record, "save meta")?;
-        Ok(PagedReadStore::from_parts(self.store, meta))
+        Ok(PagedReadStore {
+            store: self.store,
+            meta,
+        })
     }
 }
 
-/// Read access to a staged page set through a bounded LRU of pinned pages.
+/// Read access to a complete staged page set.
 #[derive(Debug)]
 pub struct PagedReadStore {
     store: CheckpointStore,
     meta: Meta,
-    /// Most-recently-used first; bounded by `cache_pages`.
-    cache: Vec<(u32, Vec<PageEntry>)>,
-    cache_pages: usize,
-    /// Cache hits / misses, for tests and `ooc.*` metrics.
-    hits: u64,
-    misses: u64,
 }
 
 impl PagedReadStore {
-    fn from_parts(store: CheckpointStore, meta: Meta) -> PagedReadStore {
-        PagedReadStore {
-            store,
-            meta,
-            cache: Vec::new(),
-            cache_pages: 2,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// Opens a *complete* staged page set left by a previous run, verifying
     /// that its meta record matches this run's `config_fingerprint` (checked
     /// by the checkpoint layer) and `input_digest` (checked here) — pages
@@ -312,66 +296,12 @@ impl PagedReadStore {
                 input_digest, meta.input_digest
             )));
         }
-        Ok(PagedReadStore::from_parts(store, meta))
-    }
-
-    /// Total staged reads (forward strands).
-    pub fn len(&self) -> usize {
-        self.meta.entries as usize
-    }
-
-    /// True when nothing was staged.
-    pub fn is_empty(&self) -> bool {
-        self.meta.entries == 0
+        Ok(PagedReadStore { store, meta })
     }
 
     /// Number of pages on disk.
     pub fn pages(&self) -> u32 {
         self.meta.pages
-    }
-
-    /// Sets how many pages the LRU pins in memory (clamped to ≥ 1).
-    pub fn set_cache_pages(&mut self, pages: usize) {
-        self.cache_pages = pages.max(1);
-        self.cache.truncate(self.cache_pages);
-    }
-
-    /// `(hits, misses)` of the page cache so far.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// The staged bases at `index` (forward strand) and their source index.
-    /// Faults the owning page into the LRU cache on miss; the returned
-    /// reference is pinned until the next `get`/`materialize` call.
-    pub fn get(&mut self, index: usize) -> Result<(&DnaString, u32), PagedError> {
-        if index >= self.meta.entries as usize {
-            return Err(PagedError::Stale(format!(
-                "read index {index} out of bounds for {} staged reads",
-                self.meta.entries
-            )));
-        }
-        let page = (index / self.meta.page_len as usize) as u32;
-        let offset = index % self.meta.page_len as usize;
-        let slot = self.pin_page(page)?;
-        let entry = &self.cache[slot].1[offset];
-        Ok((&entry.bases, entry.source))
-    }
-
-    /// Moves `page` to the cache front, loading (and evicting) as needed;
-    /// returns its slot (always 0 after the move-to-front).
-    fn pin_page(&mut self, page: u32) -> Result<usize, PagedError> {
-        if let Some(pos) = self.cache.iter().position(|(p, _)| *p == page) {
-            self.hits += 1;
-            let hit = self.cache.remove(pos);
-            self.cache.insert(0, hit);
-            return Ok(0);
-        }
-        self.misses += 1;
-        let entries = self.load_page(page)?;
-        self.cache.insert(0, (page, entries));
-        self.cache.truncate(self.cache_pages);
-        Ok(0)
     }
 
     fn load_page(&mut self, page: u32) -> Result<Vec<PageEntry>, PagedError> {
@@ -390,8 +320,7 @@ impl PagedReadStore {
 
     /// Streams every page back in order and rebuilds the in-memory
     /// RC-paired [`ReadStore`] (reverse complements are regenerated). Reads
-    /// pages sequentially without going through the LRU, so peak extra
-    /// memory is one page.
+    /// pages one at a time, so peak extra memory is one page.
     pub fn materialize(&mut self) -> Result<ReadStore, PagedError> {
         let mut pairs = Vec::with_capacity(self.meta.entries as usize);
         for page in 0..self.meta.pages {
@@ -452,12 +381,13 @@ mod tests {
         let dir = temp_dir("round_trip");
         let reads = sample_reads(7);
         let mut paged = stage(&dir, &reads, 3);
-        assert_eq!(paged.len(), 7);
         assert_eq!(paged.pages(), 3);
+        let store = paged.materialize().unwrap();
+        assert_eq!(store.len(), 2 * reads.len());
         for (i, read) in reads.iter().enumerate() {
-            let (got, src) = paged.get(i).unwrap();
-            assert_eq!(got, read);
-            assert_eq!(src, i as u32);
+            let id = crate::read::ReadId(2 * i as u32);
+            assert_eq!(store.get(id), read);
+            assert_eq!(store.source_index(id), i);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -491,35 +421,15 @@ mod tests {
     }
 
     #[test]
-    fn lru_cache_is_bounded_and_counts_hits() {
-        let dir = temp_dir("lru");
-        let reads = sample_reads(8);
-        let mut paged = stage(&dir, &reads, 2); // 4 pages
-        paged.set_cache_pages(2);
-        // Touch pages 0,1 (misses), re-touch 0 (hit), then 2 evicts 1.
-        paged.get(0).unwrap();
-        paged.get(2).unwrap();
-        paged.get(1).unwrap();
-        paged.get(4).unwrap();
-        assert!(paged.cache.len() <= 2, "cache exceeded its bound");
-        let (hits, misses) = paged.cache_stats();
-        assert_eq!(hits + misses, 4);
-        assert_eq!(hits, 1);
-        // Page 1 was evicted; touching it again misses but still works.
-        paged.get(2).unwrap();
-        assert_eq!(paged.cache_stats().1, misses + 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn open_validates_digest_and_fingerprint() {
         let dir = temp_dir("open");
         let reads = sample_reads(4);
         stage(&dir, &reads, 2);
         // Matching identity: opens and reads back.
         let mut ok = PagedReadStore::open(&dir, 0xFC, 0xD1, FsFaultPlan::none()).unwrap();
-        assert_eq!(ok.len(), 4);
-        assert_eq!(ok.get(3).unwrap().0, &reads[3]);
+        let store = ok.materialize().unwrap();
+        assert_eq!(store.len(), 8);
+        assert_eq!(store.get(crate::read::ReadId(6)), &reads[3]);
         // Different input digest: stale.
         let err = PagedReadStore::open(&dir, 0xFC, 0xBEEF, FsFaultPlan::none()).unwrap_err();
         assert!(matches!(err, PagedError::Stale(_)), "{err}");

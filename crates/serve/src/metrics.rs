@@ -19,8 +19,6 @@ pub const JOBS_FAILED: &str = "serve.jobs.failed";
 pub const JOBS_SHED: &str = "serve.jobs.shed";
 /// Counter: jobs canceled by clients or shutdown.
 pub const JOBS_CANCELED: &str = "serve.jobs.canceled";
-/// Counter: retry attempts across all jobs.
-pub const JOBS_RETRIED: &str = "serve.jobs.retried";
 /// Counter: in-flight jobs re-admitted after a restart.
 pub const JOBS_RESUMED: &str = "serve.jobs.resumed";
 /// Counter: jobs that missed their deadline before dispatch/completion.

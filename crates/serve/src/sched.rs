@@ -221,14 +221,6 @@ impl Scheduler {
         self.queued
     }
 
-    /// Queued depth for one tenant (0 for unknown tenants).
-    pub fn tenant_depth(&self, tenant: &str) -> usize {
-        self.tenants
-            .iter()
-            .find(|t| t.name == tenant)
-            .map_or(0, Tenant::depth)
-    }
-
     /// Iterates `(tenant, queued_depth)` over every tenant ever admitted.
     pub fn tenant_depths(&self) -> impl Iterator<Item = (&str, usize)> {
         self.tenants.iter().map(|t| (t.name.as_str(), t.depth()))
@@ -238,11 +230,6 @@ impl Scheduler {
     /// [`Rejection::Closed`]. Queued jobs still dispatch via `next`.
     pub fn close(&mut self) {
         self.closed = true;
-    }
-
-    /// Whether [`Scheduler::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 
     /// Non-mutating preview of the [`Scheduler::admit`] decision ladder:

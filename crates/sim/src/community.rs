@@ -1,15 +1,14 @@
 //! Community abundance profiles.
 
-use crate::error::SimError;
 use fc_rng::Rng;
 
 /// Relative abundances over the genera of a taxonomy.
 ///
 /// ```
 /// use fc_sim::CommunityProfile;
-/// let c = CommunityProfile::from_weights(&[3.0, 1.0]).unwrap();
-/// assert_eq!(c.abundance(0), 0.75);
-/// assert_eq!(c.read_counts(100), vec![75, 25]);
+/// let c = CommunityProfile::uniform(4);
+/// assert_eq!(c.abundance(0), 0.25);
+/// assert_eq!(c.read_counts(100), vec![25; 4]);
 /// ```
 ///
 /// Microbial communities typically have strongly skewed abundance
@@ -52,27 +51,6 @@ impl CommunityProfile {
         CommunityProfile { abundances }
     }
 
-    /// Explicit abundances (normalised by this constructor).
-    pub fn from_weights(weights: &[f64]) -> Result<CommunityProfile, SimError> {
-        let config = |message: &str| SimError::Config {
-            parameter: "weights",
-            message: message.to_string(),
-        };
-        if weights.is_empty() {
-            return Err(config("community needs at least one genus"));
-        }
-        if weights.iter().any(|&w| !w.is_finite() || w < 0.0) {
-            return Err(config("weights must be finite and non-negative"));
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(config("weights must not all be zero"));
-        }
-        Ok(CommunityProfile {
-            abundances: weights.iter().map(|w| w / total).collect(),
-        })
-    }
-
     /// Number of genera.
     pub fn len(&self) -> usize {
         self.abundances.len()
@@ -91,18 +69,6 @@ impl CommunityProfile {
     /// All abundances.
     pub fn as_slice(&self) -> &[f64] {
         &self.abundances
-    }
-
-    /// Samples a genus index proportional to abundance using `u ∈ [0, 1)`.
-    pub fn sample_index(&self, u: f64) -> usize {
-        let mut acc = 0.0;
-        for (i, &a) in self.abundances.iter().enumerate() {
-            acc += a;
-            if u < acc {
-                return i;
-            }
-        }
-        self.abundances.len() - 1
     }
 
     /// Splits `total_reads` across genera proportional to abundance, with
@@ -153,25 +119,6 @@ mod tests {
         let max = a.as_slice().iter().cloned().fold(0.0, f64::max);
         let min = a.as_slice().iter().cloned().fold(1.0, f64::min);
         assert!(max / min > 1.5, "skew too small: {min}..{max}");
-    }
-
-    #[test]
-    fn from_weights_normalises_and_validates() {
-        let c = CommunityProfile::from_weights(&[1.0, 3.0]).unwrap();
-        assert!((c.abundance(1) - 0.75).abs() < 1e-12);
-        assert!(CommunityProfile::from_weights(&[]).is_err());
-        assert!(CommunityProfile::from_weights(&[-1.0, 2.0]).is_err());
-        assert!(CommunityProfile::from_weights(&[0.0, 0.0]).is_err());
-        assert!(CommunityProfile::from_weights(&[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn sample_index_respects_cumulative_ranges() {
-        let c = CommunityProfile::from_weights(&[1.0, 1.0, 2.0]).unwrap();
-        assert_eq!(c.sample_index(0.0), 0);
-        assert_eq!(c.sample_index(0.26), 1);
-        assert_eq!(c.sample_index(0.6), 2);
-        assert_eq!(c.sample_index(0.999_999), 2);
     }
 
     #[test]

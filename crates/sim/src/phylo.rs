@@ -134,21 +134,6 @@ impl Taxonomy {
     pub fn genus_count(&self) -> usize {
         self.genera.len()
     }
-
-    /// Index of a genus by name.
-    pub fn genus_index(&self, name: &str) -> Option<usize> {
-        self.genera.iter().position(|g| g.name == name)
-    }
-
-    /// Indices of the genera belonging to `phylum`.
-    pub fn genera_of_phylum(&self, phylum: &str) -> Vec<usize> {
-        self.genera
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.phylum == phylum)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -171,17 +156,19 @@ mod tests {
         let tax = Taxonomy::generate(&small_config(), 1).unwrap();
         assert_eq!(tax.genus_count(), 10);
         assert_eq!(tax.phyla.len(), 3);
-        assert_eq!(tax.genera_of_phylum("Firmicutes").len(), 4);
-        assert_eq!(tax.genus_index("Roseburia"), Some(7));
+        let firmicutes = tax.genera.iter().filter(|g| g.phylum == "Firmicutes");
+        assert_eq!(firmicutes.count(), 4);
+        assert_eq!(tax.genera[7].name, "Roseburia");
         assert_eq!(tax.genera[7].phylum, "Firmicutes");
     }
 
     #[test]
     fn same_phylum_genera_are_more_similar() {
         let tax = Taxonomy::generate(&small_config(), 99).unwrap();
-        let bacteroides = &tax.genera[tax.genus_index("Bacteroides").unwrap()].genome;
-        let prevotella = &tax.genera[tax.genus_index("Prevotella").unwrap()].genome;
-        let escherichia = &tax.genera[tax.genus_index("Escherichia").unwrap()].genome;
+        let genome = |name: &str| &tax.genera.iter().find(|g| g.name == name).unwrap().genome;
+        let bacteroides = genome("Bacteroides");
+        let prevotella = genome("Prevotella");
+        let escherichia = genome("Escherichia");
         let within = approximate_divergence(bacteroides, prevotella);
         let across = approximate_divergence(bacteroides, escherichia);
         assert!(
@@ -206,12 +193,5 @@ mod tests {
             ..small_config()
         };
         assert!(Taxonomy::generate(&config, 1).is_err());
-    }
-
-    #[test]
-    fn unknown_genus_lookup() {
-        let tax = Taxonomy::generate(&small_config(), 1).unwrap();
-        assert_eq!(tax.genus_index("Klebsiella"), None);
-        assert!(tax.genera_of_phylum("Actinobacteria").is_empty());
     }
 }

@@ -185,25 +185,24 @@ pub fn simulate_reads_to(
     Ok(())
 }
 
-/// Counts mismatches between a simulated read and its genome template —
-/// a test helper validating the error model.
-pub fn mismatches_vs_template(genome: &DnaString, read: &Read, origin: &ReadOrigin) -> usize {
-    let len = read.len();
-    let fwd = genome.slice(origin.position as usize, origin.position as usize + len);
-    let template = if origin.reverse {
-        fwd.reverse_complement()
-    } else {
-        fwd
-    };
-    (0..len)
-        .filter(|&i| template.get(i) != read.seq.get(i))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::genome::{random_genome, GenomeConfig};
+
+    /// Mismatches between a simulated read and its genome template.
+    fn mismatches_vs_template(genome: &DnaString, read: &Read, origin: &ReadOrigin) -> usize {
+        let len = read.len();
+        let fwd = genome.slice(origin.position as usize, origin.position as usize + len);
+        let template = if origin.reverse {
+            fwd.reverse_complement()
+        } else {
+            fwd
+        };
+        (0..len)
+            .filter(|&i| template.get(i) != read.seq.get(i))
+            .count()
+    }
 
     fn genome() -> DnaString {
         random_genome(

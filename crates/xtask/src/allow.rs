@@ -2,20 +2,20 @@
 //!
 //! The container cannot fetch a TOML crate, so this module parses the small
 //! TOML subset the allowlist actually uses: `[[allow]]` table arrays whose
-//! entries are `key = "string"` or `key = integer` lines, plus comments and
-//! blank lines. Anything else is a hard error — a malformed allowlist must
-//! not silently allow everything.
+//! entries are `key = "string"` lines, plus comments and blank lines.
+//! Anything else is a hard error — a malformed allowlist must not silently
+//! allow everything.
 
 use crate::diag::{Diagnostic, Rule};
 
 /// One allowlist entry. `path` is matched as a suffix of the diagnostic's
-/// workspace-relative path; `line` and `pattern` (a substring of the
-/// offending source line) narrow the match further when present.
+/// workspace-relative path; `pattern` (a substring of the offending source
+/// line) narrows the match further when present. Entries name no line
+/// number, so an edit elsewhere in the file cannot break one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
     pub rule: Rule,
     pub path: String,
-    pub line: Option<usize>,
     pub pattern: Option<String>,
     pub reason: String,
 }
@@ -25,11 +25,6 @@ impl AllowEntry {
     pub fn matches(&self, d: &Diagnostic) -> bool {
         if self.rule != d.rule || !d.path.ends_with(&self.path) {
             return false;
-        }
-        if let Some(line) = self.line {
-            if line != d.line {
-                return false;
-            }
         }
         if let Some(pattern) = &self.pattern {
             let hay = d.snippet.as_deref().unwrap_or("");
@@ -80,11 +75,6 @@ pub fn parse(content: &str) -> Result<Vec<AllowEntry>, String> {
                 ))?);
             }
             "path" => entry.path = Some(parse_string(value, line_no)?),
-            "line" => {
-                entry.line = Some(value.parse().map_err(|_| {
-                    format!("allow.toml:{line_no}: `line` must be an integer, got `{value}`")
-                })?);
-            }
             "pattern" => entry.pattern = Some(parse_string(value, line_no)?),
             "reason" => entry.reason = Some(parse_string(value, line_no)?),
             other => {
@@ -102,7 +92,6 @@ pub fn parse(content: &str) -> Result<Vec<AllowEntry>, String> {
 struct PartialEntry {
     rule: Option<Rule>,
     path: Option<String>,
-    line: Option<usize>,
     pattern: Option<String>,
     reason: Option<String>,
 }
@@ -121,7 +110,6 @@ impl PartialEntry {
         Ok(AllowEntry {
             rule,
             path,
-            line: self.line,
             pattern: self.pattern,
             reason,
         })
@@ -189,7 +177,6 @@ reason = "sort comparator over virtual clocks, which are never NaN"
 [[allow]]
 rule = "invariant-doc"
 path = "crates/graph/src/digraph.rs"
-line = 10
 reason = "documented at the impl level"
 "#;
 
@@ -202,7 +189,13 @@ reason = "documented at the impl level"
             entries[0].pattern.as_deref(),
             Some("clock times are finite")
         );
-        assert_eq!(entries[1].line, Some(10));
+        assert_eq!(entries[1].pattern, None);
+    }
+
+    #[test]
+    fn a_line_key_is_an_error() {
+        let err = parse("[[allow]]\nrule = \"no-panic\"\npath = \"a.rs\"\nline = 3\n").unwrap_err();
+        assert!(err.contains("unknown key `line`"), "{err}");
     }
 
     #[test]
@@ -225,7 +218,7 @@ reason = "documented at the impl level"
     }
 
     #[test]
-    fn matching_respects_rule_path_line_pattern() {
+    fn matching_respects_rule_path_pattern() {
         let entries = parse(SAMPLE).unwrap();
         let mut d = Diagnostic {
             rule: Rule::NoPanic,

@@ -124,9 +124,6 @@ fn stale(a: &AllowEntry) -> String {
         string(a.rule.name()),
         string(&a.path)
     );
-    if let Some(line) = a.line {
-        let _ = write!(s, ", \"line\": {line}");
-    }
     if let Some(pattern) = &a.pattern {
         let _ = write!(s, ", \"pattern\": {}", string(pattern));
     }

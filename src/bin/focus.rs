@@ -26,7 +26,6 @@ USAGE:
     focus simulate --output <reads.fastq> [options]
     focus stats    --input <contigs.fasta>
     focus graph    --input <reads.{fasta,fastq}> --output <graph.{gfa,dot}> [options]
-    focus variants --input <reads.{fasta,fastq}> [options]
     focus classify --input <reads.{fasta,fastq}> --references <refs.fasta>
     focus obs-check [--trace <t.json>] [--metrics <m.json>] [--events <e.jsonl>]
     focus profile  <trace.json> [--json]
@@ -37,7 +36,7 @@ ASSEMBLE OPTIONS:
     --input <path>         input reads (format by extension: .fasta/.fa/.fastq/.fq)
     --output <path>        output contig FASTA
 
-PIPELINE OPTIONS (assemble, graph, variants, serve):
+PIPELINE OPTIONS (assemble, graph, serve):
     --partitions <k>       graph partitions, power of two        [default: 16]
     --min-overlap <bp>     minimum overlap length                [default: 50]
     --min-identity <f>     minimum overlap identity in [0,1]     [default: 0.90]
@@ -107,10 +106,6 @@ GRAPH OPTIONS (pipeline options also apply):
     --output <path>        .gfa emits GFA v1, .dot emits Graphviz
     --with-sequences       include contig sequences in GFA segments
 
-VARIANTS OPTIONS (pipeline options also apply):
-    --input <path>         input reads, as for assemble
-    --min-support <n>      minimum read support per branch       [default: 2]
-
 CLASSIFY OPTIONS:
     --input <path>         reads to classify
     --references <path>    reference FASTA, one record per taxon
@@ -176,7 +171,6 @@ const ASSEMBLE_KEYS: &[&[&str]] = &[
 const SIMULATE_KEYS: &[&[&str]] = &[&["output", "genome-len", "coverage", "seed"]];
 const STATS_KEYS: &[&[&str]] = &[&["input"]];
 const GRAPH_KEYS: &[&[&str]] = &[&["input", "output", "with-sequences"], PIPELINE_KEYS];
-const VARIANTS_KEYS: &[&[&str]] = &[&["input", "min-support"], PIPELINE_KEYS];
 const CLASSIFY_KEYS: &[&[&str]] = &[&["input", "references", "kmer"]];
 const OBS_CHECK_KEYS: &[&[&str]] = &[OBS_KEYS];
 const PROFILE_KEYS: &[&[&str]] = &[&["input", "json"]];
@@ -205,7 +199,6 @@ fn main() -> ExitCode {
         Some("simulate") => simulate(&args[1..]),
         Some("stats") => stats(&args[1..]),
         Some("graph") => graph(&args[1..]),
-        Some("variants") => variants(&args[1..]),
         Some("classify") => classify(&args[1..]),
         Some("obs-check") => obs_check(&args[1..]),
         Some("profile") => profile(&args[1..]),
@@ -650,60 +643,15 @@ fn graph(args: &[String]) -> Result<(), String> {
     let text = if output.to_ascii_lowercase().ends_with(".dot") {
         digraph_to_dot(&prepared.hybrid.directed, None)
     } else {
+        // The sequences the assembly itself walks: per-column consensus
+        // under the default config, not the first-wins merge.
         let with_seq = opts.flag("with-sequences");
         digraph_to_gfa(&prepared.hybrid.directed, |v| {
-            with_seq.then(|| prepared.hybrid.contig(v, &prepared.store).to_string())
+            with_seq.then(|| prepared.contigs[v as usize].to_string())
         })
     };
     std::fs::write(&output, text).map_err(|e| format!("cannot write {output}: {e}"))?;
     eprintln!("wrote {output}");
-    Ok(())
-}
-
-fn variants(args: &[String]) -> Result<(), String> {
-    use focus_assembler::dist::cluster::{CostModel, SimCluster};
-    use focus_assembler::dist::variants::{detect_variants, VariantConfig};
-    use focus_assembler::partition::{partition_graph_set, PartitionConfig};
-    let opts = Options::parse("variants", VARIANTS_KEYS, args)?;
-    let input = opts.require("input")?.to_string();
-    let config = build_config(&opts)?;
-    let k = config.partitions;
-    let reads = read_input(&input)?;
-    let assembler = FocusAssembler::new(config).map_err(|e| e.to_string())?;
-    let prepared = assembler.prepare(&reads).map_err(|e| e.to_string())?;
-    let partition = partition_graph_set(&prepared.hybrid.set, &PartitionConfig::new(k, 3))
-        .map_err(|e| e.to_string())?;
-    let support: Vec<u64> = prepared
-        .hybrid
-        .clusters
-        .iter()
-        .map(|c| c.len() as u64)
-        .collect();
-    let variant_config = VariantConfig {
-        min_branch_support: opts.get_parsed("min-support", 2u64)?,
-        ..Default::default()
-    };
-    let mut cluster = SimCluster::new(k, CostModel::default()).map_err(|e| e.to_string())?;
-    let found = detect_variants(
-        &prepared.hybrid.directed,
-        partition.finest(),
-        k,
-        &support,
-        &variant_config,
-        &mut cluster,
-    );
-    println!("site\topens\tcloses\tmajor_support\tminor_support\tratio");
-    for (i, v) in found.iter().enumerate() {
-        println!(
-            "{i}\t{}\t{}\t{}\t{}\t{:.3}",
-            v.opens_at,
-            v.closes_at,
-            v.major_support,
-            v.minor_support,
-            v.support_ratio()
-        );
-    }
-    eprintln!("{} candidate variant sites", found.len());
     Ok(())
 }
 
@@ -879,16 +827,6 @@ mod tests {
     #[test]
     fn graph_options_match_help() {
         check("graph", GRAPH_KEYS, &["GRAPH OPTIONS", PIPELINE], &[]);
-    }
-
-    #[test]
-    fn variants_options_match_help() {
-        check(
-            "variants",
-            VARIANTS_KEYS,
-            &["VARIANTS OPTIONS", PIPELINE],
-            &[],
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! on disk is detected; a checkpoint directory that fails mid-run (ENOSPC)
 //! degrades checkpointing with one warning without taking the assembly
 //! down; checkpoints of another config or input never resume a run; the
-//! directory holds exactly the alignment checkpoint and its manifest; files
+//! directory holds exactly the alignment checkpoint; files
 //! an older build saved at boundaries this one no longer has are left
 //! alone; and the payload's wire format round-trips.
 
@@ -19,7 +19,8 @@ use common::{completed, contract_config, run_clean, tiled_reads, TempDir};
 use fc_rng::cases;
 use focus_assembler::align::{Overlapper, Pool};
 use focus_assembler::ckpt::{
-    decode_from_slice, encode_to_vec, CheckpointStore, Codec, FsFaultPlan, LoadOutcome, WriteFault,
+    decode_from_slice, encode_to_vec, CheckpointFile, CheckpointStore, Codec, FsFaultPlan,
+    LoadOutcome, WriteFault,
 };
 use focus_assembler::focus::{
     config_fingerprint, input_digest, AssemblyOutcome, CheckpointOptions, CkptPhase,
@@ -166,21 +167,24 @@ fn checkpoints_from_another_config_or_input_never_resume_this_run() {
 }
 
 /// The one checkpointed boundary, alignment, is what a full run leaves:
-/// its file and a manifest that lists it, nothing else.
+/// its file, stamped with this run's fingerprints, and nothing else — no
+/// index, lock or temp file beside it.
 #[test]
 fn manifest_lists_every_phase_after_a_full_run() {
     let reads = tiled_reads(2000, 17);
+    let config = chaos_config();
     let dir = TempDir::new("manifest");
-    completed(run_ckpt(&reads, &CheckpointOptions::in_dir(&dir), chaos_config()).0);
-    let manifest = std::fs::read_to_string(dir.join("MANIFEST.txt")).unwrap();
-    assert!(manifest.contains("alignment"), "{manifest}");
-    assert!(manifest.contains("checkpoints = 1"), "{manifest}");
-    let mut files: Vec<String> = std::fs::read_dir(&*dir)
+    completed(run_ckpt(&reads, &CheckpointOptions::in_dir(&dir), config).0);
+    let files: Vec<String> = std::fs::read_dir(&*dir)
         .unwrap()
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .collect();
-    files.sort();
-    assert_eq!(files, ["MANIFEST.txt", "phase_01_alignment.ckpt"]);
+    assert_eq!(files, ["phase_01_alignment.ckpt"]);
+    let path = dir.join(&files[0]);
+    let file = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path).unwrap();
+    assert_eq!(file.phase_id, CkptPhase::Alignment.id());
+    assert_eq!(file.config_fingerprint, config_fingerprint(&config));
+    assert_eq!(file.input_digest, input_digest(&reads));
 }
 
 /// A directory an older build checkpointed: a real alignment checkpoint

@@ -1,8 +1,11 @@
 //! The real `focus` binary refuses an option it does not know — exit
 //! code 1, the key named on stderr — before the subcommand does any work.
 //! (Which keys each subcommand accepts is checked against the help text by
-//! the unit tests in `src/bin/focus.rs`.)
+//! the unit tests in `src/bin/focus.rs`.) `focus graph --with-sequences`
+//! writes the sequences the assembly uses.
 
+use focus_assembler::focus::{FocusAssembler, FocusConfig};
+use focus_assembler::seq::fastq;
 use std::process::Command;
 
 /// Runs `focus <args>`; returns the exit code and stderr.
@@ -24,7 +27,6 @@ fn every_subcommand_refuses_an_unknown_option() {
         "simulate",
         "stats",
         "graph",
-        "variants",
         "classify",
         "obs-check",
         "profile",
@@ -97,5 +99,71 @@ fn a_retired_crash_point_stops_assemble_before_any_work() {
         "error: --crash-after: unknown phase \"coarsen\"; expected alignment"
     );
     assert!(!output.exists() && !ckpt.exists(), "the run started");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every GFA segment `focus graph --with-sequences` writes is the node's
+/// `Prepared::contigs` entry — the per-column consensus the assembly walks
+/// — and on errorful reads some of those differ from the first-wins merge.
+#[test]
+fn graph_segments_carry_the_sequences_the_assembly_uses() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-gfa-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (reads_path, gfa_path) = (dir.join("r.fastq"), dir.join("g.gfa"));
+    let reads_arg = reads_path.to_str().unwrap();
+    let simulate = [
+        "simulate",
+        "--genome-len",
+        "8000",
+        "--coverage",
+        "12",
+        "--seed",
+        "3",
+        "--output",
+        reads_arg,
+    ];
+    let (code, stderr) = focus(&simulate);
+    assert_eq!(code, Some(0), "{stderr}");
+    let graph = [
+        "graph",
+        "--input",
+        reads_arg,
+        "--output",
+        gfa_path.to_str().unwrap(),
+        "--with-sequences",
+        "--threads",
+        "1",
+    ];
+    let (code, stderr) = focus(&graph);
+    assert_eq!(code, Some(0), "{stderr}");
+
+    let file = std::fs::File::open(&reads_path).unwrap();
+    let reads = fastq::parse(std::io::BufReader::new(file)).unwrap();
+    let config = FocusConfig {
+        dedup_rc: true,
+        threads: 1,
+        ..FocusConfig::default()
+    };
+    let prepared = FocusAssembler::new(config)
+        .unwrap()
+        .prepare(&reads)
+        .unwrap();
+    let gfa = std::fs::read_to_string(&gfa_path).unwrap();
+    let (mut segments, mut differ) = (0, 0);
+    for line in gfa.lines().filter(|line| line.starts_with("S\t")) {
+        let fields: Vec<&str> = line.split('\t').collect();
+        let v: u32 = fields[1].parse().unwrap();
+        let consensus = &prepared.contigs[v as usize];
+        assert_eq!(fields[2], consensus.to_string(), "segment {v}");
+        if prepared.hybrid.contig(v, &prepared.store) != *consensus {
+            differ += 1;
+        }
+        segments += 1;
+    }
+    assert!(segments > 0, "no segments in {gfa}");
+    assert!(
+        differ > 0,
+        "no segment's consensus differs from its first-wins merge"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -19,7 +19,7 @@ use focus_assembler::focus::{
     OocOptions, Recorder,
 };
 use focus_assembler::seq::{Read, ReadStore};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The contract's configuration at two threads, `FaultPlan` on.
 fn ooc_config() -> FocusConfig {
@@ -278,14 +278,28 @@ fn in_core_alignment_charges_its_seed_indexes() {
     assert_eq!(completed(outcome.unwrap()).contigs, unbudgeted.contigs);
 }
 
+/// Every file under `dir`: each one a whole checkpoint container under
+/// its final name (no index, lock or temp file), decoded.
+fn containers(dir: &Path) -> Vec<(PathBuf, CheckpointFile)> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap();
+            assert!(
+                name.starts_with("phase_") && name.ends_with(".ckpt"),
+                "{name} is not a container"
+            );
+            let file = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path).unwrap();
+            (path, file)
+        })
+        .collect()
+}
+
 /// Rewrites every checkpoint container under `dir` as format version 4,
 /// resealed so that only the version check can refuse it.
 fn rewrite_as_version_4(dir: &Path) {
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        let Ok(file) = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path) else {
-            continue; // the manifest
-        };
+    for (path, file) in containers(dir) {
         let mut bytes = file.encode();
         bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
         let body = bytes.len() - 4;
@@ -337,6 +351,9 @@ fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     let ooc = OocOptions::in_dir(&spill);
     let (_, first) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
     completed(first.unwrap());
+    // The spill directory holds the page, meta and pair-run containers and
+    // nothing else.
+    assert!(containers(&spill.join("align")).len() > 1);
     rewrite_as_version_4(&spill.join("pages"));
     for adopted in [None, Some(&1)] {
         // Only the pages are under test: alignment recomputes every time.

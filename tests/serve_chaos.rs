@@ -7,7 +7,7 @@
 //! points (`tests/common/matrix.rs`): those stop the in-process pipeline after
 //! alignment, its one durable boundary; this one kills the
 //! whole daemon at arbitrary points — mid-HTTP-write, mid-checkpoint,
-//! mid-manifest-rewrite — via `kill -9`, which is exactly what the durable
+//! mid-job-record-rewrite — via `kill -9`, which is exactly what the durable
 //! job state (DESIGN.md §12) is built to survive. The server under test is
 //! the actual release artifact (`CARGO_BIN_EXE_focus`), driven over real
 //! sockets with a hand-rolled HTTP/1.1 client.
