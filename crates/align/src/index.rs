@@ -566,12 +566,12 @@ mod tests {
                         store
                             .get(q)
                             .kmers(config.k)
-                            .step_by(config.seed_step)
+                            .step_by(crate::pairwise::SEED_STEP)
                             .map(|(_, kmer)| kmer),
                     );
                     index.runs(&kmers, &mut runs);
                     for (s, (&kmer, &range)) in kmers.iter().zip(&runs).enumerate() {
-                        let pos = s * config.seed_step;
+                        let pos = s * crate::pairwise::SEED_STEP;
                         let what = format!("{n} subsets, reference {j}, read {} at {pos}", q.0);
                         hits += assert_same_hits(index.hits_of(range), &naive, kmer, &what);
                     }

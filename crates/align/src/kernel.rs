@@ -15,9 +15,9 @@
 
 use crate::myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
-    prefilter_compatible, ungapped_optimum_forced, MyersScratch,
+    ungapped_optimum_forced, MyersScratch,
 };
-use crate::nw::{banded_global_with, AlignmentSummary, NwConfig, NwScratch};
+use crate::nw::{banded_global_with, AlignmentSummary, NwScratch, MATCH, MISMATCH};
 use crate::overlap::OverlapKind;
 use crate::pairwise::{OverlapConfig, PairStats};
 use fc_seq::{ReadId, ReadStore};
@@ -40,32 +40,10 @@ pub struct VerifyReq {
     pub a_range: (usize, usize),
     /// Range of `b` inside the overlap.
     pub b_range: (usize, usize),
-    /// Band half-width for this request: the configured `NwConfig::band`
-    /// as the geometry stage emits it; `verify` narrows it to the gap bound
-    /// before the DP it runs.
+    /// Band half-width for this request: the configured
+    /// [`OverlapConfig::band`] as the geometry stage emits it; `verify`
+    /// narrows it to the gap bound before the DP it runs.
     pub band: usize,
-}
-
-/// Verification thresholds and scoring. `nw.band`
-/// is a default only — the per-request [`VerifyReq::band`] governs.
-#[derive(Debug, Clone, Copy)]
-pub struct VerifyParams {
-    /// Aligner scoring (and default band).
-    pub nw: NwConfig,
-    /// Minimum alignment columns for an overlap.
-    pub min_overlap_len: usize,
-    /// Minimum alignment identity for an overlap.
-    pub min_identity: f64,
-}
-
-impl From<&OverlapConfig> for VerifyParams {
-    fn from(config: &OverlapConfig) -> VerifyParams {
-        VerifyParams {
-            nw: config.nw,
-            min_overlap_len: config.min_overlap_len,
-            min_identity: config.min_identity,
-        }
-    }
 }
 
 /// Reusable per-worker buffers of verification: the NW band buffers and the
@@ -79,9 +57,9 @@ pub struct KernelScratch {
 
 /// Applies the overlap thresholds to a banded-NW summary.
 #[inline]
-fn apply_thresholds(params: &VerifyParams, summary: AlignmentSummary) -> Option<AlignmentSummary> {
-    if (summary.columns as usize) < params.min_overlap_len
-        || summary.identity() < params.min_identity
+fn apply_thresholds(config: &OverlapConfig, summary: AlignmentSummary) -> Option<AlignmentSummary> {
+    if (summary.columns as usize) < config.min_overlap_len
+        || summary.identity() < config.min_identity
     {
         None
     } else {
@@ -89,23 +67,20 @@ fn apply_thresholds(params: &VerifyParams, summary: AlignmentSummary) -> Option<
     }
 }
 
-/// The banded-NW verdict: Needleman–Wunsch at the request's band, then the
-/// thresholds. The DP step of [`crate::Overlapper::verify_requests`] and
-/// the reference it must agree with on every request.
+/// The banded-NW verdict: Needleman–Wunsch at the request's band, then
+/// `config`'s thresholds. The DP step of
+/// [`crate::Overlapper::verify_requests`] and the reference it must agree
+/// with on every request.
 pub fn banded_nw_verdict(
     store: &ReadStore,
-    params: &VerifyParams,
+    config: &OverlapConfig,
     req: &VerifyReq,
     nw: &mut NwScratch,
 ) -> Option<AlignmentSummary> {
     let a_seq = store.get(req.a);
     let b_seq = store.get(req.b);
-    let config = NwConfig {
-        band: req.band,
-        ..params.nw
-    };
-    let summary = banded_global_with(a_seq, req.a_range, b_seq, req.b_range, &config, nw)?;
-    apply_thresholds(params, summary)
+    let summary = banded_global_with(a_seq, req.a_range, b_seq, req.b_range, req.band, nw)?;
+    apply_thresholds(config, summary)
 }
 
 /// Hamming distance of an equal-length request's two ranges, counted 32
@@ -124,7 +99,7 @@ fn hamming(store: &ReadStore, req: &VerifyReq) -> usize {
 /// score optimum ([`ungapped_optimum_forced`]): banded NW must report
 /// `n` columns with `h` mismatches, whatever its band or tie-break.
 fn ungapped_verdict(
-    params: &VerifyParams,
+    config: &OverlapConfig,
     n: usize,
     h: usize,
     stats: &mut PairStats,
@@ -132,18 +107,17 @@ fn ungapped_verdict(
     stats.exact_hits += 1;
     let (matches, mismatches) = ((n - h) as i32, h as i32);
     let summary = AlignmentSummary {
-        score: params.nw.match_score * matches + params.nw.mismatch_score * mismatches,
+        score: MATCH * matches + MISMATCH * mismatches,
         columns: n as u32,
         matches: matches as u32,
     };
-    apply_thresholds(params, summary)
+    apply_thresholds(config, summary)
 }
 
-/// Verifies one request. Before any edit distance: plain banded NW for
-/// scoring the bounds do not cover, the out-of-band rejection NW would
-/// make, the ungapped-optimum rule for Hamming distances small enough to
-/// need no edit distance, and the cannot-reach-`min_overlap_len`
-/// rejection. Then, given the exact edit distance `d`: reject via the
+/// Verifies one request against `config`'s thresholds. Before any edit
+/// distance: the out-of-band rejection NW would make, the ungapped-optimum
+/// rule for Hamming distances small enough to need no edit distance, and
+/// the cannot-reach-`min_overlap_len` rejection. Then, given the exact edit distance `d`: reject via the
 /// identity and column bounds, resolve equal-length ranges whose Hamming
 /// distance equals `d` by the ungapped-optimum rule, otherwise run NW in
 /// the gap-bound-shrunk band (provably the same summary as the request's
@@ -151,14 +125,11 @@ fn ungapped_verdict(
 /// (`prefilter_*`, `exact_hits`).
 pub(crate) fn verify(
     store: &ReadStore,
-    params: &VerifyParams,
+    config: &OverlapConfig,
     req: &VerifyReq,
     scratch: &mut KernelScratch,
     stats: &mut PairStats,
 ) -> Option<AlignmentSummary> {
-    if !prefilter_compatible(&params.nw) {
-        return banded_nw_verdict(store, params, req, &mut scratch.nw);
-    }
     let (n, m) = (req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
     if n.abs_diff(m) > req.band {
         // Banded NW rejects this outright (global path leaves the band);
@@ -166,10 +137,10 @@ pub(crate) fn verify(
         return None;
     }
     let h = (n == m).then(|| hamming(store, req));
-    if let Some(h) = h.filter(|&h| ungapped_optimum_forced(&params.nw, h, None)) {
-        return ungapped_verdict(params, n, h, stats);
+    if let Some(h) = h.filter(|&h| ungapped_optimum_forced(h, None)) {
+        return ungapped_verdict(config, n, h, stats);
     }
-    if n + m < params.min_overlap_len {
+    if n + m < config.min_overlap_len {
         // Columns never exceed n + m, so the length threshold is
         // unreachable whatever NW computes.
         stats.prefilter_rejected += 1;
@@ -182,24 +153,24 @@ pub(crate) fn verify(
         req.b_range,
         &mut scratch.myers,
     );
-    if identity_upper_bound(n, m, d) < params.min_identity {
+    if identity_upper_bound(n, m, d) < config.min_identity {
         stats.prefilter_rejected += 1;
         return None;
     }
-    let gmax = optimal_gap_bound(&params.nw, n, m, d);
-    if max_columns_bound(n, m, gmax) < params.min_overlap_len {
+    let gmax = optimal_gap_bound(n, m, d);
+    if max_columns_bound(n, m, gmax) < config.min_overlap_len {
         stats.prefilter_rejected += 1;
         return None;
     }
-    if let Some(h) = h.filter(|&h| ungapped_optimum_forced(&params.nw, h, Some(d))) {
-        return ungapped_verdict(params, n, h, stats);
+    if let Some(h) = h.filter(|&h| ungapped_optimum_forced(h, Some(d))) {
+        return ungapped_verdict(config, n, h, stats);
     }
     stats.prefilter_verified += 1;
     let shrunk = VerifyReq {
         band: req.band.min(gmax),
         ..*req
     };
-    banded_nw_verdict(store, params, &shrunk, &mut scratch.nw)
+    banded_nw_verdict(store, config, &shrunk, &mut scratch.nw)
 }
 
 #[cfg(test)]
@@ -316,14 +287,14 @@ mod tests {
     /// [`verify`]'s verdicts and counters over `reqs`.
     fn run(
         store: &ReadStore,
-        params: &VerifyParams,
+        config: &OverlapConfig,
         reqs: &[VerifyReq],
     ) -> (Vec<Option<AlignmentSummary>>, PairStats) {
         let mut scratch = KernelScratch::default();
         let mut stats = PairStats::default();
         let out = reqs
             .iter()
-            .map(|req| verify(store, params, req, &mut scratch, &mut stats))
+            .map(|req| verify(store, config, req, &mut scratch, &mut stats))
             .collect();
         (out, stats)
     }
@@ -331,13 +302,22 @@ mod tests {
     /// The banded-NW verdicts [`verify`] must reproduce.
     fn reference(
         store: &ReadStore,
-        params: &VerifyParams,
+        config: &OverlapConfig,
         reqs: &[VerifyReq],
     ) -> Vec<Option<AlignmentSummary>> {
         let mut nw = NwScratch::default();
         reqs.iter()
-            .map(|req| banded_nw_verdict(store, params, req, &mut nw))
+            .map(|req| banded_nw_verdict(store, config, req, &mut nw))
             .collect()
+    }
+
+    /// Thresholds `min_overlap_len` and `min_identity` over the defaults.
+    fn thresholds(min_overlap_len: usize, min_identity: f64) -> OverlapConfig {
+        OverlapConfig {
+            min_overlap_len,
+            min_identity,
+            ..OverlapConfig::default()
+        }
     }
 
     /// The differential corpus: `verify` must agree verdict-for-verdict
@@ -345,21 +325,17 @@ mod tests {
     #[test]
     fn verify_agrees_with_banded_nw() {
         let mut rng = Rng::new(42);
-        let params = VerifyParams {
-            nw: NwConfig::default(),
-            min_overlap_len: 30,
-            min_identity: 0.9,
-        };
+        let config = thresholds(30, 0.9);
         let mut seen = PairStats::default();
         let mut gapped_accepts = 0;
         for round in 0..6 {
             let store = paired_store(&mut rng);
             let reqs = random_reqs(&store, &mut rng, 300);
-            let expected = reference(&store, &params, &reqs);
+            let expected = reference(&store, &config, &reqs);
             assert!(expected.iter().any(|v| v.is_some()), "corpus too easy");
             assert!(expected.iter().any(|v| v.is_none()), "corpus too easy");
             gapped_accepts += gapped_equal_length_accepts(&reqs, &expected);
-            let (got, stats) = run(&store, &params, &reqs);
+            let (got, stats) = run(&store, &config, &reqs);
             assert_eq!(got, expected, "verify diverges in round {round}");
             // A request inside its band is counted exactly once — bound
             // rejection, rule resolution or DP run; one outside it is
@@ -404,18 +380,14 @@ mod tests {
     #[test]
     fn dp_runs_in_the_gap_bound_shrunk_band() {
         let mut rng = Rng::new(42);
-        let params = VerifyParams {
-            nw: NwConfig::default(),
-            min_overlap_len: 30,
-            min_identity: 0.9,
-        };
+        let config = thresholds(30, 0.9);
         let store = paired_store(&mut rng);
         let mut scratch = KernelScratch::default();
         let mut stats = PairStats::default();
         let mut shrunk = 0;
         for req in random_reqs(&store, &mut rng, 300) {
             let dp_runs = stats.prefilter_verified;
-            verify(&store, &params, &req, &mut scratch, &mut stats);
+            verify(&store, &config, &req, &mut scratch, &mut stats);
             if stats.prefilter_verified > dp_runs {
                 assert!(scratch.nw.last_band() <= req.band, "{req:?}");
                 shrunk += usize::from(scratch.nw.last_band() < req.band);
@@ -424,49 +396,8 @@ mod tests {
         assert!(shrunk > 0, "no DP ran in a shrunk band: {stats:?}");
     }
 
-    /// Scorings on both sides of `ma - 2·ga > 2·(ma - mi)`: the rule's
-    /// `h > 0` cases apply to the first three and must stay off for the
-    /// last two, and `verify` matches banded NW under each.
-    #[test]
-    #[cfg_attr(miri, ignore)] // 6 000 requests through verify and banded NW
-    fn verify_agrees_across_scorings() {
-        let mut rng = Rng::new(77);
-        let store = paired_store(&mut rng);
-        let reqs = random_reqs(&store, &mut rng, 400);
-        for (scoring, rule_on) in [
-            ((1, -2, -3), true),
-            ((1, -1, -2), true),
-            ((3, -1, -4), true),
-            ((2, -3, -2), false),
-            ((1, -3, -3), false),
-        ] {
-            let (match_score, mismatch_score, gap_score) = scoring;
-            let nw = NwConfig {
-                match_score,
-                mismatch_score,
-                gap_score,
-                ..NwConfig::default()
-            };
-            assert!(prefilter_compatible(&nw));
-            assert_eq!(ungapped_optimum_forced(&nw, 1, None), rule_on, "{scoring:?}");
-            for (min_overlap_len, min_identity) in [(30usize, 0.9f64), (0, 0.0), (60, 0.97)] {
-                let params = VerifyParams {
-                    nw,
-                    min_overlap_len,
-                    min_identity,
-                };
-                let (got, _) = run(&store, &params, &reqs);
-                assert_eq!(
-                    got,
-                    reference(&store, &params, &reqs),
-                    "verify diverges under {scoring:?} at {min_overlap_len}/{min_identity}"
-                );
-            }
-        }
-    }
-
-    /// Degenerate thresholds (accept everything / reject everything) and
-    /// empty ranges keep `verify` and banded NW in lockstep.
+    /// Degenerate thresholds (accept everything / reject everything), strict
+    /// ones, and empty ranges keep `verify` and banded NW in lockstep.
     #[test]
     fn verify_agrees_at_threshold_extremes() {
         let mut rng = Rng::new(7);
@@ -474,57 +405,31 @@ mod tests {
         let reqs = {
             let mut r = random_reqs(&store, &mut rng, 120);
             // Force some fully-empty and half-empty ranges.
-            for i in 0..6 {
-                r[i].a_range = (0, 0);
+            for req in &mut r[..6] {
+                req.a_range = (0, 0);
             }
-            for i in 6..12 {
-                r[i].b_range = (0, 0);
+            for req in &mut r[6..12] {
+                req.b_range = (0, 0);
             }
-            for i in 0..3 {
-                r[i].b_range = (0, 0);
+            for req in &mut r[..3] {
+                req.b_range = (0, 0);
             }
             r
         };
-        for (min_len, min_id) in [(0usize, 0.0f64), (0, 1.0), (200, 0.9), (50, 0.95)] {
-            let params = VerifyParams {
-                nw: NwConfig::default(),
-                min_overlap_len: min_len,
-                min_identity: min_id,
-            };
-            let (got, _) = run(&store, &params, &reqs);
+        for (min_len, min_id) in [
+            (0usize, 0.0f64),
+            (0, 1.0),
+            (200, 0.9),
+            (50, 0.95),
+            (60, 0.97),
+        ] {
+            let config = thresholds(min_len, min_id);
+            let (got, _) = run(&store, &config, &reqs);
             assert_eq!(
                 got,
-                reference(&store, &params, &reqs),
+                reference(&store, &config, &reqs),
                 "verify diverges at min_len={min_len} min_id={min_id}"
             );
-        }
-    }
-
-    /// Exotic scoring configs (positive mismatch, zero gap) must get plain
-    /// banded NW rather than the bounds.
-    #[test]
-    fn incompatible_scoring_applies_no_bound() {
-        let mut rng = Rng::new(19);
-        let store = paired_store(&mut rng);
-        let reqs = random_reqs(&store, &mut rng, 80);
-        for nw in [
-            NwConfig {
-                mismatch_score: 2,
-                ..NwConfig::default()
-            },
-            NwConfig {
-                gap_score: 0,
-                ..NwConfig::default()
-            },
-        ] {
-            let params = VerifyParams {
-                nw,
-                min_overlap_len: 30,
-                min_identity: 0.9,
-            };
-            let (got, stats) = run(&store, &params, &reqs);
-            assert_eq!(got, reference(&store, &params, &reqs));
-            assert_eq!(stats, PairStats::default(), "bounds must not be applied");
         }
     }
 }

@@ -31,11 +31,11 @@ pub mod pairwise;
 pub use error::AlignError;
 pub use fc_exec::Pool;
 pub use index::KmerIndex;
-pub use kernel::{banded_nw_verdict, KernelScratch, VerifyParams, VerifyReq};
+pub use kernel::{banded_nw_verdict, KernelScratch, VerifyReq};
 pub use myers::{
     edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
-    prefilter_compatible, ungapped_optimum_forced, MyersScratch,
+    ungapped_optimum_forced, MyersScratch,
 };
-pub use nw::{banded_global, banded_global_with, AlignmentSummary, NwConfig, NwScratch};
+pub use nw::{banded_global, banded_global_with, AlignmentSummary, NwScratch};
 pub use overlap::{Overlap, OverlapKind};
 pub use pairwise::{AlignScratch, OverlapConfig, Overlapper, PairStats, PairTally};

@@ -28,9 +28,10 @@
 //! `mn = min(n,m)`, `mx = max(n,m)`. An alignment has `mt` match columns,
 //! `x` mismatch columns and `g` gap columns; its column count is
 //! `c = mt + x + g` and every base is consumed exactly once, so
-//! `n + m = 2·mt + 2·x + g`. Scores come from [`NwConfig`]: `ma` per match,
-//! `mi` per mismatch, `ga` per gap (the bounds below require `ma > 0`,
-//! `mi <= 0`, `ga < 0` — see [`prefilter_compatible`]).
+//! `n + m = 2·mt + 2·x + g`. Scores are the verifier's fixed
+//! [`MATCH`], [`MISMATCH`] and [`GAP`]: `ma = 1` per match, `mi = -2` per
+//! mismatch, `ga = -3` per gap. The derivations below need only `ma > 0`,
+//! `mi <= 0` and `ga < 0`; each states what it gives at `(1, -2, -3)`.
 //!
 //! **Identity bound.** Any alignment with `x` mismatches and `g` gaps yields
 //! an edit script of cost `x + g`, so `x + g >= D`. From
@@ -57,6 +58,7 @@
 //! chosen, regardless of tie-breaking. [`optimal_gap_bound`] returns
 //! `gmax = floor((D·M - ma·dl) / (-2·ga))` (clamped to `>= dl`; the
 //! achieving alignment has `dl <= g <= D`, so `gmax >= dl` always holds).
+//! At `(1, -2, -3)`, `M = max(6, 7) = 7` and `gmax = floor((7·D - dl) / 6)`.
 //!
 //! **Band equivalence.** A path's diagonal offset `|j - i|` changes only on
 //! gap columns, so every potentially-optimal path stays within diagonal
@@ -90,7 +92,8 @@
 //!
 //! * `h = 0` — the right side is at least `2·(ma - 2·ga) > 0`;
 //! * `(ma - mi)·h < ma - 2·ga` — the two gaps any gapped path pays cost
-//!   more than all `h` mismatches, whatever `x` is (defaults: `h <= 2`);
+//!   more than all `h` mismatches, whatever `x` is (at `(1, -2, -3)`:
+//!   `h <= 2`);
 //! * `h = D` and `ma - 2·ga > 2·(ma - mi)` — the path's edit script gives
 //!   `x + g >= D = h`, so for `g <= h` the right side is at least
 //!   `2·(ma - mi)·h + g·((ma - 2·ga) - 2·(ma - mi)) > 2·(ma - mi)·h`, and
@@ -101,11 +104,11 @@
 //! carried with it are those of a path achieving that score — the
 //! diagonal. So banded NW reports exactly
 //! `(ma·(n - h) + mi·h, n, n - h)` at any band — see
-//! [`ungapped_optimum_forced`], which applies the last two cases only
-//! under `ma - 2·ga > 2·(ma - mi)` (defaults: 7 > 6); other scorings keep
-//! the `h = 0` case alone.
+//! [`ungapped_optimum_forced`]. At `(1, -2, -3)`, `ma - 2·ga = 7 > 6 =
+//! 2·(ma - mi)`, so all three cases apply: the rule fires for `h <= 2`
+//! before any edit distance, and for `h = D` once `D` is known.
 
-use crate::nw::NwConfig;
+use crate::nw::{GAP, MATCH, MISMATCH};
 use fc_seq::PackedView;
 
 /// Reusable buffers for [`edit_distance_with`]: the `Peq` match table (one
@@ -285,26 +288,17 @@ fn distance_blocked(
     score as u32
 }
 
-/// True if [`NwConfig`] scores satisfy the assumptions of the prefilter
-/// bounds (`match > 0`, `mismatch <= 0`, `gap < 0`). Kernels fall back to
-/// plain scalar verification for exotic scoring schemes.
-pub fn prefilter_compatible(nw: &NwConfig) -> bool {
-    nw.match_score > 0 && nw.mismatch_score <= 0 && nw.gap_score < 0
-}
-
-/// True if banded NW under `nw` must pick the all-diagonal alignment for two
+/// True if banded NW must pick the all-diagonal alignment for two
 /// equal-length ranges at Hamming distance `h` — every gapped alignment
 /// scores strictly lower, so the summary is `(ma·(n - h) + mi·h, n, n - h)`
 /// whatever the band or tie-break (see the module docs). `d` is the ranges'
-/// edit distance when it is already known. Requires
-/// [`prefilter_compatible`].
-pub fn ungapped_optimum_forced(nw: &NwConfig, h: usize, d: Option<u32>) -> bool {
-    debug_assert!(prefilter_compatible(nw));
+/// edit distance when it is already known.
+pub fn ungapped_optimum_forced(h: usize, d: Option<u32>) -> bool {
     if h == 0 {
         return true;
     }
-    let per_mismatch = nw.match_score as i128 - nw.mismatch_score as i128;
-    let per_gap_pair = nw.match_score as i128 - 2 * nw.gap_score as i128;
+    let per_mismatch = MATCH as i128 - MISMATCH as i128;
+    let per_gap_pair = MATCH as i128 - 2 * GAP as i128;
     per_gap_pair > 2 * per_mismatch
         && (per_mismatch * (h as i128) < per_gap_pair || d.is_some_and(|d| d as usize == h))
 }
@@ -318,16 +312,15 @@ pub fn identity_upper_bound(n: usize, m: usize, d: u32) -> f64 {
     max_matches as f64 / n.max(m) as f64
 }
 
-/// Upper bound on the gap-column count of any alignment that banded NW under
-/// `nw` could select for ranges of lengths `n` and `m` at edit distance `d`:
+/// Upper bound on the gap-column count of any alignment that banded NW could
+/// select for ranges of lengths `n` and `m` at edit distance `d`:
 /// alignments with more gaps score strictly below an achievable score (see
-/// the module docs). Requires [`prefilter_compatible`].
-pub fn optimal_gap_bound(nw: &NwConfig, n: usize, m: usize, d: u32) -> usize {
-    debug_assert!(prefilter_compatible(nw));
+/// the module docs).
+pub fn optimal_gap_bound(n: usize, m: usize, d: u32) -> usize {
     let dl = n.abs_diff(m) as i128;
-    let ma = nw.match_score as i128;
-    let mi = nw.mismatch_score as i128;
-    let ga = nw.gap_score as i128;
+    let ma = MATCH as i128;
+    let mi = MISMATCH as i128;
+    let ga = GAP as i128;
     let big_m = (2 * (ma - mi)).max(ma - 2 * ga);
     let gmax = (d as i128 * big_m - ma * dl).div_euclid(-2 * ga);
     // The distance-achieving alignment has dl <= g <= d and is not excluded,
@@ -473,32 +466,14 @@ mod tests {
     }
 
     #[test]
-    fn gap_bound_matches_default_score_formula() {
-        let nw = NwConfig::default(); // ma=1, mi=-2, ga=-3: M = max(6, 7) = 7
-        assert!(prefilter_compatible(&nw));
-        // gmax = floor((7d - dl) / 6)
-        assert_eq!(optimal_gap_bound(&nw, 80, 80, 1), 1);
-        assert_eq!(optimal_gap_bound(&nw, 80, 80, 3), 3);
-        assert_eq!(optimal_gap_bound(&nw, 80, 80, 6), 7);
-        assert_eq!(optimal_gap_bound(&nw, 80, 76, 4), 4); // (28-4)/6 = 4 = dl
+    fn gap_bound_matches_the_score_formula() {
+        // ma=1, mi=-2, ga=-3: M = max(6, 7) = 7, gmax = floor((7d - dl) / 6)
+        assert_eq!(optimal_gap_bound(80, 80, 1), 1);
+        assert_eq!(optimal_gap_bound(80, 80, 3), 3);
+        assert_eq!(optimal_gap_bound(80, 80, 6), 7);
+        assert_eq!(optimal_gap_bound(80, 76, 4), 4); // (28-4)/6 = 4 = dl
         // Never below the length difference.
-        assert!(optimal_gap_bound(&nw, 80, 72, 8) >= 8);
-    }
-
-    #[test]
-    fn prefilter_incompatible_configs_detected() {
-        assert!(!prefilter_compatible(&NwConfig {
-            match_score: 0,
-            ..NwConfig::default()
-        }));
-        assert!(!prefilter_compatible(&NwConfig {
-            gap_score: 0,
-            ..NwConfig::default()
-        }));
-        assert!(!prefilter_compatible(&NwConfig {
-            mismatch_score: 2,
-            ..NwConfig::default()
-        }));
+        assert!(optimal_gap_bound(80, 72, 8) >= 8);
     }
 
     #[test]
@@ -553,11 +528,8 @@ mod props {
                 (0, db.len()),
                 &mut MyersScratch::default(),
             );
-            let nw = NwConfig {
-                band: a.len().max(b.len()).max(1),
-                ..NwConfig::default()
-            };
-            let s = crate::nw::banded_global(&da, (0, da.len()), &db, (0, db.len()), &nw).unwrap();
+            let band = a.len().max(b.len()).max(1);
+            let s = crate::nw::banded_global(&da, (0, da.len()), &db, (0, db.len()), band).unwrap();
             let bound = identity_upper_bound(a.len(), b.len(), d);
             assert!(
                 s.identity() <= bound,
@@ -566,7 +538,7 @@ mod props {
                 bound
             );
             // Columns bound is sound too.
-            let gmax = optimal_gap_bound(&nw, a.len(), b.len(), d);
+            let gmax = optimal_gap_bound(a.len(), b.len(), d);
             assert!((s.columns as usize) <= max_columns_bound(a.len(), b.len(), gmax));
         });
     }

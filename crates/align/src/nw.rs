@@ -7,29 +7,13 @@
 
 use fc_seq::DnaString;
 
-/// Scoring and banding parameters for the aligner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NwConfig {
-    /// Score added per matching column.
-    pub match_score: i32,
-    /// Score added per mismatching column (should be negative).
-    pub mismatch_score: i32,
-    /// Score added per gap column (should be negative).
-    pub gap_score: i32,
-    /// Half-width of the band around the main diagonal, in cells.
-    pub band: usize,
-}
-
-impl Default for NwConfig {
-    fn default() -> NwConfig {
-        NwConfig {
-            match_score: 1,
-            mismatch_score: -2,
-            gap_score: -3,
-            band: 8,
-        }
-    }
-}
+/// Score added per matching column. The verifier's bounds
+/// ([`crate::myers`]) are derived for this scoring and no other.
+pub const MATCH: i32 = 1;
+/// Score added per mismatching column.
+pub const MISMATCH: i32 = -2;
+/// Score added per gap column.
+pub const GAP: i32 = -3;
 
 /// Outcome of a banded global alignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,16 +58,17 @@ pub struct NwScratch {
 const COLUMN: u64 = 1 << 32;
 
 /// Globally aligns `a[a_start..a_end]` against `b[b_start..b_end]` within a
-/// band, returning the score/column/match summary, or `None` when the length
-/// difference exceeds the band (the global path would leave the band).
+/// band of half-width `band` around the main diagonal, returning the
+/// score/column/match summary, or `None` when the length difference exceeds
+/// the band (the global path would leave the band).
 pub fn banded_global(
     a: &DnaString,
     a_range: (usize, usize),
     b: &DnaString,
     b_range: (usize, usize),
-    config: &NwConfig,
+    band: usize,
 ) -> Option<AlignmentSummary> {
-    banded_global_with(a, a_range, b, b_range, config, &mut NwScratch::default())
+    banded_global_with(a, a_range, b, b_range, band, &mut NwScratch::default())
 }
 
 /// [`banded_global`] with caller-provided buffers (the zero-allocation hot
@@ -105,7 +90,7 @@ pub fn banded_global_with(
     a_range: (usize, usize),
     b: &DnaString,
     b_range: (usize, usize),
-    config: &NwConfig,
+    band: usize,
     scratch: &mut NwScratch,
 ) -> Option<AlignmentSummary> {
     let (a_start, a_end) = a_range;
@@ -120,18 +105,11 @@ pub fn banded_global_with(
     );
     let n = a_end - a_start; // rows
     let m = b_end - b_start; // columns
-    let band = config.band;
     if n.abs_diff(m) > band {
         return None;
     }
 
     const NEG: i32 = i32::MIN / 4;
-    let NwConfig {
-        match_score,
-        mismatch_score,
-        gap_score,
-        ..
-    } = *config;
     let NwScratch {
         a: a_codes,
         b: b_codes,
@@ -154,7 +132,7 @@ pub fn banded_global_with(
 
     // Row 0: leading gaps in `a`.
     for j in 0..=m.min(band) {
-        prev[j + band + 1] = gap_score * j as i32;
+        prev[j + band + 1] = GAP * j as i32;
         prev_cm[j + band + 1] = j as u64 * COLUMN;
     }
     for (i, &ai) in (1..=n).zip(a_codes.iter()) {
@@ -163,7 +141,7 @@ pub fn banded_global_with(
         let (mut left, mut left_cm) = (NEG, 0u64);
         if j == 0 {
             // Column 0: leading gaps in `b`.
-            (left, left_cm) = (gap_score * i as i32, i as u64 * COLUMN);
+            (left, left_cm) = (GAP * i as i32, i as u64 * COLUMN);
             cur[s] = left;
             cur_cm[s] = left_cm;
             (j, s) = (1, s + 1);
@@ -176,10 +154,10 @@ pub fn banded_global_with(
             .zip(prev_cm[s..=s + cells].windows(2));
         for (((score, cm), (p, pc)), &bj) in out.zip(above).zip(&b_codes[j - 1..j_hi]) {
             let hit = ai == bj;
-            let diag = p[0] + if hit { match_score } else { mismatch_score };
+            let diag = p[0] + if hit { MATCH } else { MISMATCH };
             let diag_cm = pc[0] + COLUMN + u64::from(hit);
-            let (up, up_cm) = (p[1] + gap_score, pc[1] + COLUMN);
-            let (side, side_cm) = (left + gap_score, left_cm + COLUMN);
+            let (up, up_cm) = (p[1] + GAP, pc[1] + COLUMN);
+            let (side, side_cm) = (left + GAP, left_cm + COLUMN);
             let (side, side_cm) = if up >= side {
                 (up, up_cm)
             } else {
@@ -210,7 +188,7 @@ pub fn banded_global_with(
 /// differential tests compare it with.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{AlignmentSummary, NwConfig};
+    use super::{AlignmentSummary, GAP, MATCH, MISMATCH};
     use fc_seq::DnaString;
 
     /// [`super::banded_global`], one `DnaString::get` per base compared and
@@ -220,7 +198,7 @@ pub(crate) mod reference {
         a_range: (usize, usize),
         b: &DnaString,
         b_range: (usize, usize),
-        config: &NwConfig,
+        band: usize,
     ) -> Option<AlignmentSummary> {
         let (a_start, a_end) = a_range;
         let (b_start, b_end) = b_range;
@@ -234,7 +212,6 @@ pub(crate) mod reference {
         );
         let n = a_end - a_start; // rows
         let m = b_end - b_start; // columns
-        let band = config.band;
         if n.abs_diff(m) > band {
             return None;
         }
@@ -252,7 +229,7 @@ pub(crate) mod reference {
 
         // Row 0: leading gaps in `a`.
         for j in 0..=m.min(band) {
-            prev[slot(0, j)] = config.gap_score * j as i32;
+            prev[slot(0, j)] = GAP * j as i32;
             prev_cm[slot(0, j)] = (j as u32, 0);
         }
 
@@ -269,12 +246,7 @@ pub(crate) mod reference {
                     let ps = slot(i - 1, j - 1);
                     if prev[ps] > NEG {
                         let is_match = a.get(a_start + i - 1) == b.get(b_start + j - 1);
-                        let sc = prev[ps]
-                            + if is_match {
-                                config.match_score
-                            } else {
-                                config.mismatch_score
-                            };
+                        let sc = prev[ps] + if is_match { MATCH } else { MISMATCH };
                         if sc > best {
                             best = sc;
                             let (c, mt) = prev_cm[ps];
@@ -286,7 +258,7 @@ pub(crate) mod reference {
                 if j + band >= i - 1 && j <= i - 1 + band {
                     let ps = slot(i - 1, j);
                     if prev[ps] > NEG {
-                        let sc = prev[ps] + config.gap_score;
+                        let sc = prev[ps] + GAP;
                         if sc > best {
                             best = sc;
                             let (c, mt) = prev_cm[ps];
@@ -298,7 +270,7 @@ pub(crate) mod reference {
                 if j >= 1 && j > j_lo {
                     let ps = slot(i, j - 1);
                     if cur[ps] > NEG {
-                        let sc = cur[ps] + config.gap_score;
+                        let sc = cur[ps] + GAP;
                         if sc > best {
                             best = sc;
                             let (c, mt) = cur_cm[ps];
@@ -341,28 +313,23 @@ mod tests {
 
     /// Reference implementation: full (unbanded) Needleman–Wunsch with the
     /// same (columns, matches) bookkeeping.
-    pub(crate) fn full_global(a: &DnaString, b: &DnaString, config: &NwConfig) -> AlignmentSummary {
+    pub(crate) fn full_global(a: &DnaString, b: &DnaString) -> AlignmentSummary {
         let n = a.len();
         let m = b.len();
         let mut score = vec![vec![0i32; m + 1]; n + 1];
         let mut cm = vec![vec![(0u32, 0u32); m + 1]; n + 1];
         for j in 1..=m {
-            score[0][j] = config.gap_score * j as i32;
+            score[0][j] = GAP * j as i32;
             cm[0][j] = (j as u32, 0);
         }
         for i in 1..=n {
-            score[i][0] = config.gap_score * i as i32;
+            score[i][0] = GAP * i as i32;
             cm[i][0] = (i as u32, 0);
             for j in 1..=m {
                 let is_match = a.get(i - 1) == b.get(j - 1);
-                let diag = score[i - 1][j - 1]
-                    + if is_match {
-                        config.match_score
-                    } else {
-                        config.mismatch_score
-                    };
-                let up = score[i - 1][j] + config.gap_score;
-                let left = score[i][j - 1] + config.gap_score;
+                let diag = score[i - 1][j - 1] + if is_match { MATCH } else { MISMATCH };
+                let up = score[i - 1][j] + GAP;
+                let left = score[i][j - 1] + GAP;
                 // Same tie preference as the banded version: diag, up, left.
                 if diag >= up && diag >= left {
                     score[i][j] = diag;
@@ -389,11 +356,7 @@ mod tests {
     fn summary(a: &str, b: &str, band: usize) -> Option<AlignmentSummary> {
         let a: DnaString = a.parse().unwrap();
         let b: DnaString = b.parse().unwrap();
-        let config = NwConfig {
-            band,
-            ..NwConfig::default()
-        };
-        banded_global(&a, (0, a.len()), &b, (0, b.len()), &config)
+        banded_global(&a, (0, a.len()), &b, (0, b.len()), band)
     }
 
     #[test]
@@ -438,12 +401,9 @@ mod tests {
         for (a, b) in cases {
             let ad: DnaString = a.parse().unwrap();
             let bd: DnaString = b.parse().unwrap();
-            let config = NwConfig {
-                band: ad.len().max(bd.len()),
-                ..NwConfig::default()
-            };
-            let banded = banded_global(&ad, (0, ad.len()), &bd, (0, bd.len()), &config).unwrap();
-            let full = full_global(&ad, &bd, &config);
+            let band = ad.len().max(bd.len());
+            let banded = banded_global(&ad, (0, ad.len()), &bd, (0, bd.len()), band).unwrap();
+            let full = full_global(&ad, &bd);
             assert_eq!(banded.score, full.score, "{a} vs {b}");
             assert_eq!(banded.columns, full.columns, "{a} vs {b}");
             assert_eq!(banded.matches, full.matches, "{a} vs {b}");
@@ -453,7 +413,7 @@ mod tests {
     #[test]
     fn empty_ranges() {
         let a: DnaString = "ACGT".parse().unwrap();
-        let s = banded_global(&a, (0, 0), &a, (0, 0), &NwConfig::default()).unwrap();
+        let s = banded_global(&a, (0, 0), &a, (0, 0), 8).unwrap();
         assert_eq!(s.columns, 0);
         assert_eq!(s.score, 0);
         assert_eq!(s.identity(), 0.0);
@@ -461,20 +421,14 @@ mod tests {
 
     /// Predecessors of equal score with different `(columns, matches)`:
     /// the summary follows the diagonal over up and up over left. Each pair
-    /// came from a search of short random pairs against the swapped order.
+    /// came from a search of random pairs against the swapped order.
     #[test]
     fn ties_prefer_diagonal_then_up_then_left() {
-        let config = NwConfig {
-            match_score: 1,
-            mismatch_score: -1,
-            gap_score: -2,
-            band: 7,
-        };
         for (a, b, (score, columns, matches)) in [
-            // Up first would report 9 columns and 4 matches.
-            ("GAACTA", "ACTGAGA", (-6, 7, 1)),
-            // Left first would report 11 columns and 4 matches.
-            ("GTCTGATTGA", "AGGTCTCGAG", (-5, 13, 7)),
+            // A gap before the diagonal would report 12 columns and 5 matches.
+            ("AGCTTCCAA", "CTATGATTC", (-15, 9, 1)),
+            // Left first would report 12 columns and 2 matches.
+            ("GCATCCAATTG", "TAGTATGGCCGA", (-19, 15, 6)),
         ] {
             let (a, b): (DnaString, DnaString) = (a.parse().unwrap(), b.parse().unwrap());
             let (a_range, b_range) = ((0, a.len()), (0, b.len()));
@@ -484,14 +438,11 @@ mod tests {
                 matches,
             });
             assert_eq!(
-                banded_global(&a, a_range, &b, b_range, &config),
+                banded_global(&a, a_range, &b, b_range, 7),
                 want,
                 "{a} vs {b}"
             );
-            assert_eq!(
-                reference::banded_global(&a, a_range, &b, b_range, &config),
-                want
-            );
+            assert_eq!(reference::banded_global(&a, a_range, &b, b_range, 7), want);
         }
     }
 
@@ -499,7 +450,7 @@ mod tests {
     fn subrange_alignment() {
         let a: DnaString = "TTTTACGTACGT".parse().unwrap();
         let b: DnaString = "ACGTACGTTTTT".parse().unwrap();
-        let s = banded_global(&a, (4, 12), &b, (0, 8), &NwConfig::default()).unwrap();
+        let s = banded_global(&a, (4, 12), &b, (0, 8), 8).unwrap();
         assert_eq!(s.matches, 8);
         assert_eq!(s.columns, 8);
     }
@@ -508,75 +459,54 @@ mod tests {
     /// equal-length pair up to length 7 on a 2-letter alphabet: wherever
     /// [`ungapped_optimum_forced`](crate::myers::ungapped_optimum_forced)
     /// fires, full NW — and banded NW at the narrowest and widest bands —
-    /// report exactly the all-diagonal summary; under scorings that fail
-    /// `ma - 2·ga > 2·(ma - mi)` it fires for identical ranges only.
+    /// report exactly the all-diagonal summary.
     #[test]
-    #[cfg_attr(miri, ignore)] // 4 x 22 000 pairs through full NW
+    #[cfg_attr(miri, ignore)] // 22 000 pairs through full NW
     fn ungapped_rule_agrees_with_full_nw_exhaustively() {
         use crate::myers::{edit_distance_with, ungapped_optimum_forced, MyersScratch};
         let mut myers = MyersScratch::default();
-        for (scoring, condition) in [
-            ((1, -2, -3), true),
-            ((1, -1, -2), true),
-            ((2, -3, -2), false),
-            ((1, -3, -3), false),
-        ] {
-            let (match_score, mismatch_score, gap_score) = scoring;
-            let config = NwConfig {
-                match_score,
-                mismatch_score,
-                gap_score,
-                band: 0,
+        // (fired without a distance, fired only through h == D, gapped optimum)
+        let mut seen = (0u32, 0u32, 0u32);
+        for len in 0..=7usize {
+            let seq = |bits: u32| -> DnaString {
+                (0..len)
+                    .map(|i| fc_seq::Base::from_code((bits >> i & 1) as u8))
+                    .collect()
             };
-            assert_eq!(
-                match_score - 2 * gap_score > 2 * (match_score - mismatch_score),
-                condition
-            );
-            // (fired without a distance, fired only through h == D, gapped optimum)
-            let mut seen = (0u32, 0u32, 0u32);
-            for len in 0..=7usize {
-                let seq = |bits: u32| -> DnaString {
-                    (0..len)
-                        .map(|i| fc_seq::Base::from_code((bits >> i & 1) as u8))
-                        .collect()
-                };
-                for (abits, bbits) in (0..1u32 << len).flat_map(|a| (0..1u32 << len).map(move |b| (a, b))) {
-                    let (a, b) = (seq(abits), seq(bbits));
-                    let h = (abits ^ bbits).count_ones() as usize;
-                    assert_eq!(a.hamming_distance(&b), h);
-                    let d = edit_distance_with(a.packed(), (0, len), b.packed(), (0, len), &mut myers);
-                    let full = full_global(&a, &b, &config);
-                    let early = ungapped_optimum_forced(&config, h, None);
-                    let late = ungapped_optimum_forced(&config, h, Some(d));
-                    assert!(late || !early, "knowing D never retracts the rule");
-                    if !condition {
-                        assert_eq!(late, h == 0, "{scoring:?}: {a} vs {b}");
+            for (abits, bbits) in
+                (0..1u32 << len).flat_map(|a| (0..1u32 << len).map(move |b| (a, b)))
+            {
+                let (a, b) = (seq(abits), seq(bbits));
+                let h = (abits ^ bbits).count_ones() as usize;
+                assert_eq!(a.hamming_distance(&b), h);
+                let d = edit_distance_with(a.packed(), (0, len), b.packed(), (0, len), &mut myers);
+                let full = full_global(&a, &b);
+                let early = ungapped_optimum_forced(h, None);
+                let late = ungapped_optimum_forced(h, Some(d));
+                assert!(late || !early, "knowing D never retracts the rule");
+                if late {
+                    let diagonal = AlignmentSummary {
+                        score: MATCH * (len - h) as i32 + MISMATCH * h as i32,
+                        columns: len as u32,
+                        matches: (len - h) as u32,
+                    };
+                    assert_eq!(full, diagonal, "{a} vs {b} (h {h}, D {d})");
+                    for band in [0, 1, len] {
+                        let banded = banded_global(&a, (0, len), &b, (0, len), band);
+                        assert_eq!(banded, Some(diagonal), "band {band}: {a} vs {b}");
                     }
-                    if late {
-                        let diagonal = AlignmentSummary {
-                            score: match_score * (len - h) as i32 + mismatch_score * h as i32,
-                            columns: len as u32,
-                            matches: (len - h) as u32,
-                        };
-                        assert_eq!(full, diagonal, "{scoring:?}: {a} vs {b} (h {h}, D {d})");
-                        for band in [0, 1, len] {
-                            let banded = banded_global(&a, (0, len), &b, (0, len), &NwConfig { band, ..config });
-                            assert_eq!(banded, Some(diagonal), "{scoring:?} band {band}: {a} vs {b}");
-                        }
-                        if early {
-                            seen.0 += 1;
-                        } else {
-                            seen.1 += 1;
-                        }
-                    } else if full.columns as usize > len {
-                        seen.2 += 1;
+                    if early {
+                        seen.0 += 1;
+                    } else {
+                        seen.1 += 1;
                     }
+                } else if full.columns as usize > len {
+                    seen.2 += 1;
                 }
             }
-            // The corpus exercises each outcome the scoring allows.
-            assert!(seen.0 > 0 && seen.2 > 0, "{scoring:?}: {seen:?}");
-            assert_eq!(seen.1 > 0, condition, "{scoring:?}: {seen:?}");
         }
+        // The corpus exercises each outcome.
+        assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0, "{seen:?}");
     }
 }
 
@@ -599,12 +529,9 @@ mod props {
     fn banded_equals_full_with_wide_band() {
         cases(256, |rng| {
             let (a, b) = (dna(rng, 24), dna(rng, 24));
-            let config = NwConfig {
-                band: a.len().max(b.len()).max(1),
-                ..NwConfig::default()
-            };
-            let banded = banded_global(&a, (0, a.len()), &b, (0, b.len()), &config).unwrap();
-            let full = full_global(&a, &b, &config);
+            let band = a.len().max(b.len()).max(1);
+            let banded = banded_global(&a, (0, a.len()), &b, (0, b.len()), band).unwrap();
+            let full = full_global(&a, &b);
             assert_eq!(banded.score, full.score);
             assert_eq!(banded.columns, full.columns);
             assert_eq!(banded.matches, full.matches);
@@ -616,8 +543,7 @@ mod props {
     fn self_alignment_is_perfect() {
         cases(256, |rng| {
             let a = dna(rng, 32);
-            let config = NwConfig::default();
-            let s = banded_global(&a, (0, a.len()), &a, (0, a.len()), &config).unwrap();
+            let s = banded_global(&a, (0, a.len()), &a, (0, a.len()), 8).unwrap();
             assert_eq!(s.matches as usize, a.len());
             assert_eq!(s.columns as usize, a.len());
         });
@@ -628,11 +554,7 @@ mod props {
     fn summary_invariants() {
         cases(256, |rng| {
             let (a, b) = (dna(rng, 20), dna(rng, 20));
-            let config = NwConfig {
-                band: 20,
-                ..NwConfig::default()
-            };
-            if let Some(s) = banded_global(&a, (0, a.len()), &b, (0, b.len()), &config) {
+            if let Some(s) = banded_global(&a, (0, a.len()), &b, (0, b.len()), 20) {
                 assert!(s.matches <= s.columns);
                 assert!(s.columns as usize >= a.len().max(b.len()));
                 assert!((0.0..=1.0).contains(&s.identity()));
@@ -666,18 +588,10 @@ mod props {
     /// scratch reused throughout: equal `Option<AlignmentSummary>` for
     /// lengths 0–140 (across the 32/64/128-base words `fill_codes` unpacks
     /// at), length differences 0 to `band + 1`, bands {0, 1, 2, 7, 8, 16},
-    /// odd range offsets, related and unrelated ranges, and the five
-    /// scorings of `kernel`'s `verify_agrees_across_scorings`.
+    /// odd range offsets, and related and unrelated ranges.
     #[test]
     fn matches_the_reference_dp() {
         use super::reference;
-        const SCORINGS: [(i32, i32, i32); 5] = [
-            (1, -2, -3),
-            (1, -1, -2),
-            (3, -1, -4),
-            (2, -3, -2),
-            (1, -3, -3),
-        ];
         let mut scratch = NwScratch::default();
         // (in-band requests, verdicts whose optimum has a gap)
         let mut seen = (0, 0);
@@ -704,20 +618,12 @@ mod props {
             let b = [bases(rng, b_off), middle].concat();
             let (a, b): (DnaString, DnaString) = (a.into_iter().collect(), b.into_iter().collect());
             let (a_range, b_range) = ((a_off, a_off + n), (b_off, b_off + m));
-            for (match_score, mismatch_score, gap_score) in SCORINGS {
-                let config = NwConfig {
-                    match_score,
-                    mismatch_score,
-                    gap_score,
-                    band,
-                };
-                let got = banded_global_with(&a, a_range, &b, b_range, &config, &mut scratch);
-                let want = reference::banded_global(&a, a_range, &b, b_range, &config);
-                assert_eq!(got, want, "{config:?}: a[{a_range:?}] vs b[{b_range:?}]");
-                if let Some(s) = got {
-                    seen.0 += 1;
-                    seen.1 += usize::from(s.columns as usize > n.max(m));
-                }
+            let got = banded_global_with(&a, a_range, &b, b_range, band, &mut scratch);
+            let want = reference::banded_global(&a, a_range, &b, b_range, band);
+            assert_eq!(got, want, "band {band}: a[{a_range:?}] vs b[{b_range:?}]");
+            if let Some(s) = got {
+                seen.0 += 1;
+                seen.1 += usize::from(s.columns as usize > n.max(m));
             }
         });
         assert!(seen.1 > 0 && seen.1 < seen.0, "{seen:?}");

@@ -8,8 +8,8 @@
 
 use crate::error::AlignError;
 use crate::index::KmerIndex;
-use crate::kernel::{verify, KernelScratch, VerifyParams, VerifyReq};
-use crate::nw::{AlignmentSummary, NwConfig};
+use crate::kernel::{verify, KernelScratch, VerifyReq};
+use crate::nw::AlignmentSummary;
 use crate::overlap::{Overlap, OverlapKind};
 use fc_exec::Pool;
 use fc_obs::Recorder;
@@ -21,14 +21,17 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// the default power-of-two buckets would lump it all together.
 const IDENTITY_PCT_BOUNDS: &[u64] = &[50, 60, 70, 80, 85, 90, 92, 94, 96, 98, 99, 100];
 
+/// Distance between sampled seed positions on the query read: every third
+/// k-mer start is looked up. ROADMAP item 17 replaces it with a minimizer
+/// window.
+pub(crate) const SEED_STEP: usize = 3;
+
 /// Parameters of the overlap stage. The paper's evaluation uses a minimum
 /// overlap length of 50 bp and minimum identity of 90 % (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapConfig {
     /// Seed k-mer length.
     pub k: usize,
-    /// Distance between sampled seed positions on the query read.
-    pub seed_step: usize,
     /// Minimum k-mer hits on one diagonal cluster before a candidate is
     /// aligned (the paper's "number of k-mer hits greater than a specified
     /// threshold").
@@ -37,19 +40,19 @@ pub struct OverlapConfig {
     pub min_overlap_len: usize,
     /// Minimum verified alignment identity for an overlap.
     pub min_identity: f64,
-    /// Aligner scoring/banding.
-    pub nw: NwConfig,
+    /// Half-width, in cells, of the band around the seed diagonal that
+    /// candidate diagonals cluster in and banded NW verifies within.
+    pub band: usize,
 }
 
 impl Default for OverlapConfig {
     fn default() -> OverlapConfig {
         OverlapConfig {
             k: 15,
-            seed_step: 3,
             min_kmer_hits: 2,
             min_overlap_len: 50,
             min_identity: 0.90,
-            nw: NwConfig::default(),
+            band: 8,
         }
     }
 }
@@ -61,12 +64,6 @@ impl OverlapConfig {
             return Err(AlignError::Config {
                 parameter: "k",
                 message: format!("must be in 1..=32, got {}", self.k),
-            });
-        }
-        if self.seed_step == 0 {
-            return Err(AlignError::Config {
-                parameter: "seed_step",
-                message: "must be > 0".to_string(),
             });
         }
         if self.min_kmer_hits == 0 {
@@ -264,7 +261,7 @@ impl PairTally {
             rec.add("align.prefilter.rejected", total.prefilter_rejected);
             rec.add("align.prefilter.verified", total.prefilter_verified);
             rec.add("align.kernel.exact_hits", total.exact_hits);
-            rec.gauge("align.band", config.nw.band as i64);
+            rec.gauge("align.band", config.band as i64);
         }
         self.pairs
     }
@@ -466,10 +463,10 @@ impl<'a> Overlapper<'a> {
         let mut scratch = AlignScratch::default();
         let mut stats = PairStats::default();
         let mut reqs = Vec::new();
-        for j in 0..subsets.len() {
-            let index = self.index_subset(&subsets[j]);
-            for i in 0..=j {
-                self.seed_pair(&subsets[i], &index, i == j, &mut stats, &mut scratch);
+        for (j, reference) in subsets.iter().enumerate() {
+            let index = self.index_subset(reference);
+            for (i, query) in subsets[..=j].iter().enumerate() {
+                self.seed_pair(query, &index, i == j, &mut stats, &mut scratch);
                 reqs.extend_from_slice(&scratch.reqs);
             }
         }
@@ -487,11 +484,10 @@ impl<'a> Overlapper<'a> {
         stats: &mut PairStats,
         out: &mut Vec<Option<AlignmentSummary>>,
     ) {
-        let params = VerifyParams::from(&self.config);
         out.clear();
         out.reserve(reqs.len());
         for req in reqs {
-            out.push(verify(self.store, &params, req, scratch, stats));
+            out.push(verify(self.store, &self.config, req, scratch, stats));
         }
     }
 
@@ -539,18 +535,13 @@ impl<'a> Overlapper<'a> {
         } = scratch;
         // The read's sampled k-mers, looked up together.
         kmers.clear();
-        kmers.extend(
-            query_seq
-                .kmers(k)
-                .step_by(self.config.seed_step)
-                .map(|(_, kmer)| kmer),
-        );
+        kmers.extend(query_seq.kmers(k).step_by(SEED_STEP).map(|(_, kmer)| kmer));
         index.runs(kmers, runs);
         stats.kmer_lookups += runs.len() as u64;
         // Vote per (reference read, diagonal).
         votes.clear();
         for (s, &range) in runs.iter().enumerate() {
-            let pos = s * self.config.seed_step;
+            let pos = s * SEED_STEP;
             for (r, r_off) in index.hits_of(range) {
                 stats.kmer_hits += 1;
                 if r == q {
@@ -577,7 +568,7 @@ impl<'a> Overlapper<'a> {
         flat.extend(votes.iter().map(|(&(r, d), &c)| (r, d, c)));
         flat.sort_unstable();
         candidates.clear();
-        let band = self.config.nw.band as i64;
+        let band = self.config.band as i64;
         let mut g = 0usize;
         while g < flat.len() {
             let r = flat[g].0;
@@ -612,8 +603,7 @@ impl<'a> Overlapper<'a> {
         // Groups are visited in ascending read order with one candidate per
         // read, so `candidates` is already in the (r, d) order the map-based
         // implementation sorted into explicitly.
-        for ci in 0..candidates.len() {
-            let (r, diag) = candidates[ci];
+        for &(r, diag) in candidates.iter() {
             stats.candidates += 1;
             if let Some(req) = self.classify_candidate(q, r, diag) {
                 // Work accounting happens at the geometry stage with the
@@ -697,7 +687,7 @@ impl<'a> Overlapper<'a> {
             shift,
             a_range,
             b_range,
-            band: self.config.nw.band,
+            band: self.config.band,
         })
     }
 }
@@ -1118,12 +1108,6 @@ pub(crate) mod tests {
         .validate()
         .is_err());
         assert!(OverlapConfig {
-            seed_step: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(OverlapConfig {
             min_identity: 1.5,
             ..Default::default()
         }
@@ -1147,13 +1131,12 @@ pub(crate) mod tests {
         let subsets = store.split_subsets(4);
         let config = test_config();
         let overlapper = Overlapper::new(&store, config).unwrap();
-        let params = VerifyParams::from(&config);
         let mut nw = crate::nw::NwScratch::default();
         let expected: Vec<Overlap> = overlapper
             .gather_requests(&subsets)
             .iter()
             .filter_map(|req| {
-                let summary = crate::kernel::banded_nw_verdict(&store, &params, req, &mut nw)?;
+                let summary = crate::kernel::banded_nw_verdict(&store, &config, req, &mut nw)?;
                 Some(Overlap {
                     a: req.a,
                     b: req.b,

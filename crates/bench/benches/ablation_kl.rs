@@ -29,7 +29,6 @@ fn main() {
         let before = local.cut(&side);
         let config = KlConfig {
             max_bad_moves: budget,
-            ..Default::default()
         };
         let t = Instant::now();
         let mut kl_work = 0u64;

@@ -14,6 +14,7 @@ use fc_bench::harness::{mean_sd, prepare_context};
 use fc_bench::{bench_scale, print_table_header};
 use fc_dist::{DistributedHybrid, FaultPlan, FaultRates};
 use fc_partition::{partition_graph_set, PartitionConfig};
+use std::sync::Arc;
 
 const K: usize = 16;
 const SEED: u64 = 3;
@@ -35,8 +36,13 @@ fn main() {
     for (d, p) in ctx.datasets.iter().zip(&ctx.prepared) {
         let partition = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(K, SEED))
             .expect("partitioning succeeds");
-        let dh0 = DistributedHybrid::new(&p.hybrid, &p.store, partition.finest().to_vec(), K)
-            .expect("distribution set-up succeeds");
+        let dh0 = DistributedHybrid::from_contigs(
+            &p.hybrid,
+            Arc::clone(&p.contigs),
+            partition.finest().to_vec(),
+            K,
+        )
+        .expect("distribution set-up succeeds");
         let config = ctx.assembler.config().dist;
         let clean = dh0.clone().run(&config).expect("clean run succeeds");
         let clean_time = clean.trimming_time + clean.traversal_time;

@@ -10,6 +10,7 @@ use fc_bench::harness::prepare_context;
 use fc_bench::{bench_scale, print_table_header};
 use fc_dist::DistributedHybrid;
 use fc_partition::{partition_graph_set, PartitionConfig};
+use std::sync::Arc;
 
 const KS: [usize; 4] = [8, 16, 32, 64];
 const SEED: u64 = 3;
@@ -28,9 +29,13 @@ fn main() {
         for &k in &KS {
             let partition = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, SEED))
                 .expect("partitioning succeeds");
-            let mut dh =
-                DistributedHybrid::new(&p.hybrid, &p.store, partition.finest().to_vec(), k)
-                    .expect("distribution set-up succeeds");
+            let mut dh = DistributedHybrid::from_contigs(
+                &p.hybrid,
+                Arc::clone(&p.contigs),
+                partition.finest().to_vec(),
+                k,
+            )
+            .expect("distribution set-up succeeds");
             let report = dh
                 .run(&ctx.assembler.config().dist)
                 .expect("distributed run succeeds");

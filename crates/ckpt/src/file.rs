@@ -260,4 +260,71 @@ mod tests {
         assert!(CheckpointFile::decode(&[], &p()).is_err());
         assert!(CheckpointFile::decode(b"FCKP", &p()).is_err());
     }
+
+    /// Hostile framing past the file CRC. From the three-record sample, 1–8
+    /// edits — set bytes, truncate, insert bytes, or write a random `u64`
+    /// over the record count or a record length — then the trailing CRC is
+    /// re-sealed, so every case reaches the header and record parsing. Each
+    /// must end in `Ok` or `Corrupt`, never a panic, and an `Ok` must
+    /// re-encode to the bytes it was decoded from. (`cases` runs 8 under
+    /// Miri.)
+    #[test]
+    fn resealed_mutations_decode_or_are_corrupt() {
+        let file = sample();
+        let valid = file.encode();
+        // Offsets of the record count and of each record's length field.
+        let mut fields = vec![HEADER_LEN - 8];
+        let mut pos = HEADER_LEN;
+        for record in &file.records {
+            fields.push(pos);
+            pos += 8 + record.len() + 4;
+        }
+        let (mut ok, mut corrupt) = (0, 0);
+        fc_rng::cases(2_000, |rng| {
+            let mut bytes = valid[..valid.len() - 4].to_vec();
+            for _ in 0..rng.range(1..=8usize) {
+                let len = bytes.len();
+                match rng.range(0..4u8) {
+                    0 if len > 0 => {
+                        let at = rng.range(0..len);
+                        for b in &mut bytes[at..len.min(at + rng.range(1..=4usize))] {
+                            *b = rng.range(0..=255u8);
+                        }
+                    }
+                    1 => bytes.truncate(rng.range(0..=len)),
+                    2 => {
+                        let at = rng.range(0..=len);
+                        let insert = rng.vec(1..=16, |r| r.range(0..=255u8));
+                        bytes.splice(at..at, insert);
+                    }
+                    _ => {
+                        let at = fields[rng.range(0..fields.len())];
+                        let value = if rng.bool(0.5) {
+                            rng.next_u64()
+                        } else {
+                            rng.range(0..=len as u64 + 16)
+                        };
+                        if at + 8 <= len {
+                            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                        }
+                    }
+                }
+            }
+            let crc = crc32(&bytes).to_le_bytes();
+            bytes.extend_from_slice(&crc);
+            match CheckpointFile::decode(&bytes, &p()) {
+                Ok(decoded) => {
+                    assert_eq!(decoded.encode(), bytes, "{decoded:?}");
+                    ok += 1;
+                }
+                Err(CkptError::Corrupt { .. }) => corrupt += 1,
+                Err(other) => panic!("not a corruption verdict: {other}"),
+            }
+        });
+        // Edits inside the phase, fingerprint and digest fields still
+        // decode; the rest are caught.
+        if !cfg!(miri) {
+            assert!(ok > 0 && corrupt > 0, "{ok} ok, {corrupt} corrupt");
+        }
+    }
 }

@@ -11,7 +11,7 @@
 
 use crate::cluster::{CostModel, PhaseTiming, SimCluster};
 use crate::error::DistError;
-use crate::error_removal::{self, ErrorRemovalConfig};
+use crate::error_removal;
 use crate::fault::{FaultPlan, FaultReport, PhaseId, RetryPolicy};
 use crate::recovery::execute_phase;
 use crate::simplify;
@@ -22,16 +22,12 @@ use fc_obs::Recorder;
 use fc_seq::{DnaString, ReadStore};
 use std::sync::Arc;
 
-/// Configuration of the distributed stage.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Configuration of the distributed stage. The virtual-time cost model is
+/// [`CostModel::default`], and a [`FaultPlan`] in effect is answered with
+/// [`RetryPolicy::default`]'s retransmission, backoff, timeout and
+/// speculation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistributedConfig {
-    /// Virtual-time cost model.
-    pub cost: CostModel,
-    /// Dead-end/bubble limits.
-    pub errors: ErrorRemovalConfig,
-    /// Retransmission, backoff, timeout and speculation policy used when a
-    /// [`FaultPlan`] is in effect (and harmless otherwise).
-    pub retry: RetryPolicy,
     /// Worker threads for the per-partition scans (`0` = available
     /// parallelism, `1` = exact serial path). Scans are pure, so results —
     /// including [`FaultPlan`] replays — are identical at any thread count.
@@ -83,48 +79,26 @@ pub struct DistributedHybrid {
 
 impl DistributedHybrid {
     /// Prepares the distributed stage from a hybrid set, its `G'0` partition
-    /// assignment and the read store. Contigs are built with first-wins
-    /// merging; use [`DistributedHybrid::with_consensus`] for per-column
-    /// majority consensus.
-    pub fn new(
-        hybrid: &HybridSet,
-        store: &ReadStore,
-        parts: Vec<u32>,
-        k: usize,
-    ) -> Result<DistributedHybrid, DistError> {
-        let contigs = DistributedHybrid::node_contigs(hybrid, store, false);
-        DistributedHybrid::from_contigs(hybrid, contigs, parts, k)
-    }
-
-    /// Like [`DistributedHybrid::new`] but with error-corrected consensus
-    /// contig sequences.
+    /// assignment and the read store, building every node's contig
+    /// ([`DistributedHybrid::node_contigs`]). The name is historical: there
+    /// is no other contig construction, and `benchmark/` still calls it.
     pub fn with_consensus(
         hybrid: &HybridSet,
         store: &ReadStore,
         parts: Vec<u32>,
         k: usize,
     ) -> Result<DistributedHybrid, DistError> {
-        let contigs = DistributedHybrid::node_contigs(hybrid, store, true);
+        let contigs = DistributedHybrid::node_contigs(hybrid, store);
         DistributedHybrid::from_contigs(hybrid, contigs, parts, k)
     }
 
-    /// The contig sequence of every hybrid node, in node-id order: per-column
-    /// majority consensus when `consensus`, first-wins merging otherwise.
+    /// The contig sequence of every hybrid node, in node-id order: each
+    /// cluster's per-column majority consensus ([`HybridSet::contig`]).
     /// They depend on the hybrid set and the store only — not on `parts` or
     /// `k` — so a partition-count sweep builds them once and shares them.
-    pub fn node_contigs(
-        hybrid: &HybridSet,
-        store: &ReadStore,
-        consensus: bool,
-    ) -> Arc<[DnaString]> {
+    pub fn node_contigs(hybrid: &HybridSet, store: &ReadStore) -> Arc<[DnaString]> {
         (0..hybrid.node_count() as NodeId)
-            .map(|v| {
-                if consensus {
-                    hybrid.contig_consensus(v, store)
-                } else {
-                    hybrid.contig(v, store)
-                }
-            })
+            .map(|v| hybrid.contig(v, store))
             .collect()
     }
 
@@ -215,7 +189,8 @@ impl DistributedHybrid {
         rec: &Recorder,
     ) -> Result<DistributedReport, DistError> {
         let planned_faults = plan.events().len() as u64;
-        let mut cluster = SimCluster::with_faults(self.k, config.cost, plan, config.retry)?;
+        let mut cluster =
+            SimCluster::with_faults(self.k, CostModel::default(), plan, RetryPolicy::default())?;
         let pool = fc_exec::Pool::new(config.threads);
         let _run_span = rec.span_args(
             "dist",
@@ -283,13 +258,11 @@ impl DistributedHybrid {
             PhaseId::ErrorRemoval,
             self.k,
             |p, w| {
-                let mut rec =
-                    error_removal::worker_dead_ends(&self.graph, &lists[p], &config.errors, w);
+                let mut rec = error_removal::worker_dead_ends(&self.graph, &lists[p], w);
                 rec.extend(error_removal::worker_bubbles(
                     &self.graph,
                     &lists[p],
                     &self.support,
-                    &config.errors,
                     w,
                 ));
                 rec
@@ -435,7 +408,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let hs = HybridSet::build(&ml, &g, &store, &LayoutConfig::default());
+        let hs = HybridSet::build(&ml, &g, &store, &LayoutConfig);
         (store, hs)
     }
 
@@ -458,7 +431,7 @@ mod tests {
         let (store, hs) = hybrid_case(40);
         let k = 4;
         let parts = round_robin_parts(hs.node_count(), k);
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let report = dh.run(&DistributedConfig::default()).unwrap();
         traverse::check_path_cover(&dh.graph, &report.paths).unwrap();
         assert!(report.trimming_time > 0.0);
@@ -473,21 +446,20 @@ mod tests {
         let (store, hs) = hybrid_case(20);
         let n = hs.node_count();
         assert!(matches!(
-            DistributedHybrid::new(&hs, &store, vec![0; n + 1], 2),
+            DistributedHybrid::with_consensus(&hs, &store, vec![0; n + 1], 2),
             Err(DistError::PartitionLengthMismatch { .. })
         ));
         assert!(matches!(
-            DistributedHybrid::new(&hs, &store, vec![5; n], 2),
+            DistributedHybrid::with_consensus(&hs, &store, vec![5; n], 2),
             Err(DistError::PartitionIdOutOfRange { id: 5, k: 2 })
         ));
         assert!(matches!(
-            DistributedHybrid::new(&hs, &store, vec![0; n], 0),
+            DistributedHybrid::with_consensus(&hs, &store, vec![0; n], 0),
             Err(DistError::NoRanks)
         ));
         // One contig short: a typed error here, not an index panic in
         // `simplify::worker_scan`.
-        let short: Arc<[DnaString]> =
-            DistributedHybrid::node_contigs(&hs, &store, true)[1..].into();
+        let short: Arc<[DnaString]> = DistributedHybrid::node_contigs(&hs, &store)[1..].into();
         assert_eq!(
             DistributedHybrid::from_contigs(&hs, short, vec![0; n], 2).err(),
             Some(DistError::ContigCountMismatch {
@@ -498,38 +470,30 @@ mod tests {
     }
 
     #[test]
-    fn from_contigs_over_node_contigs_is_both_store_constructors() {
+    fn from_contigs_over_node_contigs_is_the_store_constructor() {
         let (store, hs) = hybrid_case(40);
         let k = 4;
         let parts = round_robin_parts(hs.node_count(), k);
-        for consensus in [false, true] {
-            let shared = DistributedHybrid::node_contigs(&hs, &store, consensus);
-            let mut a =
-                DistributedHybrid::from_contigs(&hs, shared.clone(), parts.clone(), k).unwrap();
-            let mut b = if consensus {
-                DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k)
-            } else {
-                DistributedHybrid::new(&hs, &store, parts.clone(), k)
-            }
-            .unwrap();
-            for v in 0..hs.node_count() as NodeId {
-                assert_eq!(a.contig(v), b.contig(v), "node {v}, consensus {consensus}");
-            }
-            // Shared with the caller's list, not copied out of it.
-            assert!(Arc::ptr_eq(&a.contigs, &shared));
-            let ra = a.run(&DistributedConfig::default()).unwrap();
-            let rb = b.run(&DistributedConfig::default()).unwrap();
-            assert_eq!(ra.paths, rb.paths);
-            assert_eq!(
-                (ra.transitive_removed, ra.contained_removed),
-                (rb.transitive_removed, rb.contained_removed)
-            );
-            assert_eq!(
-                (ra.false_edges_removed, ra.error_nodes_removed),
-                (rb.false_edges_removed, rb.error_nodes_removed)
-            );
-            assert_eq!((ra.messages, ra.bytes), (rb.messages, rb.bytes));
+        let shared = DistributedHybrid::node_contigs(&hs, &store);
+        let mut a = DistributedHybrid::from_contigs(&hs, shared.clone(), parts.clone(), k).unwrap();
+        let mut b = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
+        for v in 0..hs.node_count() as NodeId {
+            assert_eq!(a.contig(v), b.contig(v), "node {v}");
         }
+        // Shared with the caller's list, not copied out of it.
+        assert!(Arc::ptr_eq(&a.contigs, &shared));
+        let ra = a.run(&DistributedConfig::default()).unwrap();
+        let rb = b.run(&DistributedConfig::default()).unwrap();
+        assert_eq!(ra.paths, rb.paths);
+        assert_eq!(
+            (ra.transitive_removed, ra.contained_removed),
+            (rb.transitive_removed, rb.contained_removed)
+        );
+        assert_eq!(
+            (ra.false_edges_removed, ra.error_nodes_removed),
+            (rb.false_edges_removed, rb.error_nodes_removed)
+        );
+        assert_eq!((ra.messages, ra.bytes), (rb.messages, rb.bytes));
     }
 
     #[test]
@@ -538,7 +502,7 @@ mod tests {
         let mut covers = Vec::new();
         for k in [1usize, 2, 4] {
             let parts = round_robin_parts(hs.node_count(), k);
-            let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+            let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
             let report = dh.run(&DistributedConfig::default()).unwrap();
             covers.push(sorted_cover(&report));
         }
@@ -555,7 +519,7 @@ mod tests {
         let scattered = round_robin_parts(n, k);
         let block: Vec<u32> = (0..n).map(|i| ((i * k) / n).min(k - 1) as u32).collect();
         let run = |parts: Vec<u32>| {
-            let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+            let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
             dh.run(&DistributedConfig::default()).unwrap().paths.len()
         };
         // Both must cover the same nodes; the block partition cannot yield
@@ -571,13 +535,14 @@ mod tests {
         let (store, hs) = hybrid_case(50);
         let k = 4;
         let parts = round_robin_parts(hs.node_count(), k);
-        let clean_report = DistributedHybrid::new(&hs, &store, parts.clone(), k)
+        let clean_report = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k)
             .unwrap()
             .run(&DistributedConfig::default())
             .unwrap();
         for phase in PhaseId::ALL {
             for rank in 0..k {
-                let mut dh = DistributedHybrid::new(&hs, &store, parts.clone(), k).unwrap();
+                let mut dh =
+                    DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k).unwrap();
                 let report = dh
                     .run_with_faults(
                         &DistributedConfig::default(),
@@ -604,9 +569,9 @@ mod tests {
         let (store, hs) = hybrid_case(40);
         let k = 2;
         let parts = round_robin_parts(hs.node_count(), k);
-        let mut dh = DistributedHybrid::new(&hs, &store, parts.clone(), k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k).unwrap();
         let clean = dh.run(&DistributedConfig::default()).unwrap();
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let report = dh
             .run_with_faults(
                 &DistributedConfig::default(),
@@ -628,10 +593,10 @@ mod tests {
         let parts = round_robin_parts(hs.node_count(), k);
         let mut plan = FaultPlan::single_crash(PhaseId::TransitiveReduction, 1);
         for event in FaultPlan::message_drops(PhaseId::ErrorRemoval, 2, 2).events() {
-            plan.push(event.clone());
+            plan.push(*event);
         }
         let planned = plan.events().len() as u64;
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let rec = Recorder::new(fc_obs::ObsOptions::logical());
         let report = dh
             .run_with_faults_obs(&DistributedConfig::default(), plan, &rec)
@@ -684,9 +649,9 @@ mod tests {
         let (store, hs) = hybrid_case(40);
         let k = 3;
         let parts = round_robin_parts(hs.node_count(), k);
-        let mut dh = DistributedHybrid::new(&hs, &store, parts.clone(), k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k).unwrap();
         let plain = dh.run(&DistributedConfig::default()).unwrap();
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let rec = Recorder::new(fc_obs::ObsOptions::logical());
         let obs = dh
             .run_with_faults_obs(&DistributedConfig::default(), FaultPlan::none(), &rec)
@@ -700,7 +665,7 @@ mod tests {
     fn crashing_the_only_rank_is_unrecoverable() {
         let (store, hs) = hybrid_case(30);
         let parts = vec![0u32; hs.node_count()];
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, 1).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, 1).unwrap();
         let err = dh
             .run_with_faults(
                 &DistributedConfig::default(),
@@ -720,9 +685,9 @@ mod tests {
         let (store, hs) = hybrid_case(60);
         let k = 4;
         let parts = round_robin_parts(hs.node_count(), k);
-        let mut dh = DistributedHybrid::new(&hs, &store, parts.clone(), k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k).unwrap();
         let clean = dh.run(&DistributedConfig::default()).unwrap();
-        let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+        let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let faulty = dh
             .run_with_faults(
                 &DistributedConfig::default(),
@@ -757,14 +722,14 @@ mod tests {
                 let (store, hs) = hybrid_case(30);
                 let k = 4;
                 let parts = round_robin_parts(hs.node_count(), k);
-                let clean = DistributedHybrid::new(&hs, &store, parts.clone(), k)
+                let clean = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k)
                     .unwrap()
                     .run(&DistributedConfig::default())
                     .unwrap();
                 let ranks: Vec<usize> = (0..k).filter(|r| mask & (1 << r) != 0).collect();
                 let phase = PhaseId::ALL[phase_idx];
                 let plan = FaultPlan::crashes(phase, &ranks);
-                let mut dh = DistributedHybrid::new(&hs, &store, parts, k).unwrap();
+                let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
                 let outcome = dh.run_with_faults(&DistributedConfig::default(), plan);
                 if ranks.len() == k {
                     assert_eq!(outcome.unwrap_err(), DistError::AllRanksDead { phase });

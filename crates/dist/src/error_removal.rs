@@ -9,37 +9,21 @@
 
 use fc_graph::{DiGraph, NodeId};
 
-/// Limits for what counts as a "short" dead end or bubble branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ErrorRemovalConfig {
-    /// Maximum nodes in a removable dead-end chain.
-    pub max_tip_len: usize,
-    /// Maximum nodes in one bubble branch.
-    pub max_bubble_len: usize,
-}
+/// Maximum nodes in a removable dead-end chain: what counts as a "short"
+/// dead end.
+const MAX_TIP_LEN: usize = 3;
 
-impl Default for ErrorRemovalConfig {
-    fn default() -> ErrorRemovalConfig {
-        ErrorRemovalConfig {
-            max_tip_len: 3,
-            max_bubble_len: 6,
-        }
-    }
-}
+/// Maximum nodes in one bubble branch: what counts as a "short" bubble.
+const MAX_BUBBLE_LEN: usize = 6;
 
 /// Node weights used to pick a bubble's survivor (read support per node).
 pub type NodeSupport<'a> = &'a [u64];
 
 /// One worker's dead-end scan over its partition. A chain is a dead end
 /// when it starts at a tip (no in-edges or no out-edges), is unary, has at
-/// most `max_tip_len` nodes, and attaches to a junction that retains other
+/// most `MAX_TIP_LEN` nodes, and attaches to a junction that retains other
 /// continuations (so removal cannot disconnect a real path).
-pub fn worker_dead_ends(
-    g: &DiGraph,
-    nodes: &[NodeId],
-    config: &ErrorRemovalConfig,
-    work: &mut u64,
-) -> Vec<NodeId> {
+pub fn worker_dead_ends(g: &DiGraph, nodes: &[NodeId], work: &mut u64) -> Vec<NodeId> {
     let mut recorded = Vec::new();
     for &v in nodes {
         if g.is_removed(v) {
@@ -48,13 +32,13 @@ pub fn worker_dead_ends(
         *work += 1;
         // Forward tip: v has no in-edges; walk forward through unary nodes.
         if g.in_degree(v) == 0 && g.out_degree(v) > 0 {
-            if let Some(chain) = tip_chain(g, v, Direction::Forward, config.max_tip_len, work) {
+            if let Some(chain) = tip_chain(g, v, Direction::Forward, MAX_TIP_LEN, work) {
                 recorded.extend(chain);
             }
         }
         // Backward tip: v has no out-edges; walk backwards.
         if g.out_degree(v) == 0 && g.in_degree(v) > 0 {
-            if let Some(chain) = tip_chain(g, v, Direction::Backward, config.max_tip_len, work) {
+            if let Some(chain) = tip_chain(g, v, Direction::Backward, MAX_TIP_LEN, work) {
                 recorded.extend(chain);
             }
         }
@@ -175,7 +159,6 @@ pub fn worker_bubbles(
     g: &DiGraph,
     nodes: &[NodeId],
     support: NodeSupport<'_>,
-    config: &ErrorRemovalConfig,
     work: &mut u64,
 ) -> Vec<NodeId> {
     let mut recorded = Vec::new();
@@ -191,7 +174,7 @@ pub fn worker_bubbles(
             let mut cur = e.to;
             let mut steps = 0;
             // Walk while the chain is strictly unary (in-deg 1, out-deg 1).
-            while g.in_degree(cur) == 1 && g.out_degree(cur) == 1 && steps < config.max_bubble_len {
+            while g.in_degree(cur) == 1 && g.out_degree(cur) == 1 && steps < MAX_BUBBLE_LEN {
                 interior.push(cur);
                 cur = g.out_edges(cur)[0].to;
                 steps += 1;
@@ -278,7 +261,7 @@ mod tests {
         let mut g = spur_graph();
         let all: Vec<NodeId> = (0..6).collect();
         let mut work = 0;
-        let recorded = worker_dead_ends(&g, &all, &ErrorRemovalConfig::default(), &mut work);
+        let recorded = worker_dead_ends(&g, &all, &mut work);
         // The spur [5] loses to the deeper backbone branch [0,1]; the
         // backbone head survives because its alternative (the spur) is
         // shallower.
@@ -294,14 +277,13 @@ mod tests {
         // either would be a coin flip on the true sequence, so both stay.
         let g = DiGraph::from_edges(4, &[(0, edge(2)), (1, edge(2)), (2, edge(3))]);
         let mut work = 0;
-        let recorded =
-            worker_dead_ends(&g, &[0, 1, 2, 3], &ErrorRemovalConfig::default(), &mut work);
+        let recorded = worker_dead_ends(&g, &[0, 1, 2, 3], &mut work);
         assert!(recorded.is_empty(), "tied tips trimmed: {recorded:?}");
     }
 
     #[test]
     fn long_dead_end_kept() {
-        // A spur of 5 nodes exceeds max_tip_len = 3 and survives; the
+        // A spur of 5 nodes exceeds MAX_TIP_LEN = 3 and survives; the
         // 2-node branch it out-competes at the junction is clipped instead.
         let mut edges = Vec::new();
         for i in 0..4u32 {
@@ -315,7 +297,7 @@ mod tests {
         let g = DiGraph::from_edges(10, &edges);
         let all: Vec<NodeId> = (0..10).collect();
         let mut work = 0;
-        let recorded = worker_dead_ends(&g, &all, &ErrorRemovalConfig::default(), &mut work);
+        let recorded = worker_dead_ends(&g, &all, &mut work);
         assert!(
             recorded.iter().all(|&v| v < 5),
             "long spur trimmed: {recorded:?}"
@@ -343,13 +325,7 @@ mod tests {
         let (mut g, support) = bubble_graph();
         let all: Vec<NodeId> = (0..5).collect();
         let mut work = 0;
-        let recorded = worker_bubbles(
-            &g,
-            &all,
-            &support,
-            &ErrorRemovalConfig::default(),
-            &mut work,
-        );
+        let recorded = worker_bubbles(&g, &all, &support, &mut work);
         assert_eq!(recorded, vec![2]);
         master_remove(&mut g, recorded, &mut work);
         assert!(g.is_removed(2));
@@ -369,19 +345,13 @@ mod tests {
         );
         let support = vec![1u64; 5];
         let mut work = 0;
-        let recorded = worker_bubbles(
-            &g,
-            &[0],
-            &support,
-            &ErrorRemovalConfig::default(),
-            &mut work,
-        );
+        let recorded = worker_bubbles(&g, &[0], &support, &mut work);
         assert!(recorded.is_empty());
     }
 
     #[test]
     fn oversized_bubble_kept() {
-        // Branch interiors of 7 nodes exceed max_bubble_len = 6.
+        // Branch interiors of 7 nodes exceed MAX_BUBBLE_LEN = 6.
         let mut edges = Vec::new();
         edges.push((0, edge(1)));
         edges.push((0, edge(9)));
@@ -400,13 +370,7 @@ mod tests {
         let g = DiGraph::from_edges(20, &edges);
         let support = vec![1u64; 20];
         let mut work = 0;
-        let recorded = worker_bubbles(
-            &g,
-            &[0],
-            &support,
-            &ErrorRemovalConfig::default(),
-            &mut work,
-        );
+        let recorded = worker_bubbles(&g, &[0], &support, &mut work);
         assert!(recorded.is_empty(), "oversized bubble popped: {recorded:?}");
     }
 }

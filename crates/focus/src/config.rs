@@ -21,7 +21,8 @@ pub struct FaultInjection {
     pub rates: FaultRates,
 }
 
-/// Full configuration of the Focus pipeline, one field per stage.
+/// Full configuration of the Focus pipeline, one field per stage. A value
+/// no caller sets is a constant beside the code that reads it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FocusConfig {
     /// Read preprocessing (§II-A).
@@ -32,22 +33,17 @@ pub struct FocusConfig {
     pub overlap: OverlapConfig,
     /// Multilevel coarsening (§II-C).
     pub coarsen: CoarsenConfig,
-    /// Cluster contiguity test for best representatives (§II-D).
+    /// Contiguity test (§II-D): field-less, kept while `benchmark/` reads it.
     pub layout: LayoutConfig,
     /// Number of graph partitions (must be a power of two).
     pub partitions: usize,
     /// Seed for the partitioner's randomised choices.
     pub partition_seed: u64,
-    /// Distributed trimming/traversal knobs (§V).
+    /// The distributed stage (§V); [`FocusConfig::threads`] overrides it.
     pub dist: DistributedConfig,
     /// Optional deterministic fault injection for the distributed stage.
     /// `None` (the default) runs a perfect cluster.
     pub fault: Option<FaultInjection>,
-    /// Build contig sequences by per-column majority consensus (error
-    /// correcting) instead of first-wins merging. Lengths and all Table III
-    /// statistics are identical either way; only base-level content
-    /// differs.
-    pub consensus: bool,
     /// Emit only the lexicographically canonical strand of each contig
     /// (exact reverse-complement duplicates are dropped). The read set is
     /// strand-augmented (§II-A), so assemblies naturally produce each contig
@@ -83,12 +79,11 @@ impl Default for FocusConfig {
             subsets: 4,
             overlap: OverlapConfig::default(),
             coarsen: CoarsenConfig::default(),
-            layout: LayoutConfig::default(),
+            layout: LayoutConfig,
             partitions: 16,
             partition_seed: 0xF0C05,
             dist: DistributedConfig::default(),
             fault: None,
-            consensus: true,
             dedup_rc: false,
             threads: 0,
             memory_budget: None,
@@ -111,7 +106,6 @@ impl FocusConfig {
                 self.partitions
             )));
         }
-        self.dist.retry.validate()?;
         if let Some(fault) = &self.fault {
             fault.rates.validate()?;
         }
@@ -251,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_fault_injection_and_retry_policy() {
+    fn rejects_invalid_fault_injection() {
         let mut c = FocusConfig {
             fault: Some(FaultInjection {
                 seed: 1,
@@ -271,11 +265,6 @@ mod tests {
             rates: FaultRates::default(),
         });
         assert!(c.validate().is_ok());
-        c.dist.retry.max_attempts = 0;
-        assert!(matches!(
-            c.validate(),
-            Err(FocusError::Dist(DistError::InvalidRetryPolicy(_)))
-        ));
     }
 
     #[test]

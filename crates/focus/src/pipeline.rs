@@ -206,7 +206,7 @@ impl FocusAssembler {
         rec.gauge("mem.graph.multilevel_bytes", multilevel_bytes as i64);
         rec.gauge("mem.graph.hybrid_bytes", hybrid.heap_bytes() as i64);
 
-        let contigs = DistributedHybrid::node_contigs(&hybrid, &store, config.consensus);
+        let contigs = DistributedHybrid::node_contigs(&hybrid, &store);
         rec.sample_peak_rss();
         Ok(Prepared {
             store,
@@ -244,7 +244,6 @@ impl FocusAssembler {
         };
         let dist_config = DistributedConfig {
             threads: config.threads,
-            ..config.dist
         };
         let report = dh.run_with_faults_obs(&dist_config, plan, rec)?;
 
@@ -291,8 +290,9 @@ pub(crate) fn align_in_core(
 }
 
 /// Merges the contigs along a maximal path into one sequence using the
-/// hybrid edges' contig-level shifts (first-wins merging, as within
-/// clusters). A path step without a connecting edge means traversal's
+/// hybrid edges' contig-level shifts: each node's contig contributes the
+/// bases past the current end (the clusters' own contigs are per-column
+/// consensus). A path step without a connecting edge means traversal's
 /// post-condition was violated upstream; it surfaces as a typed error
 /// rather than a panic.
 fn path_contig(dh: &DistributedHybrid, path: &AssemblyPath) -> Result<DnaString, FocusError> {

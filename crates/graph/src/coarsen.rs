@@ -11,6 +11,10 @@ const PERMILLE_BOUNDS: &[u64] = &[100, 200, 300, 400, 500, 600, 700, 800, 900, 9
 /// Coarsening stops once a round keeps more than this share of the nodes.
 const STAGNATION_RATIO: f64 = 0.95;
 
+/// Seed of the random node visit order of the matching; round `r` uses
+/// `MATCHING_SEED + r`.
+const MATCHING_SEED: u64 = 0xF0C5;
+
 /// Parameters controlling how far the multilevel set is coarsened.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoarsenConfig {
@@ -19,8 +23,6 @@ pub struct CoarsenConfig {
     /// Hard cap on produced levels (the paper's data sets coarsened to ten
     /// levels).
     pub max_levels: usize,
-    /// Seed for the random node visit order of the matching.
-    pub seed: u64,
 }
 
 impl Default for CoarsenConfig {
@@ -28,7 +30,6 @@ impl Default for CoarsenConfig {
         CoarsenConfig {
             min_nodes: 64,
             max_levels: 10,
-            seed: 0xF0C5,
         }
     }
 }
@@ -64,7 +65,7 @@ impl MultilevelSet {
             if current.node_count() <= config.min_nodes {
                 break;
             }
-            let matching = heavy_edge_matching(current, config.seed.wrapping_add(round as u64));
+            let matching = heavy_edge_matching(current, MATCHING_SEED.wrapping_add(round as u64));
             if rec.is_enabled() {
                 let matched = matching
                     .iter()

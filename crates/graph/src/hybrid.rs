@@ -54,14 +54,16 @@ pub struct HybridSet {
 }
 
 impl HybridSet {
-    /// Builds the hybrid set from a multilevel set over `g0`.
+    /// Builds the hybrid set from a multilevel set over `g0`. The
+    /// contiguity test has no parameters: `_layout` is field-less and stays
+    /// only while `benchmark/` passes it.
     pub fn build(
         ml: &MultilevelSet,
         g0: &OverlapGraph,
         store: &ReadStore,
-        config: &LayoutConfig,
+        _layout: &LayoutConfig,
     ) -> HybridSet {
-        HybridSet::build_obs(ml, g0, store, config, &Recorder::disabled())
+        HybridSet::build_obs(ml, g0, store, &LayoutConfig, &Recorder::disabled())
     }
 
     /// [`HybridSet::build`] with selection metrics recorded into `rec`:
@@ -72,7 +74,7 @@ impl HybridSet {
         ml: &MultilevelSet,
         g0: &OverlapGraph,
         store: &ReadStore,
-        config: &LayoutConfig,
+        _layout: &LayoutConfig,
         rec: &Recorder,
     ) -> HybridSet {
         let _span = rec.span_args(
@@ -97,7 +99,7 @@ impl HybridSet {
             .collect();
         while let Some((level, node)) = stack.pop() {
             let cluster = expand_to_level0(&children, level, node);
-            match layout_cluster(&cluster, &g0.directed, &containments, store, config, rec) {
+            match layout_cluster(&cluster, &g0.directed, &containments, store, rec) {
                 Some(layout) => {
                     reps.push(Representative { level, node });
                     clusters.push(cluster);
@@ -259,14 +261,9 @@ impl HybridSet {
         graphs + per_rep + per_read + vec_bytes(&self.contig_lens)
     }
 
-    /// The contig sequence of a hybrid node (first-wins merging).
+    /// The contig sequence of a hybrid node: the per-column majority
+    /// consensus of its cluster's layout.
     pub fn contig(&self, hybrid_node: NodeId, store: &ReadStore) -> fc_seq::DnaString {
-        self.layouts[hybrid_node as usize].contig_sequence(store)
-    }
-
-    /// The contig sequence of a hybrid node with per-column majority
-    /// consensus (error-corrected; same length as [`HybridSet::contig`]).
-    pub fn contig_consensus(&self, hybrid_node: NodeId, store: &ReadStore) -> fc_seq::DnaString {
         self.layouts[hybrid_node as usize].consensus_sequence(store)
     }
 
@@ -365,7 +362,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let hs = HybridSet::build(&ml, &g, &store, &LayoutConfig::default());
+        let hs = HybridSet::build(&ml, &g, &store, &LayoutConfig);
         (store, g, ml, hs)
     }
 
@@ -481,7 +478,7 @@ mod tests {
             },
         );
         let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-        let hs = HybridSet::build_obs(&ml, &g, &store, &LayoutConfig::default(), &rec);
+        let hs = HybridSet::build_obs(&ml, &g, &store, &LayoutConfig, &rec);
         let snapshot = rec.snapshot();
         let get = |name| snapshot.counters.get(name).copied().unwrap_or(0);
         assert_eq!(
@@ -496,7 +493,7 @@ mod tests {
             Some(hs.node_count() as u64)
         );
         // Instrumentation does not change the result.
-        let plain = HybridSet::build(&ml, &g, &store, &LayoutConfig::default());
+        let plain = HybridSet::build(&ml, &g, &store, &LayoutConfig);
         assert_eq!(plain.reps, hs.reps);
         assert_eq!(plain.clusters, hs.clusters);
     }
@@ -523,10 +520,9 @@ mod tests {
             &CoarsenConfig {
                 min_nodes: 1,
                 max_levels: 16,
-                ..Default::default()
             },
         );
-        let hs = HybridSet::build(&ml, &g, &store, &LayoutConfig::default());
+        let hs = HybridSet::build(&ml, &g, &store, &LayoutConfig);
         let mut covered = vec![false; store.len()];
         for c in &hs.clusters {
             for &v in c {

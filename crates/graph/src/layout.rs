@@ -20,40 +20,33 @@ use fc_obs::Recorder;
 use fc_seq::{DnaString, ReadId, ReadStore};
 use std::collections::HashMap;
 
-/// Parameters of the layout/contiguity test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LayoutConfig {
-    /// Maximum disagreement (bases) between an edge's shift and the layout
-    /// coordinates before the cluster is declared non-contiguous.
-    pub offset_tolerance: i64,
-    /// Two cluster reads whose layout intervals overlap by at least this
-    /// many bases must be linked by a verified overlap (a dovetail edge or
-    /// a recorded containment); otherwise the cluster stacked different
-    /// sequences at the same place — distinct alleles or repeat copies —
-    /// and is not contiguous. The default demands linkage only for
-    /// near-complete co-location (≥ 95 of 100 bp reads): that is the
-    /// signature of an allele stack, while partial co-location without an
-    /// edge routinely happens to honest clusters when one read's end grazes
-    /// a diverged neighborhood.
-    pub min_unlinked_overlap: i64,
-    /// Number of unlinked co-located pairs tolerated before the cluster is
-    /// declared non-contiguous. The default of 0 is strict — any stacked
-    /// pair without a verified overlap splits the cluster — because
-    /// tolerance lets allele mixtures assemble piecewise: small conflated
-    /// clusters absorb one or two unlinked pairs each and then merge.
-    /// Raise only for data whose aligner misses overlaps at a known rate.
-    pub max_unlinked_pairs: usize,
-}
+/// Maximum disagreement (bases) between an edge's shift and the layout
+/// coordinates before the cluster is declared non-contiguous.
+const OFFSET_TOLERANCE: i64 = 4;
 
-impl Default for LayoutConfig {
-    fn default() -> LayoutConfig {
-        LayoutConfig {
-            offset_tolerance: 4,
-            min_unlinked_overlap: 95,
-            max_unlinked_pairs: 0,
-        }
-    }
-}
+/// Two cluster reads whose layout intervals overlap by at least this many
+/// bases must be linked by a verified overlap (a dovetail edge or a
+/// recorded containment); otherwise the cluster stacked different sequences
+/// at the same place — distinct alleles or repeat copies — and is not
+/// contiguous. Linkage is demanded only for near-complete co-location
+/// (≥ 95 of 100 bp reads): that is the signature of an allele stack, while
+/// partial co-location without an edge routinely happens to honest
+/// clusters when one read's end grazes a diverged neighborhood.
+const MIN_UNLINKED_OVERLAP: i64 = 95;
+
+/// Number of unlinked co-located pairs tolerated before the cluster is
+/// declared non-contiguous. Zero is strict — any stacked pair without a
+/// verified overlap splits the cluster — because tolerance lets allele
+/// mixtures assemble piecewise: small conflated clusters absorb one or two
+/// unlinked pairs each and then merge. Raise only for data whose aligner
+/// misses overlaps at a known rate.
+const MAX_UNLINKED_PAIRS: usize = 0;
+
+/// The layout/contiguity test's parameters: none, since they are the
+/// constants above. The type stays because `benchmark/` still passes one to
+/// [`crate::HybridSet::build`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LayoutConfig;
 
 /// A successful layout: cluster reads with coordinates, sorted by offset.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,10 +140,9 @@ pub fn layout_cluster(
     g: &DiGraph,
     containments: &HashMap<(NodeId, NodeId), ()>,
     store: &ReadStore,
-    config: &LayoutConfig,
     rec: &Recorder,
 ) -> Option<ClusterLayout> {
-    let out = layout_cluster_inner(nodes, g, containments, store, config);
+    let out = layout_cluster_inner(nodes, g, containments, store);
     if rec.is_enabled() {
         rec.add("layout.clusters_tested", 1);
         rec.observe("layout.cluster_size", nodes.len() as u64);
@@ -168,7 +160,6 @@ fn layout_cluster_inner(
     g: &DiGraph,
     containments: &HashMap<(NodeId, NodeId), ()>,
     store: &ReadStore,
-    config: &LayoutConfig,
 ) -> Option<ClusterLayout> {
     if nodes.is_empty() {
         return None;
@@ -196,7 +187,7 @@ fn layout_cluster_inner(
             let proposed = v_off + e.shift as i64;
             match offset.get(&e.to) {
                 Some(&existing) => {
-                    if (existing - proposed).abs() > config.offset_tolerance {
+                    if (existing - proposed).abs() > OFFSET_TOLERANCE {
                         return None; // inconsistent layout (repeat conflation)
                     }
                 }
@@ -215,7 +206,7 @@ fn layout_cluster_inner(
             let proposed = v_off - shift;
             match offset.get(&u) {
                 Some(&existing) => {
-                    if (existing - proposed).abs() > config.offset_tolerance {
+                    if (existing - proposed).abs() > OFFSET_TOLERANCE {
                         return None;
                     }
                 }
@@ -245,7 +236,7 @@ fn layout_cluster_inner(
     // Linkage check: co-located reads must carry a verified overlap.
     // Two reads may legitimately share coordinates without an edge when
     // their overlap is short (below the aligner's threshold); beyond
-    // `min_unlinked_overlap`, a missing link means the cluster stacked
+    // `MIN_UNLINKED_OVERLAP`, a missing link means the cluster stacked
     // different sequences at the same place (alleles, repeat copies).
     let linked = |a: NodeId, b: NodeId| -> bool {
         g.edge(a, b).is_some()
@@ -254,28 +245,23 @@ fn layout_cluster_inner(
             || containments.contains_key(&(b, a))
     };
     let mut unlinked_pairs = 0usize;
-    let mut colocated_pairs = 0usize;
     for (i, &(v, ov)) in order.iter().enumerate() {
         let v_end = ov + store.get(ReadId(v)).len() as i64;
         for &(u, ou) in &order[i + 1..] {
-            if v_end - ou < config.min_unlinked_overlap {
+            if v_end - ou < MIN_UNLINKED_OVERLAP {
                 break; // later reads start even further right
             }
             let u_end = ou + store.get(ReadId(u)).len() as i64;
             let shared = v_end.min(u_end) - ou;
-            if shared >= config.min_unlinked_overlap {
-                colocated_pairs += 1;
-                if !linked(v, u) {
-                    unlinked_pairs += 1;
-                }
+            if shared >= MIN_UNLINKED_OVERLAP && !linked(v, u) {
+                unlinked_pairs += 1;
             }
         }
     }
     // A fixed absolute tolerance: isolated alignment misses are rare even in
     // deep clusters, while an allele stack leaves unlinked pairs in
     // proportion to its coverage — far above any small constant.
-    let _ = colocated_pairs;
-    if unlinked_pairs > config.max_unlinked_pairs {
+    if unlinked_pairs > MAX_UNLINKED_PAIRS {
         return None;
     }
     Some(ClusterLayout { order })
@@ -324,16 +310,9 @@ mod tests {
         (store, g)
     }
 
-    /// `layout_cluster` with no containments, default config, no recorder.
+    /// `layout_cluster` with no containments and no recorder.
     fn layout_of(nodes: &[NodeId], di: &DiGraph, store: &ReadStore) -> Option<ClusterLayout> {
-        layout_cluster(
-            nodes,
-            di,
-            &HashMap::new(),
-            store,
-            &LayoutConfig::default(),
-            &Recorder::disabled(),
-        )
+        layout_cluster(nodes, di, &HashMap::new(), store, &Recorder::disabled())
     }
 
     fn genome(len: usize) -> DnaString {

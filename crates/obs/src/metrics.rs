@@ -93,11 +93,7 @@ impl Histogram {
 
     /// Integer mean of the observations (0 when empty).
     pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// The `num/den` quantile, derived from the bucket counts: the upper

@@ -33,21 +33,20 @@ use crate::local::LocalGraph;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
+/// Safety cap on refinement passes (the paper iterates until no
+/// improvement).
+const MAX_PASSES: usize = 16;
+
 /// Tuning knobs of the refinement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KlConfig {
     /// Consecutive non-improving swaps before a pass gives up (paper: 50).
     pub max_bad_moves: usize,
-    /// Safety cap on passes (the paper iterates until no improvement).
-    pub max_passes: usize,
 }
 
 impl Default for KlConfig {
     fn default() -> KlConfig {
-        KlConfig {
-            max_bad_moves: 50,
-            max_passes: 16,
-        }
+        KlConfig { max_bad_moves: 50 }
     }
 }
 
@@ -56,7 +55,7 @@ impl Default for KlConfig {
 /// counters accumulate into `work`.
 pub fn kl_refine(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut u64) -> u64 {
     let mut total_gain = 0u64;
-    for _ in 0..config.max_passes {
+    for _ in 0..MAX_PASSES {
         let pass_gain = kl_pass(local, side, config, work);
         if pass_gain == 0 {
             break;
@@ -289,10 +288,7 @@ mod tests {
         let mut side: Vec<bool> = (0..40).map(|v| v >= 20).collect();
         let before = local.cut(&side);
         let mut work = 0;
-        let config = KlConfig {
-            max_bad_moves: 3,
-            ..Default::default()
-        };
+        let config = KlConfig { max_bad_moves: 3 };
         let gain = kl_refine(&local, &mut side, &config, &mut work);
         let after = local.cut(&side);
         assert_eq!(before - gain, after);
@@ -454,7 +450,7 @@ mod differential {
         work: &mut u64,
     ) -> u64 {
         let mut total_gain = 0u64;
-        for _ in 0..config.max_passes {
+        for _ in 0..MAX_PASSES {
             let pass_gain = reference::kl_pass(local, side, config, work);
             if pass_gain == 0 {
                 break;
@@ -470,10 +466,7 @@ mod differential {
     /// run the default knobs only: the oracle sorts the level once per swap.
     #[test]
     fn kl_matches_reference_on_every_family() {
-        let tight = KlConfig {
-            max_bad_moves: 3,
-            max_passes: 2,
-        };
+        let tight = KlConfig { max_bad_moves: 3 };
         for (family, n, seed, g) in testgen::cases() {
             let nodes: Vec<u32> = (0..n as u32).collect();
             let local = LocalGraph::extract(&g, &nodes);

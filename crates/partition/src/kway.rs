@@ -31,13 +31,14 @@ use fc_graph::LevelGraph;
 use fc_obs::Recorder;
 use std::collections::BTreeSet;
 
+/// Safety cap on refinement passes.
+const MAX_PASSES: usize = 8;
+
 /// Tuning knobs of the k-way refinement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KwayConfig {
     /// Consecutive non-improving moves before a pass gives up (paper: 50).
     pub max_bad_moves: usize,
-    /// Safety cap on passes.
-    pub max_passes: usize,
     /// Balance bound: a move into `Pj` is rejected when
     /// `weight(Pj) ≥ balance · weight(Pi)` (paper: 1.03).
     pub balance: f64,
@@ -47,7 +48,6 @@ impl Default for KwayConfig {
     fn default() -> KwayConfig {
         KwayConfig {
             max_bad_moves: 50,
-            max_passes: 8,
             balance: 1.03,
         }
     }
@@ -75,7 +75,7 @@ pub fn kway_refine(
         return 0;
     }
     let before = edge_cut(g, parts);
-    for _ in 0..config.max_passes {
+    for _ in 0..MAX_PASSES {
         let gain = kway_pass(g, parts, k, config, work);
         rec.add("partition.kway_passes", 1);
         rec.observe("partition.kway_pass_gain", gain);
@@ -433,7 +433,7 @@ mod differential {
             return 0;
         }
         let before = edge_cut(g, parts);
-        for _ in 0..config.max_passes {
+        for _ in 0..MAX_PASSES {
             if reference::kway_pass(g, parts, k, config, work) == 0 {
                 break;
             }
@@ -451,7 +451,6 @@ mod differential {
     fn kway_matches_reference_on_every_family() {
         let loose = KwayConfig {
             max_bad_moves: 4,
-            max_passes: 3,
             balance: 1.5,
         };
         for (family, n, seed, g) in testgen::cases() {

@@ -200,13 +200,22 @@ pub fn paper_datasets(scale: f64) -> Result<Vec<Dataset>, SimError> {
         .collect()
 }
 
-/// A single-genome (non-metagenomic) data set for quickstarts and tests:
-/// one genome of `genome_len` bases covered at `coverage`×.
-pub fn single_genome_dataset(
-    genome_len: usize,
-    coverage: f64,
-    seed: u64,
-) -> Result<Dataset, SimError> {
+/// The name [`single_genome_dataset`] generates under; stream the same
+/// reads with `generate_to(out, SINGLE_GENOME_NAME, &config, seed)`.
+pub const SINGLE_GENOME_NAME: &str = "single";
+
+/// The configuration of a single-genome (non-metagenomic) data set: one
+/// genome of `genome_len` bases covered at `coverage`×. A coverage that is
+/// not finite and positive, or whose read count does not fit a `usize`, is
+/// a typed [`SimError::Config`] on `coverage`.
+pub fn single_genome_config(genome_len: usize, coverage: f64) -> Result<DatasetConfig, SimError> {
+    let invalid = |message: String| SimError::Config {
+        parameter: "coverage",
+        message,
+    };
+    if !(coverage.is_finite() && coverage > 0.0) {
+        return Err(invalid(format!("must be finite and > 0, got {coverage}")));
+    }
     let mut config = DatasetConfig::default();
     config.taxonomy.genera = vec![("Escherichia".to_string(), "Proteobacteria".to_string())];
     config.taxonomy.genome = GenomeConfig {
@@ -215,9 +224,30 @@ pub fn single_genome_dataset(
         repeat_len: 0,
     };
     config.abundance_sigma = 0.0;
-    config.total_reads =
-        ((genome_len as f64 * coverage) / config.reads.read_len as f64).round() as usize;
-    generate("single", &config, seed)
+    let reads = ((genome_len as f64 * coverage) / config.reads.read_len as f64).round();
+    // `usize::MAX as f64` rounds up to 2^64, the first count that overflows.
+    if reads >= usize::MAX as f64 {
+        return Err(invalid(format!(
+            "{coverage}x of {genome_len} bp is {reads} reads, more than a usize counts"
+        )));
+    }
+    config.total_reads = reads as usize;
+    Ok(config)
+}
+
+/// A single-genome (non-metagenomic) data set for quickstarts and tests:
+/// one genome of `genome_len` bases covered at `coverage`×
+/// ([`single_genome_config`]).
+pub fn single_genome_dataset(
+    genome_len: usize,
+    coverage: f64,
+    seed: u64,
+) -> Result<Dataset, SimError> {
+    generate(
+        SINGLE_GENOME_NAME,
+        &single_genome_config(genome_len, coverage)?,
+        seed,
+    )
 }
 
 #[cfg(test)]
@@ -253,16 +283,21 @@ mod tests {
 
     #[test]
     fn generate_to_streams_byte_identical_fastq() {
-        let config = DatasetConfig::test_scale();
-        let d = generate("T", &config, 42).unwrap();
-        let mut collected = Vec::new();
-        fc_seq::fastq::write(&mut collected, &d.reads, 30).unwrap();
+        let single = single_genome_config(3_000, 6.0).unwrap();
+        for (name, config) in [
+            ("T", DatasetConfig::test_scale()),
+            (SINGLE_GENOME_NAME, single),
+        ] {
+            let d = generate(name, &config, 42).unwrap();
+            let mut collected = Vec::new();
+            fc_seq::fastq::write(&mut collected, &d.reads, 30).unwrap();
 
-        let mut streamed = Vec::new();
-        let summary = generate_to(&mut streamed, "T", &config, 42).unwrap();
-        assert_eq!(streamed, collected, "streamed FASTQ must match collected");
-        assert_eq!(summary.reads, d.reads.len());
-        assert_eq!(summary.bases, d.total_bases() as u64);
+            let mut streamed = Vec::new();
+            let summary = generate_to(&mut streamed, name, &config, 42).unwrap();
+            assert_eq!(streamed, collected, "streamed FASTQ must match collected");
+            assert_eq!(summary.reads, d.reads.len());
+            assert_eq!(summary.bases, d.total_bases() as u64);
+        }
     }
 
     #[test]
@@ -307,5 +342,26 @@ mod tests {
         assert_eq!(d.taxonomy.genus_count(), 1);
         assert_eq!(d.reads.len(), 400);
         assert!(d.origins.iter().all(|o| o.genus == 0));
+    }
+
+    /// Coverage is refused, typed, before anything is allocated when it is
+    /// not finite and positive or its read count overflows a `usize`.
+    #[test]
+    fn hostile_coverage_is_a_config_error() {
+        for coverage in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -5.0, 0.0, 1e300] {
+            let err = single_genome_config(20_000, coverage).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SimError::Config {
+                        parameter: "coverage",
+                        ..
+                    }
+                ),
+                "{coverage}: {err}"
+            );
+            assert!(err.to_string().starts_with("invalid coverage"), "{err}");
+        }
+        assert_eq!(single_genome_config(20_000, 1e-9).unwrap().total_reads, 0);
     }
 }

@@ -29,8 +29,8 @@ pub mod reads;
 
 pub use community::CommunityProfile;
 pub use dataset::{
-    generate as generate_dataset, generate_to, paper_datasets, single_genome_dataset, Dataset,
-    DatasetConfig, StreamSummary,
+    generate as generate_dataset, generate_to, paper_datasets, single_genome_config,
+    single_genome_dataset, Dataset, DatasetConfig, StreamSummary, SINGLE_GENOME_NAME,
 };
 pub use error::SimError;
 pub use genome::{GenomeConfig, MutationModel};

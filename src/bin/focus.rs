@@ -13,7 +13,7 @@ use focus_assembler::focus::{
     AssemblyOutcome, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig, OocOptions,
 };
 use focus_assembler::seq::{fasta, fastq, Read};
-use focus_assembler::sim::single_genome_dataset;
+use focus_assembler::sim::{generate_to, single_genome_config, SINGLE_GENOME_NAME};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
@@ -33,7 +33,8 @@ USAGE:
     focus help
 
 ASSEMBLE OPTIONS:
-    --input <path>         input reads (format by extension: .fasta/.fa/.fastq/.fq)
+    --input <path>         input reads (format by extension:
+                           .fasta/.fa/.fna/.fastq/.fq)
     --output <path>        output contig FASTA
 
 PIPELINE OPTIONS (assemble, graph, serve):
@@ -307,7 +308,7 @@ fn read_input(path: &str) -> Result<Vec<Read>, String> {
         fasta::parse(reader)
     } else {
         return Err(format!(
-            "{path}: unknown extension (expected .fasta/.fa/.fastq/.fq)"
+            "{path}: unknown extension (expected .fasta/.fa/.fna/.fastq/.fq)"
         ));
     };
     parsed.map_err(|e| format!("{path}: {e}"))
@@ -435,14 +436,15 @@ fn simulate(args: &[String]) -> Result<(), String> {
     let coverage = opts.get_parsed("coverage", 10.0f64)?;
     let seed = opts.get_parsed("seed", 42u64)?;
 
-    let dataset = single_genome_dataset(genome_len, coverage, seed).map_err(|e| e.to_string())?;
+    let config = single_genome_config(genome_len, coverage).map_err(|e| e.to_string())?;
     let out = File::create(&output).map_err(|e| format!("cannot create {output}: {e}"))?;
-    fastq::write(BufWriter::new(out), &dataset.reads, 30).map_err(|e| e.to_string())?;
+    // Reads stream to the file one at a time: memory does not grow with
+    // the read count.
+    let summary = generate_to(BufWriter::new(out), SINGLE_GENOME_NAME, &config, seed)
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "simulated {} reads ({}x of {} bp) -> {output}",
-        dataset.reads.len(),
-        coverage,
-        genome_len
+        summary.reads, coverage, genome_len
     );
     Ok(())
 }
@@ -643,8 +645,8 @@ fn graph(args: &[String]) -> Result<(), String> {
     let text = if output.to_ascii_lowercase().ends_with(".dot") {
         digraph_to_dot(&prepared.hybrid.directed, None)
     } else {
-        // The sequences the assembly itself walks: per-column consensus
-        // under the default config, not the first-wins merge.
+        // The sequences the assembly itself walks: each cluster's
+        // per-column consensus.
         let with_seq = opts.flag("with-sequences");
         digraph_to_gfa(&prepared.hybrid.directed, |v| {
             with_seq.then(|| prepared.contigs[v as usize].to_string())

@@ -2,7 +2,8 @@
 //! code 1, the key named on stderr — before the subcommand does any work.
 //! (Which keys each subcommand accepts is checked against the help text by
 //! the unit tests in `src/bin/focus.rs`.) `focus graph --with-sequences`
-//! writes the sequences the assembly uses.
+//! writes the sequences the assembly uses. Hostile values and inputs get a
+//! typed error and exit code 1, never a panic.
 
 use focus_assembler::focus::{FocusAssembler, FocusConfig};
 use focus_assembler::seq::fastq;
@@ -155,7 +156,8 @@ fn graph_segments_carry_the_sequences_the_assembly_uses() {
         let v: u32 = fields[1].parse().unwrap();
         let consensus = &prepared.contigs[v as usize];
         assert_eq!(fields[2], consensus.to_string(), "segment {v}");
-        if prepared.hybrid.contig(v, &prepared.store) != *consensus {
+        let first_wins = prepared.hybrid.layouts[v as usize].contig_sequence(&prepared.store);
+        if first_wins != *consensus {
             differ += 1;
         }
         segments += 1;
@@ -164,6 +166,68 @@ fn graph_segments_carry_the_sequences_the_assembly_uses() {
     assert!(
         differ > 0,
         "no segment's consensus differs from its first-wins merge"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `focus simulate` refuses a coverage that is not finite and positive with
+/// exit code 1 and a typed message, before it creates the output.
+#[test]
+fn hostile_coverage_exits_1_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-cov-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let output = dir.join("r.fastq");
+    for coverage in ["inf", "nan", "-5", "0"] {
+        let (code, stderr) = focus(&[
+            "simulate",
+            "--genome-len",
+            "20000",
+            "--coverage",
+            coverage,
+            "--output",
+            output.to_str().unwrap(),
+        ]);
+        assert_eq!(code, Some(1), "--coverage {coverage}: {stderr}");
+        assert!(
+            stderr.contains("invalid coverage"),
+            "--coverage {coverage}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "--coverage {coverage}: {stderr}"
+        );
+        assert!(!output.exists(), "--coverage {coverage}: output created");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `.fna` is FASTA: `focus stats` reads it, and the unknown-extension error
+/// names it among the accepted extensions.
+#[test]
+fn stats_reads_fna_and_the_extension_error_lists_it() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-fna-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (fna, txt) = (dir.join("contigs.fna"), dir.join("contigs.txt"));
+    std::fs::write(&fna, ">a\nACGTACGTAC\n>b\nACGTA\n").unwrap();
+    std::fs::write(&txt, ">a\nACGT\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_focus"))
+        .args(["stats", "--input", fna.to_str().unwrap()])
+        .output()
+        .expect("spawn focus");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("sequences : 2"), "{stdout}");
+    assert!(stdout.contains("total bp  : 15"), "{stdout}");
+    let (code, stderr) = focus(&["stats", "--input", txt.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("expected .fasta/.fa/.fna/.fastq/.fq"),
+        "{stderr}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,7 +10,7 @@ use focus_assembler::partition::{
     edge_cut, partition_balance, partition_graph_set, validate_partition, PartitionConfig,
 };
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The verified overlaps G0 was built from, as `overlap_all` computes them
 /// for `config`'s store split and thread count.
@@ -100,8 +100,13 @@ fn distributed_stage_preserves_node_cover_for_every_k() {
     let p = prepared();
     for k in [1usize, 2, 8] {
         let partition = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, 5)).unwrap();
-        let mut dh =
-            DistributedHybrid::new(&p.hybrid, &p.store, partition.finest().to_vec(), k).unwrap();
+        let mut dh = DistributedHybrid::from_contigs(
+            &p.hybrid,
+            Arc::clone(&p.contigs),
+            partition.finest().to_vec(),
+            k,
+        )
+        .unwrap();
         let report = dh.run(&DistributedConfig::default()).unwrap();
         check_path_cover(&dh.graph, &report.paths).unwrap();
         // Trimming can only remove; live nodes never exceed the input.
@@ -213,8 +218,13 @@ mod fault_invariants {
             let p = prepared();
             let partition =
                 partition_graph_set(&p.hybrid.set, &PartitionConfig::new(K, 5)).unwrap();
-            let dh = DistributedHybrid::new(&p.hybrid, &p.store, partition.finest().to_vec(), K)
-                .unwrap();
+            let dh = DistributedHybrid::from_contigs(
+                &p.hybrid,
+                Arc::clone(&p.contigs),
+                partition.finest().to_vec(),
+                K,
+            )
+            .unwrap();
             let clean_paths = dh.clone().run(&DistributedConfig::default()).unwrap().paths;
             Fixture { dh, clean_paths }
         })
@@ -303,7 +313,7 @@ mod parallel_determinism {
 /// weight conservation for heavy-edge contraction.
 mod props {
     use fc_rng::{cases, Rng};
-    use focus_assembler::align::{banded_global, NwConfig};
+    use focus_assembler::align::banded_global;
     use focus_assembler::graph::coarsen::{contract, heavy_edge_matching};
     use focus_assembler::graph::{CoarsenConfig, LevelGraph, MultilevelSet, NodeId};
     use focus_assembler::seq::{Base, DnaString};
@@ -335,18 +345,10 @@ mod props {
         cases(64, |rng| {
             let (a, b) = (dna(rng, 18), dna(rng, 18));
             let full_band = a.len().max(b.len()).max(1);
-            let full_cfg = NwConfig {
-                band: full_band,
-                ..NwConfig::default()
-            };
-            let reference = banded_global(&a, (0, a.len()), &b, (0, b.len()), &full_cfg).unwrap();
+            let reference = banded_global(&a, (0, a.len()), &b, (0, b.len()), full_band).unwrap();
             let mut prev_score = None;
             for band in 0..=full_band {
-                let cfg = NwConfig {
-                    band,
-                    ..NwConfig::default()
-                };
-                match banded_global(&a, (0, a.len()), &b, (0, b.len()), &cfg) {
+                match banded_global(&a, (0, a.len()), &b, (0, b.len()), band) {
                     None => assert!(a.len().abs_diff(b.len()) > band),
                     Some(s) => {
                         assert!(a.len().abs_diff(b.len()) <= band);
@@ -358,11 +360,7 @@ mod props {
                     }
                 }
             }
-            let wide_cfg = NwConfig {
-                band: full_band + 7,
-                ..NwConfig::default()
-            };
-            let wide = banded_global(&a, (0, a.len()), &b, (0, b.len()), &wide_cfg).unwrap();
+            let wide = banded_global(&a, (0, a.len()), &b, (0, b.len()), full_band + 7).unwrap();
             assert_eq!(wide.score, reference.score);
             assert_eq!(wide.columns, reference.columns);
             assert_eq!(wide.matches, reference.matches);

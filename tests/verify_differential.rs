@@ -12,7 +12,6 @@
 
 use focus_assembler::align::{
     banded_nw_verdict, KernelScratch, NwScratch, Overlap, OverlapKind, Overlapper, PairStats, Pool,
-    VerifyParams,
 };
 use focus_assembler::focus::{FocusAssembler, FocusConfig, ObsOptions, Prepared, Recorder};
 use focus_assembler::seq::{DnaString, Read};
@@ -116,11 +115,10 @@ fn verification_matches_banded_nw_on_an_indel_bearing_community() {
         &mut total,
         &mut verdicts,
     );
-    let params = VerifyParams::from(&overlap);
     let mut nw = NwScratch::default();
     let mut accepted = Vec::new();
     for (req, verdict) in requests.iter().zip(&verdicts) {
-        let expected = banded_nw_verdict(store, &params, req, &mut nw);
+        let expected = banded_nw_verdict(store, &overlap, req, &mut nw);
         assert_eq!(*verdict, expected, "{req:?}");
         accepted.extend(expected.map(|s| (req.a, req.b, req.kind, req.shift, s.columns)));
     }
