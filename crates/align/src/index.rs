@@ -22,7 +22,7 @@
 //! marks where a run of equal k-mers starts. A lookup is one directory read,
 //! then one 64-bit window of the packed text per *distinct* k-mer it passes:
 //! it walks the bucket's run starts (a binary search takes over after
-//! [`RUN_WALK_MAX`] of them), stops at the first k-mer not below the query,
+//! `RUN_WALK_MAX` (8) of them), stops at the first k-mer not below the query,
 //! and returns that run whole — its other entries were proven equal when
 //! the bucket was sorted. It returns the same hit multiset the suffix-array
 //! interval did (DESIGN.md §2). [`KmerIndex::runs`] looks up one query

@@ -386,8 +386,8 @@ impl<'a> Overlapper<'a> {
 
     /// The one column loop both alignment paths share: aligns every pair
     /// `(i, j)` of `pairs` — one column, so `index` is reference subset
-    /// `j`'s — in one pool dispatch over tasks of at most [`QUERY_CHUNK`]
-    /// query reads of subset `i`. Overlaps are appended to `out` in the
+    /// `j`'s — in one pool dispatch over tasks of at most `QUERY_CHUNK`
+    /// (512) query reads of subset `i`. Overlaps are appended to `out` in the
     /// canonical `(i, chunk)` order, so each pair's run is contiguous; the
     /// returned stats are per pair, in `pairs` order, each the merge of its
     /// chunks'. A query read's seeding and verification depend on that read
@@ -983,7 +983,7 @@ pub(crate) mod tests {
         // A snapshot's deterministic part, less the one counter the two
         // schedules are allowed to disagree on.
         let without_tasks = |rec: &Recorder| {
-            let mut snapshot = rec.snapshot().without_scheduling();
+            let mut snapshot = rec.snapshot().logical();
             let tasks = snapshot.counters.remove("exec.tasks");
             (snapshot.to_json(), tasks)
         };

@@ -8,7 +8,7 @@
 //! * [`wire`] — fixed-width little-endian binary encoding and the
 //!   [`Codec`] trait the phase payload types implement;
 //! * [`crc`] — the CRC32 (IEEE) checksum guarding every record and file;
-//! * [`file`] — the `FCKP` container format (magic, version, phase id,
+//! * [`file`](mod@file) — the `FCKP` container format (magic, version, phase id,
 //!   config/input fingerprints, checksummed records);
 //! * [`fault`] — [`FsFaultPlan`], deterministic injection of torn writes,
 //!   short reads, bit-flips and ENOSPC into the checkpoint I/O;

@@ -445,7 +445,7 @@ mod tests {
             Some(scratch)
         );
         // The deterministic view keeps only the task count.
-        let logical = snapshot.without_scheduling();
+        let logical = snapshot.logical();
         assert_eq!(logical.counters.len(), 1);
         assert!(logical.counters.contains_key("exec.tasks"));
     }

@@ -3,12 +3,12 @@
 //! There is one stage sequence ([`crate::pipeline`]); this module is the
 //! policy it runs under (the crate-private `CkptPolicy`). The policy has
 //! one durable boundary, after §II-B's overlap detection — a verified load,
-//! or compute then save — and a plain [`assemble`](FocusAssembler::assemble)
+//! or compute then save — and a plain [`assemble`](crate::FocusAssembler::assemble)
 //! is the same sequence under the policy with no store. Alignment is most
 //! of what a run computes; every other stage is cheap to redo from the
 //! overlaps, so a resumed run recomputes preprocessing (from the input it
 //! must read anyway) and everything after alignment.
-//! [`FocusAssembler::assemble_with_checkpoints`] opens a policy from
+//! [`FocusAssembler::assemble_file`](crate::FocusAssembler::assemble_file) opens a policy from
 //! [`CheckpointOptions`] and persists that boundary through
 //! [`fc_ckpt::CheckpointStore`] as `phase_01_alignment.ckpt`. A later run
 //! pointed at the same directory with [`CheckpointOptions::resume`] skips
@@ -40,7 +40,7 @@
 //! normally.
 
 use crate::config::{FocusConfig, FocusError};
-use crate::pipeline::{AssemblyResult, FocusAssembler};
+use crate::pipeline::AssemblyResult;
 use fc_align::{Overlap, PairStats};
 use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
 use fc_obs::{MetricsSnapshot, ObsOptions, Recorder};
@@ -105,7 +105,8 @@ impl CheckpointOptions {
     }
 }
 
-/// What [`FocusAssembler::assemble_with_checkpoints`] produced.
+/// What [`FocusAssembler::assemble_file`](crate::FocusAssembler::assemble_file)
+/// produced.
 #[derive(Debug, Clone)]
 pub enum AssemblyOutcome {
     /// The pipeline ran to the end.
@@ -207,17 +208,10 @@ pub fn input_digest(reads: &[Read]) -> u64 {
     digest.finish()
 }
 
-/// Record 1 of the checkpoint: the cumulative deterministic metrics at the
-/// boundary (scheduling, checkpoint, memory and spill metrics excluded,
-/// exactly like a logical snapshot).
+/// Record 1 of the checkpoint: the cumulative logical metrics at the
+/// boundary, exactly what a logical snapshot writes.
 fn metrics_record(rec: &Recorder) -> Vec<u8> {
-    rec.snapshot()
-        .without_scheduling()
-        .without_checkpointing()
-        .without_memory()
-        .without_ooc()
-        .to_json()
-        .into_bytes()
+    rec.snapshot().logical().to_json().into_bytes()
 }
 
 /// Restores an embedded metrics snapshot into the run's recorder. Returns
@@ -285,8 +279,8 @@ pub(crate) fn outcome(run: Result<AssemblyResult, Halt>) -> Result<AssemblyOutco
 /// The checkpoint policy one run of the stage sequence executes under —
 /// what [`CheckpointOptions`] says, opened: where the alignment boundary is
 /// stored (if anywhere), whether a stored one is loaded, and whether to
-/// stop there. The sequence itself ([`FocusAssembler::prepare_from`] and
-/// [`FocusAssembler::finish`]) is the same under every policy.
+/// stop there. The sequence itself (`FocusAssembler::prepare_from` and
+/// `FocusAssembler::finish`) is the same under every policy.
 pub(crate) struct CkptPolicy<'a> {
     store: Option<CheckpointStore>,
     resume: bool,
@@ -431,46 +425,11 @@ impl<'a> CkptPolicy<'a> {
     }
 }
 
-impl FocusAssembler {
-    /// The full pipeline with a durable checkpoint at the alignment
-    /// boundary.
-    ///
-    /// Behaves exactly like [`assemble`](FocusAssembler::assemble) — same
-    /// stage sequence, same contigs, same report, bit for bit — plus:
-    ///
-    /// * with [`CheckpointOptions::dir`] set, a verified checkpoint of the
-    ///   overlaps is written atomically once alignment is done (temp file +
-    ///   `sync` + rename);
-    /// * with [`CheckpointOptions::resume`], alignment is skipped when its
-    ///   checkpoint verifies and its embedded metrics are restored; a
-    ///   corrupt, mismatched or missing file means alignment is recomputed;
-    /// * with [`CheckpointOptions::stop_after`], the run stops right after
-    ///   that checkpoint — the chaos harness's crash point.
-    pub fn assemble_with_checkpoints(
-        &self,
-        reads: &[Read],
-        opts: &CheckpointOptions,
-    ) -> Result<AssemblyOutcome, FocusError> {
-        let rec = self.recorder();
-        let _span = rec.span_args(
-            "pipeline",
-            "pipeline.assemble_checkpointed",
-            &[("reads", reads.len() as i64)],
-        );
-        let mut policy = CkptPolicy::open(opts, rec, || {
-            (config_fingerprint(self.config()), input_digest(reads))
-        });
-        outcome(self.prepare_under(reads, &mut policy).and_then(|prepared| {
-            self.finish(&prepared, self.config().partitions)
-                .map_err(Halt::Failed)
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::{genome, quick_config, tiled_reads};
+    use crate::pipeline::tests::{fastq_file, genome, quick_config, tiled_reads};
+    use crate::pipeline::FocusAssembler;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fc-focus-ckpt-{tag}-{}", std::process::id()));
@@ -535,6 +494,7 @@ mod tests {
         // still verifies for a third, resuming run.
         let g = genome(2500, 31);
         let reads = tiled_reads(&g, 100, 50);
+        let input = fastq_file("concurrent-share", &reads);
         let assembler = FocusAssembler::new(quick_config(4)).unwrap();
         let plain = assembler.assemble(&reads).unwrap();
         let dir = temp_dir("concurrent-share");
@@ -542,9 +502,9 @@ mod tests {
         let results: Vec<AssemblyResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
-                    let (assembler, reads, opts) = (&assembler, &reads, &opts);
+                    let (assembler, input, opts) = (&assembler, &input, &opts);
                     scope.spawn(move || {
-                        completed(assembler.assemble_with_checkpoints(reads, opts).unwrap())
+                        completed(assembler.assemble_file(input, opts, None).unwrap())
                     })
                 })
                 .collect();
@@ -556,37 +516,36 @@ mod tests {
         // The directory the race left behind is fully usable for resume.
         let mut resume_opts = CheckpointOptions::in_dir(&dir);
         resume_opts.resume = true;
-        let resumed = completed(
-            assembler
-                .assemble_with_checkpoints(&reads, &resume_opts)
-                .unwrap(),
-        );
+        let resumed = completed(assembler.assemble_file(&input, &resume_opts, None).unwrap());
         assert_eq!(resumed.contigs, plain.contigs);
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&input);
     }
 
     #[test]
     fn resume_without_checkpoints_just_runs() {
         let g = genome(2000, 31);
-        let reads = tiled_reads(&g, 100, 50);
+        let input = fastq_file("cold-resume", &tiled_reads(&g, 100, 50));
         let assembler = FocusAssembler::new(quick_config(2)).unwrap();
         let dir = temp_dir("cold-resume");
         let mut opts = CheckpointOptions::in_dir(&dir);
         opts.resume = true;
-        let result = completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
+        let result = completed(assembler.assemble_file(&input, &opts, None).unwrap());
         assert!(!result.contigs.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&input);
     }
 
     #[test]
     fn unwritable_dir_degrades_but_the_assembly_finishes() {
         let g = genome(2000, 41);
-        let reads = tiled_reads(&g, 100, 50);
+        let input = fastq_file("unwritable", &tiled_reads(&g, 100, 50));
         let mut config = quick_config(2);
         config.observability = ObsOptions::logical();
         let assembler = FocusAssembler::new(config).unwrap();
         let opts = CheckpointOptions::in_dir("/proc/fc-focus-cannot-exist/ckpt");
-        let result = completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
+        let result = completed(assembler.assemble_file(&input, &opts, None).unwrap());
+        let _ = std::fs::remove_file(&input);
         assert!(!result.contigs.is_empty());
         let snapshot = assembler.recorder().snapshot();
         assert_eq!(snapshot.counters.get("ckpt.degraded"), Some(&1));

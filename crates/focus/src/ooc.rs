@@ -1,20 +1,20 @@
-//! FASTQ assembly without the raw input: streaming ingest, memory budgets
-//! and spilled alignment.
+//! File input: one streaming ingest for every run, memory budgets, and
+//! spilled alignment.
 //!
 //! The parsed-reads entry points hold the raw input reads, the RC-paired
 //! store, and every subset's seed index while the overlap list grows.
-//! [`FocusAssembler::assemble_fastq`] never holds the first; out of core it
+//! [`FocusAssembler::assemble_file`] never holds the first; out of core it
 //! also keeps one index at a time, so inputs bigger than
 //! [`FocusConfig::memory_budget`] still assemble:
 //!
-//! * **Streaming ingest** — borrowed records from
-//!   [`fastq::Reader::next_record`] are trimmed straight into a
+//! * **Streaming ingest** — the one way a file enters the pipeline, FASTA
+//!   or FASTQ, in core or out, fresh or resumed. Borrowed records from
+//!   [`fc_seq::open`]'s reader are trimmed straight into a
 //!   [`ReadStoreBuilder`] and folded into the input digest
 //!   ([`InputDigest`]) in the same pass, so checkpoints match the
-//!   parsed-reads path exactly. Out of core, kept reads are staged page by
-//!   page ([`fc_seq::PagedStoreWriter`]) so a killed run resumes ingest
-//!   from pages; only a resumed run, which must know the digest before it
-//!   may adopt pages, reads the file once more, first.
+//!   parsed-reads path exactly. A resumed run re-trims its input like any
+//!   other: trimming is the cheap part of the pipeline, so nothing of it is
+//!   persisted.
 //! * **Spilled alignment** — subset-pair results are computed one index
 //!   column at a time by the in-core path's column loop
 //!   ([`Overlapper::overlap_column`]) and each pair's
@@ -27,8 +27,9 @@
 //!
 //! Nothing else differs: both modes are the stage sequence
 //! ([`crate::pipeline`]) with this module's ingest (and, out of core, its
-//! spilling alignment) under the caller's checkpoint policy. Staged pages
-//! and spilled pair runs are the out-of-core run's own resume state.
+//! spilling alignment) under the caller's checkpoint policy. Spilled pair
+//! runs, keyed by the digest the ingest computes, are the out-of-core
+//! run's own resume state.
 //!
 //! ## Robustness contract
 //!
@@ -36,11 +37,11 @@
 //! (`ENOSPC`, unwritable directory — injected or real) degrades spilling
 //! with exactly one `ooc.spill.degraded` warning and keeps that pair's
 //! result in memory: graceful in-core fallback, never a panic. Every read
-//! failure (torn page, short read, bit flip) is caught by the CRC layer,
+//! failure (torn file, short read, bit flip) is caught by the CRC layer,
 //! counted under `ooc.spill.rejected`, and answered by recomputing the
-//! pair (`ooc.spill.recomputed`) — never silent corruption. All `ooc.*`
-//! metrics are excluded from logical snapshots (`fc_obs::OOC_PREFIX`), so
-//! fault handling never breaks byte-determinism.
+//! pair (`ooc.spill.recomputed`) — never silent corruption. No `ooc.*`
+//! metric is logical ([`fc_obs::MetricsSnapshot::logical`]), so fault
+//! handling never breaks byte-determinism.
 
 use crate::checkpoint::{
     config_fingerprint, outcome, AlignmentCkpt, AssemblyOutcome, CheckpointOptions, CkptPolicy,
@@ -51,9 +52,7 @@ use crate::pipeline::{align_in_core, FocusAssembler};
 use fc_align::{KmerIndex, Overlap, Overlapper, PairStats, PairTally, Pool};
 use fc_ckpt::{decode_from_slice, CheckpointStore, Codec, FsFaultPlan, LoadOutcome, Writer};
 use fc_obs::{MemoryBudget, Recorder, Reservation};
-use fc_seq::{fastq, PagedReadStore, PagedStoreWriter, ReadStore, ReadStoreBuilder, SeqError};
-use std::fs::File;
-use std::io::BufReader;
+use fc_seq::{ReadStore, ReadStoreBuilder};
 use std::path::{Path, PathBuf};
 
 /// One run's memory-budget ledger plus the reservations held for the rest
@@ -122,14 +121,11 @@ fn saturate(v: u64) -> i64 {
     v.min(i64::MAX as u64) as i64
 }
 
-/// Reads per staged page: bounds ingest buffering.
-const PAGE_LEN: usize = 4096;
-
 /// Where the out-of-core path spills.
 #[derive(Debug, Clone)]
 pub struct OocOptions {
-    /// Root directory for spilled state: staged read pages land in
-    /// `<spill_dir>/pages`, alignment runs in `<spill_dir>/align`.
+    /// Root directory for spilled state: alignment runs land in
+    /// `<spill_dir>/align`.
     pub spill_dir: PathBuf,
     /// Deterministic filesystem fault injection for the spill layer only
     /// (the checkpoint store keeps its own plan in
@@ -237,23 +233,22 @@ impl<'a> SpillPairStore<'a> {
 }
 
 impl FocusAssembler {
-    /// Assembles a FASTQ file without ever holding the raw input: one pass
+    /// Assembles a FASTA or FASTQ file (format by extension, see
+    /// [`fc_seq::open`]) without ever holding the raw input: one pass
     /// streams its records into the input digest and the store (see the
     /// module docs), and the checkpoint policy opens once the digest
     /// exists. With `ooc: None` it aligns in core, its ledger that of
     /// [`assemble`](FocusAssembler::assemble) minus `input-reads`. With
     /// `Some`, the run is out of core, bounded by
-    /// [`FocusConfig::memory_budget`]: kept reads are staged to
-    /// `<spill_dir>/pages`, and each subset pair's alignment spills to
-    /// `<spill_dir>/align`, one seed-index column resident at a time. A
-    /// resumed out-of-core run first digests the file, adopts the pages a
-    /// killed run staged from it instead of ingesting, and otherwise
-    /// requires the ingest to see the same input.
+    /// [`FocusConfig::memory_budget`]: each subset pair's alignment spills
+    /// to `<spill_dir>/align`, one seed-index column resident at a time,
+    /// and a resumed run adopts the runs that verify under this input's
+    /// digest.
     ///
     /// Contigs and logical metric snapshots are byte-identical to
-    /// [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
-    /// on the parsed input, at any thread count or budget.
-    pub fn assemble_fastq(
+    /// [`assemble`](FocusAssembler::assemble) on the parsed input, at any
+    /// thread count or budget, stopped and resumed or not.
+    pub fn assemble_file(
         &self,
         input: &Path,
         opts: &CheckpointOptions,
@@ -262,52 +257,11 @@ impl FocusAssembler {
         let rec = self.recorder();
         let config = self.config();
         let spilled = ("spilled", i64::from(ooc.is_some()));
-        let _span = rec.span_args("pipeline", "pipeline.assemble_fastq", &[spilled]);
+        let _span = rec.span_args("pipeline", "pipeline.assemble_file", &[spilled]);
         let fp = config_fingerprint(config);
         let pool = Pool::new_obs(config.threads, rec);
         let mut budget = RunBudget::new(config);
-
-        // Staged pages are adopted only under the digest of the input they
-        // were staged from, so a run that may adopt them digests the input
-        // first, in O(1) memory. Every other run digests during ingest.
-        let digested = match ooc {
-            Some(_) if opts.resume => {
-                let (mut digest, mut reader) = (InputDigest::new(), open_fastq(input)?);
-                while let Some(record) = reader.next_record()? {
-                    digest.observe(&record);
-                }
-                Some((digest.count(), digest.finish()))
-            }
-            _ => None,
-        };
-        let adopted = ooc.zip(digested).and_then(|(ooc, seen)| {
-            let pages_dir = ooc.spill_dir.join("pages");
-            Some((adopt_staged_pages(&pages_dir, fp, seen.1, ooc, rec)?, seen))
-        });
-        let (store_reads, (reads_in, input_digest)) = match adopted {
-            Some((s, seen)) => {
-                budget.charge(rec, "read-store", s.approx_bytes() as u64)?;
-                (s, seen)
-            }
-            None => {
-                let (s, ingested) = ingest_fastq(input, config, fp, ooc, rec, &mut budget)?;
-                if let Some(first) = digested.filter(|&first| first != ingested) {
-                    return Err(FocusError::Stage {
-                        stage: "ooc-ingest",
-                        message: format!(
-                            "input changed between the digest pass ({} reads, digest {:#018x}) \
-                             and the ingest pass ({} reads, digest {:#018x})",
-                            first.0, first.1, ingested.0, ingested.1
-                        ),
-                    });
-                }
-                (s, ingested)
-            }
-        };
-        if rec.is_enabled() {
-            rec.add("pipeline.reads_in", reads_in);
-            rec.add("pipeline.reads_kept", store_reads.len() as u64);
-        }
+        let (store_reads, input_digest) = ingest(input, config, rec, &mut budget)?;
 
         let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
         let mem = budget.budget().clone();
@@ -327,7 +281,7 @@ impl FocusAssembler {
         }))
     }
 
-    /// [`assemble_fastq`](FocusAssembler::assemble_fastq) out of core, kept
+    /// [`assemble_file`](FocusAssembler::assemble_file) out of core, kept
     /// under this name only because the benchmark calls it.
     pub fn assemble_fastq_ooc(
         &self,
@@ -335,104 +289,40 @@ impl FocusAssembler {
         opts: &CheckpointOptions,
         ooc: &OocOptions,
     ) -> Result<AssemblyOutcome, FocusError> {
-        self.assemble_fastq(input, opts, Some(ooc))
+        self.assemble_file(input, opts, Some(ooc))
     }
 }
 
-/// Opens a FASTQ file as a streaming reader.
-fn open_fastq(path: &Path) -> Result<fastq::Reader<BufReader<File>>, FocusError> {
-    let file = File::open(path).map_err(|e| FocusError::Seq(SeqError::from(e)))?;
-    Ok(fastq::Reader::new(BufReader::new(file)))
-}
-
-/// The store a killed run staged under `pages_dir` from the input digested
-/// as `input_digest`, if one is there whole. Nothing usable staged (fresh
-/// directory, different input) is a quiet `None`; corruption is counted.
-fn adopt_staged_pages(
-    pages_dir: &Path,
-    fp: u64,
-    input_digest: u64,
-    ooc: &OocOptions,
-    rec: &Recorder,
-) -> Option<ReadStore> {
-    match PagedReadStore::open(pages_dir, fp, input_digest, ooc.fs_faults.clone()) {
-        Ok(mut paged) => match paged.materialize() {
-            Ok(s) => {
-                rec.add("ooc.ingest.resumed", 1);
-                Some(s)
-            }
-            Err(_) => {
-                rec.add("ooc.spill.recomputed", 1);
-                None
-            }
-        },
-        Err(fc_seq::PagedError::Stale(_)) => None,
-        Err(_) => {
-            rec.add("ooc.spill.recomputed", 1);
-            None
-        }
-    }
-}
-
-/// The one streaming pass over the FASTQ: each borrowed record is folded
-/// into the input digest and trimmed into the store, whose growth is
-/// charged as it happens; out of core, kept reads are also staged to
-/// `<spill_dir>/pages`. Returns the store and the input's `(read count,
-/// digest)`.
-fn ingest_fastq(
+/// The one streaming pass over the input file: each borrowed record is
+/// folded into the input digest and trimmed into the store, whose growth
+/// is charged as it happens. Returns the store and the input's digest.
+fn ingest(
     input: &Path,
     config: &FocusConfig,
-    fp: u64,
-    ooc: Option<&OocOptions>,
     rec: &Recorder,
     budget: &mut RunBudget,
-) -> Result<(ReadStore, (u64, u64)), FocusError> {
+) -> Result<(ReadStore, u64), FocusError> {
     let mut digest = InputDigest::new();
     let mut builder = ReadStoreBuilder::new(&config.trim)?;
-    let mut staging = ooc.map(|ooc| {
-        let pages_dir = ooc.spill_dir.join("pages");
-        PagedStoreWriter::create(pages_dir, fp, PAGE_LEN, ooc.fs_faults.clone())
-    });
-    let mut staging_degraded = false;
     let mut store_res = budget.budget().try_reserve("read-store", 0)?;
-    let mut reader = open_fastq(input)?;
+    let mut reader = fc_seq::open(input)?;
     while let Some(record) = reader.next_record()? {
         digest.observe(&record);
         let grown = builder.push_record(&record)?;
-        if grown == 0 {
-            continue;
-        }
-        store_res.grow(grown as u64)?;
-        if let Some(w) = staging.as_mut() {
-            // `push_record` returned non-zero, so a kept read exists; if it
-            // somehow does not, staging degrades rather than aborting the run.
-            let Some((kept, source)) = builder.last_kept() else {
-                staging_degraded = true;
-                staging = None;
-                continue;
-            };
-            if w.push(kept.clone(), source).is_err() {
-                staging_degraded = true;
-                staging = None;
-            }
+        if grown > 0 {
+            store_res.grow(grown as u64)?;
         }
     }
-    if let Some(w) = staging {
-        match w.finish(digest.finish()) {
-            Ok(paged) => rec.add("ooc.ingest.staged_pages", u64::from(paged.pages())),
-            Err(_) => staging_degraded = true,
-        }
-    }
-    if staging_degraded {
-        rec.add("ooc.spill.degraded", 1);
-        rec.instant("ooc", "ooc.spill.degraded", &[]);
-    }
-    let s = builder.finish();
-    if s.is_empty() {
+    let store = builder.finish();
+    if store.is_empty() {
         return Err(FocusError::EmptyInput);
     }
     budget.hold(rec, store_res);
-    Ok((s, (digest.count(), digest.finish())))
+    if rec.is_enabled() {
+        rec.add("pipeline.reads_in", digest.count());
+        rec.add("pipeline.reads_kept", store.len() as u64);
+    }
+    Ok((store, digest.finish()))
 }
 
 /// External-memory variant of [`Overlapper::overlap_all`]: the same column
@@ -546,10 +436,10 @@ fn approx_payload_bytes(payload: &(Vec<Overlap>, PairStats)) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::genome;
+    use crate::pipeline::tests::{fastq_file, genome};
     use fc_ckpt::ReadFault;
     use fc_obs::ObsOptions;
-    use fc_seq::{QualityScores, Read};
+    use fc_seq::Read;
 
     /// Streaming a FASTQ in core is `assemble` on the parsed reads minus
     /// the parsed reads themselves: the same contigs and logical snapshot,
@@ -559,16 +449,13 @@ mod tests {
         let g = genome(3000, 13);
         let reads: Vec<Read> = (0..g.len() - 100)
             .step_by(40)
-            .map(|s| {
-                let qual = QualityScores::from_phred(vec![30; 100]);
-                Read::with_quality(format!("r{s}"), g.slice(s, s + 100), qual)
-            })
+            .map(|s| Read::new(format!("r{s}"), g.slice(s, s + 100)))
             .collect();
-        let path = std::env::temp_dir().join(format!("fc-ooc-ledger-{}.fastq", std::process::id()));
-        let mut text = Vec::new();
-        fastq::write(&mut text, &reads, 30).unwrap();
-        std::fs::write(&path, text).unwrap();
-        let parsed = fastq::parse(BufReader::new(File::open(&path).unwrap())).unwrap();
+        let path = fastq_file("ooc-ledger", &reads);
+        let parsed: Vec<Read> = fc_seq::open(&path)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap();
 
         let config = FocusConfig {
             observability: ObsOptions::logical(),
@@ -577,7 +464,7 @@ mod tests {
         let collected = FocusAssembler::new(config).unwrap();
         let whole = collected.assemble(&parsed).unwrap();
         let streamed = FocusAssembler::new(config).unwrap();
-        let outcome = streamed.assemble_fastq(&path, &CheckpointOptions::default(), None);
+        let outcome = streamed.assemble_file(&path, &CheckpointOptions::default(), None);
         let Ok(AssemblyOutcome::Completed(streamed_result)) = outcome else {
             panic!("{outcome:?}");
         };

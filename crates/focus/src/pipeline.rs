@@ -6,10 +6,10 @@
 //! and `finish` runs stage 6. Every entry point is those two calls; the
 //! alignment boundary inside `prepare_from` runs under a checkpoint policy
 //! (`checkpoint::CkptPolicy`): off for [`prepare`](FocusAssembler::prepare),
-//! the caller's for
-//! [`assemble_with_checkpoints`](FocusAssembler::assemble_with_checkpoints)
-//! and for [`assemble_fastq`](FocusAssembler::assemble_fastq), which
-//! brings its own ingest and, out of core, a spilling `align`.
+//! which preprocesses reads already in memory, and the caller's for
+//! [`assemble_file`](FocusAssembler::assemble_file), the one way a file
+//! enters the pipeline, which brings its own streaming ingest and, out of
+//! core, a spilling `align`.
 
 use crate::checkpoint::{AlignmentCkpt, CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
@@ -67,8 +67,9 @@ pub struct AssemblyResult {
     pub stats: AssemblyStats,
     /// Partitioning outcome on the hybrid set.
     pub partition: PartitionResult,
-    /// Distributed-stage report (timings, removal counts, paths).
-    pub report: DistributedReport,
+    /// Distributed-stage report (timings, removal counts, paths), boxed so
+    /// that an [`AssemblyResult`] stays small to move.
+    pub report: Box<DistributedReport>,
 }
 
 impl AssemblyResult {
@@ -108,16 +109,36 @@ impl FocusAssembler {
     }
 
     /// Runs stages 1–5: preprocessing, parallel alignment, overlap graph,
-    /// multilevel coarsening, hybrid-set construction.
+    /// multilevel coarsening, hybrid-set construction. The reads are held
+    /// for the whole run, so the ledger charges them as `input-reads`.
     pub fn prepare(&self, reads: &[Read]) -> Result<Prepared, FocusError> {
-        let rec = &self.recorder;
+        let (rec, config) = (&self.recorder, &self.config);
         let _span = rec.span_args(
             "pipeline",
             "pipeline.prepare",
             &[("reads", reads.len() as i64)],
         );
-        self.prepare_under(reads, &mut CkptPolicy::off(rec))
-            .map_err(Halt::into_error)
+        let pool = Pool::new_obs(config.threads, rec);
+        let mut budget = RunBudget::new(config);
+        budget.charge(
+            rec,
+            "input-reads",
+            reads.iter().map(|r| r.approx_bytes() as u64).sum(),
+        )?;
+        let store = ReadStore::preprocess(reads, &config.trim)?;
+        if store.is_empty() {
+            return Err(FocusError::EmptyInput);
+        }
+        if rec.is_enabled() {
+            rec.add("pipeline.reads_in", reads.len() as u64);
+            rec.add("pipeline.reads_kept", store.len() as u64);
+        }
+        budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
+        let mem = budget.budget().clone();
+        self.prepare_from(store, &mut CkptPolicy::off(rec), &mut budget, |store| {
+            align_in_core(config, store, &pool, rec, &mem)
+        })
+        .map_err(Halt::into_error)
     }
 
     /// Runs stage 6 (partitioning + distributed trimming/traversal + contig
@@ -136,36 +157,6 @@ impl FocusAssembler {
     pub fn assemble(&self, reads: &[Read]) -> Result<AssemblyResult, FocusError> {
         let prepared = self.prepare(reads)?;
         self.assemble_prepared(&prepared, self.config.partitions)
-    }
-
-    /// Stages 1–5 over reads held in memory: stage 1, then
-    /// [`prepare_from`](FocusAssembler::prepare_from) aligning in core.
-    pub(crate) fn prepare_under(
-        &self,
-        reads: &[Read],
-        policy: &mut CkptPolicy<'_>,
-    ) -> Result<Prepared, Halt> {
-        let (rec, config) = (&self.recorder, &self.config);
-        let pool = Pool::new_obs(config.threads, rec);
-        let mut budget = RunBudget::new(config);
-        budget.charge(
-            rec,
-            "input-reads",
-            reads.iter().map(|r| r.approx_bytes() as u64).sum(),
-        )?;
-        let store = ReadStore::preprocess(reads, &config.trim)?;
-        if store.is_empty() {
-            return Err(FocusError::EmptyInput.into());
-        }
-        if rec.is_enabled() {
-            rec.add("pipeline.reads_in", reads.len() as u64);
-            rec.add("pipeline.reads_kept", store.len() as u64);
-        }
-        budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
-        let mem = budget.budget().clone();
-        self.prepare_from(store, policy, &mut budget, |store| {
-            align_in_core(config, store, &pool, rec, &mem)
-        })
     }
 
     /// Stages 2–5 over a preprocessed store whose bytes `budget` already
@@ -265,7 +256,7 @@ impl FocusAssembler {
             contigs,
             stats,
             partition,
-            report,
+            report: Box::new(report),
         })
     }
 }
@@ -357,6 +348,18 @@ pub(crate) mod tests {
             start += stride;
         }
         reads
+    }
+
+    /// Writes `reads` as FASTQ, quality 30 throughout, to
+    /// `fc-focus-{tag}-{pid}.fastq` in the system temp dir: what the tests
+    /// of the file entry point stream.
+    pub(crate) fn fastq_file(tag: &str, reads: &[Read]) -> std::path::PathBuf {
+        let name = format!("fc-focus-{tag}-{}.fastq", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let mut text = Vec::new();
+        fc_seq::fastq::write(&mut text, reads, 30).unwrap();
+        std::fs::write(&path, text).unwrap();
+        path
     }
 
     pub(crate) fn quick_config(k: usize) -> FocusConfig {

@@ -8,20 +8,20 @@
 //! crashed and resumed — the oracle the serve chaos harness byte-compares.
 //!
 //! The job's FASTQ is streamed through
-//! [`FocusAssembler::assemble_fastq`], never held whole. Resume is always
+//! [`FocusAssembler::assemble_file`], never held whole. Resume is always
 //! on: the runner checkpoints the alignment boundary under the job's
 //! `ckpt/` directory (keyed by the existing config/input fingerprints), so
 //! re-running after a `kill -9` reloads the overlaps instead of aligning
 //! again and recomputes the cheap stages after them. A budgeted job runs
-//! out of core and also re-adopts its staged pages and spilled pair runs
-//! from `ckpt/ooc`.
+//! out of core and also re-adopts its spilled pair runs from `ckpt/ooc`.
 //!
 //! Failure classification mirrors the retry contract of
 //! [`fc_serve::runner`]: rank-loss failures from the simulated cluster's
 //! fault injection and stage-internal errors are transient (a retry can
 //! legitimately succeed), while config/validation/input errors are
-//! permanent — retrying cannot fix a malformed FASTQ or an invalid retry
-//! policy, so such jobs must not burn the backoff budget.
+//! permanent — retrying cannot fix a malformed FASTQ, an input of no known
+//! format or an invalid retry policy, so such jobs must not burn the
+//! backoff budget.
 
 use crate::checkpoint::{AssemblyOutcome, CheckpointOptions};
 use crate::config::{FocusConfig, FocusError};
@@ -69,7 +69,8 @@ fn classify(e: FocusError) -> JobError {
         FocusError::Stage { .. } => true,
         // Reading the input (opening it included) surfaces I/O as a seq
         // error, which is retryable. Malformed FASTQ — an over-long line
-        // too — is a parse variant and stays permanent.
+        // too — is a parse variant and stays permanent, and so does a file
+        // name of no known format.
         FocusError::Seq(fc_seq::SeqError::Io(_)) => true,
         // A blown memory budget is deterministic for a given input and
         // config: retrying the same job burns the backoff budget for
@@ -114,7 +115,7 @@ impl JobRunner for AssemblyJobRunner {
             .memory_budget
             .map(|_| OocOptions::in_dir(ctx.ckpt_dir.join("ooc")));
         let outcome = assembler
-            .assemble_fastq(&ctx.input_path, &opts, ooc.as_ref())
+            .assemble_file(&ctx.input_path, &opts, ooc.as_ref())
             .map_err(classify)?;
         drop(job_span);
         let trace_json = fc_obs::write_chrome_trace(&assembler.recorder().events());
@@ -149,34 +150,11 @@ impl JobRunner for AssemblyJobRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::genome;
-    use fc_seq::{fastq, DnaString, Read};
+    use crate::pipeline::tests::{genome, quick_config, tiled_reads};
+    use fc_seq::{fastq, Read};
     use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-
-    fn tiled_reads(genome: &DnaString, read_len: usize, stride: usize) -> Vec<Read> {
-        let mut reads = Vec::new();
-        let mut start = 0;
-        while start + read_len <= genome.len() {
-            reads.push(Read::new(
-                format!("r{start}"),
-                genome.slice(start, start + read_len),
-            ));
-            start += stride;
-        }
-        reads
-    }
-
-    fn quick_config(k: usize) -> FocusConfig {
-        let mut c = FocusConfig {
-            partitions: k,
-            ..Default::default()
-        };
-        c.trim.min_read_len = 30;
-        c.overlap.min_overlap_len = 40;
-        c
-    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fc-focus-serve-{tag}-{}", std::process::id()));
@@ -286,9 +264,12 @@ mod tests {
         let budget = fc_obs::MemoryBudget::with_limit(1);
         let blown = budget.try_reserve("x", 2).unwrap_err();
         assert!(!classify(FocusError::BudgetExceeded(blown)).transient);
-        // Streamed input I/O failures retry like in-core open failures.
+        // Streamed input I/O failures retry like in-core open failures; an
+        // input of no known format never reads differently.
         let io = fc_seq::SeqError::from(std::io::Error::other("disk gone"));
         assert!(classify(FocusError::Seq(io)).transient);
+        let unknown = fc_seq::SeqError::UnknownExtension;
+        assert!(!classify(FocusError::Seq(unknown)).transient);
     }
 
     #[test]

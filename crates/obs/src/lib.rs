@@ -32,11 +32,13 @@
 //! results (candidates verified, edges cut, nodes coarsened, messages
 //! simulated …) is thread-count-invariant. Metrics that describe the
 //! *schedule* itself (dispatches, per-worker busy time, scratch creations) are
-//! not — they live under the reserved `sched.` name prefix. In
-//! logical-clock mode ([`ObsOptions::logical`]) the snapshot serialisation
-//! ([`Recorder::snapshot_json`]) excludes `sched.*` entries and timestamps
-//! are logical ticks, making the metrics snapshot **byte-identical across
-//! thread counts** — observability doubles as a correctness oracle
+//! not — they live under the reserved `sched.` name prefix, beside the
+//! three other classes no result depends on (`ckpt.`, `mem.`, `ooc.`; see
+//! [`MetricsSnapshot::logical`]). In logical-clock mode
+//! ([`ObsOptions::logical`]) the snapshot serialisation
+//! ([`Recorder::snapshot_json`]) keeps only the logical metrics and
+//! timestamps are logical ticks, making the metrics snapshot
+//! **byte-identical across thread counts** — observability doubles as a correctness oracle
 //! (asserted at every point of the contract matrix, `tests/common/matrix.rs`).
 
 #![forbid(unsafe_code)]
@@ -59,32 +61,3 @@ pub use profile::{profile_chrome_trace, ProfileReport, SegmentKind};
 pub use recorder::{Flow, ObsOptions, Recorder, SpanGuard};
 pub use schema::{check_chrome_trace, check_jsonl_events, check_metrics_snapshot, ObsError};
 pub use sink::{human_report, write_chrome_trace, write_jsonl};
-
-/// Reserved metric-name prefix for scheduling-dependent metrics (dispatches,
-/// per-worker busy time …). Metrics under this prefix are excluded from
-/// logical-clock snapshots because they legitimately vary with the thread
-/// count and machine load; everything else must be deterministic.
-pub const SCHED_PREFIX: &str = "sched.";
-
-/// Reserved metric-name prefix for checkpoint-lifecycle metrics (saves,
-/// loads, detected corruptions, degradations …). Metrics under this prefix
-/// are excluded from logical-clock snapshots because they legitimately
-/// differ between an uninterrupted run and a crash-and-resume run of the
-/// same input — the checkpoint determinism contract compares the *rest* of
-/// the snapshot byte for byte.
-pub const CKPT_PREFIX: &str = "ckpt.";
-
-/// Reserved metric-name prefix for process-memory metrics (the peak-RSS
-/// gauge sampled at phase boundaries). Resident-set sizes legitimately
-/// vary with thread count, allocator behaviour and platform while results
-/// stay bit-identical, so logical-clock snapshots exclude them.
-pub const MEM_PREFIX: &str = "mem.";
-
-/// Reserved metric-name prefix for out-of-core spill metrics (runs
-/// spilled, bytes written, corrupt runs recomputed, in-core fallbacks …).
-/// Metrics under this prefix are excluded from logical-clock snapshots
-/// because they legitimately vary with the memory budget, disk faults and
-/// resume history while contigs and every other metric stay bit-identical
-/// — the out-of-core determinism contract compares the *rest* of the
-/// snapshot byte for byte.
-pub const OOC_PREFIX: &str = "ooc.";

@@ -3,7 +3,6 @@
 
 use crate::json::{push_json_key, push_json_str};
 use crate::schema::{self, ObsError, Value};
-use crate::{CKPT_PREFIX, MEM_PREFIX, OOC_PREFIX, SCHED_PREFIX};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -137,6 +136,16 @@ impl Histogram {
     }
 }
 
+/// The reserved name prefixes of the four non-logical metric classes (see
+/// [`MetricsSnapshot::logical`]).
+const NON_LOGICAL_PREFIXES: [&str; 4] = ["sched.", "ckpt.", "mem.", "ooc."];
+
+/// Whether `name` is a logical metric: under none of the reserved
+/// prefixes.
+pub(crate) fn is_logical(name: &str) -> bool {
+    !NON_LOGICAL_PREFIXES.iter().any(|p| name.starts_with(p))
+}
+
 /// An immutable, ordered snapshot of every metric a [`Recorder`] holds.
 /// `BTreeMap` keys make iteration — and therefore serialisation — fully
 /// deterministic.
@@ -177,38 +186,22 @@ impl MetricsSnapshot {
         }
     }
 
-    /// A copy without scheduling-dependent metrics (names under the
-    /// reserved `sched.` prefix). This is the thread-count-invariant view
-    /// used by the logical-clock determinism contract.
-    pub fn without_scheduling(&self) -> MetricsSnapshot {
-        self.filtered(|k| !k.starts_with(SCHED_PREFIX))
-    }
-
-    /// A copy without checkpoint-lifecycle metrics (names under the
-    /// reserved `ckpt.` prefix). Those legitimately differ between an
-    /// uninterrupted run and a crash-and-resume run, so the checkpoint
-    /// determinism contract byte-compares the snapshot *without* them.
-    pub fn without_checkpointing(&self) -> MetricsSnapshot {
-        self.filtered(|k| !k.starts_with(CKPT_PREFIX))
-    }
-
-    /// A copy without process-memory metrics (names under the reserved
-    /// `mem.` prefix, e.g. the peak-RSS gauge). Resident-set sizes vary
-    /// with thread count, allocator behaviour and platform, so the
-    /// logical-clock determinism contract byte-compares the snapshot
-    /// *without* them.
-    pub fn without_memory(&self) -> MetricsSnapshot {
-        self.filtered(|k| !k.starts_with(MEM_PREFIX))
-    }
-
-    /// A copy without out-of-core spill metrics (names under the reserved
-    /// `ooc.` prefix). Spill volume, merge passes and fallbacks
-    /// legitimately vary with the memory budget and disk behaviour while
-    /// contigs and every other metric stay bit-identical — the
-    /// out-of-core determinism contract byte-compares the snapshot
-    /// *without* them.
-    pub fn without_ooc(&self) -> MetricsSnapshot {
-        self.filtered(|k| !k.starts_with(OOC_PREFIX))
+    /// A copy keeping only the logical metrics — each a function of the
+    /// input and the config alone, equal at any thread count, budget or
+    /// resume history. It is the view the logical-clock determinism
+    /// contracts byte-compare, and what a checkpoint carries. Four classes
+    /// of metric no result depends on are dropped, by reserved prefix:
+    ///
+    /// * `sched.` — the schedule itself (dispatches, per-worker busy
+    ///   time), which varies with the thread count and machine load;
+    /// * `ckpt.` — checkpoint saves, loads, rejections and degradations,
+    ///   which differ between an uninterrupted and a resumed run;
+    /// * `mem.` — resident-set sizes and budget ledgers, which vary with
+    ///   the thread count, the allocator and the platform;
+    /// * `ooc.` — spill volume, merge passes and fallbacks, which vary
+    ///   with the memory budget, disk faults and resume history.
+    pub fn logical(&self) -> MetricsSnapshot {
+        self.filtered(is_logical)
     }
 
     /// True when no metric has been recorded.
@@ -484,26 +477,38 @@ mod tests {
         assert_eq!(h.p50(), 7_000);
     }
 
+    /// `logical` drops each of the four non-logical classes from counters,
+    /// gauges and histograms alike, and keeps every other name — also one
+    /// that merely contains a reserved word.
     #[test]
-    fn without_memory_drops_mem_prefix_only() {
+    fn logical_drops_the_four_non_logical_classes_only() {
+        let logical = [
+            "align.ckpt_like",
+            "exec.tasks",
+            "memo.x",
+            "pipeline.contigs",
+        ];
+        let dropped = [
+            "ckpt.saved",
+            "mem.budget.peak",
+            "ooc.spill.runs",
+            "sched.exec.workers",
+        ];
         let mut s = MetricsSnapshot::default();
-        s.counters.insert("pipeline.contigs", 10);
-        s.gauges.insert("mem.peak_rss_bytes", 1 << 20);
-        let d = s.without_memory();
-        assert_eq!(d.counters.len(), 1);
+        for name in logical {
+            s.counters.insert(name, 1);
+        }
+        for name in dropped {
+            s.counters.insert(name, 2);
+            s.gauges.insert(name, 3);
+            let mut h = Histogram::new(DEFAULT_BOUNDS);
+            h.observe(1);
+            s.histograms.insert(name, h);
+        }
+        let d = s.logical();
+        assert!(d.counters.keys().eq(logical.iter()));
         assert!(d.gauges.is_empty());
-    }
-
-    #[test]
-    fn without_ooc_drops_ooc_prefix_only() {
-        let mut s = MetricsSnapshot::default();
-        s.counters.insert("pipeline.contigs", 10);
-        s.counters.insert("ooc.spill.runs", 6);
-        s.gauges.insert("ooc.spill.bytes", 1 << 16);
-        let d = s.without_ooc();
-        assert_eq!(d.counters.len(), 1);
-        assert!(d.counters.contains_key("pipeline.contigs"));
-        assert!(d.gauges.is_empty());
+        assert!(d.histograms.is_empty());
     }
 
     #[test]
@@ -522,38 +527,6 @@ mod tests {
         assert!(ia < iz);
         assert_eq!(json, a.clone().to_json(), "serialisation is stable");
         assert!(json.contains("\"schema\": \"focus-metrics-v1\""));
-    }
-
-    #[test]
-    fn without_scheduling_drops_sched_prefix_only() {
-        let mut s = MetricsSnapshot::default();
-        s.counters.insert("exec.tasks", 10);
-        s.counters.insert("sched.exec.dispatches", 3);
-        s.gauges.insert("sched.exec.workers", 4);
-        let mut h = Histogram::new(DEFAULT_BOUNDS);
-        h.observe(1);
-        s.histograms.insert("sched.exec.worker_busy_us", h);
-        let d = s.without_scheduling();
-        assert_eq!(d.counters.len(), 1);
-        assert!(d.counters.contains_key("exec.tasks"));
-        assert!(d.gauges.is_empty());
-        assert!(d.histograms.is_empty());
-    }
-
-    #[test]
-    fn without_checkpointing_drops_ckpt_prefix_only() {
-        let mut s = MetricsSnapshot::default();
-        s.counters.insert("seq.reads", 10);
-        s.counters.insert("ckpt.saved", 3);
-        s.gauges.insert("ckpt.degraded", 1);
-        let mut h = Histogram::new(DEFAULT_BOUNDS);
-        h.observe(1);
-        s.histograms.insert("ckpt.record_bytes", h);
-        let d = s.without_checkpointing();
-        assert_eq!(d.counters.len(), 1);
-        assert!(d.counters.contains_key("seq.reads"));
-        assert!(d.gauges.is_empty());
-        assert!(d.histograms.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! logical-clock determinism contract is unchanged.
 
 use crate::event::{Event, EventKind};
-use crate::metrics::{Histogram, MetricsSnapshot, DEFAULT_BOUNDS};
+use crate::metrics::{is_logical, Histogram, MetricsSnapshot, DEFAULT_BOUNDS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -431,21 +431,15 @@ impl Recorder {
         }
     }
 
-    /// The canonical snapshot serialisation. In logical-clock mode the
-    /// scheduling-dependent `sched.*`, checkpoint-lifecycle `ckpt.*`,
-    /// memory `mem.*` and out-of-core `ooc.*` metrics are excluded, which
+    /// The canonical snapshot serialisation. In logical-clock mode only the
+    /// logical metrics ([`MetricsSnapshot::logical`]) are written, which
     /// makes the output **byte-identical across thread counts, across
     /// crash/resume and across memory budgets** (the determinism
     /// contracts); in wall-clock mode everything is included.
     pub fn snapshot_json(&self) -> String {
         let snapshot = self.snapshot();
         if self.is_logical() {
-            snapshot
-                .without_scheduling()
-                .without_checkpointing()
-                .without_memory()
-                .without_ooc()
-                .to_json()
+            snapshot.logical().to_json()
         } else {
             snapshot.to_json()
         }
@@ -455,8 +449,8 @@ impl Recorder {
     /// `snapshot` — the resume path: a checkpoint embeds the cumulative
     /// metrics of the run that wrote it, and loading it must leave the
     /// recorder exactly as if those phases had just executed. The
-    /// recorder's own `ckpt.*`, `sched.*`, `mem.*` and `ooc.*` entries are
-    /// kept (they describe *this* process's checkpoint traffic,
+    /// recorder's own non-logical entries (`ckpt.*`, `sched.*`, `mem.*`,
+    /// `ooc.*`) are kept (they describe *this* process's checkpoint traffic,
     /// scheduling, memory and spill traffic, which a restore must not
     /// falsify), and any such entries inside `snapshot` are ignored for
     /// the same reason. No-op when disabled.
@@ -464,32 +458,26 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return;
         };
-        let keep = |k: &str| {
-            k.starts_with(crate::CKPT_PREFIX)
-                || k.starts_with(crate::SCHED_PREFIX)
-                || k.starts_with(crate::MEM_PREFIX)
-                || k.starts_with(crate::OOC_PREFIX)
-        };
         let mut counters = lock(&inner.counters);
-        counters.retain(|k, _| keep(k));
+        counters.retain(|k, _| !is_logical(k));
         for (&k, &v) in &snapshot.counters {
-            if !keep(k) {
+            if is_logical(k) {
                 counters.insert(k, v);
             }
         }
         drop(counters);
         let mut gauges = lock(&inner.gauges);
-        gauges.retain(|k, _| keep(k));
+        gauges.retain(|k, _| !is_logical(k));
         for (&k, &v) in &snapshot.gauges {
-            if !keep(k) {
+            if is_logical(k) {
                 gauges.insert(k, v);
             }
         }
         drop(gauges);
         let mut histograms = lock(&inner.histograms);
-        histograms.retain(|k, _| keep(k));
+        histograms.retain(|k, _| !is_logical(k));
         for (&k, h) in &snapshot.histograms {
-            if !keep(k) {
+            if is_logical(k) {
                 histograms.insert(k, h.clone());
             }
         }

@@ -52,6 +52,9 @@ pub enum SeqError {
         /// What a valid value looks like.
         message: &'static str,
     },
+    /// A file name whose extension names no format the readers know
+    /// ([`crate::format::open`]).
+    UnknownExtension,
     /// Underlying I/O failure.
     Io(io::Error),
 }
@@ -76,6 +79,9 @@ impl fmt::Display for SeqError {
             ),
             SeqError::Config { parameter, message } => {
                 write!(f, "invalid {parameter}: {message}")
+            }
+            SeqError::UnknownExtension => {
+                write!(f, "unknown extension (expected .fasta/.fa/.fna/.fastq/.fq)")
             }
             SeqError::Io(e) => write!(f, "I/O error: {e}"),
         }

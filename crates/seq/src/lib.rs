@@ -10,7 +10,8 @@
 //! * [`Read`] and [`ReadStore`] — sequencing reads as parsed, and the
 //!   trimmed bases the assembler operates on, including reverse-complement
 //!   augmentation and subset splitting (paper §II-A),
-//! * FASTA/FASTQ reading and writing ([`fasta`], [`fastq`]),
+//! * FASTA/FASTQ reading and writing ([`fasta`], [`fastq`]), and one
+//!   file entry point over both ([`open`]),
 //! * read trimming ([`trim`]) — fixed 5'/3' trimming and the paper's
 //!   sliding-window 3' quality trimming.
 
@@ -21,6 +22,7 @@ pub mod dna;
 pub mod error;
 pub mod fasta;
 pub mod fastq;
+pub mod format;
 mod line;
 pub mod packed;
 pub mod paged;
@@ -32,6 +34,7 @@ pub mod trim;
 pub use alphabet::Base;
 pub use dna::DnaString;
 pub use error::SeqError;
+pub use format::{open, SeqReader};
 pub use line::MAX_LINE_BYTES;
 pub use packed::PackedView;
 pub use paged::{PagedError, PagedReadStore, PagedStoreWriter};

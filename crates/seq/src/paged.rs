@@ -1,5 +1,11 @@
-//! File-backed paged read staging: out-of-core ingest writes trimmed reads
-//! to disk pages and materializes them back once ingest is done.
+//! File-backed paged read staging: trimmed reads written to disk pages and
+//! materialized back into a [`ReadStore`].
+//!
+//! Nothing in the product calls this module any more: every run, resumed
+//! or not, rebuilds its store from its input in one streaming pass, which
+//! costs less than writing pages and reading them back. The benchmark
+//! (`benchmark/src/trace.rs`) still measures it for its `probe.paged_*`
+//! rows, and so it stays until those rows go.
 //!
 //! [`PagedStoreWriter`] appends trimmed forward reads (with their source
 //! indices) to fixed-size pages; each full page is written through
@@ -10,10 +16,10 @@
 //! reads.
 //!
 //! [`PagedReadStore`] is the read side: sequential re-materialization into
-//! an in-memory [`ReadStore`] ([`PagedReadStore::materialize`]), and resume
-//! ([`PagedReadStore::open`]) keyed on the raw-input digest recorded in the
-//! meta page, so stale pages from a different input are rejected rather
-//! than reused.
+//! an in-memory [`ReadStore`] ([`PagedReadStore::materialize`]), keyed on
+//! the raw-input digest recorded in the meta page
+//! ([`PagedReadStore::open`]), so stale pages from a different input are
+//! rejected rather than reused.
 //!
 //! Only forward strands are stored; reverse complements are deterministic
 //! and regenerated on materialization, halving spill I/O.
@@ -47,7 +53,7 @@ pub enum PagedError {
     Write(CkptError),
     /// A page or meta record exists but failed verification.
     Corrupt {
-        /// Which page (or [`META_ID`] for the meta record).
+        /// Which page (or 0 for the meta record).
         page: u32,
         /// The underlying rejection.
         cause: CkptError,

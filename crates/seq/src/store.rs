@@ -237,15 +237,6 @@ impl ReadStoreBuilder {
         grown
     }
 
-    /// The forward strand and source index of the most recently kept read
-    /// — what a streaming ingest stages to disk right after a
-    /// [`push_record`](ReadStoreBuilder::push_record) that returned
-    /// non-zero.
-    pub fn last_kept(&self) -> Option<(&DnaString, u32)> {
-        let n = self.store.len();
-        (n >= 2).then(|| (&self.store.reads[n - 2], self.store.source[n - 2]))
-    }
-
     /// Finishes the RC-paired store, its vectors trimmed to their length so
     /// the heap is what [`ReadStore::approx_bytes`] charges.
     pub fn finish(mut self) -> ReadStore {

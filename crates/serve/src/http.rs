@@ -144,22 +144,25 @@ impl Read for DeadlineReader<'_> {
 }
 
 /// Reads and parses one request. `max_body` caps the accepted
-/// `Content-Length`; the header block is capped at [`MAX_HEAD_BYTES`].
+/// `Content-Length`; the header block, blank line included, is capped at
+/// [`MAX_HEAD_BYTES`]. No more than `MAX_HEAD_BYTES + max_body` bytes are
+/// ever read from `reader`.
 pub fn read_request(reader: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
     // Accumulate until the blank line; anything past it is body prefix.
-    // Bounded by MAX_HEAD_BYTES + one read chunk.
+    // Never read past MAX_HEAD_BYTES before the blank line is seen.
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     let split = loop {
         if let Some(pos) = find_head_end(&head) {
             break pos;
         }
-        if head.len() > MAX_HEAD_BYTES {
+        if head.len() >= MAX_HEAD_BYTES {
             return Err(HttpError::HeadersTooLarge {
                 limit: MAX_HEAD_BYTES,
             });
         }
-        let n = reader.read(&mut chunk).map_err(HttpError::Io)?;
+        let want = chunk.len().min(MAX_HEAD_BYTES - head.len());
+        let n = reader.read(&mut chunk[..want]).map_err(HttpError::Io)?;
         if n == 0 {
             return Err(HttpError::BadRequest("truncated request head"));
         }
@@ -354,24 +357,11 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Escapes a string into a JSON string literal (with quotes).
+/// Escapes a string into a JSON string literal (with quotes), as every
+/// fc-obs sink does.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    fc_obs::json::push_json_str(&mut out, s);
     out
 }
 
@@ -443,6 +433,87 @@ mod tests {
         assert!(text.contains("content-length: 21\r\n"));
         assert!(text.contains("connection: close\r\n"));
         assert!(text.ends_with("{\"error\":\"saturated\"}"));
+    }
+
+    /// Counts the bytes a reader hands out.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// Valid requests mutated by setting, inserting and truncating bytes,
+    /// some with a random `Content-Length` or a padded head: every case
+    /// ends in a request or a typed refusal, never a panic, and never
+    /// reads more than `MAX_HEAD_BYTES + max_body` bytes. A request it
+    /// accepts carries exactly the body its `Content-Length` declares.
+    #[test]
+    fn mutated_requests_end_typed_within_the_read_bound() {
+        let valid: [&[u8]; 4] = [
+            b"GET /jobs/job-000001 HTTP/1.1\r\nhost: x\r\n\r\n",
+            b"POST /jobs?tenant=alice&priority=high HTTP/1.1\r\ncontent-length: 4\r\n\r\nACGT",
+            b"DELETE /jobs/job-000002 HTTP/1.0\r\n\r\n",
+            b"GET /x?name=a%2Fb+c HTTP/1.1\r\nx-a: 1\r\nx-b:2\r\n\r\n",
+        ];
+        fc_rng::cases(2_000, |rng| {
+            let max_body = rng.range(0usize..64);
+            let mut raw = valid[rng.range(0..valid.len())].to_vec();
+            if rng.bool(0.3) {
+                let length = match rng.range(0u8..3) {
+                    0 => rng.range(0usize..2 * max_body + 2).to_string(),
+                    1 => rng.range(0..=u64::MAX).to_string(),
+                    _ => format!("{}x", rng.range(0u8..10)),
+                };
+                let at = raw.windows(2).position(|w| w == b"\r\n").unwrap() + 2;
+                let header = format!("content-length: {length}\r\n");
+                raw.splice(at..at, header.bytes());
+                raw.extend(std::iter::repeat_n(b'G', rng.range(0..2 * max_body + 2)));
+            }
+            if rng.bool(0.1) {
+                let at = raw.windows(2).position(|w| w == b"\r\n").unwrap() + 2;
+                let pad = rng.range(MAX_HEAD_BYTES - 64..MAX_HEAD_BYTES + 64);
+                let header = format!("x-pad: {}\r\n", "p".repeat(pad));
+                raw.splice(at..at, header.bytes());
+            }
+            for _ in 0..rng.range(0..4) {
+                let at = rng.range(0..=raw.len());
+                match rng.range(0u8..3) {
+                    0 if at < raw.len() => raw[at] = rng.range(0u8..=255),
+                    1 => {
+                        let grammar = b" \r\n:?&=%+";
+                        raw.insert(at, grammar[rng.range(0..grammar.len())]);
+                    }
+                    _ => raw.truncate(at),
+                }
+            }
+            let mut reader = Counting {
+                inner: Cursor::new(raw),
+                read: 0,
+            };
+            let result = read_request(&mut reader, max_body);
+            assert!(
+                reader.read <= MAX_HEAD_BYTES + max_body,
+                "read {}",
+                reader.read
+            );
+            match result {
+                Ok(req) => {
+                    let declared = req
+                        .header("content-length")
+                        .map_or(Some(0), |v| v.parse().ok());
+                    assert_eq!(declared, Some(req.body.len()));
+                    assert!(req.body.len() <= max_body);
+                }
+                Err(e) => assert!(e.status().is_some(), "{e:?}"),
+            }
+        });
     }
 
     #[test]

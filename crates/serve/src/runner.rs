@@ -3,7 +3,7 @@
 //! fc-serve never touches the assembly pipeline directly: a worker hands a
 //! [`JobContext`] (paths + cancellation flag) to a [`JobRunner`], and the
 //! production implementation (`focus_core::serve::AssemblyJobRunner`) runs
-//! `assemble_fastq` under the job's checkpoint directory. Tests
+//! `assemble_file` under the job's checkpoint directory. Tests
 //! plug in mock runners to exercise retries, cancellation and crashes
 //! without assembling anything.
 //!

@@ -1,7 +1,7 @@
 //! Bounded multi-tenant admission control and fair dispatch.
 //!
 //! The scheduler is a *pure* data structure: no clocks, no randomness, no
-//! I/O. Given the same sequence of [`Scheduler::admit`] / [`Scheduler::next`]
+//! I/O. Given the same sequence of [`Scheduler::admit`] / [`Scheduler::dispatch`]
 //! / [`Scheduler::cancel`] calls it produces the same sequence of outcomes,
 //! which is what makes backpressure testable (`tests/props.rs` replays
 //! seeded arrival schedules) and the server resumable (after a crash the
@@ -10,7 +10,7 @@
 //! ## State machine
 //!
 //! ```text
-//!   admit ──► Queued ──next()──► (dispatched, leaves the scheduler)
+//!   admit ──► Queued ──dispatch()──► (dispatched, leaves the scheduler)
 //!     │          │
 //!     │          ├─cancel()──► removed
 //!     │          └─displaced─► Shed (reported to the admitting caller)
@@ -227,7 +227,7 @@ impl Scheduler {
     }
 
     /// Stops admitting: every subsequent [`Scheduler::admit`] call returns
-    /// [`Rejection::Closed`]. Queued jobs still dispatch via `next`.
+    /// [`Rejection::Closed`]. Queued jobs still dispatch via `dispatch`.
     pub fn close(&mut self) {
         self.closed = true;
     }
@@ -273,52 +273,27 @@ impl Scheduler {
     }
 
     /// Offers a job for admission. See the module docs for the decision
-    /// ladder; the order is: closed → new-tenant bound → per-tenant bound →
-    /// global bound (with priority shedding) → queued.
+    /// ladder, which [`Scheduler::would_reject`] decides; `admit` then
+    /// sheds the victim the global bound needs, if any, and queues the job.
     pub fn admit(&mut self, tenant: &str, id: JobId, priority: Priority) -> AdmitOutcome {
-        if self.closed {
-            return AdmitOutcome::Rejected(Rejection::Closed);
+        if let Some(rejection) = self.would_reject(tenant, priority) {
+            return AdmitOutcome::Rejected(rejection);
         }
+        // At the global bound `would_reject` found a victim to shed.
+        let shed = if self.queued >= self.cfg.total_capacity {
+            self.shed_victim(priority)
+        } else {
+            None
+        };
         let existing = self.tenants.iter().position(|t| t.name == tenant);
-        match existing {
-            Some(i) => {
-                let depth = self.tenants[i].depth();
-                if depth >= self.cfg.per_tenant_capacity {
-                    return AdmitOutcome::Rejected(Rejection::TenantQueueFull {
-                        depth,
-                        capacity: self.cfg.per_tenant_capacity,
-                    });
-                }
-            }
-            None => {
-                if self.tenants.len() >= self.cfg.max_tenants {
-                    return AdmitOutcome::Rejected(Rejection::TooManyTenants {
-                        tenants: self.tenants.len(),
-                        max_tenants: self.cfg.max_tenants,
-                    });
-                }
-            }
-        }
-        let mut shed = None;
-        if self.queued >= self.cfg.total_capacity {
-            match self.shed_victim(priority) {
-                Some(victim) => shed = Some(victim),
-                None => {
-                    return AdmitOutcome::Rejected(Rejection::Saturated {
-                        depth: self.queued,
-                        capacity: self.cfg.total_capacity,
-                    });
-                }
-            }
-        }
         // Admission is now certain; only here may a new tenant consume a
         // table slot, so a Saturated rejection never leaks one (tenant
         // entries are permanent once created — see the field docs).
         let idx = existing.unwrap_or_else(|| {
             self.tenants.push(Tenant {
                 name: tenant.to_string(),
-                // Each queue is bounded: the per-tenant depth check above
-                // ran before any push into it.
+                // Each queue is bounded: `would_reject`'s per-tenant depth
+                // check runs before any push into it.
                 queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             });
             self.tenants.len() - 1
@@ -358,7 +333,7 @@ impl Scheduler {
 
     /// Dispatches the next job under deficit round-robin, or `None` when
     /// nothing is queued. One job per call.
-    pub fn next(&mut self) -> Option<JobId> {
+    pub fn dispatch(&mut self) -> Option<JobId> {
         if self.tenants.is_empty() || self.queued == 0 {
             return None;
         }
@@ -476,9 +451,9 @@ mod tests {
         // The shed victim is gone. Dispatch is round-robin across tenants
         // (priority orders only *within* a tenant), so tenant a's low job
         // still goes first — fairness is not globally preempted.
-        assert_eq!(s.next(), Some(JobId(1)));
-        assert_eq!(s.next(), Some(JobId(3)));
-        assert_eq!(s.next(), None);
+        assert_eq!(s.dispatch(), Some(JobId(1)));
+        assert_eq!(s.dispatch(), Some(JobId(3)));
+        assert_eq!(s.dispatch(), None);
     }
 
     #[test]
@@ -509,7 +484,7 @@ mod tests {
         assert_eq!(s.tenant_depths().count(), 1, "tenant slot leaked");
         // Once capacity frees, a *different* new tenant can still take the
         // last slot — the rejected name did not lock it out.
-        assert_eq!(s.next(), Some(JobId(1)));
+        assert_eq!(s.dispatch(), Some(JobId(1)));
         assert!(queued(s.admit("c", JobId(3), Priority::Normal)).is_none());
         assert_eq!(s.tenant_depths().count(), 2);
     }
@@ -521,7 +496,7 @@ mod tests {
             assert!(queued(s.admit("a", JobId(i), Priority::Normal)).is_none());
             assert!(queued(s.admit("b", JobId(100 + i), Priority::Normal)).is_none());
         }
-        let order: Vec<u64> = std::iter::from_fn(|| s.next()).map(|j| j.0).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| s.dispatch()).map(|j| j.0).collect();
         assert_eq!(order, vec![0, 1, 100, 101, 2, 3, 102, 103]);
     }
 
@@ -532,7 +507,7 @@ mod tests {
         assert!(queued(s.admit("a", JobId(2), Priority::High)).is_none());
         assert!(queued(s.admit("a", JobId(3), Priority::Normal)).is_none());
         assert!(queued(s.admit("a", JobId(4), Priority::High)).is_none());
-        let order: Vec<u64> = std::iter::from_fn(|| s.next()).map(|j| j.0).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| s.dispatch()).map(|j| j.0).collect();
         assert_eq!(order, vec![2, 4, 3, 1]);
     }
 
@@ -543,7 +518,7 @@ mod tests {
         assert!(queued(s.admit("a", JobId(2), Priority::Normal)).is_none());
         assert_eq!(s.cancel(JobId(1)).as_deref(), Some("a"));
         assert_eq!(s.cancel(JobId(1)), None, "already removed");
-        assert_eq!(s.next(), Some(JobId(2)));
+        assert_eq!(s.dispatch(), Some(JobId(2)));
         assert_eq!(s.cancel(JobId(2)), None, "already dispatched");
     }
 
@@ -555,7 +530,7 @@ mod tests {
         let r = rejected(s.admit("a", JobId(2), Priority::Normal));
         assert_eq!(r, Rejection::Closed);
         assert_eq!(r.http_status(), 503);
-        assert_eq!(s.next(), Some(JobId(1)));
+        assert_eq!(s.dispatch(), Some(JobId(1)));
     }
 
     #[test]

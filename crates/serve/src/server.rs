@@ -902,7 +902,7 @@ fn next_job(shared: &Shared) -> Option<(JobId, JobRecord, Arc<AtomicBool>, u64)>
         if mode == MODE_FAST {
             return None;
         }
-        if let Some(id) = core.sched.next() {
+        if let Some(id) = core.sched.dispatch() {
             let Some(job) = core.active.get_mut(&id.0) else {
                 continue; // cancel raced the dispatch; take the next job
             };

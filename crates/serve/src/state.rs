@@ -25,9 +25,9 @@
 //! 3. `status.txt` is written once, after outputs, and is immutable; its
 //!    presence makes the job terminal and frees all in-memory state.
 //!
-//! All multi-step writes go through [`StateDir::write_atomic`]-style
-//! unique-temp-then-rename, so concurrent writers and `kill -9` can never
-//! leave a half-written artifact under a final name.
+//! All multi-step writes go through one unique-temp-then-rename helper,
+//! so concurrent writers and `kill -9` can never leave a half-written
+//! artifact under a final name.
 
 use crate::error::ServeError;
 use crate::job::{JobId, Priority};
@@ -162,8 +162,8 @@ pub struct Scan {
     pub pending: Vec<JobRecord>,
     /// Torn directories (no `job.meta`) that were removed.
     pub torn: usize,
-    /// Ended jobs whose `status.txt` cannot be read (over [`RECORD_LIMIT`],
-    /// say, from a build that did not cut messages). The file's existence
+    /// Ended jobs whose `status.txt` cannot be read (over the 4 KiB record
+    /// limit, say, from a build that did not cut messages). The file's existence
     /// says the job ended, so it is not re-admitted.
     pub unreadable: usize,
     /// Highest job id seen anywhere, so new ids continue the sequence.
@@ -392,7 +392,7 @@ fn parse_meta(text: &str) -> Result<JobRecord, String> {
         };
         match key {
             "id" => id = JobId::parse(value),
-            "tenant" => tenant = Some(value.to_string()),
+            "tenant" => tenant = valid_tenant_name(value).then(|| value.to_string()),
             "priority" => priority = Priority::parse(value),
             "deadline_ms" => deadline_ms = value.parse::<u64>().ok(),
             "input_len" => input_len = value.parse::<u64>().ok(),
@@ -402,7 +402,7 @@ fn parse_meta(text: &str) -> Result<JobRecord, String> {
     }
     Ok(JobRecord {
         id: id.ok_or("missing/bad id")?,
-        tenant: tenant.ok_or("missing tenant")?,
+        tenant: tenant.ok_or("missing/bad tenant")?,
         priority: priority.ok_or("missing/bad priority")?,
         deadline_ms: match deadline_ms.ok_or("missing/bad deadline_ms")? {
             0 => None,
@@ -449,6 +449,11 @@ fn parse_status(text: &str) -> Result<TerminalStatus, String> {
             "total_bases" => total_bases = value.parse().map_err(|_| "bad total_bases")?,
             _ => {}
         }
+    }
+    // Only a message `render_status` could have written: cut to the limit,
+    // with no carriage return left in it.
+    if message.len() > STATUS_MESSAGE_LIMIT || message.contains('\r') {
+        return Err("bad message".to_string());
     }
     Ok(TerminalStatus {
         state: state.ok_or("missing/bad state")?,
@@ -597,6 +602,73 @@ mod tests {
         let back = state.read_status(JobId(1)).expect("read").expect("some");
         let kept = (STATUS_MESSAGE_LIMIT - 1) / 2;
         assert_eq!(back.message, format!("x{}", "é".repeat(kept)));
+    }
+
+    /// One random edit of `text`: a byte set, a byte inserted (often a
+    /// separator or a digit, where the grammar is), or a cut.
+    fn mutate(text: &mut Vec<u8>, rng: &mut fc_rng::Rng) {
+        let at = rng.range(0..=text.len());
+        match rng.range(0u8..3) {
+            0 if at < text.len() => text[at] = rng.range(0u8..=255),
+            1 => {
+                let grammar = b" \n\r0a-_#";
+                text.insert(at, grammar[rng.range(0..grammar.len())]);
+            }
+            _ => text.truncate(at),
+        }
+    }
+
+    /// Rendered `job.meta` and `status.txt` records with random set,
+    /// insert and truncate edits: each parse ends in a record or a typed
+    /// error, never a panic, and every record it accepts renders back to
+    /// text that parses to an equal record.
+    #[test]
+    fn mutated_records_parse_typed_and_round_trip() {
+        let states = [
+            TerminalState::Done,
+            TerminalState::Failed,
+            TerminalState::Shed,
+            TerminalState::Canceled,
+        ];
+        fc_rng::cases(4_000, |rng| {
+            let meta = JobRecord {
+                id: JobId(rng.range(0..=u64::MAX)),
+                tenant: "t".repeat(rng.range(1..=64)),
+                priority: Priority::ALL[rng.range(0..3)],
+                deadline_ms: rng.bool(0.5).then(|| rng.range(1..=u64::MAX)),
+                input_len: rng.range(0..=u64::MAX),
+                input_fnv: rng.range(0..=u64::MAX),
+            };
+            let status = TerminalStatus {
+                state: states[rng.range(0..states.len())],
+                message: "m é".repeat(rng.range(0..8)),
+                num_contigs: rng.range(0..=u64::MAX),
+                n50: rng.range(0..1_000_000),
+                total_bases: rng.range(0..=u64::MAX),
+            };
+            let (mut meta_text, mut status_text) = (
+                render_meta(&meta).into_bytes(),
+                render_status(&status).into_bytes(),
+            );
+            for _ in 0..rng.range(0..4) {
+                mutate(&mut meta_text, rng);
+                mutate(&mut status_text, rng);
+            }
+            if let Ok(text) = std::str::from_utf8(&meta_text) {
+                if let Ok(parsed) = parse_meta(text) {
+                    assert_eq!(parse_meta(&render_meta(&parsed)), Ok(parsed), "{text:?}");
+                }
+            }
+            if let Ok(text) = std::str::from_utf8(&status_text) {
+                if let Ok(parsed) = parse_status(text) {
+                    assert_eq!(
+                        parse_status(&render_status(&parsed)),
+                        Ok(parsed),
+                        "{text:?}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

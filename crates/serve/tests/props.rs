@@ -70,7 +70,7 @@ fn no_admitted_job_is_ever_lost_and_drain_is_fair() {
                     }
                 }
                 6 => {
-                    if let Some(id) = s.next() {
+                    if let Some(id) = s.dispatch() {
                         assert!(
                             queued.remove(&id.0).is_some(),
                             "dispatched unknown job {id}"
@@ -93,7 +93,7 @@ fn no_admitted_job_is_ever_lost_and_drain_is_fair() {
         // backlog it must be served within tenants × quantum dispatches.
         let bound = TENANTS.len() * cfg().quantum as usize;
         let mut waits: BTreeMap<&'static str, usize> = queued.values().map(|&t| (t, 0)).collect();
-        while let Some(id) = s.next() {
+        while let Some(id) = s.dispatch() {
             let Some(tenant) = queued.remove(&id.0) else {
                 panic!("drain dispatched unknown job {id}");
             };
@@ -144,7 +144,7 @@ fn trace(ops: &[Op]) -> Vec<String> {
                 out.push(format!("admit {id} -> {outcome:?}"));
             }
             6 => {
-                let next = s.next();
+                let next = s.dispatch();
                 if let Some(id) = next {
                     queued.remove(&id.0);
                 }
@@ -159,7 +159,7 @@ fn trace(ops: &[Op]) -> Vec<String> {
             }
         }
     }
-    while let Some(id) = s.next() {
+    while let Some(id) = s.dispatch() {
         out.push(format!("drain -> {id}"));
     }
     out

@@ -213,7 +213,7 @@ fn scan_use(tokens: &[Token], i: usize, items: &mut FileItems) -> usize {
                         tokens.get(after + 1).filter(|t| t.kind == TokenKind::Ident)
                     {
                         name = alias.text.clone();
-                        after = after + 2;
+                        after += 2;
                     }
                 }
                 let mut full = prefix.clone();

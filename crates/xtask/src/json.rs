@@ -25,9 +25,9 @@ pub fn render(analysis: &Analysis) -> String {
     out.push_str("  \"tool\": {\n    \"name\": \"xtask analyze\",\n    \"rules\": [\n");
     let rules = Rule::all();
     for (i, rule) in rules.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "      {{\"id\": {}, \"name\": {}, \"rationale\": {}}}{}\n",
+            "      {{\"id\": {}, \"name\": {}, \"rationale\": {}}}{}",
             string(rule.code()),
             string(rule.name()),
             string(rule.rationale()),
@@ -35,13 +35,13 @@ pub fn render(analysis: &Analysis) -> String {
         );
     }
     out.push_str("    ]\n  },\n");
-    let _ = write!(out, "  \"files\": {},\n", analysis.files);
+    let _ = writeln!(out, "  \"files\": {},", analysis.files);
 
     out.push_str("  \"results\": [\n");
     for (i, d) in analysis.violations.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "    {}{}\n",
+            "    {}{}",
             result(d, None),
             comma(i, analysis.violations.len())
         );
@@ -50,9 +50,9 @@ pub fn render(analysis: &Analysis) -> String {
 
     out.push_str("  \"suppressed\": [\n");
     for (i, (d, reason)) in analysis.suppressed.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "    {}{}\n",
+            "    {}{}",
             result(d, Some(reason)),
             comma(i, analysis.suppressed.len())
         );
@@ -61,18 +61,18 @@ pub fn render(analysis: &Analysis) -> String {
 
     out.push_str("  \"staleAllows\": [\n");
     for (i, a) in analysis.unused_allows.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "    {}{}\n",
+            "    {}{}",
             stale(a),
             comma(i, analysis.unused_allows.len())
         );
     }
     out.push_str("  ],\n");
 
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"summary\": {{\"violations\": {}, \"suppressed\": {}, \"staleAllows\": {}, \"clean\": {}}}\n",
+        "  \"summary\": {{\"violations\": {}, \"suppressed\": {}, \"staleAllows\": {}, \"clean\": {}}}",
         analysis.violations.len(),
         analysis.suppressed.len(),
         analysis.unused_allows.len(),

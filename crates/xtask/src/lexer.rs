@@ -247,11 +247,10 @@ impl<'a> Lexer<'a> {
 
     fn char_or_lifetime(&mut self, line: usize, col: usize) {
         // `'a` (no closing quote soon) is a lifetime; `'x'`, `'\n'` are chars.
-        let is_char = match (self.peek(1), self.peek(2)) {
-            (Some(b'\\'), _) => true,
-            (Some(_), Some(b'\'')) => true,
-            _ => false,
-        };
+        let is_char = matches!(
+            (self.peek(1), self.peek(2)),
+            (Some(b'\\'), _) | (Some(_), Some(b'\''))
+        );
         if is_char {
             self.bump(); // '
             if self.src.get(self.pos) == Some(&b'\\') {

@@ -265,9 +265,10 @@ fn param_names(params: &[Token]) -> Vec<String> {
     for (i, t) in params.iter().enumerate() {
         if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
             depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct('>') && !(i > 0 && params[i - 1].is_punct('-')) {
+        } else if t.is_punct(')')
+            || t.is_punct(']')
+            || (t.is_punct('>') && !(i > 0 && params[i - 1].is_punct('-')))
+        {
             depth -= 1;
         } else if t.is_punct(',') && depth == 0 {
             spans.push(&params[start..i]);
@@ -594,7 +595,7 @@ fn binds_result(tokens: &[Token], open: usize, limit: usize) -> bool {
             // (`let over = *lock_a(s) > 0;`).
             return tokens[k].is_punct(';');
         }
-        let adapter = tokens.get(k + 1).map_or(false, |n| {
+        let adapter = tokens.get(k + 1).is_some_and(|n| {
             matches!(
                 n.text.as_str(),
                 "unwrap" | "expect" | "unwrap_or_else" | "into_inner"

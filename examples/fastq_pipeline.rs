@@ -36,13 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Assemble the file with quality trimming enabled (the simulated
     //    reads carry degraded 3' tails for the trimmer to remove). The
-    //    FASTQ streams into the read store; it is never held whole.
+    //    file streams into the read store, never held whole; a FASTA file
+    //    (.fasta/.fa/.fna) goes the same way, its format told by extension.
     let mut config = FocusConfig::default();
     config.trim.window_len = 10;
     config.trim.min_quality = 15.0;
     config.dedup_rc = true;
     let assembler = FocusAssembler::new(config)?;
-    let outcome = assembler.assemble_fastq(&reads_path, &CheckpointOptions::default(), None)?;
+    let outcome = assembler.assemble_file(&reads_path, &CheckpointOptions::default(), None)?;
     let AssemblyOutcome::Completed(result) = outcome else {
         return Err("the run stopped without a stop request".into());
     };

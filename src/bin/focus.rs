@@ -12,10 +12,11 @@
 use focus_assembler::focus::{
     AssemblyOutcome, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig, OocOptions,
 };
-use focus_assembler::seq::{fasta, fastq, Read};
+use focus_assembler::seq::Read;
 use focus_assembler::sim::{generate_to, single_genome_config, SINGLE_GENOME_NAME};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -49,18 +50,17 @@ PIPELINE OPTIONS (assemble, graph, serve):
                            output is identical at any setting    [default: 0]
     --keep-both-strands    emit both strands of every contig
 
-MEMORY OPTIONS (assemble, FASTQ input only; serve takes --memory-budget):
+MEMORY OPTIONS (assemble; serve takes --memory-budget):
     --memory-budget <b>    cap the accounted heap; plain bytes or a k/M/G
                            suffix (e.g. 512M). Routes the run through the
-                           out-of-core pipeline: reads are staged to disk
-                           pages, and alignment results spill through
-                           CRC-verified files. Contigs and logical metric
-                           snapshots are byte-identical to an in-core run
-                           of the same config.
-    --spill-dir <dir>      directory for staged pages and spill runs;
-                           implies the out-of-core pipeline even with no
-                           budget. Defaults to <checkpoint-dir>/ooc, or a
-                           temp dir, when only --memory-budget is given.
+                           out-of-core pipeline: alignment results spill
+                           through CRC-verified files. Contigs and logical
+                           metric snapshots are byte-identical to an
+                           in-core run of the same config.
+    --spill-dir <dir>      directory for spilled alignment runs; implies
+                           the out-of-core pipeline even with no budget.
+                           Defaults to <checkpoint-dir>/ooc, or a temp
+                           dir, when only --memory-budget is given.
 
 CHECKPOINT OPTIONS (assemble):
     --checkpoint-dir <dir> write a verified checkpoint of the overlaps once
@@ -298,20 +298,11 @@ fn parse_bytes(key: &str, text: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("--{key}: {text:?} overflows u64"))
 }
 
+/// Every record of a FASTA or FASTQ file, by its extension.
 fn read_input(path: &str) -> Result<Vec<Read>, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let reader = BufReader::new(file);
-    let lower = path.to_ascii_lowercase();
-    let parsed = if lower.ends_with(".fastq") || lower.ends_with(".fq") {
-        fastq::parse(reader)
-    } else if lower.ends_with(".fasta") || lower.ends_with(".fa") || lower.ends_with(".fna") {
-        fasta::parse(reader)
-    } else {
-        return Err(format!(
-            "{path}: unknown extension (expected .fasta/.fa/.fna/.fastq/.fq)"
-        ));
-    };
-    parsed.map_err(|e| format!("{path}: {e}"))
+    focus_assembler::seq::open(Path::new(path))
+        .and_then(Iterator::collect)
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// Process exit code of an `assemble --crash-after` run that stopped at
@@ -335,8 +326,9 @@ fn assemble_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses checkpoint options; `Ok(None)` when checkpointing is off.
-fn build_checkpoint_options(opts: &Options) -> Result<Option<CheckpointOptions>, String> {
+/// Parses checkpoint options; the default (no directory) when
+/// checkpointing is off.
+fn build_checkpoint_options(opts: &Options) -> Result<CheckpointOptions, String> {
     let dir = opts.get("checkpoint-dir");
     let resume = opts.flag("resume");
     let crash_after = match opts.get("crash-after") {
@@ -353,12 +345,12 @@ fn build_checkpoint_options(opts: &Options) -> Result<Option<CheckpointOptions>,
         if resume || crash_after.is_some() {
             return Err("--resume and --crash-after need --checkpoint-dir".to_string());
         }
-        return Ok(None);
+        return Ok(CheckpointOptions::default());
     };
     let mut ckpt = CheckpointOptions::in_dir(dir);
     ckpt.resume = resume;
     ckpt.stop_after = crash_after;
-    Ok(Some(ckpt))
+    Ok(ckpt)
 }
 
 fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
@@ -369,41 +361,25 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
     let config = build_config(&opts)?;
     let ckpt = build_checkpoint_options(&opts)?;
     let out_of_core = config.memory_budget.is_some() || opts.get("spill-dir").is_some();
-
     let assembler = FocusAssembler::new(config).map_err(|e| e.to_string())?;
-    let lower = input.to_ascii_lowercase();
-    let outcome = if lower.ends_with(".fastq") || lower.ends_with(".fq") {
-        // FASTQ streams into the read store, never held whole. Out of core,
-        // reads are also staged to disk pages and alignment results spill
-        // through CRC-verified files under the budget.
-        let ooc = out_of_core.then(|| {
-            OocOptions::in_dir(match opts.get("spill-dir") {
-                Some(dir) => std::path::PathBuf::from(dir),
-                None => match opts.get("checkpoint-dir") {
-                    Some(dir) => std::path::Path::new(dir).join("ooc"),
-                    None => std::env::temp_dir().join(format!("focus-ooc-{}", std::process::id())),
-                },
-            })
-        });
-        match &ooc {
-            Some(ooc) => eprintln!("streaming {input} (spill dir {})", ooc.spill_dir.display()),
-            None => eprintln!("streaming {input}"),
-        }
-        let ckpt_opts = ckpt.unwrap_or_default();
-        assembler.assemble_fastq(std::path::Path::new(&input), &ckpt_opts, ooc.as_ref())
-    } else if out_of_core {
-        return Err(format!(
-            "{input}: --memory-budget/--spill-dir stream FASTQ input only \
-             (expected .fastq/.fq)"
-        ));
-    } else {
-        let reads = read_input(&input)?;
-        eprintln!("read {} reads from {input}", reads.len());
-        match &ckpt {
-            None => assembler.assemble(&reads).map(AssemblyOutcome::Completed),
-            Some(ckpt_opts) => assembler.assemble_with_checkpoints(&reads, ckpt_opts),
-        }
-    };
+
+    // The input streams into the read store, never held whole. Out of
+    // core, alignment results also spill through CRC-verified files under
+    // the budget.
+    let ooc = out_of_core.then(|| {
+        OocOptions::in_dir(match opts.get("spill-dir") {
+            Some(dir) => PathBuf::from(dir),
+            None => match opts.get("checkpoint-dir") {
+                Some(dir) => Path::new(dir).join("ooc"),
+                None => std::env::temp_dir().join(format!("focus-ooc-{}", std::process::id())),
+            },
+        })
+    });
+    match &ooc {
+        Some(ooc) => eprintln!("streaming {input} (spill dir {})", ooc.spill_dir.display()),
+        None => eprintln!("streaming {input}"),
+    }
+    let outcome = assembler.assemble_file(Path::new(&input), &ckpt, ooc.as_ref());
     let result = match outcome.map_err(|e| e.to_string())? {
         AssemblyOutcome::Completed(result) => result,
         AssemblyOutcome::Stopped(phase) => {
@@ -515,7 +491,8 @@ fn write_obs_sinks(opts: &Options, rec: &focus_assembler::obs::Recorder) -> Resu
 
 /// `focus serve` — a durable multi-tenant assembly job server. Builds the
 /// base pipeline config from the same flags as `assemble`, then hands jobs
-/// to [`AssemblyJobRunner`] with per-job checkpoint/resume.
+/// to [`AssemblyJobRunner`](focus_assembler::focus::AssemblyJobRunner) with
+/// per-job checkpoint/resume.
 fn serve(args: &[String]) -> Result<(), String> {
     use focus_assembler::focus::AssemblyJobRunner;
     use focus_assembler::serve::{SchedConfig, Serve, ServeConfig};

@@ -15,7 +15,7 @@
 mod common;
 
 use common::matrix::{run_random, run_slice, Faults, Mode, Slice};
-use common::{completed, contract_config, run_clean, tiled_reads, TempDir};
+use common::{completed, contract_config, fastq_fixture, run_clean, tiled_reads, TempDir};
 use fc_rng::cases;
 use focus_assembler::align::{Overlapper, Pool};
 use focus_assembler::ckpt::{
@@ -29,6 +29,7 @@ use focus_assembler::focus::{
 use focus_assembler::obs::Recorder;
 use focus_assembler::seq::Read;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 /// Logical clock and the seeded `FaultPlan`, so resumed runs have a fault
 /// report to reproduce.
@@ -36,20 +37,23 @@ fn chaos_config() -> FocusConfig {
     contract_config(0, true)
 }
 
-/// A checkpointed run: its outcome, its logical snapshot and its `ckpt.*`
-/// counters (which the logical snapshot leaves out).
+/// A checkpointed run of `reads`, streamed from a FASTQ written for it: its
+/// outcome, its logical snapshot and its `ckpt.*` counters (which the
+/// logical snapshot leaves out).
 fn run_ckpt(
     reads: &[Read],
     opts: &CheckpointOptions,
     config: FocusConfig,
 ) -> (AssemblyOutcome, String, BTreeMap<&'static str, u64>) {
+    let tmp = TempDir::new("ckpt-input");
+    let (input, _) = fastq_fixture(&tmp, reads);
     let assembler = FocusAssembler::new(config).unwrap();
-    let outcome = assembler.assemble_with_checkpoints(reads, opts).unwrap();
+    let outcome = assembler.assemble_file(&input, opts, None).unwrap();
     let snapshot = assembler.recorder().snapshot_json();
     (outcome, snapshot, assembler.recorder().snapshot().counters)
 }
 
-fn resume_in(dir: &TempDir) -> CheckpointOptions {
+fn resume_in(dir: impl Into<PathBuf>) -> CheckpointOptions {
     CheckpointOptions {
         resume: true,
         ..CheckpointOptions::in_dir(dir)
@@ -115,10 +119,11 @@ fn enospc_mid_run_degrades_checkpointing_but_the_assembly_finishes() {
     let reads = tiled_reads(2500, 11);
     let (clean, _) = run_clean(&reads, chaos_config());
     let dir = TempDir::new("enospc");
-    let mut opts = CheckpointOptions::in_dir(&dir);
+    let (input, _) = fastq_fixture(&dir.join("input"), &reads);
+    let mut opts = CheckpointOptions::in_dir(dir.join("ckpt"));
     opts.fs_faults = FsFaultPlan::none().fail_write(0, WriteFault::Enospc);
     let assembler = FocusAssembler::new(chaos_config()).unwrap();
-    let result = completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
+    let result = completed(assembler.assemble_file(&input, &opts, None).unwrap());
     assert_eq!(result.contigs, clean.contigs);
     let counters = assembler.recorder().snapshot().counters;
     assert_eq!(counters["ckpt.degraded"], 1);
@@ -135,7 +140,7 @@ fn enospc_mid_run_degrades_checkpointing_but_the_assembly_finishes() {
         .count();
     assert_eq!(warnings, 1);
     // The directory holds no checkpoint: a resume simply aligns again.
-    let (outcome, _, counters) = run_ckpt(&reads, &resume_in(&dir), chaos_config());
+    let (outcome, _, counters) = run_ckpt(&reads, &resume_in(dir.join("ckpt")), chaos_config());
     assert_eq!(completed(outcome).contigs, clean.contigs);
     assert_eq!(counters.get("ckpt.loaded"), None);
 }
@@ -175,6 +180,7 @@ fn manifest_lists_every_phase_after_a_full_run() {
     let config = chaos_config();
     let dir = TempDir::new("manifest");
     completed(run_ckpt(&reads, &CheckpointOptions::in_dir(&dir), config).0);
+    let (_, parsed) = fastq_fixture(&TempDir::new("manifest-input"), &reads);
     let files: Vec<String> = std::fs::read_dir(&*dir)
         .unwrap()
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
@@ -184,7 +190,7 @@ fn manifest_lists_every_phase_after_a_full_run() {
     let file = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path).unwrap();
     assert_eq!(file.phase_id, CkptPhase::Alignment.id());
     assert_eq!(file.config_fingerprint, config_fingerprint(&config));
-    assert_eq!(file.input_digest, input_digest(&reads));
+    assert_eq!(file.input_digest, input_digest(&parsed));
 }
 
 /// A directory an older build checkpointed: a real alignment checkpoint
@@ -198,7 +204,8 @@ fn a_parent_era_directory_resumes_only_the_alignment_checkpoint() {
     let (clean, clean_snapshot) = run_clean(&reads, config);
     let dir = TempDir::new("parent-era");
     completed(run_ckpt(&reads, &CheckpointOptions::in_dir(&dir), config).0);
-    let mut store = CheckpointStore::new(&dir, config_fingerprint(&config), input_digest(&reads));
+    let (_, parsed) = fastq_fixture(&TempDir::new("parent-era-input"), &reads);
+    let mut store = CheckpointStore::new(&dir, config_fingerprint(&config), input_digest(&parsed));
     let retired = [
         (0, "preprocess"),
         (2, "coarsen"),
@@ -263,12 +270,13 @@ fn every_phase_payload_round_trips() {
         assert_reencodes::<AlignmentCkpt>(&encoded, "alignment payload");
 
         let dir = TempDir::new("roundtrip");
-        let opts = CheckpointOptions::in_dir(&dir);
-        completed(assembler.assemble_with_checkpoints(&reads, &opts).unwrap());
+        let (input, parsed) = fastq_fixture(&dir.join("input"), &reads);
+        let opts = CheckpointOptions::in_dir(dir.join("ckpt"));
+        completed(assembler.assemble_file(&input, &opts, None).unwrap());
         let mut store = CheckpointStore::new(
-            &dir,
+            dir.join("ckpt"),
             config_fingerprint(assembler.config()),
-            input_digest(&reads),
+            input_digest(&parsed),
         );
         let phase = CkptPhase::Alignment;
         match store.load(phase.id(), phase.name()) {

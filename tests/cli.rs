@@ -3,10 +3,12 @@
 //! (Which keys each subcommand accepts is checked against the help text by
 //! the unit tests in `src/bin/focus.rs`.) `focus graph --with-sequences`
 //! writes the sequences the assembly uses. Hostile values and inputs get a
-//! typed error and exit code 1, never a panic.
+//! typed error and exit code 1, never a panic. FASTA input runs out of
+//! core, stopped and resumed, to the in-core run's output.
 
 use focus_assembler::focus::{FocusAssembler, FocusConfig};
-use focus_assembler::seq::fastq;
+use focus_assembler::seq::{fasta, fastq};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `focus <args>`; returns the exit code and stderr.
@@ -229,5 +231,112 @@ fn stats_reads_fna_and_the_extension_error_lists_it() {
         stderr.contains("expected .fasta/.fa/.fna/.fastq/.fq"),
         "{stderr}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Simulated reads written as FASTA under `dir`, and the in-core run's
+/// contigs and `--logical-clock --metrics` snapshot on them: what every
+/// other way of assembling that file must reproduce, byte for byte.
+fn fasta_reference(dir: &Path) -> (PathBuf, Vec<u8>, Vec<u8>) {
+    std::fs::create_dir_all(dir).unwrap();
+    let (fastq_path, fasta_path) = (dir.join("r.fastq"), dir.join("r.fasta"));
+    let simulate = [
+        "simulate",
+        "--genome-len",
+        "8000",
+        "--coverage",
+        "10",
+        "--seed",
+        "5",
+        "--output",
+        fastq_path.to_str().unwrap(),
+    ];
+    let (code, stderr) = focus(&simulate);
+    assert_eq!(code, Some(0), "{stderr}");
+    let file = std::fs::File::open(&fastq_path).unwrap();
+    let reads = fastq::parse(std::io::BufReader::new(file)).unwrap();
+    let mut text = Vec::new();
+    fasta::write(&mut text, &reads, 60).unwrap();
+    std::fs::write(&fasta_path, text).unwrap();
+    let (contigs, metrics) = assemble_fasta(dir, &fasta_path, "in-core", &[]);
+    (fasta_path, contigs, metrics)
+}
+
+/// `focus assemble --threads 2 --logical-clock --metrics` on `input` with
+/// `extra` options, expected to exit 0: its contigs and metrics.
+fn assemble_fasta(dir: &Path, input: &Path, tag: &str, extra: &[&str]) -> (Vec<u8>, Vec<u8>) {
+    let (contigs, metrics) = (
+        dir.join(format!("{tag}.fasta")),
+        dir.join(format!("{tag}.json")),
+    );
+    let (code, stderr) = focus(&[&assemble_args(input, &contigs, &metrics)[..], extra].concat());
+    assert_eq!(code, Some(0), "{tag}: {stderr}");
+    (
+        std::fs::read(contigs).unwrap(),
+        std::fs::read(metrics).unwrap(),
+    )
+}
+
+fn assemble_args<'a>(input: &'a Path, contigs: &'a Path, metrics: &'a Path) -> Vec<&'a str> {
+    vec![
+        "assemble",
+        "--input",
+        input.to_str().unwrap(),
+        "--output",
+        contigs.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--logical-clock",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]
+}
+
+/// FASTA streams out of core like FASTQ: under `--memory-budget` and
+/// `--spill-dir` it spills pair runs, and its contigs and logical metrics
+/// are the in-core run's.
+#[test]
+fn out_of_core_fasta_matches_the_in_core_run() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-ooc-fasta-{}", std::process::id()));
+    let (input, contigs, metrics) = fasta_reference(&dir);
+    let spill = dir.join("spill");
+    let ooc = [
+        "--memory-budget",
+        "64M",
+        "--spill-dir",
+        spill.to_str().unwrap(),
+    ];
+    let (ooc_contigs, ooc_metrics) = assemble_fasta(&dir, &input, "ooc", &ooc);
+    assert!(contigs.starts_with(b">contig_0"), "no contigs");
+    assert_eq!(ooc_contigs, contigs);
+    assert_eq!(ooc_metrics, metrics);
+    assert!(spill.join("align").read_dir().unwrap().next().is_some());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An out-of-core FASTA run stopped after alignment (exit 3) and resumed
+/// writes the in-core run's contigs and logical metrics.
+#[test]
+fn a_stopped_out_of_core_fasta_run_resumes_to_the_in_core_output() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-ooc-resume-{}", std::process::id()));
+    let (input, contigs, metrics) = fasta_reference(&dir);
+    let (spill, ckpt) = (dir.join("spill"), dir.join("ckpt"));
+    let ooc = [
+        "--memory-budget",
+        "64M",
+        "--spill-dir",
+        spill.to_str().unwrap(),
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+    ];
+    let (stopped_contigs, stopped_metrics) = (dir.join("stopped.fasta"), dir.join("stopped.json"));
+    let stop = assemble_args(&input, &stopped_contigs, &stopped_metrics);
+    let (code, stderr) = focus(&[&stop[..], &ooc, &["--crash-after", "alignment"]].concat());
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(!stopped_contigs.exists(), "a stopped run wrote contigs");
+    let (resumed_contigs, resumed_metrics) =
+        assemble_fasta(&dir, &input, "resumed", &[&ooc[..], &["--resume"]].concat());
+    assert_eq!(resumed_contigs, contigs);
+    assert_eq!(resumed_metrics, metrics);
     std::fs::remove_dir_all(&dir).unwrap();
 }

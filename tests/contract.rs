@@ -76,7 +76,7 @@ fn every_slice_owns_points() {
     assert_eq!(tests.len(), Slice::ALL.len());
 }
 
-/// The points no feature's test file runs: `assemble_fastq` in core at
+/// The points no feature's test file runs: `assemble_file` in core at
 /// every thread count, and ENOSPC on the checkpoint store.
 #[test]
 fn every_point_reproduces_its_reference() {

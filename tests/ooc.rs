@@ -7,6 +7,10 @@
 //! shared between an out-of-core and an in-core run, an input that changed
 //! between runs, the budget gate and its seed-index charge, and files of
 //! the previous format.
+//!
+//! A resumed out-of-core run reads its input once, like every other run:
+//! its resume state is its spilled pair runs and the alignment checkpoint,
+//! both keyed by the digest that one pass computes.
 
 mod common;
 
@@ -33,7 +37,7 @@ fn run_ooc(
     ooc: &OocOptions,
 ) -> (FocusAssembler, Result<AssemblyOutcome, FocusError>) {
     let assembler = FocusAssembler::new(config).unwrap();
-    let outcome = assembler.assemble_fastq(input, opts, Some(ooc));
+    let outcome = assembler.assemble_file(input, opts, Some(ooc));
     (assembler, outcome)
 }
 
@@ -45,8 +49,8 @@ fn resume() -> CheckpointOptions {
 }
 
 /// Spilled with no budget and under a 1 GiB one, at 1, 2, 4 and 8 threads,
-/// clean and under the `FaultPlan`: the in-core reference, having staged
-/// pages and spilled pair runs.
+/// clean and under the `FaultPlan`: the in-core reference, having spilled
+/// pair runs.
 #[test]
 fn spilled_assembly_is_bit_identical_to_in_core() {
     run_slice(Slice::Spilled);
@@ -60,9 +64,9 @@ fn every_spill_fault_is_detected_and_answered() {
     run_slice(Slice::SpillFaults);
 }
 
-/// Stopped after alignment out of core and resumed: the staged pages and
-/// the alignment checkpoint are adopted, at every thread count, clean and
-/// under the `FaultPlan`.
+/// Stopped after alignment out of core and resumed: the input is read
+/// again and the alignment checkpoint adopted, at every thread count,
+/// clean and under the `FaultPlan`.
 #[test]
 fn killed_ooc_run_resumes_pages_and_checkpoints() {
     run_slice(Slice::SpilledResume);
@@ -99,10 +103,9 @@ fn spill_only_resume_skips_recompute_and_reproduces_contigs() {
     );
 }
 
-/// A fresh out-of-core run digests its input inside its one ingest pass.
-/// The phase checkpoints it writes are stamped with that digest, and an
-/// in-core run on the parsed reads, whose digest is `input_digest` over
-/// them, resumes from them: the two digests are equal.
+/// An out-of-core run's checkpoint resumes an in-core run of the same
+/// file: both stamp it with the digest of their one ingest pass, and the
+/// in-core resume reproduces the clean run's contigs and snapshot.
 #[test]
 fn fresh_ooc_checkpoints_resume_an_in_core_run() {
     let tmp = TempDir::new("fused");
@@ -118,11 +121,7 @@ fn fresh_ooc_checkpoints_resume_an_in_core_run() {
         ..opts
     };
     let assembler = FocusAssembler::new(ooc_config()).unwrap();
-    let resumed = completed(
-        assembler
-            .assemble_with_checkpoints(&parsed, &resume)
-            .unwrap(),
-    );
+    let resumed = completed(assembler.assemble_file(&input, &resume, None).unwrap());
     assert_eq!(resumed.contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
     let counters = assembler.recorder().snapshot().counters;
@@ -133,10 +132,10 @@ fn fresh_ooc_checkpoints_resume_an_in_core_run() {
     assert_eq!(counters.get("ckpt.rejected"), None);
 }
 
-/// A resumed run digests the input before it may adopt staged pages. When
-/// one read changed since they were staged, nothing of the old run is
-/// adopted: the pages are stale, every spilled pair run is refused and
-/// recomputed, and the output is a clean run's on the new input.
+/// When one read changed since a run spilled its pair runs, a resumed run
+/// adopts nothing of it: every spilled pair run is refused, being keyed by
+/// the old input's digest, and recomputed, and the output is a clean run's
+/// on the new input.
 #[test]
 fn resume_after_the_input_changed_adopts_nothing() {
     let tmp = TempDir::new("changed");
@@ -145,8 +144,7 @@ fn resume_after_the_input_changed_adopts_nothing() {
     let ooc = OocOptions::in_dir(tmp.join("spill"));
     let (first, outcome) = run_ooc(ooc_config(), &input, &CheckpointOptions::default(), &ooc);
     completed(outcome.unwrap());
-    let counters = first.recorder().snapshot().counters;
-    assert!(counters["ooc.ingest.staged_pages"] >= 1);
+    assert!(first.recorder().snapshot().counters["ooc.spill.runs"] >= 1);
 
     let mut changed = reads;
     let base = changed[7].seq.get(50);
@@ -161,7 +159,6 @@ fn resume_after_the_input_changed_adopts_nothing() {
     let counters = assembler.recorder().snapshot().counters;
     let subsets = ooc_config().subsets as u64;
     let pairs = subsets * (subsets + 1) / 2;
-    assert_eq!(counters.get("ooc.ingest.resumed"), None);
     assert_eq!(counters.get("ooc.spill.rejected"), Some(&pairs));
     assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
 }
@@ -312,9 +309,9 @@ fn rewrite_as_version_4(dir: &Path) {
 }
 
 /// Files of the previous format — a version-4 alignment checkpoint and
-/// version-4 staged pages — are refused on resume and recomputed, never
-/// decoded as this version's layout: contigs and the logical snapshot
-/// equal a clean run's.
+/// version-4 spilled pair runs — are refused on resume and recomputed,
+/// never decoded as this version's layout: contigs and the logical
+/// snapshot equal a clean run's.
 #[test]
 fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     let tmp = TempDir::new("v4");
@@ -329,7 +326,7 @@ fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     opts.stop_after = Some(CkptPhase::Alignment);
     let stopped = FocusAssembler::new(config)
         .unwrap()
-        .assemble_with_checkpoints(&parsed, &opts);
+        .assemble_file(&input, &opts, None);
     assert!(matches!(
         stopped,
         Ok(AssemblyOutcome::Stopped(CkptPhase::Alignment))
@@ -338,30 +335,30 @@ fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     opts.stop_after = None;
     opts.resume = true;
     let assembler = FocusAssembler::new(config).unwrap();
-    let resumed = completed(assembler.assemble_with_checkpoints(&parsed, &opts).unwrap());
+    let resumed = completed(assembler.assemble_file(&input, &opts, None).unwrap());
     assert_eq!(resumed.contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
     let counters = assembler.recorder().snapshot().counters;
     assert_eq!(counters.get("ckpt.rejected"), Some(&1));
     assert_eq!(counters.get("ckpt.loaded"), None);
 
-    // Staged pages rewritten as version 4: the resumed ingest re-trims the
-    // input and stages afresh, and the next resume adopts the new pages.
+    // Spilled pair runs rewritten as version 4: a resumed run refuses every
+    // one and recomputes and spills it afresh. The spill directory holds
+    // the pair-run containers and nothing else.
     let spill = tmp.join("spill");
     let ooc = OocOptions::in_dir(&spill);
     let (_, first) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
     completed(first.unwrap());
-    // The spill directory holds the page, meta and pair-run containers and
-    // nothing else.
-    assert!(containers(&spill.join("align")).len() > 1);
-    rewrite_as_version_4(&spill.join("pages"));
-    for adopted in [None, Some(&1)] {
-        // Only the pages are under test: alignment recomputes every time.
-        let _ = std::fs::remove_dir_all(spill.join("align"));
-        let (assembler, outcome) = run_ooc(config, &input, &resume(), &ooc);
-        assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
-        assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
-        let counters = assembler.recorder().snapshot().counters;
-        assert_eq!(counters.get("ooc.ingest.resumed"), adopted);
-    }
+    let entries: Vec<_> = std::fs::read_dir(&spill).unwrap().collect();
+    assert_eq!(entries.len(), 1, "{entries:?}");
+    let subsets = config.subsets as u64;
+    let pairs = subsets * (subsets + 1) / 2;
+    assert_eq!(containers(&spill.join("align")).len() as u64, pairs);
+    rewrite_as_version_4(&spill.join("align"));
+    let (assembler, outcome) = run_ooc(config, &input, &resume(), &ooc);
+    assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
+    assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+    let counters = assembler.recorder().snapshot().counters;
+    assert_eq!(counters.get("ooc.spill.rejected"), Some(&pairs));
+    assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
 }

@@ -105,7 +105,7 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
     let spilled = |config, spill: &str| {
         let assembler = FocusAssembler::new(config).unwrap();
         let ooc = OocOptions::in_dir(tmp.join(spill));
-        let outcome = assembler.assemble_fastq(&input, &CheckpointOptions::default(), Some(&ooc));
+        let outcome = assembler.assemble_file(&input, &CheckpointOptions::default(), Some(&ooc));
         completed(outcome.unwrap())
     };
 
