@@ -113,7 +113,7 @@ pub fn greedy_grow(local: &LocalGraph, seed: u64, work: &mut u64) -> Vec<bool> {
             unassigned_index.assign(v);
             nw[s] += local.node_w[v as usize];
             ew[s] += wdeg[v as usize];
-            for &(u, w) in &local.adj[v as usize] {
+            for &(u, w) in local.adj(v) {
                 *work += 1;
                 if assigned[u as usize] == 0 {
                     into[u as usize][s] += w;
@@ -228,11 +228,7 @@ mod tests {
     #[test]
     fn tiny_inputs() {
         let mut work = 0;
-        let empty = LocalGraph {
-            nodes: vec![],
-            adj: vec![],
-            node_w: vec![],
-        };
+        let empty = LocalGraph::extract(&LevelGraph::from_edges(vec![], &[]), &[]);
         assert!(greedy_grow(&empty, 1, &mut work).is_empty());
         let single = local_path(2);
         let side = greedy_grow(&single, 1, &mut work);
@@ -321,7 +317,7 @@ mod reference {
                 unassigned -= 1;
                 nw[s] += local.node_w[v as usize];
                 ew[s] += local.weighted_degree(v);
-                for &(u, w) in &local.adj[v as usize] {
+                for &(u, w) in local.adj(v) {
                     *work += 1;
                     if assigned[u as usize] == 0 {
                         into[u as usize][s] += w;

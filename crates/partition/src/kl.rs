@@ -12,22 +12,39 @@
 //!
 //! # What is kept across swaps
 //!
-//! The two queues are ordered sets keyed `(Reverse(D), id)` — descending D,
-//! ties by id — built once per pass. A swap removes its pair and re-keys
-//! only the pair's unlocked neighbors, the only nodes whose D it changed;
-//! the diagonal scan then walks the sets exactly as it would walk freshly
-//! sorted arrays. `w(a, ·)` for the row being scanned comes from one dense
-//! row that is filled from `a`'s adjacency and zeroed again afterwards.
+//! Each side's unlocked nodes are scanned in key order `(Reverse(D), id)` —
+//! descending D, ties by id — from a queue in two parts:
+//!
+//! * nodes with a local edge sit in an ordered set, built once per pass. A
+//!   swap removes its pair and re-keys only the pair's unlocked neighbors,
+//!   the only nodes whose D it changed;
+//! * nodes without one (most of the hybrid set) have D = 0 always and are
+//!   never re-keyed, so they stay an id-ascending run behind a cursor,
+//!   merged into the scan at key `(Reverse(0), id)`. Their rows and columns
+//!   of the gain matrix are all alike, and the scan keeps the first of
+//!   equal gains, so the only one it can pick is the run's head: taking it
+//!   advances the cursor.
+//!
+//! One walk over the nodes at the start of each pass splits them into the
+//! nodes with a local edge and the two sides' runs. The diagonal scan then
+//! walks the merged order exactly as it would walk freshly sorted arrays,
+//! so a pass costs the subgraph's edges and boundary plus the swaps it
+//! makes, and one linear walk, not an ordered insert per node. `w(a, ·)`
+//! for the row being scanned comes from one dense row that is filled from
+//! `a`'s adjacency and zeroed again afterwards; it, the D values, the lock
+//! marks and the split's vectors are allocated once per [`kl_refine`] call
+//! and reused by every pass.
 //!
 //! # What `work` charges
 //!
 //! `work` is the virtual clock of the paper's algorithm (it schedules
 //! fc-dist's Fig. 4/5 runs), not a count of what this implementation
 //! touches: every swap is charged one unit per unlocked node (the paper
-//! re-sorts both sides), one per pair the scan examines, and one per edge
-//! relaxed, whatever the sets underneath did. The `reference` module keeps
-//! the per-swap-sort pass that these counts describe literally; the
-//! `differential` tests hold the two to the same sides, gain and work.
+//! re-sorts both sides; the isolated runs count in full), one per pair the
+//! scan examines, and one per edge relaxed, whatever the queues underneath
+//! did. The `reference` module keeps the per-swap-sort pass that these
+//! counts describe literally; the `differential` tests hold the two to the
+//! same sides, gain and work.
 
 use crate::local::LocalGraph;
 use std::cmp::Reverse;
@@ -54,9 +71,24 @@ impl Default for KlConfig {
 /// all passes (≥ 0: a pass that cannot improve is fully undone). Work
 /// counters accumulate into `work`.
 pub fn kl_refine(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut u64) -> u64 {
+    let n = local.len();
+    if n < 2 {
+        return 0;
+    }
+    let mut scratch = Scratch {
+        linked: Vec::new(),
+        d: vec![0; n],
+        locked: vec![false; n],
+        row: vec![0; n],
+        queues: [(); 2].map(|()| DQueue {
+            linked: BTreeSet::new(),
+            isolated: Vec::new(),
+            next: 0,
+        }),
+    };
     let mut total_gain = 0u64;
     for _ in 0..MAX_PASSES {
-        let pass_gain = kl_pass(local, side, config, work);
+        let pass_gain = kl_pass(local, side, config, &mut scratch, work);
         if pass_gain == 0 {
             break;
         }
@@ -65,39 +97,127 @@ pub fn kl_refine(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work:
     total_gain
 }
 
-/// The unlocked nodes of one side in scan order: descending D, ties by id.
-type DQueue = BTreeSet<(Reverse<i64>, u32)>;
+/// A node's place in the scan: descending D, ties by ascending id.
+type Key = (Reverse<i64>, u32);
 
-/// One KL pass. Returns the applied (positive) gain, 0 if no improvement.
-fn kl_pass(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut u64) -> u64 {
-    let n = local.len();
-    if n < 2 {
-        return 0;
+/// The unlocked nodes of one side, in scan order.
+struct DQueue {
+    /// Nodes with a local edge, by key.
+    linked: BTreeSet<Key>,
+    /// Nodes without one on this side, ascending id; D is 0 for all of
+    /// them. Those from `next` on are unlocked.
+    isolated: Vec<u32>,
+    next: usize,
+}
+
+impl DQueue {
+    /// Number of unlocked nodes.
+    fn len(&self) -> usize {
+        self.linked.len() + self.isolated.len() - self.next
     }
-    // D value: external minus internal weight.
-    let mut d = vec![0i64; n];
-    for v in 0..n {
-        for &(u, w) in &local.adj[v] {
-            *work += 1;
-            if side[v] != side[u as usize] {
-                d[v] += w as i64;
-            } else {
-                d[v] -= w as i64;
-            }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The unlocked nodes in key order: the ordered set and the isolated
+    /// run merged.
+    fn iter(&self) -> impl Iterator<Item = Key> + '_ {
+        let mut linked = self.linked.iter().copied().peekable();
+        let mut isolated = self.isolated[self.next..]
+            .iter()
+            .map(|&v| (Reverse(0), v))
+            .peekable();
+        // Keys are distinct (ids are), so the merge never has to break a tie.
+        std::iter::from_fn(move || match (linked.peek(), isolated.peek()) {
+            (Some(l), Some(i)) if l < i => linked.next(),
+            (Some(_), None) => linked.next(),
+            _ => isolated.next(),
+        })
+    }
+
+    /// The first unlocked node in key order.
+    fn first(&self) -> Option<Key> {
+        self.iter().next()
+    }
+
+    /// Takes out the node with `key`. An isolated node can only be taken as
+    /// the run's head (module docs).
+    fn remove(&mut self, key: Key) {
+        if !self.linked.remove(&key) {
+            debug_assert_eq!(Some(&key.1), self.isolated.get(self.next));
+            debug_assert_eq!(key.0, Reverse(0));
+            self.next += 1;
         }
     }
+}
 
-    // The two queues are built once and live for the whole pass; a swap
-    // removes its pair and re-keys only the neighbors whose D it changed.
-    let mut queues: [DQueue; 2] = [false, true].map(|s| {
-        (0..n)
-            .filter(|&v| side[v] == s)
-            .map(|v| (Reverse(d[v]), v as u32))
-            .collect()
-    });
-    let mut locked = vec![false; n];
-    // w(a, ·) of the row being scanned; all zero between rows.
-    let mut row = vec![0u64; n];
+/// What a [`kl_refine`] call keeps across its passes.
+struct Scratch {
+    /// This pass's local nodes with at least one local edge, ascending.
+    linked: Vec<u32>,
+    /// D value per node: external minus internal weight.
+    d: Vec<i64>,
+    /// Swapped in this pass; all false between passes.
+    locked: Vec<bool>,
+    /// w(a, ·) of the row being scanned; all zero between rows.
+    row: Vec<u64>,
+    queues: [DQueue; 2],
+}
+
+/// One KL pass. Returns the applied (positive) gain, 0 if no improvement.
+fn kl_pass(
+    local: &LocalGraph,
+    side: &mut [bool],
+    config: &KlConfig,
+    scratch: &mut Scratch,
+    work: &mut u64,
+) -> u64 {
+    let Scratch {
+        linked,
+        d,
+        locked,
+        row,
+        queues,
+    } = scratch;
+    // One walk splits the nodes: those with a local edge, and each side's
+    // isolated run.
+    linked.clear();
+    for queue in queues.iter_mut() {
+        queue.isolated.clear();
+        queue.next = 0;
+    }
+    for v in 0..local.len() as u32 {
+        if local.adj(v).is_empty() {
+            queues[usize::from(side[v as usize])].isolated.push(v);
+        } else {
+            linked.push(v);
+        }
+    }
+    // The queues are built once and live for the whole pass; a swap removes
+    // its pair and re-keys only the neighbors whose D it changed.
+    for &v in linked.iter() {
+        let sv = side[v as usize];
+        let mut dv = 0i64;
+        for &(u, w) in local.adj(v) {
+            *work += 1;
+            if sv != side[u as usize] {
+                dv += w as i64;
+            } else {
+                dv -= w as i64;
+            }
+        }
+        d[v as usize] = dv;
+    }
+    for (s, queue) in [false, true].into_iter().zip(queues.iter_mut()) {
+        // Collected, not inserted one by one: the set is then built in bulk.
+        queue.linked = linked
+            .iter()
+            .filter(|&&v| side[v as usize] == s)
+            .map(|&v| (Reverse(d[v as usize]), v))
+            .collect();
+    }
+
     let mut swaps: Vec<(u32, u32, i64)> = Vec::new();
     let mut cum = 0i64;
     let mut best_cum = 0i64;
@@ -105,7 +225,7 @@ fn kl_pass(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut 
     let mut bad_moves = 0usize;
 
     // A swap needs an unlocked node on each side.
-    while let Some(&(Reverse(d_b_max), _)) = queues[1].first() {
+    while let Some((Reverse(d_b_max), _)) = queues[1].first() {
         if queues[0].is_empty() {
             break;
         }
@@ -115,14 +235,14 @@ fn kl_pass(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut 
         // Diagonal scan for the best pair.
         let mut gmax: Option<i64> = None;
         let mut best_pair = (0u32, 0u32);
-        for &(Reverse(d_a), a) in &queues[0] {
+        for (Reverse(d_a), a) in queues[0].iter() {
             if gmax.is_some_and(|g| d_a + d_b_max <= g) {
                 break; // no later row can beat gmax
             }
-            for &(u, w) in &local.adj[a as usize] {
+            for &(u, w) in local.adj(a) {
                 row[u as usize] = w;
             }
-            for &(Reverse(d_b), b) in &queues[1] {
+            for (Reverse(d_b), b) in queues[1].iter() {
                 *work += 1;
                 let bound = d_a + d_b;
                 if gmax.is_some_and(|g| bound <= g) {
@@ -134,7 +254,7 @@ fn kl_pass(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut 
                     best_pair = (a, b);
                 }
             }
-            for &(u, _) in &local.adj[a as usize] {
+            for &(u, _) in local.adj(a) {
                 row[u as usize] = 0;
             }
         }
@@ -142,8 +262,8 @@ fn kl_pass(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut 
         let (a, b) = best_pair;
 
         // Swap, lock, update D values of unlocked neighbors.
-        queues[0].remove(&(Reverse(d[a as usize]), a));
-        queues[1].remove(&(Reverse(d[b as usize]), b));
+        queues[0].remove((Reverse(d[a as usize]), a));
+        queues[1].remove((Reverse(d[b as usize]), b));
         side[a as usize] = true;
         side[b as usize] = false;
         locked[a as usize] = true;
@@ -151,13 +271,13 @@ fn kl_pass(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut 
         // `a` moved from A to B: nodes still in A see it leave (+2w), nodes
         // in B see it arrive (-2w); `b` mirrors that.
         for (moved, new_side) in [(a, true), (b, false)] {
-            for &(u, w) in &local.adj[moved as usize] {
+            for &(u, w) in local.adj(moved) {
                 *work += 1;
                 let u = u as usize;
                 if locked[u] {
                     continue;
                 }
-                let queue = &mut queues[usize::from(side[u])];
+                let queue = &mut queues[usize::from(side[u])].linked;
                 queue.remove(&(Reverse(d[u]), u as u32));
                 if side[u] != new_side {
                     d[u] += 2 * w as i64;
@@ -182,6 +302,10 @@ fn kl_pass(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut 
         }
     }
 
+    for &(a, b, _) in &swaps {
+        locked[a as usize] = false;
+        locked[b as usize] = false;
+    }
     // Undo swaps past the best prefix (all of them if best_cum == 0).
     for &(a, b, _) in swaps[best_index..].iter().rev() {
         side[a as usize] = false;
@@ -255,11 +379,7 @@ mod tests {
 
     #[test]
     fn handles_degenerate_inputs() {
-        let empty = LocalGraph {
-            nodes: vec![],
-            adj: vec![],
-            node_w: vec![],
-        };
+        let empty = LocalGraph::extract(&LevelGraph::from_edges(vec![], &[]), &[]);
         let mut side: Vec<bool> = vec![];
         let mut work = 0;
         assert_eq!(
@@ -320,7 +440,7 @@ mod reference {
         // D value: external minus internal weight.
         let mut d = vec![0i64; n];
         for v in 0..n {
-            for &(u, w) in &local.adj[v] {
+            for &(u, w) in local.adj(v as u32) {
                 *work += 1;
                 if side[v] != side[u as usize] {
                     d[v] += w as i64;
@@ -364,7 +484,7 @@ mod reference {
                     }
                 }
                 // Neighbor weights of `a` for O(1) w(a, b) lookups in this row.
-                let wa: HashMap<u32, u64> = local.adj[a as usize].iter().copied().collect();
+                let wa: HashMap<u32, u64> = local.adj(a).iter().copied().collect();
                 for &b in &b_nodes {
                     *work += 1;
                     let bound = d[a as usize] + d[b as usize];
@@ -389,7 +509,7 @@ mod reference {
             side[b as usize] = false;
             locked[a as usize] = true;
             locked[b as usize] = true;
-            for &(u, w) in &local.adj[a as usize] {
+            for &(u, w) in local.adj(a) {
                 *work += 1;
                 if locked[u as usize] {
                     continue;
@@ -402,7 +522,7 @@ mod reference {
                     d[u as usize] -= 2 * w as i64;
                 }
             }
-            for &(u, w) in &local.adj[b as usize] {
+            for &(u, w) in local.adj(b) {
                 *work += 1;
                 if locked[u as usize] {
                     continue;
@@ -441,6 +561,7 @@ mod reference {
 mod differential {
     use super::*;
     use crate::testgen;
+    use fc_graph::LevelGraph;
     use fc_rng::Rng;
 
     fn reference_refine(
@@ -482,17 +603,47 @@ mod differential {
             let configs = [KlConfig::default(), tight];
             for (si, start) in starts.iter().enumerate() {
                 for config in &configs[..if large { 1 } else { 2 }] {
-                    let (mut side, mut ref_side) = (start.clone(), start.clone());
-                    let (mut work, mut ref_work) = (0u64, 0u64);
-                    let gain = kl_refine(&local, &mut side, config, &mut work);
-                    let ref_gain = reference_refine(&local, &mut ref_side, config, &mut ref_work);
                     let case = format!("{family:?} n={n} seed={seed} start={si} {config:?}");
-                    assert_eq!(side, ref_side, "sides differ: {case}");
-                    assert_eq!(gain, ref_gain, "gain differs: {case}");
-                    assert_eq!(work, ref_work, "work differs: {case}");
+                    assert_matches_reference(&local, start, config, &case);
                 }
             }
         }
+    }
+
+    /// A node with a local edge and D = 0 between isolated ids, on both
+    /// sides: the scan merges the ordered set and the isolated run at equal
+    /// D, so the id tie-break goes the run's way (0 before 2, 1 before 3)
+    /// and the set's way (2 before 4, 3 before 5). Every start of the
+    /// eight nodes is tried, the named one first.
+    #[test]
+    fn kl_merges_the_isolated_run_at_d_zero_like_the_reference() {
+        // 0, 1, 4, 5 isolated; 2-6, 2-3 and 3-7 weigh 5 each.
+        let g = LevelGraph::from_edges(vec![1; 8], &[(2, 6, 5), (2, 3, 5), (3, 7, 5)]);
+        let local = LocalGraph::extract(&g, &(0..8).collect::<Vec<u32>>());
+        // Side A = {0, 2, 4, 6}, side B = {1, 3, 5, 7}: D(2) = D(3) = 0.
+        let named: Vec<bool> = (0..8).map(|v| v % 2 == 1).collect();
+        assert_eq!(local.cut(&named), 5);
+        let tight = KlConfig { max_bad_moves: 1 };
+        for config in [KlConfig::default(), tight] {
+            assert_matches_reference(&local, &named, &config, &format!("named {config:?}"));
+            for bits in 0u32..256 {
+                let start: Vec<bool> = (0..8).map(|v| bits >> v & 1 == 1).collect();
+                let case = format!("start={bits:#010b} {config:?}");
+                assert_matches_reference(&local, &start, &config, &case);
+            }
+        }
+    }
+
+    /// Runs both refinements from `start` and asserts the same sides, gain
+    /// and work.
+    fn assert_matches_reference(local: &LocalGraph, start: &[bool], config: &KlConfig, case: &str) {
+        let (mut side, mut ref_side) = (start.to_vec(), start.to_vec());
+        let (mut work, mut ref_work) = (0u64, 0u64);
+        let gain = kl_refine(local, &mut side, config, &mut work);
+        let ref_gain = reference_refine(local, &mut ref_side, config, &mut ref_work);
+        assert_eq!(side, ref_side, "sides differ: {case}");
+        assert_eq!(gain, ref_gain, "gain differs: {case}");
+        assert_eq!(work, ref_work, "work differs: {case}");
     }
 }
 

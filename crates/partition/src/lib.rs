@@ -4,7 +4,8 @@
 //! "naïve" baseline) or the hybrid set (biological knowledge injected) —
 //! into `k = 2^i` parts by recursive bisection:
 //!
-//! * [`local`] — dense induced-subgraph extraction used by all algorithms,
+//! * [`local`] — induced subgraphs with dense local ids (CSR rows) used by
+//!   growing and KL,
 //! * [`grow`] — greedy graph growing for the initial bisection (§IV-A):
 //!   gain-priority growth, alternating sides, 3 % edge-weight balance bound,
 //! * [`kl`] — Kernighan–Lin bisection refinement (§IV-B): D values, dual
@@ -23,6 +24,23 @@
 //! neighbors, greedy growing reseeds from a Fenwick tree of unassigned
 //! nodes, k-way refinement scans only unlocked boundary nodes, and each
 //! recursion step buckets the levels by part once for all its tasks.
+//!
+//! The hybrid set is mostly isolated nodes (≈ 90 % on focus-bench's inputs),
+//! and a node without a local edge never takes part in a cut, so three
+//! per-task costs follow edges rather than node count (the clock below is
+//! untouched by them):
+//!
+//! * KL keeps only nodes with a local edge in its ordered sets; each side's
+//!   isolated nodes (D = 0 for the whole pass, never re-keyed) are an
+//!   id-ascending run behind a cursor, merged into the scan at key
+//!   `(Reverse(0), id)`. The scan can only take the run's head, so taking
+//!   it advances the cursor.
+//! * Projection reads the ancestor's side at its rank in the level above's
+//!   bucket: each step's buckets come with every node's rank in its
+//!   bucket, shared by all of the step's tasks, so no task searches.
+//! * Extraction finds a neighbor's local id through the same snapshot and
+//!   ranks, with no level-sized map per task, and stores the rows as CSR in
+//!   the order the level's own rows have.
 //!
 //! [`TaskRecord::work`] is a different thing: the virtual clock of the
 //! *paper's* `O(n² log n)` scheme, which fc-dist schedules to reproduce

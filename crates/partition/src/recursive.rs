@@ -22,7 +22,7 @@ use crate::kway::{kway_refine, KwayConfig};
 use crate::local::LocalGraph;
 use crate::metrics::validate_partition;
 use fc_exec::Pool;
-use fc_graph::{GraphSet, NodeId};
+use fc_graph::{GraphSet, LevelGraph, NodeId};
 use fc_obs::Recorder;
 
 /// Partitioning parameters.
@@ -135,7 +135,8 @@ pub fn partition_graph_set(
 /// [`partition_graph_set`] with partitioning metrics recorded into `rec`:
 /// the finest-level edge-cut trajectory after every bisection step (counter
 /// samples plus `partition.edge_cut_final`), balance in permille, per-task
-/// bisection work, and the k-way pass gains (via
+/// bisection work, the task log's total work (`partition.work_units`, the
+/// sum of every [`TaskRecord::work`]), and the k-way pass gains (via
 /// [`crate::kway::kway_refine`]). The assignments and task log are
 /// identical to the uninstrumented call; every metric derives from
 /// seed-deterministic results, so all are thread-count-invariant.
@@ -175,7 +176,7 @@ pub fn partition_graph_set_obs(
         let parts_ro: &[Vec<u32>] = &parts;
         // Every level's nodes bucketed by part, once for the whole step: a
         // task reads its own bucket instead of filtering the level.
-        let members: Vec<Vec<Vec<NodeId>>> = parts_ro
+        let members: Vec<Members> = parts_ro
             .iter()
             .map(|assignment| members_by_part(assignment, 1 << step))
             .collect();
@@ -285,6 +286,10 @@ pub fn partition_graph_set_obs(
         rec.add("partition.edge_cut_final", cut);
         rec.gauge("partition.balance_final_permille", (balance * 1000.0) as i64);
         rec.add("partition.tasks", tasks.len() as u64);
+        rec.add(
+            "partition.work_units",
+            tasks.iter().map(|t| t.work).sum::<u64>(),
+        );
     }
     Ok(PartitionResult {
         k: config.k,
@@ -293,18 +298,33 @@ pub fn partition_graph_set_obs(
     })
 }
 
-/// The nodes of each part `0..k`, ascending within a part.
-fn members_by_part(assignment: &[u32], k: usize) -> Vec<Vec<NodeId>> {
-    let mut members = vec![Vec::new(); k];
-    for (v, &p) in assignment.iter().enumerate() {
-        members[p as usize].push(v as NodeId);
-    }
-    members
+/// One level's nodes bucketed by part.
+struct Members {
+    /// The nodes of each part `0..k`, ascending within a part.
+    by_part: Vec<Vec<NodeId>>,
+    /// Each node's index in its part's bucket.
+    rank: Vec<u32>,
+}
+
+/// Buckets a level's nodes by part, ascending within a part, and records
+/// each node's rank in its bucket.
+fn members_by_part(assignment: &[u32], k: usize) -> Members {
+    let mut by_part = vec![Vec::new(); k];
+    let rank = assignment
+        .iter()
+        .enumerate()
+        .map(|(v, &p)| {
+            let bucket: &mut Vec<NodeId> = &mut by_part[p as usize];
+            bucket.push(v as NodeId);
+            bucket.len() as u32 - 1
+        })
+        .collect();
+    Members { by_part, rank }
 }
 
 /// Fills empty partition ids (when the graph has enough nodes) by moving a
 /// connected half of the node-richest partition into each empty id.
-fn repair_empty_partitions(g: &fc_graph::LevelGraph, parts: &mut [u32], k: usize) {
+fn repair_empty_partitions(g: &LevelGraph, parts: &mut [u32], k: usize) {
     let n = g.node_count();
     if n < k {
         return;
@@ -376,6 +396,15 @@ fn repair_empty_partitions(g: &fc_graph::LevelGraph, parts: &mut [u32], k: usize
     }
 }
 
+/// The subgraph of `g` induced by part `p` of the snapshot `assignment`:
+/// a neighbor is inside exactly when the snapshot puts it in `p`, and its
+/// local id is its rank in that bucket.
+fn extract_part(g: &LevelGraph, assignment: &[u32], members: &Members, p: u32) -> LocalGraph {
+    LocalGraph::extract_with(g, &members.by_part[p as usize], |u| {
+        (assignment[u as usize] == p).then(|| members.rank[u as usize])
+    })
+}
+
 /// What one bisection task produced: per-level lists of nodes to relabel
 /// from `p` to `p_new`, plus the task's abstract work.
 struct BisectOutcome {
@@ -389,12 +418,12 @@ struct BisectOutcome {
 /// Reads `parts` as a pre-step snapshot and reports moves instead of writing
 /// them, so sibling tasks of the same step can run concurrently. The task's
 /// own level-above moves are overlaid during downward projection
-/// (`above_nodes`/`above_side`), which reproduces exactly what the serial
-/// in-place version would have read.
+/// (`above_side`), which reproduces exactly what the serial in-place
+/// version would have read.
 fn bisect_partition(
     set: &GraphSet,
     parts: &[Vec<u32>],
-    members: &[Vec<Vec<NodeId>>],
+    members: &[Members],
     p: u32,
     p_new: u32,
     config: &PartitionConfig,
@@ -405,20 +434,20 @@ fn bisect_partition(
     let mut work = 0u64;
     // Find the coarsest level where this partition has at least two nodes.
     let mut top = n_levels - 1;
-    while top > 0 && members[top][p as usize].len() < 2 {
+    while top > 0 && members[top].by_part[p as usize].len() < 2 {
         top -= 1;
     }
 
-    // Initial bisection at `top`. `above_nodes` (ascending) and `above_side`
-    // carry this task's own view of the level above for the projection loop.
-    let mut above_nodes: &[NodeId];
+    // Initial bisection at `top`. `above_side` carries this task's own view
+    // of the level above for the projection loop, indexed like that level's
+    // bucket of `p`.
     let mut above_side: Vec<bool>;
     {
-        let nodes: &[NodeId] = &members[top][p as usize];
+        let nodes: &[NodeId] = &members[top].by_part[p as usize];
         if nodes.len() < 2 {
             return BisectOutcome { moved, work }; // nothing to split
         }
-        let local = LocalGraph::extract(&set.levels[top], nodes);
+        let local = extract_part(&set.levels[top], &parts[top], &members[top], p);
         let mut side = greedy_grow(&local, seed, &mut work);
         kl_refine(&local, &mut side, &config.kl, &mut work);
         for (li, &v) in nodes.iter().enumerate() {
@@ -426,7 +455,6 @@ fn bisect_partition(
                 moved[top].push(v);
             }
         }
-        above_nodes = nodes;
         above_side = side;
     }
 
@@ -434,26 +462,25 @@ fn bisect_partition(
     for level in (0..top).rev() {
         let map = &set.fine_to_coarse[level];
         let graph = &set.levels[level];
-        let nodes: &[NodeId] = &members[level][p as usize];
-        let local = LocalGraph::extract(graph, nodes);
+        let nodes: &[NodeId] = &members[level].by_part[p as usize];
+        let above_rank = &members[level + 1].rank;
+        let local = extract_part(graph, &parts[level], &members[level], p);
         let mut side = vec![false; nodes.len()];
         let mut side_weight = [0u64, 0u64];
         let mut drifters: Vec<usize> = Vec::new();
         for (li, &v) in nodes.iter().enumerate() {
             let anc = map[v as usize];
             // The ancestor's assignment seen through this task's overlay:
-            // ancestors this task split read `p`/`p_new`, all others keep
-            // their snapshot value (which can only be another partition —
-            // drifters — regardless of sibling-task relabelings).
-            let a = match above_nodes.binary_search(&anc) {
-                Ok(ai) => {
-                    if above_side[ai] {
-                        p_new
-                    } else {
-                        p
-                    }
-                }
-                Err(_) => parts[level + 1][anc as usize],
+            // ancestors this task split — exactly those the snapshot puts
+            // in `p`, found in `above_side` at their rank in that bucket —
+            // read `p`/`p_new`, all others keep their snapshot value (which
+            // can only be another partition — drifters — regardless of
+            // sibling-task relabelings).
+            let snapshot = parts[level + 1][anc as usize];
+            let a = if snapshot == p && above_side[above_rank[anc as usize] as usize] {
+                p_new
+            } else {
+                snapshot
             };
             if a == p || a == p_new {
                 side[li] = a == p_new;
@@ -481,7 +508,6 @@ fn bisect_partition(
                 moved[level].push(v);
             }
         }
-        above_nodes = nodes;
         above_side = side;
     }
     BisectOutcome { moved, work }
@@ -491,7 +517,7 @@ fn bisect_partition(
 mod tests {
     use super::*;
     use crate::metrics::{edge_cut, partition_balance};
-    use fc_graph::{CoarsenConfig, LevelGraph, MultilevelSet};
+    use fc_graph::{CoarsenConfig, MultilevelSet};
 
     /// A long weighted path — the archetype of a "linear DNA" overlap graph.
     fn path_set(n: usize) -> GraphSet {
@@ -676,6 +702,10 @@ mod tests {
         assert_eq!(
             snapshot.counters.get("partition.tasks"),
             Some(&(result.tasks.len() as u64))
+        );
+        assert_eq!(
+            snapshot.counters.get("partition.work_units"),
+            Some(&result.total_work())
         );
     }
 

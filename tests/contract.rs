@@ -37,6 +37,7 @@ fn the_reference_is_not_trivial() {
         "align.kernel.exact_hits",
         "coarsen.levels",
         "partition.edge_cut_final",
+        "partition.work_units",
         "dist.messages",
     ] {
         assert!(logical.counters.get(key) > Some(&0), "{key}");

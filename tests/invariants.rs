@@ -6,8 +6,11 @@ use focus_assembler::align::{Overlap, Overlapper, Pool};
 use focus_assembler::dist::traverse::check_path_cover;
 use focus_assembler::dist::{DistributedConfig, DistributedHybrid, FaultPlan, FaultRates, PhaseId};
 use focus_assembler::focus::{FocusAssembler, FocusConfig, Prepared, Recorder};
+use focus_assembler::graph::{coarsen, CoarsenConfig, GraphSet, LevelGraph, MultilevelSet};
+use focus_assembler::partition::recursive::TaskKind;
 use focus_assembler::partition::{
     edge_cut, partition_balance, partition_graph_set, validate_partition, PartitionConfig,
+    PartitionResult,
 };
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
 use std::sync::{Arc, OnceLock};
@@ -92,6 +95,129 @@ fn partition_balance_and_cut_are_sane_across_k() {
             balance <= max_balance,
             "k={k}: balance {balance} > {max_balance}"
         );
+    }
+}
+
+/// A graph set shaped like the hybrid set: `n` nodes of which about 95 %
+/// have no edge, the rest in scattered chains of 2–6, coarsened by
+/// heavy-edge matching while edges remain, so that every level keeps
+/// nearly all of its nodes.
+fn hybrid_like_set(n: usize, seed: u64) -> GraphSet {
+    let mut rng = fc_rng::Rng::new(seed);
+    let mut edges = Vec::new();
+    let mut v = 0;
+    while v < n {
+        if rng.range(0..80) == 0 {
+            let len = rng.range(2..7).min(n - v);
+            for i in 1..len {
+                edges.push(((v + i - 1) as u32, (v + i) as u32, rng.range(20..100)));
+            }
+            v += len;
+        } else {
+            v += 1;
+        }
+    }
+    let mut levels = vec![LevelGraph::from_edges(vec![1; n], &edges)];
+    let mut fine_to_coarse = Vec::new();
+    for round in 0..8 {
+        let current = levels.last().unwrap();
+        if current.edge_count() == 0 {
+            break;
+        }
+        let mate = coarsen::heavy_edge_matching(current, seed + round);
+        let (coarse, map) = coarsen::contract(current, &mate);
+        levels.push(coarse);
+        fine_to_coarse.push(map);
+    }
+    GraphSet {
+        levels,
+        fine_to_coarse,
+    }
+}
+
+/// A weighted path of `n` nodes, coarsened down to 16 nodes.
+fn path_set(n: usize) -> GraphSet {
+    let path: Vec<_> = (0..n - 1).map(|i| (i as u32, i as u32 + 1, 50)).collect();
+    let config = CoarsenConfig {
+        min_nodes: 16,
+        ..Default::default()
+    };
+    MultilevelSet::build(LevelGraph::from_edges(vec![1; n], &path), &config).set
+}
+
+/// FNV-1a over every level's assignment and every task record.
+fn partition_digest(result: &PartitionResult) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for byte in x.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for assignment in &result.parts_per_level {
+        eat(assignment.len() as u64);
+        for &p in assignment {
+            eat(u64::from(p));
+        }
+    }
+    for task in &result.tasks {
+        match task.kind {
+            TaskKind::Bisect { step, part } => {
+                eat(0);
+                eat(step as u64);
+                eat(u64::from(part));
+            }
+            TaskKind::KwayLevel { level } => {
+                eat(1);
+                eat(level as u64);
+            }
+        }
+        eat(task.work);
+    }
+    hash
+}
+
+/// The partitioner's assignments and task logs pinned bit for bit: one
+/// digest per `(set, k)`, equal at 1 and 4 threads. The constants were
+/// captured on the commit before KL's queues, projection and extraction
+/// were rewritten to cost edges rather than nodes, and that rewrite left
+/// every one of them unchanged. A change here is a change of the
+/// partitioner's output — of every downstream byte and of fc-dist's
+/// schedules — not of its speed.
+#[test]
+fn partition_assignments_and_task_logs_are_pinned() {
+    let hybrid = hybrid_like_set(2_000, 3);
+    assert!(hybrid.level_count() >= 3, "{} levels", hybrid.level_count());
+    let isolated = (0..2_000).filter(|&v| hybrid.finest().degree(v) == 0);
+    assert!(isolated.count() >= 1_800, "not shaped like the hybrid set");
+    let sets = [("hybrid_like(2000)", hybrid), ("path(512)", path_set(512))];
+    let expected: [[u64; 6]; 2] = [
+        [
+            0xea45fabc9c07de86,
+            0x29f207dcd590649f,
+            0xab6cfd99ab8d9f41,
+            0x575aefacc8bc7ae2,
+            0x6822506069aff165,
+            0x7e1a6c23a21487f7,
+        ],
+        [
+            0x7cee052bcc14ed89,
+            0xad0401447fc98219,
+            0x14be1c7a7d8083bb,
+            0xd95877891184951f,
+            0x3911dce7da07130c,
+            0xeccc2df7cdc10eb8,
+        ],
+    ];
+    for ((name, set), digests) in sets.iter().zip(expected) {
+        for (k, want) in [2, 4, 8, 16, 32, 64].into_iter().zip(digests) {
+            for threads in [1, 4] {
+                let config = PartitionConfig::new(k, 42).with_threads(threads);
+                let got = partition_digest(&partition_graph_set(set, &config).unwrap());
+                println!("{name} k={k} threads={threads}: {got:#018x}");
+                assert_eq!(got, want, "{name} k={k} threads={threads}");
+            }
+        }
     }
 }
 
