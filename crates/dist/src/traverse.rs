@@ -30,6 +30,11 @@ impl AssemblyPath {
     /// Panics on an empty path. Traversal never produces one — every path
     /// starts from a live seed node — so constructing an `AssemblyPath`
     /// with no nodes is a caller bug.
+    #[expect(
+        clippy::expect_used,
+        reason = "AssemblyPath is only constructed by traversal, which always seeds a \
+                  path with its start node; the panic is a documented caller-bug guard"
+    )]
     pub fn left(&self) -> NodeId {
         *self.nodes.first().expect("paths are non-empty")
     }
@@ -39,6 +44,10 @@ impl AssemblyPath {
     /// # Panics
     ///
     /// Panics on an empty path; see [`AssemblyPath::left`].
+    #[expect(
+        clippy::expect_used,
+        reason = "as for left(): traversal never builds an empty path"
+    )]
     pub fn right(&self) -> NodeId {
         *self.nodes.last().expect("paths are non-empty")
     }

@@ -30,6 +30,13 @@ use std::time::Instant;
 const CHUNKS_PER_WORKER: usize = 8;
 
 /// The machine's available parallelism (at least 1).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "config layer, the one call in fc-exec: Pool::new(0) resolves to the core \
+              count before any task runs, and Pool::new_obs compares a requested count \
+              against it for sched.threads.oversubscribed; the worker count affects \
+              scheduling, never reduction order (results merge by task index)"
+)]
 fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -269,6 +276,12 @@ impl Pool {
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 handles.push(scope.spawn(|| {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "per-worker busy time for sched.worker.busy_us; sched.* \
+                                  is excluded from logical-clock snapshots, so the \
+                                  reading cannot reach output bytes"
+                    )]
                     let started = Instant::now();
                     let mut s = scratch();
                     // Tasks never enqueue new tasks, so the queue only ever

@@ -212,6 +212,11 @@ impl GraphSet {
     /// # Panics
     /// Panics on an empty set; every builder ([`crate::MultilevelSet::build`],
     /// [`crate::HybridSet::build`]) produces at least one level.
+    #[expect(
+        clippy::expect_used,
+        reason = "every GraphSet builder pushes level 0 before returning, so a built set \
+                  is never empty; the empty Default is a test-only convenience"
+    )]
     pub fn coarsest(&self) -> &LevelGraph {
         self.levels
             .last()

@@ -11,6 +11,11 @@
 pub fn peak_rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "kernel pseudo-file: /proc/self/status is a few hundred bytes by \
+                      construction; the kernel, not user input, bounds it"
+        )]
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
         parse_vm_hwm(&status)
     }

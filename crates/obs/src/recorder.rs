@@ -183,6 +183,11 @@ impl Recorder {
         }
         Recorder {
             inner: Some(Arc::new(Inner {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "fc-obs is the timing sink: wall-clock spans measure from \
+                              this epoch, and a logical-clock recorder never reads it"
+                )]
                 start: Instant::now(),
                 logical: options.logical_clock,
                 ticks: AtomicU64::new(0),

@@ -123,6 +123,11 @@ impl<'a> DeadlineReader<'a> {
         DeadlineReader {
             stream,
             per_read,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "slow-loris defense: the read deadline bounds I/O time; a timeout \
+                          aborts a request and never alters a successful response's bytes"
+            )]
             deadline: Instant::now() + budget,
         }
     }
@@ -130,6 +135,10 @@ impl<'a> DeadlineReader<'a> {
 
 impl Read for DeadlineReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline enforcement for the same reader; see DeadlineReader::new"
+        )]
         let left = self.deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(io::Error::new(

@@ -275,6 +275,12 @@ impl Serve {
                         record.id.0,
                         ActiveJob {
                             record,
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "queue age for serve.job.queue_ms; the \
+                                          scheduler state, not this timestamp, makes \
+                                          admission and scheduling decisions"
+                            )]
                             admitted_at: Instant::now(),
                             cancel: Arc::new(AtomicBool::new(false)),
                             running: false,
@@ -388,6 +394,11 @@ fn begin_shutdown(shared: &Shared, drain: bool) {
 }
 
 fn resolve_job_threads(cfg: &ServeConfig, recorder: &Recorder) -> usize {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "config layer: job_threads == 0 divides the machine between workers at \
+                  startup; per-job assembly stays deterministic at any thread count"
+    )]
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cfg.job_threads == 0 {
         // Auto: divide the machine between concurrent workers.
@@ -599,6 +610,12 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
                     id.0,
                     ActiveJob {
                         record,
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "queue age for serve.job.queue_ms; the scheduler \
+                                      state, not this timestamp, makes admission and \
+                                      scheduling decisions"
+                        )]
                         admitted_at: Instant::now(),
                         cancel: Arc::new(AtomicBool::new(false)),
                         running: false,
@@ -709,6 +726,12 @@ fn job_status(shared: &Shared, id: JobId) -> Response {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "serves an artifact (contigs/metrics/trace) this server's own job wrote \
+              under its memory budget; the job's admitted budget, not the requester, \
+              bounds the file"
+)]
 fn job_artifact(shared: &Shared, id: JobId, what: &str) -> Response {
     let (path, content_type) = match what {
         "contigs" => (shared.state.contigs_path(id), "text/plain; charset=utf-8"),
@@ -829,6 +852,11 @@ fn worker_loop(shared: &Shared) {
         shared
             .recorder
             .observe_with(metrics::JOB_QUEUE_MS, queued_ms, metrics::LATENCY_BOUNDS_MS);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "job wall time for serve.job.run_ms; the serve layer is a scheduling \
+                      surface, outside the bit-identical assembly contract"
+        )]
         let started = Instant::now();
         let result = run_with_retry(
             shared.runner.as_ref(),

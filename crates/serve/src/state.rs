@@ -357,6 +357,10 @@ fn read_record<T>(
         Err(e) => return Err(ServeError::io(format!("open {}", path.display()), e)),
     };
     let mut bytes = Vec::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "capped by take(RECORD_LIMIT + 1): a longer record is refused as corrupt"
+    )]
     file.take(RECORD_LIMIT + 1)
         .read_to_end(&mut bytes)
         .map_err(|e| ServeError::io(format!("read {}", path.display()), e))?;

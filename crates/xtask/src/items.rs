@@ -1,8 +1,8 @@
 //! Path-aware item tables: the lightweight "name resolution" layer the
-//! FC007–FC009 rules stand on.
+//! FC007 and FC009 rules stand on.
 //!
-//! The token-level rules (FC001–FC006) ask questions a lexer can answer:
-//! "is this ident `unwrap` followed by `(`?". The determinism rules need
+//! The token-level rules (FC002–FC006) ask questions a lexer can answer:
+//! "is this ident `Result` followed by `<`?". The determinism rules need
 //! one step more — "is the receiver of this `.iter()` a
 //! `std::collections::HashMap`?" — which requires knowing what the local
 //! name `HashMap` means in this file and what type the receiver was
@@ -21,8 +21,7 @@
 //! file (shadowing across scopes is ignored), and only the *head* of a type
 //! is kept (`HashMap<(ReadId, i64), u32>` ⇒ `std::collections::HashMap`).
 //! That is enough to be precise on this codebase's idioms; genuinely
-//! ambiguous cases fail open (unresolved names are never flagged) and the
-//! allowlist catches the rest.
+//! ambiguous cases fail open (unresolved names are never flagged).
 
 use crate::lexer::{Token, TokenKind};
 use std::collections::BTreeMap;
@@ -33,12 +32,8 @@ use std::collections::BTreeMap;
 pub mod paths {
     pub const HASH_MAP: &str = "std::collections::HashMap";
     pub const HASH_SET: &str = "std::collections::HashSet";
-    pub const BTREE_MAP: &str = "std::collections::BTreeMap";
-    pub const BTREE_SET: &str = "std::collections::BTreeSet";
     pub const MUTEX: &str = "std::sync::Mutex";
     pub const RWLOCK: &str = "std::sync::RwLock";
-    pub const INSTANT: &str = "std::time::Instant";
-    pub const SYSTEM_TIME: &str = "std::time::SystemTime";
 }
 
 /// Well-known roots: a path starting with one of these is already
@@ -79,7 +74,7 @@ impl CrateItems {
     /// Merges one file's fields into the crate table. First declaration
     /// wins on collisions — fields sharing a name across structs in one
     /// crate overwhelmingly share a type in practice, and a wrong merge
-    /// only ever *adds* a finding that the allowlist can veto.
+    /// only ever *adds* a finding, never hides one.
     pub fn absorb(&mut self, file: &FileItems) {
         for (name, ty) in &file.fields {
             self.fields

@@ -1,17 +1,15 @@
 //! Machine-readable analyzer output (`cargo xtask analyze --json`).
 //!
 //! A SARIF-flavoured report, hand-rolled because this build environment has
-//! no serde: one top-level object with the tool's rule catalog, every
-//! unsuppressed finding as a `results` entry, suppressed findings with
-//! their allowlist reasons, and stale allowlist entries. CI uploads the
-//! file as an artifact and cross-checks its `summary` against the
-//! human-readable exit code, so the two output paths can never diverge.
+//! no serde: one top-level object with the tool's rule catalog and every
+//! finding as a `results` entry. CI uploads the file as an artifact and
+//! cross-checks its `summary` against the human-readable exit code, so the
+//! two output paths can never diverge.
 //!
 //! The output is deterministic: the driver sorts diagnostics by
 //! `(path, line, col, rule)` before rendering, and this module adds no
 //! iteration over unordered containers.
 
-use crate::allow::AllowEntry;
 use crate::diag::{Diagnostic, Rule};
 use crate::Analysis;
 use std::fmt::Write;
@@ -21,7 +19,7 @@ use std::fmt::Write;
 pub fn render(analysis: &Analysis) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"focus-xtask-analyze/1\",\n");
+    out.push_str("  \"schema\": \"focus-xtask-analyze/2\",\n");
     out.push_str("  \"tool\": {\n    \"name\": \"xtask analyze\",\n    \"rules\": [\n");
     let rules = Rule::all();
     for (i, rule) in rules.iter().enumerate() {
@@ -42,41 +40,17 @@ pub fn render(analysis: &Analysis) -> String {
         let _ = writeln!(
             out,
             "    {}{}",
-            result(d, None),
+            result(d),
             comma(i, analysis.violations.len())
-        );
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"suppressed\": [\n");
-    for (i, (d, reason)) in analysis.suppressed.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {}{}",
-            result(d, Some(reason)),
-            comma(i, analysis.suppressed.len())
-        );
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"staleAllows\": [\n");
-    for (i, a) in analysis.unused_allows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {}{}",
-            stale(a),
-            comma(i, analysis.unused_allows.len())
         );
     }
     out.push_str("  ],\n");
 
     let _ = writeln!(
         out,
-        "  \"summary\": {{\"violations\": {}, \"suppressed\": {}, \"staleAllows\": {}, \"clean\": {}}}",
+        "  \"summary\": {{\"violations\": {}, \"clean\": {}}}",
         analysis.violations.len(),
-        analysis.suppressed.len(),
-        analysis.unused_allows.len(),
-        analysis.violations.is_empty() && analysis.unused_allows.is_empty()
+        analysis.violations.is_empty()
     );
     out.push_str("}\n");
     out
@@ -91,7 +65,7 @@ fn comma(i: usize, len: usize) -> &'static str {
 }
 
 /// One finding as a JSON object (single line).
-fn result(d: &Diagnostic, reason: Option<&str>) -> String {
+fn result(d: &Diagnostic) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
@@ -108,26 +82,7 @@ fn result(d: &Diagnostic, reason: Option<&str>) -> String {
     if let Some(snippet) = &d.snippet {
         let _ = write!(s, ", \"snippet\": {}", string(snippet));
     }
-    if let Some(reason) = reason {
-        let _ = write!(s, ", \"reason\": {}", string(reason));
-    }
     s.push('}');
-    s
-}
-
-/// One stale allowlist entry as a JSON object (single line).
-fn stale(a: &AllowEntry) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"rule\": {}, \"path\": {}",
-        string(a.rule.name()),
-        string(&a.path)
-    );
-    if let Some(pattern) = &a.pattern {
-        let _ = write!(s, ", \"pattern\": {}", string(pattern));
-    }
-    let _ = write!(s, ", \"reason\": {}}}", string(&a.reason));
     s
 }
 
@@ -167,19 +122,6 @@ mod tests {
                 snippet: Some("        for ((read, diag), count) in votes {".into()),
                 help: "collect and sort, or use a \"BTreeMap\"".into(),
             }],
-            suppressed: vec![(
-                Diagnostic {
-                    rule: Rule::AmbientNondet,
-                    path: "crates/exec/src/lib.rs".into(),
-                    line: 50,
-                    col: 1,
-                    message: "`available_parallelism()` reads the machine's core count".into(),
-                    snippet: None,
-                    help: "h".into(),
-                },
-                "threads=0 resolves to all cores; data path is count-independent".into(),
-            )],
-            unused_allows: vec![],
             files: 3,
         }
     }
@@ -188,13 +130,13 @@ mod tests {
     fn renders_valid_shape_with_escapes() {
         let json = render(&sample());
         assert!(
-            json.contains("\"schema\": \"focus-xtask-analyze/1\""),
+            json.contains("\"schema\": \"focus-xtask-analyze/2\""),
             "{json}"
         );
         assert!(json.contains("\"rule\": \"FC007\""), "{json}");
         assert!(json.contains("\\\"BTreeMap\\\""), "quotes escaped: {json}");
         assert!(
-            json.contains("\"summary\": {\"violations\": 1, \"suppressed\": 1, \"staleAllows\": 0, \"clean\": false}"),
+            json.contains("\"summary\": {\"violations\": 1, \"clean\": false}"),
             "{json}"
         );
         // Balanced braces/brackets outside string literals — a cheap
@@ -219,8 +161,6 @@ mod tests {
     fn clean_analysis_reports_clean_true() {
         let a = Analysis {
             violations: vec![],
-            suppressed: vec![],
-            unused_allows: vec![],
             files: 42,
         };
         let json = render(&a);

@@ -1,14 +1,12 @@
 //! # xtask — workspace automation for the Focus assembler
 //!
 //! `cargo xtask analyze` is a Focus-specific static-analysis gate (DESIGN.md
-//! §7): the paper's pipeline is a chain of invariant-carrying graph
-//! transformations, and a silent `unwrap()` on a malformed record or an
-//! unchecked partition index aborts a whole simulated rank. The analyzer
-//! enforces, over the non-test library code of every `fc-*`/`focus-core`
-//! crate:
+//! §8): the paper's pipeline is a chain of invariant-carrying graph
+//! transformations, and an unchecked partition index or a hash-ordered loop
+//! breaks a whole simulated rank or the bit-identical-contigs contract. The
+//! analyzer enforces, over the non-test library code of every
+//! `fc-*`/`focus-core` crate:
 //!
-//! * **FC001 `no-panic`** — no `unwrap`/`expect`/`panic!`/`unreachable!`/
-//!   `todo!`/`unimplemented!`; failures must travel as typed errors.
 //! * **FC002 `no-string-error`** — no `Result<_, String>` in public
 //!   signatures.
 //! * **FC003 `no-module-collision`** — no near-colliding module filenames
@@ -16,8 +14,6 @@
 //! * **FC004 `invariant-doc`** — a `pub fn` mutating a `DiGraph`, partition
 //!   vector, or hybrid/multilevel set must return a typed `Result` or carry
 //!   a `# Invariants` doc section.
-//! * **FC005 `no-print`** — no raw `println!`-family output in library
-//!   code; diagnostics go through fc-obs.
 //! * **FC006 `no-unbounded-queue`** — no unbounded channels or queues
 //!   (`mpsc::channel`); `VecDeque` queues
 //!   must document their capacity bound on or just above the construction
@@ -32,17 +28,9 @@
 //! * **FC007 `nondet-iteration`** — no iteration over `HashMap`/`HashSet`
 //!   in non-test library code unless canonicalized by an adjacent sort;
 //!   hash order on a data path breaks the bit-identical-contigs contract.
-//! * **FC008 `ambient-nondet`** — `Instant::now`/`SystemTime::now`/
-//!   `std::env::var`/`available_parallelism` are banned outside the fc-obs
-//!   timing sink and allowlisted config-layer sites.
 //! * **FC009 `lock-order`** — every function's Mutex/RwLock acquisition
 //!   sequence (guard-liveness aware, helper-propagating) merges into one
 //!   workspace lock-order graph that must stay acyclic ([`lockorder`]).
-//! * **FC011 `no-unbounded-read`** — no unbounded whole-input reads
-//!   (`fs::read`, `fs::read_to_string`, `.read_to_end`, `.read_to_string`)
-//!   in library code: a slurp sized by the input defeats every memory
-//!   budget (DESIGN.md §16). Stream through bounded buffers, cap with
-//!   `Read::take`, or allowlist a provably small input with a reason.
 //!
 //! Two rules cover every crate of the workspace — the root package, the
 //! bench harness and this tool included — not only the linted libraries:
@@ -54,9 +42,14 @@
 //!   manifest and in each `crates/*/Cargo.toml` is `path = …` or
 //!   `workspace = true`, so the workspace builds offline from a clean clone.
 //!
-//! Justified exceptions live in `xtask/allow.toml`, each with a mandatory
-//! `reason`; entries that no longer match anything are themselves errors,
-//! so suppressions cannot rot. The binary exits nonzero on any unsuppressed
+//! The retired codes are clippy lints now, denied in the root manifest's
+//! `[workspace.lints]` (DESIGN.md §8): FC001 `no-panic` is `unwrap_used`,
+//! `expect_used`, `panic`, `unreachable`, `todo` and `unimplemented`; FC005
+//! `no-print` is `print_stdout`, `print_stderr` and `dbg_macro`; FC008
+//! `ambient-nondet` and FC011 `no-unbounded-read` are `disallowed_methods`
+//! over the methods `clippy.toml` lists. No code number is reused.
+//!
+//! The rules here have no exceptions. The binary exits nonzero on any
 //! finding so CI can gate on it, and `--json` emits the same findings
 //! machine-readably ([`json`]).
 //!
@@ -66,7 +59,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod allow;
 pub mod diag;
 pub mod items;
 pub mod json;
@@ -82,33 +74,20 @@ use std::path::Path;
 /// Outcome of an analysis run.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Findings not suppressed by the allowlist.
+    /// Every finding, in `(path, line, col, rule)` order.
     pub violations: Vec<Diagnostic>,
-    /// Findings suppressed by the allowlist (reported in verbose mode).
-    pub suppressed: Vec<(Diagnostic, String)>,
-    /// Allowlist entries that matched nothing (stale suppressions).
-    pub unused_allows: Vec<allow::AllowEntry>,
     /// Files analyzed.
     pub files: usize,
 }
 
-/// Runs every rule over the workspace rooted at `root`, applying the
-/// allowlist at `allow_path` when it exists.
-pub fn analyze_workspace(root: &Path, allow_path: &Path) -> Result<Analysis, String> {
-    let allows = if allow_path.exists() {
-        let text =
-            fs::read_to_string(allow_path).map_err(|e| format!("{}: {e}", allow_path.display()))?;
-        allow::parse(&text)?
-    } else {
-        Vec::new()
-    };
-
+/// Runs every rule over the workspace rooted at `root`.
+pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
     let crates = workspace::lint_crates(root).map_err(|e| format!("scanning crates: {e}"))?;
-    let mut raw: Vec<Diagnostic> = Vec::new();
+    let mut violations: Vec<Diagnostic> = Vec::new();
     let mut files = 0usize;
     let mut locks = lockorder::Collector::new();
     for c in &crates {
-        raw.extend(rules::module_collisions(
+        violations.extend(rules::module_collisions(
             &c.rel_dir,
             &workspace::module_stems(c),
         ));
@@ -126,26 +105,24 @@ pub fn analyze_workspace(root: &Path, allow_path: &Path) -> Result<Analysis, Str
         locks.add_crate(&c.name, &krate);
         // Pass 2: the per-file rules, plus feeding the lock-order audit.
         for (rel, text, tokens, file_items) in &lexed {
-            raw.extend(rules::analyze_tokens(
-                &c.name, rel, text, tokens, file_items, &krate,
-            ));
+            violations.extend(rules::analyze_tokens(rel, text, tokens, file_items, &krate));
             locks.add_file(&c.name, rel, tokens, file_items);
             files += 1;
         }
     }
-    raw.extend(locks.finish());
+    violations.extend(locks.finish());
     for rel in workspace::manifests(root).map_err(|e| format!("scanning manifests: {e}"))? {
         let text = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
-        raw.extend(rules::registry_crates(&rel, &text));
+        violations.extend(rules::registry_crates(&rel, &text));
     }
     for rel in workspace::crate_roots(root).map_err(|e| format!("scanning crate roots: {e}"))? {
         let text = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
-        raw.extend(rules::forbids_unsafe(&rel, &text));
+        violations.extend(rules::forbids_unsafe(&rel, &text));
     }
 
     // Byte-stable output: one canonical order regardless of platform or
     // directory-walk order.
-    raw.sort_by(|a, b| {
+    violations.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule.code()).cmp(&(
             b.path.as_str(),
             b.line,
@@ -154,29 +131,7 @@ pub fn analyze_workspace(root: &Path, allow_path: &Path) -> Result<Analysis, Str
         ))
     });
 
-    let mut used = vec![false; allows.len()];
-    let mut violations = Vec::new();
-    let mut suppressed = Vec::new();
-    for d in raw {
-        match allows.iter().position(|a| a.matches(&d)) {
-            Some(i) => {
-                used[i] = true;
-                suppressed.push((d, allows[i].reason.clone()));
-            }
-            None => violations.push(d),
-        }
-    }
-    let unused_allows = allows
-        .into_iter()
-        .zip(used)
-        .filter_map(|(a, u)| (!u).then_some(a))
-        .collect();
-    Ok(Analysis {
-        violations,
-        suppressed,
-        unused_allows,
-        files,
-    })
+    Ok(Analysis { violations, files })
 }
 
 #[cfg(test)]
@@ -212,56 +167,27 @@ mod tests {
         root
     }
 
-    /// The acceptance-criteria self-test: a deliberately introduced
-    /// `unwrap()` in a library crate must produce a violation (and therefore
-    /// a nonzero exit in `main`), and removing it must produce none.
+    /// The acceptance-criteria self-test: a deliberate hash-order iteration
+    /// in a library crate must produce a violation (and therefore a nonzero
+    /// exit in `main`), and an ordered container must produce none.
     #[test]
-    fn deliberate_unwrap_fails_and_clean_code_passes() {
+    fn deliberate_hash_iteration_fails_and_clean_code_passes() {
         let dirty = fixture_workspace(
             "dirty",
-            "pub fn first(v: &[u32]) -> u32 {\n    v.first().copied().unwrap()\n}\n",
+            "pub fn count(s: &std::collections::HashSet<u32>) -> usize {\n    s.iter().count()\n}\n",
         );
-        let analysis = analyze_workspace(&dirty, &dirty.join("xtask/allow.toml")).unwrap();
+        let analysis = analyze_workspace(&dirty).unwrap();
         assert_eq!(analysis.violations.len(), 1, "{:?}", analysis.violations);
-        assert_eq!(analysis.violations[0].rule.code(), "FC001");
+        assert_eq!(analysis.violations[0].rule.code(), "FC007");
         assert_eq!(analysis.violations[0].line, 3);
 
         let clean = fixture_workspace(
             "clean",
-            "pub fn first(v: &[u32]) -> Option<u32> {\n    v.first().copied()\n}\n",
+            "pub fn count(s: &std::collections::BTreeSet<u32>) -> usize {\n    s.iter().count()\n}\n",
         );
-        let analysis = analyze_workspace(&clean, &clean.join("xtask/allow.toml")).unwrap();
+        let analysis = analyze_workspace(&clean).unwrap();
         assert!(analysis.violations.is_empty(), "{:?}", analysis.violations);
         assert_eq!(analysis.files, 1);
-    }
-
-    #[test]
-    fn allowlist_suppresses_and_reports_stale_entries() {
-        let root = fixture_workspace(
-            "allow",
-            "pub fn f(v: &[u32]) -> u32 { v.first().copied().unwrap() }\n",
-        );
-        write(
-            &root,
-            "xtask/allow.toml",
-            r#"
-[[allow]]
-rule = "no-panic"
-path = "crates/demo/src/lib.rs"
-pattern = "first().copied().unwrap()"
-reason = "demo"
-
-[[allow]]
-rule = "no-panic"
-path = "crates/demo/src/nonexistent.rs"
-reason = "stale"
-"#,
-        );
-        let analysis = analyze_workspace(&root, &root.join("xtask/allow.toml")).unwrap();
-        assert!(analysis.violations.is_empty(), "{:?}", analysis.violations);
-        assert_eq!(analysis.suppressed.len(), 1);
-        assert_eq!(analysis.unused_allows.len(), 1);
-        assert_eq!(analysis.unused_allows[0].reason, "stale");
     }
 
     #[test]
@@ -269,20 +195,8 @@ reason = "stale"
         let root = fixture_workspace("collide", "pub fn ok() {}\n");
         write(&root, "crates/demo/src/error.rs", "pub struct E;\n");
         write(&root, "crates/demo/src/errors.rs", "pub struct E2;\n");
-        let analysis = analyze_workspace(&root, &root.join("xtask/allow.toml")).unwrap();
+        let analysis = analyze_workspace(&root).unwrap();
         assert_eq!(analysis.violations.len(), 1, "{:?}", analysis.violations);
         assert_eq!(analysis.violations[0].rule.code(), "FC003");
-    }
-
-    #[test]
-    fn malformed_allowlist_is_a_hard_error() {
-        let root = fixture_workspace("badallow", "pub fn ok() {}\n");
-        write(
-            &root,
-            "xtask/allow.toml",
-            "[[allow]]\nrule = \"no-panic\"\n",
-        );
-        let err = analyze_workspace(&root, &root.join("xtask/allow.toml")).unwrap_err();
-        assert!(err.contains("path") || err.contains("reason"), "{err}");
     }
 }

@@ -16,15 +16,12 @@ Commands:
 
 Options (analyze):
   --root <dir>    workspace root (default: discovered from the current dir)
-  --allow <file>  allowlist path (default: <root>/xtask/allow.toml)
   --json <file>   also write the findings as a machine-readable JSON report
   --list-rules    print the rule set and exit
-  --verbose       also print suppressed findings with their reasons
 
-Exit status: 0 when clean, 1 on violations or stale allow.toml entries,
-2 on usage or I/O errors. A stale suppression is a failure, not a warning:
-an allowlist that no longer matches anything is hiding either dead policy
-or a finding that moved out from under it.
+Exit status: 0 when clean, 1 on violations, 2 on usage or I/O errors.
+No-panic, no-print, ambient-nondeterminism and unbounded-read are clippy
+lints (`cargo clippy --workspace -- -D warnings`), not rules of this tool.
 ";
 
 fn main() -> ExitCode {
@@ -44,9 +41,7 @@ fn main() -> ExitCode {
 
 fn analyze(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut allow: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut verbose = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -56,9 +51,7 @@ fn analyze(args: &[String]) -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--verbose" => verbose = true,
             "--root" => root = it.next().map(PathBuf::from),
-            "--allow" => allow = it.next().map(PathBuf::from),
             "--json" => json_out = it.next().map(PathBuf::from),
             other => {
                 eprintln!("error: unknown option `{other}`\n\n{USAGE}");
@@ -80,9 +73,8 @@ fn analyze(args: &[String]) -> ExitCode {
             }
         }
     };
-    let allow = allow.unwrap_or_else(|| root.join("xtask/allow.toml"));
 
-    let analysis = match xtask::analyze_workspace(&root, &allow) {
+    let analysis = match xtask::analyze_workspace(&root) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -97,41 +89,16 @@ fn analyze(args: &[String]) -> ExitCode {
         }
     }
 
-    if verbose {
-        for (d, reason) in &analysis.suppressed {
-            println!(
-                "allowed[{}]: {} ({})\n  --> {}:{}",
-                d.rule.code(),
-                d.message,
-                reason,
-                d.path,
-                d.line
-            );
-        }
-    }
-    for entry in &analysis.unused_allows {
-        eprintln!(
-            "error: stale allow.toml entry (rule `{}`, path `{}`) matched nothing; \
-             delete it or fix its path/pattern",
-            entry.rule.name(),
-            entry.path
-        );
-    }
     for d in &analysis.violations {
         eprintln!("{d}\n");
     }
-    if analysis.violations.is_empty() && analysis.unused_allows.is_empty() {
-        println!(
-            "xtask analyze: {} files clean ({} finding(s) allowlisted)",
-            analysis.files,
-            analysis.suppressed.len()
-        );
+    if analysis.violations.is_empty() {
+        println!("xtask analyze: {} files clean", analysis.files);
         return ExitCode::SUCCESS;
     }
     eprintln!(
-        "xtask analyze: {} violation(s), {} stale allow entrie(s) across {} files",
+        "xtask analyze: {} violation(s) across {} files",
         analysis.violations.len(),
-        analysis.unused_allows.len(),
         analysis.files
     );
     ExitCode::FAILURE

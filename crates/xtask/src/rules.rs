@@ -1,7 +1,6 @@
-//! The Focus-specific lint rules, run over one lexed source file (FC001,
-//! FC002, FC004, FC005, FC006, and the path-aware FC007/FC008/FC011) or
-//! one crate's module list (FC003), one crate root (FC010) or one manifest
-//! (FC012). FC009, the
+//! The Focus-specific lint rules, run over one lexed source file (FC002,
+//! FC004, FC006 and the path-aware FC007) or one crate's module list
+//! (FC003), one crate root (FC010) or one manifest (FC012). FC009, the
 //! cross-crate lock-order audit, lives in [`crate::lockorder`].
 
 use crate::diag::{Diagnostic, Rule};
@@ -28,16 +27,12 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let file_items = items::collect(&tokens);
     let mut krate = CrateItems::default();
     krate.absorb(&file_items);
-    analyze_tokens("", rel_path, src, &tokens, &file_items, &krate)
+    analyze_tokens(rel_path, src, &tokens, &file_items, &krate)
 }
 
-/// Runs every per-file rule over an already-lexed file with its item tables.
-///
-/// `crate_name` gates the crate-level exemptions (fc-obs is the one
-/// sanctioned wall-clock sink, so FC008 skips it); `rel_path` is the
-/// workspace-relative path used in diagnostics.
+/// Runs every per-file rule over an already-lexed file with its item tables;
+/// `rel_path` is the workspace-relative path used in diagnostics.
 pub fn analyze_tokens(
-    crate_name: &str,
     rel_path: &str,
     src: &str,
     tokens: &[Token],
@@ -50,17 +45,11 @@ pub fn analyze_tokens(
         |line: usize| -> Option<String> { lines.get(line.wrapping_sub(1)).map(|l| l.to_string()) };
 
     let mut out = Vec::new();
-    no_panic(rel_path, tokens, &excluded, &snippet, &mut out);
-    no_print(rel_path, tokens, &excluded, &snippet, &mut out);
     no_unbounded_queue(rel_path, tokens, &excluded, &lines, &snippet, &mut out);
     pub_fn_rules(rel_path, tokens, &excluded, &snippet, &mut out);
     nondet_iteration(
         rel_path, tokens, &excluded, file_items, krate, &snippet, &mut out,
     );
-    ambient_nondet(
-        crate_name, rel_path, tokens, &excluded, file_items, &snippet, &mut out,
-    );
-    unbounded_read(rel_path, tokens, &excluded, file_items, &snippet, &mut out);
     out
 }
 
@@ -259,92 +248,11 @@ fn skip_item(tokens: &[Token], start: usize) -> usize {
     i
 }
 
-/// FC001 — panic-family calls in non-test library code.
-fn no_panic(
-    rel_path: &str,
-    tokens: &[Token],
-    excluded: &[bool],
-    snippet: &dyn Fn(usize) -> Option<String>,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if excluded[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let next_is = |c: char| tokens.get(i + 1).map(|n| n.is_punct(c)).unwrap_or(false);
-        let prev_is_dot = i > 0 && tokens[i - 1].is_punct('.');
-        let found = match t.text.as_str() {
-            "unwrap" | "expect" if prev_is_dot && next_is('(') => {
-                Some(format!("`.{}()` in non-test library code", t.text))
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if next_is('!') => {
-                Some(format!("`{}!` in non-test library code", t.text))
-            }
-            _ => None,
-        };
-        if let Some(message) = found {
-            out.push(Diagnostic {
-                rule: Rule::NoPanic,
-                path: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                message,
-                snippet: snippet(t.line),
-                help: "return a typed error (FocusError/DistError/SeqError/...) so the \
-                       failure can cross crate boundaries; if this site is provably \
-                       unreachable, allowlist it in xtask/allow.toml with a reason"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// FC005 — raw print-macro diagnostics in non-test library code. Library
-/// crates report through fc-obs (events, counters, histograms); stdout and
-/// stderr belong to binaries (`src/bin`, benches, xtask), which are not
-/// linted.
-fn no_print(
-    rel_path: &str,
-    tokens: &[Token],
-    excluded: &[bool],
-    snippet: &dyn Fn(usize) -> Option<String>,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if excluded[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let next_is_bang = tokens.get(i + 1).map(|n| n.is_punct('!')).unwrap_or(false);
-        // `writeln!` et al. target an explicit writer and are fine; only the
-        // implicit-stdout/stderr family is banned.
-        if next_is_bang
-            && matches!(
-                t.text.as_str(),
-                "println" | "eprintln" | "print" | "eprint" | "dbg"
-            )
-        {
-            out.push(Diagnostic {
-                rule: Rule::NoPrint,
-                path: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                message: format!("`{}!` in non-test library code", t.text),
-                snippet: snippet(t.line),
-                help: "record an fc-obs event or metric instead (Recorder::instant/add/\
-                       observe) and let the binary choose the sink; if this print is \
-                       intentional, allowlist it in xtask/allow.toml with a reason"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// FC006 — unbounded channel/queue constructors in non-test library code.
 ///
 /// Flags `mpsc::channel(...)` (std's unbounded flavour; `sync_channel` is
 /// fine) outright — a producer that outruns its consumer grows it without
-/// limit, so admission control has to live somewhere
-/// and the allowlist entry is where its reason is recorded. `VecDeque`
+/// limit, so admission control has to live somewhere. `VecDeque`
 /// constructors are flagged too, unless the word "bound" (as in "bounded
 /// by", "capacity bound") appears on the same or one of the four
 /// preceding source lines — a Vec-backed queue is legitimate exactly when
@@ -391,8 +299,7 @@ fn no_unbounded_queue(
             {
                 Some((
                     "`mpsc::channel(..)` is unbounded".to_string(),
-                    "use `mpsc::sync_channel(cap)` with a config-derived capacity, or \
-                     allowlist in xtask/allow.toml stating what bounds the producer",
+                    "use `mpsc::sync_channel(cap)` with a config-derived capacity",
                 ))
             }
             "VecDeque"
@@ -402,8 +309,8 @@ fn no_unbounded_queue(
                 Some((
                     "`VecDeque` queue without a documented capacity bound".to_string(),
                     "state the bound in a comment on or just above this line (e.g. \
-                     \"bounded by cfg.capacity, checked in admit\"), size it from \
-                     config, or allowlist in xtask/allow.toml with a reason",
+                     \"bounded by cfg.capacity, checked in admit\") or size it from \
+                     config",
                 ))
             }
             _ => None,
@@ -445,7 +352,7 @@ const NONDET_ITER_METHODS: [&str; 9] = [
 /// and binding/field tables — to `std::collections::{HashMap, HashSet}`,
 /// unless an adjacent canonicalizing sort follows within two lines (the
 /// `collect()-then-sort_unstable()` idiom). Unresolvable receivers fail
-/// open: precision over recall, with the allowlist carrying the rest.
+/// open: precision over recall.
 fn nondet_iteration(
     rel_path: &str,
     tokens: &[Token],
@@ -484,9 +391,8 @@ fn nondet_iteration(
             ),
             snippet: snippet(t.line),
             help: "hash iteration order varies per process and breaks bit-identical \
-                   output; collect-and-sort adjacently, switch the container to \
-                   BTreeMap/BTreeSet, or allowlist a commutative reduction in \
-                   xtask/allow.toml with a reason"
+                   output; collect-and-sort adjacently or switch the container to \
+                   BTreeMap/BTreeSet"
                 .to_string(),
         });
     };
@@ -697,103 +603,12 @@ fn scan_for_header(
                 ),
                 snippet: snippet(name_tok.line),
                 help: "hash iteration order varies per process and breaks bit-identical \
-                       output; collect-and-sort adjacently, switch the container to \
-                       BTreeMap/BTreeSet, or allowlist a commutative reduction in \
-                       xtask/allow.toml with a reason"
+                       output; collect-and-sort adjacently or switch the container to \
+                       BTreeMap/BTreeSet"
                     .to_string(),
             });
         }
     }
-}
-
-/// FC008 — ambient nondeterminism outside the sanctioned sinks.
-///
-/// `Instant::now`/`SystemTime::now` (resolved through the import map, so a
-/// user type named `Instant` never trips it), `std::env::var`/`var_os`, and
-/// `available_parallelism` are inputs from the machine and the moment; in
-/// library code they may only feed fc-obs (whose whole crate is the timing
-/// sink and is exempt) or an allowlisted config-layer site.
-fn ambient_nondet(
-    crate_name: &str,
-    rel_path: &str,
-    tokens: &[Token],
-    excluded: &[bool],
-    file_items: &FileItems,
-    snippet: &dyn Fn(usize) -> Option<String>,
-    out: &mut Vec<Diagnostic>,
-) {
-    if crate_name == "fc-obs" {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if excluded[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let called = tokens.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false);
-        if !called {
-            continue;
-        }
-        let found: Option<String> = match t.text.as_str() {
-            "now" => {
-                let canonical =
-                    path_before(tokens, i).map(|segs| items::canonicalize(&segs, file_items));
-                match canonical.as_deref() {
-                    Some(paths::INSTANT) => {
-                        Some("`Instant::now()` reads the monotonic clock".to_string())
-                    }
-                    Some(paths::SYSTEM_TIME) => {
-                        Some("`SystemTime::now()` reads the wall clock".to_string())
-                    }
-                    _ => None,
-                }
-            }
-            "var" | "var_os" => {
-                let canonical =
-                    path_before(tokens, i).map(|segs| items::canonicalize(&segs, file_items));
-                (canonical.as_deref() == Some("std::env"))
-                    .then(|| format!("`env::{}()` reads the process environment", t.text))
-            }
-            "available_parallelism" => {
-                Some("`available_parallelism()` reads the machine's core count".to_string())
-            }
-            _ => None,
-        };
-        if let Some(message) = found {
-            out.push(Diagnostic {
-                rule: Rule::AmbientNondet,
-                path: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                message,
-                snippet: snippet(t.line),
-                help: "ambient inputs may feed fc-obs timing sinks or explicit config \
-                       (FocusConfig), never a data path; thread the value in from the \
-                       caller, or allowlist the site in xtask/allow.toml stating why \
-                       it cannot influence output bytes"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// The `A::B::` path immediately preceding token `i`, innermost-first
-/// reversed to source order. `None` when `i` is not path-qualified.
-fn path_before(tokens: &[Token], i: usize) -> Option<Vec<String>> {
-    let mut segs = Vec::new();
-    let mut j = i;
-    while j >= 3
-        && tokens[j - 1].is_punct(':')
-        && tokens[j - 2].is_punct(':')
-        && tokens[j - 3].kind == TokenKind::Ident
-    {
-        segs.push(tokens[j - 3].text.clone());
-        j -= 3;
-    }
-    if segs.is_empty() {
-        return None;
-    }
-    segs.reverse();
-    Some(segs)
 }
 
 /// FC010 — a crate root without `#![forbid(unsafe_code)]` on a line of its
@@ -808,81 +623,8 @@ pub fn forbids_unsafe(rel_path: &str, src: &str) -> Option<Diagnostic> {
         col: 0,
         message: "crate root without `#![forbid(unsafe_code)]`".to_string(),
         snippet: None,
-        help: "add `#![forbid(unsafe_code)]` below the crate's doc comment; a crate \
-               that needs `unsafe` says so in xtask/allow.toml with a reason"
-            .to_string(),
+        help: "add `#![forbid(unsafe_code)]` below the crate's doc comment".to_string(),
     })
-}
-
-/// FC011 — unbounded whole-input reads in non-test library code.
-///
-/// `fs::read(..)` / `fs::read_to_string(..)` (resolved through the import
-/// map, so a user module named `fs` never trips it) allocate a buffer sized
-/// by the file; `.read_to_end(..)` / `.read_to_string(..)` do the same for
-/// any `Read`. On a data path that defeats every memory budget: one
-/// oversized input and the slurp OOMs before admission control can say no.
-/// A method-call slurp is waived when a `.take(..)` cap appears on the same
-/// or the two preceding lines (the `Read::take`-bounded idiom); everything
-/// else needs an allowlist entry stating what bounds the input — a
-/// fixed-size record, a file the process itself wrote, a kernel pseudo-file.
-fn unbounded_read(
-    rel_path: &str,
-    tokens: &[Token],
-    excluded: &[bool],
-    file_items: &FileItems,
-    snippet: &dyn Fn(usize) -> Option<String>,
-    out: &mut Vec<Diagnostic>,
-) {
-    // A `.take(cap)` on the finding's line or the two above it bounds the
-    // reader explicitly; the slurp then reads at most `cap` bytes.
-    let take_nearby = |line: usize| {
-        tokens.iter().enumerate().any(|(k, t)| {
-            t.is_ident("take")
-                && t.line + 2 >= line
-                && t.line <= line
-                && tokens.get(k + 1).map(|n| n.is_punct('(')).unwrap_or(false)
-        })
-    };
-    for (i, t) in tokens.iter().enumerate() {
-        if excluded[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let called = tokens.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false);
-        if !called {
-            continue;
-        }
-        let prev_is_dot = i > 0 && tokens[i - 1].is_punct('.');
-        let found: Option<String> = match t.text.as_str() {
-            // `fs::read(..)` / `std::fs::read_to_string(..)` — only when the
-            // path actually resolves to `std::fs`.
-            "read" | "read_to_string" if !prev_is_dot => {
-                let canonical =
-                    path_before(tokens, i).map(|segs| items::canonicalize(&segs, file_items));
-                (canonical.as_deref() == Some("std::fs"))
-                    .then(|| format!("`fs::{}()` slurps a whole file into memory", t.text))
-            }
-            // `reader.read_to_end(..)` / `reader.read_to_string(..)`.
-            "read_to_end" | "read_to_string" if prev_is_dot => (!take_nearby(t.line))
-                .then(|| format!("`.{}()` slurps an unbounded stream", t.text)),
-            _ => None,
-        };
-        if let Some(message) = found {
-            out.push(Diagnostic {
-                rule: Rule::UnboundedRead,
-                path: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                message,
-                snippet: snippet(t.line),
-                help: "stream instead: parse incrementally from a BufReader, cap the \
-                       reader with `Read::take(limit)` on or just above this line, or \
-                       stage through the paged store; if the input is provably small \
-                       (fixed-size record, file this process wrote, kernel pseudo-file), \
-                       allowlist it in xtask/allow.toml stating that bound"
-                    .to_string(),
-            });
-        }
-    }
 }
 
 /// Everything about one `pub fn` signature the rules need.
@@ -1222,70 +964,58 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn flags_unwrap_in_library_code() {
-        let src = "pub fn f(v: Vec<u32>) -> u32 {\n    v.first().copied().unwrap()\n}\n";
-        assert_eq!(rules_hit(src), vec![("FC001", 2)]);
-    }
-
-    #[test]
-    fn flags_every_panic_macro() {
-        let src = "fn a() { panic!(\"x\") }\nfn b() { unreachable!() }\nfn c() { todo!() }\nfn d() { unimplemented!() }\n";
-        let hits = rules_hit(src);
-        assert_eq!(hits.len(), 4, "{hits:?}");
-    }
-
-    #[test]
-    fn ignores_unwrap_or_family() {
-        let src = "fn f(v: Option<u32>) -> u32 { v.unwrap_or(0).max(v.unwrap_or_default()) }\n";
-        assert!(rules_hit(src).is_empty());
-    }
+    // The test-code probes below iterate a `HashSet` (FC007), which is a
+    // finding in library code and none in test code.
 
     #[test]
     fn ignores_test_modules_and_test_fns() {
-        let src = r#"
+        let src = r#"use std::collections::HashSet;
 fn lib_code() {}
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn t() { Some(1).unwrap(); panic!("fine in tests"); }
+    fn t(s: &HashSet<u8>) { for v in s.iter() {} let _ = s.drain(); }
 }
 
 #[test]
-fn top_level_test() { None::<u32>.unwrap(); }
+fn top_level_test(s: &HashSet<u8>) -> usize { s.iter().count() }
 "#;
         assert!(rules_hit(src).is_empty());
+        let untested = src.replace("#[cfg(test)]", "").replace("#[test]", "");
+        assert_eq!(
+            rules_hit(&untested),
+            vec![("FC007", 7), ("FC007", 7), ("FC007", 11)]
+        );
     }
 
     #[test]
     fn cfg_any_test_is_test_code() {
-        let src =
-            "#[cfg(any(test, feature = \"slow\"))]\nmod helpers { pub fn h() { panic!() } }\n";
+        let src = "use std::collections::HashSet;\n#[cfg(any(test, feature = \"slow\"))]\nmod helpers { pub fn h(s: &HashSet<u8>) -> usize { s.iter().count() } }\n";
         assert!(rules_hit(src).is_empty());
     }
 
     #[test]
     fn cfg_not_test_is_library_code() {
-        let src = "#[cfg(not(test))]\nmod real { pub fn r() { panic!() } }\n";
-        assert_eq!(rules_hit(src), vec![("FC001", 2)]);
+        let src = "use std::collections::HashSet;\n#[cfg(not(test))]\nmod real { pub fn r(s: &HashSet<u8>) -> usize { s.iter().count() } }\n";
+        assert_eq!(rules_hit(src), vec![("FC007", 3)]);
     }
 
     #[test]
     fn code_after_test_module_is_still_linted() {
-        let src = "#[cfg(test)]\nmod tests { fn t() {} }\n\npub fn later() { panic!() }\n";
-        assert_eq!(rules_hit(src), vec![("FC001", 4)]);
+        let src = "use std::collections::HashSet;\n#[cfg(test)]\nmod tests { fn t() {} }\n\npub fn later(s: &HashSet<u8>) -> usize { s.iter().count() }\n";
+        assert_eq!(rules_hit(src), vec![("FC007", 5)]);
     }
 
     #[test]
     fn restricted_visibility_keeps_a_test_item_test_code() {
-        let src = "#[cfg(test)]\npub(crate) mod tests { pub(crate) fn t() { None::<u8>.unwrap(); } }\n\npub fn later() { panic!() }\n";
-        assert_eq!(rules_hit(src), vec![("FC001", 4)]);
+        let src = "use std::collections::HashSet;\n#[cfg(test)]\npub(crate) mod tests { pub(crate) fn t(s: &HashSet<u8>) -> usize { s.iter().count() } }\n\npub fn later(s: &HashSet<u8>) -> usize { s.iter().count() }\n";
+        assert_eq!(rules_hit(src), vec![("FC007", 5)]);
     }
 
     #[test]
     fn strings_and_comments_do_not_count() {
-        let src = "// v.unwrap()\nfn f() -> &'static str { \"panic!()\" }\n";
+        let src = "use std::collections::HashSet;\n// s.iter()\nfn f(s: &HashSet<u8>) -> &'static str { \"s.iter()\" }\n";
         assert!(rules_hit(src).is_empty());
     }
 
@@ -1346,36 +1076,6 @@ fn top_level_test() { None::<u32>.unwrap(); }
     #[test]
     fn attributes_between_docs_and_fn_keep_docs() {
         let src = "/// # Invariants\n/// ok\n#[inline]\npub fn m(g: &mut DiGraph) {}\n";
-        assert!(rules_hit(src).is_empty());
-    }
-
-    #[test]
-    fn flags_print_macros_in_library_code() {
-        let src = "pub fn f() { println!(\"x\"); eprintln!(\"y\"); }\nfn g() { dbg!(1); print!(\"a\"); eprint!(\"b\"); }\n";
-        let hits = rules_hit(src);
-        assert_eq!(
-            hits.iter().filter(|(c, _)| *c == "FC005").count(),
-            5,
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn prints_in_tests_and_writeln_escape_fc005() {
-        let src = r#"
-use std::fmt::Write;
-pub fn render() -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "structured output is fine");
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { println!("debugging a test is fine"); }
-}
-"#;
         assert!(rules_hit(src).is_empty());
     }
 
@@ -1522,113 +1222,6 @@ fn f(m: &HashMap) {
     for v in m.iter() {
         let _ = v;
     }
-}
-";
-        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
-    }
-
-    #[test]
-    fn fc008_flags_clock_env_and_core_count() {
-        let src = "\
-use std::time::{Instant, SystemTime};
-fn f() {
-    let t0 = Instant::now();
-    let wall = SystemTime::now();
-    let home = std::env::var(\"HOME\");
-    let cores = std::thread::available_parallelism();
-    let _ = (t0, wall, home, cores);
-}
-";
-        let hits = rules_hit(src);
-        let fc8: Vec<_> = hits.iter().filter(|(c, _)| *c == "FC008").collect();
-        assert_eq!(fc8.len(), 4, "{hits:?}");
-    }
-
-    #[test]
-    fn fc008_elapsed_and_user_now_are_fine() {
-        let src = "\
-struct Clock;
-impl Clock {
-    fn now(&self) -> u64 { 0 }
-}
-fn f(c: &Clock, t0: std::time::Instant) -> u64 {
-    let _ = t0.elapsed();
-    c.now()
-}
-fn g() -> u64 {
-    let clock = Clock;
-    clock.now()
-}
-";
-        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
-    }
-
-    #[test]
-    fn fc008_is_test_exempt() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let _ = std::time::Instant::now();
-    }
-}
-";
-        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
-    }
-
-    #[test]
-    fn fc011_flags_fs_slurps_and_stream_slurps() {
-        let src = "\
-use std::fs;
-use std::io::Read;
-fn a(p: &str) -> Vec<u8> { fs::read(p).unwrap_or_default() }
-fn b(p: &str) -> String { std::fs::read_to_string(p).unwrap_or_default() }
-fn c(mut r: impl Read) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let _ = r.read_to_end(&mut buf);
-    buf
-}
-";
-        let hits = rules_hit(src);
-        let fc11: Vec<_> = hits.iter().filter(|(c, _)| *c == "FC011").collect();
-        assert_eq!(fc11.len(), 3, "{hits:?}");
-        assert!(hits.contains(&("FC011", 3)), "{hits:?}");
-        assert!(hits.contains(&("FC011", 4)), "{hits:?}");
-        assert!(hits.contains(&("FC011", 7)), "{hits:?}");
-    }
-
-    #[test]
-    fn fc011_take_cap_and_user_fs_escape() {
-        let src = "\
-use std::io::Read;
-mod fs { pub fn read(_: &str) -> Vec<u8> { Vec::new() } }
-fn bounded(r: impl Read, cap: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    // The cap bounds the slurp explicitly.
-    let _ = r.take(cap).read_to_end(&mut buf);
-    buf
-}
-fn user_fs(p: &str) -> Vec<u8> { fs::read(p) }
-fn chunked(mut r: impl Read) -> usize {
-    let mut chunk = [0u8; 4096];
-    r.read(&mut chunk).unwrap_or(0)
-}
-";
-        let hits = rules_hit(src);
-        assert!(
-            !hits.iter().any(|(c, _)| *c == "FC011"),
-            "bounded/user-typed reads must not fire FC011: {hits:?}"
-        );
-    }
-
-    #[test]
-    fn fc011_is_test_exempt() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { let _ = std::fs::read(\"fixture\"); }
 }
 ";
         assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));

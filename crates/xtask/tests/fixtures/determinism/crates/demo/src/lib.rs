@@ -24,8 +24,3 @@ pub fn sorted_iteration(weights: &HashMap<String, u32>) -> Vec<(String, u32)> {
 pub fn btree_iteration(depths: &BTreeMap<String, u32>) -> u32 {
     depths.values().sum()
 }
-
-/// FC008: wall clock on a data path.
-pub fn stamp() -> std::time::SystemTime {
-    std::time::SystemTime::now()
-}
