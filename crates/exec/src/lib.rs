@@ -17,10 +17,10 @@
 
 #![forbid(unsafe_code)]
 
+use fc_obs::sync::{Mutex, Rank};
 use fc_obs::Recorder;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// How many chunks each worker should see on average; smaller chunks
@@ -255,15 +255,15 @@ impl Pool {
         // One shared queue of index-tagged chunks, claimed one at a time.
         // A poisoned lock still guards a valid queue: the only thing ever
         // done under it is this `next`.
-        let queue = Mutex::new(items.chunks_mut(chunk).enumerate());
-        let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let queue = Mutex::new(Rank::ExecQueue, items.chunks_mut(chunk).enumerate());
+        let claim = || queue.lock().next();
         // In-order delivery: a result that finishes ahead of a predecessor
         // waits in `early`; whoever completes the next index drains the
         // ready prefix into the sink. Output order is therefore independent
         // of which worker ran what when.
-        let delivery = Mutex::new((0usize, BTreeMap::new(), sink));
+        let delivery = Mutex::new(Rank::ExecDelivery, (0usize, BTreeMap::new(), sink));
         let deliver = |i: usize, t: T| {
-            let mut guard = delivery.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut guard = delivery.lock();
             let (next, early, sink) = &mut *guard;
             early.insert(i, t);
             while let Some(t) = early.remove(&*next) {

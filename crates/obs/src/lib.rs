@@ -52,6 +52,7 @@ pub mod profile;
 pub mod recorder;
 pub mod schema;
 pub mod sink;
+pub mod sync;
 
 pub use budget::{BudgetError, MemoryBudget, Reservation};
 pub use event::{Event, EventKind};

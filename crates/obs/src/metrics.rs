@@ -3,8 +3,8 @@
 
 use crate::json::{push_json_key, push_json_str};
 use crate::schema::{self, ObsError, Value};
+use crate::sync::{Mutex, Rank};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Default histogram bucket upper bounds: powers of two from 1 to 2³⁰.
 /// Values above the last bound land in the overflow bucket. Powers of two
@@ -343,11 +343,8 @@ impl MetricsSnapshot {
 /// str` keys like live-recorded ones. Leaks are bounded by the number of
 /// distinct names ever restored.
 fn intern_name(name: &str) -> &'static str {
-    static REGISTRY: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut reg = REGISTRY
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    static REGISTRY: Mutex<BTreeSet<&'static str>> = Mutex::new(Rank::MetricNames, BTreeSet::new());
+    let mut reg = REGISTRY.lock();
     if let Some(&interned) = reg.get(name) {
         return interned;
     }
@@ -356,14 +353,14 @@ fn intern_name(name: &str) -> &'static str {
     leaked
 }
 
-/// Process-wide histogram-bounds interner; [`DEFAULT_BOUNDS`] is pre-seeded
-/// so the common case allocates nothing.
+/// Process-wide histogram-bounds interner; [`DEFAULT_BOUNDS`] needs no
+/// entry, so the common case allocates nothing.
 fn intern_bounds(bounds: &[u64]) -> &'static [u64] {
-    static REGISTRY: OnceLock<Mutex<Vec<&'static [u64]>>> = OnceLock::new();
-    let mut reg = REGISTRY
-        .get_or_init(|| Mutex::new(vec![DEFAULT_BOUNDS]))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    static REGISTRY: Mutex<Vec<&'static [u64]>> = Mutex::new(Rank::HistogramBounds, Vec::new());
+    if bounds == DEFAULT_BOUNDS {
+        return DEFAULT_BOUNDS;
+    }
+    let mut reg = REGISTRY.lock();
     if let Some(&interned) = reg.iter().find(|&&b| b == bounds) {
         return interned;
     }

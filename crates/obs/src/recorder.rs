@@ -11,9 +11,10 @@
 
 use crate::event::{Event, EventKind};
 use crate::metrics::{is_logical, Histogram, MetricsSnapshot, DEFAULT_BOUNDS};
+use crate::sync::{Mutex, Rank};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Observability options, carried inside `FocusConfig` (which is `Copy`,
@@ -62,12 +63,6 @@ fn lane() -> u64 {
     LANE.with(|l| *l)
 }
 
-/// Lock helper that survives poisoning: a panicking task must not silence
-/// the metrics of every later task (the data is counters, always valid).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// One causal edge under construction: returned by
 /// [`Recorder::flow_start`], consumed by [`Recorder::flow_step`] /
 /// [`Recorder::flow_end`]. Chrome matches the `s`/`t`/`f` phases of one
@@ -113,9 +108,7 @@ struct Inner {
     next_id: AtomicU64,
     /// Open-span stacks per lane: the top is the lane's current span.
     stacks: Mutex<BTreeMap<u64, Vec<u64>>>,
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-    gauges: Mutex<BTreeMap<&'static str, i64>>,
-    histograms: Mutex<BTreeMap<&'static str, Histogram>>,
+    metrics: Mutex<MetricsSnapshot>,
     /// Named flow handles parked for later pickup (e.g. a checkpoint write
     /// whose resume happens later in the same process).
     parked_flows: Mutex<BTreeMap<u64, Flow>>,
@@ -137,7 +130,7 @@ impl Inner {
         tid: u64,
         args: Vec<(&'static str, i64)>,
     ) {
-        let mut events = lock(&self.events);
+        let mut events = self.events.lock();
         let ts = if self.logical {
             self.ticks.fetch_add(1, Ordering::Relaxed)
         } else {
@@ -156,7 +149,8 @@ impl Inner {
     }
 
     fn current_span_of(&self, tid: u64) -> u64 {
-        lock(&self.stacks)
+        self.stacks
+            .lock()
             .get(&tid)
             .and_then(|s| s.last())
             .copied()
@@ -192,12 +186,10 @@ impl Recorder {
                 logical: options.logical_clock,
                 ticks: AtomicU64::new(0),
                 next_id: AtomicU64::new(1),
-                stacks: Mutex::new(BTreeMap::new()),
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
-                parked_flows: Mutex::new(BTreeMap::new()),
-                events: Mutex::new(Vec::new()),
+                stacks: Mutex::new(Rank::SpanStacks, BTreeMap::new()),
+                metrics: Mutex::new(Rank::Metrics, MetricsSnapshot::default()),
+                parked_flows: Mutex::new(Rank::ParkedFlows, BTreeMap::new()),
+                events: Mutex::new(Rank::Events, Vec::new()),
             })),
         }
     }
@@ -222,8 +214,8 @@ impl Recorder {
     /// Adds `delta` to counter `name`, saturating.
     pub fn add(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
-            let mut counters = lock(&inner.counters);
-            let slot = counters.entry(name).or_insert(0);
+            let mut metrics = inner.metrics.lock();
+            let slot = metrics.counters.entry(name).or_insert(0);
             *slot = slot.saturating_add(delta);
         }
     }
@@ -231,7 +223,7 @@ impl Recorder {
     /// Sets gauge `name` to `value` (last write wins).
     pub fn gauge(&self, name: &'static str, value: i64) {
         if let Some(inner) = &self.inner {
-            lock(&inner.gauges).insert(name, value);
+            inner.metrics.lock().gauges.insert(name, value);
         }
     }
 
@@ -246,7 +238,10 @@ impl Recorder {
     /// different bounds still record into the existing histogram.
     pub fn observe_with(&self, name: &'static str, value: u64, bounds: &'static [u64]) {
         if let Some(inner) = &self.inner {
-            lock(&inner.histograms)
+            inner
+                .metrics
+                .lock()
+                .histograms
                 .entry(name)
                 .or_insert_with(|| Histogram::new(bounds))
                 .observe(value);
@@ -295,7 +290,7 @@ impl Recorder {
         let tid = lane();
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = {
-            let mut stacks = lock(&inner.stacks);
+            let mut stacks = inner.stacks.lock();
             let stack = stacks.entry(tid).or_default();
             let parent = stack.last().copied().unwrap_or(0);
             stack.push(id);
@@ -386,7 +381,7 @@ impl Recorder {
             return;
         }
         if let Some(inner) = &self.inner {
-            lock(&inner.parked_flows).insert(key, flow);
+            inner.parked_flows.lock().insert(key, flow);
         }
     }
 
@@ -396,7 +391,7 @@ impl Recorder {
     pub fn flow_take(&self, key: u64) -> Option<Flow> {
         self.inner
             .as_ref()
-            .and_then(|inner| lock(&inner.parked_flows).remove(&key))
+            .and_then(|inner| inner.parked_flows.lock().remove(&key))
     }
 
     /// Records a point event with a structured integer payload.
@@ -428,11 +423,7 @@ impl Recorder {
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             None => MetricsSnapshot::default(),
-            Some(inner) => MetricsSnapshot {
-                counters: lock(&inner.counters).clone(),
-                gauges: lock(&inner.gauges).clone(),
-                histograms: lock(&inner.histograms).clone(),
-            },
+            Some(inner) => inner.metrics.lock().clone(),
         }
     }
 
@@ -463,36 +454,21 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut counters = lock(&inner.counters);
-        counters.retain(|k, _| !is_logical(k));
-        for (&k, &v) in &snapshot.counters {
-            if is_logical(k) {
-                counters.insert(k, v);
-            }
-        }
-        drop(counters);
-        let mut gauges = lock(&inner.gauges);
-        gauges.retain(|k, _| !is_logical(k));
-        for (&k, &v) in &snapshot.gauges {
-            if is_logical(k) {
-                gauges.insert(k, v);
-            }
-        }
-        drop(gauges);
-        let mut histograms = lock(&inner.histograms);
-        histograms.retain(|k, _| !is_logical(k));
-        for (&k, h) in &snapshot.histograms {
-            if is_logical(k) {
-                histograms.insert(k, h.clone());
-            }
-        }
+        let logical = snapshot.logical();
+        let mut metrics = inner.metrics.lock();
+        metrics.counters.retain(|k, _| !is_logical(k));
+        metrics.counters.extend(logical.counters);
+        metrics.gauges.retain(|k, _| !is_logical(k));
+        metrics.gauges.extend(logical.gauges);
+        metrics.histograms.retain(|k, _| !is_logical(k));
+        metrics.histograms.extend(logical.histograms);
     }
 
     /// A copy of every event recorded so far, in recording order.
     pub fn events(&self) -> Vec<Event> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => lock(&inner.events).clone(),
+            Some(inner) => inner.events.lock().clone(),
         }
     }
 }
@@ -519,7 +495,7 @@ impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(inner) = self.inner {
             {
-                let mut stacks = lock(&inner.stacks);
+                let mut stacks = inner.stacks.lock();
                 if let Some(stack) = stacks.get_mut(&self.tid) {
                     if let Some(pos) = stack.iter().rposition(|&x| x == self.id) {
                         stack.remove(pos);

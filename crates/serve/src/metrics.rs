@@ -7,7 +7,7 @@
 //! `max_tenants`, so a hostile client cannot grow process memory by
 //! inventing tenant names.
 
-use std::sync::{Mutex, PoisonError};
+use fc_obs::sync::{Mutex, Rank};
 
 /// Counter: jobs admitted (queued).
 pub const JOBS_ADMITTED: &str = "serve.jobs.admitted";
@@ -78,7 +78,7 @@ impl TenantNames {
     pub fn new(capacity: usize) -> TenantNames {
         TenantNames {
             capacity,
-            names: Mutex::new(Vec::new()),
+            names: Mutex::new(Rank::TenantNames, Vec::new()),
         }
     }
 
@@ -86,7 +86,7 @@ impl TenantNames {
     /// use. Returns `None` once the interner is full (callers then skip
     /// the per-tenant gauge; counters and the global gauge still work).
     pub fn depth_gauge(&self, tenant: &str) -> Option<&'static str> {
-        let mut names = self.names.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut names = self.names.lock();
         if let Some((_, name)) = names.iter().find(|(t, _)| t == tenant) {
             return Some(name);
         }

@@ -42,13 +42,14 @@ use crate::state::{
     input_fnv, valid_tenant_name, JobRecord, StateDir, TerminalState, TerminalStatus,
 };
 use fc_dist::RetryPolicy;
+use fc_obs::sync::{Mutex, Rank};
 use fc_obs::{MemoryBudget, ObsOptions, Recorder, Reservation};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -150,7 +151,26 @@ struct ActiveJob {
     running: bool,
     /// The job's slice of the server memory budget, held for RAII only:
     /// dropping the entry (terminal state, shed, cancel) releases it.
-    _mem: Option<Reservation>,
+    _mem: Reservation,
+}
+
+impl ActiveJob {
+    /// A job admitted to the queue now, holding `mem` until it leaves the
+    /// table. Restart re-admission and `POST /jobs` both build it here.
+    fn queued(record: JobRecord, mem: Reservation) -> ActiveJob {
+        ActiveJob {
+            record,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "queue age for serve.job.queue_ms; the scheduler state, not \
+                          this timestamp, makes admission and scheduling decisions"
+            )]
+            admitted_at: Instant::now(),
+            cancel: Arc::new(AtomicBool::new(false)),
+            running: false,
+            _mem: mem,
+        }
+    }
 }
 
 /// Scheduler + active-job table behind one lock (they must mutate
@@ -178,10 +198,6 @@ struct Shared {
     job_threads: usize,
     /// Admission-side memory ledger (unlimited when no budget is set).
     mem: MemoryBudget,
-}
-
-fn lock_core(shared: &Shared) -> std::sync::MutexGuard<'_, Core> {
-    shared.core.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running `focus serve` instance. Dropping it performs a fast shutdown;
@@ -271,22 +287,8 @@ impl Serve {
                         )?;
                     }
                     recorder.add(metrics::JOBS_RESUMED, 1);
-                    core.active.insert(
-                        record.id.0,
-                        ActiveJob {
-                            record,
-                            #[expect(
-                                clippy::disallowed_methods,
-                                reason = "queue age for serve.job.queue_ms; the \
-                                          scheduler state, not this timestamp, makes \
-                                          admission and scheduling decisions"
-                            )]
-                            admitted_at: Instant::now(),
-                            cancel: Arc::new(AtomicBool::new(false)),
-                            running: false,
-                            _mem: Some(mem_res),
-                        },
-                    );
+                    core.active
+                        .insert(record.id.0, ActiveJob::queued(record, mem_res));
                 }
                 AdmitOutcome::Rejected(r) => {
                     state.write_status(
@@ -307,7 +309,7 @@ impl Serve {
             state,
             recorder,
             runner,
-            core: Mutex::new(core),
+            core: Mutex::new(Rank::ServeCore, core),
             work_cv: Condvar::new(),
             mode: AtomicU8::new(MODE_RUNNING),
             workers_left: AtomicUsize::new(0),
@@ -389,7 +391,7 @@ impl Drop for Serve {
 fn begin_shutdown(shared: &Shared, drain: bool) {
     let mode = if drain { MODE_DRAIN } else { MODE_FAST };
     shared.mode.store(mode, Ordering::SeqCst);
-    lock_core(shared).sched.close();
+    shared.core.lock().sched.close();
     shared.work_cv.notify_all();
 }
 
@@ -491,7 +493,7 @@ fn with_job(raw: &str, f: impl FnOnce(JobId) -> Response) -> Response {
 
 fn serve_metrics(shared: &Shared, req: &Request) -> Response {
     {
-        let core = lock_core(shared);
+        let core = shared.core.lock();
         let rec = &shared.recorder;
         rec.gauge(metrics::QUEUE_DEPTH, core.sched.total_depth() as i64);
         rec.gauge(metrics::RUNNING, core.running as i64);
@@ -548,7 +550,7 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
     // Bound as a statement so the core guard drops before `reject` touches
     // the recorder's locks (an if-let scrutinee temporary would outlive the
     // whole branch).
-    let precheck = lock_core(shared).sched.would_reject(tenant, priority);
+    let precheck = shared.core.lock().sched.would_reject(tenant, priority);
     if let Some(r) = precheck {
         return reject(shared, r);
     }
@@ -577,7 +579,7 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
     }
 
     let shed = {
-        let mut core = lock_core(shared);
+        let mut core = shared.core.lock();
         // The precheck above was advisory; this reserve is authoritative
         // and races with releases, so it can still fail here.
         let mem_res = match shared.mem.try_reserve(JOB_MEM_LABEL, estimate) {
@@ -606,22 +608,7 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
                 if let Some(victim) = &shed {
                     core.active.remove(&victim.id.0);
                 }
-                core.active.insert(
-                    id.0,
-                    ActiveJob {
-                        record,
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "queue age for serve.job.queue_ms; the scheduler \
-                                      state, not this timestamp, makes admission and \
-                                      scheduling decisions"
-                        )]
-                        admitted_at: Instant::now(),
-                        cancel: Arc::new(AtomicBool::new(false)),
-                        running: false,
-                        _mem: Some(mem_res),
-                    },
-                );
+                core.active.insert(id.0, ActiveJob::queued(record, mem_res));
                 shed
             }
         }
@@ -696,7 +683,7 @@ fn job_status(shared: &Shared, id: JobId) -> Response {
         Ok(None) => {}
         Err(e) => return Response::error(500, "state_error", &format!("{e}")),
     }
-    let core = lock_core(shared);
+    let core = shared.core.lock();
     if let Some(job) = core.active.get(&id.0) {
         let state = if job.running { "running" } else { "queued" };
         return Response::json(
@@ -758,7 +745,7 @@ fn job_artifact(shared: &Shared, id: JobId, what: &str) -> Response {
 }
 
 fn cancel_job(shared: &Shared, id: JobId) -> Response {
-    let mut core = lock_core(shared);
+    let mut core = shared.core.lock();
     if core.sched.cancel(id).is_some() {
         core.active.remove(&id.0);
         drop(core);
@@ -924,7 +911,7 @@ fn worker_loop(shared: &Shared) {
 /// Blocks until a job is available or shutdown says to exit. Returns the
 /// job plus its queue delay in milliseconds.
 fn next_job(shared: &Shared) -> Option<(JobId, JobRecord, Arc<AtomicBool>, u64)> {
-    let mut core = lock_core(shared);
+    let mut core = shared.core.lock();
     loop {
         let mode = shared.mode.load(Ordering::SeqCst);
         if mode == MODE_FAST {
@@ -943,11 +930,9 @@ fn next_job(shared: &Shared) -> Option<(JobId, JobRecord, Arc<AtomicBool>, u64)>
         if mode == MODE_DRAIN {
             return None; // queue is empty and we are draining
         }
-        let (guard, _) = shared
-            .work_cv
-            .wait_timeout(core, Duration::from_millis(50))
-            .unwrap_or_else(PoisonError::into_inner);
-        core = guard;
+        core = core
+            .wait_timeout(&shared.work_cv, Duration::from_millis(50))
+            .0;
     }
 }
 
@@ -967,7 +952,7 @@ fn finish(
         total_ms,
         metrics::LATENCY_BOUNDS_MS,
     );
-    let mut core = lock_core(shared);
+    let mut core = shared.core.lock();
     if core.active.remove(&id.0).is_some() && core.running > 0 {
         core.running -= 1;
     }

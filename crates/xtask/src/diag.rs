@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// Identifies one lint rule. FC001, FC005, FC008 and FC011 are retired:
-/// clippy lints enforce them (see the crate docs), and their codes are not
+/// Identifies one lint rule. FC001, FC005 and FC008–FC012 are retired —
+/// the crate docs name what enforces each now — and their codes are not
 /// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
@@ -20,14 +20,6 @@ pub enum Rule {
     /// FC007 — iteration over a `HashMap`/`HashSet` in non-test library
     /// code whose order is not canonicalized by an adjacent sort.
     NondetIteration,
-    /// FC009 — a cycle in the workspace lock-order graph: two lock sites
-    /// that acquire the same Mutex/RwLock pair in opposite orders.
-    LockOrder,
-    /// FC010 — a crate root without `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
-    /// FC012 — a dependency entry in the root manifest or a `crates/*`
-    /// manifest that is neither `path = …` nor `workspace = true`.
-    RegistryCrate,
 }
 
 impl Rule {
@@ -39,13 +31,10 @@ impl Rule {
             Rule::InvariantDoc => "FC004",
             Rule::NoUnboundedQueue => "FC006",
             Rule::NondetIteration => "FC007",
-            Rule::LockOrder => "FC009",
-            Rule::ForbidUnsafe => "FC010",
-            Rule::RegistryCrate => "FC012",
         }
     }
 
-    /// The rule's name, shown by `--list-rules` and in the JSON report.
+    /// The rule's name, shown by `--list-rules`.
     pub fn name(&self) -> &'static str {
         match self {
             Rule::StringError => "no-string-error",
@@ -53,23 +42,17 @@ impl Rule {
             Rule::InvariantDoc => "invariant-doc",
             Rule::NoUnboundedQueue => "no-unbounded-queue",
             Rule::NondetIteration => "nondet-iteration",
-            Rule::LockOrder => "lock-order",
-            Rule::ForbidUnsafe => "forbid-unsafe",
-            Rule::RegistryCrate => "no-registry-crate",
         }
     }
 
     /// All rules, for `--list-rules`.
-    pub fn all() -> [Rule; 8] {
+    pub fn all() -> [Rule; 5] {
         [
             Rule::StringError,
             Rule::ModuleCollision,
             Rule::InvariantDoc,
             Rule::NoUnboundedQueue,
             Rule::NondetIteration,
-            Rule::LockOrder,
-            Rule::ForbidUnsafe,
-            Rule::RegistryCrate,
         ]
     }
 
@@ -98,21 +81,6 @@ impl Rule {
                  it silently breaks the bit-identical-contigs contract in ways the \
                  chaos tests only catch probabilistically — sort the result \
                  adjacently or use a BTreeMap/BTreeSet"
-            }
-            Rule::LockOrder => {
-                "two functions acquiring the same Mutex/RwLock pair in opposite \
-                 orders can deadlock under concurrency the tests never schedule; \
-                 the workspace lock-order graph must stay acyclic"
-            }
-            Rule::ForbidUnsafe => {
-                "the workspace has no `unsafe`; `#![forbid(unsafe_code)]` at every \
-                 crate root (libraries, binaries, the bench harness, this tool) \
-                 makes the compiler keep it so"
-            }
-            Rule::RegistryCrate => {
-                "the workspace must build where it is cloned, with no network and \
-                 an empty registry: every dependency is a path inside the \
-                 repository, named directly or through `[workspace.dependencies]`"
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Path-aware item tables: the lightweight "name resolution" layer the
-//! FC007 and FC009 rules stand on.
+//! FC007 rule stands on.
 //!
 //! The token-level rules (FC002–FC006) ask questions a lexer can answer:
 //! "is this ident `Result` followed by `<`?". The determinism rules need
@@ -32,8 +32,6 @@ use std::collections::BTreeMap;
 pub mod paths {
     pub const HASH_MAP: &str = "std::collections::HashMap";
     pub const HASH_SET: &str = "std::collections::HashSet";
-    pub const MUTEX: &str = "std::sync::Mutex";
-    pub const RWLOCK: &str = "std::sync::RwLock";
 }
 
 /// Well-known roots: a path starting with one of these is already
@@ -526,11 +524,11 @@ mod tests {
         );
         assert_eq!(
             items.imports.get("Lock").map(String::as_str),
-            Some(paths::RWLOCK)
+            Some("std::sync::RwLock")
         );
         assert_eq!(
             items.imports.get("Mutex").map(String::as_str),
-            Some(paths::MUTEX)
+            Some("std::sync::Mutex")
         );
         assert!(items.imports.get("RwLock").is_none(), "renamed away");
     }
@@ -568,7 +566,7 @@ mod tests {
         );
         assert_eq!(
             items.fields.get("core").map(String::as_str),
-            Some(paths::MUTEX)
+            Some("std::sync::Mutex")
         );
     }
 
@@ -636,7 +634,7 @@ mod tests {
         krate.absorb(&b);
         assert_eq!(
             krate.fields.get("core").map(String::as_str),
-            Some(paths::MUTEX)
+            Some("std::sync::Mutex")
         );
         assert_eq!(krate.fields.get("other").map(String::as_str), Some("Vec"));
     }
@@ -646,7 +644,7 @@ mod tests {
         let items = items_of("use std::sync::Mutex;\nstatic LOCK_A: Mutex<()> = Mutex::new(());\n");
         assert_eq!(
             items.bindings.get("LOCK_A").map(String::as_str),
-            Some(paths::MUTEX)
+            Some("std::sync::Mutex")
         );
     }
 }

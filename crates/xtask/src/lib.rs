@@ -28,30 +28,24 @@
 //! * **FC007 `nondet-iteration`** — no iteration over `HashMap`/`HashSet`
 //!   in non-test library code unless canonicalized by an adjacent sort;
 //!   hash order on a data path breaks the bit-identical-contigs contract.
-//! * **FC009 `lock-order`** — every function's Mutex/RwLock acquisition
-//!   sequence (guard-liveness aware, helper-propagating) merges into one
-//!   workspace lock-order graph that must stay acyclic ([`lockorder`]).
 //!
-//! Two rules cover every crate of the workspace — the root package, the
-//! bench harness and this tool included — not only the linted libraries:
+//! The retired codes are enforced elsewhere now (DESIGN.md §8), and no code
+//! number is reused:
 //!
-//! * **FC010 `forbid-unsafe`** — every crate root (`src/lib.rs`,
-//!   `src/main.rs`, `src/bin/*.rs`) carries `#![forbid(unsafe_code)]`, so
-//!   the compiler refuses any `unsafe`.
-//! * **FC012 `no-registry-crate`** — every dependency entry in the root
-//!   manifest and in each `crates/*/Cargo.toml` is `path = …` or
-//!   `workspace = true`, so the workspace builds offline from a clean clone.
-//!
-//! The retired codes are clippy lints now, denied in the root manifest's
-//! `[workspace.lints]` (DESIGN.md §8): FC001 `no-panic` is `unwrap_used`,
-//! `expect_used`, `panic`, `unreachable`, `todo` and `unimplemented`; FC005
-//! `no-print` is `print_stdout`, `print_stderr` and `dbg_macro`; FC008
-//! `ambient-nondet` and FC011 `no-unbounded-read` are `disallowed_methods`
-//! over the methods `clippy.toml` lists. No code number is reused.
+//! * FC001 `no-panic`, FC005 `no-print`, FC008 `ambient-nondet` and FC011
+//!   `no-unbounded-read` are clippy lints denied in the root manifest's
+//!   `[workspace.lints]` (`unwrap_used` … `dbg_macro`, and
+//!   `disallowed_methods` over the methods `clippy.toml` lists).
+//! * FC009 `lock-order` is `fc_obs::sync`: every lock carries a rank from
+//!   one declared order, debug builds check each acquisition against it,
+//!   and `disallowed_types` refuses `std::sync::Mutex`/`RwLock`.
+//! * FC010 `forbid-unsafe` is rustc's `-F unsafe_code` on CI's clippy run.
+//! * FC012 `no-registry-crate` is the root test `tests/lockfile.rs`: the
+//!   committed `Cargo.lock` names no `source`, and `--locked` builds keep
+//!   it equal to the manifests.
 //!
 //! The rules here have no exceptions. The binary exits nonzero on any
-//! finding so CI can gate on it, and `--json` emits the same findings
-//! machine-readably ([`json`]).
+//! finding so CI can gate on it.
 //!
 //! Everything is built on a small hand-rolled lexer ([`lexer`]) because this
 //! build environment cannot fetch `syn`; the lexer understands exactly as
@@ -61,9 +55,7 @@
 
 pub mod diag;
 pub mod items;
-pub mod json;
 pub mod lexer;
-pub mod lockorder;
 pub mod rules;
 pub mod workspace;
 
@@ -85,7 +77,6 @@ pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
     let crates = workspace::lint_crates(root).map_err(|e| format!("scanning crates: {e}"))?;
     let mut violations: Vec<Diagnostic> = Vec::new();
     let mut files = 0usize;
-    let mut locks = lockorder::Collector::new();
     for c in &crates {
         violations.extend(rules::module_collisions(
             &c.rel_dir,
@@ -102,22 +93,11 @@ pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
             krate.absorb(&file_items);
             lexed.push((rel, text, tokens, file_items));
         }
-        locks.add_crate(&c.name, &krate);
-        // Pass 2: the per-file rules, plus feeding the lock-order audit.
+        // Pass 2: the per-file rules.
         for (rel, text, tokens, file_items) in &lexed {
             violations.extend(rules::analyze_tokens(rel, text, tokens, file_items, &krate));
-            locks.add_file(&c.name, rel, tokens, file_items);
             files += 1;
         }
-    }
-    violations.extend(locks.finish());
-    for rel in workspace::manifests(root).map_err(|e| format!("scanning manifests: {e}"))? {
-        let text = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
-        violations.extend(rules::registry_crates(&rel, &text));
-    }
-    for rel in workspace::crate_roots(root).map_err(|e| format!("scanning crate roots: {e}"))? {
-        let text = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
-        violations.extend(rules::forbids_unsafe(&rel, &text));
     }
 
     // Byte-stable output: one canonical order regardless of platform or

@@ -16,12 +16,13 @@ Commands:
 
 Options (analyze):
   --root <dir>    workspace root (default: discovered from the current dir)
-  --json <file>   also write the findings as a machine-readable JSON report
   --list-rules    print the rule set and exit
 
 Exit status: 0 when clean, 1 on violations, 2 on usage or I/O errors.
-No-panic, no-print, ambient-nondeterminism and unbounded-read are clippy
-lints (`cargo clippy --workspace -- -D warnings`), not rules of this tool.
+No-panic, no-print, ambient-nondeterminism, unbounded-read, unranked locks
+and `unsafe` are refused by clippy (`cargo clippy --workspace -- -D warnings
+-F unsafe_code`), and registry crates by the root test `tests/lockfile.rs`;
+none is a rule of this tool.
 ";
 
 fn main() -> ExitCode {
@@ -41,7 +42,6 @@ fn main() -> ExitCode {
 
 fn analyze(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -52,7 +52,6 @@ fn analyze(args: &[String]) -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--root" => root = it.next().map(PathBuf::from),
-            "--json" => json_out = it.next().map(PathBuf::from),
             other => {
                 eprintln!("error: unknown option `{other}`\n\n{USAGE}");
                 return ExitCode::from(2);
@@ -81,13 +80,6 @@ fn analyze(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, xtask::json::render(&analysis)) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
 
     for d in &analysis.violations {
         eprintln!("{d}\n");

@@ -1,7 +1,6 @@
 //! The Focus-specific lint rules, run over one lexed source file (FC002,
 //! FC004, FC006 and the path-aware FC007) or one crate's module list
-//! (FC003), one crate root (FC010) or one manifest (FC012). FC009, the
-//! cross-crate lock-order audit, lives in [`crate::lockorder`].
+//! (FC003).
 
 use crate::diag::{Diagnostic, Rule};
 use crate::items::{self, paths, CrateItems, FileItems};
@@ -85,55 +84,6 @@ pub fn module_collisions(crate_rel: &str, stems: &[(String, String)]) -> Vec<Dia
         }
     }
     out
-}
-
-/// Flags every dependency a manifest takes from a registry (FC012): an entry
-/// of a table whose name ends in `dependencies` (`[workspace.dependencies]`,
-/// `[dev-dependencies]`, …) — inline (`name = …`) or as its own
-/// `[dependencies.name]` table — must say `path = …` or `workspace = true`.
-pub fn registry_crates(rel_path: &str, manifest: &str) -> Vec<Diagnostic> {
-    let local = |text: &str| {
-        let text: String = text.chars().filter(|c| !c.is_whitespace()).collect();
-        text.contains("path=") || text.contains("workspace=true")
-    };
-    // (line, text, is it local?) per dependency entry; the lines of a
-    // `[dependencies.name]` table fold into that table's entry.
-    let mut entries: Vec<(usize, &str, bool)> = Vec::new();
-    let (mut in_table, mut in_entry) = (false, false);
-    for (i, raw) in manifest.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if let Some(header) = line.strip_prefix('[') {
-            let header = header.trim_end_matches(']').trim();
-            in_table = header.ends_with("dependencies");
-            in_entry = header
-                .rsplit_once('.')
-                .is_some_and(|(parent, _)| parent.ends_with("dependencies"));
-            if in_entry {
-                entries.push((i + 1, raw, false));
-            }
-        } else if in_entry {
-            if let Some(entry) = entries.last_mut() {
-                entry.2 |= local(line);
-            }
-        } else if in_table && line.contains('=') {
-            entries.push((i + 1, raw, local(line)));
-        }
-    }
-    entries
-        .into_iter()
-        .filter(|&(_, _, is_local)| !is_local)
-        .map(|(line, text, _)| Diagnostic {
-            rule: Rule::RegistryCrate,
-            path: rel_path.to_string(),
-            line,
-            col: 1,
-            message: "dependency is neither `path = …` nor `workspace = true`".to_string(),
-            snippet: Some(text.to_string()),
-            help: "there is no registry where this workspace is built; use an in-tree \
-                   crate (fc-rng for randomness and seeded test cases) or the standard library"
-                .to_string(),
-        })
-        .collect()
 }
 
 /// Marks every token inside `#[cfg(test)]` items, `#[test]` functions, and
@@ -609,22 +559,6 @@ fn scan_for_header(
             });
         }
     }
-}
-
-/// FC010 — a crate root without `#![forbid(unsafe_code)]` on a line of its
-/// own. With the attribute in place the compiler refuses every `unsafe` in
-/// the crate, so the analyzer only checks that it is there.
-pub fn forbids_unsafe(rel_path: &str, src: &str) -> Option<Diagnostic> {
-    let present = src.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]");
-    (!present).then(|| Diagnostic {
-        rule: Rule::ForbidUnsafe,
-        path: rel_path.to_string(),
-        line: 0,
-        col: 0,
-        message: "crate root without `#![forbid(unsafe_code)]`".to_string(),
-        snippet: None,
-        help: "add `#![forbid(unsafe_code)]` below the crate's doc comment".to_string(),
-    })
 }
 
 /// Everything about one `pub fn` signature the rules need.
@@ -1225,18 +1159,5 @@ fn f(m: &HashMap) {
 }
 ";
         assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
-    }
-
-    #[test]
-    fn fc010_crate_root_must_forbid_unsafe() {
-        let bare = "//! A crate.\npub fn f() {}\n";
-        assert_eq!(
-            forbids_unsafe("src/lib.rs", bare).map(|d| d.rule.code()),
-            Some("FC010")
-        );
-        let commented = "//! A crate.\n// #![forbid(unsafe_code)]\npub fn f() {}\n";
-        assert!(forbids_unsafe("src/lib.rs", commented).is_some());
-        let forbidding = "//! A crate.\n\n#![forbid(unsafe_code)]\n\npub fn f() {}\n";
-        assert!(forbids_unsafe("src/lib.rs", forbidding).is_none());
     }
 }

@@ -73,37 +73,6 @@ pub fn lint_crates(root: &Path) -> std::io::Result<Vec<LintCrate>> {
     Ok(out)
 }
 
-/// The manifests the registry-crate rule reads: the root's and every
-/// `crates/*`'s (the bench harness and this tool included),
-/// workspace-relative. Findings are sorted by the caller.
-pub fn manifests(root: &Path) -> std::io::Result<Vec<String>> {
-    let mut out = vec!["Cargo.toml".to_string()];
-    for entry in fs::read_dir(root.join("crates"))? {
-        let rel = format!("crates/{}/Cargo.toml", entry?.file_name().to_string_lossy());
-        if root.join(&rel).is_file() {
-            out.push(rel);
-        }
-    }
-    Ok(out)
-}
-
-/// Every crate root beside the manifests [`manifests`] lists: `src/lib.rs`,
-/// `src/main.rs` and `src/bin/*.rs`, workspace-relative.
-pub fn crate_roots(root: &Path) -> std::io::Result<Vec<String>> {
-    let mut out = Vec::new();
-    for manifest in manifests(root)? {
-        let src = format!("{}src", manifest.trim_end_matches("Cargo.toml"));
-        out.extend([format!("{src}/lib.rs"), format!("{src}/main.rs")]);
-        if let Ok(bins) = fs::read_dir(root.join(&src).join("bin")) {
-            for bin in bins {
-                out.push(format!("{src}/bin/{}", bin?.file_name().to_string_lossy()));
-            }
-        }
-    }
-    out.retain(|rel| rel.ends_with(".rs") && root.join(rel).is_file());
-    Ok(out)
-}
-
 /// First `name = "..."` in the `[package]` section.
 fn package_name(manifest: &str) -> Option<String> {
     let mut in_package = false;

@@ -1,6 +1,5 @@
 //! Seeded determinism violations for the analyzer's integration tests: each
 //! `FC00x:` marker below must be flagged, each `NOT flagged` case stay clean.
-//! FC010: this crate root does not forbid `unsafe`; every other fixture's does.
 
 use std::collections::{BTreeMap, HashMap};
 

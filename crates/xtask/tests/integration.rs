@@ -1,6 +1,6 @@
 //! Fixture-based integration tests: the whole analyzer — lexer, item
-//! resolution, rules, lock-order audit, rendering — run over
-//! miniature workspaces with seeded violations under `tests/fixtures/`.
+//! resolution, rules, rendering — run over a miniature workspace with
+//! seeded violations under `tests/fixtures/`.
 
 use std::path::PathBuf;
 use xtask::analyze_workspace;
@@ -28,57 +28,12 @@ fn determinism_fixture_flags_exactly_the_seeded_sites() {
     let (analysis, codes) = run("determinism");
     assert_eq!(
         codes,
-        vec![
-            ("FC010".to_string(), 0),  // crate root without forbid(unsafe_code)
-            ("FC007".to_string(), 10), // for v in m.values()
-        ],
+        vec![("FC007".to_string(), 9)], // for v in counts.values()
         "{:#?}",
         analysis.violations
     );
     // The negative cases — adjacent sort, BTreeMap — must not appear at
-    // all (they would add lines 18 and 25). Every other fixture's crate
-    // roots carry the attribute, and none reports FC010.
-}
-
-/// FC012 reads manifests: inline entries, `[dependencies.name]` tables and
-/// `[workspace.dependencies]` are all covered; `name.workspace = true`, a
-/// trailing comment and non-dependency tables are not findings.
-#[test]
-fn registrydeps_fixture_is_flagged_and_pathdeps_fixture_is_clean() {
-    let (analysis, _) = run("registrydeps");
-    let found: Vec<(&str, &str, usize)> = analysis
-        .violations
-        .iter()
-        .map(|d| (d.rule.code(), d.path.as_str(), d.line))
-        .collect();
-    assert_eq!(
-        found,
-        vec![
-            ("FC012", "Cargo.toml", 7),              // serde = "1"
-            ("FC012", "crates/demo/Cargo.toml", 8),  // libc = { version = … }
-            ("FC012", "crates/demo/Cargo.toml", 10), // [dev-dependencies.criterion]
-            ("FC012", "crates/demo/Cargo.toml", 15), // cc = "1"
-        ],
-        "{:#?}",
-        analysis.violations
-    );
-    let (analysis, codes) = run("pathdeps");
-    assert!(codes.is_empty(), "{:#?}", analysis.violations);
-}
-
-#[test]
-fn lockcycle_fixture_reports_the_two_lock_cycle() {
-    let (analysis, codes) = run("lockcycle");
-    assert_eq!(codes.len(), 1, "{:#?}", analysis.violations);
-    assert_eq!(codes[0].0, "FC009");
-    let d = &analysis.violations[0];
-    assert!(
-        d.message.contains("fc-lockcycle-fixture::a")
-            && d.message.contains("fc-lockcycle-fixture::b"),
-        "{}",
-        d.message
-    );
-    assert!(d.help.contains("opposite order"), "{}", d.help);
+    // all (they would add lines 17 and 24).
 }
 
 /// Golden-file test for the rustc-style rendering: diagnostics are sorted
@@ -99,27 +54,4 @@ fn rendered_report_matches_golden_file() {
         "rendering drifted from tests/golden/determinism.stderr; \
          update the golden file if the change is intentional"
     );
-}
-
-/// The JSON report must agree with what the human-readable path would
-/// exit with: findings present ⇒ `"clean": false`, and every violation's
-/// rule code appears in the results array.
-#[test]
-fn json_report_is_consistent_with_violations() {
-    let (analysis, codes) = run("determinism");
-    let json = xtask::json::render(&analysis);
-    assert!(json.contains("\"clean\": false"), "{json}");
-    assert!(
-        json.contains(&format!("\"violations\": {}", codes.len())),
-        "{json}"
-    );
-    for (code, _) in &codes {
-        assert!(json.contains(&format!("\"rule\": \"{code}\"")), "{json}");
-    }
-
-    let clean = xtask::Analysis {
-        violations: vec![],
-        files: 1,
-    };
-    assert!(xtask::json::render(&clean).contains("\"clean\": true"));
 }
