@@ -9,41 +9,54 @@
 //! entry per in-read k-mer start, grouped by a directory over the k-mer's
 //! first `p` bases with each group sorted by `(k-mer, entry)`.
 //!
-//! An entry is `read << off_bits | offset`: the read's rank in the subset
-//! above the k-mer's offset within it, `off_bits` wide enough for the
-//! subset's longest read. Ranks follow concatenation order, so entry order
-//! *is* position order, and a hit is decoded with a shift and a mask — no
-//! search over the read boundaries. The price is the capacity rule
-//! `reads << off_bits <= 2^32` (asserted in [`KmerIndex::build`] beside
-//! `bases <= u32::MAX`): 33 million reads of up to 128 bases, or one
-//! million of up to 4 096.
+//! An entry is `tag << tag_shift | read << off_bits | offset`. Its low bits
+//! are the read's rank in the subset above the k-mer's offset within it,
+//! `off_bits` wide enough for the subset's longest read. Ranks follow
+//! concatenation order, so `(read, offset)` order *is* position order, and a
+//! hit is decoded with a mask, a shift and a mask — no search over the read
+//! boundaries. The price is the capacity rule `reads << off_bits <= 2^32`
+//! (asserted in [`KmerIndex::build`] beside `bases <= u32::MAX`): 33 million
+//! reads of up to 128 bases, or one million of up to 4 096.
+//!
+//! The bits that rule leaves free hold a *tag*: the top bits of the k-mer's
+//! suffix, the bases after the directory's `p`, as many as fit
+//! (`tag_bits`). A bucket's k-mers share their first `p` bases, so within
+//! it k-mer order is suffix order, and sorting by `(k-mer, entry)` sorts the
+//! entries by tag as well. On the ruler's subsets (13 rank and 7 offset bits,
+//! `p = 8`) the tag is 12 bits, six of the suffix's seven bases.
 //!
 //! One bit per entry (`run_start`, plus a sentinel bit past the last entry)
-//! marks where a run of equal k-mers starts. A lookup is one directory read,
-//! then one 64-bit window of the packed text per *distinct* k-mer it passes:
-//! it walks the bucket's run starts (a binary search takes over after
-//! `RUN_WALK_MAX` (8) of them), stops at the first k-mer not below the query,
-//! and returns that run whole — its other entries were proven equal when
-//! the bucket was sorted. It returns the same hit multiset the suffix-array
-//! interval did (DESIGN.md §2). [`KmerIndex::runs`] looks up one query
-//! read's k-mers together, all directory reads first, then all walks.
+//! marks where a run of equal k-mers starts. A lookup reads the directory,
+//! then binary-searches the bucket's contiguous entries for the first whose
+//! tag is not below the query's, reading no text. The entries from there
+//! that carry the query's tag are its *block*, and a lookup whose tag is
+//! absent ends there. Where the tag is the whole suffix the block is the
+//! run, ending at the next run start. Otherwise the lookup reads one 64-bit
+//! window of the packed text per *distinct* k-mer it passes inside the
+//! block: it walks the block's run starts (a binary search takes over after
+//! `RUN_WALK_MAX` (8) of them), stops at the first k-mer not below the
+//! query, and returns that run whole — its other entries were proven equal
+//! when the bucket was sorted. Either way the run is the one an untagged
+//! walk of the whole bucket finds, so lookups return the same hit multiset,
+//! in the same order, as the suffix-array interval did (DESIGN.md §2).
+//! [`KmerIndex::runs`] looks up one query read's k-mers together: all
+//! directory reads, then all block searches, then all text reads.
 
 use fc_seq::packed::BASES_PER_WORD;
 use fc_seq::{DnaString, ReadId};
 
-/// Run starts a lookup walks from the front of its bucket before it
-/// binary-searches what is left, so a lookup derives at most this many
-/// k-mers plus `log2` of the bucket. Measured on `focus-bench`'s `incore-t1`
-/// seed 1 (8x coverage, both strands; 1 657 810 lookups): a looked-up
-/// bucket holds 5.0 runs (11 entries) on average, the walk derives 3.11
-/// k-mers a lookup and 98.2 % of lookups end within 8, where searching
-/// every bucket longer than 8 entries first — the rule this replaced —
-/// pays `log2(len) + 1 >= 5` (seed + vote 0.21–0.25 s against 0.16–0.20 s
-/// when the walk came in, medians of 25, four alternated runs each;
-/// 0.12–0.15 s on a 2-core x86-64 host now that lookups are staged per
-/// read). The search is for the other regime, a bucket of many distinct
-/// k-mers (low coverage, a low-complexity prefix), which the ruler does not
-/// have.
+/// Run starts a lookup walks inside its tag block before it binary-searches
+/// what is left of the block, so a lookup reads at most this many text
+/// windows plus `log2` of the block. Measured on `focus-bench`'s `incore-t1`
+/// seed 1 (8x coverage, both strands; 1 657 810 lookups): the 12-bit tag
+/// leaves 2 of the suffix's 14 bits to the text, so a block holds at most 4
+/// distinct k-mers and no walk reaches the bound. Lookups read 0.85 text
+/// windows each, against 3.11 when the walk started at the front of the
+/// bucket (5.0 runs on average), and all of them took a median 0.049–0.078
+/// s against 0.094–0.126 s (30 rounds, eight alternated runs each, 2-core
+/// x86-64). The search is for a block the tag cannot split — tag width 0 at
+/// the `reads << off_bits = 2^32` edge, or many k-mers that differ only in
+/// the untagged bits — which the ruler does not have.
 const RUN_WALK_MAX: usize = 8;
 
 /// K-mer positions of one read subset, for one `k`.
@@ -52,8 +65,9 @@ pub struct KmerIndex {
     /// The reads' bases back to back, 32 per word, then one zero word so a
     /// window starting at the last base needs no bounds case.
     words: Vec<u64>,
-    /// Every in-read k-mer start as `read << off_bits | offset`, grouped by
-    /// bucket, each bucket sorted by `(k-mer, entry)`.
+    /// Every in-read k-mer start as `tag << tag_shift | read << off_bits |
+    /// offset`, grouped by bucket, each bucket sorted by `(k-mer, entry)` —
+    /// which sorts it by tag too.
     positions: Vec<u32>,
     /// Bit `i` is set where `positions[i]` starts a run of equal k-mers (a
     /// bucket's first entry always does); bit `positions.len()` is a
@@ -72,6 +86,13 @@ pub struct KmerIndex {
     off_bits: u32,
     /// The low `off_bits` bits.
     off_mask: u32,
+    /// Where an entry's tag starts: `32 -` [`tag_bits`].
+    tag_shift: u32,
+    /// The low `tag_shift` bits: an entry's `(read, offset)`.
+    untag: u32,
+    /// Whether the tag is the k-mer's whole suffix, so that a tag block is
+    /// a run and no text needs reading.
+    tag_is_suffix: bool,
 }
 
 /// The 32 bases starting at `pos`, first base in the lowest bits.
@@ -105,6 +126,16 @@ fn dir_bases(kmers: usize, k: usize) -> usize {
         p += 1;
     }
     p
+}
+
+/// Width of an entry's tag for a subset of `reads` reads with `off_bits`
+/// offset bits, whose k-mers leave `suffix_bits` (`2 (k - p)`) bits past the
+/// directory's `p` bases: every bit the `(read, offset)` fields leave free,
+/// up to the whole suffix. 0 at the capacity edge `reads << off_bits = 2^32`
+/// and where the directory covers the whole k-mer.
+fn tag_bits(reads: usize, off_bits: u32, suffix_bits: u32) -> u32 {
+    let rank_bits = usize::BITS - reads.saturating_sub(1).leading_zeros();
+    32u32.saturating_sub(rank_bits + off_bits).min(suffix_bits)
 }
 
 /// Width of the offset field for a subset of `reads` reads whose longest
@@ -167,6 +198,10 @@ impl KmerIndex {
         }
         read_starts.push(bases as u32);
 
+        let p = dir_bases(kmers, k);
+        let suffix_bits = 2 * (k - p) as u32;
+        let tag_width = tag_bits(reads.len(), off_bits, suffix_bits);
+        let tag_shift = 32 - tag_width;
         let mut index = KmerIndex {
             words,
             positions: Vec::new(),
@@ -177,8 +212,11 @@ impl KmerIndex {
             kmer_mask: u64::MAX >> (64 - 2 * k),
             off_bits,
             off_mask: ((1u64 << off_bits) - 1) as u32,
+            tag_shift,
+            untag: ((1u64 << tag_shift) - 1) as u32,
+            tag_is_suffix: tag_width == suffix_bits,
         };
-        let buckets = 1usize << (2 * dir_bases(kmers, k));
+        let buckets = 1usize << (2 * p);
         let bucket = |pos: usize| window(&index.words, pos) as usize & (buckets - 1);
         let mut dir = vec![0u32; buckets + 1];
         index.for_each_kmer_start(k, |_, pos| dir[bucket(pos) + 1] += 1);
@@ -187,6 +225,9 @@ impl KmerIndex {
         }
         // `dir[b]` is bucket b's start and serves as its write cursor, so
         // after the scatter it is bucket b's end — the next bucket's start.
+        // Entries are untagged until the write-back below: a tag is a
+        // function of the k-mer, so sorting by `(k-mer, entry)` puts them in
+        // the same order tagged or not.
         let mut positions = vec![0u32; kmers];
         index.for_each_kmer_start(k, |entry, pos| {
             let cursor = &mut dir[bucket(pos)];
@@ -208,7 +249,7 @@ impl KmerIndex {
             );
             keyed.sort_unstable();
             for (i, &(kmer, entry)) in keyed.iter().enumerate() {
-                positions[lo + i] = entry;
+                positions[lo + i] = index.tag_floor(kmer) as u32 | entry;
                 if i == 0 || keyed[i - 1].0 != kmer {
                     mark(lo + i);
                 }
@@ -235,11 +276,21 @@ impl KmerIndex {
     /// An entry's read rank and offset within that read.
     #[inline]
     fn split(&self, entry: u32) -> (usize, u32) {
+        let entry = entry & self.untag;
         // Shifted as u64: a single read past 2^31 bases has `off_bits == 32`.
         (
             (entry as u64 >> self.off_bits) as usize,
             entry & self.off_mask,
         )
+    }
+
+    /// The least entry, widened to `u64`, that carries `kmer`'s tag: the
+    /// k-mer's top `32 - tag_shift` bits (its last bases) above `tag_shift`
+    /// zero bits. Every shift is of a `u64` by at most 62, so no tag width
+    /// from 0 to 32 needs a case.
+    #[inline]
+    fn tag_floor(&self, kmer: u64) -> u64 {
+        (kmer << self.kmer_mask.leading_zeros() >> 32) >> self.tag_shift << self.tag_shift
     }
 
     /// The k-mer `entry` points at, read from the concatenation.
@@ -269,15 +320,39 @@ impl KmerIndex {
         (self.dir[b], self.dir[b + 1])
     }
 
-    /// The entries of `bucket` whose k-mer is `kmer`: one run, or an empty
-    /// range. Only run starts are compared with the text; a run's other
-    /// entries were equal to its first when the bucket was sorted.
+    /// `bucket` from its first entry whose tag is not below `kmer`'s: one
+    /// binary search over the bucket's entries, and no text read. The
+    /// entries from there that carry `kmer`'s tag are its *block*, a whole
+    /// number of runs that starts one, since entries of two tags hold two
+    /// k-mers.
     #[inline]
-    fn run_in(&self, kmer: u64, bucket: (u32, u32)) -> (u32, u32) {
-        let (mut i, end) = (bucket.0 as usize, bucket.1 as usize);
+    fn tag_start(&self, kmer: u64, bucket: (u32, u32)) -> (u32, u32) {
+        let entries = &self.positions[bucket.0 as usize..bucket.1 as usize];
+        let floor = self.tag_floor(kmer);
+        let skip = entries.partition_point(|&entry| u64::from(entry) < floor);
+        (bucket.0 + skip as u32, bucket.1)
+    }
+
+    /// The entries whose k-mer is `kmer` in `from`, a [`KmerIndex::tag_start`]:
+    /// one run, or an empty range. The tag of an entry says whether it is
+    /// still in the block. A tag that is the whole suffix makes the block
+    /// the run, and no text is read. Otherwise only run starts in the block
+    /// are compared with the text; a run's other entries were equal to its
+    /// first when the bucket was sorted.
+    #[inline]
+    fn run_from(&self, kmer: u64, from: (u32, u32)) -> (u32, u32) {
+        let (mut i, end) = (from.0 as usize, from.1 as usize);
+        let ceiling = self.tag_floor(kmer) + (1 << self.tag_shift);
+        let in_block = |i: usize| i < end && u64::from(self.positions[i]) < ceiling;
         let mut walk = RUN_WALK_MAX;
-        while i < end {
-            let found = self.kmer_at(self.positions[i]);
+        while in_block(i) {
+            // A tag that is the whole suffix has already proven the block's
+            // first entry to be `kmer`.
+            let found = if self.tag_is_suffix {
+                kmer
+            } else {
+                self.kmer_at(self.positions[i])
+            };
             if found >= kmer {
                 if found == kmer {
                     return (i as u32, self.next_run(i) as u32);
@@ -288,9 +363,12 @@ impl KmerIndex {
             i = if walk > 0 {
                 self.next_run(i)
             } else {
-                // Lands on the first k-mer not below the query, or on `end`:
-                // either way the loop is over at its next turn.
-                i + self.positions[i..end].partition_point(|&entry| self.kmer_at(entry) < kmer)
+                // Lands on the first k-mer of the block not below the query,
+                // or past the block: either way the loop is over at its next
+                // turn. The block's end is found from the tags alone.
+                let rest = &self.positions[i..end];
+                let block = &rest[..rest.partition_point(|&entry| u64::from(entry) < ceiling)];
+                i + block.partition_point(|&entry| self.kmer_at(entry) < kmer)
             };
         }
         (0, 0)
@@ -299,15 +377,19 @@ impl KmerIndex {
     /// Looks up every k-mer of `kmers` (packed as by
     /// [`DnaString::kmer_u64`] for the `k` the index was built with):
     /// `out[i]`, cleared first, is the entry range of `kmers[i]`'s run, for
-    /// [`KmerIndex::hits_of`]. A first pass reads every k-mer's directory
-    /// bounds, a second walks each bucket to its run, so one read's
-    /// directory loads are in flight together instead of each waiting
-    /// behind the previous k-mer's walk.
+    /// [`KmerIndex::hits_of`]. Three passes, each over the whole batch: the
+    /// directory bounds of every k-mer, then the start of its tag block in
+    /// the bucket, then its run inside the block. One read's directory
+    /// loads, and then its bucket searches, are in flight together instead
+    /// of each waiting behind the previous k-mer's text reads.
     pub fn runs(&self, kmers: &[u64], out: &mut Vec<(u32, u32)>) {
         out.clear();
         out.extend(kmers.iter().map(|&kmer| self.bucket(kmer)));
         for (range, &kmer) in out.iter_mut().zip(kmers) {
-            *range = self.run_in(kmer, *range);
+            *range = self.tag_start(kmer, *range);
+        }
+        for (range, &kmer) in out.iter_mut().zip(kmers) {
+            *range = self.run_from(kmer, *range);
         }
     }
 
@@ -326,7 +408,7 @@ impl KmerIndex {
     /// Every occurrence of the packed k-mer `kmer`: [`KmerIndex::runs`] for
     /// one k-mer. A k-mer spanning two reads is not an occurrence.
     pub fn hits(&self, kmer: u64) -> impl Iterator<Item = (ReadId, u32)> + '_ {
-        self.hits_of(self.run_in(kmer, self.bucket(kmer)))
+        self.hits_of(self.run_from(kmer, self.tag_start(kmer, self.bucket(kmer))))
     }
 
     /// Bytes of heap the index holds.
@@ -794,6 +876,154 @@ mod tests {
             // The ooc-t2 budget is sized for at most 6.5 bytes per base.
             assert!(heap * 2 <= (reads * len) as u64 * 13 + 64, "{reads}x{len}");
         }
+    }
+
+    /// The run of `kmer` found the slow way: every entry of its bucket
+    /// compared with the text. Empty is `(0, 0)`.
+    fn reference_run(index: &KmerIndex, kmer: u64) -> (u32, u32) {
+        let (lo, hi) = index.bucket(kmer);
+        let mut at = (lo..hi).filter(|&i| index.kmer_at(index.positions[i as usize]) == kmer);
+        match at.next() {
+            Some(first) => (first, at.last().unwrap_or(first) + 1),
+            None => (0, 0),
+        }
+    }
+
+    /// The entries of `kmer`'s bucket that carry its tag, from its
+    /// [`KmerIndex::tag_start`] on; checks that none before it does.
+    fn tag_block(index: &KmerIndex, kmer: u64) -> (usize, usize) {
+        let (start, end) = index.tag_start(kmer, index.bucket(kmer));
+        let (start, end) = (start as usize, end as usize);
+        let tag = |i: usize| u64::from(index.positions[i]) >> index.tag_shift;
+        let floor = index.tag_floor(kmer) >> index.tag_shift;
+        assert!((index.bucket(kmer).0 as usize..start).all(|i| tag(i) < floor));
+        (start, (start..end).find(|&i| tag(i) > floor).unwrap_or(end))
+    }
+
+    /// One `runs` batch of `batch` against the naive scan and, range for
+    /// range (empty ones included), against [`reference_run`]; returns the
+    /// hits seen.
+    fn check_runs(index: &KmerIndex, naive: &NaiveIndex, batch: &[u64], what: &str) -> usize {
+        let mut out = Vec::new();
+        index.runs(batch, &mut out);
+        assert_eq!(out.len(), batch.len(), "{what}");
+        let mut hits = 0;
+        for (&kmer, &range) in batch.iter().zip(&out) {
+            assert_eq!(range, reference_run(index, kmer), "{what}, k-mer {kmer:#x}");
+            hits += assert_same_hits(index.hits_of(range), naive, kmer, what);
+        }
+        hits
+    }
+
+    #[test]
+    fn tag_takes_the_bits_read_and_offset_leave_up_to_the_suffix() {
+        // The ruler's subsets: 6 642 reads (13 rank bits) of up to 90 bases
+        // (7 offset bits) leave 12 bits, six of the suffix's seven bases at
+        // their p = 8, and the whole suffix at p = 9.
+        assert_eq!(tag_bits(6642, 7, 12), 12);
+        assert_eq!(tag_bits(6642, 7, 14), 12);
+        // The capacity edge `reads << off_bits = 2^32` leaves none, and so
+        // does one read past 2^31 bases (32 offset bits).
+        assert_eq!(tag_bits(1 << 19, 13, 30), 0);
+        assert_eq!(tag_bits((1 << 19) - 1, 13, 30), 0);
+        assert_eq!(tag_bits((1 << 18) + 1, 13, 30), 0);
+        assert_eq!(tag_bits(1 << 18, 13, 30), 1);
+        assert_eq!(tag_bits(1, 32, 30), 0);
+        // The directory covers the whole k-mer: nothing left to tag.
+        assert_eq!(tag_bits(20, 6, 0), 0);
+        // No read and no offset bit: the tag may fill all 32 bits.
+        assert_eq!(tag_bits(0, 0, 64), 32);
+        assert_eq!(tag_bits(1, 0, 40), 32);
+    }
+
+    /// 16 reads of 40 bases leave a 22-bit tag: k = 9 and k = 4 (whose
+    /// suffixes are 10 and 0 bits) fit it whole, k = 15 and k = 32 (24 and
+    /// 58 bits) do not, and k = 1 has no suffix at all. Every k-mer and
+    /// random ones, through `hits` and `runs`, against the naive scan.
+    #[test]
+    fn tagged_lookups_match_the_naive_scan_in_every_tag_regime() {
+        let mut rng = Rng::new(57);
+        let seqs: Vec<DnaString> = (0..16).map(|_| random_seq(&mut rng, 40, 4)).collect();
+        let reads = with_ids(&seqs);
+        let mut joined = DnaString::new();
+        for seq in &seqs {
+            joined.extend_from(seq);
+        }
+        for (k, width, whole) in [
+            (9, 10, true),
+            (4, 0, true),
+            (1, 0, true),
+            (15, 22, false),
+            (32, 22, false),
+        ] {
+            let index = KmerIndex::build(&reads, k);
+            let what = format!("k={k}");
+            assert_eq!(
+                (32 - index.tag_shift, index.tag_is_suffix),
+                (width, whole),
+                "{what}"
+            );
+            assert!(check_against_oracle(&seqs, k, &what) > 0);
+            let naive = NaiveIndex::build(&reads, k);
+            let mut batch: Vec<u64> = joined.kmers(k).map(|(_, kmer)| kmer).collect();
+            batch.extend((0..50).map(|_| rng.next_u64() & index.kmer_mask));
+            assert!(check_runs(&index, &naive, &batch, &what) > 0);
+        }
+        // A 32-bit tag and no `(read, offset)` bits: nothing to find, and
+        // nothing may shift a `u32` by 32 on the way.
+        let short = parse(&["A"]);
+        let index = KmerIndex::build(&with_ids(&short), 16);
+        assert_eq!((index.tag_shift, index.untag), (0, 0));
+        assert_eq!(
+            index.hits(0).count() + index.hits(index.kmer_mask).count(),
+            0
+        );
+    }
+
+    /// 48 15-mers that share their first three and last nine bases and
+    /// differ in the three between, plus one 200-base read whose offsets
+    /// widen every entry: the tag leaves six suffix bits untagged, so the
+    /// 48 k-mers are one block of equal tags, more runs than the walk takes
+    /// before it binary-searches.
+    #[test]
+    fn an_equal_tag_block_longer_than_the_run_walk_is_searched() {
+        let mut rng = Rng::new(64);
+        let (head, tail) = (random_seq(&mut rng, 3, 4), random_seq(&mut rng, 9, 4));
+        let middle = |m: u8| -> DnaString {
+            (0..3)
+                .map(|i| fc_seq::Base::from_code(m >> (2 * i) & 3))
+                .collect()
+        };
+        let mut seqs = vec![random_seq(&mut rng, 200, 4)];
+        for m in 0..48 {
+            let mut seq = head.clone();
+            seq.extend_from(&middle(m));
+            seq.extend_from(&tail);
+            seqs.push(seq);
+        }
+        let reads = with_ids(&seqs);
+        let index = KmerIndex::build(&reads, 15);
+        let naive = NaiveIndex::build(&reads, 15);
+        assert_eq!((32 - index.tag_shift, index.tag_is_suffix), (18, false));
+        let kmer_of = |m: u8| {
+            let mut seq = head.clone();
+            seq.extend_from(&middle(m));
+            seq.extend_from(&tail);
+            seq.kmer_u64(0, 15).unwrap()
+        };
+        let (lo, hi) = tag_block(&index, kmer_of(0));
+        let runs = (lo..hi).filter(|&i| marked(&index, i)).count();
+        assert!(runs > RUN_WALK_MAX, "{runs} runs in the block");
+        // The 48 present middles and the 16 absent ones, each alone and all
+        // in one batch.
+        let batch: Vec<u64> = (0..64).map(kmer_of).collect();
+        for (m, &kmer) in batch.iter().enumerate() {
+            assert_eq!(tag_block(&index, kmer), (lo, hi));
+            let hits = assert_same_hits(index.hits(kmer), &naive, kmer, "block");
+            assert_eq!(hits, usize::from(m < 48), "middle {m}");
+        }
+        assert_eq!(check_runs(&index, &naive, &batch, "block batch"), 48);
+        check_against_oracle(&seqs, 15, "equal-tag block");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 mod common;
 
-use focus_assembler::align::{Overlap, Overlapper, Pool};
+use focus_assembler::align::{Overlap, Overlapper, PairStats, Pool};
 use focus_assembler::dist::traverse::check_path_cover;
 use focus_assembler::dist::{DistributedConfig, DistributedHybrid, FaultPlan, FaultRates, PhaseId};
 use focus_assembler::focus::{FocusAssembler, FocusConfig, Prepared, Recorder};
@@ -15,15 +15,19 @@ use focus_assembler::partition::{
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
 use std::sync::{Arc, OnceLock};
 
-/// The verified overlaps G0 was built from, as `overlap_all` computes them
-/// for `config`'s store split and thread count.
-fn overlaps_of(p: &Prepared, config: &FocusConfig) -> Vec<Overlap> {
+/// The verified overlaps G0 was built from, and their work summed over the
+/// subset pairs, as `overlap_all` computes them for `config`'s store split
+/// and thread count.
+fn overlaps_of(p: &Prepared, config: &FocusConfig) -> (Vec<Overlap>, PairStats) {
     let overlapper = Overlapper::new(&p.store, config.overlap).unwrap();
     let subsets = p.store.split_subsets(config.subsets);
     let pool = Pool::new(config.threads);
-    overlapper
-        .overlap_all(&subsets, &pool, &Recorder::disabled())
-        .0
+    let (overlaps, pairs) = overlapper.overlap_all(&subsets, &pool, &Recorder::disabled());
+    let mut total = PairStats::default();
+    for (_, _, stats) in &pairs {
+        total.merge(stats);
+    }
+    (overlaps, total)
 }
 
 /// The one prepared metagenome every test here reads, built once.
@@ -145,15 +149,18 @@ fn path_set(n: usize) -> GraphSet {
     MultilevelSet::build(LevelGraph::from_edges(vec![1; n], &path), &config).set
 }
 
+/// FNV-1a's offset basis, and one step of it over `x`'s little-endian bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+fn fnv1a(hash: u64, x: u64) -> u64 {
+    x.to_le_bytes().iter().fold(hash, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over every level's assignment and every task record.
 fn partition_digest(result: &PartitionResult) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_BASIS;
+    let mut eat = |x: u64| hash = fnv1a(hash, x);
     for assignment in &result.parts_per_level {
         eat(assignment.len() as u64);
         for &p in assignment {
@@ -221,6 +228,65 @@ fn partition_assignments_and_task_logs_are_pinned() {
     }
 }
 
+/// FNV-1a over every overlap's fields, in list order.
+fn overlap_digest(overlaps: &[Overlap]) -> u64 {
+    overlaps.iter().fold(FNV_BASIS, |hash, o| {
+        [
+            u64::from(o.a.0),
+            u64::from(o.b.0),
+            o.kind as u64,
+            u64::from(o.shift),
+            u64::from(o.len),
+            o.identity.to_bits(),
+        ]
+        .into_iter()
+        .fold(hash, fnv1a)
+    })
+}
+
+/// Alignment's output pinned bit for bit across commits: the overlap list
+/// and the summed `PairStats` on the seeded community, at 1 and 4 subsets ×
+/// 1 and 4 threads. The contract matrix compares modes of one build; this
+/// compares builds, so a seed-index or verifier rewrite that claims "same
+/// hits, same overlaps" is held to it. The constants were captured on the
+/// build before the seed index's entries carried k-mer tags.
+#[test]
+fn alignment_output_and_work_are_pinned() {
+    let p = prepared();
+    // (subsets, threads): overlap digest, then lookups, hits, candidates,
+    // overlaps and nw_cells. Each point is printed before any is compared.
+    const ONE: [u64; 5] = [100_324, 2_777_962, 108_027, 65_726, 107_347_792];
+    const FOUR: [u64; 5] = [250_678, 1_831_230, 108_027, 65_726, 107_347_792];
+    let expected = [
+        ((1, 1), (0x1bb6_9db5_c48b_5c3b, ONE)),
+        ((1, 4), (0x1bb6_9db5_c48b_5c3b, ONE)),
+        ((4, 1), (0xd178_d6e0_77f1_2cf7, FOUR)),
+        ((4, 4), (0xd178_d6e0_77f1_2cf7, FOUR)),
+    ];
+    let got: Vec<_> = expected
+        .iter()
+        .map(|&((subsets, threads), _)| {
+            let config = FocusConfig {
+                subsets,
+                threads,
+                ..FocusConfig::default()
+            };
+            let (overlaps, total) = overlaps_of(p, &config);
+            let work = [
+                total.kmer_lookups,
+                total.kmer_hits,
+                total.candidates,
+                total.overlaps,
+                total.nw_cells,
+            ];
+            let digest = overlap_digest(&overlaps);
+            println!("subsets={subsets} threads={threads}: {digest:#018x} {work:?}");
+            ((subsets, threads), (digest, work))
+        })
+        .collect();
+    assert_eq!(got, expected);
+}
+
 #[test]
 fn distributed_stage_preserves_node_cover_for_every_k() {
     let p = prepared();
@@ -271,7 +337,7 @@ fn overlap_edge_weights_match_alignment_lengths() {
     }
     // Identity is a property of the overlap record, not of the edge built
     // from it: the configured bound holds where the value lives.
-    for o in &overlaps_of(p, &FocusConfig::default()) {
+    for o in &overlaps_of(p, &FocusConfig::default()).0 {
         assert!(
             o.identity >= 0.90 - 1e-9,
             "overlap identity {} too low",
