@@ -644,13 +644,7 @@ mod tests {
                 let naive = NaiveIndex::build(&reads, config.k);
                 for q in store.ids() {
                     kmers.clear();
-                    kmers.extend(
-                        store
-                            .get(q)
-                            .kmers(config.k)
-                            .step_by(crate::pairwise::SEED_STEP)
-                            .map(|(_, kmer)| kmer),
-                    );
+                    crate::pairwise::sampled_kmers(store.get(q), config.k, &mut kmers);
                     index.runs(&kmers, &mut runs);
                     for (s, (&kmer, &range)) in kmers.iter().zip(&runs).enumerate() {
                         let pos = s * crate::pairwise::SEED_STEP;

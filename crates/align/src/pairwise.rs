@@ -26,6 +26,18 @@ const IDENTITY_PCT_BOUNDS: &[u64] = &[50, 60, 70, 80, 85, 90, 92, 94, 96, 98, 99
 /// window.
 pub(crate) const SEED_STEP: usize = 3;
 
+/// Appends the k-mers `seq` samples as seeds (`1 ≤ k ≤ 32`): those starting
+/// at every [`SEED_STEP`]-th position, in position order. Only the sampled
+/// starts are read, one masked window each.
+pub(crate) fn sampled_kmers(seq: &DnaString, k: usize, out: &mut Vec<u64>) {
+    if seq.len() < k {
+        return;
+    }
+    let (packed, mask) = (seq.packed(), u64::MAX >> (64 - 2 * k));
+    let starts = (0..=seq.len() - k).step_by(SEED_STEP);
+    out.extend(starts.map(|pos| packed.window(pos) & mask));
+}
+
 /// Parameters of the overlap stage. The paper's evaluation uses a minimum
 /// overlap length of 50 bp and minimum identity of 90 % (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -535,7 +547,7 @@ impl<'a> Overlapper<'a> {
         } = scratch;
         // The read's sampled k-mers, looked up together.
         kmers.clear();
-        kmers.extend(query_seq.kmers(k).step_by(SEED_STEP).map(|(_, kmer)| kmer));
+        sampled_kmers(query_seq, k, kmers);
         index.runs(kmers, runs);
         stats.kmer_lookups += runs.len() as u64;
         // Vote per (reference read, diagonal).
@@ -695,8 +707,23 @@ impl<'a> Overlapper<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use fc_rng::Rng;
+    use fc_rng::{cases, Rng};
     use fc_seq::{DnaString, Read};
+
+    /// The sampled seeds are every `SEED_STEP`-th item of the full k-mer
+    /// iterator, at every k and at the lengths around `k`.
+    #[test]
+    fn sampled_kmers_are_every_seed_step_th_kmer() {
+        cases(64, |rng| {
+            let k = rng.range(1..33);
+            let len = rng.range(0..k + 70);
+            let seq = random_genome(len, rng.range(0..u64::MAX));
+            let mut sampled = vec![7]; // appended after what is there
+            sampled_kmers(&seq, k, &mut sampled);
+            let every: Vec<u64> = seq.kmers(k).step_by(SEED_STEP).map(|(_, m)| m).collect();
+            assert_eq!(sampled[1..], every[..], "k={k} len={len}");
+        });
+    }
 
     pub(crate) fn random_genome(len: usize, seed: u64) -> DnaString {
         let mut rng = Rng::new(seed);

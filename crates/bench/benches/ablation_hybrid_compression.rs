@@ -35,22 +35,24 @@ fn main() {
         ds_config.reads.error_rate_3p = err3;
         let dataset = fc_sim::generate_dataset("D1", &ds_config, 1001).expect("data set generates");
         let assembler = FocusAssembler::new(standard_config()).expect("config valid");
-        let prepared = assembler.prepare(&dataset.reads).expect("prepare succeeds");
+        let stages = assembler
+            .prepare_stages(&dataset.reads)
+            .expect("prepare succeeds");
+        let prepared = &stages.prepared;
 
-        let g0 = prepared.graph.undirected.node_count();
+        let g0 = stages.graph.undirected.node_count();
         let h0 = prepared.hybrid.node_count();
-        let procs = prepared.multilevel.level_count().max(8);
+        let procs = stages.multilevel.level_count().max(8);
         let hybrid_tasks = partition_graph_set(&prepared.hybrid.set, &PartitionConfig::new(16, 7))
             .expect("hybrid partitioning succeeds")
             .tasks;
-        let multi_tasks =
-            partition_graph_set(&prepared.multilevel.set, &PartitionConfig::new(16, 7))
-                .expect("multilevel partitioning succeeds")
-                .tasks;
+        let multi_tasks = partition_graph_set(&stages.multilevel.set, &PartitionConfig::new(16, 7))
+            .expect("multilevel partitioning succeeds")
+            .tasks;
         let ratio_time =
             partition_runtime(&hybrid_tasks, procs) / partition_runtime(&multi_tasks, procs);
         let stats = assembler
-            .assemble_prepared(&prepared, 16)
+            .assemble_prepared(prepared, 16)
             .expect("assembly succeeds")
             .stats;
 

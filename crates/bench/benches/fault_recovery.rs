@@ -33,7 +33,7 @@ fn main() {
         9,
     );
 
-    for (d, p) in ctx.datasets.iter().zip(&ctx.prepared) {
+    for (d, p) in ctx.datasets.iter().zip(ctx.prepared()) {
         let partition = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(K, SEED))
             .expect("partitioning succeeds");
         let dh0 = DistributedHybrid::from_contigs(

@@ -35,8 +35,7 @@ fn main() {
 
     // Task logs per data set per seed.
     let logs: Vec<Vec<_>> = ctx
-        .prepared
-        .iter()
+        .prepared()
         .map(|p| {
             SEEDS
                 .iter()

@@ -26,14 +26,15 @@ fn main() {
         11,
     );
 
-    for (d, p) in ctx.datasets.iter().zip(&ctx.prepared) {
+    for (d, s) in ctx.datasets.iter().zip(&ctx.stages) {
         for &k in &KS {
-            let procs = p.multilevel.level_count().max(k / 2);
-            let hybrid_tasks = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, SEED))
-                .expect("hybrid partitioning succeeds")
-                .tasks;
+            let procs = s.multilevel.level_count().max(k / 2);
+            let hybrid_tasks =
+                partition_graph_set(&s.prepared.hybrid.set, &PartitionConfig::new(k, SEED))
+                    .expect("hybrid partitioning succeeds")
+                    .tasks;
             let multi_tasks =
-                partition_graph_set(&p.multilevel.set, &PartitionConfig::new(k, SEED))
+                partition_graph_set(&s.multilevel.set, &PartitionConfig::new(k, SEED))
                     .expect("multilevel partitioning succeeds")
                     .tasks;
             let t_hybrid = partition_runtime(&hybrid_tasks, procs);

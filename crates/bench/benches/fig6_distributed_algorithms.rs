@@ -25,7 +25,7 @@ fn main() {
         11,
     );
 
-    for (d, p) in ctx.datasets.iter().zip(&ctx.prepared) {
+    for (d, p) in ctx.datasets.iter().zip(ctx.prepared()) {
         for &k in &KS {
             let partition = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, SEED))
                 .expect("partitioning succeeds");

@@ -21,18 +21,23 @@ fn main() {
     let scale = bench_scale();
     let ctx = prepare_context(scale);
 
-    for (d, p) in ctx.datasets.iter().zip(&ctx.prepared) {
+    for (d, s) in ctx.datasets.iter().zip(&ctx.stages) {
         let genomes: Vec<DnaString> = d.taxonomy.genera.iter().map(|g| g.genome.clone()).collect();
         let classifier = KmerClassifier::build(&genomes, K_MER).expect("classifier builds");
         let labels = classifier.classify_all(&d.reads);
 
-        let partition =
-            partition_graph_set(&p.hybrid.set, &PartitionConfig::new(K_PARTITIONS, SEED))
-                .expect("partitioning succeeds");
-        let node_parts = p.hybrid.project_partition_to_reads(partition.finest());
+        let partition = partition_graph_set(
+            &s.prepared.hybrid.set,
+            &PartitionConfig::new(K_PARTITIONS, SEED),
+        )
+        .expect("partitioning succeeds");
+        let node_parts = s
+            .prepared
+            .hybrid
+            .project_partition_to_reads(partition.finest());
 
         let genera: Vec<String> = d.taxonomy.genera.iter().map(|g| g.name.clone()).collect();
-        let dist = GenusDistribution::build(&p.store, &node_parts, &labels, &genera, K_PARTITIONS)
+        let dist = GenusDistribution::build(&s.store, &node_parts, &labels, &genera, K_PARTITIONS)
             .expect("distribution builds");
 
         println!(

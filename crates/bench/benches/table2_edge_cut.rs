@@ -31,17 +31,21 @@ fn main() {
     let mut cells = 0usize;
     let mut max_pct = 0.0f64;
     for &k in &KS {
-        for (d, p) in ctx.datasets.iter().zip(&ctx.prepared) {
-            let total_w = p.graph.undirected.total_edge_weight() as f64;
+        for (d, s) in ctx.datasets.iter().zip(&ctx.stages) {
+            let total_w = s.graph.undirected.total_edge_weight() as f64;
 
-            let hybrid = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, SEED))
-                .expect("hybrid partitioning succeeds");
-            let read_parts = p.hybrid.project_partition_to_reads(hybrid.finest());
-            let cut_hyb = edge_cut(&p.graph.undirected, &read_parts);
+            let hybrid =
+                partition_graph_set(&s.prepared.hybrid.set, &PartitionConfig::new(k, SEED))
+                    .expect("hybrid partitioning succeeds");
+            let read_parts = s
+                .prepared
+                .hybrid
+                .project_partition_to_reads(hybrid.finest());
+            let cut_hyb = edge_cut(&s.graph.undirected, &read_parts);
 
-            let multi = partition_graph_set(&p.multilevel.set, &PartitionConfig::new(k, SEED))
+            let multi = partition_graph_set(&s.multilevel.set, &PartitionConfig::new(k, SEED))
                 .expect("multilevel partitioning succeeds");
-            let cut_ovl = edge_cut(&p.graph.undirected, multi.finest());
+            let cut_ovl = edge_cut(&s.graph.undirected, multi.finest());
 
             let (pct_h, pct_o) = (
                 100.0 * cut_hyb as f64 / total_w,

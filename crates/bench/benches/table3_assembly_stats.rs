@@ -20,7 +20,7 @@ fn main() {
         10,
     );
 
-    for (d, p) in ctx.datasets.iter().zip(&ctx.prepared) {
+    for (d, p) in ctx.datasets.iter().zip(ctx.prepared()) {
         for &k in &KS {
             let result = ctx
                 .assembler

@@ -5,15 +5,16 @@ use fc_graph::LevelGraph;
 use fc_partition::recursive::{TaskKind, TaskRecord};
 use fc_rng::Rng;
 use fc_sim::{paper_datasets, Dataset};
-use focus_core::{FocusAssembler, FocusConfig, Prepared};
+use focus_core::{FocusAssembler, FocusConfig, Prepared, Stages};
 
-/// The three paper-analogue data sets with their prepared (partition-
-/// independent) pipeline artifacts.
+/// The three paper-analogue data sets with their partition-independent
+/// pipeline artifacts.
 pub struct ExperimentContext {
     /// D1–D3.
     pub datasets: Vec<Dataset>,
-    /// Stages 1–5 output per data set.
-    pub prepared: Vec<Prepared>,
+    /// Stages 1–5 output per data set, every stage kept: Table II and
+    /// Fig. 5/7 read `G0`, the multilevel set and the store.
+    pub stages: Vec<Stages>,
     /// The assembler used.
     pub assembler: FocusAssembler,
 }
@@ -41,14 +42,25 @@ pub fn standard_config() -> FocusConfig {
 pub fn prepare_context(scale: f64) -> ExperimentContext {
     let datasets = paper_datasets(scale).expect("paper data sets generate");
     let assembler = FocusAssembler::new(standard_config()).expect("standard config is valid");
-    let prepared = datasets
+    let stages = datasets
         .iter()
-        .map(|d| assembler.prepare(&d.reads).expect("preparation succeeds"))
+        .map(|d| {
+            assembler
+                .prepare_stages(&d.reads)
+                .expect("preparation succeeds")
+        })
         .collect();
     ExperimentContext {
         datasets,
-        prepared,
+        stages,
         assembler,
+    }
+}
+
+impl ExperimentContext {
+    /// What stage 6 reads of each data set's stages, in data-set order.
+    pub fn prepared(&self) -> impl Iterator<Item = &Prepared> {
+        self.stages.iter().map(|s| &s.prepared)
     }
 }
 
@@ -158,10 +170,10 @@ mod tests {
     fn tiny_context_prepares() {
         let ctx = prepare_context(0.01);
         assert_eq!(ctx.datasets.len(), 3);
-        assert_eq!(ctx.prepared.len(), 3);
-        for p in &ctx.prepared {
-            assert!(!p.store.is_empty());
-            assert!(p.hybrid.node_count() > 0);
+        assert_eq!(ctx.stages.len(), 3);
+        for s in &ctx.stages {
+            assert!(!s.store.is_empty());
+            assert!(s.prepared.hybrid.node_count() > 0);
         }
     }
 }

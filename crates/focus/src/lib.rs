@@ -6,9 +6,10 @@
 //! traversal → contig construction.
 //!
 //! The crate stitches the substrates together behind one entry point,
-//! [`FocusAssembler`], and exposes the intermediate artifacts
-//! ([`Prepared`]) so experiments can sweep partition counts without
-//! recomputing alignment and coarsening.
+//! [`FocusAssembler`], and exposes the intermediate artifacts: [`Prepared`],
+//! what stage 6 reads, so experiments can sweep partition counts without
+//! recomputing alignment and coarsening, and [`Stages`], every stage's
+//! product, for the experiments that compare the graph sets.
 
 #![forbid(unsafe_code)]
 
@@ -27,6 +28,6 @@ pub use ooc::OocOptions;
 pub use config::{FaultInjection, FocusConfig, FocusError};
 pub use fc_obs::{ObsOptions, Recorder};
 pub use eval::{evaluate as evaluate_against_references, ReferenceEvaluation};
-pub use pipeline::{AssemblyResult, FocusAssembler, Prepared};
+pub use pipeline::{AssemblyResult, FocusAssembler, Prepared, Stages};
 pub use serve::AssemblyJobRunner;
 pub use stats::AssemblyStats;

@@ -265,8 +265,8 @@ impl FocusAssembler {
 
         let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
         let mem = budget.budget().clone();
-        let prepared =
-            self.prepare_from(store_reads, &mut policy, &mut budget, |store| match ooc {
+        let prepared = self
+            .prepare_from(store_reads, &mut policy, &mut budget, |store| match ooc {
                 Some(ooc) => {
                     let dir = ooc.spill_dir.join("align");
                     let faults = ooc.fs_faults.clone();
@@ -274,7 +274,8 @@ impl FocusAssembler {
                     overlap_all_spilled(config, store, &pool, rec, &mut spill, opts.resume, &mem)
                 }
                 None => align_in_core(config, store, &pool, rec, &mem),
-            });
+            })
+            .map(|stages| stages.prepared);
         outcome(prepared.and_then(|prepared| {
             self.finish(&prepared, config.partitions)
                 .map_err(Halt::Failed)

@@ -1,12 +1,15 @@
 //! The six-stage Focus pipeline (paper §II).
 //!
-//! The stage sequence is written once, split where [`Prepared`] — everything
-//! that does not depend on the partition count — is complete: the
-//! crate-private `prepare_from` runs stages 2–5 over a preprocessed store
-//! and `finish` runs stage 6. Every entry point is those two calls; the
-//! alignment boundary inside `prepare_from` runs under a checkpoint policy
-//! (`checkpoint::CkptPolicy`): off for [`prepare`](FocusAssembler::prepare),
-//! which preprocesses reads already in memory, and the caller's for
+//! The stage sequence is written once, split where the partition count
+//! enters: the crate-private `prepare_from` runs stages 2–5 over a
+//! preprocessed store and returns every stage's product ([`Stages`]), and
+//! `finish` runs stage 6 on the part of it that stage reads ([`Prepared`]).
+//! Every entry point is those two calls; all but
+//! [`prepare_stages`](FocusAssembler::prepare_stages) keep only the
+//! [`Prepared`]. The alignment boundary inside `prepare_from` runs under a
+//! checkpoint policy (`checkpoint::CkptPolicy`): off for
+//! [`prepare`](FocusAssembler::prepare), which preprocesses reads already in
+//! memory, and the caller's for
 //! [`assemble_file`](FocusAssembler::assemble_file), the one way a file
 //! enters the pipeline, which brings its own streaming ingest and, out of
 //! core, a spilling `align`.
@@ -33,21 +36,15 @@ pub struct FocusAssembler {
     recorder: Recorder,
 }
 
-/// The partition-independent product (stages 1–5): the preprocessed store,
-/// the per-pair alignment stats, the level-0 overlap graph, the multilevel
-/// graph set, the hybrid graph set, and the hybrid nodes' contig sequences.
-/// The verified overlaps themselves are gone once G0 is built from them;
-/// [`Overlapper::overlap_all`] recomputes them for anyone who needs them.
+/// What stage 6 reads of the partition-independent product: the hybrid
+/// graph set and the hybrid nodes' contig sequences. Nothing else of
+/// stages 1–5 outlives [`prepare`](FocusAssembler::prepare): the store,
+/// the pair stats, `G0` and the multilevel set are freed before it returns,
+/// so a sweep over partition counts allocates on top of these two alone.
+/// [`prepare_stages`](FocusAssembler::prepare_stages) returns them for
+/// the code that reads them.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// Preprocessed, strand-augmented reads.
-    pub store: ReadStore,
-    /// Per-subset-pair alignment work statistics.
-    pub pair_stats: Vec<(usize, usize, PairStats)>,
-    /// Level-0 overlap graph.
-    pub graph: OverlapGraph,
-    /// Multilevel graph set `{G0 … Gn}`.
-    pub multilevel: MultilevelSet,
     /// Hybrid graph set `{G'0 … G'n}`.
     pub hybrid: HybridSet,
     /// Contig sequence of every hybrid node, in node-id order. A hybrid node
@@ -56,6 +53,26 @@ pub struct Prepared {
     /// [`assemble_prepared`](FocusAssembler::assemble_prepared) call shares
     /// them.
     pub contigs: Arc<[DnaString]>,
+}
+
+/// Every product of stages 1–5, as
+/// [`prepare_stages`](FocusAssembler::prepare_stages) returns it: the
+/// [`Prepared`] stage 6 reads, and the store, pair stats, `G0` and
+/// multilevel set it does not. The verified overlaps themselves are gone
+/// once G0 is built from them; [`Overlapper::overlap_all`] recomputes them
+/// for anyone who needs them.
+#[derive(Debug, Clone)]
+pub struct Stages {
+    /// Preprocessed, strand-augmented reads.
+    pub store: ReadStore,
+    /// Per-subset-pair alignment work statistics.
+    pub pair_stats: Vec<(usize, usize, PairStats)>,
+    /// Level-0 overlap graph.
+    pub graph: OverlapGraph,
+    /// Multilevel graph set `{G0 … Gn}`.
+    pub multilevel: MultilevelSet,
+    /// What [`assemble_prepared`](FocusAssembler::assemble_prepared) reads.
+    pub prepared: Prepared,
 }
 
 /// A complete assembly outcome.
@@ -111,7 +128,16 @@ impl FocusAssembler {
     /// Runs stages 1–5: preprocessing, parallel alignment, overlap graph,
     /// multilevel coarsening, hybrid-set construction. The reads are held
     /// for the whole run, so the ledger charges them as `input-reads`.
+    /// Returns only what stage 6 reads; the other stages are freed before
+    /// this returns.
     pub fn prepare(&self, reads: &[Read]) -> Result<Prepared, FocusError> {
+        self.prepare_stages(reads).map(|stages| stages.prepared)
+    }
+
+    /// [`prepare`](FocusAssembler::prepare), keeping every stage's product:
+    /// for the paper's figures and tables that compare the hybrid set with
+    /// `G0` and the multilevel set.
+    pub fn prepare_stages(&self, reads: &[Read]) -> Result<Stages, FocusError> {
         let (rec, config) = (&self.recorder, &self.config);
         let _span = rec.span_args(
             "pipeline",
@@ -169,7 +195,7 @@ impl FocusAssembler {
         policy: &mut CkptPolicy<'_>,
         budget: &mut RunBudget,
         align: impl FnOnce(&ReadStore) -> Result<AlignmentCkpt, FocusError>,
-    ) -> Result<Prepared, Halt> {
+    ) -> Result<Stages, Halt> {
         let (rec, config) = (&self.recorder, &self.config);
         let (overlaps, pair_stats) = policy.alignment(|| align(&store))?;
         let bytes = (overlaps.len() * std::mem::size_of::<Overlap>()) as u64;
@@ -199,13 +225,12 @@ impl FocusAssembler {
 
         let contigs = DistributedHybrid::node_contigs(&hybrid, &store);
         rec.sample_peak_rss();
-        Ok(Prepared {
+        Ok(Stages {
             store,
             pair_stats,
             graph,
             multilevel,
-            hybrid,
-            contigs,
+            prepared: Prepared { hybrid, contigs },
         })
     }
 

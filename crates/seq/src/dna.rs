@@ -210,8 +210,7 @@ impl DnaString {
     }
 
     /// Bytes of heap the packed words hold.
-    #[cfg(test)]
-    pub(crate) fn heap_bytes(&self) -> usize {
+    pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * 8
     }
 

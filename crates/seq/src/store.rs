@@ -149,6 +149,15 @@ impl ReadStore {
         self.reads.iter().map(|s| stored_bytes(s.len())).sum()
     }
 
+    /// Bytes the store holds on the heap: both vectors' capacity and every
+    /// sequence's words. [`approx_bytes`](ReadStore::approx_bytes) is the
+    /// ledger's model of this.
+    pub fn heap_bytes(&self) -> usize {
+        self.reads.capacity() * std::mem::size_of::<DnaString>()
+            + self.reads.iter().map(DnaString::heap_bytes).sum::<usize>()
+            + self.source.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Splits the id space into `n` contiguous subsets of near-equal size for
     /// the parallel aligner (paper §II-A/B). Subset sizes differ by at most
     /// one; empty subsets are produced only when `n > len`.
@@ -442,11 +451,6 @@ mod props {
     /// for a store preprocessed or rebuilt from staged strands.
     #[test]
     fn approx_bytes_covers_the_heap_and_stays_close() {
-        let heap = |s: &ReadStore| {
-            s.reads.capacity() * std::mem::size_of::<DnaString>()
-                + s.reads.iter().map(DnaString::heap_bytes).sum::<usize>()
-                + s.source.capacity() * std::mem::size_of::<u32>()
-        };
         let config = TrimConfig {
             min_read_len: 1,
             ..TrimConfig::default()
@@ -465,7 +469,7 @@ mod props {
             let forward = store.ids().step_by(2);
             let staged = forward.map(|id| (store.get(id).clone(), id.0)).collect();
             for s in [&store, &ReadStore::from_trimmed(staged)] {
-                let (heap, charged) = (heap(s), s.approx_bytes());
+                let (heap, charged) = (s.heap_bytes(), s.approx_bytes());
                 assert!(charged >= heap, "{charged} < {heap}");
                 assert!(charged * 4 <= heap * 5, "{charged} > 1.25 x {heap}");
             }

@@ -10,6 +10,7 @@ use focus_assembler::dist::{DistributedHybrid, FaultPlan, PhaseId};
 use focus_assembler::focus::{FocusAssembler, FocusConfig};
 use focus_assembler::partition::{partition_graph_set, PartitionConfig};
 use focus_assembler::sim::single_genome_dataset;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Simulate and prepare a dataset once (stages 1–5 are unaffected by
@@ -25,8 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &PartitionConfig::new(k, config.partition_seed),
     )?;
     let parts = partition.finest().to_vec();
-    let build =
-        || DistributedHybrid::with_consensus(&prepared.hybrid, &prepared.store, parts.clone(), k);
+    let build = || {
+        let contigs = Arc::clone(&prepared.contigs);
+        DistributedHybrid::from_contigs(&prepared.hybrid, contigs, parts.clone(), k)
+    };
 
     // 2. Fault-free baseline.
     let mut clean_dh = build()?;

@@ -31,14 +31,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Run pipeline stages 1-5 once, then partition 16 ways.
     let assembler = FocusAssembler::new(FocusConfig::default())?;
-    let prepared = assembler.prepare(&dataset.reads)?;
+    let stages = assembler.prepare_stages(&dataset.reads)?;
+    let prepared = &stages.prepared;
     println!(
         "\noverlap graph: {} nodes, {} edges -> hybrid graph: {} nodes",
-        prepared.graph.undirected.node_count(),
-        prepared.graph.undirected.edge_count(),
+        stages.graph.undirected.node_count(),
+        stages.graph.undirected.edge_count(),
         prepared.hybrid.node_count()
     );
-    let result = assembler.assemble_prepared(&prepared, 16)?;
+    let result = assembler.assemble_prepared(prepared, 16)?;
     println!(
         "assembled {} contigs, N50 {} bp, max {} bp",
         result.stats.num_contigs, result.stats.n50, result.stats.max_contig
@@ -71,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|g| g.name.clone())
         .collect();
-    let dist = GenusDistribution::build(&prepared.store, &node_parts, &labels, &genera, 16)?;
+    let dist = GenusDistribution::build(&stages.store, &node_parts, &labels, &genera, 16)?;
 
     println!("\ngenus x partition heat map (darker = more of the genus's reads):");
     print!("{}", focus_assembler::classify::render_text(&dist));

@@ -23,13 +23,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let genome_len = n_reads * 100 / 10; // ~10x coverage
     let dataset = single_genome_dataset(genome_len, 10.0, 11)?;
     let assembler = FocusAssembler::new(FocusConfig::default())?;
-    let prepared = assembler.prepare(&dataset.reads)?;
+    let stages = assembler.prepare_stages(&dataset.reads)?;
+    let prepared = &stages.prepared;
 
     println!(
         "overlap graph G0: {} nodes / {} edges; multilevel levels: {}; hybrid G'0: {} nodes",
-        prepared.graph.undirected.node_count(),
-        prepared.graph.undirected.edge_count(),
-        prepared.multilevel.level_count(),
+        stages.graph.undirected.node_count(),
+        stages.graph.undirected.edge_count(),
+        stages.multilevel.level_count(),
         prepared.hybrid.node_count(),
     );
     println!(
@@ -40,15 +41,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut k = 2usize;
     while k <= max_k {
         let hybrid = partition_graph_set(&prepared.hybrid.set, &PartitionConfig::new(k, 5))?;
-        let multi = partition_graph_set(&prepared.multilevel.set, &PartitionConfig::new(k, 5))?;
+        let multi = partition_graph_set(&stages.multilevel.set, &PartitionConfig::new(k, 5))?;
 
         // Compare cuts on the same graph (G0) by projecting the hybrid
         // assignment onto reads.
         let read_parts = prepared.hybrid.project_partition_to_reads(hybrid.finest());
-        let cut_h = edge_cut(&prepared.graph.undirected, &read_parts);
-        let cut_m = edge_cut(&prepared.graph.undirected, multi.finest());
-        let bal_h = partition_balance(&prepared.graph.undirected, &read_parts, k);
-        let bal_m = partition_balance(&prepared.graph.undirected, multi.finest(), k);
+        let cut_h = edge_cut(&stages.graph.undirected, &read_parts);
+        let cut_m = edge_cut(&stages.graph.undirected, multi.finest());
+        let bal_h = partition_balance(&stages.graph.undirected, &read_parts, k);
+        let bal_m = partition_balance(&stages.graph.undirected, multi.finest(), k);
 
         // Virtual runtimes on k/2 simulated processors.
         let phases = |tasks: &[focus_assembler::partition::TaskRecord]| {

@@ -611,11 +611,12 @@ fn graph(args: &[String]) -> Result<(), String> {
     let config = build_config(&opts)?;
     let reads = read_input(&input)?;
     let assembler = FocusAssembler::new(config).map_err(|e| e.to_string())?;
-    let prepared = assembler.prepare(&reads).map_err(|e| e.to_string())?;
+    let stages = assembler.prepare_stages(&reads).map_err(|e| e.to_string())?;
+    let (g0, prepared) = (&stages.graph.undirected, &stages.prepared);
     eprintln!(
         "overlap graph: {} nodes / {} edges -> hybrid graph: {} nodes / {} edges",
-        prepared.graph.undirected.node_count(),
-        prepared.graph.undirected.edge_count(),
+        g0.node_count(),
+        g0.edge_count(),
         prepared.hybrid.node_count(),
         prepared.hybrid.directed.edge_count()
     );

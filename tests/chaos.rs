@@ -251,7 +251,7 @@ fn every_phase_payload_round_trips() {
         let reads = tiled_reads(len, seed);
         let config = chaos_config();
         let assembler = FocusAssembler::new(config).unwrap();
-        let Ok(prepared) = assembler.prepare(&reads) else {
+        let Ok(stages) = assembler.prepare_stages(&reads) else {
             // Some tiny random genomes assemble to nothing; skip those.
             return;
         };
@@ -259,10 +259,10 @@ fn every_phase_payload_round_trips() {
             Vec<focus_assembler::align::Overlap>,
             Vec<(usize, usize, focus_assembler::align::PairStats)>,
         );
-        let alignment: AlignmentCkpt = Overlapper::new(&prepared.store, config.overlap)
+        let alignment: AlignmentCkpt = Overlapper::new(&stages.store, config.overlap)
             .unwrap()
             .overlap_all(
-                &prepared.store.split_subsets(config.subsets),
+                &stages.store.split_subsets(config.subsets),
                 &Pool::new(config.threads),
                 &Recorder::disabled(),
             );

@@ -147,10 +147,11 @@ fn graph_segments_carry_the_sequences_the_assembly_uses() {
         threads: 1,
         ..FocusConfig::default()
     };
-    let prepared = FocusAssembler::new(config)
+    let stages = FocusAssembler::new(config)
         .unwrap()
-        .prepare(&reads)
+        .prepare_stages(&reads)
         .unwrap();
+    let prepared = &stages.prepared;
     let gfa = std::fs::read_to_string(&gfa_path).unwrap();
     let (mut segments, mut differ) = (0, 0);
     for line in gfa.lines().filter(|line| line.starts_with("S\t")) {
@@ -158,7 +159,7 @@ fn graph_segments_carry_the_sequences_the_assembly_uses() {
         let v: u32 = fields[1].parse().unwrap();
         let consensus = &prepared.contigs[v as usize];
         assert_eq!(fields[2], consensus.to_string(), "segment {v}");
-        let first_wins = prepared.hybrid.layouts[v as usize].contig_sequence(&prepared.store);
+        let first_wins = prepared.hybrid.layouts[v as usize].contig_sequence(&stages.store);
         if first_wins != *consensus {
             differ += 1;
         }

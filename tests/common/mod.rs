@@ -5,6 +5,7 @@
 // Each test binary compiles this module and uses a different part of it.
 #![allow(dead_code)]
 
+pub mod alloc;
 pub mod matrix;
 
 use focus_assembler::dist::FaultRates;

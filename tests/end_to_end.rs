@@ -213,15 +213,16 @@ fn consensus_improves_base_accuracy_over_first_wins() {
     use focus_assembler::focus::evaluate_against_references;
     let dataset = single_genome_dataset(5_000, 16.0, 33).unwrap();
     let references = vec![dataset.taxonomy.genera[0].genome.clone()];
-    let p = FocusAssembler::new(quick_config(4))
+    let s = FocusAssembler::new(quick_config(4))
         .unwrap()
-        .prepare(&dataset.reads)
+        .prepare_stages(&dataset.reads)
         .unwrap();
+    let p = &s.prepared;
     let first_wins: Vec<DnaString> = p
         .hybrid
         .layouts
         .iter()
-        .map(|layout| layout.contig_sequence(&p.store))
+        .map(|layout| layout.contig_sequence(&s.store))
         .collect();
     let acc_with = evaluate_against_references(&p.contigs, &references)
         .unwrap()

@@ -5,7 +5,7 @@ mod common;
 use focus_assembler::align::{Overlap, Overlapper, PairStats, Pool};
 use focus_assembler::dist::traverse::check_path_cover;
 use focus_assembler::dist::{DistributedConfig, DistributedHybrid, FaultPlan, FaultRates, PhaseId};
-use focus_assembler::focus::{FocusAssembler, FocusConfig, Prepared, Recorder};
+use focus_assembler::focus::{FocusAssembler, FocusConfig, Prepared, Recorder, Stages};
 use focus_assembler::graph::{coarsen, CoarsenConfig, GraphSet, LevelGraph, MultilevelSet};
 use focus_assembler::partition::recursive::TaskKind;
 use focus_assembler::partition::{
@@ -18,9 +18,9 @@ use std::sync::{Arc, OnceLock};
 /// The verified overlaps G0 was built from, and their work summed over the
 /// subset pairs, as `overlap_all` computes them for `config`'s store split
 /// and thread count.
-fn overlaps_of(p: &Prepared, config: &FocusConfig) -> (Vec<Overlap>, PairStats) {
-    let overlapper = Overlapper::new(&p.store, config.overlap).unwrap();
-    let subsets = p.store.split_subsets(config.subsets);
+fn overlaps_of(s: &Stages, config: &FocusConfig) -> (Vec<Overlap>, PairStats) {
+    let overlapper = Overlapper::new(&s.store, config.overlap).unwrap();
+    let subsets = s.store.split_subsets(config.subsets);
     let pool = Pool::new(config.threads);
     let (overlaps, pairs) = overlapper.overlap_all(&subsets, &pool, &Recorder::disabled());
     let mut total = PairStats::default();
@@ -30,44 +30,50 @@ fn overlaps_of(p: &Prepared, config: &FocusConfig) -> (Vec<Overlap>, PairStats) 
     (overlaps, total)
 }
 
-/// The one prepared metagenome every test here reads, built once.
-fn prepared() -> &'static Prepared {
-    static PREPARED: OnceLock<Prepared> = OnceLock::new();
-    PREPARED.get_or_init(|| {
+/// The one prepared metagenome every test here reads, built once, with
+/// every stage kept.
+fn stages() -> &'static Stages {
+    static STAGES: OnceLock<Stages> = OnceLock::new();
+    STAGES.get_or_init(|| {
         // Denser than `test_scale`: ~15x coverage keeps the overlap graph
         // connected, which is what balance/cut invariants assume.
         let mut config = DatasetConfig::test_scale();
         config.total_reads = 1800;
         let dataset = generate_dataset("inv", &config, 13).unwrap();
         let assembler = FocusAssembler::new(FocusConfig::default()).unwrap();
-        assembler.prepare(&dataset.reads).unwrap()
+        assembler.prepare_stages(&dataset.reads).unwrap()
     })
+}
+
+/// What stage 6 reads of [`stages`].
+fn prepared() -> &'static Prepared {
+    &stages().prepared
 }
 
 #[test]
 fn graph_sets_satisfy_structural_invariants() {
-    let p = prepared();
-    p.graph.undirected.check_invariants().unwrap();
-    p.graph.directed.check_invariants().unwrap();
-    p.multilevel.set.check_invariants().unwrap();
+    let (s, p) = (stages(), prepared());
+    s.graph.undirected.check_invariants().unwrap();
+    s.graph.directed.check_invariants().unwrap();
+    s.multilevel.set.check_invariants().unwrap();
     p.hybrid.set.check_invariants().unwrap();
     // The hybrid graph is a compression: never more nodes than G0.
-    assert!(p.hybrid.node_count() <= p.graph.undirected.node_count());
+    assert!(p.hybrid.node_count() <= s.graph.undirected.node_count());
     // Node weight (reads represented) is conserved by the hybrid mapping.
     assert_eq!(
         p.hybrid.set.finest().total_node_weight() as usize,
-        p.store.len()
+        s.store.len()
     );
 }
 
 #[test]
 fn hybrid_partition_projection_is_consistent() {
-    let p = prepared();
+    let (s, p) = (stages(), prepared());
     for k in [2usize, 4, 8] {
         let result = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, 3)).unwrap();
         validate_partition(p.hybrid.set.finest(), result.finest(), k).unwrap();
         let read_parts = p.hybrid.project_partition_to_reads(result.finest());
-        assert_eq!(read_parts.len(), p.store.len());
+        assert_eq!(read_parts.len(), s.store.len());
         // Every read in a cluster inherits its representative's partition.
         for (node, &rep) in p.hybrid.rep_of_node.iter().enumerate() {
             assert_eq!(read_parts[node], result.finest()[rep as usize]);
@@ -79,8 +85,8 @@ fn hybrid_partition_projection_is_consistent() {
 
 #[test]
 fn partition_balance_and_cut_are_sane_across_k() {
-    let p = prepared();
-    let total_weight = p.graph.undirected.total_edge_weight();
+    let (s, p) = (stages(), prepared());
+    let total_weight = s.graph.undirected.total_edge_weight();
     // Balance bounds are the smallest round values HEAD passes, not targets.
     // Measured on this fixture (136 hybrid nodes, 3 600 reads, heaviest node
     // 391 reads): 1.002, 1.960, 2.189 and — against an ideal share of 225 and
@@ -89,7 +95,7 @@ fn partition_balance_and_cut_are_sane_across_k() {
     for (k, max_balance) in [(2usize, 1.01), (4, 2.0), (8, 2.2), (16, 4.1)] {
         let result = partition_graph_set(&p.hybrid.set, &PartitionConfig::new(k, 9)).unwrap();
         let read_parts = p.hybrid.project_partition_to_reads(result.finest());
-        let cut = edge_cut(&p.graph.undirected, &read_parts);
+        let cut = edge_cut(&s.graph.undirected, &read_parts);
         assert!(
             cut <= total_weight / 10,
             "k={k}: cut {cut} is more than 10% of total weight {total_weight}"
@@ -252,7 +258,7 @@ fn overlap_digest(overlaps: &[Overlap]) -> u64 {
 /// build before the seed index's entries carried k-mer tags.
 #[test]
 fn alignment_output_and_work_are_pinned() {
-    let p = prepared();
+    let s = stages();
     // (subsets, threads): overlap digest, then lookups, hits, candidates,
     // overlaps and nw_cells. Each point is printed before any is compared.
     const ONE: [u64; 5] = [100_324, 2_777_962, 108_027, 65_726, 107_347_792];
@@ -271,7 +277,7 @@ fn alignment_output_and_work_are_pinned() {
                 threads,
                 ..FocusConfig::default()
             };
-            let (overlaps, total) = overlaps_of(p, &config);
+            let (overlaps, total) = overlaps_of(s, &config);
             let work = [
                 total.kmer_lookups,
                 total.kmer_hits,
@@ -325,11 +331,11 @@ fn assembly_stats_are_partition_invariant_on_metagenome() {
 
 #[test]
 fn overlap_edge_weights_match_alignment_lengths() {
-    let p = prepared();
+    let s = stages();
     // Every undirected G0 edge weight must trace back to at least one
     // recorded overlap of that length or a sum of parallel ones.
     let min_len = 50u32;
-    for (u, v, w) in p.graph.undirected.edges() {
+    for (u, v, w) in s.graph.undirected.edges() {
         assert!(
             w >= min_len,
             "edge {u}-{v} weight {w} below the overlap threshold"
@@ -337,15 +343,15 @@ fn overlap_edge_weights_match_alignment_lengths() {
     }
     // Identity is a property of the overlap record, not of the edge built
     // from it: the configured bound holds where the value lives.
-    for o in &overlaps_of(p, &FocusConfig::default()).0 {
+    for o in &overlaps_of(s, &FocusConfig::default()).0 {
         assert!(
             o.identity >= 0.90 - 1e-9,
             "overlap identity {} too low",
             o.identity
         );
     }
-    for v in p.graph.directed.live_nodes() {
-        for e in p.graph.directed.out_edges(v) {
+    for v in s.graph.directed.live_nodes() {
+        for e in s.graph.directed.out_edges(v) {
             assert!(e.len >= 50);
         }
     }
@@ -357,8 +363,8 @@ fn overlap_edge_weights_match_alignment_lengths() {
 #[test]
 fn graph_footprint_is_flat_and_g0_is_held_once() {
     use focus_assembler::graph::{DiEdge, LevelGraph};
-    let p = prepared();
-    let g0 = &p.graph.undirected;
+    let (s, p) = (stages(), prepared());
+    let g0 = &s.graph.undirected;
     assert!(g0.edge_count() > 0);
     assert_eq!(
         g0.heap_bytes(),
@@ -371,10 +377,10 @@ fn graph_footprint_is_flat_and_g0_is_held_once() {
         let v = (0..a.node_count() as u32).find(|&v| a.degree(v) > 0);
         v.is_some_and(|v| std::ptr::eq(a.neighbors(v), b.neighbors(v)))
     };
-    assert!(shares(g0, p.multilevel.set.finest()));
-    let copy = p.clone();
+    assert!(shares(g0, s.multilevel.set.finest()));
+    let copy = s.clone();
     assert!(shares(g0, &copy.graph.undirected));
-    for (a, b) in p
+    for (a, b) in s
         .multilevel
         .set
         .levels
@@ -383,7 +389,13 @@ fn graph_footprint_is_flat_and_g0_is_held_once() {
     {
         assert!(a.edge_count() == 0 || shares(a, b));
     }
-    for (a, b) in p.hybrid.set.levels.iter().zip(&copy.hybrid.set.levels) {
+    for (a, b) in p
+        .hybrid
+        .set
+        .levels
+        .iter()
+        .zip(&copy.prepared.hybrid.set.levels)
+    {
         assert!(a.edge_count() == 0 || shares(a, b));
     }
 }

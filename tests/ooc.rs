@@ -179,9 +179,9 @@ fn budget_rejects_in_core_but_admits_spilled() {
     // A lower bound on the in-core ledger requirement: raw input reads +
     // preprocessed store + verified overlaps.
     let assembler = FocusAssembler::new(config).unwrap();
-    let prep = assembler.prepare(&parsed).unwrap();
+    let prep = assembler.prepare_stages(&parsed).unwrap();
     let clean = assembler
-        .assemble_prepared(&prep, config.partitions)
+        .assemble_prepared(&prep.prepared, config.partitions)
         .unwrap();
     let input_bytes: usize = parsed.iter().map(Read::approx_bytes).sum();
     let store_bytes = ReadStore::preprocess(&parsed, &config.trim)
@@ -240,7 +240,7 @@ fn in_core_alignment_charges_its_seed_indexes() {
     let mut config = ooc_config();
     let prep = FocusAssembler::new(config)
         .unwrap()
-        .prepare(&parsed)
+        .prepare_stages(&parsed)
         .unwrap();
     let store = &prep.store;
     let held = parsed.iter().map(Read::approx_bytes).sum::<usize>() + store.approx_bytes();

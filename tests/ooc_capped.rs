@@ -10,58 +10,14 @@
 
 mod common;
 
+use common::alloc::{peak_over, CountingAlloc};
 use common::{completed, contract_config, genome, tiling, TempDir};
 use focus_assembler::focus::{CheckpointOptions, FocusAssembler, FocusConfig, OocOptions};
 use focus_assembler::seq::{fastq, Read};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// `System`, plus live-byte and peak-byte counters.
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                let live =
-                    LIVE.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
-                        - layout.size();
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Peak heap growth over `f`, relative to the live bytes at entry.
-fn peak_over<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let out = f();
-    (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
-}
 
 /// The contract's configuration, serial and without faults, over eight
 /// subsets.

@@ -13,7 +13,7 @@
 use focus_assembler::align::{
     banded_nw_verdict, KernelScratch, NwScratch, Overlap, OverlapKind, Overlapper, PairStats, Pool,
 };
-use focus_assembler::focus::{FocusAssembler, FocusConfig, ObsOptions, Prepared, Recorder};
+use focus_assembler::focus::{FocusAssembler, FocusConfig, ObsOptions, Recorder, Stages};
 use focus_assembler::seq::{DnaString, Read};
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
 
@@ -47,7 +47,7 @@ fn config(threads: usize) -> FocusConfig {
 }
 
 struct Run {
-    prepared: Prepared,
+    stages: Stages,
     /// `overlap_all`'s output on the prepared store: G0's overlaps.
     overlaps: Vec<Overlap>,
     contigs: Vec<DnaString>,
@@ -56,22 +56,22 @@ struct Run {
 
 fn assemble(reads: &[Read], threads: usize) -> Run {
     let assembler = FocusAssembler::new(config(threads)).unwrap();
-    let prepared = assembler.prepare(reads).unwrap();
+    let stages = assembler.prepare_stages(reads).unwrap();
     let contigs = assembler
-        .assemble_prepared(&prepared, PARTITIONS)
+        .assemble_prepared(&stages.prepared, PARTITIONS)
         .unwrap()
         .contigs;
     let config = config(threads);
-    let overlaps = Overlapper::new(&prepared.store, config.overlap)
+    let overlaps = Overlapper::new(&stages.store, config.overlap)
         .unwrap()
         .overlap_all(
-            &prepared.store.split_subsets(config.subsets),
+            &stages.store.split_subsets(config.subsets),
             &Pool::new(threads),
             &Recorder::disabled(),
         )
         .0;
     Run {
-        prepared,
+        stages,
         overlaps,
         contigs,
         snapshot: assembler.recorder().snapshot_json(),
@@ -79,8 +79,8 @@ fn assemble(reads: &[Read], threads: usize) -> Run {
 }
 
 /// Length of the equal-length ranges the overlapper verified for `o`.
-fn range_len(prepared: &Prepared, o: &Overlap) -> usize {
-    let len = |id| prepared.store.get(id).len();
+fn range_len(stages: &Stages, o: &Overlap) -> usize {
+    let len = |id| stages.store.get(id).len();
     match o.kind {
         OverlapKind::SuffixPrefix => len(o.a) - o.shift as usize,
         OverlapKind::ContainsB => len(o.b),
@@ -96,7 +96,7 @@ fn verification_matches_banded_nw_on_an_indel_bearing_community() {
     let gapped = serial
         .overlaps
         .iter()
-        .filter(|o| o.len as usize != range_len(&serial.prepared, o))
+        .filter(|o| o.len as usize != range_len(&serial.stages, o))
         .count();
     assert!(
         gapped > 0,
@@ -105,7 +105,7 @@ fn verification_matches_banded_nw_on_an_indel_bearing_community() {
 
     // Request by request: `verify_requests` against the banded-NW verdict.
     let overlap = config(1).overlap;
-    let store = &serial.prepared.store;
+    let store = &serial.stages.store;
     let overlapper = Overlapper::new(store, overlap).unwrap();
     let requests = overlapper.gather_requests(&store.split_subsets(config(1).subsets));
     let (mut total, mut verdicts) = (PairStats::default(), Vec::new());
@@ -137,7 +137,7 @@ fn verification_matches_banded_nw_on_an_indel_bearing_community() {
     let pooled = assemble(&reads, 4);
     assert_eq!(pooled.overlaps, serial.overlaps, "overlaps at 4 threads");
     assert_eq!(
-        pooled.prepared.pair_stats, serial.prepared.pair_stats,
+        pooled.stages.pair_stats, serial.stages.pair_stats,
         "pair stats at 4 threads"
     );
     assert_eq!(pooled.contigs, serial.contigs, "contigs at 4 threads");
