@@ -577,6 +577,10 @@ impl<'a> Overlapper<'a> {
         // (read, diag); each read's group is then its diag-ascending
         // histogram, swept with a sliding window of width `band`.
         flat.clear();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hash order is erased by the sort on the next line"
+        )]
         flat.extend(votes.iter().map(|(&(r, d), &c)| (r, d, c)));
         flat.sort_unstable();
         candidates.clear();

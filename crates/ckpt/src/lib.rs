@@ -37,5 +37,5 @@ pub use crc::crc32;
 pub use error::CkptError;
 pub use fault::{FsFaultPlan, FsFaultRates, ReadFault, WriteFault};
 pub use file::{CheckpointFile, FORMAT_VERSION, MAGIC};
-pub use store::{CheckpointStore, LoadOutcome};
+pub use store::{write_atomic, CheckpointStore, LoadOutcome};
 pub use wire::{decode_from_slice, encode_to_vec, Codec, Reader, Writer};

@@ -1,8 +1,9 @@
 //! [`CheckpointStore`] — the save/load front door of the checkpoint layer.
 //!
-//! Writes are atomic: the encoded file goes to a hidden temp name in the
-//! same directory, is flushed with `sync_all`, and only then renamed over
-//! the final name. A crash at any instant therefore leaves either the old
+//! Writes are atomic ([`write_atomic`]): the encoded file goes to a hidden
+//! temp name in the same directory, is flushed with `sync_all`, renamed
+//! over the final name, and the directory is synced so the rename itself
+//! is durable. A crash at any instant therefore leaves either the old
 //! state or the new state under the final name, never a torn file —
 //! unless a fault plan injects exactly that, which is how the chaos
 //! harness proves the *read* side catches it.
@@ -164,7 +165,7 @@ impl CheckpointStore {
             None => {}
         }
 
-        if let Err(e) = self.write_atomic(&final_path, &encoded) {
+        if let Err(e) = write_atomic(&final_path, &encoded) {
             self.degraded = true;
             return Err(e);
         }
@@ -242,38 +243,48 @@ impl CheckpointStore {
         self.dir_ready = true;
         Ok(())
     }
+}
 
-    /// Temp file in the same directory + `sync_all` + atomic rename. The
-    /// temp name carries the pid and a process-wide sequence number, so
-    /// concurrent writers — threads or separate processes sharing the
-    /// directory — never write to or rename the same temp file.
-    fn write_atomic(&self, final_path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-        let file_name = final_path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("checkpoint");
-        let tmp_path = self.dir.join(format!(
-            ".{file_name}.tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let io_err = |op: &'static str, path: &Path| {
-            let path = path.to_path_buf();
-            move |source: io::Error| CkptError::Io { op, path, source }
-        };
-        let cleanup = |r: Result<(), CkptError>| {
-            if r.is_err() {
-                let _ = fs::remove_file(&tmp_path);
-            }
-            r
-        };
-        let mut tmp = fs::File::create(&tmp_path).map_err(io_err("create", &tmp_path))?;
-        cleanup(tmp.write_all(bytes).map_err(io_err("write", &tmp_path)))?;
-        cleanup(tmp.sync_all().map_err(io_err("sync", &tmp_path)))?;
-        drop(tmp);
-        cleanup(fs::rename(&tmp_path, final_path).map_err(io_err("rename", final_path)))?;
-        Ok(())
+/// Writes `bytes` to `path` atomically: a temp file in the same directory,
+/// `sync_all`, rename over `path`, then a sync of the directory so the
+/// rename survives a crash too. The temp name carries the pid and a
+/// process-wide sequence number, so concurrent writers — threads or
+/// separate processes sharing the directory — never write to or rename the
+/// same temp file. A failed step removes the temp file and names its
+/// operation and path.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+    let io_err = |op: &'static str, path: &Path| {
+        let path = path.to_path_buf();
+        move |source: io::Error| CkptError::Io { op, path, source }
+    };
+    let (Some(dir), Some(file_name)) = (path.parent(), path.file_name()) else {
+        return Err(io_err("create", path)(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "the path names no file",
+        )));
+    };
+    let tmp_path = dir.join(format!(
+        ".{}.tmp.{}.{}",
+        file_name.to_string_lossy(),
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let cleanup = |r: Result<(), CkptError>| {
+        if r.is_err() {
+            let _ = fs::remove_file(&tmp_path);
+        }
+        r
+    };
+    let mut tmp = fs::File::create(&tmp_path).map_err(io_err("create", &tmp_path))?;
+    cleanup(tmp.write_all(bytes).map_err(io_err("write", &tmp_path)))?;
+    cleanup(tmp.sync_all().map_err(io_err("sync", &tmp_path)))?;
+    drop(tmp);
+    cleanup(fs::rename(&tmp_path, path).map_err(io_err("rename", path)))?;
+    // Best effort: not every platform can open a directory to sync it.
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -298,6 +309,30 @@ mod tests {
         match store.load(2, "coarsen") {
             LoadOutcome::Loaded(recs) => assert_eq!(recs, records()),
             other => panic!("expected Loaded, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = temp_dir("atomic");
+        fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("status.txt");
+        write_atomic(&path, b"old").expect("first write");
+        write_atomic(&path, b"new").expect("second write");
+        let names: Vec<_> = fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, ["status.txt"]);
+        assert_eq!(fs::read(&path).expect("read back"), b"new");
+        match write_atomic(&dir.join("missing").join("f"), b"x") {
+            Err(CkptError::Io {
+                op: "create", path, ..
+            }) => {
+                assert!(path.starts_with(dir.join("missing")), "{}", path.display())
+            }
+            other => panic!("expected a create error, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
     }

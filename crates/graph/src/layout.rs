@@ -173,10 +173,13 @@ fn layout_cluster_inner(
     let mut offset: HashMap<NodeId, i64> = HashMap::with_capacity(nodes.len());
 
     // BFS from the first node, walking dovetail edges in both directions.
-    // The queue is bounded by the cluster's node count: each node enters
-    // exactly once, gated by the `offset` visited map.
     let start = nodes[0];
     offset.insert(start, 0);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "bounded by the cluster's node count: the `offset` visited map admits \
+                  each node once"
+    )]
     let mut queue = std::collections::VecDeque::from([start]);
     while let Some(v) = queue.pop_front() {
         let v_off = offset[&v];

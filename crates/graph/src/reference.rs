@@ -127,9 +127,6 @@ impl DiGraph {
     }
 }
 
-// Repeated although lib.rs gates the whole file: `cargo xtask analyze` reads
-// one file at a time and learns here that what follows is test code.
-#[cfg(test)]
 mod differential {
     use super::{DiEdge, NodeId};
     use fc_rng::{cases, Rng};

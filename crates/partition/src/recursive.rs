@@ -354,8 +354,10 @@ fn repair_empty_partitions(g: &LevelGraph, parts: &mut [u32], k: usize) {
         // test.
         let take = donor_nodes.len() / 2;
         let mut taken = Vec::with_capacity(take);
-        // BFS queue bounded by the donor part's node count: `visited`
-        // admits each node once.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "bounded by the donor part's node count: `visited` admits each node once"
+        )]
         let mut queue = std::collections::VecDeque::from([donor_nodes[0]]);
         visited[donor_nodes[0] as usize] = true;
         // Donor nodes before this index are all visited.

@@ -26,6 +26,11 @@
 //! Every queue is bounded: per-tenant queues by `per_tenant_capacity`,
 //! their sum by `total_capacity`, and the tenant table by `max_tenants`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "every VecDeque here is bounded by per_tenant_capacity and total_capacity"
+)]
+
 use crate::job::{JobId, Priority};
 use std::collections::VecDeque;
 

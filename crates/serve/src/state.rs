@@ -25,16 +25,16 @@
 //! 3. `status.txt` is written once, after outputs, and is immutable; its
 //!    presence makes the job terminal and frees all in-memory state.
 //!
-//! All multi-step writes go through one unique-temp-then-rename helper,
-//! so concurrent writers and `kill -9` can never leave a half-written
-//! artifact under a final name.
+//! All multi-step writes go through `fc_ckpt::write_atomic` (unique temp,
+//! fsync, rename, directory fsync), so concurrent writers and `kill -9` can
+//! never leave a half-written artifact under a final name.
 
 use crate::error::ServeError;
 use crate::job::{JobId, Priority};
+use fc_ckpt::CkptError;
 use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Header line of `job.meta`.
 const META_HEADER: &str = "# focus serve job v1";
@@ -178,9 +178,6 @@ pub struct StateDir {
     root: PathBuf,
 }
 
-/// Process-wide counter for unique temp-file names.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl StateDir {
     /// Opens (creating if needed) a state directory.
     pub fn open(root: impl Into<PathBuf>) -> Result<StateDir, ServeError> {
@@ -231,36 +228,15 @@ impl StateDir {
         self.job_dir(id).join("status.txt")
     }
 
-    /// Writes `bytes` to `path` via a unique temp file in the same
-    /// directory, fsync, rename, directory fsync.
+    /// Writes `bytes` to `path` through [`fc_ckpt::write_atomic`]: a unique
+    /// temp file in the same directory, fsync, rename, directory fsync.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-        let dir = path
-            .parent()
-            .ok_or_else(|| ServeError::corrupt(path.display().to_string(), "no parent dir"))?;
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| ServeError::corrupt(path.display().to_string(), "no file name"))?;
-        let tmp = dir.join(format!(
-            ".{name}.tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let ctx = |what: &str| format!("{what} {}", tmp.display());
-        let mut f = File::create(&tmp).map_err(|e| ServeError::io(ctx("create"), e))?;
-        f.write_all(bytes)
-            .map_err(|e| ServeError::io(ctx("write"), e))?;
-        f.sync_all().map_err(|e| ServeError::io(ctx("sync"), e))?;
-        drop(f);
-        fs::rename(&tmp, path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            ServeError::io(format!("rename {} -> {}", tmp.display(), path.display()), e)
-        })?;
-        // Make the rename itself durable.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        fc_ckpt::write_atomic(path, bytes).map_err(|e| match e {
+            CkptError::Io { op, path, source } => {
+                ServeError::io(format!("{op} {}", path.display()), source)
+            }
+            other => ServeError::corrupt(path.display().to_string(), other.to_string()),
+        })
     }
 
     /// Persists a freshly admitted job: directory, input bytes, then the
