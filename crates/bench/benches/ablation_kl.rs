@@ -31,7 +31,7 @@ fn main() {
             max_bad_moves: budget,
         };
         let mut kl_work = 0u64;
-        let gain = kl_refine(&local, &mut side, &config, &mut kl_work);
+        let gain = kl_refine(&local, &mut side, &config, &mut kl_work).gain;
         println!(
             "{:>12} {:>12} {:>12} {:>12}",
             if budget == usize::MAX {

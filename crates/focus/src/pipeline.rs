@@ -333,9 +333,10 @@ fn path_contig(dh: &DistributedHybrid, path: &AssemblyPath) -> Result<DnaString,
     Ok(seq)
 }
 
-/// Keeps one representative per exact reverse-complement pair: a contig is
-/// kept when it is lexicographically no greater than its reverse complement
-/// (ties, i.e. palindromes, are kept once).
+/// Keeps one representative per exact reverse-complement pair: the member
+/// seen first, in the orientation it arrived in. A later contig equal to a
+/// kept one or to its reverse complement is dropped, so a palindrome, or a
+/// contig listed twice, is kept once.
 fn dedup_reverse_complements(contigs: Vec<DnaString>) -> Vec<DnaString> {
     use std::collections::HashSet;
     let mut canonical_seen: HashSet<Vec<u8>> = HashSet::new();
@@ -500,5 +501,18 @@ pub(crate) mod tests {
         let b: DnaString = "AAAAC".parse().unwrap();
         let out = dedup_reverse_complements(vec![a, b]);
         assert_eq!(out.len(), 2);
+    }
+
+    /// The first-seen member of a pair is kept as it arrived, even when it
+    /// is the lexicographically greater strand.
+    #[test]
+    fn dedup_keeps_the_first_seen_strand() {
+        let a: DnaString = "AACGT".parse().unwrap();
+        let rc = a.reverse_complement();
+        assert!(a.to_ascii() < rc.to_ascii());
+        let out = dedup_reverse_complements(vec![rc.clone(), a.clone()]);
+        assert_eq!(out, vec![rc]);
+        let out = dedup_reverse_complements(vec![a.clone(), a.reverse_complement()]);
+        assert_eq!(out, vec![a]);
     }
 }

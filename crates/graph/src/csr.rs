@@ -13,7 +13,7 @@ use std::mem::size_of;
 /// Rows of `T` in one array. `offsets` holds `n + 1` non-decreasing extent
 /// bounds starting at 0, so the graph of no nodes is `[0]` however it was
 /// made.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Csr<T> {
     offsets: Vec<u32>,
     entries: Vec<T>,

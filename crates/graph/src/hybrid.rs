@@ -216,8 +216,14 @@ impl HybridSet {
                 map[prev_assign[ri] as usize] = assign[ri];
             }
             debug_assert!(map.iter().all(|&m| m != NodeId::MAX));
-            // Contract G'0 edges through `assign`.
-            let coarse = levels[0].contracted(&assign, weights);
+            // Every representative its own group: level i repeats level
+            // i - 1, as every level below it repeats G'0, and shares its
+            // arrays. Otherwise contract G'0 edges through `assign`.
+            let coarse = if assign.iter().enumerate().all(|(r, &a)| a as usize == r) {
+                levels[i - 1].clone()
+            } else {
+                levels[0].contracted(&assign, weights)
+            };
             levels.push(coarse);
             maps.push(map);
             prev_assign = assign;
@@ -378,6 +384,27 @@ mod tests {
             hs.node_count(),
             ml.set.coarsest().node_count()
         );
+    }
+
+    /// Up to the lowest representative's level every representative is its
+    /// own group: those hybrid levels repeat G'0 under identity maps, equal
+    /// to contracting G'0 again.
+    #[test]
+    fn levels_up_to_the_lowest_representative_repeat_g0() {
+        let (_, _, _, hs) = build_hybrid(64);
+        let lowest = hs.reps.iter().map(|r| r.level).min().unwrap();
+        assert!(lowest > 0, "the tiling should collapse above G0");
+        let g0h = hs.set.finest();
+        let nodes = 0..hs.node_count() as NodeId;
+        let identity: Vec<NodeId> = nodes.clone().collect();
+        let fresh = g0h.contracted(&identity, nodes.map(|v| g0h.node_weight(v)).collect());
+        for level in 0..lowest {
+            assert!(hs.set.is_copy(level), "level {}", level + 1);
+            assert_eq!(hs.set.levels[level + 1], fresh);
+        }
+        if lowest + 1 < hs.set.level_count() {
+            assert!(!hs.set.is_copy(lowest), "level {}", lowest + 1);
+        }
     }
 
     #[test]

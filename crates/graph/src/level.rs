@@ -21,10 +21,10 @@ pub type NodeId = u32;
 /// `idx_t` for this scheme: 8 bytes an adjacency entry, 8 a node. Folding
 /// parallel edges saturates at `u32::MAX` (G0 on `meta-clean` carries 11.6 M
 /// bp, 370× under it); every sum over a graph is taken in `u64`/`i64`.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelGraph(Arc<Level>);
 
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Level {
     /// Row `v` holds `(neighbor, edge weight)` pairs; every edge appears in
     /// both endpoint rows with the same weight.
@@ -234,6 +234,18 @@ impl GraphSet {
         v
     }
 
+    /// Whether `levels[level + 1]` is a copy of `levels[level]`: the map
+    /// between them is the identity and the two graphs are equal. The
+    /// hybrid set repeats a level wherever every best representative sits
+    /// at or above it (fc-partition refines such a run once).
+    pub fn is_copy(&self, level: usize) -> bool {
+        let identity = self.fine_to_coarse[level]
+            .iter()
+            .enumerate()
+            .all(|(v, &c)| c as usize == v);
+        identity && self.levels[level] == self.levels[level + 1]
+    }
+
     /// Bytes the levels and maps hold on the heap. Levels sharing their
     /// arrays with a graph held elsewhere are counted here all the same.
     pub fn heap_bytes(&self) -> usize {
@@ -367,6 +379,34 @@ mod tests {
         assert_eq!(set.ancestor(0, 3, 1), 1);
         assert_eq!(set.ancestor(1, 1, 1), 1);
         set.check_invariants().unwrap();
+    }
+
+    /// A two-level set whose level 1 is `coarse` under `map`.
+    fn two_levels(coarse: LevelGraph, map: Vec<NodeId>) -> GraphSet {
+        GraphSet {
+            levels: vec![triangle(), coarse],
+            fine_to_coarse: vec![map],
+        }
+    }
+
+    #[test]
+    fn a_copy_is_an_identity_map_onto_an_equal_graph() {
+        // Equal contents, separate arrays.
+        assert!(two_levels(triangle(), vec![0, 1, 2]).is_copy(0));
+        // Shared arrays.
+        let g = triangle();
+        let shared = GraphSet {
+            levels: vec![g.clone(), g],
+            fine_to_coarse: vec![vec![0, 1, 2]],
+        };
+        assert!(shared.is_copy(0));
+        let edge_weight = LevelGraph::from_edges(vec![1; 3], &[(0, 1, 5), (1, 2, 7), (2, 0, 12)]);
+        assert!(!two_levels(edge_weight, vec![0, 1, 2]).is_copy(0));
+        let node_weight =
+            LevelGraph::from_edges(vec![1, 2, 1], &[(0, 1, 5), (1, 2, 7), (2, 0, 11)]);
+        assert!(!two_levels(node_weight, vec![0, 1, 2]).is_copy(0));
+        // A permuting map onto the same graph is no copy: node ids move.
+        assert!(!two_levels(triangle(), vec![1, 2, 0]).is_copy(0));
     }
 
     #[test]

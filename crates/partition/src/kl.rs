@@ -45,6 +45,13 @@
 //! did. The `reference` module keeps the per-swap-sort pass that these
 //! counts describe literally; the `differential` tests hold the two to the
 //! same sides, gain and work.
+//!
+//! A pass is a pure function of the local graph and the side, and a pass
+//! that gains nothing undoes every swap it made. So once a refinement ends
+//! on such a pass ([`KlOutcome::settled`]), refining its side again on the
+//! same graph would repeat exactly that pass: same side, gain 0, the same
+//! work. fc-partition's copy levels rely on this — a copy is refined once
+//! and charged as if refined again, by adding the settled pass's work.
 
 use crate::local::LocalGraph;
 use std::cmp::Reverse;
@@ -67,13 +74,31 @@ impl Default for KlConfig {
     }
 }
 
-/// Refines a bisection in place. Returns the total cut improvement across
-/// all passes (≥ 0: a pass that cannot improve is fully undone). Work
-/// counters accumulate into `work`.
-pub fn kl_refine(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work: &mut u64) -> u64 {
+/// What a [`kl_refine`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KlOutcome {
+    /// Total cut improvement across all passes (≥ 0: a pass that cannot
+    /// improve is fully undone).
+    pub gain: u64,
+    /// The work of the final pass when it gained nothing: the side has
+    /// settled, and refining it again on the same graph repeats exactly
+    /// that pass. `None` when the refinement stopped at `MAX_PASSES`.
+    pub settled: Option<u64>,
+}
+
+/// Refines a bisection in place. Work counters accumulate into `work`.
+pub fn kl_refine(
+    local: &LocalGraph,
+    side: &mut [bool],
+    config: &KlConfig,
+    work: &mut u64,
+) -> KlOutcome {
     let n = local.len();
     if n < 2 {
-        return 0;
+        return KlOutcome {
+            gain: 0,
+            settled: Some(0),
+        };
     }
     let mut scratch = Scratch {
         linked: Vec::new(),
@@ -86,15 +111,22 @@ pub fn kl_refine(local: &LocalGraph, side: &mut [bool], config: &KlConfig, work:
             next: 0,
         }),
     };
-    let mut total_gain = 0u64;
+    let mut gain = 0u64;
     for _ in 0..MAX_PASSES {
+        let before = *work;
         let pass_gain = kl_pass(local, side, config, &mut scratch, work);
         if pass_gain == 0 {
-            break;
+            return KlOutcome {
+                gain,
+                settled: Some(*work - before),
+            };
         }
-        total_gain += pass_gain;
+        gain += pass_gain;
     }
-    total_gain
+    KlOutcome {
+        gain,
+        settled: None,
+    }
 }
 
 /// A node's place in the scan: descending D, ties by ascending id.
@@ -346,7 +378,7 @@ mod tests {
         let mut side: Vec<bool> = (0..10).map(|v| v % 2 == 0).collect();
         let before = local.cut(&side);
         let mut work = 0;
-        let gain = kl_refine(&local, &mut side, &KlConfig::default(), &mut work);
+        let gain = kl_refine(&local, &mut side, &KlConfig::default(), &mut work).gain;
         let after = local.cut(&side);
         assert_eq!(before - gain, after, "reported gain inconsistent with cut");
         assert_eq!(after, 1, "KL should find the single-edge cut, got {after}");
@@ -362,7 +394,7 @@ mod tests {
         let mut side: Vec<bool> = (0..10).map(|v| v >= 5).collect(); // already optimal
         let before = local.cut(&side);
         let mut work = 0;
-        let gain = kl_refine(&local, &mut side, &KlConfig::default(), &mut work);
+        let gain = kl_refine(&local, &mut side, &KlConfig::default(), &mut work).gain;
         assert_eq!(gain, 0);
         assert_eq!(local.cut(&side), before);
     }
@@ -383,7 +415,7 @@ mod tests {
         let mut side: Vec<bool> = vec![];
         let mut work = 0;
         assert_eq!(
-            kl_refine(&empty, &mut side, &KlConfig::default(), &mut work),
+            kl_refine(&empty, &mut side, &KlConfig::default(), &mut work).gain,
             0
         );
 
@@ -391,9 +423,52 @@ mod tests {
         let local = extract_all(&g);
         let mut side = vec![false];
         assert_eq!(
-            kl_refine(&local, &mut side, &KlConfig::default(), &mut work),
+            kl_refine(&local, &mut side, &KlConfig::default(), &mut work).gain,
             0
         );
+    }
+
+    /// An overlap-like chain: each node linked to the next (heavy) and the
+    /// one after (light), as reads along a genome are.
+    fn overlap_like(n: u32, seed: u64) -> LocalGraph {
+        let mut rng = fc_rng::Rng::new(seed);
+        let mut edges = Vec::new();
+        for i in 0..n - 1 {
+            edges.push((i, i + 1, rng.range(40..90)));
+            if i + 2 < n {
+                edges.push((i, i + 2, rng.range(5..40)));
+            }
+        }
+        extract_all(&LevelGraph::from_edges(vec![1; n as usize], &edges))
+    }
+
+    /// What copy levels stand on: refining a settled side again on the same
+    /// graph gains nothing, leaves the side alone and costs exactly the
+    /// settled pass the first call reported.
+    #[test]
+    fn refining_a_settled_side_again_repeats_its_final_pass() {
+        let graphs = [
+            ("two_cliques", two_cliques()),
+            ("overlap_like", overlap_like(300, 7)),
+        ];
+        for (name, local) in &graphs {
+            for seed in 0..8 {
+                let mut rng = fc_rng::Rng::new(seed);
+                let mut side: Vec<bool> = (0..local.len()).map(|_| rng.bool(0.5)).collect();
+                let mut work = 0;
+                let first = kl_refine(local, &mut side, &KlConfig::default(), &mut work);
+                let Some(settled) = first.settled else {
+                    panic!("{name} seed {seed}: no settled pass")
+                };
+                let refined = side.clone();
+                let before = work;
+                let again = kl_refine(local, &mut side, &KlConfig::default(), &mut work);
+                assert_eq!(again.gain, 0, "{name} seed {seed}");
+                assert_eq!(side, refined, "{name} seed {seed}");
+                assert_eq!(work - before, settled, "{name} seed {seed}");
+                assert_eq!(again.settled, Some(settled), "{name} seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -409,7 +484,7 @@ mod tests {
         let before = local.cut(&side);
         let mut work = 0;
         let config = KlConfig { max_bad_moves: 3 };
-        let gain = kl_refine(&local, &mut side, &config, &mut work);
+        let gain = kl_refine(&local, &mut side, &config, &mut work).gain;
         let after = local.cut(&side);
         assert_eq!(before - gain, after);
         assert!(after < before, "cross-matching should be improvable");
@@ -569,16 +644,23 @@ mod differential {
         side: &mut [bool],
         config: &KlConfig,
         work: &mut u64,
-    ) -> u64 {
-        let mut total_gain = 0u64;
+    ) -> KlOutcome {
+        let mut gain = 0u64;
         for _ in 0..MAX_PASSES {
+            let before = *work;
             let pass_gain = reference::kl_pass(local, side, config, work);
             if pass_gain == 0 {
-                break;
+                return KlOutcome {
+                    gain,
+                    settled: Some(*work - before),
+                };
             }
-            total_gain += pass_gain;
+            gain += pass_gain;
         }
-        total_gain
+        KlOutcome {
+            gain,
+            settled: None,
+        }
     }
 
     /// Same sides, same gain, same work as the per-swap-sort pass, on every
@@ -634,15 +716,15 @@ mod differential {
         }
     }
 
-    /// Runs both refinements from `start` and asserts the same sides, gain
-    /// and work.
+    /// Runs both refinements from `start` and asserts the same sides, gain,
+    /// settled pass and work.
     fn assert_matches_reference(local: &LocalGraph, start: &[bool], config: &KlConfig, case: &str) {
         let (mut side, mut ref_side) = (start.to_vec(), start.to_vec());
         let (mut work, mut ref_work) = (0u64, 0u64);
-        let gain = kl_refine(local, &mut side, config, &mut work);
-        let ref_gain = reference_refine(local, &mut ref_side, config, &mut ref_work);
+        let outcome = kl_refine(local, &mut side, config, &mut work);
+        let ref_outcome = reference_refine(local, &mut ref_side, config, &mut ref_work);
         assert_eq!(side, ref_side, "sides differ: {case}");
-        assert_eq!(gain, ref_gain, "gain differs: {case}");
+        assert_eq!(outcome, ref_outcome, "gain or settled pass differs: {case}");
         assert_eq!(work, ref_work, "work differs: {case}");
     }
 }
@@ -676,7 +758,7 @@ mod props {
             let (local, mut side) = arb_case(rng);
             let before = local.cut(&side);
             let mut work = 0;
-            let gain = kl_refine(&local, &mut side, &KlConfig::default(), &mut work);
+            let gain = kl_refine(&local, &mut side, &KlConfig::default(), &mut work).gain;
             let after = local.cut(&side);
             assert!(after <= before);
             assert_eq!(before - after, gain);

@@ -70,22 +70,43 @@ pub fn kway_refine(
     work: &mut u64,
     rec: &Recorder,
 ) -> u64 {
-    if k < 2 || g.node_count() < 2 {
-        return 0;
-    }
+    let gains = kway_passes(g, parts, k, config, work);
+    record_passes(rec, &gains);
     // Each pass keeps exactly its best prefix, so the applied gains sum to
     // the cut delta without measuring the cut.
-    let mut total_gain = 0u64;
+    gains.iter().sum()
+}
+
+/// [`kway_refine`] without the metrics: the applied gain of every pass, in
+/// order. Like the assignment and the work, it is a pure function of the
+/// level and the assignment it starts from.
+pub(crate) fn kway_passes(
+    g: &LevelGraph,
+    parts: &mut [u32],
+    k: usize,
+    config: &KwayConfig,
+    work: &mut u64,
+) -> Vec<u64> {
+    let mut gains = Vec::new();
+    if k < 2 || g.node_count() < 2 {
+        return gains;
+    }
     for _ in 0..MAX_PASSES {
         let gain = kway_pass(g, parts, k, config, work);
-        rec.add("partition.kway_passes", 1);
-        rec.observe("partition.kway_pass_gain", gain);
+        gains.push(gain);
         if gain == 0 {
             break;
         }
-        total_gain += gain;
     }
-    total_gain
+    gains
+}
+
+/// Records the metrics of a refinement whose passes gained `gains`.
+pub(crate) fn record_passes(rec: &Recorder, gains: &[u64]) {
+    for &gain in gains {
+        rec.add("partition.kway_passes", 1);
+        rec.observe("partition.kway_pass_gain", gain);
+    }
 }
 
 /// One pass; returns the applied (positive) gain.

@@ -50,6 +50,13 @@
 //! units, assignments and everything downstream of them do not depend on
 //! how the loops are implemented. Each loop's previous body survives as a
 //! `#[cfg(test)] mod reference` that differential tests compare against.
+//!
+//! Copy levels are refined once and charged as if refined again: where the
+//! hybrid set repeats a level, a copy takes the level above's bisection and
+//! is charged the work of KL's settled final pass, which is exactly what
+//! refining it again would have cost, and a run of equal copies shares one
+//! k-way pass whose work every copy's task record carries
+//! ([`recursive`]'s module docs). The clock cannot tell the difference.
 
 #![forbid(unsafe_code)]
 

@@ -14,11 +14,36 @@
 //! whole levels. Every task's abstract work is recorded in
 //! [`TaskRecord`]s so the simulated cluster (fc-dist) can schedule them onto
 //! `p` processors and reproduce the paper's Fig. 4 speedup curve.
+//!
+//! # Copy levels: refined once, charged as if refined again
+//!
+//! The hybrid set repeats a level wherever every best representative sits
+//! at or above it: level `l + 1` is then a copy of level `l`
+//! ([`GraphSet::is_copy`]: identity map, equal graphs). Per-level work is
+//! done once for a run of copies, and the results and task log are those
+//! of refining every copy:
+//!
+//! * **Projection.** When a copy's bucket of `p` is the level above's, its
+//!   local graph is the same and projection hands it the side above as it
+//!   stands. If the refinement above settled (its last KL pass gained
+//!   nothing) and the lopsidedness guard stays quiet, KL here would repeat
+//!   that settled pass and change nothing: the copy takes the moves above
+//!   and its task is charged the settled pass's work, with no extraction
+//!   and no KL. Otherwise the copy is projected and refined as any level.
+//! * **Buckets, repair, k-way.** Each is a pure function of the level and
+//!   its assignment, so a run of copies whose assignments are equal is
+//!   bucketed, repaired and k-way-refined once. Every copy still gets its
+//!   own [`TaskKind::KwayLevel`] record with the run's work, and the run's
+//!   `partition.kway_passes` / `partition.kway_pass_gain` records.
+//!
+//! Assignments, task logs and metrics are therefore those of refining every
+//! copy; only `exec.tasks`, which counts pool items, drops by the k-way
+//! items not run.
 
 use crate::error::PartitionError;
 use crate::grow::greedy_grow;
 use crate::kl::{kl_refine, KlConfig};
-use crate::kway::{kway_refine, KwayConfig};
+use crate::kway::{kway_passes, record_passes, KwayConfig};
 use crate::local::LocalGraph;
 use crate::metrics::validate_partition;
 use fc_exec::Pool;
@@ -160,6 +185,10 @@ pub fn partition_graph_set_obs(
         .map(|g| vec![0u32; g.node_count()])
         .collect();
     let mut tasks = Vec::new();
+    // `copies[l]`: level l + 1 repeats level l (module docs).
+    let copies: Vec<bool> = (0..set.fine_to_coarse.len())
+        .map(|l| set.is_copy(l))
+        .collect();
 
     let pool = Pool::new(config.threads);
     let steps = config.k.trailing_zeros() as usize;
@@ -174,23 +203,18 @@ pub fn partition_graph_set_obs(
         // lists after a step barrier is therefore bit-identical to the
         // serial in-place loop — at any thread count.
         let parts_ro: &[Vec<u32>] = &parts;
-        // Every level's nodes bucketed by part, once for the whole step: a
-        // task reads its own bucket instead of filtering the level.
-        let members: Vec<Members> = parts_ro
+        // Every level's nodes bucketed by part, once for the whole step and
+        // once for a run of copies: a task reads its own bucket instead of
+        // filtering the level.
+        let lead = copy_runs(&copies, parts_ro);
+        let buckets: Vec<Option<Members>> = lead
             .iter()
-            .map(|assignment| members_by_part(assignment, 1 << step))
+            .enumerate()
+            .map(|(l, &r)| (r == l).then(|| members_by_part(&parts_ro[l], 1 << step)))
             .collect();
+        let members: Vec<&Members> = lead.iter().filter_map(|&r| buckets[r].as_ref()).collect();
         let outcomes = pool.map_obs(1usize << step, rec, |pi| {
-            let p = pi as u32;
-            bisect_partition(
-                set,
-                parts_ro,
-                &members,
-                p,
-                p + (1 << step),
-                config,
-                config.seed.wrapping_add(((step as u64) << 32) | p as u64),
-            )
+            bisect_partition(set, &copies, parts_ro, &members, pi as u32, step, config)
         });
         for (pi, outcome) in outcomes.into_iter().enumerate() {
             let p_new = pi as u32 + (1 << step);
@@ -228,39 +252,59 @@ pub fn partition_graph_set_obs(
     // (possibly heavy) node, which strands the sibling id empty. Repair by
     // donating half of the node-richest partition's nodes to each empty id
     // — the granularity fix a master process applies before handing
-    // partitions to workers.
-    for (level_graph, assignment) in set.levels.iter().zip(parts.iter_mut()) {
-        repair_empty_partitions(level_graph, assignment, config.k);
+    // partitions to workers. Repair and k-way are pure functions of the
+    // level and its assignment, so a run of copies with equal assignments
+    // is done once and its result copied.
+    let lead = copy_runs(&copies, &parts);
+    for level in 0..parts.len() {
+        if lead[level] == level {
+            repair_empty_partitions(&set.levels[level], &mut parts[level], config.k);
+        } else {
+            let (below, here) = parts.split_at_mut(level);
+            here[0].clone_from(&below[level - 1]);
+        }
     }
 
     if config.run_kway && config.k > 1 {
         // Level-parallel global refinement (§IV-D): each level's k-way pass
         // reads and writes only that level's assignment, so the levels run
-        // concurrently and are reassembled in level order.
-        let level_parts = std::mem::take(&mut parts);
+        // concurrently and are reassembled in level order. A copy gets its
+        // run's result, work and metric records.
+        let leaders: Vec<(usize, Vec<u32>)> = std::mem::take(&mut parts)
+            .into_iter()
+            .enumerate()
+            .filter(|&(level, _)| lead[level] == level)
+            .collect();
         let refined = pool.map_items(
-            level_parts,
+            leaders,
             rec,
             || (),
-            |level, mut assignment, ()| {
+            |_, (level, mut assignment), ()| {
                 let mut work = 0u64;
-                kway_refine(
+                let gains = kway_passes(
                     &set.levels[level],
                     &mut assignment,
                     config.k,
                     &config.kway,
                     &mut work,
-                    rec,
                 );
-                (assignment, work)
+                (assignment, work, gains)
             },
         );
-        for (level, (assignment, work)) in refined.into_iter().enumerate() {
-            parts.push(assignment);
-            tasks.push(TaskRecord {
-                kind: TaskKind::KwayLevel { level },
-                work,
-            });
+        let mut refined = refined.into_iter();
+        let mut run = None;
+        for (level, &r) in lead.iter().enumerate() {
+            if r == level {
+                run = refined.next();
+            }
+            if let Some((assignment, work, gains)) = &run {
+                record_passes(rec, gains);
+                parts.push(assignment.clone());
+                tasks.push(TaskRecord {
+                    kind: TaskKind::KwayLevel { level },
+                    work: *work,
+                });
+            }
         }
     }
 
@@ -296,6 +340,17 @@ pub fn partition_graph_set_obs(
         parts_per_level: parts,
         tasks,
     })
+}
+
+/// Runs of copy levels whose assignments are equal: `lead[l]` is the first
+/// level of level `l`'s run.
+fn copy_runs(copies: &[bool], parts: &[Vec<u32>]) -> Vec<usize> {
+    let mut lead: Vec<usize> = Vec::with_capacity(parts.len());
+    for l in 0..parts.len() {
+        let same = l > 0 && copies[l - 1] && parts[l] == parts[l - 1];
+        lead.push(if same { lead[l - 1] } else { l });
+    }
+    lead
 }
 
 /// One level's nodes bucketed by part.
@@ -414,8 +469,11 @@ struct BisectOutcome {
     work: u64,
 }
 
-/// Splits partition `p` into `p` and `p_new` across all levels: bisect the
-/// coarsest level's induced subgraph, then project and KL-refine downwards.
+/// Splits partition `p` into `p` and `p_new = p + 2^step` across all
+/// levels, seeded from `(config.seed, step, p)`: bisect the coarsest
+/// level's induced subgraph, then project and KL-refine downwards. A copy
+/// level whose bucket of `p` is the level above's takes the moves above
+/// when refining them again would repeat a settled pass (module docs).
 ///
 /// Reads `parts` as a pre-step snapshot and reports moves instead of writing
 /// them, so sibling tasks of the same step can run concurrently. The task's
@@ -424,13 +482,15 @@ struct BisectOutcome {
 /// version would have read.
 fn bisect_partition(
     set: &GraphSet,
+    copies: &[bool],
     parts: &[Vec<u32>],
-    members: &[Members],
+    members: &[&Members],
     p: u32,
-    p_new: u32,
+    step: usize,
     config: &PartitionConfig,
-    seed: u64,
 ) -> BisectOutcome {
+    let p_new = p + (1 << step);
+    let seed = config.seed.wrapping_add(((step as u64) << 32) | p as u64);
     let n_levels = set.level_count();
     let mut moved: Vec<Vec<NodeId>> = vec![Vec::new(); n_levels];
     let mut work = 0u64;
@@ -442,16 +502,18 @@ fn bisect_partition(
 
     // Initial bisection at `top`. `above_side` carries this task's own view
     // of the level above for the projection loop, indexed like that level's
-    // bucket of `p`.
+    // bucket of `p`; `settled`, the work of its refinement's final pass when
+    // that pass gained nothing.
     let mut above_side: Vec<bool>;
+    let mut settled: Option<u64>;
     {
         let nodes: &[NodeId] = &members[top].by_part[p as usize];
         if nodes.len() < 2 {
             return BisectOutcome { moved, work }; // nothing to split
         }
-        let local = extract_part(&set.levels[top], &parts[top], &members[top], p);
+        let local = extract_part(&set.levels[top], &parts[top], members[top], p);
         let mut side = greedy_grow(&local, seed, &mut work);
-        kl_refine(&local, &mut side, &config.kl, &mut work);
+        settled = kl_refine(&local, &mut side, &config.kl, &mut work).settled;
         for (li, &v) in nodes.iter().enumerate() {
             if side[li] {
                 moved[top].push(v);
@@ -465,8 +527,25 @@ fn bisect_partition(
         let map = &set.fine_to_coarse[level];
         let graph = &set.levels[level];
         let nodes: &[NodeId] = &members[level].by_part[p as usize];
+        // A copy of the level above with the same bucket of `p` has the
+        // same local graph, and projection hands it the side above as it
+        // stands. When that side settled and the guard below stays quiet,
+        // KL would repeat the settled pass: charge it, take the moves above.
+        if copies[level] && nodes == members[level + 1].by_part[p as usize].as_slice() {
+            if let Some(pass) = settled {
+                let mut side_weight = [0u64, 0u64];
+                for (&v, &s) in nodes.iter().zip(&above_side) {
+                    side_weight[usize::from(s)] += u64::from(graph.node_weight(v));
+                }
+                if !lopsided(side_weight) {
+                    work += pass;
+                    moved[level] = moved[level + 1].clone();
+                    continue;
+                }
+            }
+        }
         let above_rank = &members[level + 1].rank;
-        let local = extract_part(graph, &parts[level], &members[level], p);
+        let local = extract_part(graph, &parts[level], members[level], p);
         let mut side = vec![false; nodes.len()];
         let mut side_weight = [0u64, 0u64];
         let mut drifters: Vec<usize> = Vec::new();
@@ -499,12 +578,10 @@ fn bisect_partition(
             side[li] = s == 1;
             side_weight[s] += u64::from(graph.node_weight(nodes[li]));
         }
-        // Guard against a degenerate or badly lopsided projection.
-        let total = side_weight[0] + side_weight[1];
-        if total > 0 && side_weight[0].max(side_weight[1]) * 4 > total * 3 {
+        if lopsided(side_weight) {
             side = greedy_grow(&local, seed ^ 0x9E3779B9, &mut work);
         }
-        kl_refine(&local, &mut side, &config.kl, &mut work);
+        settled = kl_refine(&local, &mut side, &config.kl, &mut work).settled;
         for (li, &v) in nodes.iter().enumerate() {
             if side[li] {
                 moved[level].push(v);
@@ -513,6 +590,13 @@ fn bisect_partition(
         above_side = side;
     }
     BisectOutcome { moved, work }
+}
+
+/// The guard against a degenerate or badly lopsided projection: one side
+/// holds more than three quarters of the weight.
+fn lopsided(side_weight: [u64; 2]) -> bool {
+    let total = side_weight[0] + side_weight[1];
+    total > 0 && side_weight[0].max(side_weight[1]) * 4 > total * 3
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@ use focus_assembler::dist::traverse::check_path_cover;
 use focus_assembler::dist::{DistributedConfig, DistributedHybrid, FaultPlan, FaultRates, PhaseId};
 use focus_assembler::focus::{FocusAssembler, FocusConfig, Prepared, Recorder, Stages};
 use focus_assembler::graph::{coarsen, CoarsenConfig, GraphSet, LevelGraph, MultilevelSet};
+use focus_assembler::obs::ObsOptions;
 use focus_assembler::partition::recursive::TaskKind;
 use focus_assembler::partition::{
-    edge_cut, partition_balance, partition_graph_set, validate_partition, PartitionConfig,
-    PartitionResult,
+    edge_cut, partition_balance, partition_graph_set, partition_graph_set_obs, validate_partition,
+    PartitionConfig, PartitionResult,
 };
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
 use std::sync::{Arc, OnceLock};
@@ -145,6 +146,21 @@ fn hybrid_like_set(n: usize, seed: u64) -> GraphSet {
     }
 }
 
+/// `set` with its level 0 repeated `copies` times right above it, under
+/// identity maps: the shape the hybrid set takes wherever every best
+/// representative sits above level 0.
+fn with_copies_of_level_0(set: &GraphSet, copies: usize) -> GraphSet {
+    let n = set.finest().node_count() as u32;
+    let mut levels = vec![set.finest().clone(); copies];
+    levels.extend(set.levels.iter().cloned());
+    let mut fine_to_coarse = vec![(0..n).collect::<Vec<u32>>(); copies];
+    fine_to_coarse.extend(set.fine_to_coarse.iter().cloned());
+    GraphSet {
+        levels,
+        fine_to_coarse,
+    }
+}
+
 /// A weighted path of `n` nodes, coarsened down to 16 nodes.
 fn path_set(n: usize) -> GraphSet {
     let path: Vec<_> = (0..n - 1).map(|i| (i as u32, i as u32 + 1, 50)).collect();
@@ -191,20 +207,45 @@ fn partition_digest(result: &PartitionResult) -> u64 {
 }
 
 /// The partitioner's assignments and task logs pinned bit for bit: one
-/// digest per `(set, k)`, equal at 1 and 4 threads. The constants were
-/// captured on the commit before KL's queues, projection and extraction
-/// were rewritten to cost edges rather than nodes, and that rewrite left
-/// every one of them unchanged. A change here is a change of the
-/// partitioner's output — of every downstream byte and of fc-dist's
-/// schedules — not of its speed.
+/// digest per `(set, k)`, equal at 1 and 4 threads. The constants of the
+/// first two sets were captured on the commit before KL's queues,
+/// projection and extraction were rewritten to cost edges rather than
+/// nodes, and that rewrite left every one of them unchanged. The last two
+/// sets hold copy levels (identity map, equal graph), which the partitioner
+/// refines once; their digests and k-way metrics (`partition.kway_passes`
+/// and an FNV-1a digest of the `partition.kway_pass_gain` histogram, from a
+/// logical recorder) were captured on the commit before it did. A change
+/// here is a change of the partitioner's output — of every downstream byte
+/// and of fc-dist's schedules — not of its speed.
 #[test]
 fn partition_assignments_and_task_logs_are_pinned() {
     let hybrid = hybrid_like_set(2_000, 3);
     assert!(hybrid.level_count() >= 3, "{} levels", hybrid.level_count());
     let isolated = (0..2_000).filter(|&v| hybrid.finest().degree(v) == 0);
     assert!(isolated.count() >= 1_800, "not shaped like the hybrid set");
-    let sets = [("hybrid_like(2000)", hybrid), ("path(512)", path_set(512))];
-    let expected: [[u64; 6]; 2] = [
+    let repeated = with_copies_of_level_0(&hybrid, 2);
+    let only_g0 = GraphSet {
+        levels: vec![hybrid.finest().clone()],
+        fine_to_coarse: Vec::new(),
+    };
+    let all_copies = with_copies_of_level_0(&only_g0, 5);
+    // Level 1 equals level 0 but swaps its first and last isolated nodes:
+    // no copy, though level 2 is one of level 1.
+    let mut swapped = with_copies_of_level_0(&only_g0, 2);
+    let lonely: Vec<u32> = (0..2_000)
+        .filter(|&v| swapped.finest().degree(v) == 0)
+        .collect();
+    let (first, last) = (lonely[0], lonely[lonely.len() - 1]);
+    swapped.fine_to_coarse[0].swap(first as usize, last as usize);
+    swapped.check_invariants().unwrap();
+    let sets = [
+        ("hybrid_like(2000)", hybrid),
+        ("path(512)", path_set(512)),
+        ("hybrid_like(2000), level 0 thrice", repeated),
+        ("hybrid_like(2000) level 0, six copies", all_copies),
+        ("hybrid_like(2000) level 0, swapped, copied", swapped),
+    ];
+    let expected: [[u64; 6]; 5] = [
         [
             0xea45fabc9c07de86,
             0x29f207dcd590649f,
@@ -221,17 +262,102 @@ fn partition_assignments_and_task_logs_are_pinned() {
             0x3911dce7da07130c,
             0xeccc2df7cdc10eb8,
         ],
+        [
+            0xa8d4f16de6e52fe6,
+            0x3fffab16fdf50477,
+            0xb719dc33f04ce0c5,
+            0x6dfbcfdb68df51bd,
+            0x6de1de8c00d57b88,
+            0xe759b62ede3cbc34,
+        ],
+        [
+            0x8505d25ba24f0d07,
+            0xe24ece690020001a,
+            0x441f149b3100c1fe,
+            0x075b1aa2eb45f02f,
+            0x112acd03dc2ef3e2,
+            0x55be471a226c215d,
+        ],
+        [
+            0x3046d6b94964b95f,
+            0x6a6070ac88be8d7c,
+            0x9f21450335ad9dce,
+            0xc80db373907fc1f3,
+            0x915ae31a8df09b13,
+            0x5d3d82469f1ccbdf,
+        ],
     ];
-    for ((name, set), digests) in sets.iter().zip(expected) {
-        for (k, want) in [2, 4, 8, 16, 32, 64].into_iter().zip(digests) {
+    // The copy sets' (kway_passes, kway_pass_gain digest) per k.
+    let expected_kway: [[(u64, u64); 6]; 3] = [
+        [
+            (6, 0xee74da9b7831d385),
+            (6, 0xee74da9b7831d385),
+            (6, 0xee74da9b7831d385),
+            (6, 0xee74da9b7831d385),
+            (6, 0xee74da9b7831d385),
+            (6, 0xee74da9b7831d385),
+        ],
+        [
+            (12, 0x4dac1967c1f33791),
+            (12, 0x2a0d0cad83e1cbf3),
+            (12, 0x2a0d0cad83e1cbf3),
+            (12, 0x0200d6db435936ff),
+            (6, 0xee74da9b7831d385),
+            (6, 0xee74da9b7831d385),
+        ],
+        [
+            (6, 0x43a0bbda1965e249),
+            (6, 0x7c8d30f39a6276e8),
+            (6, 0x7c8d30f39a6276e8),
+            (6, 0x227d4fc58f9d7412),
+            (3, 0x636092c62950a505),
+            (3, 0x636092c62950a505),
+        ],
+    ];
+    let mut points = Vec::new();
+    for (si, ((name, set), digests)) in sets.iter().zip(expected).enumerate() {
+        for (ki, (k, want)) in [2, 4, 8, 16, 32, 64].into_iter().zip(digests).enumerate() {
             for threads in [1, 4] {
                 let config = PartitionConfig::new(k, 42).with_threads(threads);
-                let got = partition_digest(&partition_graph_set(set, &config).unwrap());
-                println!("{name} k={k} threads={threads}: {got:#018x}");
-                assert_eq!(got, want, "{name} k={k} threads={threads}");
+                let rec = Recorder::new(ObsOptions::logical());
+                let got = partition_digest(&partition_graph_set_obs(set, &config, &rec).unwrap());
+                let kway = kway_metrics(&rec);
+                let (passes, gains) = kway;
+                println!("{name} k={k} threads={threads}: {got:#018x} ({passes}, {gains:#018x})");
+                let want_kway = expected_kway.get(si.wrapping_sub(2)).map(|row| row[ki]);
+                let kway = want_kway.map(|_| kway);
+                points.push((
+                    format!("{name} k={k} threads={threads}"),
+                    (got, kway),
+                    (want, want_kway),
+                ));
             }
         }
     }
+    for (point, got, want) in points {
+        assert_eq!(got, want, "{point}");
+    }
+}
+
+/// `partition.kway_passes` and an FNV-1a digest of every field of the
+/// `partition.kway_pass_gain` histogram.
+fn kway_metrics(rec: &Recorder) -> (u64, u64) {
+    let snapshot = rec.snapshot();
+    let passes = snapshot
+        .counters
+        .get("partition.kway_passes")
+        .copied()
+        .unwrap_or(0);
+    let gains = snapshot
+        .histograms
+        .get("partition.kway_pass_gain")
+        .map_or(FNV_BASIS, |h| {
+            [h.count, h.sum, h.min, h.max]
+                .into_iter()
+                .chain(h.counts.iter().copied())
+                .fold(FNV_BASIS, fnv1a)
+        });
+    (passes, gains)
 }
 
 /// FNV-1a over every overlap's fields, in list order.
