@@ -139,7 +139,7 @@ impl DistributedHybrid {
         })
     }
 
-    /// Nodes of each partition.
+    /// Nodes of each partition, ascending.
     fn partition_nodes(&self) -> Vec<Vec<NodeId>> {
         let mut lists = vec![Vec::new(); self.k];
         for v in 0..self.graph.node_count() as NodeId {
@@ -202,9 +202,12 @@ impl DistributedHybrid {
             ],
         );
         let mut timings = Vec::with_capacity(PhaseId::ALL.len());
+        // Every phase's workers scan their own partition's nodes. Removal
+        // never moves a node between partitions, so one listing serves the
+        // whole run.
+        let lists = self.partition_nodes();
 
         // --- Phase 1: transitive reduction (§V-A). ---
-        let lists = self.partition_nodes();
         let phase_span = rec.span("dist", "dist.phase.transitive_reduction");
         let run = execute_phase(
             &mut cluster,
@@ -226,7 +229,6 @@ impl DistributedHybrid {
         timings.push(run.timing);
 
         // --- Phase 2: containment + false-positive edges (§V-B). ---
-        let lists = self.partition_nodes();
         let phase_span = rec.span("dist", "dist.phase.containment_removal");
         let run = execute_phase(
             &mut cluster,
@@ -250,7 +252,6 @@ impl DistributedHybrid {
         timings.push(run.timing);
 
         // --- Phase 3: dead ends + bubbles (§V-C). ---
-        let lists = self.partition_nodes();
         let phase_span = rec.span("dist", "dist.phase.error_removal");
         let run = execute_phase(
             &mut cluster,
@@ -289,7 +290,7 @@ impl DistributedHybrid {
             &pool,
             PhaseId::Traversal,
             self.k,
-            |p, w| traverse::worker_paths(&self.graph, &self.parts, p as u32, w),
+            |p, w| traverse::worker_paths(&self.graph, &lists[p], w),
             |paths| paths.iter().map(|q| 4 * q.len() as u64 + 8).sum(),
             rec,
         )?;

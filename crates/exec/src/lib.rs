@@ -3,13 +3,15 @@
 //! The paper's three hot phases — subset-pair alignment (§II-B), recursive
 //! bisection (§IV-C) and level-wise k-way refinement (§IV-D) — decompose
 //! into independent tasks whose *results* do not depend on execution order.
-//! [`Pool`] exploits that: scoped worker threads claim index-tagged chunks
-//! of the task slice from one shared queue until it is empty, and every
-//! result is delivered in **canonical task order** — a result that
-//! finishes early waits only for its unfinished predecessors, not for the
-//! whole batch ([`Pool::for_each_ordered`]). Output is therefore
-//! bit-identical at any thread count; with `threads = 1` the pool does not
-//! spawn at all and runs the exact serial loop in the caller's thread.
+//! [`Pool`] exploits that: workers claim index-tagged chunks of the task
+//! slice from one shared queue until it is empty, and every result is
+//! delivered in **canonical task order** — a result that finishes early
+//! waits only for its unfinished predecessors, not for the whole batch
+//! ([`Pool::for_each_ordered`]). Output is therefore bit-identical at any
+//! thread count. The calling thread is one of the workers: a batch on `w`
+//! workers spawns `w − 1` scoped threads, and with `threads = 1` the pool
+//! does not spawn at all and runs the exact serial loop in the caller's
+//! thread.
 //!
 //! Workers own reusable per-thread scratch state (allocation buffers for the
 //! alignment kernel, for instance) created once per worker through the
@@ -47,6 +49,7 @@ fn available_threads() -> usize {
 ///
 /// `threads == 1` is the exact serial path (no threads spawned, caller-order
 /// execution); any other count changes only wall-clock time, never results.
+/// A batch on `w` workers runs one of them in the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -272,32 +275,36 @@ impl Pool {
             }
         };
 
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                handles.push(scope.spawn(|| {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "per-worker busy time for sched.worker.busy_us; sched.* \
-                                  is excluded from logical-clock snapshots, so the \
-                                  reading cannot reach output bytes"
-                    )]
-                    let started = Instant::now();
-                    let mut s = scratch();
-                    // Tasks never enqueue new tasks, so the queue only ever
-                    // drains: once it is empty, all remaining chunks are
-                    // being executed by their claimants and this worker can
-                    // retire.
-                    while let Some((c, block)) = claim() {
-                        for (off, item) in block.iter_mut().enumerate() {
-                            deliver(c * chunk + off, f(item, &mut s));
-                        }
-                    }
-                    started.elapsed().as_micros() as u64
-                }));
+        // Every worker runs this claim loop: the calling thread is one of
+        // them, so a batch spawns `workers - 1` threads. Returns the
+        // worker's busy time in microseconds.
+        let work = || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-worker busy time for sched.worker.busy_us; sched.* \
+                          is excluded from logical-clock snapshots, so the \
+                          reading cannot reach output bytes"
+            )]
+            let started = Instant::now();
+            let mut s = scratch();
+            // Tasks never enqueue new tasks, so the queue only ever drains:
+            // once it is empty, all remaining chunks are being executed by
+            // their claimants and this worker can retire.
+            while let Some((c, block)) = claim() {
+                for (off, item) in block.iter_mut().enumerate() {
+                    deliver(c * chunk + off, f(item, &mut s));
+                }
             }
-            for handle in handles {
-                match handle.join() {
+            started.elapsed().as_micros() as u64
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            // A task that panics in the calling thread unwinds out of the
+            // scope, which joins the spawned workers first and then
+            // re-raises it.
+            let own = Ok(work());
+            for joined in std::iter::once(own).chain(handles.into_iter().map(|h| h.join())) {
+                match joined {
                     Ok(busy_us) => {
                         rec.add("sched.exec.scratch_created", 1);
                         rec.observe("sched.exec.worker_busy_us", busy_us);
@@ -443,13 +450,14 @@ mod tests {
         let snapshot = rec.snapshot();
         assert_eq!(snapshot.counters.get("exec.tasks"), Some(&500));
         assert_eq!(snapshot.counters.get("sched.exec.dispatches"), Some(&1));
-        // One scratch per worker thread, one busy-time sample each.
+        // One scratch per worker, the calling thread included, and one
+        // busy-time sample each.
         let scratch = snapshot
             .counters
             .get("sched.exec.scratch_created")
             .copied()
             .unwrap_or(0);
-        assert!((1..=4).contains(&scratch));
+        assert_eq!(scratch, 4);
         assert_eq!(
             snapshot
                 .histograms
@@ -551,5 +559,91 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    /// Runs `Pool::new(2).map(2, f)` so that its two tasks overlap: each
+    /// waits until both have started, which two workers satisfy only by
+    /// running one task each. `f` gets the task index. Returns each task's
+    /// thread next to the calling thread.
+    fn two_overlapping_tasks<T: Send>(
+        rec: &Recorder,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<(std::thread::ThreadId, T)>, std::thread::ThreadId) {
+        let started = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let out = Pool::new(2).map_obs(2, rec, |i| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 2 {
+                assert!(Instant::now() < deadline, "the second worker never started");
+                std::thread::yield_now();
+            }
+            (std::thread::current().id(), f(i))
+        });
+        (out, std::thread::current().id())
+    }
+
+    /// A batch on two workers spawns one thread: the calling thread runs
+    /// the other task, and both results arrive in order.
+    #[test]
+    fn calling_thread_runs_tasks() {
+        let rec = Recorder::new(fc_obs::ObsOptions::wall_clock());
+        let (out, caller) = two_overlapping_tasks(&rec, |i| i);
+        assert_eq!(out.iter().map(|&(_, i)| i).collect::<Vec<_>>(), vec![0, 1]);
+        let on_caller = out.iter().filter(|&&(id, _)| id == caller).count();
+        assert_eq!(on_caller, 1, "exactly one task runs in the calling thread");
+        // Two workers, two scratch values: the caller's counts.
+        let snapshot = rec.snapshot();
+        assert_eq!(
+            snapshot.counters.get("sched.exec.scratch_created"),
+            Some(&2)
+        );
+        assert_eq!(
+            snapshot
+                .histograms
+                .get("sched.exec.worker_busy_us")
+                .map(|h| h.count),
+            Some(2)
+        );
+    }
+
+    /// A task that panics in the calling thread propagates its panic after
+    /// the spawned worker is joined, and one that panics in the spawned
+    /// worker does too.
+    #[test]
+    fn panic_in_either_worker_propagates() {
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let result = std::panic::catch_unwind(|| {
+                two_overlapping_tasks(&Recorder::disabled(), |_| {
+                    let here = std::thread::current().id() == caller;
+                    assert!(here != on_caller, "boom");
+                })
+            });
+            let cause = result.expect_err("the panic must propagate");
+            let message = cause.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(message, "boom", "on_caller = {on_caller}");
+        }
+    }
+
+    /// `sched.exec.scratch_created` is the worker count: the thread count,
+    /// or the task count when there are fewer tasks.
+    #[test]
+    fn scratch_count_is_the_worker_count() {
+        for (threads, tasks, workers) in [(1, 10, 1), (2, 10, 2), (4, 3, 3), (4, 100, 4)] {
+            let rec = Recorder::new(fc_obs::ObsOptions::wall_clock());
+            let created = AtomicU64::new(0);
+            Pool::new(threads).map_with_obs(
+                tasks,
+                &rec,
+                || created.fetch_add(1, Ordering::Relaxed),
+                |i, _| i,
+            );
+            assert_eq!(created.load(Ordering::Relaxed), workers);
+            assert_eq!(
+                rec.snapshot().counters.get("sched.exec.scratch_created"),
+                Some(&workers),
+                "threads = {threads}, tasks = {tasks}"
+            );
+        }
     }
 }

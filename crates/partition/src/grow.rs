@@ -11,11 +11,15 @@
 //! # What is kept across assignments
 //!
 //! Weighted degrees are summed once per call. The set of unassigned nodes
-//! lives in a Fenwick tree, so the reseed an empty horizon asks for — "the
-//! `pick`-th unassigned node in index order" — costs `O(log n)`; the hybrid
-//! graph sets are mostly isolated nodes, where nearly every step reseeds.
-//! The draw, and so the node, are the ones a walk over the assignment array
-//! finds (the `reference` module keeps that walk; `differential` compares).
+//! is a bitmap of 64-bit words, with each 512-node block's count of
+//! unassigned nodes in a Fenwick tree over blocks. The reseed an empty
+//! horizon asks for — "the `pick`-th unassigned node in index order" —
+//! descends the blocks (4 levels at 4 780 nodes), popcounts at most eight
+//! words and selects the bit inside one; assigning a node clears its bit
+//! and updates `O(log(n / 512))` counts. The hybrid graph sets are mostly
+//! isolated nodes, where nearly every step reseeds. The draw, and so the
+//! node, are the ones a walk over the assignment array finds (the
+//! `reference` module keeps that walk; `differential` compares).
 //!
 //! # What `work` charges
 //!
@@ -30,25 +34,45 @@ use std::collections::BinaryHeap;
 /// The paper's 3 % balance bound on partition edge weight during growth.
 pub const EDGE_WEIGHT_BALANCE: f64 = 1.03;
 
-/// Which nodes are still unassigned, as a Fenwick tree of 0/1 marks:
-/// assigning a node and finding the `pick`-th unassigned node in index order
-/// are both `O(log n)`.
+/// Nodes per block of [`Unassigned`]'s bitmap: eight 64-bit words.
+const BLOCK: usize = 512;
+
+/// Which nodes are still unassigned: one bit per node in 64-bit words, and
+/// each 512-node block's count of set bits in a Fenwick tree over blocks.
+/// Assigning a node clears its bit and updates `O(log(n / 512))` counts;
+/// the `pick`-th unassigned node in index order is found by descending the
+/// blocks, popcounting at most eight words and selecting inside one.
 struct Unassigned {
-    /// 1-based; `tree[i]` counts the marks in `(i - lowbit(i), i]`.
+    /// Bit `v % 64` of word `v / 64` is set while node `v` is unassigned.
+    words: Vec<u64>,
+    /// 1-based; `tree[i]` counts the set bits of blocks `(i - lowbit(i), i]`.
     tree: Vec<u32>,
 }
 
 impl Unassigned {
     /// All of `0..n` unassigned.
     fn all(n: usize) -> Unassigned {
-        // A node of an all-ones Fenwick tree holds the size of its range.
-        let tree = (0..=n as u32).map(|i| i & i.wrapping_neg()).collect();
-        Unassigned { tree }
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - n % 64) % 64;
+        }
+        // A node of a Fenwick tree over full blocks holds its range's block
+        // count times the block size; only the last block may be short.
+        let blocks = n.div_ceil(BLOCK);
+        let tree = (0..=blocks)
+            .map(|i| {
+                let first = i - (i & i.wrapping_neg());
+                ((i * BLOCK).min(n) - first * BLOCK) as u32
+            })
+            .collect();
+        Unassigned { words, tree }
     }
 
     /// Clears the mark of `v` (which must be set).
     fn assign(&mut self, v: u32) {
-        let mut i = v as usize + 1;
+        let v = v as usize;
+        self.words[v / 64] &= !(1u64 << (v % 64));
+        let mut i = v / BLOCK + 1;
         while i < self.tree.len() {
             self.tree[i] -= 1;
             i += i & i.wrapping_neg();
@@ -58,21 +82,52 @@ impl Unassigned {
     /// The unassigned node with exactly `pick` unassigned nodes before it.
     /// `pick` must be below the number of marks left.
     fn nth(&self, pick: usize) -> u32 {
-        let n = self.tree.len() - 1;
-        let mut pos = 0usize;
+        let blocks = self.tree.len() - 1;
+        let mut block = 0usize;
         let mut remaining = pick as u32;
-        let mut step = n.checked_ilog2().map_or(0, |b| 1usize << b);
-        // Descend to the longest prefix holding at most `pick` marks.
+        let mut step = blocks.checked_ilog2().map_or(0, |b| 1usize << b);
+        // Descend to the longest prefix of blocks holding at most `pick` marks.
         while step > 0 {
-            let next = pos + step;
-            if next <= n && self.tree[next] <= remaining {
-                pos = next;
+            let next = block + step;
+            if next <= blocks && self.tree[next] <= remaining {
+                block = next;
                 remaining -= self.tree[next];
             }
             step >>= 1;
         }
-        pos as u32
+        // The node is in block `block`: find its word, then its bit.
+        let mut w = block * (BLOCK / 64);
+        loop {
+            let ones = self.words[w].count_ones();
+            if remaining < ones {
+                return (w * 64) as u32 + select(self.words[w], remaining);
+            }
+            remaining -= ones;
+            w += 1;
+        }
     }
+}
+
+/// The position of the set bit of `word` with `rank` set bits below it;
+/// `rank` must be below `word.count_ones()`.
+fn select(mut word: u64, mut rank: u32) -> u32 {
+    let mut base = 0;
+    // Halve the window while the wanted bit's half is known, down to a byte.
+    for width in [32, 16, 8] {
+        let low = word & ((1u64 << width) - 1);
+        let ones = low.count_ones();
+        if rank < ones {
+            word = low;
+        } else {
+            rank -= ones;
+            word >>= width;
+            base += width;
+        }
+    }
+    for _ in 0..rank {
+        word &= word - 1;
+    }
+    base + word.trailing_zeros()
 }
 
 /// Grows an initial bisection of `local`. Returns `side[v]` (false = P1,
@@ -409,20 +464,40 @@ mod differential {
         }
     }
 
-    /// The tree's `pick`-th unassigned node is the one the linear walk over
-    /// the assignment array finds, for every legal `pick`.
+    /// The index's `pick`-th unassigned node is the one the linear walk over
+    /// the assignment array finds, for every legal `pick`, at sizes around
+    /// one block, several blocks and several block levels.
     #[test]
     fn reseed_pick_equals_the_linear_walk() {
-        for n in [1usize, 2, 3, 17, 300, 2_000] {
-            let mut rng = Rng::new(n as u64);
-            let mut index = Unassigned::all(n);
-            let mut assigned = vec![false; n];
-            // Before any assignment the k-th unassigned node is node k.
-            for pick in 0..n {
-                assert_eq!(index.nth(pick), pick as u32);
-            }
+        for n in [1usize, 2, 3, 17, 64, 65, 300, 511, 512, 513, 2_000] {
+            check_picks(n);
+        }
+    }
+
+    /// As above, at sizes that take the Fenwick descent over blocks through
+    /// four and seven levels.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn reseed_pick_equals_the_linear_walk_across_block_levels() {
+        for n in [4_097usize, 40_961] {
+            check_picks(n);
+        }
+    }
+
+    /// Every pick before any assignment, then every pick after each of
+    /// three rounds of random assignments (about half, then a quarter, then
+    /// nearly all of what is left), against the linear walk.
+    fn check_picks(n: usize) {
+        let mut rng = Rng::new(n as u64);
+        let mut index = Unassigned::all(n);
+        let mut assigned = vec![false; n];
+        // Before any assignment the k-th unassigned node is node k.
+        for pick in 0..n {
+            assert_eq!(index.nth(pick), pick as u32, "n={n} pick={pick}");
+        }
+        for p in [0.5, 0.5, 0.95] {
             for (v, mark) in assigned.iter_mut().enumerate() {
-                if rng.bool(0.5) {
+                if !*mark && rng.bool(p) {
                     *mark = true;
                     index.assign(v as u32);
                 }
@@ -430,6 +505,24 @@ mod differential {
             let walk: Vec<u32> = (0..n as u32).filter(|&v| !assigned[v as usize]).collect();
             for (pick, &expected) in walk.iter().enumerate() {
                 assert_eq!(index.nth(pick), expected, "n={n} pick={pick}");
+            }
+        }
+    }
+
+    /// Selecting inside one word: every set bit of a few patterns, found
+    /// by rank.
+    #[test]
+    fn select_finds_each_set_bit_by_rank() {
+        for word in [
+            1u64,
+            u64::MAX,
+            1 << 63,
+            0x8000_0001_0000_0100,
+            0xF0F0_0000_0F0F_00FF,
+        ] {
+            let bits: Vec<u32> = (0..64).filter(|&b| word >> b & 1 == 1).collect();
+            for (rank, &bit) in bits.iter().enumerate() {
+                assert_eq!(select(word, rank as u32), bit, "word={word:#x} rank={rank}");
             }
         }
     }

@@ -30,6 +30,9 @@
 //!   that settled pass and change nothing: the copy takes the moves above
 //!   and its task is charged the settled pass's work, with no extraction
 //!   and no KL. Otherwise the copy is projected and refined as any level.
+//!   Copies bucketed together share one `Members`, so "same bucket" is a
+//!   pointer test before it is a slice comparison, and the guard's side
+//!   weights, equal on every copy of a run, are summed once per run.
 //! * **Buckets, repair, k-way.** Each is a pure function of the level and
 //!   its assignment, so a run of copies whose assignments are equal is
 //!   bucketed, repaired and k-way-refined once. Every copy still gets its
@@ -522,7 +525,9 @@ fn bisect_partition(
         above_side = side;
     }
 
-    // Project and refine downwards.
+    // Project and refine downwards. `repeated`: the level above took the
+    // copy shortcut, so its guard was quiet on the side this level sees.
+    let mut repeated = false;
     for level in (0..top).rev() {
         let map = &set.fine_to_coarse[level];
         let graph = &set.levels[level];
@@ -531,19 +536,30 @@ fn bisect_partition(
         // same local graph, and projection hands it the side above as it
         // stands. When that side settled and the guard below stays quiet,
         // KL would repeat the settled pass: charge it, take the moves above.
-        if copies[level] && nodes == members[level + 1].by_part[p as usize].as_slice() {
+        // Copies bucketed together share one `Members`, so the bucket test
+        // compares pointers first; and the guard weighs the same nodes and
+        // sides on every level of a run, so it is summed once per run.
+        let above_nodes: &[NodeId] = &members[level + 1].by_part[p as usize];
+        if copies[level]
+            && (std::ptr::eq(members[level], members[level + 1]) || nodes == above_nodes)
+        {
             if let Some(pass) = settled {
-                let mut side_weight = [0u64, 0u64];
-                for (&v, &s) in nodes.iter().zip(&above_side) {
-                    side_weight[usize::from(s)] += u64::from(graph.node_weight(v));
-                }
-                if !lopsided(side_weight) {
+                let quiet = repeated || {
+                    let mut side_weight = [0u64, 0u64];
+                    for (&v, &s) in nodes.iter().zip(&above_side) {
+                        side_weight[usize::from(s)] += u64::from(graph.node_weight(v));
+                    }
+                    !lopsided(side_weight)
+                };
+                if quiet {
                     work += pass;
                     moved[level] = moved[level + 1].clone();
+                    repeated = true;
                     continue;
                 }
             }
         }
+        repeated = false;
         let above_rank = &members[level + 1].rank;
         let local = extract_part(graph, &parts[level], members[level], p);
         let mut side = vec![false; nodes.len()];
