@@ -8,14 +8,17 @@
 //! DP only when none of the proven bounds of [`crate::myers`] already
 //! determines its verdict (or, for the ungapped-optimum rule on
 //! equal-length ranges, when the optimal alignment is unique and known from
-//! a word-parallel Hamming count). Anything else runs NW in a band shrunk
-//! by the gap bound, which the band-equivalence argument shows cannot
-//! change the summary. [`banded_nw_verdict`] is therefore both the DP step
-//! of `verify` and the oracle every differential test compares it with.
+//! a word-parallel Hamming count). The bounds need the ranges' edit
+//! distance: Landau–Vishkin computes it for an equal-length request at
+//! Hamming distance `h <= LV_MAX_H`, Myers for every other one. Anything
+//! the bounds leave runs NW in a band shrunk by the gap bound, which the
+//! band-equivalence argument shows cannot change the summary.
+//! [`banded_nw_verdict`] is therefore both the DP step of `verify` and the
+//! oracle every differential test compares it with.
 
 use crate::myers::{
-    edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
-    ungapped_optimum_forced, MyersScratch,
+    bounded_distance_with, edit_distance_with, identity_upper_bound, max_columns_bound,
+    optimal_gap_bound, ungapped_optimum_forced, LvScratch, MyersScratch,
 };
 use crate::nw::{banded_global_with, AlignmentSummary, NwScratch, MATCH, MISMATCH};
 use crate::overlap::OverlapKind;
@@ -46,14 +49,29 @@ pub struct VerifyReq {
     pub band: usize,
 }
 
-/// Reusable per-worker buffers of verification: the NW band buffers and the
-/// Myers `Peq`/delta vectors. One value per worker thread,
-/// like `AlignScratch`.
+/// Reusable per-worker buffers of verification: the NW band buffers, the
+/// Myers `Peq`/delta vectors and the Landau–Vishkin diagonal rows. One
+/// value per worker thread, like `AlignScratch`.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
     nw: NwScratch,
     myers: MyersScratch,
+    lv: LvScratch,
 }
+
+/// The largest Hamming distance at which an equal-length request's edit
+/// distance comes from Landau–Vishkin ([`bounded_distance_with`], cutoff
+/// `h - 1`) rather than Myers. LV costs `O(h²)` 32-base extensions
+/// whatever the length, Myers one column step per base, so LV wins for
+/// small `h` only. Timed per `h` over `incore-t1` seed 1's 101 283
+/// distance calls (all equal-length; one thread, both kernels on every
+/// call, medians of 15 alternated rounds, two runs on a shared 2-core
+/// host): at `h = 3` Myers takes 14.8–18.0 ms over 23 619 calls and LV
+/// 2.6–2.8; the two meet at `h = 10` (1.5–1.8 ms each over 2 204 calls);
+/// over `h = 17..=24` Myers takes 5.6–6.4 ms and LV 20.1–20.3. Summed, LV
+/// takes `h <= 10` from 51–56 ms to 16–18 and would take the rest from
+/// 20–22 ms to 79–83, so Myers stays above the crossover.
+pub const LV_MAX_H: usize = 10;
 
 /// Applies the overlap thresholds to a banded-NW summary.
 #[inline]
@@ -117,7 +135,9 @@ fn ungapped_verdict(
 /// Verifies one request against `config`'s thresholds. Before any edit
 /// distance: the out-of-band rejection NW would make, the ungapped-optimum
 /// rule for Hamming distances small enough to need no edit distance, and
-/// the cannot-reach-`min_overlap_len` rejection. Then, given the exact edit distance `d`: reject via the
+/// the cannot-reach-`min_overlap_len` rejection. Then, given the exact
+/// edit distance `d` (Landau–Vishkin up to [`LV_MAX_H`], Myers past it or
+/// on unequal lengths): reject via the
 /// identity and column bounds, resolve equal-length ranges whose Hamming
 /// distance equals `d` by the ungapped-optimum rule, otherwise run NW in
 /// the gap-bound-shrunk band (provably the same summary as the request's
@@ -146,13 +166,15 @@ pub(crate) fn verify(
         stats.prefilter_rejected += 1;
         return None;
     }
-    let d = edit_distance_with(
-        store.get(req.a).packed(),
-        req.a_range,
-        store.get(req.b).packed(),
-        req.b_range,
-        &mut scratch.myers,
-    );
+    let (a, b) = (store.get(req.a).packed(), store.get(req.b).packed());
+    let d = match h.filter(|&h| h <= LV_MAX_H) {
+        // The all-diagonal script costs `h`, so `D <= h`; a search capped
+        // at `h - 1` (`h >= 1`: `h = 0` settled above) that finds nothing
+        // leaves `D = h`, and the ungapped rule below fires on it.
+        Some(h) => bounded_distance_with(a, req.a_range, b, req.b_range, h - 1, &mut scratch.lv)
+            .unwrap_or(h as u32),
+        None => edit_distance_with(a, req.a_range, b, req.b_range, &mut scratch.myers),
+    };
     if identity_upper_bound(n, m, d) < config.min_identity {
         stats.prefilter_rejected += 1;
         return None;
@@ -328,13 +350,22 @@ mod tests {
         let config = thresholds(30, 0.9);
         let mut seen = PairStats::default();
         let mut gapped_accepts = 0;
+        let mut kernels = [0; 3];
+        let equal_length = if cfg!(miri) { 20 } else { 100 };
         for round in 0..6 {
             let store = paired_store(&mut rng);
-            let reqs = random_reqs(&store, &mut rng, 300);
+            let mut reqs = random_reqs(&store, &mut rng, 300);
+            reqs.extend(equal_length_reqs(&store, &mut rng, equal_length));
             let expected = reference(&store, &config, &reqs);
             assert!(expected.iter().any(|v| v.is_some()), "corpus too easy");
             assert!(expected.iter().any(|v| v.is_none()), "corpus too easy");
             gapped_accepts += gapped_equal_length_accepts(&reqs, &expected);
+            for (count, more) in kernels
+                .iter_mut()
+                .zip(distance_kernels(&store, &config, &reqs))
+            {
+                *count += more;
+            }
             let (got, stats) = run(&store, &config, &reqs);
             assert_eq!(got, expected, "verify diverges in round {round}");
             // A request inside its band is counted exactly once — bound
@@ -358,6 +389,68 @@ mod tests {
         assert!(seen.exact_hits > 0, "{seen:?}");
         assert!(seen.prefilter_verified > 0, "{seen:?}");
         assert!(gapped_accepts > 0, "no equal-length request with a gapped optimum");
+        // Equal-length requests reached the distance step on both sides of
+        // the Landau–Vishkin crossover, and below it LV both found `D < h`
+        // and ran out at `D = h`.
+        assert!(
+            kernels.iter().all(|&k| k > 0),
+            "LV D < h, LV D = h, Myers: {kernels:?}"
+        );
+    }
+
+    /// Equal-length ranges of a base read and its mutated copy, the copy's
+    /// range shifted by up to a base either way: the requests whose
+    /// distance comes from Landau–Vishkin when `h <= LV_MAX_H`, with `D < h`
+    /// across the copy's indels and `D = h` elsewhere.
+    fn equal_length_reqs(store: &ReadStore, rng: &mut Rng, count: usize) -> Vec<VerifyReq> {
+        (0..count)
+            .map(|_| {
+                let i = rng.range(0..12u32);
+                let (a, b) = (ReadId(4 * i), ReadId(4 * i + 2));
+                let len = store.get(a).len().min(store.get(b).len());
+                let n = rng.range(len / 2..=len);
+                let a0 = rng.range(0..=store.get(a).len() - n);
+                let b0 = (a0 + rng.range(0..3))
+                    .saturating_sub(1)
+                    .min(store.get(b).len() - n);
+                VerifyReq {
+                    a,
+                    b,
+                    kind: OverlapKind::SuffixPrefix,
+                    shift: 0,
+                    a_range: (a0, a0 + n),
+                    b_range: (b0, b0 + n),
+                    band: [0usize, 1, 4, 8, 16][rng.range(0..5)],
+                }
+            })
+            .collect()
+    }
+
+    /// How many requests reach the distance step equal-length with
+    /// Landau–Vishkin finding `D < h`, with it running out at `D = h`, and
+    /// with Myers (`h > LV_MAX_H`): past the `h <= 2` and `min_overlap_len`
+    /// checks that precede it.
+    fn distance_kernels(
+        store: &ReadStore,
+        config: &OverlapConfig,
+        reqs: &[VerifyReq],
+    ) -> [usize; 3] {
+        let mut kernels = [0; 3];
+        let mut myers = MyersScratch::default();
+        for req in reqs {
+            let (n, m) = (req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
+            if n != m || n + m < config.min_overlap_len {
+                continue;
+            }
+            let h = hamming(store, req);
+            if ungapped_optimum_forced(h, None) {
+                continue;
+            }
+            let (a, b) = (store.get(req.a).packed(), store.get(req.b).packed());
+            let d = edit_distance_with(a, req.a_range, b, req.b_range, &mut myers) as usize;
+            kernels[if h > LV_MAX_H { 2 } else { usize::from(d == h) }] += 1;
+        }
+        kernels
     }
 
     /// Accepted verdicts on equal-length ranges whose column count exceeds

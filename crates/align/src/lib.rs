@@ -12,11 +12,13 @@
 //! * [`pairwise`] — the subset-pair overlapper: k-mer seeding through the
 //!   seed index, diagonal voting, banded verification, thresholding on
 //!   minimum overlap length and identity,
-//! * [`kernel`] — candidate verification: the bit-parallel prefilter
-//!   around the banded-NW verdict ([`banded_nw_verdict`], its DP step and
-//!   its oracle),
-//! * [`myers`] — Myers' (1999) bit-parallel edit-distance kernel with the
-//!   provable prefilter bounds.
+//! * [`kernel`] — candidate verification: the distance prefilter around
+//!   the banded-NW verdict ([`banded_nw_verdict`], its DP step and its
+//!   oracle), with the crossover [`LV_MAX_H`] between its two distance
+//!   kernels,
+//! * [`myers`] — the two edit-distance kernels, Landau–Vishkin (1989)
+//!   bounded by a cutoff and Myers' (1999) bit-parallel, with the provable
+//!   prefilter bounds.
 
 #![forbid(unsafe_code)]
 
@@ -31,10 +33,10 @@ pub mod pairwise;
 pub use error::AlignError;
 pub use fc_exec::Pool;
 pub use index::KmerIndex;
-pub use kernel::{banded_nw_verdict, KernelScratch, VerifyReq};
+pub use kernel::{banded_nw_verdict, KernelScratch, VerifyReq, LV_MAX_H};
 pub use myers::{
-    edit_distance_with, identity_upper_bound, max_columns_bound, optimal_gap_bound,
-    ungapped_optimum_forced, MyersScratch,
+    bounded_distance_with, edit_distance_with, identity_upper_bound, max_columns_bound,
+    optimal_gap_bound, ungapped_optimum_forced, LvScratch, MyersScratch,
 };
 pub use nw::{banded_global, banded_global_with, AlignmentSummary, NwScratch};
 pub use overlap::{Overlap, OverlapKind};

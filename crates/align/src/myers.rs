@@ -1,14 +1,22 @@
-//! Myers' bit-parallel global edit distance (Myers 1999, Hyyrö 2003) and the
-//! sound prefilter bounds that connect it to the scalar banded NW verifier.
+//! The edit-distance kernels of verification — Myers' bit-parallel global
+//! edit distance (Myers 1999, Hyyrö 2003) and Landau–Vishkin's bounded one
+//! (Landau & Vishkin 1989) — and the sound prefilter bounds that connect
+//! them to the scalar banded NW verifier.
 //!
 //! # Role in verification
 //!
 //! Verification ([`crate::kernel`]) never *replaces* the scalar
 //! banded Needleman–Wunsch verifier — it bounds it. For a candidate pair
 //! it computes the exact unit-cost (Levenshtein) edit distance `D` between
-//! the two overlap ranges, 64 pattern rows per machine word, and from `D`
-//! derives *sound* bounds on what [`banded_global_with`](crate::nw) could
-//! possibly report:
+//! the two overlap ranges and from `D` derives *sound* bounds on what
+//! [`banded_global_with`](crate::nw) could possibly report (listed below).
+//! Two kernels compute `D`. [`bounded_distance_with`] (Landau–Vishkin)
+//! serves an equal-length request at Hamming distance `h` up to
+//! [`crate::LV_MAX_H`]: `D <= h` there, so with cutoff `h - 1` it either
+//! returns `D` or shows `D = h`, in `O(h²)` 32-base extensions.
+//! [`edit_distance_with`] (Myers, 64 pattern rows per machine word) serves
+//! every other request, where its per-base cost beats LV's quadratic one.
+//! The bounds:
 //!
 //! * an upper bound on achievable identity → candidates that cannot reach
 //!   `min_identity` are rejected without running NW at all,
@@ -288,6 +296,112 @@ fn distance_blocked(
     score as u32
 }
 
+/// Reusable diagonal rows of [`bounded_distance_with`]: the furthest
+/// reaching row of the previous and the current edit count, per diagonal.
+/// One value per worker thread, like [`MyersScratch`].
+#[derive(Debug, Clone, Default)]
+pub struct LvScratch {
+    prev: Vec<isize>,
+    cur: Vec<isize>,
+}
+
+/// A diagonal no row has reached yet.
+const UNREACHED: isize = isize::MIN / 2;
+
+/// Number of leading positions, at most `limit`, at which `a[a_pos..]` and
+/// `b[b_pos..]` agree: the longest common extension, 32 bases per step —
+/// `xor` the windows, and the first differing base holds the lowest set
+/// bit.
+#[inline]
+fn common_extension(
+    a: PackedView<'_>,
+    a_pos: usize,
+    b: PackedView<'_>,
+    b_pos: usize,
+    limit: usize,
+) -> usize {
+    let mut run = 0;
+    while run < limit {
+        let x = a.window(a_pos + run) ^ b.window(b_pos + run);
+        if x != 0 {
+            return (run + x.trailing_zeros() as usize / 2).min(limit);
+        }
+        run += 32;
+    }
+    limit
+}
+
+/// The edit distance `D` of two equal-length ranges `a[a_range]` and
+/// `b[b_range]` if `D <= cutoff`, else `None` — Landau–Vishkin: for each
+/// edit count `e`, the furthest row reachable on each diagonal `k` (`b`'s
+/// offset minus `a`'s), extended along matches 32 bases a step (`xor` the
+/// windows; the first differing base holds the lowest set bit). A path of
+/// `D <= cutoff` edits that has spent `e`
+/// sits on a diagonal `|k| <= e` and needs `|k|` more edits to return to
+/// diagonal 0, so only `|k| <= min(e, cutoff - e)` is kept. Costs
+/// `O(cutoff²)` extensions, independent of the ranges' length.
+///
+/// # Panics
+/// Panics in debug builds if the ranges differ in length or are out of
+/// bounds.
+pub fn bounded_distance_with(
+    a: PackedView<'_>,
+    a_range: (usize, usize),
+    b: PackedView<'_>,
+    b_range: (usize, usize),
+    cutoff: usize,
+    scratch: &mut LvScratch,
+) -> Option<u32> {
+    let n = a_range.1 - a_range.0;
+    debug_assert_eq!(n, b_range.1 - b_range.0, "equal-length ranges only");
+    // Row `i` of diagonal `k` slid along its matches; `end` caps the row
+    // where diagonal `k` leaves the grid.
+    let slide = |i: usize, k: isize, end: usize| {
+        let j = i.wrapping_add_signed(k);
+        i + common_extension(a, a_range.0 + i, b, b_range.0 + j, end - i)
+    };
+    let first = slide(0, 0, n);
+    if first == n {
+        return Some(0);
+    }
+    // Diagonals -reach ..= reach: one past the widest kept band on each
+    // side, which reads as unreached. Bands grow by one a row and then
+    // shrink, so a diagonal outside the previous row's band was never
+    // written by any row.
+    let reach = cutoff / 2 + 1;
+    let LvScratch { prev, cur } = scratch;
+    for row in [&mut *prev, &mut *cur] {
+        row.clear();
+        row.resize(2 * reach + 1, UNREACHED);
+    }
+    prev[reach] = first as isize;
+    for e in 1..=cutoff {
+        let band = e.min(cutoff - e);
+        let (last, next) = (
+            &prev[reach - band - 1..=reach + band + 1],
+            &mut cur[reach - band..=reach + band],
+        );
+        // `last[i..i + 3]` holds diagonals `k - 1`, `k` and `k + 1` of the
+        // previous row for `next[i]`, diagonal `k`.
+        for ((k, from), slot) in (-(band as isize)..).zip(last.windows(3)).zip(next) {
+            // Substitution along `k`, a deletion from `k + 1` (one more
+            // base of `a`), an insertion from `k - 1` (one more of `b`).
+            // A step past the grid's edge is pulled back onto it: adjacent
+            // cells' distances differ by at most one, so the edge cell is
+            // still within `e` edits.
+            let from = (from[1] + 1).max(from[2] + 1).max(from[0]);
+            let end = n - k.max(0) as usize;
+            debug_assert!(from >= -k.min(0), "diagonal {k} unreachable at {e} edits");
+            *slot = slide((from as usize).min(end), k, end) as isize;
+        }
+        if cur[reach] == n as isize {
+            return Some(e as u32);
+        }
+        std::mem::swap(prev, cur);
+    }
+    None
+}
+
 /// True if banded NW must pick the all-diagonal alignment for two
 /// equal-length ranges at Hamming distance `h` — every gapped alignment
 /// scores strictly lower, so the summary is `(ma·(n - h) + mi·h, n, n - h)`
@@ -455,6 +569,93 @@ mod tests {
         assert_eq!(first, again);
     }
 
+    /// Landau–Vishkin on `a[ar]` against `b[br]` at every cutoff
+    /// `0 ..= D + 1`: `Some(D)` exactly when `D <= cutoff`, with `D` from
+    /// the reference DP. Returns `D`.
+    pub(crate) fn assert_lv_agrees(
+        a: &DnaString,
+        ar: (usize, usize),
+        b: &DnaString,
+        br: (usize, usize),
+    ) -> u32 {
+        let codes = |s: &DnaString, r: (usize, usize)| -> Vec<u8> {
+            (r.0..r.1).map(|i| s.get(i).code()).collect()
+        };
+        let d = ref_distance(&codes(a, ar), &codes(b, br));
+        let mut scratch = LvScratch::default();
+        for cutoff in 0..=d as usize + 1 {
+            let got = bounded_distance_with(a.packed(), ar, b.packed(), br, cutoff, &mut scratch);
+            let want = (d as usize <= cutoff).then_some(d);
+            assert_eq!(got, want, "{ar:?} vs {br:?} at cutoff {cutoff}");
+        }
+        d
+    }
+
+    /// A mutated copy of `codes` of the same length: fewer than `subs`
+    /// substitutions and fewer than `indels` insertion–deletion pairs, which
+    /// shift the bases between them by one.
+    pub(crate) fn mutated(rng: &mut Rng, codes: &[u8], subs: usize, indels: usize) -> Vec<u8> {
+        let mut out = codes.to_vec();
+        if out.is_empty() {
+            return out;
+        }
+        let (subs, indels) = (rng.range(0..subs), rng.range(0..indels));
+        for _ in 0..subs {
+            let p = rng.range(0..out.len());
+            out[p] = rng.range(0..4);
+        }
+        for _ in 0..indels {
+            out.insert(rng.range(0..=out.len()), rng.range(0..4));
+            out.remove(rng.range(0..out.len()));
+        }
+        out
+    }
+
+    /// Word-boundary lengths, each as random, mutated-copy and
+    /// tandem-repeat pairs; whole reads and ranges that end at a read's
+    /// last base, where the packed windows run past the sequence.
+    #[test]
+    fn landau_vishkin_matches_reference_at_every_cutoff() {
+        let mut rng = Rng::new(29);
+        let rounds = if cfg!(miri) { 1 } else { 6 };
+        let mut nonzero = 0;
+        for &len in &[0usize, 1, 2, 31, 32, 33, 63, 64, 65, 100] {
+            for round in 0..rounds {
+                let pc: Vec<u8> = match round % 3 {
+                    // A tandem repeat of period 1..=6.
+                    0 => {
+                        let unit: Vec<u8> =
+                            (0..rng.range(1..=6)).map(|_| rng.range(0..4)).collect();
+                        (0..len).map(|i| unit[i % unit.len()]).collect()
+                    }
+                    _ => (0..len).map(|_| rng.range(0..4)).collect(),
+                };
+                let tc = match round % 3 {
+                    // The repeat shifted by a few bases: small D, large h.
+                    0 => {
+                        let shift = rng.range(0..4).min(len);
+                        let mut tc = pc[shift..].to_vec();
+                        tc.extend((0..shift).map(|_| rng.range(0..4u8)));
+                        tc
+                    }
+                    1 => mutated(&mut rng, &pc, 6, 3),
+                    _ => (0..len).map(|_| rng.range(0..4)).collect(),
+                };
+                let (a, b) = (from_codes(&pc), from_codes(&tc));
+                nonzero += usize::from(assert_lv_agrees(&a, (0, len), &b, (0, len)) > 0);
+                // The same ranges as the tails of longer reads.
+                let (pre_a, pre_b) = (rng.range(0..40), rng.range(0..40));
+                let mut la: Vec<u8> = (0..pre_a).map(|_| rng.range(0..4)).collect();
+                let mut lb: Vec<u8> = (0..pre_b).map(|_| rng.range(0..4)).collect();
+                la.extend(&pc);
+                lb.extend(&tc);
+                let (a, b) = (from_codes(&la), from_codes(&lb));
+                assert_lv_agrees(&a, (pre_a, la.len()), &b, (pre_b, lb.len()));
+            }
+        }
+        assert!(nonzero > 0);
+    }
+
     #[test]
     fn identity_bound_basics() {
         // Equal lengths, d substitutions: bound = 1 - d/(2n).
@@ -508,6 +709,21 @@ mod props {
                 &mut MyersScratch::default(),
             );
             assert_eq!(got, ref_distance(&a, &b));
+        });
+    }
+
+    /// Landau–Vishkin equals the reference DP on random equal-length
+    /// subranges of a read and its mutated copy, at every cutoff.
+    #[test]
+    fn landau_vishkin_matches_reference_dp() {
+        cases(64, |rng| {
+            let a = codes(rng, 150);
+            let b = super::tests::mutated(rng, &a, 8, 4);
+            let (da, db) = (from_codes(&a), from_codes(&b));
+            let len = rng.range(0..=a.len());
+            let (a0, b0) = (rng.range(0..=a.len() - len), rng.range(0..=b.len() - len));
+            let b0 = if rng.bool(0.5) { a0 } else { b0 };
+            super::tests::assert_lv_agrees(&da, (a0, a0 + len), &db, (b0, b0 + len));
         });
     }
 

@@ -93,13 +93,11 @@ impl DistributedHybrid {
     }
 
     /// The contig sequence of every hybrid node, in node-id order: each
-    /// cluster's per-column majority consensus ([`HybridSet::contig`]).
+    /// cluster's per-column majority consensus ([`HybridSet::contigs`]).
     /// They depend on the hybrid set and the store only — not on `parts` or
     /// `k` — so a partition-count sweep builds them once and shares them.
     pub fn node_contigs(hybrid: &HybridSet, store: &ReadStore) -> Arc<[DnaString]> {
-        (0..hybrid.node_count() as NodeId)
-            .map(|v| hybrid.contig(v, store))
-            .collect()
+        hybrid.contigs(store).collect()
     }
 
     /// Prepares the distributed stage from a hybrid set, its nodes' contig

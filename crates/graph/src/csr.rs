@@ -29,6 +29,14 @@ impl<T> Default for Csr<T> {
 }
 
 impl<T> Csr<T> {
+    /// Rows already laid out: `offsets` holds the `n + 1` extent bounds of
+    /// `entries`, starting at 0.
+    pub(crate) fn from_parts(offsets: Vec<u32>, entries: Vec<T>) -> Csr<T> {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last().map(|&end| end as usize), Some(entries.len()));
+        Csr { offsets, entries }
+    }
+
     /// Every entry of every row, in row order.
     pub(crate) fn entries(&self) -> &[T] {
         &self.entries

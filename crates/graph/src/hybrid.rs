@@ -17,10 +17,10 @@ use crate::build::OverlapGraph;
 use crate::coarsen::MultilevelSet;
 use crate::csr::{distinct, vec_bytes, Csr};
 use crate::digraph::{DiEdge, DiGraph};
-use crate::layout::{layout_cluster, ClusterLayout, LayoutConfig};
+use crate::layout::{layout_cluster, ClusterLayout, LayoutConfig, LayoutScratch};
 use crate::level::{GraphSet, NodeId};
 use fc_obs::Recorder;
-use fc_seq::ReadStore;
+use fc_seq::{DnaString, ReadStore};
 use std::collections::HashMap;
 
 /// A selected best-representative node.
@@ -85,8 +85,8 @@ impl HybridSet {
         let set = &ml.set;
         let n_levels = set.level_count();
         let children = children_lists(set);
-        let containments: HashMap<(NodeId, NodeId), ()> =
-            g0.containments.iter().map(|&(a, b)| ((a, b), ())).collect();
+        let mut containments = g0.containments.clone();
+        containments.sort_unstable();
 
         // --- Representative selection: descend from the coarsest level. ---
         let coarsest_nodes = set.coarsest().node_count();
@@ -97,12 +97,21 @@ impl HybridSet {
             .rev()
             .map(|v| (n_levels - 1, v))
             .collect();
+        let mut scratch = LayoutScratch::new(set.finest().node_count());
+        let (mut cluster, mut descent) = (Vec::new(), Vec::new());
         while let Some((level, node)) = stack.pop() {
-            let cluster = expand_to_level0(&children, level, node);
-            match layout_cluster(&cluster, &g0.directed, &containments, store, rec) {
+            expand_to_level0(&children, level, node, &mut descent, &mut cluster);
+            match layout_cluster(
+                &cluster,
+                &g0.directed,
+                &containments,
+                store,
+                &mut scratch,
+                rec,
+            ) {
                 Some(layout) => {
                     reps.push(Representative { level, node });
-                    clusters.push(cluster);
+                    clusters.push(cluster.clone());
                     layouts.push(layout);
                 }
                 None => {
@@ -114,9 +123,9 @@ impl HybridSet {
             }
         }
 
-        // --- rep_of_node over G0. ---
-        let n0 = set.finest().node_count();
-        let mut rep_of_node = vec![u32::MAX; n0];
+        // --- rep_of_node over G0, in the layout's stamp array. ---
+        let (mut rep_of_node, mut read_offset) = scratch.into_buffers();
+        rep_of_node.fill(u32::MAX);
         for (ri, cluster) in clusters.iter().enumerate() {
             for &v in cluster {
                 debug_assert_eq!(
@@ -139,19 +148,9 @@ impl HybridSet {
         );
 
         // --- Contig lengths and the directed hybrid graph. ---
-        let contig_lens: Vec<u32> = layouts
-            .iter()
-            .map(|l| {
-                let base = l.order.first().map_or(0, |&(_, o)| o);
-                l.order
-                    .iter()
-                    .map(|&(v, o)| (o - base) + store.get(fc_seq::ReadId(v)).len() as i64)
-                    .max()
-                    .unwrap_or(0) as u32
-            })
-            .collect();
-        // Offset of each read within its rep's contig.
-        let mut read_offset = vec![0i64; n0];
+        let contig_lens: Vec<u32> = layouts.iter().map(|l| l.span(store) as u32).collect();
+        // Offset of each read within its rep's contig, in the layout's
+        // offset array: every read is in one layout.
         for layout in &layouts {
             let base = layout.order.first().map_or(0, |&(_, o)| o);
             for &(v, o) in &layout.order {
@@ -267,10 +266,16 @@ impl HybridSet {
         graphs + per_rep + per_read + vec_bytes(&self.contig_lens)
     }
 
-    /// The contig sequence of a hybrid node: the per-column majority
-    /// consensus of its cluster's layout.
-    pub fn contig(&self, hybrid_node: NodeId, store: &ReadStore) -> fc_seq::DnaString {
-        self.layouts[hybrid_node as usize].consensus_sequence(store)
+    /// Every hybrid node's contig sequence, in node-id order: the
+    /// per-column majority consensus of its cluster's layout, counted
+    /// through one buffer.
+    pub fn contigs<'a>(&'a self, store: &'a ReadStore) -> impl Iterator<Item = DnaString> + 'a {
+        let mut counts = Vec::new();
+        let spans = self.contig_lens.iter().map(|&len| len as usize);
+        self.layouts
+            .iter()
+            .zip(spans)
+            .map(move |(layout, span)| layout.consensus_with(store, span, &mut counts))
     }
 
     /// Projects a partition assignment on `G'0` down to level-0 nodes
@@ -295,24 +300,26 @@ fn children_lists(set: &GraphSet) -> Vec<Csr<NodeId>> {
     out
 }
 
-/// All level-0 descendants of `node` at `level`.
-fn expand_to_level0(children: &[Csr<NodeId>], level: usize, node: NodeId) -> Vec<NodeId> {
-    if level == 0 {
-        return vec![node];
-    }
-    let mut out = Vec::new();
-    let mut stack = vec![(level, node)];
+/// All level-0 descendants of `node` at `level`, ascending, into `out`
+/// (cleared first); `stack` is the descent's buffer.
+fn expand_to_level0(
+    children: &[Csr<NodeId>],
+    level: usize,
+    node: NodeId,
+    stack: &mut Vec<(usize, NodeId)>,
+    out: &mut Vec<NodeId>,
+) {
+    out.clear();
+    stack.clear();
+    stack.push((level, node));
     while let Some((l, v)) = stack.pop() {
         if l == 0 {
             out.push(v);
         } else {
-            for &c in children[l].row(v) {
-                stack.push((l - 1, c));
-            }
+            stack.extend(children[l].row(v).iter().map(|&c| (l - 1, c)));
         }
     }
     out.sort_unstable();
-    out
 }
 
 #[cfg(test)]
@@ -439,11 +446,8 @@ mod tests {
         // perfect tiling reproduce consecutive slices).
         let total: u64 = hs.contig_lens.iter().map(|&l| l as u64).sum();
         assert!(total as usize >= 32 * 50 + 50, "contigs too short: {total}");
-        for v in 0..hs.node_count() as NodeId {
-            assert_eq!(
-                hs.contig(v, &store).len(),
-                hs.contig_lens[v as usize] as usize
-            );
+        for (contig, &len) in hs.contigs(&store).zip(&hs.contig_lens) {
+            assert_eq!(contig.len(), len as usize);
         }
     }
 

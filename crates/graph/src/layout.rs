@@ -17,12 +17,11 @@
 use crate::digraph::DiGraph;
 use crate::level::NodeId;
 use fc_obs::Recorder;
-use fc_seq::{DnaString, ReadId, ReadStore};
-use std::collections::HashMap;
+use fc_seq::{Base, DnaString, ReadId, ReadStore};
 
 /// Maximum disagreement (bases) between an edge's shift and the layout
 /// coordinates before the cluster is declared non-contiguous.
-const OFFSET_TOLERANCE: i64 = 4;
+pub(crate) const OFFSET_TOLERANCE: i64 = 4;
 
 /// Two cluster reads whose layout intervals overlap by at least this many
 /// bases must be linked by a verified overlap (a dovetail edge or a
@@ -32,7 +31,7 @@ const OFFSET_TOLERANCE: i64 = 4;
 /// (≥ 95 of 100 bp reads): that is the signature of an allele stack, while
 /// partial co-location without an edge routinely happens to honest
 /// clusters when one read's end grazes a diverged neighborhood.
-const MIN_UNLINKED_OVERLAP: i64 = 95;
+pub(crate) const MIN_UNLINKED_OVERLAP: i64 = 95;
 
 /// Number of unlinked co-located pairs tolerated before the cluster is
 /// declared non-contiguous. Zero is strict — any stacked pair without a
@@ -40,7 +39,7 @@ const MIN_UNLINKED_OVERLAP: i64 = 95;
 /// mixtures assemble piecewise: small conflated clusters absorb one or two
 /// unlinked pairs each and then merge. Raise only for data whose aligner
 /// misses overlaps at a known rate.
-const MAX_UNLINKED_PAIRS: usize = 0;
+pub(crate) const MAX_UNLINKED_PAIRS: usize = 0;
 
 /// The layout/contiguity test's parameters: none, since they are the
 /// constants above. The type stays because `benchmark/` still passes one to
@@ -61,7 +60,7 @@ impl ClusterLayout {
         self.order.len()
     }
 
-    /// True if the layout is empty (never produced by [`layout_cluster`]).
+    /// True if the layout is empty (the contiguity test never produces one).
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
@@ -71,36 +70,60 @@ impl ClusterLayout {
     /// production assembler uses. Ties resolve to the smallest base code
     /// for determinism. Costs one pass over every read base.
     pub fn consensus_sequence(&self, store: &ReadStore) -> DnaString {
+        self.consensus_with(store, self.span(store), &mut Vec::new())
+    }
+
+    /// Bases the layout covers: from its first read's start to the furthest
+    /// read end.
+    pub(crate) fn span(&self, store: &ReadStore) -> usize {
+        let base = self.order.first().map_or(0, |&(_, o)| o);
+        let ends = self
+            .order
+            .iter()
+            .map(|&(v, o)| (o - base) + store.get(ReadId(v)).len() as i64);
+        ends.max().unwrap_or(0).max(0) as usize
+    }
+
+    /// [`ClusterLayout::consensus_sequence`] over the layout's known
+    /// [`span`](ClusterLayout::span), counting into `counts`, which callers
+    /// reuse across layouts. Each read's bases are counted 32 to a packed
+    /// word.
+    pub(crate) fn consensus_with(
+        &self,
+        store: &ReadStore,
+        span: usize,
+        counts: &mut Vec<[u32; 4]>,
+    ) -> DnaString {
         let Some(&(_, base_off)) = self.order.first() else {
             return DnaString::new();
         };
-        let span = self
-            .order
-            .iter()
-            .map(|&(v, o)| (o - base_off) + store.get(ReadId(v)).len() as i64)
-            .max()
-            .unwrap_or(0)
-            .max(0) as usize;
-        let mut counts = vec![[0u32; 4]; span];
+        counts.clear();
+        counts.resize(span, [0; 4]);
         for &(v, o) in &self.order {
-            let rel = (o - base_off) as usize;
-            let seq = store.get(ReadId(v));
-            for (i, b) in seq.iter().enumerate() {
-                counts[rel + i][b.code() as usize] += 1;
+            let read = store.get(ReadId(v)).packed();
+            let columns = &mut counts[(o - base_off) as usize..][..read.len()];
+            for (columns, &word) in columns
+                .chunks_mut(fc_seq::packed::BASES_PER_WORD)
+                .zip(read.words())
+            {
+                let mut word = word;
+                for column in columns {
+                    column[(word & 0b11) as usize] += 1;
+                    word >>= 2;
+                }
             }
         }
-        counts
-            .iter()
-            .map(|column| {
-                let mut best = 0usize;
-                for c in 1..4 {
-                    if column[c] > column[best] {
-                        best = c;
-                    }
+        let mut out = DnaString::with_capacity(span);
+        for column in counts.iter() {
+            let mut best = 0usize;
+            for c in 1..4 {
+                if column[c] > column[best] {
+                    best = c;
                 }
-                fc_seq::Base::from_code(best as u8)
-            })
-            .collect()
+            }
+            out.push(Base::from_code(best as u8));
+        }
+        out
     }
 
     /// Builds the contig sequence for this layout: reads are merged in
@@ -126,23 +149,98 @@ impl ClusterLayout {
     }
 }
 
+/// The buffers of [`layout_cluster`], sized to G0's node count once per
+/// hybrid build: membership and placement stamps, layout offsets, and the
+/// BFS queue.
+#[derive(Debug)]
+pub(crate) struct LayoutScratch {
+    /// `stamp[v] == epoch` while `v` is an unplaced member of the cluster
+    /// under test and `epoch + 1` once it is placed; any smaller value
+    /// leaves `v` outside it. Each cluster opens a fresh epoch, so nothing
+    /// is ever cleared.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Layout coordinate of each placed member.
+    offset: Vec<i64>,
+    /// The BFS queue. A member enters it once, when placed, so the queue
+    /// ends as the list of placed members.
+    queue: Vec<NodeId>,
+}
+
+impl LayoutScratch {
+    /// Buffers for clusters of G0's `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> LayoutScratch {
+        LayoutScratch {
+            stamp: vec![0; nodes],
+            epoch: 0,
+            offset: vec![0; nodes],
+            queue: Vec::new(),
+        }
+    }
+
+    /// The stamp and offset arrays, for reuse as the hybrid build's own
+    /// per-read arrays once selection is done (`rep_of_node`, the reads'
+    /// contig offsets): same lengths and element types, so the layout adds
+    /// nothing to the build's peak.
+    pub(crate) fn into_buffers(self) -> (Vec<u32>, Vec<i64>) {
+        (self.stamp, self.offset)
+    }
+
+    /// Opens an epoch and stamps `nodes` as its unplaced members.
+    fn open(&mut self, nodes: &[NodeId]) {
+        match self.epoch.checked_add(2) {
+            Some(epoch) if epoch < u32::MAX => self.epoch = epoch,
+            _ => {
+                self.stamp.fill(0);
+                self.epoch = 2;
+            }
+        }
+        for &v in nodes {
+            self.stamp[v as usize] = self.epoch;
+        }
+        self.queue.clear();
+    }
+
+    /// Whether `v` belongs to the cluster under test.
+    #[inline]
+    fn is_member(&self, v: NodeId) -> bool {
+        self.stamp[v as usize] >= self.epoch
+    }
+
+    /// Places member `v` at `at` if it is unplaced, queueing it; otherwise
+    /// checks `at` against its coordinate. False on a disagreement beyond
+    /// [`OFFSET_TOLERANCE`].
+    #[inline]
+    fn place(&mut self, v: NodeId, at: i64) -> bool {
+        let i = v as usize;
+        if self.stamp[i] == self.epoch {
+            (self.stamp[i], self.offset[i]) = (self.epoch + 1, at);
+            self.queue.push(v);
+            true
+        } else {
+            (self.offset[i] - at).abs() <= OFFSET_TOLERANCE
+        }
+    }
+}
+
 /// Lays out the cluster `nodes` over the directed overlap graph `g`.
 ///
 /// Returns the layout if the cluster is contiguous per the module rules,
 /// `None` otherwise. `read_len` lookups come from `store`. `containments`
-/// holds `(outer, inner)` read pairs whose overlap was verified as a
-/// containment (such pairs are linked even without a dovetail edge).
+/// holds, sorted, the `(outer, inner)` read pairs whose overlap was verified
+/// as a containment (such pairs are linked even without a dovetail edge).
 /// Contiguity-test metrics are recorded into `rec`:
 /// `layout.clusters_tested`, `layout.contiguous` / `layout.non_contiguous`,
 /// and a cluster-size histogram.
-pub fn layout_cluster(
+pub(crate) fn layout_cluster(
     nodes: &[NodeId],
     g: &DiGraph,
-    containments: &HashMap<(NodeId, NodeId), ()>,
+    containments: &[(NodeId, NodeId)],
     store: &ReadStore,
+    scratch: &mut LayoutScratch,
     rec: &Recorder,
 ) -> Option<ClusterLayout> {
-    let out = layout_cluster_inner(nodes, g, containments, store);
+    let out = layout_cluster_inner(nodes, g, containments, store, scratch);
     if rec.is_enabled() {
         rec.add("layout.clusters_tested", 1);
         rec.observe("layout.cluster_size", nodes.len() as u64);
@@ -158,8 +256,9 @@ pub fn layout_cluster(
 fn layout_cluster_inner(
     nodes: &[NodeId],
     g: &DiGraph,
-    containments: &HashMap<(NodeId, NodeId), ()>,
+    containments: &[(NodeId, NodeId)],
     store: &ReadStore,
+    scratch: &mut LayoutScratch,
 ) -> Option<ClusterLayout> {
     if nodes.is_empty() {
         return None;
@@ -169,62 +268,39 @@ fn layout_cluster_inner(
             order: vec![(nodes[0], 0)],
         });
     }
-    let in_cluster: HashMap<NodeId, ()> = nodes.iter().map(|&v| (v, ())).collect();
-    let mut offset: HashMap<NodeId, i64> = HashMap::with_capacity(nodes.len());
+    scratch.open(nodes);
 
     // BFS from the first node, walking dovetail edges in both directions.
-    let start = nodes[0];
-    offset.insert(start, 0);
-    #[expect(
-        clippy::disallowed_types,
-        reason = "bounded by the cluster's node count: the `offset` visited map admits \
-                  each node once"
-    )]
-    let mut queue = std::collections::VecDeque::from([start]);
-    while let Some(v) = queue.pop_front() {
-        let v_off = offset[&v];
+    scratch.place(nodes[0], 0);
+    let mut head = 0;
+    while let Some(&v) = scratch.queue.get(head) {
+        head += 1;
+        let v_off = scratch.offset[v as usize];
         for e in g.out_edges(v) {
-            if !in_cluster.contains_key(&e.to) {
-                continue;
-            }
-            let proposed = v_off + e.shift as i64;
-            match offset.get(&e.to) {
-                Some(&existing) => {
-                    if (existing - proposed).abs() > OFFSET_TOLERANCE {
-                        return None; // inconsistent layout (repeat conflation)
-                    }
-                }
-                None => {
-                    offset.insert(e.to, proposed);
-                    queue.push_back(e.to);
-                }
+            if scratch.is_member(e.to) && !scratch.place(e.to, v_off + e.shift as i64) {
+                return None; // inconsistent layout (repeat conflation)
             }
         }
         for &u in g.in_neighbors(v) {
-            if !in_cluster.contains_key(&u) {
+            if !scratch.is_member(u) {
                 continue;
             }
             let Some(edge) = g.edge(u, v) else { continue };
-            let shift = edge.shift as i64;
-            let proposed = v_off - shift;
-            match offset.get(&u) {
-                Some(&existing) => {
-                    if (existing - proposed).abs() > OFFSET_TOLERANCE {
-                        return None;
-                    }
-                }
-                None => {
-                    offset.insert(u, proposed);
-                    queue.push_back(u);
-                }
+            if !scratch.place(u, v_off - edge.shift as i64) {
+                return None;
             }
         }
     }
-    if offset.len() != nodes.len() {
+    if scratch.queue.len() != nodes.len() {
         return None; // induced subgraph disconnected
     }
 
-    let mut order: Vec<(NodeId, i64)> = offset.into_iter().collect();
+    let offset = &scratch.offset;
+    let mut order: Vec<(NodeId, i64)> = scratch
+        .queue
+        .iter()
+        .map(|&v| (v, offset[v as usize]))
+        .collect();
     order.sort_unstable_by_key(|&(v, o)| (o, v));
 
     // Tiling check: every read must start at or before the current end.
@@ -244,8 +320,8 @@ fn layout_cluster_inner(
     let linked = |a: NodeId, b: NodeId| -> bool {
         g.edge(a, b).is_some()
             || g.edge(b, a).is_some()
-            || containments.contains_key(&(a, b))
-            || containments.contains_key(&(b, a))
+            || containments.binary_search(&(a, b)).is_ok()
+            || containments.binary_search(&(b, a)).is_ok()
     };
     let mut unlinked_pairs = 0usize;
     for (i, &(v, ov)) in order.iter().enumerate() {
@@ -315,7 +391,8 @@ mod tests {
 
     /// `layout_cluster` with no containments and no recorder.
     fn layout_of(nodes: &[NodeId], di: &DiGraph, store: &ReadStore) -> Option<ClusterLayout> {
-        layout_cluster(nodes, di, &HashMap::new(), store, &Recorder::disabled())
+        let mut scratch = LayoutScratch::new(store.len());
+        layout_cluster(nodes, di, &[], store, &mut scratch, &Recorder::disabled())
     }
 
     fn genome(len: usize) -> DnaString {
@@ -323,6 +400,25 @@ mod tests {
         (0..len)
             .map(|i| fc_seq::Base::from_code(((i * 2654435761usize) >> 8) as u8 & 3))
             .collect()
+    }
+
+    /// Epochs that run out restart from cleared stamps: no member of an
+    /// earlier cluster reads as a member of a later one.
+    #[test]
+    fn stamps_survive_epoch_wraparound() {
+        let g = genome(500);
+        let (store, di) = tiling(&g, 100, 50);
+        let mut scratch = LayoutScratch::new(store.len());
+        scratch.epoch = u32::MAX - 4;
+        let rec = Recorder::disabled();
+        for _ in 0..4 {
+            // Every node placed, then a disconnected pair: a stale stamp
+            // would connect it.
+            let all: Vec<NodeId> = (0..store.len() as NodeId).collect();
+            assert!(layout_cluster(&all, &di, &[], &store, &mut scratch, &rec).is_some());
+            assert!(layout_cluster(&[0, 4], &di, &[], &store, &mut scratch, &rec).is_none());
+        }
+        assert!(scratch.epoch < 16, "epoch {}", scratch.epoch);
     }
 
     #[test]

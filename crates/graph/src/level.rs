@@ -125,27 +125,46 @@ impl LevelGraph {
 
     /// Contracts the graph through `map` (node → coarse node) onto coarse
     /// nodes of the given weights: parallel coarse edges accumulate weight
-    /// (saturating), edges inside a coarse node fold away. Edges are merged
-    /// in `(min, max)` order, so every coarse row lists its neighbours ascending.
+    /// (saturating), edges inside a coarse node fold away, and every coarse
+    /// row lists its neighbours ascending. Row by row, with no edge list: a
+    /// counting sort buckets the fine nodes by coarse node, each coarse row
+    /// sums its members' rows into a stamped accumulator, and only the
+    /// neighbours that row touched are sorted.
     pub(crate) fn contracted(&self, map: &[NodeId], node_weight: Vec<u32>) -> LevelGraph {
-        let mut edges = Vec::with_capacity(self.edge_count());
-        edges.extend(
-            self.edges()
-                .map(|(u, v, w)| (map[u as usize], map[v as usize], w))
-                .filter(|&(cu, cv, _)| cu != cv)
-                .map(|(cu, cv, w)| (cu.min(cv), cu.max(cv), w)),
-        );
-        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        // Merged here, not row by row: a coarse level has a fraction of its
-        // parent's edges, and its rows are allocated at their final size.
-        edges.dedup_by(|next, kept| {
-            let same = (next.0, next.1) == (kept.0, kept.1);
-            if same {
-                kept.2 = kept.2.saturating_add(next.2);
+        let n = node_weight.len();
+        let members = map.iter().enumerate().map(|(v, &c)| (c, v as NodeId));
+        let members = Csr::build(n, members, distinct);
+        // `stamp[c] == row` once coarse row `row` has reached neighbour `c`,
+        // and `sum[c]` then holds the weight summed so far.
+        let (mut stamp, mut sum) = (vec![NodeId::MAX; n], vec![0u32; n]);
+        let mut touched = Vec::new();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut entries = Vec::new();
+        for row in 0..n as NodeId {
+            for &v in members.row(row) {
+                for &(u, w) in self.neighbors(v) {
+                    let c = map[u as usize];
+                    if c == row {
+                        continue;
+                    }
+                    let at = c as usize;
+                    if stamp[at] == row {
+                        sum[at] = sum[at].saturating_add(w);
+                    } else {
+                        (stamp[at], sum[at]) = (row, w);
+                        touched.push(c);
+                    }
+                }
             }
-            same
-        });
-        LevelGraph::scatter(node_weight, edges.iter().copied(), distinct)
+            touched.sort_unstable();
+            entries.extend(touched.drain(..).map(|c| (c, sum[c as usize])));
+            // At most the fine graph's entry count, which fits a `u32`.
+            offsets.push(entries.len() as u32);
+        }
+        entries.shrink_to_fit();
+        let adj = Csr::from_parts(offsets, entries);
+        LevelGraph(Arc::new(Level { adj, node_weight }))
     }
 
     /// Bytes this graph holds on the heap — 8 per adjacency entry, 8 per

@@ -13,6 +13,7 @@ use focus_assembler::partition::{
     edge_cut, partition_balance, partition_graph_set, partition_graph_set_obs, validate_partition,
     PartitionConfig, PartitionResult,
 };
+use focus_assembler::seq::Read;
 use focus_assembler::sim::{generate_dataset, DatasetConfig};
 use std::sync::{Arc, OnceLock};
 
@@ -35,15 +36,21 @@ fn overlaps_of(s: &Stages, config: &FocusConfig) -> (Vec<Overlap>, PairStats) {
 /// every stage kept.
 fn stages() -> &'static Stages {
     static STAGES: OnceLock<Stages> = OnceLock::new();
-    STAGES.get_or_init(|| {
+    STAGES.get_or_init(|| stages_at(FocusConfig::default()))
+}
+
+/// Stages 1–5 of the seeded metagenome under `config`.
+fn stages_at(config: FocusConfig) -> Stages {
+    static READS: OnceLock<Vec<Read>> = OnceLock::new();
+    let reads = READS.get_or_init(|| {
         // Denser than `test_scale`: ~15x coverage keeps the overlap graph
         // connected, which is what balance/cut invariants assume.
         let mut config = DatasetConfig::test_scale();
         config.total_reads = 1800;
-        let dataset = generate_dataset("inv", &config, 13).unwrap();
-        let assembler = FocusAssembler::new(FocusConfig::default()).unwrap();
-        assembler.prepare_stages(&dataset.reads).unwrap()
-    })
+        generate_dataset("inv", &config, 13).unwrap().reads
+    });
+    let assembler = FocusAssembler::new(config).unwrap();
+    assembler.prepare_stages(reads).unwrap()
 }
 
 /// What stage 6 reads of [`stages`].
@@ -417,6 +424,85 @@ fn alignment_output_and_work_are_pinned() {
         })
         .collect();
     assert_eq!(got, expected);
+}
+
+/// Every level's rows, node weights and fine→coarse map, as words.
+fn graph_set_words(set: &GraphSet, words: &mut Vec<u64>) {
+    for level in &set.levels {
+        words.push(level.node_count() as u64);
+        for v in 0..level.node_count() as u32 {
+            words.push(u64::from(level.node_weight(v)));
+            words.push(level.degree(v) as u64);
+            for &(u, w) in level.neighbors(v) {
+                words.push(u64::from(u) << 32 | u64::from(w));
+            }
+        }
+    }
+    for map in &set.fine_to_coarse {
+        words.push(map.len() as u64);
+        words.extend(map.iter().map(|&c| u64::from(c)));
+    }
+}
+
+/// FNV-1a over every graph stage's output: the multilevel set; the hybrid
+/// representatives, clusters, layout orders and contig lengths; the hybrid
+/// set; the directed hybrid graph's rows; and the contigs, in that order.
+fn graph_digest(s: &Stages) -> u64 {
+    let hybrid = &s.prepared.hybrid;
+    let mut words = Vec::new();
+    graph_set_words(&s.multilevel.set, &mut words);
+    words.push(hybrid.reps.len() as u64);
+    for r in &hybrid.reps {
+        words.extend([r.level as u64, u64::from(r.node)]);
+    }
+    for (cluster, layout) in hybrid.clusters.iter().zip(&hybrid.layouts) {
+        words.push(cluster.len() as u64);
+        words.extend(cluster.iter().map(|&v| u64::from(v)));
+        for &(v, offset) in &layout.order {
+            words.extend([u64::from(v), offset as u64]);
+        }
+    }
+    words.extend(hybrid.contig_lens.iter().map(|&l| u64::from(l)));
+    graph_set_words(&hybrid.set, &mut words);
+    let directed = &hybrid.directed;
+    for v in 0..directed.node_count() as u32 {
+        words.push(directed.out_degree(v) as u64);
+        for e in directed.out_edges(v) {
+            words.extend([u64::from(e.to), u64::from(e.len), u64::from(e.shift)]);
+        }
+        words.push(directed.in_degree(v) as u64);
+        words.extend(directed.in_neighbors(v).iter().map(|&u| u64::from(u)));
+    }
+    for contig in s.prepared.contigs.iter() {
+        words.push(contig.len() as u64);
+        words.extend_from_slice(contig.packed().words());
+    }
+    words.into_iter().fold(FNV_BASIS, fnv1a)
+}
+
+/// The graph stages' output pinned bit for bit across commits, at 1 and 4
+/// threads: coarsening, hybrid selection with its layouts, contraction into
+/// every hybrid level, the directed hybrid graph and the consensus contigs.
+/// A rewrite of contraction, layout or consensus that claims "same graphs,
+/// same contigs" is held to it. The constant was captured on the build
+/// before contraction, layout and consensus were rewritten over stamp
+/// arrays and packed words.
+#[test]
+fn graph_stages_are_pinned() {
+    const EXPECTED: u64 = 0x6387_f834_c48d_dcee;
+    let got: Vec<_> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let s = stages_at(FocusConfig {
+                threads,
+                ..FocusConfig::default()
+            });
+            let digest = graph_digest(&s);
+            println!("threads={threads}: {digest:#018x}");
+            (threads, digest)
+        })
+        .collect();
+    assert_eq!(got, [(1, EXPECTED), (4, EXPECTED)]);
 }
 
 #[test]
