@@ -636,10 +636,8 @@ mod tests {
         let mut hits = 0;
         for n in [1usize, 4, 5] {
             for (j, reference) in store.split_subsets(n).iter().enumerate() {
-                let reads: Vec<(ReadId, &DnaString)> = reference
-                    .iter()
-                    .map(|&id| (id, store.get(id)))
-                    .collect();
+                let reads: Vec<(ReadId, &DnaString)> =
+                    reference.iter().map(|&id| (id, store.get(id))).collect();
                 let index = KmerIndex::build(&reads, config.k);
                 let naive = NaiveIndex::build(&reads, config.k);
                 for q in store.ids() {

@@ -388,7 +388,10 @@ mod tests {
         assert!(seen.prefilter_rejected > 0, "{seen:?}");
         assert!(seen.exact_hits > 0, "{seen:?}");
         assert!(seen.prefilter_verified > 0, "{seen:?}");
-        assert!(gapped_accepts > 0, "no equal-length request with a gapped optimum");
+        assert!(
+            gapped_accepts > 0,
+            "no equal-length request with a gapped optimum"
+        );
         // Equal-length requests reached the distance step on both sides of
         // the Landau–Vishkin crossover, and below it LV both found `D < h`
         // and ran out at `D = h`.

@@ -209,7 +209,11 @@ fn distance_1word(
         window >>= 2;
     }
     let score_bit = 1u64 << (plen - 1);
-    let mask = if plen == 64 { !0u64 } else { (1u64 << plen) - 1 };
+    let mask = if plen == 64 {
+        !0u64
+    } else {
+        (1u64 << plen) - 1
+    };
     let mut pv = mask;
     let mut mv = 0u64;
     let mut score = plen as i64;
@@ -490,9 +494,18 @@ mod tests {
     fn empty_ranges() {
         let a: DnaString = "ACGT".parse().unwrap();
         let mut s = MyersScratch::default();
-        assert_eq!(edit_distance_with(a.packed(), (0, 0), a.packed(), (0, 0), &mut s), 0);
-        assert_eq!(edit_distance_with(a.packed(), (0, 0), a.packed(), (0, 4), &mut s), 4);
-        assert_eq!(edit_distance_with(a.packed(), (1, 4), a.packed(), (2, 2), &mut s), 3);
+        assert_eq!(
+            edit_distance_with(a.packed(), (0, 0), a.packed(), (0, 0), &mut s),
+            0
+        );
+        assert_eq!(
+            edit_distance_with(a.packed(), (0, 0), a.packed(), (0, 4), &mut s),
+            4
+        );
+        assert_eq!(
+            edit_distance_with(a.packed(), (1, 4), a.packed(), (2, 2), &mut s),
+            3
+        );
     }
 
     #[test]
@@ -535,7 +548,11 @@ mod tests {
                     }
                 }
                 let (a, b) = (from_codes(&pc), from_codes(&tc));
-                assert_eq!(dist(&a, &b), ref_distance(&pc, &tc), "plen {plen} tlen {tlen}");
+                assert_eq!(
+                    dist(&a, &b),
+                    ref_distance(&pc, &tc),
+                    "plen {plen} tlen {tlen}"
+                );
             }
         }
     }
@@ -673,7 +690,7 @@ mod tests {
         assert_eq!(optimal_gap_bound(80, 80, 3), 3);
         assert_eq!(optimal_gap_bound(80, 80, 6), 7);
         assert_eq!(optimal_gap_bound(80, 76, 4), 4); // (28-4)/6 = 4 = dl
-        // Never below the length difference.
+                                                     // Never below the length difference.
         assert!(optimal_gap_bound(80, 72, 8) >= 8);
     }
 

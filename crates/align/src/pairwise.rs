@@ -134,8 +134,12 @@ impl PairStats {
         self.candidates = self.candidates.saturating_add(other.candidates);
         self.nw_cells = self.nw_cells.saturating_add(other.nw_cells);
         self.overlaps = self.overlaps.saturating_add(other.overlaps);
-        self.prefilter_rejected = self.prefilter_rejected.saturating_add(other.prefilter_rejected);
-        self.prefilter_verified = self.prefilter_verified.saturating_add(other.prefilter_verified);
+        self.prefilter_rejected = self
+            .prefilter_rejected
+            .saturating_add(other.prefilter_rejected);
+        self.prefilter_verified = self
+            .prefilter_verified
+            .saturating_add(other.prefilter_verified);
         self.exact_hits = self.exact_hits.saturating_add(other.exact_hits);
     }
 }
@@ -741,7 +745,12 @@ pub(crate) mod tests {
         (0..)
             .step_by(stride)
             .take_while(|start| start + read_len <= genome.len())
-            .map(|start| Read::new(format!("{name}{start}"), genome.slice(start, start + read_len)))
+            .map(|start| {
+                Read::new(
+                    format!("{name}{start}"),
+                    genome.slice(start, start + read_len),
+                )
+            })
             .collect()
     }
 
@@ -780,7 +789,7 @@ pub(crate) mod tests {
         let mut diverged = DnaString::new();
         for (i, base) in genome.iter().enumerate() {
             match (i % 80, i / 80 % 2) {
-                (40, 0) => continue, // deletion
+                (40, 0) => continue,                         // deletion
                 (40, _) => diverged.push(base.complement()), // insertion
                 _ => {}
             }

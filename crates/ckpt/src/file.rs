@@ -98,7 +98,9 @@ impl CheckpointFile {
         if bytes[..4] != MAGIC {
             return Err(corrupt("bad magic (not an FCKP file)".to_string()));
         }
-        let u32_at = |off: usize| u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
+        let u32_at = |off: usize| {
+            u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
+        };
         let u64_at = |off: usize| {
             let mut b = [0u8; 8];
             b.copy_from_slice(&bytes[off..off + 8]);

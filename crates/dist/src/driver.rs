@@ -617,7 +617,10 @@ mod tests {
             gauge("dist.fault.recovery_time_milli"),
             (report.fault.recovery_time * 1000.0) as i64
         );
-        assert_eq!(gauge("dist.fault.degraded"), i64::from(report.fault.degraded));
+        assert_eq!(
+            gauge("dist.fault.degraded"),
+            i64::from(report.fault.degraded)
+        );
         assert_eq!(counter("dist.faults_injected"), planned);
         assert_eq!(counter("dist.messages"), report.messages);
         assert_eq!(counter("dist.bytes"), report.bytes);

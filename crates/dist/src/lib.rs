@@ -46,6 +46,6 @@ pub mod traverse;
 pub use cluster::{CostModel, PhaseTiming, SimCluster};
 pub use driver::{DistributedConfig, DistributedHybrid, DistributedReport};
 pub use error::DistError;
-pub use recovery::{execute_phase, PhaseExecution};
 pub use fault::{FaultKind, FaultPlan, FaultRates, FaultReport, PhaseId, RetryPolicy};
+pub use recovery::{execute_phase, PhaseExecution};
 pub use traverse::AssemblyPath;

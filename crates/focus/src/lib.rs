@@ -24,10 +24,10 @@ pub mod stats;
 pub use checkpoint::{
     config_fingerprint, input_digest, AssemblyOutcome, CheckpointOptions, CkptPhase, InputDigest,
 };
-pub use ooc::OocOptions;
 pub use config::{FaultInjection, FocusConfig, FocusError};
-pub use fc_obs::{ObsOptions, Recorder};
 pub use eval::{evaluate as evaluate_against_references, ReferenceEvaluation};
+pub use fc_obs::{ObsOptions, Recorder};
+pub use ooc::OocOptions;
 pub use pipeline::{AssemblyResult, FocusAssembler, Prepared, Stages};
 pub use serve::AssemblyJobRunner;
 pub use stats::AssemblyStats;

@@ -110,7 +110,10 @@ impl RunBudget {
     /// logical snapshots — budgets change peaks, never results).
     pub(crate) fn gauge(&self, rec: &Recorder) {
         if rec.is_enabled() {
-            rec.gauge("mem.budget.limit", saturate(self.budget.limit().unwrap_or(0)));
+            rec.gauge(
+                "mem.budget.limit",
+                saturate(self.budget.limit().unwrap_or(0)),
+            );
             rec.gauge("mem.budget.used", saturate(self.budget.used()));
             rec.gauge("mem.budget.peak", saturate(self.budget.peak()));
         }
@@ -342,7 +345,11 @@ fn overlap_all_spilled(
     let overlapper = Overlapper::new(store_reads, config.overlap)?;
     let subsets = store_reads.split_subsets(config.subsets);
     let n = subsets.len();
-    let _span = rec.span_args("align", "align.overlap_all_spilled", &[("subsets", n as i64)]);
+    let _span = rec.span_args(
+        "align",
+        "align.overlap_all_spilled",
+        &[("subsets", n as i64)],
+    );
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|j| (0..=j).map(move |i| (i, j))).collect();
     let index_bytes = |j: usize| approx_index_bytes(&subsets[j], store_reads, config.overlap.k);
 

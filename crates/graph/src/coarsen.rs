@@ -322,16 +322,17 @@ mod tests {
         // produced coarse level.
         let coarse_levels = set.level_count() as u64 - 1;
         assert_eq!(
-            snapshot.histograms.get("coarsen.level_nodes").map(|h| h.count),
-            Some(coarse_levels)
-        );
-        assert!(
             snapshot
                 .histograms
-                .get("coarsen.matching_rate_permille")
-                .map(|h| h.count >= coarse_levels)
-                .unwrap_or(false)
+                .get("coarsen.level_nodes")
+                .map(|h| h.count),
+            Some(coarse_levels)
         );
+        assert!(snapshot
+            .histograms
+            .get("coarsen.matching_rate_permille")
+            .map(|h| h.count >= coarse_levels)
+            .unwrap_or(false));
         // build() and build_obs() agree.
         let plain = MultilevelSet::build(
             path(200),

@@ -115,11 +115,7 @@ impl MemoryBudget {
     /// Reserves `bytes` against the limit, or reports the typed overflow
     /// without changing the ledger. The returned [`Reservation`] releases
     /// the bytes when dropped.
-    pub fn try_reserve(
-        &self,
-        label: &'static str,
-        bytes: u64,
-    ) -> Result<Reservation, BudgetError> {
+    pub fn try_reserve(&self, label: &'static str, bytes: u64) -> Result<Reservation, BudgetError> {
         let ledger = &self.ledger;
         let mut used = ledger.used.load(Ordering::Relaxed);
         loop {

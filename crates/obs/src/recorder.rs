@@ -323,7 +323,15 @@ impl Recorder {
         let tid = lane();
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = inner.current_span_of(tid);
-        inner.record(EventKind::FlowStart, cat, name, id, parent, tid, args.to_vec());
+        inner.record(
+            EventKind::FlowStart,
+            cat,
+            name,
+            id,
+            parent,
+            tid,
+            args.to_vec(),
+        );
         Flow { id, cat, name }
     }
 
@@ -502,7 +510,15 @@ impl Drop for SpanGuard<'_> {
                     }
                 }
             }
-            inner.record(EventKind::End, self.cat, self.name, self.id, 0, self.tid, Vec::new());
+            inner.record(
+                EventKind::End,
+                self.cat,
+                self.name,
+                self.id,
+                0,
+                self.tid,
+                Vec::new(),
+            );
         }
     }
 }
@@ -626,9 +642,18 @@ mod tests {
             rec.flow_end(flow, &[]);
         }
         let events = rec.events();
-        let s = events.iter().find(|e| e.kind == EventKind::FlowStart).unwrap();
-        let t = events.iter().find(|e| e.kind == EventKind::FlowStep).unwrap();
-        let f = events.iter().find(|e| e.kind == EventKind::FlowEnd).unwrap();
+        let s = events
+            .iter()
+            .find(|e| e.kind == EventKind::FlowStart)
+            .unwrap();
+        let t = events
+            .iter()
+            .find(|e| e.kind == EventKind::FlowStep)
+            .unwrap();
+        let f = events
+            .iter()
+            .find(|e| e.kind == EventKind::FlowEnd)
+            .unwrap();
         assert_eq!(s.id, flow.id);
         assert_eq!(t.id, flow.id);
         assert_eq!(f.id, flow.id);
@@ -650,7 +675,10 @@ mod tests {
             span.id()
         };
         let events = rec.events();
-        let marker = events.iter().find(|e| e.kind == EventKind::Instant).unwrap();
+        let marker = events
+            .iter()
+            .find(|e| e.kind == EventKind::Instant)
+            .unwrap();
         assert_eq!(marker.parent, id);
     }
 

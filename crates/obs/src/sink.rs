@@ -234,9 +234,7 @@ mod tests {
         let out = write_jsonl(&sample_events());
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 6);
-        assert!(lines
-            .iter()
-            .all(|l| l.starts_with('{') && l.ends_with('}')));
+        assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
         assert!(lines[0].contains("\"ph\": \"B\""));
         assert!(lines[1].contains("\"value\": 42"));
     }

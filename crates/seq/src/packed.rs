@@ -59,7 +59,11 @@ impl<'a> PackedView<'a> {
     /// Panics in debug builds if `i >= self.len()`.
     #[inline]
     pub fn code(&self, i: usize) -> u8 {
-        debug_assert!(i < self.len, "index {i} out of bounds for length {}", self.len);
+        debug_assert!(
+            i < self.len,
+            "index {i} out of bounds for length {}",
+            self.len
+        );
         ((self.words[i / BASES_PER_WORD] >> ((i % BASES_PER_WORD) * 2)) & 0b11) as u8
     }
 
@@ -71,7 +75,11 @@ impl<'a> PackedView<'a> {
     /// Panics in debug builds if `start > self.len()`.
     #[inline]
     pub fn window(&self, start: usize) -> u64 {
-        debug_assert!(start <= self.len, "window start {start} past length {}", self.len);
+        debug_assert!(
+            start <= self.len,
+            "window start {start} past length {}",
+            self.len
+        );
         let bit = start * 2;
         let (w, sh) = (bit / 64, bit % 64);
         let lo = self.words.get(w).copied().unwrap_or(0) >> sh;
@@ -113,7 +121,13 @@ impl<'a> PackedView<'a> {
     ///
     /// # Panics
     /// Panics in debug builds if either range is out of bounds.
-    pub fn mismatches(&self, start: usize, other: &PackedView<'_>, ostart: usize, count: usize) -> usize {
+    pub fn mismatches(
+        &self,
+        start: usize,
+        other: &PackedView<'_>,
+        ostart: usize,
+        count: usize,
+    ) -> usize {
         /// The low bit of every 2-bit base slot.
         const LOW_PLANE: u64 = 0x5555_5555_5555_5555;
         self.xor_words(start, other, ostart, count)
@@ -239,7 +253,9 @@ mod tests {
             for sa in [0usize, 1, 15, 31, 32, 33, 63, 64, 65] {
                 for so in [0usize, 1, 7, 31, 32, 33, 64] {
                     for count in 0..=a.len() - sa.max(so) {
-                        let naive = (0..count).filter(|&i| a.get(sa + i) != other.get(so + i)).count();
+                        let naive = (0..count)
+                            .filter(|&i| a.get(sa + i) != other.get(so + i))
+                            .count();
                         assert_eq!(
                             va.mismatches(sa, &vo, so, count),
                             naive,
@@ -259,7 +275,10 @@ mod tests {
         for (other, per_base) in [("CCCC", 1), ("GGGG", 1), ("TTTT", 1), ("AAAA", 0)] {
             let b: DnaString = other.repeat(10).parse().unwrap();
             for count in [0usize, 1, 31, 32, 33, 40] {
-                assert_eq!(a.packed().mismatches(0, &b.packed(), 0, count), per_base * count);
+                assert_eq!(
+                    a.packed().mismatches(0, &b.packed(), 0, count),
+                    per_base * count
+                );
             }
         }
         let mut b = a.clone();

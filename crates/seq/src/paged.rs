@@ -279,9 +279,9 @@ impl PagedReadStore {
                 })
             }
             LoadOutcome::Loaded(records) => {
-                let record = records.first().ok_or_else(|| {
-                    PagedError::Stale("meta record holds no payload".to_string())
-                })?;
+                let record = records
+                    .first()
+                    .ok_or_else(|| PagedError::Stale("meta record holds no payload".to_string()))?;
                 let meta: Meta =
                     fc_ckpt::decode_from_slice(record).map_err(|cause| PagedError::Corrupt {
                         page: META_ID,
@@ -444,8 +444,8 @@ mod tests {
         let err = PagedReadStore::open(&dir, 0xDEAD, 0xD1, FsFaultPlan::none()).unwrap_err();
         assert!(matches!(err, PagedError::Corrupt { .. }), "{err}");
         // Missing directory: stale (nothing staged), not a crash.
-        let err = PagedReadStore::open(dir.join("nope"), 0xFC, 0xD1, FsFaultPlan::none())
-            .unwrap_err();
+        let err =
+            PagedReadStore::open(dir.join("nope"), 0xFC, 0xD1, FsFaultPlan::none()).unwrap_err();
         assert!(matches!(err, PagedError::Stale(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -146,7 +146,8 @@ impl Read for DeadlineReader<'_> {
                 "request wall-clock budget exhausted",
             ));
         }
-        self.stream.set_read_timeout(Some(left.min(self.per_read)))?;
+        self.stream
+            .set_read_timeout(Some(left.min(self.per_read)))?;
         let mut stream = self.stream;
         stream.read(buf)
     }

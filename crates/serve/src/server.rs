@@ -250,8 +250,7 @@ impl Serve {
             // The recovered job re-occupies its slice of the memory
             // budget; a shrunk budget that no longer fits it fails the
             // job with a typed reason, like shrunk queue bounds below.
-            let mem_res = match mem.try_reserve(JOB_MEM_LABEL, job_mem_estimate(record.input_len))
-            {
+            let mem_res = match mem.try_reserve(JOB_MEM_LABEL, job_mem_estimate(record.input_len)) {
                 Ok(r) => r,
                 Err(_) => {
                     state.write_status(

@@ -531,7 +531,11 @@ fn memory_pressure_sheds_with_typed_503_until_jobs_release() {
     // with the typed memory_pressure 503, not queued, not a panic.
     let (status, body) = submit(addr, "?tenant=bob", b"acgtacgt");
     assert_eq!(status, 503, "{body}");
-    assert_eq!(json_field(&body, "error"), Some("memory_pressure"), "{body}");
+    assert_eq!(
+        json_field(&body, "error"),
+        Some("memory_pressure"),
+        "{body}"
+    );
 
     // A job small enough to fit beside the running one is admitted.
     let (status, body) = submit(addr, "?tenant=bob", b"a");

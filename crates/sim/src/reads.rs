@@ -104,11 +104,19 @@ pub fn simulate_reads(
     reads: &mut Vec<Read>,
     origins: &mut Vec<ReadOrigin>,
 ) -> Result<(), SimError> {
-    simulate_reads_to(genome, genus, count, config, seed, name_prefix, &mut |r, o| {
-        reads.push(r);
-        origins.push(o);
-        Ok(())
-    })
+    simulate_reads_to(
+        genome,
+        genus,
+        count,
+        config,
+        seed,
+        name_prefix,
+        &mut |r, o| {
+            reads.push(r);
+            origins.push(o);
+            Ok(())
+        },
+    )
 }
 
 /// Sink-based core of [`simulate_reads`]: every simulated read is handed to

@@ -611,7 +611,9 @@ fn graph(args: &[String]) -> Result<(), String> {
     let config = build_config(&opts)?;
     let reads = read_input(&input)?;
     let assembler = FocusAssembler::new(config).map_err(|e| e.to_string())?;
-    let stages = assembler.prepare_stages(&reads).map_err(|e| e.to_string())?;
+    let stages = assembler
+        .prepare_stages(&reads)
+        .map_err(|e| e.to_string())?;
     let (g0, prepared) = (&stages.graph.undirected, &stages.prepared);
     eprintln!(
         "overlap graph: {} nodes / {} edges -> hybrid graph: {} nodes / {} edges",
