@@ -43,14 +43,11 @@ fn main() {
         let g0 = stages.graph.undirected.node_count();
         let h0 = prepared.hybrid.node_count();
         let procs = stages.multilevel.level_count().max(8);
-        let hybrid_tasks = partition_graph_set(&prepared.hybrid.set, &PartitionConfig::new(16, 7))
-            .expect("hybrid partitioning succeeds")
-            .tasks;
-        let multi_tasks = partition_graph_set(&stages.multilevel.set, &PartitionConfig::new(16, 7))
-            .expect("multilevel partitioning succeeds")
-            .tasks;
-        let ratio_time =
-            partition_runtime(&hybrid_tasks, procs) / partition_runtime(&multi_tasks, procs);
+        let hybrid = partition_graph_set(&prepared.hybrid.set, &PartitionConfig::new(16, 7))
+            .expect("hybrid partitioning succeeds");
+        let multi = partition_graph_set(&stages.multilevel.set, &PartitionConfig::new(16, 7))
+            .expect("multilevel partitioning succeeds");
+        let ratio_time = partition_runtime(&hybrid, procs) / partition_runtime(&multi, procs);
         let stats = assembler
             .assemble_prepared(prepared, 16)
             .expect("assembly succeeds")

@@ -42,7 +42,6 @@ fn main() {
                 .map(|&seed| {
                     partition_graph_set(&p.hybrid.set, &PartitionConfig::new(K, seed))
                         .expect("partitioning succeeds")
-                        .tasks
                 })
                 .collect()
         })
@@ -53,7 +52,7 @@ fn main() {
         for per_seed in &logs {
             let speedups: Vec<f64> = per_seed
                 .iter()
-                .map(|tasks| partition_runtime(tasks, 1) / partition_runtime(tasks, procs))
+                .map(|result| partition_runtime(result, 1) / partition_runtime(result, procs))
                 .collect();
             let (mean, sd) = mean_sd(&speedups);
             row.push_str(&format!(" {mean:>11.2} {sd:>11.3}"));

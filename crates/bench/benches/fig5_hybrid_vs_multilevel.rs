@@ -29,16 +29,13 @@ fn main() {
     for (d, s) in ctx.datasets.iter().zip(&ctx.stages) {
         for &k in &KS {
             let procs = s.multilevel.level_count().max(k / 2);
-            let hybrid_tasks =
+            let hybrid =
                 partition_graph_set(&s.prepared.hybrid.set, &PartitionConfig::new(k, SEED))
-                    .expect("hybrid partitioning succeeds")
-                    .tasks;
-            let multi_tasks =
-                partition_graph_set(&s.multilevel.set, &PartitionConfig::new(k, SEED))
-                    .expect("multilevel partitioning succeeds")
-                    .tasks;
-            let t_hybrid = partition_runtime(&hybrid_tasks, procs);
-            let t_multi = partition_runtime(&multi_tasks, procs);
+                    .expect("hybrid partitioning succeeds");
+            let multi = partition_graph_set(&s.multilevel.set, &PartitionConfig::new(k, SEED))
+                .expect("multilevel partitioning succeeds");
+            let t_hybrid = partition_runtime(&hybrid, procs);
+            let t_multi = partition_runtime(&multi, procs);
             println!(
                 "{:>11} {:>11} {:>11} {:>11.0} {:>11.0} {:>11.2}",
                 d.name,

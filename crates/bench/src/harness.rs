@@ -2,7 +2,7 @@
 
 use fc_dist::cluster::{schedule_phases, CostModel};
 use fc_graph::LevelGraph;
-use fc_partition::recursive::{TaskKind, TaskRecord};
+use fc_partition::PartitionResult;
 use fc_rng::Rng;
 use fc_sim::{paper_datasets, Dataset};
 use focus_core::{FocusAssembler, FocusConfig, Prepared, Stages};
@@ -64,33 +64,10 @@ impl ExperimentContext {
     }
 }
 
-/// Converts a partitioner task log into barrier-separated phases for the
-/// simulated cluster (paper §IV-C): one phase per recursive-bisection step
-/// (2^i concurrent tasks at step i), then one phase holding the per-level
-/// k-way refinement tasks (levels are independent).
-pub fn partition_phases(tasks: &[TaskRecord]) -> Vec<Vec<u64>> {
-    let mut bisect_steps: Vec<Vec<u64>> = Vec::new();
-    let mut kway: Vec<u64> = Vec::new();
-    for t in tasks {
-        match t.kind {
-            TaskKind::Bisect { step, .. } => {
-                while bisect_steps.len() <= step {
-                    bisect_steps.push(Vec::new());
-                }
-                bisect_steps[step].push(t.work);
-            }
-            TaskKind::KwayLevel { .. } => kway.push(t.work),
-        }
-    }
-    if !kway.is_empty() {
-        bisect_steps.push(kway);
-    }
-    bisect_steps
-}
-
-/// Virtual runtime of replaying `tasks` on `ranks` simulated processors.
-pub fn partition_runtime(tasks: &[TaskRecord], ranks: usize) -> f64 {
-    schedule_phases(&partition_phases(tasks), ranks, CostModel::default())
+/// Virtual runtime of replaying a partitioning's task log on `ranks`
+/// simulated processors.
+pub fn partition_runtime(result: &PartitionResult, ranks: usize) -> f64 {
+    schedule_phases(&result.phases(), ranks, CostModel::default())
 }
 
 /// Mean and (population) standard deviation.
@@ -108,6 +85,14 @@ mod tests {
     use super::*;
     use fc_partition::recursive::{TaskKind, TaskRecord};
 
+    fn result(tasks: Vec<TaskRecord>) -> PartitionResult {
+        PartitionResult {
+            k: 4,
+            parts_per_level: Vec::new(),
+            tasks,
+        }
+    }
+
     fn task(step: usize, work: u64) -> TaskRecord {
         TaskRecord {
             kind: TaskKind::Bisect { step, part: 0 },
@@ -116,27 +101,8 @@ mod tests {
     }
 
     #[test]
-    fn phases_group_by_step_then_kway() {
-        let tasks = vec![
-            task(0, 100),
-            task(1, 40),
-            task(1, 60),
-            TaskRecord {
-                kind: TaskKind::KwayLevel { level: 0 },
-                work: 10,
-            },
-            TaskRecord {
-                kind: TaskKind::KwayLevel { level: 1 },
-                work: 20,
-            },
-        ];
-        let phases = partition_phases(&tasks);
-        assert_eq!(phases, vec![vec![100], vec![40, 60], vec![10, 20]]);
-    }
-
-    #[test]
     fn runtime_monotone_in_ranks() {
-        let tasks = vec![task(0, 100), task(1, 50), task(1, 70)];
+        let tasks = result(vec![task(0, 100), task(1, 50), task(1, 70)]);
         let t1 = partition_runtime(&tasks, 1);
         let t2 = partition_runtime(&tasks, 2);
         let t4 = partition_runtime(&tasks, 4);

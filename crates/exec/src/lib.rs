@@ -126,7 +126,9 @@ impl Pool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.map_with_obs(n, rec, || (), |i, ()| f(i))
+        let mut out = Vec::with_capacity(n);
+        self.for_each_ordered(n, rec, || (), |i, ()| f(i), |t| out.push(t));
+        out
     }
 
     /// Runs `f(0..n)` with one reusable `scratch` value per worker thread
@@ -141,26 +143,17 @@ impl Pool {
         F: Fn(usize, &mut S) -> T + Sync,
         C: Fn() -> S + Sync,
     {
-        self.map_with_obs(n, &Recorder::disabled(), scratch, f)
-    }
-
-    /// [`Pool::map_with`] with execution metrics recorded into `rec`.
-    pub fn map_with_obs<T, S, F, C>(&self, n: usize, rec: &Recorder, scratch: C, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut S) -> T + Sync,
-        C: Fn() -> S + Sync,
-    {
         let mut out = Vec::with_capacity(n);
-        self.for_each_ordered(n, rec, scratch, f, |t| out.push(t));
+        let rec = Recorder::disabled();
+        self.for_each_ordered(n, &rec, scratch, f, |t| out.push(t));
         out
     }
 
-    /// [`Pool::map_with_obs`] without the collecting: each result is handed
-    /// to `sink` in index order as soon as every earlier one has been, so a
-    /// result waits for its predecessors, not for the whole batch. `sink`
-    /// runs on whichever thread completes the in-order prefix, one call at
-    /// a time.
+    /// [`Pool::map_with`] without the collecting, and with execution
+    /// metrics recorded into `rec`: each result is handed to `sink` in
+    /// index order as soon as every earlier one has been, so a result waits
+    /// for its predecessors, not for the whole batch. `sink` runs on
+    /// whichever thread completes the in-order prefix, one call at a time.
     pub fn for_each_ordered<T, S, F, C, K>(
         &self,
         n: usize,
@@ -632,11 +625,12 @@ mod tests {
         for (threads, tasks, workers) in [(1, 10, 1), (2, 10, 2), (4, 3, 3), (4, 100, 4)] {
             let rec = Recorder::new(fc_obs::ObsOptions::wall_clock());
             let created = AtomicU64::new(0);
-            Pool::new(threads).map_with_obs(
+            Pool::new(threads).for_each_ordered(
                 tasks,
                 &rec,
                 || created.fetch_add(1, Ordering::Relaxed),
                 |i, _| i,
+                drop,
             );
             assert_eq!(created.load(Ordering::Relaxed), workers);
             assert_eq!(

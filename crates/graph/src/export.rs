@@ -1,11 +1,11 @@
-//! Graphviz (DOT) export for visual inspection of assembly graphs.
+//! Graphviz (DOT) and GFA export for visual inspection of assembly graphs.
 //!
 //! Not part of the paper's pipeline, but indispensable for debugging graph
 //! algorithms: `dot -Tsvg graph.dot -o graph.svg` renders the output of
 //! these functions. Partition assignments render as fill colors.
 
 use crate::digraph::DiGraph;
-use crate::level::{LevelGraph, NodeId};
+use crate::level::NodeId;
 use std::fmt::Write as _;
 
 /// A small categorical palette; partition `p` uses `PALETTE[p % len]`.
@@ -13,27 +13,6 @@ const PALETTE: &[&str] = &[
     "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3", "#fdb462", "#b3de69", "#fccde5",
     "#d9d9d9", "#bc80bd", "#ccebc5", "#ffed6f",
 ];
-
-/// Renders an undirected level graph as DOT. `parts`, when given, colors
-/// nodes by partition; edge pen widths scale with weight.
-pub fn level_graph_to_dot(g: &LevelGraph, parts: Option<&[u32]>) -> String {
-    let mut out = String::from("graph level {\n  node [shape=circle, style=filled];\n");
-    let max_w = g.edges().map(|(_, _, w)| w).max().unwrap_or(1).max(1);
-    for v in 0..g.node_count() as NodeId {
-        let color = node_color(parts, v);
-        let _ = writeln!(
-            out,
-            "  n{v} [label=\"{v}\\nw={}\", fillcolor=\"{color}\"];",
-            g.node_weight(v)
-        );
-    }
-    for (u, v, w) in g.edges() {
-        let pen = 1.0 + 3.0 * w as f64 / max_w as f64;
-        let _ = writeln!(out, "  n{u} -- n{v} [label=\"{w}\", penwidth={pen:.2}];");
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Renders a directed overlap/hybrid graph as DOT. Removed nodes are
 /// omitted; edge labels show overlap length and shift.
@@ -70,18 +49,6 @@ mod tests {
     use crate::digraph::DiEdge;
 
     #[test]
-    fn level_graph_dot_contains_nodes_edges_and_colors() {
-        let g = LevelGraph::from_edges(vec![1; 3], &[(0, 1, 5), (1, 2, 10)]);
-        let dot = level_graph_to_dot(&g, Some(&[0, 1, 0]));
-        assert!(dot.starts_with("graph level {"));
-        assert!(dot.contains("n0 -- n1 [label=\"5\""));
-        assert!(dot.contains("n1 -- n2 [label=\"10\""));
-        assert!(dot.contains(PALETTE[0]));
-        assert!(dot.contains(PALETTE[1]));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
     fn digraph_dot_omits_removed_nodes() {
         let mut g = DiGraph::from_edges(
             3,
@@ -112,9 +79,18 @@ mod tests {
     }
 
     #[test]
+    fn nodes_are_colored_by_partition() {
+        let g = DiGraph::from_edges(2, &[]);
+        let dot = digraph_to_dot(&g, Some(&[0, 1]));
+        assert!(dot.contains(PALETTE[0]));
+        assert!(dot.contains(PALETTE[1]));
+        assert!(dot.trim_end().ends_with('}'));
+    }
+
+    #[test]
     fn uncolored_nodes_are_white() {
-        let g = LevelGraph::from_edges(vec![1], &[]);
-        let dot = level_graph_to_dot(&g, None);
+        let g = DiGraph::from_edges(1, &[]);
+        let dot = digraph_to_dot(&g, None);
         assert!(dot.contains("#ffffff"));
     }
 }

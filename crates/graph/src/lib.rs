@@ -36,7 +36,7 @@ pub use build::OverlapGraph;
 pub use coarsen::{CoarsenConfig, MultilevelSet};
 pub use digraph::{DiEdge, DiGraph};
 pub use error::GraphError;
-pub use export::{digraph_to_dot, digraph_to_gfa, level_graph_to_dot};
+pub use export::{digraph_to_dot, digraph_to_gfa};
 pub use hybrid::{HybridSet, Representative};
 pub use layout::{ClusterLayout, LayoutConfig};
 pub use level::{GraphSet, LevelGraph, NodeId};

@@ -44,6 +44,23 @@ impl EventKind {
             EventKind::FlowEnd => "f",
         }
     }
+
+    /// The kind a `trace_event` phase letter names.
+    pub(crate) fn from_phase(ph: &str) -> Option<EventKind> {
+        use EventKind::*;
+        [Begin, End, Instant, Counter, FlowStart, FlowStep, FlowEnd]
+            .into_iter()
+            .find(|kind| kind.phase() == ph)
+    }
+
+    /// Whether this is one of the three flow phases, which carry a causal
+    /// edge's id.
+    pub(crate) fn is_flow(self) -> bool {
+        matches!(
+            self,
+            EventKind::FlowStart | EventKind::FlowStep | EventKind::FlowEnd
+        )
+    }
 }
 
 /// One recorded event. Timestamps are microseconds since the recorder was
@@ -88,5 +105,19 @@ mod tests {
         assert_eq!(EventKind::FlowStart.phase(), "s");
         assert_eq!(EventKind::FlowStep.phase(), "t");
         assert_eq!(EventKind::FlowEnd.phase(), "f");
+    }
+
+    #[test]
+    fn from_phase_inverts_phase() {
+        use EventKind::*;
+        for kind in [Begin, End, Instant, Counter, FlowStart, FlowStep, FlowEnd] {
+            assert_eq!(EventKind::from_phase(kind.phase()), Some(kind));
+            assert_eq!(
+                kind.is_flow(),
+                matches!(kind, FlowStart | FlowStep | FlowEnd)
+            );
+        }
+        assert_eq!(EventKind::from_phase("X"), None);
+        assert_eq!(EventKind::from_phase(""), None);
     }
 }

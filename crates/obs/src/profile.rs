@@ -16,8 +16,9 @@
 //! sorted order, so the same trace always produces byte-identical reports
 //! — `--json` output is CI-diffable.
 
+use crate::event::EventKind;
 use crate::json::{push_json_key, push_json_str};
-use crate::schema::{self, ObsError, Value};
+use crate::schema::{self, ObsError};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a critical-path segment's time was spent on.
@@ -277,72 +278,16 @@ impl ProfileReport {
     }
 }
 
-/// An extracted trace event (only the fields the profiler uses).
-struct Ev {
-    ts: u64,
-    tid: u64,
-    ph: String,
-    cat: String,
-    name: String,
-    id: u64,
-    parent: u64,
-    args: BTreeMap<String, i64>,
-}
-
-fn extract_events(input: &str) -> Result<Vec<Ev>, ObsError> {
-    let value = schema::parse_json(input)?;
-    let root = value.as_object().ok_or_else(|| ObsError::Schema {
-        detail: "trace root must be an object".to_string(),
-    })?;
-    let events = root
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or_else(|| ObsError::Schema {
-            detail: "missing \"traceEvents\" array".to_string(),
-        })?;
-    let mut out = Vec::with_capacity(events.len());
-    for item in events {
-        let obj = item.as_object().ok_or_else(|| ObsError::Schema {
-            detail: "trace event must be an object".to_string(),
-        })?;
-        let int = |key: &str| obj.get(key).and_then(Value::as_int).unwrap_or(0).max(0) as u64;
-        let text = |key: &str| {
-            obj.get(key)
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string()
-        };
-        let mut args = BTreeMap::new();
-        if let Some(a) = obj.get("args").and_then(Value::as_object) {
-            for (k, v) in a {
-                if let Some(i) = v.as_int() {
-                    args.insert(k.clone(), i);
-                }
-            }
-        }
-        out.push(Ev {
-            ts: int("ts"),
-            tid: int("tid"),
-            ph: text("ph"),
-            cat: text("cat"),
-            name: text("name"),
-            id: int("id"),
-            parent: int("parent"),
-            args,
-        });
-    }
-    Ok(out)
-}
-
 /// Profiles a Chrome `trace_event` document (the `--trace` sink output).
 ///
-/// The document is first validated with the same checker `focus obs-check`
+/// The document is decoded once, by the same decoder `focus obs-check`
 /// uses — schema violations, unbalanced spans, and dangling causal edges
-/// are typed errors, never a partial report. The reconstructed span DAG is
-/// additionally checked for parent-link cycles.
+/// are typed errors, never a partial report — and spans are reconstructed
+/// from those decoded events. The reconstructed span DAG is additionally
+/// checked for parent-link cycles.
 pub fn profile_chrome_trace(input: &str) -> Result<ProfileReport, ObsError> {
-    schema::check_chrome_trace(input)?;
-    let events = extract_events(input)?;
+    let events = schema::decode_chrome_trace(input)?;
+    let event_count = events.len();
 
     // --- Reconstruct spans (per-lane stacks) and flow edges. ---
     let mut spans: BTreeMap<u64, Span> = BTreeMap::new();
@@ -354,69 +299,60 @@ pub fn profile_chrome_trace(input: &str) -> Result<ProfileReport, ObsError> {
     // Arrivals per receiving span: (ts, flow id, attempts arg).
     let mut arrivals: BTreeMap<u64, Vec<(u64, u64, i64)>> = BTreeMap::new();
     let (mut min_ts, mut max_ts) = (u64::MAX, 0u64);
-    for e in &events {
+    for e in events {
         min_ts = min_ts.min(e.ts);
         max_ts = max_ts.max(e.ts);
         let stack = stacks.entry(e.tid).or_default();
-        match e.ph.as_str() {
-            "B" => {
+        // The span this event happened inside.
+        let enclosing = if e.parent != 0 {
+            e.parent
+        } else {
+            stack.last().copied().unwrap_or(0)
+        };
+        match e.kind {
+            EventKind::Begin => {
                 let id = if e.id != 0 {
                     e.id
                 } else {
                     next_synth += 1;
                     next_synth - 1
                 };
-                let parent = if e.parent != 0 {
-                    e.parent
-                } else {
-                    stack.last().copied().unwrap_or(0)
-                };
                 spans.insert(
                     id,
                     Span {
                         id,
-                        parent,
+                        parent: enclosing,
                         tid: e.tid,
-                        name: e.name.clone(),
-                        cat: e.cat.clone(),
+                        rank: e.args.get("rank").copied(),
+                        name: e.name,
+                        cat: e.cat,
                         start: e.ts,
                         end: e.ts,
-                        rank: e.args.get("rank").copied(),
                     },
                 );
                 stack.push(id);
             }
-            "E" => {
-                // check_chrome_trace proved balance, so the pop matches.
+            EventKind::End => {
+                // The decoder proved balance, so the pop matches.
                 if let Some(id) = stack.pop() {
                     if let Some(span) = spans.get_mut(&id) {
                         span.end = e.ts;
                     }
                 }
             }
-            "s" => {
-                let enclosing = if e.parent != 0 {
-                    e.parent
-                } else {
-                    stack.last().copied().unwrap_or(0)
-                };
+            EventKind::FlowStart => {
                 flow_origin
                     .entry(e.id)
-                    .or_insert((enclosing, e.ts, e.name.clone(), e.cat.clone()));
+                    .or_insert((enclosing, e.ts, e.name, e.cat));
             }
-            "t" | "f" => {
-                let enclosing = if e.parent != 0 {
-                    e.parent
-                } else {
-                    stack.last().copied().unwrap_or(0)
-                };
+            EventKind::FlowStep | EventKind::FlowEnd => {
                 let attempts = e.args.get("attempts").copied().unwrap_or(0);
                 arrivals
                     .entry(enclosing)
                     .or_default()
                     .push((e.ts, e.id, attempts));
             }
-            _ => {}
+            EventKind::Instant | EventKind::Counter => {}
         }
     }
     if spans.is_empty() {
@@ -496,7 +432,7 @@ pub fn profile_chrome_trace(input: &str) -> Result<ProfileReport, ObsError> {
     // cursor alone does not guarantee progress.
     let mut followed: BTreeSet<u64> = BTreeSet::new();
     // Any pathological trace terminates via this cap, not a hang.
-    let mut fuel = 2 * spans.len() + events.len() + 16;
+    let mut fuel = 2 * spans.len() + event_count + 16;
     loop {
         fuel = fuel.saturating_sub(1);
         let span = &spans[&cur];

@@ -8,7 +8,6 @@
 
 use focus_assembler::dist::cluster::{schedule_phases, CostModel};
 use focus_assembler::focus::{FocusAssembler, FocusConfig};
-use focus_assembler::partition::recursive::TaskKind;
 use focus_assembler::partition::{
     edge_cut, partition_balance, partition_graph_set, PartitionConfig,
 };
@@ -52,28 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let bal_m = partition_balance(&stages.graph.undirected, multi.finest(), k);
 
         // Virtual runtimes on k/2 simulated processors.
-        let phases = |tasks: &[focus_assembler::partition::TaskRecord]| {
-            let mut steps: Vec<Vec<u64>> = Vec::new();
-            let mut kway = Vec::new();
-            for t in tasks {
-                match t.kind {
-                    TaskKind::Bisect { step, .. } => {
-                        while steps.len() <= step {
-                            steps.push(Vec::new());
-                        }
-                        steps[step].push(t.work);
-                    }
-                    TaskKind::KwayLevel { .. } => kway.push(t.work),
-                }
-            }
-            if !kway.is_empty() {
-                steps.push(kway);
-            }
-            steps
-        };
         let procs = (k / 2).max(1);
-        let t_h = schedule_phases(&phases(&hybrid.tasks), procs, CostModel::default());
-        let t_m = schedule_phases(&phases(&multi.tasks), procs, CostModel::default());
+        let t_h = schedule_phases(&hybrid.phases(), procs, CostModel::default());
+        let t_m = schedule_phases(&multi.phases(), procs, CostModel::default());
 
         println!(
             "{:>4} {:>14} {:>14} {:>10.3} {:>10.3} {:>10.2}",

@@ -5,12 +5,13 @@
 //! alignment, and resumed, clean, under the `FaultPlan`, and with the
 //! checkpoint's writes and reads sabotaged; every such point reproduces the
 //! uninterrupted run bit for bit. Beside them: a byte flipped in the file
-//! on disk is detected; a checkpoint directory that fails mid-run (ENOSPC)
-//! degrades checkpointing with one warning without taking the assembly
-//! down; checkpoints of another config or input never resume a run; the
-//! directory holds exactly the alignment checkpoint; files
-//! an older build saved at boundaries this one no longer has are left
-//! alone; and the payload's wire format round-trips.
+//! on disk is detected; a verified file whose metrics record nests 100 000
+//! levels deep is rejected and recomputed; a checkpoint directory that
+//! fails mid-run (ENOSPC) degrades checkpointing with one warning without
+//! taking the assembly down; checkpoints of another config or input never
+//! resume a run; the directory holds exactly the alignment checkpoint;
+//! files an older build saved at boundaries this one no longer has are
+//! left alone; and the payload's wire format round-trips.
 
 mod common;
 
@@ -103,6 +104,28 @@ fn one_flipped_byte_in_each_checkpoint_kind_is_detected_and_recomputed() {
     assert_eq!(snapshot, clean_snapshot);
     let rejected = counters.get("ckpt.rejected");
     assert_eq!(rejected, Some(&1), "the flip went undetected");
+}
+
+/// A checkpoint whose CRCs verify but whose metrics record (record 1) is
+/// 100 000 `[`: the snapshot decoder refuses it at its nesting bound with a
+/// typed error instead of overflowing the stack, so the resume rejects the
+/// file, recomputes alignment and reproduces the clean run.
+#[test]
+fn a_deeply_nested_metrics_record_is_rejected_and_recomputed() {
+    let reads = tiled_reads(2500, 11);
+    let (clean, clean_snapshot) = run_clean(&reads, chaos_config());
+    let dir = TempDir::new("nested");
+    completed(run_ckpt(&reads, &CheckpointOptions::in_dir(&dir), chaos_config()).0);
+    let phase = CkptPhase::Alignment;
+    let path = dir.join(CheckpointStore::file_name(phase.id(), phase.name()));
+    let mut file = CheckpointFile::decode(&std::fs::read(&path).unwrap(), &path).unwrap();
+    file.records[1] = vec![b'['; 100_000];
+    std::fs::write(&path, file.encode()).unwrap();
+    let (outcome, snapshot, counters) = run_ckpt(&reads, &resume_in(&dir), chaos_config());
+    assert_eq!(completed(outcome).contigs, clean.contigs);
+    assert_eq!(snapshot, clean_snapshot);
+    assert_eq!(counters.get("ckpt.rejected"), Some(&1));
+    assert_eq!(counters.get("ckpt.loaded"), None);
 }
 
 /// Random genomes, stopped after alignment with a random write fault on the
