@@ -44,7 +44,10 @@ fn main() {
         )
         .expect("distribution set-up succeeds");
         let config = ctx.assembler.config().dist;
-        let clean = dh0.clone().run(&config).expect("clean run succeeds");
+        let clean = dh0
+            .clone()
+            .run_with_faults(&config, FaultPlan::none())
+            .expect("clean run succeeds");
         let clean_time = clean.trimming_time + clean.traversal_time;
 
         for &rate in &RATES {

@@ -8,7 +8,7 @@
 
 use fc_bench::harness::prepare_context;
 use fc_bench::{bench_scale, print_table_header};
-use fc_dist::DistributedHybrid;
+use fc_dist::{DistributedHybrid, FaultPlan};
 use fc_partition::{partition_graph_set, PartitionConfig};
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ fn main() {
             )
             .expect("distribution set-up succeeds");
             let report = dh
-                .run(&ctx.assembler.config().dist)
+                .run_with_faults(&ctx.assembler.config().dist, FaultPlan::none())
                 .expect("distributed run succeeds");
             println!(
                 "{:>11} {:>11} {:>11.0} {:>11.0} {:>11} {:>11}",

@@ -151,12 +151,6 @@ impl DistributedHybrid {
         &self.contigs[v as usize]
     }
 
-    /// Runs the full distributed pipeline on a perfect cluster. The graph
-    /// is mutated in place; the report carries timings and the final paths.
-    pub fn run(&mut self, config: &DistributedConfig) -> Result<DistributedReport, DistError> {
-        self.run_with_faults(config, FaultPlan::none())
-    }
-
     /// Runs the full distributed pipeline under a fault-injection plan.
     ///
     /// Failures are handled per phase: crashed (or presumed-dead) ranks'
@@ -431,7 +425,9 @@ mod tests {
         let k = 4;
         let parts = round_robin_parts(hs.node_count(), k);
         let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
-        let report = dh.run(&DistributedConfig::default()).unwrap();
+        let report = dh
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+            .unwrap();
         traverse::check_path_cover(&dh.graph, &report.paths).unwrap();
         assert!(report.trimming_time > 0.0);
         assert!(report.traversal_time > 0.0);
@@ -481,8 +477,12 @@ mod tests {
         }
         // Shared with the caller's list, not copied out of it.
         assert!(Arc::ptr_eq(&a.contigs, &shared));
-        let ra = a.run(&DistributedConfig::default()).unwrap();
-        let rb = b.run(&DistributedConfig::default()).unwrap();
+        let ra = a
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+            .unwrap();
+        let rb = b
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+            .unwrap();
         assert_eq!(ra.paths, rb.paths);
         assert_eq!(
             (ra.transitive_removed, ra.contained_removed),
@@ -502,7 +502,9 @@ mod tests {
         for k in [1usize, 2, 4] {
             let parts = round_robin_parts(hs.node_count(), k);
             let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
-            let report = dh.run(&DistributedConfig::default()).unwrap();
+            let report = dh
+                .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+                .unwrap();
             covers.push(sorted_cover(&report));
         }
         assert_eq!(covers[0], covers[1]);
@@ -519,7 +521,10 @@ mod tests {
         let block: Vec<u32> = (0..n).map(|i| ((i * k) / n).min(k - 1) as u32).collect();
         let run = |parts: Vec<u32>| {
             let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
-            dh.run(&DistributedConfig::default()).unwrap().paths.len()
+            dh.run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+                .unwrap()
+                .paths
+                .len()
         };
         // Both must cover the same nodes; the block partition cannot yield
         // more final paths than the scattered one after master joining
@@ -536,7 +541,7 @@ mod tests {
         let parts = round_robin_parts(hs.node_count(), k);
         let clean_report = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k)
             .unwrap()
-            .run(&DistributedConfig::default())
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
             .unwrap();
         for phase in PhaseId::ALL {
             for rank in 0..k {
@@ -569,7 +574,9 @@ mod tests {
         let k = 2;
         let parts = round_robin_parts(hs.node_count(), k);
         let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k).unwrap();
-        let clean = dh.run(&DistributedConfig::default()).unwrap();
+        let clean = dh
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+            .unwrap();
         let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let report = dh
             .run_with_faults(
@@ -652,7 +659,9 @@ mod tests {
         let k = 3;
         let parts = round_robin_parts(hs.node_count(), k);
         let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k).unwrap();
-        let plain = dh.run(&DistributedConfig::default()).unwrap();
+        let plain = dh
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+            .unwrap();
         let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let rec = Recorder::new(fc_obs::ObsOptions::logical());
         let obs = dh
@@ -688,7 +697,9 @@ mod tests {
         let k = 4;
         let parts = round_robin_parts(hs.node_count(), k);
         let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k).unwrap();
-        let clean = dh.run(&DistributedConfig::default()).unwrap();
+        let clean = dh
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+            .unwrap();
         let mut dh = DistributedHybrid::with_consensus(&hs, &store, parts, k).unwrap();
         let faulty = dh
             .run_with_faults(
@@ -726,7 +737,7 @@ mod tests {
                 let parts = round_robin_parts(hs.node_count(), k);
                 let clean = DistributedHybrid::with_consensus(&hs, &store, parts.clone(), k)
                     .unwrap()
-                    .run(&DistributedConfig::default())
+                    .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
                     .unwrap();
                 let ranks: Vec<usize> = (0..k).filter(|r| mask & (1 << r) != 0).collect();
                 let phase = PhaseId::ALL[phase_idx];

@@ -382,14 +382,6 @@ impl<'a> CkptPolicy<'a> {
                 Some(value) => {
                     rec.add("ckpt.loaded", 1);
                     rec.instant("ckpt", "ckpt.loaded", &[("phase", i64::from(phase.id()))]);
-                    // When the write happened earlier in this same process
-                    // (same recorder), close its causal edge here: the trace
-                    // then shows the resumed phase following from the
-                    // checkpoint-write span. A fresh process has no parked
-                    // flow and emits nothing — never a dangling edge.
-                    if let Some(flow) = rec.flow_take(u64::from(phase.id())) {
-                        rec.flow_end(flow, &[("phase", i64::from(phase.id()))]);
-                    }
                     Some(value)
                 }
                 None => {
@@ -411,10 +403,6 @@ impl<'a> CkptPolicy<'a> {
         match store.save(phase.id(), phase.name(), records) {
             Ok(true) => {
                 rec.add("ckpt.saved", 1);
-                // Park a causal edge out of the write: an in-process resume
-                // of this phase will pick it up and close the arrow.
-                let flow = rec.flow_start("ckpt", "ckpt.save", &[("phase", i64::from(phase.id()))]);
-                rec.flow_park(u64::from(phase.id()), flow);
             }
             Ok(false) => {}
             Err(_) => {

@@ -109,9 +109,6 @@ struct Inner {
     /// Open-span stacks per lane: the top is the lane's current span.
     stacks: Mutex<BTreeMap<u64, Vec<u64>>>,
     metrics: Mutex<MetricsSnapshot>,
-    /// Named flow handles parked for later pickup (e.g. a checkpoint write
-    /// whose resume happens later in the same process).
-    parked_flows: Mutex<BTreeMap<u64, Flow>>,
     events: Mutex<Vec<Event>>,
 }
 
@@ -188,7 +185,6 @@ impl Recorder {
                 next_id: AtomicU64::new(1),
                 stacks: Mutex::new(Rank::SpanStacks, BTreeMap::new()),
                 metrics: Mutex::new(Rank::Metrics, MetricsSnapshot::default()),
-                parked_flows: Mutex::new(Rank::ParkedFlows, BTreeMap::new()),
                 events: Mutex::new(Rank::Events, Vec::new()),
             })),
         }
@@ -376,30 +372,6 @@ impl Recorder {
                 args.to_vec(),
             );
         }
-    }
-
-    /// Parks a flow handle under `key` for later pickup with
-    /// [`Recorder::flow_take`] — the idiom for causal edges whose
-    /// consumer is a *later call* on the same recorder rather than a
-    /// value hand-off (e.g. a checkpoint write linked to the resume that
-    /// loads it). Last park under a key wins. No-op for [`Flow::NONE`]
-    /// or a disabled recorder.
-    pub fn flow_park(&self, key: u64, flow: Flow) {
-        if flow.is_none() {
-            return;
-        }
-        if let Some(inner) = &self.inner {
-            inner.parked_flows.lock().insert(key, flow);
-        }
-    }
-
-    /// Takes the flow parked under `key`, if any. A fresh recorder (e.g.
-    /// a cross-process resume) has no parked flows, so consumers simply
-    /// skip the link — never a dangling causal edge.
-    pub fn flow_take(&self, key: u64) -> Option<Flow> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.parked_flows.lock().remove(&key))
     }
 
     /// Records a point event with a structured integer payload.
@@ -680,21 +652,6 @@ mod tests {
             .find(|e| e.kind == EventKind::Instant)
             .unwrap();
         assert_eq!(marker.parent, id);
-    }
-
-    #[test]
-    fn parked_flows_survive_until_taken_once() {
-        let rec = Recorder::new(ObsOptions::logical());
-        let flow = rec.flow_start("ckpt", "ckpt.save", &[]);
-        rec.flow_park(7, flow);
-        assert_eq!(rec.flow_take(7), Some(flow));
-        assert_eq!(rec.flow_take(7), None, "taking consumes the handle");
-        // Disabled recorders and NONE flows park nothing.
-        rec.flow_park(8, Flow::NONE);
-        assert_eq!(rec.flow_take(8), None);
-        let off = Recorder::disabled();
-        off.flow_park(9, flow);
-        assert_eq!(off.flow_take(9), None);
     }
 
     #[test]

@@ -286,14 +286,21 @@ impl<'a> Parser<'a> {
 
     fn parse_int(&mut self) -> Result<Value, ObsError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        let digits = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
             return Err(self.err("an integer (floats are not emitted)"));
+        }
+        // Only the spelling the emitter writes: no leading zero, no `-0`.
+        if self.bytes.get(digits) == Some(&b'0') && (negative || self.pos > digits + 1) {
+            self.pos = digits;
+            return Err(self.err("an integer without a leading zero"));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("an integer"))?;
@@ -635,6 +642,19 @@ mod tests {
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("1.5").is_err(), "floats are rejected by design");
+    }
+
+    #[test]
+    fn integers_parse_only_in_the_emitted_spelling() {
+        for text in ["012", "-01", "-0", "00", "[1, 007]"] {
+            assert!(
+                matches!(parse_json(text), Err(ObsError::Parse { .. })),
+                "{text} accepted"
+            );
+        }
+        for (text, n) in [("0", 0), ("10", 10), ("-10", -10)] {
+            assert_eq!(parse_json(text).expect(text), Value::Int(n));
+        }
     }
 
     #[test]

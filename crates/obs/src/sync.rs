@@ -13,7 +13,7 @@ use std::time::Duration;
 /// a lock the other waits for. fc-serve's job table (`/metrics` holds it
 /// across `TenantNames` and `Metrics`) and tenant-name interner; fc-exec's
 /// chunk queue and in-order delivery (held across the caller's sink); the
-/// recorder's span stacks, parked flows, events and metrics; two interners.
+/// recorder's span stacks, events and metrics; two interners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {
     ServeCore,
@@ -21,7 +21,6 @@ pub enum Rank {
     ExecQueue,
     ExecDelivery,
     SpanStacks,
-    ParkedFlows,
     Events,
     Metrics,
     MetricNames,

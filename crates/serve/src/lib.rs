@@ -21,10 +21,10 @@
 //!   producing byte-identical contigs and logical-clock metrics
 //!   (`tests/serve_chaos.rs` at the workspace root kill-loops the real
 //!   process to prove it).
-//! * **Retry with capped backoff** — transient job failures are retried
-//!   under fc-dist's [`RetryPolicy`](fc_dist::RetryPolicy)
-//!   (`min(base × 2^(attempt-1), cap)`), the same policy that governs the
-//!   simulated cluster's retransmissions.
+//! * **Retry with capped backoff** — a transiently failed job is retried
+//!   up to [`ServeConfig::max_attempts`] times in all, waiting
+//!   `min(10 × 2^(attempt-1), 160)` backoff units between attempts
+//!   ([`runner::run_with_retry`]).
 //! * **Observability** — admission/rejection/shed counters, per-tenant
 //!   queue-depth gauges and job latency histograms are recorded on an
 //!   fc-obs [`Recorder`](fc_obs::Recorder) and exposed on `/metrics`.
@@ -32,7 +32,8 @@
 //! The crate is deliberately ignorant of the assembly pipeline: jobs are
 //! executed through the [`runner::JobRunner`] trait, implemented over the
 //! real pipeline by `focus_core::serve::AssemblyJobRunner` and by mock
-//! runners in tests.
+//! runners in tests. Its only workspace dependencies are fc-obs (metrics,
+//! ranked locks, the memory ledger) and fc-ckpt (atomic file writes).
 
 #![forbid(unsafe_code)]
 

@@ -7,13 +7,12 @@
 //! plug in mock runners to exercise retries, cancellation and crashes
 //! without assembling anything.
 //!
-//! Transient failures ([`JobError::transient`]) are retried under
-//! fc-dist's [`RetryPolicy`] — the same exponential `min(base × 2^(n-1),
-//! cap)` schedule the simulated cluster uses for message retransmission —
-//! scaled by a configurable unit so tests can run it at zero delay.
+//! Transient failures ([`JobError::transient`]) are retried up to a job's
+//! attempt limit, waiting `min(BACKOFF_BASE × 2^(n-1), BACKOFF_CAP)` units
+//! after the `n`-th failure — 10, 20, 40, 80, then 160 for every later
+//! one — scaled by a configurable unit so tests can run it at zero delay.
 
 use crate::job::JobId;
-use fc_dist::RetryPolicy;
 use fc_obs::Recorder;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,7 +64,7 @@ pub struct JobOutput {
     pub total_bases: u64,
 }
 
-/// A failed attempt. `transient` failures are retried under the policy;
+/// A failed attempt. `transient` failures are retried up to the attempt limit;
 /// permanent ones (bad input, invalid config) fail the job immediately.
 #[derive(Debug, Clone)]
 pub struct JobError {
@@ -116,18 +115,31 @@ pub enum RunResult {
     },
 }
 
-/// Runs a job under `policy`: up to `max_attempts` tries, sleeping
-/// `backoff_delay(n) × backoff_unit` between transient failures, checking
+/// Backoff after a job's first failed attempt, in backoff units.
+const BACKOFF_BASE: u32 = 10;
+/// The longest single backoff wait, in backoff units.
+const BACKOFF_CAP: u32 = 160;
+
+/// Backoff units to wait after the `attempt`-th failed attempt (1-based):
+/// `min(BACKOFF_BASE × 2^(attempt-1), BACKOFF_CAP)`.
+fn backoff_units(attempt: u32) -> u32 {
+    // Past ilog2(cap) doublings the cap holds, so the shift never overflows.
+    let doublings = attempt.saturating_sub(1).min(BACKOFF_CAP.ilog2());
+    (BACKOFF_BASE << doublings).min(BACKOFF_CAP)
+}
+
+/// Runs a job for up to `max_attempts` tries (at least one), sleeping
+/// `backoff_units(n) × backoff_unit` between transient failures, checking
 /// the cancellation flag before every attempt and during backoff sleeps.
 /// Each retry increments `serve.jobs.retried` on `recorder`.
 pub fn run_with_retry(
     runner: &dyn JobRunner,
     ctx: &JobContext,
-    policy: &RetryPolicy,
+    max_attempts: u32,
     backoff_unit: Duration,
     recorder: &Recorder,
 ) -> RunResult {
-    let max_attempts = policy.max_attempts.max(1);
+    let max_attempts = max_attempts.max(1);
     let mut attempt = 1;
     loop {
         if ctx.canceled() {
@@ -137,8 +149,7 @@ pub fn run_with_retry(
             Ok(output) => return RunResult::Completed(output),
             Err(e) if e.transient && attempt < max_attempts => {
                 recorder.add("serve.jobs.retried", 1);
-                let units = policy.backoff_delay(attempt);
-                let delay = backoff_unit.mul_f64(units.max(0.0));
+                let delay = backoff_unit * backoff_units(attempt);
                 if !sleep_unless_canceled(ctx, delay) {
                     return RunResult::Canceled;
                 }
@@ -213,11 +224,11 @@ mod tests {
         }
     }
 
-    fn policy(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
+    #[test]
+    fn backoff_doubles_from_ten_units_to_a_cap_of_160() {
+        let units: Vec<u32> = (1..=6).map(backoff_units).collect();
+        assert_eq!(units, [10, 20, 40, 80, 160, 160]);
+        assert_eq!(backoff_units(u32::MAX), 160);
     }
 
     #[test]
@@ -228,7 +239,7 @@ mod tests {
             calls: AtomicU32::new(0),
         };
         let rec = Recorder::new(ObsOptions::logical());
-        let result = run_with_retry(&runner, &ctx(), &policy(4), Duration::ZERO, &rec);
+        let result = run_with_retry(&runner, &ctx(), 4, Duration::ZERO, &rec);
         assert!(matches!(result, RunResult::Completed(_)), "{result:?}");
         assert_eq!(runner.calls.load(Ordering::SeqCst), 3);
         assert_eq!(
@@ -245,7 +256,7 @@ mod tests {
             calls: AtomicU32::new(0),
         };
         let rec = Recorder::new(ObsOptions::logical());
-        let result = run_with_retry(&runner, &ctx(), &policy(4), Duration::ZERO, &rec);
+        let result = run_with_retry(&runner, &ctx(), 4, Duration::ZERO, &rec);
         match result {
             RunResult::Failed { attempts, message } => {
                 assert_eq!(attempts, 1);
@@ -264,7 +275,7 @@ mod tests {
             calls: AtomicU32::new(0),
         };
         let rec = Recorder::new(ObsOptions::logical());
-        let result = run_with_retry(&runner, &ctx(), &policy(3), Duration::ZERO, &rec);
+        let result = run_with_retry(&runner, &ctx(), 3, Duration::ZERO, &rec);
         assert!(
             matches!(result, RunResult::Failed { attempts: 3, .. }),
             "{result:?}"
@@ -282,7 +293,7 @@ mod tests {
         let rec = Recorder::new(ObsOptions::logical());
         let c = ctx();
         c.cancel.store(true, Ordering::Relaxed);
-        let result = run_with_retry(&runner, &c, &policy(4), Duration::ZERO, &rec);
+        let result = run_with_retry(&runner, &c, 4, Duration::ZERO, &rec);
         assert!(matches!(result, RunResult::Canceled), "{result:?}");
         assert_eq!(runner.calls.load(Ordering::SeqCst), 0, "never invoked");
     }

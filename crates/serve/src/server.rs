@@ -41,7 +41,6 @@ use crate::sched::{AdmitOutcome, Rejection, SchedConfig, Scheduler, ShedJob};
 use crate::state::{
     input_fnv, valid_tenant_name, JobRecord, StateDir, TerminalState, TerminalStatus,
 };
-use fc_dist::RetryPolicy;
 use fc_obs::sync::{Mutex, Rank};
 use fc_obs::{MemoryBudget, ObsOptions, Recorder, Reservation};
 use std::collections::HashMap;
@@ -75,16 +74,17 @@ pub struct ServeConfig {
     pub request_budget: Duration,
     /// Queue bounds and fairness quantum.
     pub sched: SchedConfig,
-    /// Retry schedule for transiently failed jobs.
-    pub retry: RetryPolicy,
+    /// Attempts per job, the first included (must be at least 1); a
+    /// transient failure is retried until they run out.
+    pub max_attempts: u32,
     /// Memory budget for admitted (queued + running) jobs, bytes
     /// (0 → unlimited). Each job reserves a coarse resident-set estimate
     /// at admission and releases it at its terminal state; arrivals that
     /// do not fit are shed with a typed `memory_pressure` 503 until
     /// pressure clears.
     pub memory_budget: u64,
-    /// Wall-clock scale of one backoff unit ([`RetryPolicy::backoff_delay`]
-    /// is unitless); tests set this to zero.
+    /// Wall-clock length of one backoff unit (waits run 10, 20, 40, 80,
+    /// then 160 units); tests set this to zero.
     pub backoff_unit: Duration,
 }
 
@@ -99,7 +99,7 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(5),
             request_budget: Duration::from_secs(10),
             sched: SchedConfig::default(),
-            retry: RetryPolicy::default(),
+            max_attempts: 4,
             memory_budget: 0,
             backoff_unit: Duration::from_millis(25),
         }
@@ -112,9 +112,9 @@ impl ServeConfig {
         if self.addr.is_empty() {
             return Err(ServeError::config("addr", "bind address is empty"));
         }
-        self.retry
-            .validate()
-            .map_err(|e| ServeError::config("retry", format!("{e}")))?;
+        if self.max_attempts == 0 {
+            return Err(ServeError::config("max_attempts", "must be at least 1"));
+        }
         if self.workers == 0 {
             self.workers = 2;
         }
@@ -152,25 +152,6 @@ struct ActiveJob {
     /// The job's slice of the server memory budget, held for RAII only:
     /// dropping the entry (terminal state, shed, cancel) releases it.
     _mem: Reservation,
-}
-
-impl ActiveJob {
-    /// A job admitted to the queue now, holding `mem` until it leaves the
-    /// table. Restart re-admission and `POST /jobs` both build it here.
-    fn queued(record: JobRecord, mem: Reservation) -> ActiveJob {
-        ActiveJob {
-            record,
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "queue age for serve.job.queue_ms; the scheduler state, not \
-                          this timestamp, makes admission and scheduling decisions"
-            )]
-            admitted_at: Instant::now(),
-            cancel: Arc::new(AtomicBool::new(false)),
-            running: false,
-            _mem: mem,
-        }
-    }
 }
 
 /// Scheduler + active-job table behind one lock (they must mutate
@@ -244,54 +225,22 @@ impl Serve {
         let tenant_names = TenantNames::new(cfg.sched.max_tenants);
         let next_id = AtomicU64::new(scan.max_id + 1);
         // Re-admit every in-flight job in id order so the recovered queue
-        // is deterministic. A job the (possibly shrunk) bounds no longer
-        // accept fails with a typed reason rather than vanishing.
+        // is deterministic. Pending jobs can exceed the (possibly shrunk)
+        // bounds and memory budget: a job they no longer accept fails with
+        // a typed reason rather than vanishing, and a high-priority record
+        // can shed a lower one exactly as a live arrival would.
         for record in scan.pending {
-            // The recovered job re-occupies its slice of the memory
-            // budget; a shrunk budget that no longer fits it fails the
-            // job with a typed reason, like shrunk queue bounds below.
-            let mem_res = match mem.try_reserve(JOB_MEM_LABEL, job_mem_estimate(record.input_len)) {
-                Ok(r) => r,
-                Err(_) => {
-                    state.write_status(
-                        record.id,
-                        &TerminalStatus::plain(
-                            TerminalState::Failed,
-                            "not re-admitted after restart: memory_pressure".to_string(),
-                        ),
-                    )?;
-                    recorder.add(metrics::JOBS_FAILED, 1);
-                    continue;
-                }
-            };
-            match core.sched.admit(&record.tenant, record.id, record.priority) {
-                AdmitOutcome::Queued { shed } => {
-                    // Pending jobs can exceed total_capacity (queued +
-                    // formerly-running jobs all come back, and bounds may
-                    // have shrunk), so a high-priority record can displace
-                    // a lower one here too. Finalize the victim exactly
-                    // like a live-admission shed would.
-                    if let Some(victim) = shed {
-                        core.active.remove(&victim.id.0);
-                        recorder.add(metrics::JOBS_SHED, 1);
-                        state.write_status(
-                            victim.id,
-                            &TerminalStatus::plain(
-                                TerminalState::Shed,
-                                format!(
-                                    "shed during recovery: displaced by higher-priority job {}",
-                                    record.id.dir_name()
-                                ),
-                            ),
-                        )?;
-                    }
+            let id = record.id;
+            match admit(&mut core, &mem, record) {
+                Ok(shed) => {
                     recorder.add(metrics::JOBS_RESUMED, 1);
-                    core.active
-                        .insert(record.id.0, ActiveJob::queued(record, mem_res));
+                    if let Some(victim) = shed {
+                        finalize_shed(&state, &recorder, &victim, id)?;
+                    }
                 }
-                AdmitOutcome::Rejected(r) => {
+                Err(r) => {
                     state.write_status(
-                        record.id,
+                        id,
                         &TerminalStatus::plain(
                             TerminalState::Failed,
                             format!("not re-admitted after restart: {}", r.kind()),
@@ -577,44 +526,23 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
         return Response::error(500, "state_error", &format!("{e}"));
     }
 
-    let shed = {
-        let mut core = shared.core.lock();
-        // The precheck above was advisory; this reserve is authoritative
-        // and races with releases, so it can still fail here.
-        let mem_res = match shared.mem.try_reserve(JOB_MEM_LABEL, estimate) {
-            Ok(r) => r,
-            Err(e) => {
-                drop(core);
-                let _ = std::fs::remove_dir_all(shared.state.job_dir(id));
-                return reject(
-                    shared,
-                    Rejection::MemoryPressure {
-                        requested: e.requested,
-                        available: shared.mem.remaining(),
-                    },
-                );
-            }
-        };
-        match core.sched.admit(tenant, id, priority) {
-            AdmitOutcome::Rejected(r) => {
-                drop(core);
-                // Roll the unacknowledged persist back; the client never
-                // learned this id. `mem_res` dropped with this frame.
-                let _ = std::fs::remove_dir_all(shared.state.job_dir(id));
-                return reject(shared, r);
-            }
-            AdmitOutcome::Queued { shed } => {
-                if let Some(victim) = &shed {
-                    core.active.remove(&victim.id.0);
-                }
-                core.active.insert(id.0, ActiveJob::queued(record, mem_res));
-                shed
-            }
+    // The precheck above was advisory; this admission is authoritative and
+    // races with other arrivals and releases, so it can still refuse here.
+    // Bound as a statement, like the precheck, so the core guard drops
+    // before the rollback and `reject`.
+    let admitted = admit(&mut shared.core.lock(), &shared.mem, record);
+    let shed = match admitted {
+        Ok(shed) => shed,
+        Err(r) => {
+            // Roll the unacknowledged persist back; the client never
+            // learned this id.
+            let _ = std::fs::remove_dir_all(shared.state.job_dir(id));
+            return reject(shared, r);
         }
     };
     shared.recorder.add(metrics::JOBS_ADMITTED, 1);
     if let Some(victim) = &shed {
-        finalize_shed(shared, victim);
+        let _ = finalize_shed(&shared.state, &shared.recorder, victim, id);
     }
     shared.work_cv.notify_one();
 
@@ -650,16 +578,61 @@ fn reject(shared: &Shared, r: Rejection) -> Response {
     Response::error(r.http_status(), r.kind(), &format!("{r:?}"))
 }
 
-fn finalize_shed(shared: &Shared, victim: &ShedJob) {
-    shared.recorder.add(metrics::JOBS_SHED, 1);
-    let status = TerminalStatus::plain(
-        TerminalState::Shed,
-        format!(
-            "shed: displaced by a higher-priority arrival while {} was saturated",
-            victim.tenant
-        ),
-    );
-    let _ = shared.state.write_status(victim.id, &status);
+/// Queues `record` under the scheduler bounds and the memory budget, the
+/// one admission path of both `POST /jobs` and restart recovery. It
+/// reserves the job's slice of `mem`, admits it, drops a shed victim from
+/// the active table and registers the job; the caller ends a returned
+/// victim with [`finalize_shed`]. A refusal leaves `core` and `mem` as
+/// they were.
+fn admit(
+    core: &mut Core,
+    mem: &MemoryBudget,
+    record: JobRecord,
+) -> Result<Option<ShedJob>, Rejection> {
+    let reservation = mem
+        .try_reserve(JOB_MEM_LABEL, job_mem_estimate(record.input_len))
+        .map_err(|e| Rejection::MemoryPressure {
+            requested: e.requested,
+            available: mem.remaining(),
+        })?;
+    match core.sched.admit(&record.tenant, record.id, record.priority) {
+        AdmitOutcome::Rejected(r) => Err(r),
+        AdmitOutcome::Queued { shed } => {
+            if let Some(victim) = &shed {
+                core.active.remove(&victim.id.0);
+            }
+            let job = ActiveJob {
+                record,
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "queue age for serve.job.queue_ms; the scheduler state, not \
+                              this timestamp, makes admission and scheduling decisions"
+                )]
+                admitted_at: Instant::now(),
+                cancel: Arc::new(AtomicBool::new(false)),
+                running: false,
+                _mem: reservation,
+            };
+            core.active.insert(job.record.id.0, job);
+            Ok(shed)
+        }
+    }
+}
+
+/// Ends a job displaced by the higher-priority job `by` with a terminal
+/// `shed` status naming it.
+fn finalize_shed(
+    state: &StateDir,
+    recorder: &Recorder,
+    victim: &ShedJob,
+    by: JobId,
+) -> Result<(), ServeError> {
+    recorder.add(metrics::JOBS_SHED, 1);
+    let message = format!("shed: displaced by higher-priority job {}", by.dir_name());
+    state.write_status(
+        victim.id,
+        &TerminalStatus::plain(TerminalState::Shed, message),
+    )
 }
 
 fn job_status(shared: &Shared, id: JobId) -> Response {
@@ -847,7 +820,7 @@ fn worker_loop(shared: &Shared) {
         let result = run_with_retry(
             shared.runner.as_ref(),
             &ctx,
-            &shared.cfg.retry,
+            shared.cfg.max_attempts,
             shared.cfg.backoff_unit,
             &shared.recorder,
         );

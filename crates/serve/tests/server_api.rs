@@ -5,7 +5,7 @@
 
 use fc_serve::sched::SchedConfig;
 use fc_serve::server::{Serve, ServeConfig};
-use fc_serve::{JobContext, JobError, JobOutput, JobRunner};
+use fc_serve::{JobContext, JobError, JobOutput, JobRunner, ServeError};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -230,12 +230,18 @@ fn high_priority_sheds_queued_low_priority() {
     assert_eq!(status, 202, "{body}");
     let shed_id = json_field(&body, "shed").expect("shed field").to_string();
     assert_eq!(shed_id, low_ids[1], "newest queued low job is the victim");
+    let high_id = json_field(&body, "id").expect("id").to_string();
 
     let shed_status = wait_terminal(addr, &shed_id);
     assert_eq!(
         json_field(&shed_status, "state"),
         Some("shed"),
         "{shed_status}"
+    );
+    let message = json_field(&shed_status, "message").expect("message field");
+    assert!(
+        message.contains(&high_id),
+        "names the evicting job: {shed_status}"
     );
     for id in [&first_id, &low_ids[0]] {
         assert_eq!(json_field(&wait_terminal(addr, id), "state"), Some("done"));
@@ -406,7 +412,69 @@ fn recovery_overflow_sheds_instead_of_crashing() {
     let victim = low_ids.last().expect("five low jobs");
     let body = wait_terminal(addr, victim);
     assert_eq!(json_field(&body, "state"), Some("shed"), "{body}");
+    let message = json_field(&body, "message").expect("message field");
+    assert!(message.contains(&high_id), "names the evicting job: {body}");
     for id in low_ids.iter().take(low_ids.len() - 1).chain([&high_id]) {
+        let body = wait_terminal(addr, id);
+        assert_eq!(json_field(&body, "state"), Some("done"), "{body}");
+    }
+    server.shutdown(true);
+    server.join();
+}
+
+#[test]
+fn restart_under_a_smaller_memory_budget_fails_the_job_that_no_longer_fits() {
+    // Jobs queued under an unlimited budget come back after a fast
+    // shutdown into a budget of 100 bytes. Each job reserves four times
+    // its input, so the 100-byte input no longer fits and must fail with
+    // a typed reason, while the small ones around it re-admit and finish.
+    let dir = temp_dir("recovery-mem");
+    let cfg = ServeConfig {
+        workers: 1,
+        ..small_config()
+    };
+    let server = Serve::start(
+        cfg.clone(),
+        &dir,
+        Arc::new(MockRunner {
+            delay: Duration::from_millis(400),
+        }),
+    )
+    .expect("start");
+    let addr = server.addr();
+    let (status, body) = submit(addr, "?tenant=a", b"r1");
+    assert_eq!(status, 202, "{body}");
+    std::thread::sleep(Duration::from_millis(50)); // let it dispatch
+    let mut ids = Vec::new();
+    for input in [b"aa".to_vec(), vec![b'g'; 100], b"cc".to_vec()] {
+        let (status, body) = submit(addr, "?tenant=a", &input);
+        assert_eq!(status, 202, "{body}");
+        ids.push(json_field(&body, "id").expect("id").to_string());
+    }
+    let (status, _) = request(addr, "POST", "/admin/shutdown?mode=fast", b"");
+    assert_eq!(status, 200);
+    server.join();
+
+    let server = Serve::start(
+        ServeConfig {
+            memory_budget: 100,
+            ..cfg
+        },
+        &dir,
+        Arc::new(MockRunner {
+            delay: Duration::ZERO,
+        }),
+    )
+    .expect("restart must survive a shrunk memory budget");
+    let addr = server.addr();
+    let body = wait_terminal(addr, &ids[1]);
+    assert_eq!(json_field(&body, "state"), Some("failed"), "{body}");
+    assert_eq!(
+        json_field(&body, "message"),
+        Some("not re-admitted after restart: memory_pressure"),
+        "{body}"
+    );
+    for id in [&ids[0], &ids[2]] {
         let body = wait_terminal(addr, id);
         assert_eq!(json_field(&body, "state"), Some("done"), "{body}");
     }
@@ -563,4 +631,23 @@ fn memory_pressure_sheds_with_typed_503_until_jobs_release() {
     assert!(metrics.contains("serve.mem.limit"), "{metrics}");
     server.shutdown(true);
     server.join();
+}
+
+#[test]
+fn zero_max_attempts_is_refused_as_a_typed_config_error() {
+    let result = Serve::start(
+        ServeConfig {
+            max_attempts: 0,
+            ..small_config()
+        },
+        temp_dir("zero-attempts"),
+        Arc::new(MockRunner {
+            delay: Duration::ZERO,
+        }),
+    );
+    match result {
+        Err(ServeError::Config(e)) => assert_eq!(e.field, "max_attempts"),
+        Err(e) => panic!("expected a config error, got {e}"),
+        Ok(_) => panic!("zero attempts accepted"),
+    }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Fault-free baseline.
     let mut clean_dh = build()?;
-    let clean = clean_dh.run(&config.dist)?;
+    let clean = clean_dh.run_with_faults(&config.dist, FaultPlan::none())?;
     println!(
         "clean run : {} paths, trimming {:.0} + traversal {:.0} virtual units, {} messages",
         clean.paths.len(),

@@ -516,10 +516,7 @@ fn serve(args: &[String]) -> Result<(), String> {
             max_tenants: opts.get_parsed("max-tenants", defaults.sched.max_tenants)?,
             quantum: opts.get_parsed("quantum", defaults.sched.quantum)?,
         },
-        retry: focus_assembler::dist::RetryPolicy {
-            max_attempts: opts.get_parsed("max-attempts", defaults.retry.max_attempts)?,
-            ..defaults.retry
-        },
+        max_attempts: opts.get_parsed("max-attempts", defaults.max_attempts)?,
         memory_budget: match opts.get("serve-memory-budget") {
             None => defaults.memory_budget,
             Some(text) => parse_bytes("serve-memory-budget", text)?,

@@ -517,7 +517,9 @@ fn distributed_stage_preserves_node_cover_for_every_k() {
             k,
         )
         .unwrap();
-        let report = dh.run(&DistributedConfig::default()).unwrap();
+        let report = dh
+            .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+            .unwrap();
         check_path_cover(&dh.graph, &report.paths).unwrap();
         // Trimming can only remove; live nodes never exceed the input.
         assert!(dh.graph.live_node_count() <= p.hybrid.node_count());
@@ -641,7 +643,11 @@ mod fault_invariants {
                 K,
             )
             .unwrap();
-            let clean_paths = dh.clone().run(&DistributedConfig::default()).unwrap().paths;
+            let clean_paths = dh
+                .clone()
+                .run_with_faults(&DistributedConfig::default(), FaultPlan::none())
+                .unwrap()
+                .paths;
             Fixture { dh, clean_paths }
         })
     }
