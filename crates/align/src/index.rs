@@ -42,8 +42,11 @@
 //! [`KmerIndex::runs`] looks up one query read's k-mers together: all
 //! directory reads, then all block searches, then all text reads.
 
+use fc_exec::Pool;
+use fc_obs::Recorder;
 use fc_seq::packed::BASES_PER_WORD;
 use fc_seq::{DnaString, ReadId};
+use std::ops::Range;
 
 /// Run starts a lookup walks inside its tag block before it binary-searches
 /// what is left of the block, so a lookup reads at most this many text
@@ -58,6 +61,24 @@ use fc_seq::{DnaString, ReadId};
 /// the `reads << off_bits = 2^32` edge, or many k-mers that differ only in
 /// the untagged bits — which the ruler does not have.
 const RUN_WALK_MAX: usize = 8;
+
+/// Bucket ranges the sort of one index is split into, each a pool task on
+/// its own slice of the positions ([`KmerIndex::build_all`]). A constant,
+/// so the task list is the input's, at any thread count; on `incore-t1`'s
+/// subsets (≈ 600 000 entries) a range is ≈ 75 000 entries, about 2 ms of
+/// sorting.
+pub const SORT_RANGES: usize = 8;
+
+/// An index whose entries sit in their buckets unsorted: the first half of
+/// a build ([`KmerIndex::scatter`]).
+struct Scattered {
+    /// Everything but `positions` and `run_start`.
+    index: KmerIndex,
+    /// Untagged entries, bucket by bucket, each bucket in entry order.
+    positions: Vec<u32>,
+    /// The run-start bitmap, all clear.
+    run_start: Vec<u64>,
+}
 
 /// K-mer positions of one read subset, for one `k`.
 #[derive(Debug, Clone)]
@@ -154,18 +175,98 @@ fn offset_bits(reads: usize, longest: usize) -> u32 {
 }
 
 impl KmerIndex {
-    /// Indexes the k-mers of `reads` (id + sequence pairs).
-    ///
-    /// Two counting passes size the position array and its buckets, a third
-    /// pass scatters, and each bucket is then keyed by k-mer into one reused
-    /// scratch vector (as long as the longest bucket, dropped on return),
-    /// sorted, written back and run-marked.
+    /// Indexes the k-mers of `reads` (id + sequence pairs) in the calling
+    /// thread, sorting all buckets in one pass; [`KmerIndex::build_all`]
+    /// builds the same index on a pool.
     ///
     /// # Panics
     /// Panics if `k` is outside `1..=32`, the subset has `2^32` bases or
     /// more, or `reads << off_bits` exceeds `2^32`, `off_bits` being the bit
     /// width of the longest read's last offset.
     pub fn build(reads: &[(ReadId, &DnaString)], k: usize) -> KmerIndex {
+        let Scattered {
+            index,
+            mut positions,
+            mut run_start,
+        } = KmerIndex::scatter(reads, k);
+        let buckets = 0..index.dir.len() - 1;
+        index.sort_buckets(buckets, &mut positions, &mut Vec::new(), |i| {
+            run_start[i / 64] |= 1 << (i % 64);
+        });
+        index.finish(positions, run_start)
+    }
+
+    /// Indexes `subsets` subsets, subset `j` being `reads(j)`, each as
+    /// [`KmerIndex::build`] does, on `pool`, in two batches whose tasks the
+    /// input alone fixes: one pack, count and scatter per subset, then
+    /// [`SORT_RANGES`] bucket ranges per subset, each sorted on its own
+    /// slice of the positions and marking its runs in the bitmap words its
+    /// entries cover alone; the words it shares with a neighbouring range
+    /// are merged after the batch. The result is the same at any thread
+    /// count.
+    ///
+    /// # Panics
+    /// As [`KmerIndex::build`].
+    pub fn build_all<'a>(
+        subsets: usize,
+        reads: impl Fn(usize) -> Vec<(ReadId, &'a DnaString)> + Sync,
+        k: usize,
+        pool: &Pool,
+        rec: &Recorder,
+    ) -> Vec<KmerIndex> {
+        let mut scattered = pool.map_obs(subsets, rec, |j| KmerIndex::scatter(&reads(j), k));
+        let mut tasks = Vec::with_capacity(scattered.len() * SORT_RANGES);
+        for s in &mut scattered {
+            let index = &s.index;
+            let (mut rest, mut words, mut word) =
+                (s.positions.as_mut_slice(), &mut s.run_start[..], 0);
+            for buckets in index.sort_ranges() {
+                let (lo, hi) = (
+                    index.dir[buckets.start] as usize,
+                    index.dir[buckets.end] as usize,
+                );
+                let (slice, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                // The range's own words: those holding only its entries.
+                let own = lo.div_ceil(64)..(hi / 64).max(lo.div_ceil(64));
+                let (_, after) = std::mem::take(&mut words).split_at_mut(own.start - word);
+                let (own_words, after) = after.split_at_mut(own.len());
+                (rest, words, word) = (tail, after, own.end);
+                tasks.push((index, buckets, slice, own.start, own_words));
+            }
+        }
+        let shared = pool.map_items(tasks, rec, Vec::new, |_, task, keyed| {
+            let (index, buckets, slice, first, own) = task;
+            // A range's entries outside its own words lie in at most one
+            // word before them and one after.
+            let mut shared = [(0, 0u64); 2];
+            index.sort_buckets(buckets, slice, keyed, |i| {
+                let (w, bit) = (i / 64, 1 << (i % 64));
+                match w.checked_sub(first) {
+                    Some(at) if at < own.len() => own[at] |= bit,
+                    Some(_) => shared[1] = (w, shared[1].1 | bit),
+                    None => shared[0] = (w, shared[0].1 | bit),
+                }
+            });
+            shared
+        });
+        scattered
+            .into_iter()
+            .zip(shared.chunks(SORT_RANGES))
+            .map(|(mut s, shared)| {
+                for &(w, bits) in shared.iter().flatten() {
+                    s.run_start[w] |= bits;
+                }
+                s.index.finish(s.positions, s.run_start)
+            })
+            .collect()
+    }
+
+    /// The serial half of a build: the reads packed back to back, their
+    /// k-mer starts counted per bucket, and the untagged entries scattered
+    /// into their buckets, whose order within a bucket is still entry
+    /// order. `dir` is final; `positions` and `run_start` are returned
+    /// beside the index.
+    fn scatter(reads: &[(ReadId, &DnaString)], k: usize) -> Scattered {
         assert!((1..=32).contains(&k), "k must be in 1..=32");
         let bases: usize = reads.iter().map(|(_, seq)| seq.len()).sum();
         assert!(
@@ -225,7 +326,7 @@ impl KmerIndex {
         }
         // `dir[b]` is bucket b's start and serves as its write cursor, so
         // after the scatter it is bucket b's end — the next bucket's start.
-        // Entries are untagged until the write-back below: a tag is a
+        // Entries are untagged until the sort writes them back: a tag is a
         // function of the k-mer, so sorting by `(k-mer, entry)` puts them in
         // the same order tagged or not.
         let mut positions = vec![0u32; kmers];
@@ -236,30 +337,70 @@ impl KmerIndex {
         });
         dir.copy_within(..buckets, 1);
         dir[0] = 0;
-        let mut run_start = vec![0u64; run_words_for(kmers)];
-        let mut mark = |i: usize| run_start[i / 64] |= 1 << (i % 64);
-        let mut keyed: Vec<(u64, u32)> = Vec::new();
-        for range in dir.windows(2) {
-            let (lo, hi) = (range[0] as usize, range[1] as usize);
+        index.dir = dir;
+        let run_start = vec![0u64; run_words_for(kmers)];
+        Scattered {
+            index,
+            positions,
+            run_start,
+        }
+    }
+
+    /// The [`SORT_RANGES`] bucket ranges of a scattered index, in bucket
+    /// order: range `r` starts at the first bucket whose entries start at or
+    /// past `r / SORT_RANGES` of all entries. A range may be empty, and one
+    /// bucket is never split.
+    fn sort_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let buckets = self.dir.len() - 1;
+        let kmers = u64::from(self.dir[buckets]);
+        let bound = move |r: usize| match r {
+            r if r == SORT_RANGES => buckets,
+            r => self.dir[..buckets].partition_point(|&start| {
+                u64::from(start) * (SORT_RANGES as u64) < r as u64 * kmers
+            }),
+        };
+        (0..SORT_RANGES).map(move |r| bound(r)..bound(r + 1))
+    }
+
+    /// Sorts `buckets`, whose entries `positions` holds (from the first
+    /// bucket's start), each by `(k-mer, entry)`: keyed into `keyed`, a
+    /// scratch vector as long as the longest bucket, sorted, written back
+    /// tagged. Calls `mark(i)` for every entry `i` (counted over the whole
+    /// index) that starts a run of equal k-mers.
+    fn sort_buckets(
+        &self,
+        buckets: Range<usize>,
+        positions: &mut [u32],
+        keyed: &mut Vec<(u64, u32)>,
+        mut mark: impl FnMut(usize),
+    ) {
+        let base = self.dir[buckets.start] as usize;
+        for b in buckets {
+            let (lo, hi) = (self.dir[b] as usize - base, self.dir[b + 1] as usize - base);
             keyed.clear();
             keyed.extend(
                 positions[lo..hi]
                     .iter()
-                    .map(|&entry| (index.kmer_at(entry), entry)),
+                    .map(|&entry| (self.kmer_at(entry), entry)),
             );
             keyed.sort_unstable();
             for (i, &(kmer, entry)) in keyed.iter().enumerate() {
-                positions[lo + i] = index.tag_floor(kmer) as u32 | entry;
+                positions[lo + i] = self.tag_floor(kmer) as u32 | entry;
                 if i == 0 || keyed[i - 1].0 != kmer {
-                    mark(lo + i);
+                    mark(base + lo + i);
                 }
             }
         }
-        mark(kmers);
-        index.positions = positions;
-        index.run_start = run_start;
-        index.dir = dir;
-        index
+    }
+
+    /// Completes a scattered index from its sorted `positions` and their
+    /// run-start bits, setting the sentinel bit.
+    fn finish(mut self, positions: Vec<u32>, mut run_start: Vec<u64>) -> KmerIndex {
+        let kmers = positions.len();
+        run_start[kmers / 64] |= 1 << (kmers % 64);
+        self.positions = positions;
+        self.run_start = run_start;
+        self
     }
 
     /// Calls `visit(entry, position in the concatenation)` for every in-read
@@ -1027,5 +1168,55 @@ mod tests {
         assert_eq!(dir_bases(567_600, 15), 9);
         assert_eq!(dir_bases(567_600, 4), 4); // never wider than the k-mer
         assert_eq!(dir_bases(u32::MAX as usize, 32), 15);
+    }
+
+    /// `build_all` on the pool builds what `build` does — directory, tagged
+    /// positions, run-start bits and text — at 1, 2 and 3 threads, on three
+    /// shapes of subset: fewer buckets than sort ranges, one bucket holding
+    /// most entries (poly-A reads), and random reads whose ranges start
+    /// inside bitmap words.
+    #[test]
+    fn pooled_build_equals_the_serial_build() {
+        let mut rng = Rng::new(53);
+        let few = vec![random_seq(&mut rng, 30, 4)];
+        let mut poly_a: Vec<DnaString> = (0..60).map(|_| random_seq(&mut rng, 120, 1)).collect();
+        poly_a.extend((0..6).map(|_| random_seq(&mut rng, 120, 4)));
+        let random: Vec<DnaString> = (0..400)
+            .map(|_| {
+                let len = rng.range(20..160);
+                random_seq(&mut rng, len, 4)
+            })
+            .collect();
+        for (name, seqs) in [("few", few), ("poly-A", poly_a), ("random", random)] {
+            for k in [9, 15] {
+                let reads = with_ids(&seqs);
+                let serial = KmerIndex::build(&reads, k);
+                let buckets = serial.dir.len() - 1;
+                let largest = serial.dir.windows(2).map(|w| w[1] - w[0]).max();
+                match name {
+                    "few" => assert!(buckets < SORT_RANGES, "k={k}: {buckets} buckets"),
+                    "poly-A" => assert!(largest > Some(serial.dir[buckets] / 2), "k={k}"),
+                    _ => assert!(serial.sort_ranges().any(|r| serial.dir[r.start] % 64 != 0)),
+                }
+                let subsets = [reads.clone(), reads[..reads.len() / 2].to_vec(), reads];
+                let each: Vec<KmerIndex> = subsets.iter().map(|r| KmerIndex::build(r, k)).collect();
+                for threads in [1, 2, 3] {
+                    let rec = Recorder::new(fc_obs::ObsOptions::logical());
+                    let pool = Pool::new(threads);
+                    let pooled = KmerIndex::build_all(3, |j| subsets[j].clone(), k, &pool, &rec);
+                    let what = format!("{name}, k={k}, {threads} threads");
+                    assert_eq!(pooled.len(), each.len(), "{what}");
+                    for (got, want) in pooled.iter().zip(&each) {
+                        assert_eq!(got.dir, want.dir, "{what}: directory");
+                        assert_eq!(got.positions, want.positions, "{what}: positions");
+                        assert_eq!(got.run_start, want.run_start, "{what}: run starts");
+                        assert_eq!(got.words, want.words, "{what}: text");
+                        assert_eq!(got.heap_bytes(), want.heap_bytes(), "{what}: heap");
+                    }
+                    let tasks = rec.snapshot().counters.get("exec.tasks").copied();
+                    assert_eq!(tasks, Some(3 * (1 + SORT_RANGES) as u64), "{what}");
+                }
+            }
+        }
     }
 }

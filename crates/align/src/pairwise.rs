@@ -303,11 +303,25 @@ impl<'a> Overlapper<'a> {
 
     /// Builds the seed index for one reference subset.
     pub fn index_subset(&self, reference: &[ReadId]) -> KmerIndex {
-        let reads: Vec<(ReadId, &DnaString)> = reference
-            .iter()
-            .map(|&id| (id, self.store.get(id)))
-            .collect();
-        KmerIndex::build(&reads, self.config.k)
+        KmerIndex::build(&self.subset_reads(reference), self.config.k)
+    }
+
+    /// Builds the seed index of every subset of `subsets` on `pool`
+    /// ([`KmerIndex::build_all`]): each is what
+    /// [`Overlapper::index_subset`] builds.
+    pub fn index_subsets(
+        &self,
+        subsets: &[Vec<ReadId>],
+        pool: &Pool,
+        rec: &Recorder,
+    ) -> Vec<KmerIndex> {
+        let reads = |j: usize| self.subset_reads(&subsets[j]);
+        KmerIndex::build_all(subsets.len(), reads, self.config.k, pool, rec)
+    }
+
+    /// A subset's reads as the index takes them.
+    fn subset_reads(&self, subset: &[ReadId]) -> Vec<(ReadId, &'a DnaString)> {
+        subset.iter().map(|&id| (id, self.store.get(id))).collect()
     }
 
     /// Finds overlaps between `query` reads and an indexed reference
@@ -365,13 +379,14 @@ impl<'a> Overlapper<'a> {
     /// count.
     ///
     /// Every reference subset's index is built once, up front, on the pool
-    /// and dropped as soon as its column is done.
+    /// ([`Overlapper::index_subsets`]) and dropped as soon as its column is
+    /// done.
     ///
     /// Alignment metrics are recorded into `rec`: aggregate
     /// k-mer/candidate/verification counters (`align.*`), overlap length
     /// and identity histograms, and the scheduling-dependent scratch-reuse
     /// count (`sched.align.scratch_reuses`). Metric aggregation happens
-    /// per column, outside the hot tasks.
+    /// per pair, in canonical order, outside the hot tasks.
     pub fn overlap_all(
         &self,
         subsets: &[Vec<ReadId>],
@@ -383,19 +398,18 @@ impl<'a> Overlapper<'a> {
             "align.overlap_all",
             &[("subsets", subsets.len() as i64)],
         );
-        let indexes = pool.map_obs(subsets.len(), rec, |j| self.index_subset(&subsets[j]));
+        let indexes = self.index_subsets(subsets, pool, rec);
         let mut all = Vec::new();
         let mut tally = PairTally::default();
         for (j, index) in indexes.into_iter().enumerate() {
             let pairs: Vec<(usize, usize)> = (0..=j).map(|i| (i, j)).collect();
-            let mut at = all.len();
-            let stats = self.overlap_column(subsets, &pairs, &index, pool, rec, &mut all);
-            drop(index);
-            for (&pair, stats) in pairs.iter().zip(stats) {
-                let end = at + stats.overlaps as usize;
-                tally.push(rec, pair, &all[at..end], stats);
-                at = end;
-            }
+            self.overlap_column(subsets, &pairs, &index, pool, rec, |p, mut found, done| {
+                all.append(&mut found);
+                if let Some(stats) = done {
+                    let run = &all[all.len() - stats.overlaps as usize..];
+                    tally.push(rec, pairs[p], run, stats);
+                }
+            });
         }
         (all, tally.finish(rec, &self.config))
     }
@@ -403,10 +417,12 @@ impl<'a> Overlapper<'a> {
     /// The one column loop both alignment paths share: aligns every pair
     /// `(i, j)` of `pairs` — one column, so `index` is reference subset
     /// `j`'s — in one pool dispatch over tasks of at most `QUERY_CHUNK`
-    /// (512) query reads of subset `i`. Overlaps are appended to `out` in the
-    /// canonical `(i, chunk)` order, so each pair's run is contiguous; the
-    /// returned stats are per pair, in `pairs` order, each the merge of its
-    /// chunks'. A query read's seeding and verification depend on that read
+    /// (512) query reads of subset `i`. The pool's in-order sink hands each
+    /// chunk's overlaps to `on_chunk(p, overlaps, done)` in the canonical
+    /// `(i, chunk)` order, so pair `p`'s run is its chunks back to back;
+    /// with the pair's last chunk, `done` carries the merge of its chunks'
+    /// stats, so a caller can settle the pair while the pairs after it still
+    /// align. A query read's seeding and verification depend on that read
     /// alone, so a pair's run is exactly what
     /// [`Overlapper::overlap_pair_with`] returns for the whole subset.
     pub fn overlap_column(
@@ -416,15 +432,18 @@ impl<'a> Overlapper<'a> {
         index: &KmerIndex,
         pool: &Pool,
         rec: &Recorder,
-        out: &mut Vec<Overlap>,
-    ) -> Vec<PairStats> {
+        mut on_chunk: impl FnMut(usize, Vec<Overlap>, Option<PairStats>) + Send,
+    ) {
         let tasks: Vec<(usize, &[ReadId])> = pairs
             .iter()
             .enumerate()
             .flat_map(|(p, &(i, _))| subsets[i].chunks(QUERY_CHUNK).map(move |c| (p, c)))
             .collect();
-        let mut stats = vec![PairStats::default(); pairs.len()];
+        let mut stats = PairStats::default();
         let mut reuses = 0u64;
+        // Pairs before `next` are settled. A pair with no query reads has no
+        // task; it is settled, empty, when the pairs after it reach the sink.
+        let mut next = 0;
         // The bool rides along with the scratch to count how often a task
         // found warm buffers: false exactly once per created scratch.
         pool.for_each_ordered(
@@ -436,16 +455,24 @@ impl<'a> Overlapper<'a> {
                 let (i, j) = pairs[p];
                 let reused = std::mem::replace(&mut scratch.1, true);
                 let (found, chunk) = self.overlap_pair_with(query, index, i == j, &mut scratch.0);
-                (p, found, chunk, reused)
+                (t, found, chunk, reused)
             },
-            |(p, mut found, chunk, reused)| {
-                stats[p].merge(&chunk);
-                out.append(&mut found);
+            |(t, found, chunk, reused)| {
+                let p = tasks[t].0;
+                for empty in next..p {
+                    on_chunk(empty, Vec::new(), Some(PairStats::default()));
+                }
+                stats.merge(&chunk);
                 reuses += u64::from(reused);
+                let last = tasks.get(t + 1).is_none_or(|&(after, _)| after != p);
+                on_chunk(p, found, last.then(|| std::mem::take(&mut stats)));
+                next = p + usize::from(last);
             },
         );
+        for empty in next..pairs.len() {
+            on_chunk(empty, Vec::new(), Some(PairStats::default()));
+        }
         rec.add("sched.align.scratch_reuses", reuses);
-        stats
     }
 
     /// Concatenates per-pair results given **in the serial `(j, i ≤ j)`
@@ -715,6 +742,7 @@ impl<'a> Overlapper<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::index::SORT_RANGES;
     use fc_rng::{cases, Rng};
     use fc_seq::{DnaString, Read};
 
@@ -1003,8 +1031,9 @@ pub(crate) mod tests {
     /// one larger than [`QUERY_CHUNK`] and not a multiple of it, one
     /// smaller, one empty, and a self pair with overlaps across its chunk
     /// boundary. Overlaps, pair stats and the logical snapshot are equal at
-    /// every thread count; only `exec.tasks` differs, and it counts the
-    /// index builds plus one task per chunk.
+    /// every thread count; only `exec.tasks` differs, and it counts each
+    /// index build's scatter and its [`SORT_RANGES`] sorts plus one task
+    /// per chunk.
     #[test]
     fn overlap_column_matches_the_pair_at_a_time_reference() {
         let genome = random_genome(24_000, 29);
@@ -1069,7 +1098,7 @@ pub(crate) mod tests {
             );
             assert_eq!(
                 tasks,
-                Some((subsets.len() + chunks) as u64),
+                Some((subsets.len() * (1 + SORT_RANGES) + chunks) as u64),
                 "{threads} threads"
             );
         }

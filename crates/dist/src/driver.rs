@@ -17,6 +17,7 @@ use crate::recovery::execute_phase;
 use crate::simplify;
 use crate::transitive;
 use crate::traverse::{self, AssemblyPath};
+use fc_exec::Pool;
 use fc_graph::{DiGraph, HybridSet, NodeId};
 use fc_obs::Recorder;
 use fc_seq::{DnaString, ReadStore};
@@ -92,12 +93,23 @@ impl DistributedHybrid {
         DistributedHybrid::from_contigs(hybrid, contigs, parts, k)
     }
 
-    /// The contig sequence of every hybrid node, in node-id order: each
-    /// cluster's per-column majority consensus ([`HybridSet::contigs`]).
-    /// They depend on the hybrid set and the store only — not on `parts` or
-    /// `k` — so a partition-count sweep builds them once and shares them.
+    /// [`DistributedHybrid::node_contigs_on`] on one worker.
     pub fn node_contigs(hybrid: &HybridSet, store: &ReadStore) -> Arc<[DnaString]> {
-        hybrid.contigs(store).collect()
+        DistributedHybrid::node_contigs_on(hybrid, store, &Pool::serial(), &Recorder::disabled())
+    }
+
+    /// The contig sequence of every hybrid node, in node-id order: each
+    /// cluster's per-column majority consensus, built by blocks of nodes on
+    /// `pool` ([`HybridSet::contigs`]). They depend on the hybrid set and
+    /// the store only — not on `parts` or `k` — so a partition-count sweep
+    /// builds them once and shares them.
+    pub fn node_contigs_on(
+        hybrid: &HybridSet,
+        store: &ReadStore,
+        pool: &Pool,
+        rec: &Recorder,
+    ) -> Arc<[DnaString]> {
+        hybrid.contigs(store, pool, rec).into()
     }
 
     /// Prepares the distributed stage from a hybrid set, its nodes' contig
@@ -183,7 +195,7 @@ impl DistributedHybrid {
         let planned_faults = plan.events().len() as u64;
         let mut cluster =
             SimCluster::with_faults(self.k, CostModel::default(), plan, RetryPolicy::default())?;
-        let pool = fc_exec::Pool::new(config.threads);
+        let pool = Pool::new(config.threads);
         let _run_span = rec.span_args(
             "dist",
             "dist.run",

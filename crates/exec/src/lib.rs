@@ -205,6 +205,39 @@ impl Pool {
         out
     }
 
+    /// Runs `a` and `b` as one batch of two tasks and returns both results.
+    /// On one worker they run in the calling thread, `a` first; otherwise
+    /// `b` runs on one spawned thread while the caller runs `a`. Metrics are
+    /// those of a two-task [`Pool::map_obs`] batch.
+    pub fn join<A, B>(
+        &self,
+        rec: &Recorder,
+        a: impl FnOnce() -> A + Send,
+        b: impl FnOnce() -> B + Send,
+    ) -> (A, B)
+    where
+        A: Send,
+        B: Send,
+    {
+        rec.add("exec.tasks", 2);
+        let _batch = rec.span_args("exec", "exec.batch", &[("tasks", 2)]);
+        if self.threads == 1 {
+            rec.add("sched.exec.scratch_created", 1);
+            let a = a();
+            return (a, b());
+        }
+        rec.add("sched.exec.dispatches", 1);
+        rec.add("sched.exec.scratch_created", 2);
+        std::thread::scope(|scope| {
+            let spawned = scope.spawn(b);
+            let a = a();
+            match spawned.join() {
+                Ok(b) => (a, b),
+                Err(cause) => std::panic::resume_unwind(cause),
+            }
+        })
+    }
+
     /// Core driver: executes `f` over `&mut items[i]` for every `i`,
     /// handing the results to `sink` in index order.
     ///
@@ -256,15 +289,32 @@ impl Pool {
         // In-order delivery: a result that finishes ahead of a predecessor
         // waits in `early`; whoever completes the next index drains the
         // ready prefix into the sink. Output order is therefore independent
-        // of which worker ran what when.
-        let delivery = Mutex::new(Rank::ExecDelivery, (0usize, BTreeMap::new(), sink));
+        // of which worker ran what when. The drainer takes the sink out of
+        // the lock and calls it unlocked, so a slow sink (a spill write)
+        // holds up only its own worker: the others leave their results in
+        // `early` and go on claiming, and the drainer collects them before
+        // it gives the sink back.
+        let delivery = Mutex::new(Rank::ExecDelivery, (0usize, BTreeMap::new(), Some(sink)));
         let deliver = |i: usize, t: T| {
             let mut guard = delivery.lock();
-            let (next, early, sink) = &mut *guard;
-            early.insert(i, t);
-            while let Some(t) = early.remove(&*next) {
-                sink(t);
-                *next += 1;
+            guard.1.insert(i, t);
+            let Some(sink) = guard.2.take() else { return };
+            loop {
+                let (next, early, _) = &mut *guard;
+                let mut ready = Vec::new();
+                while let Some(t) = early.remove(&*next) {
+                    ready.push(t);
+                    *next += 1;
+                }
+                if ready.is_empty() {
+                    guard.2 = Some(sink);
+                    return;
+                }
+                drop(guard);
+                for t in ready {
+                    sink(t);
+                }
+                guard = delivery.lock();
             }
         };
 
@@ -616,6 +666,63 @@ mod tests {
             let message = cause.downcast_ref::<&str>().copied().unwrap_or_default();
             assert_eq!(message, "boom", "on_caller = {on_caller}");
         }
+    }
+
+    /// A slow sink holds up only the worker running it: while the sink
+    /// sits on the first result, the other worker goes on running tasks,
+    /// and every result still reaches the sink in index order.
+    #[test]
+    fn a_slow_sink_does_not_stall_the_other_worker() {
+        let done = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut got = Vec::new();
+        Pool::new(2).for_each_ordered(
+            16,
+            &Recorder::disabled(),
+            || (),
+            |i, ()| {
+                done.fetch_add(1, Ordering::SeqCst);
+                i
+            },
+            |i| {
+                while i == 0 && done.load(Ordering::SeqCst) < 8 {
+                    assert!(Instant::now() < deadline, "the other worker stalled");
+                    std::thread::yield_now();
+                }
+                got.push(i);
+            },
+        );
+        assert_eq!(got, (0..16).collect::<Vec<_>>());
+    }
+
+    /// A join returns both results at any thread count, counts two tasks,
+    /// and at two threads runs its halves at once: each waits for the
+    /// other to start.
+    #[test]
+    fn join_runs_both_halves_as_one_two_task_batch() {
+        for threads in [1, 2, 3] {
+            let rec = Recorder::new(fc_obs::ObsOptions::logical());
+            let (a, b) = Pool::new(threads).join(&rec, || 7, || "b".to_string());
+            assert_eq!((a, b.as_str()), (7, "b"), "threads = {threads}");
+            assert_eq!(rec.snapshot().counters.get("exec.tasks"), Some(&2));
+        }
+        let started = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let half = || {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 2 {
+                assert!(Instant::now() < deadline, "the halves never overlapped");
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        };
+        let (a, b) = Pool::new(2).join(&Recorder::disabled(), half, half);
+        assert_eq!(a, std::thread::current().id());
+        assert_ne!(a, b);
+        let result = std::panic::catch_unwind(|| {
+            Pool::new(2).join(&Recorder::disabled(), || 1, || panic!("boom"))
+        });
+        assert!(result.is_err());
     }
 
     /// `sched.exec.scratch_created` is the worker count: the thread count,

@@ -17,13 +17,16 @@
 //!   persisted.
 //! * **Spilled alignment** — subset-pair results are computed one index
 //!   column at a time by the in-core path's column loop
-//!   ([`Overlapper::overlap_column`]) and each pair's
+//!   ([`Overlapper::overlap_column`]). Each column's index is built on the
+//!   pool by the same two batches as an in-core index (one scatter, then
+//!   its bucket ranges sorted in parallel), and each pair's
 //!   `(Vec<Overlap>, PairStats)` run is spilled through
 //!   [`fc_ckpt::CheckpointStore`] (CRC-framed records, atomic temp-file +
-//!   rename), then read back **in the exact canonical `(j, i ≤ j)` order**
-//!   into one list, its metrics recorded by the same [`PairTally`] the
-//!   in-core path uses, so contigs *and* logical metric snapshots are
-//!   byte-identical.
+//!   rename) from the pool's in-order sink the moment its last chunk is
+//!   in, while the rest of the column aligns. The runs are read back **in
+//!   the exact canonical `(j, i ≤ j)` order** into one list, its metrics
+//!   recorded by the same [`PairTally`] the in-core path uses, so contigs
+//!   *and* logical metric snapshots are byte-identical.
 //!
 //! Nothing else differs: both modes are the stage sequence
 //! ([`crate::pipeline`]) with this module's ingest (and, out of core, its
@@ -269,15 +272,29 @@ impl FocusAssembler {
         let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
         let mem = budget.budget().clone();
         let prepared = self
-            .prepare_from(store_reads, &mut policy, &mut budget, |store| match ooc {
-                Some(ooc) => {
-                    let dir = ooc.spill_dir.join("align");
-                    let faults = ooc.fs_faults.clone();
-                    let mut spill = SpillPairStore::new(&dir, fp, input_digest, faults, rec);
-                    overlap_all_spilled(config, store, &pool, rec, &mut spill, opts.resume, &mem)
-                }
-                None => align_in_core(config, store, &pool, rec, &mem),
-            })
+            .prepare_from(
+                store_reads,
+                &pool,
+                &mut policy,
+                &mut budget,
+                |store| match ooc {
+                    Some(ooc) => {
+                        let dir = ooc.spill_dir.join("align");
+                        let faults = ooc.fs_faults.clone();
+                        let mut spill = SpillPairStore::new(&dir, fp, input_digest, faults, rec);
+                        overlap_all_spilled(
+                            config,
+                            store,
+                            &pool,
+                            rec,
+                            &mut spill,
+                            opts.resume,
+                            &mem,
+                        )
+                    }
+                    None => align_in_core(config, store, &pool, rec, &mem),
+                },
+            )
             .map(|stages| stages.prepared);
         outcome(prepared.and_then(|prepared| {
             self.finish(&prepared, config.partitions)
@@ -330,9 +347,10 @@ fn ingest(
 }
 
 /// External-memory variant of [`Overlapper::overlap_all`]: the same column
-/// loop, one seed index resident at a time, each pair's run spilled once
-/// its column is done, then every run reloaded in canonical `(j, i ≤ j)`
-/// order into one list tallied by the same [`PairTally`] — bit-identical.
+/// loop, one seed index resident at a time, each pair's run spilled as soon
+/// as its last chunk is aligned, then every run reloaded in canonical
+/// `(j, i ≤ j)` order into one list tallied by the same [`PairTally`] —
+/// bit-identical.
 fn overlap_all_spilled(
     config: &FocusConfig,
     store_reads: &ReadStore,
@@ -373,31 +391,49 @@ fn overlap_all_spilled(
         if todo.is_empty() {
             continue;
         }
-        // Built through the pool so `exec.tasks` counts one task per
-        // index, exactly like the in-core path's index fan-out.
-        let index: KmerIndex = pool
-            .map_obs(1, rec, |_| overlapper.index_subset(&subsets[j]))
+        // Built on the pool exactly as the in-core path builds each of its
+        // indexes, so `exec.tasks` is the same on both paths.
+        let index: KmerIndex = overlapper
+            .index_subsets(&subsets[j..=j], pool, rec)
             .pop()
             .unwrap_or_else(|| overlapper.index_subset(&subsets[j]));
         let index_res = mem.try_reserve("align-index", index_bytes(j))?;
         let column_pairs: Vec<(usize, usize)> = todo.iter().map(|&t| pairs[t]).collect();
+        // Each pair is saved from the pool's in-order sink as soon as its
+        // last chunk is in, so saves keep `t` order (and the store's write
+        // numbering) while the other workers go on aligning the column.
+        // The column's overlaps stay in one list until the column is done:
+        // saving from a list of one pair's run instead left the freed
+        // indexes' heap resident and raised `ooc-t2`'s peak RSS by 1 MB.
+        // After a failed charge the column only drains.
         let mut column = Vec::new();
-        let stats =
-            overlapper.overlap_column(&subsets, &column_pairs, &index, pool, rec, &mut column);
-        drop((index, index_res));
-        let mut at = 0;
-        for (t, stats) in todo.into_iter().zip(stats) {
-            let run = &column[at..at + stats.overlaps as usize];
-            at += run.len();
-            listed += stats.overlaps;
-            if spill.save(t, run, &stats) {
-                rec.add("ooc.spill.pairs", 1);
-            } else {
-                let payload = (run.to_vec(), stats);
-                kept_res.grow(approx_payload_bytes(&payload))?;
-                kept[t] = Some(payload);
-            }
-        }
+        let mut charged = Ok(());
+        overlapper.overlap_column(
+            &subsets,
+            &column_pairs,
+            &index,
+            pool,
+            rec,
+            |p, mut found, done| {
+                column.append(&mut found);
+                let Some(stats) = done else { return };
+                let t = todo[p];
+                listed += stats.overlaps;
+                let run = &column[column.len() - stats.overlaps as usize..];
+                if charged.is_err() {
+                    return;
+                }
+                if spill.save(t, run, &stats) {
+                    rec.add("ooc.spill.pairs", 1);
+                } else {
+                    let payload = (run.to_vec(), stats);
+                    charged = kept_res.grow(approx_payload_bytes(&payload));
+                    kept[t] = Some(payload);
+                }
+            },
+        );
+        drop((index, index_res, column));
+        charged?;
     }
 
     // Reload in canonical order, recomputing any run the CRC layer rejects

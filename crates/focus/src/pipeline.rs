@@ -161,9 +161,13 @@ impl FocusAssembler {
         }
         budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
         let mem = budget.budget().clone();
-        self.prepare_from(store, &mut CkptPolicy::off(rec), &mut budget, |store| {
-            align_in_core(config, store, &pool, rec, &mem)
-        })
+        self.prepare_from(
+            store,
+            &pool,
+            &mut CkptPolicy::off(rec),
+            &mut budget,
+            |store| align_in_core(config, store, &pool, rec, &mem),
+        )
         .map_err(Halt::into_error)
     }
 
@@ -186,12 +190,13 @@ impl FocusAssembler {
     }
 
     /// Stages 2–5 over a preprocessed store whose bytes `budget` already
-    /// holds. `align` computes the alignment payload when no valid
-    /// checkpoint of it exists — the one thing the in-core and the
-    /// out-of-core run do differently.
+    /// holds, the graph stages on `pool`. `align` computes the alignment
+    /// payload when no valid checkpoint of it exists — the one thing the
+    /// in-core and the out-of-core run do differently.
     pub(crate) fn prepare_from(
         &self,
         store: ReadStore,
+        pool: &Pool,
         policy: &mut CkptPolicy<'_>,
         budget: &mut RunBudget,
         align: impl FnOnce(&ReadStore) -> Result<AlignmentCkpt, FocusError>,
@@ -203,16 +208,19 @@ impl FocusAssembler {
         budget.gauge(rec);
         policy.stop_after_alignment()?;
 
-        // The level-0 overlap graph's directed half is the overlaps' last
-        // reader: they and their charge go before the undirected half is
-        // derived from it.
-        let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps);
+        // Every stage below runs its batches on the pool; their task lists
+        // are fixed by the input, so the stages are the same at any thread
+        // count. The level-0 overlap graph's directed half is the overlaps'
+        // last reader: they and their charge go before the undirected half
+        // is derived from it.
+        let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps, pool, rec);
         drop((overlaps, overlaps_charge));
         budget.gauge(rec);
-        let graph = OverlapGraph::from_directed(directed, containments);
+        let graph = OverlapGraph::from_directed(directed, containments, pool, rec);
 
-        let multilevel = MultilevelSet::build_obs(graph.undirected.clone(), &config.coarsen, rec);
-        let hybrid = HybridSet::build_obs(&multilevel, &graph, &store, &config.layout, rec);
+        let ml_g0 = graph.undirected.clone();
+        let multilevel = MultilevelSet::build_on(ml_g0, &config.coarsen, pool, rec);
+        let hybrid = HybridSet::build_on(&multilevel, &graph, &store, pool, rec);
 
         // The graphs, visible but not charged: `mem.*` stays out of logical
         // snapshots, and whether they enter the `MemoryBudget` is ROADMAP
@@ -223,7 +231,7 @@ impl FocusAssembler {
         rec.gauge("mem.graph.multilevel_bytes", multilevel_bytes as i64);
         rec.gauge("mem.graph.hybrid_bytes", hybrid.heap_bytes() as i64);
 
-        let contigs = DistributedHybrid::node_contigs(&hybrid, &store);
+        let contigs = DistributedHybrid::node_contigs_on(&hybrid, &store, pool, rec);
         rec.sample_peak_rss();
         Ok(Stages {
             store,

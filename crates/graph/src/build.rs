@@ -1,9 +1,11 @@
 //! Building the level-0 overlap graph `G0` from verified overlaps.
 
-use crate::csr::{distinct, vec_bytes};
+use crate::csr::{vec_bytes, Csr};
 use crate::digraph::{DiEdge, DiGraph};
 use crate::level::{LevelGraph, NodeId};
 use fc_align::{Overlap, OverlapKind};
+use fc_exec::Pool;
+use fc_obs::Recorder;
 use fc_seq::ReadStore;
 
 /// The level-0 overlap graph in both views the assembler needs.
@@ -24,18 +26,23 @@ pub struct OverlapGraph {
 }
 
 impl OverlapGraph {
-    /// Builds `G0` over all reads of `store` from `overlaps`: the two halves
-    /// below back to back. A caller owning the list frees it in between.
+    /// Builds `G0` over all reads of `store` from `overlaps` in the calling
+    /// thread: the two halves below back to back, on one worker. A caller
+    /// owning the list frees it in between.
     pub fn build(store: &ReadStore, overlaps: &[Overlap]) -> OverlapGraph {
-        let (directed, containments) = OverlapGraph::directed_view(store, overlaps);
-        OverlapGraph::from_directed(directed, containments)
+        let (pool, rec) = (Pool::serial(), Recorder::disabled());
+        let (directed, containments) = OverlapGraph::directed_view(store, overlaps, &pool, &rec);
+        OverlapGraph::from_directed(directed, containments, &pool, &rec)
     }
 
     /// What `G0` reads from the overlap list: the directed view, by counting
-    /// and scatter with no edge list in between, and the containments.
+    /// and scatter with no edge list in between, its out view and its in
+    /// view two tasks on `pool`; then the containments.
     pub fn directed_view(
         store: &ReadStore,
         overlaps: &[Overlap],
+        pool: &Pool,
+        rec: &Recorder,
     ) -> (DiGraph, Vec<(NodeId, NodeId)>) {
         let dovetails = overlaps
             .iter()
@@ -48,7 +55,7 @@ impl OverlapGraph {
                 };
                 (o.a.0, edge)
             });
-        let directed = DiGraph::scatter(store.len(), dovetails);
+        let directed = DiGraph::scatter(store.len(), dovetails, pool, rec);
         let containments = overlaps
             .iter()
             .filter_map(|o| match o.kind {
@@ -60,23 +67,46 @@ impl OverlapGraph {
         (directed, containments)
     }
 
-    /// `G0` completed by its undirected view, derived from the directed one.
-    pub fn from_directed(directed: DiGraph, containments: Vec<(NodeId, NodeId)>) -> OverlapGraph {
-        // Undirected weights come from the deduplicated directed edges so a
-        // dovetail discovered twice (once per strand pairing) is not double
-        // counted; an antiparallel pair is listed from its lower end only,
-        // so no edge repeats.
+    /// `G0` completed by its undirected view, derived from the directed one
+    /// by blocks of rows on `pool`.
+    ///
+    /// Undirected weights come from the deduplicated directed edges, so a
+    /// dovetail discovered twice (once per strand pairing) is not double
+    /// counted; an antiparallel pair is listed from its lower end only, so
+    /// no edge repeats. A row holds what listing every such link source by
+    /// source, each source's out-edges in order, into both endpoints' rows
+    /// would put there: the links from lower sources (ascending), then the
+    /// node's own, then those from higher sources (ascending).
+    pub fn from_directed(
+        directed: DiGraph,
+        containments: Vec<(NodeId, NodeId)>,
+        pool: &Pool,
+        rec: &Recorder,
+    ) -> OverlapGraph {
         let di = &directed;
         let n = di.node_count();
-        let links = (0..n as NodeId).flat_map(|v| {
-            di.out_edges(v)
-                .iter()
-                .filter(move |e| v < e.to || di.edge(e.to, v).is_none())
-                .map(move |e| (v, e.to, e.len))
+        let degree = |v: NodeId| di.out_degree(v) + di.in_degree(v);
+        let adj = Csr::build_blocked(n, pool, rec, Vec::new, degree, |v, sources, row| {
+            // Whether a link is listed turns on its reverse edge, which
+            // `v`'s own views hold: `s → v` is left out when `v < s` and
+            // `v → s` exists, `v → t` when `t < v` and `t → v` exists. Only
+            // the incoming links' lengths are read from other rows.
+            let (out, inc) = (di.out_edges(v), di.in_neighbors(v));
+            sources.clear();
+            sources.extend(
+                inc.iter()
+                    .filter(|&&s| s < v || !out.iter().any(|e| e.to == s)),
+            );
+            sources.sort_unstable();
+            let lower = sources.partition_point(|&s| s < v);
+            let incoming = |&s: &NodeId| (s, di.edge(s, v).map_or(0, |e| e.len));
+            row.extend(sources[..lower].iter().map(incoming));
+            let own = out.iter().filter(|e| v < e.to || !inc.contains(&e.to));
+            row.extend(own.map(|e| (e.to, e.len)));
+            row.extend(sources[lower..].iter().map(incoming));
         });
-        let undirected = LevelGraph::scatter(vec![1; n], links, distinct);
         OverlapGraph {
-            undirected,
+            undirected: LevelGraph::from_rows(vec![1; n], adj),
             directed,
             containments,
         }
@@ -158,8 +188,9 @@ mod tests {
             contained(2, 4),
         ];
         let g = OverlapGraph::build(&store, &overlaps);
-        let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps);
-        let halves = OverlapGraph::from_directed(directed, containments);
+        let (pool, rec) = (Pool::new(3), Recorder::disabled());
+        let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps, &pool, &rec);
+        let halves = OverlapGraph::from_directed(directed, containments, &pool, &rec);
         assert_eq!(halves.undirected, g.undirected);
         assert_eq!(halves.containments, g.containments);
         let expected =

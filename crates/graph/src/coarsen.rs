@@ -2,6 +2,7 @@
 //! following Karypis & Kumar).
 
 use crate::level::{GraphSet, LevelGraph, NodeId};
+use fc_exec::Pool;
 use fc_obs::Recorder;
 use fc_rng::Rng;
 
@@ -48,11 +49,23 @@ impl MultilevelSet {
         MultilevelSet::build_obs(g0, config, &Recorder::disabled())
     }
 
-    /// [`MultilevelSet::build`] with coarsening metrics recorded into
-    /// `rec`: per-level node/edge counts, the matching rate of every round
-    /// (matched nodes per thousand), and the level count. Coarsening is
-    /// seed-deterministic, so all of these are thread-count-invariant.
+    /// [`MultilevelSet::build_on`] on one worker.
     pub fn build_obs(g0: LevelGraph, config: &CoarsenConfig, rec: &Recorder) -> MultilevelSet {
+        MultilevelSet::build_on(g0, config, &Pool::serial(), rec)
+    }
+
+    /// [`MultilevelSet::build`] with each level's contraction by blocks of
+    /// coarse rows on `pool` and coarsening metrics recorded into `rec`: per-level
+    /// node/edge counts, the matching rate of every round (matched nodes
+    /// per thousand), and the level count. The matching stays serial: its
+    /// seeded visit order is its output. Coarsening is seed-deterministic,
+    /// so the set and all of these are thread-count-invariant.
+    pub fn build_on(
+        g0: LevelGraph,
+        config: &CoarsenConfig,
+        pool: &Pool,
+        rec: &Recorder,
+    ) -> MultilevelSet {
         let _span = rec.span_args(
             "graph",
             "coarsen.build",
@@ -80,7 +93,7 @@ impl MultilevelSet {
                     PERMILLE_BOUNDS,
                 );
             }
-            let (coarse, map) = contract(current, &matching);
+            let (coarse, map) = contract_on(current, &matching, pool, rec);
             if (coarse.node_count() as f64) > STAGNATION_RATIO * current.node_count() as f64 {
                 break;
             }
@@ -159,6 +172,17 @@ pub fn heavy_edge_matching(g: &LevelGraph, seed: u64) -> Vec<NodeId> {
 ///
 /// Returns the coarse graph and the fine→coarse node map.
 pub fn contract(g: &LevelGraph, mate: &[NodeId]) -> (LevelGraph, Vec<NodeId>) {
+    contract_on(g, mate, &Pool::serial(), &Recorder::disabled())
+}
+
+/// [`contract`] with the coarse rows built by blocks on `pool`: the same
+/// result at any thread count.
+pub(crate) fn contract_on(
+    g: &LevelGraph,
+    mate: &[NodeId],
+    pool: &Pool,
+    rec: &Recorder,
+) -> (LevelGraph, Vec<NodeId>) {
     let n = g.node_count();
     let mut map = vec![NodeId::MAX; n];
     let mut weights = Vec::new();
@@ -177,7 +201,7 @@ pub fn contract(g: &LevelGraph, mate: &[NodeId]) -> (LevelGraph, Vec<NodeId>) {
         weights.push(w);
     }
 
-    (g.contracted(&map, weights), map)
+    (g.contracted(&map, weights, pool, rec), map)
 }
 
 #[cfg(test)]
@@ -342,6 +366,27 @@ mod tests {
             },
         );
         assert_eq!(set.set.levels, plain.set.levels);
+    }
+
+    /// The set and the logical snapshot are the same at 1 and 3 threads,
+    /// and on one worker `build_on` is `build_obs`.
+    #[test]
+    fn build_on_is_thread_count_invariant() {
+        let config = CoarsenConfig {
+            min_nodes: 10,
+            ..Default::default()
+        };
+        let run = |threads: usize| {
+            let rec = Recorder::new(fc_obs::ObsOptions::logical());
+            let set = MultilevelSet::build_on(path(500), &config, &Pool::new(threads), &rec);
+            (set.set.levels, set.set.fine_to_coarse, rec.snapshot_json())
+        };
+        let serial = run(1);
+        assert!(serial.0.len() > 2);
+        assert_eq!(run(3), serial);
+        let rec = Recorder::new(fc_obs::ObsOptions::logical());
+        let obs = MultilevelSet::build_obs(path(500), &config, &rec);
+        assert_eq!((obs.set.levels, rec.snapshot_json()), (serial.0, serial.2));
     }
 
     #[test]

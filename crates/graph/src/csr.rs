@@ -8,7 +8,28 @@
 //! because consumers break ties by position in a row (DESIGN.md §5).
 
 use crate::level::NodeId;
+use fc_exec::Pool;
+use fc_obs::Recorder;
 use std::mem::size_of;
+
+/// Blocks of rows a [`Csr::build_blocked`] splits its rows into, one pool
+/// task each. A constant, so a build's task list is its input's at any
+/// thread count.
+pub(crate) const ROW_BLOCKS: usize = 8;
+
+/// The [`ROW_BLOCKS`] ranges of `n` items whose weights have the running
+/// sums `prefix` (`n + 1` of them, from 0): range `b` starts at the first
+/// item whose running sum reaches `b / ROW_BLOCKS` of the total, so ranges
+/// are consecutive, weigh about the same, and may be empty.
+pub(crate) fn blocks(prefix: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let n = prefix.len() - 1;
+    let total = prefix[n];
+    let start = move |b: usize| match b {
+        b if b == ROW_BLOCKS => n,
+        b => prefix[..n].partition_point(|&sum| sum * ROW_BLOCKS < b * total),
+    };
+    (0..ROW_BLOCKS).map(move |b| start(b)..start(b + 1))
+}
 
 /// Rows of `T` in one array. `offsets` holds `n + 1` non-decreasing extent
 /// bounds starting at 0, so the graph of no nodes is `[0]` however it was
@@ -29,14 +50,6 @@ impl<T> Default for Csr<T> {
 }
 
 impl<T> Csr<T> {
-    /// Rows already laid out: `offsets` holds the `n + 1` extent bounds of
-    /// `entries`, starting at 0.
-    pub(crate) fn from_parts(offsets: Vec<u32>, entries: Vec<T>) -> Csr<T> {
-        debug_assert_eq!(offsets.first(), Some(&0));
-        debug_assert_eq!(offsets.last().map(|&end| end as usize), Some(entries.len()));
-        Csr { offsets, entries }
-    }
-
     /// Every entry of every row, in row order.
     pub(crate) fn entries(&self) -> &[T] {
         &self.entries
@@ -112,6 +125,70 @@ impl<T: Copy + Default> Csr<T> {
         }
         offsets[n] = write as u32;
         entries.truncate(write);
+        entries.shrink_to_fit();
+        Csr { offsets, entries }
+    }
+}
+
+impl<T: Send> Csr<T> {
+    /// Builds `n` rows on `pool` by [`ROW_BLOCKS`] blocks of consecutive
+    /// rows, as many rows in each as the split allows. A block is one task:
+    /// holding its worker's `scratch`, it pushes each of its rows in turn
+    /// with `row(v, scratch, entries)` onto an array of its own, sized once
+    /// to the sum of its rows' `bound`s (an estimate: the array grows past
+    /// it if it must). The pool's in-order sink appends each block's entries
+    /// as it arrives and offsets its row ends by the entries before it — a
+    /// prefix sum over the block lengths — so the rows land in row order at
+    /// any thread count, and a block is freed as soon as it is copied.
+    ///
+    /// # Panics
+    /// Panics when the rows hold more than `u32::MAX` entries: extents are
+    /// `u32`.
+    pub(crate) fn build_blocked<S>(
+        n: usize,
+        pool: &Pool,
+        rec: &Recorder,
+        scratch: impl Fn() -> S + Sync,
+        bound: impl Fn(NodeId) -> usize + Sync,
+        row: impl Fn(NodeId, &mut S, &mut Vec<T>) + Sync,
+    ) -> Csr<T> {
+        let block = |b: usize| n * b / ROW_BLOCKS..n * (b + 1) / ROW_BLOCKS;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut entries = Vec::new();
+        pool.for_each_ordered(
+            ROW_BLOCKS,
+            rec,
+            scratch,
+            |b, s| {
+                let rows = block(b);
+                let room = rows.clone().map(|v| bound(v as NodeId)).sum();
+                let (mut out, mut ends) =
+                    (Vec::with_capacity(room), Vec::with_capacity(rows.len()));
+                for v in rows {
+                    row(v as NodeId, s, &mut out);
+                    ends.push(out.len());
+                }
+                (out, ends)
+            },
+            |(mut out, ends): (Vec<T>, Vec<usize>)| {
+                let (base, done) = (entries.len(), offsets.len() - 1);
+                let needed = base + out.len();
+                assert!(
+                    u32::try_from(needed).is_ok(),
+                    "{needed} entries exceed u32 extents"
+                );
+                if needed > entries.capacity() {
+                    // Room for the rows still to come at the rate so far,
+                    // rather than doubling: the array ends near its size.
+                    let rows = done + ends.len();
+                    let expected = needed.div_ceil(rows.max(1)) * n;
+                    entries.reserve_exact(expected.max(needed) - base);
+                }
+                offsets.extend(ends.into_iter().map(|end| (base + end) as u32));
+                entries.append(&mut out);
+            },
+        );
         entries.shrink_to_fit();
         Csr { offsets, entries }
     }

@@ -3,6 +3,8 @@
 use crate::csr::{Csr, LiveCsr};
 use crate::error::GraphError;
 use crate::level::NodeId;
+use fc_exec::Pool;
+use fc_obs::Recorder;
 
 /// A directed overlap edge: the suffix of the source aligns to the prefix of
 /// the target.
@@ -34,27 +36,41 @@ impl DiGraph {
     /// kept (the first of equals), in the position of the first; self-edges
     /// are ignored. Out- and in-rows are in first-insertion order.
     pub fn from_edges(n: usize, edges: &[(NodeId, DiEdge)]) -> DiGraph {
-        DiGraph::scatter(n, edges.iter().copied())
+        DiGraph::scatter(
+            n,
+            edges.iter().copied(),
+            &Pool::serial(),
+            &Recorder::disabled(),
+        )
     }
 
     /// The builder under [`DiGraph::from_edges`], for edge lists this crate
-    /// derives and need not store: `edges` is walked four times, to count
-    /// and to place each view.
+    /// derives and need not store: the out view and the in view are two
+    /// tasks on `pool` ([`Pool::join`]), each walking `edges` twice, to
+    /// count and to place.
     pub(crate) fn scatter(
         n: usize,
-        edges: impl Iterator<Item = (NodeId, DiEdge)> + Clone,
+        edges: impl Iterator<Item = (NodeId, DiEdge)> + Clone + Sync,
+        pool: &Pool,
+        rec: &Recorder,
     ) -> DiGraph {
         let edges = edges.filter(|&(from, e)| from != e.to);
-        let out = Csr::build(n, edges.clone(), |held, new| {
-            let same = held.to == new.to;
-            if same && new.len > held.len {
-                *held = *new;
-            }
-            same
-        });
-        let inc = Csr::build(n, edges.map(|(from, e)| (e.to, from)), |held, new| {
-            held == new
-        });
+        let (out, inc) = pool.join(
+            rec,
+            || {
+                Csr::build(n, edges.clone(), |held, new| {
+                    let same = held.to == new.to;
+                    if same && new.len > held.len {
+                        *held = *new;
+                    }
+                    same
+                })
+            },
+            || {
+                let sources = edges.clone().map(|(from, e)| (e.to, from));
+                Csr::build(n, sources, |held, new| held == new)
+            },
+        );
         DiGraph {
             out: LiveCsr::new(out),
             inc: LiveCsr::new(inc),

@@ -15,10 +15,11 @@
 
 use crate::build::OverlapGraph;
 use crate::coarsen::MultilevelSet;
-use crate::csr::{distinct, vec_bytes, Csr};
+use crate::csr::{blocks, distinct, vec_bytes, Csr};
 use crate::digraph::{DiEdge, DiGraph};
 use crate::layout::{layout_cluster, ClusterLayout, LayoutConfig, LayoutScratch};
 use crate::level::{GraphSet, NodeId};
+use fc_exec::Pool;
 use fc_obs::Recorder;
 use fc_seq::{DnaString, ReadStore};
 use std::collections::HashMap;
@@ -66,15 +67,33 @@ impl HybridSet {
         HybridSet::build_obs(ml, g0, store, &LayoutConfig, &Recorder::disabled())
     }
 
-    /// [`HybridSet::build`] with selection metrics recorded into `rec`:
-    /// contiguity-test outcomes (via `layout.*`), the representative count
-    /// and level distribution, and hybrid graph sizes. Selection is fully
-    /// deterministic, so every metric is thread-count-invariant.
+    /// [`HybridSet::build_on`] on one worker.
     pub fn build_obs(
         ml: &MultilevelSet,
         g0: &OverlapGraph,
         store: &ReadStore,
         _layout: &LayoutConfig,
+        rec: &Recorder,
+    ) -> HybridSet {
+        HybridSet::build_on(ml, g0, store, &Pool::serial(), rec)
+    }
+
+    /// [`HybridSet::build`] on `pool`, with selection metrics recorded into
+    /// `rec`: contiguity-test outcomes (via `layout.*`), the representative
+    /// count and level distribution, and hybrid graph sizes.
+    ///
+    /// Selection descends from each coarsest node in turn, and the clusters
+    /// one root yields are its own reads, so the roots are cut into
+    /// `ROW_BLOCKS` (8) blocks of about equal read count, each a task with
+    /// layout buffers over its own reads; the blocks' representatives are
+    /// concatenated in root order. The hybrid levels' contractions run by
+    /// blocks of rows too. Selection is fully deterministic, so the set and
+    /// every metric are thread-count-invariant.
+    pub fn build_on(
+        ml: &MultilevelSet,
+        g0: &OverlapGraph,
+        store: &ReadStore,
+        pool: &Pool,
         rec: &Recorder,
     ) -> HybridSet {
         let _span = rec.span_args(
@@ -89,42 +108,74 @@ impl HybridSet {
         containments.sort_unstable();
 
         // --- Representative selection: descend from the coarsest level. ---
-        let coarsest_nodes = set.coarsest().node_count();
-        let mut reps: Vec<Representative> = Vec::new();
-        let mut clusters: Vec<Vec<NodeId>> = Vec::new();
-        let mut layouts: Vec<ClusterLayout> = Vec::new();
-        let mut stack: Vec<(usize, NodeId)> = (0..coarsest_nodes as NodeId)
-            .rev()
-            .map(|v| (n_levels - 1, v))
-            .collect();
-        let mut scratch = LayoutScratch::new(set.finest().node_count());
-        let (mut cluster, mut descent) = (Vec::new(), Vec::new());
-        while let Some((level, node)) = stack.pop() {
-            expand_to_level0(&children, level, node, &mut descent, &mut cluster);
-            match layout_cluster(
-                &cluster,
-                &g0.directed,
-                &containments,
-                store,
-                &mut scratch,
-                rec,
-            ) {
-                Some(layout) => {
-                    reps.push(Representative { level, node });
-                    clusters.push(cluster.clone());
-                    layouts.push(layout);
-                }
-                None => {
-                    debug_assert!(level > 0, "level-0 nodes are always contiguous");
-                    for &child in children[level].row(node).iter().rev() {
-                        stack.push((level - 1, child));
-                    }
+        // Reads are ranked root by root, so a block of roots owns a range
+        // of ranks; `first[r]` is root r's first rank.
+        let top = n_levels - 1;
+        let roots = set.coarsest().node_count() as NodeId;
+        let mut rank = vec![0u32; set.finest().node_count()];
+        let mut first = Vec::with_capacity(roots as usize + 1);
+        let mut stack = Vec::new();
+        first.push(0usize);
+        for root in 0..roots {
+            let mut next = first[first.len() - 1];
+            stack.push((top, root));
+            while let Some((level, v)) = stack.pop() {
+                if level == 0 {
+                    rank[v as usize] = next as u32;
+                    next += 1;
+                } else {
+                    stack.extend(children[level].row(v).iter().map(|&c| (level - 1, c)));
                 }
             }
+            first.push(next);
+        }
+        let tasks: Vec<_> = blocks(&first).collect();
+        let selected = pool.map_items(
+            tasks,
+            rec,
+            || (),
+            |_, block, ()| {
+                let ranks = first[block.start] as u32..first[block.end] as u32;
+                let mut scratch = LayoutScratch::new(&rank, ranks);
+                let mut stack: Vec<(usize, NodeId)> =
+                    block.rev().map(|root| (top, root as NodeId)).collect();
+                let (mut cluster, mut descent) = (Vec::new(), Vec::new());
+                let mut found = (Vec::new(), Vec::new(), Vec::new());
+                while let Some((level, node)) = stack.pop() {
+                    expand_to_level0(&children, level, node, &mut descent, &mut cluster);
+                    match layout_cluster(
+                        &cluster,
+                        &g0.directed,
+                        &containments,
+                        store,
+                        &mut scratch,
+                        rec,
+                    ) {
+                        Some(layout) => {
+                            found.0.push(Representative { level, node });
+                            found.1.push(cluster.clone());
+                            found.2.push(layout);
+                        }
+                        None => {
+                            debug_assert!(level > 0, "level-0 nodes are always contiguous");
+                            for &child in children[level].row(node).iter().rev() {
+                                stack.push((level - 1, child));
+                            }
+                        }
+                    }
+                }
+                found
+            },
+        );
+        let (mut reps, mut clusters, mut layouts) = (Vec::new(), Vec::new(), Vec::new());
+        for (r, c, l) in selected {
+            reps.extend(r);
+            clusters.extend(c);
+            layouts.extend(l);
         }
 
-        // --- rep_of_node over G0, in the layout's stamp array. ---
-        let (mut rep_of_node, mut read_offset) = scratch.into_buffers();
+        // --- rep_of_node over G0, in the rank array. ---
+        let mut rep_of_node = rank;
         rep_of_node.fill(u32::MAX);
         for (ri, cluster) in clusters.iter().enumerate() {
             for &v in cluster {
@@ -145,12 +196,15 @@ impl HybridSet {
         let g0h = g0.undirected.contracted(
             &rep_of_node,
             clusters.iter().map(|c| c.len() as u32).collect(),
+            pool,
+            rec,
         );
 
         // --- Contig lengths and the directed hybrid graph. ---
         let contig_lens: Vec<u32> = layouts.iter().map(|l| l.span(store) as u32).collect();
-        // Offset of each read within its rep's contig, in the layout's
-        // offset array: every read is in one layout.
+        // Offset of each read within its rep's contig: every read is in one
+        // layout.
+        let mut read_offset = vec![0i64; rep_of_node.len()];
         for layout in &layouts {
             let base = layout.order.first().map_or(0, |&(_, o)| o);
             for &(v, o) in &layout.order {
@@ -221,7 +275,7 @@ impl HybridSet {
             let coarse = if assign.iter().enumerate().all(|(r, &a)| a as usize == r) {
                 levels[i - 1].clone()
             } else {
-                levels[0].contracted(&assign, weights)
+                levels[0].contracted(&assign, weights, pool, rec)
             };
             levels.push(coarse);
             maps.push(map);
@@ -267,15 +321,28 @@ impl HybridSet {
     }
 
     /// Every hybrid node's contig sequence, in node-id order: the
-    /// per-column majority consensus of its cluster's layout, counted
-    /// through one buffer.
-    pub fn contigs<'a>(&'a self, store: &'a ReadStore) -> impl Iterator<Item = DnaString> + 'a {
-        let mut counts = Vec::new();
-        let spans = self.contig_lens.iter().map(|&len| len as usize);
-        self.layouts
-            .iter()
-            .zip(spans)
-            .map(move |(layout, span)| layout.consensus_with(store, span, &mut counts))
+    /// per-column majority consensus of its cluster's layout. The nodes are
+    /// cut into `ROW_BLOCKS` (8) blocks of about equal contig length, one
+    /// task on `pool` each, counting through its worker's one buffer.
+    pub fn contigs(&self, store: &ReadStore, pool: &Pool, rec: &Recorder) -> Vec<DnaString> {
+        let mut first = Vec::with_capacity(self.contig_lens.len() + 1);
+        first.push(0usize);
+        for &len in &self.contig_lens {
+            first.push(first[first.len() - 1] + len as usize);
+        }
+        let tasks: Vec<_> = blocks(&first).collect();
+        let per_block = pool.map_items(tasks, rec, Vec::new, |_, nodes, counts| {
+            let span = |v: usize| self.contig_lens[v] as usize;
+            let layouts = self.layouts[nodes.clone()].iter().zip(nodes.map(span));
+            layouts
+                .map(|(layout, span)| layout.consensus_with(store, span, counts))
+                .collect::<Vec<_>>()
+        });
+        let mut contigs = Vec::with_capacity(self.layouts.len());
+        for block in per_block {
+            contigs.extend(block);
+        }
+        contigs
     }
 
     /// Projects a partition assignment on `G'0` down to level-0 nodes
@@ -404,7 +471,8 @@ mod tests {
         let g0h = hs.set.finest();
         let nodes = 0..hs.node_count() as NodeId;
         let identity: Vec<NodeId> = nodes.clone().collect();
-        let fresh = g0h.contracted(&identity, nodes.map(|v| g0h.node_weight(v)).collect());
+        let weights = nodes.map(|v| g0h.node_weight(v)).collect();
+        let fresh = g0h.contracted(&identity, weights, &Pool::serial(), &Recorder::disabled());
         for level in 0..lowest {
             assert!(hs.set.is_copy(level), "level {}", level + 1);
             assert_eq!(hs.set.levels[level + 1], fresh);
@@ -446,7 +514,8 @@ mod tests {
         // perfect tiling reproduce consecutive slices).
         let total: u64 = hs.contig_lens.iter().map(|&l| l as u64).sum();
         assert!(total as usize >= 32 * 50 + 50, "contigs too short: {total}");
-        for (contig, &len) in hs.contigs(&store).zip(&hs.contig_lens) {
+        let contigs = hs.contigs(&store, &Pool::new(3), &Recorder::disabled());
+        for (contig, &len) in contigs.iter().zip(&hs.contig_lens) {
             assert_eq!(contig.len(), len as usize);
         }
     }
@@ -527,6 +596,62 @@ mod tests {
         let plain = HybridSet::build(&ml, &g, &store, &LayoutConfig);
         assert_eq!(plain.reps, hs.reps);
         assert_eq!(plain.clusters, hs.clusters);
+    }
+
+    /// Selection by blocks of roots, the hybrid contractions by blocks of
+    /// rows and the contigs by blocks of nodes give the same set, logical
+    /// snapshot and contigs at 1 and 3 threads — on a clean tiling and on
+    /// one whose bogus overlaps make selection descend — and every contig
+    /// is its layout's own consensus.
+    #[test]
+    fn build_on_is_thread_count_invariant() {
+        let bogus = |a: u32, b: u32| Overlap {
+            a: ReadId(a),
+            b: ReadId(b),
+            kind: OverlapKind::SuffixPrefix,
+            shift: 50,
+            len: 50,
+            identity: 0.95,
+        };
+        for (extra, min_nodes) in [(vec![], 16), (vec![bogus(0, 20), bogus(41, 7)], 12)] {
+            let (store, g) = linear_case_with(96, &extra);
+            let config = CoarsenConfig {
+                min_nodes,
+                ..Default::default()
+            };
+            let ml = MultilevelSet::build(g.undirected.clone(), &config);
+            assert!(ml.set.coarsest().node_count() >= 8);
+            let run = |threads: usize| {
+                let (pool, rec) = (
+                    Pool::new(threads),
+                    Recorder::new(fc_obs::ObsOptions::logical()),
+                );
+                let hs = HybridSet::build_on(&ml, &g, &store, &pool, &rec);
+                let contigs = hs.contigs(&store, &pool, &rec);
+                let directed: Vec<_> = (0..hs.node_count() as NodeId)
+                    .map(|v| hs.directed.out_edges(v).to_vec())
+                    .collect();
+                let HybridSet {
+                    reps,
+                    clusters,
+                    layouts,
+                    rep_of_node,
+                    set,
+                    contig_lens,
+                    ..
+                } = hs;
+                let graphs = (set.levels, set.fine_to_coarse, directed);
+                let selection = (reps, clusters, layouts, rep_of_node, contig_lens);
+                (selection, graphs, contigs, rec.snapshot_json())
+            };
+            let serial = run(1);
+            assert_eq!(run(3), serial, "min_nodes {min_nodes}");
+            let layouts = &serial.0 .2;
+            assert!(layouts.len() > 8);
+            for (layout, contig) in layouts.iter().zip(&serial.2) {
+                assert_eq!(*contig, layout.consensus_sequence(&store));
+            }
+        }
     }
 
     #[test]

@@ -149,41 +149,56 @@ impl ClusterLayout {
     }
 }
 
-/// The buffers of [`layout_cluster`], sized to G0's node count once per
-/// hybrid build: membership and placement stamps, layout offsets, and the
-/// BFS queue.
+/// The buffers of [`layout_cluster`] over a range of reads: membership and
+/// placement stamps, layout offsets, and the BFS queue. Reads are numbered
+/// by `rank`, a map over all of G0, and the scratch holds slots for the
+/// ranks `lo..lo + stamp.len()` only — one hybrid selection task's reads
+/// (8(f): the tasks together hold one slot per read, not one per read each).
+/// Every cluster laid out through it must lie in that range.
 #[derive(Debug)]
-pub(crate) struct LayoutScratch {
-    /// `stamp[v] == epoch` while `v` is an unplaced member of the cluster
-    /// under test and `epoch + 1` once it is placed; any smaller value
-    /// leaves `v` outside it. Each cluster opens a fresh epoch, so nothing
-    /// is ever cleared.
+pub(crate) struct LayoutScratch<'r> {
+    /// Each G0 node's rank.
+    rank: &'r [u32],
+    /// The first rank with a slot.
+    lo: u32,
+    /// `stamp[i] == epoch` while the read of slot `i` is an unplaced member
+    /// of the cluster under test and `epoch + 1` once it is placed; any
+    /// smaller value leaves it outside. Each cluster opens a fresh epoch,
+    /// so nothing is ever cleared.
     stamp: Vec<u32>,
     epoch: u32,
-    /// Layout coordinate of each placed member.
+    /// Layout coordinate of each placed member, by slot.
     offset: Vec<i64>,
     /// The BFS queue. A member enters it once, when placed, so the queue
     /// ends as the list of placed members.
     queue: Vec<NodeId>,
 }
 
-impl LayoutScratch {
-    /// Buffers for clusters of G0's `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> LayoutScratch {
+impl<'r> LayoutScratch<'r> {
+    /// Buffers for clusters of the reads ranked `ranks`.
+    pub(crate) fn new(rank: &'r [u32], ranks: std::ops::Range<u32>) -> LayoutScratch<'r> {
+        let slots = ranks.len();
         LayoutScratch {
-            stamp: vec![0; nodes],
+            rank,
+            lo: ranks.start,
+            stamp: vec![0; slots],
             epoch: 0,
-            offset: vec![0; nodes],
+            offset: vec![0; slots],
             queue: Vec::new(),
         }
     }
 
-    /// The stamp and offset arrays, for reuse as the hybrid build's own
-    /// per-read arrays once selection is done (`rep_of_node`, the reads'
-    /// contig offsets): same lengths and element types, so the layout adds
-    /// nothing to the build's peak.
-    pub(crate) fn into_buffers(self) -> (Vec<u32>, Vec<i64>) {
-        (self.stamp, self.offset)
+    /// `v`'s slot, if its rank has one.
+    #[inline]
+    fn slot(&self, v: NodeId) -> Option<usize> {
+        let i = self.rank[v as usize].wrapping_sub(self.lo) as usize;
+        (i < self.stamp.len()).then_some(i)
+    }
+
+    /// The slot of `v`, a read of the range.
+    #[inline]
+    fn own(&self, v: NodeId) -> usize {
+        (self.rank[v as usize] - self.lo) as usize
     }
 
     /// Opens an epoch and stamps `nodes` as its unplaced members.
@@ -196,7 +211,8 @@ impl LayoutScratch {
             }
         }
         for &v in nodes {
-            self.stamp[v as usize] = self.epoch;
+            let i = self.own(v);
+            self.stamp[i] = self.epoch;
         }
         self.queue.clear();
     }
@@ -204,7 +220,13 @@ impl LayoutScratch {
     /// Whether `v` belongs to the cluster under test.
     #[inline]
     fn is_member(&self, v: NodeId) -> bool {
-        self.stamp[v as usize] >= self.epoch
+        self.slot(v).is_some_and(|i| self.stamp[i] >= self.epoch)
+    }
+
+    /// The coordinate of placed member `v`.
+    #[inline]
+    fn offset_of(&self, v: NodeId) -> i64 {
+        self.offset[self.own(v)]
     }
 
     /// Places member `v` at `at` if it is unplaced, queueing it; otherwise
@@ -212,7 +234,7 @@ impl LayoutScratch {
     /// [`OFFSET_TOLERANCE`].
     #[inline]
     fn place(&mut self, v: NodeId, at: i64) -> bool {
-        let i = v as usize;
+        let i = self.own(v);
         if self.stamp[i] == self.epoch {
             (self.stamp[i], self.offset[i]) = (self.epoch + 1, at);
             self.queue.push(v);
@@ -237,7 +259,7 @@ pub(crate) fn layout_cluster(
     g: &DiGraph,
     containments: &[(NodeId, NodeId)],
     store: &ReadStore,
-    scratch: &mut LayoutScratch,
+    scratch: &mut LayoutScratch<'_>,
     rec: &Recorder,
 ) -> Option<ClusterLayout> {
     let out = layout_cluster_inner(nodes, g, containments, store, scratch);
@@ -258,7 +280,7 @@ fn layout_cluster_inner(
     g: &DiGraph,
     containments: &[(NodeId, NodeId)],
     store: &ReadStore,
-    scratch: &mut LayoutScratch,
+    scratch: &mut LayoutScratch<'_>,
 ) -> Option<ClusterLayout> {
     if nodes.is_empty() {
         return None;
@@ -275,7 +297,7 @@ fn layout_cluster_inner(
     let mut head = 0;
     while let Some(&v) = scratch.queue.get(head) {
         head += 1;
-        let v_off = scratch.offset[v as usize];
+        let v_off = scratch.offset_of(v);
         for e in g.out_edges(v) {
             if scratch.is_member(e.to) && !scratch.place(e.to, v_off + e.shift as i64) {
                 return None; // inconsistent layout (repeat conflation)
@@ -295,11 +317,10 @@ fn layout_cluster_inner(
         return None; // induced subgraph disconnected
     }
 
-    let offset = &scratch.offset;
     let mut order: Vec<(NodeId, i64)> = scratch
         .queue
         .iter()
-        .map(|&v| (v, offset[v as usize]))
+        .map(|&v| (v, scratch.offset_of(v)))
         .collect();
     order.sort_unstable_by_key(|&(v, o)| (o, v));
 
@@ -391,7 +412,8 @@ mod tests {
 
     /// `layout_cluster` with no containments and no recorder.
     fn layout_of(nodes: &[NodeId], di: &DiGraph, store: &ReadStore) -> Option<ClusterLayout> {
-        let mut scratch = LayoutScratch::new(store.len());
+        let ranks: Vec<u32> = (0..store.len() as u32).collect();
+        let mut scratch = LayoutScratch::new(&ranks, 0..store.len() as u32);
         layout_cluster(nodes, di, &[], store, &mut scratch, &Recorder::disabled())
     }
 
@@ -408,7 +430,8 @@ mod tests {
     fn stamps_survive_epoch_wraparound() {
         let g = genome(500);
         let (store, di) = tiling(&g, 100, 50);
-        let mut scratch = LayoutScratch::new(store.len());
+        let ranks: Vec<u32> = (0..store.len() as u32).collect();
+        let mut scratch = LayoutScratch::new(&ranks, 0..store.len() as u32);
         scratch.epoch = u32::MAX - 4;
         let rec = Recorder::disabled();
         for _ in 0..4 {

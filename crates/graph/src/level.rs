@@ -8,6 +8,8 @@
 
 use crate::csr::{distinct, vec_bytes, Csr};
 use crate::error::GraphError;
+use fc_exec::Pool;
+use fc_obs::Recorder;
 use std::sync::Arc;
 
 /// Index of a node within one level graph.
@@ -64,6 +66,11 @@ impl LevelGraph {
             .filter(|&(u, v, _)| u != v)
             .flat_map(|(u, v, w)| [(u, (v, w)), (v, (u, w))]);
         let adj = Csr::build(node_weight.len(), items, merge);
+        LevelGraph(Arc::new(Level { adj, node_weight }))
+    }
+
+    /// A graph of rows already built, each edge in both endpoints' rows.
+    pub(crate) fn from_rows(node_weight: Vec<u32>, adj: Csr<(NodeId, u32)>) -> LevelGraph {
         LevelGraph(Arc::new(Level { adj, node_weight }))
     }
 
@@ -129,42 +136,53 @@ impl LevelGraph {
     /// row lists its neighbours ascending. Row by row, with no edge list: a
     /// counting sort buckets the fine nodes by coarse node, each coarse row
     /// sums its members' rows into a stamped accumulator, and only the
-    /// neighbours that row touched are sorted.
-    pub(crate) fn contracted(&self, map: &[NodeId], node_weight: Vec<u32>) -> LevelGraph {
+    /// neighbours that row touched are sorted. The rows are built on `pool`
+    /// by blocks ([`Csr::build_blocked`]), each worker with its own
+    /// accumulator.
+    pub(crate) fn contracted(
+        &self,
+        map: &[NodeId],
+        node_weight: Vec<u32>,
+        pool: &Pool,
+        rec: &Recorder,
+    ) -> LevelGraph {
         let n = node_weight.len();
         let members = map.iter().enumerate().map(|(v, &c)| (c, v as NodeId));
         let members = Csr::build(n, members, distinct);
         // `stamp[c] == row` once coarse row `row` has reached neighbour `c`,
         // and `sum[c]` then holds the weight summed so far.
-        let (mut stamp, mut sum) = (vec![NodeId::MAX; n], vec![0u32; n]);
-        let mut touched = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut entries = Vec::new();
-        for row in 0..n as NodeId {
-            for &v in members.row(row) {
-                for &(u, w) in self.neighbors(v) {
-                    let c = map[u as usize];
-                    if c == row {
-                        continue;
-                    }
-                    let at = c as usize;
-                    if stamp[at] == row {
-                        sum[at] = sum[at].saturating_add(w);
-                    } else {
-                        (stamp[at], sum[at]) = (row, w);
-                        touched.push(c);
+        let accumulator = || (vec![NodeId::MAX; n], vec![0u32; n], Vec::new());
+        // A coarse row holds at most its members' entries; a block is sized
+        // to the fine graph's mean per coarse row, and grows if it must.
+        let mean = self.0.adj.entries().len().div_ceil(n.max(1));
+        let adj = Csr::build_blocked(
+            n,
+            pool,
+            rec,
+            accumulator,
+            |_| mean,
+            |row, acc, out| {
+                let (stamp, sum, touched) = acc;
+                for &v in members.row(row) {
+                    for &(u, w) in self.neighbors(v) {
+                        let c = map[u as usize];
+                        if c == row {
+                            continue;
+                        }
+                        let at = c as usize;
+                        if stamp[at] == row {
+                            sum[at] = sum[at].saturating_add(w);
+                        } else {
+                            (stamp[at], sum[at]) = (row, w);
+                            touched.push(c);
+                        }
                     }
                 }
-            }
-            touched.sort_unstable();
-            entries.extend(touched.drain(..).map(|c| (c, sum[c as usize])));
-            // At most the fine graph's entry count, which fits a `u32`.
-            offsets.push(entries.len() as u32);
-        }
-        entries.shrink_to_fit();
-        let adj = Csr::from_parts(offsets, entries);
-        LevelGraph(Arc::new(Level { adj, node_weight }))
+                touched.sort_unstable();
+                out.extend(touched.drain(..).map(|c| (c, sum[c as usize])));
+            },
+        );
+        LevelGraph::from_rows(node_weight, adj)
     }
 
     /// Bytes this graph holds on the heap — 8 per adjacency entry, 8 per

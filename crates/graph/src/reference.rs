@@ -418,6 +418,42 @@ mod differential {
         });
     }
 
+    /// The undirected view by blocks of rows, at 1 and 3 threads, against
+    /// listing every dovetail from its lower end (an antiparallel pair
+    /// once), source by source, into both endpoints' rows: random digraphs
+    /// with repeated, antiparallel and self edges. Equal graphs: every
+    /// row, in order.
+    #[test]
+    fn undirected_view_matches_the_link_list() {
+        cases(256, |rng| {
+            let n = rng.range(0usize..40);
+            let edges: Vec<_> = (0..count(rng, n, 120))
+                .map(|_| {
+                    let edge = DiEdge {
+                        to: node(rng, n),
+                        len: rng.range(1u32..90),
+                        shift: rng.range(0u32..100),
+                    };
+                    (node(rng, n), edge)
+                })
+                .collect();
+            let di = crate::DiGraph::from_edges(n, &edges);
+            let links = (0..n as NodeId).flat_map(|v| {
+                let di = &di;
+                di.out_edges(v)
+                    .iter()
+                    .filter(move |e| v < e.to || di.edge(e.to, v).is_none())
+                    .map(move |e| (v, e.to, e.len))
+            });
+            let expected = crate::LevelGraph::scatter(vec![1; n], links, crate::csr::distinct);
+            for threads in [1, 3] {
+                let (pool, rec) = (fc_exec::Pool::new(threads), fc_obs::Recorder::disabled());
+                let g0 = crate::OverlapGraph::from_directed(di.clone(), Vec::new(), &pool, &rec);
+                assert_eq!(g0.undirected, expected, "{threads} threads");
+            }
+        });
+    }
+
     /// A weight; one in eight within a few units of `u32::MAX`, so parallel
     /// coarse edges saturate as well as add.
     fn weight(rng: &mut Rng) -> u32 {
@@ -427,9 +463,10 @@ mod differential {
         }
     }
 
-    /// Contraction by coarse rows against the sorted edge list: random
-    /// graphs with isolated nodes and saturating weights, under random,
-    /// identity and all-in-one maps. Equal graphs: every row, in order.
+    /// Contraction by blocks of coarse rows, at 1 and 3 threads, against
+    /// the sorted edge list: random graphs with isolated nodes and
+    /// saturating weights, under random, identity and all-in-one maps.
+    /// Equal graphs: every row, in order.
     #[test]
     fn contraction_matches_reference() {
         cases(256, |rng| {
@@ -456,9 +493,14 @@ mod differential {
             for (v, &c) in map.iter().enumerate() {
                 node_weight[c as usize] += weights[v];
             }
-            let flat = g.contracted(&map, node_weight.clone());
-            assert_eq!(flat, super::contracted(&g, &map, node_weight));
-            flat.check_invariants().unwrap();
+            let expected = super::contracted(&g, &map, node_weight.clone());
+            for threads in [1, 3] {
+                let pool = fc_exec::Pool::new(threads);
+                let rec = fc_obs::Recorder::disabled();
+                let flat = g.contracted(&map, node_weight.clone(), &pool, &rec);
+                assert_eq!(flat, expected, "{threads} threads");
+                flat.check_invariants().unwrap();
+            }
         });
     }
 
@@ -550,7 +592,8 @@ mod differential {
             sorted.sort_unstable();
             let map: HashMap<(NodeId, NodeId), ()> =
                 containments.iter().map(|&p| (p, ())).collect();
-            let mut scratch = crate::layout::LayoutScratch::new(m);
+            let ranks: Vec<u32> = (0..m as u32).collect();
+            let mut scratch = crate::layout::LayoutScratch::new(&ranks, 0..m as u32);
             for _ in 0..4 {
                 let mut nodes: Vec<NodeId> = match rng.range(0u8..3) {
                     0 => (0..m as NodeId).collect(),

@@ -12,7 +12,8 @@ use std::time::Duration;
 /// thread may acquire only those after it, so no two threads can each hold
 /// a lock the other waits for. fc-serve's job table (`/metrics` holds it
 /// across `TenantNames` and `Metrics`) and tenant-name interner; fc-exec's
-/// chunk queue and in-order delivery (held across the caller's sink); the
+/// chunk queue and in-order delivery (released before the caller's sink
+/// runs); the
 /// recorder's span stacks, events and metrics; two interners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {

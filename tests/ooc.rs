@@ -64,6 +64,69 @@ fn every_spill_fault_is_detected_and_answered() {
     run_slice(Slice::SpillFaults);
 }
 
+/// The matrix's spill fault points, counted: which saves are torn,
+/// flipped or refused, which reads are rejected and which pairs are
+/// recomputed is the same at 1, 2 and 3 threads, and the same as before
+/// the saves moved into the alignment column's in-order sink (`EXPECTED`
+/// was captured on the commit before that move). Each row is `(spill
+/// runs, spilled pairs, degraded, rejected, recomputed)`.
+#[test]
+fn spill_faults_hit_and_answer_the_same_pairs() {
+    use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
+    const EXPECTED: [(&str, [u64; 5]); 10] = [
+        ("write-torn@0", [10, 10, 0, 1, 1]),
+        ("write-torn@3", [10, 10, 0, 1, 1]),
+        ("write-flip@0", [10, 10, 0, 1, 1]),
+        ("write-flip@3", [10, 10, 0, 1, 1]),
+        ("write-enospc@0", [0, 0, 1, 0, 0]),
+        ("write-enospc@3", [3, 3, 1, 0, 0]),
+        ("read-short@0", [10, 10, 0, 1, 1]),
+        ("read-short@2", [10, 10, 0, 1, 1]),
+        ("read-flip@0", [10, 10, 0, 1, 1]),
+        ("read-flip@2", [10, 10, 0, 1, 1]),
+    ];
+    let tmp = TempDir::new("spill-pin");
+    let (input, _) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
+    let write = |op, fault| FsFaultPlan::none().fail_write(op, fault);
+    let read = |op, fault| FsFaultPlan::none().fail_read(op, fault);
+    let points = [
+        ("write-torn@0", write(0, WriteFault::Torn)),
+        ("write-torn@3", write(3, WriteFault::Torn)),
+        (
+            "write-flip@0",
+            write(0, WriteFault::BitFlip { bit: 12_345 }),
+        ),
+        (
+            "write-flip@3",
+            write(3, WriteFault::BitFlip { bit: 12_345 }),
+        ),
+        ("write-enospc@0", write(0, WriteFault::Enospc)),
+        ("write-enospc@3", write(3, WriteFault::Enospc)),
+        ("read-short@0", read(0, ReadFault::Short)),
+        ("read-short@2", read(2, ReadFault::Short)),
+        ("read-flip@0", read(0, ReadFault::BitFlip { bit: 4_321 })),
+        ("read-flip@2", read(2, ReadFault::BitFlip { bit: 4_321 })),
+    ];
+    for threads in [1, 2, 3] {
+        let mut got = Vec::new();
+        for (name, plan) in &points {
+            let ooc = OocOptions {
+                spill_dir: tmp.join(format!("{name}-t{threads}")),
+                fs_faults: plan.clone(),
+            };
+            let config = contract_config(threads, true);
+            let (assembler, outcome) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
+            completed(outcome.unwrap());
+            let counters = assembler.recorder().snapshot().counters;
+            let n = |key: &str| counters.get(key).copied().unwrap_or(0);
+            let keys = ["runs", "pairs", "degraded", "rejected", "recomputed"];
+            got.push((*name, keys.map(|k| n(&format!("ooc.spill.{k}")))));
+        }
+        println!("threads={threads}: {got:?}");
+        assert_eq!(got, EXPECTED, "{threads} threads");
+    }
+}
+
 /// Stopped after alignment out of core and resumed: the input is read
 /// again and the alignment checkpoint adopted, at every thread count,
 /// clean and under the `FaultPlan`.
