@@ -12,6 +12,14 @@ pub enum AlignError {
         /// What went wrong, including the offending value.
         message: String,
     },
+    /// A read subset breaks the seed index's capacity rule
+    /// ([`crate::KmerIndex::check_capacity`]).
+    IndexCapacity {
+        /// Reads in the subset.
+        reads: usize,
+        /// Bases in its longest read.
+        longest: usize,
+    },
 }
 
 impl fmt::Display for AlignError {
@@ -20,6 +28,11 @@ impl fmt::Display for AlignError {
             AlignError::Config { parameter, message } => {
                 write!(f, "invalid {parameter}: {message}")
             }
+            AlignError::IndexCapacity { reads, longest } => write!(
+                f,
+                "index capacity: {reads} reads of up to {longest} bases \
+                 do not fit u32 (read, offset) entries and positions"
+            ),
         }
     }
 }

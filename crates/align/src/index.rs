@@ -15,8 +15,9 @@
 //! concatenation order, so `(read, offset)` order *is* position order, and a
 //! hit is decoded with a mask, a shift and a mask — no search over the read
 //! boundaries. The price is the capacity rule `reads << off_bits <= 2^32`
-//! (asserted in [`KmerIndex::build`] beside `bases <= u32::MAX`): 33 million
-//! reads of up to 128 bases, or one million of up to 4 096.
+//! (with `bases <= u32::MAX`, the one check [`KmerIndex::check_capacity`],
+//! which callers run before any build): 33 million reads of up to 128
+//! bases, or one million of up to 4 096.
 //!
 //! The bits that rule leaves free hold a *tag*: the top bits of the k-mer's
 //! suffix, the bases after the directory's `p`, as many as fit
@@ -42,6 +43,7 @@
 //! [`KmerIndex::runs`] looks up one query read's k-mers together: all
 //! directory reads, then all block searches, then all text reads.
 
+use crate::error::AlignError;
 use fc_exec::Pool;
 use fc_obs::Recorder;
 use fc_seq::packed::BASES_PER_WORD;
@@ -160,29 +162,36 @@ fn tag_bits(reads: usize, off_bits: u32, suffix_bits: u32) -> u32 {
 }
 
 /// Width of the offset field for a subset of `reads` reads whose longest
-/// has `longest` bases.
-///
-/// # Panics
-/// Panics if `reads << width` exceeds `2^32`: a read's rank above that
-/// field no longer fits a `u32` entry.
-fn offset_bits(reads: usize, longest: usize) -> u32 {
+/// has `longest` bases; `None` if `reads << width` exceeds `2^32`, where a
+/// read's rank above that field no longer fits a `u32` entry.
+fn offset_bits(reads: usize, longest: usize) -> Option<u32> {
     let bits = usize::BITS - longest.saturating_sub(1).leading_zeros();
-    assert!(
-        (reads as u128) << bits <= 1 << 32,
-        "{reads} reads of up to {longest} bases do not fit u32 (read, offset) entries"
-    );
-    bits
+    ((reads as u128) << bits <= 1 << 32).then_some(bits)
 }
 
 impl KmerIndex {
+    /// The capacity rule: reads of lengths `lens` fit one index if their
+    /// bases fit `u32` positions and `reads << off_bits <= 2^32`, `off_bits`
+    /// (returned) being the bit width of the longest read's last offset.
+    /// Every caller checks all its subsets before it builds any index.
+    pub fn check_capacity(lens: impl IntoIterator<Item = usize>) -> Result<u32, AlignError> {
+        let (mut reads, mut bases, mut longest) = (0, 0, 0);
+        for len in lens {
+            (reads, bases, longest) = (reads + 1, bases + len, longest.max(len));
+        }
+        match offset_bits(reads, longest) {
+            Some(bits) if bases <= u32::MAX as usize => Ok(bits),
+            _ => Err(AlignError::IndexCapacity { reads, longest }),
+        }
+    }
+
     /// Indexes the k-mers of `reads` (id + sequence pairs) in the calling
     /// thread, sorting all buckets in one pass; [`KmerIndex::build_all`]
     /// builds the same index on a pool.
     ///
     /// # Panics
-    /// Panics if `k` is outside `1..=32`, the subset has `2^32` bases or
-    /// more, or `reads << off_bits` exceeds `2^32`, `off_bits` being the bit
-    /// width of the longest read's last offset.
+    /// Panics if `k` is outside `1..=32` or [`KmerIndex::check_capacity`]
+    /// refuses the subset.
     pub fn build(reads: &[(ReadId, &DnaString)], k: usize) -> KmerIndex {
         let Scattered {
             index,
@@ -269,12 +278,11 @@ impl KmerIndex {
     fn scatter(reads: &[(ReadId, &DnaString)], k: usize) -> Scattered {
         assert!((1..=32).contains(&k), "k must be in 1..=32");
         let bases: usize = reads.iter().map(|(_, seq)| seq.len()).sum();
-        assert!(
-            bases <= u32::MAX as usize,
-            "a subset's bases must fit u32 positions"
-        );
-        let longest = reads.iter().map(|(_, seq)| seq.len()).max().unwrap_or(0);
-        let off_bits = offset_bits(reads.len(), longest);
+        let off_bits = match KmerIndex::check_capacity(reads.iter().map(|(_, seq)| seq.len())) {
+            Ok(bits) => bits,
+            #[expect(clippy::panic, reason = "documented: callers check every subset first")]
+            Err(e) => panic!("{e}"),
+        };
         let mut words = vec![0u64; words_for(bases)];
         let mut read_starts = Vec::with_capacity(reads.len() + 1);
         let mut ids = Vec::with_capacity(reads.len());
@@ -745,20 +753,32 @@ mod tests {
 
     #[test]
     fn offset_field_is_as_wide_as_the_longest_reads_last_offset() {
-        assert_eq!(offset_bits(0, 0), 0);
-        assert_eq!(offset_bits(5, 1), 0);
-        assert_eq!(offset_bits(1, 64), 6);
-        assert_eq!(offset_bits(1, 65), 7);
-        assert_eq!(offset_bits(1 << 19, 8192), 13); // exactly 2^32
-        assert_eq!(offset_bits(1, u32::MAX as usize), 32);
+        assert_eq!(offset_bits(0, 0), Some(0));
+        assert_eq!(offset_bits(5, 1), Some(0));
+        assert_eq!(offset_bits(1, 64), Some(6));
+        assert_eq!(offset_bits(1, 65), Some(7));
+        assert_eq!(offset_bits(1 << 19, 8192), Some(13)); // exactly 2^32
+        assert_eq!(offset_bits(1, u32::MAX as usize), Some(32));
     }
 
     #[test]
-    #[should_panic(expected = "do not fit u32 (read, offset) entries")]
     fn too_many_reads_for_their_offset_field_are_refused() {
         // 2^20 reads x 13 offset bits = 2^33, though 2^20 x 100 bases plus
         // one 5 000-base read would fit u32 positions.
-        offset_bits(1 << 20, 5000);
+        let lens = || std::iter::once(5000).chain(std::iter::repeat_n(100, (1 << 20) - 1));
+        let refused = AlignError::IndexCapacity {
+            reads: 1 << 20,
+            longest: 5000,
+        };
+        assert_eq!(KmerIndex::check_capacity(lens()), Err(refused.clone()));
+        assert!(refused
+            .to_string()
+            .contains("do not fit u32 (read, offset) entries"));
+        // One read fewer than the edge fits: 2^19 x 13 bits = 2^32.
+        assert_eq!(KmerIndex::check_capacity(lens().take(1 << 19)), Ok(13));
+        // Bases past u32 positions are refused by the same check.
+        let bases = u32::MAX as usize + 1;
+        assert!(KmerIndex::check_capacity([bases / 2, bases / 2]).is_err());
     }
 
     /// What the overlapper asks and of what: every read's sampled k-mers,

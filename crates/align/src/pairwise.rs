@@ -301,6 +301,14 @@ impl<'a> Overlapper<'a> {
         &self.config
     }
 
+    /// Refuses `subsets` if one breaks the seed index's capacity rule
+    /// ([`KmerIndex::check_capacity`]), on which the builds below panic.
+    pub fn check_capacity(&self, subsets: &[Vec<ReadId>]) -> Result<(), AlignError> {
+        subsets.iter().try_for_each(|subset| {
+            KmerIndex::check_capacity(subset.iter().map(|&id| self.store.get(id).len())).map(drop)
+        })
+    }
+
     /// Builds the seed index for one reference subset.
     pub fn index_subset(&self, reference: &[ReadId]) -> KmerIndex {
         KmerIndex::build(&self.subset_reads(reference), self.config.k)

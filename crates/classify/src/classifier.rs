@@ -1,23 +1,22 @@
 //! K-mer best-hit read classification against reference genomes.
 
 use crate::error::ClassifyError;
+use crate::reference::ReferenceIndex;
 use fc_seq::{DnaString, Read};
-use std::collections::HashMap;
 
-/// A k-mer index over reference genomes that classifies reads to the
-/// reference with the most k-mer hits (the "best hit", mirroring the
-/// paper's BWA best-hit assignment).
+/// Classifies reads to the reference with the most k-mer hits (the "best
+/// hit", mirroring the paper's BWA best-hit assignment), answering from
+/// the references' seed index.
 #[derive(Debug, Clone)]
 pub struct KmerClassifier {
-    k: usize,
-    /// k-mer → per-reference hit counts (sparse: `(ref index, count)`).
-    index: HashMap<u64, Vec<(u32, u32)>>,
-    references: usize,
+    index: ReferenceIndex,
 }
 
 impl KmerClassifier {
     /// Builds the index over `genomes` with k-mer length `k` (≤ 32). Both
     /// strands of each genome are indexed, since reads come from either.
+    /// A reference set the seed index cannot hold is refused as
+    /// [`ClassifyError::Index`].
     pub fn build(genomes: &[DnaString], k: usize) -> Result<KmerClassifier, ClassifyError> {
         if k == 0 || k > 32 {
             return Err(ClassifyError::Config {
@@ -31,28 +30,14 @@ impl KmerClassifier {
                 message: "classifier needs at least one reference".to_string(),
             });
         }
-        let mut index: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
-        for (gi, genome) in genomes.iter().enumerate() {
-            for strand in [genome.clone(), genome.reverse_complement()] {
-                for (_, kmer) in strand.kmers(k) {
-                    let entry = index.entry(kmer).or_default();
-                    match entry.iter_mut().find(|(r, _)| *r == gi as u32) {
-                        Some((_, c)) => *c += 1,
-                        None => entry.push((gi as u32, 1)),
-                    }
-                }
-            }
-        }
         Ok(KmerClassifier {
-            k,
-            index,
-            references: genomes.len(),
+            index: ReferenceIndex::build(genomes, k)?,
         })
     }
 
     /// The k-mer length in use.
     pub fn k(&self) -> usize {
-        self.k
+        self.index.k
     }
 
     /// Classifies one read: the reference collecting the most k-mer hits.
@@ -63,19 +48,19 @@ impl KmerClassifier {
         self.classify_seq(&read.seq)
     }
 
-    /// Classifies a raw sequence (used for contigs as well as reads).
+    /// Classifies a raw sequence (used for contigs as well as reads). A
+    /// k-mer scores one hit for a reference per occurrence on either of
+    /// its strands.
     pub fn classify_seq(&self, seq: &DnaString) -> Option<u32> {
-        let mut scores = vec![0u64; self.references];
-        let mut any = false;
-        for (_, kmer) in seq.kmers(self.k) {
-            if let Some(entry) = self.index.get(&kmer) {
-                any = true;
-                for &(r, c) in entry {
-                    scores[r as usize] += c as u64;
-                }
+        let (mut kmers, mut runs) = (Vec::new(), Vec::new());
+        self.index.runs(seq, &mut kmers, &mut runs);
+        let mut scores = vec![0u64; self.index.lens.len()];
+        for &run in &runs {
+            for locus in self.index.loci(run) {
+                scores[locus.genome as usize] += 1;
             }
         }
-        if !any {
+        if scores.iter().all(|&s| s == 0) {
             return None;
         }
         let mut best = 0usize;
@@ -173,6 +158,28 @@ mod tests {
         assert!(KmerClassifier::build(&refs, 0).is_err());
         assert!(KmerClassifier::build(&refs, 33).is_err());
         assert!(KmerClassifier::build(&[], 21).is_err());
+    }
+
+    /// One 1 Mb reference needs 20 offset bits, so its 2 × 2 049 strands
+    /// ask for more than `2^32` entry values: refused before any index is
+    /// built.
+    #[test]
+    fn references_the_seed_index_cannot_hold_are_refused() {
+        let long: DnaString = (0..1_000_000u32)
+            .map(|i| fc_seq::Base::from_code((i % 4) as u8))
+            .collect();
+        let one_base: DnaString = "A".parse().unwrap();
+        let mut refs = vec![long];
+        refs.extend(std::iter::repeat_n(one_base, 2048));
+        let refused = KmerClassifier::build(&refs, 21).unwrap_err();
+        assert_eq!(
+            refused,
+            ClassifyError::Index(fc_align::AlignError::IndexCapacity {
+                reads: 4098,
+                longest: 1_000_000,
+            })
+        );
+        assert!(refused.to_string().contains("index capacity"), "{refused}");
     }
 
     #[test]

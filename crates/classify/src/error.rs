@@ -1,5 +1,6 @@
 //! Error type for read classification and distribution analysis.
 
+use fc_align::AlignError;
 use std::fmt;
 
 /// Errors produced while building classifiers or distribution matrices.
@@ -30,6 +31,9 @@ pub enum ClassifyError {
         /// Exclusive upper bound.
         bound: usize,
     },
+    /// The references do not fit one seed index
+    /// ([`AlignError::IndexCapacity`]).
+    Index(AlignError),
 }
 
 impl fmt::Display for ClassifyError {
@@ -48,6 +52,7 @@ impl fmt::Display for ClassifyError {
             ClassifyError::OutOfRange { what, index, bound } => {
                 write!(f, "{what} {index} out of range (< {bound} required)")
             }
+            ClassifyError::Index(e) => write!(f, "references: {e}"),
         }
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! [`distribution`] builds the genus × partition read-fraction matrix of
 //! Fig. 7 and the within/cross-phylum co-clustering summary; [`heatmap`]
-//! renders the matrix as text/CSV.
+//! renders the matrix as text/CSV. [`eval`] scores an assembly against the
+//! same references. Both answer from fc-align's seed index over both
+//! strands of every reference, whose hits carry genome, position and strand.
 
 #![forbid(unsafe_code)]
 
@@ -18,10 +20,13 @@ pub mod accuracy;
 pub mod classifier;
 pub mod distribution;
 pub mod error;
+pub mod eval;
 pub mod heatmap;
+mod reference;
 
 pub use accuracy::ClassifierAccuracy;
 pub use classifier::KmerClassifier;
 pub use distribution::{GenusDistribution, PhylumCoclustering};
 pub use error::ClassifyError;
+pub use eval::{evaluate as evaluate_against_references, ReferenceEvaluation};
 pub use heatmap::{render_csv, render_text};

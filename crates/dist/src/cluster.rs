@@ -3,7 +3,7 @@
 //! deterministic [`FaultPlan`].
 
 use crate::error::DistError;
-use crate::fault::{FaultPlan, FaultReport, PhaseId, RetryPolicy};
+use crate::fault::{self, FaultPlan, FaultReport, PhaseId};
 
 /// Converts abstract work and message counts into virtual time.
 ///
@@ -58,7 +58,7 @@ pub struct PhaseOutcome {
     /// Ranks that died during this phase.
     pub crashed: Vec<usize>,
     /// Ranks whose work was speculatively re-executed on a backup because
-    /// they straggled past `straggler_factor ×` the median rank time.
+    /// they straggled past [`fault::STRAGGLER_FACTOR`] × the median rank time.
     pub speculated: Vec<usize>,
 }
 
@@ -70,12 +70,9 @@ pub enum SendOutcome {
         /// Total transmission attempts (1 = no retry needed).
         attempts: u32,
     },
-    /// Every attempt up to [`RetryPolicy::max_attempts`] was dropped; the
-    /// master presumes the sender dead and the payload lost.
-    Lost {
-        /// Attempts made (= `max_attempts`).
-        attempts: u32,
-    },
+    /// All [`fault::MAX_ATTEMPTS`] attempts were dropped; the master
+    /// presumes the sender dead and the payload lost.
+    Lost,
 }
 
 impl SendOutcome {
@@ -93,10 +90,10 @@ impl SendOutcome {
 ///
 /// A cluster built with [`SimCluster::with_faults`] additionally consumes a
 /// [`FaultPlan`]: ranks crash mid-phase, messages drop (and are
-/// retransmitted with exponential backoff under the [`RetryPolicy`]), links
+/// retransmitted with exponential backoff, [`fault::backoff_delay`]), links
 /// stall and stragglers get speculatively re-executed. Everything — drops,
 /// waits, recovery charges — is charged in virtual time, and the whole run
-/// is a pure function of `(plan, policy, inputs)`.
+/// is a pure function of `(plan, inputs)`.
 #[derive(Debug, Clone)]
 pub struct SimCluster {
     clocks: Vec<f64>,
@@ -105,14 +102,13 @@ pub struct SimCluster {
     messages: u64,
     bytes: u64,
     plan: FaultPlan,
-    retry: RetryPolicy,
     fault: FaultReport,
 }
 
 impl SimCluster {
     /// Creates a fault-free cluster with `ranks` workers (≥ 1).
     pub fn new(ranks: usize, cost: CostModel) -> Result<SimCluster, DistError> {
-        SimCluster::with_faults(ranks, cost, FaultPlan::none(), RetryPolicy::default())
+        SimCluster::with_faults(ranks, cost, FaultPlan::none())
     }
 
     /// Creates a cluster that executes under a fault-injection plan.
@@ -120,12 +116,10 @@ impl SimCluster {
         ranks: usize,
         cost: CostModel,
         plan: FaultPlan,
-        retry: RetryPolicy,
     ) -> Result<SimCluster, DistError> {
         if ranks == 0 {
             return Err(DistError::NoRanks);
         }
-        retry.validate()?;
         Ok(SimCluster {
             clocks: vec![0.0; ranks],
             alive: vec![true; ranks],
@@ -133,7 +127,6 @@ impl SimCluster {
             messages: 0,
             bytes: 0,
             plan,
-            retry,
             fault: FaultReport::default(),
         })
     }
@@ -146,11 +139,6 @@ impl SimCluster {
     /// The cost model in use.
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The retry/backoff/speculation policy in use.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// The fault-injection plan being consumed.
@@ -278,7 +266,7 @@ impl SimCluster {
     ///   phase — half the task's time is charged, all of the rank's tasks
     ///   this phase are reported in [`PhaseOutcome::lost`];
     /// * a straggling rank (slowdown factor from the plan) whose busy time
-    ///   exceeds `straggler_factor ×` the median is speculatively
+    ///   exceeds [`fault::STRAGGLER_FACTOR`] × the median is speculatively
     ///   re-executed on the least-loaded other live rank; whichever copy
     ///   finishes first wins and the loser is cancelled.
     pub fn run_phase_faulty(&mut self, phase: PhaseId, tasks: &[(usize, u64)]) -> PhaseOutcome {
@@ -326,7 +314,7 @@ impl SimCluster {
             let mut times: Vec<f64> = busy.iter().map(|&(_, t)| t).collect();
             times.sort_by(|a, b| a.total_cmp(b));
             let median = times[(times.len() - 1) / 2];
-            let threshold = self.retry.straggler_factor * median;
+            let threshold = fault::STRAGGLER_FACTOR * median;
             busy.sort_by_key(|&(r, _)| r);
             for (rank, t) in busy {
                 if median <= 0.0 || t <= threshold {
@@ -380,8 +368,7 @@ impl SimCluster {
         let drops = self.plan.drops_at(phase, sender);
         let delay = self.plan.delay_factor_at(phase, sender);
         let per_attempt = (self.cost.msg_latency + payload as f64 * self.cost.msg_per_byte) * delay;
-        let max_attempts = self.retry.max_attempts;
-        for attempt in 1..=max_attempts {
+        for attempt in 1..=fault::MAX_ATTEMPTS {
             self.clocks[sender] += per_attempt;
             self.messages += 1;
             self.bytes += payload;
@@ -389,7 +376,7 @@ impl SimCluster {
                 // Dropped in flight: back off, then retransmit.
                 self.fault.retries += 1;
                 self.fault.retransmitted_bytes += payload;
-                let wait = self.retry.backoff_delay(attempt);
+                let wait = fault::backoff_delay(attempt);
                 self.clocks[sender] += wait;
                 self.fault.recovery_time += wait;
                 continue;
@@ -397,9 +384,7 @@ impl SimCluster {
             self.clocks[0] = f64::max(self.clocks[0] + per_attempt, self.clocks[sender]);
             return SendOutcome::Delivered { attempts: attempt };
         }
-        SendOutcome::Lost {
-            attempts: max_attempts,
-        }
+        SendOutcome::Lost
     }
 
     /// Charges serial master-side work (e.g. applying recorded removals).
@@ -531,21 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_retry_policy_rejected() {
-        let bad = RetryPolicy {
-            max_attempts: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            SimCluster::with_faults(2, CostModel::default(), FaultPlan::none(), bad),
-            Err(DistError::InvalidRetryPolicy(_))
-        ));
-    }
-
-    #[test]
     fn crash_loses_rank_tasks_and_freezes_clock() {
         let plan = FaultPlan::single_crash(PhaseId::TransitiveReduction, 1);
-        let mut c = SimCluster::with_faults(2, flat_cost(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(2, flat_cost(), plan).unwrap();
         let out = c.run_phase_faulty(PhaseId::TransitiveReduction, &[(0, 10), (1, 20)]);
         assert_eq!(out.lost, vec![1]);
         assert_eq!(out.crashed, vec![1]);
@@ -565,52 +538,41 @@ mod tests {
     #[test]
     fn retransmissions_match_drop_count_and_backoff_charges_time() {
         // Hand-computed expectation: latency 100, no bandwidth cost, two
-        // drops, backoff base 50 doubling uncapped. Sender timeline:
-        //   attempt 1 (100) + backoff 50 + attempt 2 (100) + backoff 100
-        //   + attempt 3 (100) = 450.
+        // drops, backoff 10 then 20 (base 10, doubling). Sender timeline:
+        //   attempt 1 (100) + backoff 10 + attempt 2 (100) + backoff 20
+        //   + attempt 3 (100) = 330.
         let cost = CostModel {
             per_work_unit: 1.0,
             msg_latency: 100.0,
             msg_per_byte: 0.0,
         };
         let plan = FaultPlan::message_drops(PhaseId::Traversal, 1, 2);
-        let retry = RetryPolicy {
-            max_attempts: 4,
-            backoff_base: 50.0,
-            backoff_cap: 1000.0,
-            ..Default::default()
-        };
-        let mut c = SimCluster::with_faults(2, cost, plan, retry).unwrap();
+        let mut c = SimCluster::with_faults(2, cost, plan).unwrap();
         let out = c.transmit_to_master(PhaseId::Traversal, 1, 0);
         assert_eq!(out, SendOutcome::Delivered { attempts: 3 });
         assert_eq!(c.fault_report().retries, 2);
-        assert_eq!(c.clock(1), 450.0);
-        assert_eq!(c.now(), 450.0); // master waits for the sender
+        assert_eq!(c.clock(1), 330.0);
+        assert_eq!(c.now(), 330.0); // master waits for the sender
         assert_eq!(c.messages(), 3);
         // Backoff waits are attributed to recovery time.
-        assert_eq!(c.fault_report().recovery_time, 150.0);
+        assert_eq!(c.fault_report().recovery_time, 30.0);
     }
 
     #[test]
     fn drop_exhaustion_reports_lost_send() {
         let plan = FaultPlan::message_drops(PhaseId::Traversal, 0, 99);
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            ..Default::default()
-        };
-        let mut c = SimCluster::with_faults(1, CostModel::default(), plan, retry).unwrap();
+        let mut c = SimCluster::with_faults(1, CostModel::default(), plan).unwrap();
         let out = c.transmit_to_master(PhaseId::Traversal, 0, 8);
-        assert_eq!(out, SendOutcome::Lost { attempts: 3 });
-        // retries = min(N, max_attempts): every attempt was dropped.
-        assert_eq!(c.fault_report().retries, 3);
-        assert_eq!(c.fault_report().retransmitted_bytes, 24);
+        assert_eq!(out, SendOutcome::Lost);
+        // retries = min(N, MAX_ATTEMPTS): every attempt was dropped.
+        assert_eq!(c.fault_report().retries, 4);
+        assert_eq!(c.fault_report().retransmitted_bytes, 32);
     }
 
     #[test]
     fn retransmitted_bytes_counted_per_drop() {
         let plan = FaultPlan::message_drops(PhaseId::ErrorRemoval, 1, 1);
-        let mut c =
-            SimCluster::with_faults(2, CostModel::default(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(2, CostModel::default(), plan).unwrap();
         let out = c.transmit_to_master(PhaseId::ErrorRemoval, 1, 100);
         assert_eq!(out, SendOutcome::Delivered { attempts: 2 });
         assert_eq!(c.fault_report().retransmitted_bytes, 100);
@@ -629,11 +591,7 @@ mod tests {
             rank: 1,
             kind: FaultKind::Straggle { factor: 16.0 },
         }]);
-        let retry = RetryPolicy {
-            straggler_factor: 4.0,
-            ..Default::default()
-        };
-        let mut c = SimCluster::with_faults(3, flat_cost(), plan, retry).unwrap();
+        let mut c = SimCluster::with_faults(3, flat_cost(), plan).unwrap();
         let out = c.run_phase_faulty(PhaseId::ErrorRemoval, &[(0, 10), (1, 10), (2, 10)]);
         assert_eq!(out.speculated, vec![1]);
         assert_eq!(c.fault_report().speculative_reexecutions, 1);
@@ -653,7 +611,7 @@ mod tests {
             rank: 1,
             kind: FaultKind::Straggle { factor: 2.0 },
         }]);
-        let mut c = SimCluster::with_faults(2, flat_cost(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(2, flat_cost(), plan).unwrap();
         let out = c.run_phase_faulty(PhaseId::ErrorRemoval, &[(0, 10), (1, 10)]);
         assert!(out.speculated.is_empty());
         assert_eq!(out.timing.makespan, 20.0);
@@ -672,7 +630,7 @@ mod tests {
             rank: 1,
             kind: FaultKind::MessageDelay { factor: 4.0 },
         }]);
-        let mut c = SimCluster::with_faults(2, cost, plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(2, cost, plan).unwrap();
         c.transmit_to_master(PhaseId::Traversal, 1, 0);
         assert_eq!(c.clock(1), 40.0);
     }

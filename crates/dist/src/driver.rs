@@ -12,7 +12,7 @@
 use crate::cluster::{CostModel, PhaseTiming, SimCluster};
 use crate::error::DistError;
 use crate::error_removal;
-use crate::fault::{FaultPlan, FaultReport, PhaseId, RetryPolicy};
+use crate::fault::{FaultPlan, FaultReport, PhaseId};
 use crate::recovery::execute_phase;
 use crate::simplify;
 use crate::transitive;
@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 /// Configuration of the distributed stage. The virtual-time cost model is
 /// [`CostModel::default`], and a [`FaultPlan`] in effect is answered with
-/// [`RetryPolicy::default`]'s retransmission, backoff, timeout and
-/// speculation.
+/// the retransmission, backoff, timeout and speculation constants of
+/// [`crate::fault`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistributedConfig {
     /// Worker threads for the per-partition scans (`0` = available
@@ -193,8 +193,7 @@ impl DistributedHybrid {
         rec: &Recorder,
     ) -> Result<DistributedReport, DistError> {
         let planned_faults = plan.events().len() as u64;
-        let mut cluster =
-            SimCluster::with_faults(self.k, CostModel::default(), plan, RetryPolicy::default())?;
+        let mut cluster = SimCluster::with_faults(self.k, CostModel::default(), plan)?;
         let pool = Pool::new(config.threads);
         let _run_span = rec.span_args(
             "dist",

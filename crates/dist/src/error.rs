@@ -37,8 +37,6 @@ pub enum DistError {
         /// Phase in which the cluster was lost.
         phase: PhaseId,
     },
-    /// The retry policy is unusable (e.g. zero attempts).
-    InvalidRetryPolicy(String),
     /// The fault-rate table is unusable (probability outside `[0, 1]` or a
     /// slowdown factor below 1).
     InvalidFaultRates(String),
@@ -75,7 +73,6 @@ impl fmt::Display for DistError {
                     phase.name()
                 )
             }
-            DistError::InvalidRetryPolicy(m) => write!(f, "invalid retry policy: {m}"),
             DistError::InvalidFaultRates(m) => write!(f, "invalid fault rates: {m}"),
             DistError::LostPartition { phase, partition } => {
                 write!(

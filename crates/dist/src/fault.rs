@@ -18,7 +18,6 @@
 //! holds a seeded plan of crashes and drops to the fault-free run's
 //! contigs, and to one fault report at every thread count.
 
-use crate::cluster::CostModel;
 use crate::error::DistError;
 use fc_rng::Rng;
 
@@ -66,7 +65,7 @@ pub enum FaultKind {
     Crash,
     /// The rank's next `count` result transmissions in this phase are
     /// dropped in flight. Each drop triggers a retransmission after an
-    /// exponential-backoff delay, up to [`RetryPolicy::max_attempts`];
+    /// exponential-backoff delay, up to [`MAX_ATTEMPTS`];
     /// exhaustion makes the master presume the sender dead.
     MessageDrop {
         /// Number of consecutive transmissions that vanish.
@@ -80,7 +79,7 @@ pub enum FaultKind {
     },
     /// The rank computes at `1/factor` speed for this phase (CPU
     /// contention, thermal throttling). Stragglers exceeding
-    /// [`RetryPolicy::straggler_factor`] × the median rank time are
+    /// [`STRAGGLER_FACTOR`] × the median rank time are
     /// speculatively re-executed on the least-loaded survivor.
     Straggle {
         /// Multiplier on the rank's compute time (≥ 1).
@@ -319,81 +318,38 @@ impl FaultRates {
     }
 }
 
-/// How the master reacts to failures: retransmission limits, exponential
-/// backoff, crash-detection timeouts and straggler speculation. All waits
-/// are charged in virtual time, so fault handling shows up in makespans
-/// exactly like real latency would.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum transmission attempts per message (first send included).
-    pub max_attempts: u32,
-    /// Backoff after the first failed attempt (virtual time); doubles per
-    /// further failure.
-    pub backoff_base: f64,
-    /// Upper bound on a single backoff wait.
-    pub backoff_cap: f64,
-    /// Crash-detection timeout as a multiple of the phase's expected
-    /// longest rank time (derived from the cost model).
-    pub timeout_factor: f64,
-    /// A rank is a straggler when its phase time exceeds this multiple of
-    /// the median rank time; stragglers are speculatively re-executed.
-    pub straggler_factor: f64,
-}
+// How the master answers failures. Every wait is charged in virtual time,
+// so fault handling shows in makespans as real latency would.
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: 10.0,
-            backoff_cap: 160.0,
-            timeout_factor: 3.0,
-            straggler_factor: 4.0,
-        }
-    }
-}
+/// Transmission attempts per message, the first send included.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Backoff after the first failed attempt; doubles per further failure.
+pub const BACKOFF_BASE: f64 = 10.0;
+/// Upper bound on a single backoff wait.
+pub const BACKOFF_CAP: f64 = 160.0;
+/// A silent rank is presumed dead after this multiple of the phase's
+/// longest nominal task time, plus one message latency.
+pub const TIMEOUT_FACTOR: f64 = 3.0;
+/// A rank whose phase time exceeds this multiple of the median rank time
+/// is a straggler, and is speculatively re-executed.
+pub const STRAGGLER_FACTOR: f64 = 4.0;
 
-impl RetryPolicy {
-    /// Backoff wait after the `attempt`-th failed attempt (1-based):
-    /// `min(backoff_base × 2^(attempt-1), backoff_cap)`.
-    pub fn backoff_delay(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(62);
-        (self.backoff_base * (1u64 << exp) as f64).min(self.backoff_cap)
-    }
-
-    /// Virtual time after which the master presumes a silent rank dead,
-    /// given the phase's expected longest rank compute time.
-    pub fn phase_timeout(&self, expected_rank_time: f64, cost: &CostModel) -> f64 {
-        self.timeout_factor * expected_rank_time + cost.msg_latency
-    }
-
-    /// Checks the policy is usable.
-    pub fn validate(&self) -> Result<(), DistError> {
-        let invalid = |m: &str| DistError::InvalidRetryPolicy(m.to_string());
-        if self.max_attempts == 0 {
-            return Err(invalid("max_attempts must be >= 1"));
-        }
-        if self.backoff_base < 0.0 || self.backoff_cap < 0.0 {
-            return Err(invalid("backoff times must be non-negative"));
-        }
-        if self.timeout_factor <= 0.0 {
-            return Err(invalid("timeout_factor must be positive"));
-        }
-        if self.straggler_factor <= 1.0 {
-            return Err(invalid("straggler_factor must be > 1"));
-        }
-        Ok(())
-    }
+/// Backoff wait after the `attempt`-th failed attempt (1-based):
+/// `min(BACKOFF_BASE × 2^(attempt-1), BACKOFF_CAP)`.
+pub fn backoff_delay(attempt: u32) -> f64 {
+    let exp = attempt.saturating_sub(1).min(62);
+    (BACKOFF_BASE * (1u64 << exp) as f64).min(BACKOFF_CAP)
 }
 
 /// What the fault layer observed during one pipeline run. Deterministic:
-/// identical `(plan, policy, input)` triples reproduce identical reports.
+/// identical `(plan, input)` pairs reproduce identical reports.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultReport {
     /// Ranks that died (injected crashes plus presumed-dead senders whose
     /// retransmissions were exhausted).
     pub crashes: u32,
     /// Dropped transmissions that triggered a retransmission or exhaustion
-    /// (= `min(scheduled drops, max_attempts)` per affected message).
+    /// (= `min(scheduled drops, MAX_ATTEMPTS)` per affected message).
     pub retries: u32,
     /// Payload bytes spent on retransmissions (lost sends).
     pub retransmitted_bytes: u64,
@@ -474,32 +430,15 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            backoff_base: 10.0,
-            backoff_cap: 35.0,
-            ..Default::default()
-        };
-        assert_eq!(p.backoff_delay(1), 10.0);
-        assert_eq!(p.backoff_delay(2), 20.0);
-        assert_eq!(p.backoff_delay(3), 35.0); // capped (would be 40)
-        assert_eq!(p.backoff_delay(10), 35.0);
+        assert_eq!(backoff_delay(1), 10.0);
+        assert_eq!(backoff_delay(2), 20.0);
+        assert_eq!(backoff_delay(5), 160.0);
+        assert_eq!(backoff_delay(6), 160.0); // capped (would be 320)
+        assert_eq!(backoff_delay(100), 160.0);
     }
 
     #[test]
-    fn policy_and_rates_validation() {
-        assert!(RetryPolicy::default().validate().is_ok());
-        assert!(RetryPolicy {
-            max_attempts: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            straggler_factor: 1.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
+    fn rates_validation() {
         assert!(FaultRates::default().validate().is_ok());
         assert!(FaultRates {
             crash: 1.5,

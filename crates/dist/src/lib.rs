@@ -13,8 +13,8 @@
 //!
 //! * [`cluster`] — virtual clocks, cost model, list scheduling, message
 //!   accounting, fault consumption (crashes, drops, delays, stragglers),
-//! * [`fault`] — deterministic fault-injection plans and the retry/backoff
-//!   policy (seeded, reproducible),
+//! * [`fault`] — deterministic fault-injection plans (seeded, reproducible)
+//!   and the retry, backoff, timeout and speculation constants,
 //! * [`error`] — typed errors of the distributed stage,
 //! * [`recovery`] — phase-level recovery: reassign dead ranks' partitions
 //!   and re-invoke the pure worker scans on survivors,
@@ -46,6 +46,6 @@ pub mod traverse;
 pub use cluster::{CostModel, PhaseTiming, SimCluster};
 pub use driver::{DistributedConfig, DistributedHybrid, DistributedReport};
 pub use error::DistError;
-pub use fault::{FaultKind, FaultPlan, FaultRates, FaultReport, PhaseId, RetryPolicy};
+pub use fault::{FaultKind, FaultPlan, FaultRates, FaultReport, PhaseId};
 pub use recovery::{execute_phase, PhaseExecution};
 pub use traverse::AssemblyPath;

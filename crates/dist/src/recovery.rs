@@ -19,14 +19,15 @@
 
 use crate::cluster::{PhaseTiming, SendOutcome, SimCluster};
 use crate::error::DistError;
-use crate::fault::PhaseId;
+use crate::fault::{self, PhaseId};
 use fc_exec::Pool;
 use fc_obs::{Flow, Recorder};
 
 /// Total transmission attempts behind a [`SendOutcome`], delivered or not.
 fn attempts_of(outcome: &SendOutcome) -> i64 {
     match outcome {
-        SendOutcome::Delivered { attempts } | SendOutcome::Lost { attempts } => *attempts as i64,
+        SendOutcome::Delivered { attempts } => *attempts as i64,
+        SendOutcome::Lost => fault::MAX_ATTEMPTS as i64,
     }
 }
 
@@ -185,10 +186,8 @@ pub fn execute_phase<T: Send>(
         .iter()
         .map(|&w| w as f64 * cluster.cost().per_work_unit)
         .fold(0.0, f64::max);
-    let deadline = phase_start
-        + cluster
-            .retry_policy()
-            .phase_timeout(max_task_time, cluster.cost());
+    let deadline =
+        phase_start + (fault::TIMEOUT_FACTOR * max_task_time + cluster.cost().msg_latency);
     let mut pending: Vec<usize> = (0..partitions).filter(|&p| results[p].is_none()).collect();
     while let Some(p) = pending.first().copied() {
         pending.remove(0);
@@ -268,7 +267,7 @@ pub fn execute_phase<T: Send>(
 mod tests {
     use super::*;
     use crate::cluster::CostModel;
-    use crate::fault::{FaultPlan, RetryPolicy};
+    use crate::fault::FaultPlan;
 
     fn flat_cost() -> CostModel {
         CostModel {
@@ -315,7 +314,7 @@ mod tests {
     #[test]
     fn crashed_partition_is_recovered_on_a_survivor() {
         let plan = FaultPlan::single_crash(PhaseId::TransitiveReduction, 2);
-        let mut c = SimCluster::with_faults(4, flat_cost(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(4, flat_cost(), plan).unwrap();
         let run = run_ids(&mut c, PhaseId::TransitiveReduction, 4).unwrap();
         // The result set is complete and order-identical despite the crash.
         assert_eq!(run.results, vec![0, 1, 2, 3]);
@@ -327,7 +326,7 @@ mod tests {
     #[test]
     fn dead_rank_partitions_are_adopted_in_later_phases() {
         let plan = FaultPlan::single_crash(PhaseId::TransitiveReduction, 1);
-        let mut c = SimCluster::with_faults(2, flat_cost(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(2, flat_cost(), plan).unwrap();
         run_ids(&mut c, PhaseId::TransitiveReduction, 2).unwrap();
         // Next phase: partition 1 has no owner, rank 0 adopts it up front —
         // no timeout, no crash recorded, still every result delivered.
@@ -340,25 +339,21 @@ mod tests {
     #[test]
     fn exhausted_retransmissions_presume_sender_dead_and_recover() {
         let plan = FaultPlan::message_drops(PhaseId::ErrorRemoval, 1, 99);
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            ..Default::default()
-        };
-        let mut c = SimCluster::with_faults(3, CostModel::default(), plan, retry).unwrap();
+        let mut c = SimCluster::with_faults(3, CostModel::default(), plan).unwrap();
         let run = run_ids(&mut c, PhaseId::ErrorRemoval, 3).unwrap();
         assert_eq!(run.results, vec![0, 1, 2]);
         assert!(
             !c.is_alive(1),
             "sender with exhausted retries is presumed dead"
         );
-        assert_eq!(c.fault_report().retries, 3);
+        assert_eq!(c.fault_report().retries, fault::MAX_ATTEMPTS);
         assert!(c.fault_report().degraded);
     }
 
     #[test]
     fn simultaneous_multi_rank_crashes_recover_on_the_survivors() {
         let plan = FaultPlan::crashes(PhaseId::TransitiveReduction, &[1, 2, 3]);
-        let mut c = SimCluster::with_faults(4, flat_cost(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(4, flat_cost(), plan).unwrap();
         let run = run_ids(&mut c, PhaseId::TransitiveReduction, 4).unwrap();
         // All three dead ranks' partitions are re-scanned on the lone
         // survivor; results stay complete and in partition order.
@@ -371,7 +366,7 @@ mod tests {
     #[test]
     fn every_rank_crashing_simultaneously_is_all_ranks_dead() {
         let plan = FaultPlan::crashes(PhaseId::ErrorRemoval, &[0, 1, 2, 3]);
-        let mut c = SimCluster::with_faults(4, flat_cost(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(4, flat_cost(), plan).unwrap();
         let err = run_ids(&mut c, PhaseId::ErrorRemoval, 4).unwrap_err();
         assert_eq!(
             err,
@@ -384,7 +379,7 @@ mod tests {
     #[test]
     fn losing_every_rank_is_a_typed_error() {
         let plan = FaultPlan::single_crash(PhaseId::Traversal, 0);
-        let mut c = SimCluster::with_faults(1, flat_cost(), plan, RetryPolicy::default()).unwrap();
+        let mut c = SimCluster::with_faults(1, flat_cost(), plan).unwrap();
         let err = run_ids(&mut c, PhaseId::Traversal, 1).unwrap_err();
         assert_eq!(
             err,

@@ -24,7 +24,7 @@
 //! 4 ranks across all four pipeline phases (4 × 6⁴ = 5184 schedules).
 
 use fc_dist::cluster::{CostModel, SimCluster};
-use fc_dist::fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, PhaseId, RetryPolicy};
+use fc_dist::fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, PhaseId};
 use fc_dist::recovery::execute_phase;
 use fc_dist::DistError;
 use fc_exec::Pool;
@@ -75,13 +75,7 @@ fn run_schedule(phase: PhaseId, plan: &FaultPlan) -> RunOutcome {
 }
 
 fn run_schedule_pooled(phase: PhaseId, plan: &FaultPlan, pool: &Pool) -> RunOutcome {
-    let mut cluster = SimCluster::with_faults(
-        RANKS,
-        CostModel::default(),
-        plan.clone(),
-        RetryPolicy::default(),
-    )
-    .unwrap();
+    let mut cluster = SimCluster::with_faults(RANKS, CostModel::default(), plan.clone()).unwrap();
     let before = cluster.now();
     let out = execute_phase(
         &mut cluster,

@@ -15,7 +15,6 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod eval;
 pub mod ooc;
 pub mod pipeline;
 pub mod serve;
@@ -25,7 +24,6 @@ pub use checkpoint::{
     config_fingerprint, input_digest, AssemblyOutcome, CheckpointOptions, CkptPhase, InputDigest,
 };
 pub use config::{FaultInjection, FocusConfig, FocusError};
-pub use eval::{evaluate as evaluate_against_references, ReferenceEvaluation};
 pub use fc_obs::{ObsOptions, Recorder};
 pub use ooc::OocOptions;
 pub use pipeline::{AssemblyResult, FocusAssembler, Prepared, Stages};

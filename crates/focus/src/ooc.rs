@@ -362,6 +362,7 @@ fn overlap_all_spilled(
 ) -> Result<AlignmentCkpt, FocusError> {
     let overlapper = Overlapper::new(store_reads, config.overlap)?;
     let subsets = store_reads.split_subsets(config.subsets);
+    overlapper.check_capacity(&subsets)?;
     let n = subsets.len();
     let _span = rec.span_args(
         "align",

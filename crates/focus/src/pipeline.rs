@@ -305,6 +305,7 @@ pub(crate) fn align_in_core(
 ) -> Result<AlignmentCkpt, FocusError> {
     let overlapper = Overlapper::new(store, config.overlap)?;
     let subsets = store.split_subsets(config.subsets);
+    overlapper.check_capacity(&subsets)?;
     let indexes = subsets
         .iter()
         .map(|s| approx_index_bytes(s, store, config.overlap.k))

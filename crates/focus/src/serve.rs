@@ -250,12 +250,6 @@ mod tests {
         );
         // Config/validation defects fail identically every attempt and must
         // not burn the retry budget.
-        assert!(
-            !classify(FocusError::Dist(DistError::InvalidRetryPolicy(
-                "x".to_string()
-            )))
-            .transient
-        );
         assert!(!classify(FocusError::Dist(DistError::NoRanks)).transient);
         assert!(!classify(FocusError::EmptyInput).transient);
         assert!(!classify(FocusError::Config("bad".to_string())).transient);

@@ -204,6 +204,64 @@ fn hostile_coverage_exits_1_without_a_panic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A valid input whose one subset the seed index cannot hold — one
+/// 1 000 000-base read beside 2 100 reads of 100 bp, 4 202 reads with their
+/// reverse complements — is refused with the typed capacity error and exit
+/// code 1, in core and out of core, before any index is built and without
+/// an output file.
+#[test]
+fn a_subset_past_the_seed_index_capacity_exits_1_without_a_panic() {
+    use focus_assembler::seq::Read;
+    use focus_assembler::sim::genome::random_genome;
+    use focus_assembler::sim::GenomeConfig;
+    let dir = std::env::temp_dir().join(format!("focus-cli-capacity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let genome = |length, seed| {
+        let config = GenomeConfig {
+            length,
+            ..GenomeConfig::default()
+        };
+        random_genome(&config, seed)
+    };
+    let short = genome(210_000, 2);
+    let mut reads = vec![Read::new("long", genome(1_000_000, 1))];
+    reads
+        .extend((0..2100).map(|i| Read::new(format!("s{i}"), short.slice(100 * i, 100 * i + 100))));
+    let (input, output) = (dir.join("reads.fastq"), dir.join("contigs.fasta"));
+    let mut text = Vec::new();
+    fastq::write(&mut text, &reads, 30).unwrap();
+    std::fs::write(&input, text).unwrap();
+    let spill = dir.join("spill");
+    let base = [
+        "assemble",
+        "--input",
+        input.to_str().unwrap(),
+        "--output",
+        output.to_str().unwrap(),
+        "--threads",
+        "1",
+        "--subsets",
+        "1",
+    ];
+    let budget = [
+        "--memory-budget",
+        "64M",
+        "--spill-dir",
+        spill.to_str().unwrap(),
+    ];
+    for extra in [&[][..], &budget[..]] {
+        let (code, stderr) = focus(&[&base[..], extra].concat());
+        assert_eq!(code, Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("index capacity: 4202 reads of up to 1000000 bases"),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+        assert!(!output.exists(), "{extra:?}: output created");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `.fna` is FASTA: `focus stats` reads it, and the unknown-extension error
 /// names it among the accepted extensions.
 #[test]

@@ -171,7 +171,7 @@ fn quality_trimming_removes_bad_tails_before_assembly() {
 
 #[test]
 fn metagenome_assembly_is_faithful_to_references() {
-    use focus_assembler::focus::evaluate_against_references;
+    use focus_assembler::classify::evaluate_against_references;
     let dataset = generate_dataset("faith", &DatasetConfig::test_scale(), 23).unwrap();
     let assembler = FocusAssembler::new(quick_config(8)).unwrap();
     let result = assembler.assemble(&dataset.reads).unwrap();
@@ -210,7 +210,7 @@ fn metagenome_assembly_is_faithful_to_references() {
 /// covers a column first.
 #[test]
 fn consensus_improves_base_accuracy_over_first_wins() {
-    use focus_assembler::focus::evaluate_against_references;
+    use focus_assembler::classify::evaluate_against_references;
     let dataset = single_genome_dataset(5_000, 16.0, 33).unwrap();
     let references = vec![dataset.taxonomy.genera[0].genome.clone()];
     let s = FocusAssembler::new(quick_config(4))
