@@ -212,17 +212,21 @@ impl KmerIndex {
     /// slice of the positions and marking its runs in the bitmap words its
     /// entries cover alone; the words it shares with a neighbouring range
     /// are merged after the batch. The result is the same at any thread
-    /// count.
+    /// count. Every subset passes [`KmerIndex::check_capacity`] before any
+    /// is built, or the first that fails is the error.
     ///
     /// # Panics
-    /// As [`KmerIndex::build`].
+    /// Panics if `k` is outside `1..=32`.
     pub fn build_all<'a>(
         subsets: usize,
         reads: impl Fn(usize) -> Vec<(ReadId, &'a DnaString)> + Sync,
         k: usize,
         pool: &Pool,
         rec: &Recorder,
-    ) -> Vec<KmerIndex> {
+    ) -> Result<Vec<KmerIndex>, AlignError> {
+        for j in 0..subsets {
+            KmerIndex::check_capacity(reads(j).iter().map(|(_, seq)| seq.len()))?;
+        }
         let mut scattered = pool.map_obs(subsets, rec, |j| KmerIndex::scatter(&reads(j), k));
         let mut tasks = Vec::with_capacity(scattered.len() * SORT_RANGES);
         for s in &mut scattered {
@@ -258,7 +262,7 @@ impl KmerIndex {
             });
             shared
         });
-        scattered
+        Ok(scattered
             .into_iter()
             .zip(shared.chunks(SORT_RANGES))
             .map(|(mut s, shared)| {
@@ -267,7 +271,7 @@ impl KmerIndex {
                 }
                 s.index.finish(s.positions, s.run_start)
             })
-            .collect()
+            .collect())
     }
 
     /// The serial half of a build: the reads packed back to back, their
@@ -280,7 +284,7 @@ impl KmerIndex {
         let bases: usize = reads.iter().map(|(_, seq)| seq.len()).sum();
         let off_bits = match KmerIndex::check_capacity(reads.iter().map(|(_, seq)| seq.len())) {
             Ok(bits) => bits,
-            #[expect(clippy::panic, reason = "documented: callers check every subset first")]
+            #[expect(clippy::panic, reason = "documented: `build`'s callers check first")]
             Err(e) => panic!("{e}"),
         };
         let mut words = vec![0u64; words_for(bases)];
@@ -1223,7 +1227,8 @@ mod tests {
                 for threads in [1, 2, 3] {
                     let rec = Recorder::new(fc_obs::ObsOptions::logical());
                     let pool = Pool::new(threads);
-                    let pooled = KmerIndex::build_all(3, |j| subsets[j].clone(), k, &pool, &rec);
+                    let pooled =
+                        KmerIndex::build_all(3, |j| subsets[j].clone(), k, &pool, &rec).unwrap();
                     let what = format!("{name}, k={k}, {threads} threads");
                     assert_eq!(pooled.len(), each.len(), "{what}");
                     for (got, want) in pooled.iter().zip(&each) {

@@ -283,6 +283,11 @@ impl PairTally {
     }
 }
 
+/// Every overlap plus the per-subset-pair `(i, j, stats)`, both in the
+/// canonical `(j, i ≤ j)` pair order: what [`Overlapper::overlap_all`]
+/// returns.
+pub type Alignment = (Vec<Overlap>, Vec<(usize, usize, PairStats)>);
+
 /// Pairwise read overlapper over a preprocessed [`ReadStore`].
 pub struct Overlapper<'a> {
     store: &'a ReadStore,
@@ -302,7 +307,8 @@ impl<'a> Overlapper<'a> {
     }
 
     /// Refuses `subsets` if one breaks the seed index's capacity rule
-    /// ([`KmerIndex::check_capacity`]), on which the builds below panic.
+    /// ([`KmerIndex::check_capacity`]), on which
+    /// [`Overlapper::index_subset`] panics.
     pub fn check_capacity(&self, subsets: &[Vec<ReadId>]) -> Result<(), AlignError> {
         subsets.iter().try_for_each(|subset| {
             KmerIndex::check_capacity(subset.iter().map(|&id| self.store.get(id).len())).map(drop)
@@ -316,13 +322,14 @@ impl<'a> Overlapper<'a> {
 
     /// Builds the seed index of every subset of `subsets` on `pool`
     /// ([`KmerIndex::build_all`]): each is what
-    /// [`Overlapper::index_subset`] builds.
+    /// [`Overlapper::index_subset`] builds. A subset past the capacity rule
+    /// is an error, before any index is built.
     pub fn index_subsets(
         &self,
         subsets: &[Vec<ReadId>],
         pool: &Pool,
         rec: &Recorder,
-    ) -> Vec<KmerIndex> {
+    ) -> Result<Vec<KmerIndex>, AlignError> {
         let reads = |j: usize| self.subset_reads(&subsets[j]);
         KmerIndex::build_all(subsets.len(), reads, self.config.k, pool, rec)
     }
@@ -388,7 +395,7 @@ impl<'a> Overlapper<'a> {
     ///
     /// Every reference subset's index is built once, up front, on the pool
     /// ([`Overlapper::index_subsets`]) and dropped as soon as its column is
-    /// done.
+    /// done. A subset past the capacity rule is an error, before any work.
     ///
     /// Alignment metrics are recorded into `rec`: aggregate
     /// k-mer/candidate/verification counters (`align.*`), overlap length
@@ -400,13 +407,13 @@ impl<'a> Overlapper<'a> {
         subsets: &[Vec<ReadId>],
         pool: &Pool,
         rec: &Recorder,
-    ) -> (Vec<Overlap>, Vec<(usize, usize, PairStats)>) {
+    ) -> Result<Alignment, AlignError> {
         let _span = rec.span_args(
             "align",
             "align.overlap_all",
             &[("subsets", subsets.len() as i64)],
         );
-        let indexes = self.index_subsets(subsets, pool, rec);
+        let indexes = self.index_subsets(subsets, pool, rec)?;
         let mut all = Vec::new();
         let mut tally = PairTally::default();
         for (j, index) in indexes.into_iter().enumerate() {
@@ -419,7 +426,7 @@ impl<'a> Overlapper<'a> {
                 }
             });
         }
-        (all, tally.finish(rec, &self.config))
+        Ok((all, tally.finish(rec, &self.config)))
     }
 
     /// The one column loop both alignment paths share: aligns every pair
@@ -859,7 +866,9 @@ pub(crate) mod tests {
         overlapper: &Overlapper<'_>,
         subsets: &[Vec<ReadId>],
     ) -> (Vec<Overlap>, Vec<(usize, usize, PairStats)>) {
-        overlapper.overlap_all(subsets, &Pool::serial(), &Recorder::disabled())
+        overlapper
+            .overlap_all(subsets, &Pool::serial(), &Recorder::disabled())
+            .unwrap()
     }
 
     fn total_of(stats: &[(usize, usize, PairStats)]) -> PairStats {
@@ -1025,12 +1034,38 @@ pub(crate) mod tests {
         let subsets = store.split_subsets(5);
         let serial = overlap_serial(&overlapper, &subsets);
         for threads in [1usize, 2, 4, 8] {
-            let pooled =
-                overlapper.overlap_all(&subsets, &Pool::new(threads), &Recorder::disabled());
+            let pooled = overlapper
+                .overlap_all(&subsets, &Pool::new(threads), &Recorder::disabled())
+                .unwrap();
             // No sorting: the merge itself must reproduce the serial order.
             assert_eq!(pooled.0, serial.0, "overlaps differ at {threads} threads");
             assert_eq!(pooled.1, serial.1, "pair stats differ at {threads} threads");
         }
+    }
+
+    /// One subset of a 1 000 000-base read and 2 100 reads of 100 bp (and
+    /// their reverse complements) needs 20 offset bits for 4 202 reads,
+    /// past `2^32` entries: `overlap_all` and `index_subsets` refuse it,
+    /// typed, before the pool runs a task.
+    #[test]
+    fn a_subset_past_the_index_capacity_is_an_error_not_a_panic() {
+        let mut reads = vec![Read::new("long", random_genome(1_000_000, 3))];
+        let short = random_genome(2_100 * 100, 4);
+        reads.extend(tile(&short, 100, 100, "s"));
+        let store = store_of(&reads);
+        let overlapper = Overlapper::new(&store, test_config()).unwrap();
+        let subsets = store.split_subsets(1);
+        let refused = AlignError::IndexCapacity {
+            reads: 4_202,
+            longest: 1_000_000,
+        };
+        let rec = Recorder::new(fc_obs::ObsOptions::logical());
+        let pool = Pool::new(2);
+        let all = overlapper.overlap_all(&subsets, &pool, &rec);
+        assert_eq!(all.err(), Some(refused.clone()));
+        let indexes = overlapper.index_subsets(&subsets, &pool, &rec);
+        assert_eq!(indexes.err(), Some(refused));
+        assert_eq!(rec.snapshot().counters.get("exec.tasks"), None);
     }
 
     /// `overlap_column` against the pair-at-a-time reference —
@@ -1093,7 +1128,9 @@ pub(crate) mod tests {
 
         for threads in [1usize, 2, 4, 8] {
             let rec = logical();
-            let (overlaps, stats) = overlapper.overlap_all(&subsets, &Pool::new(threads), &rec);
+            let (overlaps, stats) = overlapper
+                .overlap_all(&subsets, &Pool::new(threads), &rec)
+                .unwrap();
             assert_eq!(overlaps, expected, "overlaps differ at {threads} threads");
             assert_eq!(
                 stats, expected_stats,
@@ -1120,7 +1157,9 @@ pub(crate) mod tests {
         let subsets = store.split_subsets(5);
         let baseline = {
             let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-            let out = overlapper.overlap_all(&subsets, &Pool::serial(), &rec);
+            let out = overlapper
+                .overlap_all(&subsets, &Pool::serial(), &rec)
+                .unwrap();
             assert_eq!(out, overlap_serial(&overlapper, &subsets));
             rec.snapshot_json()
         };
@@ -1128,7 +1167,9 @@ pub(crate) mod tests {
         assert!(baseline.contains("align.overlap_len"));
         for threads in [2usize, 4, 8] {
             let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-            overlapper.overlap_all(&subsets, &Pool::new(threads), &rec);
+            overlapper
+                .overlap_all(&subsets, &Pool::new(threads), &rec)
+                .unwrap();
             assert_eq!(
                 rec.snapshot_json(),
                 baseline,
@@ -1144,7 +1185,9 @@ pub(crate) mod tests {
         let overlapper = Overlapper::new(&store, test_config()).unwrap();
         let subsets = store.split_subsets(3);
         let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-        overlapper.overlap_all(&subsets, &Pool::new(4), &rec);
+        overlapper
+            .overlap_all(&subsets, &Pool::new(4), &rec)
+            .unwrap();
         let snapshot = rec.snapshot();
         let get = |name| snapshot.counters.get(name).copied().unwrap_or(0);
         assert_eq!(
@@ -1233,7 +1276,9 @@ pub(crate) mod tests {
         );
         let run = |threads: usize| {
             let rec = fc_obs::Recorder::new(fc_obs::ObsOptions::logical());
-            let (overlaps, stats) = overlapper.overlap_all(&subsets, &Pool::new(threads), &rec);
+            let (overlaps, stats) = overlapper
+                .overlap_all(&subsets, &Pool::new(threads), &rec)
+                .unwrap();
             assert_eq!(overlaps, expected, "overlaps differ at {threads} threads");
             (stats, rec.snapshot_json())
         };

@@ -41,7 +41,7 @@
 
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::AssemblyResult;
-use fc_align::{Overlap, PairStats};
+use fc_align::Alignment;
 use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
 use fc_obs::{MetricsSnapshot, ObsOptions, Recorder};
 use fc_seq::{QualityScores, Read, Record};
@@ -233,10 +233,6 @@ fn restore_metrics_record(rec: &Recorder, bytes: &[u8]) -> bool {
     }
 }
 
-/// The alignment phase's checkpoint payload: every overlap plus the
-/// per-subset-pair stats, both in canonical `(j, i ≤ j)` pair order.
-pub(crate) type AlignmentCkpt = (Vec<Overlap>, Vec<(usize, usize, PairStats)>);
-
 /// Why the stage sequence returned early: `?` carries a failed stage and a
 /// requested stop alike, and only the entry points tell them apart.
 #[derive(Debug)]
@@ -329,8 +325,8 @@ impl<'a> CkptPolicy<'a> {
     /// resumes and one exists, else `compute()` — then saved.
     pub(crate) fn alignment(
         &mut self,
-        compute: impl FnOnce() -> Result<AlignmentCkpt, FocusError>,
-    ) -> Result<AlignmentCkpt, FocusError> {
+        compute: impl FnOnce() -> Result<Alignment, FocusError>,
+    ) -> Result<Alignment, FocusError> {
         if let Some(value) = self.load() {
             return Ok(value);
         }
@@ -357,7 +353,7 @@ impl<'a> CkptPolicy<'a> {
 
     /// Payload (record 0) + metrics (record 1) decode of a verified
     /// checkpoint. Any shape or decode failure rejects the whole file.
-    fn decode_records(&self, records: &[Vec<u8>]) -> Option<AlignmentCkpt> {
+    fn decode_records(&self, records: &[Vec<u8>]) -> Option<Alignment> {
         if records.len() != 2 {
             return None;
         }
@@ -367,7 +363,7 @@ impl<'a> CkptPolicy<'a> {
 
     /// Loads the alignment checkpoint: `Some(payload)` only when the file
     /// exists, verifies, and decodes; every other outcome means "recompute".
-    fn load(&mut self) -> Option<AlignmentCkpt> {
+    fn load(&mut self) -> Option<Alignment> {
         if !self.resume {
             return None;
         }
@@ -394,7 +390,7 @@ impl<'a> CkptPolicy<'a> {
 
     /// Saves the alignment checkpoint. A write failure emits one
     /// `ckpt.degraded` event; the assembly itself continues either way.
-    fn save(&mut self, value: &AlignmentCkpt) {
+    fn save(&mut self, value: &Alignment) {
         let (rec, phase) = (self.rec, CkptPhase::Alignment);
         let Some(store) = self.store.as_mut() else {
             return;

@@ -31,8 +31,8 @@
 //! Nothing else differs: both modes are the stage sequence
 //! ([`crate::pipeline`]) with this module's ingest (and, out of core, its
 //! spilling alignment) under the caller's checkpoint policy. Spilled pair
-//! runs, keyed by the digest the ingest computes, are the out-of-core
-//! run's own resume state.
+//! runs are scratch: a run reads back only the runs it wrote, and resumes,
+//! in core or out, only from a verified alignment checkpoint.
 //!
 //! ## Robustness contract
 //!
@@ -47,12 +47,11 @@
 //! handling never breaks byte-determinism.
 
 use crate::checkpoint::{
-    config_fingerprint, outcome, AlignmentCkpt, AssemblyOutcome, CheckpointOptions, CkptPolicy,
-    Halt, InputDigest,
+    config_fingerprint, outcome, AssemblyOutcome, CheckpointOptions, CkptPolicy, Halt, InputDigest,
 };
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::{align_in_core, FocusAssembler};
-use fc_align::{KmerIndex, Overlap, Overlapper, PairStats, PairTally, Pool};
+use fc_align::{Alignment, KmerIndex, Overlap, Overlapper, PairStats, PairTally, Pool};
 use fc_ckpt::{decode_from_slice, CheckpointStore, Codec, FsFaultPlan, LoadOutcome, Writer};
 use fc_obs::{MemoryBudget, Recorder, Reservation};
 use fc_seq::{ReadStore, ReadStoreBuilder};
@@ -247,9 +246,7 @@ impl FocusAssembler {
     /// [`assemble`](FocusAssembler::assemble) minus `input-reads`. With
     /// `Some`, the run is out of core, bounded by
     /// [`FocusConfig::memory_budget`]: each subset pair's alignment spills
-    /// to `<spill_dir>/align`, one seed-index column resident at a time,
-    /// and a resumed run adopts the runs that verify under this input's
-    /// digest.
+    /// to `<spill_dir>/align`, one seed-index column resident at a time.
     ///
     /// Contigs and logical metric snapshots are byte-identical to
     /// [`assemble`](FocusAssembler::assemble) on the parsed input, at any
@@ -282,15 +279,7 @@ impl FocusAssembler {
                         let dir = ooc.spill_dir.join("align");
                         let faults = ooc.fs_faults.clone();
                         let mut spill = SpillPairStore::new(&dir, fp, input_digest, faults, rec);
-                        overlap_all_spilled(
-                            config,
-                            store,
-                            &pool,
-                            rec,
-                            &mut spill,
-                            opts.resume,
-                            &mem,
-                        )
+                        overlap_all_spilled(config, store, &pool, rec, &mut spill, &mem)
                     }
                     None => align_in_core(config, store, &pool, rec, &mem),
                 },
@@ -357,9 +346,8 @@ fn overlap_all_spilled(
     pool: &Pool,
     rec: &Recorder,
     spill: &mut SpillPairStore<'_>,
-    resume: bool,
     mem: &MemoryBudget,
-) -> Result<AlignmentCkpt, FocusError> {
+) -> Result<Alignment, FocusError> {
     let overlapper = Overlapper::new(store_reads, config.overlap)?;
     let subsets = store_reads.split_subsets(config.subsets);
     overlapper.check_capacity(&subsets)?;
@@ -376,30 +364,19 @@ fn overlap_all_spilled(
     // spilled (degraded store) in memory. `kept_res` charges the kept runs
     // for as long as they are resident (through the merge below); each
     // column's index is a scoped charge released when the column is done.
-    // `listed` counts every pair's overlaps, verified on disk or computed.
+    // `listed` counts every pair's overlaps.
     let mut kept: Vec<Option<(Vec<Overlap>, PairStats)>> = vec![None; pairs.len()];
     let mut kept_res = mem.try_reserve("align-unspilled", 0)?;
     let mut listed = 0u64;
     for j in 0..n {
-        let column_start = j * (j + 1) / 2;
-        let mut todo = Vec::new();
-        for t in column_start..=column_start + j {
-            match resume.then(|| spill.load(t)).flatten() {
-                Some((_, stats)) => listed += stats.overlaps,
-                None => todo.push(t),
-            }
-        }
-        if todo.is_empty() {
-            continue;
-        }
+        let first = j * (j + 1) / 2;
         // Built on the pool exactly as the in-core path builds each of its
         // indexes, so `exec.tasks` is the same on both paths.
         let index: KmerIndex = overlapper
-            .index_subsets(&subsets[j..=j], pool, rec)
+            .index_subsets(&subsets[j..=j], pool, rec)?
             .pop()
             .unwrap_or_else(|| overlapper.index_subset(&subsets[j]));
         let index_res = mem.try_reserve("align-index", index_bytes(j))?;
-        let column_pairs: Vec<(usize, usize)> = todo.iter().map(|&t| pairs[t]).collect();
         // Each pair is saved from the pool's in-order sink as soon as its
         // last chunk is in, so saves keep `t` order (and the store's write
         // numbering) while the other workers go on aligning the column.
@@ -411,14 +388,14 @@ fn overlap_all_spilled(
         let mut charged = Ok(());
         overlapper.overlap_column(
             &subsets,
-            &column_pairs,
+            &pairs[first..=first + j],
             &index,
             pool,
             rec,
             |p, mut found, done| {
                 column.append(&mut found);
                 let Some(stats) = done else { return };
-                let t = todo[p];
+                let t = first + p;
                 listed += stats.overlaps;
                 let run = &column[column.len() - stats.overlaps as usize..];
                 if charged.is_err() {
@@ -482,7 +459,7 @@ fn approx_payload_bytes(payload: &(Vec<Overlap>, PairStats)) -> u64 {
 mod tests {
     use super::*;
     use crate::pipeline::tests::{fastq_file, genome};
-    use fc_ckpt::ReadFault;
+    use fc_ckpt::{ReadFault, WriteFault};
     use fc_obs::ObsOptions;
     use fc_seq::Read;
 
@@ -524,48 +501,51 @@ mod tests {
     }
 
     /// A merge that must recompute a rejected run charges the column index
-    /// it builds for as long as it keeps it: on a resumed run, where every
-    /// pair verifies on disk and no column builds an index, one rejected
-    /// merge read raises the ledger's peak by exactly that index's estimate.
+    /// it builds for as long as it keeps it. The store degrades at its
+    /// second save, so every run after pair (0, 0)'s stays in memory,
+    /// charged, through the merge; the merge's first read, pair (0, 0)'s,
+    /// is rejected and recomputed from subset 0's index. Subset 0 holds a
+    /// read more than the last subset, so the ledger's peak is the kept
+    /// runs plus subset 0's index, where the run without the rejected read
+    /// peaks at the kept runs plus the last column's index.
     #[test]
     fn a_merge_recompute_charges_its_column_index() {
-        let g = genome(3000, 3);
+        let g = genome(3050, 3);
         let reads: Vec<Read> = (0..g.len() - 100)
             .step_by(50)
             .map(|s| Read::new(format!("r{s}"), g.slice(s, s + 100)))
             .collect();
         let config = FocusConfig::default();
         let store = ReadStore::preprocess(&reads, &config.trim).unwrap();
+        let subsets = store.split_subsets(config.subsets);
+        let index = |j: usize| approx_index_bytes(&subsets[j], &store, config.overlap.k);
+        let last = subsets.len() - 1;
+        assert!(index(0) > index(last));
         let dir = std::env::temp_dir().join(format!("fc-ooc-index-charge-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let rec = Recorder::disabled();
-        let run = |resume: bool, faults: FsFaultPlan| {
+        let run = |faults: FsFaultPlan| {
             let mem = MemoryBudget::unlimited();
             let mut spill = SpillPairStore::new(&dir, 1, 2, faults, &rec);
-            let out = overlap_all_spilled(
-                &config,
-                &store,
-                &Pool::serial(),
-                &rec,
-                &mut spill,
-                resume,
-                &mem,
-            );
+            let out = overlap_all_spilled(&config, &store, &Pool::serial(), &rec, &mut spill, &mem);
             (out.unwrap(), mem.peak())
         };
-        let (clean, _) = run(false, FsFaultPlan::none());
-        let (resumed, resumed_peak) = run(true, FsFaultPlan::none());
-        // One verifying read per pair comes first, so read `pairs` is the
-        // merge's first: pair (0, 0), recomputed from subset 0's index.
-        let pairs = (config.subsets * (config.subsets + 1) / 2) as u64;
-        let (faulted, faulted_peak) =
-            run(true, FsFaultPlan::none().fail_read(pairs, ReadFault::Short));
+        let (clean, _) = run(FsFaultPlan::none());
+        let degrade = FsFaultPlan::none().fail_write(1, WriteFault::Enospc);
+        let (degraded, degraded_peak) = run(degrade.clone());
+        let (faulted, faulted_peak) = run(degrade.fail_read(0, ReadFault::Short));
         assert!(!clean.0.is_empty());
-        assert_eq!(resumed, clean);
+        assert_eq!(degraded, clean);
         assert_eq!(faulted, clean);
-        let subset = &store.split_subsets(config.subsets)[0];
-        let index = approx_index_bytes(subset, &store, config.overlap.k);
-        assert_eq!(faulted_peak, resumed_peak + index);
+        let kept: u64 = clean.1[1..]
+            .iter()
+            .map(|(_, _, stats)| {
+                let run = stats.overlaps as usize * std::mem::size_of::<Overlap>();
+                (run + std::mem::size_of::<PairStats>()) as u64
+            })
+            .sum();
+        assert_eq!(degraded_peak, kept + index(last));
+        assert_eq!(faulted_peak, kept + index(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

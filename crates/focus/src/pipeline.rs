@@ -14,11 +14,11 @@
 //! enters the pipeline, which brings its own streaming ingest and, out of
 //! core, a spilling `align`.
 
-use crate::checkpoint::{AlignmentCkpt, CkptPolicy, Halt};
+use crate::checkpoint::{CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
 use crate::ooc::{approx_index_bytes, RunBudget};
 use crate::stats::AssemblyStats;
-use fc_align::{Overlap, Overlapper, PairStats, Pool};
+use fc_align::{Alignment, Overlap, Overlapper, PairStats, Pool};
 use fc_dist::{AssemblyPath, DistributedConfig, DistributedHybrid, DistributedReport, FaultPlan};
 use fc_graph::{HybridSet, MultilevelSet, NodeId, OverlapGraph};
 use fc_obs::{MemoryBudget, Recorder};
@@ -199,7 +199,7 @@ impl FocusAssembler {
         pool: &Pool,
         policy: &mut CkptPolicy<'_>,
         budget: &mut RunBudget,
-        align: impl FnOnce(&ReadStore) -> Result<AlignmentCkpt, FocusError>,
+        align: impl FnOnce(&ReadStore) -> Result<Alignment, FocusError>,
     ) -> Result<Stages, Halt> {
         let (rec, config) = (&self.recorder, &self.config);
         let (overlaps, pair_stats) = policy.alignment(|| align(&store))?;
@@ -302,7 +302,7 @@ pub(crate) fn align_in_core(
     pool: &Pool,
     rec: &Recorder,
     mem: &MemoryBudget,
-) -> Result<AlignmentCkpt, FocusError> {
+) -> Result<Alignment, FocusError> {
     let overlapper = Overlapper::new(store, config.overlap)?;
     let subsets = store.split_subsets(config.subsets);
     overlapper.check_capacity(&subsets)?;
@@ -311,7 +311,7 @@ pub(crate) fn align_in_core(
         .map(|s| approx_index_bytes(s, store, config.overlap.k))
         .sum();
     let _indexes = mem.try_reserve("align-index", indexes)?;
-    Ok(overlapper.overlap_all(&subsets, pool, rec))
+    Ok(overlapper.overlap_all(&subsets, pool, rec)?)
 }
 
 /// Merges the contigs along a maximal path into one sequence using the

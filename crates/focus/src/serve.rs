@@ -13,15 +13,15 @@
 //! `ckpt/` directory (keyed by the existing config/input fingerprints), so
 //! re-running after a `kill -9` reloads the overlaps instead of aligning
 //! again and recomputes the cheap stages after them. A budgeted job runs
-//! out of core and also re-adopts its spilled pair runs from `ckpt/ooc`.
+//! out of core and spills under `ckpt/ooc`, scratch that a rerun
+//! overwrites: killed before the checkpoint, a job aligns again.
 //!
 //! Failure classification mirrors the retry contract of
 //! [`fc_serve::runner`]: rank-loss failures from the simulated cluster's
 //! fault injection and stage-internal errors are transient (a retry can
 //! legitimately succeed), while config/validation/input errors are
-//! permanent — retrying cannot fix a malformed FASTQ, an input of no known
-//! format or an invalid retry policy, so such jobs must not burn the
-//! backoff budget.
+//! permanent — retrying cannot fix a malformed FASTQ or an input of no
+//! known format, so such jobs must not burn the backoff budget.
 
 use crate::checkpoint::{AssemblyOutcome, CheckpointOptions};
 use crate::config::{FocusConfig, FocusError};
@@ -109,8 +109,7 @@ impl JobRunner for AssemblyJobRunner {
             ],
         );
         // Every job streams its input; budgeted jobs also run out of core,
-        // spilling under the job's checkpoint directory so a resumed job
-        // re-adopts what it spilled.
+        // spilling under the job's checkpoint directory.
         let ooc = config
             .memory_budget
             .map(|_| OocOptions::in_dir(ctx.ckpt_dir.join("ooc")));
@@ -209,6 +208,29 @@ mod tests {
             (first.num_contigs, first.n50, first.total_bases),
             (second.num_contigs, second.n50, second.total_bases)
         );
+    }
+
+    /// A budgeted job killed before its alignment checkpoint was saved
+    /// leaves its spilled pair runs under `ckpt/ooc` and no checkpoint.
+    /// The job run again aligns afresh and reproduces the first run's
+    /// contigs and logical metrics byte for byte.
+    #[test]
+    fn a_budgeted_job_resumed_before_its_checkpoint_is_byte_identical() {
+        let dir = temp_dir("ooc-precheckpoint");
+        let g = genome(2_000, 7);
+        let input = write_fastq(&dir, &tiled_reads(&g, 120, 40));
+        let mut config = quick_config(4);
+        config.memory_budget = Some(1 << 30);
+        let runner = AssemblyJobRunner::new(config).expect("runner");
+
+        let first = runner.run(&ctx(&dir, input.clone())).expect("first run");
+        let ckpt = dir.join("ckpt");
+        assert!(ckpt.join("ooc").join("align").is_dir());
+        std::fs::remove_file(ckpt.join("phase_01_alignment.ckpt")).expect("checkpoint saved");
+        let second = runner.run(&ctx(&dir, input)).expect("rerun");
+        assert_eq!(first.contigs_fasta, second.contigs_fasta);
+        assert_eq!(first.metrics_json, second.metrics_json);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

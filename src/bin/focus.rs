@@ -57,10 +57,12 @@ MEMORY OPTIONS (assemble; serve takes --memory-budget):
                            through CRC-verified files. Contigs and logical
                            metric snapshots are byte-identical to an
                            in-core run of the same config.
-    --spill-dir <dir>      directory for spilled alignment runs; implies
+    --spill-dir <dir>      scratch directory for this run's spilled
+                           alignment runs (never resumed from); implies
                            the out-of-core pipeline even with no budget.
-                           Defaults to <checkpoint-dir>/ooc, or a temp
-                           dir, when only --memory-budget is given.
+                           Defaults to <checkpoint-dir>/ooc, or to a temp
+                           dir removed when the run ends, when only
+                           --memory-budget is given.
 
 CHECKPOINT OPTIONS (assemble):
     --checkpoint-dir <dir> write a verified checkpoint of the overlaps once
@@ -68,8 +70,9 @@ CHECKPOINT OPTIONS (assemble):
                            CRC-protected); every later stage is recomputed
     --resume               skip alignment when its checkpoint in
                            --checkpoint-dir verifies (checksums +
-                           config/input fingerprints); a corrupt or
-                           mismatched checkpoint is recomputed
+                           config/input fingerprints); a missing, corrupt
+                           or mismatched checkpoint is recomputed, in core
+                           or out
     --crash-after <phase>  stop right after checkpointing <phase> and exit
                            with code 3 (chaos-harness crash point); the one
                            checkpointed phase is: alignment
@@ -365,16 +368,18 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
 
     // The input streams into the read store, never held whole. Out of
     // core, alignment results also spill through CRC-verified files under
-    // the budget.
-    let ooc = out_of_core.then(|| {
-        OocOptions::in_dir(match opts.get("spill-dir") {
-            Some(dir) => PathBuf::from(dir),
-            None => match opts.get("checkpoint-dir") {
-                Some(dir) => Path::new(dir).join("ooc"),
-                None => std::env::temp_dir().join(format!("focus-ooc-{}", std::process::id())),
-            },
-        })
-    });
+    // the budget. A spill dir the run makes up is removed when it ends,
+    // also on error.
+    let (spill_dir, made_up) = match (opts.get("spill-dir"), opts.get("checkpoint-dir")) {
+        (Some(dir), _) => (PathBuf::from(dir), false),
+        (None, Some(dir)) => (Path::new(dir).join("ooc"), false),
+        (None, None) => {
+            let dir = std::env::temp_dir().join(format!("focus-ooc-{}", std::process::id()));
+            (dir, true)
+        }
+    };
+    let _scratch = (out_of_core && made_up).then(|| ScratchDir(spill_dir.clone()));
+    let ooc = out_of_core.then(|| OocOptions::in_dir(spill_dir));
     match &ooc {
         Some(ooc) => eprintln!("streaming {input} (spill dir {})", ooc.spill_dir.display()),
         None => eprintln!("streaming {input}"),
@@ -403,6 +408,15 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
     eprintln!("wrote {output}");
     write_obs_sinks(&opts, assembler.recorder())?;
     Ok(None)
+}
+
+/// A directory removed, with what it holds, when it goes out of scope.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn simulate(args: &[String]) -> Result<(), String> {

@@ -288,7 +288,8 @@ fn every_phase_payload_round_trips() {
                 &stages.store.split_subsets(config.subsets),
                 &Pool::new(config.threads),
                 &Recorder::disabled(),
-            );
+            )
+            .unwrap();
         let encoded = encode_to_vec(&alignment);
         assert_reencodes::<AlignmentCkpt>(&encoded, "alignment payload");
 

@@ -4,7 +4,8 @@
 //! the unit tests in `src/bin/focus.rs`.) `focus graph --with-sequences`
 //! writes the sequences the assembly uses. Hostile values and inputs get a
 //! typed error and exit code 1, never a panic. FASTA input runs out of
-//! core, stopped and resumed, to the in-core run's output.
+//! core, stopped and resumed, to the in-core run's output. A spill dir the
+//! run made up is gone when it ends.
 
 use focus_assembler::focus::{FocusAssembler, FocusConfig};
 use focus_assembler::seq::{fasta, fastq};
@@ -397,5 +398,50 @@ fn a_stopped_out_of_core_fasta_run_resumes_to_the_in_core_output() {
         assemble_fasta(&dir, &input, "resumed", &[&ooc[..], &["--resume"]].concat());
     assert_eq!(resumed_contigs, contigs);
     assert_eq!(resumed_metrics, metrics);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A budgeted run given neither `--spill-dir` nor `--checkpoint-dir`
+/// spills under the temp dir (`TMPDIR`) and removes what it made there
+/// when it ends: after a completed run and after one whose output cannot
+/// be created, the temp dir is as empty as before.
+#[test]
+fn a_made_up_spill_dir_is_removed_when_the_run_ends() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-scratch-{}", std::process::id()));
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let input = dir.join("r.fastq");
+    let simulate = [
+        "simulate",
+        "--genome-len",
+        "8000",
+        "--coverage",
+        "10",
+        "--seed",
+        "5",
+        "--output",
+        input.to_str().unwrap(),
+    ];
+    let (code, stderr) = focus(&simulate);
+    assert_eq!(code, Some(0), "{stderr}");
+    for (output, want) in [(dir.join("c.fasta"), 0), (dir.join("no/c.fasta"), 1)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_focus"))
+            .args(["assemble", "--input", input.to_str().unwrap()])
+            .args([
+                "--output",
+                output.to_str().unwrap(),
+                "--memory-budget",
+                "64M",
+            ])
+            .env("TMPDIR", &tmp)
+            .output()
+            .expect("spawn focus");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(want), "{stderr}");
+        let spill = format!("(spill dir {}", tmp.join("focus-ooc-").display());
+        assert!(stderr.contains(&spill), "{stderr}");
+        let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().collect();
+        assert!(left.is_empty(), "{}: {left:?}", output.display());
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -71,8 +71,8 @@ impl Mode {
 
 /// What goes wrong during a point. A filesystem fault hits the `op`-th
 /// write or read of the store its mode exercises — the checkpoint store
-/// when it resumes, the spill store when it spills — and rides on the
-/// `FaultPlan`, so the sabotaged run also has a fault report to reproduce.
+/// when it resumes, else the spill store — and rides on the `FaultPlan`,
+/// so the sabotaged run also has a fault report to reproduce.
 #[derive(Debug, Clone, Copy)]
 pub enum Faults {
     None,
@@ -120,9 +120,9 @@ impl Point {
 
 /// Every mode at every thread count, clean and under the `FaultPlan`;
 /// then each filesystem fault at two threads. The checkpoint store saves
-/// and loads once a run (op 0). The spill store saves one run per subset
-/// pair and reads each back in the merge, so its faults land early and
-/// late.
+/// and loads once a run (op 0), in core and spilled. The spill store saves
+/// one run per subset pair and reads each back in the merge, so its faults
+/// land early and late.
 pub fn points() -> Vec<Point> {
     let mut points = Vec::new();
     for threads in [1, 2, 4, 8] {
@@ -153,6 +153,7 @@ pub fn points() -> Vec<Point> {
     }
     for fault in [ReadFault::Short, ReadFault::BitFlip { bit: 4_321 }] {
         points.push(fs(Mode::Resumed, Faults::Read(0, fault)));
+        points.push(fs(Mode::SpilledResumed, Faults::Read(0, fault)));
         for op in [0, 2] {
             points.push(fs(Mode::Spilled, Faults::Read(op, fault)));
         }
@@ -338,15 +339,15 @@ fn observe(point: &Point, input: Input, reads: &[Read]) -> Vec<Run> {
     if point.mode == Mode::Budgeted {
         config.memory_budget = Some(1 << 30);
     }
-    // A filesystem fault hits the spill store when the point spills, else
-    // the checkpoint store: a write fault the save before the stop, a read
-    // fault the resumed run's load.
+    // A filesystem fault hits the checkpoint store when the point resumes
+    // (a write fault the save before the stop, a read fault the resumed
+    // run's load), else the spill store.
     let mut ooc = OocOptions::in_dir(tmp.join("spill"));
     let (mut stop_faults, mut resume_faults) = (FsFaultPlan::none(), FsFaultPlan::none());
-    match (point.mode.spills(), point.faults) {
-        (true, _) => ooc.fs_faults = point.faults.fs_plan(),
-        (false, Faults::Write(..)) => stop_faults = point.faults.fs_plan(),
-        (false, _) => resume_faults = point.faults.fs_plan(),
+    match (point.mode.resumes(), point.faults) {
+        (false, _) => ooc.fs_faults = point.faults.fs_plan(),
+        (true, Faults::Write(..)) => stop_faults = point.faults.fs_plan(),
+        (true, _) => resume_faults = point.faults.fs_plan(),
     }
     let run = |opts: &CheckpointOptions| {
         let assembler = FocusAssembler::new(config).unwrap();
@@ -441,7 +442,7 @@ fn assert_counters(point: &Point, label: &str, metrics: &MetricsSnapshot) {
             assert_eq!((n("ckpt.rejected"), n("ckpt.loaded")), (1, 0), "{label}");
         }
         // Saved before the stop, rejected on resume, then saved again.
-        (Mode::Resumed, Faults::Read(..)) => {
+        (Mode::Resumed | Mode::SpilledResumed, Faults::Read(..)) => {
             let seen = (n("ckpt.rejected"), n("ckpt.loaded"), n("ckpt.saved"));
             assert_eq!(seen, (1, 0, 2), "{label}");
         }

@@ -24,7 +24,9 @@ fn overlaps_of(s: &Stages, config: &FocusConfig) -> (Vec<Overlap>, PairStats) {
     let overlapper = Overlapper::new(&s.store, config.overlap).unwrap();
     let subsets = s.store.split_subsets(config.subsets);
     let pool = Pool::new(config.threads);
-    let (overlaps, pairs) = overlapper.overlap_all(&subsets, &pool, &Recorder::disabled());
+    let (overlaps, pairs) = overlapper
+        .overlap_all(&subsets, &pool, &Recorder::disabled())
+        .unwrap();
     let mut total = PairStats::default();
     for (_, _, stats) in &pairs {
         total.merge(stats);

@@ -3,14 +3,15 @@
 //! The contract matrix's spilled points (`tests/common/matrix.rs`) run
 //! here: the spilled pipeline reproduces the in-core one, bit for bit, at
 //! every thread count and budget, killed and resumed, and under every spill
-//! fault. Beside them: resuming from spilled pair runs alone, checkpoints
-//! shared between an out-of-core and an in-core run, an input that changed
-//! between runs, the budget gate and its seed-index charge, and files of
-//! the previous format.
+//! fault. Beside them: spilled pair runs left without a checkpoint,
+//! checkpoints shared between an out-of-core and an in-core run, an input
+//! that changed between runs, the budget gate and its seed-index charge,
+//! and files of the previous format.
 //!
 //! A resumed out-of-core run reads its input once, like every other run:
-//! its resume state is its spilled pair runs and the alignment checkpoint,
-//! both keyed by the digest that one pass computes.
+//! its one resume state is the alignment checkpoint, keyed by the digest
+//! that one pass computes. Spilled pair runs are scratch: a run reads back
+//! only those it wrote.
 
 mod common;
 
@@ -39,13 +40,6 @@ fn run_ooc(
     let assembler = FocusAssembler::new(config).unwrap();
     let outcome = assembler.assemble_file(input, opts, Some(ooc));
     (assembler, outcome)
-}
-
-fn resume() -> CheckpointOptions {
-    CheckpointOptions {
-        resume: true,
-        ..CheckpointOptions::default()
-    }
 }
 
 /// Spilled with no budget and under a 1 GiB one, at 1, 2, 4 and 8 threads,
@@ -141,29 +135,34 @@ fn spilled_identity_holds_for_random_genomes() {
     run_random(4, |p| p.mode.spills());
 }
 
-/// Resuming with only spilled alignment runs (no phase checkpoints at
-/// all) skips the pair recomputation yet reproduces the contigs exactly —
-/// the spill files are verified (CRC + fingerprint) before being trusted.
+/// A spilled run killed before its alignment checkpoint was written
+/// leaves spilled pair runs and no checkpoint. Resumed, it adopts none of
+/// them: every pair is aligned and spilled afresh, none is read back
+/// before this run wrote it, and the contigs and the logical snapshot are
+/// a clean run's.
 #[test]
-fn spill_only_resume_skips_recompute_and_reproduces_contigs() {
+fn spills_without_a_checkpoint_are_recomputed_not_adopted() {
     let tmp = TempDir::new("sresume");
     let (input, parsed) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
-    let (clean, _) = run_clean(&parsed, ooc_config());
+    let (clean, clean_snapshot) = run_clean(&parsed, ooc_config());
+    let opts = CheckpointOptions::in_dir(tmp.join("ckpt"));
     let ooc = OocOptions::in_dir(tmp.join("spill"));
-    let (first, outcome) = run_ooc(ooc_config(), &input, &CheckpointOptions::default(), &ooc);
+    let (_, outcome) = run_ooc(ooc_config(), &input, &opts, &ooc);
     assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
-    let spilled = first.recorder().snapshot().counters["ooc.spill.runs"];
-    assert!(spilled >= 1);
+    std::fs::remove_file(tmp.join("ckpt/phase_01_alignment.ckpt")).unwrap();
 
-    let (second, outcome) = run_ooc(ooc_config(), &input, &resume(), &ooc);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..opts
+    };
+    let (second, outcome) = run_ooc(ooc_config(), &input, &resume, &ooc);
     assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
+    assert_eq!(second.recorder().snapshot_json(), clean_snapshot);
     let counters = second.recorder().snapshot().counters;
-    // Nothing was spilled the second time: every pair verified on disk.
-    assert_eq!(
-        counters.get("ooc.spill.runs"),
-        None,
-        "pairs were recomputed"
-    );
+    let pairs = pairs(&ooc_config());
+    assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
+    assert_eq!(counters.get("ooc.spill.rejected"), None);
+    assert_eq!(counters.get("ckpt.loaded"), None);
 }
 
 /// An out-of-core run's checkpoint resumes an in-core run of the same
@@ -195,17 +194,19 @@ fn fresh_ooc_checkpoints_resume_an_in_core_run() {
     assert_eq!(counters.get("ckpt.rejected"), None);
 }
 
-/// When one read changed since a run spilled its pair runs, a resumed run
-/// adopts nothing of it: every spilled pair run is refused, being keyed by
-/// the old input's digest, and recomputed, and the output is a clean run's
-/// on the new input.
+/// When one read changed since a spilled run checkpointed its alignment,
+/// a resumed run adopts nothing of it: the checkpoint, keyed by the old
+/// input's digest, is refused, every pair is aligned and spilled afresh
+/// without a spilled run of the old input being read, and the output is a
+/// clean run's on the new input.
 #[test]
 fn resume_after_the_input_changed_adopts_nothing() {
     let tmp = TempDir::new("changed");
     let reads = tiled_reads(2500, 11);
     let (input, _) = fastq_fixture(&tmp.join("input"), &reads);
+    let opts = CheckpointOptions::in_dir(tmp.join("ckpt"));
     let ooc = OocOptions::in_dir(tmp.join("spill"));
-    let (first, outcome) = run_ooc(ooc_config(), &input, &CheckpointOptions::default(), &ooc);
+    let (first, outcome) = run_ooc(ooc_config(), &input, &opts, &ooc);
     completed(outcome.unwrap());
     assert!(first.recorder().snapshot().counters["ooc.spill.runs"] >= 1);
 
@@ -215,14 +216,18 @@ fn resume_after_the_input_changed_adopts_nothing() {
     let (rewritten, parsed) = fastq_fixture(&tmp.join("input"), &changed);
     assert_eq!(rewritten, input);
     let (clean, clean_snapshot) = run_clean(&parsed, ooc_config());
-    let (assembler, outcome) = run_ooc(ooc_config(), &input, &resume(), &ooc);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..opts
+    };
+    let (assembler, outcome) = run_ooc(ooc_config(), &input, &resume, &ooc);
     let result = completed(outcome.unwrap());
     assert_eq!(result.contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
     let counters = assembler.recorder().snapshot().counters;
-    let subsets = ooc_config().subsets as u64;
-    let pairs = subsets * (subsets + 1) / 2;
-    assert_eq!(counters.get("ooc.spill.rejected"), Some(&pairs));
+    let pairs = pairs(&ooc_config());
+    assert_eq!(counters.get("ckpt.rejected"), Some(&1));
+    assert_eq!(counters.get("ooc.spill.rejected"), None);
     assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
 }
 
@@ -256,7 +261,8 @@ fn budget_rejects_in_core_but_admits_spilled() {
             &prep.store.split_subsets(config.subsets),
             &Pool::new(config.threads),
             &Recorder::disabled(),
-        );
+        )
+        .unwrap();
     let overlap_bytes = overlaps.0.len() * std::mem::size_of::<Overlap>();
     let in_core_needs = (input_bytes + store_bytes + overlap_bytes) as u64;
 
@@ -318,6 +324,7 @@ fn in_core_alignment_charges_its_seed_indexes() {
     let overlaps = Overlapper::new(store, config.overlap)
         .unwrap()
         .overlap_all(&subsets, &Pool::serial(), &Recorder::disabled())
+        .unwrap()
         .0
         .len();
     let overlap_bytes = (overlaps * std::mem::size_of::<Overlap>()) as u64;
@@ -371,9 +378,10 @@ fn rewrite_as_version_4(dir: &Path) {
     }
 }
 
-/// Files of the previous format — a version-4 alignment checkpoint and
-/// version-4 spilled pair runs — are refused on resume and recomputed,
-/// never decoded as this version's layout: contigs and the logical
+/// Files of the previous format are never decoded as this version's
+/// layout: a version-4 alignment checkpoint, in core or beside version-4
+/// spilled pair runs, is refused on resume and alignment recomputed, and
+/// the old pair runs are overwritten unread. Contigs and the logical
 /// snapshot equal a clean run's.
 #[test]
 fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
@@ -405,23 +413,38 @@ fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     assert_eq!(counters.get("ckpt.rejected"), Some(&1));
     assert_eq!(counters.get("ckpt.loaded"), None);
 
-    // Spilled pair runs rewritten as version 4: a resumed run refuses every
-    // one and recomputes and spills it afresh. The spill directory holds
-    // the pair-run containers and nothing else.
+    // A spilled run's checkpoint and pair runs rewritten as version 4: the
+    // resumed run refuses the checkpoint and aligns and spills every pair
+    // afresh, reading no pair run it did not write, so the spill directory
+    // then holds this version's containers alone.
+    let ckpt = tmp.join("ooc-ckpt");
     let spill = tmp.join("spill");
     let ooc = OocOptions::in_dir(&spill);
-    let (_, first) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
+    let opts = CheckpointOptions::in_dir(&ckpt);
+    let (_, first) = run_ooc(config, &input, &opts, &ooc);
     completed(first.unwrap());
     let entries: Vec<_> = std::fs::read_dir(&spill).unwrap().collect();
     assert_eq!(entries.len(), 1, "{entries:?}");
-    let subsets = config.subsets as u64;
-    let pairs = subsets * (subsets + 1) / 2;
+    let pairs = pairs(&config);
     assert_eq!(containers(&spill.join("align")).len() as u64, pairs);
+    rewrite_as_version_4(&ckpt);
     rewrite_as_version_4(&spill.join("align"));
-    let (assembler, outcome) = run_ooc(config, &input, &resume(), &ooc);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..opts
+    };
+    let (assembler, outcome) = run_ooc(config, &input, &resume, &ooc);
     assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
     let counters = assembler.recorder().snapshot().counters;
-    assert_eq!(counters.get("ooc.spill.rejected"), Some(&pairs));
+    assert_eq!(counters.get("ckpt.rejected"), Some(&1));
+    assert_eq!(counters.get("ooc.spill.rejected"), None);
     assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
+    assert_eq!(containers(&spill.join("align")).len() as u64, pairs);
+}
+
+/// Subset pairs `config` aligns: `s(s+1)/2` for `s` subsets.
+fn pairs(config: &FocusConfig) -> u64 {
+    let subsets = config.subsets as u64;
+    subsets * (subsets + 1) / 2
 }

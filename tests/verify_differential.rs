@@ -69,6 +69,7 @@ fn assemble(reads: &[Read], threads: usize) -> Run {
             &Pool::new(threads),
             &Recorder::disabled(),
         )
+        .unwrap()
         .0;
     Run {
         stages,
