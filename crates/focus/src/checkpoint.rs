@@ -25,10 +25,10 @@
 //! resumed from the alignment checkpoint produces bit-identical contigs,
 //! paths and fault reports to an uninterrupted run: §V replays its
 //! `FaultPlan` from the start. The contract matrix (`tests/common/matrix.rs`)
-//! stops runs at the boundary, in core and out of core, resumes them and
+//! stops runs at the boundary, in core and budgeted, resumes them and
 //! byte-compares the outputs. Metrics
 //! travel with the state: the checkpoint embeds the cumulative metrics
-//! snapshot (minus `sched.*`/`ckpt.*`/`mem.*`/`ooc.*`) at the boundary, and
+//! snapshot (minus `sched.*`/`ckpt.*`/`mem.*`) at the boundary, and
 //! loading it restores them, so logical-clock snapshots are byte-identical
 //! too.
 //!
@@ -487,9 +487,7 @@ mod tests {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
                     let (assembler, input, opts) = (&assembler, &input, &opts);
-                    scope.spawn(move || {
-                        completed(assembler.assemble_file(input, opts, None).unwrap())
-                    })
+                    scope.spawn(move || completed(assembler.assemble_file(input, opts).unwrap()))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -500,7 +498,7 @@ mod tests {
         // The directory the race left behind is fully usable for resume.
         let mut resume_opts = CheckpointOptions::in_dir(&dir);
         resume_opts.resume = true;
-        let resumed = completed(assembler.assemble_file(&input, &resume_opts, None).unwrap());
+        let resumed = completed(assembler.assemble_file(&input, &resume_opts).unwrap());
         assert_eq!(resumed.contigs, plain.contigs);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&input);
@@ -514,7 +512,7 @@ mod tests {
         let dir = temp_dir("cold-resume");
         let mut opts = CheckpointOptions::in_dir(&dir);
         opts.resume = true;
-        let result = completed(assembler.assemble_file(&input, &opts, None).unwrap());
+        let result = completed(assembler.assemble_file(&input, &opts).unwrap());
         assert!(!result.contigs.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&input);
@@ -528,7 +526,7 @@ mod tests {
         config.observability = ObsOptions::logical();
         let assembler = FocusAssembler::new(config).unwrap();
         let opts = CheckpointOptions::in_dir("/proc/fc-focus-cannot-exist/ckpt");
-        let result = completed(assembler.assemble_file(&input, &opts, None).unwrap());
+        let result = completed(assembler.assemble_file(&input, &opts).unwrap());
         let _ = std::fs::remove_file(&input);
         assert!(!result.contigs.is_empty());
         let snapshot = assembler.recorder().snapshot();

@@ -56,14 +56,14 @@ pub struct FocusConfig {
     /// setting.
     pub threads: usize,
     /// Heap budget in bytes for the big pipeline data structures (raw
-    /// reads, the preprocessed store, overlap lists, spill buffers).
-    /// `None` (the default) means unlimited. The in-core paths account
-    /// against it and fail fast with [`FocusError::BudgetExceeded`] when
-    /// a reservation would not fit; the out-of-core path
-    /// ([`crate::ooc`]) instead streams ingest and spills alignment runs
-    /// to disk so the same inputs fit. The budget never changes contigs
-    /// or logical metrics — only whether a run is admitted and where the
-    /// bytes live.
+    /// reads, the preprocessed store, seed indexes, overlap lists).
+    /// `None` (the default) means unlimited. Every path accounts against
+    /// it and fails fast with [`FocusError::BudgetExceeded`] when a
+    /// reservation would not fit; with a budget, the file path
+    /// ([`crate::ooc`]) keeps one seed index at a time instead of all of
+    /// them, so more inputs fit. The budget never changes contigs or
+    /// logical metrics — only whether a run is admitted and how many
+    /// indexes it holds at once.
     pub memory_budget: Option<u64>,
     /// Structured tracing and metrics (fc-obs). Disabled by default — a
     /// disabled recorder is a single branch per record site. With
@@ -141,7 +141,7 @@ pub enum FocusError {
     Dist(DistError),
     /// A [`FocusConfig::memory_budget`] reservation did not fit: the run
     /// was refused before allocating, not killed mid-flight. Retry with a
-    /// larger budget or the out-of-core path.
+    /// larger budget or the file path.
     BudgetExceeded(fc_obs::BudgetError),
 }
 

@@ -11,8 +11,8 @@
 //! [`prepare`](FocusAssembler::prepare), which preprocesses reads already in
 //! memory, and the caller's for
 //! [`assemble_file`](FocusAssembler::assemble_file), the one way a file
-//! enters the pipeline, which brings its own streaming ingest and, out of
-//! core, a spilling `align`.
+//! enters the pipeline, which brings its own streaming ingest and, under a
+//! memory budget, an `align` that keeps one seed index at a time.
 
 use crate::checkpoint::{CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
@@ -192,7 +192,7 @@ impl FocusAssembler {
     /// Stages 2–5 over a preprocessed store whose bytes `budget` already
     /// holds, the graph stages on `pool`. `align` computes the alignment
     /// payload when no valid checkpoint of it exists — the one thing the
-    /// in-core and the out-of-core run do differently.
+    /// in-core and the budgeted run do differently.
     pub(crate) fn prepare_from(
         &self,
         store: ReadStore,

@@ -12,9 +12,9 @@
 //! on: the runner checkpoints the alignment boundary under the job's
 //! `ckpt/` directory (keyed by the existing config/input fingerprints), so
 //! re-running after a `kill -9` reloads the overlaps instead of aligning
-//! again and recomputes the cheap stages after them. A budgeted job runs
-//! out of core and spills under `ckpt/ooc`, scratch that a rerun
-//! overwrites: killed before the checkpoint, a job aligns again.
+//! again and recomputes the cheap stages after them. A budgeted job aligns
+//! one seed-index column at a time and writes nothing but that
+//! checkpoint: killed before it, a job aligns again.
 //!
 //! Failure classification mirrors the retry contract of
 //! [`fc_serve::runner`]: rank-loss failures from the simulated cluster's
@@ -25,7 +25,6 @@
 
 use crate::checkpoint::{AssemblyOutcome, CheckpointOptions};
 use crate::config::{FocusConfig, FocusError};
-use crate::ooc::OocOptions;
 use crate::pipeline::FocusAssembler;
 use fc_obs::ObsOptions;
 use fc_serve::{JobContext, JobError, JobOutput, JobRunner};
@@ -108,13 +107,10 @@ impl JobRunner for AssemblyJobRunner {
                 ("tenant_fnv", tenant_fnv(&ctx.tenant)),
             ],
         );
-        // Every job streams its input; budgeted jobs also run out of core,
-        // spilling under the job's checkpoint directory.
-        let ooc = config
-            .memory_budget
-            .map(|_| OocOptions::in_dir(ctx.ckpt_dir.join("ooc")));
+        // Every job streams its input; a budgeted job aligns one column
+        // index at a time.
         let outcome = assembler
-            .assemble_file(&ctx.input_path, &opts, ooc.as_ref())
+            .assemble_file(&ctx.input_path, &opts)
             .map_err(classify)?;
         drop(job_span);
         let trace_json = fc_obs::write_chrome_trace(&assembler.recorder().events());
@@ -151,15 +147,32 @@ mod tests {
     use super::*;
     use crate::pipeline::tests::{genome, quick_config, tiled_reads};
     use fc_seq::{fastq, Read};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A fresh `fc-focus-serve-<tag>-<pid>` under the system temp dir,
+    /// removed with what it holds when the guard drops.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let dir = std::env::temp_dir().join(format!("fc-focus-serve-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
+        TempDir(dir)
     }
 
     fn write_fastq(dir: &std::path::Path, reads: &[Read]) -> PathBuf {
@@ -210,10 +223,10 @@ mod tests {
         );
     }
 
-    /// A budgeted job killed before its alignment checkpoint was saved
-    /// leaves its spilled pair runs under `ckpt/ooc` and no checkpoint.
-    /// The job run again aligns afresh and reproduces the first run's
-    /// contigs and logical metrics byte for byte.
+    /// A budgeted job leaves its alignment checkpoint in `ckpt/` and
+    /// nothing beside it. Killed before that checkpoint was saved, the job
+    /// run again aligns afresh and reproduces the first run's contigs and
+    /// logical metrics byte for byte.
     #[test]
     fn a_budgeted_job_resumed_before_its_checkpoint_is_byte_identical() {
         let dir = temp_dir("ooc-precheckpoint");
@@ -225,12 +238,16 @@ mod tests {
 
         let first = runner.run(&ctx(&dir, input.clone())).expect("first run");
         let ckpt = dir.join("ckpt");
-        assert!(ckpt.join("ooc").join("align").is_dir());
+        let names = |dir: &Path| -> Vec<_> {
+            let entries = std::fs::read_dir(dir).expect("ckpt dir");
+            entries.map(|e| e.expect("entry").file_name()).collect()
+        };
+        assert_eq!(names(&ckpt), ["phase_01_alignment.ckpt"]);
         std::fs::remove_file(ckpt.join("phase_01_alignment.ckpt")).expect("checkpoint saved");
         let second = runner.run(&ctx(&dir, input)).expect("rerun");
         assert_eq!(first.contigs_fasta, second.contigs_fasta);
         assert_eq!(first.metrics_json, second.metrics_json);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(names(&ckpt), ["phase_01_alignment.ckpt"]);
     }
 
     #[test]
@@ -308,8 +325,9 @@ mod tests {
             .expect("budgeted run");
         assert_eq!(plain.contigs_fasta, budgeted.contigs_fasta);
         assert_eq!(plain.metrics_json, budgeted.metrics_json);
-        // The job actually spilled under its checkpoint directory.
-        assert!(ooc_dir.join("ckpt").join("ooc").join("align").is_dir());
+        // The job ran under its budget, and aligned one column at a time.
+        assert!(budgeted.trace_json.contains("align.overlap_by_column"));
+        assert!(!plain.trace_json.contains("align.overlap_by_column"));
 
         // Re-running the budgeted job resumes byte-identically too.
         let resumed = AssemblyJobRunner::new(config)

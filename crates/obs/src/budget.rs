@@ -1,10 +1,10 @@
-//! Byte-accurate memory-budget accounting for the out-of-core pipeline.
+//! Byte-accurate memory-budget accounting for the budgeted pipeline.
 //!
 //! A [`MemoryBudget`] is a shared ledger of *reserved* bytes against an
 //! optional hard limit. Pipeline phases reserve the bytes they are about
 //! to allocate **before** allocating them ([`MemoryBudget::try_reserve`]);
-//! a failed reservation is the typed signal to spill to disk (or surface
-//! `BudgetExceeded`) instead of letting the allocator OOM the process.
+//! a failed reservation is the typed signal to surface `BudgetExceeded`
+//! instead of letting the allocator OOM the process.
 //! Reservations are RAII: dropping a [`Reservation`] returns its bytes to
 //! the ledger, so a phase's working set is released exactly when its data
 //! structures go out of scope.
@@ -167,7 +167,7 @@ impl MemoryBudget {
 
 /// RAII handle for reserved bytes: dropping it returns the bytes to the
 /// budget. Grow/shrink lets a phase track a structure whose exact size is
-/// only known as it is built (e.g. a spill buffer).
+/// only known as it is built (e.g. a growing overlap list).
 #[derive(Debug)]
 pub struct Reservation {
     budget: MemoryBudget,

@@ -33,7 +33,7 @@
 //! simulated …) is thread-count-invariant. Metrics that describe the
 //! *schedule* itself (dispatches, per-worker busy time, scratch creations) are
 //! not — they live under the reserved `sched.` name prefix, beside the
-//! three other classes no result depends on (`ckpt.`, `mem.`, `ooc.`; see
+//! two other classes no result depends on (`ckpt.`, `mem.`; see
 //! [`MetricsSnapshot::logical`]). In logical-clock mode
 //! ([`ObsOptions::logical`]) the snapshot serialisation
 //! ([`Recorder::snapshot_json`]) keeps only the logical metrics and

@@ -136,9 +136,9 @@ impl Histogram {
     }
 }
 
-/// The reserved name prefixes of the four non-logical metric classes (see
+/// The reserved name prefixes of the three non-logical metric classes (see
 /// [`MetricsSnapshot::logical`]).
-const NON_LOGICAL_PREFIXES: [&str; 4] = ["sched.", "ckpt.", "mem.", "ooc."];
+const NON_LOGICAL_PREFIXES: [&str; 3] = ["sched.", "ckpt.", "mem."];
 
 /// Whether `name` is a logical metric: under none of the reserved
 /// prefixes.
@@ -189,7 +189,7 @@ impl MetricsSnapshot {
     /// A copy keeping only the logical metrics — each a function of the
     /// input and the config alone, equal at any thread count, budget or
     /// resume history. It is the view the logical-clock determinism
-    /// contracts byte-compare, and what a checkpoint carries. Four classes
+    /// contracts byte-compare, and what a checkpoint carries. Three classes
     /// of metric no result depends on are dropped, by reserved prefix:
     ///
     /// * `sched.` — the schedule itself (dispatches, per-worker busy
@@ -197,9 +197,7 @@ impl MetricsSnapshot {
     /// * `ckpt.` — checkpoint saves, loads, rejections and degradations,
     ///   which differ between an uninterrupted and a resumed run;
     /// * `mem.` — resident-set sizes and budget ledgers, which vary with
-    ///   the thread count, the allocator and the platform;
-    /// * `ooc.` — spill volume, merge passes and fallbacks, which vary
-    ///   with the memory budget, disk faults and resume history.
+    ///   the thread count, the allocator, the platform and the budget.
     pub fn logical(&self) -> MetricsSnapshot {
         self.filtered(is_logical)
     }
@@ -576,23 +574,18 @@ mod tests {
         assert_eq!(h.p50(), 7_000);
     }
 
-    /// `logical` drops each of the four non-logical classes from counters,
+    /// `logical` drops each of the three non-logical classes from counters,
     /// gauges and histograms alike, and keeps every other name — also one
     /// that merely contains a reserved word.
     #[test]
-    fn logical_drops_the_four_non_logical_classes_only() {
+    fn logical_drops_the_three_non_logical_classes_only() {
         let logical = [
             "align.ckpt_like",
             "exec.tasks",
             "memo.x",
             "pipeline.contigs",
         ];
-        let dropped = [
-            "ckpt.saved",
-            "mem.budget.peak",
-            "ooc.spill.runs",
-            "sched.exec.workers",
-        ];
+        let dropped = ["ckpt.saved", "mem.budget.peak", "sched.exec.workers"];
         let mut s = MetricsSnapshot::default();
         for name in logical {
             s.counters.insert(name, 1);

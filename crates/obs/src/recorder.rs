@@ -425,11 +425,11 @@ impl Recorder {
     /// `snapshot` — the resume path: a checkpoint embeds the cumulative
     /// metrics of the run that wrote it, and loading it must leave the
     /// recorder exactly as if those phases had just executed. The
-    /// recorder's own non-logical entries (`ckpt.*`, `sched.*`, `mem.*`,
-    /// `ooc.*`) are kept (they describe *this* process's checkpoint traffic,
-    /// scheduling, memory and spill traffic, which a restore must not
-    /// falsify), and any such entries inside `snapshot` are ignored for
-    /// the same reason. No-op when disabled.
+    /// recorder's own non-logical entries (`ckpt.*`, `sched.*`, `mem.*`)
+    /// are kept (they describe *this* process's checkpoint traffic,
+    /// scheduling and memory, which a restore must not falsify), and any
+    /// such entries inside `snapshot` are ignored for the same reason.
+    /// No-op when disabled.
     pub fn restore_metrics(&self, snapshot: &MetricsSnapshot) {
         let Some(inner) = &self.inner else {
             return;

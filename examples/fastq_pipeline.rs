@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.trim.min_quality = 15.0;
     config.dedup_rc = true;
     let assembler = FocusAssembler::new(config)?;
-    let outcome = assembler.assemble_file(&reads_path, &CheckpointOptions::default(), None)?;
+    let outcome = assembler.assemble_file(&reads_path, &CheckpointOptions::default())?;
     let AssemblyOutcome::Completed(result) = outcome else {
         return Err("the run stopped without a stop request".into());
     };

@@ -10,13 +10,13 @@
 #![forbid(unsafe_code)]
 
 use focus_assembler::focus::{
-    AssemblyOutcome, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig, OocOptions,
+    AssemblyOutcome, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig,
 };
 use focus_assembler::seq::Read;
 use focus_assembler::sim::{generate_to, single_genome_config, SINGLE_GENOME_NAME};
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -52,17 +52,11 @@ PIPELINE OPTIONS (assemble, graph, serve):
 
 MEMORY OPTIONS (assemble; serve takes --memory-budget):
     --memory-budget <b>    cap the accounted heap; plain bytes or a k/M/G
-                           suffix (e.g. 512M). Routes the run through the
-                           out-of-core pipeline: alignment results spill
-                           through CRC-verified files. Contigs and logical
-                           metric snapshots are byte-identical to an
-                           in-core run of the same config.
-    --spill-dir <dir>      scratch directory for this run's spilled
-                           alignment runs (never resumed from); implies
-                           the out-of-core pipeline even with no budget.
-                           Defaults to <checkpoint-dir>/ooc, or to a temp
-                           dir removed when the run ends, when only
-                           --memory-budget is given.
+                           suffix (e.g. 512M). Alignment then keeps one
+                           subset's seed index at a time, and a run that
+                           needs more fails with a typed error. Contigs
+                           and logical metric snapshots are byte-identical
+                           to an unbudgeted run of the same config.
 
 CHECKPOINT OPTIONS (assemble):
     --checkpoint-dir <dir> write a verified checkpoint of the overlaps once
@@ -133,8 +127,8 @@ SERVE OPTIONS (pipeline options set the base config of every job):
                            plain bytes or k/M/G. Jobs that do not fit are
                            shed with a typed 503 until running jobs
                            release their reservations. 0 = unlimited.
-                           (--memory-budget still applies per job: each
-                           budgeted job runs out-of-core.)   [default: 0]
+                           (--memory-budget still applies per job,
+                           one seed index at a time.)        [default: 0]
 
     Prints `serve: listening on <addr>` once ready, then blocks. Stop it
     with POST /admin/shutdown?mode=drain|fast (fast leaves queued jobs on
@@ -167,7 +161,7 @@ const FLAG_KEYS: &[&str] = &[
 ];
 const OBS_KEYS: &[&str] = &["trace", "metrics", "events"];
 const ASSEMBLE_KEYS: &[&[&str]] = &[
-    &["input", "output", "memory-budget", "spill-dir"],
+    &["input", "output", "memory-budget"],
     &["checkpoint-dir", "resume", "crash-after", "logical-clock"],
     PIPELINE_KEYS,
     OBS_KEYS,
@@ -363,28 +357,11 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
 
     let config = build_config(&opts)?;
     let ckpt = build_checkpoint_options(&opts)?;
-    let out_of_core = config.memory_budget.is_some() || opts.get("spill-dir").is_some();
     let assembler = FocusAssembler::new(config).map_err(|e| e.to_string())?;
 
-    // The input streams into the read store, never held whole. Out of
-    // core, alignment results also spill through CRC-verified files under
-    // the budget. A spill dir the run makes up is removed when it ends,
-    // also on error.
-    let (spill_dir, made_up) = match (opts.get("spill-dir"), opts.get("checkpoint-dir")) {
-        (Some(dir), _) => (PathBuf::from(dir), false),
-        (None, Some(dir)) => (Path::new(dir).join("ooc"), false),
-        (None, None) => {
-            let dir = std::env::temp_dir().join(format!("focus-ooc-{}", std::process::id()));
-            (dir, true)
-        }
-    };
-    let _scratch = (out_of_core && made_up).then(|| ScratchDir(spill_dir.clone()));
-    let ooc = out_of_core.then(|| OocOptions::in_dir(spill_dir));
-    match &ooc {
-        Some(ooc) => eprintln!("streaming {input} (spill dir {})", ooc.spill_dir.display()),
-        None => eprintln!("streaming {input}"),
-    }
-    let outcome = assembler.assemble_file(Path::new(&input), &ckpt, ooc.as_ref());
+    // The input streams into the read store, never held whole.
+    eprintln!("streaming {input}");
+    let outcome = assembler.assemble_file(Path::new(&input), &ckpt);
     let result = match outcome.map_err(|e| e.to_string())? {
         AssemblyOutcome::Completed(result) => result,
         AssemblyOutcome::Stopped(phase) => {
@@ -408,15 +385,6 @@ fn assemble(args: &[String]) -> Result<Option<CkptPhase>, String> {
     eprintln!("wrote {output}");
     write_obs_sinks(&opts, assembler.recorder())?;
     Ok(None)
-}
-
-/// A directory removed, with what it holds, when it goes out of scope.
-struct ScratchDir(PathBuf);
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn simulate(args: &[String]) -> Result<(), String> {

@@ -49,7 +49,7 @@ fn run_ckpt(
     let tmp = TempDir::new("ckpt-input");
     let (input, _) = fastq_fixture(&tmp, reads);
     let assembler = FocusAssembler::new(config).unwrap();
-    let outcome = assembler.assemble_file(&input, opts, None).unwrap();
+    let outcome = assembler.assemble_file(&input, opts).unwrap();
     let snapshot = assembler.recorder().snapshot_json();
     (outcome, snapshot, assembler.recorder().snapshot().counters)
 }
@@ -146,7 +146,7 @@ fn enospc_mid_run_degrades_checkpointing_but_the_assembly_finishes() {
     let mut opts = CheckpointOptions::in_dir(dir.join("ckpt"));
     opts.fs_faults = FsFaultPlan::none().fail_write(0, WriteFault::Enospc);
     let assembler = FocusAssembler::new(chaos_config()).unwrap();
-    let result = completed(assembler.assemble_file(&input, &opts, None).unwrap());
+    let result = completed(assembler.assemble_file(&input, &opts).unwrap());
     assert_eq!(result.contigs, clean.contigs);
     let counters = assembler.recorder().snapshot().counters;
     assert_eq!(counters["ckpt.degraded"], 1);
@@ -296,7 +296,7 @@ fn every_phase_payload_round_trips() {
         let dir = TempDir::new("roundtrip");
         let (input, parsed) = fastq_fixture(&dir.join("input"), &reads);
         let opts = CheckpointOptions::in_dir(dir.join("ckpt"));
-        completed(assembler.assemble_file(&input, &opts, None).unwrap());
+        completed(assembler.assemble_file(&input, &opts).unwrap());
         let mut store = CheckpointStore::new(
             dir.join("ckpt"),
             config_fingerprint(assembler.config()),

@@ -3,9 +3,9 @@
 //! (Which keys each subcommand accepts is checked against the help text by
 //! the unit tests in `src/bin/focus.rs`.) `focus graph --with-sequences`
 //! writes the sequences the assembly uses. Hostile values and inputs get a
-//! typed error and exit code 1, never a panic. FASTA input runs out of
-//! core, stopped and resumed, to the in-core run's output. A spill dir the
-//! run made up is gone when it ends.
+//! typed error and exit code 1, never a panic. FASTA input runs under a
+//! memory budget, stopped and resumed, to the in-core run's output, and a
+//! budgeted run writes no file but its alignment checkpoint.
 
 use focus_assembler::focus::{FocusAssembler, FocusConfig};
 use focus_assembler::seq::{fasta, fastq};
@@ -46,8 +46,8 @@ fn every_subcommand_refuses_an_unknown_option() {
 }
 
 /// The spellings a script written for an older build may still pass: a
-/// misspelt `--threads` and the retired `--align-kernel`. Both stop the run
-/// before the input is opened or the output created.
+/// misspelt `--threads` and the retired `--align-kernel` and `--spill-dir`.
+/// Each stops the run before the input is opened or the output created.
 #[test]
 fn a_misspelt_or_retired_option_stops_assemble_before_any_work() {
     let dir = std::env::temp_dir().join(format!("focus-cli-{}", std::process::id()));
@@ -61,7 +61,12 @@ fn a_misspelt_or_retired_option_stops_assemble_before_any_work() {
         "--output",
         output.to_str().unwrap(),
     ];
-    for (key, value) in [("--thredas", "1"), ("--align-kernel", "scalar")] {
+    let inputs = [
+        ("--thredas", "1"),
+        ("--align-kernel", "scalar"),
+        ("--spill-dir", "x"),
+    ];
+    for (key, value) in inputs {
         let (code, stderr) = focus(&[&io[..], &[key, value]].concat());
         assert_eq!(code, Some(1), "{key}: {stderr}");
         assert!(
@@ -208,8 +213,8 @@ fn hostile_coverage_exits_1_without_a_panic() {
 /// A valid input whose one subset the seed index cannot hold — one
 /// 1 000 000-base read beside 2 100 reads of 100 bp, 4 202 reads with their
 /// reverse complements — is refused with the typed capacity error and exit
-/// code 1, in core and out of core, before any index is built and without
-/// an output file.
+/// code 1, in core and under a budget, before any index is built and
+/// without an output file.
 #[test]
 fn a_subset_past_the_seed_index_capacity_exits_1_without_a_panic() {
     use focus_assembler::seq::Read;
@@ -232,7 +237,6 @@ fn a_subset_past_the_seed_index_capacity_exits_1_without_a_panic() {
     let mut text = Vec::new();
     fastq::write(&mut text, &reads, 30).unwrap();
     std::fs::write(&input, text).unwrap();
-    let spill = dir.join("spill");
     let base = [
         "assemble",
         "--input",
@@ -244,12 +248,7 @@ fn a_subset_past_the_seed_index_capacity_exits_1_without_a_panic() {
         "--subsets",
         "1",
     ];
-    let budget = [
-        "--memory-budget",
-        "64M",
-        "--spill-dir",
-        spill.to_str().unwrap(),
-    ];
+    let budget = ["--memory-budget", "64M"];
     for extra in [&[][..], &budget[..]] {
         let (code, stderr) = focus(&[&base[..], extra].concat());
         assert_eq!(code, Some(1), "{extra:?}: {stderr}");
@@ -352,96 +351,65 @@ fn assemble_args<'a>(input: &'a Path, contigs: &'a Path, metrics: &'a Path) -> V
     ]
 }
 
-/// FASTA streams out of core like FASTQ: under `--memory-budget` and
-/// `--spill-dir` it spills pair runs, and its contigs and logical metrics
-/// are the in-core run's.
+/// FASTA streams under a budget like FASTQ: under `--memory-budget` its
+/// contigs and logical metrics are the in-core run's.
 #[test]
 fn out_of_core_fasta_matches_the_in_core_run() {
     let dir = std::env::temp_dir().join(format!("focus-cli-ooc-fasta-{}", std::process::id()));
     let (input, contigs, metrics) = fasta_reference(&dir);
-    let spill = dir.join("spill");
-    let ooc = [
-        "--memory-budget",
-        "64M",
-        "--spill-dir",
-        spill.to_str().unwrap(),
-    ];
-    let (ooc_contigs, ooc_metrics) = assemble_fasta(&dir, &input, "ooc", &ooc);
+    let budget = ["--memory-budget", "64M"];
+    let (budgeted_contigs, budgeted_metrics) = assemble_fasta(&dir, &input, "budgeted", &budget);
     assert!(contigs.starts_with(b">contig_0"), "no contigs");
-    assert_eq!(ooc_contigs, contigs);
-    assert_eq!(ooc_metrics, metrics);
-    assert!(spill.join("align").read_dir().unwrap().next().is_some());
+    assert_eq!(budgeted_contigs, contigs);
+    assert_eq!(budgeted_metrics, metrics);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// An out-of-core FASTA run stopped after alignment (exit 3) and resumed
+/// A budgeted FASTA run stopped after alignment (exit 3) and resumed
 /// writes the in-core run's contigs and logical metrics.
 #[test]
 fn a_stopped_out_of_core_fasta_run_resumes_to_the_in_core_output() {
     let dir = std::env::temp_dir().join(format!("focus-cli-ooc-resume-{}", std::process::id()));
     let (input, contigs, metrics) = fasta_reference(&dir);
-    let (spill, ckpt) = (dir.join("spill"), dir.join("ckpt"));
-    let ooc = [
+    let ckpt = dir.join("ckpt");
+    let budgeted = [
         "--memory-budget",
         "64M",
-        "--spill-dir",
-        spill.to_str().unwrap(),
         "--checkpoint-dir",
         ckpt.to_str().unwrap(),
     ];
     let (stopped_contigs, stopped_metrics) = (dir.join("stopped.fasta"), dir.join("stopped.json"));
     let stop = assemble_args(&input, &stopped_contigs, &stopped_metrics);
-    let (code, stderr) = focus(&[&stop[..], &ooc, &["--crash-after", "alignment"]].concat());
+    let (code, stderr) = focus(&[&stop[..], &budgeted, &["--crash-after", "alignment"]].concat());
     assert_eq!(code, Some(3), "{stderr}");
     assert!(!stopped_contigs.exists(), "a stopped run wrote contigs");
-    let (resumed_contigs, resumed_metrics) =
-        assemble_fasta(&dir, &input, "resumed", &[&ooc[..], &["--resume"]].concat());
+    let resume = [&budgeted[..], &["--resume"]].concat();
+    let (resumed_contigs, resumed_metrics) = assemble_fasta(&dir, &input, "resumed", &resume);
     assert_eq!(resumed_contigs, contigs);
     assert_eq!(resumed_metrics, metrics);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A budgeted run given neither `--spill-dir` nor `--checkpoint-dir`
-/// spills under the temp dir (`TMPDIR`) and removes what it made there
-/// when it ends: after a completed run and after one whose output cannot
-/// be created, the temp dir is as empty as before.
+/// A budgeted run with a checkpoint directory writes its alignment
+/// checkpoint there and nothing else: no scratch file of the alignment
+/// outlives the run.
 #[test]
-fn a_made_up_spill_dir_is_removed_when_the_run_ends() {
-    let dir = std::env::temp_dir().join(format!("focus-cli-scratch-{}", std::process::id()));
-    let tmp = dir.join("tmp");
-    std::fs::create_dir_all(&tmp).unwrap();
-    let input = dir.join("r.fastq");
-    let simulate = [
-        "simulate",
-        "--genome-len",
-        "8000",
-        "--coverage",
-        "10",
-        "--seed",
-        "5",
-        "--output",
-        input.to_str().unwrap(),
+fn a_budgeted_run_leaves_only_its_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("focus-cli-ooc-only-{}", std::process::id()));
+    let (input, contigs, _) = fasta_reference(&dir);
+    let ckpt = dir.join("ckpt");
+    let budgeted = [
+        "--memory-budget",
+        "64M",
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
     ];
-    let (code, stderr) = focus(&simulate);
-    assert_eq!(code, Some(0), "{stderr}");
-    for (output, want) in [(dir.join("c.fasta"), 0), (dir.join("no/c.fasta"), 1)] {
-        let out = Command::new(env!("CARGO_BIN_EXE_focus"))
-            .args(["assemble", "--input", input.to_str().unwrap()])
-            .args([
-                "--output",
-                output.to_str().unwrap(),
-                "--memory-budget",
-                "64M",
-            ])
-            .env("TMPDIR", &tmp)
-            .output()
-            .expect("spawn focus");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(want), "{stderr}");
-        let spill = format!("(spill dir {}", tmp.join("focus-ooc-").display());
-        assert!(stderr.contains(&spill), "{stderr}");
-        let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().collect();
-        assert!(left.is_empty(), "{}: {left:?}", output.display());
-    }
+    let (budgeted_contigs, _) = assemble_fasta(&dir, &input, "budgeted", &budgeted);
+    assert_eq!(budgeted_contigs, contigs);
+    let left: Vec<_> = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["phase_01_alignment.ckpt"]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

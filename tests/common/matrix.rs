@@ -1,9 +1,9 @@
 //! The byte-identity contract as one enumerated matrix: threads × mode ×
 //! faults, over one fixture and the one stage sequence.
 //!
-//! Every point — in core or spilled, uninterrupted or stopped after
-//! alignment and resumed, clean, under a seeded `FaultPlan`, or with a
-//! filesystem fault in the checkpoint or spill store — reproduces its
+//! Every point — in core or under a memory budget, uninterrupted or
+//! stopped after alignment and resumed, clean, under a seeded `FaultPlan`,
+//! or with a filesystem fault in the checkpoint store — reproduces its
 //! reference, the serial `assemble` run under the same `FaultPlan`: the
 //! same contigs, traversal paths, fault report, partition on every level
 //! and logical-clock metrics snapshot, byte for byte. A filesystem fault is
@@ -24,7 +24,6 @@ use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
 use focus_assembler::dist::{AssemblyPath, FaultReport};
 use focus_assembler::focus::{
     AssemblyOutcome, AssemblyResult, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig,
-    OocOptions,
 };
 use focus_assembler::obs::MetricsSnapshot;
 use focus_assembler::seq::{DnaString, Read};
@@ -41,38 +40,34 @@ pub enum Mode {
     /// `assemble_file` in core, stopped after alignment, then resumed: what
     /// `focus assemble --resume` and `focus serve` run.
     Resumed,
-    /// `assemble_file` out of core, no budget.
-    Spilled,
-    /// Out of core under a 1 GiB budget.
+    /// `assemble_file` under a 1 GiB budget: one column index at a time.
     Budgeted,
-    /// Out of core, stopped after alignment, then resumed from the
+    /// Under a 1 GiB budget, stopped after alignment, then resumed from the
     /// alignment checkpoint.
-    SpilledResumed,
+    BudgetedResumed,
 }
 
-const MODES: [Mode; 6] = [
+const MODES: [Mode; 5] = [
     Mode::Assemble,
     Mode::Fastq,
     Mode::Resumed,
-    Mode::Spilled,
     Mode::Budgeted,
-    Mode::SpilledResumed,
+    Mode::BudgetedResumed,
 ];
 
 impl Mode {
     pub fn resumes(self) -> bool {
-        matches!(self, Mode::Resumed | Mode::SpilledResumed)
+        matches!(self, Mode::Resumed | Mode::BudgetedResumed)
     }
 
-    pub fn spills(self) -> bool {
-        matches!(self, Mode::Spilled | Mode::Budgeted | Mode::SpilledResumed)
+    pub fn budgeted(self) -> bool {
+        matches!(self, Mode::Budgeted | Mode::BudgetedResumed)
     }
 }
 
 /// What goes wrong during a point. A filesystem fault hits the `op`-th
-/// write or read of the store its mode exercises — the checkpoint store
-/// when it resumes, else the spill store — and rides on the `FaultPlan`,
-/// so the sabotaged run also has a fault report to reproduce.
+/// write or read of a resumed point's checkpoint store, and rides on the
+/// `FaultPlan`, so the sabotaged run also has a fault report to reproduce.
 #[derive(Debug, Clone, Copy)]
 pub enum Faults {
     None,
@@ -105,7 +100,7 @@ pub struct Point {
 }
 
 impl Point {
-    /// `t2/Spilled/plan+write-bitflip@3`, say.
+    /// `t2/Resumed/plan+write-bitflip@0`, say.
     fn label(&self) -> String {
         let kind = |debug: String| debug.split(' ').next().unwrap_or("").to_lowercase();
         let faults = match self.faults {
@@ -120,9 +115,7 @@ impl Point {
 
 /// Every mode at every thread count, clean and under the `FaultPlan`;
 /// then each filesystem fault at two threads. The checkpoint store saves
-/// and loads once a run (op 0), in core and spilled. The spill store saves
-/// one run per subset pair and reads each back in the merge, so its faults
-/// land early and late.
+/// and loads once a run (op 0), in core and budgeted.
 pub fn points() -> Vec<Point> {
     let mut points = Vec::new();
     for threads in [1, 2, 4, 8] {
@@ -147,16 +140,10 @@ pub fn points() -> Vec<Point> {
         WriteFault::Enospc,
     ] {
         points.push(fs(Mode::Resumed, Faults::Write(0, fault)));
-        for op in [0, 3] {
-            points.push(fs(Mode::Spilled, Faults::Write(op, fault)));
-        }
     }
     for fault in [ReadFault::Short, ReadFault::BitFlip { bit: 4_321 }] {
         points.push(fs(Mode::Resumed, Faults::Read(0, fault)));
-        points.push(fs(Mode::SpilledResumed, Faults::Read(0, fault)));
-        for op in [0, 2] {
-            points.push(fs(Mode::Spilled, Faults::Read(op, fault)));
-        }
+        points.push(fs(Mode::BudgetedResumed, Faults::Read(0, fault)));
     }
     points
 }
@@ -175,26 +162,23 @@ pub enum Slice {
     CkptWrites,
     /// Short and bit-flipped checkpoint reads (`tests/chaos.rs`).
     CkptReads,
-    /// Spilled, with and without a budget (`tests/ooc.rs`).
-    Spilled,
-    /// Spill store faults (`tests/ooc.rs`).
-    SpillFaults,
-    /// Spilled stop + resume (`tests/ooc.rs`).
-    SpilledResume,
+    /// Budgeted, uninterrupted (`tests/ooc.rs`).
+    Budgeted,
+    /// Budgeted stop + resume (`tests/ooc.rs`).
+    BudgetedResume,
     /// Everything else (`tests/contract.rs`).
     Rest,
 }
 
 impl Slice {
-    pub const ALL: [Slice; 9] = [
+    pub const ALL: [Slice; 8] = [
         Slice::ThreadCount,
         Slice::Metrics,
         Slice::KillResume,
         Slice::CkptWrites,
         Slice::CkptReads,
-        Slice::Spilled,
-        Slice::SpillFaults,
-        Slice::SpilledResume,
+        Slice::Budgeted,
+        Slice::BudgetedResume,
         Slice::Rest,
     ];
 
@@ -208,9 +192,8 @@ impl Slice {
                 "torn_and_bit_flipped_writes_are_rejected_on_resume_and_recomputed"
             }
             Slice::CkptReads => "short_and_bit_flipped_reads_are_rejected_on_resume_and_recomputed",
-            Slice::Spilled => "spilled_assembly_is_bit_identical_to_in_core",
-            Slice::SpillFaults => "every_spill_fault_is_detected_and_answered",
-            Slice::SpilledResume => "killed_ooc_run_resumes_pages_and_checkpoints",
+            Slice::Budgeted => "spilled_assembly_is_bit_identical_to_in_core",
+            Slice::BudgetedResume => "killed_ooc_run_resumes_pages_and_checkpoints",
             Slice::Rest => "every_point_reproduces_its_reference",
         }
     }
@@ -227,9 +210,8 @@ pub fn owner(point: &Point) -> Slice {
             Slice::CkptWrites
         }
         (Mode::Resumed, Read(..)) => Slice::CkptReads,
-        (Mode::Spilled | Mode::Budgeted, Clean | Plan) => Slice::Spilled,
-        (Mode::Spilled, _) => Slice::SpillFaults,
-        (Mode::SpilledResumed, _) => Slice::SpilledResume,
+        (Mode::Budgeted, Clean | Plan) => Slice::Budgeted,
+        (Mode::BudgetedResumed, _) => Slice::BudgetedResume,
         _ => Slice::Rest,
     }
 }
@@ -306,6 +288,9 @@ impl Input {
 
 /// What one completed run produced. `metrics` is its full snapshot; a
 /// resumed run's has the counters of the run it resumed from added in.
+/// `by_column` says whether it, or the run it resumed from, aligned one
+/// column index at a time (the budgeted path's `align.overlap_by_column`
+/// span).
 pub struct Run {
     pub contigs: Vec<DnaString>,
     pub paths: Vec<AssemblyPath>,
@@ -313,10 +298,15 @@ pub struct Run {
     pub parts: Vec<Vec<u32>>,
     pub snapshot: String,
     pub metrics: MetricsSnapshot,
+    pub by_column: bool,
 }
 
+/// What a run's recorder showed: its metrics, its logical snapshot, and
+/// whether it aligned by column.
+type Observed = (MetricsSnapshot, String, bool);
+
 impl Run {
-    fn of(result: AssemblyResult, snapshot: String, metrics: MetricsSnapshot) -> Run {
+    fn of(result: AssemblyResult, (metrics, snapshot, by_column): Observed) -> Run {
         Run {
             contigs: result.contigs,
             paths: result.report.paths,
@@ -324,6 +314,7 @@ impl Run {
             parts: result.partition.parts_per_level,
             snapshot,
             metrics,
+            by_column,
         }
     }
 }
@@ -336,34 +327,34 @@ fn observe(point: &Point, input: Input, reads: &[Read]) -> Vec<Run> {
     let tmp = TempDir::new(&label.replace(['/', '+', '@'], "-"));
     let (fastq, parsed) = fastq_fixture(&tmp.join("input"), reads);
     let mut config = input.config(point.threads, point.faults.plan());
-    if point.mode == Mode::Budgeted {
+    if point.mode.budgeted() {
         config.memory_budget = Some(1 << 30);
     }
-    // A filesystem fault hits the checkpoint store when the point resumes
-    // (a write fault the save before the stop, a read fault the resumed
-    // run's load), else the spill store.
-    let mut ooc = OocOptions::in_dir(tmp.join("spill"));
+    // A filesystem fault hits the checkpoint store of a resumed point: a
+    // write fault the save before the stop, a read fault the resumed run's
+    // load.
     let (mut stop_faults, mut resume_faults) = (FsFaultPlan::none(), FsFaultPlan::none());
-    match (point.mode.resumes(), point.faults) {
-        (false, _) => ooc.fs_faults = point.faults.fs_plan(),
-        (true, Faults::Write(..)) => stop_faults = point.faults.fs_plan(),
-        (true, _) => resume_faults = point.faults.fs_plan(),
+    match point.faults {
+        Faults::Write(..) => stop_faults = point.faults.fs_plan(),
+        Faults::Read(..) => resume_faults = point.faults.fs_plan(),
+        Faults::None | Faults::Plan => {}
     }
     let run = |opts: &CheckpointOptions| {
         let assembler = FocusAssembler::new(config).unwrap();
         let outcome = match point.mode {
             Mode::Assemble => assembler.assemble(&parsed).map(AssemblyOutcome::Completed),
-            Mode::Fastq | Mode::Resumed => assembler.assemble_file(&fastq, opts, None),
-            _ => assembler.assemble_file(&fastq, opts, Some(&ooc)),
+            _ => assembler.assemble_file(&fastq, opts),
         };
         let rec = assembler.recorder();
         let outcome = outcome.unwrap_or_else(|e| panic!("{label}: {e}"));
-        (outcome, rec.snapshot(), rec.snapshot_json())
+        let events = rec.events();
+        let by_column = events.iter().any(|e| e.name == "align.overlap_by_column");
+        (outcome, (rec.snapshot(), rec.snapshot_json(), by_column))
     };
 
     let mut runs = Vec::new();
     let mut opts = CheckpointOptions::default();
-    let mut stopped = MetricsSnapshot::default();
+    let (mut stopped, mut stopped_by_column) = (MetricsSnapshot::default(), false);
     if point.mode.resumes() {
         let ckpt = CheckpointOptions::in_dir(tmp.join("ckpt"));
         if let Faults::Write(..) = point.faults {
@@ -374,31 +365,32 @@ fn observe(point: &Point, input: Input, reads: &[Read]) -> Vec<Run> {
                 fs_faults: stop_faults.clone(),
                 ..ckpt.clone()
             };
-            let (outcome, metrics, snapshot) = run(&sabotaged);
-            runs.push(Run::of(completed(outcome), snapshot, metrics));
+            let (outcome, observed) = run(&sabotaged);
+            runs.push(Run::of(completed(outcome), observed));
         }
         let stop = CheckpointOptions {
             stop_after: Some(CkptPhase::Alignment),
             fs_faults: stop_faults,
             ..ckpt.clone()
         };
-        let (outcome, metrics, _) = run(&stop);
+        let (outcome, (metrics, _, by_column)) = run(&stop);
         assert!(
             matches!(outcome, AssemblyOutcome::Stopped(CkptPhase::Alignment)),
             "{label}: did not stop after alignment"
         );
-        stopped = metrics;
+        (stopped, stopped_by_column) = (metrics, by_column);
         opts = CheckpointOptions {
             resume: true,
             fs_faults: resume_faults,
             ..ckpt
         };
     }
-    let (outcome, mut metrics, snapshot) = run(&opts);
+    let (outcome, (mut metrics, snapshot, by_column)) = run(&opts);
     for (key, n) in stopped.counters {
         *metrics.counters.entry(key).or_default() += n;
     }
-    runs.push(Run::of(completed(outcome), snapshot, metrics));
+    let observed = (metrics, snapshot, by_column || stopped_by_column);
+    runs.push(Run::of(completed(outcome), observed));
     runs
 }
 
@@ -425,15 +417,21 @@ fn check(point: &Point, input: Input, runs: &[Run], reference: &Run) {
         assert_eq!(run.parts, reference.parts, "{label}: partitions");
         assert_eq!(run.snapshot, reference.snapshot, "{label}: snapshot");
     }
-    assert_counters(point, &label, &runs[runs.len() - 1].metrics);
+    assert_counters(point, &label, &runs[runs.len() - 1]);
     println!("{label}: {} completed run(s) identical", runs.len());
 }
 
 /// The counters each kind of point must show: a resumed run loaded what
-/// its stopped run saved, a spilled one spilled, and every filesystem
-/// fault was detected and answered.
-fn assert_counters(point: &Point, label: &str, metrics: &MetricsSnapshot) {
+/// its stopped run saved, every filesystem fault was detected and
+/// answered, and a budgeted point, and no other, aligned by column.
+fn assert_counters(point: &Point, label: &str, run: &Run) {
+    let metrics = &run.metrics;
     let n = |key: &str| metrics.counters.get(key).copied().unwrap_or(0);
+    assert_eq!(
+        run.by_column,
+        point.mode.budgeted(),
+        "{label}: aligned by column"
+    );
     match (point.mode, point.faults) {
         (Mode::Resumed, Faults::Write(_, WriteFault::Enospc)) => {
             assert_eq!((n("ckpt.degraded"), n("ckpt.loaded")), (1, 0), "{label}");
@@ -442,26 +440,17 @@ fn assert_counters(point: &Point, label: &str, metrics: &MetricsSnapshot) {
             assert_eq!((n("ckpt.rejected"), n("ckpt.loaded")), (1, 0), "{label}");
         }
         // Saved before the stop, rejected on resume, then saved again.
-        (Mode::Resumed | Mode::SpilledResumed, Faults::Read(..)) => {
+        (Mode::Resumed | Mode::BudgetedResumed, Faults::Read(..)) => {
             let seen = (n("ckpt.rejected"), n("ckpt.loaded"), n("ckpt.saved"));
             assert_eq!(seen, (1, 0, 2), "{label}");
-        }
-        (Mode::Spilled, Faults::Write(..)) => {
-            let answered =
-                n("ooc.spill.rejected") + n("ooc.spill.recomputed") + n("ooc.spill.degraded");
-            assert!(answered >= 1, "{label}: the fault went unnoticed");
-        }
-        (Mode::Spilled, Faults::Read(..)) => {
-            assert!(n("ooc.spill.rejected") >= 1, "{label}: never detected");
-            assert!(n("ooc.spill.recomputed") >= 1, "{label}: never recomputed");
         }
         (_, Faults::Write(..) | Faults::Read(..)) => {
             panic!("{label}: no store for a filesystem fault")
         }
-        (Mode::Resumed | Mode::SpilledResumed, _) => assert_eq!(n("ckpt.loaded"), 1, "{label}"),
-        (Mode::Spilled | Mode::Budgeted, _) => {
-            assert!(n("ooc.spill.runs") >= 1, "{label}: nothing spilled");
-            assert_eq!(n("ooc.spill.degraded"), 0, "{label}");
+        (Mode::Resumed | Mode::BudgetedResumed, _) => assert_eq!(n("ckpt.loaded"), 1, "{label}"),
+        (Mode::Budgeted, _) => {
+            let limit = metrics.gauges.get("mem.budget.limit").copied();
+            assert_eq!(limit, Some(1 << 30), "{label}: ran without its budget");
         }
         (Mode::Assemble | Mode::Fastq, _) => {}
     }

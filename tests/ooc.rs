@@ -1,17 +1,17 @@
-//! The out-of-core pipeline.
+//! The budgeted pipeline.
 //!
-//! The contract matrix's spilled points (`tests/common/matrix.rs`) run
-//! here: the spilled pipeline reproduces the in-core one, bit for bit, at
-//! every thread count and budget, killed and resumed, and under every spill
-//! fault. Beside them: spilled pair runs left without a checkpoint,
-//! checkpoints shared between an out-of-core and an in-core run, an input
+//! The contract matrix's budgeted points (`tests/common/matrix.rs`) run
+//! here: under a memory budget, alignment keeps one column index at a time
+//! and reproduces the in-core pipeline, bit for bit, at every thread count,
+//! killed and resumed. Beside them: a budgeted run whose checkpoint is
+//! gone, checkpoints shared between a budgeted and an in-core run, an input
 //! that changed between runs, the budget gate and its seed-index charge,
-//! and files of the previous format.
+//! and checkpoints of the previous format.
 //!
-//! A resumed out-of-core run reads its input once, like every other run:
-//! its one resume state is the alignment checkpoint, keyed by the digest
-//! that one pass computes. Spilled pair runs are scratch: a run reads back
-//! only those it wrote.
+//! A resumed budgeted run reads its input once, like every other run: its
+//! one resume state is the alignment checkpoint, keyed by the digest that
+//! one pass computes, and the checkpoint is the only file an alignment run
+//! writes.
 
 mod common;
 
@@ -21,169 +21,119 @@ use focus_assembler::align::{KmerIndex, Overlap, Overlapper, Pool};
 use focus_assembler::ckpt::{crc32, CheckpointFile};
 use focus_assembler::focus::{
     AssemblyOutcome, CheckpointOptions, CkptPhase, FocusAssembler, FocusConfig, FocusError,
-    OocOptions, Recorder,
+    Recorder,
 };
 use focus_assembler::seq::{Read, ReadStore};
 use std::path::{Path, PathBuf};
 
 /// The contract's configuration at two threads, `FaultPlan` on.
-fn ooc_config() -> FocusConfig {
+fn in_core_config() -> FocusConfig {
     contract_config(2, true)
 }
 
-fn run_ooc(
-    config: FocusConfig,
-    input: &Path,
-    opts: &CheckpointOptions,
-    ooc: &OocOptions,
-) -> (FocusAssembler, Result<AssemblyOutcome, FocusError>) {
-    let assembler = FocusAssembler::new(config).unwrap();
-    let outcome = assembler.assemble_file(input, opts, Some(ooc));
-    (assembler, outcome)
-}
-
-/// Spilled with no budget and under a 1 GiB one, at 1, 2, 4 and 8 threads,
-/// clean and under the `FaultPlan`: the in-core reference, having spilled
-/// pair runs.
-#[test]
-fn spilled_assembly_is_bit_identical_to_in_core() {
-    run_slice(Slice::Spilled);
-}
-
-/// Torn, bit-flipped and ENOSPC spill writes, early and late, and short and
-/// bit-flipped spill reads: each is counted and answered, and the output is
-/// the reference's.
-#[test]
-fn every_spill_fault_is_detected_and_answered() {
-    run_slice(Slice::SpillFaults);
-}
-
-/// The matrix's spill fault points, counted: which saves are torn,
-/// flipped or refused, which reads are rejected and which pairs are
-/// recomputed is the same at 1, 2 and 3 threads, and the same as before
-/// the saves moved into the alignment column's in-order sink (`EXPECTED`
-/// was captured on the commit before that move). Each row is `(spill
-/// runs, spilled pairs, degraded, rejected, recomputed)`.
-#[test]
-fn spill_faults_hit_and_answer_the_same_pairs() {
-    use focus_assembler::ckpt::{FsFaultPlan, ReadFault, WriteFault};
-    const EXPECTED: [(&str, [u64; 5]); 10] = [
-        ("write-torn@0", [10, 10, 0, 1, 1]),
-        ("write-torn@3", [10, 10, 0, 1, 1]),
-        ("write-flip@0", [10, 10, 0, 1, 1]),
-        ("write-flip@3", [10, 10, 0, 1, 1]),
-        ("write-enospc@0", [0, 0, 1, 0, 0]),
-        ("write-enospc@3", [3, 3, 1, 0, 0]),
-        ("read-short@0", [10, 10, 0, 1, 1]),
-        ("read-short@2", [10, 10, 0, 1, 1]),
-        ("read-flip@0", [10, 10, 0, 1, 1]),
-        ("read-flip@2", [10, 10, 0, 1, 1]),
-    ];
-    let tmp = TempDir::new("spill-pin");
-    let (input, _) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
-    let write = |op, fault| FsFaultPlan::none().fail_write(op, fault);
-    let read = |op, fault| FsFaultPlan::none().fail_read(op, fault);
-    let points = [
-        ("write-torn@0", write(0, WriteFault::Torn)),
-        ("write-torn@3", write(3, WriteFault::Torn)),
-        (
-            "write-flip@0",
-            write(0, WriteFault::BitFlip { bit: 12_345 }),
-        ),
-        (
-            "write-flip@3",
-            write(3, WriteFault::BitFlip { bit: 12_345 }),
-        ),
-        ("write-enospc@0", write(0, WriteFault::Enospc)),
-        ("write-enospc@3", write(3, WriteFault::Enospc)),
-        ("read-short@0", read(0, ReadFault::Short)),
-        ("read-short@2", read(2, ReadFault::Short)),
-        ("read-flip@0", read(0, ReadFault::BitFlip { bit: 4_321 })),
-        ("read-flip@2", read(2, ReadFault::BitFlip { bit: 4_321 })),
-    ];
-    for threads in [1, 2, 3] {
-        let mut got = Vec::new();
-        for (name, plan) in &points {
-            let ooc = OocOptions {
-                spill_dir: tmp.join(format!("{name}-t{threads}")),
-                fs_faults: plan.clone(),
-            };
-            let config = contract_config(threads, true);
-            let (assembler, outcome) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
-            completed(outcome.unwrap());
-            let counters = assembler.recorder().snapshot().counters;
-            let n = |key: &str| counters.get(key).copied().unwrap_or(0);
-            let keys = ["runs", "pairs", "degraded", "rejected", "recomputed"];
-            got.push((*name, keys.map(|k| n(&format!("ooc.spill.{k}")))));
-        }
-        println!("threads={threads}: {got:?}");
-        assert_eq!(got, EXPECTED, "{threads} threads");
+/// [`in_core_config`] under a 1 GiB budget: aligned one column at a time.
+fn budgeted_config() -> FocusConfig {
+    FocusConfig {
+        memory_budget: Some(1 << 30),
+        ..in_core_config()
     }
 }
 
-/// Stopped after alignment out of core and resumed: the input is read
+fn run_file(
+    config: FocusConfig,
+    input: &Path,
+    opts: &CheckpointOptions,
+) -> (FocusAssembler, Result<AssemblyOutcome, FocusError>) {
+    let assembler = FocusAssembler::new(config).unwrap();
+    let outcome = assembler.assemble_file(input, opts);
+    (assembler, outcome)
+}
+
+/// Whether the run aligned one column index at a time.
+fn aligned_by_column(assembler: &FocusAssembler) -> bool {
+    let events = assembler.recorder().events();
+    events.iter().any(|e| e.name == "align.overlap_by_column")
+}
+
+/// The names of the files in `dir`.
+fn file_names(dir: &Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).unwrap();
+    let names = entries.map(|e| e.unwrap().file_name().into_string().unwrap());
+    names.collect()
+}
+
+/// Under a 1 GiB budget at 1, 2, 4 and 8 threads, clean and under the
+/// `FaultPlan`: the in-core reference, aligned one column at a time.
+#[test]
+fn spilled_assembly_is_bit_identical_to_in_core() {
+    run_slice(Slice::Budgeted);
+}
+
+/// Stopped after alignment under a budget and resumed: the input is read
 /// again and the alignment checkpoint adopted, at every thread count,
-/// clean and under the `FaultPlan`.
+/// clean and under the `FaultPlan`, and on short and bit-flipped
+/// checkpoint reads.
 #[test]
 fn killed_ooc_run_resumes_pages_and_checkpoints() {
-    run_slice(Slice::SpilledResume);
+    run_slice(Slice::BudgetedResume);
 }
 
-/// Random genomes at random out-of-core points.
+/// Random genomes at random budgeted points.
 #[test]
 fn spilled_identity_holds_for_random_genomes() {
-    run_random(4, |p| p.mode.spills());
+    run_random(4, |p| p.mode.budgeted());
 }
 
-/// A spilled run killed before its alignment checkpoint was written
-/// leaves spilled pair runs and no checkpoint. Resumed, it adopts none of
-/// them: every pair is aligned and spilled afresh, none is read back
-/// before this run wrote it, and the contigs and the logical snapshot are
-/// a clean run's.
+/// A budgeted run leaves its alignment checkpoint and no other file. With
+/// that checkpoint deleted, as if the run was killed before writing it, a
+/// resumed run aligns afresh, column by column, and writes the checkpoint
+/// again and nothing beside it; the contigs and the logical snapshot are a
+/// clean run's.
 #[test]
 fn spills_without_a_checkpoint_are_recomputed_not_adopted() {
     let tmp = TempDir::new("sresume");
     let (input, parsed) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
-    let (clean, clean_snapshot) = run_clean(&parsed, ooc_config());
-    let opts = CheckpointOptions::in_dir(tmp.join("ckpt"));
-    let ooc = OocOptions::in_dir(tmp.join("spill"));
-    let (_, outcome) = run_ooc(ooc_config(), &input, &opts, &ooc);
+    let (clean, clean_snapshot) = run_clean(&parsed, in_core_config());
+    let ckpt = tmp.join("ckpt");
+    let opts = CheckpointOptions::in_dir(&ckpt);
+    let (first, outcome) = run_file(budgeted_config(), &input, &opts);
     assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
-    std::fs::remove_file(tmp.join("ckpt/phase_01_alignment.ckpt")).unwrap();
+    assert!(aligned_by_column(&first));
+    assert_eq!(file_names(&ckpt), ["phase_01_alignment.ckpt"]);
+    std::fs::remove_file(ckpt.join("phase_01_alignment.ckpt")).unwrap();
 
     let resume = CheckpointOptions {
         resume: true,
         ..opts
     };
-    let (second, outcome) = run_ooc(ooc_config(), &input, &resume, &ooc);
+    let (second, outcome) = run_file(budgeted_config(), &input, &resume);
     assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
     assert_eq!(second.recorder().snapshot_json(), clean_snapshot);
+    assert!(aligned_by_column(&second));
     let counters = second.recorder().snapshot().counters;
-    let pairs = pairs(&ooc_config());
-    assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
-    assert_eq!(counters.get("ooc.spill.rejected"), None);
     assert_eq!(counters.get("ckpt.loaded"), None);
+    assert_eq!(counters.get("ckpt.saved"), Some(&1));
+    assert_eq!(file_names(&ckpt), ["phase_01_alignment.ckpt"]);
 }
 
-/// An out-of-core run's checkpoint resumes an in-core run of the same
-/// file: both stamp it with the digest of their one ingest pass, and the
+/// A budgeted run's checkpoint resumes an in-core run of the same file:
+/// both stamp it with the digest of their one ingest pass, and the
 /// in-core resume reproduces the clean run's contigs and snapshot.
 #[test]
 fn fresh_ooc_checkpoints_resume_an_in_core_run() {
     let tmp = TempDir::new("fused");
     let (input, parsed) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
-    let (clean, clean_snapshot) = run_clean(&parsed, ooc_config());
+    let (clean, clean_snapshot) = run_clean(&parsed, in_core_config());
     let opts = CheckpointOptions::in_dir(tmp.join("ckpt"));
-    let ooc = OocOptions::in_dir(tmp.join("spill"));
-    let (_, outcome) = run_ooc(ooc_config(), &input, &opts, &ooc);
+    let (_, outcome) = run_file(budgeted_config(), &input, &opts);
     assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
 
     let resume = CheckpointOptions {
         resume: true,
         ..opts
     };
-    let assembler = FocusAssembler::new(ooc_config()).unwrap();
-    let resumed = completed(assembler.assemble_file(&input, &resume, None).unwrap());
+    let assembler = FocusAssembler::new(in_core_config()).unwrap();
+    let resumed = completed(assembler.assemble_file(&input, &resume).unwrap());
     assert_eq!(resumed.contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
     let counters = assembler.recorder().snapshot().counters;
@@ -194,54 +144,52 @@ fn fresh_ooc_checkpoints_resume_an_in_core_run() {
     assert_eq!(counters.get("ckpt.rejected"), None);
 }
 
-/// When one read changed since a spilled run checkpointed its alignment,
-/// a resumed run adopts nothing of it: the checkpoint, keyed by the old
-/// input's digest, is refused, every pair is aligned and spilled afresh
-/// without a spilled run of the old input being read, and the output is a
-/// clean run's on the new input.
+/// When one read changed since a budgeted run checkpointed its
+/// alignment, a resumed run adopts nothing of it: the checkpoint, keyed by
+/// the old input's digest, is refused, every pair is aligned afresh column
+/// by column, and the output is a clean run's on the new input.
 #[test]
 fn resume_after_the_input_changed_adopts_nothing() {
     let tmp = TempDir::new("changed");
     let reads = tiled_reads(2500, 11);
     let (input, _) = fastq_fixture(&tmp.join("input"), &reads);
-    let opts = CheckpointOptions::in_dir(tmp.join("ckpt"));
-    let ooc = OocOptions::in_dir(tmp.join("spill"));
-    let (first, outcome) = run_ooc(ooc_config(), &input, &opts, &ooc);
+    let ckpt = tmp.join("ckpt");
+    let opts = CheckpointOptions::in_dir(&ckpt);
+    let (first, outcome) = run_file(budgeted_config(), &input, &opts);
     completed(outcome.unwrap());
-    assert!(first.recorder().snapshot().counters["ooc.spill.runs"] >= 1);
+    assert!(aligned_by_column(&first));
 
     let mut changed = reads;
     let base = changed[7].seq.get(50);
     changed[7].seq.set(50, base.complement());
     let (rewritten, parsed) = fastq_fixture(&tmp.join("input"), &changed);
     assert_eq!(rewritten, input);
-    let (clean, clean_snapshot) = run_clean(&parsed, ooc_config());
+    let (clean, clean_snapshot) = run_clean(&parsed, in_core_config());
     let resume = CheckpointOptions {
         resume: true,
         ..opts
     };
-    let (assembler, outcome) = run_ooc(ooc_config(), &input, &resume, &ooc);
+    let (assembler, outcome) = run_file(budgeted_config(), &input, &resume);
     let result = completed(outcome.unwrap());
     assert_eq!(result.contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+    assert!(aligned_by_column(&assembler));
     let counters = assembler.recorder().snapshot().counters;
-    let pairs = pairs(&ooc_config());
     assert_eq!(counters.get("ckpt.rejected"), Some(&1));
-    assert_eq!(counters.get("ooc.spill.rejected"), None);
-    assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
+    assert_eq!(counters.get("ckpt.loaded"), None);
+    assert_eq!(file_names(&ckpt), ["phase_01_alignment.ckpt"]);
 }
 
-/// The budget gate: a budget the in-core pipeline cannot satisfy (it must
-/// hold raw input + store + overlaps, and more while its seed indexes are
-/// alive) still admits the spilled pipeline,
-/// which streams the input and pages the alignment — and the output under
-/// pressure is byte-identical. A budget nothing fits under fails both
-/// ways, typed.
+/// The budget gate: a budget the parsed-reads pipeline cannot satisfy (it
+/// must hold raw input + store + overlaps, and more while its seed indexes
+/// are alive) still admits the file pipeline, which streams the input and
+/// keeps one seed index at a time — and the output under pressure is
+/// byte-identical. A budget nothing fits under fails both ways, typed.
 #[test]
 fn budget_rejects_in_core_but_admits_spilled() {
     let tmp = TempDir::new("budget");
     let (input, parsed) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
-    let mut config = ooc_config();
+    let mut config = in_core_config();
     config.subsets = 8;
 
     // A lower bound on the in-core ledger requirement: raw input reads +
@@ -277,11 +225,11 @@ fn budget_rejects_in_core_but_admits_spilled() {
         other => panic!("in-core under budget cap: {other:?}"),
     }
 
-    // The spilled path fits the same budget and reproduces the output.
-    let ooc = OocOptions::in_dir(tmp.join("spill"));
-    let (_, outcome) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
+    // The file path fits the same budget and reproduces the output.
+    let (assembler, outcome) = run_file(config, &input, &CheckpointOptions::default());
     let result = completed(outcome.unwrap());
     assert_eq!(result.contigs, clean.contigs);
+    assert!(aligned_by_column(&assembler));
 
     // A budget nothing fits under is a typed error on both paths, not a
     // panic or an OOM.
@@ -291,8 +239,7 @@ fn budget_rejects_in_core_but_admits_spilled() {
         tiny.prepare(&parsed),
         Err(FocusError::BudgetExceeded(_))
     ));
-    let ooc = OocOptions::in_dir(tmp.join("tiny"));
-    let (_, outcome) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
+    let (_, outcome) = run_file(config, &input, &CheckpointOptions::default());
     assert!(matches!(outcome, Err(FocusError::BudgetExceeded(_))));
 }
 
@@ -300,13 +247,13 @@ fn budget_rejects_in_core_but_admits_spilled() {
 /// anything, and the ledger charges them as `align-index` before the
 /// first is built. A budget that holds the input, the store and the
 /// overlaps but not the input, the store and the indexes refuses the
-/// in-core run there; the spilled run, one index at a time and no raw
-/// input, completes under it with the unbudgeted contigs.
+/// in-core run there; the file run, one index at a time and no raw input,
+/// completes under it with the unbudgeted contigs.
 #[test]
 fn in_core_alignment_charges_its_seed_indexes() {
     let tmp = TempDir::new("index-charge");
     let (input, parsed) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
-    let mut config = ooc_config();
+    let mut config = in_core_config();
     let prep = FocusAssembler::new(config)
         .unwrap()
         .prepare_stages(&parsed)
@@ -339,9 +286,8 @@ fn in_core_alignment_charges_its_seed_indexes() {
         }
         other => panic!("in-core under {budget} B: {other:?}"),
     }
-    let unbudgeted = run_clean(&parsed, ooc_config()).0;
-    let ooc = OocOptions::in_dir(tmp.join("spill"));
-    let (_, outcome) = run_ooc(config, &input, &CheckpointOptions::default(), &ooc);
+    let unbudgeted = run_clean(&parsed, in_core_config()).0;
+    let (_, outcome) = run_file(config, &input, &CheckpointOptions::default());
     assert_eq!(completed(outcome.unwrap()).contigs, unbudgeted.contigs);
 }
 
@@ -379,15 +325,14 @@ fn rewrite_as_version_4(dir: &Path) {
 }
 
 /// Files of the previous format are never decoded as this version's
-/// layout: a version-4 alignment checkpoint, in core or beside version-4
-/// spilled pair runs, is refused on resume and alignment recomputed, and
-/// the old pair runs are overwritten unread. Contigs and the logical
-/// snapshot equal a clean run's.
+/// layout: a version-4 alignment checkpoint, in core or budgeted, is
+/// refused on resume and alignment recomputed, and overwritten by this
+/// version's. Contigs and the logical snapshot equal a clean run's.
 #[test]
 fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     let tmp = TempDir::new("v4");
     let (input, parsed) = fastq_fixture(&tmp.join("input"), &tiled_reads(2500, 11));
-    let config = ooc_config();
+    let config = in_core_config();
     let (clean, clean_snapshot) = run_clean(&parsed, config);
 
     // A checkpointed in-core run stopped after alignment, its checkpoint
@@ -397,7 +342,7 @@ fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     opts.stop_after = Some(CkptPhase::Alignment);
     let stopped = FocusAssembler::new(config)
         .unwrap()
-        .assemble_file(&input, &opts, None);
+        .assemble_file(&input, &opts);
     assert!(matches!(
         stopped,
         Ok(AssemblyOutcome::Stopped(CkptPhase::Alignment))
@@ -406,45 +351,30 @@ fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     opts.stop_after = None;
     opts.resume = true;
     let assembler = FocusAssembler::new(config).unwrap();
-    let resumed = completed(assembler.assemble_file(&input, &opts, None).unwrap());
+    let resumed = completed(assembler.assemble_file(&input, &opts).unwrap());
     assert_eq!(resumed.contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
     let counters = assembler.recorder().snapshot().counters;
     assert_eq!(counters.get("ckpt.rejected"), Some(&1));
     assert_eq!(counters.get("ckpt.loaded"), None);
 
-    // A spilled run's checkpoint and pair runs rewritten as version 4: the
-    // resumed run refuses the checkpoint and aligns and spills every pair
-    // afresh, reading no pair run it did not write, so the spill directory
-    // then holds this version's containers alone.
-    let ckpt = tmp.join("ooc-ckpt");
-    let spill = tmp.join("spill");
-    let ooc = OocOptions::in_dir(&spill);
+    // A budgeted run's checkpoint rewritten as version 4: the resumed run
+    // refuses it, aligns afresh by column, and leaves this version's
+    // container alone in the directory.
+    let ckpt = tmp.join("budgeted-ckpt");
     let opts = CheckpointOptions::in_dir(&ckpt);
-    let (_, first) = run_ooc(config, &input, &opts, &ooc);
+    let (_, first) = run_file(budgeted_config(), &input, &opts);
     completed(first.unwrap());
-    let entries: Vec<_> = std::fs::read_dir(&spill).unwrap().collect();
-    assert_eq!(entries.len(), 1, "{entries:?}");
-    let pairs = pairs(&config);
-    assert_eq!(containers(&spill.join("align")).len() as u64, pairs);
     rewrite_as_version_4(&ckpt);
-    rewrite_as_version_4(&spill.join("align"));
     let resume = CheckpointOptions {
         resume: true,
         ..opts
     };
-    let (assembler, outcome) = run_ooc(config, &input, &resume, &ooc);
+    let (assembler, outcome) = run_file(budgeted_config(), &input, &resume);
     assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
     assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+    assert!(aligned_by_column(&assembler));
     let counters = assembler.recorder().snapshot().counters;
     assert_eq!(counters.get("ckpt.rejected"), Some(&1));
-    assert_eq!(counters.get("ooc.spill.rejected"), None);
-    assert_eq!(counters.get("ooc.spill.runs"), Some(&pairs));
-    assert_eq!(containers(&spill.join("align")).len() as u64, pairs);
-}
-
-/// Subset pairs `config` aligns: `s(s+1)/2` for `s` subsets.
-fn pairs(config: &FocusConfig) -> u64 {
-    let subsets = config.subsets as u64;
-    subsets * (subsets + 1) / 2
+    assert_eq!(containers(&ckpt).len(), 1);
 }

@@ -1,8 +1,9 @@
-//! Capped-heap proof for the out-of-core path, measured with a real
-//! counting allocator (not the ledger): the spilled pipeline's true peak
-//! heap is strictly below the in-core pipeline's on the same input, it
-//! stays within a budget derived from its own measured peak, and the
-//! contigs under that cap are byte-identical to the uncapped in-core run.
+//! Capped-heap proof for the budgeted path, measured with a real counting
+//! allocator (not the ledger): the budgeted pipeline, streaming its input
+//! and keeping one seed index at a time, has a true peak heap strictly
+//! below the parsed-reads pipeline's on the same input, stays within a
+//! budget derived from its own measured peak, and writes the uncapped
+//! in-core run's contigs under that cap.
 //!
 //! This lives in its own integration-test binary on purpose: a
 //! `#[global_allocator]` is process-wide, and the single `#[test]` here
@@ -12,7 +13,7 @@ mod common;
 
 use common::alloc::{peak_over, CountingAlloc};
 use common::{completed, contract_config, genome, tiling, TempDir};
-use focus_assembler::focus::{CheckpointOptions, FocusAssembler, FocusConfig, OocOptions};
+use focus_assembler::focus::{CheckpointOptions, FocusAssembler, FocusConfig};
 use focus_assembler::seq::{fastq, Read};
 use std::io::BufReader;
 
@@ -33,7 +34,7 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
     // Big enough that the pipeline's data structures dominate constant
     // overheads in the peak measurement. Long reads on purpose: seed
     // indexes scale with bases while the graph scales with overlap count,
-    // so the alignment phase — the part spilling shrinks — dominates the
+    // so the alignment phase — the part a budget shrinks — dominates the
     // in-core peak.
     let reads = tiling(&genome(36_000, 11), 300, 150);
     let tmp = TempDir::new("ooc-capped");
@@ -57,36 +58,39 @@ fn spilled_peak_heap_is_below_in_core_and_within_budget() {
         assembler.assemble(&parsed).unwrap()
     });
 
-    // A spilled run under `config`, each in a spill directory of its own.
-    let spilled = |config, spill: &str| {
+    // A file run under `config`, which carries a budget.
+    let budgeted = |config| {
         let assembler = FocusAssembler::new(config).unwrap();
-        let ooc = OocOptions::in_dir(tmp.join(spill));
-        let outcome = assembler.assemble_file(&input, &CheckpointOptions::default(), Some(&ooc));
+        let outcome = assembler.assemble_file(&input, &CheckpointOptions::default());
         completed(outcome.unwrap())
     };
 
-    // Uncapped spilled run: measure its real peak.
-    let (first, ooc_peak) = peak_over(|| spilled(capped_config(), "measure"));
+    // A run under a budget that never binds (1 GiB): measure its real peak.
+    let measure = FocusConfig {
+        memory_budget: Some(1 << 30),
+        ..capped_config()
+    };
+    let (first, ooc_peak) = peak_over(|| budgeted(measure));
     assert_eq!(first.contigs, clean.contigs);
     drop(first);
     assert!(
         ooc_peak < in_core_peak,
-        "spilling did not reduce the real peak: ooc {ooc_peak} vs in-core {in_core_peak}"
+        "the budget did not reduce the real peak: budgeted {ooc_peak} vs in-core {in_core_peak}"
     );
 
     // Re-run under an enforced budget with ~15% headroom over the
-    // measured spilled peak — a cap the in-core run above demonstrably
+    // measured budgeted peak — a cap the in-core run above demonstrably
     // blows through. Peak stays under the cap, contigs stay identical.
     let budget = ooc_peak + ooc_peak / 7;
     assert!(
         (budget as usize) < in_core_peak,
         "budget {budget} does not separate the two paths (in-core peak {in_core_peak})"
     );
-    let budgeted = FocusConfig {
+    let capped = FocusConfig {
         memory_budget: Some(budget as u64),
         ..capped_config()
     };
-    let (capped, capped_peak) = peak_over(|| spilled(budgeted, "capped"));
+    let (capped, capped_peak) = peak_over(|| budgeted(capped));
     assert_eq!(capped.contigs, clean.contigs);
     assert!(
         capped_peak <= budget,
