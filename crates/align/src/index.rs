@@ -47,7 +47,7 @@ use crate::error::AlignError;
 use fc_exec::Pool;
 use fc_obs::Recorder;
 use fc_seq::packed::BASES_PER_WORD;
-use fc_seq::{DnaString, ReadId};
+use fc_seq::{PackedView, ReadId};
 use std::ops::Range;
 
 /// Run starts a lookup walks inside its tag block before it binary-searches
@@ -192,7 +192,7 @@ impl KmerIndex {
     /// # Panics
     /// Panics if `k` is outside `1..=32` or [`KmerIndex::check_capacity`]
     /// refuses the subset.
-    pub fn build(reads: &[(ReadId, &DnaString)], k: usize) -> KmerIndex {
+    pub fn build(reads: &[(ReadId, PackedView<'_>)], k: usize) -> KmerIndex {
         let Scattered {
             index,
             mut positions,
@@ -219,7 +219,7 @@ impl KmerIndex {
     /// Panics if `k` is outside `1..=32`.
     pub fn build_all<'a>(
         subsets: usize,
-        reads: impl Fn(usize) -> Vec<(ReadId, &'a DnaString)> + Sync,
+        reads: impl Fn(usize) -> Vec<(ReadId, PackedView<'a>)> + Sync,
         k: usize,
         pool: &Pool,
         rec: &Recorder,
@@ -279,7 +279,7 @@ impl KmerIndex {
     /// into their buckets, whose order within a bucket is still entry
     /// order. `dir` is final; `positions` and `run_start` are returned
     /// beside the index.
-    fn scatter(reads: &[(ReadId, &DnaString)], k: usize) -> Scattered {
+    fn scatter(reads: &[(ReadId, PackedView<'_>)], k: usize) -> Scattered {
         assert!((1..=32).contains(&k), "k must be in 1..=32");
         let bases: usize = reads.iter().map(|(_, seq)| seq.len()).sum();
         let off_bits = match KmerIndex::check_capacity(reads.iter().map(|(_, seq)| seq.len())) {
@@ -295,11 +295,10 @@ impl KmerIndex {
         for &(id, seq) in reads {
             read_starts.push(at as u32);
             ids.push(id);
-            let view = seq.packed();
-            for off in (0..view.len()).step_by(BASES_PER_WORD) {
+            for off in (0..seq.len()).step_by(BASES_PER_WORD) {
                 // Bases past the read's end come back zero, so OR-ing the
                 // chunk in leaves the next read's bits untouched.
-                let chunk = view.window(off);
+                let chunk = seq.window(off);
                 let (w, sh) = ((at + off) / BASES_PER_WORD, (at + off) % BASES_PER_WORD * 2);
                 words[w] |= chunk << sh;
                 if sh > 0 {
@@ -528,7 +527,7 @@ impl KmerIndex {
     }
 
     /// Looks up every k-mer of `kmers` (packed as by
-    /// [`DnaString::kmer_u64`] for the `k` the index was built with):
+    /// [`fc_seq::DnaString::kmer_u64`] for the `k` the index was built with):
     /// `out[i]`, cleared first, is the entry range of `kmers[i]`'s run, for
     /// [`KmerIndex::hits_of`]. Three passes, each over the whole batch: the
     /// directory bounds of every k-mer, then the start of its tag block in
@@ -588,6 +587,7 @@ impl KmerIndex {
 mod tests {
     use super::*;
     use fc_rng::Rng;
+    use fc_seq::DnaString;
 
     fn random_seq(rng: &mut Rng, len: usize, alphabet: u8) -> DnaString {
         (0..len)
@@ -595,11 +595,11 @@ mod tests {
             .collect()
     }
 
-    fn with_ids(seqs: &[DnaString]) -> Vec<(ReadId, &DnaString)> {
+    fn with_ids(seqs: &[DnaString]) -> Vec<(ReadId, PackedView<'_>)> {
         // Ids are not positions: the index must report what it was given.
         seqs.iter()
             .enumerate()
-            .map(|(i, s)| (ReadId(3 * i as u32 + 1), s))
+            .map(|(i, s)| (ReadId(3 * i as u32 + 1), s.packed()))
             .collect()
     }
 
@@ -612,11 +612,9 @@ mod tests {
     struct NaiveIndex(Vec<(ReadId, Vec<u64>)>);
 
     impl NaiveIndex {
-        fn build(reads: &[(ReadId, &DnaString)], k: usize) -> NaiveIndex {
-            let kmer_at = |seq: &DnaString, pos: usize| {
-                (0..k).fold(0, |kmer, i| {
-                    kmer | (seq.get(pos + i).code() as u64) << (2 * i)
-                })
+        fn build(reads: &[(ReadId, PackedView<'_>)], k: usize) -> NaiveIndex {
+            let kmer_at = |seq: PackedView<'_>, pos: usize| {
+                (0..k).fold(0, |kmer, i| kmer | (seq.code(pos + i) as u64) << (2 * i))
             };
             NaiveIndex(
                 reads
@@ -801,7 +799,7 @@ mod tests {
         let mut hits = 0;
         for n in [1usize, 4, 5] {
             for (j, reference) in store.split_subsets(n).iter().enumerate() {
-                let reads: Vec<(ReadId, &DnaString)> =
+                let reads: Vec<(ReadId, PackedView<'_>)> =
                     reference.iter().map(|&id| (id, store.get(id))).collect();
                 let index = KmerIndex::build(&reads, config.k);
                 let naive = NaiveIndex::build(&reads, config.k);

@@ -95,9 +95,8 @@ pub fn banded_nw_verdict(
     req: &VerifyReq,
     nw: &mut NwScratch,
 ) -> Option<AlignmentSummary> {
-    let a_seq = store.get(req.a);
-    let b_seq = store.get(req.b);
-    let summary = banded_global_with(a_seq, req.a_range, b_seq, req.b_range, req.band, nw)?;
+    let (a, b) = (store.get(req.a), store.get(req.b));
+    let summary = banded_global_with(a, req.a_range, b, req.b_range, req.band, nw)?;
     apply_thresholds(config, summary)
 }
 
@@ -105,9 +104,9 @@ pub fn banded_nw_verdict(
 /// bases per word straight from the packed reads.
 fn hamming(store: &ReadStore, req: &VerifyReq) -> usize {
     debug_assert_eq!(req.a_range.1 - req.a_range.0, req.b_range.1 - req.b_range.0);
-    store.get(req.a).packed().mismatches(
+    store.get(req.a).mismatches(
         req.a_range.0,
-        &store.get(req.b).packed(),
+        &store.get(req.b),
         req.b_range.0,
         req.a_range.1 - req.a_range.0,
     )
@@ -166,7 +165,7 @@ pub(crate) fn verify(
         stats.prefilter_rejected += 1;
         return None;
     }
-    let (a, b) = (store.get(req.a).packed(), store.get(req.b).packed());
+    let (a, b) = (store.get(req.a), store.get(req.b));
     let d = match h.filter(|&h| h <= LV_MAX_H) {
         // The all-diagonal script costs `h`, so `D <= h`; a search capped
         // at `h - 1` (`h >= 1`: `h = 0` settled above) that finds nothing
@@ -449,7 +448,7 @@ mod tests {
             if ungapped_optimum_forced(h, None) {
                 continue;
             }
-            let (a, b) = (store.get(req.a).packed(), store.get(req.b).packed());
+            let (a, b) = (store.get(req.a), store.get(req.b));
             let d = edit_distance_with(a, req.a_range, b, req.b_range, &mut myers) as usize;
             kernels[if h > LV_MAX_H { 2 } else { usize::from(d == h) }] += 1;
         }

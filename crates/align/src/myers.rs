@@ -762,7 +762,14 @@ mod props {
                 &mut MyersScratch::default(),
             );
             let band = a.len().max(b.len()).max(1);
-            let s = crate::nw::banded_global(&da, (0, da.len()), &db, (0, db.len()), band).unwrap();
+            let s = crate::nw::banded_global(
+                da.packed(),
+                (0, da.len()),
+                db.packed(),
+                (0, db.len()),
+                band,
+            )
+            .unwrap();
             let bound = identity_upper_bound(a.len(), b.len(), d);
             assert!(
                 s.identity() <= bound,

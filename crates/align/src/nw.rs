@@ -5,7 +5,7 @@
 //! centred on the main diagonal because the seeding stage already aligned the
 //! regions' starting coordinates; its width only needs to absorb indel drift.
 
-use fc_seq::DnaString;
+use fc_seq::PackedView;
 
 /// Score added per matching column. The verifier's bounds
 /// ([`crate::myers`]) are derived for this scoring and no other.
@@ -62,9 +62,9 @@ const COLUMN: u64 = 1 << 32;
 /// score/column/match summary, or `None` when the length difference exceeds
 /// the band (the global path would leave the band).
 pub fn banded_global(
-    a: &DnaString,
+    a: PackedView<'_>,
     a_range: (usize, usize),
-    b: &DnaString,
+    b: PackedView<'_>,
     b_range: (usize, usize),
     band: usize,
 ) -> Option<AlignmentSummary> {
@@ -86,9 +86,9 @@ pub fn banded_global(
 /// `NEG`; left at a row's first cell starts from `NEG`; column 0, which has
 /// no diagonal, is a step of its own.
 pub fn banded_global_with(
-    a: &DnaString,
+    a: PackedView<'_>,
     a_range: (usize, usize),
-    b: &DnaString,
+    b: PackedView<'_>,
     b_range: (usize, usize),
     band: usize,
     scratch: &mut NwScratch,
@@ -118,8 +118,8 @@ pub fn banded_global_with(
         prev_cm,
         cur_cm,
     } = scratch;
-    a.packed().fill_codes(a_start, a_end, a_codes);
-    b.packed().fill_codes(b_start, b_end, b_codes);
+    a.fill_codes(a_start, a_end, a_codes);
+    b.fill_codes(b_start, b_end, b_codes);
     let slots = 2 * band + 3;
     for row in [&mut *prev, &mut *cur] {
         row.clear();
@@ -310,6 +310,7 @@ impl NwScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_seq::DnaString;
 
     /// Reference implementation: full (unbanded) Needleman–Wunsch with the
     /// same (columns, matches) bookkeeping.
@@ -356,7 +357,7 @@ mod tests {
     fn summary(a: &str, b: &str, band: usize) -> Option<AlignmentSummary> {
         let a: DnaString = a.parse().unwrap();
         let b: DnaString = b.parse().unwrap();
-        banded_global(&a, (0, a.len()), &b, (0, b.len()), band)
+        banded_global(a.packed(), (0, a.len()), b.packed(), (0, b.len()), band)
     }
 
     #[test]
@@ -402,7 +403,9 @@ mod tests {
             let ad: DnaString = a.parse().unwrap();
             let bd: DnaString = b.parse().unwrap();
             let band = ad.len().max(bd.len());
-            let banded = banded_global(&ad, (0, ad.len()), &bd, (0, bd.len()), band).unwrap();
+            let banded =
+                banded_global(ad.packed(), (0, ad.len()), bd.packed(), (0, bd.len()), band)
+                    .unwrap();
             let full = full_global(&ad, &bd);
             assert_eq!(banded.score, full.score, "{a} vs {b}");
             assert_eq!(banded.columns, full.columns, "{a} vs {b}");
@@ -413,7 +416,7 @@ mod tests {
     #[test]
     fn empty_ranges() {
         let a: DnaString = "ACGT".parse().unwrap();
-        let s = banded_global(&a, (0, 0), &a, (0, 0), 8).unwrap();
+        let s = banded_global(a.packed(), (0, 0), a.packed(), (0, 0), 8).unwrap();
         assert_eq!(s.columns, 0);
         assert_eq!(s.score, 0);
         assert_eq!(s.identity(), 0.0);
@@ -438,7 +441,7 @@ mod tests {
                 matches,
             });
             assert_eq!(
-                banded_global(&a, a_range, &b, b_range, 7),
+                banded_global(a.packed(), a_range, b.packed(), b_range, 7),
                 want,
                 "{a} vs {b}"
             );
@@ -450,7 +453,7 @@ mod tests {
     fn subrange_alignment() {
         let a: DnaString = "TTTTACGTACGT".parse().unwrap();
         let b: DnaString = "ACGTACGTTTTT".parse().unwrap();
-        let s = banded_global(&a, (4, 12), &b, (0, 8), 8).unwrap();
+        let s = banded_global(a.packed(), (4, 12), b.packed(), (0, 8), 8).unwrap();
         assert_eq!(s.matches, 8);
         assert_eq!(s.columns, 8);
     }
@@ -492,7 +495,8 @@ mod tests {
                     };
                     assert_eq!(full, diagonal, "{a} vs {b} (h {h}, D {d})");
                     for band in [0, 1, len] {
-                        let banded = banded_global(&a, (0, len), &b, (0, len), band);
+                        let banded =
+                            banded_global(a.packed(), (0, len), b.packed(), (0, len), band);
                         assert_eq!(banded, Some(diagonal), "band {band}: {a} vs {b}");
                     }
                     if early {
@@ -515,7 +519,7 @@ mod props {
     use super::tests::full_global;
     use super::*;
     use fc_rng::{cases, Rng};
-    use fc_seq::Base;
+    use fc_seq::{Base, DnaString};
 
     fn dna(rng: &mut Rng, max_len: usize) -> DnaString {
         rng.vec(0..max_len, |r| fc_seq::Base::from_code(r.range(0..4)))
@@ -530,7 +534,8 @@ mod props {
         cases(256, |rng| {
             let (a, b) = (dna(rng, 24), dna(rng, 24));
             let band = a.len().max(b.len()).max(1);
-            let banded = banded_global(&a, (0, a.len()), &b, (0, b.len()), band).unwrap();
+            let banded =
+                banded_global(a.packed(), (0, a.len()), b.packed(), (0, b.len()), band).unwrap();
             let full = full_global(&a, &b);
             assert_eq!(banded.score, full.score);
             assert_eq!(banded.columns, full.columns);
@@ -543,7 +548,7 @@ mod props {
     fn self_alignment_is_perfect() {
         cases(256, |rng| {
             let a = dna(rng, 32);
-            let s = banded_global(&a, (0, a.len()), &a, (0, a.len()), 8).unwrap();
+            let s = banded_global(a.packed(), (0, a.len()), a.packed(), (0, a.len()), 8).unwrap();
             assert_eq!(s.matches as usize, a.len());
             assert_eq!(s.columns as usize, a.len());
         });
@@ -554,7 +559,7 @@ mod props {
     fn summary_invariants() {
         cases(256, |rng| {
             let (a, b) = (dna(rng, 20), dna(rng, 20));
-            if let Some(s) = banded_global(&a, (0, a.len()), &b, (0, b.len()), 20) {
+            if let Some(s) = banded_global(a.packed(), (0, a.len()), b.packed(), (0, b.len()), 20) {
                 assert!(s.matches <= s.columns);
                 assert!(s.columns as usize >= a.len().max(b.len()));
                 assert!((0.0..=1.0).contains(&s.identity()));
@@ -618,7 +623,8 @@ mod props {
             let b = [bases(rng, b_off), middle].concat();
             let (a, b): (DnaString, DnaString) = (a.into_iter().collect(), b.into_iter().collect());
             let (a_range, b_range) = ((a_off, a_off + n), (b_off, b_off + m));
-            let got = banded_global_with(&a, a_range, &b, b_range, band, &mut scratch);
+            let got =
+                banded_global_with(a.packed(), a_range, b.packed(), b_range, band, &mut scratch);
             let want = reference::banded_global(&a, a_range, &b, b_range, band);
             assert_eq!(got, want, "band {band}: a[{a_range:?}] vs b[{b_range:?}]");
             if let Some(s) = got {

@@ -13,7 +13,7 @@ use crate::nw::AlignmentSummary;
 use crate::overlap::{Overlap, OverlapKind};
 use fc_exec::Pool;
 use fc_obs::Recorder;
-use fc_seq::{DnaString, ReadId, ReadStore};
+use fc_seq::{PackedView, ReadId, ReadStore};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -29,13 +29,13 @@ pub(crate) const SEED_STEP: usize = 3;
 /// Appends the k-mers `seq` samples as seeds (`1 ≤ k ≤ 32`): those starting
 /// at every [`SEED_STEP`]-th position, in position order. Only the sampled
 /// starts are read, one masked window each.
-pub(crate) fn sampled_kmers(seq: &DnaString, k: usize, out: &mut Vec<u64>) {
+pub(crate) fn sampled_kmers(seq: PackedView<'_>, k: usize, out: &mut Vec<u64>) {
     if seq.len() < k {
         return;
     }
-    let (packed, mask) = (seq.packed(), u64::MAX >> (64 - 2 * k));
+    let mask = u64::MAX >> (64 - 2 * k);
     let starts = (0..=seq.len() - k).step_by(SEED_STEP);
-    out.extend(starts.map(|pos| packed.window(pos) & mask));
+    out.extend(starts.map(|pos| seq.window(pos) & mask));
 }
 
 /// Parameters of the overlap stage. The paper's evaluation uses a minimum
@@ -335,7 +335,7 @@ impl<'a> Overlapper<'a> {
     }
 
     /// A subset's reads as the index takes them.
-    fn subset_reads(&self, subset: &[ReadId]) -> Vec<(ReadId, &'a DnaString)> {
+    fn subset_reads(&self, subset: &[ReadId]) -> Vec<(ReadId, PackedView<'a>)> {
         subset.iter().map(|&id| (id, self.store.get(id))).collect()
     }
 
@@ -770,7 +770,7 @@ pub(crate) mod tests {
             let len = rng.range(0..k + 70);
             let seq = random_genome(len, rng.range(0..u64::MAX));
             let mut sampled = vec![7]; // appended after what is there
-            sampled_kmers(&seq, k, &mut sampled);
+            sampled_kmers(seq.packed(), k, &mut sampled);
             let every: Vec<u64> = seq.kmers(k).step_by(SEED_STEP).map(|(_, m)| m).collect();
             assert_eq!(sampled[1..], every[..], "k={k} len={len}");
         });

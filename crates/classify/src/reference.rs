@@ -33,7 +33,10 @@ impl ReferenceIndex {
         KmerIndex::check_capacity(genomes.iter().flat_map(|g| [g.len(); 2]))
             .map_err(ClassifyError::Index)?;
         let reverse: Vec<DnaString> = genomes.iter().map(DnaString::reverse_complement).collect();
-        let strands = genomes.iter().zip(&reverse).flat_map(|(f, r)| [f, r]);
+        let strands = genomes
+            .iter()
+            .zip(&reverse)
+            .flat_map(|(f, r)| [f.packed(), r.packed()]);
         let reads: Vec<_> = (0..).map(ReadId).zip(strands).collect();
         Ok(ReferenceIndex {
             index: KmerIndex::build(&reads, k),

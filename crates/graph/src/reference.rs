@@ -283,8 +283,9 @@ pub(crate) fn consensus(layout: &ClusterLayout, store: &ReadStore) -> DnaString 
     let mut counts = vec![[0u32; 4]; span];
     for &(v, o) in &layout.order {
         let rel = (o - base_off) as usize;
-        for (i, b) in store.get(ReadId(v)).iter().enumerate() {
-            counts[rel + i][b.code() as usize] += 1;
+        let read = store.get(ReadId(v));
+        for i in 0..read.len() {
+            counts[rel + i][read.code(i) as usize] += 1;
         }
     }
     counts

@@ -118,41 +118,30 @@ impl DnaString {
             start <= end && end <= self.len,
             "slice {start}..{end} out of bounds"
         );
-        let mut out = DnaString::with_capacity(end - start);
-        for i in start..end {
-            out.push(self.get(i));
+        DnaString {
+            words: self.packed().range_words(start, end).collect(),
+            len: end - start,
         }
-        out
     }
 
     /// The reverse complement of this sequence.
     pub fn reverse_complement(&self) -> DnaString {
-        let mut out = DnaString::with_capacity(self.len);
-        for i in (0..self.len).rev() {
-            out.push(self.get(i).complement());
+        DnaString {
+            words: self.packed().reverse_complement_words().collect(),
+            len: self.len,
         }
-        out
     }
 
     /// Appends ASCII bases (`ACGTacgt`), a packed word per 32 of them —
-    /// the one ASCII-to-base loop, under `FromStr` and both readers. The
-    /// first other byte is an [`SeqError::InvalidBase`] at its offset in
-    /// `ascii`, and `self` is then to be discarded.
+    /// the one ASCII-to-base loop (`ascii_word`), under `FromStr`, both
+    /// readers and the read store. The first other byte is an
+    /// [`SeqError::InvalidBase`] at its offset in `ascii`, and `self` is
+    /// then to be discarded.
     pub fn extend_from_ascii(&mut self, ascii: &[u8]) -> Result<(), SeqError> {
         let words = (self.len + ascii.len()).div_ceil(BASES_PER_WORD);
         self.words.reserve(words.saturating_sub(self.words.len()));
         for (c, chunk) in ascii.chunks(BASES_PER_WORD).enumerate() {
-            let (mut word, mut seen) = (0u64, 0u8);
-            for (j, &byte) in chunk.iter().enumerate() {
-                let code = ASCII_CODES[usize::from(byte)];
-                seen |= code;
-                word |= u64::from(code & 0b11) << (2 * j);
-            }
-            if seen & NOT_A_BASE != 0 {
-                let j = chunk.iter().position(|&b| Base::from_ascii(b).is_none());
-                let (position, byte) = j.map_or((0, 0), |j| (c * BASES_PER_WORD + j, chunk[j]));
-                return Err(SeqError::InvalidBase { position, byte });
-            }
+            let word = ascii_word(chunk, c * BASES_PER_WORD)?;
             // Bits past `len` are zero, so the word ORs into the partly
             // filled last one and its overflow starts the next.
             let shift = (self.len % BASES_PER_WORD) * 2;
@@ -219,6 +208,36 @@ impl DnaString {
     pub fn hamming_distance(&self, other: &DnaString) -> usize {
         let shared = self.len.min(other.len);
         self.packed().mismatches(0, &other.packed(), 0, shared) + self.len.abs_diff(other.len)
+    }
+}
+
+/// Packs up to 32 ASCII bases (`ACGTacgt`) into one word, the first base
+/// in the lowest bits. The first other byte is an
+/// [`SeqError::InvalidBase`] at its offset plus `offset`.
+#[inline]
+pub(crate) fn ascii_word(chunk: &[u8], offset: usize) -> Result<u64, SeqError> {
+    debug_assert!(chunk.len() <= BASES_PER_WORD);
+    let (mut word, mut seen) = (0u64, 0u8);
+    for (j, &byte) in chunk.iter().enumerate() {
+        let code = ASCII_CODES[usize::from(byte)];
+        seen |= code;
+        word |= u64::from(code & 0b11) << (2 * j);
+    }
+    if seen & NOT_A_BASE != 0 {
+        let j = chunk.iter().position(|&b| Base::from_ascii(b).is_none());
+        let (position, byte) = j.map_or((0, 0), |j| (offset + j, chunk[j]));
+        return Err(SeqError::InvalidBase { position, byte });
+    }
+    Ok(word)
+}
+
+/// An owned copy of a view's bases.
+impl From<crate::packed::PackedView<'_>> for DnaString {
+    fn from(view: crate::packed::PackedView<'_>) -> DnaString {
+        DnaString {
+            words: view.words().to_vec(),
+            len: view.len(),
+        }
     }
 }
 

@@ -8,8 +8,9 @@
 //!   word-level [`packed::PackedView`] consumed by bit-parallel aligners,
 //! * [`QualityScores`] — Phred quality values with FASTQ encoding,
 //! * [`Read`] and [`ReadStore`] — sequencing reads as parsed, and the
-//!   trimmed bases the assembler operates on, including reverse-complement
-//!   augmentation and subset splitting (paper §II-A),
+//!   trimmed bases the assembler operates on, packed into one arena and
+//!   read as [`PackedView`]s, including reverse-complement augmentation and
+//!   subset splitting (paper §II-A),
 //! * FASTA/FASTQ reading and writing ([`fasta`], [`fastq`]), and one
 //!   file entry point over both ([`open`]),
 //! * read trimming ([`trim`]) — fixed 5'/3' trimming and the paper's

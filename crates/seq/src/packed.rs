@@ -1,27 +1,39 @@
 //! Zero-copy word-level access to 2-bit packed DNA.
 //!
-//! The alignment kernels (fc-align) consume sequences word-at-a-time: the
-//! Myers bit-parallel kernel builds its `Peq` match tables from 32-base
-//! windows, the ungapped-optimum shortcut counts the mismatches of a
-//! candidate's two ranges 32 bases per machine word, and banded NW unpacks
-//! its two ranges into byte codes 32 bases per word read
-//! ([`PackedView::fill_codes`]). [`PackedView`] exposes the packed words of
-//! a [`DnaString`](crate::DnaString) read-only, without copying sequence
-//! data — views are freely shared across fc-exec worker threads.
+//! [`PackedView`] is how every stage past preprocessing reads bases: the
+//! read store hands out one per stored read, borrowed from its arena
+//! ([`ReadStore::get`](crate::ReadStore::get)), and
+//! [`DnaString::packed`](crate::DnaString::packed) gives one for a genome
+//! or a contig. The alignment kernels (fc-align) consume them
+//! word-at-a-time: the seed index copies reads into its text 32 bases per
+//! window, the Myers bit-parallel kernel builds its `Peq` match tables
+//! from 32-base windows, the ungapped-optimum shortcut counts the
+//! mismatches of a candidate's two ranges 32 bases per machine word, and
+//! banded NW unpacks its two ranges into byte codes 32 bases per word read
+//! ([`PackedView::fill_codes`]). A view never copies sequence data, so
+//! views are freely shared across fc-exec worker threads.
 //!
-//! Layout contract (shared with [`crate::dna`]): two bits per base, code
-//! `base.code()`, 32 bases per `u64`, the first base in the lowest bits,
-//! and all padding bits past the logical length are zero (enforced by the
-//! `DnaString` constructors and its checkpoint decoder).
+//! The crate's two word streams, `PackedView::range_words` and
+//! `PackedView::reverse_complement_words`, are how packed bases are
+//! written: the store's arena, `DnaString::slice` and
+//! `DnaString::reverse_complement` all collect them.
+//!
+//! Layout contract (shared with [`crate::dna`] and [`crate::store`]): two
+//! bits per base, code `base.code()`, 32 bases per `u64`, the first base in
+//! the lowest bits, and all padding bits past the logical length are zero
+//! (enforced by the `DnaString` constructors, its checkpoint decoder and
+//! the store's writers).
 
 /// Number of bases packed into one `u64` word.
 pub const BASES_PER_WORD: usize = 32;
 
 /// A read-only, zero-copy view of a 2-bit packed DNA sequence.
 ///
-/// Obtained from [`DnaString::packed`](crate::DnaString::packed). The view
-/// borrows the underlying words; it is `Copy` and cheap to pass by value.
-#[derive(Debug, Clone, Copy)]
+/// Obtained from [`ReadStore::get`](crate::ReadStore::get) or
+/// [`DnaString::packed`](crate::DnaString::packed). The view borrows the
+/// underlying words; it is `Copy` and cheap to pass by value. Two views
+/// are equal when they hold the same bases, since padding bits are zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedView<'a> {
     words: &'a [u64],
     len: usize,
@@ -29,7 +41,8 @@ pub struct PackedView<'a> {
 
 impl<'a> PackedView<'a> {
     /// Creates a view over `words` holding `len` bases. Padding bits past
-    /// `len` must be zero (the `DnaString` representation guarantees this).
+    /// `len` must be zero (the `DnaString` representation and the store's
+    /// arena guarantee this).
     pub(crate) fn new(words: &'a [u64], len: usize) -> PackedView<'a> {
         debug_assert!(words.len() == len.div_ceil(BASES_PER_WORD));
         PackedView { words, len }
@@ -88,6 +101,37 @@ impl<'a> PackedView<'a> {
         } else {
             lo | (self.words.get(w + 1).copied().unwrap_or(0) << (64 - sh))
         }
+    }
+
+    /// The packed words of `self[start..end]`, re-aligned so that base
+    /// `start` is the lowest two bits of the first word: `(end - start)` /
+    /// 32 words rounded up, padding bits zero.
+    ///
+    /// # Panics
+    /// Panics in debug builds if the range is out of bounds.
+    pub(crate) fn range_words(&self, start: usize, end: usize) -> impl Iterator<Item = u64> + 'a {
+        debug_assert!(start <= end && end <= self.len, "range out of bounds");
+        let view = *self;
+        (start..end)
+            .step_by(BASES_PER_WORD)
+            .map(move |at| view.window(at) & low_bases(end - at))
+    }
+
+    /// The packed words of the view's reverse complement, laid out as
+    /// [`range_words`](PackedView::range_words) lays out a forward range.
+    /// Each output word is one window read backwards from the end: its
+    /// 2-bit slots reversed, then complemented (a base's complement is its
+    /// code `^ 3`).
+    pub(crate) fn reverse_complement_words(&self) -> impl Iterator<Item = u64> + 'a {
+        let view = *self;
+        (0..view.len).step_by(BASES_PER_WORD).map(move |off| {
+            let count = (view.len - off).min(BASES_PER_WORD);
+            // The window's first `count` slots hold the bases this word
+            // reverses; reversing moves the slots past them to the bottom,
+            // where the shift drops them.
+            let reversed = reverse_slots(view.window(view.len - off - count));
+            (reversed >> (2 * (BASES_PER_WORD - count))) ^ low_bases(count)
+        })
     }
 
     /// `self[start..start + count] ^ other[ostart..ostart + count]`, 32
@@ -155,6 +199,24 @@ impl<'a> PackedView<'a> {
             pos += chunk;
         }
     }
+}
+
+/// The bits of a word's first `count` bases (all of them from 32 up).
+#[inline]
+fn low_bases(count: usize) -> u64 {
+    match count {
+        0..BASES_PER_WORD => (1u64 << (2 * count)) - 1,
+        _ => u64::MAX,
+    }
+}
+
+/// A word's 32 two-bit slots in reverse order: the bit reversal swaps each
+/// slot's two bits, and the second step swaps them back.
+#[inline]
+fn reverse_slots(word: u64) -> u64 {
+    const LOW_PLANE: u64 = 0x5555_5555_5555_5555;
+    let r = word.reverse_bits();
+    ((r >> 1) & LOW_PLANE) | ((r & LOW_PLANE) << 1)
 }
 
 #[cfg(test)]
@@ -299,6 +361,38 @@ mod tests {
         }
         v.fill_codes(0, 0, &mut out);
         assert!(out.is_empty());
+    }
+
+    /// Both word streams, at every range around the word boundaries,
+    /// against the sequence rebuilt base by base.
+    #[test]
+    fn range_and_reverse_complement_words_match_base_by_base() {
+        let s = random_seq(130, 13);
+        let v = s.packed();
+        let words = |bases: Vec<crate::Base>| -> Vec<u64> {
+            let expect: DnaString = bases.into_iter().collect();
+            expect.packed().words().to_vec()
+        };
+        for start in [0usize, 1, 31, 32, 33, 63, 64, 65, 97] {
+            for end in start..=s.len() {
+                let forward = (start..end).map(|i| s.get(i));
+                assert_eq!(
+                    v.range_words(start, end).collect::<Vec<_>>(),
+                    words(forward.collect()),
+                    "{start}..{end}"
+                );
+                let reverse = (start..end).rev().map(|i| s.get(i).complement());
+                let range = s.slice(start, end);
+                assert_eq!(
+                    range
+                        .packed()
+                        .reverse_complement_words()
+                        .collect::<Vec<_>>(),
+                    words(reverse.collect()),
+                    "rc {start}..{end}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -185,11 +185,13 @@ impl PagedStoreWriter {
         }
     }
 
-    /// Appends one trimmed forward strand. Flushes a page to disk whenever
+    /// Appends one trimmed forward strand, owned or viewed
+    /// ([`ReadStore::get`]). Flushes a page to disk whenever
     /// the buffer fills; the first write failure is returned typed (pages
     /// already flushed stay valid, so the caller can fall back in-core
     /// without losing anything it has not still got in memory).
-    pub fn push(&mut self, bases: DnaString, source: u32) -> Result<(), PagedError> {
+    pub fn push(&mut self, bases: impl Into<DnaString>, source: u32) -> Result<(), PagedError> {
+        let bases = bases.into();
         self.buffer.push(PageEntry { bases, source });
         if self.buffer.len() >= self.page_len {
             self.flush_page()?;
@@ -341,7 +343,7 @@ impl PagedReadStore {
                 self.meta.entries
             )));
         }
-        Ok(ReadStore::from_trimmed(pairs))
+        Ok(ReadStore::from_trimmed(&pairs))
     }
 }
 
@@ -392,7 +394,7 @@ mod tests {
         assert_eq!(store.len(), 2 * reads.len());
         for (i, read) in reads.iter().enumerate() {
             let id = crate::read::ReadId(2 * i as u32);
-            assert_eq!(store.get(id), read);
+            assert_eq!(store.get(id), read.packed());
             assert_eq!(store.source_index(id), i);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -417,12 +419,12 @@ mod tests {
         let mut w = PagedStoreWriter::create(&dir, 0xFC, 2, FsFaultPlan::none());
         for i in (0..expect.len()).step_by(2) {
             let id = crate::read::ReadId(i as u32);
-            w.push(expect.get(id).clone(), expect.source_index(id) as u32)
+            w.push(expect.get(id), expect.source_index(id) as u32)
                 .unwrap();
         }
         let mut paged = w.finish(0xD1).unwrap();
         let store = paged.materialize().unwrap();
-        assert_eq!(store.reads(), expect.reads());
+        assert_eq!(store, expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -435,7 +437,7 @@ mod tests {
         let mut ok = PagedReadStore::open(&dir, 0xFC, 0xD1, FsFaultPlan::none()).unwrap();
         let store = ok.materialize().unwrap();
         assert_eq!(store.len(), 8);
-        assert_eq!(store.get(crate::read::ReadId(6)), &reads[3]);
+        assert_eq!(store.get(crate::read::ReadId(6)), reads[3].packed());
         // Different input digest: stale.
         let err = PagedReadStore::open(&dir, 0xFC, 0xBEEF, FsFaultPlan::none()).unwrap_err();
         assert!(matches!(err, PagedError::Stale(_)), "{err}");

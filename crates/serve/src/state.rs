@@ -448,11 +448,28 @@ fn parse_status(text: &str) -> Result<TerminalStatus, String> {
 mod tests {
     use super::*;
 
-    fn temp_state(tag: &str) -> StateDir {
+    /// A state directory under the temp dir, removed when the test drops
+    /// it.
+    struct TempState(StateDir);
+
+    impl std::ops::Deref for TempState {
+        type Target = StateDir;
+        fn deref(&self) -> &StateDir {
+            &self.0
+        }
+    }
+
+    impl Drop for TempState {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(self.0.root());
+        }
+    }
+
+    fn temp_state(tag: &str) -> TempState {
         let root =
             std::env::temp_dir().join(format!("fc-serve-state-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        StateDir::open(root).expect("open state dir")
+        TempState(StateDir::open(root).expect("open state dir"))
     }
 
     fn record(id: u64) -> JobRecord {

@@ -8,7 +8,7 @@ use fc_serve::server::{Serve, ServeConfig};
 use fc_serve::{JobContext, JobError, JobOutput, JobRunner, ServeError};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,10 +37,26 @@ impl JobRunner for MockRunner {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A state directory under the temp dir, removed when the test drops it.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("fc-serve-api-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 fn small_config() -> ServeConfig {
@@ -114,9 +130,10 @@ fn wait_terminal(addr: SocketAddr, id: &str) -> String {
 
 #[test]
 fn submit_runs_and_serves_artifacts() {
+    let dir = temp_dir("roundtrip");
     let server = Serve::start(
         small_config(),
-        temp_dir("roundtrip"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::ZERO,
         }),
@@ -164,9 +181,10 @@ fn submit_runs_and_serves_artifacts() {
 
 #[test]
 fn saturation_rejects_typed_and_health_stays_up() {
+    let dir = temp_dir("saturate");
     let server = Serve::start(
         small_config(),
-        temp_dir("saturate"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::from_millis(150),
         }),
@@ -206,9 +224,10 @@ fn high_priority_sheds_queued_low_priority() {
     let mut cfg = small_config();
     cfg.sched.total_capacity = 2;
     cfg.sched.per_tenant_capacity = 2;
+    let dir = temp_dir("shed");
     let server = Serve::start(
         cfg,
-        temp_dir("shed"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::from_millis(300),
         }),
@@ -252,9 +271,10 @@ fn high_priority_sheds_queued_low_priority() {
 
 #[test]
 fn cancel_and_deadline_paths() {
+    let dir = temp_dir("cancel");
     let server = Serve::start(
         small_config(),
-        temp_dir("cancel"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::from_millis(300),
         }),
@@ -302,7 +322,7 @@ fn fast_shutdown_resumes_queued_jobs_on_restart() {
     };
     let server = Serve::start(
         slow.clone(),
-        &dir,
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::from_millis(400),
         }),
@@ -329,7 +349,7 @@ fn fast_shutdown_resumes_queued_jobs_on_restart() {
     // Restart on the same state dir with an instant runner.
     let server = Serve::start(
         slow,
-        &dir,
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::ZERO,
         }),
@@ -366,7 +386,7 @@ fn recovery_overflow_sheds_instead_of_crashing() {
     };
     let server = Serve::start(
         big.clone(),
-        &dir,
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::from_millis(400),
         }),
@@ -401,7 +421,7 @@ fn recovery_overflow_sheds_instead_of_crashing() {
             },
             ..big
         },
-        &dir,
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::ZERO,
         }),
@@ -435,7 +455,7 @@ fn restart_under_a_smaller_memory_budget_fails_the_job_that_no_longer_fits() {
     };
     let server = Serve::start(
         cfg.clone(),
-        &dir,
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::from_millis(400),
         }),
@@ -460,7 +480,7 @@ fn restart_under_a_smaller_memory_budget_fails_the_job_that_no_longer_fits() {
             memory_budget: 100,
             ..cfg
         },
-        &dir,
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::ZERO,
         }),
@@ -489,9 +509,10 @@ fn slow_loris_client_is_cut_off_at_the_request_budget() {
         request_budget: Duration::from_millis(500),
         ..small_config()
     };
+    let dir = temp_dir("loris");
     let server = Serve::start(
         cfg,
-        temp_dir("loris"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::ZERO,
         }),
@@ -549,9 +570,10 @@ fn slow_loris_client_is_cut_off_at_the_request_budget() {
 
 #[test]
 fn protocol_errors_are_typed() {
+    let dir = temp_dir("proto");
     let server = Serve::start(
         small_config(),
-        temp_dir("proto"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::ZERO,
         }),
@@ -581,9 +603,10 @@ fn memory_pressure_sheds_with_typed_503_until_jobs_release() {
     // second arrives.
     let mut cfg = small_config();
     cfg.memory_budget = 40;
+    let dir = temp_dir("mem-pressure");
     let server = Serve::start(
         cfg,
-        temp_dir("mem-pressure"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::from_millis(300),
         }),
@@ -635,12 +658,13 @@ fn memory_pressure_sheds_with_typed_503_until_jobs_release() {
 
 #[test]
 fn zero_max_attempts_is_refused_as_a_typed_config_error() {
+    let dir = temp_dir("zero-attempts");
     let result = Serve::start(
         ServeConfig {
             max_attempts: 0,
             ..small_config()
         },
-        temp_dir("zero-attempts"),
+        &*dir,
         Arc::new(MockRunner {
             delay: Duration::ZERO,
         }),

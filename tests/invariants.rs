@@ -769,10 +769,17 @@ mod props {
         cases(64, |rng| {
             let (a, b) = (dna(rng, 18), dna(rng, 18));
             let full_band = a.len().max(b.len()).max(1);
-            let reference = banded_global(&a, (0, a.len()), &b, (0, b.len()), full_band).unwrap();
+            let reference = banded_global(
+                a.packed(),
+                (0, a.len()),
+                b.packed(),
+                (0, b.len()),
+                full_band,
+            )
+            .unwrap();
             let mut prev_score = None;
             for band in 0..=full_band {
-                match banded_global(&a, (0, a.len()), &b, (0, b.len()), band) {
+                match banded_global(a.packed(), (0, a.len()), b.packed(), (0, b.len()), band) {
                     None => assert!(a.len().abs_diff(b.len()) > band),
                     Some(s) => {
                         assert!(a.len().abs_diff(b.len()) <= band);
@@ -784,7 +791,14 @@ mod props {
                     }
                 }
             }
-            let wide = banded_global(&a, (0, a.len()), &b, (0, b.len()), full_band + 7).unwrap();
+            let wide = banded_global(
+                a.packed(),
+                (0, a.len()),
+                b.packed(),
+                (0, b.len()),
+                full_band + 7,
+            )
+            .unwrap();
             assert_eq!(wide.score, reference.score);
             assert_eq!(wide.columns, reference.columns);
             assert_eq!(wide.matches, reference.matches);
