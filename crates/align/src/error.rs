@@ -1,5 +1,6 @@
 //! Error type for the alignment stage.
 
+use fc_obs::BudgetError;
 use std::fmt;
 
 /// Errors produced while configuring or running the overlap stage.
@@ -20,6 +21,10 @@ pub enum AlignError {
         /// Bases in its longest read.
         longest: usize,
     },
+    /// An alignment charge did not fit the run's memory budget
+    /// ([`crate::Overlapper::overlap_all_within`]): `align-index` before a
+    /// batch of seed indexes is built, or `overlaps` as the list grows.
+    Budget(BudgetError),
 }
 
 impl fmt::Display for AlignError {
@@ -33,8 +38,15 @@ impl fmt::Display for AlignError {
                 "index capacity: {reads} reads of up to {longest} bases \
                  do not fit u32 (read, offset) entries and positions"
             ),
+            AlignError::Budget(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for AlignError {}
+
+impl From<BudgetError> for AlignError {
+    fn from(e: BudgetError) -> AlignError {
+        AlignError::Budget(e)
+    }
+}

@@ -40,4 +40,4 @@ pub use myers::{
 };
 pub use nw::{banded_global, banded_global_with, AlignmentSummary, NwScratch};
 pub use overlap::{Overlap, OverlapKind};
-pub use pairwise::{AlignScratch, Alignment, OverlapConfig, Overlapper, PairStats, PairTally};
+pub use pairwise::{AlignScratch, Alignment, Indexes, OverlapConfig, Overlapper, PairStats};

@@ -12,7 +12,7 @@ use crate::kernel::{verify, KernelScratch, VerifyReq};
 use crate::nw::AlignmentSummary;
 use crate::overlap::{Overlap, OverlapKind};
 use fc_exec::Pool;
-use fc_obs::Recorder;
+use fc_obs::{MemoryBudget, Recorder};
 use fc_seq::{PackedView, ReadId, ReadStore};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -205,7 +205,7 @@ impl Hasher for VoteHasher {
 /// read's sampled k-mers and their index runs, the diagonal vote map and
 /// its flattened/sorted view, the candidate list, the verification-request
 /// batch and its verdicts, and the verifier's own buffers. One value per
-/// worker thread (see [`Overlapper::overlap_column`]) eliminates the
+/// worker thread of an alignment run eliminates the
 /// per-read and per-verification allocation churn without any cross-thread
 /// state.
 #[derive(Debug, Default)]
@@ -228,10 +228,10 @@ const QUERY_CHUNK: usize = 512;
 
 /// The per-pair stats and `align.*` metrics of one alignment run, fed pair
 /// by pair in canonical `(j, i ≤ j)` order. The one implementation behind
-/// [`Overlapper::overlap_all`], [`Overlapper::merge_pair_results`] and the
-/// out-of-core merge, so the paths cannot drift apart.
+/// [`Overlapper::overlap_all_within`] and
+/// [`Overlapper::merge_pair_results`], so the two cannot drift apart.
 #[derive(Debug, Default)]
-pub struct PairTally {
+struct PairTally {
     total: PairStats,
     pairs: Vec<(usize, usize, PairStats)>,
 }
@@ -239,13 +239,7 @@ pub struct PairTally {
 impl PairTally {
     /// Records pair `(i, j)`: its stats, and its overlaps `run` in the
     /// length and identity histograms.
-    pub fn push(
-        &mut self,
-        rec: &Recorder,
-        (i, j): (usize, usize),
-        run: &[Overlap],
-        stats: PairStats,
-    ) {
+    fn push(&mut self, rec: &Recorder, (i, j): (usize, usize), run: &[Overlap], stats: PairStats) {
         if rec.is_enabled() {
             self.total.merge(&stats);
             rec.observe("align.pair_overlaps", stats.overlaps);
@@ -262,7 +256,7 @@ impl PairTally {
     }
 
     /// Adds the run's totals to `rec` and returns the per-pair stats.
-    pub fn finish(self, rec: &Recorder, config: &OverlapConfig) -> Vec<(usize, usize, PairStats)> {
+    fn finish(self, rec: &Recorder, config: &OverlapConfig) -> Vec<(usize, usize, PairStats)> {
         let total = self.total;
         if rec.is_enabled() {
             rec.add("align.kmer_lookups", total.kmer_lookups);
@@ -288,6 +282,20 @@ impl PairTally {
 /// returns.
 pub type Alignment = (Vec<Overlap>, Vec<(usize, usize, PairStats)>);
 
+/// How many seed indexes an alignment run holds at once
+/// ([`Overlapper::overlap_all_within`]). The overlaps, stats, metrics and
+/// pool tasks are the same either way; only the ledger's peak and the
+/// span's name differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Indexes {
+    /// Every subset's index, built in one batch before the first column
+    /// (span `align.overlap_all`).
+    AllUpFront,
+    /// Column `j`'s index alone, built when the column starts (span
+    /// `align.overlap_by_column`).
+    OneAtATime,
+}
+
 /// Pairwise read overlapper over a preprocessed [`ReadStore`].
 pub struct Overlapper<'a> {
     store: &'a ReadStore,
@@ -309,7 +317,7 @@ impl<'a> Overlapper<'a> {
     /// Refuses `subsets` if one breaks the seed index's capacity rule
     /// ([`KmerIndex::check_capacity`]), on which
     /// [`Overlapper::index_subset`] panics.
-    pub fn check_capacity(&self, subsets: &[Vec<ReadId>]) -> Result<(), AlignError> {
+    fn check_capacity(&self, subsets: &[Vec<ReadId>]) -> Result<(), AlignError> {
         subsets.iter().try_for_each(|subset| {
             KmerIndex::check_capacity(subset.iter().map(|&id| self.store.get(id).len())).map(drop)
         })
@@ -318,20 +326,6 @@ impl<'a> Overlapper<'a> {
     /// Builds the seed index for one reference subset.
     pub fn index_subset(&self, reference: &[ReadId]) -> KmerIndex {
         KmerIndex::build(&self.subset_reads(reference), self.config.k)
-    }
-
-    /// Builds the seed index of every subset of `subsets` on `pool`
-    /// ([`KmerIndex::build_all`]): each is what
-    /// [`Overlapper::index_subset`] builds. A subset past the capacity rule
-    /// is an error, before any index is built.
-    pub fn index_subsets(
-        &self,
-        subsets: &[Vec<ReadId>],
-        pool: &Pool,
-        rec: &Recorder,
-    ) -> Result<Vec<KmerIndex>, AlignError> {
-        let reads = |j: usize| self.subset_reads(&subsets[j]);
-        KmerIndex::build_all(subsets.len(), reads, self.config.k, pool, rec)
     }
 
     /// A subset's reads as the index takes them.
@@ -385,51 +379,100 @@ impl<'a> Overlapper<'a> {
     }
 
     /// Runs the full all-subset-pairs overlap computation over a work pool,
-    /// mirroring the paper's parallel read alignment (§II-B): subsets are
-    /// compared pairwise (including each subset against itself) and the
-    /// `s(s+1)/2` subset pairs run column by column through
-    /// [`Overlapper::overlap_column`]. Returns the overlaps plus the
-    /// per-pair stats in `(i, j, stats)` form, both in the canonical serial
-    /// `(j, i ≤ j)` order, so the output is bit-identical at any thread
-    /// count.
-    ///
-    /// Every reference subset's index is built once, up front, on the pool
-    /// ([`Overlapper::index_subsets`]) and dropped as soon as its column is
-    /// done. A subset past the capacity rule is an error, before any work.
-    ///
-    /// Alignment metrics are recorded into `rec`: aggregate
-    /// k-mer/candidate/verification counters (`align.*`), overlap length
-    /// and identity histograms, and the scheduling-dependent scratch-reuse
-    /// count (`sched.align.scratch_reuses`). Metric aggregation happens
-    /// per pair, in canonical order, outside the hot tasks.
+    /// every subset's index built up front and nothing charged to a
+    /// budget: [`Overlapper::overlap_all_within`] with an unlimited ledger
+    /// and [`Indexes::AllUpFront`].
     pub fn overlap_all(
         &self,
         subsets: &[Vec<ReadId>],
         pool: &Pool,
         rec: &Recorder,
     ) -> Result<Alignment, AlignError> {
-        let _span = rec.span_args(
-            "align",
-            "align.overlap_all",
-            &[("subsets", subsets.len() as i64)],
-        );
-        let indexes = self.index_subsets(subsets, pool, rec)?;
+        let unlimited = MemoryBudget::unlimited();
+        self.overlap_all_within(subsets, pool, rec, &unlimited, Indexes::AllUpFront)
+    }
+
+    /// The one alignment loop, mirroring the paper's parallel read
+    /// alignment (§II-B): subsets are compared pairwise (including each
+    /// subset against itself) and the `s(s+1)/2` subset pairs run column by
+    /// column, column `j` over reference subset `j`'s seed index. Returns
+    /// the overlaps plus the per-pair stats in `(i, j, stats)` form, both
+    /// in the canonical serial `(j, i ≤ j)` order, so the output is
+    /// bit-identical at any thread count and under either [`Indexes`].
+    ///
+    /// `indexes` is the one thing the two modes do differently: how many
+    /// column indexes are built at once, on the pool
+    /// ([`KmerIndex::build_all`]: the same two batches per index, one
+    /// scatter, then its bucket ranges sorted in parallel). Each batch is charged to `mem` as `align-index` before it
+    /// is built, and index `j`'s share is released when column `j` ends,
+    /// as the index itself is dropped. The overlap list is charged as
+    /// `overlaps` (32 B an overlap) as each pair settles; after a failed
+    /// charge the column only drains, and the run ends in
+    /// [`AlignError::Budget`]. Both charges are released when this
+    /// returns. The parsed-reads pipeline holds every index up front under
+    /// any budget; only a budgeted file run holds one at a time. A subset
+    /// past the capacity rule is an error, before any work.
+    ///
+    /// Alignment metrics are recorded into `rec`: aggregate
+    /// k-mer/candidate/verification counters (`align.*`), overlap length
+    /// and identity histograms, and the scheduling-dependent scratch-reuse
+    /// count (`sched.align.scratch_reuses`). Metric aggregation happens
+    /// per pair, in canonical order, outside the hot tasks.
+    pub fn overlap_all_within(
+        &self,
+        subsets: &[Vec<ReadId>],
+        pool: &Pool,
+        rec: &Recorder,
+        mem: &MemoryBudget,
+        indexes: Indexes,
+    ) -> Result<Alignment, AlignError> {
+        let (name, batch) = match indexes {
+            Indexes::AllUpFront => ("align.overlap_all", subsets.len().max(1)),
+            Indexes::OneAtATime => ("align.overlap_by_column", 1),
+        };
+        let _span = rec.span_args("align", name, &[("subsets", subsets.len() as i64)]);
+        self.check_capacity(subsets)?;
         let mut all = Vec::new();
         let mut tally = PairTally::default();
-        for (j, index) in indexes.into_iter().enumerate() {
-            let pairs: Vec<(usize, usize)> = (0..=j).map(|i| (i, j)).collect();
-            self.overlap_column(subsets, &pairs, &index, pool, rec, |p, mut found, done| {
-                all.append(&mut found);
-                if let Some(stats) = done {
-                    let run = &all[all.len() - stats.overlaps as usize..];
-                    tally.push(rec, pairs[p], run, stats);
-                }
-            });
+        let mut listed = mem.try_reserve("overlaps", 0)?;
+        for first in (0..subsets.len()).step_by(batch) {
+            let columns = first..subsets.len().min(first + batch);
+            let bytes = subsets[columns.clone()].iter().map(|s| self.index_bytes(s));
+            let mut held = mem.try_reserve("align-index", bytes.sum())?;
+            let reads = |c: usize| self.subset_reads(&subsets[first + c]);
+            let built = KmerIndex::build_all(columns.len(), reads, self.config.k, pool, rec)?;
+            for (j, index) in columns.zip(built) {
+                let pairs: Vec<(usize, usize)> = (0..=j).map(|i| (i, j)).collect();
+                let mut charged = Ok(());
+                self.overlap_column(subsets, &pairs, &index, pool, rec, |p, mut found, done| {
+                    if charged.is_err() {
+                        return;
+                    }
+                    all.append(&mut found);
+                    if let Some(stats) = done {
+                        let size = std::mem::size_of::<Overlap>() as u64;
+                        charged = listed.grow(stats.overlaps * size);
+                        let run = &all[all.len() - stats.overlaps as usize..];
+                        tally.push(rec, pairs[p], run, stats);
+                    }
+                });
+                charged?;
+                drop(index);
+                held.shrink(self.index_bytes(&subsets[j]));
+            }
         }
         Ok((all, tally.finish(rec, &self.config)))
     }
 
-    /// The one column loop both alignment paths share: aligns every pair
+    /// What a subset's seed index will hold: the ledger's `align-index`
+    /// charge for it. The layout and its arithmetic live with
+    /// [`KmerIndex::estimated_bytes`].
+    fn index_bytes(&self, subset: &[ReadId]) -> u64 {
+        let bases = subset.iter().map(|&id| self.store.get(id).len()).sum();
+        KmerIndex::estimated_bytes(bases, subset.len(), self.config.k)
+    }
+
+    /// Column `j` of [`Overlapper::overlap_all_within`]: aligns every pair
     /// `(i, j)` of `pairs` — one column, so `index` is reference subset
     /// `j`'s — in one pool dispatch over tasks of at most `QUERY_CHUNK`
     /// (512) query reads of subset `i`. The pool's in-order sink hands each
@@ -440,7 +483,7 @@ impl<'a> Overlapper<'a> {
     /// align. A query read's seeding and verification depend on that read
     /// alone, so a pair's run is exactly what
     /// [`Overlapper::overlap_pair_with`] returns for the whole subset.
-    pub fn overlap_column(
+    fn overlap_column(
         &self,
         subsets: &[Vec<ReadId>],
         pairs: &[(usize, usize)],
@@ -493,7 +536,7 @@ impl<'a> Overlapper<'a> {
     /// Concatenates per-pair results given **in the serial `(j, i ≤ j)`
     /// pair order** (each with its `reused`-scratch flag) into the flat
     /// overlap list and the per-pair stats, recording exactly the metrics
-    /// [`Overlapper::overlap_all`] records (through [`PairTally`]).
+    /// [`Overlapper::overlap_all`] records.
     pub fn merge_pair_results(
         &self,
         results: impl IntoIterator<Item = ((usize, usize), ((Vec<Overlap>, PairStats), bool))>,
@@ -1045,8 +1088,8 @@ pub(crate) mod tests {
 
     /// One subset of a 1 000 000-base read and 2 100 reads of 100 bp (and
     /// their reverse complements) needs 20 offset bits for 4 202 reads,
-    /// past `2^32` entries: `overlap_all` and `index_subsets` refuse it,
-    /// typed, before the pool runs a task.
+    /// past `2^32` entries: `overlap_all` and `KmerIndex::build_all` refuse
+    /// it, typed, before the pool runs a task.
     #[test]
     fn a_subset_past_the_index_capacity_is_an_error_not_a_panic() {
         let mut reads = vec![Read::new("long", random_genome(1_000_000, 3))];
@@ -1063,7 +1106,8 @@ pub(crate) mod tests {
         let pool = Pool::new(2);
         let all = overlapper.overlap_all(&subsets, &pool, &rec);
         assert_eq!(all.err(), Some(refused.clone()));
-        let indexes = overlapper.index_subsets(&subsets, &pool, &rec);
+        let reads = |j: usize| overlapper.subset_reads(&subsets[j]);
+        let indexes = KmerIndex::build_all(1, reads, overlapper.config.k, &pool, &rec);
         assert_eq!(indexes.err(), Some(refused));
         assert_eq!(rec.snapshot().counters.get("exec.tasks"), None);
     }
@@ -1146,6 +1190,57 @@ pub(crate) mod tests {
                 Some((subsets.len() * (1 + SORT_RANGES) + chunks) as u64),
                 "{threads} threads"
             );
+        }
+    }
+
+    /// The one loop's ledger, in both modes, on four subsets. One index at
+    /// a time peaks at the largest, over columns j, of the overlaps of
+    /// columns ≤ j plus index j; every index up front at the largest of
+    /// indexes j..n plus the overlaps of columns ≤ j, since index j's charge
+    /// goes when column j ends. A budget one byte under either peak ends in
+    /// a typed budget error with nothing left reserved, and both modes
+    /// return `overlap_all`'s exact alignment.
+    #[test]
+    fn the_loop_charges_its_indexes_and_the_list_so_far() {
+        let genome = random_genome(3_000, 31);
+        let store = tiled_store(&genome, 100, 25);
+        let overlapper = Overlapper::new(&store, test_config()).unwrap();
+        let subsets = store.split_subsets(4);
+        let rec = Recorder::disabled();
+        let expected = overlapper
+            .overlap_all(&subsets, &Pool::serial(), &rec)
+            .unwrap();
+        let index: Vec<u64> = subsets.iter().map(|s| overlapper.index_bytes(s)).collect();
+        let listed: Vec<u64> = (0..subsets.len())
+            .scan(0, |listed, j| {
+                let column = expected.1.iter().filter(|&&(_, pj, _)| pj == j);
+                *listed += column.map(|(_, _, stats)| stats.overlaps).sum::<u64>()
+                    * std::mem::size_of::<Overlap>() as u64;
+                Some(*listed)
+            })
+            .collect();
+        let columns = 0..subsets.len();
+        let one = columns.clone().map(|j| listed[j] + index[j]).max().unwrap();
+        let all = columns
+            .map(|j| index[j..].iter().sum::<u64>() + listed[j])
+            .max()
+            .unwrap();
+        assert!(listed[0] > 0 && one < all, "{listed:?} {index:?}");
+        for (indexes, peak) in [(Indexes::OneAtATime, one), (Indexes::AllUpFront, all)] {
+            for threads in [1, 3] {
+                let pool = Pool::new(threads);
+                let mem = MemoryBudget::unlimited();
+                let run = overlapper.overlap_all_within(&subsets, &pool, &rec, &mem, indexes);
+                assert_eq!(run.unwrap(), expected, "{indexes:?} at {threads} threads");
+                assert_eq!((mem.peak(), mem.used()), (peak, 0), "{indexes:?}");
+                let under = MemoryBudget::with_limit(peak - 1);
+                let refused = overlapper.overlap_all_within(&subsets, &pool, &rec, &under, indexes);
+                assert!(
+                    matches!(refused, Err(AlignError::Budget(_))),
+                    "{indexes:?}: {refused:?}"
+                );
+                assert_eq!(under.used(), 0);
+            }
         }
     }
 

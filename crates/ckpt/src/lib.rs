@@ -8,6 +8,7 @@
 //! * [`wire`] — fixed-width little-endian binary encoding and the
 //!   [`Codec`] trait the phase payload types implement;
 //! * [`crc`] — the CRC32 (IEEE) checksum guarding every record and file;
+//! * [`fnv`] — FNV-1a, the fold behind every fingerprint and digest;
 //! * [`file`](mod@file) — the `FCKP` container format (magic, version, phase id,
 //!   config/input fingerprints, checksummed records);
 //! * [`fault`] — [`FsFaultPlan`], deterministic injection of torn writes,
@@ -30,6 +31,7 @@ pub mod crc;
 pub mod error;
 pub mod fault;
 pub mod file;
+pub mod fnv;
 pub mod store;
 pub mod wire;
 
@@ -37,5 +39,6 @@ pub use crc::crc32;
 pub use error::CkptError;
 pub use fault::{FsFaultPlan, FsFaultRates, ReadFault, WriteFault};
 pub use file::{CheckpointFile, FORMAT_VERSION, MAGIC};
+pub use fnv::{fnv1a, FNV1A_OFFSET};
 pub use store::{write_atomic, CheckpointStore, LoadOutcome};
 pub use wire::{decode_from_slice, encode_to_vec, Codec, Reader, Writer};

@@ -42,7 +42,10 @@
 use crate::config::{FocusConfig, FocusError};
 use crate::pipeline::AssemblyResult;
 use fc_align::Alignment;
-use fc_ckpt::{decode_from_slice, encode_to_vec, CheckpointStore, FsFaultPlan, LoadOutcome};
+use fc_ckpt::{
+    decode_from_slice, encode_to_vec, fnv1a, CheckpointStore, FsFaultPlan, LoadOutcome,
+    FNV1A_OFFSET,
+};
 use fc_obs::{MetricsSnapshot, ObsOptions, Recorder};
 use fc_seq::{QualityScores, Read, Record};
 use std::path::PathBuf;
@@ -116,16 +119,6 @@ pub enum AssemblyOutcome {
     Stopped(CkptPhase),
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(hash: &mut u64, bytes: impl IntoIterator<Item = u8>) {
-    for b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// FNV-1a fingerprint of every configuration field that changes what the
 /// pipeline computes. `threads`, `observability` and `memory_budget` are
 /// normalised away: results are bit-identical at any thread count or
@@ -136,9 +129,7 @@ pub fn config_fingerprint(config: &FocusConfig) -> u64 {
     canonical.threads = 0;
     canonical.memory_budget = None;
     canonical.observability = ObsOptions::default();
-    let mut h = FNV_OFFSET;
-    fnv64(&mut h, format!("{canonical:?}").bytes());
-    h
+    fnv1a(FNV1A_OFFSET, format!("{canonical:?}").bytes())
 }
 
 /// Incremental form of [`input_digest`]: feed records one at a time as a
@@ -165,18 +156,14 @@ impl InputDigest {
     /// Folds one record into the digest: its name, its bases in upper
     /// case (what a packed read decodes to) and its Phred scores.
     pub fn observe(&mut self, record: &Record<'_>) {
-        let h = self.hash.get_or_insert(FNV_OFFSET);
+        let h = self.hash.unwrap_or(FNV1A_OFFSET);
         self.count += 1;
-        fnv64(h, record.name.bytes());
-        fnv64(h, [0xFF]);
-        fnv64(h, record.bases.iter().map(u8::to_ascii_uppercase));
-        match record.qual {
-            Some(q) => {
-                fnv64(h, [0xFE]);
-                fnv64(h, q.iter().copied());
-            }
-            None => fnv64(h, [0xFD]),
-        }
+        let h = fnv1a(h, record.name.bytes().chain([0xFF]));
+        let h = fnv1a(h, record.bases.iter().map(u8::to_ascii_uppercase));
+        self.hash = Some(match record.qual {
+            Some(q) => fnv1a(h, std::iter::once(0xFE).chain(q.iter().copied())),
+            None => fnv1a(h, [0xFD]),
+        });
     }
 
     /// Reads observed so far.
@@ -186,9 +173,7 @@ impl InputDigest {
 
     /// The final digest over everything observed.
     pub fn finish(&self) -> u64 {
-        let mut h = self.hash.unwrap_or(FNV_OFFSET);
-        fnv64(&mut h, self.count.to_le_bytes());
-        h
+        fnv1a(self.hash.unwrap_or(FNV1A_OFFSET), self.count.to_le_bytes())
     }
 }
 

@@ -184,8 +184,13 @@ impl From<SeqError> for FocusError {
 }
 
 impl From<AlignError> for FocusError {
+    /// An alignment charge that did not fit is the run's budget refusal,
+    /// like any other charge.
     fn from(e: AlignError) -> FocusError {
-        FocusError::Align(e)
+        match e {
+            AlignError::Budget(e) => FocusError::BudgetExceeded(e),
+            e => FocusError::Align(e),
+        }
     }
 }
 

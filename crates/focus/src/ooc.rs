@@ -1,5 +1,4 @@
-//! File input: one streaming ingest for every run, memory budgets, and
-//! column-at-a-time alignment.
+//! File input: one streaming ingest for every run, and memory budgets.
 //!
 //! The parsed-reads entry points hold the raw input reads, the RC-paired
 //! store, and every subset's seed index while the overlap list grows.
@@ -14,37 +13,36 @@
 //!   parsed-reads path exactly. A resumed run re-trims its input like any
 //!   other: trimming is the cheap part of the pipeline, so nothing of it is
 //!   persisted.
-//! * **Column-at-a-time alignment** — under a budget, subset pairs are
-//!   aligned one index column at a time by the in-core path's column loop
-//!   ([`Overlapper::overlap_column`]). Each column's index is built on the
-//!   pool when its column starts, by the same two batches as an in-core
-//!   index (one scatter, then its bucket ranges sorted in parallel), and
-//!   dropped when the column ends. The pairs' runs are appended to one list
-//!   in the canonical `(j, i ≤ j)` order and tallied by the same
-//!   [`PairTally`] the in-core path uses, so contigs *and* logical metric
-//!   snapshots are byte-identical.
+//! * **One alignment loop** — both modes run
+//!   [`Overlapper::overlap_all_within`](fc_align::Overlapper::overlap_all_within),
+//!   which builds, charges and drops the seed indexes itself. The only
+//!   difference is how many it holds at once ([`fc_align::Indexes`]):
+//!   every one, built up front, for the parsed-reads entry points and an
+//!   unbudgeted file run; one, built when its column starts, for a
+//!   budgeted file run. The overlaps, the pair stats, the logical metric
+//!   snapshot and the pool's tasks are the same either way.
 //!
 //! Nothing else differs: both modes are the stage sequence
-//! ([`crate::pipeline`]) with this module's ingest (and, under a budget,
-//! its column loop) under the caller's checkpoint policy. Nothing of an
-//! alignment run touches the disk but the alignment checkpoint, the one
-//! state a run resumes from, in either mode.
+//! ([`crate::pipeline`]) with this module's ingest under the caller's
+//! checkpoint policy. Nothing of an alignment run touches the disk but the
+//! alignment checkpoint, the one state a run resumes from, in either mode.
 //!
 //! ## What the ledger charges
 //!
-//! The store as it grows, each column's index (`align-index`) while its
-//! column runs, and the overlap list (`overlaps`, 32 B an overlap) as each
-//! pair settles: a budget the list outgrows fails, typed, at the pair that
-//! crosses it. The list stays in memory because the graph stage reads it
-//! whole (`OverlapGraph::directed_view`); on disk it would lower the
-//! ledger's number and not the process's peak.
+//! The store as it grows, the seed indexes (`align-index`) from before
+//! they are built until their columns end, and the overlap list
+//! (`overlaps`, 32 B an overlap) as each pair settles: a budget the list
+//! outgrows fails, typed, at the pair that crosses it. The list stays in
+//! memory because the graph stage reads it whole
+//! (`OverlapGraph::directed_view`); on disk it would lower the ledger's
+//! number and not the process's peak.
 
 use crate::checkpoint::{
     config_fingerprint, outcome, AssemblyOutcome, CheckpointOptions, CkptPolicy, Halt, InputDigest,
 };
 use crate::config::{FocusConfig, FocusError};
-use crate::pipeline::{align_in_core, FocusAssembler};
-use fc_align::{Alignment, KmerIndex, Overlap, Overlapper, PairTally, Pool};
+use crate::pipeline::{FocusAssembler, Source};
+use fc_align::Pool;
 use fc_obs::{MemoryBudget, Recorder, Reservation};
 use fc_seq::{ReadStore, ReadStoreBuilder};
 use std::path::{Path, PathBuf};
@@ -119,7 +117,7 @@ fn saturate(v: u64) -> i64 {
 }
 
 /// Nothing: a [`FocusConfig::memory_budget`] alone selects
-/// column-at-a-time alignment, and nothing of it is written to disk. Kept,
+/// one-index-at-a-time alignment, and nothing of it is written to disk. Kept,
 /// empty, with [`OocOptions::in_dir`] and
 /// [`assemble_fastq_ooc`](FocusAssembler::assemble_fastq_ooc), because the
 /// benchmark calls them.
@@ -159,19 +157,17 @@ impl FocusAssembler {
         let fp = config_fingerprint(config);
         let pool = Pool::new_obs(config.threads, rec);
         let mut budget = RunBudget::new(config);
-        let (store_reads, input_digest) = ingest(input, config, rec, &mut budget)?;
+        let (store, digest) = ingest(input, config, rec, &mut budget)?;
 
-        let mut policy = CkptPolicy::open(opts, rec, || (fp, input_digest));
-        let mem = budget.budget().clone();
-        let align = if budgeted {
-            align_by_column
-        } else {
-            align_in_core
-        };
+        let mut policy = CkptPolicy::open(opts, rec, || (fp, digest.finish()));
         let prepared = self
-            .prepare_from(store_reads, &pool, &mut policy, &mut budget, |store| {
-                align(config, store, &pool, rec, &mem)
-            })
+            .prepare_from(
+                store,
+                Source::Streamed(digest.count()),
+                &pool,
+                &mut policy,
+                &mut budget,
+            )
             .map(|stages| stages.prepared);
         outcome(prepared.and_then(|prepared| {
             self.finish(&prepared, config.partitions)
@@ -199,7 +195,7 @@ fn ingest(
     config: &FocusConfig,
     rec: &Recorder,
     budget: &mut RunBudget,
-) -> Result<(ReadStore, u64), FocusError> {
+) -> Result<(ReadStore, InputDigest), FocusError> {
     let mut digest = InputDigest::new();
     let mut builder = ReadStoreBuilder::new(&config.trim)?;
     let mut store_res = budget.budget().try_reserve("read-store", 0)?;
@@ -211,72 +207,8 @@ fn ingest(
             store_res.grow(grown as u64)?;
         }
     }
-    let store = builder.finish();
-    if store.is_empty() {
-        return Err(FocusError::EmptyInput);
-    }
     budget.hold(rec, store_res);
-    if rec.is_enabled() {
-        rec.add("pipeline.reads_in", digest.count());
-        rec.add("pipeline.reads_kept", store.len() as u64);
-    }
-    Ok((store, digest.finish()))
-}
-
-/// Stage 2 under a budget: [`Overlapper::overlap_all`]'s column loop with
-/// one seed index resident at a time. Column `j`'s index is built when the
-/// column starts and charged as `align-index` until it ends; the overlap
-/// list is charged as `overlaps` as each pair settles, and after a failed
-/// charge the column only drains. The runs are appended and tallied
-/// exactly as `overlap_all` does, so the result is bit-identical.
-fn align_by_column(
-    config: &FocusConfig,
-    store: &ReadStore,
-    pool: &Pool,
-    rec: &Recorder,
-    mem: &MemoryBudget,
-) -> Result<Alignment, FocusError> {
-    let overlapper = Overlapper::new(store, config.overlap)?;
-    let subsets = store.split_subsets(config.subsets);
-    overlapper.check_capacity(&subsets)?;
-    let n = subsets.len();
-    let _span = rec.span_args("align", "align.overlap_by_column", &[("subsets", n as i64)]);
-    let mut all = Vec::new();
-    let mut tally = PairTally::default();
-    let mut listed = mem.try_reserve("overlaps", 0)?;
-    for j in 0..n {
-        let index_bytes = approx_index_bytes(&subsets[j], store, config.overlap.k);
-        let _index_res = mem.try_reserve("align-index", index_bytes)?;
-        // Built on the pool exactly as the in-core path builds each of its
-        // indexes, so `exec.tasks` is the same on both paths.
-        let index: KmerIndex = overlapper
-            .index_subsets(&subsets[j..=j], pool, rec)?
-            .pop()
-            .unwrap_or_else(|| overlapper.index_subset(&subsets[j]));
-        let pairs: Vec<(usize, usize)> = (0..=j).map(|i| (i, j)).collect();
-        let mut charged = Ok(());
-        overlapper.overlap_column(&subsets, &pairs, &index, pool, rec, |p, mut found, done| {
-            if charged.is_err() {
-                return;
-            }
-            all.append(&mut found);
-            if let Some(stats) = done {
-                charged = listed.grow(stats.overlaps * std::mem::size_of::<Overlap>() as u64);
-                let run = &all[all.len() - stats.overlaps as usize..];
-                tally.push(rec, pairs[p], run, stats);
-            }
-        });
-        charged?;
-    }
-    Ok((all, tally.finish(rec, &config.overlap)))
-}
-
-/// What a subset's seed index will hold — the ledger's charge for it on
-/// both alignment paths; the layout and its arithmetic live with
-/// [`KmerIndex`].
-pub(crate) fn approx_index_bytes(subset: &[fc_seq::ReadId], store: &ReadStore, k: usize) -> u64 {
-    let bases: usize = subset.iter().map(|&id| store.get(id).len()).sum();
-    KmerIndex::estimated_bytes(bases, subset.len(), k)
+    Ok((builder.finish(), digest))
 }
 
 #[cfg(test)]
@@ -321,47 +253,5 @@ mod tests {
         let raw: usize = parsed.iter().map(Read::approx_bytes).sum();
         assert_eq!(peak(a), peak(b).map(|p| p - raw as i64));
         let _ = std::fs::remove_file(&path);
-    }
-
-    /// The column loop charges column j's index while the column runs and
-    /// the overlap list as each pair settles, so the ledger's peak is the
-    /// largest, over columns j, of the overlaps of columns ≤ j plus index
-    /// j. A budget one byte below that peak ends in `BudgetExceeded`, and
-    /// the unbudgeted result is `overlap_all`'s.
-    #[test]
-    fn the_column_loop_charges_one_index_and_the_list_so_far() {
-        let g = genome(3050, 3);
-        let reads: Vec<Read> = (0..g.len() - 100)
-            .step_by(50)
-            .map(|s| Read::new(format!("r{s}"), g.slice(s, s + 100)))
-            .collect();
-        let config = FocusConfig::default();
-        let store = ReadStore::preprocess(&reads, &config.trim).unwrap();
-        let subsets = store.split_subsets(config.subsets);
-        let (rec, pool) = (Recorder::disabled(), Pool::serial());
-        let mem = MemoryBudget::unlimited();
-        let by_column = align_by_column(&config, &store, &pool, &rec, &mem).unwrap();
-        let overlapper = Overlapper::new(&store, config.overlap).unwrap();
-        assert!(!by_column.0.is_empty());
-        assert_eq!(
-            by_column,
-            overlapper.overlap_all(&subsets, &pool, &rec).unwrap()
-        );
-        assert_eq!(mem.used(), 0);
-
-        let (mut listed, mut peak) = (0, 0);
-        for (j, subset) in subsets.iter().enumerate() {
-            let column = by_column.1.iter().filter(|(_, pj, _)| *pj == j);
-            listed += column.map(|(_, _, stats)| stats.overlaps).sum::<u64>()
-                * std::mem::size_of::<Overlap>() as u64;
-            peak = peak.max(listed + approx_index_bytes(subset, &store, config.overlap.k));
-        }
-        assert_eq!(mem.peak(), peak);
-        let under = MemoryBudget::with_limit(peak - 1);
-        let refused = align_by_column(&config, &store, &pool, &rec, &under);
-        assert!(
-            matches!(refused, Err(FocusError::BudgetExceeded(_))),
-            "{refused:?}"
-        );
     }
 }

@@ -11,17 +11,19 @@
 //! [`prepare`](FocusAssembler::prepare), which preprocesses reads already in
 //! memory, and the caller's for
 //! [`assemble_file`](FocusAssembler::assemble_file), the one way a file
-//! enters the pipeline, which brings its own streaming ingest and, under a
-//! memory budget, an `align` that keeps one seed index at a time.
+//! enters the pipeline, which brings its own streaming ingest. Alignment is
+//! one loop, [`Overlapper::overlap_all_within`]; `prepare_from` picks how
+//! many seed indexes it holds at once: one for a file run under a memory
+//! budget, every one otherwise.
 
 use crate::checkpoint::{CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
-use crate::ooc::{approx_index_bytes, RunBudget};
+use crate::ooc::RunBudget;
 use crate::stats::AssemblyStats;
-use fc_align::{Alignment, Overlap, Overlapper, PairStats, Pool};
+use fc_align::{Indexes, Overlap, Overlapper, PairStats, Pool};
 use fc_dist::{AssemblyPath, DistributedConfig, DistributedHybrid, DistributedReport, FaultPlan};
 use fc_graph::{HybridSet, MultilevelSet, NodeId, OverlapGraph};
-use fc_obs::{MemoryBudget, Recorder};
+use fc_obs::Recorder;
 use fc_partition::{partition_graph_set_obs, PartitionConfig, PartitionResult};
 use fc_seq::{fasta, DnaString, Read, ReadStore, SeqError};
 use std::sync::Arc;
@@ -73,6 +75,20 @@ pub struct Stages {
     pub multilevel: MultilevelSet,
     /// What [`assemble_prepared`](FocusAssembler::assemble_prepared) reads.
     pub prepared: Prepared,
+}
+
+/// Where a run's reads came from, with how many there were: what decides
+/// how many seed indexes alignment holds at once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source {
+    /// Parsed reads, held for the whole run
+    /// ([`prepare`](FocusAssembler::prepare)): every seed index is built up
+    /// front, under any budget.
+    Parsed(u64),
+    /// Records streamed from a file
+    /// ([`assemble_file`](FocusAssembler::assemble_file)): under a budget,
+    /// one seed index at a time.
+    Streamed(u64),
 }
 
 /// A complete assembly outcome.
@@ -152,23 +168,11 @@ impl FocusAssembler {
             reads.iter().map(|r| r.approx_bytes() as u64).sum(),
         )?;
         let store = ReadStore::preprocess(reads, &config.trim)?;
-        if store.is_empty() {
-            return Err(FocusError::EmptyInput);
-        }
-        if rec.is_enabled() {
-            rec.add("pipeline.reads_in", reads.len() as u64);
-            rec.add("pipeline.reads_kept", store.len() as u64);
-        }
         budget.charge(rec, "read-store", store.approx_bytes() as u64)?;
-        let mem = budget.budget().clone();
-        self.prepare_from(
-            store,
-            &pool,
-            &mut CkptPolicy::off(rec),
-            &mut budget,
-            |store| align_in_core(config, store, &pool, rec, &mem),
-        )
-        .map_err(Halt::into_error)
+        let source = Source::Parsed(reads.len() as u64);
+        let mut policy = CkptPolicy::off(rec);
+        self.prepare_from(store, source, &pool, &mut policy, &mut budget)
+            .map_err(Halt::into_error)
     }
 
     /// Runs stage 6 (partitioning + distributed trimming/traversal + contig
@@ -190,19 +194,37 @@ impl FocusAssembler {
     }
 
     /// Stages 2–5 over a preprocessed store whose bytes `budget` already
-    /// holds, the graph stages on `pool`. `align` computes the alignment
-    /// payload when no valid checkpoint of it exists — the one thing the
-    /// in-core and the budgeted run do differently.
+    /// holds, every stage on `pool`; an empty store is refused. Alignment
+    /// runs when no valid checkpoint of it exists, holding one seed index
+    /// at a time for a budgeted file run and every one otherwise — the one
+    /// thing the in-core and the budgeted run do differently.
     pub(crate) fn prepare_from(
         &self,
         store: ReadStore,
+        source: Source,
         pool: &Pool,
         policy: &mut CkptPolicy<'_>,
         budget: &mut RunBudget,
-        align: impl FnOnce(&ReadStore) -> Result<Alignment, FocusError>,
     ) -> Result<Stages, Halt> {
         let (rec, config) = (&self.recorder, &self.config);
-        let (overlaps, pair_stats) = policy.alignment(|| align(&store))?;
+        if store.is_empty() {
+            return Err(Halt::Failed(FocusError::EmptyInput));
+        }
+        let (reads_in, indexes) = match source {
+            Source::Streamed(reads) if config.memory_budget.is_some() => {
+                (reads, Indexes::OneAtATime)
+            }
+            Source::Parsed(reads) | Source::Streamed(reads) => (reads, Indexes::AllUpFront),
+        };
+        if rec.is_enabled() {
+            rec.add("pipeline.reads_in", reads_in);
+            rec.add("pipeline.reads_kept", store.len() as u64);
+        }
+        let (overlaps, pair_stats) = policy.alignment(|| {
+            let overlapper = Overlapper::new(&store, config.overlap)?;
+            let subsets = store.split_subsets(config.subsets);
+            Ok(overlapper.overlap_all_within(&subsets, pool, rec, budget.budget(), indexes)?)
+        })?;
         let bytes = (overlaps.len() * std::mem::size_of::<Overlap>()) as u64;
         let overlaps_charge = budget.budget().try_reserve("overlaps", bytes)?;
         budget.gauge(rec);
@@ -292,26 +314,6 @@ impl FocusAssembler {
             report: Box::new(report),
         })
     }
-}
-
-/// Stage 2 in core. `overlap_all` builds every subset's index up front, so
-/// all of them are charged before it starts and until it returns.
-pub(crate) fn align_in_core(
-    config: &FocusConfig,
-    store: &ReadStore,
-    pool: &Pool,
-    rec: &Recorder,
-    mem: &MemoryBudget,
-) -> Result<Alignment, FocusError> {
-    let overlapper = Overlapper::new(store, config.overlap)?;
-    let subsets = store.split_subsets(config.subsets);
-    overlapper.check_capacity(&subsets)?;
-    let indexes = subsets
-        .iter()
-        .map(|s| approx_index_bytes(s, store, config.overlap.k))
-        .sum();
-    let _indexes = mem.try_reserve("align-index", indexes)?;
-    Ok(overlapper.overlap_all(&subsets, pool, rec)?)
 }
 
 /// Merges the contigs along a maximal path into one sequence using the

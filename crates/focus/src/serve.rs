@@ -47,12 +47,7 @@ impl AssemblyJobRunner {
 /// Stable 64-bit FNV-1a fingerprint of a tenant name, squeezed into the
 /// integer-only span-arg space (sign-preserving bit cast).
 fn tenant_fnv(tenant: &str) -> i64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in tenant.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h as i64
+    fc_ckpt::fnv1a(fc_ckpt::FNV1A_OFFSET, tenant.bytes()) as i64
 }
 
 /// Maps a pipeline failure onto the serve retry contract. Distributed

@@ -52,6 +52,10 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// The largest request body the server accepts; a longer declared
+/// `content-length` is refused with a typed 413 before any body is read.
+pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+
 /// Server configuration. Zero values mean "pick a default" where noted.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -64,8 +68,6 @@ pub struct ServeConfig {
     /// Threads per assembly job (0 → `available_parallelism / workers`,
     /// at least 1; explicit values are clamped to available cores).
     pub job_threads: usize,
-    /// Maximum accepted request body, bytes (0 → 8 MiB).
-    pub max_body_bytes: usize,
     /// Socket read/write timeout per connection.
     pub io_timeout: Duration,
     /// Total wall-clock budget for *reading* one request (0 → 10 s). The
@@ -95,7 +97,6 @@ impl Default for ServeConfig {
             workers: 2,
             http_threads: 2,
             job_threads: 0,
-            max_body_bytes: 8 * 1024 * 1024,
             io_timeout: Duration::from_secs(5),
             request_budget: Duration::from_secs(10),
             sched: SchedConfig::default(),
@@ -120,9 +121,6 @@ impl ServeConfig {
         }
         if self.http_threads == 0 {
             self.http_threads = 2;
-        }
-        if self.max_body_bytes == 0 {
-            self.max_body_bytes = 8 * 1024 * 1024;
         }
         if self.request_budget.is_zero() {
             self.request_budget = Duration::from_secs(10);
@@ -400,7 +398,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     // both io_timeout and the remaining request budget.
     let mut reader =
         http::DeadlineReader::new(&stream, shared.cfg.io_timeout, shared.cfg.request_budget);
-    let response = match http::read_request(&mut reader, shared.cfg.max_body_bytes) {
+    let response = match http::read_request(&mut reader, MAX_BODY_BYTES) {
         Ok(req) => route(shared, &req),
         Err(e) => {
             shared.recorder.add(metrics::HTTP_ERRORS, 1);

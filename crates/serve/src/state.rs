@@ -55,12 +55,7 @@ const STATUS_MESSAGE_LIMIT: usize = 2048;
 /// of the server-assigned [`JobId`], so chaos tests can match jobs between
 /// a reference run and a crash-looped run.
 pub fn input_fnv(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fc_ckpt::fnv1a(fc_ckpt::FNV1A_OFFSET, bytes.iter().copied())
 }
 
 /// Tenant names are path- and metric-safe: `[A-Za-z0-9_-]{1,64}`.

@@ -4,7 +4,7 @@
 //! deadlines, and fast-shutdown → restart resume.
 
 use fc_serve::sched::SchedConfig;
-use fc_serve::server::{Serve, ServeConfig};
+use fc_serve::server::{Serve, ServeConfig, MAX_BODY_BYTES};
 use fc_serve::{JobContext, JobError, JobOutput, JobRunner, ServeError};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -592,6 +592,47 @@ fn protocol_errors_are_typed() {
         let (status, resp) = request(addr, method, path, body);
         assert_eq!(status, want, "{method} {path}: {resp}");
     }
+    server.shutdown(true);
+    server.join();
+}
+
+/// A `POST /jobs` that declares one byte more than `MAX_BODY_BYTES` is
+/// refused with a typed 413 from its head alone: the client sends no body,
+/// the answer still comes, and no job was admitted.
+#[test]
+fn an_oversized_declared_body_is_a_typed_413_before_any_byte_of_it() {
+    let dir = temp_dir("body-cap");
+    let server = Serve::start(
+        small_config(),
+        &*dir,
+        Arc::new(MockRunner {
+            delay: Duration::ZERO,
+        }),
+    )
+    .expect("start");
+    let addr = server.addr();
+    assert_eq!(MAX_BODY_BYTES, 8 * 1024 * 1024);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    write!(
+        stream,
+        "POST /jobs?tenant=big HTTP/1.1\r\nhost: t\r\ncontent-length: 8388609\r\n\r\n"
+    )
+    .expect("write head");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 413 "), "{text}");
+    assert!(
+        text.ends_with(
+            "{\"error\":\"bad_request\",\"message\":\"body of 8388609 bytes exceeds 8388608 bytes\"}"
+        ),
+        "{text}"
+    );
+    let (status, body) = request(addr, "GET", "/jobs/job-000001", b"");
+    assert_eq!(status, 404, "{body}");
     server.shutdown(true);
     server.join();
 }
