@@ -193,11 +193,16 @@ impl KmerIndex {
     /// Panics if `k` is outside `1..=32` or [`KmerIndex::check_capacity`]
     /// refuses the subset.
     pub fn build(reads: &[(ReadId, PackedView<'_>)], k: usize) -> KmerIndex {
+        let off_bits = match KmerIndex::check_capacity(reads.iter().map(|(_, seq)| seq.len())) {
+            Ok(bits) => bits,
+            #[expect(clippy::panic, reason = "documented: `build`'s callers check first")]
+            Err(e) => panic!("{e}"),
+        };
         let Scattered {
             index,
             mut positions,
             mut run_start,
-        } = KmerIndex::scatter(reads, k);
+        } = KmerIndex::scatter(reads, k, off_bits);
         let buckets = 0..index.dir.len() - 1;
         index.sort_buckets(buckets, &mut positions, &mut Vec::new(), |i| {
             run_start[i / 64] |= 1 << (i % 64);
@@ -212,22 +217,31 @@ impl KmerIndex {
     /// slice of the positions and marking its runs in the bitmap words its
     /// entries cover alone; the words it shares with a neighbouring range
     /// are merged after the batch. The result is the same at any thread
-    /// count. Every subset passes [`KmerIndex::check_capacity`] before any
-    /// is built, or the first that fails is the error.
+    /// count. Each subset's list is collected once and passes
+    /// [`KmerIndex::check_capacity`] before any is built, or the first that
+    /// fails is the error.
     ///
     /// # Panics
     /// Panics if `k` is outside `1..=32`.
     pub fn build_all<'a>(
         subsets: usize,
-        reads: impl Fn(usize) -> Vec<(ReadId, PackedView<'a>)> + Sync,
+        reads: impl Fn(usize) -> Vec<(ReadId, PackedView<'a>)>,
         k: usize,
         pool: &Pool,
         rec: &Recorder,
     ) -> Result<Vec<KmerIndex>, AlignError> {
-        for j in 0..subsets {
-            KmerIndex::check_capacity(reads(j).iter().map(|(_, seq)| seq.len()))?;
-        }
-        let mut scattered = pool.map_obs(subsets, rec, |j| KmerIndex::scatter(&reads(j), k));
+        let lists = (0..subsets)
+            .map(|j| {
+                let list = reads(j);
+                let off_bits = KmerIndex::check_capacity(list.iter().map(|(_, seq)| seq.len()))?;
+                Ok((list, off_bits))
+            })
+            .collect::<Result<Vec<_>, AlignError>>()?;
+        let mut scattered = pool.map_obs(subsets, rec, |j| {
+            let (list, off_bits) = &lists[j];
+            KmerIndex::scatter(list, k, *off_bits)
+        });
+        drop(lists);
         let mut tasks = Vec::with_capacity(scattered.len() * SORT_RANGES);
         for s in &mut scattered {
             let index = &s.index;
@@ -278,15 +292,11 @@ impl KmerIndex {
     /// k-mer starts counted per bucket, and the untagged entries scattered
     /// into their buckets, whose order within a bucket is still entry
     /// order. `dir` is final; `positions` and `run_start` are returned
-    /// beside the index.
-    fn scatter(reads: &[(ReadId, PackedView<'_>)], k: usize) -> Scattered {
+    /// beside the index. `off_bits` is what [`KmerIndex::check_capacity`]
+    /// returned for `reads`.
+    fn scatter(reads: &[(ReadId, PackedView<'_>)], k: usize, off_bits: u32) -> Scattered {
         assert!((1..=32).contains(&k), "k must be in 1..=32");
         let bases: usize = reads.iter().map(|(_, seq)| seq.len()).sum();
-        let off_bits = match KmerIndex::check_capacity(reads.iter().map(|(_, seq)| seq.len())) {
-            Ok(bits) => bits,
-            #[expect(clippy::panic, reason = "documented: `build`'s callers check first")]
-            Err(e) => panic!("{e}"),
-        };
         let mut words = vec![0u64; words_for(bases)];
         let mut read_starts = Vec::with_capacity(reads.len() + 1);
         let mut ids = Vec::with_capacity(reads.len());

@@ -21,7 +21,7 @@ pub enum OverlapKind {
 /// [`OverlapKind::SuffixPrefix`], `shift` is how far `b`'s start lies to the
 /// right of `a`'s start on the common layout — i.e. the number of `a` bases
 /// that precede the overlap.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Overlap {
     /// First read.
     pub a: ReadId,
@@ -36,11 +36,24 @@ pub struct Overlap {
     /// Alignment length in columns (the paper stores this as the edge
     /// weight).
     pub len: u32,
-    /// Alignment identity in `[0, 1]`.
-    pub identity: f64,
+    /// Matching columns of the alignment; [`Overlap::identity`] is
+    /// `matches / len`.
+    pub matches: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Overlap>() == 24);
+
 impl Overlap {
+    /// Alignment identity in `[0, 1]`: the fraction of columns that match,
+    /// exactly as [`crate::AlignmentSummary::identity`] computes it.
+    pub fn identity(&self) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            self.matches as f64 / self.len as f64
+        }
+    }
+
     /// For a dovetail overlap, the directed edge it induces in the overlap
     /// graph: `(source, target)` where the suffix of `source` matches the
     /// prefix of `target`. Containments induce no edge (they are removed in
@@ -90,7 +103,7 @@ impl fc_ckpt::Codec for Overlap {
         self.kind.encode(w);
         w.put_u32(self.shift);
         w.put_u32(self.len);
-        w.put_f64(self.identity);
+        w.put_u32(self.matches);
     }
 
     fn decode(r: &mut fc_ckpt::Reader<'_>) -> Result<Overlap, fc_ckpt::CkptError> {
@@ -100,7 +113,7 @@ impl fc_ckpt::Codec for Overlap {
             kind: OverlapKind::decode(r)?,
             shift: r.u32()?,
             len: r.u32()?,
-            identity: r.f64()?,
+            matches: r.u32()?,
         })
     }
 }
@@ -116,7 +129,7 @@ mod tests {
             kind,
             shift: 3,
             len: 50,
-            identity: 0.95,
+            matches: 48,
         }
     }
 
@@ -148,8 +161,28 @@ mod tests {
         w.put_u8(9);
         w.put_u32(0);
         w.put_u32(0);
-        w.put_f64(0.0);
+        w.put_u32(0);
         assert!(fc_ckpt::decode_from_slice::<Overlap>(&w.into_bytes()).is_err());
+    }
+
+    /// `identity()` is the verifier's `matches / columns`, bit for bit, and
+    /// 0 for an empty alignment.
+    #[test]
+    fn identity_is_matches_over_len() {
+        let o = overlap(OverlapKind::SuffixPrefix);
+        let summary = crate::AlignmentSummary {
+            score: 0,
+            columns: o.len,
+            matches: o.matches,
+        };
+        assert_eq!(o.identity().to_bits(), summary.identity().to_bits());
+        assert_eq!(o.identity(), 0.96);
+        let empty = Overlap {
+            len: 0,
+            matches: 0,
+            ..o
+        };
+        assert_eq!(empty.identity(), 0.0);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl PairTally {
                 rec.observe("align.overlap_len", overlap.len as u64);
                 rec.observe_with(
                     "align.identity_pct",
-                    (overlap.identity * 100.0) as u64,
+                    (overlap.identity() * 100.0) as u64,
                     IDENTITY_PCT_BOUNDS,
                 );
             }
@@ -371,7 +371,7 @@ impl<'a> Overlapper<'a> {
                     kind: req.kind,
                     shift: req.shift,
                     len: summary.columns,
-                    identity: summary.identity(),
+                    matches: summary.matches,
                 });
             }
         }
@@ -406,7 +406,7 @@ impl<'a> Overlapper<'a> {
     /// scatter, then its bucket ranges sorted in parallel). Each batch is charged to `mem` as `align-index` before it
     /// is built, and index `j`'s share is released when column `j` ends,
     /// as the index itself is dropped. The overlap list is charged as
-    /// `overlaps` (32 B an overlap) as each pair settles; after a failed
+    /// `overlaps` (24 B an overlap) as each pair settles; after a failed
     /// charge the column only drains, and the run ends in
     /// [`AlignError::Budget`]. Both charges are released when this
     /// returns. The parsed-reads pipeline holds every index up front under
@@ -949,7 +949,7 @@ pub(crate) mod tests {
         // Every reported dovetail must meet the thresholds.
         for o in &overlaps {
             assert!(o.len >= 30);
-            assert!(o.identity >= 0.90);
+            assert!(o.identity() >= 0.90);
         }
     }
 
@@ -1033,7 +1033,7 @@ pub(crate) mod tests {
         assert!(
             overlaps
                 .iter()
-                .any(|o| o.kind == OverlapKind::SuffixPrefix && o.identity < 1.0),
+                .any(|o| o.kind == OverlapKind::SuffixPrefix && o.identity() < 1.0),
             "imperfect dovetail not found: {overlaps:?}"
         );
     }
@@ -1358,7 +1358,7 @@ pub(crate) mod tests {
                     kind: req.kind,
                     shift: req.shift,
                     len: summary.columns,
-                    identity: summary.identity(),
+                    matches: summary.matches,
                 })
             })
             .collect();

@@ -31,7 +31,9 @@ pub const MAGIC: [u8; 4] = *b"FCKP";
 /// their `identity` field. Version 4: fc-graph's `LevelGraph` adjacency
 /// entries went from 12 to 8 bytes and its node weights from 8 to 4.
 /// Version 5: fc-seq's `ReadStore` holds bases only, no names or qualities.
-pub const FORMAT_VERSION: u32 = 5;
+/// Version 6: fc-align's `Overlap` records carry `matches: u32` in place of
+/// `identity: f64`.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// A decoded checkpoint container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,14 +230,14 @@ mod tests {
         assert!(err.to_string().contains("version"));
     }
 
-    /// A version-5 container encoded by the bytewise-CRC build: the sliced
-    /// CRC must verify it and seal a re-encode with the same trailer.
+    /// A version-6 container sealed with the bytewise reference CRC: the
+    /// sliced CRC must verify it and seal a re-encode with the same trailer.
     const GOLDEN_HEX: &str = concat!(
-        "46434b500500000007000000efcdab89674523011032547698badcfe03000000",
+        "46434b500600000007000000efcdab89674523011032547698badcfe03000000",
         "000000000d00000000000000676f6c64656e207265636f7264c4b82e92000000",
         "0000000000000000002800000000000000000102030405060708090a0b0c0d0e",
-        "0f101112131415161718191a1b1c1d1e1f20212223242526273c2ea60d773d46",
-        "14",
+        "0f101112131415161718191a1b1c1d1e1f20212223242526273c2ea60d6e3e20",
+        "fa",
     );
 
     #[test]

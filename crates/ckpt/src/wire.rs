@@ -1,10 +1,11 @@
 //! Fixed-width little-endian binary serialisation and the [`Codec`] trait.
 //!
-//! The encoding is deliberately boring: every integer is little-endian
-//! fixed width, floats are their IEEE-754 bit patterns, sequences are a
-//! `u64` length followed by the elements. Two encodes of equal values are
-//! byte-identical, which is what lets the chaos harness byte-compare
-//! checkpoints from interrupted and uninterrupted runs.
+//! The encoding is deliberately boring: every integer is unsigned and
+//! little-endian fixed width, sequences are a `u64` length followed by the
+//! elements, and a tuple is its fields in order; no payload needs more.
+//! Two encodes of equal values are byte-identical, which is what lets the
+//! chaos harness byte-compare checkpoints from interrupted and
+//! uninterrupted runs.
 
 use crate::error::CkptError;
 
@@ -48,22 +49,6 @@ impl Writer {
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends raw bytes with a `u64` length prefix.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
     }
 
     /// Appends a `u64` length, then each element: the encoding of a
@@ -126,23 +111,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, CkptError> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CkptError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u64`-length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], CkptError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| truncated("byte length in range"))?;
-        self.take(len, "length-prefixed bytes")
     }
 
     /// Reads a sequence length, rejecting lengths the remaining input
@@ -241,51 +209,6 @@ impl Codec for usize {
     }
 }
 
-impl Codec for i64 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_i64(*self);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        r.i64()
-    }
-}
-
-impl Codec for f64 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f64(*self);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        r.f64()
-    }
-}
-
-impl Codec for bool {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(u8::from(*self));
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        match r.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CkptError::Decode {
-                detail: format!("invalid bool byte {other:#04x}"),
-            }),
-        }
-    }
-}
-
-impl Codec for String {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(self.as_bytes());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        let bytes = r.bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CkptError::Decode {
-            detail: "string is not valid UTF-8".to_string(),
-        })
-    }
-}
-
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_seq(self);
@@ -297,27 +220,6 @@ impl<T: Codec> Codec for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
-    }
-}
-
-impl<T: Codec> Codec for Option<T> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                v.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            other => Err(CkptError::Decode {
-                detail: format!("invalid option tag {other:#04x}"),
-            }),
-        }
     }
 }
 
@@ -359,24 +261,29 @@ mod tests {
         round_trip(u32::MAX);
         round_trip(u64::MAX);
         round_trip(usize::MAX);
-        round_trip(i64::MIN);
-        round_trip(-0.5f64);
-        round_trip(f64::INFINITY);
-        round_trip(true);
-        round_trip(false);
-        round_trip("héllo\nworld".to_string());
         round_trip(vec![1u64, 2, 3]);
         round_trip(Vec::<u32>::new());
-        round_trip(Some(7u32));
-        round_trip(Option::<u32>::None);
-        round_trip((1u32, -2i64, "x".to_string()));
+        round_trip((7u8, vec![(1u32, 2usize)]));
+        round_trip((1u32, u64::MAX, vec![vec![0u8, 255]]));
     }
 
+    /// Little-endian fixed width, a sequence its `u64` length first, a
+    /// tuple its fields in order.
     #[test]
-    fn nan_bit_pattern_survives() {
-        let bytes = encode_to_vec(&f64::NAN);
-        let back: f64 = decode_from_slice(&bytes).expect("decodes");
-        assert_eq!(back.to_bits(), f64::NAN.to_bits());
+    fn the_layout_is_little_endian_fixed_width() {
+        let mut w = Writer::new();
+        w.put_seq(&[0x0102_0304u32]);
+        w.put_u8(9);
+        assert_eq!(w.len(), 8 + 4 + 1);
+        assert_eq!(
+            w.into_bytes(),
+            encode_to_vec(&(vec![0x0102_0304u32], 9u8)),
+            "put_seq writes what a Vec encodes"
+        );
+        assert_eq!(
+            encode_to_vec(&(0x0102_0304u32, 5usize)),
+            [4, 3, 2, 1, 5, 0, 0, 0, 0, 0, 0, 0]
+        );
     }
 
     #[test]
@@ -401,14 +308,5 @@ mod tests {
         w.put_u64(u64::MAX); // claims 2^64-1 elements
         let bytes = w.into_bytes();
         assert!(decode_from_slice::<Vec<u64>>(&bytes).is_err());
-    }
-
-    #[test]
-    fn invalid_tags_are_decode_errors() {
-        assert!(decode_from_slice::<bool>(&[2]).is_err());
-        assert!(decode_from_slice::<Option<u8>>(&[9, 0]).is_err());
-        let mut w = Writer::new();
-        w.put_bytes(&[0xFF, 0xFE]);
-        assert!(decode_from_slice::<String>(&w.into_bytes()).is_err());
     }
 }

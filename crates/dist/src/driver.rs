@@ -74,7 +74,7 @@ pub struct DistributedHybrid {
     pub k: usize,
     /// Contig sequence per hybrid node (shared, never mutated).
     contigs: Arc<[DnaString]>,
-    /// Read support (cluster size) per hybrid node.
+    /// Read support (cluster size, `G'0`'s node weight) per hybrid node.
     support: Vec<u64>,
 }
 
@@ -139,7 +139,9 @@ impl DistributedHybrid {
         if let Some(&bad) = parts.iter().find(|&&p| p as usize >= k) {
             return Err(DistError::PartitionIdOutOfRange { id: bad, k });
         }
-        let support: Vec<u64> = hybrid.clusters.iter().map(|c| c.len() as u64).collect();
+        let g0h = hybrid.set.finest();
+        let nodes = 0..g0h.node_count() as NodeId;
+        let support = nodes.map(|v| u64::from(g0h.node_weight(v))).collect();
         Ok(DistributedHybrid {
             graph: hybrid.directed.clone(),
             parts,
@@ -392,7 +394,7 @@ mod tests {
                 kind: OverlapKind::SuffixPrefix,
                 shift: stride as u32,
                 len: (read_len - stride) as u32,
-                identity: 1.0,
+                matches: (read_len - stride) as u32,
             })
             .collect();
         // Transitive two-hop overlaps.
@@ -402,7 +404,7 @@ mod tests {
             kind: OverlapKind::SuffixPrefix,
             shift: 2 * stride as u32,
             len: 1,
-            identity: 1.0,
+            matches: 1,
         }));
         let g = OverlapGraph::build(&store, &overlaps);
         let ml = MultilevelSet::build(

@@ -31,7 +31,7 @@
 //!
 //! The store as it grows, the seed indexes (`align-index`) from before
 //! they are built until their columns end, and the overlap list
-//! (`overlaps`, 32 B an overlap) as each pair settles: a budget the list
+//! (`overlaps`, 24 B an overlap) as each pair settles: a budget the list
 //! outgrows fails, typed, at the pair that crosses it. The list stays in
 //! memory because the graph stage reads it whole
 //! (`OverlapGraph::directed_view`); on disk it would lower the ledger's

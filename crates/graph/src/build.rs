@@ -142,7 +142,7 @@ mod tests {
             kind: OverlapKind::SuffixPrefix,
             shift: 4,
             len,
-            identity: 0.95,
+            matches: len,
         }
     }
 
@@ -158,7 +158,7 @@ mod tests {
                 kind: OverlapKind::ContainedInB,
                 shift: 2,
                 len: 40,
-                identity: 0.99,
+                matches: 40,
             },
         ];
         let g = OverlapGraph::build(&store, &overlaps);

@@ -39,9 +39,9 @@ pub struct HybridSet {
     /// The representatives, in hybrid-node-id order (`G'0` node `i` is
     /// `reps[i]`).
     pub reps: Vec<Representative>,
-    /// Level-0 (read) nodes of each representative's cluster.
-    pub clusters: Vec<Vec<NodeId>>,
-    /// The verified layout of each cluster.
+    /// The verified layout of each representative's cluster: its level-0
+    /// (read) nodes with their offsets. A cluster's size is its layout's
+    /// length, which is also its `G'0` node weight.
     pub layouts: Vec<ClusterLayout>,
     /// Maps each level-0 node to its representative (hybrid node id).
     pub rep_of_node: Vec<u32>,
@@ -140,7 +140,7 @@ impl HybridSet {
                 let mut stack: Vec<(usize, NodeId)> =
                     block.rev().map(|root| (top, root as NodeId)).collect();
                 let (mut cluster, mut descent) = (Vec::new(), Vec::new());
-                let mut found = (Vec::new(), Vec::new(), Vec::new());
+                let mut found = (Vec::new(), Vec::new());
                 while let Some((level, node)) = stack.pop() {
                     expand_to_level0(&children, level, node, &mut descent, &mut cluster);
                     match layout_cluster(
@@ -153,8 +153,7 @@ impl HybridSet {
                     ) {
                         Some(layout) => {
                             found.0.push(Representative { level, node });
-                            found.1.push(cluster.clone());
-                            found.2.push(layout);
+                            found.1.push(layout);
                         }
                         None => {
                             debug_assert!(level > 0, "level-0 nodes are always contiguous");
@@ -167,18 +166,17 @@ impl HybridSet {
                 found
             },
         );
-        let (mut reps, mut clusters, mut layouts) = (Vec::new(), Vec::new(), Vec::new());
-        for (r, c, l) in selected {
+        let (mut reps, mut layouts) = (Vec::new(), Vec::new());
+        for (r, l) in selected {
             reps.extend(r);
-            clusters.extend(c);
             layouts.extend(l);
         }
 
         // --- rep_of_node over G0, in the rank array. ---
         let mut rep_of_node = rank;
         rep_of_node.fill(u32::MAX);
-        for (ri, cluster) in clusters.iter().enumerate() {
-            for &v in cluster {
+        for (ri, layout) in layouts.iter().enumerate() {
+            for &(v, _) in &layout.order {
                 debug_assert_eq!(
                     rep_of_node[v as usize],
                     u32::MAX,
@@ -195,7 +193,7 @@ impl HybridSet {
         // --- Hybrid G'0: contract the undirected G0. ---
         let g0h = g0.undirected.contracted(
             &rep_of_node,
-            clusters.iter().map(|c| c.len() as u32).collect(),
+            layouts.iter().map(|l| l.len() as u32).collect(),
             pool,
             rec,
         );
@@ -259,7 +257,7 @@ impl HybridSet {
                 if id as usize == weights.len() {
                     weights.push(0);
                 }
-                weights[id as usize] += clusters[ri].len() as u32;
+                weights[id as usize] += layouts[ri].len() as u32;
                 assign[ri] = id;
             }
             // fine→coarse between hybrid level i-1 and i.
@@ -293,7 +291,6 @@ impl HybridSet {
         }
         HybridSet {
             reps,
-            clusters,
             layouts,
             rep_of_node,
             set: GraphSet {
@@ -312,10 +309,9 @@ impl HybridSet {
 
     /// Bytes every field holds on the heap.
     pub fn heap_bytes(&self) -> usize {
-        let members: usize = self.clusters.iter().map(vec_bytes).sum();
         let layouts: usize = self.layouts.iter().map(|l| vec_bytes(&l.order)).sum();
-        let per_rep = vec_bytes(&self.reps) + vec_bytes(&self.clusters) + vec_bytes(&self.layouts);
-        let per_read = members + layouts + vec_bytes(&self.rep_of_node);
+        let per_rep = vec_bytes(&self.reps) + vec_bytes(&self.layouts);
+        let per_read = layouts + vec_bytes(&self.rep_of_node);
         let graphs = self.set.heap_bytes() + self.directed.heap_bytes();
         graphs + per_rep + per_read + vec_bytes(&self.contig_lens)
     }
@@ -425,7 +421,7 @@ mod tests {
                 kind: OverlapKind::SuffixPrefix,
                 shift: stride as u32,
                 len: (read_len - stride) as u32,
-                identity: 1.0,
+                matches: (read_len - stride) as u32,
             })
             .chain(extra.iter().copied())
             .collect();
@@ -486,8 +482,8 @@ mod tests {
     fn clusters_partition_the_read_set() {
         let (store, _, _, hs) = build_hybrid(40);
         let mut seen = vec![false; store.len()];
-        for cluster in &hs.clusters {
-            for &v in cluster {
+        for layout in &hs.layouts {
+            for &(v, _) in &layout.order {
                 assert!(!seen[v as usize], "node {v} in two clusters");
                 seen[v as usize] = true;
             }
@@ -536,24 +532,21 @@ mod tests {
     }
 
     /// Every field's capacity, at its element size: 16 a representative
-    /// (`usize` + `u32`, padded), 24 a `Vec` header, 4 a cluster member,
-    /// 16 a layout entry (`u32` + `i64`, padded), 4 a `rep_of_node` entry and
-    /// 4 a contig length.
+    /// (`usize` + `u32`, padded), 24 a `Vec` header, 16 a layout entry
+    /// (`u32` + `i64`, padded), 4 a `rep_of_node` entry and 4 a contig
+    /// length.
     #[test]
     fn heap_bytes_counts_every_field() {
         let (_, _, _, hs) = build_hybrid(48);
-        let members: usize = hs.clusters.iter().map(|c| 4 * c.capacity()).sum();
         let entries: usize = hs.layouts.iter().map(|l| 16 * l.order.capacity()).sum();
         let expected = hs.set.heap_bytes()
             + hs.directed.heap_bytes()
             + 16 * hs.reps.capacity()
-            + 24 * hs.clusters.capacity()
-            + members
             + 24 * hs.layouts.capacity()
             + entries
             + 4 * hs.rep_of_node.capacity()
             + 4 * hs.contig_lens.capacity();
-        assert!(members > 0 && entries > 0);
+        assert!(entries > 0);
         assert_eq!(hs.heap_bytes(), expected);
     }
 
@@ -595,7 +588,7 @@ mod tests {
         // Instrumentation does not change the result.
         let plain = HybridSet::build(&ml, &g, &store, &LayoutConfig);
         assert_eq!(plain.reps, hs.reps);
-        assert_eq!(plain.clusters, hs.clusters);
+        assert_eq!(plain.layouts, hs.layouts);
     }
 
     /// Selection by blocks of roots, the hybrid contractions by blocks of
@@ -611,7 +604,7 @@ mod tests {
             kind: OverlapKind::SuffixPrefix,
             shift: 50,
             len: 50,
-            identity: 0.95,
+            matches: 48,
         };
         for (extra, min_nodes) in [(vec![], 16), (vec![bogus(0, 20), bogus(41, 7)], 12)] {
             let (store, g) = linear_case_with(96, &extra);
@@ -633,7 +626,6 @@ mod tests {
                     .collect();
                 let HybridSet {
                     reps,
-                    clusters,
                     layouts,
                     rep_of_node,
                     set,
@@ -641,12 +633,12 @@ mod tests {
                     ..
                 } = hs;
                 let graphs = (set.levels, set.fine_to_coarse, directed);
-                let selection = (reps, clusters, layouts, rep_of_node, contig_lens);
+                let selection = (reps, layouts, rep_of_node, contig_lens);
                 (selection, graphs, contigs, rec.snapshot_json())
             };
             let serial = run(1);
             assert_eq!(run(3), serial, "min_nodes {min_nodes}");
-            let layouts = &serial.0 .2;
+            let layouts = &serial.0 .1;
             assert!(layouts.len() > 8);
             for (layout, contig) in layouts.iter().zip(&serial.2) {
                 assert_eq!(*contig, layout.consensus_sequence(&store));
@@ -666,7 +658,7 @@ mod tests {
             kind: OverlapKind::SuffixPrefix,
             shift: 50,
             len: 50,
-            identity: 0.95,
+            matches: 48,
         };
         let (store, g) = linear_case_with(30, &[bogus]);
         // Coarsen all the way down to one node so the conflated pair is
@@ -680,8 +672,8 @@ mod tests {
         );
         let hs = HybridSet::build(&ml, &g, &store, &LayoutConfig);
         let mut covered = vec![false; store.len()];
-        for c in &hs.clusters {
-            for &v in c {
+        for layout in &hs.layouts {
+            for &(v, _) in &layout.order {
                 covered[v as usize] = true;
             }
         }

@@ -378,7 +378,7 @@ fn overlap_digest(overlaps: &[Overlap]) -> u64 {
             o.kind as u64,
             u64::from(o.shift),
             u64::from(o.len),
-            o.identity.to_bits(),
+            o.identity().to_bits(),
         ]
         .into_iter()
         .fold(hash, fnv1a)
@@ -457,7 +457,9 @@ fn graph_digest(s: &Stages) -> u64 {
     for r in &hybrid.reps {
         words.extend([r.level as u64, u64::from(r.node)]);
     }
-    for (cluster, layout) in hybrid.clusters.iter().zip(&hybrid.layouts) {
+    for layout in &hybrid.layouts {
+        let mut cluster: Vec<u32> = layout.order.iter().map(|&(v, _)| v).collect();
+        cluster.sort_unstable();
         words.push(cluster.len() as u64);
         words.extend(cluster.iter().map(|&v| u64::from(v)));
         for &(v, offset) in &layout.order {
@@ -561,9 +563,9 @@ fn overlap_edge_weights_match_alignment_lengths() {
     // from it: the configured bound holds where the value lives.
     for o in &overlaps_of(s, &FocusConfig::default()).0 {
         assert!(
-            o.identity >= 0.90 - 1e-9,
+            o.identity() >= 0.90 - 1e-9,
             "overlap identity {} too low",
-            o.identity
+            o.identity()
         );
     }
     for v in s.graph.directed.live_nodes() {

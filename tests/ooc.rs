@@ -309,25 +309,27 @@ fn containers(dir: &Path) -> Vec<(PathBuf, CheckpointFile)> {
         .collect()
 }
 
-/// Rewrites every checkpoint container under `dir` as format version 4,
+/// Rewrites every checkpoint container under `dir` as format `version`,
 /// resealed so that only the version check can refuse it.
-fn rewrite_as_version_4(dir: &Path) {
+fn rewrite_as_version(dir: &Path, version: u32) {
     for (path, file) in containers(dir) {
         let mut bytes = file.encode();
-        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
         let body = bytes.len() - 4;
         let crc = crc32(&bytes[..body]).to_le_bytes();
         bytes[body..].copy_from_slice(&crc);
         let refused = CheckpointFile::decode(&bytes, &path).unwrap_err();
-        assert!(refused.to_string().contains("version 4"), "{refused}");
+        let named = format!("version {version}");
+        assert!(refused.to_string().contains(&named), "{refused}");
         std::fs::write(&path, bytes).unwrap();
     }
 }
 
-/// Files of the previous format are never decoded as this version's
-/// layout: a version-4 alignment checkpoint, in core or budgeted, is
-/// refused on resume and alignment recomputed, and overwritten by this
-/// version's. Contigs and the logical snapshot equal a clean run's.
+/// Files of earlier formats are never decoded as this version's layout: a
+/// version-4 or version-5 (the previous format, whose overlaps carried an
+/// `f64` identity) alignment checkpoint, in core or budgeted, is refused on
+/// resume and alignment recomputed, and overwritten by this version's.
+/// Contigs and the logical snapshot equal a clean run's.
 #[test]
 fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     let tmp = TempDir::new("v4");
@@ -335,46 +337,48 @@ fn version_4_alignment_checkpoint_and_pages_are_refused_and_recomputed() {
     let config = in_core_config();
     let (clean, clean_snapshot) = run_clean(&parsed, config);
 
-    // A checkpointed in-core run stopped after alignment, its checkpoint
-    // then restamped as version 4.
-    let ckpt = tmp.join("ckpt");
-    let mut opts = CheckpointOptions::in_dir(&ckpt);
-    opts.stop_after = Some(CkptPhase::Alignment);
-    let stopped = FocusAssembler::new(config)
-        .unwrap()
-        .assemble_file(&input, &opts);
-    assert!(matches!(
-        stopped,
-        Ok(AssemblyOutcome::Stopped(CkptPhase::Alignment))
-    ));
-    rewrite_as_version_4(&ckpt);
-    opts.stop_after = None;
-    opts.resume = true;
-    let assembler = FocusAssembler::new(config).unwrap();
-    let resumed = completed(assembler.assemble_file(&input, &opts).unwrap());
-    assert_eq!(resumed.contigs, clean.contigs);
-    assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
-    let counters = assembler.recorder().snapshot().counters;
-    assert_eq!(counters.get("ckpt.rejected"), Some(&1));
-    assert_eq!(counters.get("ckpt.loaded"), None);
+    for version in [4, 5] {
+        // A checkpointed in-core run stopped after alignment, its
+        // checkpoint then restamped as `version`.
+        let ckpt = tmp.join(format!("ckpt-v{version}"));
+        let mut opts = CheckpointOptions::in_dir(&ckpt);
+        opts.stop_after = Some(CkptPhase::Alignment);
+        let stopped = FocusAssembler::new(config)
+            .unwrap()
+            .assemble_file(&input, &opts);
+        assert!(matches!(
+            stopped,
+            Ok(AssemblyOutcome::Stopped(CkptPhase::Alignment))
+        ));
+        rewrite_as_version(&ckpt, version);
+        opts.stop_after = None;
+        opts.resume = true;
+        let assembler = FocusAssembler::new(config).unwrap();
+        let resumed = completed(assembler.assemble_file(&input, &opts).unwrap());
+        assert_eq!(resumed.contigs, clean.contigs);
+        assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+        let counters = assembler.recorder().snapshot().counters;
+        assert_eq!(counters.get("ckpt.rejected"), Some(&1));
+        assert_eq!(counters.get("ckpt.loaded"), None);
 
-    // A budgeted run's checkpoint rewritten as version 4: the resumed run
-    // refuses it, aligns afresh by column, and leaves this version's
-    // container alone in the directory.
-    let ckpt = tmp.join("budgeted-ckpt");
-    let opts = CheckpointOptions::in_dir(&ckpt);
-    let (_, first) = run_file(budgeted_config(), &input, &opts);
-    completed(first.unwrap());
-    rewrite_as_version_4(&ckpt);
-    let resume = CheckpointOptions {
-        resume: true,
-        ..opts
-    };
-    let (assembler, outcome) = run_file(budgeted_config(), &input, &resume);
-    assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
-    assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
-    assert!(aligned_by_column(&assembler));
-    let counters = assembler.recorder().snapshot().counters;
-    assert_eq!(counters.get("ckpt.rejected"), Some(&1));
-    assert_eq!(containers(&ckpt).len(), 1);
+        // A budgeted run's checkpoint rewritten as `version`: the resumed
+        // run refuses it, aligns afresh by column, and leaves this
+        // version's container alone in the directory.
+        let ckpt = tmp.join(format!("budgeted-ckpt-v{version}"));
+        let opts = CheckpointOptions::in_dir(&ckpt);
+        let (_, first) = run_file(budgeted_config(), &input, &opts);
+        completed(first.unwrap());
+        rewrite_as_version(&ckpt, version);
+        let resume = CheckpointOptions {
+            resume: true,
+            ..opts
+        };
+        let (assembler, outcome) = run_file(budgeted_config(), &input, &resume);
+        assert_eq!(completed(outcome.unwrap()).contigs, clean.contigs);
+        assert_eq!(assembler.recorder().snapshot_json(), clean_snapshot);
+        assert!(aligned_by_column(&assembler));
+        let counters = assembler.recorder().snapshot().counters;
+        assert_eq!(counters.get("ckpt.rejected"), Some(&1));
+        assert_eq!(containers(&ckpt).len(), 1);
+    }
 }
