@@ -202,7 +202,7 @@ impl KmerIndex {
             index,
             mut positions,
             mut run_start,
-        } = KmerIndex::scatter(reads, k, off_bits);
+        } = KmerIndex::scatter(reads.iter().copied(), k, off_bits);
         let buckets = 0..index.dir.len() - 1;
         index.sort_buckets(buckets, &mut positions, &mut Vec::new(), |i| {
             run_start[i / 64] |= 1 << (i % 64);
@@ -217,31 +217,26 @@ impl KmerIndex {
     /// slice of the positions and marking its runs in the bitmap words its
     /// entries cover alone; the words it shares with a neighbouring range
     /// are merged after the batch. The result is the same at any thread
-    /// count. Each subset's list is collected once and passes
-    /// [`KmerIndex::check_capacity`] before any is built, or the first that
-    /// fails is the error.
+    /// count. Each scatter task walks its subset's reads straight from
+    /// `reads(j)`, no list collected; `off_bits[j]` is what
+    /// [`KmerIndex::check_capacity`] returned for subset `j`, which the
+    /// caller has checked before any index is built.
     ///
     /// # Panics
     /// Panics if `k` is outside `1..=32`.
-    pub fn build_all<'a>(
-        subsets: usize,
-        reads: impl Fn(usize) -> Vec<(ReadId, PackedView<'a>)>,
+    pub fn build_all<'a, I>(
+        reads: impl Fn(usize) -> I + Sync,
+        off_bits: &[u32],
         k: usize,
         pool: &Pool,
         rec: &Recorder,
-    ) -> Result<Vec<KmerIndex>, AlignError> {
-        let lists = (0..subsets)
-            .map(|j| {
-                let list = reads(j);
-                let off_bits = KmerIndex::check_capacity(list.iter().map(|(_, seq)| seq.len()))?;
-                Ok((list, off_bits))
-            })
-            .collect::<Result<Vec<_>, AlignError>>()?;
-        let mut scattered = pool.map_obs(subsets, rec, |j| {
-            let (list, off_bits) = &lists[j];
-            KmerIndex::scatter(list, k, *off_bits)
+    ) -> Vec<KmerIndex>
+    where
+        I: ExactSizeIterator<Item = (ReadId, PackedView<'a>)> + Clone,
+    {
+        let mut scattered = pool.map_obs(off_bits.len(), rec, |j| {
+            KmerIndex::scatter(reads(j), k, off_bits[j])
         });
-        drop(lists);
         let mut tasks = Vec::with_capacity(scattered.len() * SORT_RANGES);
         for s in &mut scattered {
             let index = &s.index;
@@ -276,7 +271,7 @@ impl KmerIndex {
             });
             shared
         });
-        Ok(scattered
+        scattered
             .into_iter()
             .zip(shared.chunks(SORT_RANGES))
             .map(|(mut s, shared)| {
@@ -285,7 +280,7 @@ impl KmerIndex {
                 }
                 s.index.finish(s.positions, s.run_start)
             })
-            .collect())
+            .collect()
     }
 
     /// The serial half of a build: the reads packed back to back, their
@@ -294,15 +289,20 @@ impl KmerIndex {
     /// order. `dir` is final; `positions` and `run_start` are returned
     /// beside the index. `off_bits` is what [`KmerIndex::check_capacity`]
     /// returned for `reads`.
-    fn scatter(reads: &[(ReadId, PackedView<'_>)], k: usize, off_bits: u32) -> Scattered {
+    fn scatter<'a>(
+        reads: impl ExactSizeIterator<Item = (ReadId, PackedView<'a>)> + Clone,
+        k: usize,
+        off_bits: u32,
+    ) -> Scattered {
         assert!((1..=32).contains(&k), "k must be in 1..=32");
-        let bases: usize = reads.iter().map(|(_, seq)| seq.len()).sum();
+        let bases: usize = reads.clone().map(|(_, seq)| seq.len()).sum();
+        let count = reads.len();
         let mut words = vec![0u64; words_for(bases)];
-        let mut read_starts = Vec::with_capacity(reads.len() + 1);
-        let mut ids = Vec::with_capacity(reads.len());
+        let mut read_starts = Vec::with_capacity(count + 1);
+        let mut ids = Vec::with_capacity(count);
         let mut at = 0usize;
         let mut kmers = 0usize;
-        for &(id, seq) in reads {
+        for (id, seq) in reads {
             read_starts.push(at as u32);
             ids.push(id);
             for off in (0..seq.len()).step_by(BASES_PER_WORD) {
@@ -322,7 +322,7 @@ impl KmerIndex {
 
         let p = dir_bases(kmers, k);
         let suffix_bits = 2 * (k - p) as u32;
-        let tag_width = tag_bits(reads.len(), off_bits, suffix_bits);
+        let tag_width = tag_bits(count, off_bits, suffix_bits);
         let tag_shift = 32 - tag_width;
         let mut index = KmerIndex {
             words,
@@ -1232,11 +1232,15 @@ mod tests {
                 }
                 let subsets = [reads.clone(), reads[..reads.len() / 2].to_vec(), reads];
                 let each: Vec<KmerIndex> = subsets.iter().map(|r| KmerIndex::build(r, k)).collect();
+                let off_bits: Vec<u32> = subsets
+                    .iter()
+                    .map(|r| KmerIndex::check_capacity(r.iter().map(|(_, s)| s.len())).unwrap())
+                    .collect();
                 for threads in [1, 2, 3] {
                     let rec = Recorder::new(fc_obs::ObsOptions::logical());
                     let pool = Pool::new(threads);
-                    let pooled =
-                        KmerIndex::build_all(3, |j| subsets[j].clone(), k, &pool, &rec).unwrap();
+                    let reads = |j: usize| subsets[j].iter().copied();
+                    let pooled = KmerIndex::build_all(reads, &off_bits, k, &pool, &rec);
                     let what = format!("{name}, k={k}, {threads} threads");
                     assert_eq!(pooled.len(), each.len(), "{what}");
                     for (got, want) in pooled.iter().zip(&each) {

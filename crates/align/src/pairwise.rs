@@ -316,21 +316,34 @@ impl<'a> Overlapper<'a> {
 
     /// Refuses `subsets` if one breaks the seed index's capacity rule
     /// ([`KmerIndex::check_capacity`]), on which
-    /// [`Overlapper::index_subset`] panics.
-    fn check_capacity(&self, subsets: &[Vec<ReadId>]) -> Result<(), AlignError> {
-        subsets.iter().try_for_each(|subset| {
-            KmerIndex::check_capacity(subset.iter().map(|&id| self.store.get(id).len())).map(drop)
-        })
+    /// [`Overlapper::index_subset`] panics; else each subset's offset
+    /// width, what [`KmerIndex::build_all`] takes.
+    fn check_capacity(&self, subsets: &[Vec<ReadId>]) -> Result<Vec<u32>, AlignError> {
+        subsets
+            .iter()
+            .map(|subset| {
+                KmerIndex::check_capacity(subset.iter().map(|&id| self.store.get(id).len()))
+            })
+            .collect()
     }
 
     /// Builds the seed index for one reference subset.
     pub fn index_subset(&self, reference: &[ReadId]) -> KmerIndex {
-        KmerIndex::build(&self.subset_reads(reference), self.config.k)
+        let reads: Vec<_> = self.subset_views(reference).collect();
+        KmerIndex::build(&reads, self.config.k)
     }
 
-    /// A subset's reads as the index takes them.
-    fn subset_reads(&self, subset: &[ReadId]) -> Vec<(ReadId, PackedView<'a>)> {
-        subset.iter().map(|&id| (id, self.store.get(id))).collect()
+    /// A subset's reads as the index takes them, read from the store as
+    /// they are walked.
+    fn subset_views<'s>(
+        &self,
+        subset: &'s [ReadId],
+    ) -> impl ExactSizeIterator<Item = (ReadId, PackedView<'a>)> + Clone + 's
+    where
+        'a: 's,
+    {
+        let store = self.store;
+        subset.iter().map(move |&id| (id, store.get(id)))
     }
 
     /// Finds overlaps between `query` reads and an indexed reference
@@ -431,7 +444,7 @@ impl<'a> Overlapper<'a> {
             Indexes::OneAtATime => ("align.overlap_by_column", 1),
         };
         let _span = rec.span_args("align", name, &[("subsets", subsets.len() as i64)]);
-        self.check_capacity(subsets)?;
+        let off_bits = self.check_capacity(subsets)?;
         let mut all = Vec::new();
         let mut tally = PairTally::default();
         let mut listed = mem.try_reserve("overlaps", 0)?;
@@ -439,8 +452,9 @@ impl<'a> Overlapper<'a> {
             let columns = first..subsets.len().min(first + batch);
             let bytes = subsets[columns.clone()].iter().map(|s| self.index_bytes(s));
             let mut held = mem.try_reserve("align-index", bytes.sum())?;
-            let reads = |c: usize| self.subset_reads(&subsets[first + c]);
-            let built = KmerIndex::build_all(columns.len(), reads, self.config.k, pool, rec)?;
+            let reads = |c: usize| self.subset_views(&subsets[first + c]);
+            let built =
+                KmerIndex::build_all(reads, &off_bits[columns.clone()], self.config.k, pool, rec);
             for (j, index) in columns.zip(built) {
                 let pairs: Vec<(usize, usize)> = (0..=j).map(|i| (i, j)).collect();
                 let mut charged = Ok(());
@@ -1088,8 +1102,9 @@ pub(crate) mod tests {
 
     /// One subset of a 1 000 000-base read and 2 100 reads of 100 bp (and
     /// their reverse complements) needs 20 offset bits for 4 202 reads,
-    /// past `2^32` entries: `overlap_all` and `KmerIndex::build_all` refuse
-    /// it, typed, before the pool runs a task.
+    /// past `2^32` entries: `overlap_all` refuses it, typed, before the pool
+    /// runs a task, at the one capacity check `KmerIndex::build_all`'s
+    /// callers make.
     #[test]
     fn a_subset_past_the_index_capacity_is_an_error_not_a_panic() {
         let mut reads = vec![Read::new("long", random_genome(1_000_000, 3))];
@@ -1106,9 +1121,7 @@ pub(crate) mod tests {
         let pool = Pool::new(2);
         let all = overlapper.overlap_all(&subsets, &pool, &rec);
         assert_eq!(all.err(), Some(refused.clone()));
-        let reads = |j: usize| overlapper.subset_reads(&subsets[j]);
-        let indexes = KmerIndex::build_all(1, reads, overlapper.config.k, &pool, &rec);
-        assert_eq!(indexes.err(), Some(refused));
+        assert_eq!(overlapper.check_capacity(&subsets).err(), Some(refused));
         assert_eq!(rec.snapshot().counters.get("exec.tasks"), None);
     }
 

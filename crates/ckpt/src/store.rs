@@ -130,6 +130,9 @@ impl CheckpointStore {
             records,
         };
         let mut encoded = file.encode();
+        // The records die once framed: the write holds one copy of the
+        // payload, not two.
+        drop(file);
         let final_path = self
             .dir
             .join(CheckpointStore::file_name(phase_id, phase_name));

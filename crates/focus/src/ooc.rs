@@ -168,7 +168,7 @@ impl FocusAssembler {
                 &mut policy,
                 &mut budget,
             )
-            .map(|stages| stages.prepared);
+            .map(|kept| kept.prepared);
         outcome(prepared.and_then(|prepared| {
             self.finish(&prepared, config.partitions)
                 .map_err(Halt::Failed)

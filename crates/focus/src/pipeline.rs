@@ -15,6 +15,16 @@
 //! one loop, [`Overlapper::overlap_all_within`]; `prepare_from` picks how
 //! many seed indexes it holds at once: one for a file run under a memory
 //! budget, every one otherwise.
+//!
+//! Each graph dies at its last reader. The overlaps go once `G0`'s directed
+//! view is built from them; `G0`'s undirected view goes once coarsening has
+//! contracted level 1 from it, and each level once the next one is
+//! (`fc_graph::coarsen::coarsen_on`), so `prepare_from` keeps only the
+//! fine→coarse maps and per-level node counts of the multilevel set. Hybrid
+//! selection reads those, `G0`'s directed view with its containments, and
+//! the store. [`prepare_stages`](FocusAssembler::prepare_stages) re-derives
+//! `G0`'s undirected view and the multilevel set from the directed view for
+//! the figure and test code that reads them.
 
 use crate::checkpoint::{CkptPolicy, Halt};
 use crate::config::{FocusConfig, FocusError};
@@ -22,10 +32,12 @@ use crate::ooc::RunBudget;
 use crate::stats::AssemblyStats;
 use fc_align::{Indexes, Overlap, Overlapper, PairStats, Pool};
 use fc_dist::{AssemblyPath, DistributedConfig, DistributedHybrid, DistributedReport, FaultPlan};
-use fc_graph::{HybridSet, MultilevelSet, NodeId, OverlapGraph};
+use fc_graph::coarsen::coarsen_on;
+use fc_graph::{DiGraph, HybridSet, MultilevelSet, NodeId, OverlapGraph};
 use fc_obs::Recorder;
 use fc_partition::{partition_graph_set_obs, PartitionConfig, PartitionResult};
 use fc_seq::{fasta, DnaString, Read, ReadStore, SeqError};
+use std::mem::size_of_val;
 use std::sync::Arc;
 
 /// The Focus assembler. Construct with a validated [`FocusConfig`], then
@@ -60,7 +72,8 @@ pub struct Prepared {
 /// Every product of stages 1–5, as
 /// [`prepare_stages`](FocusAssembler::prepare_stages) returns it: the
 /// [`Prepared`] stage 6 reads, and the store, pair stats, `G0` and
-/// multilevel set it does not. The verified overlaps themselves are gone
+/// multilevel set it does not; the last two are re-derived, byte for byte,
+/// from the directed view the run kept. The verified overlaps themselves are gone
 /// once G0 is built from them; [`Overlapper::overlap_all`] recomputes them
 /// for anyone who needs them.
 #[derive(Debug, Clone)]
@@ -75,6 +88,19 @@ pub struct Stages {
     pub multilevel: MultilevelSet,
     /// What [`assemble_prepared`](FocusAssembler::assemble_prepared) reads.
     pub prepared: Prepared,
+}
+
+/// What [`prepare_from`](FocusAssembler::prepare_from) returns: the
+/// [`Prepared`] stage 6 reads, and what it keeps to its end besides — the
+/// store, the pair stats and `G0`'s directed view with its containments,
+/// from which [`prepare_stages`](FocusAssembler::prepare_stages) re-derives
+/// the rest of [`Stages`]. No level graph is among them.
+pub(crate) struct Kept {
+    store: ReadStore,
+    pair_stats: Vec<(usize, usize, PairStats)>,
+    directed: DiGraph,
+    containments: Vec<(NodeId, NodeId)>,
+    pub(crate) prepared: Prepared,
 }
 
 /// Where a run's reads came from, with how many there were: what decides
@@ -147,13 +173,35 @@ impl FocusAssembler {
     /// Returns only what stage 6 reads; the other stages are freed before
     /// this returns.
     pub fn prepare(&self, reads: &[Read]) -> Result<Prepared, FocusError> {
-        self.prepare_stages(reads).map(|stages| stages.prepared)
+        self.prepare_parsed(reads).map(|kept| kept.prepared)
     }
 
     /// [`prepare`](FocusAssembler::prepare), keeping every stage's product:
     /// for the paper's figures and tables that compare the hybrid set with
-    /// `G0` and the multilevel set.
+    /// `G0` and the multilevel set. The pipeline frees `G0`'s undirected
+    /// view and every multilevel level before hybrid selection, so both are
+    /// re-derived here from the directed view it keeps, by the same public
+    /// builders under a disabled recorder: the products are the ones the
+    /// run built, and nothing is recorded twice.
     pub fn prepare_stages(&self, reads: &[Read]) -> Result<Stages, FocusError> {
+        let kept = self.prepare_parsed(reads)?;
+        let (pool, off) = (Pool::new(self.config.threads), Recorder::disabled());
+        let graph = OverlapGraph::from_directed(kept.directed, kept.containments, &pool, &off);
+        let g0 = graph.undirected.clone();
+        let multilevel = MultilevelSet::build_on(g0, &self.config.coarsen, &pool, &off);
+        Ok(Stages {
+            store: kept.store,
+            pair_stats: kept.pair_stats,
+            graph,
+            multilevel,
+            prepared: kept.prepared,
+        })
+    }
+
+    /// Stages 1–5 over parsed reads: the sequence behind
+    /// [`prepare`](FocusAssembler::prepare) and
+    /// [`prepare_stages`](FocusAssembler::prepare_stages).
+    fn prepare_parsed(&self, reads: &[Read]) -> Result<Kept, FocusError> {
         let (rec, config) = (&self.recorder, &self.config);
         let _span = rec.span_args(
             "pipeline",
@@ -205,7 +253,7 @@ impl FocusAssembler {
         pool: &Pool,
         policy: &mut CkptPolicy<'_>,
         budget: &mut RunBudget,
-    ) -> Result<Stages, Halt> {
+    ) -> Result<Kept, Halt> {
         let (rec, config) = (&self.recorder, &self.config);
         if store.is_empty() {
             return Err(Halt::Failed(FocusError::EmptyInput));
@@ -232,34 +280,55 @@ impl FocusAssembler {
 
         // Every stage below runs its batches on the pool; their task lists
         // are fixed by the input, so the stages are the same at any thread
-        // count. The level-0 overlap graph's directed half is the overlaps'
-        // last reader: they and their charge go before the undirected half
-        // is derived from it.
+        // count. Each graph dies at its last reader. The level-0 overlap
+        // graph's directed half is the overlaps' last reader: they and
+        // their charge go before the undirected half is derived from it.
         let (directed, containments) = OverlapGraph::directed_view(&store, &overlaps, pool, rec);
         drop((overlaps, overlaps_charge));
         budget.gauge(rec);
         let graph = OverlapGraph::from_directed(directed, containments, pool, rec);
-
-        let ml_g0 = graph.undirected.clone();
-        let multilevel = MultilevelSet::build_on(ml_g0, &config.coarsen, pool, rec);
-        let hybrid = HybridSet::build_on(&multilevel, &graph, &store, pool, rec);
-
         // The graphs, visible but not charged: `mem.*` stays out of logical
         // snapshots, and whether they enter the `MemoryBudget` is ROADMAP
-        // item 8's decision. Level 0 of the multilevel set is G0's undirected
-        // view (shared, not copied), so it is counted there.
-        let multilevel_bytes = multilevel.set.heap_bytes() - multilevel.set.finest().heap_bytes();
+        // item 8's decision. `g0_bytes` is G0 as built, both views and the
+        // containments; `multilevel_bytes` is what selection keeps of the
+        // multilevel set, its maps and node counts.
         rec.gauge("mem.graph.g0_bytes", graph.heap_bytes() as i64);
-        rec.gauge("mem.graph.multilevel_bytes", multilevel_bytes as i64);
+        let OverlapGraph {
+            undirected,
+            directed,
+            containments,
+        } = graph;
+
+        // Coarsening keeps no level: G0's undirected view dies once level 1
+        // is contracted from it, and each level once the next one is.
+        // Hybrid selection reads the maps, the node counts, G0's directed
+        // view and its containments, and the store.
+        let mut node_counts = Vec::new();
+        let maps = coarsen_on(undirected, &config.coarsen, pool, rec, |level| {
+            node_counts.push(level.node_count());
+        });
+        let ancestry = maps.iter().map(|m| size_of_val(&m[..])).sum::<usize>();
+        let ancestry = ancestry + size_of_val(&node_counts[..]);
+        rec.gauge("mem.graph.multilevel_bytes", ancestry as i64);
+        let hybrid = HybridSet::build_on(
+            &node_counts,
+            &maps,
+            &directed,
+            &containments,
+            &store,
+            pool,
+            rec,
+        );
+        drop((node_counts, maps));
         rec.gauge("mem.graph.hybrid_bytes", hybrid.heap_bytes() as i64);
 
         let contigs = DistributedHybrid::node_contigs_on(&hybrid, &store, pool, rec);
         rec.sample_peak_rss();
-        Ok(Stages {
+        Ok(Kept {
             store,
             pair_stats,
-            graph,
-            multilevel,
+            directed,
+            containments,
             prepared: Prepared { hybrid, contigs },
         })
     }

@@ -2,7 +2,7 @@
 
 use crate::csr::{vec_bytes, Csr};
 use crate::digraph::{DiEdge, DiGraph};
-use crate::level::{LevelGraph, NodeId};
+use crate::level::{LevelGraph, NodeId, RowSums};
 use fc_align::{Overlap, OverlapKind};
 use fc_exec::Pool;
 use fc_obs::Recorder;
@@ -87,29 +87,33 @@ impl OverlapGraph {
         let n = di.node_count();
         let degree = |v: NodeId| di.out_degree(v) + di.in_degree(v);
         let adj = Csr::build_blocked(n, pool, rec, Vec::new, degree, |v, sources, row| {
-            // Whether a link is listed turns on its reverse edge, which
-            // `v`'s own views hold: `s → v` is left out when `v < s` and
-            // `v → s` exists, `v → t` when `t < v` and `t → v` exists. Only
-            // the incoming links' lengths are read from other rows.
-            let (out, inc) = (di.out_edges(v), di.in_neighbors(v));
-            sources.clear();
-            sources.extend(
-                inc.iter()
-                    .filter(|&&s| s < v || !out.iter().any(|e| e.to == s)),
-            );
-            sources.sort_unstable();
-            let lower = sources.partition_point(|&s| s < v);
-            let incoming = |&s: &NodeId| (s, di.edge(s, v).map_or(0, |e| e.len));
-            row.extend(sources[..lower].iter().map(incoming));
-            let own = out.iter().filter(|e| v < e.to || !inc.contains(&e.to));
-            row.extend(own.map(|e| (e.to, e.len)));
-            row.extend(sources[lower..].iter().map(incoming));
+            undirected_links(di, v, sources, |u, w| row.push((u, w)));
         });
         OverlapGraph {
             undirected: LevelGraph::from_rows(vec![1; n], adj),
             directed,
             containments,
         }
+    }
+
+    /// `G'0` straight from the directed view: the undirected view
+    /// [`OverlapGraph::from_directed`] would derive, contracted through
+    /// `map` onto coarse nodes of weights `node_weight` by blocks of coarse
+    /// rows on `pool`, without the undirected view ever being built. Equal
+    /// to `undirected.contracted(map, node_weight)`; each incoming link's
+    /// length is looked up in its source's out-row.
+    pub(crate) fn contracted_from_directed(
+        directed: &DiGraph,
+        map: &[NodeId],
+        node_weight: Vec<u32>,
+        pool: &Pool,
+        rec: &Recorder,
+    ) -> LevelGraph {
+        let entries = 2 * directed.edge_count();
+        let links = |v: NodeId, sources: &mut Vec<NodeId>, sums: &mut RowSums<'_>| {
+            undirected_links(directed, v, sources, |u, w| sums.add(u, w));
+        };
+        LevelGraph::contract_links(map, node_weight, entries, pool, rec, Vec::new, links)
     }
 
     /// Bytes every field holds on the heap: both views and the containments.
@@ -120,6 +124,41 @@ impl OverlapGraph {
     /// Node count (= store read count).
     pub fn node_count(&self) -> usize {
         self.undirected.node_count()
+    }
+}
+
+/// The listed-once rule: calls `link(u, length)` for every undirected link
+/// of `v` in `di`, in the order of `v`'s undirected row — the links from
+/// lower sources (ascending), then `v`'s own, then those from higher
+/// sources (ascending); `sources` is the caller's buffer.
+///
+/// Whether a link is listed turns on its reverse edge, which `v`'s own
+/// views hold: `s → v` is left out when `v < s` and `v → s` exists,
+/// `v → t` when `t < v` and `t → v` exists. Only the incoming links'
+/// lengths are read from other rows.
+fn undirected_links(
+    di: &DiGraph,
+    v: NodeId,
+    sources: &mut Vec<NodeId>,
+    mut link: impl FnMut(NodeId, u32),
+) {
+    let (out, inc) = (di.out_edges(v), di.in_neighbors(v));
+    sources.clear();
+    sources.extend(
+        inc.iter()
+            .filter(|&&s| s < v || !out.iter().any(|e| e.to == s)),
+    );
+    sources.sort_unstable();
+    let lower = sources.partition_point(|&s| s < v);
+    let length = |s: NodeId| di.edge(s, v).map_or(0, |e| e.len);
+    for &s in &sources[..lower] {
+        link(s, length(s));
+    }
+    for e in out.iter().filter(|e| v < e.to || !inc.contains(&e.to)) {
+        link(e.to, e.len);
+    }
+    for &s in &sources[lower..] {
+        link(s, length(s));
     }
 }
 

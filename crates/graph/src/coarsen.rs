@@ -1,5 +1,12 @@
 //! Graph coarsening: heavy-edge matching and node merging (paper §II-C,
 //! following Karypis & Kumar).
+//!
+//! [`coarsen_on`] is the one coarsening loop. It hands each level to its
+//! caller once the next level has been contracted from it:
+//! [`MultilevelSet::build_on`] keeps every level, and the pipeline keeps
+//! none — only the fine→coarse maps and the node counts, all that hybrid
+//! selection reads of the multilevel set — so no level outlives the
+//! contraction that reads it.
 
 use crate::level::{GraphSet, LevelGraph, NodeId};
 use fc_exec::Pool;
@@ -66,56 +73,12 @@ impl MultilevelSet {
         pool: &Pool,
         rec: &Recorder,
     ) -> MultilevelSet {
-        let _span = rec.span_args(
-            "graph",
-            "coarsen.build",
-            &[("nodes", g0.node_count() as i64)],
-        );
-        let mut levels = vec![g0];
-        let mut maps = Vec::new();
-        for round in 0..config.max_levels {
-            let Some(current) = levels.last() else { break };
-            if current.node_count() <= config.min_nodes {
-                break;
-            }
-            let matching = heavy_edge_matching(current, MATCHING_SEED.wrapping_add(round as u64));
-            if rec.is_enabled() {
-                let matched = matching
-                    .iter()
-                    .enumerate()
-                    .filter(|&(v, &m)| m != v as NodeId)
-                    .count();
-                // Integer permille instead of a float ratio: the snapshot
-                // format is integer-only to stay byte-deterministic.
-                rec.observe_with(
-                    "coarsen.matching_rate_permille",
-                    (matched as u64 * 1000) / current.node_count().max(1) as u64,
-                    PERMILLE_BOUNDS,
-                );
-            }
-            let (coarse, map) = contract_on(current, &matching, pool, rec);
-            if (coarse.node_count() as f64) > STAGNATION_RATIO * current.node_count() as f64 {
-                break;
-            }
-            rec.instant(
-                "graph",
-                "coarsen.level",
-                &[
-                    ("round", round as i64),
-                    ("nodes", coarse.node_count() as i64),
-                    ("edges", coarse.edge_count() as i64),
-                ],
-            );
-            rec.observe("coarsen.level_nodes", coarse.node_count() as u64);
-            rec.observe("coarsen.level_edges", coarse.edge_count() as u64);
-            levels.push(coarse);
-            maps.push(map);
-        }
-        rec.add("coarsen.levels", levels.len() as u64);
+        let mut levels = Vec::new();
+        let fine_to_coarse = coarsen_on(g0, config, pool, rec, |level| levels.push(level));
         MultilevelSet {
             set: GraphSet {
                 levels,
-                fine_to_coarse: maps,
+                fine_to_coarse,
             },
         }
     }
@@ -124,6 +87,69 @@ impl MultilevelSet {
     pub fn level_count(&self) -> usize {
         self.set.level_count()
     }
+}
+
+/// The one coarsening loop behind [`MultilevelSet::build_on`]: coarsens
+/// `g0` with heavy-edge matching until a stopping rule of `config`
+/// triggers, handing each level to `done` once the next level has been
+/// contracted from it (the coarsest when the loop stops), finest first,
+/// and returns the fine→coarse maps. A caller that keeps no level holds
+/// at most two graphs at once; one that keeps every level has the
+/// multilevel set.
+pub fn coarsen_on(
+    g0: LevelGraph,
+    config: &CoarsenConfig,
+    pool: &Pool,
+    rec: &Recorder,
+    mut done: impl FnMut(LevelGraph),
+) -> Vec<Vec<NodeId>> {
+    let _span = rec.span_args(
+        "graph",
+        "coarsen.build",
+        &[("nodes", g0.node_count() as i64)],
+    );
+    let mut current = g0;
+    let mut maps = Vec::new();
+    for round in 0..config.max_levels {
+        if current.node_count() <= config.min_nodes {
+            break;
+        }
+        let matching = heavy_edge_matching(&current, MATCHING_SEED.wrapping_add(round as u64));
+        if rec.is_enabled() {
+            let matched = matching
+                .iter()
+                .enumerate()
+                .filter(|&(v, &m)| m != v as NodeId)
+                .count();
+            // Integer permille instead of a float ratio: the snapshot
+            // format is integer-only to stay byte-deterministic.
+            rec.observe_with(
+                "coarsen.matching_rate_permille",
+                (matched as u64 * 1000) / current.node_count().max(1) as u64,
+                PERMILLE_BOUNDS,
+            );
+        }
+        let (coarse, map) = contract_on(&current, &matching, pool, rec);
+        if (coarse.node_count() as f64) > STAGNATION_RATIO * current.node_count() as f64 {
+            break;
+        }
+        rec.instant(
+            "graph",
+            "coarsen.level",
+            &[
+                ("round", round as i64),
+                ("nodes", coarse.node_count() as i64),
+                ("edges", coarse.edge_count() as i64),
+            ],
+        );
+        rec.observe("coarsen.level_nodes", coarse.node_count() as u64);
+        rec.observe("coarsen.level_edges", coarse.edge_count() as u64);
+        done(std::mem::replace(&mut current, coarse));
+        maps.push(map);
+    }
+    rec.add("coarsen.levels", maps.len() as u64 + 1);
+    done(current);
+    maps
 }
 
 /// Computes a heavy-edge matching: nodes are visited in random order; an

@@ -12,13 +12,21 @@
 //! representatives that share a level-`i` ancestor in the multilevel set
 //! merge. Partitioning this set only needs to un-coarsen down to `G'0`
 //! instead of `G0` — that is the paper's "biological knowledge" saving.
+//!
+//! Selection reads the multilevel set's ancestry alone (each level's node
+//! count and the fine→coarse maps), `G0`'s directed view with its
+//! containments, and the store. `G'0` is `G0`'s undirected view contracted
+//! through `rep_of_node`, but contracted straight from the directed view by
+//! the same listed-once rule that derives the undirected view
+//! (`OverlapGraph::contracted_from_directed`), so no level graph and no
+//! undirected `G0` need be alive while it runs.
 
 use crate::build::OverlapGraph;
 use crate::coarsen::MultilevelSet;
 use crate::csr::{blocks, distinct, vec_bytes, Csr};
 use crate::digraph::{DiEdge, DiGraph};
 use crate::layout::{layout_cluster, ClusterLayout, LayoutConfig, LayoutScratch};
-use crate::level::{GraphSet, NodeId};
+use crate::level::{ancestor, GraphSet, NodeId};
 use fc_exec::Pool;
 use fc_obs::Recorder;
 use fc_seq::{DnaString, ReadStore};
@@ -75,12 +83,30 @@ impl HybridSet {
         _layout: &LayoutConfig,
         rec: &Recorder,
     ) -> HybridSet {
-        HybridSet::build_on(ml, g0, store, &Pool::serial(), rec)
+        let node_counts: Vec<usize> = ml.set.levels.iter().map(|g| g.node_count()).collect();
+        let maps = &ml.set.fine_to_coarse;
+        let (directed, containments) = (&g0.directed, &g0.containments);
+        let pool = Pool::serial();
+        HybridSet::build_on(
+            &node_counts,
+            maps,
+            directed,
+            containments,
+            store,
+            &pool,
+            rec,
+        )
     }
 
     /// [`HybridSet::build`] on `pool`, with selection metrics recorded into
     /// `rec`: contiguity-test outcomes (via `layout.*`), the representative
     /// count and level distribution, and hybrid graph sizes.
+    ///
+    /// It reads only what selection uses of the multilevel set — each
+    /// level's node count and the fine→coarse maps, no level graph — and of
+    /// `G0` only its directed view `g0` and its containments: `G'0` is
+    /// contracted straight from the directed view. A caller can free every
+    /// level graph, and `G0`'s undirected view, before this runs.
     ///
     /// Selection descends from each coarsest node in turn, and the clusters
     /// one root yields are its own reads, so the roots are cut into
@@ -90,29 +116,26 @@ impl HybridSet {
     /// blocks of rows too. Selection is fully deterministic, so the set and
     /// every metric are thread-count-invariant.
     pub fn build_on(
-        ml: &MultilevelSet,
-        g0: &OverlapGraph,
+        node_counts: &[usize],
+        fine_to_coarse: &[Vec<NodeId>],
+        g0: &DiGraph,
+        containments: &[(NodeId, NodeId)],
         store: &ReadStore,
         pool: &Pool,
         rec: &Recorder,
     ) -> HybridSet {
-        let _span = rec.span_args(
-            "graph",
-            "hybrid.build",
-            &[("levels", ml.level_count() as i64)],
-        );
-        let set = &ml.set;
-        let n_levels = set.level_count();
-        let children = children_lists(set);
-        let mut containments = g0.containments.clone();
+        let n_levels = node_counts.len();
+        let _span = rec.span_args("graph", "hybrid.build", &[("levels", n_levels as i64)]);
+        let children = children_lists(node_counts, fine_to_coarse);
+        let mut containments = containments.to_vec();
         containments.sort_unstable();
 
         // --- Representative selection: descend from the coarsest level. ---
         // Reads are ranked root by root, so a block of roots owns a range
         // of ranks; `first[r]` is root r's first rank.
         let top = n_levels - 1;
-        let roots = set.coarsest().node_count() as NodeId;
-        let mut rank = vec![0u32; set.finest().node_count()];
+        let roots = node_counts[top] as NodeId;
+        let mut rank = vec![0u32; node_counts[0]];
         let mut first = Vec::with_capacity(roots as usize + 1);
         let mut stack = Vec::new();
         first.push(0usize);
@@ -143,14 +166,7 @@ impl HybridSet {
                 let mut found = (Vec::new(), Vec::new());
                 while let Some((level, node)) = stack.pop() {
                     expand_to_level0(&children, level, node, &mut descent, &mut cluster);
-                    match layout_cluster(
-                        &cluster,
-                        &g0.directed,
-                        &containments,
-                        store,
-                        &mut scratch,
-                        rec,
-                    ) {
+                    match layout_cluster(&cluster, g0, &containments, store, &mut scratch, rec) {
                         Some(layout) => {
                             found.0.push(Representative { level, node });
                             found.1.push(layout);
@@ -190,8 +206,10 @@ impl HybridSet {
             "clusters must cover G0"
         );
 
-        // --- Hybrid G'0: contract the undirected G0. ---
-        let g0h = g0.undirected.contracted(
+        // --- Hybrid G'0: G0's undirected view contracted, straight from
+        // the directed view. ---
+        let g0h = OverlapGraph::contracted_from_directed(
+            g0,
             &rep_of_node,
             layouts.iter().map(|l| l.len() as u32).collect(),
             pool,
@@ -210,8 +228,8 @@ impl HybridSet {
             }
         }
         let mut contig_edges: Vec<(NodeId, DiEdge)> = Vec::new();
-        for u in g0.directed.live_nodes() {
-            for e in g0.directed.out_edges(u) {
+        for u in g0.live_nodes() {
+            for e in g0.out_edges(u) {
                 let (ru, rv) = (rep_of_node[u as usize], rep_of_node[e.to as usize]);
                 if ru == rv {
                     continue;
@@ -242,7 +260,7 @@ impl HybridSet {
             if i <= r.level {
                 (r.level, r.node)
             } else {
-                (i, set.ancestor(r.level, r.node, i))
+                (i, ancestor(fine_to_coarse, r.level, r.node, i))
             }
         };
         let mut prev_assign: Vec<NodeId> = (0..reps.len() as NodeId).collect();
@@ -353,10 +371,10 @@ impl HybridSet {
 
 /// `children[level].row(node)` = nodes of `level - 1` merging into `node`,
 /// ascending. `children[0]` is empty.
-fn children_lists(set: &GraphSet) -> Vec<Csr<NodeId>> {
+fn children_lists(node_counts: &[usize], fine_to_coarse: &[Vec<NodeId>]) -> Vec<Csr<NodeId>> {
     let mut out = vec![Csr::default()];
-    for (i, map) in set.fine_to_coarse.iter().enumerate() {
-        let coarse_n = set.levels[i + 1].node_count();
+    for (i, map) in fine_to_coarse.iter().enumerate() {
+        let coarse_n = node_counts[i + 1];
         let members = map.iter().enumerate().map(|(fine, &c)| (c, fine as NodeId));
         out.push(Csr::build(coarse_n, members, distinct));
     }
@@ -619,7 +637,11 @@ mod tests {
                     Pool::new(threads),
                     Recorder::new(fc_obs::ObsOptions::logical()),
                 );
-                let hs = HybridSet::build_on(&ml, &g, &store, &pool, &rec);
+                let counts: Vec<usize> = ml.set.levels.iter().map(|l| l.node_count()).collect();
+                let maps = &ml.set.fine_to_coarse;
+                let (directed, contained) = (&g.directed, &g.containments);
+                let hs =
+                    HybridSet::build_on(&counts, maps, directed, contained, &store, &pool, &rec);
                 let contigs = hs.contigs(&store, &pool, &rec);
                 let directed: Vec<_> = (0..hs.node_count() as NodeId)
                     .map(|v| hs.directed.out_edges(v).to_vec())

@@ -146,38 +146,57 @@ impl LevelGraph {
         pool: &Pool,
         rec: &Recorder,
     ) -> LevelGraph {
+        let entries = self.0.adj.entries().len();
+        let rows = |v: NodeId, (): &mut (), sums: &mut RowSums<'_>| {
+            for &(u, w) in self.neighbors(v) {
+                sums.add(u, w);
+            }
+        };
+        LevelGraph::contract_links(map, node_weight, entries, pool, rec, || (), rows)
+    }
+
+    /// The contraction under [`LevelGraph::contracted`], of a fine graph
+    /// given by its links rather than its rows: `links(v, scratch, sums)`
+    /// adds every edge of fine node `v` to `sums`, once from each end, with
+    /// the worker's `scratch`. `entries` is about how many that is over
+    /// all fine nodes, what sizes a block's array.
+    pub(crate) fn contract_links<S>(
+        map: &[NodeId],
+        node_weight: Vec<u32>,
+        entries: usize,
+        pool: &Pool,
+        rec: &Recorder,
+        scratch: impl Fn() -> S + Sync,
+        links: impl Fn(NodeId, &mut S, &mut RowSums<'_>) + Sync,
+    ) -> LevelGraph {
         let n = node_weight.len();
         let members = map.iter().enumerate().map(|(v, &c)| (c, v as NodeId));
         let members = Csr::build(n, members, distinct);
-        // `stamp[c] == row` once coarse row `row` has reached neighbour `c`,
-        // and `sum[c]` then holds the weight summed so far.
-        let accumulator = || (vec![NodeId::MAX; n], vec![0u32; n], Vec::new());
+        let accumulator = || {
+            let sums = RowSums {
+                map,
+                row: 0,
+                stamp: vec![NodeId::MAX; n],
+                sum: vec![0u32; n],
+                touched: Vec::new(),
+            };
+            (sums, scratch())
+        };
         // A coarse row holds at most its members' entries; a block is sized
         // to the fine graph's mean per coarse row, and grows if it must.
-        let mean = self.0.adj.entries().len().div_ceil(n.max(1));
+        let mean = entries.div_ceil(n.max(1));
         let adj = Csr::build_blocked(
             n,
             pool,
             rec,
             accumulator,
             |_| mean,
-            |row, acc, out| {
-                let (stamp, sum, touched) = acc;
+            |row, (sums, scratch), out| {
+                sums.row = row;
                 for &v in members.row(row) {
-                    for &(u, w) in self.neighbors(v) {
-                        let c = map[u as usize];
-                        if c == row {
-                            continue;
-                        }
-                        let at = c as usize;
-                        if stamp[at] == row {
-                            sum[at] = sum[at].saturating_add(w);
-                        } else {
-                            (stamp[at], sum[at]) = (row, w);
-                            touched.push(c);
-                        }
-                    }
+                    links(v, scratch, sums);
                 }
+                let RowSums { sum, touched, .. } = sums;
                 touched.sort_unstable();
                 out.extend(touched.drain(..).map(|c| (c, sum[c as usize])));
             },
@@ -216,6 +235,51 @@ impl LevelGraph {
         }
         Ok(())
     }
+}
+
+/// One coarse row's running sums in a contraction: the fine edges its
+/// members reach, summed by the coarse node at their other end.
+pub(crate) struct RowSums<'m> {
+    map: &'m [NodeId],
+    row: NodeId,
+    /// `stamp[c] == row` once the row has reached coarse neighbour `c`,
+    /// and `sum[c]` then holds the weight summed so far.
+    stamp: Vec<NodeId>,
+    sum: Vec<u32>,
+    /// The coarse neighbours reached, in first-reach order.
+    touched: Vec<NodeId>,
+}
+
+impl RowSums<'_> {
+    /// Adds a fine edge to fine node `u` of weight `w`; one inside the row's
+    /// own coarse node folds away.
+    #[inline]
+    pub(crate) fn add(&mut self, u: NodeId, w: u32) {
+        let c = self.map[u as usize];
+        if c == self.row {
+            return;
+        }
+        let at = c as usize;
+        if self.stamp[at] == self.row {
+            self.sum[at] = self.sum[at].saturating_add(w);
+        } else {
+            (self.stamp[at], self.sum[at]) = (self.row, w);
+            self.touched.push(c);
+        }
+    }
+}
+
+/// The ancestor at `target_level` of `node` of `level`, through the
+/// fine→coarse maps of a hierarchy: [`GraphSet::ancestor`] without the
+/// level graphs, which hybrid selection does not hold.
+pub(crate) fn ancestor(
+    fine_to_coarse: &[Vec<NodeId>],
+    level: usize,
+    node: NodeId,
+    target_level: usize,
+) -> NodeId {
+    let maps = &fine_to_coarse[level..target_level];
+    maps.iter().fold(node, |v, map| map[v as usize])
 }
 
 /// A hierarchy of level graphs with fine→coarse node maps.
@@ -264,11 +328,7 @@ impl GraphSet {
     /// (≥ `level`).
     pub fn ancestor(&self, level: usize, node: NodeId, target_level: usize) -> NodeId {
         assert!(target_level >= level && target_level < self.levels.len());
-        let mut v = node;
-        for maps in &self.fine_to_coarse[level..target_level] {
-            v = maps[v as usize];
-        }
-        v
+        ancestor(&self.fine_to_coarse, level, node, target_level)
     }
 
     /// Whether `levels[level + 1]` is a copy of `levels[level]`: the map
